@@ -11,7 +11,8 @@ import numpy as np
 from conftest import emit
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
-from repro.retrieval.ann import ClusterIndex
+from repro.server.state import EpochSnapshot
+from repro.serving.ann import CoarseQuantizer
 from repro.text import Vocabulary
 from repro.util.rng import ensure_rng
 
@@ -30,25 +31,32 @@ def _model(n=20_000, k=32, hubs=24, seed=4):
 
 def test_ann_recall_cost_curve(benchmark):
     model = _model()
-    index = ClusterIndex.build(model, seed=0)
+    coords = EpochSnapshot(0, model).coords
+    index = EpochSnapshot(0, model, ann=CoarseQuantizer.train(coords, seed=0))
+    n_clusters = index.ann.n_clusters
     rng = ensure_rng(7)
     queries = rng.standard_normal((25, model.k))
 
+    def search(q, probes):
+        results, stats = index.search(index.scale(q), top=10, probes=probes)
+        return results[0], stats[0]["candidates"]
+
     def probe2():
-        return index.search(queries[0], top=10, probes=2)
+        return search(queries[0], 2)
 
     benchmark(probe2)
 
     rows = [
-        f"n={model.n_documents} documents, {index.n_clusters} clusters",
+        f"n={model.n_documents} documents, {n_clusters} clusters",
         f"{'probes':>7s}{'recall@10':>11s}{'scored frac':>13s}",
     ]
     curve = {}
     for probes in (1, 2, 4, 8):
         recalls, fracs = [], []
         for q in queries:
-            recalls.append(index.recall_at(q, top=10, probes=probes))
-            _, scored = index.search(q, top=10, probes=probes)
+            exact = {j for j, _ in index.search(index.scale(q), top=10)[0][0]}
+            approx, scored = search(q, probes)
+            recalls.append(len({j for j, _ in approx} & exact) / 10)
             fracs.append(scored / model.n_documents)
         curve[probes] = (float(np.mean(recalls)), float(np.mean(fracs)))
         rows.append(
@@ -67,5 +75,5 @@ def test_ann_recall_cost_curve(benchmark):
     # Sanity: full probing equals exact search.
     q = queries[0]
     exact_top = np.argsort(-cosine_similarities(model, q), kind="stable")[:10]
-    full, _ = index.search(q, top=10, probes=index.n_clusters)
+    full, _ = search(q, n_clusters)
     assert [j for j, _ in full] == exact_top.tolist()

@@ -19,9 +19,9 @@ from conftest import emit
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
 from repro.obs import span, tracing_enabled
+from repro.obs.metrics import registry
 from repro.serving import get_document_index
 from repro.text.vocabulary import Vocabulary
-from repro.util.timing import serving_counters
 
 N_DOCS = 10_000
 K = 100
@@ -76,7 +76,7 @@ def test_query_fastpath_speedup():
     qhats = rng.standard_normal((N_QUERIES, K))
 
     index = get_document_index(model)  # build outside the timed region
-    serving_counters.reset()
+    registry.reset("serving.")
 
     # Warm-up + byte-identical ranking check on every query.
     for q in qhats:
@@ -96,7 +96,7 @@ def test_query_fastpath_speedup():
     seed_time = time.perf_counter() - t0
 
     speedup = seed_time / fast_time
-    snap = serving_counters.snapshot()
+    seconds = registry.histogram_sums("serving.")
     emit(
         "query-serving fast path",
         [
@@ -106,9 +106,10 @@ def test_query_fastpath_speedup():
             f"fast path (cached index + argpartition): "
             f"{fast_time / N_QUERIES * 1e3:8.3f} ms/query",
             f"speedup: {speedup:.1f}x   (floor {MIN_SPEEDUP:.0f}x)",
-            f"counters: queries_served={snap.get('queries_served')}, "
-            f"gemm={snap.get('gemm_seconds', 0.0):.3f}s, "
-            f"topk={snap.get('topk_seconds', 0.0):.3f}s",
+            f"counters: queries_served="
+            f"{registry.counter('serving.queries_served')}, "
+            f"gemm={seconds.get('serving.gemm_seconds', 0.0):.3f}s, "
+            f"topk={seconds.get('serving.topk_seconds', 0.0):.3f}s",
             "rankings byte-identical to seed on all queries",
         ],
     )

@@ -107,6 +107,45 @@ def _read_documents(path: pathlib.Path) -> tuple[list[str], list[str]]:
     raise ReproError(f"{path} does not exist")
 
 
+def _add_serving_options(
+    parser: argparse.ArgumentParser,
+    *,
+    port: str,
+    timeout_ms: str,
+    probes: str,
+    ann_clusters: str,
+    retain: str,
+    max_resident: str,
+    queue_depth: str,
+) -> None:
+    """The options ``serve`` and ``cluster serve`` share, declared once.
+
+    Names, types and defaults are identical on both commands; the
+    keyword arguments carry each command's own help wording where the
+    option means something slightly different there.
+    """
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=8080, help=port)
+    parser.add_argument("--timeout-ms", type=float, default=None,
+                        help=timeout_ms)
+    parser.add_argument("--probes", type=int, default=None, help=probes)
+    parser.add_argument("--ann-clusters", type=int, default=None,
+                        help=ann_clusters)
+    parser.add_argument("--retain", type=int, default=3, help=retain)
+    parser.add_argument(
+        "--slow-ms", type=float, default=500.0,
+        help="slow-query log threshold in milliseconds (0 disables)",
+    )
+    parser.add_argument(
+        "--slowlog", type=pathlib.Path, default=None,
+        help="JSONL file for slow-query records (default in-memory only)",
+    )
+    parser.add_argument("--max-resident", type=int, default=None,
+                        help=max_resident)
+    parser.add_argument("--queue-depth", type=int, default=256,
+                        help=queue_depth)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for the toolbox (see module doc)."""
     parser = argparse.ArgumentParser(
@@ -174,42 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("-k", "--factors", type=int, default=50)
     p_serve.add_argument("--scheme", default="log_entropy")
     p_serve.add_argument("--min-doc-freq", type=int, default=1)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8080,
-                         help="TCP port (0 picks an ephemeral port)")
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="largest micro-batch coalesced into one GEMM")
     p_serve.add_argument("--max-wait-ms", type=float, default=2.0,
                          help="batching window: how long an open batch "
                               "waits for more requests")
-    p_serve.add_argument("--queue-depth", type=int, default=256,
-                         help="bounded admission queue (excess → 429)")
     p_serve.add_argument("--shards", type=int, default=1,
                          help="document shards per batched GEMM")
     p_serve.add_argument("--workers", type=int, default=None,
                          help="threads scoring shards (default sequential)")
-    p_serve.add_argument("--timeout-ms", type=float, default=None,
-                         help="default per-request deadline")
-    p_serve.add_argument(
-        "--ann-clusters", type=int, default=None,
-        help="coarse-quantizer cells for ANN probing (default: auto "
-             "sqrt(n); 0 disables training)",
-    )
-    p_serve.add_argument(
-        "--probes", type=int, default=None,
-        help="default ANN probe count for requests that don't specify "
-             "one (default: exact scan)",
-    )
     p_serve.add_argument("--distortion-budget", type=float, default=0.1,
                          help="folded fraction before /add consolidates")
-    p_serve.add_argument(
-        "--slow-ms", type=float, default=500.0,
-        help="slow-query log threshold in milliseconds (0 disables)",
-    )
-    p_serve.add_argument(
-        "--slowlog", type=pathlib.Path, default=None,
-        help="JSONL file for slow-query records (default in-memory only)",
-    )
     p_serve.add_argument(
         "--data-dir", type=pathlib.Path, default=None,
         help="durable store directory: WAL-logged /add, background "
@@ -225,10 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(0 disables)",
     )
     p_serve.add_argument(
-        "--retain", type=int, default=3,
-        help="versioned checkpoints kept after pruning",
-    )
-    p_serve.add_argument(
         "--tenant", action="append", default=None, metavar="NAME=PATH",
         dest="tenants",
         help="host a named tenant from a saved .npz database or a "
@@ -236,11 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
              "mmap-attach on first query; excludes a positional "
              "source and --data-dir)",
     )
-    p_serve.add_argument(
-        "--max-resident", type=int, default=None,
-        help="multi-tenant: most tenants attached at once — past the "
-             "cap the least-recently-used detaches after its in-flight "
-             "queries drain (default unbounded)",
+    _add_serving_options(
+        p_serve,
+        port="TCP port (0 picks an ephemeral port)",
+        timeout_ms="default per-request deadline",
+        probes="default ANN probe count for requests that don't specify "
+               "one (default: exact scan)",
+        ann_clusters="coarse-quantizer cells for ANN probing (default: "
+                     "auto sqrt(n); 0 disables training)",
+        retain="versioned checkpoints kept after pruning",
+        max_resident="multi-tenant: most tenants attached at once — past "
+                     "the cap the least-recently-used detaches after its "
+                     "in-flight queries drain (default unbounded)",
+        queue_depth="bounded admission queue (excess → 429)",
     )
 
     p_store = sub.add_parser(
@@ -279,17 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fleet lazily on first query (read-only: excludes "
              "--writable/--standby)",
     )
-    pc_serve.add_argument(
-        "--max-resident", type=int, default=None,
-        help="multi-tenant: most tenant fleets resident at once — past "
-             "the cap the least-recently-used is drained after its "
-             "in-flight queries finish (default unbounded)",
-    )
-    pc_serve.add_argument(
-        "--queue-depth", type=int, default=256,
-        help="multi-tenant: bounded front-end admission queue, carved "
-             "into per-tenant shares (excess per tenant → 429)",
-    )
     pc_serve.add_argument("--workers", type=int, default=4,
                           help="shard worker processes (workers // "
                                "replication shard ranges are carved)")
@@ -299,19 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
              "a dead replica fails over to a sibling, and epoch bumps "
              "publish on per-range quorum (default 1)",
     )
-    pc_serve.add_argument("--host", default="127.0.0.1")
-    pc_serve.add_argument("--port", type=int, default=8080,
-                          help="HTTP port (0 picks an ephemeral port)")
     pc_serve.add_argument("--worker-timeout-ms", type=float, default=2000.0,
                           help="per-worker scatter deadline; a shard past "
                                "it is left out of a partial response")
-    pc_serve.add_argument("--timeout-ms", type=float, default=None,
-                          help="default whole-request deadline")
-    pc_serve.add_argument(
-        "--probes", type=int, default=None,
-        help="default ANN probe count for requests that don't specify "
-             "one (default: exact scatter)",
-    )
     pc_serve.add_argument("--hedge-quantile", type=float, default=0.95,
                           help="hedge a straggling worker after this "
                                "quantile of its own latency history")
@@ -326,14 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="first restart delay (doubles per retry)")
     pc_serve.add_argument("--restart-backoff-cap", type=float, default=10.0,
                           help="restart delay ceiling")
-    pc_serve.add_argument(
-        "--slow-ms", type=float, default=500.0,
-        help="slow-query log threshold in milliseconds (0 disables)",
-    )
-    pc_serve.add_argument(
-        "--slowlog", type=pathlib.Path, default=None,
-        help="JSONL file for slow-query records (default in-memory only)",
-    )
     pc_serve.add_argument(
         "--writable", action="store_true",
         help="embed the primary writer: accept /add, seal checkpoints "
@@ -361,15 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="writable: residual sketch rank for fast-update",
     )
     pc_serve.add_argument(
-        "--ann-clusters", type=int, default=None,
-        help="writable: ANN cells per sealed checkpoint "
-             "(default auto, 0 disables)",
-    )
-    pc_serve.add_argument(
-        "--retain", type=int, default=3,
-        help="writable: checkpoints retained on disk (min 3)",
-    )
-    pc_serve.add_argument(
         "--standby", action="store_true",
         help="warm standby writer: tail the primary's checkpoints + WAL "
              "read-only and adopt the store lock (promote, replay the "
@@ -383,6 +363,23 @@ def build_parser() -> argparse.ArgumentParser:
     pc_serve.add_argument(
         "--promotion-log", type=pathlib.Path, default=None,
         help="standby: JSONL file recording the promotion timeline",
+    )
+    _add_serving_options(
+        pc_serve,
+        port="HTTP port (0 picks an ephemeral port)",
+        timeout_ms="default whole-request deadline",
+        probes="default ANN probe count for requests that don't specify "
+               "one (default: exact scatter)",
+        ann_clusters="writable: ANN cells per sealed checkpoint "
+                     "(default auto, 0 disables)",
+        retain="writable: checkpoints retained on disk (min 3)",
+        max_resident="multi-tenant: most tenant fleets resident at once — "
+                     "past the cap the least-recently-used is drained "
+                     "after its in-flight queries finish (default "
+                     "unbounded)",
+        queue_depth="multi-tenant: bounded front-end admission queue, "
+                    "carved into per-tenant shares (excess per tenant → "
+                    "429)",
     )
 
     pc_status = cluster_sub.add_parser(
@@ -608,14 +605,10 @@ def _parse_tenant_specs(specs: list[str]) -> dict[str, pathlib.Path]:
 
 def _cmd_serve(args, out) -> int:
     """Build the serving state and run the async server until SIGINT."""
-    import asyncio
-    import signal
-
     from repro.server import (
         ServerConfig,
         QueryService,
         ServingState,
-        start_http_server,
         state_from_texts,
     )
 
@@ -674,33 +667,65 @@ def _cmd_serve(args, out) -> int:
         ),
     )
 
-    async def run() -> None:
-        service = QueryService(tenant_registry or state, config)
-        server = await start_http_server(service, args.host, args.port)
-        port = server.sockets[0].getsockname()[1]
+    def banner(_service) -> str:
         if tenant_registry is not None:
             names = ", ".join(tenant_registry.tenant_ids)
-            print(
+            return (
                 f"serving {len(tenant_registry.tenant_ids)} tenants "
                 f"({names}) lazily"
                 + (
                     f", max {args.max_resident} resident"
                     if args.max_resident is not None else ""
                 )
-                + f" on http://{args.host}:{port}",
-                file=out, flush=True,
             )
-        else:
-            snapshot = state.current()
-            print(
-                f"serving {snapshot.n_documents} documents "
-                f"(k={snapshot.k}, "
-                f"{'live-updatable' if state.writable else 'read-only'}"
-                + (", durable" if store is not None else "")
-                + (", ann" if snapshot.ann is not None else "")
-                + f") on http://{args.host}:{port}",
-                file=out, flush=True,
-            )
+        snapshot = state.current()
+        return (
+            f"serving {snapshot.n_documents} documents "
+            f"(k={snapshot.k}, "
+            f"{'live-updatable' if state.writable else 'read-only'}"
+            + (", durable" if store is not None else "")
+            + (", ann" if snapshot.ann is not None else "")
+            + ")"
+        )
+
+    def flush_store() -> None:
+        if store is not None:
+            # Graceful-drain flush: a clean restart replays zero records.
+            store.close(flush=True)
+            print("store flushed", file=out, flush=True)
+
+    return _serve_until_signal(
+        lambda: QueryService(tenant_registry or state, config),
+        banner, args, out,
+        draining="rejecting new requests, flushing the queue",
+        after_drain=flush_store,
+    )
+
+
+def _serve_until_signal(
+    make_service, banner, args, out, *, draining: str, after_drain=None
+) -> int:
+    """Bind, announce, serve until SIGINT/SIGTERM, then drain cleanly.
+
+    ``make_service`` builds the service on the serving loop;
+    ``banner(service)`` is the start-up line, to which the bound
+    ``on http://host:port`` is appended (supervisors and tests parse
+    it); ``after_drain`` runs once the service has drained, before the
+    final ``drained cleanly``.
+    """
+    import asyncio
+    import signal
+
+    from repro.server import start_http_server
+
+    async def run() -> None:
+        service = make_service()
+        server = await start_http_server(service, args.host, args.port)
+        port = server.sockets[0].getsockname()[1]
+        print(
+            f"{banner(service)} on http://{args.host}:{port}",
+            file=out, flush=True,
+        )
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -709,15 +734,12 @@ def _cmd_serve(args, out) -> int:
             except NotImplementedError:  # platforms without loop signals
                 signal.signal(sig, lambda *_: stop.set())
         await stop.wait()
-        print("draining: rejecting new requests, flushing the queue",
-              file=out, flush=True)
+        print(f"draining: {draining}", file=out, flush=True)
         server.close()
         await server.wait_closed()
         await service.drain()
-        if store is not None:
-            # Graceful-drain flush: a clean restart replays zero records.
-            store.close(flush=True)
-            print("store flushed", file=out, flush=True)
+        if after_drain is not None:
+            after_drain()
         print("drained cleanly", file=out, flush=True)
 
     asyncio.run(run())
@@ -801,11 +823,7 @@ def _cmd_cluster(args, out) -> int:
         return 0
 
     # serve
-    import asyncio
-    import signal
-
     from repro.cluster import ClusterConfig, ClusterService
-    from repro.server import start_http_server
 
     if (args.data_dir is None) == (args.tenants is None):
         raise ReproError(
@@ -875,67 +893,49 @@ def _cmd_cluster(args, out) -> int:
         f"[supervisor] {line}", file=out, flush=True
     )
 
-    async def run() -> None:
+    def make_service():
         if tenant_map is not None:
             from repro.tenancy import TenantClusterService
 
-            service = TenantClusterService(
+            return TenantClusterService(
                 tenant_map, config,
                 max_resident=args.max_resident,
                 queue_depth=args.queue_depth,
                 host=args.host,
                 announce=announce,
             )
-        else:
-            service = ClusterService(
-                args.data_dir, config, announce=announce,
-            )
-        server = await start_http_server(service, args.host, args.port)
-        port = server.sockets[0].getsockname()[1]
+        return ClusterService(args.data_dir, config, announce=announce)
+
+    def banner(service) -> str:
         if tenant_map is not None:
             names = ", ".join(tenant_map)
-            print(
+            return (
                 f"cluster serving {len(tenant_map)} tenants ({names}) "
                 "lazily"
                 + (
                     f", max {args.max_resident} resident"
                     if args.max_resident is not None else ""
                 )
-                + f" on http://{args.host}:{port}",
-                file=out, flush=True,
             )
-        else:
-            print(
-                f"cluster serving {service.model.n_documents} documents "
-                f"across {service.plan.n_shards} shards "
-                f"(epoch {service.epoch}, checkpoint {service.checkpoint}"
-                + (
-                    f", replication={service.plan.replication}"
-                    if service.plan.replication > 1 else ""
-                )
-                + (", ann" if service.ann else "")
-                + (", writable" if service.primary is not None else "")
-                + (", standby" if service.standby is not None else "")
-                + f") on http://{args.host}:{port}",
-                file=out, flush=True,
+        handle = service.handle
+        return (
+            f"cluster serving {handle.n_documents} documents "
+            f"across {handle.plan.n_shards} shards "
+            f"(epoch {handle.epoch}, checkpoint {handle.checkpoint}"
+            + (
+                f", replication={handle.plan.replication}"
+                if handle.plan.replication > 1 else ""
             )
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except NotImplementedError:  # platforms without loop signals
-                signal.signal(sig, lambda *_: stop.set())
-        await stop.wait()
-        print("draining: stopping the router and workers",
-              file=out, flush=True)
-        server.close()
-        await server.wait_closed()
-        await service.drain()
-        print("drained cleanly", file=out, flush=True)
+            + (", ann" if handle.ann else "")
+            + (", writable" if service.primary is not None else "")
+            + (", standby" if service.standby is not None else "")
+            + ")"
+        )
 
-    asyncio.run(run())
-    return 0
+    return _serve_until_signal(
+        make_service, banner, args, out,
+        draining="stopping the router and workers",
+    )
 
 
 def _cmd_store(args, out) -> int:

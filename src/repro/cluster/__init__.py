@@ -46,6 +46,7 @@ from repro.cluster.epochs import (
     EpochHandle,
     handle_for_checkpoint,
     latest_handle,
+    open_checkpoint,
 )
 from repro.cluster.placement import (
     REPLICA_PLAN_FORMAT,
@@ -72,6 +73,7 @@ __all__ = [
     "EpochHandle",
     "handle_for_checkpoint",
     "latest_handle",
+    "open_checkpoint",
     "PrimaryWriter",
     "WriterConfig",
     "StandbyConfig",

@@ -1,10 +1,10 @@
 """The cluster front end: checkpoint → plan → supervisor → router → HTTP.
 
-:class:`ClusterService` presents the same duck-typed surface the HTTP
-front end (:mod:`repro.server.http`) expects from a
-:class:`~repro.server.service.QueryService` — ``start`` / ``drain`` /
-``search`` / ``healthz`` / ``stats`` / ``metrics`` — but answers queries
-by scattering over shard worker *processes* instead of scoring in-loop.
+:class:`ClusterService` is a :class:`~repro.server.service.ServiceBase`
+like :class:`~repro.server.service.QueryService` — the HTTP front end
+(:mod:`repro.server.http`) drives both through the same methods — but
+answers queries by scattering over shard worker *processes* instead of
+scoring in-loop.
 It opens the newest durable-store checkpoint once (memory-mapped, for
 the vocabulary and query projection; workers map the same files
 themselves), pins a :class:`~repro.cluster.plan.ShardPlan` against that
@@ -32,24 +32,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.epochs import EpochHandle, handle_for_checkpoint
+from repro.cluster.epochs import EpochHandle, latest_handle
 from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import project_query
 from repro.errors import (
     ClusterConfigError,
     ClusterReadOnlyError,
-    StoreError,
     UnknownTenantError,
 )
-from repro.obs.aggregate import label_snapshots
-from repro.obs.export import SCHEMA
 from repro.obs.metrics import registry
-from repro.obs.prom import render_prometheus
-from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace_context import current_trace
-from repro.obs.tracing import recent_spans, span, spans_for_trace
-from repro.store.checkpoint import latest_valid_checkpoint
+from repro.obs.tracing import span
+from repro.server.service import ServiceBase
 
 __all__ = ["ClusterConfig", "ClusterService"]
 
@@ -103,8 +97,11 @@ class ClusterConfig:
     promotion_log: str | None = None
 
 
-class ClusterService:
+class ClusterService(ServiceBase):
     """Scatter-gather query service over one checkpoint, many processes."""
+
+    process_label = "router"
+    slow_counter = "cluster.slow_queries_total"
 
     def __init__(
         self,
@@ -115,14 +112,12 @@ class ClusterService:
         announce: Callable[[str], None] | None = None,
         tenant: str | None = None,
     ):
+        super().__init__(config or ClusterConfig())
         self.data_dir = pathlib.Path(data_dir)
-        self.config = config or ClusterConfig()
         #: The tenant this fleet serves (``None`` for single-tenant).
         #: Rides every scatter frame and the worker spawn command, so a
         #: worker of tenant A structurally cannot answer tenant B.
         self.tenant = tenant
-
-        from repro.store.durable import STORE_LAYOUT
 
         # Refuse impossible topologies before any process is spawned or
         # store lock taken (ReplicaPlan.compute re-validates later, but
@@ -154,35 +149,26 @@ class ClusterService:
         # WAL-acknowledged document and records the writer's ingest
         # configuration in its manifest.
         self.primary = None
-        if self.config.writable:
+        if self.config.writable or self.config.standby:
             from repro.cluster.primary import PrimaryWriter, WriterConfig
 
-            self.primary = PrimaryWriter(
-                self.data_dir,
-                WriterConfig(
-                    seal_every_records=self.config.seal_every_records,
-                    seal_interval_s=self.config.seal_interval_s,
-                    ingest_method=self.config.ingest_method,
-                    fast_update_rank=self.config.fast_update_rank,
-                    ann_clusters=self.config.ann_clusters,
-                    retain=self.config.retain,
-                ),
+            writer_config = WriterConfig(
+                seal_every_records=self.config.seal_every_records,
+                seal_interval_s=self.config.seal_interval_s,
+                ingest_method=self.config.ingest_method,
+                fast_update_rank=self.config.fast_update_rank,
+                ann_clusters=self.config.ann_clusters,
+                retain=self.config.retain,
             )
+        if self.config.writable:
+            self.primary = PrimaryWriter(self.data_dir, writer_config)
 
-        checkpoints = self.data_dir / STORE_LAYOUT["checkpoints"]
-        info, problems = latest_valid_checkpoint(checkpoints)
-        if info is None:
-            detail = f" ({'; '.join(problems)})" if problems else ""
-            raise StoreError(
-                f"no valid checkpoint under {checkpoints}{detail}"
-            )
         # The handle memory-maps the checkpoint model for projection (U,
         # Σ, vocabulary); each worker maps the same .npy files itself —
         # the page cache is shared.  ``search`` snapshots this reference
         # at entry; ``publish_handle`` replaces it atomically on bump.
-        self._handle = handle_for_checkpoint(
-            info.path,
-            info.manifest.get("meta", {}),
+        self._handle = latest_handle(
+            self.data_dir,
             self.config.workers,
             replication=self.config.replication,
         )
@@ -216,7 +202,6 @@ class ClusterService:
         # runs, and installs itself as ``self.primary`` on promotion.
         self.standby = None
         if self.config.standby:
-            from repro.cluster.primary import WriterConfig
             from repro.cluster.standby import StandbyConfig, StandbyWriter
 
             self.standby = StandbyWriter(
@@ -224,22 +209,10 @@ class ClusterService:
                 StandbyConfig(
                     poll_seconds=self.config.standby_poll_s,
                     promotion_log=self.config.promotion_log,
-                    writer=WriterConfig(
-                        seal_every_records=self.config.seal_every_records,
-                        seal_interval_s=self.config.seal_interval_s,
-                        ingest_method=self.config.ingest_method,
-                        fast_update_rank=self.config.fast_update_rank,
-                        ann_clusters=self.config.ann_clusters,
-                        retain=self.config.retain,
-                    ),
+                    writer=writer_config,
                 ),
             )
 
-        self.slowlog = SlowQueryLog(
-            self.config.slowlog_path,
-            threshold_ms=self.config.slow_ms,
-            max_records=self.config.slowlog_max_records,
-        )
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -257,20 +230,13 @@ class ClusterService:
         return self._handle.epoch
 
     @property
-    def checkpoint(self) -> str:
-        return self._handle.checkpoint
-
-    @property
-    def model(self):
-        return self._handle.model
-
-    @property
-    def ann(self) -> bool:
-        return self._handle.ann
-
-    @property
     def plan(self):
         return self._handle.plan
+
+    def describe(self) -> dict:
+        """The serving epoch's status block (tenant registry)."""
+        handle = self._handle
+        return {"epoch": handle.epoch, "n_documents": handle.n_documents}
 
     def publish_handle(self, handle: EpochHandle) -> None:
         """Swap the serving epoch (writer-only; last step of a bump).
@@ -336,11 +302,28 @@ class ClusterService:
         return self.supervisor.draining
 
     # ------------------------------------------------------------------ #
-    def _scale(self, Q: np.ndarray, model=None) -> np.ndarray:
-        """``Q Σ`` — exactly ``DocumentIndex.prepare_queries`` in scaled
-        mode, applied router-side so every worker scores identical bytes."""
-        s = (model if model is not None else self.model).s
-        return np.atleast_2d(np.asarray(Q, dtype=np.float64)) * s
+    async def _scatter(
+        self, handle: EpochHandle, Q, top, threshold, timeout_ms, probes, exact
+    ) -> ClusterResult:
+        """Scatter unscaled ``Q`` at ``handle``'s epoch, config defaults
+        applied.  ``Q Σ`` — exactly ``DocumentIndex.prepare_queries`` in
+        scaled mode — is applied here, router-side, so every worker
+        scores identical bytes."""
+        return await self.router.search_batch(
+            np.atleast_2d(np.asarray(Q, dtype=np.float64)) * handle.model.s,
+            plan=handle.plan,
+            top=top,
+            threshold=threshold,
+            timeout_ms=(
+                timeout_ms if timeout_ms is not None
+                else self.config.default_timeout_ms
+            ),
+            probes=(
+                probes if probes is not None
+                else self.config.default_probes
+            ),
+            exact=exact,
+        )
 
     def _check_tenant(self, tenant: str | None) -> None:
         """Refuse a tenant this fleet does not serve (typed 404).
@@ -387,23 +370,22 @@ class ClusterService:
         # same handle even if the writer publishes a bump mid-flight.
         handle = self._handle
         qhat = project_query(handle.model, query)
-        result = await self.router.search_batch(
-            self._scale(qhat, handle.model),
-            plan=handle.plan,
-            top=top,
-            threshold=threshold,
-            timeout_ms=(
-                timeout_ms if timeout_ms is not None
-                else self.config.default_timeout_ms
-            ),
-            probes=(
-                probes if probes is not None
-                else self.config.default_probes
-            ),
-            exact=exact,
+        result = await self._scatter(
+            handle, qhat, top, threshold, timeout_ms, probes, exact
         )
         self._record_slow(
-            time.perf_counter() - t0, result, top=top, probes=probes
+            time.perf_counter() - t0,
+            top=top,
+            probes=probes,
+            exact=exact,
+            tenant=self.tenant,
+            partial=result.partial,
+            missing=[list(pair) for pair in result.missing],
+            shard_timings={
+                str(sid): ms for sid, ms in sorted(result.shard_timings.items())
+            },
+            hedged=result.hedged,
+            deadline_missed=result.deadline_missed,
         )
         doc_ids = handle.model.doc_ids
         payload = {
@@ -418,44 +400,6 @@ class ClusterService:
         if self.tenant is not None:
             payload["tenant"] = self.tenant
         return payload
-
-    def _record_slow(
-        self,
-        elapsed_s: float,
-        result: ClusterResult,
-        *,
-        top: int | None,
-        probes: int | None,
-    ) -> None:
-        """Dump an over-threshold request's trace evidence to the slow log."""
-        if not self.slowlog.is_slow(elapsed_s):
-            return
-        registry.inc("cluster.slow_queries_total")
-        ctx = current_trace()
-        trace_id = ctx.trace_id if ctx is not None else None
-        entry = {
-            "ts": time.time(),
-            "trace_id": trace_id,
-            "duration_ms": elapsed_s * 1000.0,
-            "top": top,
-            "probes": probes,
-            "partial": result.partial,
-            **({"tenant": self.tenant} if self.tenant is not None else {}),
-            "missing": [list(pair) for pair in result.missing],
-            "shard_timings": {
-                str(sid): ms for sid, ms in sorted(result.shard_timings.items())
-            },
-            "hedged": result.hedged,
-            "deadline_missed": result.deadline_missed,
-        }
-        if trace_id is not None:
-            # The router-side spans already captured for this trace —
-            # scatter and merge costs, with hedges/misses flagged in
-            # their attrs.  Worker spans stay fetchable via /trace.
-            entry["spans"] = [
-                s.to_dict() for s in spans_for_trace(trace_id)
-            ]
-        self.slowlog.record(entry)
 
     async def search_many(
         self,
@@ -482,20 +426,8 @@ class ClusterService:
             from repro.parallel.batch import batch_project_queries
 
             Q = batch_project_queries(handle.model, queries)
-        return await self.router.search_batch(
-            self._scale(Q, handle.model),
-            plan=handle.plan,
-            top=top,
-            threshold=threshold,
-            timeout_ms=(
-                timeout_ms if timeout_ms is not None
-                else self.config.default_timeout_ms
-            ),
-            probes=(
-                probes if probes is not None
-                else self.config.default_probes
-            ),
-            exact=exact,
+        return await self._scatter(
+            handle, Q, top, threshold, timeout_ms, probes, exact
         )
 
     async def add(self, texts, doc_ids=None, *, tenant: str | None = None) -> dict:
@@ -572,60 +504,5 @@ class ClusterService:
             payload["standby"] = self.standby.describe()
         return payload
 
-    def stats(self) -> dict:
-        """The observability snapshot for ``/stats`` (obs-export schema)."""
-        return {
-            "schema": SCHEMA,
-            "server": self.healthz(),
-            "metrics": registry.snapshot(),
-            "spans": [s.to_dict() for s in recent_spans(50)],
-            "slow_queries": self.slowlog.recent(20),
-        }
-
-    async def metrics(self) -> dict:
-        """The federated fleet registry dump for ``/metrics``.
-
-        Same flat ``{counters, gauges, histograms}`` JSON shape as the
-        single-process server (backward compatible); every live worker's
-        shipped registry rides along under a ``shard.<sid>.`` prefix.
-        """
-        worker_snaps = await self.router.fetch_stats()
-        return label_snapshots(
-            registry.snapshot(),
-            {sid: snap for sid, snap in worker_snaps.items()},
-        )
-
-    async def metrics_prom(self) -> str:
-        """Prometheus text exposition for ``/metrics?format=prom``.
-
-        The router's registry renders with a ``worker="router"`` label
-        and each live shard worker's with ``worker="<sid>"`` — one
-        family per metric, per-worker-labeled samples beneath.
-        """
-        worker_snaps = await self.router.fetch_stats()
-        series = [({"worker": "router"}, registry.snapshot())]
-        for sid in sorted(worker_snaps):
-            series.append(({"worker": str(sid)}, worker_snaps[sid]))
-        return render_prometheus(series)
-
-    async def trace(self, trace_id: str) -> dict:
-        """Reassemble one cluster-wide trace: local + worker spans.
-
-        Worker spans are fetched over the ``trace`` wire op and tagged
-        with their shard id; the whole set sorts by start time, so the
-        JSONL export reads as one coherent distributed timeline.
-        """
-        local = [s.to_dict() for s in spans_for_trace(trace_id)]
-        for record in local:
-            record["worker"] = "router"
-        remote = await self.router.fetch_trace(trace_id)
-        for sid, spans in sorted(remote.items()):
-            for record in spans:
-                record["worker"] = str(sid)
-            local.extend(spans)
-        local.sort(key=lambda r: float(r.get("start", 0.0)))
-        return {
-            "trace_id": trace_id,
-            "workers": sorted(str(sid) for sid in remote),
-            "spans": local,
-        }
+    def _fleets(self) -> list:
+        return [(None, self.router)]

@@ -43,11 +43,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.cluster.epochs import handle_for_checkpoint
+from repro.cluster.epochs import find_checkpoint, handle_for_checkpoint
 from repro.cluster.primary import PrimaryWriter, WriterConfig
-from repro.errors import StoreLockedError
+from repro.errors import StoreError, StoreLockedError
 from repro.obs.metrics import registry
-from repro.store.checkpoint import latest_valid_checkpoint
 from repro.store.lock import StoreLock
 
 __all__ = ["StandbyConfig", "StandbyWriter"]
@@ -168,11 +167,6 @@ class StandbyWriter:
             return
         from repro.store.durable import STORE_LAYOUT
 
-        loop = asyncio.get_event_loop()
-        checkpoints = self.data_dir / STORE_LAYOUT["checkpoints"]
-        info, _problems = await loop.run_in_executor(
-            self._pool, lambda: latest_valid_checkpoint(checkpoints)
-        )
         wal_path = self.data_dir / STORE_LAYOUT["wal"]
         try:
             registry.set_gauge(
@@ -180,22 +174,26 @@ class StandbyWriter:
             )
         except OSError:
             pass
-        if info is None:
-            return
-        epoch = int(info.manifest.get("meta", {}).get("epoch", 0))
+        try:
+            info = await asyncio.get_event_loop().run_in_executor(
+                self._pool, find_checkpoint, self.data_dir
+            )
+        except StoreError:
+            return  # nothing valid to follow yet
+        epoch = int(info.meta.get("epoch", 0))
         self._tail_epoch = max(self._tail_epoch, epoch)
         registry.set_gauge("cluster.standby.tail_epoch", self._tail_epoch)
         if epoch <= service.epoch:
             return
         handle = handle_for_checkpoint(
             info.path,
-            info.manifest.get("meta", {}),
+            info.meta,
             service.plan.n_workers,
             replication=service.plan.replication,
         )
         published = await service.propagate_handle(handle)
         self._event(
-            "followed_epoch", epoch=epoch, checkpoint=info.path.name,
+            "followed_epoch", epoch=epoch, checkpoint=handle.checkpoint,
             published=published,
         )
 

@@ -14,8 +14,9 @@ Epoch window
 ------------
 Under a writable cluster the primary writer broadcasts a ``bump`` op
 after sealing each new checkpoint.  The worker remaps the named
-checkpoint into a fresh :class:`_EpochState` and swaps it in with one
-reference assignment — the superseded state is retained as *previous*
+checkpoint into a fresh :class:`~repro.server.state.EpochSnapshot` over
+its row range and swaps it in with one reference assignment — the
+superseded snapshot is retained as *previous*
 until the next bump, so ``score`` frames carrying the old epoch (sent
 by front-end requests that snapshotted their handle before the swap)
 still score against exactly the state they started on.  A request for
@@ -24,10 +25,9 @@ the router degrades to a partial response.
 
 Exactness contract
 ------------------
-:meth:`ShardWorker.score` runs the *identical* kernel and selection the
-flat path runs on the same slice shapes — :func:`~repro.serving.kernel.
-cosine_scores` over ``(hi-lo, k)`` rows, :func:`~repro.serving.topk.
-ranked_order` per query — and JSON round-trips doubles losslessly, so a
+:meth:`ShardWorker.score` is :meth:`EpochSnapshot.search` over
+``(hi-lo, k)`` rows — the *identical* kernel and selection the flat path
+runs on the same slice shapes — and JSON round-trips doubles losslessly, so a
 router merging worker responses with ``merge_topk`` reproduces
 ``sharded_batch_search`` element-for-element: indices, scores, tie
 order.
@@ -47,54 +47,18 @@ import time
 
 import numpy as np
 
+from repro.cluster.epochs import open_checkpoint
 from repro.cluster.plan import ShardPlan, ShardRange
 from repro.cluster.wire import BUMP_OP, recv_frame, send_frame
 from repro.core.model import LSIModel
-from repro.errors import ShapeError
+from repro.errors import StoreError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
+from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer
-from repro.serving.kernel import cosine_scores, row_norms
-from repro.serving.topk import ranked_order
-from repro.store.checkpoint import latest_valid_checkpoint
-from repro.store.mmap_io import open_checkpoint_ann, open_checkpoint_model
 
 __all__ = ["ShardWorker", "WorkerServer", "serve_shard", "run_worker"]
-
-
-class _EpochState:
-    """One epoch's immutable scoring state for one shard.
-
-    Built once per (checkpoint, shard) and never mutated — the worker
-    swaps whole instances, which is what lets in-flight queries keep a
-    consistent view without any locking on the score path.
-    """
-
-    def __init__(
-        self,
-        model: LSIModel,
-        shard: ShardRange,
-        *,
-        epoch: int = 0,
-        ann: CoarseQuantizer | None = None,
-    ):
-        self.model = model
-        self.shard = shard
-        self.epoch = int(epoch)
-        # Shared checkpoint quantizer (global posting lists); candidate
-        # sets are clipped to this shard's [lo, hi) rows at query time.
-        self.ann = ann
-        lo, hi = shard.lo, shard.hi
-        if not 0 <= lo <= hi <= model.n_documents:
-            raise ShapeError(
-                f"shard rows [{lo},{hi}) outside model with "
-                f"n={model.n_documents}"
-            )
-        # Materialize only this shard's rows: the multiply touches (and
-        # therefore faults in) just the mapped pages of V[lo:hi].
-        self.coords = np.ascontiguousarray(model.V[lo:hi] * model.s)
-        self.norms = row_norms(self.coords)
 
 
 class ShardWorker:
@@ -102,9 +66,11 @@ class ShardWorker:
 
     Separated from the socket loop so tests (and the router's in-process
     parity harnesses) can drive :meth:`handle` directly.  The worker
-    holds the *current* epoch's scoring state plus the immediately
-    superseded one (see the module docstring); attribute access
-    (``model``, ``shard``, ``coords``, …) reads the current state.
+    holds the :attr:`current` epoch's snapshot of its row range plus the
+    immediately superseded one as :attr:`previous` (see the module
+    docstring).  Snapshots are never mutated — the worker swaps whole
+    instances, which is what lets in-flight queries keep a consistent
+    view without any locking on the score path.
     """
 
     def __init__(
@@ -118,8 +84,9 @@ class ShardWorker:
         replica: int = 0,
         tenant: str | None = None,
     ):
-        self._state = _EpochState(model, shard, epoch=epoch, ann=ann)
-        self._previous: _EpochState | None = None
+        self.shard_id = shard.shard_id
+        self.current = self._snapshot(model, shard, epoch, ann)
+        self.previous: EpochSnapshot | None = None
         #: The tenant this worker's rows belong to.  ``None`` accepts
         #: any frame (single-tenant cluster); set, the worker refuses
         #: frames stamped for a different tenant — a misrouted scatter
@@ -142,37 +109,18 @@ class ShardWorker:
             / 1000.0
         )
 
-    # Current-epoch views: the swap replaces ``_state`` wholesale, so a
-    # reader that grabs it once works against one consistent epoch.
-    @property
-    def model(self) -> LSIModel:
-        return self._state.model
+    @staticmethod
+    def _snapshot(model, shard: ShardRange, epoch: int, ann) -> EpochSnapshot:
+        # Workers receive already-projected vectors: no query cache.
+        return EpochSnapshot(
+            epoch, model, lo=shard.lo, hi=shard.hi, query_cache_size=0, ann=ann
+        )
 
-    @property
-    def shard(self) -> ShardRange:
-        return self._state.shard
-
-    @property
-    def epoch(self) -> int:
-        return self._state.epoch
-
-    @property
-    def ann(self) -> CoarseQuantizer | None:
-        return self._state.ann
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self._state.coords
-
-    @property
-    def norms(self) -> np.ndarray:
-        return self._state.norms
-
-    def _state_for_epoch(self, epoch) -> _EpochState | None:
-        """The held state matching ``epoch`` (None = current), if any."""
-        state, previous = self._state, self._previous
-        if epoch is None or int(epoch) == state.epoch:
-            return state
+    def _snapshot_for_epoch(self, epoch) -> EpochSnapshot | None:
+        """The held snapshot matching ``epoch`` (None = current), if any."""
+        current, previous = self.current, self.previous
+        if epoch is None or int(epoch) == current.epoch:
+            return current
         if previous is not None and int(epoch) == previous.epoch:
             return previous
         return None
@@ -180,21 +128,21 @@ class ShardWorker:
     # ------------------------------------------------------------------ #
     def info(self) -> dict:
         """Identity block for hellos, status pages, and debugging."""
-        state, previous = self._state, self._previous
+        current, previous = self.current, self.previous
         return {
-            "shard": state.shard.shard_id,
+            "shard": self.shard_id,
             "replica": self.replica,
-            "lo": state.shard.lo,
-            "hi": state.shard.hi,
-            "epoch": state.epoch,
+            "lo": current.lo,
+            "hi": current.hi,
+            "epoch": current.epoch,
             "previous_epoch": previous.epoch if previous else None,
-            "n_documents": state.model.n_documents,
-            "k": state.model.k,
+            "n_documents": current.n_documents,
+            "k": current.k,
             "pid": os.getpid(),
             "uptime_seconds": time.time() - self.started_unix,
             "requests_served": self.requests_served,
             "bumps_applied": self.bumps_applied,
-            "ann": state.ann is not None,
+            "ann": current.ann is not None,
             "tenant": self.tenant,
         }
 
@@ -204,7 +152,7 @@ class ShardWorker:
 
         Idempotent for the current epoch.  Returns the ack dict (or an
         error dict the router surfaces); on success the superseded
-        state stays answerable until the next bump.
+        snapshot stays answerable until the next bump.
         """
         if self.data_dir is None:
             return {"error": "worker has no data dir — cannot remap"}
@@ -213,73 +161,37 @@ class ShardWorker:
         except Exception as exc:  # noqa: BLE001 — malformed plan
             return {"error": f"malformed bump plan: {exc!r}"}
         with self._swap_lock:
-            current = self._state
+            current = self.current
             if plan.epoch == current.epoch:
                 return {
                     "ok": True,
-                    "shard": current.shard.shard_id,
+                    "shard": self.shard_id,
                     "epoch": current.epoch,
                     "noop": True,
                 }
-            shard_id = current.shard.shard_id
-            if not 0 <= shard_id < plan.n_shards:
+            if not 0 <= self.shard_id < plan.n_shards:
                 return {
                     "error": (
                         f"bump plan has {plan.n_shards} shards; worker "
-                        f"serves shard {shard_id}"
-                    )
-                }
-            from repro.store.durable import STORE_LAYOUT
-            from repro.store.checkpoint import list_checkpoints
-
-            checkpoints = self.data_dir / STORE_LAYOUT["checkpoints"]
-            info = next(
-                (
-                    c
-                    for c in list_checkpoints(checkpoints)
-                    if c.path.name == plan.checkpoint
-                ),
-                None,
-            )
-            if info is None:
-                return {
-                    "error": (
-                        f"bump names checkpoint {plan.checkpoint!r} but it "
-                        f"is not under {checkpoints}"
-                    )
-                }
-            epoch = int(info.manifest.get("meta", {}).get("epoch", 0))
-            if epoch != plan.epoch:
-                return {
-                    "error": (
-                        f"checkpoint {plan.checkpoint} carries epoch "
-                        f"{epoch} but the bump plan says {plan.epoch}"
+                        f"serves shard {self.shard_id}"
                     )
                 }
             try:
-                model = open_checkpoint_model(info.path, mmap=True)
-                if model.n_documents != plan.n_documents:
-                    return {
-                        "error": (
-                            f"checkpoint has {model.n_documents} documents "
-                            f"but the bump plan covers {plan.n_documents}"
-                        )
-                    }
-                ann = open_checkpoint_ann(info.path, mmap=True)
-                fresh = _EpochState(
-                    model, plan.shard(shard_id), epoch=epoch, ann=ann
+                _name, epoch, model, ann = open_checkpoint(self.data_dir, plan)
+                fresh = self._snapshot(
+                    model, plan.shard(self.shard_id), epoch, ann
                 )
             except Exception as exc:  # noqa: BLE001 — keep serving old epoch
-                return {"error": f"remap of {plan.checkpoint} failed: {exc!r}"}
+                return {"error": f"remap of {plan.checkpoint} failed: {exc}"}
             # The swap: one reference assignment each.  In-flight scores
-            # grabbed their state reference already; new frames see the
-            # fresh epoch, old-epoch frames land on ``_previous``.
-            self._previous = current
-            self._state = fresh
+            # grabbed their snapshot reference already; new frames see the
+            # fresh epoch, old-epoch frames land on ``previous``.
+            self.previous = current
+            self.current = fresh
             self.bumps_applied += 1
             registry.inc("cluster.worker.bumps_total")
             registry.set_gauge("cluster.worker.epoch", epoch)
-            return {"ok": True, "shard": shard_id, "epoch": epoch}
+            return {"ok": True, "shard": self.shard_id, "epoch": epoch}
 
     def score(
         self,
@@ -289,55 +201,29 @@ class ShardWorker:
         *,
         probes: int | None = None,
         exact: bool = False,
-        state: _EpochState | None = None,
-    ) -> list[list[list]]:
-        """Per-query ranked ``[global_index, score]`` pairs for this shard.
+        snapshot: EpochSnapshot | None = None,
+    ) -> tuple[list[list[list]], bool]:
+        """Per-query ranked ``[global_index, score]`` pairs for this shard,
+        and whether the probe-bounded path produced them.
 
         ``Qs`` is the already-scaled ``(q, k)`` comparison-space batch
-        (the router applies ``Σ`` once); indices are shifted to global
-        row numbers so the merge needs no further translation.  With
-        ``probes`` (and a mapped quantizer), each query scores only the
-        probed cells' rows that land in this shard — cell selection is
-        a pure function of the scaled query and the shared checkpoint
-        quantizer, so every shard probes the same cells and the merged
-        result equals a single-node probe at the same count.  ``state``
-        pins the epoch to score against (default: current).
+        (the router applies ``Σ`` once); :meth:`EpochSnapshot.search`
+        over the shard's rows returns global row numbers, so the merge
+        needs no further translation.  ``snapshot`` pins the epoch to
+        score against (default: current).
         """
-        state = state if state is not None else self._state
-        lo = state.shard.lo
-        if state.shard.n_rows == 0:
-            return [[] for _ in range(Qs.shape[0])]
-        if probes is not None and not exact:
-            if state.ann is None:
-                registry.inc("ann.exact_fallbacks_total")
-            else:
-                out = []
-                for q in Qs:
-                    pairs, _stats = state.ann.select(
-                        state.coords,
-                        state.norms,
-                        q,
-                        probes=probes,
-                        top=top,
-                        threshold=threshold,
-                        lo=lo,
-                        n_total=state.model.n_documents,
-                    )
-                    out.append([[j, score] for j, score in pairs])
-                return out
-        S = cosine_scores(state.coords, Qs, norms=state.norms)
-        out = []
-        for row in S:
-            order = ranked_order(row, top=top, threshold=threshold)
-            out.append([[int(lo + j), float(row[j])] for j in order])
-        return out
+        results, ann_stats = (snapshot or self.current).search(
+            Qs, top=top, threshold=threshold, probes=probes, exact=exact
+        )
+        wire = [[[j, score] for j, score in pairs] for pairs in results]
+        return wire, ann_stats is not None
 
     # ------------------------------------------------------------------ #
     def handle(self, message: dict) -> dict:
         """Dispatch one protocol message; always returns a response dict."""
         op = message.get("op")
         if op == "ping":
-            return {"ok": True, "shard": self.shard.shard_id, "epoch": self.epoch}
+            return {"ok": True, "shard": self.shard_id, "epoch": self.current.epoch}
         if op == "info":
             return self.info()
         if op == BUMP_OP:
@@ -364,18 +250,19 @@ class ShardWorker:
                     "tenant": self.tenant,
                 }
             # Pin the epoch the frame asks for (absent = current) before
-            # anything else: every read below must come from one state.
-            state = self._state_for_epoch(message.get("epoch"))
-            if state is None:
+            # anything else: every read below must come from one snapshot.
+            snapshot = self._snapshot_for_epoch(message.get("epoch"))
+            if snapshot is None:
+                current = self.current
                 registry.inc("cluster.worker.epoch_skew_total")
                 return {
                     "error": (
                         f"epoch {message.get('epoch')} is no longer held "
-                        f"(current {self._state.epoch})"
+                        f"(current {current.epoch})"
                     ),
                     "stale_epoch": True,
-                    "shard": self._state.shard.shard_id,
-                    "epoch": self._state.epoch,
+                    "shard": self.shard_id,
+                    "epoch": current.epoch,
                 }
             try:
                 Qs = np.atleast_2d(
@@ -383,10 +270,10 @@ class ShardWorker:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 return {"error": f"malformed 'queries': {exc!r}"}
-            if Qs.ndim != 2 or Qs.shape[1] != state.model.k:
+            if Qs.ndim != 2 or Qs.shape[1] != snapshot.k:
                 return {
                     "error": (
-                        f"queries have shape {Qs.shape} for k={state.model.k}"
+                        f"queries have shape {Qs.shape} for k={snapshot.k}"
                     )
                 }
             top = message.get("top")
@@ -406,40 +293,38 @@ class ShardWorker:
             try:
                 with trace_scope(ctx), span(
                     "cluster.worker.score",
-                    shard=state.shard.shard_id,
-                    lo=state.shard.lo,
-                    hi=state.shard.hi,
-                    epoch=state.epoch,
+                    shard=self.shard_id,
+                    lo=snapshot.lo,
+                    hi=snapshot.hi,
+                    epoch=snapshot.epoch,
                     queries=int(Qs.shape[0]),
                     probes=probes,
                 ):
                     if self.inject_delay_s > 0:
                         time.sleep(self.inject_delay_s)
-                    results = self.score(
+                    results, used_ann = self.score(
                         Qs,
                         None if top is None else int(top),
                         None if threshold is None else float(threshold),
                         probes=probes,
                         exact=bool(exact),
-                        state=state,
+                        snapshot=snapshot,
                     )
             except Exception as exc:  # noqa: BLE001 — a query must not kill the worker
                 return {"error": repr(exc)}
             self.requests_served += 1
             return {
-                "shard": state.shard.shard_id,
-                "epoch": state.epoch,
+                "shard": self.shard_id,
+                "epoch": snapshot.epoch,
                 "results": results,
-                "ann": bool(
-                    probes is not None and not exact and state.ann is not None
-                ),
+                "ann": used_ann,
             }
         if op == "stats":
             # Metrics federation: ship this process's whole registry; the
             # router labels it per worker before merging the fleet view.
             return {
-                "shard": self.shard.shard_id,
-                "epoch": self.epoch,
+                "shard": self.shard_id,
+                "epoch": self.current.epoch,
                 "snapshot": registry.snapshot(),
             }
         if op == "trace":
@@ -447,7 +332,7 @@ class ShardWorker:
             if not isinstance(trace_id, str) or not trace_id:
                 return {"error": "'trace_id' must be a non-empty string"}
             return {
-                "shard": self.shard.shard_id,
+                "shard": self.shard_id,
                 "spans": [s.to_dict() for s in spans_for_trace(trace_id)],
             }
         return {"error": f"unknown op {op!r}"}
@@ -537,57 +422,11 @@ def run_worker(
         )
         return 1
 
-    from repro.store.checkpoint import list_checkpoints
-    from repro.store.durable import STORE_LAYOUT
-
-    checkpoints = pathlib.Path(data_dir) / STORE_LAYOUT["checkpoints"]
-    if plan.checkpoint:
-        # Open exactly the checkpoint the plan pins — under a writable
-        # cluster the store may already hold a *newer* seal (a restart
-        # racing the writer); the worker starts on the plan's epoch and
-        # catches up through the normal bump broadcast.
-        info = next(
-            (
-                c
-                for c in list_checkpoints(checkpoints)
-                if c.path.name == plan.checkpoint
-            ),
-            None,
-        )
-        if info is None:
-            print(
-                f"error: the plan covers checkpoint {plan.checkpoint} but "
-                f"it is not under {checkpoints} — store changed under the "
-                "cluster",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        info, problems = latest_valid_checkpoint(checkpoints)
-        if info is None:
-            detail = f" ({'; '.join(problems)})" if problems else ""
-            print(f"error: no valid checkpoint under {checkpoints}{detail}",
-                  file=sys.stderr)
-            return 1
-    epoch = int(info.manifest.get("meta", {}).get("epoch", 0))
-    if epoch != plan.epoch:
-        print(
-            f"error: checkpoint epoch {epoch} != plan epoch {plan.epoch}",
-            file=sys.stderr,
-        )
+    try:
+        _name, epoch, model, ann = open_checkpoint(data_dir, plan)
+    except StoreError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    model = open_checkpoint_model(info.path, mmap=True)
-    if model.n_documents != plan.n_documents:
-        print(
-            f"error: checkpoint has {model.n_documents} documents but the "
-            f"plan covers {plan.n_documents}",
-            file=sys.stderr,
-        )
-        return 1
-
-    # The quantizer is optional: a pre-format-2 checkpoint has none and
-    # the worker answers probe requests by exact scan (gauge raised).
-    ann = open_checkpoint_ann(info.path, mmap=True)
     worker = ShardWorker(
         model, plan.shard(shard_id), epoch=epoch, ann=ann,
         data_dir=pathlib.Path(data_dir), replica=replica, tenant=tenant,
@@ -605,7 +444,7 @@ def run_worker(
     tenant_token = f"tenant={tenant} " if tenant is not None else ""
     print(
         f"cluster worker {shard_id} ready on {host}:{bound_port} "
-        f"rows=[{worker.shard.lo},{worker.shard.hi}) epoch={epoch} "
+        f"rows=[{worker.current.lo},{worker.current.hi}) epoch={epoch} "
         f"ann={'yes' if ann is not None else 'no'} replica={replica} "
         f"{tenant_token}pid={os.getpid()}",
         file=out, flush=True,

@@ -33,9 +33,8 @@ PR 7 made the substrate cluster-wide:
 * :mod:`repro.obs.slowlog` — a bounded JSONL log of over-threshold
   requests with their assembled per-shard trace evidence.
 
-The legacy :data:`repro.util.timing.serving_counters` remains as a
-registry-backed compatibility shim: its counters and timers live in the
-registry under the ``serving.`` prefix.
+The serving fast path's counters and timers live in the registry under
+the ``serving.`` prefix.
 """
 
 from repro.obs.aggregate import (

@@ -26,12 +26,12 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
+from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.parallel.pool import parallel_map
 from repro.serving.index import DocumentIndex, get_document_index
 from repro.serving.kernel import cosine_scores
 from repro.serving.topk import topk_indices
-from repro.util.timing import serving_counters
 
 __all__ = [
     "shard_documents",
@@ -44,16 +44,11 @@ __all__ = [
 
 def shard_documents(n: int, shards: int) -> list[np.ndarray]:
     """Split document indices ``0..n-1`` into near-equal contiguous shards."""
-    if shards < 1:
-        raise ShapeError("shards must be >= 1")
-    if n < 0:
-        raise ShapeError("n must be non-negative")
-    bounds = np.linspace(0, n, shards + 1).astype(np.int64)
-    return [np.arange(bounds[i], bounds[i + 1]) for i in range(shards)]
+    return [np.arange(lo, hi) for lo, hi in shard_bounds(n, shards)]
 
 
 def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
-    """The same partition as :func:`shard_documents`, as (lo, hi) ranges.
+    """Near-equal contiguous (lo, hi) row ranges covering ``0..n-1``.
 
     This is *the* canonical partition: the in-process sharded search,
     the multi-process cluster plan (:mod:`repro.cluster.plan`), and the
@@ -67,9 +62,6 @@ def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
     bounds = np.linspace(0, n, shards + 1).astype(np.int64)
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(shards)]
 
-
-#: Backwards-compatible private alias (pre-cluster callers).
-_shard_bounds = shard_bounds
 
 
 def merge_topk(
@@ -125,23 +117,14 @@ def sharded_search(
 ) -> list[tuple[int, float]]:
     """Score shards (optionally in parallel), merge exact top results.
 
-    Identical results to a flat search; the point is the execution shape —
+    The one-query case of :func:`sharded_batch_search`.  Identical
+    results to a flat search; the point is the execution shape —
     per-shard scoring parallelizes and bounds memory.
     """
-    with span("lsi.search.sharded", shards=shards, top=top):
-        index = get_document_index(model, mode="scaled")
-        Qs = index.prepare_queries(np.asarray(qhat, dtype=np.float64).ravel())
-        parts = _shard_bounds(index.n_documents, shards)
-
-        def search_shard(bounds: tuple[int, int]) -> list[tuple[int, float]]:
-            lo, hi = bounds
-            serving_counters.incr("shard_searches")
-            with span("lsi.search.shard", lo=lo, hi=hi):
-                return _shard_topk(index, Qs, lo, hi, top)[0]
-
-        per_shard = parallel_map(search_shard, parts, workers=workers)
-        with span("lsi.search.merge", shards=shards):
-            return merge_topk(per_shard, top)
+    qhat = np.asarray(qhat, dtype=np.float64).ravel()
+    return sharded_batch_search(
+        model, qhat[None, :], top=top, shards=shards, workers=workers
+    )[0]
 
 
 def sharded_batch_search(
@@ -174,13 +157,13 @@ def sharded_batch_search(
                 Q = batch_project_queries(model, queries)
         index = get_document_index(model, mode="scaled")
         Qs = index.prepare_queries(Q)
-        parts = _shard_bounds(index.n_documents, shards)
+        parts = shard_bounds(index.n_documents, shards)
 
         def search_shard(
             bounds: tuple[int, int],
         ) -> list[list[tuple[int, float]]]:
             lo, hi = bounds
-            serving_counters.incr("shard_searches")
+            registry.inc("serving.shard_searches")
             with span("lsi.search.shard", lo=lo, hi=hi):
                 return _shard_topk(index, Qs, lo, hi, top)
 

@@ -24,7 +24,6 @@ from repro.retrieval.multitopic import (
     multi_topic_search,
 )
 from repro.retrieval.composite import CompositeQuery
-from repro.retrieval.ann import ClusterIndex, kmeans
 
 __all__ = [
     "RetrievalEngine",
@@ -39,6 +38,4 @@ __all__ = [
     "multi_topic_scores",
     "multi_topic_search",
     "CompositeQuery",
-    "ClusterIndex",
-    "kmeans",
 ]

@@ -8,7 +8,8 @@ batched GEMM only helped callers who arrived pre-batched.  This package
 is the long-lived service the ROADMAP's "heavy traffic" north star
 needs, stdlib-asyncio only:
 
-* :mod:`repro.server.state` — :class:`EpochSnapshot` /
+* :mod:`repro.server.state` — :class:`EpochSnapshot` (the one
+  pinned-epoch scoring type, with the one ``search`` every tier calls) /
   :class:`ServingState`, the atomic reader/writer model handoff that
   lets live additions (fold-in → §4.3-policy consolidation through the
   index manager) swap epochs under in-flight queries;
@@ -20,9 +21,10 @@ needs, stdlib-asyncio only:
 * :mod:`repro.server.admission` — :class:`AdmissionController`, the
   bounded queue with fast overload rejection, per-request deadlines,
   and the drain latch for graceful shutdown;
-* :mod:`repro.server.service` — :class:`QueryService`, the transport-
-  independent composition of the three, emitting ``server.*`` metrics
-  and spans;
+* :mod:`repro.server.service` — :class:`ServiceBase`, the surface the
+  HTTP front end calls and the parts every service shares, and
+  :class:`QueryService`, the transport-independent composition of the
+  three above, emitting ``server.*`` metrics and spans;
 * :mod:`repro.server.http` — the stdlib HTTP/JSON front end
   (``/search``, ``/add``, ``/healthz``, ``/stats``);
 * :mod:`repro.server.client` — :class:`ServerClient`, a small blocking
@@ -35,7 +37,7 @@ from repro.server.admission import AdmissionController
 from repro.server.batching import MicroBatcher, SearchRequest
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
-from repro.server.service import QueryService, ServerConfig
+from repro.server.service import QueryService, ServerConfig, ServiceBase
 from repro.server.state import (
     EpochSnapshot,
     ServingState,
@@ -51,6 +53,7 @@ __all__ = [
     "start_http_server",
     "QueryService",
     "ServerConfig",
+    "ServiceBase",
     "EpochSnapshot",
     "ServingState",
     "manager_from_texts",

@@ -7,10 +7,10 @@ the same dynamic-batching shape inference servers use: the scheduler
 takes the first waiting request, then keeps collecting until either
 ``max_batch`` requests are in hand or ``max_wait_ms`` has elapsed since
 the batch opened, and flushes the whole set through one
-:meth:`EpochSnapshot.score_batch` call.  Per-request ``top`` /
+:meth:`EpochSnapshot.search` call.  Per-request ``top`` /
 ``threshold`` are preserved because ranking happens per score row with
-the same :func:`~repro.serving.topk.ranked_pairs` the unbatched engine
-uses — results are element-identical to ``LSIRetrieval.search``.
+the same selection the unbatched engine uses — results are
+element-identical to ``LSIRetrieval.search``.
 
 The scheduler awaits each flush (the scoring runs on an executor thread
 so the event loop stays responsive), which makes batching *adaptive*:
@@ -34,7 +34,6 @@ from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext
 from repro.obs.tracing import span
 from repro.server.state import EpochSnapshot, ServingState
-from repro.serving.topk import ranked_pairs
 
 __all__ = ["SearchRequest", "MicroBatcher", "BATCH_SIZE_BUCKETS"]
 
@@ -195,72 +194,52 @@ class MicroBatcher:
     ) -> list[dict]:
         """Project + score + rank one batch (runs on an executor thread).
 
-        The batch splits into an *exact* group — scored by today's one
-        GEMM over all documents — and ANN groups keyed by probe count,
-        each probing the snapshot's quantizer per query (candidate sets
-        differ per query, so there is no cross-query GEMM to share; the
-        grouping bounds the per-probe-set bookkeeping and spans).
-        Requests asking for probes on a snapshot without a quantizer
-        fall back to the exact group, counted in
-        ``ann.exact_fallbacks_total``.
+        The batch splits by effective probe count: the *exact* group
+        (``None``) shares one GEMM over all documents, each ANN group
+        probes the snapshot's quantizer per query (candidate sets differ
+        per query, so there is no cross-query GEMM to share; the
+        grouping bounds the per-probe-set bookkeeping and spans).  Each
+        group is one :meth:`EpochSnapshot.search` call, which also owns
+        the exact fallback for a snapshot without a quantizer.
         """
-        exact: list[tuple[int, SearchRequest]] = []
-        ann: dict[int, list[tuple[int, SearchRequest]]] = {}
+        groups: dict[int | None, list[int]] = {}
         for i, req in enumerate(batch):
-            if req.exact or req.probes is None:
-                exact.append((i, req))
-            elif snapshot.ann is None:
-                registry.inc("ann.exact_fallbacks_total")
-                exact.append((i, req))
-            else:
-                ann.setdefault(int(req.probes), []).append((i, req))
+            groups.setdefault(None if req.exact else req.probes, []).append(i)
         doc_ids = snapshot.model.doc_ids
         responses: list[dict] = [None] * len(batch)
-
-        def response(pairs, extra=None) -> dict:
-            out = {
-                "epoch": snapshot.epoch,
-                "n_documents": snapshot.n_documents,
-                "results": [[j, score, doc_ids[j]] for j, score in pairs],
-            }
-            if extra:
-                out.update(extra)
-            return out
-
-        if exact:
+        for probes, members in groups.items():
+            requests = [batch[i] for i in members]
             t0 = time.perf_counter()
-            Q = np.stack([snapshot.project(req.query) for _, req in exact])
-            with span("server.score", size=len(exact)):
-                S = snapshot.score_batch(
-                    Q, shards=self.shards, workers=self.workers
-                )
-            registry.observe(
-                "server.batch_gemm_seconds", time.perf_counter() - t0
+            Qs = snapshot.scale(
+                np.stack([snapshot.project(req.query) for req in requests])
             )
-            for (i, req), row in zip(exact, S):
-                # Zero-vector (all-OOV) queries score exactly 0 everywhere
-                # on this path too, so the engine's short-circuit needs no
-                # mirror.
-                pairs = ranked_pairs(row, top=req.top, threshold=req.threshold)
-                responses[i] = response(pairs)
-        for probes, group in ann.items():
-            with span("server.ann_scan", size=len(group), probes=probes):
-                for i, req in group:
-                    qhat = snapshot.project(req.query)
-                    pairs, stats = snapshot.search_ann(
-                        qhat,
-                        probes=probes,
-                        top=req.top,
-                        threshold=req.threshold,
-                    )
-                    responses[i] = response(
-                        pairs,
-                        {
-                            "ann": {
-                                "probes": probes,
-                                "cells_probed": stats["cells_probed"],
-                                "candidates": stats["candidates"],
-                            }
-                        },
-                    )
+            with span(
+                "server.score" if probes is None else "server.ann_scan",
+                size=len(requests),
+                probes=probes,
+            ):
+                results, ann_stats = snapshot.search(
+                    Qs,
+                    top=[req.top for req in requests],
+                    threshold=[req.threshold for req in requests],
+                    probes=probes,
+                    shards=self.shards,
+                    workers=self.workers,
+                )
+            if ann_stats is None:
+                registry.observe(
+                    "server.batch_gemm_seconds", time.perf_counter() - t0
+                )
+            for n, (i, pairs) in enumerate(zip(members, results)):
+                responses[i] = {
+                    "epoch": snapshot.epoch,
+                    "n_documents": snapshot.n_documents,
+                    "results": [[j, score, doc_ids[j]] for j, score in pairs],
+                }
+                if ann_stats is not None:
+                    responses[i]["ann"] = {
+                        "probes": probes,
+                        "cells_probed": ann_stats[n]["cells_probed"],
+                        "candidates": ann_stats[n]["candidates"],
+                    }
         return responses

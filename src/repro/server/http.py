@@ -73,7 +73,7 @@ from repro.errors import (
 )
 from repro.obs.trace_context import TraceContext, coerce_trace_id, trace_scope
 from repro.obs.tracing import span
-from repro.server.service import QueryService
+from repro.server.service import ServiceBase
 
 __all__ = ["start_http_server", "MAX_BODY_BYTES"]
 
@@ -169,13 +169,6 @@ def _respond(
     writer.write(head + body)
 
 
-async def _maybe_await(value):
-    """Normalize sync (QueryService) vs async (ClusterService) results."""
-    if asyncio.iscoroutine(value):
-        return await value
-    return value
-
-
 def _tenant_from(headers: dict, body: dict) -> str | None:
     """The request's tenant id: ``tenant`` body field over ``X-Tenant``."""
     tenant = body.get("tenant", headers.get("x-tenant"))
@@ -187,7 +180,7 @@ def _tenant_from(headers: dict, body: dict) -> str | None:
 
 
 async def _dispatch(
-    service: QueryService, method: str, path: str, headers: dict, body: dict
+    service: ServiceBase, method: str, path: str, headers: dict, body: dict
 ):
     """Route one parsed request; returns (status, payload)."""
     path, _, query_string = path.partition("?")
@@ -197,27 +190,16 @@ async def _dispatch(
     if method == "GET" and path == "/stats":
         return 200, service.stats()
     if method == "GET" and path == "/tenants":
-        tenants = getattr(service, "tenants", None)
-        if tenants is None:
-            return 400, {"error": "this service has no tenant registry"}
-        return 200, await _maybe_await(tenants())
+        return 200, await service.tenants()
     if method == "GET" and path == "/metrics":
         if params.get("format", ["json"])[-1] == "prom":
-            prom = getattr(service, "metrics_prom", None)
-            if prom is None:
-                return 400, {
-                    "error": "this service has no Prometheus exposition"
-                }
-            return 200, PlainText(await _maybe_await(prom()))
-        return 200, await _maybe_await(service.metrics())
+            return 200, PlainText(await service.metrics_prom())
+        return 200, await service.metrics()
     if method == "GET" and path == "/trace":
         trace_ids = params.get("id", [])
         if not trace_ids or not trace_ids[-1]:
             return 400, {"error": "missing 'id' query parameter"}
-        trace = getattr(service, "trace", None)
-        if trace is None:
-            return 400, {"error": "this service does not assemble traces"}
-        return 200, await _maybe_await(trace(trace_ids[-1]))
+        return 200, await service.trace(trace_ids[-1])
     if method == "POST" and path == "/search":
         if "query" not in body:
             return 400, {"error": "missing 'query'"}
@@ -253,7 +235,7 @@ async def _dispatch(
 
 
 async def _handle(
-    service: QueryService,
+    service: ServiceBase,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
@@ -334,7 +316,7 @@ async def _handle(
 
 
 async def start_http_server(
-    service: QueryService, host: str = "127.0.0.1", port: int = 8080
+    service: ServiceBase, host: str = "127.0.0.1", port: int = 8080
 ) -> asyncio.AbstractServer:
     """Bind and start serving; ``port=0`` picks an ephemeral port.
 

@@ -27,18 +27,29 @@ special case of the same code path:
 Every stage reports through :data:`repro.obs.metrics.registry` under
 ``server.*`` plus per-tenant ``tenant.<id>.*`` counters/gauges — all
 visible via ``/stats`` or ``python -m repro stats``.
+
+:class:`ServiceBase` is the surface the HTTP front end calls and the
+one definition of what every service shares — the slow-query log, the
+``/stats`` / ``/metrics`` / ``/trace`` / ``/tenants`` payloads, and the
+pin → admit → quota → release bracket.  The cluster front ends
+(:class:`~repro.cluster.service.ClusterService`,
+:class:`~repro.tenancy.cluster.TenantClusterService`) inherit it and
+add only how *they* answer ``search`` / ``add`` / ``healthz``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
+from repro.errors import ReproError
+from repro.obs.aggregate import label_snapshots
 from repro.obs.export import SCHEMA
 from repro.obs.metrics import registry
-from repro.obs.prom import render_snapshot
+from repro.obs.prom import render_prometheus
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace_context import current_trace
 from repro.obs.tracing import recent_spans, spans_for_trace
@@ -48,7 +59,7 @@ from repro.server.state import ServingState
 from repro.tenancy.quotas import TenantQuotas
 from repro.tenancy.registry import IndexRegistry
 
-__all__ = ["ServerConfig", "QueryService"]
+__all__ = ["ServerConfig", "ServiceBase", "QueryService"]
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,213 @@ class ServerConfig:
     slowlog_max_records: int = 256
 
 
-class QueryService:
+class ServiceBase:
+    """The service surface ``server.http`` calls, and its shared parts.
+
+    A concrete service supplies ``start`` / ``drain`` / ``search`` /
+    ``add`` / ``healthz``; everything else the HTTP routes need is
+    defined here, once.  Two hooks adapt the shared parts to a front
+    end with worker processes behind it: :meth:`_fleets` names the
+    routers whose workers' metrics and spans federate into ``/metrics``
+    and ``/trace``, and :meth:`_slowlogs` names the slow-query logs
+    ``/stats`` tails.
+    """
+
+    #: How this process's own registry is labelled in the Prometheus
+    #: exposition and (in front of worker fleets) in assembled traces.
+    process_label = "server"
+    #: Counter bumped for every slow-log record.
+    slow_counter = "server.slow_queries_total"
+
+    def __init__(
+        self,
+        config,
+        *,
+        registry: IndexRegistry | None = None,
+        queue_depth: int = 0,
+        slowlog: bool = True,
+    ):
+        self.config = config
+        self.slowlog = (
+            SlowQueryLog(
+                config.slowlog_path,
+                threshold_ms=config.slow_ms,
+                max_records=config.slowlog_max_records,
+            )
+            if slowlog
+            else None
+        )
+        #: The tenant registry, on services that route by tenant; with
+        #: it come the global bounded queue and its per-tenant shares.
+        self.registry = registry
+        if registry is not None:
+            self.admission = AdmissionController(queue_depth)
+            self.quotas = TenantQuotas(queue_depth)
+            self.quotas.ensure(registry.tenant_ids)
+
+    @property
+    def draining(self) -> bool:
+        """Whether the service has begun (or finished) draining."""
+        return self.admission.draining
+
+    @contextlib.contextmanager
+    def _admitted(self, tenant: str | None) -> Iterator[tuple[str, object]]:
+        """Pin the tenant, then claim a global slot and a quota slot.
+
+        Yields ``(tenant_id, hosted_object)``.  The tenant stays pinned
+        (so an LRU eviction decided mid-flight detaches only afterwards)
+        and both slots stay held until the block exits; a quota
+        rejection gives the global slot back before it propagates.
+        """
+        with self.registry.pin(tenant) as (tid, target):
+            self.quotas.ensure(self.registry.tenant_ids)
+            self.admission.admit()
+            try:
+                self.quotas.admit(tid)
+            except BaseException:
+                self.admission.release()
+                raise
+            try:
+                yield tid, target
+            finally:
+                self.quotas.release(tid)
+                self.admission.release()
+
+    def _record_slow(
+        self,
+        elapsed_s: float,
+        *,
+        top: int | None,
+        probes: int | None,
+        exact: bool,
+        tenant: str | None = None,
+        **evidence,
+    ) -> None:
+        """Dump an over-threshold request's trace evidence to the slow log.
+
+        ``probes`` / ``exact`` are the request's arguments; the record
+        holds the probe count the query actually ran with — the server
+        default when the request named none, ``None`` for an exact scan.
+        ``evidence`` is whatever else the service knows about where the
+        time went (queue depth; per-shard timings, hedges, misses).
+        """
+        if not self.slowlog.is_slow(elapsed_s):
+            return
+        registry.inc(self.slow_counter)
+        ctx = current_trace()
+        trace_id = ctx.trace_id if ctx is not None else None
+        if exact:
+            probes = None
+        elif probes is None:
+            probes = self.config.default_probes
+        entry = {
+            "ts": time.time(),
+            "trace_id": trace_id,
+            "duration_ms": elapsed_s * 1000.0,
+            "top": top,
+            "probes": probes,
+            **({"tenant": tenant} if tenant is not None else {}),
+            **evidence,
+        }
+        if trace_id is not None:
+            # This process's spans for the trace; worker spans stay
+            # fetchable via /trace.
+            entry["spans"] = [
+                s.to_dict() for s in spans_for_trace(trace_id)
+            ]
+        self.slowlog.record(entry)
+
+    # ------------------------------------------------------------------ #
+    def _fleets(self) -> list[tuple[str | None, object]]:
+        """``(tenant_id or None, router)`` per worker fleet behind this
+        front end; none for a service that scores in-process."""
+        return []
+
+    def _slowlogs(self) -> list[SlowQueryLog]:
+        """The slow-query logs ``/stats`` tails."""
+        return [self.slowlog]
+
+    def stats(self) -> dict:
+        """The observability snapshot for ``/stats`` (obs-export schema)."""
+        slow = [e for log in self._slowlogs() for e in log.recent(20)]
+        slow.sort(key=lambda e: e.get("ts", 0.0))
+        return {
+            "schema": SCHEMA,
+            "server": self.healthz(),
+            "metrics": registry.snapshot(),
+            "spans": [s.to_dict() for s in recent_spans(50)],
+            "slow_queries": slow[-20:],
+        }
+
+    async def tenants(self) -> dict:
+        """Registry + quota status for ``/tenants``."""
+        if self.registry is None:
+            raise ReproError("this service has no tenant registry")
+        return {
+            "tenants": self.registry.describe(),
+            "max_resident": self.registry.max_resident,
+            "quotas": self.quotas.describe(),
+        }
+
+    async def metrics(self) -> dict:
+        """The registry dump for ``/metrics``, fleets federated in.
+
+        One flat ``{counters, gauges, histograms}`` JSON: this process's
+        registry verbatim, every live worker's shipped registry under a
+        ``shard.<sid>.`` (``tenant.<id>.shard.<sid>.``) prefix.
+        """
+        merged = registry.snapshot()
+        for tid, router in self._fleets():
+            prefix = "shard." if tid is None else f"tenant.{tid}.shard."
+            merged = label_snapshots(
+                merged, await router.fetch_stats(), prefix=prefix
+            )
+        return merged
+
+    async def metrics_prom(self) -> str:
+        """Prometheus text exposition for ``/metrics?format=prom``.
+
+        This process's registry renders with a ``worker=<process_label>``
+        label and each live shard worker's with ``worker="<sid>"`` (plus
+        ``tenant``) — one family per metric, labelled samples beneath.
+        """
+        series = [({"worker": self.process_label}, registry.snapshot())]
+        for tid, router in self._fleets():
+            worker_snaps = await router.fetch_stats()
+            for sid in sorted(worker_snaps):
+                labels = {"worker": str(sid)}
+                if tid is not None:
+                    labels["tenant"] = tid
+                series.append((labels, worker_snaps[sid]))
+        return render_prometheus(series)
+
+    async def trace(self, trace_id: str) -> dict:
+        """One request's spans for ``/trace?id=``: local + worker spans.
+
+        Worker spans are fetched over the ``trace`` wire op and tagged
+        with their shard id (``<tenant>:<sid>`` across tenant fleets);
+        the whole set sorts by start time, so the JSONL export reads as
+        one coherent distributed timeline.
+        """
+        spans = [s.to_dict() for s in spans_for_trace(trace_id)]
+        fleets = self._fleets()
+        workers: list[str] = []
+        for tid, router in fleets:
+            remote = await router.fetch_trace(trace_id)
+            for sid, shipped in sorted(remote.items()):
+                label = str(sid) if tid is None else f"{tid}:{sid}"
+                workers.append(label)
+                for record in shipped:
+                    record["worker"] = label
+                spans.extend(shipped)
+        if fleets:
+            for record in spans:
+                record.setdefault("worker", self.process_label)
+            spans.sort(key=lambda r: float(r.get("start", 0.0)))
+        return {"trace_id": trace_id, "workers": workers, "spans": spans}
+
+
+class QueryService(ServiceBase):
     """Admission-controlled, micro-batched query service over N tenants."""
 
     def __init__(
@@ -88,18 +305,15 @@ class QueryService:
         state: ServingState | IndexRegistry,
         config: ServerConfig | None = None,
     ):
-        if isinstance(state, IndexRegistry):
-            self.registry = state
-        else:
-            self.registry = IndexRegistry.single(state)
-        self.config = config or ServerConfig()
-        self.admission = AdmissionController(self.config.queue_depth)
-        self.quotas = TenantQuotas(self.config.queue_depth)
-        self.quotas.ensure(self.registry.tenant_ids)
-        self.slowlog = SlowQueryLog(
-            self.config.slowlog_path,
-            threshold_ms=self.config.slow_ms,
-            max_records=self.config.slowlog_max_records,
+        config = config or ServerConfig()
+        super().__init__(
+            config,
+            registry=(
+                state
+                if isinstance(state, IndexRegistry)
+                else IndexRegistry.single(state)
+            ),
+            queue_depth=config.queue_depth,
         )
         #: One scheduler per resident tenant, created on first query.
         self._batchers: dict[str, MicroBatcher] = {}
@@ -170,11 +384,6 @@ class QueryService:
             await batcher.stop()
         self._started = False
 
-    @property
-    def draining(self) -> bool:
-        """Whether the service has begun (or finished) draining."""
-        return self.admission.draining
-
     # ------------------------------------------------------------------ #
     async def search(
         self,
@@ -205,14 +414,7 @@ class QueryService:
         deadline expires before its batch is scored.
         """
         registry.inc("server.requests_total")
-        with self.registry.pin(tenant) as (tid, state):
-            self.quotas.ensure(self.registry.tenant_ids)
-            self.admission.admit()
-            try:
-                self.quotas.admit(tid)
-            except BaseException:
-                self.admission.release()
-                raise
+        with self._admitted(tenant) as (tid, state):
             t0 = time.perf_counter()
             try:
                 request = SearchRequest(
@@ -240,45 +442,15 @@ class QueryService:
                     time.perf_counter() - t0,
                     top=top,
                     probes=probes,
+                    exact=exact,
                     tenant=tid,
+                    queue_depth=self.admission.pending,
                 )
                 return result
             finally:
-                self.quotas.release(tid)
-                self.admission.release()
                 registry.observe(
                     "server.request_seconds", time.perf_counter() - t0
                 )
-
-    def _record_slow(
-        self,
-        elapsed_s: float,
-        *,
-        top: int | None,
-        probes: int | None,
-        tenant: str | None = None,
-    ) -> None:
-        """Dump an over-threshold request's trace evidence to the slow log."""
-        if not self.slowlog.is_slow(elapsed_s):
-            return
-        registry.inc("server.slow_queries_total")
-        ctx = current_trace()
-        trace_id = ctx.trace_id if ctx is not None else None
-        entry = {
-            "ts": time.time(),
-            "trace_id": trace_id,
-            "duration_ms": elapsed_s * 1000.0,
-            "top": top,
-            "probes": probes,
-            "queue_depth": self.admission.pending,
-        }
-        if tenant is not None:
-            entry["tenant"] = tenant
-        if trace_id is not None:
-            entry["spans"] = [
-                s.to_dict() for s in spans_for_trace(trace_id)
-            ]
-        self.slowlog.record(entry)
 
     async def add(
         self,
@@ -331,37 +503,3 @@ class QueryService:
             }
         )
         return base
-
-    def tenants(self) -> dict:
-        """Registry + quota status for ``/tenants``."""
-        return {
-            "tenants": self.registry.describe(),
-            "max_resident": self.registry.max_resident,
-            "quotas": self.quotas.describe(),
-        }
-
-    def stats(self) -> dict:
-        """The observability snapshot for ``/stats`` (obs-export schema)."""
-        return {
-            "schema": SCHEMA,
-            "server": self.healthz(),
-            "metrics": registry.snapshot(),
-            "spans": [s.to_dict() for s in recent_spans(50)],
-            "slow_queries": self.slowlog.recent(20),
-        }
-
-    def metrics(self) -> dict:
-        """The bare metrics registry dump for ``/metrics``."""
-        return registry.snapshot()
-
-    def metrics_prom(self) -> str:
-        """Prometheus text exposition for ``/metrics?format=prom``."""
-        return render_snapshot(registry.snapshot(), {"worker": "server"})
-
-    def trace(self, trace_id: str) -> dict:
-        """One request's spans for ``/trace?id=`` (single process)."""
-        return {
-            "trace_id": trace_id,
-            "workers": [],
-            "spans": [s.to_dict() for s in spans_for_trace(trace_id)],
-        }

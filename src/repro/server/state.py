@@ -9,8 +9,11 @@ state they started on, while new queries see the new state — the
 classic epoch (RCU-style) handoff.
 
 :class:`EpochSnapshot` pins everything one batch of queries needs — the
-model, the precomputed document coordinates and norms, a per-epoch
-projected-query cache — into one immutable object.  :class:`ServingState`
+model, the precomputed document coordinates and norms of a row range
+(the whole model here; one shard's rows in a cluster worker), a
+per-epoch projected-query cache — into one immutable object, and its
+:meth:`~EpochSnapshot.search` is the one scoring entry point of every
+serving tier.  :class:`ServingState`
 publishes the current snapshot behind a single attribute write (atomic
 under the GIL), so readers never lock; writers serialize on a mutex,
 route the addition through :class:`~repro.updating.manager.LSIIndexManager`
@@ -36,8 +39,9 @@ from repro.obs.metrics import registry
 from repro.parallel.pool import parallel_map
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import get_document_index
-from repro.serving.kernel import cosine_scores
+from repro.serving.kernel import cosine_scores, row_norms
 from repro.serving.querycache import QueryVectorCache
+from repro.serving.topk import ranked_order
 from repro.updating.manager import LSIIndexManager
 
 __all__ = [
@@ -48,42 +52,70 @@ __all__ = [
 ]
 
 
-class EpochSnapshot:
-    """One immutable epoch of serving state: model + scoring arrays.
+def _per_query(value, q: int) -> list:
+    """A scalar ``top``/``threshold`` repeated, or a per-query list as is."""
+    return list(value) if isinstance(value, (list, tuple)) else [value] * q
 
-    All queries of one micro-batch are projected and scored against a
-    single snapshot, so a response can never mix documents from two
-    epochs (no torn reads); the ``epoch`` and ``n_documents`` it reports
-    describe exactly the state it was computed on.
+
+class EpochSnapshot:
+    """One immutable epoch of scoring state over document rows ``[lo, hi)``.
+
+    The one pinned-epoch type every serving tier scores through: the
+    single-node server holds a whole-model snapshot per epoch, a cluster
+    shard worker holds one over its row range.  All queries of one
+    micro-batch (or one scatter frame) are scored against a single
+    snapshot, so a response can never mix documents from two epochs (no
+    torn reads); the ``epoch`` and ``n_documents`` it reports describe
+    exactly the state it was computed on.
     """
 
-    __slots__ = ("epoch", "model", "coords", "norms", "query_cache", "ann")
+    __slots__ = (
+        "epoch", "model", "lo", "hi", "coords", "norms", "query_cache", "ann",
+    )
 
     def __init__(
         self,
         epoch: int,
         model: LSIModel,
         *,
+        lo: int = 0,
+        hi: int | None = None,
         query_cache_size: int = 256,
         ann: CoarseQuantizer | None = None,
     ):
-        self.epoch = epoch
+        self.epoch = int(epoch)
         self.model = model
-        index = get_document_index(model, mode="scaled")
-        # Pin the arrays themselves: they stay valid even if the cache
-        # entry is evicted or the index handle later goes stale.
-        self.coords = index.coords
-        self.norms = index.norms
+        n = model.n_documents
+        if lo == 0 and hi is None:
+            index = get_document_index(model, mode="scaled")
+            # Pin the arrays themselves: they stay valid even if the cache
+            # entry is evicted or the index handle later goes stale.
+            self.coords = index.coords
+            self.norms = index.norms
+            hi = n
+        else:
+            hi = n if hi is None else hi
+            if not 0 <= lo <= hi <= n:
+                raise ShapeError(
+                    f"rows [{lo},{hi}) outside model with n={n}"
+                )
+            # Materialize only this range's rows: the multiply touches (and
+            # therefore faults in) just the mapped pages of V[lo:hi].
+            self.coords = np.ascontiguousarray(model.V[lo:hi] * model.s)
+            self.norms = row_norms(self.coords)
+        self.lo = lo
+        self.hi = hi
         self.query_cache = QueryVectorCache(query_cache_size)
         # The coarse quantizer may predate this epoch (it is trained at
-        # checkpoint time); rows it has never seen are still searched
-        # exactly via the quantizer's fresh-tail rule.
+        # checkpoint time) and always covers global rows: rows it has
+        # never seen are still searched exactly via its fresh-tail rule,
+        # and candidate sets are clipped to ``[lo, hi)`` at query time.
         self.ann = ann
 
     @property
     def n_documents(self) -> int:
-        """Documents visible at this epoch."""
-        return self.coords.shape[0]
+        """Documents visible at this epoch (the whole model, not the range)."""
+        return self.model.n_documents
 
     @property
     def k(self) -> int:
@@ -106,30 +138,90 @@ class EpochSnapshot:
             self.query_cache.put(key, qhat)
         return qhat
 
-    def score_batch(
-        self,
-        Q: np.ndarray,
-        *,
-        shards: int = 1,
-        workers: int | None = None,
-    ) -> np.ndarray:
-        """Cosine of ``(q, k)`` query vectors with every document.
-
-        Row ``i`` is element-identical to the unbatched engine's
-        ``scores`` for query ``i``.  With ``shards > 1`` the document
-        rows are split into contiguous slices, each scored by its own
-        GEMM (optionally on a thread pool — NumPy releases the GIL), and
-        the column blocks are concatenated; per-element cosines depend
-        only on their own document row and query, so the sharded result
-        equals the flat one.
-        """
+    def scale(self, Q: np.ndarray) -> np.ndarray:
+        """``Q Σ`` as a ``(q, k)`` batch: the "scaled" comparison space."""
         Q2 = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         if Q2.shape[1] != self.model.k:
             raise ShapeError(
                 f"queries have {Q2.shape[1]} dims for k={self.model.k}"
             )
-        Qs = Q2 * self.model.s  # "scaled" comparison space, as the engine
-        n = self.n_documents
+        return Q2 * self.model.s
+
+    def search(
+        self,
+        Qs: np.ndarray,
+        *,
+        top=None,
+        threshold=None,
+        probes: int | None = None,
+        exact: bool = False,
+        shards: int = 1,
+        workers: int | None = None,
+    ) -> tuple[list[list[tuple[int, float]]], list[dict] | None]:
+        """Ranked ``(global_index, score)`` pairs per row of ``Qs``.
+
+        The single scoring entry point of every serving tier.  ``Qs`` is
+        the already Σ-scaled ``(q, k)`` batch (:meth:`scale`); ``top`` /
+        ``threshold`` apply to every query, or per query when given as
+        lists.  Returns ``(results, ann_stats)``:
+
+        * **exact** (``probes is None`` or ``exact``): one GEMM over this
+          snapshot's rows, ranked per row with the same selection the
+          unbatched engine uses — element-identical to
+          ``LSIRetrieval.search``; ``ann_stats`` is ``None``.  With
+          ``shards > 1`` the rows are scored as contiguous slices
+          (optionally on a thread pool — NumPy releases the GIL) and the
+          column blocks concatenated; a cosine depends only on its own
+          row and query, so the result equals the flat one.
+        * **probe-bounded**: each query scores only the ``probes``
+          nearest cells' rows that land in ``[lo, hi)`` (plus the fresh
+          tail).  Cell selection is a pure function of the scaled query
+          and the shared quantizer, so every range probes the same cells
+          and range results merged with ``merge_topk`` equal a
+          whole-model probe; element-identical to the exact scan when
+          ``probes >= ann.n_clusters``.  ``ann_stats`` holds each
+          query's ``cells_probed`` / ``candidates``.  Without a
+          quantizer the request falls back to the exact scan, counted in
+          ``ann.exact_fallbacks_total``.
+
+        Zero-vector (all-OOV) queries score exactly 0 everywhere on both
+        paths, so the engine's short-circuit needs no mirror.
+        """
+        Qs = np.atleast_2d(np.asarray(Qs, dtype=np.float64))
+        q = Qs.shape[0]
+        tops = _per_query(top, q)
+        thresholds = _per_query(threshold, q)
+        if probes is not None and not exact:
+            if self.ann is not None:
+                found = [
+                    self.ann.select(
+                        self.coords,
+                        self.norms,
+                        row,
+                        probes=probes,
+                        top=t,
+                        threshold=th,
+                        lo=self.lo,
+                        n_total=self.model.n_documents,
+                    )
+                    for row, t, th in zip(Qs, tops, thresholds)
+                ]
+                return [pairs for pairs, _ in found], [st for _, st in found]
+            registry.inc("ann.exact_fallbacks_total", q)
+        lo = self.lo
+        results = []
+        for row, t, th in zip(
+            self._cosines(Qs, shards, workers), tops, thresholds
+        ):
+            order = ranked_order(row, top=t, threshold=th)
+            results.append([(int(lo + j), float(row[j])) for j in order])
+        return results, None
+
+    def _cosines(
+        self, Qs: np.ndarray, shards: int = 1, workers: int | None = None
+    ) -> np.ndarray:
+        """``(q, hi - lo)`` cosines of scaled queries with this range's rows."""
+        n = self.coords.shape[0]
         if shards <= 1 or n == 0:
             return cosine_scores(self.coords, Qs, norms=self.norms)
         bounds = np.linspace(0, n, min(shards, n) + 1).astype(np.int64)
@@ -147,6 +239,11 @@ class EpochSnapshot:
         blocks = parallel_map(score_slice, parts, workers=workers)
         return np.concatenate(blocks, axis=1)
 
+    def score_batch(self, Q: np.ndarray) -> np.ndarray:
+        """Cosine of unscaled ``(q, k)`` query vectors with every row —
+        the raw score matrix :meth:`search` ranks (reference surface)."""
+        return self._cosines(self.scale(Q))
+
     def search_ann(
         self,
         qhat: np.ndarray,
@@ -155,31 +252,13 @@ class EpochSnapshot:
         top: int | None = None,
         threshold: float | None = None,
     ) -> tuple[list[tuple[int, float]], dict]:
-        """Probe-bounded ranked ``(doc_index, score)`` pairs for one query.
-
-        Scores only the ``probes`` nearest cells' documents (plus any
-        fresh tail the quantizer has not seen), exact-reranked with the
-        same kernel as :meth:`score_batch` — element-identical to the
-        exhaustive scan when ``probes >= ann.n_clusters``.  Requires a
-        quantizer; callers fall back to :meth:`score_batch` when
-        ``self.ann is None``.
-        """
+        """:meth:`search` for one unscaled query that must be probe-bounded."""
         if self.ann is None:
             raise ReproError("snapshot has no coarse quantizer")
-        qhat = np.asarray(qhat, dtype=np.float64).ravel()
-        if qhat.size != self.model.k:
-            raise ShapeError(
-                f"query has {qhat.size} dims for k={self.model.k}"
-            )
-        return self.ann.select(
-            self.coords,
-            self.norms,
-            qhat * self.model.s,
-            probes=probes,
-            top=top,
-            threshold=threshold,
-            n_total=self.n_documents,
+        results, stats = self.search(
+            self.scale(qhat), top=top, threshold=threshold, probes=probes
         )
+        return results[0], stats[0]
 
 
 class ServingState:
@@ -235,6 +314,15 @@ class ServingState:
     def current(self) -> EpochSnapshot:
         """The snapshot new work should run against (lock-free read)."""
         return self._snapshot
+
+    def describe(self) -> dict:
+        """The current epoch's status block (tenant registry, healthz)."""
+        snapshot = self._snapshot
+        return {
+            "epoch": snapshot.epoch,
+            "n_documents": snapshot.n_documents,
+            "writable": self.writable,
+        }
 
     @property
     def ann_enabled(self) -> bool:

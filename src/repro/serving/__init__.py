@@ -22,7 +22,7 @@ quantities are built once and queried many times:
   keyed on normalized token counts.
 
 Perf counters for all of the above live in
-:data:`repro.util.timing.serving_counters`.
+:data:`repro.obs.metrics.registry` under the ``serving.`` prefix.
 """
 
 from repro.serving.index import (

@@ -2,9 +2,10 @@
 
 The paper's third open computational issue is "efficiently comparing
 queries to documents (i.e., finding near neighbors in high-dimension
-spaces)".  :mod:`repro.retrieval.ann` answers it offline; this module is
-the *serving* form of the same IVF-style design, shaped so the durable
-store can persist it and every query path can map it zero-copy:
+spaces)".  This module answers it with an IVF-style design, shaped so
+the durable store can persist it and every query path can map it
+zero-copy (queries reach it through
+:meth:`repro.server.state.EpochSnapshot.search`):
 
 1. **Train** (checkpoint time): k-means++-seeded Lloyd over the
    unit-normalized ``V_k Σ_k`` rows — sampled above a size cap so the
@@ -283,17 +284,6 @@ class CoarseQuantizer:
     def cell(self, c: int) -> np.ndarray:
         """Ascending document indices of cell ``c``."""
         return self.cell_docs[self.cell_indptr[c]:self.cell_indptr[c + 1]]
-
-    def members(self) -> list[np.ndarray]:
-        """All posting lists (compatibility view for the offline index)."""
-        return [self.cell(c) for c in range(self.n_clusters)]
-
-    def assignment(self) -> np.ndarray:
-        """Per-document cell ids, inverted from the posting lists."""
-        out = np.empty(self.n_documents, dtype=np.int64)
-        for c in range(self.n_clusters):
-            out[self.cell(c)] = c
-        return out
 
     # ------------------------------------------------------------------ #
     # query path

@@ -39,10 +39,10 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ModelStateError, ShapeError
+from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.serving.kernel import cosine_scores, row_norms
 from repro.serving.topk import ranked_pairs
-from repro.util.timing import serving_counters
 
 __all__ = [
     "DocumentIndex",
@@ -95,7 +95,7 @@ class DocumentIndex:
         self.norms = row_norms(self.coords)
         self.zero_mask = self.norms == 0.0
         self._epoch = _current_epoch(model)
-        serving_counters.incr("index_builds")
+        registry.inc("serving.index_builds")
 
     # ------------------------------------------------------------------ #
     @property
@@ -134,7 +134,7 @@ class DocumentIndex:
         """Cosine of one k-space query vector with every document."""
         self.ensure_fresh()
         qhat = np.asarray(qhat, dtype=np.float64).ravel()
-        serving_counters.incr("queries_served")
+        registry.inc("serving.queries_served")
         Qs = self.prepare_queries(qhat)
         return cosine_scores(self.coords, Qs, norms=self.norms)[0]
 
@@ -142,7 +142,7 @@ class DocumentIndex:
         """Cosine of ``(q, k)`` query vectors with every document."""
         self.ensure_fresh()
         Qs = self.prepare_queries(qhats)
-        serving_counters.incr("batch_queries_served", by=Qs.shape[0])
+        registry.inc("serving.batch_queries_served", Qs.shape[0])
         return cosine_scores(self.coords, Qs, norms=self.norms)
 
     def search_vector(

@@ -13,9 +13,11 @@ layer — including :mod:`repro.core` — can depend on it without cycles.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from repro.util.timing import serving_counters
+from repro.obs.metrics import registry
 
 __all__ = ["row_norms", "cosine_scores"]
 
@@ -63,11 +65,12 @@ def cosine_scores(
         qn = row_norms(Q2)
     if norms is None:
         norms = row_norms(M)
-    with serving_counters.time("gemm_seconds"):
-        if Q2.shape[0] == 1:
-            raw = (M @ Q2[0])[None, :]
-        else:
-            raw = Q2 @ M.T
+    t0 = time.perf_counter()
+    if Q2.shape[0] == 1:
+        raw = (M @ Q2[0])[None, :]
+    else:
+        raw = Q2 @ M.T
+    registry.observe("serving.gemm_seconds", time.perf_counter() - t0)
     denom = qn[:, None] * norms[None, :]
     if (qn > 0).all() and (norms > 0).all():
         # Common case (no zero-norm rows): plain broadcast division.

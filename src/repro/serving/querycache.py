@@ -21,8 +21,7 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.obs.metrics import registry as _metrics_registry
-from repro.util.timing import serving_counters
+from repro.obs.metrics import registry
 
 __all__ = ["QueryVectorCache"]
 
@@ -60,10 +59,10 @@ class QueryVectorCache:
         """Cached projection for ``key``, or None (counts hits/misses)."""
         hit = self._entries.get(key)
         if hit is None:
-            serving_counters.incr("query_cache_misses")
+            registry.inc("serving.query_cache_misses")
             return None
         self._entries.move_to_end(key)
-        serving_counters.incr("query_cache_hits")
+        registry.inc("serving.query_cache_hits")
         return hit.copy()  # callers may mutate their query vector
 
     def put(self, key: tuple, vector: np.ndarray) -> None:
@@ -89,5 +88,5 @@ class QueryVectorCache:
         serving process has one live cache (per engine or per epoch) and
         ``/stats`` / ``repro stats`` report its current occupancy.
         """
-        _metrics_registry.set_gauge("serving.query_cache_size", len(self._entries))
-        _metrics_registry.set_gauge("serving.query_cache_capacity", self.maxsize)
+        registry.set_gauge("serving.query_cache_size", len(self._entries))
+        registry.set_gauge("serving.query_cache_capacity", self.maxsize)

@@ -21,9 +21,11 @@ vectorized mask — no Python list of all n pairs is ever materialized.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from repro.util.timing import serving_counters
+from repro.obs.metrics import registry
 
 __all__ = ["topk_indices", "ranked_order", "ranked_pairs"]
 
@@ -42,7 +44,8 @@ def topk_indices(scores: np.ndarray, top: int | None) -> np.ndarray:
         return np.argsort(-s, kind="stable")
     if top <= 0:
         return np.empty(0, dtype=np.intp)
-    with serving_counters.time("topk_seconds"):
+    t0 = time.perf_counter()
+    try:
         part = np.argpartition(-s, top - 1)
         cutoff = s[part[top - 1]]
         cand = np.flatnonzero(s >= cutoff)
@@ -52,6 +55,8 @@ def topk_indices(scores: np.ndarray, top: int | None) -> np.ndarray:
         # ascending original index — exactly the full stable sort's order.
         order = np.argsort(-s[cand], kind="stable")
         return cand[order[:top]]
+    finally:
+        registry.observe("serving.topk_seconds", time.perf_counter() - t0)
 
 
 def ranked_order(

@@ -1,10 +1,9 @@
 """Multi-tenant cluster front end: N per-tenant fleets, one registry.
 
-:class:`TenantClusterService` presents the same duck-typed surface the
-HTTP front end expects from a :class:`~repro.server.service.QueryService`
-(``start`` / ``drain`` / ``search`` / ``healthz`` / ``stats`` /
-``metrics`` / ``trace`` / ``tenants``), but routes every request to one
-of N named :class:`~repro.cluster.service.ClusterService` fleets — each
+:class:`TenantClusterService` is the third
+:class:`~repro.server.service.ServiceBase` the HTTP front end drives,
+routing every request to one of N named
+:class:`~repro.cluster.service.ClusterService` fleets — each
 a data directory with its own checkpoints, shard plan, and worker
 processes.  Fleets attach lazily through the same
 :class:`~repro.tenancy.registry.IndexRegistry` discipline the
@@ -37,20 +36,17 @@ from typing import Callable, Mapping
 
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.errors import ClusterConfigError
-from repro.obs.aggregate import label_snapshots
-from repro.obs.export import SCHEMA
 from repro.obs.metrics import registry
-from repro.obs.prom import render_prometheus
-from repro.obs.tracing import recent_spans, spans_for_trace
-from repro.server.admission import AdmissionController
-from repro.tenancy.quotas import TenantQuotas
+from repro.server.service import ServiceBase
 from repro.tenancy.registry import IndexRegistry
 
 __all__ = ["TenantClusterService"]
 
 
-class TenantClusterService:
+class TenantClusterService(ServiceBase):
     """Tenant-routed scatter-gather serving over per-tenant worker fleets."""
+
+    process_label = "router"
 
     def __init__(
         self,
@@ -64,8 +60,8 @@ class TenantClusterService:
     ):
         if not tenants:
             raise ClusterConfigError("a tenant cluster needs >= 1 tenant")
-        self.config = config or ClusterConfig()
-        if self.config.writable or self.config.standby:
+        config = config or ClusterConfig()
+        if config.writable or config.standby:
             raise ClusterConfigError(
                 "multi-tenant cluster serving is read-only: --writable/"
                 "--standby own one store lock and one WAL each — run the "
@@ -73,15 +69,16 @@ class TenantClusterService:
             )
         self._host = host
         self._announce = announce or (lambda line: None)
-        self.registry = IndexRegistry(max_resident=max_resident)
+        fleets = IndexRegistry(max_resident=max_resident)
         for tid, data_dir in tenants.items():
             path = pathlib.Path(data_dir)
-            self.registry.register(
+            fleets.register(
                 tid, data_dir=path, loader=self._fleet_loader(tid, path)
             )
-        self.admission = AdmissionController(queue_depth)
-        self.quotas = TenantQuotas(queue_depth)
-        self.quotas.ensure(self.registry.tenant_ids)
+        # No slow log of its own: each fleet keeps one per tenant.
+        super().__init__(
+            config, registry=fleets, queue_depth=queue_depth, slowlog=False
+        )
         self.registry.add_detach_hook(self._on_detach)
         self._start_locks: dict[str, asyncio.Lock] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -152,11 +149,6 @@ class TenantClusterService:
             await service.drain()
         self._started = False
 
-    @property
-    def draining(self) -> bool:
-        """Whether shutdown has begun."""
-        return self.admission.draining
-
     # ------------------------------------------------------------------ #
     async def search(
         self,
@@ -178,30 +170,19 @@ class TenantClusterService:
         eviction decided mid-flight drains this fleet only afterwards.
         """
         registry.inc("server.requests_total")
-        with self.registry.pin(tenant) as (tid, service):
-            self.quotas.ensure(self.registry.tenant_ids)
-            self.admission.admit()
-            try:
-                self.quotas.admit(tid)
-            except BaseException:
-                self.admission.release()
-                raise
-            try:
-                await self._ensure_started(tid, service)
-                result = await service.search(
-                    query,
-                    top=top,
-                    threshold=threshold,
-                    timeout_ms=timeout_ms,
-                    probes=probes,
-                    exact=exact,
-                    tenant=tid,
-                )
-                result["tenant"] = tid
-                return result
-            finally:
-                self.quotas.release(tid)
-                self.admission.release()
+        with self._admitted(tenant) as (tid, service):
+            await self._ensure_started(tid, service)
+            result = await service.search(
+                query,
+                top=top,
+                threshold=threshold,
+                timeout_ms=timeout_ms,
+                probes=probes,
+                exact=exact,
+                tenant=tid,
+            )
+            result["tenant"] = tid
+            return result
 
     async def add(self, texts, doc_ids=None, *, tenant: str | None = None):
         """Refused per tenant: these fleets are read-only serving tiers."""
@@ -235,73 +216,14 @@ class TenantClusterService:
             "fleets": per_tenant,
         }
 
-    def tenants(self) -> dict:
-        """Registry + quota status for ``/tenants``."""
-        return {
-            "tenants": self.registry.describe(),
-            "max_resident": self.registry.max_resident,
-            "quotas": self.quotas.describe(),
-        }
+    def _fleets(self) -> list:
+        return [
+            (tid, service.router)
+            for tid, service in sorted(self.registry.resident_states().items())
+        ]
 
-    def stats(self) -> dict:
-        """The observability snapshot for ``/stats`` (obs-export schema)."""
-        slow: list[dict] = []
-        for svc in self.registry.resident_states().values():
-            slow.extend(svc.slowlog.recent(20))
-        slow.sort(key=lambda e: e.get("ts", 0.0))
-        return {
-            "schema": SCHEMA,
-            "server": self.healthz(),
-            "metrics": registry.snapshot(),
-            "spans": [s.to_dict() for s in recent_spans(50)],
-            "slow_queries": slow[-20:],
-        }
-
-    async def metrics(self) -> dict:
-        """Fleet-federated metrics: every tenant's workers, prefixed.
-
-        The front-end process's registry lands verbatim; each resident
-        tenant's worker registries merge in under
-        ``tenant.<id>.shard.<sid>.`` — one flat JSON dump, same shape as
-        the single-tenant cluster's.
-        """
-        merged = registry.snapshot()
-        for tid, svc in sorted(self.registry.resident_states().items()):
-            worker_snaps = await svc.router.fetch_stats()
-            merged = label_snapshots(
-                merged,
-                {sid: snap for sid, snap in worker_snaps.items()},
-                prefix=f"tenant.{tid}.shard.",
-            )
-        return merged
-
-    async def metrics_prom(self) -> str:
-        """Prometheus exposition with ``worker`` + ``tenant`` labels."""
-        series = [({"worker": "router"}, registry.snapshot())]
-        for tid, svc in sorted(self.registry.resident_states().items()):
-            worker_snaps = await svc.router.fetch_stats()
-            for sid in sorted(worker_snaps):
-                series.append(
-                    (
-                        {"worker": str(sid), "tenant": tid},
-                        worker_snaps[sid],
-                    )
-                )
-        return render_prometheus(series)
-
-    async def trace(self, trace_id: str) -> dict:
-        """One request's spans across the front end and every fleet."""
-        local = [s.to_dict() for s in spans_for_trace(trace_id)]
-        for record in local:
-            record["worker"] = "router"
-        workers: list[str] = []
-        for tid, svc in sorted(self.registry.resident_states().items()):
-            remote = await svc.router.fetch_trace(trace_id)
-            for sid, spans in sorted(remote.items()):
-                label = f"{tid}:{sid}"
-                workers.append(label)
-                for record in spans:
-                    record["worker"] = label
-                local.extend(spans)
-        local.sort(key=lambda r: float(r.get("start", 0.0)))
-        return {"trace_id": trace_id, "workers": workers, "spans": local}
+    def _slowlogs(self) -> list:
+        return [
+            service.slowlog
+            for service in self.registry.resident_states().values()
+        ]

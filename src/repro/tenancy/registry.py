@@ -361,10 +361,10 @@ class IndexRegistry:
     def describe(self) -> dict:
         """Per-tenant status map for ``/tenants`` and ``healthz``.
 
-        Duck-typed over the hosted object: a :class:`ServingState`
-        reports through its current snapshot, while the cluster front
-        end registers :class:`~repro.cluster.service.ClusterService`
-        instances, which expose ``epoch`` / ``handle`` directly.
+        A resident tenant's hosted object (a :class:`ServingState`, or a
+        :class:`~repro.cluster.service.ClusterService` under the cluster
+        front end) contributes its own ``describe()`` — at least
+        ``epoch`` and ``n_documents``.
         """
         with self._lock:
             out = {}
@@ -379,21 +379,9 @@ class IndexRegistry:
                 if entry.data_dir is not None:
                     info["data_dir"] = str(entry.data_dir)
                 if entry.resident:
-                    current = getattr(entry.state, "current", None)
-                    if current is not None:
-                        snap = current()
-                        epoch = snap.epoch
-                        info["n_documents"] = snap.n_documents
-                        info["writable"] = entry.state.writable
-                    else:
-                        epoch = getattr(entry.state, "epoch", None)
-                        handle = getattr(entry.state, "handle", None)
-                        if handle is not None:
-                            info["n_documents"] = handle.n_documents
-                    if epoch is not None:
-                        info["epoch"] = epoch
-                        metrics.set_gauge(
-                            f"tenant.{tid}.epoch", float(epoch)
-                        )
+                    info.update(entry.state.describe())
+                    metrics.set_gauge(
+                        f"tenant.{tid}.epoch", float(info["epoch"])
+                    )
                 out[tid] = info
             return out

@@ -1,14 +1,9 @@
 """Lightweight wall-clock instrumentation for the benchmark harness.
 
 :class:`Stopwatch` and :class:`PerfCounters` are the self-contained
-stopwatch tools benchmarks instantiate locally.  The process-global
-:data:`serving_counters` is now a **registry-backed compatibility
-shim**: it keeps the historical ``incr`` / ``time`` / ``snapshot``
-surface, but the data lives in :data:`repro.obs.metrics.registry`
-under the ``serving.`` prefix — counters as registry counters, timers
-as latency histograms — so the serving fast path, the Lanczos cost
-gauges, and the tracing spans all report through one sink
-(``python -m repro stats``).
+stopwatch tools benchmarks instantiate locally.  Process-wide serving
+metrics live in :data:`repro.obs.metrics.registry` under the
+``serving.`` prefix (``python -m repro stats``).
 """
 
 from __future__ import annotations
@@ -16,12 +11,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import registry as _registry
-
 __all__ = [
     "Stopwatch",
     "PerfCounters",
-    "serving_counters",
     "format_seconds",
     "timer_key",
 ]
@@ -98,9 +90,7 @@ class PerfCounters:
     Benchmarks snapshot and reset them to report cache-hit rates and
     where query time goes.  Overhead per event is one dict update
     (counters) or two ``perf_counter`` calls (timers) — negligible
-    against a GEMM over thousands of documents.  For the process-global
-    serving counters see :data:`serving_counters`, which shares this
-    interface but stores into the metrics registry.
+    against a GEMM over thousands of documents.
     """
 
     counts: dict[str, int] = field(default_factory=dict)
@@ -160,80 +150,6 @@ class PerfCounters:
             for name, t in sorted(self.timers.items())
         ]
         return "\n".join(lines)
-
-
-class _RegistryCounters:
-    """:class:`PerfCounters` facade over the global metrics registry.
-
-    Every mutation lands in :data:`repro.obs.metrics.registry` with the
-    :data:`PREFIX` — counters as registry counters, timers as latency
-    histograms (whose ``sum`` is the historical accumulated-seconds
-    view, with p50/p95/p99 now available for free).  ``counts`` /
-    ``timers`` are read-only dict *copies* for the legacy call sites
-    that peek at them.
-    """
-
-    PREFIX = "serving."
-
-    # -- write side ---------------------------------------------------- #
-    def incr(self, name: str, by: int = 1) -> None:
-        """Add ``by`` to the registry counter ``serving.<name>``."""
-        _registry.inc(self.PREFIX + name, by)
-
-    def add_time(self, name: str, seconds: float) -> None:
-        """Observe ``seconds`` in the histogram ``serving.<name>_seconds``."""
-        _registry.observe(self.PREFIX + timer_key(name), seconds)
-
-    def time(self, name: str) -> "PerfCounters._Timer":
-        """Context manager observing elapsed time into ``name``."""
-        return PerfCounters._Timer(self, name)
-
-    # -- read side ------------------------------------------------------ #
-    @property
-    def counts(self) -> dict[str, int]:
-        """Copy of the serving counters, prefix stripped."""
-        skip = len(self.PREFIX)
-        return {
-            k[skip:]: v for k, v in _registry.counters(self.PREFIX).items()
-        }
-
-    @property
-    def timers(self) -> dict[str, float]:
-        """Copy of the accumulated timer seconds, prefix stripped."""
-        skip = len(self.PREFIX)
-        return {
-            k[skip:]: v
-            for k, v in _registry.histogram_sums(self.PREFIX).items()
-        }
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat counters + timers, namespaced like ``PerfCounters``."""
-        out: dict[str, float] = dict(self.counts)
-        for name, t in self.timers.items():
-            out[timer_key(name)] = t
-        return out
-
-    def reset(self) -> None:
-        """Drop every ``serving.``-prefixed metric from the registry."""
-        _registry.reset(self.PREFIX)
-
-    def report(self) -> str:
-        """Human-readable summary: counters first, then timers."""
-        lines = [f"{name:>24s}  {val}" for name, val in sorted(self.counts.items())]
-        lines += [
-            f"{name:>24s}  {format_seconds(t)}"
-            for name, t in sorted(self.timers.items())
-        ]
-        return "\n".join(lines)
-
-
-#: Process-wide counters for the query-serving fast path, stored in the
-#: metrics registry under ``serving.``.  The serving layer records
-#: ``queries_served`` / ``batch_queries_served``, query-vector cache
-#: ``query_cache_hits`` / ``query_cache_misses``, index ``index_builds``,
-#: shard-pool ``shard_searches``, and the ``gemm_seconds`` /
-#: ``topk_seconds`` latency histograms.
-serving_counters = _RegistryCounters()
 
 
 def format_seconds(t: float) -> str:

@@ -250,8 +250,8 @@ def test_shard_worker_empty_shard(cluster_model):
     plan = ShardPlan.compute(3, 5)
     empty = next(s for s in plan.shards if s.n_rows == 0)
     worker = ShardWorker(model, empty)
-    got = worker.score(np.zeros((2, model.k)), 5, None)
-    assert got == [[], []]
+    got, used_ann = worker.score(np.zeros((2, model.k)), 5, None)
+    assert got == [[], []] and used_ann is False
 
 
 def test_shard_worker_rejects_out_of_range_shard(cluster_model):

@@ -80,7 +80,7 @@ def test_worker_bump_idempotence_window_and_skew(store_dir):
     )
     ack = worker.bump(plan2.to_json())
     assert ack == {"ok": True, "shard": 0, "epoch": seal2.epoch}
-    assert worker.epoch == seal2.epoch
+    assert worker.current.epoch == seal2.epoch
     assert worker.bumps_applied == 1
 
     # Idempotent: re-bumping the live epoch is a noop ack.
@@ -113,7 +113,7 @@ def test_worker_bump_idempotence_window_and_skew(store_dir):
     )
     refused = worker.bump(ghost.to_json())
     assert "error" in refused and "ckpt-99999999" in refused["error"]
-    assert worker.epoch == seal2.epoch
+    assert worker.current.epoch == seal2.epoch
 
 
 def test_bump_refused_without_data_dir(store_dir):

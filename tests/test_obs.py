@@ -1,5 +1,5 @@
 """The observability layer: metrics registry, tracing spans, bridges,
-export/merge, and the registry-backed ``serving_counters`` shim."""
+export/merge, and the ``serving.*`` metric names the fast path reports."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import pytest
 from repro import obs
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.tracing import RING_CAPACITY
-from repro.util.timing import serving_counters
 
 
 @pytest.fixture(autouse=True)
@@ -424,47 +423,38 @@ class TestExport:
 
 
 # --------------------------------------------------------------------- #
-# the serving_counters compatibility shim
+# the serving fast path's metric names (what /metrics and `repro stats`
+# print; the call sites write the registry directly)
 # --------------------------------------------------------------------- #
-class TestServingShim:
-    def test_writes_land_in_registry_with_prefix(self):
-        serving_counters.incr("queries_served", 3)
-        serving_counters.add_time("gemm", 0.25)
-        assert obs.registry.counter("serving.queries_served") == 3
-        h = obs.registry.histogram("serving.gemm_seconds")
-        assert h.count == 1 and h.sum == pytest.approx(0.25)
+class TestServingMetricNames:
+    def test_search_paths_report_under_serving_prefix(self):
+        from repro import fit_lsi
+        from repro.parallel.sharding import sharded_batch_search
+        from repro.retrieval import LSIRetrieval
 
-    def test_reads_strip_prefix(self):
-        serving_counters.incr("query_cache_hits")
-        serving_counters.add_time("topk_seconds", 0.1)
-        assert serving_counters.counts == {"query_cache_hits": 1}
-        assert serving_counters.timers == {
-            "topk_seconds": pytest.approx(0.1)
-        }
-        snap = serving_counters.snapshot()
-        assert snap["query_cache_hits"] == 1
-        assert snap["topk_seconds"] == pytest.approx(0.1)
+        texts = [f"w{i} w{i + 1} w{i + 2} common" for i in range(12)]
+        model = fit_lsi(texts, 4)
+        engine = LSIRetrieval(model, query_cache_size=4)
+        engine.search(texts[0], top=3)
+        engine.search(texts[0], top=3)
+        sharded_batch_search(model, texts[:2], top=3, shards=2)
+        counters = obs.registry.counters("serving.")
+        assert counters["serving.index_builds"] == 1
+        assert counters["serving.queries_served"] == 2
+        assert counters["serving.query_cache_misses"] == 1
+        assert counters["serving.query_cache_hits"] == 1
+        assert counters["serving.shard_searches"] == 2
+        # Timers are histograms: sum is accumulated seconds.
+        sums = obs.registry.histogram_sums("serving.")
+        assert sums["serving.gemm_seconds"] > 0
+        assert obs.registry.histogram("serving.topk_seconds").count >= 2
 
-    def test_time_context_accumulates(self):
-        with serving_counters.time("gemm"):
-            pass
-        with serving_counters.time("gemm"):
-            pass
-        h = obs.registry.histogram("serving.gemm_seconds")
-        assert h.count == 2
-
-    def test_reset_only_touches_serving(self):
-        serving_counters.incr("queries_served")
+    def test_prefix_reset_only_touches_serving(self):
+        obs.registry.inc("serving.queries_served")
         obs.registry.inc("manager.events.fold-in")
-        serving_counters.reset()
-        assert serving_counters.counts == {}
+        obs.registry.reset("serving.")
+        assert obs.registry.counters("serving.") == {}
         assert obs.registry.counter("manager.events.fold-in") == 1
-
-    def test_report_lists_both(self):
-        serving_counters.incr("hits", 2)
-        serving_counters.add_time("gemm", 0.5)
-        text = serving_counters.report()
-        assert "hits" in text and "gemm" in text
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.evaluation.significance import randomization_test, sign_test
-from repro.retrieval.ann import kmeans
+from repro.serving.ann import kmeans
 from repro.updating.cost_model import (
     fold_documents_flops,
     recompute_flops,

@@ -1,4 +1,9 @@
-"""Tests for k-means and the cluster-pruned near-neighbour index."""
+"""Tests for k-means and probe-bounded near-neighbour search (§5.6).
+
+The search tests drive the one serving entry point —
+``EpochSnapshot(0, model, ann=CoarseQuantizer.train(...)).search`` — over
+a synthetic hub-structured model.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +11,8 @@ import pytest
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
-from repro.retrieval.ann import ClusterIndex, kmeans
-from repro.serving.ann import CoarseQuantizer
+from repro.server.state import EpochSnapshot
+from repro.serving.ann import CoarseQuantizer, kmeans
 from repro.text import Vocabulary
 from repro.util.rng import ensure_rng
 
@@ -78,21 +83,41 @@ def big_model():
     )
 
 
+def _snapshot(model, **train) -> EpochSnapshot:
+    whole = EpochSnapshot(0, model)
+    return EpochSnapshot(
+        0, model, ann=CoarseQuantizer.train(whole.coords, seed=0, **train)
+    )
+
+
 @pytest.fixture(scope="module")
 def index(big_model):
-    return ClusterIndex.build(big_model, seed=0)
+    return _snapshot(big_model)
+
+
+def _probe(index, qhat, *, top=10, probes=2):
+    """One query's ``(pairs, documents_scored)`` at ``probes``."""
+    results, stats = index.search(index.scale(qhat), top=top, probes=probes)
+    return results[0], stats[0]["candidates"]
+
+
+def _recall_at(index, qhat, *, top, probes) -> float:
+    exact, _ = index.search(index.scale(qhat), top=top)
+    approx, _ = _probe(index, qhat, top=top, probes=probes)
+    return len({j for j, _ in approx} & {j for j, _ in exact[0]}) / top
 
 
 def test_index_covers_all_documents(index, big_model):
-    covered = np.concatenate(index.members)
+    ann = index.ann
+    covered = np.concatenate([ann.cell(c) for c in range(ann.n_clusters)])
     assert sorted(covered.tolist()) == list(range(big_model.n_documents))
-    assert index.n_clusters == int(np.sqrt(big_model.n_documents))
+    assert ann.n_clusters == int(np.sqrt(big_model.n_documents))
 
 
 def test_probe_search_scores_fraction(index, big_model):
     rng = ensure_rng(9)
     qhat = rng.standard_normal(big_model.k)
-    results, scored = index.search(qhat, top=10, probes=2)
+    results, scored = _probe(index, qhat, top=10, probes=2)
     assert len(results) == 10
     assert scored < big_model.n_documents * 0.25
     scores = [c for _, c in results]
@@ -102,13 +127,14 @@ def test_probe_search_scores_fraction(index, big_model):
 def test_recall_improves_with_probes(index, big_model):
     rng = ensure_rng(10)
     queries = rng.standard_normal((20, big_model.k))
+    n_clusters = index.ann.n_clusters
     recall = {
-        p: float(np.mean([index.recall_at(q, top=10, probes=p) for q in queries]))
-        for p in (1, 4, index.n_clusters)
+        p: float(np.mean([_recall_at(index, q, top=10, probes=p) for q in queries]))
+        for p in (1, 4, n_clusters)
     }
     assert recall[1] <= recall[4] + 1e-9
-    assert recall[4] <= recall[index.n_clusters] + 1e-9
-    assert recall[index.n_clusters] == pytest.approx(1.0)
+    assert recall[4] <= recall[n_clusters] + 1e-9
+    assert recall[n_clusters] == pytest.approx(1.0)
     assert recall[4] > 0.6
 
 
@@ -117,21 +143,28 @@ def test_full_probe_matches_exact(index, big_model):
     qhat = rng.standard_normal(big_model.k)
     exact = cosine_similarities(big_model, qhat)
     true_top = np.argsort(-exact, kind="stable")[:5]
-    approx, scored = index.search(qhat, top=5, probes=index.n_clusters)
+    approx, scored = _probe(index, qhat, top=5, probes=index.ann.n_clusters)
     assert scored == big_model.n_documents
     assert [j for j, _ in approx] == true_top.tolist()
 
 
-def test_zero_query(index):
-    results, scored = index.search(np.zeros(index.model.k))
-    assert results == [] and scored == 0
+def test_zero_query(index, big_model):
+    # No direction to probe along: every cell is probed, so the answer is
+    # the exact scan's all-zero ranking (ascending index), not a subset.
+    zero = np.zeros(big_model.k)
+    results, scored = _probe(index, zero, top=10, probes=1)
+    assert scored == big_model.n_documents
+    assert results == [(j, 0.0) for j in range(10)]
+    assert results == index.search(index.scale(zero), top=10)[0][0]
 
 
 def test_search_validation(index):
     with pytest.raises(ShapeError):
-        index.search(np.ones(3))
+        index.scale(np.ones(3))
     with pytest.raises(ShapeError):
-        index.search(np.ones(index.model.k), top=0)
+        index.search_ann(np.ones(3), probes=1)
+    # top=0 asks for nothing and gets nothing.
+    assert _probe(index, np.ones(index.k), top=0)[0] == []
 
 
 def test_build_validation():
@@ -140,14 +173,15 @@ def test_build_validation():
         Vocabulary(["a", "b"]).freeze(), [],
     )
     with pytest.raises(ShapeError):
-        ClusterIndex.build(model)
+        _snapshot(model)
 
 
 def test_probes_clamp_to_n_clusters(index, big_model):
     rng = ensure_rng(12)
     qhat = rng.standard_normal(big_model.k)
-    at_max, scored_max = index.search(qhat, top=10, probes=index.n_clusters)
-    beyond, scored_beyond = index.search(qhat, top=10, probes=10**6)
+    n_clusters = index.ann.n_clusters
+    at_max, scored_max = _probe(index, qhat, top=10, probes=n_clusters)
+    beyond, scored_beyond = _probe(index, qhat, top=10, probes=10**6)
     assert beyond == at_max
     assert scored_beyond == scored_max == big_model.n_documents
 
@@ -157,8 +191,8 @@ def test_top_larger_than_candidate_set(index, big_model):
     # result is simply every candidate, ranked — never padding.
     rng = ensure_rng(13)
     qhat = rng.standard_normal(big_model.k)
-    results, scored = index.search(
-        qhat, top=big_model.n_documents, probes=1
+    results, scored = _probe(
+        index, qhat, top=big_model.n_documents, probes=1
     )
     assert 0 < len(results) == scored < big_model.n_documents
     scores = [s for _, s in results]
@@ -210,12 +244,12 @@ def test_full_probe_identical_with_duplicate_rows():
         vocabulary=Vocabulary([f"t{i}" for i in range(k)]).freeze(),
         doc_ids=[f"d{j}" for j in range(V.shape[0])],
     )
-    index = ClusterIndex.build(model, n_clusters=4, seed=0)
+    index = _snapshot(model, n_clusters=4)
     qhat = rng.standard_normal(k)
     exact = cosine_similarities(model, qhat)
     want_order = np.argsort(-exact, kind="stable")
-    pairs, scored = index.search(
-        qhat, top=model.n_documents, probes=index.n_clusters
+    pairs, scored = _probe(
+        index, qhat, top=model.n_documents, probes=index.ann.n_clusters
     )
     assert scored == model.n_documents
     assert [j for j, _ in pairs] == want_order.tolist()

@@ -160,13 +160,18 @@ def test_sharded_batch_scoring_matches_flat():
     snapshot = state.current()
     rng = np.random.default_rng(11)
     Q = rng.standard_normal((5, snapshot.k))
-    flat = snapshot.score_batch(Q, shards=1)
+    Qs = snapshot.scale(Q)
+    flat, _ = snapshot.search(Qs)
+    assert [[s for _, s in row] for row in flat] == [
+        sorted(row, reverse=True) for row in snapshot.score_batch(Q).tolist()
+    ]
     for shards, workers in ((2, None), (3, 2), (50, 2)):
-        assert np.allclose(
-            snapshot.score_batch(Q, shards=shards, workers=workers),
-            flat,
-            atol=1e-12,
-        )
+        sharded, _ = snapshot.search(Qs, shards=shards, workers=workers)
+        for got, want in zip(sharded, flat):
+            assert [j for j, _ in got] == [j for j, _ in want]
+            assert np.allclose(
+                [s for _, s in got], [s for _, s in want], atol=1e-12
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -337,9 +342,12 @@ def test_read_only_state_rejects_add(med_model):
 class _ServerThread:
     """Run service + HTTP server on a private loop in a worker thread."""
 
-    def __init__(self, state: ServingState, config: ServerConfig):
+    def __init__(self, state, config, make_service=QueryService):
+        # ``make_service(state, config)``: any ServiceBase — the cluster
+        # front ends take a data directory (or tenant map) as ``state``.
         self.state = state
         self.config = config
+        self.make_service = make_service
         self.port: int | None = None
         self.service: QueryService | None = None
         self._ready = threading.Event()
@@ -357,7 +365,7 @@ class _ServerThread:
         async def main():
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
-            service = self.service = QueryService(self.state, self.config)
+            service = self.service = self.make_service(self.state, self.config)
             server = await start_http_server(service, "127.0.0.1", 0)
             self.port = server.sockets[0].getsockname()[1]
             self._ready.set()
@@ -736,6 +744,22 @@ def test_slow_query_log_records_over_threshold_requests():
     assert slow[-1]["duration_ms"] > 0
     assert health["slowlog"]["records"] >= 1
     assert stats["metrics"]["counters"]["server.slow_queries_total"] >= 1
+
+
+def test_slow_query_log_records_effective_probes():
+    # A server started with --probes N runs untargeted requests
+    # probe-bounded; the slow log must say so, not echo the request's
+    # absent ``probes`` argument.
+    state = _fresh_state()
+    state.train_ann(n_clusters=4)
+    config = ServerConfig(max_wait_ms=1.0, slow_ms=0.0001, default_probes=3)
+    with _ServerThread(state, config) as server:
+        with ServerClient(port=server.port) as client:
+            assert client.search(QUERIES[0], top=3)["ann"]["probes"] == 3
+            client.search(QUERIES[0], top=3, probes=2)
+            client.search(QUERIES[0], top=3, exact=True)
+            slow = client.stats()["slow_queries"]
+    assert [entry["probes"] for entry in slow[-3:]] == [3, 2, None]
 
 
 def test_slow_query_log_disabled_below_threshold():

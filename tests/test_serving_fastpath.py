@@ -16,6 +16,7 @@ from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities, nearest_terms
 from repro.errors import ModelStateError
+from repro.obs.metrics import registry
 from repro.parallel import (
     batch_cosine_scores,
     batch_project_queries,
@@ -35,7 +36,6 @@ from repro.serving import (
 from repro.text.vocabulary import Vocabulary
 from repro.updating import fold_in_documents, update_documents
 from repro.updating.manager import LSIIndexManager
-from repro.util.timing import serving_counters
 
 
 def _random_model(rng, m=24, n=90, k=6) -> LSIModel:
@@ -393,10 +393,10 @@ def test_query_cache_hits_and_identical_results(small_lsi, small_collection):
     eng = LSIRetrieval(small_lsi, query_cache_size=8)
     q = small_collection.queries[0]
     cold = eng.search(q, top=5)
-    before = serving_counters.counts.get("query_cache_hits", 0)
+    before = registry.counter("serving.query_cache_hits")
     warm = eng.search(q, top=5)
     assert warm == cold
-    assert serving_counters.counts.get("query_cache_hits", 0) == before + 1
+    assert registry.counter("serving.query_cache_hits") == before + 1
 
 
 def test_query_cache_key_normalizes_token_order(small_lsi):
@@ -474,12 +474,11 @@ def test_query_cache_lru_bound():
 # counters & misc
 # --------------------------------------------------------------------- #
 def test_serving_counters_record_queries(med_model):
-    serving_counters.reset()
+    registry.reset("serving.")
     eng = LSIRetrieval(med_model)
     eng.search("blood age", top=3)
-    snap = serving_counters.snapshot()
-    assert snap.get("queries_served", 0) >= 1
-    assert "gemm_seconds" in snap
+    assert registry.counter("serving.queries_served") >= 1
+    assert registry.histogram("serving.gemm_seconds") is not None
 
 
 def test_nearest_terms_matches_seed_ordering(med_model):

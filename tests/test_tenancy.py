@@ -25,7 +25,6 @@ from __future__ import annotations
 import asyncio
 import io
 import json
-import threading
 import time
 
 import numpy as np
@@ -42,10 +41,11 @@ from repro.server import (
     ServerClient,
     ServerConfig,
     ServingState,
-    start_http_server,
     state_from_texts,
 )
 from repro.tenancy import DEFAULT_TENANT, IndexRegistry, TenantQuotas
+
+from tests.test_server import _ServerThread
 
 # Three disjoint mini-corpora so cross-tenant routing bugs cannot hide:
 # a query against the wrong tenant's index ranks different documents.
@@ -314,45 +314,6 @@ def test_quota_starvation_cold_tenant_latency_bounded(monkeypatch):
 # --------------------------------------------------------------------- #
 # HTTP transport end to end
 # --------------------------------------------------------------------- #
-class _ServerThread:
-    """Run a (possibly multi-tenant) service on a private loop."""
-
-    def __init__(self, source, config: ServerConfig):
-        self.source = source
-        self.config = config
-        self.port: int | None = None
-        self.service: QueryService | None = None
-        self._ready = threading.Event()
-        self._loop = None
-        self._stop = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        async def main():
-            self._loop = asyncio.get_running_loop()
-            self._stop = asyncio.Event()
-            service = self.service = QueryService(self.source, self.config)
-            server = await start_http_server(service, "127.0.0.1", 0)
-            self.port = server.sockets[0].getsockname()[1]
-            self._ready.set()
-            await self._stop.wait()
-            server.close()
-            await server.wait_closed()
-            await service.drain()
-
-        asyncio.run(main())
-
-    def __enter__(self) -> "_ServerThread":
-        self._thread.start()
-        assert self._ready.wait(timeout=30), "server failed to start"
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30)
-        assert not self._thread.is_alive(), "server failed to drain"
-
-
 def test_http_tenant_routing_end_to_end():
     reg = _registry(tenants=("alpha", "beta"))
     engines = {
