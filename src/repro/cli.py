@@ -959,7 +959,7 @@ def _cmd_store(args, out) -> int:
             return 1
         problems: list[str] = []
         for info in infos:
-            problems.extend(verify_checkpoint(info.path))
+            problems.extend(verify_checkpoint(info))
         problems.extend(verify_wal(wal_path))
         if problems:
             for problem in problems:

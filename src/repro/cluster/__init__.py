@@ -42,12 +42,7 @@ and the WAL read-only, and on primary death adopts the store lock
 WAL tail, and resumes sealing with zero acked records lost.
 """
 
-from repro.cluster.epochs import (
-    EpochHandle,
-    handle_for_checkpoint,
-    latest_handle,
-    open_checkpoint,
-)
+from repro.cluster.epochs import EpochHandle, open_checkpoint
 from repro.cluster.placement import (
     REPLICA_PLAN_FORMAT,
     ReplicaPlan,
@@ -71,8 +66,6 @@ __all__ = [
     "PLAN_FORMAT",
     "REPLICA_PLAN_FORMAT",
     "EpochHandle",
-    "handle_for_checkpoint",
-    "latest_handle",
     "open_checkpoint",
     "PrimaryWriter",
     "WriterConfig",

@@ -28,20 +28,9 @@ from repro.cluster.plan import ShardPlan
 from repro.core.model import LSIModel
 from repro.errors import StoreError
 from repro.serving.ann import CoarseQuantizer
-from repro.store.checkpoint import (
-    CheckpointInfo,
-    latest_valid_checkpoint,
-    list_checkpoints,
-)
-from repro.store.mmap_io import open_checkpoint_ann, open_checkpoint_model
+from repro.store.recovery import open_checkpoint as open_store_checkpoint
 
-__all__ = [
-    "EpochHandle",
-    "find_checkpoint",
-    "open_checkpoint",
-    "handle_for_checkpoint",
-    "latest_handle",
-]
+__all__ = ["EpochHandle", "open_checkpoint"]
 
 
 @dataclass(frozen=True)
@@ -66,116 +55,69 @@ class EpochHandle:
         """Documents this epoch serves."""
         return self.model.n_documents
 
+    @classmethod
+    def open(
+        cls,
+        data_dir: pathlib.Path,
+        n_workers: int,
+        *,
+        replication: int = 1,
+        checkpoint: str = "",
+    ) -> "EpochHandle":
+        """The handle for one checkpoint under ``data_dir``: the one this
+        process just sealed when ``checkpoint`` names it (mapped by
+        name, O(header) — safe on the writer's bump path), else the
+        newest valid one.
 
-def find_checkpoint(data_dir: pathlib.Path, name: str = "") -> CheckpointInfo:
-    """The checkpoint called ``name`` under a store, else the newest one
-    that passes verification; :class:`~repro.errors.StoreError` if none.
-
-    Nothing is mapped: the standby's tail reads the epoch off the
-    manifest here and opens the checkpoint only when it is new.
-    """
-    from repro.store.durable import STORE_LAYOUT
-
-    checkpoints = pathlib.Path(data_dir) / STORE_LAYOUT["checkpoints"]
-    if name:
-        for info in list_checkpoints(checkpoints):
-            if info.path.name == name:
-                return info
-        raise StoreError(
-            f"the plan covers checkpoint {name} but it is not under "
-            f"{checkpoints} — store changed under the cluster"
+        ``n_workers`` is the worker *budget*; ``replication`` carves it
+        into ``n_workers // replication`` ranges with R replicas each
+        (at the default R=1 the plan is the classic one-worker-per-shard
+        layout).
+        """
+        opened = open_store_checkpoint(data_dir, checkpoint)
+        model = opened.model()
+        plan = ReplicaPlan.compute(
+            model.n_documents,
+            n_workers,
+            replication,
+            epoch=opened.epoch,
+            checkpoint=opened.name,
         )
-    info, problems = latest_valid_checkpoint(checkpoints)
-    if info is None:
-        detail = f" ({'; '.join(problems)})" if problems else ""
-        raise StoreError(f"no valid checkpoint under {checkpoints}{detail}")
-    return info
+        return cls(
+            epoch=opened.epoch,
+            checkpoint=opened.name,
+            model=model,
+            ann=opened.ann() is not None,
+            plan=plan,
+        )
 
 
 def open_checkpoint(
-    data_dir: pathlib.Path, plan: ShardPlan | ReplicaPlan | None = None
-) -> tuple[str, int, LSIModel, CoarseQuantizer | None]:
-    """Locate one checkpoint of a store and map it: the cluster's one door
-    from a data directory to ``(checkpoint_name, epoch, model, ann)``.
+    data_dir: pathlib.Path, plan: ShardPlan | ReplicaPlan
+) -> tuple[int, LSIModel, CoarseQuantizer | None]:
+    """Map the checkpoint a plan pins: ``(epoch, model, ann)`` for a
+    shard worker (spawn and bump).
 
-    With a ``plan`` that names a checkpoint, exactly that one is opened —
-    under a writable cluster the store may already hold a *newer* seal (a
-    restart racing the writer); a worker starts on the plan's epoch and
-    catches up through the normal bump broadcast.  Otherwise the newest
-    valid checkpoint is.  Either way a given plan must agree with what is
-    on disk (epoch and document count) before anything scores against
-    it.  The model and the optional quantizer (a pre-format-2 checkpoint
-    has none) are memory-mapped, so the open is O(header).  Every
-    failure is a :class:`~repro.errors.StoreError`.
+    When the plan names a checkpoint, exactly that one is opened, by
+    name and O(header) — under a writable cluster the store may already
+    hold a *newer* seal (a restart racing the writer); a worker starts
+    on the plan's epoch and catches up through the normal bump
+    broadcast.  Otherwise the newest valid checkpoint is.  Either way
+    the plan must agree with what is on disk (epoch and document count)
+    before anything scores against it.  The model and the optional
+    quantizer (a pre-format-2 checkpoint has none) are memory-mapped.
+    Every failure is a :class:`~repro.errors.StoreError`.
     """
-    info = find_checkpoint(data_dir, plan.checkpoint if plan is not None else "")
-    epoch = int(info.meta.get("epoch", 0))
-    if plan is not None and epoch != plan.epoch:
+    opened = open_store_checkpoint(data_dir, plan.checkpoint)
+    if opened.epoch != plan.epoch:
         raise StoreError(
-            f"checkpoint {info.path.name} carries epoch {epoch} but the "
+            f"checkpoint {opened.name} carries epoch {opened.epoch} but the "
             f"plan says {plan.epoch}"
         )
-    model = open_checkpoint_model(info.path, mmap=True)
-    if plan is not None and model.n_documents != plan.n_documents:
+    model = opened.model()
+    if model.n_documents != plan.n_documents:
         raise StoreError(
             f"checkpoint has {model.n_documents} documents but the plan "
             f"covers {plan.n_documents}"
         )
-    return info.path.name, epoch, model, open_checkpoint_ann(info.path, mmap=True)
-
-
-def _handle(
-    checkpoint: str,
-    epoch: int,
-    model: LSIModel,
-    ann: CoarseQuantizer | None,
-    n_workers: int,
-    replication: int,
-) -> EpochHandle:
-    plan = ReplicaPlan.compute(
-        model.n_documents,
-        n_workers,
-        replication,
-        epoch=epoch,
-        checkpoint=checkpoint,
-    )
-    return EpochHandle(
-        epoch=epoch,
-        checkpoint=checkpoint,
-        model=model,
-        ann=ann is not None,
-        plan=plan,
-    )
-
-
-def handle_for_checkpoint(
-    path: pathlib.Path,
-    meta: dict,
-    n_workers: int,
-    *,
-    replication: int = 1,
-) -> EpochHandle:
-    """Build the handle for a checkpoint this process just sealed.
-
-    ``meta`` is the checkpoint manifest's ``meta`` block (the writer has
-    it from the fresh seal); the model is memory-mapped, so this is
-    O(header) and safe to run on the writer's bump path.  ``n_workers``
-    is the worker *budget*; ``replication`` carves it into
-    ``n_workers // replication`` ranges with R replicas each (at the
-    default R=1 the plan is the classic one-worker-per-shard layout).
-    """
-    return _handle(
-        path.name,
-        int(meta.get("epoch", 0)),
-        open_checkpoint_model(path, mmap=True),
-        open_checkpoint_ann(path, mmap=True),
-        n_workers,
-        replication,
-    )
-
-
-def latest_handle(
-    data_dir: pathlib.Path, n_workers: int, *, replication: int = 1
-) -> EpochHandle:
-    """The handle for the newest valid checkpoint under ``data_dir``."""
-    return _handle(*open_checkpoint(data_dir), n_workers, replication)
+    return opened.epoch, model, opened.ann()

@@ -40,10 +40,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cluster.epochs import EpochHandle, handle_for_checkpoint
+from repro.cluster.epochs import EpochHandle
 from repro.errors import ClusterError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
+from repro.store.checkpointer import CheckpointPolicy
 from repro.store.durable import DurableIndexStore, SealInfo
 
 __all__ = ["WriterConfig", "PrimaryWriter"]
@@ -148,6 +149,11 @@ class PrimaryWriter:
             self.store.seal(reason="adopt")
         self.seals_total = 0
         self.last_seal_unix = time.time()
+        self._seal_policy = CheckpointPolicy(
+            self.config.seal_every_records,
+            self.config.seal_interval_s,
+            on_consolidate=False,
+        )
         self._service = None
         self._task: asyncio.Task | None = None
         #: A sealed handle whose bump did not reach quorum yet: the old
@@ -280,22 +286,14 @@ class PrimaryWriter:
     # seal → bump → publish
     # ------------------------------------------------------------------ #
     def _seal_due(self) -> str | None:
-        """The seal trigger that fired, or ``None`` (mirrors the
-        checkpointer policy, evaluated writer-side so the bump can
-        follow the seal synchronously)."""
-        dirty = self.store.dirty_records
-        cfg = self.config
-        if cfg.seal_every_records is not None and (
-            dirty >= cfg.seal_every_records
-        ):
-            return f"wal_records>={cfg.seal_every_records}"
-        if (
-            cfg.seal_interval_s is not None
-            and dirty > 0
-            and time.time() - self.last_seal_unix >= cfg.seal_interval_s
-        ):
-            return f"age>={cfg.seal_interval_s:g}s"
-        return None
+        """The seal trigger that fired, or ``None``: the checkpointer's
+        policy, evaluated writer-side so the bump can follow the seal
+        synchronously."""
+        return self._seal_policy.due(
+            dirty_records=self.store.dirty_records,
+            seconds_since=time.time() - self.last_seal_unix,
+            consolidated=False,
+        )
 
     async def seal_now(self, reason: str = "manual") -> EpochHandle:
         """Seal + bump + publish immediately (flush/maintenance path)."""
@@ -326,11 +324,11 @@ class PrimaryWriter:
         self.seals_total += 1
         self.last_seal_unix = time.time()
         registry.inc("cluster.writer.seals_total")
-        handle = handle_for_checkpoint(
-            seal.path,
-            {"epoch": seal.epoch},
+        handle = EpochHandle.open(
+            self.data_dir,
             service.plan.n_workers,
             replication=service.plan.replication,
+            checkpoint=seal.name,
         )
         # Ordering is the zero-drop contract (module docstring): future
         # restarts first, then the workers, then — only once a quorum of

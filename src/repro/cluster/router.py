@@ -29,6 +29,16 @@ range's ``[lo, hi)`` rows named — a search over most of the collection
 is far more useful than a 500.  With replication 1 all of this reduces
 to the original single-worker behavior: same-worker one-shot hedging,
 deadline misses as partials, eviction left to the heartbeat loop.
+
+The two hedges have different triggers because they buy different
+things.  A sibling's latency is independent of the straggler's, so the
+quantile trigger cuts the tail for a bounded ``1 - hedge_quantile``
+share of extra load.  A duplicate to the *same* worker runs on the same
+process and CPU as the request it shadows: it can only win when that
+request is stuck (a wedged connection or thread), never when the worker
+is merely running late — and a quantile trigger would add load to
+exactly the worker that is.  So the one-shot waits until the request
+has outlived every request the worker has ever answered.
 """
 
 from __future__ import annotations
@@ -303,15 +313,24 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
     # replica selection and the per-range RPC
     # ------------------------------------------------------------------ #
-    def _hedge_delay(self, worker_id: int) -> float | None:
-        """Seconds after which to hedge ``worker_id``, or None (not yet)."""
+    def _hedge_delay(
+        self, worker_id: int, *, same_worker: bool = False
+    ) -> float | None:
+        """Seconds after which to hedge ``worker_id``, or None (not yet).
+
+        A sibling is asked after the worker's latency quantile; the
+        ``same_worker`` one-shot only once the request has outlived the
+        worker's slowest answer so far (see the module docstring).
+        """
         if not self.config.hedge:
             return None
         hist = registry.histogram(f"cluster.worker.{worker_id}.rpc_seconds")
         if hist is None or hist.count < self.config.hedge_min_samples:
             return None
         return max(
-            hist.quantile(self.config.hedge_quantile),
+            hist.max
+            if same_worker
+            else hist.quantile(self.config.hedge_quantile),
             self.config.hedge_floor_ms / 1000.0,
         )
 
@@ -427,7 +446,8 @@ class ClusterRouter:
                 # When does the *next* extra attempt launch?  A sibling
                 # after the leader's hedge quantile (or an even split of
                 # the budget before history arms); with no sibling left,
-                # the same-worker one-shot after the quantile.
+                # the same-worker one-shot once the request is slower
+                # than anything the worker has answered.
                 spawn_at = None
                 if untried:
                     hedge_at = self._hedge_delay(last_wid)
@@ -438,7 +458,7 @@ class ClusterRouter:
                             launched + len(untried)
                         )
                 elif not one_shot_sent:
-                    hedge_at = self._hedge_delay(last_wid)
+                    hedge_at = self._hedge_delay(last_wid, same_worker=True)
                     if hedge_at is not None:
                         spawn_at = last_launch + hedge_at
                 slice_ = remaining

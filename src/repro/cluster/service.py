@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.epochs import EpochHandle, latest_handle
+from repro.cluster.epochs import EpochHandle
 from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import project_query
@@ -167,7 +167,7 @@ class ClusterService(ServiceBase):
         # Σ, vocabulary); each worker maps the same .npy files itself —
         # the page cache is shared.  ``search`` snapshots this reference
         # at entry; ``publish_handle`` replaces it atomically on bump.
-        self._handle = latest_handle(
+        self._handle = EpochHandle.open(
             self.data_dir,
             self.config.workers,
             replication=self.config.replication,

@@ -43,10 +43,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.cluster.epochs import find_checkpoint, handle_for_checkpoint
+from repro.cluster.epochs import EpochHandle
 from repro.cluster.primary import PrimaryWriter, WriterConfig
 from repro.errors import StoreError, StoreLockedError
 from repro.obs.metrics import registry
+from repro.store.checkpoint import newest_checkpoint
+from repro.store.durable import DurableIndexStore
 from repro.store.lock import StoreLock
 
 __all__ = ["StandbyConfig", "StandbyWriter"]
@@ -161,39 +163,49 @@ class StandbyWriter:
                 registry.inc("cluster.standby.poll_errors_total")
 
     async def _follow_epochs(self) -> None:
-        """Bump our workers onto any newer checkpoint the primary sealed."""
+        """Bump our workers onto any newer checkpoint the primary sealed.
+
+        An idle poll reads one number off the newest manifest and stops:
+        the checkpoint is verified (and mapped) only when its epoch is
+        newer than the one being served.  A corrupt newest checkpoint
+        still falls back — the open below walks to the previous valid
+        one, whose epoch decides.
+        """
         service = self._service
         if service is None:
             return
-        from repro.store.durable import STORE_LAYOUT
-
-        wal_path = self.data_dir / STORE_LAYOUT["wal"]
+        checkpoints_dir, wal_path = DurableIndexStore.paths(self.data_dir)
         try:
             registry.set_gauge(
                 "cluster.standby.wal_bytes", wal_path.stat().st_size
             )
         except OSError:
             pass
-        try:
-            info = await asyncio.get_event_loop().run_in_executor(
-                self._pool, find_checkpoint, self.data_dir
-            )
-        except StoreError:
-            return  # nothing valid to follow yet
-        epoch = int(info.meta.get("epoch", 0))
+        loop = asyncio.get_event_loop()
+        newest = await loop.run_in_executor(
+            self._pool, newest_checkpoint, checkpoints_dir
+        )
+        epoch = int(newest.meta.get("epoch", 0)) if newest is not None else 0
         self._tail_epoch = max(self._tail_epoch, epoch)
         registry.set_gauge("cluster.standby.tail_epoch", self._tail_epoch)
         if epoch <= service.epoch:
             return
-        handle = handle_for_checkpoint(
-            info.path,
-            info.meta,
-            service.plan.n_workers,
-            replication=service.plan.replication,
-        )
+        try:
+            handle = await loop.run_in_executor(
+                self._pool,
+                lambda: EpochHandle.open(
+                    self.data_dir,
+                    service.plan.n_workers,
+                    replication=service.plan.replication,
+                ),
+            )
+        except StoreError:
+            return  # nothing valid to follow yet
+        if handle.epoch <= service.epoch:
+            return  # the newer checkpoint was corrupt; still on the last valid
         published = await service.propagate_handle(handle)
         self._event(
-            "followed_epoch", epoch=epoch, checkpoint=handle.checkpoint,
+            "followed_epoch", epoch=handle.epoch, checkpoint=handle.checkpoint,
             published=published,
         )
 
@@ -254,11 +266,11 @@ class StandbyWriter:
         # writer's normal retry loop — reads keep serving the old epoch
         # meanwhile, writes are already accepted.
         if seal is not None and seal.epoch > service.epoch:
-            handle = handle_for_checkpoint(
-                seal.path,
-                {"epoch": seal.epoch},
+            handle = EpochHandle.open(
+                self.data_dir,
                 service.plan.n_workers,
                 replication=service.plan.replication,
+                checkpoint=seal.name,
             )
             published = await service.propagate_handle(handle)
             if not published:

@@ -177,7 +177,7 @@ class ShardWorker:
                     )
                 }
             try:
-                _name, epoch, model, ann = open_checkpoint(self.data_dir, plan)
+                epoch, model, ann = open_checkpoint(self.data_dir, plan)
                 fresh = self._snapshot(
                     model, plan.shard(self.shard_id), epoch, ann
                 )
@@ -423,7 +423,7 @@ def run_worker(
         return 1
 
     try:
-        _name, epoch, model, ann = open_checkpoint(data_dir, plan)
+        epoch, model, ann = open_checkpoint(data_dir, plan)
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,7 +27,8 @@ dial with an exact top end, measured in ``benchmarks/bench_ann_serving``.
 
 The three arrays (``ann_centroids``, ``ann_indptr``, ``ann_docs``)
 persist as ordinary checkpoint ``.npy`` files (format v2) and reopen via
-``np.load(mmap_mode="r")`` — see :func:`repro.store.mmap_io.open_checkpoint_ann`.
+``np.load(mmap_mode="r")`` — see
+:meth:`repro.store.recovery.OpenedCheckpoint.ann`.
 """
 
 from __future__ import annotations

@@ -14,11 +14,13 @@ production system can restart, kill, and audit:
 * :mod:`repro.store.wal` — the append-only, torn-tail-tolerant
   write-ahead log that records every fold-in / term update /
   consolidation between checkpoints, fsynced before acknowledgment;
-* :mod:`repro.store.recovery` — cold start: load the newest valid
-  checkpoint, replay the WAL suffix through the manager, verify the
-  result against the manifest;
-* :mod:`repro.store.mmap_io` — zero-copy ``np.load(mmap_mode="r")``
-  model opening for read-only serving replicas;
+* :mod:`repro.store.recovery` — the one door into a checkpoint
+  (:func:`open_checkpoint`: locate → verify → decode, each once; owns
+  the array layout) and cold start through it: rebuild the manager,
+  replay the WAL suffix, verify the result against the manifest;
+* :mod:`repro.store.mmap_io` — the read-only replica's two calls of
+  that door (``open_latest_model`` / ``open_latest_ann``, mapped with
+  ``np.load(mmap_mode="r")``);
 * :mod:`repro.store.checkpointer` — the background policy thread
   (every N records / M seconds / on consolidation) that snapshots
   without blocking the query path;
@@ -38,9 +40,7 @@ from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
     SUPPORTED_CHECKPOINT_FORMATS,
     CheckpointInfo,
-    latest_valid_checkpoint,
     list_checkpoints,
-    read_arrays,
     verify_checkpoint,
     write_checkpoint,
 )
@@ -53,15 +53,12 @@ from repro.store.durable import (
     read_store_status,
 )
 from repro.store.lock import StoreLock
-from repro.store.mmap_io import (
-    open_checkpoint_ann,
-    open_checkpoint_model,
-    open_latest_ann,
-    open_latest_model,
-)
+from repro.store.mmap_io import open_latest_ann, open_latest_model
 from repro.store.recovery import (
+    OpenedCheckpoint,
     RecoveryReport,
     capture_manager,
+    open_checkpoint,
     recover_manager,
     restore_manager,
 )
@@ -71,9 +68,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "SUPPORTED_CHECKPOINT_FORMATS",
     "CheckpointInfo",
-    "latest_valid_checkpoint",
     "list_checkpoints",
-    "read_arrays",
     "verify_checkpoint",
     "write_checkpoint",
     "Checkpointer",
@@ -84,10 +79,10 @@ __all__ = [
     "StoreLock",
     "publish_store_gauges",
     "read_store_status",
-    "open_checkpoint_ann",
-    "open_checkpoint_model",
+    "open_checkpoint",
     "open_latest_ann",
     "open_latest_model",
+    "OpenedCheckpoint",
     "RecoveryReport",
     "capture_manager",
     "recover_manager",

@@ -33,7 +33,7 @@ import shutil
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -44,13 +44,17 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "SUPPORTED_CHECKPOINT_FORMATS",
     "MANIFEST_NAME",
+    "CHECKPOINTS_DIR",
     "CheckpointInfo",
     "checkpoint_name",
     "write_checkpoint",
     "load_manifest",
+    "checkpoint_info",
     "verify_checkpoint",
     "read_arrays",
+    "checkpoint_dirs",
     "list_checkpoints",
+    "newest_checkpoint",
     "latest_valid_checkpoint",
     "checkpoint_bytes",
 ]
@@ -66,6 +70,8 @@ __all__ = [
 CHECKPOINT_FORMAT = 2
 SUPPORTED_CHECKPOINT_FORMATS = (1, 2)
 MANIFEST_NAME = "manifest.json"
+#: Name of the checkpoints directory inside a store data directory.
+CHECKPOINTS_DIR = "checkpoints"
 
 _PREFIX = "ckpt-"
 _CRC_CHUNK = 1 << 20
@@ -133,8 +139,8 @@ def write_checkpoint(
     root = pathlib.Path(root)
     root.mkdir(parents=True, exist_ok=True)
     if checkpoint_id is None:
-        existing = [info.checkpoint_id for info in list_checkpoints(root)]
-        checkpoint_id = (max(existing) + 1) if existing else 1
+        existing = checkpoint_dirs(root)
+        checkpoint_id = _parse_id(existing[-1].name) + 1 if existing else 1
     final = root / checkpoint_name(checkpoint_id)
     if final.exists():
         raise StoreError(f"checkpoint {final} already exists")
@@ -191,20 +197,28 @@ def load_manifest(path: pathlib.Path) -> dict:
     return manifest
 
 
-def verify_checkpoint(path: pathlib.Path) -> list[str]:
+def checkpoint_info(path: pathlib.Path) -> CheckpointInfo:
+    """Parse the one checkpoint directory ``path`` (the single place a
+    manifest is read; everything downstream takes the parsed info)."""
+    path = pathlib.Path(path)
+    checkpoint_id = _parse_id(path.name)
+    if checkpoint_id is None:
+        raise StoreError(f"{path} is not a checkpoint directory")
+    return CheckpointInfo(path, checkpoint_id, load_manifest(path))
+
+
+def verify_checkpoint(info: CheckpointInfo) -> list[str]:
     """Integrity-check one checkpoint; returns problems (empty = valid).
 
     Every array file is re-read and its CRC32 compared against the
-    manifest — a single flipped byte anywhere (array payload, ``.npy``
-    header, or manifest JSON) surfaces as a problem string.
+    already-parsed manifest — a single flipped byte anywhere in an array
+    payload or ``.npy`` header surfaces as a problem string.  (A manifest
+    that does not parse never becomes a :class:`CheckpointInfo`:
+    :func:`load_manifest` raises and :func:`list_checkpoints` skips it.)
     """
-    path = pathlib.Path(path)
-    try:
-        manifest = load_manifest(path)
-    except StoreError as exc:
-        return [str(exc)]
+    path = info.path
     problems = []
-    for name, entry in sorted(manifest["arrays"].items()):
+    for name, entry in sorted(info.manifest["arrays"].items()):
         file = path / entry["file"]
         if not file.is_file():
             problems.append(f"{path.name}: missing array file {entry['file']}")
@@ -226,29 +240,17 @@ def verify_checkpoint(path: pathlib.Path) -> list[str]:
 
 
 def read_arrays(
-    path: pathlib.Path,
-    *,
-    mmap: bool = False,
-    verify: bool = True,
+    info: CheckpointInfo, *, mmap: bool = False
 ) -> dict[str, np.ndarray]:
     """Load every array of a checkpoint, optionally memory-mapped.
 
-    ``verify=True`` (the default for recovery) CRC-checks each file
-    before loading and raises :class:`StoreCorruptError` on mismatch;
-    mmap opens skip verification by default at the call sites that want
-    O(1) open time.
+    Reads only — verification is the locate step's job
+    (:func:`latest_valid_checkpoint`); the store's door
+    (:func:`repro.store.recovery.open_checkpoint`) runs both, in order.
     """
-    path = pathlib.Path(path)
-    manifest = load_manifest(path)
-    if verify:
-        problems = verify_checkpoint(path)
-        if problems:
-            raise StoreCorruptError(
-                f"checkpoint {path} failed verification: "
-                + "; ".join(problems)
-            )
+    path = info.path
     arrays: dict[str, np.ndarray] = {}
-    for name, entry in manifest["arrays"].items():
+    for name, entry in info.manifest["arrays"].items():
         try:
             arrays[name] = np.load(
                 path / entry["file"], mmap_mode="r" if mmap else None
@@ -260,31 +262,41 @@ def read_arrays(
     return arrays
 
 
-def list_checkpoints(root: pathlib.Path) -> list[CheckpointInfo]:
-    """All complete checkpoints under ``root``, ascending by id.
-
-    Incomplete ``.tmp`` directories (crash debris) are removed; a
-    directory whose manifest cannot be parsed is skipped here (it still
-    shows up in ``repro store verify``).
-    """
+def checkpoint_dirs(root: pathlib.Path) -> list[pathlib.Path]:
+    """The ``ckpt-<id>`` directories under ``root``, ascending by id,
+    without reading a manifest.  Incomplete ``.tmp`` directories (crash
+    debris) are removed on the way."""
     root = pathlib.Path(root)
     if not root.is_dir():
         return []
-    infos = []
-    for entry in sorted(root.iterdir()):
+    found = []
+    for entry in root.iterdir():
         if entry.name.endswith(".tmp"):
             shutil.rmtree(entry, ignore_errors=True)
-            continue
-        cid = _parse_id(entry.name)
-        if cid is None or not entry.is_dir():
-            continue
+        elif _parse_id(entry.name) is not None and entry.is_dir():
+            found.append(entry)
+    return sorted(found, key=lambda entry: _parse_id(entry.name))
+
+
+def _parsed(entries: Iterable[pathlib.Path]) -> Iterator[CheckpointInfo]:
+    """Each directory's :class:`CheckpointInfo`, its manifest read only
+    when the caller reaches it; one that cannot be parsed is skipped."""
+    for entry in entries:
         try:
-            manifest = load_manifest(entry)
+            yield checkpoint_info(entry)
         except StoreError:
             continue
-        infos.append(CheckpointInfo(entry, cid, manifest))
-    infos.sort(key=lambda info: info.checkpoint_id)
-    return infos
+
+
+def list_checkpoints(root: pathlib.Path) -> list[CheckpointInfo]:
+    """All complete checkpoints under ``root``, ascending by id."""
+    return list(_parsed(checkpoint_dirs(root)))
+
+
+def newest_checkpoint(root: pathlib.Path) -> CheckpointInfo | None:
+    """The newest checkpoint's parsed manifest, **unverified** — for
+    readers that only want a number off it (the standby's epoch tail)."""
+    return next(_parsed(reversed(checkpoint_dirs(root))), None)
 
 
 def latest_valid_checkpoint(
@@ -294,11 +306,12 @@ def latest_valid_checkpoint(
 
     Walks newest → oldest so recovery degrades gracefully: a corrupt
     latest checkpoint costs replaying a longer WAL suffix from the
-    previous one, not the whole index.
+    previous one, not the whole index.  Only the manifests it walks past
+    are parsed, and the returned checkpoint has been CRC-read once.
     """
     problems: list[str] = []
-    for info in reversed(list_checkpoints(root)):
-        bad = verify_checkpoint(info.path)
+    for info in _parsed(reversed(checkpoint_dirs(root))):
+        bad = verify_checkpoint(info)
         if not bad:
             return info, problems
         problems.extend(bad)

@@ -53,20 +53,28 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.model import LSIModel
 from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.serving.ann import ANN_ARRAY_NAMES, CoarseQuantizer
 from repro.server.state import ServingState
 from repro.store.checkpoint import (
+    CHECKPOINTS_DIR,
     checkpoint_bytes,
+    checkpoint_dirs,
     list_checkpoints,
     verify_checkpoint,
     write_checkpoint,
 )
 from repro.store.checkpointer import Checkpointer, CheckpointPolicy
 from repro.store.lock import LOCK_NAME, StoreLock
-from repro.store.recovery import RecoveryReport, capture_manager, recover_manager
+from repro.store.recovery import (
+    RecoveryReport,
+    capture_manager,
+    open_checkpoint,
+    replay_wal,
+)
 from repro.store.wal import WriteAheadLog, scan_wal, verify_wal
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
@@ -83,14 +91,14 @@ __all__ = [
 
 #: Fixed names inside a store data directory.
 STORE_LAYOUT = {
-    "checkpoints": "checkpoints",
+    "checkpoints": CHECKPOINTS_DIR,
     "wal": "wal.log",
     "lock": LOCK_NAME,
 }
 
 
 def _checkpoint_summary(info) -> dict:
-    """One checkpoint's row in ``inspect``/``read_store_status`` output."""
+    """One checkpoint's row in :func:`read_store_status` output."""
     return {
         "id": info.checkpoint_id,
         "path": str(info.path),
@@ -135,10 +143,10 @@ class DurableIndexStore:
         wal: WriteAheadLog,
         *,
         retain: int = 3,
-        last_checkpoint_lsn: int = 0,
         last_recovery: RecoveryReport | None = None,
         dir_lock: StoreLock | None = None,
         ann_clusters: int | None = None,
+        ann: CoarseQuantizer | None = None,
     ):
         self.data_dir = pathlib.Path(data_dir)
         self.manager = manager
@@ -146,22 +154,29 @@ class DurableIndexStore:
         #: ANN training knob: ``None`` = auto (``≈ sqrt(n)`` cells,
         #: the default), ``0`` = disabled, ``>0`` = explicit cell count.
         self.ann_clusters = ann_clusters
+        #: The newest checkpoint's coarse quantizer — the one the store
+        #: was opened from, then whatever each seal trains.  ``None``
+        #: when that checkpoint has none (``store.ann_missing`` is 1).
+        self.ann = ann
         self.last_recovery = last_recovery
         self._wal = wal
         self._dir_lock = dir_lock  # single-writer flock on the data dir
         self._lock = threading.RLock()  # serializes mutations + capture
-        self._checkpoint_lock = threading.Lock()  # one snapshot at a time
-        self._last_checkpoint_lsn = last_checkpoint_lsn
+        # One snapshot at a time; re-entrant so ``compact`` can hold it
+        # (with the writer lock) around a snapshot *and* the truncation.
+        self._checkpoint_lock = threading.RLock()
+        self._last_checkpoint_lsn = 0
         self._last_checkpoint_time = time.time()
         self._last_checkpoint_bytes = 0
+        if last_recovery is not None:
+            self._last_checkpoint_lsn = last_recovery.wal_lsn_start
+            self._last_checkpoint_time = last_recovery.checkpoint_created_unix
+            self._last_checkpoint_bytes = last_recovery.checkpoint_bytes
         self._checkpointer: Checkpointer | None = None
         self._closed = False
         #: Description of the newest checkpoint written *by this
         #: process* (None until the first :meth:`checkpoint`/:meth:`seal`).
         self.last_seal: SealInfo | None = None
-        for info in list_checkpoints(self.checkpoints_dir):
-            self._last_checkpoint_time = float(info.manifest["created_unix"])
-            self._last_checkpoint_bytes = checkpoint_bytes(info)
         registry.set_gauge(
             "store.last_recovery_replayed",
             last_recovery.replayed_records if last_recovery else 0,
@@ -184,7 +199,7 @@ class DurableIndexStore:
     def exists(cls, data_dir: pathlib.Path) -> bool:
         """Whether ``data_dir`` holds recoverable store state."""
         checkpoints_dir, wal_path = cls.paths(data_dir)
-        return bool(list_checkpoints(checkpoints_dir)) or wal_path.exists()
+        return bool(checkpoint_dirs(checkpoints_dir)) or wal_path.exists()
 
     @classmethod
     def initialize(
@@ -213,7 +228,7 @@ class DurableIndexStore:
             wal = WriteAheadLog(wal_path, sync=sync)
             store = cls(data_dir, manager, wal, retain=retain,
                         dir_lock=dir_lock, ann_clusters=ann_clusters)
-            store.checkpoint(reason="initialize")
+            store.seal(reason="initialize")
         except BaseException:
             dir_lock.release()
             raise
@@ -238,8 +253,9 @@ class DurableIndexStore:
         """
         dir_lock = StoreLock.acquire(data_dir)
         try:
-            checkpoints_dir, wal_path = cls.paths(data_dir)
-            manager, report = recover_manager(checkpoints_dir, wal_path)
+            wal_path = cls.paths(data_dir)[1]
+            opened = open_checkpoint(data_dir, mmap=False)
+            manager, report = replay_wal(opened, wal_path)
             wal = WriteAheadLog(
                 wal_path, sync=sync, base_lsn=report.wal_lsn_start
             )
@@ -251,10 +267,10 @@ class DurableIndexStore:
             manager,
             wal,
             retain=retain,
-            last_checkpoint_lsn=report.wal_lsn_start,
             last_recovery=report,
             dir_lock=dir_lock,
             ann_clusters=ann_clusters,
+            ann=opened.ann(),
         )
 
     # ------------------------------------------------------------------ #
@@ -424,21 +440,20 @@ class DurableIndexStore:
     # ------------------------------------------------------------------ #
     # snapshots and maintenance
     # ------------------------------------------------------------------ #
-    def _train_ann(self, arrays: dict, meta: dict) -> None:
-        """Train (or refresh) the checkpoint's coarse quantizer in place.
+    def _train_ann(self, model: LSIModel) -> CoarseQuantizer | None:
+        """Train the next checkpoint's coarse quantizer.
 
-        Runs on the *captured* arrays — the manager never mutates them —
-        so callers invoke this outside the writer lock.  Deterministic
-        given the captured coordinates and the manager's seed, which
-        keeps recovered-then-recheckpointed stores bit-identical.
+        Cells are fitted to the coordinates queries are compared with —
+        the captured *serving* model's ``V_k Σ_k`` (the manager never
+        mutates it, so callers invoke this outside the writer lock).
+        Deterministic given those coordinates and the manager's seed,
+        which keeps recovered-then-recheckpointed stores bit-identical.
         ``ann_clusters=0`` disables training (the checkpoint then serves
         via exact scan, like a format-1 one).
         """
-        if self.ann_clusters == 0:
-            return
-        coords = np.asarray(arrays["model_V"]) * np.asarray(arrays["base_s"])
-        if coords.shape[0] == 0:
-            return
+        if self.ann_clusters == 0 or model.n_documents == 0:
+            return None
+        coords = model.V * model.s
         t0 = time.perf_counter()
         with span("store.ann_train"):
             quantizer = CoarseQuantizer.train(
@@ -446,27 +461,14 @@ class DurableIndexStore:
             )
         registry.observe("store.ann_train_seconds", time.perf_counter() - t0)
         registry.inc("store.ann_trainings_total")
-        arrays.update(quantizer.to_arrays())
-        meta["ann"] = {
-            "n_clusters": quantizer.n_clusters,
-            "n_documents": quantizer.n_documents,
-            "seed": self.manager.seed,
-        }
+        return quantizer
 
-    def load_ann(self, *, mmap: bool = True):
-        """The newest valid checkpoint's quantizer, memory-mapped.
-
-        Returns ``None`` (and raises the ``store.ann_missing`` gauge)
-        when the newest checkpoint predates format 2 or was written with
-        ANN disabled — callers serve by exact scan until the next
-        checkpoint retrains.
-        """
-        from repro.store.mmap_io import open_latest_ann
-
-        return open_latest_ann(self.data_dir, mmap=mmap)
-
-    def checkpoint(self, reason: str = "manual") -> pathlib.Path:
-        """Snapshot current state into a fresh versioned checkpoint.
+    def seal(self, reason: str = "seal") -> SealInfo:
+        """Snapshot current state into a fresh versioned checkpoint and
+        describe exactly what was sealed — the :class:`SealInfo` an
+        epoch bump needs (checkpoint name, epoch, covered document
+        count).  The one capture → train → write → prune routine behind
+        :meth:`checkpoint` and :meth:`compact` too.
 
         Holds the writer lock only long enough to capture array
         references (the manager never mutates arrays in place);
@@ -494,12 +496,22 @@ class DurableIndexStore:
             with span("store.checkpoint", reason=reason):
                 with self._lock:
                     arrays, meta = capture_manager(self.manager)
+                    model = self.manager.model
                     wal_lsn = self._wal.last_lsn
                 meta["wal_lsn"] = wal_lsn
                 meta["epoch"] = wal_lsn  # logical index version
                 meta["reason"] = reason
-                self._train_ann(arrays, meta)
+                quantizer = self._train_ann(model)
+                if quantizer is not None:
+                    arrays.update(quantizer.to_arrays())
+                    meta["ann"] = {
+                        "n_clusters": quantizer.n_clusters,
+                        "n_documents": quantizer.n_documents,
+                        "seed": self.manager.seed,
+                    }
                 info = write_checkpoint(self.checkpoints_dir, arrays, meta)
+            self.ann = quantizer
+            registry.set_gauge("store.ann_missing", int(quantizer is None))
             self._last_checkpoint_lsn = wal_lsn
             self._last_checkpoint_time = time.time()
             self._last_checkpoint_bytes = checkpoint_bytes(info)
@@ -510,28 +522,18 @@ class DurableIndexStore:
                 wal_lsn=wal_lsn,
                 n_documents=int(meta["n_documents"]),
             )
-            elapsed = time.perf_counter() - t0
             registry.inc("store.checkpoints_total")
-            registry.observe("store.checkpoint_seconds", elapsed)
-            self._prune_checkpoints()
+            registry.observe(
+                "store.checkpoint_seconds", time.perf_counter() - t0
+            )
+            for old in checkpoint_dirs(self.checkpoints_dir)[: -self.retain]:
+                shutil.rmtree(old, ignore_errors=True)
             self.publish_gauges()
-            return info.path
+            return self.last_seal
 
-    def seal(self, reason: str = "seal") -> SealInfo:
-        """Snapshot current state and describe exactly what was sealed.
-
-        Same operation as :meth:`checkpoint`, returning the
-        :class:`SealInfo` an epoch bump needs (checkpoint name, epoch,
-        covered document count) instead of just the path — the entry
-        point the cluster's primary writer drives.
-        """
-        self.checkpoint(reason=reason)
-        return self.last_seal
-
-    def _prune_checkpoints(self) -> None:
-        infos = list_checkpoints(self.checkpoints_dir)
-        for info in infos[: max(0, len(infos) - self.retain)]:
-            shutil.rmtree(info.path, ignore_errors=True)
+    def checkpoint(self, reason: str = "manual") -> pathlib.Path:
+        """:meth:`seal`, returning just the new checkpoint's path."""
+        return self.seal(reason).path
 
     def compact(self) -> pathlib.Path:
         """Fold the WAL into a fresh checkpoint and truncate it.
@@ -542,57 +544,19 @@ class DurableIndexStore:
         — the checkpoint *is* the replayed state.
         """
         with self._checkpoint_lock, self._lock:
-            arrays, meta = capture_manager(self.manager)
-            wal_lsn = self._wal.last_lsn
-            meta["wal_lsn"] = wal_lsn
-            meta["epoch"] = wal_lsn
-            meta["reason"] = "compact"
-            self._train_ann(arrays, meta)
-            with span("store.compact"):
-                info = write_checkpoint(self.checkpoints_dir, arrays, meta)
-                self._wal.truncate()
-            self._last_checkpoint_lsn = wal_lsn
-            self._last_checkpoint_time = time.time()
-            self._last_checkpoint_bytes = checkpoint_bytes(info)
-            registry.inc("store.checkpoints_total")
-            registry.inc("store.compactions_total")
-            self._prune_checkpoints()
+            path = self.seal("compact").path
+            self._wal.truncate()
             self.publish_gauges()
-            return info.path
+        registry.inc("store.compactions_total")
+        return path
 
     def verify(self) -> list[str]:
         """Checksum-audit every checkpoint and the WAL; [] means clean."""
         problems: list[str] = []
         for info in list_checkpoints(self.checkpoints_dir):
-            problems.extend(verify_checkpoint(info.path))
+            problems.extend(verify_checkpoint(info))
         problems.extend(verify_wal(self.paths(self.data_dir)[1]))
         return problems
-
-    def inspect(self) -> dict:
-        """A JSON-ready description of the on-disk store state."""
-        checkpoints = [
-            _checkpoint_summary(info)
-            for info in list_checkpoints(self.checkpoints_dir)
-        ]
-        return {
-            "data_dir": str(self.data_dir),
-            "checkpoints": checkpoints,
-            "ann": bool(checkpoints and checkpoints[-1]["ann"]),
-            "wal": {
-                "path": str(self._wal.path),
-                "records": self._wal.n_records,
-                "bytes": self._wal.size_bytes,
-                "last_lsn": self._wal.last_lsn,
-            },
-            "dirty_records": self.dirty_records,
-            "n_documents": self.manager.n_documents,
-            "pending": self.manager.pending,
-            "last_recovery_replayed": (
-                self.last_recovery.replayed_records
-                if self.last_recovery
-                else 0
-            ),
-        }
 
     # ------------------------------------------------------------------ #
     # background checkpointing + lifecycle
@@ -639,8 +603,7 @@ class DurableIndexStore:
 # lock-free read-only views (safe against a directory a live server owns)
 # --------------------------------------------------------------------- #
 def read_store_status(data_dir: pathlib.Path) -> dict:
-    """Describe a store directory without opening it (same shape as
-    :meth:`DurableIndexStore.inspect`).
+    """Describe a store directory without opening it.
 
     Scans checkpoint manifests and the WAL file read-only: no
     :class:`~repro.store.wal.WriteAheadLog` handle is created (so no
@@ -724,9 +687,10 @@ class DurableServingState(ServingState):
     the registered swap hook pokes the background checkpointer's policy
     via the store.  Readers never touch the store.
 
-    The coarse quantizer is opened zero-copy from the newest checkpoint
-    at construction (``store.ann_missing`` reports when there is none —
-    a pre-format-2 store serves by exact scan until its next
+    The coarse quantizer is the store's (``store.ann``: the one decoded
+    from the checkpoint the store opened, or trained by its newest
+    seal; ``store.ann_missing`` reports when there is none — a
+    pre-format-2 store serves by exact scan until its next
     checkpoint).  Background checkpoints retrain the on-disk quantizer
     but do not hot-swap the served one; documents added meanwhile are
     still searched exactly via the fresh-tail rule, and a restart picks
@@ -734,7 +698,7 @@ class DurableServingState(ServingState):
     """
 
     def __init__(self, store: DurableIndexStore, **kwargs):
-        kwargs.setdefault("ann", store.load_ann())
+        kwargs.setdefault("ann", store.ann)
         super().__init__(manager=store.manager, **kwargs)
         self.store = store
         self.add_swap_hook(self._on_swap)

@@ -2,107 +2,35 @@
 
 A checkpoint stores each array as its own ``.npy`` file precisely so a
 replica that only *serves* (no updating) can open the model with
-``np.load(mmap_mode="r")``: the kernel maps the file pages, nothing is
-read until a query touches a row, and open time is O(header-parse) per
-array instead of O(bytes) — the difference between milliseconds and
-seconds on a production-scale ``U``/``V`` (benchmarked in
-``benchmarks/bench_store_open.py``).
+``np.load(mmap_mode="r")``: the kernel maps the file pages, and a
+mapped array costs no resident memory until a query touches a row
+(benchmarked in ``benchmarks/bench_store_open.py``).
 
 The mapped arrays are read-only; :class:`~repro.core.model.LSIModel`
 never mutates its arrays, so the model behaves identically to a fully
 loaded one — queries fault in exactly the pages they score against.
-Integrity checking is **opt-in** here (``verify=True`` re-reads every
-byte, defeating the zero-copy point), matching the division of labor:
-writers checksum, ``repro store verify`` audits, replicas map.
+
+Both functions here are one call of the store's door
+(:func:`repro.store.recovery.open_checkpoint`) and inherit its
+integrity rule: the *newest* checkpoint is verified before it is opened
+— one CRC pass over every array file, so open time is O(bytes); only a
+checkpoint opened *by name* is O(header).  A caller that wants both the
+model and the quantizer calls the door once and decodes both (the
+tenant registry and the cluster do); calling both functions here
+verifies twice.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-import numpy as np
-
 from repro.core.model import LSIModel
-from repro.errors import StoreCorruptError, StoreError
+from repro.errors import StoreError
 from repro.obs.metrics import registry
-from repro.serving.ann import ANN_ARRAY_NAMES, CoarseQuantizer
-from repro.store.checkpoint import (
-    latest_valid_checkpoint,
-    load_manifest,
-    read_arrays,
-)
-from repro.text.vocabulary import Vocabulary
-from repro.weighting.schemes import WeightingScheme
+from repro.serving.ann import CoarseQuantizer
+from repro.store.recovery import open_checkpoint
 
-__all__ = [
-    "open_checkpoint_model",
-    "open_latest_model",
-    "open_checkpoint_ann",
-    "open_latest_ann",
-]
-
-
-def open_checkpoint_model(
-    checkpoint_dir: pathlib.Path,
-    *,
-    mmap: bool = True,
-    verify: bool = False,
-) -> LSIModel:
-    """The serving model of one checkpoint, memory-mapped by default.
-
-    Reconstructs the *queryable* model (base factors + folded document
-    rows): ``U``/``Σ``/global weights come from the consolidated base,
-    ``V`` is the serving model's document matrix.  All arrays stay
-    memory-mapped until something touches them.
-    """
-    checkpoint_dir = pathlib.Path(checkpoint_dir)
-    manifest = load_manifest(checkpoint_dir)
-    meta = manifest.get("meta", {})
-    arrays = read_arrays(checkpoint_dir, mmap=mmap, verify=verify)
-    scheme = meta["model_scheme"]
-    return LSIModel(
-        U=arrays["base_U"],
-        s=arrays["base_s"],
-        V=arrays["model_V"],
-        vocabulary=Vocabulary(meta["vocabulary"]).freeze(),
-        doc_ids=list(meta["doc_ids"]),
-        scheme=WeightingScheme(scheme["local"], scheme["global"]),
-        global_weights=arrays["base_gw"],
-        provenance=meta["provenance"],
-    )
-
-
-def open_checkpoint_ann(
-    checkpoint_dir: pathlib.Path,
-    *,
-    mmap: bool = True,
-) -> CoarseQuantizer | None:
-    """The checkpoint's coarse quantizer, memory-mapped — or ``None``.
-
-    Format-1 checkpoints (and format-2 ones written with ANN training
-    disabled) carry no quantizer; callers fall back to the exact scan,
-    and the ``store.ann_missing`` gauge records the degradation so a
-    fleet serving without its probe index is visible.  Only the three
-    ANN array files are touched — the model arrays stay unopened.
-    """
-    checkpoint_dir = pathlib.Path(checkpoint_dir)
-    manifest = load_manifest(checkpoint_dir)
-    entries = manifest["arrays"]
-    if not all(name in entries for name in ANN_ARRAY_NAMES):
-        registry.set_gauge("store.ann_missing", 1)
-        return None
-    arrays = {}
-    for name in ANN_ARRAY_NAMES:
-        file = checkpoint_dir / entries[name]["file"]
-        try:
-            arrays[name] = np.load(file, mmap_mode="r" if mmap else None)
-        except Exception as exc:
-            raise StoreCorruptError(
-                f"cannot load ANN array {name!r} from {checkpoint_dir}: {exc}"
-            ) from exc
-    seed = manifest.get("meta", {}).get("ann", {}).get("seed", 0)
-    registry.set_gauge("store.ann_missing", 0)
-    return CoarseQuantizer.from_arrays(arrays, seed=seed)
+__all__ = ["open_latest_model", "open_latest_ann"]
 
 
 def open_latest_model(
@@ -117,14 +45,7 @@ def open_latest_model(
     last *checkpoint*, not the WAL tail — replicas trade bounded
     staleness for never touching the writer's log.
     """
-    from repro.store.durable import STORE_LAYOUT
-
-    checkpoints = pathlib.Path(data_dir) / STORE_LAYOUT["checkpoints"]
-    info, problems = latest_valid_checkpoint(checkpoints)
-    if info is None:
-        detail = f" ({'; '.join(problems)})" if problems else ""
-        raise StoreError(f"no valid checkpoint under {checkpoints}{detail}")
-    return open_checkpoint_model(info.path, mmap=mmap)
+    return open_checkpoint(data_dir, mmap=mmap).model()
 
 
 def open_latest_ann(
@@ -134,11 +55,8 @@ def open_latest_ann(
 ) -> CoarseQuantizer | None:
     """Map the newest valid checkpoint's quantizer (``None`` when absent
     — including when no checkpoint exists at all)."""
-    from repro.store.durable import STORE_LAYOUT
-
-    checkpoints = pathlib.Path(data_dir) / STORE_LAYOUT["checkpoints"]
-    info, _problems = latest_valid_checkpoint(checkpoints)
-    if info is None:
+    try:
+        return open_checkpoint(data_dir, mmap=mmap).ann()
+    except StoreError:
         registry.set_gauge("store.ann_missing", 1)
         return None
-    return open_checkpoint_ann(info.path, mmap=mmap)

@@ -1,16 +1,22 @@
-"""Cold-start recovery: checkpoint load + write-ahead-log replay.
+"""The one door into a checkpoint, and cold-start recovery through it.
 
 This module owns the mapping between a live
-:class:`~repro.updating.manager.LSIIndexManager` and its durable form:
+:class:`~repro.updating.manager.LSIIndexManager` and its durable form;
+the array layout is written and read here and nowhere else:
 
 * :func:`capture_manager` flattens a manager into the ``(arrays, meta)``
   pair :mod:`repro.store.checkpoint` writes.  The split exploits the
-  manager's structural invariant that the serving model differs from the
-  consolidated base model only by folded-in document rows — ``U``,
-  ``Σ``, and the global weights are stored once;
-* :func:`restore_manager` is the exact inverse (bit-identical arrays,
-  no refit);
-* :func:`recover_manager` is the cold-start path: load the newest valid
+  manager's structural invariant that under fold-in the serving model
+  differs from the consolidated base model only by folded-in document
+  rows — ``U``, ``Σ``, and the global weights are stored once;
+* :func:`open_checkpoint` is the one path from a store data directory
+  to an :class:`OpenedCheckpoint`: locate → verify → parse the manifest
+  → read the arrays, each once.  Its decoders (``.model()``, ``.ann()``,
+  ``.manager()`` = :func:`restore_manager`, the exact inverse of
+  capture) share one construction of the serving model, so a query is
+  always projected with the ``U_k, Σ_k`` of the epoch whose ``V_k`` it
+  is scored against (Eq. 6);
+* :func:`recover_manager` is the cold-start path: open the newest valid
   checkpoint (walking back past corrupt ones), cross-check the manifest
   document count against the rebuilt manager, then replay every WAL
   record past the checkpoint's LSN through the manager's normal entry
@@ -22,7 +28,7 @@ This module owns the mapping between a live
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,8 +36,16 @@ from repro.core.model import LSIModel
 from repro.errors import StoreCorruptError, StoreError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
+from repro.serving.ann import ANN_ARRAY_NAMES, CoarseQuantizer
 from repro.sparse.csc import CSCMatrix
-from repro.store.checkpoint import latest_valid_checkpoint, read_arrays
+from repro.store.checkpoint import (
+    CHECKPOINTS_DIR,
+    CheckpointInfo,
+    checkpoint_bytes,
+    checkpoint_info,
+    latest_valid_checkpoint,
+    read_arrays,
+)
 from repro.store.wal import WalRecord, scan_wal
 from repro.text.tdm import TermDocumentMatrix
 from repro.text.vocabulary import Vocabulary
@@ -40,9 +54,12 @@ from repro.weighting.schemes import WeightingScheme
 
 __all__ = [
     "RecoveryReport",
+    "OpenedCheckpoint",
     "capture_manager",
     "restore_manager",
+    "open_checkpoint",
     "apply_record",
+    "replay_wal",
     "recover_manager",
 ]
 
@@ -53,6 +70,8 @@ class RecoveryReport:
 
     checkpoint_id: int
     checkpoint_path: pathlib.Path
+    checkpoint_created_unix: float
+    checkpoint_bytes: int
     wal_lsn_start: int
     replayed_records: int
     torn_tail: bool
@@ -160,38 +179,46 @@ def capture_manager(
     return arrays, meta
 
 
+def _decode_models(
+    arrays: dict[str, np.ndarray], meta: dict
+) -> tuple[LSIModel, LSIModel]:
+    """``(base, serving)`` models of one checkpoint.
+
+    Under fold-in the serving model is the base with more document rows
+    (``U``/``Σ`` shared by reference — :func:`capture_manager` tests that
+    identity); a checkpoint taken with fast-update batches pending
+    carries the rotated serving ``U``/``Σ``, and they, not the base's,
+    belong with the serving ``V``.
+    """
+    base = LSIModel(
+        U=arrays["base_U"],
+        s=arrays["base_s"],
+        V=arrays["base_V"],
+        vocabulary=Vocabulary(meta["vocabulary"]).freeze(),
+        doc_ids=list(meta["base_doc_ids"]),
+        scheme=WeightingScheme(
+            meta["model_scheme"]["local"], meta["model_scheme"]["global"]
+        ),
+        global_weights=arrays["base_gw"],
+        provenance=meta["base_provenance"],
+    )
+    model = replace(
+        base,
+        U=arrays.get("model_U", base.U),
+        s=arrays.get("model_s", base.s),
+        V=arrays["model_V"],
+        doc_ids=list(meta["doc_ids"]),
+        provenance=meta["provenance"],
+    )
+    return base, model
+
+
 def restore_manager(
     arrays: dict[str, np.ndarray], meta: dict
 ) -> LSIIndexManager:
     """Inverse of :func:`capture_manager` — a manager with no refit."""
-    vocabulary = Vocabulary(meta["vocabulary"]).freeze()
-    model_scheme = WeightingScheme(
-        meta["model_scheme"]["local"], meta["model_scheme"]["global"]
-    )
-    base = LSIModel(
-        U=np.asarray(arrays["base_U"]),
-        s=np.asarray(arrays["base_s"]),
-        V=np.asarray(arrays["base_V"]),
-        vocabulary=vocabulary,
-        doc_ids=list(meta["base_doc_ids"]),
-        scheme=model_scheme,
-        global_weights=np.asarray(arrays["base_gw"]),
-        provenance=meta["base_provenance"],
-    )
-    from dataclasses import replace
-
-    model = replace(
-        base,
-        V=np.asarray(arrays["model_V"]),
-        doc_ids=list(meta["doc_ids"]),
-        provenance=meta["provenance"],
-    )
-    if "model_U" in arrays:
-        model = replace(
-            model,
-            U=np.asarray(arrays["model_U"]),
-            s=np.asarray(arrays["model_s"]),
-        )
+    base, model = _decode_models(arrays, meta)
+    vocabulary = base.vocabulary
     m, n = (int(x) for x in meta["tdm_shape"])
     tdm = TermDocumentMatrix(
         CSCMatrix(
@@ -225,6 +252,96 @@ def restore_manager(
 
 
 # --------------------------------------------------------------------- #
+# the door: locate → verify → parse → read, once
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class OpenedCheckpoint:
+    """One checkpoint, its manifest parsed and its arrays read (or
+    mapped) exactly once.
+
+    A transient — decode what the caller serves and drop it: the parsed
+    manifest holds every label of the collection (megabytes on a large
+    store) and must not stay referenced from a serving process.
+    """
+
+    info: CheckpointInfo
+    arrays: dict[str, np.ndarray]
+    #: Corrupt newer checkpoints the locate step walked past.
+    problems: tuple[str, ...] = ()
+
+    @property
+    def name(self) -> str:
+        """The checkpoint's directory name (what a plan pins)."""
+        return self.info.path.name
+
+    @property
+    def epoch(self) -> int:
+        """The logical index version the checkpoint sealed."""
+        return int(self.info.meta.get("epoch", 0))
+
+    def model(self) -> LSIModel:
+        """The queryable model; mapped arrays stay mapped until touched."""
+        return _decode_models(self.arrays, self.info.meta)[1]
+
+    def ann(self) -> CoarseQuantizer | None:
+        """The checkpoint's coarse quantizer — or ``None``.
+
+        Format-1 checkpoints (and format-2 ones written with ANN
+        training disabled) carry none; callers fall back to the exact
+        scan, and the ``store.ann_missing`` gauge makes a fleet serving
+        without its probe index visible.
+        """
+        if not all(name in self.arrays for name in ANN_ARRAY_NAMES):
+            registry.set_gauge("store.ann_missing", 1)
+            return None
+        registry.set_gauge("store.ann_missing", 0)
+        return CoarseQuantizer.from_arrays(
+            self.arrays, seed=self.info.meta.get("ann", {}).get("seed", 0)
+        )
+
+    def manager(self) -> LSIIndexManager:
+        """Full recovery state (:func:`restore_manager`)."""
+        return restore_manager(self.arrays, self.info.meta)
+
+
+def _open(
+    checkpoints: pathlib.Path, name: str, *, mmap: bool
+) -> OpenedCheckpoint:
+    if name:
+        path = checkpoints / name
+        if path.parent != checkpoints or not path.is_dir():
+            raise StoreError(
+                f"the plan covers checkpoint {name} but it is not under "
+                f"{checkpoints} — store changed under the cluster"
+            )
+        info, problems = checkpoint_info(path), []
+    else:
+        info, problems = latest_valid_checkpoint(checkpoints)
+        if info is None:
+            detail = f" ({'; '.join(problems)})" if problems else ""
+            raise StoreError(
+                f"no valid checkpoint under {checkpoints}{detail}"
+            )
+    arrays = read_arrays(info, mmap=mmap)
+    return OpenedCheckpoint(info, arrays, tuple(problems))
+
+
+def open_checkpoint(
+    data_dir: pathlib.Path, name: str = "", *, mmap: bool = True
+) -> OpenedCheckpoint:
+    """Open one checkpoint of the store under ``data_dir``.
+
+    With a ``name`` (a shard plan's, or a seal this process just wrote)
+    exactly that checkpoint is opened, unverified: O(header) when
+    mapped.  Otherwise the newest checkpoint that passes verification
+    is — one CRC pass over its array files, walking back past corrupt
+    ones.  Reflects the last *checkpoint*, not the WAL tail.  Raises
+    :class:`StoreError` when there is nothing to open.
+    """
+    return _open(pathlib.Path(data_dir) / CHECKPOINTS_DIR, name, mmap=mmap)
+
+
+# --------------------------------------------------------------------- #
 # replay
 # --------------------------------------------------------------------- #
 def apply_record(manager: LSIIndexManager, record: WalRecord) -> None:
@@ -248,26 +365,19 @@ def apply_record(manager: LSIIndexManager, record: WalRecord) -> None:
         )
 
 
-def recover_manager(
-    checkpoints_dir: pathlib.Path, wal_path: pathlib.Path
+def replay_wal(
+    opened: OpenedCheckpoint, wal_path: pathlib.Path
 ) -> tuple[LSIIndexManager, RecoveryReport]:
-    """Cold-start: newest valid checkpoint + WAL suffix replay.
+    """Rebuild the manager of an opened checkpoint and replay the WAL
+    suffix past it.
 
-    Raises :class:`StoreError` when no valid checkpoint exists, and
-    :class:`StoreCorruptError` when the surviving state is internally
-    inconsistent (manifest/doc-count mismatch, a gap between the
-    checkpoint's WAL position and the log's first surviving record).
+    Raises :class:`StoreCorruptError` when the surviving state is
+    internally inconsistent (manifest/doc-count mismatch, a gap between
+    the checkpoint's WAL position and the log's first surviving record).
     """
+    info = opened.info
     with span("store.recover"):
-        info, skipped = latest_valid_checkpoint(checkpoints_dir)
-        if info is None:
-            detail = f" ({'; '.join(skipped)})" if skipped else ""
-            raise StoreError(
-                f"no valid checkpoint under {checkpoints_dir}{detail}"
-            )
-        manager = restore_manager(
-            read_arrays(info.path, verify=True), info.meta
-        )
+        manager = opened.manager()
         if manager.n_documents != int(info.meta["n_documents"]):
             raise StoreCorruptError(
                 f"checkpoint {info.path.name} manifest records "
@@ -296,10 +406,24 @@ def recover_manager(
         report = RecoveryReport(
             checkpoint_id=info.checkpoint_id,
             checkpoint_path=info.path,
+            checkpoint_created_unix=float(info.manifest["created_unix"]),
+            checkpoint_bytes=checkpoint_bytes(info),
             wal_lsn_start=wal_lsn,
             replayed_records=replayed,
             torn_tail=scan.torn_tail,
             n_documents=manager.n_documents,
-            problems=list(skipped) + list(scan.problems),
+            problems=list(opened.problems) + list(scan.problems),
         )
         return manager, report
+
+
+def recover_manager(
+    checkpoints_dir: pathlib.Path, wal_path: pathlib.Path
+) -> tuple[LSIIndexManager, RecoveryReport]:
+    """Cold-start: newest valid checkpoint + WAL suffix replay.
+
+    Raises :class:`StoreError` when no valid checkpoint exists, and
+    :class:`StoreCorruptError` as :func:`replay_wal` does.
+    """
+    opened = _open(pathlib.Path(checkpoints_dir), "", mmap=False)
+    return replay_wal(opened, wal_path)

@@ -7,7 +7,7 @@ path resolves through.  Three registration flavours:
   is no loader to come back through);
 * a **data directory** (``data_dir=``) — attached lazily on first
   resolve via the store's crash-safe read-only mmap open
-  (:func:`~repro.store.mmap_io.open_latest_model`), which takes no lock
+  (:func:`~repro.store.recovery.open_checkpoint`), which takes no lock
   and reflects the last sealed checkpoint;
 * a **custom loader** (``loader=``) — any zero-argument callable
   returning a :class:`~repro.server.state.ServingState` (the cluster
@@ -216,12 +216,11 @@ class IndexRegistry:
             return ServingState.for_model(
                 load_model(path), query_cache_size=share
             )
-        from repro.store.mmap_io import open_latest_ann, open_latest_model
+        from repro.store.recovery import open_checkpoint
 
-        model = open_latest_model(path)
-        ann = open_latest_ann(path)
+        opened = open_checkpoint(path)
         return ServingState.for_model(
-            model, ann=ann, query_cache_size=share
+            opened.model(), ann=opened.ann(), query_cache_size=share
         )
 
     def _note_attach(self, entry: TenantEntry) -> None:

@@ -75,3 +75,33 @@ def small_lsi(small_collection):
     return fit_lsi(
         small_collection.documents, k=8, scheme="log_entropy", seed=0
     )
+
+
+@pytest.fixture
+def open_counts(monkeypatch):
+    """Count what opening a checkpoint costs: every manifest parse and
+    every array-file CRC read, by path (``.reset()`` between phases)."""
+    from repro.store import checkpoint
+
+    class Counts:
+        def __init__(self):
+            self.parses, self.crcs = [], []
+
+        def reset(self):
+            self.parses.clear()
+            self.crcs.clear()
+
+    counts = Counts()
+    load_manifest, file_crc32 = checkpoint.load_manifest, checkpoint._file_crc32
+
+    def counting_load_manifest(path):
+        counts.parses.append(path)
+        return load_manifest(path)
+
+    def counting_file_crc32(path):
+        counts.crcs.append(path)
+        return file_crc32(path)
+
+    monkeypatch.setattr(checkpoint, "load_manifest", counting_load_manifest)
+    monkeypatch.setattr(checkpoint, "_file_crc32", counting_file_crc32)
+    return counts

@@ -254,6 +254,11 @@ def test_fenced_store_refuses_to_seal(tmp_path):
         with pytest.raises(StoreLockedError) as excinfo:
             store.seal(reason="test")
         assert "fenced" in str(excinfo.value)
+        # Compaction is the same snapshot routine: fenced too, and the
+        # adopter's WAL is left alone.
+        with pytest.raises(StoreLockedError):
+            store.compact()
+        assert store.wal.n_records == 1
     finally:
         store.close(flush=False)
 

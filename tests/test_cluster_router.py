@@ -268,6 +268,40 @@ def test_router_hedges_slow_worker_and_still_answers(router_model):
     assert result.results == flat
 
 
+def test_router_does_not_hedge_a_late_worker_onto_itself(router_model):
+    model, texts = router_model
+    sid = 0
+    # History: p95 is 10 ms, the slowest answer ever 300 ms.  A request
+    # running 60 ms is late, not stuck — a duplicate to the same worker
+    # could not outrun it and would only add to its load.
+    registry.reset(f"cluster.worker.{sid}.rpc_seconds")
+    for _ in range(30):
+        registry.observe(f"cluster.worker.{sid}.rpc_seconds", 0.01)
+    registry.observe(f"cluster.worker.{sid}.rpc_seconds", 0.3)
+    before = registry.counter("cluster.hedges_total")
+    flat = sharded_batch_search(model, texts[:1], top=TOP, shards=SHARDS)
+
+    async def main():
+        plan, router, fakes = await _cluster(
+            model,
+            config=RouterConfig(hedge=True, worker_timeout_ms=10_000.0),
+            delays={sid: 0.06},
+        )
+        try:
+            result = await router.search_batch(
+                _scaled(model, texts[:1]), top=TOP
+            )
+            return result, fakes[sid].calls
+        finally:
+            await _teardown(router, fakes)
+
+    result, calls = asyncio.run(main())
+    assert registry.counter("cluster.hedges_total") == before
+    assert calls == 1
+    assert result.partial is False
+    assert result.results == flat
+
+
 def test_router_ping_and_gauge(router_model):
     model, _ = router_model
 

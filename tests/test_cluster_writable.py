@@ -15,16 +15,24 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster.epochs import latest_handle
+from repro.cluster.epochs import EpochHandle
+from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
+from repro.cluster.placement import ReplicaPlan
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
+from repro.cluster.standby import StandbyWriter
 from repro.cluster.worker import ShardWorker
-from repro.errors import ClusterReadOnlyError
+from repro.errors import ClusterReadOnlyError, StoreError
 from repro.server import ServerClient, start_http_server
-from repro.server.state import manager_from_texts
+from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.store.durable import DurableIndexStore
-from repro.store.mmap_io import open_checkpoint_model
-from repro.store.recovery import recover_manager
+from repro.store.recovery import open_checkpoint, recover_manager
+
+from tests.test_store_mmap import (
+    assert_same_factors,
+    assert_same_rankings,
+    pending_fast_update_store,
+)
 
 SHARDS = 2
 
@@ -59,7 +67,7 @@ def test_worker_bump_idempotence_window_and_skew(store_dir):
     seal2 = store.seal(reason="test")
     store.close(flush=False)
 
-    model1 = open_checkpoint_model(seal1.path, mmap=True)
+    model1 = open_checkpoint(store_dir, seal1.name).model()
     plan1 = ShardPlan.compute(
         model1.n_documents, SHARDS, epoch=seal1.epoch, checkpoint=seal1.name
     )
@@ -116,8 +124,103 @@ def test_worker_bump_idempotence_window_and_skew(store_dir):
     assert worker.current.epoch == seal2.epoch
 
 
+def test_cluster_readers_serve_the_writers_factors(tmp_path):
+    # A seal taken with fast-update batches pending: the front end's
+    # handle and a worker bumped onto that seal must decode the rotated
+    # serving U/Σ the writer scores with, not the consolidated base.
+    store, queries = pending_fast_update_store(tmp_path / "store")
+    try:
+        model = store.manager.model
+        handle = EpochHandle.open(store.data_dir, SHARDS)
+        assert_same_factors(handle.model, model)
+        assert handle.ann is True and handle.epoch == store.last_seal.epoch
+
+        seed = open_checkpoint(store.data_dir, "ckpt-00000001")
+        plan0 = ShardPlan.compute(
+            seed.model().n_documents, SHARDS,
+            epoch=seed.epoch, checkpoint=seed.name,
+        )
+        for shard in range(SHARDS):
+            worker = ShardWorker(
+                seed.model(), plan0.shard(shard), epoch=seed.epoch,
+                data_dir=store.data_dir,
+            )
+            assert worker.bump(handle.plan.base.to_json())["ok"]
+            assert_same_factors(worker.current.model, model)
+            rows = handle.plan.base.shard(shard)
+            live = EpochSnapshot(handle.epoch, model, lo=rows.lo, hi=rows.hi)
+            assert_same_rankings(worker.current, live, queries)
+    finally:
+        store.close(flush=False)
+
+
+def test_plan_disagreeing_with_the_store_is_refused(store_dir):
+    sealed = open_checkpoint(store_dir)
+    n = sealed.model().n_documents
+
+    def plan(**stamp):
+        stamp = {"epoch": sealed.epoch, "checkpoint": sealed.name, **stamp}
+        return ShardPlan.compute(stamp.pop("n", n), SHARDS, **stamp)
+
+    assert cluster_open_checkpoint(store_dir, plan())[0] == sealed.epoch
+    with pytest.raises(StoreError, match="ckpt-99999999 but it is not under"):
+        cluster_open_checkpoint(store_dir, plan(checkpoint="ckpt-99999999"))
+    with pytest.raises(StoreError, match="carries epoch .* but the plan says"):
+        cluster_open_checkpoint(store_dir, plan(epoch=sealed.epoch + 1))
+    with pytest.raises(StoreError, match=f"has {n} documents but the plan"):
+        cluster_open_checkpoint(store_dir, plan(n=n + 1))
+
+
+def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
+    store = DurableIndexStore.open(store_dir)
+    store.add_texts(_texts(2, seed=11), ["E1a", "E1b"])
+    older = store.seal(reason="test")
+    store.add_texts(_texts(2, seed=12), ["E2a", "E2b"])
+    newer = store.seal(reason="test")
+    store.close(flush=False)
+
+    class Service:  # the slice of ClusterService the tail reads
+        plan = ReplicaPlan.compute(1, SHARDS, 1)
+        followed: list = []
+
+        def __init__(self, epoch):
+            self.epoch = epoch
+
+        async def propagate_handle(self, handle):
+            self.followed.append(handle.epoch)
+            return True
+
+    standby = StandbyWriter(store_dir)
+    try:
+        # Caught up: N polls parse the newest manifest, CRC nothing.
+        standby._service = Service(newer.epoch)
+        open_counts.reset()
+        for _ in range(5):
+            asyncio.run(standby._follow_epochs())
+        assert open_counts.crcs == [] and Service.followed == []
+        assert set(open_counts.parses) == {newer.path}
+        assert standby.describe()["tail_epoch"] == newer.epoch
+
+        # Behind: the newer seal is verified once, then followed.
+        standby._service = Service(older.epoch)
+        asyncio.run(standby._follow_epochs())
+        assert sorted(open_counts.crcs) == sorted(newer.path.glob("*.npy"))
+        assert Service.followed == [newer.epoch]
+
+        # A corrupt newest seal falls back to the last valid one, which
+        # is not news to a service already on it.
+        victim = newer.path / "model_V.npy"
+        blob = bytearray(victim.read_bytes())
+        blob[-1] ^= 0xFF
+        victim.write_bytes(bytes(blob))
+        asyncio.run(standby._follow_epochs())
+        assert Service.followed == [newer.epoch]
+    finally:
+        asyncio.run(standby.stop())
+
+
 def test_bump_refused_without_data_dir(store_dir):
-    handle = latest_handle(store_dir, SHARDS)
+    handle = EpochHandle.open(store_dir, SHARDS)
     worker = ShardWorker(handle.model, handle.plan.shard(0))
     refused = worker.bump(handle.plan.to_json())
     assert "error" in refused

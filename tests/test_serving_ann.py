@@ -47,7 +47,8 @@ from repro.store.durable import (
     DurableServingState,
     read_store_status,
 )
-from repro.store.mmap_io import open_checkpoint_ann, open_latest_ann
+from repro.store.mmap_io import open_latest_ann
+from repro.store.recovery import open_checkpoint
 
 K = 8
 N_DOCS = 300
@@ -211,9 +212,11 @@ def test_checkpoint_round_trip_reopens_identical_quantizer(
     tmp_path, quantizer
 ):
     write_checkpoint(
-        tmp_path, quantizer.to_arrays(), {"ann": {"seed": 0}}
+        tmp_path / STORE_LAYOUT["checkpoints"],
+        quantizer.to_arrays(),
+        {"ann": {"seed": 0}},
     )
-    reopened = open_checkpoint_ann(tmp_path / "ckpt-00000001", mmap=True)
+    reopened = open_checkpoint(tmp_path, "ckpt-00000001").ann()
     assert reopened is not None
     assert np.array_equal(reopened.centroids, quantizer.centroids)
     assert np.array_equal(reopened.cell_indptr, quantizer.cell_indptr)

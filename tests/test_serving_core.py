@@ -36,7 +36,7 @@ from repro.server import ServerConfig, state_from_texts
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
 from repro.store.durable import DurableIndexStore
-from repro.store.mmap_io import open_checkpoint_model
+from repro.store.recovery import open_checkpoint
 from repro.tenancy.cluster import TenantClusterService
 from repro.text import Vocabulary
 
@@ -185,12 +185,13 @@ def test_worker_holds_current_and_previous_epoch_only(tmp_path):
     store.close(flush=False)
 
     def plan_for(seal):
-        n = open_checkpoint_model(seal.path).n_documents
-        return ShardPlan.compute(n, 2, epoch=seal.epoch, checkpoint=seal.name)
+        return ShardPlan.compute(
+            seal.n_documents, 2, epoch=seal.epoch, checkpoint=seal.name
+        )
 
     first, second, third = seals
     worker = ShardWorker(
-        open_checkpoint_model(first.path), plan_for(first).shard(1),
+        open_checkpoint(data_dir, first.name).model(), plan_for(first).shard(1),
         epoch=first.epoch, data_dir=data_dir,
     )
     old_snapshot = worker.current

@@ -13,6 +13,7 @@ from repro.store.checkpoint import (
     checkpoint_name,
     iter_array_files,
     latest_valid_checkpoint,
+    load_manifest,
     list_checkpoints,
     read_arrays,
     verify_checkpoint,
@@ -47,7 +48,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, arrays):
     assert info.path.name == checkpoint_name(1)
     assert info.manifest["format"] == CHECKPOINT_FORMAT
     assert info.meta == {"n_documents": 5}
-    loaded = read_arrays(info.path)
+    loaded = read_arrays(info)
     for name, array in arrays.items():
         assert np.array_equal(loaded[name], array)
         assert loaded[name].dtype == array.dtype
@@ -62,16 +63,16 @@ def test_checkpoint_ids_increment_and_sort(tmp_path, arrays):
 
 def test_verify_detects_single_flipped_byte(tmp_path, arrays):
     info = write_checkpoint(tmp_path, arrays, {})
-    assert verify_checkpoint(info.path) == []
+    assert verify_checkpoint(info) == []
     victim = next(iter_array_files(info))
     blob = bytearray(victim.read_bytes())
     blob[len(blob) // 2] ^= 0x01  # one flipped bit, size unchanged
     victim.write_bytes(bytes(blob))
-    problems = verify_checkpoint(info.path)
+    problems = verify_checkpoint(info)
     assert len(problems) == 1
     assert "crc32" in problems[0]
-    with pytest.raises(StoreCorruptError):
-        read_arrays(info.path)
+    # ... so the locate step never hands it to a reader.
+    assert latest_valid_checkpoint(tmp_path) == (None, problems)
 
 
 def test_verify_detects_truncation_and_missing_file(tmp_path, arrays):
@@ -79,7 +80,7 @@ def test_verify_detects_truncation_and_missing_file(tmp_path, arrays):
     files = list(iter_array_files(info))
     files[0].write_bytes(files[0].read_bytes()[:-1])
     files[1].unlink()
-    problems = verify_checkpoint(info.path)
+    problems = verify_checkpoint(info)
     assert any("size" in p for p in problems)
     assert any("missing" in p for p in problems)
 
@@ -114,12 +115,13 @@ def test_duplicate_id_and_bad_manifest_rejected(tmp_path, arrays):
         write_checkpoint(tmp_path, arrays, {}, checkpoint_id=1)
     (info.path / MANIFEST_NAME).write_text("{not json")
     assert list_checkpoints(tmp_path) == []
-    assert verify_checkpoint(info.path)
+    with pytest.raises(StoreCorruptError):
+        load_manifest(info.path)
 
 
 def test_mmap_read_is_lazy_and_equal(tmp_path, arrays):
     info = write_checkpoint(tmp_path, arrays, {})
-    mapped = read_arrays(info.path, mmap=True, verify=False)
+    mapped = read_arrays(info, mmap=True)
     assert isinstance(mapped["U"], np.memmap)
     for name, array in arrays.items():
         assert np.array_equal(np.asarray(mapped[name]), array)

@@ -11,11 +11,21 @@ the mapped and fully-loaded forms of the same checkpoint.
 import numpy as np
 import pytest
 
+from repro.cluster.epochs import EpochHandle
+from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
+from repro.cluster.plan import ShardPlan
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
-from repro.server.state import manager_from_texts
-from repro.store.durable import DurableIndexStore
-from repro.store.mmap_io import open_latest_model
+from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.serving.ann import CoarseQuantizer
+from repro.store.durable import (
+    STORE_LAYOUT,
+    DurableIndexStore,
+    DurableServingState,
+)
+from repro.store.mmap_io import open_latest_ann, open_latest_model
+from repro.store.recovery import open_checkpoint
+from repro.tenancy import IndexRegistry
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +82,160 @@ def test_mapped_model_scores_identically_to_loaded(mmap_store):
         assert np.array_equal(
             cosine_similarities(mapped, qm), cosine_similarities(loaded, ql)
         )
+
+
+# --------------------------------------------------------------------- #
+# one door: every reader decodes the factors the writer serves
+# --------------------------------------------------------------------- #
+def pending_fast_update_store(data_dir):
+    """A store sealed with fast-update batches *pending*: the serving
+    ``U``/``Σ`` have been rotated away from the consolidated base, which
+    is exactly the state a reader must not decode as ``base_U``/``base_s``
+    under ``model_V``.  Returns the open store and 20 query texts."""
+    rng = np.random.default_rng(23)
+    vocab = [f"w{i}" for i in range(40)]
+    texts = [" ".join(rng.choice(vocab, size=14)) for _ in range(72)]
+    store = DurableIndexStore.initialize(
+        data_dir,
+        manager_from_texts(
+            texts[:60], [f"D{i}" for i in range(60)], k=8,
+            ingest_method="fast-update", fast_update_rank=4,
+            distortion_budget=1e9, drift_cap=1e9,
+        ),
+    )
+    for lo in (60, 66):
+        event = store.add_texts(
+            texts[lo:lo + 6], [f"D{i}" for i in range(lo, lo + 6)]
+        )
+        assert event.action == "fast-update"  # never consolidated
+    assert store.manager.pending == 12
+    assert store.manager.model.U is not store.manager._base_model.U
+    store.seal(reason="test")
+    return store, texts[:20]
+
+
+def assert_same_factors(model, reference):
+    for name in ("U", "s", "V", "global_weights"):
+        assert np.array_equal(getattr(model, name), getattr(reference, name)), name
+    assert model.doc_ids == reference.doc_ids
+
+
+def assert_same_rankings(snapshot, reference, queries, **search):
+    for query in queries:
+        got, _ = snapshot.search(
+            snapshot.scale(snapshot.project(query)), top=10, **search
+        )
+        want, _ = reference.search(
+            reference.scale(reference.project(query)), top=10, **search
+        )
+        assert got == want, query
+
+
+def test_mapped_reader_serves_the_writers_factors(tmp_path):
+    store, queries = pending_fast_update_store(tmp_path / "store")
+    try:
+        live = DurableServingState(store).current()
+        mapped = open_latest_model(store.data_dir, mmap=True)
+        # Eq. 6 projects with U_k Σ_k⁻¹ and scores against V_k Σ_k: all
+        # three must come from one epoch, bit for bit.
+        assert_same_factors(mapped, store.manager.model)
+        assert_same_rankings(EpochSnapshot(0, mapped), live, queries)
+        # The quantizer's cells are fitted to the coordinates queries are
+        # compared with (the serving V_k Σ_k), not base Σ under rotated V.
+        model = store.manager.model
+        want = CoarseQuantizer.train(
+            model.V * model.s, store.ann_clusters, seed=store.manager.seed
+        )
+        sealed = open_latest_ann(store.data_dir)
+        assert np.array_equal(sealed.centroids, want.centroids)
+        assert np.array_equal(sealed.cell_docs, want.cell_docs)
+        assert_same_rankings(
+            EpochSnapshot(0, mapped, ann=sealed), live, queries, probes=2
+        )
+    finally:
+        store.close(flush=False)
+
+
+def test_fold_in_checkpoint_shares_the_base_factors(mmap_store):
+    data_dir, _ = mmap_store
+    opened = open_checkpoint(data_dir, mmap=False)
+    assert "model_U" not in opened.arrays
+    manager = opened.manager()
+    assert manager.model.U is manager._base_model.U
+    assert np.array_equal(opened.model().U, opened.arrays["base_U"])
+    assert np.array_equal(opened.model().s, opened.arrays["base_s"])
+
+
+# --------------------------------------------------------------------- #
+# one door: each open parses one manifest and CRCs each file at most once
+# --------------------------------------------------------------------- #
+def _serve_open(data_dir):
+    store = DurableIndexStore.open(data_dir)
+    try:
+        return DurableServingState(store).current().model
+    finally:
+        store.close(flush=False)
+
+
+def _tenant_attach(data_dir):
+    registry = IndexRegistry()
+    registry.register("t", data_dir=data_dir)
+    with registry.pin("t") as (_tid, state):
+        return state.current().model
+
+
+def _worker_by_plan(data_dir):
+    name = sorted((data_dir / STORE_LAYOUT["checkpoints"]).iterdir())[-1].name
+    sealed = open_checkpoint(data_dir, name)
+    plan = ShardPlan.compute(
+        sealed.model().n_documents, 2, epoch=sealed.epoch, checkpoint=name
+    )
+    return lambda: cluster_open_checkpoint(data_dir, plan)[1]
+
+
+@pytest.mark.parametrize(
+    "opener, crc_passes",
+    [
+        (lambda d: lambda: _serve_open(d), 1),
+        (lambda d: lambda: _tenant_attach(d), 1),
+        (lambda d: lambda: open_latest_model(d), 1),
+        (lambda d: lambda: open_latest_ann(d), 1),
+        (lambda d: lambda: EpochHandle.open(d, 2).model, 1),
+        (_worker_by_plan, 0),
+    ],
+    ids=["serve", "tenant-attach", "latest-model", "latest-ann",
+         "cluster-front-end", "worker-by-plan"],
+)
+def test_one_open_is_one_parse_and_at_most_one_crc_pass(
+    tmp_path, open_counts, opener, crc_passes
+):
+    store, _ = pending_fast_update_store(tmp_path / "store")
+    store.close(flush=False)
+    checkpoints = tmp_path / "store" / STORE_LAYOUT["checkpoints"]
+    newest = sorted(checkpoints.iterdir())[-1]
+    assert newest.name == "ckpt-00000002"  # an older one sits beside it
+    open_once = opener(tmp_path / "store")
+    open_counts.reset()
+    open_once()
+    assert open_counts.parses == [newest]
+    assert sorted(open_counts.crcs) == sorted(newest.glob("*.npy")) * crc_passes
+
+
+def test_corrupt_newest_falls_back_and_is_reported_once(tmp_path, open_counts):
+    store, _ = pending_fast_update_store(tmp_path / "store")
+    store.close(flush=False)
+    older, newest = sorted(
+        (tmp_path / "store" / STORE_LAYOUT["checkpoints"]).iterdir()
+    )
+    victim = newest / "model_U.npy"
+    blob = bytearray(victim.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    victim.write_bytes(bytes(blob))
+
+    opened = open_checkpoint(tmp_path / "store")
+    assert opened.name == older.name
+    assert len(opened.problems) == 1 and "model_U.npy: crc32" in opened.problems[0]
+    assert opened.model().n_documents == 60
+    # Both checkpoints were verified once each; neither was parsed twice.
+    assert sorted(open_counts.parses) == [older, newest]
+    assert len(open_counts.crcs) == len(set(open_counts.crcs))

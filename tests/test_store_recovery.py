@@ -165,9 +165,10 @@ def test_compact_is_bit_identical_and_resets_replay(corpus, tmp_path):
     live = store.manager
     before = store.wal.n_records
     assert before == 5
-    store.compact()
+    path = store.compact()
     assert store.wal.n_records == 0
     assert store.verify() == []
+    assert store.last_seal.path == path and store.last_seal.epoch == 5
     store.close(flush=False)
 
     recovered, report = recover_manager(*DurableIndexStore.paths(tmp_path / "s"))

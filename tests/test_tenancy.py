@@ -43,9 +43,15 @@ from repro.server import (
     ServingState,
     state_from_texts,
 )
+from repro.store.durable import DurableServingState
 from repro.tenancy import DEFAULT_TENANT, IndexRegistry, TenantQuotas
 
 from tests.test_server import _ServerThread
+from tests.test_store_mmap import (
+    assert_same_factors,
+    assert_same_rankings,
+    pending_fast_update_store,
+)
 
 # Three disjoint mini-corpora so cross-tenant routing bugs cannot hide:
 # a query against the wrong tenant's index ranks different documents.
@@ -110,6 +116,25 @@ def test_single_registry_resolves_none_to_default():
 def test_sole_non_default_tenant_resolves_none():
     reg = _registry(tenants=("alpha",))
     assert reg.resolve(None)[0] == "alpha"
+
+
+def test_lazy_attach_serves_the_writers_factors(tmp_path):
+    # A data-directory tenant attaches through the store's one door, so
+    # a seal taken with fast-update batches pending serves the rotated
+    # U/Σ the writer scores with (see tests/test_store_mmap.py).
+    store, queries = pending_fast_update_store(tmp_path / "store")
+    try:
+        reg = IndexRegistry()
+        reg.register("alpha", data_dir=store.data_dir)
+        with reg.pin("alpha") as (_tid, state):
+            attached = state.current()
+            assert_same_factors(attached.model, store.manager.model)
+            assert attached.ann is not None
+            assert_same_rankings(
+                attached, DurableServingState(store).current(), queries
+            )
+    finally:
+        store.close(flush=False)
 
 
 def test_unknown_tenant_is_typed_lookup_error():
