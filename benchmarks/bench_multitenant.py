@@ -92,7 +92,6 @@ def _registry() -> IndexRegistry:
 def _config(queue_depth: int | None = None) -> ServerConfig:
     return ServerConfig(
         max_batch=CONCURRENCY,
-        max_wait_ms=2.0,
         queue_depth=queue_depth or 4 * CONCURRENCY * N_TENANTS,
     )
 

@@ -1,15 +1,16 @@
-"""Server throughput: dynamic micro-batching vs the sequential path.
+"""Server throughput: work-conserving micro-batching vs the sequential path.
 
-The micro-batcher's claim is that a long-lived service *creates* the
-batches PR 1's GEMM kernel rewards: c concurrent single-query clients
-become one (c, k) × (k, n) GEMM per batching window instead of c
-separate GEMV + ranking passes.  This bench offers the same query load
-two ways at concurrency {1, 8, 32}:
+The micro-batcher's claim is that a long-lived service under load forms
+the batches PR 1's GEMM kernel rewards: c concurrent single-query
+clients pile up behind the flush in flight and become one
+(c, k) × (k, n) GEMM instead of c separate GEMV + ranking passes.
+This bench offers the same query load two ways at concurrency
+{1, 8, 32}:
 
 * **sequential** — the unbatched per-request path (``engine.search``
   per query), which is what c independent one-shot processes would pay;
-* **batched** — the full async service: admission, micro-batching
-  window, batched GEMM, per-request ranking.
+* **batched** — the full async service: admission, micro-batching,
+  batched GEMM, per-request ranking.
 
 Acceptance: at c=32 the batched service sustains ≥ 2× the sequential
 QPS.  At c=1 batching cannot help (every batch has one request) — the
@@ -93,7 +94,6 @@ def _batched_qps(
             state,
             ServerConfig(
                 max_batch=max(concurrency, 1),
-                max_wait_ms=2.0,
                 queue_depth=4 * max(concurrency, 1),
             ),
         )
@@ -209,7 +209,6 @@ def _latencies_for(
             state,
             ServerConfig(
                 max_batch=concurrency,
-                max_wait_ms=2.0,
                 queue_depth=4 * concurrency,
             ),
         )

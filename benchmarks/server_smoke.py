@@ -61,7 +61,7 @@ def _start_server(corpus_path: str) -> tuple[subprocess.Popen, int]:
         [
             sys.executable, "-m", "repro", "--no-obs", "serve", corpus_path,
             "-k", str(K), "--port", "0",
-            "--max-batch", "8", "--max-wait-ms", "2", "--queue-depth", "64",
+            "--max-batch", "8", "--queue-depth", "64",
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=env,

@@ -215,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--min-doc-freq", type=int, default=1)
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="largest micro-batch coalesced into one GEMM")
-    p_serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                         help="batching window: how long an open batch "
-                              "waits for more requests")
     p_serve.add_argument("--shards", type=int, default=1,
                          help="document shards per batched GEMM")
     p_serve.add_argument("--workers", type=int, default=None,
@@ -655,7 +652,6 @@ def _cmd_serve(args, out) -> int:
         state.train_ann(n_clusters=args.ann_clusters)
     config = ServerConfig(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         queue_depth=args.queue_depth,
         shards=args.shards,
         workers=args.workers,

@@ -13,11 +13,12 @@ needs, stdlib-asyncio only:
   :class:`ServingState`, the atomic reader/writer model handoff that
   lets live additions (fold-in → §4.3-policy consolidation through the
   index manager) swap epochs under in-flight queries;
-* :mod:`repro.server.batching` — :class:`MicroBatcher`, the dynamic
-  micro-batching scheduler that coalesces concurrent single queries
-  within a ``max_batch`` / ``max_wait_ms`` window into one batched
-  GEMM, preserving per-request ``top``/``threshold`` and element-
-  identical results vs. the unbatched engine;
+* :mod:`repro.server.batching` — :class:`MicroBatcher`, the
+  work-conserving micro-batching scheduler: it scores a lone query at
+  once and coalesces whatever queued up behind the flush in flight (up
+  to ``max_batch``) into one batched GEMM on its own scoring thread —
+  no window, no timer — preserving per-request ``top``/``threshold``
+  and element-identical results vs. the unbatched engine;
 * :mod:`repro.server.admission` — :class:`AdmissionController`, the
   bounded queue with fast overload rejection, per-request deadlines,
   and the drain latch for graceful shutdown;

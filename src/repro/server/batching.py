@@ -1,44 +1,87 @@
-"""Dynamic micro-batching: coalesce concurrent queries into one GEMM.
+"""Work-conserving micro-batching: one GEMM per pile-up, never a timer.
 
 The fast path (PR 1) made *batched* scoring cheap — one GEMM scores a
 whole query matrix — but only for callers who arrive pre-batched.  A
-server's callers arrive one by one; this module creates the batches,
-the same dynamic-batching shape inference servers use: the scheduler
-takes the first waiting request, then keeps collecting until either
-``max_batch`` requests are in hand or ``max_wait_ms`` has elapsed since
-the batch opened, and flushes the whole set through one
-:meth:`EpochSnapshot.search` call.  Per-request ``top`` /
+server's callers arrive one by one; this module forms the batches, and
+it forms them out of waiting that happens anyway: the scheduler takes
+the first waiting request, drains whatever else is *already* queued (up
+to ``max_batch``, the cap on the ``(q, n)`` score block) and flushes at
+once through one :meth:`EpochSnapshot.search` call.  It never holds a
+request hoping for company — an idle server adds nothing to a lone
+query — and because the scheduler awaits each flush, requests that
+arrive while one is in flight pile up behind it and become the next
+batch: the batch is exactly what the scorer could not get to yet, so it
+grows with load and vanishes without it.  Per-request ``top`` /
 ``threshold`` are preserved because ranking happens per score row with
 the same selection the unbatched engine uses — results are
 element-identical to ``LSIRetrieval.search``.
 
-The scheduler awaits each flush (the scoring runs on an executor thread
-so the event loop stays responsive), which makes batching *adaptive*:
-while a GEMM is in flight, arriving requests pile up and form a larger
-next batch — exactly the behaviour that keeps throughput high under
-load.  Memory stays bounded because admission caps outstanding
-requests before they ever reach this queue.
+One flush per batcher is ever in flight, so each batcher owns exactly
+one scoring thread (created on first use, joined by
+:meth:`MicroBatcher.stop`): the event loop stays responsive, and
+back-to-back flushes reuse one thread — and one allocator arena for the
+score temporaries — instead of growing a shared pool.  Memory stays bounded because
+admission caps outstanding requests before they ever reach this queue.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import math
+import numbers
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, ReproError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext
 from repro.obs.tracing import span
 from repro.server.state import EpochSnapshot, ServingState
 
-__all__ = ["SearchRequest", "MicroBatcher", "BATCH_SIZE_BUCKETS"]
+__all__ = [
+    "SearchRequest",
+    "MicroBatcher",
+    "BATCH_SIZE_BUCKETS",
+    "check_search_args",
+]
 
 #: Batch-size histogram boundaries (requests per flush), powers of two.
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def check_search_args(query, top=None, threshold=None, timeout_ms=None) -> None:
+    """Raise :class:`ReproError` naming the first malformed search field.
+
+    The one definition of a well-formed search: the HTTP front end calls
+    it before any service sees the request (→ 400), and the scorer calls
+    it per request so an in-process caller's bad argument fails that
+    request alone, never the batch it was coalesced into.
+    """
+    if not isinstance(query, str) and not (
+        isinstance(query, (list, tuple))
+        and all(isinstance(token, str) for token in query)
+    ):
+        raise ReproError("'query' must be a string or a list of strings")
+    if top is not None and (
+        isinstance(top, bool) or not isinstance(top, numbers.Integral) or top < 0
+    ):
+        raise ReproError("'top' must be a non-negative integer")
+    if threshold is not None and (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, numbers.Real)
+        or not math.isfinite(threshold)
+    ):
+        raise ReproError("'threshold' must be a finite number")
+    if timeout_ms is not None and (
+        isinstance(timeout_ms, bool)
+        or not isinstance(timeout_ms, numbers.Real)
+        or not timeout_ms > 0
+    ):
+        raise ReproError("'timeout_ms' must be a positive number")
 
 
 @dataclass
@@ -62,6 +105,11 @@ class SearchRequest:
     trace: TraceContext | None = None
     enqueued: float = field(default_factory=time.monotonic)
     future: asyncio.Future = None
+    #: Filled in by the flush that scored (or expired) the request — the
+    #: two facts that explain a slow one: how long it sat behind the
+    #: flush in flight, and how many requests it was scored with.
+    queue_wait_ms: float | None = None
+    batch_size: int | None = None
 
 
 class MicroBatcher:
@@ -72,21 +120,19 @@ class MicroBatcher:
         state: ServingState,
         *,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         shards: int = 1,
         workers: int | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         self.state = state
         self.max_batch = max_batch
-        self.max_wait = max_wait_ms / 1000.0
         self.shards = shards
         self.workers = workers
         self._queue: asyncio.Queue[SearchRequest] = asyncio.Queue()
         self._task: asyncio.Task | None = None
+        #: This batcher's one scoring thread, created by the first flush.
+        self._scorer: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -105,7 +151,8 @@ class MicroBatcher:
         await self._queue.join()
 
     async def stop(self) -> None:
-        """Cancel the scheduler task (call after :meth:`drain`)."""
+        """Cancel the scheduler task and join the scoring thread (call
+        after :meth:`drain`, when that thread is idle)."""
         if self._task is not None:
             self._task.cancel()
             try:
@@ -113,23 +160,19 @@ class MicroBatcher:
             except asyncio.CancelledError:
                 pass
             self._task = None
+        if self._scorer is not None:
+            self._scorer.shutdown(wait=True)
+            self._scorer = None
 
     # ------------------------------------------------------------------ #
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            window_closes = loop.time() + self.max_wait
-            while len(batch) < self.max_batch:
-                remaining = window_closes - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(
-                        await asyncio.wait_for(self._queue.get(), remaining)
-                    )
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
+            # Work-conserving: take what has already piled up, never wait
+            # for more.  Requests arriving during the flush below are the
+            # next iteration's batch.
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             try:
                 await self._flush(batch)
             finally:
@@ -141,7 +184,9 @@ class MicroBatcher:
         now = time.monotonic()
         live: list[SearchRequest] = []
         for req in batch:
-            registry.observe("server.queue_wait_seconds", now - req.enqueued)
+            waited = now - req.enqueued
+            req.queue_wait_ms = waited * 1000.0
+            registry.observe("server.queue_wait_seconds", waited)
             if req.deadline is not None and now > req.deadline:
                 registry.inc("server.deadline_expired")
                 if not req.future.done():
@@ -159,7 +204,13 @@ class MicroBatcher:
         )
         if not live:
             return
+        for req in live:
+            req.batch_size = len(live)
         snapshot = self.state.current()
+        if self._scorer is None:
+            self._scorer = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-scorer"
+            )
         loop = asyncio.get_running_loop()
         try:
             with span(
@@ -174,25 +225,26 @@ class MicroBatcher:
                 if trace_ids:
                     batch_span.set_attr("trace_ids", trace_ids)
                 # Context vars do not cross run_in_executor on their own;
-                # copying the context hands the executor thread this batch
+                # copying the context hands the scoring thread this batch
                 # span as parent, so the scoring spans nest under it.
                 call = contextvars.copy_context().run
                 responses = await loop.run_in_executor(
-                    None, call, self._score_batch, snapshot, live
+                    self._scorer, call, self._score_batch, snapshot, live
                 )
         except Exception as exc:  # noqa: BLE001 — fail the batch, not the server
-            for req in live:
-                if not req.future.done():
-                    req.future.set_exception(exc)
-            return
+            responses = [exc] * len(live)
         for req, response in zip(live, responses):
-            if not req.future.done():
+            if req.future.done():
+                continue
+            if isinstance(response, Exception):
+                req.future.set_exception(response)
+            else:
                 req.future.set_result(response)
 
     def _score_batch(
         self, snapshot: EpochSnapshot, batch: list[SearchRequest]
-    ) -> list[dict]:
-        """Project + score + rank one batch (runs on an executor thread).
+    ) -> list[dict | ReproError]:
+        """Project + score + rank one batch (runs on the scoring thread).
 
         The batch splits by effective probe count: the *exact* group
         (``None``) shares one GEMM over all documents, each ANN group
@@ -201,18 +253,31 @@ class MicroBatcher:
         grouping bounds the per-probe-set bookkeeping and spans).  Each
         group is one :meth:`EpochSnapshot.search` call, which also owns
         the exact fallback for a snapshot without a quantizer.
+
+        A request whose arguments or projection are invalid gets a
+        :class:`ReproError` in its slot and is left out of its group's
+        matrix — co-batched requests score as if it had never arrived.
         """
         groups: dict[int | None, list[int]] = {}
         for i, req in enumerate(batch):
             groups.setdefault(None if req.exact else req.probes, []).append(i)
         doc_ids = snapshot.model.doc_ids
-        responses: list[dict] = [None] * len(batch)
-        for probes, members in groups.items():
-            requests = [batch[i] for i in members]
+        responses: list[dict | ReproError] = [None] * len(batch)
+        for probes, candidates in groups.items():
             t0 = time.perf_counter()
-            Qs = snapshot.scale(
-                np.stack([snapshot.project(req.query) for req in requests])
-            )
+            members, rows = [], []
+            for i in candidates:
+                req = batch[i]
+                try:
+                    check_search_args(req.query, req.top, req.threshold)
+                    rows.append(snapshot.project(req.query))
+                    members.append(i)
+                except ReproError as exc:
+                    responses[i] = exc
+            if not members:
+                continue
+            requests = [batch[i] for i in members]
+            Qs = snapshot.scale(np.stack(rows))
             with span(
                 "server.score" if probes is None else "server.ann_scan",
                 size=len(requests),

@@ -7,8 +7,9 @@ parser is ~40 lines over :func:`asyncio.start_server` readers.
 
 Routes
 ------
-``POST /search``  ``{"query": str|[tokens], "top"?, "threshold"?,
-    "timeout_ms"?, "probes"?, "exact"?}``
+``POST /search``  ``{"query": str|[tokens], "top"?: int >= 0,
+    "threshold"?: finite number, "timeout_ms"?: number > 0, "probes"?,
+    "exact"?}`` (a field of the wrong type is a 400 naming it)
     → ``{"epoch", "n_documents", "results": [[index, score, doc_id], ...],
     "ann"?: {"probes", "cells_probed", "candidates"}}``
     (``probes`` bounds the scan to that many coarse cells; ``exact:
@@ -73,6 +74,7 @@ from repro.errors import (
 )
 from repro.obs.trace_context import TraceContext, coerce_trace_id, trace_scope
 from repro.obs.tracing import span
+from repro.server.batching import check_search_args
 from repro.server.service import ServiceBase
 
 __all__ = ["start_http_server", "MAX_BODY_BYTES"]
@@ -213,11 +215,15 @@ async def _dispatch(
         exact = body.get("exact", False)
         if not isinstance(exact, bool):
             return 400, {"error": "'exact' must be a boolean"}
+        limits = {
+            name: body.get(name) for name in ("top", "threshold", "timeout_ms")
+        }
+        # Raises ReproError (→ 400) naming the malformed field, before
+        # the request can be co-batched with anyone else's.
+        check_search_args(body["query"], **limits)
         result = await service.search(
             body["query"],
-            top=body.get("top"),
-            threshold=body.get("threshold"),
-            timeout_ms=body.get("timeout_ms"),
+            **limits,
             probes=probes,
             exact=exact,
             tenant=_tenant_from(headers, body),

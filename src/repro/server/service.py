@@ -13,16 +13,17 @@ special case of the same code path:
   one), admits it against the global bounded queue *and* the tenant's
   quota share (fast 429-style rejection on overload — per-tenant
   ``reason="tenant_quota"`` when one hot tenant is over budget),
-  enqueues it with that tenant's micro-batcher, and awaits its row of
-  the batched GEMM — results element-identical to
-  ``LSIRetrieval.search``;
+  enqueues it with that tenant's work-conserving micro-batcher (scored
+  at once on an idle server, coalesced with whatever piled up behind a
+  flush in flight otherwise), and awaits its row of the score block —
+  results element-identical to ``LSIRetrieval.search``;
 * :meth:`add` serializes document additions through the tenant's
   epoch-swapped :class:`~repro.server.state.ServingState` (fold-in →
   §4.3-policy consolidation via the index manager) on an executor
   thread, so the event loop keeps serving while the SVD machinery runs;
 * :meth:`drain` is graceful shutdown: flip the admission latch (new
   work → 503), flush every tenant's queued requests, stop the
-  schedulers.
+  schedulers and their scoring threads.
 
 Every stage reports through :data:`repro.obs.metrics.registry` under
 ``server.*`` plus per-tenant ``tenant.<id>.*`` counters/gauges — all
@@ -66,14 +67,14 @@ __all__ = ["ServerConfig", "ServiceBase", "QueryService"]
 class ServerConfig:
     """Tunables for one service instance (CLI flags map 1:1 onto these).
 
-    ``max_wait_ms`` is the batching window: how long the scheduler holds
-    an open batch hoping for more requests.  Larger windows mean larger
-    batches (better GEMM amortization), at the cost of adding up to the
-    window to an isolated request's latency.
+    There is no batching window to tune: the scheduler is
+    work-conserving (it flushes whatever is queued the moment the
+    scorer is free), so batches form only from requests that arrive
+    while a flush is in flight.  ``max_batch`` caps one flush — it is
+    the bound on the ``(q, n)`` score block, not a target.
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     queue_depth: int = 256
     shards: int = 1
     workers: int | None = None
@@ -179,7 +180,8 @@ class ServiceBase:
         holds the probe count the query actually ran with — the server
         default when the request named none, ``None`` for an exact scan.
         ``evidence`` is whatever else the service knows about where the
-        time went (queue depth; per-shard timings, hedges, misses).
+        time went (queue depth, the request's own queue wait and the size
+        of the batch it was scored in; per-shard timings, hedges, misses).
         """
         if not self.slowlog.is_slow(elapsed_s):
             return
@@ -342,7 +344,6 @@ class QueryService(ServiceBase):
             batcher = MicroBatcher(
                 state,
                 max_batch=self.config.max_batch,
-                max_wait_ms=self.config.max_wait_ms,
                 shards=self.config.shards,
                 workers=self.config.workers,
             )
@@ -356,7 +357,8 @@ class QueryService(ServiceBase):
 
         Detach only happens with zero pins, and every queued request
         holds a pin until its future resolves — so the batcher's queue
-        is empty here and cancelling its task drops no work.
+        is empty and its scoring thread idle here: stopping it drops no
+        work and joins the thread at once.
         """
         batcher = self._batchers.pop(tenant_id, None)
         if batcher is None or self._loop is None or self._loop.is_closed():
@@ -445,6 +447,8 @@ class QueryService(ServiceBase):
                     exact=exact,
                     tenant=tid,
                     queue_depth=self.admission.pending,
+                    batch_size=request.batch_size,
+                    queue_wait_ms=request.queue_wait_ms,
                 )
                 return result
             finally:
@@ -461,9 +465,11 @@ class QueryService(ServiceBase):
     ) -> dict:
         """Add documents live; returns the new epoch description.
 
-        Updates are serialized (one writer at a time) and run on an
-        executor thread; readers never wait — in-flight batches finish
-        against their pinned epoch, later batches see the new one.
+        Updates are serialized (one writer at a time) and run on the
+        loop's default executor — never a batcher's scoring thread, so a
+        writer cannot queue behind the scorer (or the scorer behind it);
+        readers never wait — in-flight batches finish against their
+        pinned epoch, later batches see the new one.
         Lazily attached tenants are read-only mmap opens, so ``/add``
         against one raises (HTTP 400) like any saved-model server.
         """

@@ -76,7 +76,6 @@ EXPECTED = {
     ('serve', '--host', "'127.0.0.1'"),
     ('serve', '--max-batch', '32'),
     ('serve', '--max-resident', 'None'),
-    ('serve', '--max-wait-ms', '2.0'),
     ('serve', '--min-doc-freq', '1'),
     ('serve', '--port', '8080'),
     ('serve', '--probes', 'None'),
@@ -140,7 +139,7 @@ def test_config_objects_gained_no_field():
     from repro.server import ServerConfig
 
     ceiling = {
-        ServerConfig: 11,
+        ServerConfig: 10,
         ClusterConfig: 24,
         RouterConfig: 6,
         SupervisorConfig: 6,

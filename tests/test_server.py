@@ -95,7 +95,7 @@ def test_coalesced_batch_identical_to_engine():
 
     async def main():
         service = QueryService(
-            state, ServerConfig(max_batch=len(cases), max_wait_ms=50.0)
+            state, ServerConfig(max_batch=len(cases))
         )
         await service.start()
         responses = await asyncio.gather(
@@ -126,7 +126,7 @@ def test_single_request_batch_bit_identical_to_engine():
     engine = LSIRetrieval(state.current().model)
 
     async def main():
-        service = QueryService(state, ServerConfig(max_wait_ms=0.0))
+        service = QueryService(state, ServerConfig())
         await service.start()
         response = await service.search(QUERIES[0], top=7)
         await service.drain()
@@ -141,7 +141,7 @@ def test_batches_respect_max_batch():
 
     async def main():
         service = QueryService(
-            state, ServerConfig(max_batch=4, max_wait_ms=50.0)
+            state, ServerConfig(max_batch=4)
         )
         await service.start()
         await asyncio.gather(
@@ -196,7 +196,7 @@ def test_overload_rejected_not_queued(monkeypatch):
     async def main():
         service = QueryService(
             state,
-            ServerConfig(max_batch=1, max_wait_ms=0.0, queue_depth=3),
+            ServerConfig(max_batch=1, queue_depth=3),
         )
         await service.start()
         results = await asyncio.gather(
@@ -226,7 +226,7 @@ def test_deadline_expires_in_queue(monkeypatch):
 
     async def main():
         service = QueryService(
-            state, ServerConfig(max_batch=1, max_wait_ms=0.0)
+            state, ServerConfig(max_batch=1)
         )
         await service.start()
         first = asyncio.ensure_future(service.search(QUERIES[0], top=2))
@@ -249,7 +249,7 @@ def test_drain_flushes_queue_then_rejects(monkeypatch):
 
     async def main():
         service = QueryService(
-            state, ServerConfig(max_batch=2, max_wait_ms=1.0)
+            state, ServerConfig(max_batch=2)
         )
         await service.start()
         inflight = [
@@ -298,7 +298,7 @@ def test_live_add_under_query_load_has_consistent_epochs():
 
     async def main():
         service = QueryService(
-            state, ServerConfig(max_batch=4, max_wait_ms=1.0)
+            state, ServerConfig(max_batch=4)
         )
         await service.start()
         await asyncio.gather(reader(service), writer(service))
@@ -325,7 +325,7 @@ def test_read_only_state_rejects_add(med_model):
     assert not state.writable
 
     async def main():
-        service = QueryService(state, ServerConfig(max_wait_ms=0.0))
+        service = QueryService(state, ServerConfig())
         await service.start()
         with pytest.raises(ReproError, match="read-only"):
             await service.add(["new document"])
@@ -391,7 +391,7 @@ def test_http_roundtrip_search_add_health_stats():
     state = _fresh_state()
     engine = LSIRetrieval(state.current().model)
     n0 = state.current().n_documents
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
 
         health = client.healthz()
@@ -422,7 +422,7 @@ def test_http_roundtrip_search_add_health_stats():
 
 def test_http_error_mapping():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=0.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
         # Unknown route → 404 → ReproError.
         with pytest.raises(ReproError, match="404"):
@@ -441,7 +441,7 @@ def test_http_error_mapping():
 
 def test_http_probes_validation():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=0.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
         for bad in (0, -3, True, 2.5, "many"):
             with pytest.raises(ReproError, match="400"):
@@ -460,7 +460,7 @@ def test_http_probes_roundtrip_and_full_probe_parity():
     # to the exact scan, and a bounded one reports its ann stats block.
     state = _fresh_state()
     quantizer = state.train_ann(4, seed=0)
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
         assert client.healthz()["ann"] is True
         for q in QUERIES[:3]:
@@ -482,7 +482,7 @@ def test_default_probes_applied_and_exact_escape_hatch():
     state.train_ann(4, seed=0)
     registry.reset("ann.")
     with _ServerThread(
-        state, ServerConfig(max_wait_ms=1.0, default_probes=2)
+        state, ServerConfig(default_probes=2)
     ) as server:
         client = ServerClient(port=server.port)
         assert client.healthz()["default_probes"] == 2
@@ -494,7 +494,7 @@ def test_default_probes_applied_and_exact_escape_hatch():
 
 def test_http_client_reuses_keep_alive_connection():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         with ServerClient(port=server.port) as client:
             client.healthz()
             conn = client._local.conn
@@ -508,7 +508,7 @@ def test_http_client_reuses_keep_alive_connection():
 
 def test_http_client_metrics_and_draining_flag():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         with ServerClient(port=server.port) as client:
             client.search(QUERIES[0], top=3)
             health = client.healthz()
@@ -524,7 +524,7 @@ def test_healthz_reports_draining_after_drain():
     state = _fresh_state()
 
     async def main():
-        service = QueryService(state, ServerConfig(max_wait_ms=1.0))
+        service = QueryService(state, ServerConfig())
         await service.start()
         assert service.healthz()["draining"] is False
         await service.drain()
@@ -614,14 +614,13 @@ def test_cli_serve_parser_flags():
     args = build_parser().parse_args(
         [
             "serve", "docs", "--port", "0", "--max-batch", "8",
-            "--max-wait-ms", "1.5", "--queue-depth", "16",
+            "--queue-depth", "16",
             "--shards", "2", "--workers", "3", "--timeout-ms", "250",
         ]
     )
     assert args.command == "serve"
     assert args.port == 0
     assert args.max_batch == 8
-    assert args.max_wait_ms == 1.5
     assert args.queue_depth == 16
     assert args.shards == 2
     assert args.workers == 3
@@ -654,7 +653,7 @@ _HEX_ID = _re.compile(r"[0-9a-f]{32}")
 
 def test_request_id_echoed_and_minted():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         with ServerClient(port=server.port) as client:
             client.search(QUERIES[0], top=3, request_id="req-abc.1")
             assert client.last_request_id == "req-abc.1"
@@ -671,7 +670,7 @@ def test_request_id_echoed_and_minted():
 
 def test_request_id_surfaces_on_error_responses():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         with ServerClient(port=server.port) as client:
             # 404: id echoed in the header, the exception, and its message.
             with pytest.raises(ReproError, match=r"request_id=req-404") as ei:
@@ -694,7 +693,7 @@ def test_request_id_surfaces_on_error_responses():
 
 def test_metrics_prom_endpoint_renders_text_exposition():
     state = _fresh_state()
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         with ServerClient(port=server.port) as client:
             client.search(QUERIES[0], top=3)
             text = client.metrics_prom()
@@ -711,7 +710,7 @@ def test_trace_endpoint_assembles_request_spans():
     obs.clear_spans()
     prev = obs.enable_tracing(True)
     try:
-        with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+        with _ServerThread(state, ServerConfig()) as server:
             with ServerClient(port=server.port) as client:
                 client.search(QUERIES[0], top=3, request_id="trace-me-1")
                 trace = client.trace("trace-me-1")
@@ -732,16 +731,22 @@ def test_trace_endpoint_assembles_request_spans():
 
 def test_slow_query_log_records_over_threshold_requests():
     state = _fresh_state()
-    config = ServerConfig(max_wait_ms=1.0, slow_ms=0.0001)
+    config = ServerConfig(slow_ms=0.0001)
     with _ServerThread(state, config) as server:
         with ServerClient(port=server.port) as client:
-            client.search(QUERIES[0], top=3, request_id="slow-1")
+            response = client.search(QUERIES[0], top=3, request_id="slow-1")
             stats = client.stats()
             health = client.healthz()
+    # Slow-log evidence rides on the request, never in the response body.
+    assert set(response) == {"epoch", "n_documents", "results"}
     slow = stats["slow_queries"]
     assert slow, "every request crosses a 0.0001ms threshold"
     assert slow[-1]["trace_id"] == "slow-1"
     assert slow[-1]["duration_ms"] > 0
+    # The scheduler's evidence: the request was scored alone, and its
+    # own queue wait is part of (so no longer than) its duration.
+    assert slow[-1]["batch_size"] == 1
+    assert 0 <= slow[-1]["queue_wait_ms"] <= slow[-1]["duration_ms"]
     assert health["slowlog"]["records"] >= 1
     assert stats["metrics"]["counters"]["server.slow_queries_total"] >= 1
 
@@ -752,7 +757,7 @@ def test_slow_query_log_records_effective_probes():
     # absent ``probes`` argument.
     state = _fresh_state()
     state.train_ann(n_clusters=4)
-    config = ServerConfig(max_wait_ms=1.0, slow_ms=0.0001, default_probes=3)
+    config = ServerConfig(slow_ms=0.0001, default_probes=3)
     with _ServerThread(state, config) as server:
         with ServerClient(port=server.port) as client:
             assert client.search(QUERIES[0], top=3)["ann"]["probes"] == 3
@@ -764,7 +769,7 @@ def test_slow_query_log_records_effective_probes():
 
 def test_slow_query_log_disabled_below_threshold():
     state = _fresh_state()
-    config = ServerConfig(max_wait_ms=1.0, slow_ms=0.0)
+    config = ServerConfig(slow_ms=0.0)
     with _ServerThread(state, config) as server:
         with ServerClient(port=server.port) as client:
             client.search(QUERIES[0], top=3)

@@ -293,7 +293,7 @@ def test_format1_checkpoint_serves_by_exact_fallback(tmp_path):
         registry.reset("ann.")
 
         async def main():
-            service = QueryService(state, ServerConfig(max_wait_ms=1.0))
+            service = QueryService(state, ServerConfig())
             await service.start()
             try:
                 with_probes = await service.search(

@@ -287,7 +287,7 @@ def test_endpoint_matrix(name, tmp_path):
     tenant = None
     if name == "QueryService":
         server = _ServerThread(
-            state_from_texts(_texts(30, 3), k=8), ServerConfig(max_wait_ms=1.0)
+            state_from_texts(_texts(30, 3), k=8), ServerConfig()
         )
     elif name == "ClusterService":
         server = _ServerThread(

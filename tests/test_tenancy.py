@@ -301,7 +301,7 @@ def test_quota_starvation_cold_tenant_latency_bounded(monkeypatch):
 
     async def main():
         service = QueryService(
-            reg, ServerConfig(max_batch=1, max_wait_ms=0.0, queue_depth=4)
+            reg, ServerConfig(max_batch=1, queue_depth=4)
         )
         await service.start()
         hot = [
@@ -345,7 +345,7 @@ def test_http_tenant_routing_end_to_end():
         tid: LSIRetrieval(_build_state(tid).current().model)
         for tid in ("alpha", "beta")
     }
-    with _ServerThread(reg, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(reg, ServerConfig()) as server:
         client = ServerClient(port=server.port)
 
         # /tenants before any query: registered but cold.
@@ -410,7 +410,7 @@ def test_http_tenant_routing_end_to_end():
 def test_http_single_tenant_shape_unchanged():
     """Single-tenant responses keep their exact legacy shape."""
     state = _build_state("alpha")
-    with _ServerThread(state, ServerConfig(max_wait_ms=1.0)) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
         data = client.search(TENANT_QUERIES["alpha"], top=2)
         assert "tenant" not in data
