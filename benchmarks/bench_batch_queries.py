@@ -10,9 +10,10 @@ import numpy as np
 
 from conftest import emit
 from repro.core import fit_lsi, project_query
+from repro.core.query import batch_project_queries
 from repro.core.similarity import cosine_similarities
 from repro.corpus import SyntheticSpec, topic_collection
-from repro.parallel import batch_cosine_scores, batch_project_queries
+from repro.server.state import EpochSnapshot
 
 
 def test_batch_query_scoring(benchmark):
@@ -27,8 +28,9 @@ def test_batch_query_scoring(benchmark):
     queries = col.queries  # 96 queries
 
     Q = batch_project_queries(model, queries)
+    snapshot = EpochSnapshot(0, model)
 
-    batched = benchmark(batch_cosine_scores, model, Q)
+    batched = benchmark(snapshot.score_batch, Q)
 
     # Identical to the per-query path.
     import time
@@ -39,7 +41,7 @@ def test_batch_query_scoring(benchmark):
     ])
     loop_time = time.perf_counter() - t0
     t0 = time.perf_counter()
-    batch_cosine_scores(model, Q)
+    snapshot.score_batch(Q)
     batch_time = time.perf_counter() - t0
 
     assert np.allclose(batched, singles, atol=1e-12)

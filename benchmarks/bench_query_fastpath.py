@@ -3,8 +3,8 @@
 The seed path recomputed ``V_k Σ_k`` and every row norm on *every*
 query, ran a full ``argsort`` over all n documents, and built the
 complete n-pair Python list before applying ``top``.  The fast path
-caches the scaled coordinates and norms once per model
-(:class:`repro.serving.DocumentIndex`), selects top-k with
+derives the scaled coordinates and norms once per model
+(:func:`repro.serving.scaled_documents`), selects top-k with
 ``argpartition``, and converts only the k survivors to pairs.
 
 Acceptance: ≥ 3× single-query search throughput at n≈10⁴ documents,
@@ -20,7 +20,8 @@ from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
 from repro.obs import span, tracing_enabled
 from repro.obs.metrics import registry
-from repro.serving import get_document_index
+from repro.retrieval import LSIRetrieval
+from repro.serving import ranked_pairs, scaled_documents
 from repro.text.vocabulary import Vocabulary
 
 N_DOCS = 10_000
@@ -70,24 +71,30 @@ def _seed_search(model: LSIModel, qhat: np.ndarray, top: int):
     return results[:top]
 
 
+def _fast_search(engine: LSIRetrieval, qhat: np.ndarray, top: int):
+    """The engine's search for an already-projected query vector."""
+    return ranked_pairs(engine.scores_for_vector(qhat), top=top)
+
+
 def test_query_fastpath_speedup():
     model = _serving_model()
     rng = np.random.default_rng(7)
     qhats = rng.standard_normal((N_QUERIES, K))
 
-    index = get_document_index(model)  # build outside the timed region
+    engine = LSIRetrieval(model)
+    scaled_documents(model)  # build outside the timed region
     registry.reset("serving.")
 
     # Warm-up + byte-identical ranking check on every query.
     for q in qhats:
-        fast = index.search_vector(q, top=TOP)
+        fast = _fast_search(engine, q, TOP)
         seed = _seed_search(model, q, TOP)
         assert [j for j, _ in fast] == [j for j, _ in seed]
         assert [c for _, c in fast] == [c for _, c in seed]
 
     t0 = time.perf_counter()
     for q in qhats:
-        index.search_vector(q, top=TOP)
+        _fast_search(engine, q, TOP)
     fast_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -103,7 +110,7 @@ def test_query_fastpath_speedup():
             f"{N_QUERIES} queries × {N_DOCS} documents, k={K}, top={TOP}",
             f"seed path (recompute + full argsort):  "
             f"{seed_time / N_QUERIES * 1e3:8.3f} ms/query",
-            f"fast path (cached index + argpartition): "
+            f"fast path (memoized V·Σ + argpartition): "
             f"{fast_time / N_QUERIES * 1e3:8.3f} ms/query",
             f"speedup: {speedup:.1f}x   (floor {MIN_SPEEDUP:.0f}x)",
             f"counters: queries_served="
@@ -138,13 +145,13 @@ def test_disabled_tracing_overhead():
     model = _serving_model()
     rng = np.random.default_rng(7)
     qhats = rng.standard_normal((N_QUERIES, K))
-    index = get_document_index(model)
+    engine = LSIRetrieval(model)
 
     for q in qhats:  # warm-up
-        index.search_vector(q, top=TOP)
+        _fast_search(engine, q, TOP)
     t0 = time.perf_counter()
     for q in qhats:
-        index.search_vector(q, top=TOP)
+        _fast_search(engine, q, TOP)
     per_query = (time.perf_counter() - t0) / N_QUERIES
 
     reps = 200_000

@@ -12,7 +12,8 @@ import pytest
 from conftest import emit
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
-from repro.parallel import blocked_cosine_scores, sharded_search
+from repro.parallel import sharded_search
+from repro.server.state import EpochSnapshot
 from repro.sparse import from_dense
 from repro.sparse.ops import csr_matmat
 from repro.text import Vocabulary
@@ -75,12 +76,13 @@ def test_flat_cosine_scoring(benchmark, scoring_model):
 
 
 def test_blocked_cosine_scoring(benchmark, scoring_model):
-    qhat = ensure_rng(2).standard_normal(scoring_model.k)
-    flat = cosine_similarities(scoring_model, qhat)
-    blocked = benchmark(
-        blocked_cosine_scores, scoring_model, qhat, block=8192
-    )
-    assert np.allclose(blocked, flat)
+    snapshot = EpochSnapshot(0, scoring_model)
+    Qs = snapshot.scale(ensure_rng(2).standard_normal(scoring_model.k))
+    (flat,), _ = snapshot.search(Qs, top=10)
+    # 7 row blocks of ~7k rows each, scored one after the other.
+    (blocked,), _ = benchmark(snapshot.search, Qs, top=10, shards=7)
+    assert [j for j, _ in blocked] == [j for j, _ in flat]
+    assert np.allclose([c for _, c in blocked], [c for _, c in flat])
 
 
 def test_sharded_search_parallel(benchmark, scoring_model):

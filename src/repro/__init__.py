@@ -53,7 +53,6 @@ from repro.errors import (
     VocabularyError,
 )
 from repro.retrieval import KeywordRetrieval, LSIRetrieval
-from repro.serving import DocumentIndex, get_document_index
 from repro.text import ParsingRules
 from repro.updating import (
     fold_in_documents,
@@ -80,8 +79,6 @@ __all__ = [
     "load_model",
     "LSIRetrieval",
     "KeywordRetrieval",
-    "DocumentIndex",
-    "get_document_index",
     "ParsingRules",
     "WeightingScheme",
     "fold_in_documents",

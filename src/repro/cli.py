@@ -471,7 +471,7 @@ def _cmd_query(args, out) -> int:
     query = " ".join(args.text)
     # Serve through the retrieval engine so the query takes the same
     # instrumented fast path production traffic does (lsi.search span,
-    # query-vector cache, cached DocumentIndex, argpartition top-k).
+    # query-vector cache, memoized V_k Σ_k, argpartition top-k).
     engine = LSIRetrieval(model)
     ranked = engine.search(query, top=args.top, threshold=args.threshold)
     for doc_index, cosine in ranked:

@@ -3,7 +3,7 @@
 One :class:`ClusterRouter` holds a persistent, id-multiplexed frame
 connection to each live worker slot of a
 :class:`~repro.cluster.placement.ReplicaPlan`.  A query batch is scaled
-once (``Q Σ``, mirroring :meth:`DocumentIndex.prepare_queries`),
+once (``Q Σ``, mirroring :meth:`EpochSnapshot.scale`),
 scattered **once per range** — not per worker — and the per-range stable
 top-k lists are merged per query with
 :func:`repro.parallel.sharding.merge_topk`, the same function the
@@ -564,7 +564,7 @@ class ClusterRouter:
 
         ``Qs`` must already be comparison-space scaled (``q̂ Σ``) — the
         service layer does this once, exactly as
-        ``DocumentIndex.prepare_queries`` would.  ``probes`` asks every
+        ``EpochSnapshot.scale`` would.  ``probes`` asks every
         worker for the probe-bounded scan (each clips the same global
         candidate cells to its own rows); workers without a quantizer
         answer exactly, which only ever *adds* candidates to the merge.

@@ -35,7 +35,7 @@ import numpy as np
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
-from repro.core.query import project_query
+from repro.core.query import batch_project_queries, project_query
 from repro.errors import (
     ClusterConfigError,
     ClusterReadOnlyError,
@@ -306,9 +306,9 @@ class ClusterService(ServiceBase):
         self, handle: EpochHandle, Q, top, threshold, timeout_ms, probes, exact
     ) -> ClusterResult:
         """Scatter unscaled ``Q`` at ``handle``'s epoch, config defaults
-        applied.  ``Q Σ`` — exactly ``DocumentIndex.prepare_queries`` in
-        scaled mode — is applied here, router-side, so every worker
-        scores identical bytes."""
+        applied.  ``Q Σ`` — exactly :meth:`EpochSnapshot.scale` — is
+        applied here, router-side, so every worker scores identical
+        bytes."""
         return await self.router.search_batch(
             np.atleast_2d(np.asarray(Q, dtype=np.float64)) * handle.model.s,
             plan=handle.plan,
@@ -423,8 +423,6 @@ class ClusterService(ServiceBase):
         if isinstance(queries, np.ndarray):
             Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         else:
-            from repro.parallel.batch import batch_project_queries
-
             Q = batch_project_queries(handle.model, queries)
         return await self._scatter(
             handle, Q, top, threshold, timeout_ms, probes, exact

@@ -25,6 +25,12 @@ __all__ = ["LSIModel"]
 class LSIModel:
     """A truncated-SVD semantic space.
 
+    Treat an instance as immutable once it has been scored: the serving
+    layer memoizes ``V_k Σ_k`` on it
+    (:func:`repro.serving.index.scaled_documents`), so an in-place edit
+    of ``V`` or ``s`` after that is not seen.  Every update path returns
+    a new model instead.
+
     Attributes
     ----------
     U:

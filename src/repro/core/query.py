@@ -22,7 +22,13 @@ from repro.errors import ShapeError
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
 
-__all__ = ["project_query", "project_counts", "pseudo_document", "query_counts"]
+__all__ = [
+    "project_query",
+    "batch_project_queries",
+    "project_counts",
+    "pseudo_document",
+    "query_counts",
+]
 
 
 def query_counts(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:
@@ -82,3 +88,12 @@ def project_counts(model: LSIModel, counts: np.ndarray) -> np.ndarray:
 def project_query(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:
     """Full Eq. 6 pipeline: tokenize, weight, project."""
     return project_counts(model, query_counts(model, query))
+
+
+def batch_project_queries(
+    model: LSIModel, queries: Sequence[str]
+) -> np.ndarray:
+    """Eq. 6 for many queries at once: ``(q, k)`` pseudo-documents."""
+    if not queries:
+        raise ShapeError("need at least one query")
+    return np.stack([project_query(model, q) for q in queries])

@@ -20,8 +20,8 @@ Execution
 Scoring routes through the serving fast path
 (:mod:`repro.serving`): :func:`cosine_similarities` is the q=1 case of
 the batched GEMM kernel, reading ``V_k Σ_k`` and its row norms from the
-per-model :class:`~repro.serving.index.DocumentIndex` cache instead of
-recomputing them per query, and the ranked/filtered entry points select
+model's own memo (:func:`repro.serving.index.scaled_documents`) instead
+of recomputing them per query, and the ranked/filtered entry points select
 top-z with ``argpartition`` instead of a full sort — with output
 element-identical to the historical stable-argsort implementation.
 """
@@ -32,7 +32,8 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
-from repro.serving.index import get_document_index
+from repro.obs.metrics import registry
+from repro.serving.index import scaled_documents
 from repro.serving.kernel import cosine_scores
 from repro.serving.topk import ranked_order, topk_indices
 
@@ -56,13 +57,20 @@ def cosine_similarities(
 ) -> np.ndarray:
     """Cosine of the query pseudo-vector with every document (length n).
 
-    The q=1 case of the batch GEMM path, served from the cached
-    :class:`~repro.serving.index.DocumentIndex` for ``model``.
+    The q=1 case of the batch GEMM path.  ``"scaled"`` compares in
+    ``V_k Σ_k`` (memoized on the model); ``"factors"`` compares the raw
+    ``q̂`` with the rows of ``V_k``.
     """
+    if mode not in ("scaled", "factors"):
+        raise ValueError(f"unknown similarity mode {mode!r}")
     qhat = np.asarray(qhat, dtype=np.float64).ravel()
     if qhat.size != model.k:
         raise ShapeError(f"query vector has {qhat.size} dims for k={model.k}")
-    return get_document_index(model, mode=mode).scores(qhat)
+    registry.inc("serving.queries_served")
+    if mode == "factors":
+        return cosine_scores(model.V, qhat)[0]
+    coords, norms = scaled_documents(model)
+    return cosine_scores(coords, qhat * model.s, norms=norms)[0]
 
 
 def rank_documents(

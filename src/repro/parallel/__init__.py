@@ -7,19 +7,18 @@ comparing queries to documents (finding near neighbors in high-dimension
 spaces)".  These helpers address the third at laptop scale and keep
 memory bounded for the first two:
 
-* :mod:`repro.parallel.chunked` — blocked cosine scoring and blocked
-  fold-in that stream over document shards without materializing
-  ``nnz × k`` temporaries;
+* :mod:`repro.parallel.chunked` — blocked fold-in that streams over
+  document blocks without materializing ``nnz × k`` temporaries;
 * :mod:`repro.parallel.pool` — a thread-pool map (NumPy releases the GIL
   inside its kernels, so scoring shards in threads scales) with a
   deterministic sequential fallback;
 * :mod:`repro.parallel.sharding` — splitting a document collection into
   shards and merging per-shard top-z results exactly, for one query
   (:func:`sharded_search`) or a whole batch
-  (:func:`sharded_batch_search`) over the cached serving index.
+  (:func:`sharded_batch_search`) over the model's memoized ``V_k Σ_k``.
 """
 
-from repro.parallel.chunked import blocked_cosine_scores, blocked_fold_in
+from repro.parallel.chunked import blocked_fold_in
 from repro.parallel.pool import parallel_map
 from repro.parallel.sharding import (
     merge_topk,
@@ -27,21 +26,12 @@ from repro.parallel.sharding import (
     sharded_batch_search,
     sharded_search,
 )
-from repro.parallel.batch import (
-    batch_cosine_scores,
-    batch_project_queries,
-    batch_search,
-)
 
 __all__ = [
-    "blocked_cosine_scores",
     "blocked_fold_in",
     "parallel_map",
     "shard_documents",
     "sharded_search",
     "sharded_batch_search",
     "merge_topk",
-    "batch_project_queries",
-    "batch_cosine_scores",
-    "batch_search",
 ]

@@ -1,11 +1,11 @@
-"""Blocked (cache-friendly, memory-bounded) bulk operations.
+"""Blocked (cache-friendly, memory-bounded) bulk fold-in.
 
-Scoring a query against hundreds of thousands of document vectors and
-folding large document batches are streaming problems: process blocks of
+Folding a large document batch is a streaming problem: process blocks of
 columns, never materialize more than one block of temporaries.  The
 block size defaults to a few thousand vectors — small enough to stay in
 cache, large enough to amortize the NumPy call overhead (guide advice:
-vectorize, but mind working-set size).
+vectorize, but mind working-set size).  Blocked *scoring* is
+``EpochSnapshot.search(shards=, workers=)``.
 """
 
 from __future__ import annotations
@@ -14,48 +14,10 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
-from repro.parallel.pool import parallel_map
 
-__all__ = ["blocked_cosine_scores", "blocked_fold_in"]
+__all__ = ["blocked_fold_in"]
 
 DEFAULT_BLOCK = 4096
-
-
-def blocked_cosine_scores(
-    model: LSIModel,
-    qhat: np.ndarray,
-    *,
-    block: int = DEFAULT_BLOCK,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Cosine of ``qhat`` against every document, block by block.
-
-    Numerically identical to
-    :func:`repro.core.similarity.cosine_similarities` (scaled mode); the
-    blocks may be scored by a thread pool.
-    """
-    qhat = np.asarray(qhat, dtype=np.float64).ravel()
-    if qhat.size != model.k:
-        raise ShapeError(f"query vector has {qhat.size} dims for k={model.k}")
-    if block < 1:
-        raise ShapeError("block must be >= 1")
-    target = qhat * model.s
-    tn = np.sqrt(np.dot(target, target))
-    n = model.n_documents
-    starts = list(range(0, n, block))
-
-    def score_block(lo: int) -> np.ndarray:
-        hi = min(lo + block, n)
-        coords = model.V[lo:hi] * model.s
-        norms = np.sqrt(np.sum(coords**2, axis=1))
-        denom = norms * tn
-        out = np.zeros(hi - lo)
-        ok = denom > 0
-        out[ok] = (coords[ok] @ target) / denom[ok]
-        return out
-
-    pieces = parallel_map(score_block, starts, workers=workers)
-    return np.concatenate(pieces) if pieces else np.zeros(0)
 
 
 def blocked_fold_in(
@@ -72,7 +34,6 @@ def blocked_fold_in(
     the paper's TREC pipeline, where the fold-in stream was an order of
     magnitude larger than the decomposed sample.
     """
-    from repro.serving.index import invalidate_model
     from repro.updating.folding import _weight_columns
 
     counts = np.asarray(counts, dtype=np.float64)
@@ -86,7 +47,4 @@ def blocked_fold_in(
         hi = min(lo + block, p)
         weighted = _weight_columns(model, counts[:, lo:hi])
         vecs[lo:hi] = (weighted.T @ model.U) / model.s
-    # Same invalidation contract as fold_in_documents: the source model
-    # is superseded, so its cached serving index must not keep answering.
-    invalidate_model(model)
     return model.with_documents(vecs, doc_ids, provenance="fold-in")

@@ -6,9 +6,9 @@ each shard's own space, so the merge is only exact when the shards share
 one model; :func:`sharded_search` therefore shards the *scoring*, not the
 decomposition, matching the paper's single-space TREC design.
 
-Shards are contiguous row ranges of the cached
-:class:`~repro.serving.index.DocumentIndex`, so per-shard scoring works
-on zero-copy views of the precomputed ``V_k Σ_k`` and its norms; the
+Shards are contiguous row ranges of the model's memoized comparison
+space (:func:`~repro.serving.index.scaled_documents`), so per-shard
+scoring works on zero-copy views of ``V_k Σ_k`` and its norms; the
 per-shard top-k uses the same argpartition selection as the flat path
 and the merge preserves its tie order (lower document index first), so
 sharded results are element-identical to a flat search.
@@ -25,11 +25,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.model import LSIModel
+from repro.core.query import batch_project_queries
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.parallel.pool import parallel_map
-from repro.serving.index import DocumentIndex, get_document_index
+from repro.serving.index import scaled_documents
 from repro.serving.kernel import cosine_scores
 from repro.serving.topk import topk_indices
 
@@ -84,22 +85,21 @@ def merge_topk(
 
 
 def _shard_topk(
-    index: DocumentIndex,
+    coords: np.ndarray,
+    norms: np.ndarray,
     Qs: np.ndarray,
     lo: int,
     hi: int,
     top: int,
 ) -> list[list[tuple[int, float]]]:
-    """Per-query top-``top`` pairs within rows ``lo:hi`` of the index.
+    """Per-query top-``top`` pairs within rows ``lo:hi`` of ``coords``.
 
     Scores the shard with the shared GEMM kernel on zero-copy views of
-    the cached coordinates and norms; indices are shifted to global.
+    the memoized coordinates and norms; indices are shifted to global.
     """
     if hi <= lo:
         return [[] for _ in range(Qs.shape[0])]
-    S = cosine_scores(
-        index.coords[lo:hi], Qs, norms=index.norms[lo:hi]
-    )
+    S = cosine_scores(coords[lo:hi], Qs, norms=norms[lo:hi])
     out = []
     for row in S:
         order = topk_indices(row, top)
@@ -139,11 +139,10 @@ def sharded_batch_search(
 
     ``queries`` may be raw texts (projected with Eq. 6 first) or an
     already-projected ``(q, k)`` array.  Each shard scores the whole
-    query batch with one GEMM over its slice of the document index —
+    query batch with one GEMM over its slice of ``V_k Σ_k`` —
     optionally across a thread pool (NumPy releases the GIL inside the
     GEMM) — then the per-shard top-k heaps are merged exactly per query.
-    Results are element-identical to
-    :func:`repro.parallel.batch.batch_search`.
+    Results do not depend on ``shards``; ``shards=1`` is the flat search.
     """
     if top < 1:
         raise ShapeError("top must be >= 1")
@@ -151,13 +150,15 @@ def sharded_batch_search(
         if isinstance(queries, np.ndarray):
             Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         else:
-            from repro.parallel.batch import batch_project_queries
-
             with span("lsi.project.batch", queries=len(queries)):
                 Q = batch_project_queries(model, queries)
-        index = get_document_index(model, mode="scaled")
-        Qs = index.prepare_queries(Q)
-        parts = shard_bounds(index.n_documents, shards)
+        if Q.shape[1] != model.k:
+            raise ShapeError(
+                f"queries have {Q.shape[1]} dims for k={model.k}"
+            )
+        coords, norms = scaled_documents(model)
+        Qs = Q * model.s
+        parts = shard_bounds(model.n_documents, shards)
 
         def search_shard(
             bounds: tuple[int, int],
@@ -165,7 +166,7 @@ def sharded_batch_search(
             lo, hi = bounds
             registry.inc("serving.shard_searches")
             with span("lsi.search.shard", lo=lo, hi=hi):
-                return _shard_topk(index, Qs, lo, hi, top)
+                return _shard_topk(coords, norms, Qs, lo, hi, top)
 
         per_shard = parallel_map(search_shard, parts, workers=workers)
         with span("lsi.search.merge", shards=shards):

@@ -14,9 +14,8 @@ import numpy as np
 
 from repro.core.build import fit_lsi
 from repro.core.model import LSIModel
-from repro.core.query import project_counts, query_counts
+from repro.core.similarity import cosine_similarities
 from repro.obs.tracing import span
-from repro.serving.index import get_document_index
 from repro.serving.querycache import QueryVectorCache
 from repro.serving.topk import ranked_pairs
 from repro.text.parser import ParsingRules
@@ -49,9 +48,10 @@ class LSIRetrieval:
     """Retrieval through a fitted LSI model (Eq. 6 + cosine ranking).
 
     Queries run on the serving fast path: document coordinates and norms
-    come from the per-model :class:`~repro.serving.index.DocumentIndex`
-    cache, projected query vectors are memoized in an LRU keyed on the
-    query's normalized token counts (``query_cache_size`` entries; 0
+    come from the model's own memo
+    (:func:`~repro.serving.index.scaled_documents`), projected query
+    vectors are memoized in an LRU keyed on the query's normalized token
+    counts (``query_cache_size`` entries; 0
     disables), and top-z selection uses ``argpartition`` with output
     element-identical to a full stable sort.
     """
@@ -68,7 +68,6 @@ class LSIRetrieval:
         self.model = model
         self.mode = mode
         self._query_cache = QueryVectorCache(query_cache_size)
-        self._query_cache_model = model
 
     @classmethod
     def from_texts(
@@ -108,31 +107,18 @@ class LSIRetrieval:
         the same entry.  A model swap on this engine clears the cache.
         """
         with span("lsi.project"):
-            if self._query_cache_model is not self.model:
-                self._query_cache.clear()
-                self._query_cache_model = self.model
-            counts = query_counts(self.model, query)
-            key = QueryVectorCache.key_from_counts(counts)
-            qhat = self._query_cache.get(key)
-            if qhat is None:
-                qhat = project_counts(self.model, counts)
-                self._query_cache.put(key, qhat)
-            return qhat
+            return self._query_cache.project(self.model, query)
 
     def scores(self, query) -> np.ndarray:
         """Cosine of the query against every document (length n)."""
         qhat = self.query_vector(query)
         if not np.any(qhat):
             return np.zeros(self.n_documents)
-        return self._index().scores(qhat)
+        return self.scores_for_vector(qhat)
 
     def scores_for_vector(self, qhat: np.ndarray) -> np.ndarray:
         """Scores for an externally supplied k-space vector (feedback)."""
-        return self._index().scores(qhat)
-
-    def _index(self):
-        """The cached document index for the engine's current model."""
-        return get_document_index(self.model, mode=self.mode)
+        return cosine_similarities(self.model, qhat, mode=self.mode)
 
     def search(
         self,
@@ -154,4 +140,8 @@ class LSIRetrieval:
     def with_k(self, k: int) -> "LSIRetrieval":
         """Engine over the same model truncated to ``k`` factors (for the
         §5.2 choosing-k sweeps — one decomposition, many k values)."""
-        return LSIRetrieval(self.model.truncated(k), mode=self.mode)
+        return LSIRetrieval(
+            self.model.truncated(k),
+            mode=self.mode,
+            query_cache_size=self._query_cache.maxsize,
+        )

@@ -1,7 +1,7 @@
 """The async query service: the layer that *serves* the fast path.
 
 PR 1 made a single process score queries as fast as the hardware allows
-(cached :class:`~repro.serving.index.DocumentIndex`, one GEMM kernel,
+(``V_k Σ_k`` derived once per model, one GEMM kernel,
 argpartition top-k); PR 2 made every stage observable.  Nothing served
 them: each ``repro query`` invocation reloaded the model, and the
 batched GEMM only helped callers who arrived pre-batched.  This package

@@ -1,12 +1,11 @@
 """Epoch-swapped serving state: atomic reader/writer model handoff.
 
 The updating layer (§2.3 folding-in, §4 SVD-updating) replaces the
-*model object* on every maintenance action, and the serving cache
-enforces that by flagging superseded :class:`DocumentIndex` handles
-stale.  A long-lived server needs the complementary guarantee: queries
-that started before an update must be allowed to **finish** against the
-state they started on, while new queries see the new state — the
-classic epoch (RCU-style) handoff.
+*model object* on every maintenance action and never touches the one it
+superseded.  A long-lived server builds on exactly that: queries that
+started before an update **finish** against the state they started on,
+while new queries see the new state — the classic epoch (RCU-style)
+handoff.
 
 :class:`EpochSnapshot` pins everything one batch of queries needs — the
 model, the precomputed document coordinates and norms of a row range
@@ -18,11 +17,10 @@ publishes the current snapshot behind a single attribute write (atomic
 under the GIL), so readers never lock; writers serialize on a mutex,
 route the addition through :class:`~repro.updating.manager.LSIIndexManager`
 (fold-in now, consolidate per the §4.3 drift policy), build the
-successor snapshot, and swap.  A snapshot deliberately scores through
-the raw kernel rather than :meth:`DocumentIndex.batch_scores`: the
-freshness check would reject exactly the in-flight-against-old-epoch
-reads this layer exists to permit, and the pinned arrays are immutable
-either way.
+successor snapshot, and swap.  A whole-model snapshot scores the
+read-only ``V_k Σ_k`` its model memoizes
+(:func:`~repro.serving.index.scaled_documents`), so it shares one build
+with every other scorer of that model and frees it with the model.
 """
 
 from __future__ import annotations
@@ -33,12 +31,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.model import LSIModel
-from repro.core.query import project_counts, query_counts
 from repro.errors import ReproError, ShapeError
 from repro.obs.metrics import registry
 from repro.parallel.pool import parallel_map
+from repro.parallel.sharding import shard_bounds
 from repro.serving.ann import CoarseQuantizer
-from repro.serving.index import get_document_index
+from repro.serving.index import scaled_documents
 from repro.serving.kernel import cosine_scores, row_norms
 from repro.serving.querycache import QueryVectorCache
 from repro.serving.topk import ranked_order
@@ -87,11 +85,7 @@ class EpochSnapshot:
         self.model = model
         n = model.n_documents
         if lo == 0 and hi is None:
-            index = get_document_index(model, mode="scaled")
-            # Pin the arrays themselves: they stay valid even if the cache
-            # entry is evicted or the index handle later goes stale.
-            self.coords = index.coords
-            self.norms = index.norms
+            self.coords, self.norms = scaled_documents(model)
             hi = n
         else:
             hi = n if hi is None else hi
@@ -124,19 +118,9 @@ class EpochSnapshot:
 
     # ------------------------------------------------------------------ #
     def project(self, query) -> np.ndarray:
-        """Eq. 6 for one query (text or token sequence), cache-memoized.
-
-        Identical math to :meth:`LSIRetrieval.query_vector`: normalized
-        token counts key the per-epoch LRU, misses run the weighting
-        transform + ``U_k Σ_k⁻¹`` projection.
-        """
-        counts = query_counts(self.model, query)
-        key = QueryVectorCache.key_from_counts(counts)
-        qhat = self.query_cache.get(key)
-        if qhat is None:
-            qhat = project_counts(self.model, counts)
-            self.query_cache.put(key, qhat)
-        return qhat
+        """Eq. 6 for one query (text or token sequence), memoized in the
+        per-epoch LRU (the call :meth:`LSIRetrieval.query_vector` makes)."""
+        return self.query_cache.project(self.model, query)
 
     def scale(self, Q: np.ndarray) -> np.ndarray:
         """``Q Σ`` as a ``(q, k)`` batch: the "scaled" comparison space."""
@@ -224,11 +208,6 @@ class EpochSnapshot:
         n = self.coords.shape[0]
         if shards <= 1 or n == 0:
             return cosine_scores(self.coords, Qs, norms=self.norms)
-        bounds = np.linspace(0, n, min(shards, n) + 1).astype(np.int64)
-        parts = [
-            (int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(bounds) - 1)
-        ]
 
         def score_slice(lohi: tuple[int, int]) -> np.ndarray:
             lo, hi = lohi
@@ -236,7 +215,9 @@ class EpochSnapshot:
                 self.coords[lo:hi], Qs, norms=self.norms[lo:hi]
             )
 
-        blocks = parallel_map(score_slice, parts, workers=workers)
+        blocks = parallel_map(
+            score_slice, shard_bounds(n, min(shards, n)), workers=workers
+        )
         return np.concatenate(blocks, axis=1)
 
     def score_batch(self, Q: np.ndarray) -> np.ndarray:

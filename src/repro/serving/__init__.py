@@ -11,10 +11,9 @@ quantities are built once and queried many times:
 
 * :mod:`repro.serving.kernel` — the single GEMM cosine kernel every
   scoring path (single, batched, sharded) routes through;
-* :mod:`repro.serving.index` — :class:`DocumentIndex`, the per-model
-  cache of ``V_k Σ_k`` / row norms / zero mask, with the invalidation
-  contract the updating layer enforces (fold-in and SVD-updating never
-  serve stale scores — Vecharynski & Saad's fast-update requirement);
+* :mod:`repro.serving.index` — :func:`scaled_documents`, the read-only
+  ``V_k Σ_k`` / row norms memoized on the model instance itself (every
+  update returns a new model, so there is nothing to invalidate);
 * :mod:`repro.serving.topk` — ``argpartition`` top-k selection that is
   element-identical to the stable full sort, plus vectorized §3.1
   threshold filtering;
@@ -25,23 +24,13 @@ Perf counters for all of the above live in
 :data:`repro.obs.metrics.registry` under the ``serving.`` prefix.
 """
 
-from repro.serving.index import (
-    DocumentIndex,
-    cache_info,
-    clear_index_cache,
-    get_document_index,
-    invalidate_model,
-)
+from repro.serving.index import scaled_documents
 from repro.serving.kernel import cosine_scores, row_norms
 from repro.serving.querycache import QueryVectorCache
 from repro.serving.topk import ranked_order, ranked_pairs, topk_indices
 
 __all__ = [
-    "DocumentIndex",
-    "get_document_index",
-    "invalidate_model",
-    "cache_info",
-    "clear_index_cache",
+    "scaled_documents",
     "cosine_scores",
     "row_norms",
     "QueryVectorCache",

@@ -1,9 +1,9 @@
 """The one cosine-scoring kernel every query path routes through.
 
 Single-query scoring (``repro.core.similarity.cosine_similarities``),
-batched scoring (``repro.parallel.batch.batch_cosine_scores``) and the
-sharded serving path all used to carry their own copy of the same
-norm/mask/divide arithmetic.  This module is the single implementation:
+batched scoring (``EpochSnapshot.score_batch``) and the sharded serving
+path all used to carry their own copy of the same norm/mask/divide
+arithmetic.  This module is the single implementation:
 a dense GEMM (GEMV for the q=1 case) against the document coordinate
 rows, followed by one vectorized normalization with zero-norm masking.
 

@@ -10,9 +10,9 @@ canonical sparse form of the count vector), so ``"blood age"``,
 out-of-vocabulary noise that drops out of the counts cannot split it.
 
 The cache belongs to whoever owns a model reference (the retrieval
-engine); owners must :meth:`~QueryVectorCache.clear` it when their model
-changes — :class:`repro.retrieval.engine.LSIRetrieval` does this by
-identity check on every lookup.
+engine, an epoch snapshot) and is reached through
+:meth:`QueryVectorCache.project`, which drops every entry when it is
+handed a different model than the one its entries were projected with.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.core.model import LSIModel
+from repro.core.query import project_counts, query_counts
 from repro.obs.metrics import registry
 
 __all__ = ["QueryVectorCache"]
@@ -36,6 +38,24 @@ class QueryVectorCache:
     def __init__(self, maxsize: int = 256):
         self.maxsize = int(maxsize)
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._model: LSIModel | None = None
+
+    def project(self, model: LSIModel, query) -> np.ndarray:
+        """Eq. 6 for one query (text or token sequence), memoized.
+
+        Normalized token counts key the LRU; a miss runs the weighting
+        transform + ``U_k Σ_k⁻¹`` projection and stores the result.
+        """
+        if model is not self._model:
+            self.clear()
+            self._model = model
+        counts = query_counts(model, query)
+        key = self.key_from_counts(counts)
+        qhat = self.get(key)
+        if qhat is None:
+            qhat = project_counts(model, counts)
+            self.put(key, qhat)
+        return qhat
 
     @staticmethod
     def key_from_counts(counts: np.ndarray) -> tuple:

@@ -40,7 +40,6 @@ from repro.errors import ShapeError
 from repro.linalg.jacobi_svd import jacobi_svd
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.serving.index import invalidate_model
 from repro.updating.folding import _weight_columns
 
 __all__ = ["fast_update_documents"]
@@ -126,9 +125,6 @@ def fast_update_documents(
             raise ShapeError(f"{len(doc_ids)} ids for {p} documents")
         if rank < 1:
             raise ShapeError(f"sketch rank must be >= 1, got {rank}")
-        # The update supersedes the source model: invalidate its cached
-        # serving index (repro.serving.index invalidation contract).
-        invalidate_model(model)
         registry.inc("updating.fast_updated_documents", p)
         k = model.k
         Dhat = model.U.T @ D  # (k, p)

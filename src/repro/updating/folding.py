@@ -25,7 +25,6 @@ from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.serving.index import invalidate_model
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
 from repro.weighting.local import NEEDS_COL_MAX, local_weight
@@ -77,10 +76,6 @@ def fold_in_documents(
             raise ShapeError(f"{len(doc_ids)} ids for {p} documents")
         # d̂ = dᵀ U_k Σ_k⁻¹ for every column at once.
         V_new = (weighted.T @ model.U) / model.s
-        # The source model is superseded: drop its cached serving index so
-        # handles pinned before the fold-in cannot keep serving without the
-        # new documents (see repro.serving.index's invalidation contract).
-        invalidate_model(model)
         registry.inc("updating.folded_documents", p)
         return model.with_documents(V_new, list(doc_ids), provenance="fold-in")
 
@@ -144,8 +139,5 @@ def fold_in_terms(
             gw = np.ones(q)
         # t̂ = t V_k Σ_k⁻¹ for every row at once.
         U_new = (local @ model.V) / model.s
-        # Term fold-in supersedes the source model too (its vocabulary and
-        # term space grow); invalidate its cached serving state.
-        invalidate_model(model)
         registry.inc("updating.folded_terms", q)
         return model.with_terms(U_new, list(terms), gw, provenance="fold-in")

@@ -31,7 +31,6 @@ from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.serving.index import get_document_index, invalidate_model
 from repro.sparse.build import from_dense
 from repro.sparse.ops import hstack_csc
 from repro.text.tdm import TermDocumentMatrix, count_vector
@@ -187,19 +186,6 @@ class LSIIndexManager:
         """Current §4.3 document-side orthogonality loss."""
         return drift_report(self.model).doc_loss
 
-    def serving_index(self, mode: str = "scaled"):
-        """The query-serving :class:`~repro.serving.index.DocumentIndex`
-        for the *current* model.
-
-        Always fresh: every maintenance action (fold-in, SVD-update,
-        recompute) invalidates the superseded model's cached index, so a
-        handle obtained before an update reports
-        :meth:`~repro.serving.index.DocumentIndex.is_stale` and callers
-        re-fetch here — the §5.6 "real-time updating" requirement that
-        folded-in documents are immediately visible to queries.
-        """
-        return get_document_index(self.model, mode=mode)
-
     # ------------------------------------------------------------------ #
     def add_texts(
         self, texts: Sequence[str], doc_ids: Sequence[str] | None = None
@@ -288,10 +274,6 @@ class LSIIndexManager:
         with span(
             "lsi.manager.consolidate", method=method, pending=pending_before
         ):
-            # The folded model is about to be replaced wholesale; the
-            # recompute path below does not pass through the updating hooks,
-            # so the manager invalidates its serving cache explicitly.
-            invalidate_model(self.model)
             if method in ("recompute", "fold-in"):
                 # fold-in only reaches here via the drift cap: recompute then.
                 self._absorb_pending_into_tdm()

@@ -50,7 +50,6 @@ from repro.errors import ShapeError
 from repro.linalg.jacobi_svd import jacobi_svd
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.serving.index import invalidate_model
 from repro.updating.folding import _weight_columns
 from repro.weighting.local import NEEDS_COL_MAX, local_weight
 
@@ -99,9 +98,6 @@ def update_documents(
         sp.set_attr("p", p)
         if len(doc_ids) != p:
             raise ShapeError(f"{len(doc_ids)} ids for {p} documents")
-        # The update supersedes the source model: invalidate its cached
-        # serving index (repro.serving.index invalidation contract).
-        invalidate_model(model)
         registry.inc("updating.updated_documents", p)
         k = model.k
         Dhat = model.U.T @ D  # (k, p)
@@ -171,7 +167,6 @@ def update_terms(
         raise ShapeError(f"term block has {n} columns for n={n}")
     if len(terms) != q:
         raise ShapeError(f"{len(terms)} names for {q} terms")
-    invalidate_model(model)
     with span("lsi.update.terms", q=q, exact=exact):
         registry.inc("updating.updated_terms", q)
         if model.scheme.local in NEEDS_COL_MAX:
@@ -253,7 +248,6 @@ def update_weights(
         raise ShapeError(
             f"Y and Z must agree on j: {Y.shape[1]} vs {Z.shape[1]}"
         )
-    invalidate_model(model)
     with span("lsi.update.weights", j=Y.shape[1], exact=exact):
         registry.inc("updating.weight_corrections", Y.shape[1])
         k = model.k

@@ -24,7 +24,7 @@ from repro.cluster.wire import (
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
 from repro.errors import ClusterError, ShapeError
-from repro.parallel.batch import batch_project_queries
+from repro.core.query import batch_project_queries
 from repro.parallel.sharding import (
     merge_topk,
     shard_bounds,

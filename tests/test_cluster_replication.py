@@ -35,7 +35,7 @@ from repro.errors import (
     StoreLockedError,
 )
 from repro.obs.metrics import registry
-from repro.parallel.batch import batch_project_queries
+from repro.core.query import batch_project_queries
 from repro.parallel.sharding import merge_topk, sharded_batch_search
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore

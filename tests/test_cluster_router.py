@@ -19,7 +19,7 @@ from repro.cluster.wire import read_frame, write_frame
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
 from repro.obs.metrics import registry
-from repro.parallel.batch import batch_project_queries
+from repro.core.query import batch_project_queries
 from repro.parallel.sharding import sharded_batch_search
 
 SHARDS = 3

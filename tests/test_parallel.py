@@ -7,7 +7,6 @@ from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
 from repro.parallel import (
-    blocked_cosine_scores,
     blocked_fold_in,
     merge_topk,
     parallel_map,
@@ -42,30 +41,8 @@ def test_parallel_map_propagates_exceptions():
 
 
 # --------------------------------------------------------------------- #
-# blocked scoring / fold-in
+# blocked fold-in
 # --------------------------------------------------------------------- #
-def test_blocked_cosine_matches_flat(med_model):
-    qhat = project_query(med_model, "age blood abnormalities")
-    flat = cosine_similarities(med_model, qhat)
-    for block in (1, 3, 14, 100):
-        blocked = blocked_cosine_scores(med_model, qhat, block=block)
-        assert np.allclose(blocked, flat)
-
-
-def test_blocked_cosine_with_workers(med_model):
-    qhat = project_query(med_model, "age blood abnormalities")
-    flat = cosine_similarities(med_model, qhat)
-    blocked = blocked_cosine_scores(med_model, qhat, block=4, workers=3)
-    assert np.allclose(blocked, flat)
-
-
-def test_blocked_cosine_validation(med_model):
-    with pytest.raises(ShapeError):
-        blocked_cosine_scores(med_model, np.ones(5))
-    with pytest.raises(ShapeError):
-        blocked_cosine_scores(med_model, np.ones(2), block=0)
-
-
 def test_blocked_fold_in_matches_plain(med_model, rng):
     counts = rng.integers(0, 3, (18, 10)).astype(float)
     ids = [f"N{i}" for i in range(10)]

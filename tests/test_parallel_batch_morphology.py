@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import fit_lsi, project_query
+from repro.core.query import batch_project_queries
 from repro.core.similarity import cosine_similarities, term_term_similarities
 from repro.corpus.morphology import morphology_corpus
 from repro.errors import ShapeError
-from repro.parallel.batch import (
-    batch_cosine_scores,
-    batch_project_queries,
-    batch_search,
-)
+from repro.parallel.sharding import sharded_batch_search
+from repro.server.state import EpochSnapshot
 
 
 # --------------------------------------------------------------------- #
@@ -21,15 +19,15 @@ def test_batch_matches_per_query(med_model):
     queries = ["age blood abnormalities", "rats fast", "oestrogen"]
     Q = batch_project_queries(med_model, queries)
     assert Q.shape == (3, med_model.k)
-    batched = batch_cosine_scores(med_model, Q)
+    batched = EpochSnapshot(0, med_model).score_batch(Q)
     for i, q in enumerate(queries):
         single = cosine_similarities(med_model, project_query(med_model, q))
         assert np.allclose(batched[i], single, atol=1e-12)
 
 
 def test_batch_search_top(med_model):
-    results = batch_search(
-        med_model, ["age blood abnormalities", "rats"], top=4
+    results = sharded_batch_search(
+        med_model, ["age blood abnormalities", "rats"], top=4, shards=1
     )
     assert len(results) == 2
     assert all(len(r) == 4 for r in results)
@@ -42,14 +40,16 @@ def test_batch_validation(med_model):
     with pytest.raises(ShapeError):
         batch_project_queries(med_model, [])
     with pytest.raises(ShapeError):
-        batch_cosine_scores(med_model, np.ones((2, 7)))
+        EpochSnapshot(0, med_model).score_batch(np.ones((2, 7)))
     with pytest.raises(ShapeError):
-        batch_search(med_model, ["x"], top=0)
+        sharded_batch_search(med_model, np.ones((2, 7)))
+    with pytest.raises(ShapeError):
+        sharded_batch_search(med_model, ["x"], top=0)
 
 
 def test_batch_single_query_vector(med_model):
     qhat = project_query(med_model, "blood")
-    out = batch_cosine_scores(med_model, qhat)
+    out = EpochSnapshot(0, med_model).score_batch(qhat)
     assert out.shape == (1, med_model.n_documents)
 
 

@@ -4,37 +4,36 @@ The fast path's whole value proposition is "same answers, faster", so
 most tests here compare against inline re-implementations of the seed
 behaviour: full stable argsort + Python-level filtering, per-query
 recomputation of ``V_k Σ_k`` and norms, and the pre-unification batch
-scoring math.  The invalidation tests assert the updating-layer hooks
-are load-bearing — with a hook monkeypatched out, the stale handle is
-*not* detected, which is exactly the bug the hooks exist to prevent.
+scoring math.  The lifetime tests assert the rule that replaced the
+invalidation contract: ``V_k Σ_k`` is derived once per model, shared by
+every scorer of that model, freed with it, and untouched by whatever
+supersedes the model.
 """
+
+import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.model import LSIModel
-from repro.core.query import project_query
+from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities, nearest_terms
-from repro.errors import ModelStateError
 from repro.obs.metrics import registry
-from repro.parallel import (
-    batch_cosine_scores,
-    batch_project_queries,
-    batch_search,
-    blocked_fold_in,
-    sharded_batch_search,
-)
+from repro.parallel import blocked_fold_in, sharded_batch_search
 from repro.retrieval import LSIRetrieval
+from repro.server.state import EpochSnapshot
 from repro.serving import (
-    DocumentIndex,
     QueryVectorCache,
-    get_document_index,
-    invalidate_model,
     ranked_pairs,
+    row_norms,
+    scaled_documents,
     topk_indices,
 )
 from repro.text.vocabulary import Vocabulary
 from repro.updating import fold_in_documents, update_documents
+from repro.updating.fast_update import fast_update_documents
 from repro.updating.manager import LSIIndexManager
 
 
@@ -49,6 +48,13 @@ def _random_model(rng, m=24, n=90, k=6) -> LSIModel:
         vocabulary=vocab,
         doc_ids=[f"D{j}" for j in range(n)],
     )
+
+
+def _flat_search(model, queries, top):
+    """The unsharded path: one GEMM over every row, ranked per query."""
+    snapshot = EpochSnapshot(0, model)
+    Q = batch_project_queries(model, queries)
+    return snapshot.search(snapshot.scale(Q), top=top)[0]
 
 
 def _seed_ranked_pairs(s, top=None, threshold=None):
@@ -160,24 +166,25 @@ def test_med_rankings_identical_to_seed(med_model):
 # zero-vector queries
 # --------------------------------------------------------------------- #
 def test_zero_query_vector_scores_zero(med_model):
-    idx = get_document_index(med_model)
-    s = idx.scores(np.zeros(med_model.k))
+    zero = np.zeros(med_model.k)
+    s = cosine_similarities(med_model, zero)
     assert np.array_equal(s, np.zeros(med_model.n_documents))
-    assert idx.search_vector(np.zeros(med_model.k), top=3) == [
-        (0, 0.0), (1, 0.0), (2, 0.0),
+    assert LSIRetrieval(med_model).scores_for_vector(zero).tolist() == s.tolist()
+    snapshot = EpochSnapshot(0, med_model)
+    assert snapshot.search(snapshot.scale(zero), top=3)[0] == [
+        [(0, 0.0), (1, 0.0), (2, 0.0)]
     ]
 
 
 def test_zero_norm_documents_score_zero(rng):
     local = np.random.default_rng(5)
     model = _random_model(local, n=12)
-    model.V[4] = 0.0  # a zero document row, before any index is built
-    invalidate_model(model)  # in-place edit: drop any cached state
+    model.V[4] = 0.0  # a zero document row, before the model is scored
     s = cosine_similarities(model, local.standard_normal(model.k))
     assert s[4] == 0.0
-    idx = get_document_index(model)
-    assert idx.zero_mask[4]
-    assert not idx.zero_mask[3]
+    norms = scaled_documents(model)[1]
+    assert norms[4] == 0.0
+    assert norms[3] > 0.0
 
 
 def test_engine_oov_query_scores_zero(small_lsi):
@@ -207,7 +214,7 @@ def _old_batch_cosine_scores(model, qhats):
 
 def test_batch_scores_row_for_row_vs_old_implementation(small_lsi, small_collection):
     Q = batch_project_queries(small_lsi, small_collection.queries)
-    new = batch_cosine_scores(small_lsi, Q)
+    new = EpochSnapshot(0, small_lsi).score_batch(Q)
     old = _old_batch_cosine_scores(small_lsi, Q)
     assert new.shape == old.shape
     for i in range(new.shape[0]):
@@ -222,7 +229,7 @@ def test_batch_scores_row_for_row_vs_old_implementation(small_lsi, small_collect
 def test_single_query_is_row_of_batch(small_lsi, small_collection):
     """cosine_similarities is literally the q=1 case of the batch path."""
     Q = batch_project_queries(small_lsi, small_collection.queries)
-    batched = batch_cosine_scores(small_lsi, Q)
+    batched = EpochSnapshot(0, small_lsi).score_batch(Q)
     for i, q in enumerate(small_collection.queries):
         single = cosine_similarities(small_lsi, Q[i])
         assert np.allclose(single, batched[i], atol=1e-12)
@@ -230,7 +237,9 @@ def test_single_query_is_row_of_batch(small_lsi, small_collection):
 
 def test_batch_search_matches_per_query_search(small_lsi, small_collection):
     eng = LSIRetrieval(small_lsi)
-    batched = batch_search(small_lsi, small_collection.queries, top=7)
+    batched = sharded_batch_search(
+        small_lsi, small_collection.queries, top=7, shards=1
+    )
     for q, got in zip(small_collection.queries, batched):
         want = eng.search(q, top=7)
         assert [j for j, _ in got] == [j for j, _ in want]
@@ -242,7 +251,7 @@ def test_batch_search_matches_per_query_search(small_lsi, small_collection):
 # --------------------------------------------------------------------- #
 def test_sharded_batch_search_matches_batch_search(small_lsi, small_collection):
     queries = small_collection.queries
-    flat = batch_search(small_lsi, queries, top=6)
+    flat = _flat_search(small_lsi, queries, top=6)
     for shards in (1, 2, 5):
         for workers in (None, 3):
             got = sharded_batch_search(
@@ -271,7 +280,7 @@ def test_sharded_batch_search_top_exceeds_n_documents(small_lsi, small_collectio
     path (the per-shard heaps just return whole shards)."""
     queries = small_collection.queries[:3]
     n = small_lsi.n_documents
-    flat = batch_search(small_lsi, queries, top=n + 25)
+    flat = _flat_search(small_lsi, queries, top=n + 25)
     got = sharded_batch_search(small_lsi, queries, top=n + 25, shards=4)
     assert got == flat
     assert all(len(ranking) == n for ranking in got)
@@ -283,7 +292,7 @@ def test_sharded_batch_search_single_shard_degenerate(small_lsi, small_collectio
     queries = small_collection.queries[:4]
     assert sharded_batch_search(
         small_lsi, queries, top=6, shards=1
-    ) == batch_search(small_lsi, queries, top=6)
+    ) == _flat_search(small_lsi, queries, top=6)
 
 
 def test_sharded_batch_search_tie_order():
@@ -293,7 +302,6 @@ def test_sharded_batch_search_tie_order():
     model = _random_model(rng, n=40)
     # Duplicate document rows → exact score ties everywhere.
     model.V[:] = np.tile(model.V[:4], (10, 1))
-    invalidate_model(model)
     qhat = rng.standard_normal(model.k)
     flat = ranked_pairs(cosine_similarities(model, qhat), top=12)
     got = sharded_batch_search(model, qhat[None, :], top=12, shards=7)[0]
@@ -301,89 +309,90 @@ def test_sharded_batch_search_tie_order():
 
 
 # --------------------------------------------------------------------- #
-# DocumentIndex caching and invalidation
+# the lifetime rule: V_k Σ_k is derived once per model and dies with it
 # --------------------------------------------------------------------- #
 def test_index_is_cached_per_model(med_model):
-    a = get_document_index(med_model)
-    b = get_document_index(med_model)
-    assert a is b
-    assert a.coords.flags["C_CONTIGUOUS"]
-    assert np.allclose(a.coords, med_model.V * med_model.s)
+    coords, norms = scaled_documents(med_model)
+    again = scaled_documents(med_model)
+    assert again[0] is coords and again[1] is norms
+    assert coords.flags["C_CONTIGUOUS"]
+    assert np.allclose(coords, med_model.V * med_model.s)
 
 
-def test_fold_in_invalidates_source_index(med_model_k8, rng):
+def test_scored_model_dies_with_its_last_reference():
+    model = _random_model(np.random.default_rng(11))
+    cosine_similarities(model, np.ones(model.k))
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+
+def test_every_scorer_shares_the_models_one_build():
+    local = np.random.default_rng(13)
+    model = _random_model(local)
+    qhat = local.standard_normal(model.k)
+    builds = registry.counter("serving.index_builds")
+    LSIRetrieval(model).scores_for_vector(qhat)
+    snapshot = EpochSnapshot(0, model)
+    sharded_batch_search(model, qhat[None, :], top=3, shards=2)
+    assert registry.counter("serving.index_builds") == builds + 1
+    coords, norms = scaled_documents(model)
+    assert snapshot.coords is coords and snapshot.norms is norms
+    assert np.array_equal(coords, np.ascontiguousarray(model.V * model.s))
+    assert np.array_equal(norms, row_norms(coords))
+    assert not coords.flags.writeable and not norms.flags.writeable
+    # A successor made by replace() starts clean and derives its own.
+    successor = dataclasses.replace(model)
+    assert scaled_documents(successor)[0] is not coords
+    assert registry.counter("serving.index_builds") == builds + 2
+
+
+def _assert_source_epoch_untouched(pinned, before, Q, successor, p):
+    """The successor scores ``n + p`` rows; the snapshot pinned on the
+    source still answers its ``n`` rows with the scores it gave before."""
+    n = pinned.n_documents
+    assert EpochSnapshot(1, successor).score_batch(Q).shape == (len(Q), n + p)
+    after = pinned.score_batch(Q)
+    assert after.shape == (len(Q), n)
+    assert np.array_equal(after, before)
+
+
+@pytest.mark.parametrize(
+    "update",
+    [
+        fold_in_documents,
+        update_documents,
+        fast_update_documents,
+        blocked_fold_in,
+    ],
+)
+def test_update_leaves_the_pinned_source_epoch_untouched(med_model_k8, update):
     model = med_model_k8.truncated(4)  # private model: fixtures stay clean
-    idx = get_document_index(model)
-    assert not idx.is_stale()
-    counts = np.random.default_rng(3).integers(0, 3, (model.n_terms, 2))
-    folded = fold_in_documents(model, counts.astype(float), ["N1", "N2"])
-    assert idx.is_stale()
-    with pytest.raises(ModelStateError):
-        idx.scores(np.zeros(model.k))
-    # Re-fetching serves the folded model's documents immediately.
-    fresh = get_document_index(folded)
-    assert fresh.n_documents == model.n_documents + 2
-    assert not fresh.is_stale()
+    local = np.random.default_rng(3)
+    Q = local.standard_normal((3, model.k))
+    pinned = EpochSnapshot(0, model)
+    before = pinned.score_batch(Q)
+    counts = local.integers(0, 3, (model.n_terms, 2)).astype(float)
+    successor = update(model, counts, ["N1", "N2"])
+    _assert_source_epoch_untouched(pinned, before, Q, successor, 2)
 
 
-def test_svd_update_invalidates_source_index(med_model_k8):
-    model = med_model_k8.truncated(4)
-    idx = get_document_index(model)
-    counts = np.random.default_rng(4).integers(0, 3, (model.n_terms, 2))
-    update_documents(model, counts.astype(float), ["N1", "N2"])
-    assert idx.is_stale()
-
-
-def test_blocked_fold_in_invalidates_source_index(med_model_k8):
-    model = med_model_k8.truncated(4)
-    idx = get_document_index(model)
-    counts = np.random.default_rng(6).integers(0, 3, (model.n_terms, 5))
-    blocked_fold_in(model, counts.astype(float), [f"N{i}" for i in range(5)], block=2)
-    assert idx.is_stale()
-
-
-def test_stale_detection_requires_the_hook(med_model_k8, monkeypatch):
-    """The invalidation hook is load-bearing: with it patched out, the
-    pinned index does NOT notice the fold-in — precisely the stale-serve
-    bug the hook exists to prevent.  (This is the 'must fail without the
-    hook' assertion, expressed positively.)"""
-    import repro.updating.folding as folding
-
-    model = med_model_k8.truncated(4)
-    counts = np.random.default_rng(5).integers(0, 3, (model.n_terms, 2))
-
-    # Without the hook: handle stays (wrongly) fresh.
-    monkeypatch.setattr(folding, "invalidate_model", lambda m: None)
-    idx = get_document_index(model)
-    folding.fold_in_documents(model, counts.astype(float), ["N1", "N2"])
-    assert not idx.is_stale()  # the bug the hook prevents
-
-    # With the real hook restored: same sequence flags the handle.
-    monkeypatch.undo()
-    idx2 = get_document_index(model)
-    folding.fold_in_documents(model, counts.astype(float), ["N3", "N4"])
-    assert idx2.is_stale()
-
-
-def test_manager_serving_index_never_stale():
-    """§5.6 real-time updating: documents added through the manager are
-    visible to the next serving_index() fetch, across fold-in AND the
-    consolidation (recompute/SVD-update) paths that replace the model
-    wholesale."""
+def test_consolidation_leaves_the_pinned_source_epoch_untouched():
+    """§5.6 real-time updating through the manager: every addition is
+    visible in the next model, across fold-in AND the consolidation
+    (recompute/SVD-update) paths that replace the model wholesale, and
+    none of them disturbs a reader still pinned on the first epoch."""
     from repro.corpus import med_matrix
 
     mgr = LSIIndexManager(med_matrix(), k=4, distortion_budget=0.05)
-    pinned = mgr.serving_index()
-    n0 = pinned.n_documents
+    Q = np.random.default_rng(4).standard_normal((2, mgr.k))
+    pinned = EpochSnapshot(0, mgr.model)
+    before = pinned.score_batch(Q)
     for i in range(6):  # small budget forces consolidations along the way
         mgr.add_texts([f"blood pressure age study number {i}"])
-        fresh = mgr.serving_index()
-        assert fresh.n_documents == n0 + i + 1
-        assert not fresh.is_stale()
+        _assert_source_epoch_untouched(pinned, before, Q, mgr.model, i + 1)
     assert {e.action for e in mgr.events} & {"recompute", "svd-update"}
-    assert pinned.is_stale()
-    with pytest.raises(ModelStateError):
-        pinned.scores(np.zeros(mgr.k))
 
 
 # --------------------------------------------------------------------- #
@@ -457,7 +466,14 @@ def test_query_cache_cleared_on_model_swap(small_lsi, med_model):
     eng.model = med_model  # users do this after fold-in/update
     s = eng.scores("blood age")
     assert s.shape == (med_model.n_documents,)
-    assert eng._query_cache_model is med_model
+    assert len(eng._query_cache) == 1  # "apple" went with the old model
+
+
+def test_with_k_keeps_the_query_cache_size(med_model_k8):
+    eng = LSIRetrieval(med_model_k8, query_cache_size=0).with_k(4)
+    eng.query_vector("blood age")
+    assert len(eng._query_cache) == 0
+    assert LSIRetrieval(med_model_k8).with_k(4)._query_cache.maxsize == 256
 
 
 def test_query_cache_lru_bound():
