@@ -12,11 +12,13 @@ sweeps the probe count and reports, per level:
   rerank) vs the exact per-query ``score_batch`` + ``ranked_order``
   baseline — the path a request without ``probes`` takes.
 
-Acceptance: some probe level reaches ≥ 0.95 recall@10 while sustaining
-≥ 10× the exact scan's QPS (≥ 3× under ``BENCH_SMOKE``, where the
-collection is ~17× smaller and the exact GEMM correspondingly cheap).
-The sweep is recorded as ``BENCH_ann_serving.json`` when
-``$BENCH_OBS_EXPORT`` is set — CI uploads it as an artifact.
+Acceptance: some probe level reaches ≥ 0.95 recall@10, and at full size
+sustains ≥ 10× the exact scan's QPS there (each QPS the median of
+``REPEATS`` passes over 256 queries).  The ledger's ``serve_ann``
+workload measures the same path end to end on 200 000 documents at one
+probe setting; this bench is the source for the 1M-document probe
+sweep, which a full-size run records as ``BENCH_ann_serving.json``.
+``BENCH_SMOKE=1`` (~150k documents, one pass) checks recall only.
 
 Run directly::
 
@@ -26,28 +28,25 @@ Run directly::
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import time
 
 import numpy as np
 
-from conftest import emit
+from conftest import SMOKE, emit, summarize
 from repro.core.model import LSIModel
 from repro.serving.topk import ranked_order
 from repro.server.state import ServingState
 from repro.text.vocabulary import Vocabulary
 
-SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_DOCS = 150_000 if SMOKE else 1_000_000
 K = 32
 N_HUBS = 32 if SMOKE else 64
-N_QUERIES = 32 if SMOKE else 48
+N_QUERIES = 32 if SMOKE else 256
 TOP = 10
 PROBE_SWEEP = (1, 2, 4, 8, 16, 32)
 MIN_RECALL = 0.95
-MIN_SPEEDUP = 3.0 if SMOKE else 10.0
+MIN_SPEEDUP = 10.0
+REPEATS = 1 if SMOKE else 3
 
 
 def _serving_model(seed: int = 11) -> LSIModel:
@@ -89,7 +88,18 @@ def _queries(model: LSIModel, seed: int = 23) -> np.ndarray:
     )
 
 
-def test_ann_serving_qps_recall_sweep():
+def _qps(search, queries) -> tuple[list, dict]:
+    """``search`` over every query: the results of the last pass and
+    the summary of ``REPEATS`` passes' QPS."""
+    rates = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        results = [search(q) for q in queries]
+        rates.append(len(queries) / (time.perf_counter() - t0))
+    return results, summarize(rates)
+
+
+def test_ann_serving_qps_recall_sweep(evidence):
     model = _serving_model()
     state = ServingState.for_model(model)
     n_clusters = max(1, int(np.sqrt(N_DOCS)))
@@ -106,9 +116,8 @@ def test_ann_serving_qps_recall_sweep():
         return [int(j) for j in ranked_order(row, top=TOP)]
 
     exact_one(queries[0])  # warm-up (BLAS spin-up, page faults)
-    t0 = time.perf_counter()
-    exact_top = [exact_one(q) for q in queries]
-    exact_qps = N_QUERIES / (time.perf_counter() - t0)
+    exact_top, exact = _qps(exact_one, queries)
+    exact_qps = exact["median"]
 
     rows = [
         f"n={N_DOCS} documents, k={K}, {n_clusters} cells "
@@ -121,11 +130,10 @@ def test_ann_serving_qps_recall_sweep():
     for probes in PROBE_SWEEP:
         recalls, fracs = [], []
         snapshot.search_ann(queries[0], probes=probes, top=TOP)  # warm-up
-        t0 = time.perf_counter()
-        results = [
-            snapshot.search_ann(q, probes=probes, top=TOP) for q in queries
-        ]
-        qps = N_QUERIES / (time.perf_counter() - t0)
+        results, rate = _qps(
+            lambda q: snapshot.search_ann(q, probes=probes, top=TOP), queries
+        )
+        qps = rate["median"]
         for (pairs, stats), want in zip(results, exact_top):
             got = {j for j, _ in pairs}
             recalls.append(len(got & set(want)) / TOP)
@@ -133,7 +141,7 @@ def test_ann_serving_qps_recall_sweep():
         level = {
             "probes": probes,
             "recall_at_10": float(np.mean(recalls)),
-            "qps": float(qps),
+            "qps": rate,
             "speedup": float(qps / exact_qps),
             "candidate_fraction": float(np.mean(fracs)),
         }
@@ -149,41 +157,31 @@ def test_ann_serving_qps_recall_sweep():
     assert all(b >= a - 1e-9 for a, b in zip(recalls, recalls[1:])), recalls
 
     # The acceptance floor: some probe level holds >= MIN_RECALL
-    # recall@10 at >= MIN_SPEEDUP x the exact scan's QPS.
-    passing = [
-        level for level in sweep
-        if level["recall_at_10"] >= MIN_RECALL
-        and level["speedup"] >= MIN_SPEEDUP
-    ]
+    # recall@10 — at full size, at >= MIN_SPEEDUP x the exact scan's QPS.
     best = max(
         (level for level in sweep if level["recall_at_10"] >= MIN_RECALL),
         key=lambda level: level["speedup"],
         default=None,
     )
-    if os.environ.get("BENCH_OBS_EXPORT"):
-        blob = {
-            "bench": "ann_serving",
-            "n_documents": N_DOCS,
-            "k": K,
-            "n_clusters": n_clusters,
-            "n_queries": N_QUERIES,
-            "top": TOP,
-            "smoke": SMOKE,
-            "train_seconds": train_seconds,
-            "exact_qps": exact_qps,
-            "min_recall": MIN_RECALL,
-            "min_speedup": MIN_SPEEDUP,
-            "sweep": sweep,
-            "best_passing": best,
-        }
-        path = pathlib.Path("BENCH_ann_serving.json")
-        path.write_text(json.dumps(blob, indent=2, sort_keys=True))
-        print(f"wrote {path}")
-    assert passing, (
-        f"no probe level reached recall@10 >= {MIN_RECALL} at "
-        f">= {MIN_SPEEDUP}x exact QPS; best above recall floor: {best}"
+    assert best is not None, (
+        f"no probe level reached recall@10 >= {MIN_RECALL}: {recalls}"
     )
-
-
-if __name__ == "__main__":
-    test_ann_serving_qps_recall_sweep()
+    if not SMOKE:
+        assert best["speedup"] >= MIN_SPEEDUP, (
+            f"no probe level reached recall@10 >= {MIN_RECALL} at "
+            f">= {MIN_SPEEDUP}x exact QPS; best above recall floor: {best}"
+        )
+    evidence.update(
+        n_documents=N_DOCS,
+        k=K,
+        n_clusters=n_clusters,
+        n_queries=N_QUERIES,
+        top=TOP,
+        train_seconds=train_seconds,
+        exact_qps=exact,
+        min_recall=MIN_RECALL,
+        min_speedup=MIN_SPEEDUP,
+        sweep=sweep,
+        best_passing=best,
+        repeats=REPEATS,
+    )

@@ -20,20 +20,24 @@ ruin another's latency.  Three measurements:
   within ``MAX_COLD_P99_RATIO`` of its unloaded baseline (with an
   absolute floor so millisecond-scale noise cannot fail the run).
 
-Results land in ``BENCH_multitenant.json`` (committed at repo root,
-re-written by CI and uploaded as an artifact).
+No ``BENCHMARK.json`` workload hosts more than one tenant, so this
+bench is the source for the tenancy numbers.  The three timing bounds
+are asserted at full size only, on medians (of ``REPEATS`` runs for
+routing and isolation, of the eight cold/warm pairs for attach); a
+full-size run records them in ``BENCH_multitenant.json`` at the
+repository root.  ``BENCH_SMOKE=1`` measures once on smaller
+models and checks only what is not a clock reading: every tenant
+re-attaches under the cap, and the flood trips the tenant quota.
 """
 
 import asyncio
-import json
-import os
 import pathlib
 import tempfile
 import time
 
 import numpy as np
 
-from conftest import emit
+from conftest import SMOKE, emit, summarize
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
 from repro.core.persistence import save_model
@@ -42,7 +46,6 @@ from repro.server import QueryService, ServerConfig, ServingState
 from repro.tenancy import IndexRegistry
 from repro.text.vocabulary import Vocabulary
 
-SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 N_DOCS = 4_000 if SMOKE else 16_000
 K = 64
 M_TERMS = 300
@@ -50,6 +53,7 @@ TOP = 10
 N_TENANTS = 4
 CONCURRENCY = 8
 REQUESTS = 160 if SMOKE else 480
+REPEATS = 1 if SMOKE else 5
 #: Routed single-tenant QPS must keep this fraction of the unrouted
 #: baseline — the per-request cost of resolve/pin/quota bookkeeping.
 MIN_TENANT_QPS_FRACTION = 0.7
@@ -127,20 +131,17 @@ def _qps(source, queries, *, tenant=None, round_robin=False) -> float:
     return asyncio.run(main())
 
 
-def _merge_artifact(update: dict) -> None:
-    """Fold a phase's results into ``BENCH_multitenant.json``."""
-    path = pathlib.Path("BENCH_multitenant.json")
-    blob = json.loads(path.read_text()) if path.exists() else {}
-    blob.update(update)
-    blob["smoke"] = SMOKE
-    path.write_text(json.dumps(blob, indent=2, sort_keys=True) + "\n")
-
-
-def test_tenant_routing_overhead_bounded():
+def test_tenant_routing_overhead_bounded(evidence):
     queries = _queries(REQUESTS)
-    single_qps = _qps(ServingState.for_model(_model(1)), queries)
-    routed_qps = _qps(_registry(), queries, tenant="t0")
-    aggregate_qps = _qps(_registry(), queries, round_robin=True)
+    # Interleaved, so drift of the box lands on all three alike.
+    single, routed, aggregate = [], [], []
+    for _ in range(REPEATS):
+        single.append(_qps(ServingState.for_model(_model(1)), queries))
+        routed.append(_qps(_registry(), queries, tenant="t0"))
+        aggregate.append(_qps(_registry(), queries, round_robin=True))
+    single, routed, aggregate = map(summarize, (single, routed, aggregate))
+    single_qps, routed_qps = single["median"], routed["median"]
+    aggregate_qps = aggregate["median"]
     fraction = routed_qps / single_qps
     emit(
         f"tenant routing overhead (n={N_DOCS}/tenant, k={K}, "
@@ -153,28 +154,31 @@ def test_tenant_routing_overhead_bounded():
             f"(4x thinner batches)",
         ],
     )
-    _merge_artifact(
-        {
-            "routing": {
-                "single_tenant_qps": single_qps,
-                "routed_qps": routed_qps,
-                "routed_fraction": fraction,
-                "round_robin_qps": aggregate_qps,
-                "n_tenants": N_TENANTS,
-            }
-        }
-    )
     maybe_export_obs(
         "multitenant_routing",
         extra={"routed_fraction": fraction, "single_qps": single_qps},
     )
-    assert fraction >= MIN_TENANT_QPS_FRACTION, (
-        f"tenant routing kept only {fraction:.2f}x of baseline QPS, "
-        f"need >= {MIN_TENANT_QPS_FRACTION}x"
+    if not SMOKE:
+        assert fraction >= MIN_TENANT_QPS_FRACTION, (
+            f"tenant routing kept only {fraction:.2f}x of baseline QPS, "
+            f"need >= {MIN_TENANT_QPS_FRACTION}x"
+        )
+    evidence.update(
+        routing={
+            "single_tenant_qps": single,
+            "routed_qps": routed,
+            "routed_fraction": fraction,
+            "min_routed_fraction": MIN_TENANT_QPS_FRACTION,
+            "round_robin_qps": aggregate,
+            "n_tenants": N_TENANTS,
+            "n_docs_per_tenant": N_DOCS,
+            "requests": REQUESTS,
+        },
+        repeats=REPEATS,
     )
 
 
-def test_attach_cold_vs_warm_latency():
+def test_attach_cold_vs_warm_latency(evidence):
     query = _queries(2, seed=11)
     with tempfile.TemporaryDirectory() as tmp:
         reg = IndexRegistry(max_resident=2)
@@ -218,30 +222,27 @@ def test_attach_cold_vs_warm_latency():
             f"attaches per tenant       : {sorted(attaches.values())}",
         ],
     )
-    _merge_artifact(
-        {
-            "attach": {
-                "cold_median_ms": cold_ms,
-                "warm_median_ms": warm_ms,
-                "max_resident": 2,
-                "attaches": attaches,
-            }
-        }
-    )
     # Every tenant re-attached at least once under the cap, and the
     # warm path does not pay the attach cost again.
     assert all(n >= 2 for n in attaches.values()), attaches
-    assert warm_ms <= cold_ms, (warm_ms, cold_ms)
+    if not SMOKE:
+        assert warm_ms <= cold_ms, (warm_ms, cold_ms)
+    evidence["attach"] = {
+        "cold_ms": summarize([1e3 * t for t in cold]),
+        "warm_ms": summarize([1e3 * t for t in warm]),
+        "max_resident": 2,
+        "attaches": attaches,
+    }
 
 
-def test_cold_tenant_p99_bounded_under_hot_saturation():
+def test_cold_tenant_p99_bounded_under_hot_saturation(evidence):
     queries = _queries(64, seed=7)
-    reg = IndexRegistry()
-    reg.register("hot", state=ServingState.for_model(_model(31)))
-    reg.register("cold", state=ServingState.for_model(_model(32)))
     probe_n = 40 if SMOKE else 80
 
     async def main():
+        reg = IndexRegistry()
+        reg.register("hot", state=ServingState.for_model(_model(31)))
+        reg.register("cold", state=ServingState.for_model(_model(32)))
         service = QueryService(reg, _config(queue_depth=2 * CONCURRENCY))
         await service.start()
         share = service.quotas.share
@@ -286,7 +287,10 @@ def test_cold_tenant_p99_bounded_under_hot_saturation():
         await service.drain()
         return baseline, saturated, share, served[0], rejected[0]
 
-    baseline, saturated, share, served, rejected = asyncio.run(main())
+    runs = [asyncio.run(main()) for _ in range(REPEATS)]
+    baselines, saturateds, shares, serveds, rejecteds = zip(*runs)
+    baseline, saturated = np.median(baselines), np.median(saturateds)
+    share, served, rejected = shares[0], sum(serveds), min(rejecteds)
     ratio = saturated / baseline
     bound = max(MAX_COLD_P99_RATIO * baseline, COLD_P99_FLOOR_S)
     emit(
@@ -296,35 +300,29 @@ def test_cold_tenant_p99_bounded_under_hot_saturation():
             f"cold p99, unloaded     : {baseline * 1e3:>8.2f} ms",
             f"cold p99, hot saturated: {saturated * 1e3:>8.2f} ms "
             f"({ratio:.2f}x)",
-            f"hot flood              : {served} served, "
-            f"{rejected} per-tenant 429(s)",
+            f"hot flood              : {served} served, at least "
+            f"{rejected} per-tenant 429(s) a run",
         ],
-    )
-    _merge_artifact(
-        {
-            "isolation": {
-                "cold_p99_baseline_ms": baseline * 1e3,
-                "cold_p99_saturated_ms": saturated * 1e3,
-                "p99_ratio": ratio,
-                "hot_served": served,
-                "hot_rejected_quota": rejected,
-                "share": share,
-            }
-        }
     )
     maybe_export_obs(
         "multitenant_isolation",
         extra={"p99_ratio": ratio, "hot_rejected_quota": rejected},
     )
     assert rejected >= 1, "the flood never tripped the tenant quota"
-    assert saturated <= bound, (
-        f"cold-tenant p99 {saturated * 1e3:.1f} ms under hot saturation "
-        f"vs {baseline * 1e3:.1f} ms unloaded exceeds the bound "
-        f"({MAX_COLD_P99_RATIO}x or {COLD_P99_FLOOR_S * 1e3:.0f} ms)"
-    )
-
-
-if __name__ == "__main__":
-    test_tenant_routing_overhead_bounded()
-    test_attach_cold_vs_warm_latency()
-    test_cold_tenant_p99_bounded_under_hot_saturation()
+    if not SMOKE:
+        assert saturated <= bound, (
+            f"cold-tenant p99 {saturated * 1e3:.1f} ms under hot saturation "
+            f"vs {baseline * 1e3:.1f} ms unloaded exceeds the bound "
+            f"({MAX_COLD_P99_RATIO}x or {COLD_P99_FLOOR_S * 1e3:.0f} ms)"
+        )
+    evidence["isolation"] = {
+        "cold_p99_baseline_ms": summarize([1e3 * t for t in baselines]),
+        "cold_p99_saturated_ms": summarize([1e3 * t for t in saturateds]),
+        "p99_ratio": ratio,
+        "max_p99_ratio": MAX_COLD_P99_RATIO,
+        "p99_floor_ms": COLD_P99_FLOOR_S * 1e3,
+        "hot_served": served,
+        "hot_rejected_quota_min": rejected,
+        "share": share,
+        "cold_probes": probe_n,
+    }

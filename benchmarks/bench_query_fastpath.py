@@ -8,14 +8,15 @@ derives the scaled coordinates and norms once per model
 ``argpartition``, and converts only the k survivors to pairs.
 
 Acceptance: ≥ 3× single-query search throughput at n≈10⁴ documents,
-k≈100, with rankings element-identical to the seed path.
+k≈100, with rankings element-identical to the seed path.  The bench has
+one size; under ``BENCH_SMOKE=1`` (CI) only the rankings are asserted.
 """
 
 import time
 
 import numpy as np
 
-from conftest import emit
+from conftest import SMOKE, emit
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
 from repro.obs import span, tracing_enabled
@@ -131,7 +132,8 @@ def test_query_fastpath_speedup():
             "top": TOP,
         },
     )
-    assert speedup >= MIN_SPEEDUP, f"fast path only {speedup:.2f}x"
+    if not SMOKE:
+        assert speedup >= MIN_SPEEDUP, f"fast path only {speedup:.2f}x"
 
 
 def test_disabled_tracing_overhead():
@@ -171,7 +173,8 @@ def test_disabled_tracing_overhead():
             f"{overhead * 100:.4f}%   (budget {MAX_OVERHEAD * 100:.0f}%)",
         ],
     )
-    assert overhead < MAX_OVERHEAD, (
-        f"disabled tracing costs {overhead * 100:.3f}% per query, "
-        f"budget is {MAX_OVERHEAD * 100:.0f}%"
-    )
+    if not SMOKE:
+        assert overhead < MAX_OVERHEAD, (
+            f"disabled tracing costs {overhead * 100:.3f}% per query, "
+            f"budget is {MAX_OVERHEAD * 100:.0f}%"
+        )

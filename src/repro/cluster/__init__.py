@@ -28,7 +28,7 @@ behind an atomic swap while keeping the previous epoch's state alive
 the epoch they started on and zero queries drop across a bump.
 
 With ``--replication R`` the cluster is highly available on both paths.
-Reads: a :class:`~repro.cluster.placement.ReplicaPlan` assigns every
+Reads: the :class:`~repro.cluster.plan.ShardPlan` assigns every
 shard range R distinct worker processes; the router load-balances with
 power-of-two-choices over live per-replica load (latency-history
 tiebreak), fails a dead
@@ -43,12 +43,6 @@ WAL tail, and resumes sealing with zero acked records lost.
 """
 
 from repro.cluster.epochs import EpochHandle, open_checkpoint
-from repro.cluster.placement import (
-    REPLICA_PLAN_FORMAT,
-    ReplicaPlan,
-    ReplicaSet,
-    as_replica_plan,
-)
 from repro.cluster.plan import PLAN_FORMAT, ShardPlan, ShardRange
 from repro.cluster.primary import PrimaryWriter, WriterConfig
 from repro.cluster.standby import StandbyConfig, StandbyWriter
@@ -64,7 +58,6 @@ from repro.cluster.worker import ShardWorker, WorkerServer, run_worker
 
 __all__ = [
     "PLAN_FORMAT",
-    "REPLICA_PLAN_FORMAT",
     "EpochHandle",
     "open_checkpoint",
     "PrimaryWriter",
@@ -73,9 +66,6 @@ __all__ = [
     "StandbyWriter",
     "ShardPlan",
     "ShardRange",
-    "ReplicaPlan",
-    "ReplicaSet",
-    "as_replica_plan",
     "ClusterResult",
     "ClusterRouter",
     "RouterConfig",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass
 
-from repro.cluster.placement import ReplicaPlan
 from repro.cluster.plan import ShardPlan
 from repro.core.model import LSIModel
 from repro.errors import StoreError
@@ -48,7 +47,7 @@ class EpochHandle:
     checkpoint: str
     model: LSIModel
     ann: bool
-    plan: ReplicaPlan
+    plan: ShardPlan
 
     @property
     def n_documents(self) -> int:
@@ -76,7 +75,7 @@ class EpochHandle:
         """
         opened = open_store_checkpoint(data_dir, checkpoint)
         model = opened.model()
-        plan = ReplicaPlan.compute(
+        plan = ShardPlan.compute(
             model.n_documents,
             n_workers,
             replication,
@@ -93,7 +92,7 @@ class EpochHandle:
 
 
 def open_checkpoint(
-    data_dir: pathlib.Path, plan: ShardPlan | ReplicaPlan
+    data_dir: pathlib.Path, plan: ShardPlan
 ) -> tuple[int, LSIModel, CoarseQuantizer | None]:
     """Map the checkpoint a plan pins: ``(epoch, model, ann)`` for a
     shard worker (spawn and bump).

@@ -2,7 +2,7 @@
 
 One :class:`ClusterRouter` holds a persistent, id-multiplexed frame
 connection to each live worker slot of a
-:class:`~repro.cluster.placement.ReplicaPlan`.  A query batch is scaled
+:class:`~repro.cluster.plan.ShardPlan`.  A query batch is scaled
 once (``Q Σ``, mirroring :meth:`EpochSnapshot.scale`),
 scattered **once per range** — not per worker — and the per-range stable
 top-k lists are merged per query with
@@ -53,7 +53,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.cluster.placement import ReplicaPlan, as_replica_plan
 from repro.cluster.plan import ShardPlan
 from repro.cluster.wire import BUMP_OP, read_frame, write_frame
 from repro.errors import ClusterError
@@ -227,13 +226,13 @@ class ClusterRouter:
 
     def __init__(
         self,
-        plan: ShardPlan | ReplicaPlan,
+        plan: ShardPlan,
         config: RouterConfig | None = None,
         *,
         on_worker_dead: Callable[[int], None] | None = None,
         tenant: str | None = None,
     ):
-        self.plan = as_replica_plan(plan)
+        self.plan = plan
         self.config = config or RouterConfig()
         self.on_worker_dead = on_worker_dead
         #: Tenant id stamped into every score frame (``None`` omits it);
@@ -249,7 +248,7 @@ class ClusterRouter:
         self._inflight: dict[int, int] = {}
         registry.set_gauge("cluster.workers_live", 0)
 
-    def update_plan(self, plan: ShardPlan | ReplicaPlan) -> None:
+    def update_plan(self, plan: ShardPlan) -> None:
         """Atomically publish a new epoch's plan for *future* scatters.
 
         One reference assignment: a :meth:`search_batch` already running
@@ -257,18 +256,14 @@ class ClusterRouter:
         workers retain that epoch's state through the bump window), so
         nothing in flight is disturbed.
         """
-        self.plan = as_replica_plan(plan)
+        self.plan = plan
         registry.set_gauge("cluster.plan_epoch", self.plan.epoch)
 
     # ------------------------------------------------------------------ #
     # membership
     # ------------------------------------------------------------------ #
-    def live_shards(self) -> list[int]:
-        """Worker slot ids with an open channel, ascending.
-
-        (Kept under its historical name: at replication 1 worker ids
-        and shard ids coincide.)
-        """
+    def live_workers(self) -> list[int]:
+        """Worker slot ids with an open channel, ascending."""
         return sorted(
             wid for wid, ch in self._channels.items() if not ch.closed
         )
@@ -283,14 +278,14 @@ class ClusterRouter:
         self._channels[worker_id] = await WorkerChannel.connect(
             host, port, timeout=self.config.connect_timeout
         )
-        registry.set_gauge("cluster.workers_live", len(self.live_shards()))
+        registry.set_gauge("cluster.workers_live", len(self.live_workers()))
 
     async def detach(self, worker_id: int) -> None:
         """Drop the channel for ``worker_id`` (worker dead or evicted)."""
         channel = self._channels.pop(worker_id, None)
         if channel is not None:
             await channel.close()
-        registry.set_gauge("cluster.workers_live", len(self.live_shards()))
+        registry.set_gauge("cluster.workers_live", len(self.live_workers()))
 
     async def close(self) -> None:
         """Drop every channel."""
@@ -558,7 +553,7 @@ class ClusterRouter:
         timeout_ms: float | None = None,
         probes: int | None = None,
         exact: bool = False,
-        plan: ShardPlan | ReplicaPlan | None = None,
+        plan: ShardPlan | None = None,
     ) -> ClusterResult:
         """Scatter a scaled ``(q, k)`` batch, merge exact per-query top-k.
 
@@ -574,7 +569,7 @@ class ClusterRouter:
         current plan, snapshotted once here — a concurrent
         :meth:`update_plan` never splits one request across epochs.
         """
-        plan = as_replica_plan(plan) if plan is not None else self.plan
+        plan = plan if plan is not None else self.plan
         Q = np.atleast_2d(np.asarray(Qs, dtype=np.float64))
         n_queries = Q.shape[0]
         timeout = (
@@ -621,10 +616,9 @@ class ClusterRouter:
                     scatter.span_id or ctx.parent_span_id,
                 ).to_wire()
             calls: dict[int, asyncio.Future] = {}
-            for rset in plan.replicas:
-                sid = rset.shard_id
+            for sid in range(plan.n_shards):
                 candidates = []
-                for wid in rset.workers:
+                for wid in plan.replica_set(sid):
                     channel = self._channels.get(wid)
                     if channel is None:
                         continue
@@ -735,7 +729,7 @@ class ClusterRouter:
         A worker that fails or times out is simply absent from the
         result — observability must never take the serving path down.
         """
-        wids = self.live_shards()
+        wids = self.live_workers()
 
         async def _one(wid: int) -> dict | None:
             channel = self._channels.get(wid)
@@ -756,23 +750,21 @@ class ClusterRouter:
         }
 
     async def broadcast_bump(
-        self, plan: ShardPlan | ReplicaPlan, *, timeout: float = 30.0
+        self, plan: ShardPlan, *, timeout: float = 30.0
     ) -> dict[int, int]:
         """Tell every live worker to remap onto ``plan``'s checkpoint.
 
-        Workers receive the underlying *shard* plan (their contract is
-        rows, not placement).  Returns ``{worker_id: acked_epoch}`` for
-        workers that remapped (or already held the epoch).  A worker
-        that fails, rejects, or times out is simply absent — the epoch
+        Returns ``{worker_id: acked_epoch}`` for workers that remapped
+        (or already held the epoch).  A worker that fails, rejects, or
+        times out is simply absent — the epoch
         only *publishes* once a quorum of every range's replicas acked
         (the supervisor tracks that), and the primary writer re-bumps
         laggards each poll.  The timeout is generous: a remap is
         O(header) mmap opens plus one shard's coordinate
         materialization.
         """
-        plan = as_replica_plan(plan)
         responses = await self._scatter_op(
-            {"op": BUMP_OP, "plan": plan.base.to_json()}, timeout=timeout
+            {"op": BUMP_OP, "plan": plan.to_json()}, timeout=timeout
         )
         acked = {
             wid: int(response["epoch"])
@@ -780,7 +772,7 @@ class ClusterRouter:
             if response.get("ok") and response.get("epoch") == plan.epoch
         }
         registry.inc("cluster.bump_broadcasts_total")
-        if len(acked) < len(self.live_shards()):
+        if len(acked) < len(self.live_workers()):
             registry.inc("cluster.bump_laggards_total")
         return acked
 

@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.cluster.epochs import EpochHandle
+from repro.cluster.plan import check_topology
 from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import batch_project_queries, project_query
@@ -120,22 +121,9 @@ class ClusterService(ServiceBase):
         self.tenant = tenant
 
         # Refuse impossible topologies before any process is spawned or
-        # store lock taken (ReplicaPlan.compute re-validates later, but
+        # store lock taken (ShardPlan.compute re-validates later, but
         # by then a writable primary would already hold the flock).
-        if self.config.replication < 1:
-            raise ClusterConfigError(
-                f"replication factor must be >= 1, got "
-                f"{self.config.replication}"
-            )
-        if self.config.replication > self.config.workers:
-            raise ClusterConfigError(
-                f"replication {self.config.replication} exceeds the "
-                f"worker budget: every shard range needs "
-                f"{self.config.replication} distinct workers but only "
-                f"{self.config.workers} were requested — raise --workers "
-                f"to at least {self.config.replication} or lower "
-                f"--replication"
-            )
+        check_topology(self.config.workers, self.config.replication)
         if self.config.writable and self.config.standby:
             raise ClusterConfigError(
                 "--writable and --standby are mutually exclusive: a "

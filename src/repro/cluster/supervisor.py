@@ -2,7 +2,7 @@
 
 The supervisor owns the worker *processes*; the router owns the worker
 *connections*.  Each worker slot of the
-:class:`~repro.cluster.placement.ReplicaPlan` — R slots per shard range
+:class:`~repro.cluster.plan.ShardPlan` — R slots per shard range
 — gets a ``python -m repro cluster worker`` subprocess whose ready
 banner (printed only after the checkpoint is mapped and the socket
 bound) is parsed for its ephemeral port, then the router is attached.
@@ -37,7 +37,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.cluster.placement import ReplicaPlan, as_replica_plan
 from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterRouter
 from repro.errors import ClusterError
@@ -89,7 +88,7 @@ class ClusterSupervisor:
     def __init__(
         self,
         data_dir: pathlib.Path,
-        plan: ShardPlan | ReplicaPlan,
+        plan: ShardPlan,
         router: ClusterRouter,
         config: SupervisorConfig | None = None,
         *,
@@ -98,7 +97,7 @@ class ClusterSupervisor:
         tenant: str | None = None,
     ):
         self.data_dir = pathlib.Path(data_dir)
-        self.plan = as_replica_plan(plan)
+        self.plan = plan
         self.router = router
         self.config = config or SupervisorConfig()
         self.host = host
@@ -116,7 +115,7 @@ class ClusterSupervisor:
         self._draining = False
         self._heartbeat_task: asyncio.Task | None = None
 
-    def update_plan(self, plan: ShardPlan | ReplicaPlan) -> None:
+    def update_plan(self, plan: ShardPlan) -> None:
         """Point future spawns at a newer epoch's plan.
 
         Called by the primary writer *before* broadcasting the bump, so
@@ -124,7 +123,6 @@ class ClusterSupervisor:
         checkpoint instead of the superseded one.  Running workers are
         untouched — they catch up through the bump op.
         """
-        plan = as_replica_plan(plan)
         if plan.n_shards != self.plan.n_shards:
             raise ClusterError(
                 f"plan update changes shard count "
@@ -157,9 +155,7 @@ class ClusterSupervisor:
             "--data-dir", str(self.data_dir),
             "--shard", str(record.shard_id),
             "--replica", str(record.replica),
-            # Workers receive the *shard* plan: their contract is rows,
-            # not placement (see repro.cluster.placement).
-            "--plan", self.plan.base.to_json(),
+            "--plan", self.plan.to_json(),
             "--host", self.host,
             "--port", "0",
             *(
@@ -451,24 +447,26 @@ class ClusterSupervisor:
         """
         rows = []
         workers = {row["worker"]: row for row in self.describe()}
-        for rset in self.plan.replicas:
-            replica_rows = [workers[wid] for wid in rset.workers]
+        for shard in self.plan.shards:
+            replica_rows = [
+                workers[wid] for wid in self.plan.replica_set(shard.shard_id)
+            ]
             healthy = sum(
                 1 for row in replica_rows if row["state"] == "up"
             )
             rows.append(
                 {
-                    "shard": rset.shard_id,
-                    "lo": rset.lo,
-                    "hi": rset.hi,
-                    "replicas_total": len(rset.workers),
+                    "shard": shard.shard_id,
+                    "lo": shard.lo,
+                    "hi": shard.hi,
+                    "replicas_total": len(replica_rows),
                     "replicas_healthy": healthy,
                     "replicas": replica_rows,
                 }
             )
         return rows
 
-    def quorum_met(self, plan: ShardPlan | ReplicaPlan) -> bool:
+    def quorum_met(self, plan: ShardPlan) -> bool:
         """True iff every range has a quorum of replicas on ``plan.epoch``.
 
         The epoch-bump completion test: a bump only *publishes* once a
@@ -477,11 +475,10 @@ class ClusterSupervisor:
         replica set could serve a just-published epoch from a minority
         while its siblings still answer the old one after a failover.
         """
-        plan = as_replica_plan(plan)
         quorum = plan.quorum()
-        for rset in plan.replicas:
+        for sid in range(plan.n_shards):
             acked = 0
-            for wid in rset.workers:
+            for wid in plan.replica_set(sid):
                 record = self._records.get(wid)
                 if (
                     record is not None

@@ -279,9 +279,20 @@ class OpenedCheckpoint:
         """The logical index version the checkpoint sealed."""
         return int(self.info.meta.get("epoch", 0))
 
+    def _decode(self, decode):
+        # A checkpoint can pass its CRCs and still lack an array or a
+        # manifest key (written by another tool, or by hand).
+        try:
+            return decode(self.arrays, self.info.meta)
+        except KeyError as exc:
+            raise StoreCorruptError(
+                f"checkpoint {self.info.path} has no array or manifest "
+                f"key {exc.args[0]!r}"
+            ) from exc
+
     def model(self) -> LSIModel:
         """The queryable model; mapped arrays stay mapped until touched."""
-        return _decode_models(self.arrays, self.info.meta)[1]
+        return self._decode(_decode_models)[1]
 
     def ann(self) -> CoarseQuantizer | None:
         """The checkpoint's coarse quantizer — or ``None``.
@@ -301,7 +312,7 @@ class OpenedCheckpoint:
 
     def manager(self) -> LSIIndexManager:
         """Full recovery state (:func:`restore_manager`)."""
-        return restore_manager(self.arrays, self.info.meta)
+        return self._decode(restore_manager)
 
 
 def _open(

@@ -3,16 +3,27 @@
 Expensive artifacts (fitted models, generated collections) are session-
 scoped; tests must not mutate them — the library's immutability rules are
 themselves under test, so accidental mutation fails loudly.
+
+The property tests run derandomized (the ``tier1`` hypothesis profile
+below: examples seeded from each test's source, no example database), so
+a tier-1 result depends on the code alone and two commits can be
+compared.  To explore instead, pass a seed, which overrides the
+profile: ``python -m pytest tests --hypothesis-seed=random`` (the seed
+is printed with any failure, for ``--hypothesis-seed=<n>``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import fit_lsi, fit_lsi_from_tdm
 from repro.corpus import SyntheticSpec, med_matrix, topic_collection
 from repro.corpus.med import MED_TOPICS
+
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)

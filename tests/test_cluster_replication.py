@@ -1,6 +1,6 @@
 """Replicated shards: placement, failover, quorum, fencing, promotion.
 
-Unit layers first (the deterministic :class:`ReplicaPlan`, the typed
+Unit layers first (the deterministic :class:`ShardPlan`, the typed
 topology refusals, supervisor range health and bump quorum, lock
 fencing generations), then the router's replica-set behavior against
 in-process fake workers (failover-before-partial, hedging without
@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.placement import ReplicaPlan, as_replica_plan
 from repro.cluster.plan import ShardPlan
 from repro.cluster.router import ClusterRouter, RouterConfig
 from repro.cluster.service import ClusterConfig, ClusterService
@@ -67,7 +66,7 @@ def _seed_latency(worker_id, seconds, samples=5):
 # placement: deterministic, canonical, refused on skew
 # --------------------------------------------------------------------- #
 def test_replica_plan_mapping_and_quorum():
-    plan = ReplicaPlan.compute(57, 6, 2)
+    plan = ShardPlan.compute(57, 6, 2)
     assert plan.n_shards == RANGES  # ranges, not processes
     assert plan.n_workers == 6
     assert plan.replication == 2
@@ -78,58 +77,56 @@ def test_replica_plan_mapping_and_quorum():
         assert plan.replica_of(wid) == wid // RANGES
     for sid in range(RANGES):
         rset = plan.replica_set(sid)
-        assert rset.workers == (sid, sid + RANGES)
-        assert len(set(rset.workers)) == rset.replication == 2
-        # The data layout is exactly the base shard plan's range.
-        assert (rset.lo, rset.hi) == (plan.shard(sid).lo, plan.shard(sid).hi)
+        assert rset == (sid, sid + RANGES)
+        assert len(set(rset)) == plan.replication == 2
+    # The data layout does not depend on R.
+    assert plan.ranges() == ShardPlan.compute(57, RANGES).ranges()
     # Majority quorum at odd R.
-    assert ReplicaPlan.compute(57, 9, 3).quorum() == 2
-    assert ReplicaPlan.compute(57, 5, 5).quorum() == 3
+    assert ShardPlan.compute(57, 9, 3).quorum() == 2
+    assert ShardPlan.compute(57, 5, 5).quorum() == 3
 
 
 def test_replication_one_worker_ids_equal_shard_ids():
-    plan = ReplicaPlan.compute(57, RANGES, 1)
+    plan = ShardPlan.compute(57, RANGES, 1)
     assert plan.n_workers == plan.n_shards == RANGES
     assert [plan.range_of(w) for w in plan.worker_ids()] == [0, 1, 2]
     assert plan.quorum() == 1
-    # Wrapping a bare ShardPlan is the same R=1 special case.
-    wrapped = as_replica_plan(ShardPlan.compute(57, RANGES))
-    assert wrapped.replication == 1
-    assert [r.workers for r in wrapped.replicas] == [(0,), (1,), (2,)]
-    # Passthrough: an already-replicated plan is returned as-is.
-    assert as_replica_plan(plan) is plan
+    # Leaving R out is the same R=1 special case.
+    bare = ShardPlan.compute(57, RANGES)
+    assert bare == plan
+    assert [bare.replica_set(s) for s in range(RANGES)] == [(0,), (1,), (2,)]
 
 
 def test_replica_plan_canonical_json_round_trip():
-    a = ReplicaPlan.compute(123, 8, 2, epoch=7, checkpoint="ckpt-00000007")
-    b = ReplicaPlan.compute(123, 8, 2, epoch=7, checkpoint="ckpt-00000007")
+    a = ShardPlan.compute(123, 8, 2, epoch=7, checkpoint="ckpt-00000007")
+    b = ShardPlan.compute(123, 8, 2, epoch=7, checkpoint="ckpt-00000007")
     assert a.to_json() == b.to_json()  # byte-stable
-    parsed = ReplicaPlan.from_json(a.to_json())
+    parsed = ShardPlan.from_json(a.to_json())
     assert parsed == a
     assert parsed.to_json() == a.to_json()
 
 
 def test_replica_plan_tampered_ranges_refused():
-    plan = ReplicaPlan.compute(123, 8, 2)
+    plan = ShardPlan.compute(123, 8, 2)
     data = json.loads(plan.to_json())
     data["shards"][0][1] += 1  # hand-edited range
     with pytest.raises(ClusterError):
-        ReplicaPlan.from_json(json.dumps(data))
+        ShardPlan.from_json(json.dumps(data))
     data = json.loads(plan.to_json())
-    data["format"] = "repro-cluster-replica-plan/999"
+    data["format"] = "repro-cluster-plan/999"
     with pytest.raises(ClusterError):
-        ReplicaPlan.from_json(json.dumps(data))
+        ShardPlan.from_json(json.dumps(data))
 
 
 def test_impossible_topologies_are_typed_config_errors():
     with pytest.raises(ClusterConfigError):
-        ReplicaPlan.compute(57, 2, 3)  # R exceeds the worker budget
+        ShardPlan.compute(57, 2, 3)  # R exceeds the worker budget
     with pytest.raises(ClusterConfigError):
-        ReplicaPlan.compute(57, 4, 0)  # R < 1
+        ShardPlan.compute(57, 4, 0)  # R < 1
     # The error is a ValueError (argument validation), not a crash.
     assert issubclass(ClusterConfigError, ValueError)
     with pytest.raises(ClusterConfigError) as excinfo:
-        ReplicaPlan.compute(57, 2, 3)
+        ShardPlan.compute(57, 2, 3)
     assert "--workers" in str(excinfo.value)
 
 
@@ -150,7 +147,7 @@ def test_cluster_service_refuses_topology_before_touching_store(tmp_path):
 # supervisor: per-range health and the bump quorum test
 # --------------------------------------------------------------------- #
 def test_supervisor_range_health_and_quorum(tmp_path):
-    plan = ReplicaPlan.compute(57, 6, 2, epoch=5)
+    plan = ShardPlan.compute(57, 6, 2, epoch=5)
     sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan))
     # Nothing spawned yet: every range exists but nothing is healthy.
     ranges = sup.describe_ranges()
@@ -192,7 +189,7 @@ def test_supervisor_range_health_and_quorum(tmp_path):
 
 
 def test_supervisor_majority_quorum_at_replication_three(tmp_path):
-    plan = ReplicaPlan.compute(57, 9, 3, epoch=2)
+    plan = ShardPlan.compute(57, 9, 3, epoch=2)
     sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan))
     for record in sup._records.values():
         record.state = "up"
@@ -207,13 +204,13 @@ def test_supervisor_majority_quorum_at_replication_three(tmp_path):
 
 
 def test_supervisor_refuses_topology_changes(tmp_path):
-    plan = ReplicaPlan.compute(57, 6, 2)
+    plan = ShardPlan.compute(57, 6, 2)
     sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan))
     with pytest.raises(ClusterError):
-        sup.update_plan(ReplicaPlan.compute(57, 8, 2))  # 4 ranges
+        sup.update_plan(ShardPlan.compute(57, 8, 2))  # 4 ranges
     with pytest.raises(ClusterError):
-        sup.update_plan(ReplicaPlan.compute(57, 3, 1))  # R changed
-    sup.update_plan(ReplicaPlan.compute(60, 6, 2, epoch=9))  # same shape
+        sup.update_plan(ShardPlan.compute(57, 3, 1))  # R changed
+    sup.update_plan(ShardPlan.compute(60, 6, 2, epoch=9))  # same shape
     assert sup.plan.epoch == 9
 
 
@@ -326,7 +323,7 @@ class _FakeReplica:
 async def _replicated_cluster(
     model, *, replication=2, config=None, delays=None, die_on_score=()
 ):
-    plan = ReplicaPlan.compute(model.n_documents, RANGES * replication,
+    plan = ShardPlan.compute(model.n_documents, RANGES * replication,
                                replication)
     fakes = {}
     for wid in plan.worker_ids():
@@ -371,7 +368,7 @@ def test_router_fails_over_before_going_partial(replica_model):
             result = await router.search_batch(
                 _scaled(model, queries), top=TOP
             )
-            return result, router.live_shards()
+            return result, router.live_workers()
         finally:
             await _teardown(router, fakes)
 
@@ -456,9 +453,9 @@ def test_router_hedges_to_sibling_without_double_counting(replica_model):
     assert result.failovers == []  # slow is hedged, not failed over
     assert result.results == flat
     assert sorted(result.served_by) == [0, 1, 2]
-    plan = ReplicaPlan.compute(model.n_documents, 2 * RANGES, 2)
+    plan = ShardPlan.compute(model.n_documents, 2 * RANGES, 2)
     for sid, wid in result.served_by.items():
-        assert wid in plan.replica_set(sid).workers
+        assert wid in plan.replica_set(sid)
 
 
 # --------------------------------------------------------------------- #
@@ -468,7 +465,7 @@ def test_router_hedges_to_sibling_without_double_counting(replica_model):
 @given(choices=st.lists(st.integers(0, 1), min_size=RANGES, max_size=RANGES))
 def test_any_replica_choice_yields_identical_merge(replica_model, choices):
     model, texts = replica_model
-    plan = ReplicaPlan.compute(model.n_documents, 2 * RANGES, 2)
+    plan = ShardPlan.compute(model.n_documents, 2 * RANGES, 2)
     queries = texts[:3]
     Q = _scaled(model, queries)
     flat = sharded_batch_search(model, queries, top=TOP, shards=RANGES)

@@ -163,7 +163,7 @@ def test_router_dead_worker_degrades_to_partial(router_model):
             result = await router.search_batch(
                 _scaled(model, texts[:2]), top=TOP
             )
-            return plan, result, router.live_shards()
+            return plan, result, router.live_workers()
         finally:
             await _teardown(router, fakes)
 
@@ -219,7 +219,7 @@ def test_router_deadline_miss_is_partial_without_detach(router_model):
             result = await router.search_batch(
                 _scaled(model, texts[:1]), top=TOP
             )
-            return plan, result, router.live_shards()
+            return plan, result, router.live_workers()
         finally:
             await _teardown(router, fakes)
 

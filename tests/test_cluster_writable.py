@@ -17,7 +17,6 @@ import pytest
 
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
-from repro.cluster.placement import ReplicaPlan
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
@@ -145,9 +144,9 @@ def test_cluster_readers_serve_the_writers_factors(tmp_path):
                 seed.model(), plan0.shard(shard), epoch=seed.epoch,
                 data_dir=store.data_dir,
             )
-            assert worker.bump(handle.plan.base.to_json())["ok"]
+            assert worker.bump(handle.plan.to_json())["ok"]
             assert_same_factors(worker.current.model, model)
-            rows = handle.plan.base.shard(shard)
+            rows = handle.plan.shard(shard)
             live = EpochSnapshot(handle.epoch, model, lo=rows.lo, hi=rows.hi)
             assert_same_rankings(worker.current, live, queries)
     finally:
@@ -180,7 +179,7 @@ def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
     store.close(flush=False)
 
     class Service:  # the slice of ClusterService the tail reads
-        plan = ReplicaPlan.compute(1, SHARDS, 1)
+        plan = ShardPlan.compute(1, SHARDS, 1)
         followed: list = []
 
         def __init__(self, epoch):

@@ -17,7 +17,9 @@ from repro.cluster.plan import ShardPlan
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
 from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.errors import StoreCorruptError
 from repro.serving.ann import CoarseQuantizer
+from repro.store.checkpoint import write_checkpoint
 from repro.store.durable import (
     STORE_LAYOUT,
     DurableIndexStore,
@@ -239,3 +241,33 @@ def test_corrupt_newest_falls_back_and_is_reported_once(tmp_path, open_counts):
     # Both checkpoints were verified once each; neither was parsed twice.
     assert sorted(open_counts.parses) == [older, newest]
     assert len(open_counts.crcs) == len(set(open_counts.crcs))
+
+
+def test_checkpoint_missing_an_array_or_key_is_a_typed_error(tmp_path):
+    """A checkpoint can verify and still be undecodable (another tool
+    wrote it): the door names the directory and what is missing."""
+    rng = np.random.default_rng(3)
+    arrays = {
+        "base_U": rng.standard_normal((6, 2)),
+        "base_s": np.array([2.0, 1.0]),
+        "model_V": rng.standard_normal((9, 2)),
+        "base_gw": np.ones(6),
+    }
+    meta = {
+        "model_scheme": {"local": "tf", "global": "none"},
+        "vocabulary": [f"w{i}" for i in range(6)],
+        "doc_ids": [f"D{j}" for j in range(9)],
+        "provenance": "svd",
+        "epoch": 0,
+        "n_documents": 9,
+    }
+    info = write_checkpoint(tmp_path / STORE_LAYOUT["checkpoints"], arrays, meta)
+    opened = open_checkpoint(tmp_path)  # every CRC passes
+    with pytest.raises(StoreCorruptError, match="base_V") as excinfo:
+        opened.model()
+    assert str(info.path) in str(excinfo.value)
+
+    arrays["base_V"] = arrays["model_V"]
+    write_checkpoint(tmp_path / STORE_LAYOUT["checkpoints"], arrays, meta)
+    with pytest.raises(StoreCorruptError, match="base_doc_ids"):
+        open_checkpoint(tmp_path).manager()
