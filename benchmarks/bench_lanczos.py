@@ -25,9 +25,7 @@ def _sparse_tdm_like(m, n, nnz_per_col, seed=0):
     return dense, from_dense(dense).to_csc()
 
 
-@pytest.mark.parametrize(
-    "method", ["lanczos", "block-lanczos", "gkl", "dense"]
-)
+@pytest.mark.parametrize("method", ["lanczos", "gkl", "dense"])
 def test_backend_timing(benchmark, method):
     dense, sparse = _sparse_tdm_like(400, 300, 12, seed=1)
     k = 10

@@ -5,7 +5,7 @@ The package implements Latent Semantic Indexing end to end, from scratch:
 
 * a sparse-matrix substrate (:mod:`repro.sparse`) and the numerical linear
   algebra LSI runs on (:mod:`repro.linalg`) — Lanczos truncated SVD,
-  Golub-Kahan bidiagonalization, one-sided Jacobi, Householder QR;
+  Golub-Kahan bidiagonalization, one-sided Jacobi;
 * text processing (:mod:`repro.text`) and term weighting
   (:mod:`repro.weighting`), including the paper's log×entropy scheme;
 * the LSI core (:mod:`repro.core`): model fitting, Eq. 6 queries, cosine

@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--min-doc-freq", type=int, default=1)
     p_index.add_argument(
         "--svd-method", default="auto",
-        choices=["auto", "dense", "lanczos", "gkl", "block-lanczos"],
+        choices=["auto", "dense", "lanczos", "gkl"],
         help="truncated-SVD backend (default auto)",
     )
 

@@ -25,7 +25,6 @@ __all__ = [
     "ClusterError",
     "ClusterConfigError",
     "ClusterReadOnlyError",
-    "EpochSkewError",
     "UnknownTenantError",
 ]
 
@@ -155,18 +154,6 @@ class ClusterReadOnlyError(ClusterError):
     distinguish "this tier does not take writes" from a malformed
     request (400) or an overloaded one (429); carries ``request_id``
     (see :class:`ReproError`) when raised client-side.
-    """
-
-
-class EpochSkewError(ClusterError):
-    """A shard worker no longer holds the epoch a request asked for.
-
-    During an epoch bump every worker keeps the superseded epoch's
-    scoring state alive until the *next* bump, so in-flight queries
-    finish against the snapshot they started on.  A worker that fell
-    more than one epoch behind the request (or restarted straight onto
-    a newer checkpoint) answers with a skew marker; the router degrades
-    that shard to a ``partial=True`` miss instead of failing the query.
     """
 
 

@@ -25,12 +25,6 @@ from repro.evaluation.harness import (
     run_engine,
 )
 from repro.evaluation.pooling import pooled_judgments
-from repro.evaluation.significance import (
-    PairedTestResult,
-    randomization_test,
-    sign_test,
-)
-from repro.evaluation.report import comparison_table, recall_precision_table
 
 __all__ = [
     "precision_at",
@@ -47,9 +41,4 @@ __all__ = [
     "EngineComparison",
     "percent_improvement",
     "pooled_judgments",
-    "PairedTestResult",
-    "sign_test",
-    "randomization_test",
-    "recall_precision_table",
-    "comparison_table",
 ]

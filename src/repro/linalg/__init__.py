@@ -4,8 +4,6 @@ The paper's computational core is the truncated SVD of a large sparse
 term-document matrix, computed in 1995 by SVDPACKC's single-vector Lanczos
 code.  This subpackage rebuilds that stack in pure NumPy:
 
-* :mod:`repro.linalg.householder` — Householder QR (used by the updating
-  algebra and for orthonormal completions).
 * :mod:`repro.linalg.tridiag` — implicit-shift QL eigensolver for symmetric
   tridiagonal matrices (the inner solve of Lanczos).
 * :mod:`repro.linalg.jacobi_svd` — one-sided Jacobi SVD for small dense
@@ -14,8 +12,6 @@ code.  This subpackage rebuilds that stack in pure NumPy:
 * :mod:`repro.linalg.lanczos` — single-vector Lanczos on the Gram operator
   ``GᵀG`` with full reorthogonalization, instrumented so the paper's cost
   model ``I·cost(GᵀGx) + trp·cost(Gx)`` can be checked empirically.
-* :mod:`repro.linalg.block_lanczos` — the block variant (SVDPACKC's
-  ``bls2``), which resolves clustered spectra a block at a time.
 * :mod:`repro.linalg.svd` — the :func:`truncated_svd` front-end that picks
   a backend and returns a :class:`~repro.linalg.svd.SVDResult`.
 * :mod:`repro.linalg.orth` — orthogonality-loss diagnostics (§4.3).
@@ -24,24 +20,19 @@ Only ``numpy`` primitives (elementwise math, ``@`` on dense arrays) are
 used; no LAPACK decompositions are called on any library code path.
 """
 
-from repro.linalg.householder import householder_qr, orthonormal_columns
 from repro.linalg.tridiag import tridiag_eigh
 from repro.linalg.jacobi_svd import jacobi_svd
 from repro.linalg.bidiag import golub_kahan_bidiag
 from repro.linalg.lanczos import LanczosStats, lanczos_svd
-from repro.linalg.block_lanczos import block_lanczos_svd
 from repro.linalg.svd import SVDResult, truncated_svd
 from repro.linalg.orth import orthogonality_loss, reorthogonalize, spectral_norm
 from repro.linalg.counters import FlopCounter, OperatorCounter
 
 __all__ = [
-    "householder_qr",
-    "orthonormal_columns",
     "tridiag_eigh",
     "jacobi_svd",
     "golub_kahan_bidiag",
     "lanczos_svd",
-    "block_lanczos_svd",
     "LanczosStats",
     "truncated_svd",
     "SVDResult",

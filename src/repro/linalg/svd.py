@@ -1,7 +1,7 @@
 """Unified truncated-SVD front-end.
 
 :func:`truncated_svd` is the single entry point the LSI layers call.  It
-selects among four from-scratch backends:
+selects among three from-scratch backends:
 
 ``"dense"``
     One-sided Jacobi on the densified matrix — exact, used for small
@@ -12,9 +12,6 @@ selects among four from-scratch backends:
 ``"gkl"``
     Golub-Kahan-Lanczos bidiagonalization followed by a dense SVD of the
     small bidiagonal — the non-squaring alternative.
-``"block-lanczos"``
-    Block Lanczos (the SVDPACKC ``bls2`` analogue) — resolves clustered
-    spectra a block at a time; see :mod:`repro.linalg.block_lanczos`.
 ``"auto"``
     Dense below :data:`DENSE_CUTOFF` on the small side (or when ``k`` is a
     large fraction of it), Lanczos otherwise.
@@ -31,7 +28,6 @@ from repro.errors import ShapeError
 from repro.linalg.bidiag import bidiagonal_dense, golub_kahan_bidiag
 from repro.linalg.counters import OperatorCounter
 from repro.linalg.jacobi_svd import jacobi_svd
-from repro.linalg.block_lanczos import block_lanczos_svd
 from repro.linalg.lanczos import LanczosStats, lanczos_svd
 from repro.obs.bridge import record_lanczos_stats, record_operator
 
@@ -142,11 +138,6 @@ def truncated_svd(
         record_lanczos_stats(stats)
         record_operator(op)
         return SVDResult(U, s, V, stats=stats, method="lanczos")
-
-    if method == "block-lanczos":
-        U, s, V, stats = block_lanczos_svd(a, k, seed=seed, tol=tol)
-        record_lanczos_stats(stats)
-        return SVDResult(U, s, V, stats=stats, method="block-lanczos")
 
     if method == "gkl":
         steps = dim if max_iter is None else min(max_iter, dim)

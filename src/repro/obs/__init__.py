@@ -56,7 +56,6 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    get_registry,
     registry,
 )
 from repro.obs.prom import render_prometheus, render_snapshot
@@ -86,7 +85,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS",
     "registry",
-    "get_registry",
     "span",
     "Span",
     "enable_tracing",

@@ -32,7 +32,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "registry",
-    "get_registry",
 ]
 
 #: Log-spaced latency boundaries (seconds), 1 µs … 60 s, three per decade.
@@ -252,8 +251,3 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented layer writes to.
 registry = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide :data:`registry` (function form for monkeypatching)."""
-    return registry

@@ -1,14 +1,10 @@
-"""Parallel and blocked execution helpers.
+"""Parallel execution helpers.
 
-The paper sits in the HPC literature (SC '95) and its open issues (§5.6)
-are explicitly computational: "computing the truncated SVD of extremely
-large sparse matrices", "SVD-updating in real time", and "efficiently
-comparing queries to documents (finding near neighbors in high-dimension
-spaces)".  These helpers address the third at laptop scale and keep
-memory bounded for the first two:
+The paper sits in the HPC literature (SC '95) and one of its open issues
+(§5.6) is "efficiently comparing queries to documents (finding near
+neighbors in high-dimension spaces)".  These helpers address it at
+laptop scale:
 
-* :mod:`repro.parallel.chunked` — blocked fold-in that streams over
-  document blocks without materializing ``nnz × k`` temporaries;
 * :mod:`repro.parallel.pool` — a thread-pool map (NumPy releases the GIL
   inside its kernels, so scoring shards in threads scales) with a
   deterministic sequential fallback;
@@ -18,7 +14,6 @@ memory bounded for the first two:
   (:func:`sharded_batch_search`) over the model's memoized ``V_k Σ_k``.
 """
 
-from repro.parallel.chunked import blocked_fold_in
 from repro.parallel.pool import parallel_map
 from repro.parallel.sharding import (
     merge_topk,
@@ -28,7 +23,6 @@ from repro.parallel.sharding import (
 )
 
 __all__ = [
-    "blocked_fold_in",
     "parallel_map",
     "shard_documents",
     "sharded_search",

@@ -33,8 +33,6 @@ from repro.sparse.ops import (
     hstack_csc,
     vstack_csr,
 )
-from repro.sparse.io import load_coordinate_text, save_coordinate_text
-from repro.sparse.diagnostics import MatrixProfile, matrix_profile
 
 __all__ = [
     "COOMatrix",
@@ -50,8 +48,4 @@ __all__ = [
     "frobenius_norm",
     "hstack_csc",
     "vstack_csr",
-    "load_coordinate_text",
-    "save_coordinate_text",
-    "MatrixProfile",
-    "matrix_profile",
 ]

@@ -20,7 +20,6 @@ from repro.text.vocabulary import Vocabulary
 from repro.text.parser import ParsingRules, parse_corpus
 from repro.text.tdm import TermDocumentMatrix, build_tdm
 from repro.text.ngrams import char_ngrams, word_ngram_profile
-from repro.text.phrases import PhraseRules, build_phrase_tdm, extract_phrases
 
 __all__ = [
     "tokenize",
@@ -33,7 +32,4 @@ __all__ = [
     "build_tdm",
     "char_ngrams",
     "word_ngram_profile",
-    "PhraseRules",
-    "build_phrase_tdm",
-    "extract_phrases",
 ]

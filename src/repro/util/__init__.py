@@ -1,23 +1,5 @@
-"""Shared utilities: seeded RNG discipline, validation helpers, timing."""
+"""Shared utilities: the seeded-RNG discipline (:mod:`repro.util.rng`)."""
 
 from repro.util.rng import ensure_rng, spawn_rngs
-from repro.util.validation import (
-    check_axis,
-    check_dense_matrix,
-    check_positive,
-    check_shape_match,
-    check_vector,
-)
-from repro.util.timing import Stopwatch, format_seconds
 
-__all__ = [
-    "ensure_rng",
-    "spawn_rngs",
-    "check_axis",
-    "check_dense_matrix",
-    "check_positive",
-    "check_shape_match",
-    "check_vector",
-    "Stopwatch",
-    "format_seconds",
-]
+__all__ = ["ensure_rng", "spawn_rngs"]

@@ -24,18 +24,6 @@ def test_lsi_engine_factors_mode(small_collection):
         assert np.all(s <= 1 + 1e-9) and np.all(s >= -1 - 1e-9)
 
 
-def test_fit_with_block_lanczos_backend(small_collection):
-    model = fit_lsi(
-        small_collection.documents, 6, scheme="log_entropy",
-        method="block-lanczos", seed=0,
-    )
-    ref = fit_lsi(
-        small_collection.documents, 6, scheme="log_entropy",
-        method="dense", seed=0,
-    )
-    assert np.allclose(model.s, ref.s, atol=1e-6)
-
-
 def test_keyword_engine_empty_query(small_collection):
     kw = KeywordRetrieval.from_texts(small_collection.documents)
     assert np.allclose(kw.scores(""), 0.0)

@@ -5,7 +5,8 @@ Every number the docs give for a served path has one source: a
 ``BENCH_<name>.json`` at the repository root — and such a file is only
 ever a full-size, machine-stamped run (``benchmarks/conftest.py``).  A
 doc, or the CI workflow, may not name a bench, an evidence file or a
-ledger metric that does not exist.
+ledger metric that does not exist — nor a module: a backticked
+``pkg/mod.py`` or ``pkg.mod`` must be a file under ``src/repro/``.
 """
 
 import json
@@ -21,6 +22,8 @@ STAMP_KEYS = {
     "repeats",
 }
 EVIDENCE = sorted(p.name for p in ROOT.glob("BENCH_*.json"))
+SRC = ROOT / "src" / "repro"
+PACKAGES = {p.parent.name for p in SRC.glob("*/__init__.py")}
 
 _benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = {w["name"] for w in _benchmark["workloads"]}
@@ -60,6 +63,16 @@ def test_docs_cite_only_evidence_that_exists(doc):
     for workload, metric in set(re.findall(r"`(\w+):(\w+[_.][\w.]+)`", text)):
         if workload not in WORKLOADS or metric not in METRICS:
             missing.append(f"{workload}:{metric}")
+    for pkg, mod in set(re.findall(r"`(?:src/)?(?:repro/)?(\w+)/(\w+)\.py", text)):
+        if pkg in PACKAGES and not (SRC / pkg / f"{mod}.py").exists():
+            missing.append(f"{pkg}/{mod}.py")
+    # ``pkg.name`` is a module, or a name the package exports or reports
+    # (``store.open_checkpoint``, the ``store.ann_missing`` gauge).
+    for pkg, name in set(re.findall(r"`(?:repro\.)?(\w+)\.(\w+)`", text)):
+        if pkg in PACKAGES and not (SRC / pkg / f"{name}.py").exists():
+            quoted = re.compile(rf'"(?:{pkg}\.)?{name}"')
+            if not any(quoted.search(p.read_text()) for p in (SRC / pkg).glob("*.py")):
+                missing.append(f"{pkg}.{name}")
     assert not missing, f"{doc} cites what does not exist: {sorted(missing)}"
 
 

@@ -8,11 +8,14 @@ from repro.linalg import (
     FlopCounter,
     OperatorCounter,
     orthogonality_loss,
-    orthonormal_columns,
     reorthogonalize,
     spectral_norm,
 )
 from repro.sparse import from_dense
+
+
+def orthonormal_columns(m, k, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))[0]
 
 
 def test_spectral_norm_matches_numpy(rng):

@@ -1,13 +1,10 @@
-"""Tests for manager term additions and the report formatters."""
+"""Tests for manager term additions."""
 
 import numpy as np
 import pytest
 
-from repro.corpus import SyntheticSpec, TestCollection, topic_collection
-from repro.errors import EvaluationError, ShapeError
-from repro.evaluation.harness import RetrievalRun, run_engine
-from repro.evaluation.report import comparison_table, recall_precision_table
-from repro.retrieval import KeywordRetrieval
+from repro.corpus import SyntheticSpec, topic_collection
+from repro.errors import ShapeError
 from repro.text import ParsingRules, build_tdm
 from repro.updating import LSIIndexManager
 
@@ -70,47 +67,3 @@ def test_added_terms_are_queryable(mgr):
     assert int(np.argmax(cos)) < 10
     assert cos[:10].mean() > cos[10:].mean() + 0.2
 
-
-# --------------------------------------------------------------------- #
-# report formatting
-# --------------------------------------------------------------------- #
-@pytest.fixture
-def tiny():
-    return TestCollection(
-        documents=["apple pie", "banana bread", "apple cake"],
-        queries=["apple", "banana"],
-        relevance=[{0, 2}, {1}],
-        name="tiny",
-    )
-
-
-def test_recall_precision_table(tiny):
-    kw = KeywordRetrieval.from_texts(tiny.documents)
-    run = run_engine(kw, tiny)
-    table = recall_precision_table([run, run], tiny)
-    lines = table.splitlines()
-    assert lines[0].split() == ["recall", "keyword-vector", "keyword-vector"]
-    assert len(lines) == 1 + 11 + 1  # header + levels + avg
-    assert lines[-1].lstrip().startswith("avg")
-    # perfect engine on this corpus: all entries 1.0
-    assert "1.0000" in lines[1]
-
-
-def test_recall_precision_table_validation(tiny):
-    with pytest.raises(EvaluationError):
-        recall_precision_table([], tiny)
-    bad = RetrievalRun("x", "tiny", [[0, 1, 2]])
-    with pytest.raises(EvaluationError):
-        recall_precision_table([bad], tiny)
-
-
-def test_comparison_table():
-    table = comparison_table(
-        {"lsi": 0.65, "keyword": 0.50}, baseline="keyword"
-    )
-    assert "+30.0%" in table
-    assert "(baseline)" in table
-    lines = table.splitlines()
-    assert lines[1].startswith("lsi")  # sorted descending
-    with pytest.raises(EvaluationError):
-        comparison_table({"a": 1.0}, baseline="missing")

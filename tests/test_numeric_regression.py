@@ -79,7 +79,7 @@ def test_truncated_svd_backend_agreement_tight():
     a = from_dense(d).to_csc()
     results = {
         m: truncated_svd(a, 4, method=m).s
-        for m in ("dense", "lanczos", "gkl", "block-lanczos")
+        for m in ("dense", "lanczos", "gkl")
     }
     for name, s in results.items():
         assert np.allclose(s, results["dense"], atol=1e-8), name

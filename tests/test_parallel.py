@@ -1,4 +1,4 @@
-"""Tests for the parallel/blocked execution helpers."""
+"""Tests for the parallel execution helpers."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,11 @@ from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
 from repro.parallel import (
-    blocked_fold_in,
     merge_topk,
     parallel_map,
     shard_documents,
     sharded_search,
 )
-from repro.updating import fold_in_documents
 
 
 # --------------------------------------------------------------------- #
@@ -38,23 +36,6 @@ def test_parallel_map_propagates_exceptions():
 
     with pytest.raises(ValueError):
         parallel_map(boom, [1, 2, 3], workers=3)
-
-
-# --------------------------------------------------------------------- #
-# blocked fold-in
-# --------------------------------------------------------------------- #
-def test_blocked_fold_in_matches_plain(med_model, rng):
-    counts = rng.integers(0, 3, (18, 10)).astype(float)
-    ids = [f"N{i}" for i in range(10)]
-    plain = fold_in_documents(med_model, counts, ids)
-    blocked = blocked_fold_in(med_model, counts, ids, block=3)
-    assert np.allclose(plain.V, blocked.V)
-    assert plain.doc_ids == blocked.doc_ids
-
-
-def test_blocked_fold_in_validation(med_model):
-    with pytest.raises(ShapeError):
-        blocked_fold_in(med_model, np.zeros((18, 2)), ["only-one"])
 
 
 # --------------------------------------------------------------------- #

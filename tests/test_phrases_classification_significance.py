@@ -1,4 +1,4 @@
-"""Tests for phrase indexing, LSI-feature classification, significance."""
+"""Tests for LSI-feature classification."""
 
 import numpy as np
 import pytest
@@ -8,78 +8,9 @@ from repro.apps import (
     classification_accuracy,
     lsi_features,
 )
-from repro.core import fit_lsi, fit_lsi_from_tdm
+from repro.core import fit_lsi
 from repro.corpus import SyntheticSpec, topic_collection
-from repro.errors import EvaluationError, ShapeError
-from repro.evaluation import randomization_test, sign_test
-from repro.text import PhraseRules, build_phrase_tdm, extract_phrases
-from repro.text.phrases import query_with_phrases
-
-
-# --------------------------------------------------------------------- #
-# phrases
-# --------------------------------------------------------------------- #
-def test_extract_phrases_min_df():
-    texts = ["new york city", "new york state", "old boston town"]
-    phrases = extract_phrases(texts, PhraseRules(n=2, min_doc_freq=2))
-    assert phrases == ["new_york"]
-
-
-def test_extract_phrases_max_cap():
-    texts = ["a b c", "a b c", "b c d", "b c d"]
-    phrases = extract_phrases(
-        texts, PhraseRules(n=2, min_doc_freq=2, max_phrases=1)
-    )
-    assert len(phrases) == 1
-
-
-def test_phrase_rules_validation():
-    with pytest.raises(ShapeError):
-        PhraseRules(n=1)
-    with pytest.raises(ShapeError):
-        PhraseRules(min_doc_freq=0)
-    with pytest.raises(ShapeError):
-        PhraseRules(max_phrases=0)
-
-
-def test_build_phrase_tdm_adds_rows():
-    texts = ["blood pressure rises", "blood pressure falls",
-             "oestrogen output rises"]
-    tdm = build_phrase_tdm(texts)
-    assert "blood_pressure" in tdm.vocabulary
-    assert tdm.term_frequency("blood_pressure", 0) == 1.0
-    assert tdm.term_frequency("blood_pressure", 2) == 0.0
-    # word rows still present
-    assert "blood" in tdm.vocabulary
-
-
-def test_phrase_model_distinguishes_contexts():
-    """The §3 polysemy pair: 'blood pressure' vs behavioral 'pressure'
-    get separate rows, so the phrase carries the medical sense."""
-    texts = [
-        "high blood pressure and vascular disease",
-        "blood pressure measured in the clinic",
-        "social pressure changed behavior",
-        "pressure to perform affects behavior",
-    ]
-    tdm = build_phrase_tdm(texts)
-    model = fit_lsi_from_tdm(tdm, 2)
-    from repro.core.query import query_counts, pseudo_document
-    from repro.core.similarity import cosine_similarities
-
-    tokens = query_with_phrases("blood pressure", model.vocabulary)
-    assert "blood_pressure" in tokens
-    counts = query_counts(model, tokens)
-    qhat = pseudo_document(model, counts * model.global_weights)
-    cos = cosine_similarities(model, qhat)
-    assert cos[:2].min() > cos[2:].max()  # medical docs beat behavioral
-
-
-def test_query_with_phrases_no_match():
-    from repro.text import Vocabulary
-
-    vocab = Vocabulary(["alpha", "beta"])
-    assert query_with_phrases("alpha beta", vocab) == ["alpha", "beta"]
+from repro.errors import ShapeError
 
 
 # --------------------------------------------------------------------- #
@@ -145,51 +76,3 @@ def test_classification_accuracy_empty():
     clf = CentroidClassifier.fit(np.eye(4), [0, 0, 1, 1])
     assert classification_accuracy(clf, np.zeros((0, 4)), []) == 0.0
 
-
-# --------------------------------------------------------------------- #
-# significance
-# --------------------------------------------------------------------- #
-def test_sign_test_obvious_difference():
-    a = [0.9] * 12
-    b = [0.1] * 12
-    res = sign_test(a, b)
-    assert res.p_value < 0.001
-    assert res.significant()
-    assert res.n == 12 and res.statistic == 12
-
-
-def test_sign_test_no_difference():
-    a = [0.5] * 10
-    res = sign_test(a, a)
-    assert res.p_value == 1.0
-    assert res.n == 0
-
-
-def test_sign_test_mixed():
-    a = [1, 0, 1, 0, 1, 0]
-    b = [0, 1, 0, 1, 0, 1]
-    res = sign_test(a, b)
-    assert res.p_value > 0.5  # 3 vs 3: dead even
-
-
-def test_randomization_test_detects_shift(rng):
-    base = rng.random(20)
-    res = randomization_test(base + 0.3, base, rounds=2000, seed=1)
-    assert res.p_value < 0.01
-    assert res.statistic == pytest.approx(0.3, abs=1e-9)
-
-
-def test_randomization_test_null(rng):
-    a = rng.random(20)
-    b = a + rng.normal(0, 1e-3, 20)
-    res = randomization_test(a, b, rounds=2000, seed=2)
-    assert res.p_value > 0.05
-
-
-def test_significance_validation():
-    with pytest.raises(EvaluationError):
-        sign_test([1.0], [1.0, 2.0])
-    with pytest.raises(EvaluationError):
-        sign_test([], [])
-    with pytest.raises(EvaluationError):
-        randomization_test([1.0], [1.0], rounds=0)

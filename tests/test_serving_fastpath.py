@@ -21,7 +21,7 @@ from repro.core.model import LSIModel
 from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities, nearest_terms
 from repro.obs.metrics import registry
-from repro.parallel import blocked_fold_in, sharded_batch_search
+from repro.parallel import sharded_batch_search
 from repro.retrieval import LSIRetrieval
 from repro.server.state import EpochSnapshot
 from repro.serving import (
@@ -359,13 +359,7 @@ def _assert_source_epoch_untouched(pinned, before, Q, successor, p):
 
 
 @pytest.mark.parametrize(
-    "update",
-    [
-        fold_in_documents,
-        update_documents,
-        fast_update_documents,
-        blocked_fold_in,
-    ],
+    "update", [fold_in_documents, update_documents, fast_update_documents]
 )
 def test_update_leaves_the_pinned_source_epoch_untouched(med_model_k8, update):
     model = med_model_k8.truncated(4)  # private model: fixtures stay clean

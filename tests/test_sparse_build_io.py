@@ -1,16 +1,10 @@
-"""Tests for the builder and the coordinate text I/O."""
+"""Tests for the matrix builder."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError, SparseFormatError
-from repro.sparse import (
-    MatrixBuilder,
-    from_dense,
-    from_triples,
-    load_coordinate_text,
-    save_coordinate_text,
-)
+from repro.errors import ShapeError
+from repro.sparse import MatrixBuilder, from_dense, from_triples
 
 
 def test_builder_accumulates_duplicates():
@@ -68,32 +62,3 @@ def test_from_dense_rejects_non_2d():
     with pytest.raises(ShapeError):
         from_dense(np.zeros(3))
 
-
-def test_io_round_trip(tmp_path, rng):
-    d = rng.random((6, 4)) * (rng.random((6, 4)) < 0.6)
-    path = tmp_path / "matrix.txt"
-    save_coordinate_text(path, from_dense(d))
-    loaded = load_coordinate_text(path)
-    assert loaded.shape == (6, 4)
-    assert np.array_equal(loaded.to_dense(), from_dense(d).to_dense())
-
-
-def test_io_round_trip_from_csr(tmp_path, rng):
-    d = rng.random((3, 3))
-    path = tmp_path / "m.txt"
-    save_coordinate_text(path, from_dense(d).to_csr())
-    assert np.allclose(load_coordinate_text(path).to_dense(), d)
-
-
-def test_io_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a matrix\n1 1 0\n")
-    with pytest.raises(SparseFormatError):
-        load_coordinate_text(path)
-
-
-def test_io_rejects_truncated_file(tmp_path):
-    path = tmp_path / "trunc.txt"
-    path.write_text("%%repro coordinate\n2 2 2\n1 1 5.0\n")
-    with pytest.raises(SparseFormatError):
-        load_coordinate_text(path)

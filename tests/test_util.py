@@ -12,17 +12,7 @@ from repro.errors import (
     SparseFormatError,
     VocabularyError,
 )
-from repro.util import (
-    Stopwatch,
-    check_axis,
-    check_dense_matrix,
-    check_positive,
-    check_shape_match,
-    check_vector,
-    ensure_rng,
-    format_seconds,
-    spawn_rngs,
-)
+from repro.util import ensure_rng, spawn_rngs
 
 
 # --------------------------------------------------------------------- #
@@ -58,141 +48,6 @@ def test_spawn_rngs_independent_and_stable():
     assert len(set(vals)) == 4
     with pytest.raises(ValueError):
         spawn_rngs(0, -1)
-
-
-# --------------------------------------------------------------------- #
-# validation
-# --------------------------------------------------------------------- #
-def test_check_dense_matrix():
-    out = check_dense_matrix([[1, 2], [3, 4]])
-    assert out.dtype == np.float64
-    with pytest.raises(ShapeError):
-        check_dense_matrix(np.zeros(3))
-
-
-def test_check_vector():
-    v = check_vector([1.0, 2.0], 2)
-    assert v.shape == (2,)
-    with pytest.raises(ShapeError):
-        check_vector(np.zeros((2, 2)))
-    with pytest.raises(ShapeError):
-        check_vector([1.0], 3)
-
-
-def test_check_positive():
-    check_positive(1)
-    check_positive(0, strict=False)
-    with pytest.raises(ShapeError):
-        check_positive(0)
-    with pytest.raises(ShapeError):
-        check_positive(-1, strict=False)
-
-
-def test_check_shape_match():
-    check_shape_match((2, 3), (2, 3))
-    with pytest.raises(ShapeError):
-        check_shape_match((2, 3), (3, 2))
-
-
-def test_check_axis():
-    assert check_axis(0) == 0
-    assert check_axis(-1) == 1
-    with pytest.raises(ShapeError):
-        check_axis(2)
-
-
-# --------------------------------------------------------------------- #
-# timing
-# --------------------------------------------------------------------- #
-def test_stopwatch_accumulates():
-    sw = Stopwatch()
-    with sw.lap("a"):
-        pass
-    with sw.lap("a"):
-        pass
-    with sw.lap("b"):
-        pass
-    assert set(sw.laps) == {"a", "b"}
-    assert sw.total() >= 0
-    assert "a" in sw.report()
-
-
-def test_format_seconds_units():
-    assert format_seconds(2.5).endswith(" s")
-    assert format_seconds(2.5e-3).endswith(" ms")
-    assert format_seconds(2.5e-6).endswith(" us")
-    assert format_seconds(2.5e-9).endswith(" ns")
-
-
-def test_stopwatch_lap_exception_safe():
-    sw = Stopwatch()
-    with pytest.raises(RuntimeError):
-        with sw.lap("a"):
-            raise RuntimeError("boom")
-    assert sw.laps["a"] >= 0.0  # time recorded despite the exception
-
-
-def test_stopwatch_lap_reentrant(monkeypatch):
-    """One lap object nested inside itself must pair each exit with its
-    own enter (the old shared ``_t0`` double-counted the outer enter)."""
-    from repro.util import timing as timing_mod
-
-    clock = iter([0.0, 10.0, 12.0, 100.0])  # enter, enter, exit, exit
-    monkeypatch.setattr(timing_mod.time, "perf_counter", lambda: next(clock))
-    sw = Stopwatch()
-    lap = sw.lap("a")
-    with lap:
-        with lap:
-            pass
-    # inner: 12 − 10 = 2; outer: 100 − 0 = 100 → 102 total.
-    # (shared-_t0 bug: inner exit overwrote outer's start → 2 + 88.)
-    assert sw.laps["a"] == pytest.approx(102.0)
-
-
-def test_perfcounters_snapshot_namespaces_timer_vs_counter():
-    """Regression: a counter and a timer sharing a name used to clobber
-    each other in the flat snapshot; timers now get ``_seconds``."""
-    from repro.util.timing import PerfCounters, timer_key
-
-    pc = PerfCounters()
-    pc.incr("gemm", 3)
-    pc.add_time("gemm", 0.5)
-    snap = pc.snapshot()
-    assert snap["gemm"] == 3
-    assert snap["gemm_seconds"] == pytest.approx(0.5)
-    assert timer_key("gemm") == "gemm_seconds"
-    assert timer_key("gemm_seconds") == "gemm_seconds"  # idempotent
-
-
-def test_perfcounters_timer_exception_safe_and_reentrant(monkeypatch):
-    from repro.util import timing as timing_mod
-    from repro.util.timing import PerfCounters
-
-    pc = PerfCounters()
-    with pytest.raises(RuntimeError):
-        with pc.time("t"):
-            raise RuntimeError("boom")
-    assert pc.timers["t"] >= 0.0
-
-    clock = iter([0.0, 1.0, 3.0, 7.0])
-    monkeypatch.setattr(timing_mod.time, "perf_counter", lambda: next(clock))
-    pc = PerfCounters()
-    timer = pc.time("t")
-    with timer:
-        with timer:
-            pass
-    assert pc.timers["t"] == pytest.approx((3.0 - 1.0) + (7.0 - 0.0))
-
-
-def test_perfcounters_reset_and_report():
-    from repro.util.timing import PerfCounters
-
-    pc = PerfCounters()
-    pc.incr("hits")
-    pc.add_time("gemm", 0.1)
-    assert "hits" in pc.report() and "gemm" in pc.report()
-    pc.reset()
-    assert pc.snapshot() == {}
 
 
 # --------------------------------------------------------------------- #
