@@ -50,9 +50,9 @@ def test_reorthogonalization_ablation(benchmark):
     U, s_full, V, stats_full = benchmark(
         lanczos_svd, sparse, k, seed=0
     )
-    _, s_none, _, stats_none = lanczos_svd(
-        sparse, k, reorth="none", max_iter=120, seed=0
-    )
+    # No cap: without reorthogonalization the residual test still passes
+    # eventually — on ghost copies of the top Ritz values.
+    _, s_none, _, stats_none = lanczos_svd(sparse, k, reorth="none", seed=0)
 
     err_full = np.abs(s_full - s_ref[:k]).max()
     err_none = np.abs(s_none - s_ref[:k]).max()

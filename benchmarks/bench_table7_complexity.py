@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import emit
+from conftest import SMOKE, emit
 from repro.core import fit_lsi_from_tdm
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.text import ParsingRules, build_tdm
@@ -94,8 +94,9 @@ def test_table7_flop_model_and_measured_times(benchmark):
     # Shape claims: folding is the cheapest by model AND by measurement;
     # the model's fold ≪ update ordering matches the measured ordering.
     assert flops["folding-in documents (2mkp)"] < flops["SVD-updating documents"]
-    assert measured["folding-in documents (2mkp)"] < measured["SVD-updating documents"]
-    assert measured["folding-in documents (2mkp)"] < measured["recomputing the SVD"]
+    if not SMOKE:  # a smoke run holds no clock
+        assert measured["folding-in documents (2mkp)"] < measured["SVD-updating documents"]
+        assert measured["folding-in documents (2mkp)"] < measured["recomputing the SVD"]
 
 
 def test_lanczos_cost_model_matches_measured_counts(benchmark):

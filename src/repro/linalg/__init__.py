@@ -5,7 +5,8 @@ term-document matrix, computed in 1995 by SVDPACKC's single-vector Lanczos
 code.  This subpackage rebuilds that stack in pure NumPy:
 
 * :mod:`repro.linalg.tridiag` — implicit-shift QL eigensolver for symmetric
-  tridiagonal matrices (the inner solve of Lanczos).
+  tridiagonal matrices (the inner solve of Lanczos: the whole eigenvector
+  matrix, or its bottom row only for the convergence test).
 * :mod:`repro.linalg.jacobi_svd` — one-sided Jacobi SVD for small dense
   matrices (the inner dense SVDs of the SVD-updating phases, Eq. 10-12).
 * :mod:`repro.linalg.bidiag` — Golub-Kahan-Lanczos bidiagonalization.

@@ -10,9 +10,11 @@ operator of the *smaller* dimension (``AᵀA`` when ``m ≥ n``, ``AAᵀ``
 otherwise) with **full reorthogonalization** — the variant SVDPACKC calls
 ``las2`` uses selective reorthogonalization; full reorthogonalization costs
 more per iteration but is simpler and loses no accuracy, the right
-trade-off at laptop scale.  Ritz pairs of the accumulated tridiagonal are
-computed with our own implicit-QL solver; converged Ritz values are
-accepted by the classical residual bound ``|β_j · z_last|``.
+trade-off at laptop scale.  Converged Ritz values are accepted by the
+classical residual bound ``|β_j · z_{j,i}|``, which reads the Ritz values
+and the bottom row of their vectors only: each convergence check runs
+our implicit-QL solver on that row alone (``las2``'s ``imtqlb``), and the
+Ritz vectors are accumulated once per fit, for the step that passed.
 
 The returned :class:`LanczosStats` exposes the measured ``I`` and triplet
 extraction counts so benchmarks can check the cost model empirically.
@@ -25,10 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.linalg.tridiag import tridiag_eigh
+from repro.linalg.tridiag import tridiag_eigh, tridiag_eigh_bottom
 from repro.util.rng import ensure_rng
 
 __all__ = ["LanczosStats", "lanczos_svd"]
+
+#: β at or below this, relative to the θ = σ² scale, means the Krylov
+#: space is exhausted: the coupling is dropped and the iteration restarts.
+_EXHAUSTED = 1e-14
 
 
 @dataclass
@@ -66,6 +72,20 @@ def _rmatvec(a, y):
     return a.rmatvec(y) if hasattr(a, "rmatvec") else np.asarray(a).T @ y
 
 
+def _fresh_direction(rng, basis: np.ndarray) -> np.ndarray:
+    """A random unit vector orthogonal to the orthonormal rows of ``basis``."""
+    while True:
+        w = rng.standard_normal(basis.shape[1])
+        drawn = np.sqrt(np.dot(w, w))
+        # Two Gram-Schmidt passes: one leaves O(eps) of the basis behind.
+        w -= basis.T @ (basis @ w)
+        w -= basis.T @ (basis @ w)
+        norm = np.sqrt(np.dot(w, w))
+        # A negligible remainder is rounding noise, not a direction: redraw.
+        if norm > 1e-8 * drawn:
+            return w / norm
+
+
 def lanczos_svd(
     a,
     k: int,
@@ -88,9 +108,12 @@ def lanczos_svd(
     tol:
         Relative Ritz-residual acceptance threshold.
     max_iter:
-        Cap on Lanczos steps; defaults to ``min(gram_dim, max(4k+32, 64))``.
-        When the cap is the full Gram dimension the factorization is exact
-        and convergence is guaranteed.
+        Cap on Lanczos steps.  A cap reached with fewer than ``k``
+        triplets inside ``tol`` raises
+        :class:`~repro.errors.ConvergenceError` — unless it is the full
+        Gram dimension, where the factorization is exact.  By default
+        there is no cap short of that: the basis is allocated for
+        ``max(4k+32, 64)`` steps and grows only if they do not suffice.
     reorth:
         ``"full"`` (default) re-orthogonalizes every new Lanczos vector
         against the whole basis twice; ``"none"`` runs classical three-term
@@ -114,9 +137,11 @@ def lanczos_svd(
         raise ShapeError(f"k={k} must be in [1, min(m, n)={dim}]")
     if reorth not in ("full", "none"):
         raise ValueError(f"unknown reorth policy {reorth!r}")
-    if max_iter is None:
-        max_iter = min(dim, max(4 * k + 32, 64))
-    max_iter = min(max(max_iter, k), dim)
+    # An explicit cap fixes the basis size and is an error to fall short
+    # of; by default the basis starts at the size a well-separated
+    # spectrum needs and grows on demand, up to the full Gram dimension.
+    limit = dim if max_iter is None else min(max(max_iter, k), dim)
+    capacity = min(limit, max(4 * k + 32, 64))
 
     stats = LanczosStats(gram_dim=dim)
     rng = ensure_rng(seed)
@@ -128,20 +153,18 @@ def lanczos_svd(
             return _rmatvec(a, _matvec(a, x))
         return _matvec(a, _rmatvec(a, x))
 
-    # Lanczos basis Q (dim × j), tridiagonal (alphas, betas).
-    Q = np.zeros((max_iter, dim))
-    alphas = np.zeros(max_iter)
-    betas = np.zeros(max_iter)  # betas[j] links step j to j+1
+    # Lanczos basis Q (j × dim), tridiagonal (alphas, betas).
+    Q = np.zeros((capacity, dim))
+    alphas = np.zeros(limit)
+    betas = np.zeros(limit)  # betas[j] links step j to j+1
 
     q = rng.standard_normal(dim)
     q /= np.sqrt(np.dot(q, q))
     Q[0] = q
     j = 0
-    theta = np.empty(0)
-    Z = np.empty((0, 0))
     nconv = 0
 
-    while j < max_iter:
+    while True:
         w = gram(Q[j])
         alphas[j] = float(np.dot(Q[j], w))
         w -= alphas[j] * Q[j]
@@ -155,42 +178,32 @@ def lanczos_svd(
         beta = np.sqrt(np.dot(w, w))
         j += 1
         stats.iterations = j
-        if j < max_iter:
-            if beta <= 1e-14 * max(1.0, abs(alphas[: j]).max()):
-                # Invariant subspace: the Krylov space is exhausted.  Restart
-                # with a fresh direction orthogonal to everything found.
-                stats.restarts += 1
-                w = rng.standard_normal(dim)
-                basis = Q[:j]
-                w -= basis.T @ (basis @ w)
-                w -= basis.T @ (basis @ w)
-                norm = np.sqrt(np.dot(w, w))
-                if norm <= 1e-12:
-                    break  # full space spanned; tridiagonal is exact
-                betas[j - 1] = 0.0
-                Q[j] = w / norm
-            else:
-                betas[j - 1] = beta
-                Q[j] = w / beta
+        # An invariant subspace (the Krylov space is exhausted) decouples
+        # the tridiagonal here: its Ritz pairs are exact.
+        exhausted = beta <= _EXHAUSTED * max(1.0, abs(alphas[:j]).max())
+        betas[j - 1] = 0.0 if exhausted else beta
 
-        if j >= k and (j % check_every == 0 or j == max_iter):
-            theta, Z = tridiag_eigh(alphas[:j], betas[: j - 1])
-            # Descending Ritz values.
-            theta = theta[::-1]
-            Z = Z[:, ::-1]
-            beta_last = betas[j - 1] if j < max_iter else 0.0
-            resid = np.abs(beta_last * Z[-1, :k])
-            scale = max(theta[0], 1e-300)
-            nconv = int(np.sum(resid <= tol * scale))
-            if nconv >= k or j == dim:
+        if j >= k and (j % check_every == 0 or j == limit):
+            # Ritz values and the bottom row of their vectors are all the
+            # residual bound |β_j · z_{j,i}| reads.
+            theta, bottom = tridiag_eigh_bottom(alphas[:j], betas[: j - 1])
+            # At j == dim the factorization is exact whatever β rounds to.
+            beta_last = betas[j - 1] if j < dim else 0.0
+            resid = np.abs(beta_last * bottom[::-1][:k])
+            nconv = int(np.sum(resid <= tol * max(theta[-1], 1e-300)))
+            if nconv >= k or j == limit:
                 break
 
-    if theta.size == 0:
-        theta, Z = tridiag_eigh(alphas[:j], betas[: j - 1])
-        theta = theta[::-1]
-        Z = Z[:, ::-1]
+        if j == len(Q):
+            Q = np.concatenate([Q, np.zeros((min(j, limit - j), dim))])
+        if exhausted:
+            # Restart with a fresh direction orthogonal to everything found.
+            stats.restarts += 1
+            Q[j] = _fresh_direction(rng, Q[:j])
+        else:
+            Q[j] = w / beta
 
-    if nconv < k and j < dim:
+    if nconv < k:
         raise ConvergenceError(
             f"Lanczos converged {nconv}/{k} triplets in {j} iterations "
             f"(max_iter={max_iter}); raise max_iter",
@@ -198,7 +211,11 @@ def lanczos_svd(
             achieved=nconv,
         )
 
-    stats.converged = min(k, theta.size)
+    stats.converged = nconv
+    # Ritz vectors once, for the step that passed; descending order.
+    theta, Z = tridiag_eigh(alphas[:j], betas[: j - 1])
+    theta = theta[::-1]
+    Z = Z[:, ::-1]
     theta_k = np.clip(theta[:k], 0.0, None)
     s = np.sqrt(theta_k)
     small_vecs = Q[:j].T @ Z[:, :k]  # (dim, k) singular vectors of small side
@@ -210,8 +227,11 @@ def lanczos_svd(
     # vector"), trp products in total.
     long_dim = m if small_is_cols else n
     long_vecs = np.zeros((long_dim, k))
+    # A Ritz value no larger than a dropped coupling is not a singular
+    # value: below the square root of that threshold σ is zero.
+    null_below = np.sqrt(_EXHAUSTED) * max(s[0], 1.0)
     for i in range(k):
-        if s[i] > 1e-12 * max(s[0], 1.0):
+        if s[i] > null_below:
             stats.matvecs += 1
             if small_is_cols:
                 long_vecs[:, i] = _matvec(a, small_vecs[:, i]) / s[i]
@@ -221,11 +241,7 @@ def lanczos_svd(
             s[i] = 0.0
             # Null singular value: any direction orthogonal to previous
             # long-side vectors is valid.
-            v = ensure_rng(seed).standard_normal(long_dim)
-            prev = long_vecs[:, :i]
-            v -= prev @ (prev.T @ v)
-            norm = np.sqrt(np.dot(v, v))
-            long_vecs[:, i] = v / norm if norm > 0 else v
+            long_vecs[:, i] = _fresh_direction(rng, long_vecs[:, :i].T)
 
     if small_is_cols:
         return long_vecs, s, small_vecs, stats

@@ -103,8 +103,10 @@ def tdm_from_parsed(
             )
     builder = MatrixBuilder((len(vocab), n))
     for j, doc in enumerate(parsed.tokens):
-        for t in doc:
-            builder.add(vocab.id_of(t), j, 1.0)
+        # One column per document; ids come from the vocabulary, so they
+        # are in range without a bounds check per token.
+        ids = [vocab.id_of(t) for t in doc]
+        builder.add_column(j, ids, [1.0] * len(ids))
     return TermDocumentMatrix(builder.to_csc(), vocab, doc_ids)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
+from repro.sparse import MatrixBuilder
 from repro.text import ParsingRules, Vocabulary, build_tdm, char_ngrams
 from repro.text.ngrams import vocabulary_ngrams, word_ngram_profile
 from repro.text.tdm import count_vector, tdm_from_parsed
@@ -62,6 +63,25 @@ def test_tdm_from_parsed():
     parsed = parse_corpus(["x y", "y z"])
     tdm = tdm_from_parsed(parsed)
     assert tdm.shape == (3, 2)
+
+
+@pytest.mark.parametrize("corpus", ["medline", "synthetic"])
+def test_column_assembly_matches_per_token_path(corpus, med_texts, small_collection):
+    """One ``add_column`` per document emits the CSC arrays that one
+    bounds-checked ``add`` per token does."""
+    texts = med_texts if corpus == "medline" else small_collection.documents
+    parsed = parse_corpus(texts, ParsingRules(min_doc_freq=2))
+    vocab = parsed.vocabulary
+    reference = MatrixBuilder((len(vocab), parsed.n_documents))
+    for j, doc in enumerate(parsed.tokens):
+        for t in doc:
+            reference.add(vocab.id_of(t), j, 1.0)
+    want = reference.to_csc()
+    got = tdm_from_parsed(parsed).matrix
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 def test_empty_document_column():
