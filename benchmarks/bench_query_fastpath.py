@@ -10,6 +10,13 @@ derives the scaled coordinates and norms once per model
 Acceptance: ≥ 3× single-query search throughput at n≈10⁴ documents,
 k≈100, with rankings element-identical to the seed path.  The bench has
 one size; under ``BENCH_SMOKE=1`` (CI) only the rankings are asserted.
+
+One more row times the ranking the serving tiers actually report —
+:meth:`EpochSnapshot.search`, an fp32 pass over unit rows plus fp64
+rescoring of the candidates (:mod:`repro.serving.scan`) — against
+``ranked_pairs`` of the full-width fp64 ``score_batch`` row, its
+reference: indices identical and scores within 1e-12 on every query, at
+any size.
 """
 
 import time
@@ -22,6 +29,7 @@ from repro.core.model import LSIModel
 from repro.obs import span, tracing_enabled
 from repro.obs.metrics import registry
 from repro.retrieval import LSIRetrieval
+from repro.server.state import EpochSnapshot
 from repro.serving import ranked_pairs, scaled_documents
 from repro.text.vocabulary import Vocabulary
 
@@ -103,6 +111,27 @@ def test_query_fastpath_speedup():
         _seed_search(model, q, TOP)
     seed_time = time.perf_counter() - t0
 
+    # The ranked exact path against its full-width fp64 reference.
+    snapshot = EpochSnapshot(0, model)
+    Qs = snapshot.scale(qhats)
+    for q, qs in zip(qhats, Qs):
+        ranked = snapshot.search(qs, top=TOP)[0][0]
+        reference = ranked_pairs(snapshot.score_batch(q)[0], top=TOP)
+        assert [j for j, _ in ranked] == [j for j, _ in reference]
+        assert all(
+            abs(a - b) <= 1e-12
+            for (_, a), (_, b) in zip(ranked, reference)
+        )
+    t0 = time.perf_counter()
+    for qs in Qs:
+        snapshot.search(qs, top=TOP)
+    ranked_time = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    for q in qhats:
+        ranked_pairs(snapshot.score_batch(q)[0], top=TOP)
+    reference_time = time.perf_counter() - t0
+    rescored = registry.histogram("serving.rescore_candidates")
+
     speedup = seed_time / fast_time
     seconds = registry.histogram_sums("serving.")
     emit(
@@ -114,6 +143,11 @@ def test_query_fastpath_speedup():
             f"fast path (memoized V·Σ + argpartition): "
             f"{fast_time / N_QUERIES * 1e3:8.3f} ms/query",
             f"speedup: {speedup:.1f}x   (floor {MIN_SPEEDUP:.0f}x)",
+            f"ranked exact path (fp32 scan + fp64 rescoring): "
+            f"{ranked_time / N_QUERIES * 1e3:8.3f} ms/query vs "
+            f"{reference_time / N_QUERIES * 1e3:.3f} for ranked_pairs("
+            f"score_batch); {rescored.sum / rescored.count:.1f} rows "
+            f"rescored per query; indices identical, scores within 1e-12",
             f"counters: queries_served="
             f"{registry.counter('serving.queries_served')}, "
             f"gemm={seconds.get('serving.gemm_seconds', 0.0):.3f}s, "
@@ -127,6 +161,8 @@ def test_query_fastpath_speedup():
             "speedup": speedup,
             "seed_ms_per_query": seed_time / N_QUERIES * 1e3,
             "fast_ms_per_query": fast_time / N_QUERIES * 1e3,
+            "ranked_ms_per_query": ranked_time / N_QUERIES * 1e3,
+            "reference_ms_per_query": reference_time / N_QUERIES * 1e3,
             "n_docs": N_DOCS,
             "k": K,
             "top": TOP,

@@ -17,8 +17,9 @@ The package implements Latent Semantic Indexing end to end, from scratch:
   the §5.4 applications (:mod:`repro.apps`), and parallel helpers
   (:mod:`repro.parallel`);
 * the query-serving fast path (:mod:`repro.serving`): the cached
-  per-model document index, the unified GEMM scoring kernel, and
-  argpartition top-k selection behind every search entry point.
+  per-model document index and the one exact ranking behind every
+  search entry point (an fp32 scan picks candidates, fp64 rescoring
+  ranks them), with the full-width fp64 cosine kernel as its reference.
 
 Quick start::
 

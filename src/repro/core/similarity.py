@@ -21,9 +21,14 @@ Scoring routes through the serving fast path
 (:mod:`repro.serving`): :func:`cosine_similarities` is the q=1 case of
 the batched GEMM kernel, reading ``V_k Σ_k`` and its row norms from the
 model's own memo (:func:`repro.serving.index.scaled_documents`) instead
-of recomputing them per query, and the ranked/filtered entry points select
-top-z with ``argpartition`` instead of a full sort — with output
-element-identical to the historical stable-argsort implementation.
+of recomputing them per query — the whole fp64 score vector, for callers
+that need every score.  The ranked/filtered entry point
+(:func:`ranked_documents`, behind :func:`retrieve` and
+``LSIRetrieval.search``) is the one exact ranking every serving tier
+uses (:func:`repro.serving.scan.ranked_scan`): same indices as the
+stable sort of that score vector, scores within 1e-12 of it and
+bit-equal to what the server, a shard worker or the sharded search
+reports for the same query.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.serving.index import scaled_documents
 from repro.serving.kernel import cosine_scores
-from repro.serving.topk import ranked_order, topk_indices
+from repro.serving.scan import ranked_scan
+from repro.serving.topk import ranked_pairs, topk_indices
 
 __all__ = [
     "cosine_similarities",
     "rank_documents",
+    "ranked_documents",
     "retrieve",
     "term_term_similarities",
     "doc_doc_similarities",
@@ -50,6 +57,15 @@ __all__ = [
 def _cosine_rows(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cosine of each row of ``M`` with vector ``v`` (0 for zero rows)."""
     return cosine_scores(M, v)[0]
+
+
+def _served_query(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
+    """``qhat`` as a checked length-k fp64 vector, counted as served."""
+    qhat = np.asarray(qhat, dtype=np.float64).ravel()
+    if qhat.size != model.k:
+        raise ShapeError(f"query vector has {qhat.size} dims for k={model.k}")
+    registry.inc("serving.queries_served")
+    return qhat
 
 
 def cosine_similarities(
@@ -63,14 +79,13 @@ def cosine_similarities(
     """
     if mode not in ("scaled", "factors"):
         raise ValueError(f"unknown similarity mode {mode!r}")
-    qhat = np.asarray(qhat, dtype=np.float64).ravel()
-    if qhat.size != model.k:
-        raise ShapeError(f"query vector has {qhat.size} dims for k={model.k}")
-    registry.inc("serving.queries_served")
+    qhat = _served_query(model, qhat)
     if mode == "factors":
         return cosine_scores(model.V, qhat)[0]
-    coords, norms = scaled_documents(model)
-    return cosine_scores(coords, qhat * model.s, norms=norms)[0]
+    coords, norms, _, positive = scaled_documents(model)
+    return cosine_scores(
+        coords, qhat * model.s, norms=norms, positive=positive
+    )[0]
 
 
 def rank_documents(
@@ -80,6 +95,30 @@ def rank_documents(
     cos = cosine_similarities(model, qhat, mode=mode)
     order = topk_indices(cos, None)
     return [(model.doc_ids[j], float(cos[j])) for j in order]
+
+
+def ranked_documents(
+    model: LSIModel,
+    qhat: np.ndarray,
+    *,
+    threshold: float | None = None,
+    top: int | None = None,
+    mode: str = "scaled",
+) -> list[tuple[int, float]]:
+    """Ranked ``(doc_index, cos)`` pairs under the §3.1 filters.
+
+    ``"scaled"`` is :func:`~repro.serving.scan.ranked_scan` over the
+    model's memo — the ranking the serving tiers report, bit for bit.
+    ``"factors"`` has no memoized comparison space and ranks its full
+    score vector.
+    """
+    if mode != "scaled":
+        cos = cosine_similarities(model, qhat, mode=mode)
+        return ranked_pairs(cos, top=top, threshold=threshold)
+    qhat = _served_query(model, qhat)
+    return ranked_scan(
+        scaled_documents(model), (qhat * model.s)[None, :], [top], [threshold]
+    )[0]
 
 
 def retrieve(
@@ -98,9 +137,10 @@ def retrieve(
     """
     if threshold is None and top is None:
         raise ValueError("retrieve() needs a threshold, a top count, or both")
-    cos = cosine_similarities(model, qhat, mode=mode)
-    order = ranked_order(cos, top=top, threshold=threshold)
-    return [(model.doc_ids[j], float(cos[j])) for j in order]
+    ranked = ranked_documents(
+        model, qhat, threshold=threshold, top=top, mode=mode
+    )
+    return [(model.doc_ids[j], cos) for j, cos in ranked]
 
 
 # --------------------------------------------------------------------- #

@@ -8,13 +8,14 @@ decomposition, matching the paper's single-space TREC design.
 
 Shards are contiguous row ranges of the model's memoized comparison
 space (:func:`~repro.serving.index.scaled_documents`), so per-shard
-scoring works on zero-copy views of ``V_k Σ_k`` and its norms; the
-per-shard top-k uses the same argpartition selection as the flat path
-and the merge preserves its tie order (lower document index first), so
-sharded results are element-identical to a flat search.
-:func:`sharded_batch_search` runs a whole query batch through the same
-machinery: one GEMM per (shard × batch), shards optionally scored by a
-thread pool, per-shard top-k heaps merged exactly per query.
+scoring works on zero-copy views; each shard is ranked by the one exact
+ranking (:func:`~repro.serving.scan.ranked_scan`), whose scores are a
+pure function of (row, query), and the merge preserves its tie order
+(lower document index first), so sharded results are bit-identical to a
+flat search.  :func:`sharded_batch_search` runs a whole query batch
+through the same machinery: one fp32 pass per (shard × batch), shards
+optionally scored by a thread pool, per-shard top-k lists merged exactly
+per query.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.parallel.pool import parallel_map
-from repro.serving.index import scaled_documents
-from repro.serving.kernel import cosine_scores
-from repro.serving.topk import topk_indices
+from repro.serving.index import ScaledRows, scaled_documents
+from repro.serving.scan import ranked_scan
 
 __all__ = [
     "shard_documents",
@@ -85,26 +85,17 @@ def merge_topk(
 
 
 def _shard_topk(
-    coords: np.ndarray,
-    norms: np.ndarray,
-    Qs: np.ndarray,
-    lo: int,
-    hi: int,
-    top: int,
+    scaled: ScaledRows, Qs: np.ndarray, lo: int, hi: int, top: int
 ) -> list[list[tuple[int, float]]]:
-    """Per-query top-``top`` pairs within rows ``lo:hi`` of ``coords``.
+    """Per-query top-``top`` pairs within rows ``lo:hi`` of ``scaled``.
 
-    Scores the shard with the shared GEMM kernel on zero-copy views of
-    the memoized coordinates and norms; indices are shifted to global.
+    The shared ranked scan on zero-copy views of the memoized arrays;
+    indices are shifted to global.
     """
-    if hi <= lo:
-        return [[] for _ in range(Qs.shape[0])]
-    S = cosine_scores(coords[lo:hi], Qs, norms=norms[lo:hi])
-    out = []
-    for row in S:
-        order = topk_indices(row, top)
-        out.append([(int(lo + j), float(row[j])) for j in order])
-    return out
+    q = Qs.shape[0]
+    return ranked_scan(
+        scaled.rows(lo, hi), Qs, [top] * q, [None] * q, offset=lo
+    )
 
 
 def sharded_search(
@@ -138,10 +129,10 @@ def sharded_batch_search(
     """Top-``top`` lists for every query, scored shard-parallel.
 
     ``queries`` may be raw texts (projected with Eq. 6 first) or an
-    already-projected ``(q, k)`` array.  Each shard scores the whole
-    query batch with one GEMM over its slice of ``V_k Σ_k`` —
-    optionally across a thread pool (NumPy releases the GIL inside the
-    GEMM) — then the per-shard top-k heaps are merged exactly per query.
+    already-projected ``(q, k)`` array.  Each shard ranks the whole
+    query batch over its slice of ``V_k Σ_k`` — optionally across a
+    thread pool (NumPy releases the GIL inside the scan) — then the
+    per-shard top-k lists are merged exactly per query.
     Results do not depend on ``shards``; ``shards=1`` is the flat search.
     """
     if top < 1:
@@ -156,7 +147,7 @@ def sharded_batch_search(
             raise ShapeError(
                 f"queries have {Q.shape[1]} dims for k={model.k}"
             )
-        coords, norms = scaled_documents(model)
+        scaled = scaled_documents(model)
         Qs = Q * model.s
         parts = shard_bounds(model.n_documents, shards)
 
@@ -166,7 +157,7 @@ def sharded_batch_search(
             lo, hi = bounds
             registry.inc("serving.shard_searches")
             with span("lsi.search.shard", lo=lo, hi=hi):
-                return _shard_topk(coords, norms, Qs, lo, hi, top)
+                return _shard_topk(scaled, Qs, lo, hi, top)
 
         per_shard = parallel_map(search_shard, parts, workers=workers)
         with span("lsi.search.merge", shards=shards):

@@ -14,10 +14,9 @@ import numpy as np
 
 from repro.core.build import fit_lsi
 from repro.core.model import LSIModel
-from repro.core.similarity import cosine_similarities
+from repro.core.similarity import cosine_similarities, ranked_documents
 from repro.obs.tracing import span
 from repro.serving.querycache import QueryVectorCache
-from repro.serving.topk import ranked_pairs
 from repro.text.parser import ParsingRules
 from repro.weighting.schemes import WeightingScheme
 
@@ -129,13 +128,19 @@ class LSIRetrieval:
     ) -> list[tuple[int, float]]:
         """Ranked ``(doc_index, score)`` pairs, filtered per §3.1.
 
-        Both filters are applied in NumPy before any pairs materialize;
-        the ranking is element-identical to the historical full stable
-        sort, including tie order.
+        The one exact ranking every serving tier reports
+        (:func:`~repro.serving.scan.ranked_scan`): the same indices as
+        the stable sort of :meth:`scores`, tie order included, with
+        scores within 1e-12 of it.
         """
         with span("lsi.search", top=top, docs=self.n_documents):
-            s = self.scores(query)
-            return ranked_pairs(s, top=top, threshold=threshold)
+            return ranked_documents(
+                self.model,
+                self.query_vector(query),
+                top=top,
+                threshold=threshold,
+                mode=self.mode,
+            )
 
     def with_k(self, k: int) -> "LSIRetrieval":
         """Engine over the same model truncated to ``k`` factors (for the

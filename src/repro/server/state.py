@@ -36,10 +36,10 @@ from repro.obs.metrics import registry
 from repro.parallel.pool import parallel_map
 from repro.parallel.sharding import shard_bounds
 from repro.serving.ann import CoarseQuantizer
-from repro.serving.index import scaled_documents
-from repro.serving.kernel import cosine_scores, row_norms
+from repro.serving.index import scaled_documents, scaled_rows
+from repro.serving.kernel import cosine_scores
 from repro.serving.querycache import QueryVectorCache
-from repro.serving.topk import ranked_order
+from repro.serving.scan import approx_cosines, ranked_scan
 from repro.updating.manager import LSIIndexManager
 
 __all__ = [
@@ -68,7 +68,7 @@ class EpochSnapshot:
     """
 
     __slots__ = (
-        "epoch", "model", "lo", "hi", "coords", "norms", "query_cache", "ann",
+        "epoch", "model", "lo", "hi", "scaled", "query_cache", "ann",
     )
 
     def __init__(
@@ -85,7 +85,7 @@ class EpochSnapshot:
         self.model = model
         n = model.n_documents
         if lo == 0 and hi is None:
-            self.coords, self.norms = scaled_documents(model)
+            self.scaled = scaled_documents(model)
             hi = n
         else:
             hi = n if hi is None else hi
@@ -95,8 +95,7 @@ class EpochSnapshot:
                 )
             # Materialize only this range's rows: the multiply touches (and
             # therefore faults in) just the mapped pages of V[lo:hi].
-            self.coords = np.ascontiguousarray(model.V[lo:hi] * model.s)
-            self.norms = row_norms(self.coords)
+            self.scaled = scaled_rows(model.V[lo:hi], model.s)
         self.lo = lo
         self.hi = hi
         self.query_cache = QueryVectorCache(query_cache_size)
@@ -110,6 +109,16 @@ class EpochSnapshot:
     def n_documents(self) -> int:
         """Documents visible at this epoch (the whole model, not the range)."""
         return self.model.n_documents
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Read-only fp64 rows ``[lo, hi)`` of ``V_k Σ_k``."""
+        return self.scaled.coords
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Read-only fp64 norm of each row of :attr:`coords`."""
+        return self.scaled.norms
 
     @property
     def k(self) -> int:
@@ -149,14 +158,16 @@ class EpochSnapshot:
         ``threshold`` apply to every query, or per query when given as
         lists.  Returns ``(results, ann_stats)``:
 
-        * **exact** (``probes is None`` or ``exact``): one GEMM over this
-          snapshot's rows, ranked per row with the same selection the
-          unbatched engine uses — element-identical to
-          ``LSIRetrieval.search``; ``ann_stats`` is ``None``.  With
-          ``shards > 1`` the rows are scored as contiguous slices
-          (optionally on a thread pool — NumPy releases the GIL) and the
-          column blocks concatenated; a cosine depends only on its own
-          row and query, so the result equals the flat one.
+        * **exact** (``probes is None`` or ``exact``):
+          :func:`~repro.serving.scan.ranked_scan` over this snapshot's
+          rows — one fp32 pass picks a provably sufficient candidate
+          set, fp64 rescoring of those rows alone ranks them;
+          ``ann_stats`` is ``None``.  A reported score is a pure function
+          of (row, query), so whole model, row range, batch of 1 or 16
+          and ``LSIRetrieval.search`` agree bit for bit.  With
+          ``shards > 1`` the fp32 pass runs over contiguous slices
+          (optionally on a thread pool — NumPy releases the GIL); it
+          only picks candidates, so the result equals the flat one.
         * **probe-bounded**: each query scores only the ``probes``
           nearest cells' rows that land in ``[lo, hi)`` (plus the fresh
           tail).  Cell selection is a pure function of the scaled query
@@ -192,38 +203,29 @@ class EpochSnapshot:
                 ]
                 return [pairs for pairs, _ in found], [st for _, st in found]
             registry.inc("ann.exact_fallbacks_total", q)
-        lo = self.lo
-        results = []
-        for row, t, th in zip(
-            self._cosines(Qs, shards, workers), tops, thresholds
-        ):
-            order = ranked_order(row, top=t, threshold=th)
-            results.append([(int(lo + j), float(row[j])) for j in order])
+        approx = None
+        n = self.hi - self.lo
+        if shards > 1 and n > 0:
+            unit = self.scaled.unit
+            blocks = parallel_map(
+                lambda b: approx_cosines(unit[b[0]:b[1]], Qs),
+                shard_bounds(n, min(shards, n)),
+                workers=workers,
+            )
+            approx = np.concatenate(blocks, axis=0)
+        results = ranked_scan(
+            self.scaled, Qs, tops, thresholds, offset=self.lo, approx=approx
+        )
         return results, None
 
-    def _cosines(
-        self, Qs: np.ndarray, shards: int = 1, workers: int | None = None
-    ) -> np.ndarray:
-        """``(q, hi - lo)`` cosines of scaled queries with this range's rows."""
-        n = self.coords.shape[0]
-        if shards <= 1 or n == 0:
-            return cosine_scores(self.coords, Qs, norms=self.norms)
-
-        def score_slice(lohi: tuple[int, int]) -> np.ndarray:
-            lo, hi = lohi
-            return cosine_scores(
-                self.coords[lo:hi], Qs, norms=self.norms[lo:hi]
-            )
-
-        blocks = parallel_map(
-            score_slice, shard_bounds(n, min(shards, n)), workers=workers
-        )
-        return np.concatenate(blocks, axis=1)
-
     def score_batch(self, Q: np.ndarray) -> np.ndarray:
-        """Cosine of unscaled ``(q, k)`` query vectors with every row —
-        the raw score matrix :meth:`search` ranks (reference surface)."""
-        return self._cosines(self.scale(Q))
+        """Cosine of unscaled ``(q, k)`` query vectors with every row: the
+        full-width fp64 matrix (reference surface) that :meth:`search`'s
+        rankings are held to — same indices, scores within 1e-12."""
+        coords, norms, _, positive = self.scaled
+        return cosine_scores(
+            coords, self.scale(Q), norms=norms, positive=positive
+        )
 
     def search_ann(
         self,

@@ -9,11 +9,17 @@ serving-grade rewrite, treating the term-document model as a reusable
 computational object (Antonellis & Gallopoulos) whose derived
 quantities are built once and queried many times:
 
-* :mod:`repro.serving.kernel` — the single GEMM cosine kernel every
-  scoring path (single, batched, sharded) routes through;
+* :mod:`repro.serving.kernel` — the fp64 cosine kernels: the full-width
+  GEMM (the reference surface and what evaluation reads) and the
+  row-local one whose values the ranked paths report;
 * :mod:`repro.serving.index` — :func:`scaled_documents`, the read-only
-  ``V_k Σ_k`` / row norms memoized on the model instance itself (every
-  update returns a new model, so there is nothing to invalidate);
+  ``V_k Σ_k`` / row norms / single-precision unit rows memoized on the
+  model instance itself (every update returns a new model, so there is
+  nothing to invalidate);
+* :mod:`repro.serving.scan` — :func:`ranked_scan`, the one exact ranking
+  (single, batched, sharded, cluster): an fp32 pass over the unit rows
+  picks a provably sufficient candidate set, fp64 rescoring of those
+  rows alone ranks them;
 * :mod:`repro.serving.topk` — ``argpartition`` top-k selection that is
   element-identical to the stable full sort, plus vectorized §3.1
   threshold filtering;
@@ -24,15 +30,20 @@ Perf counters for all of the above live in
 :data:`repro.obs.metrics.registry` under the ``serving.`` prefix.
 """
 
-from repro.serving.index import scaled_documents
-from repro.serving.kernel import cosine_scores, row_norms
+from repro.serving.index import ScaledRows, scaled_documents, scaled_rows
+from repro.serving.kernel import cosine_scores, row_cosines, row_norms
 from repro.serving.querycache import QueryVectorCache
+from repro.serving.scan import ranked_scan
 from repro.serving.topk import ranked_order, ranked_pairs, topk_indices
 
 __all__ = [
+    "ScaledRows",
     "scaled_documents",
+    "scaled_rows",
     "cosine_scores",
+    "row_cosines",
     "row_norms",
+    "ranked_scan",
     "QueryVectorCache",
     "topk_indices",
     "ranked_order",

@@ -16,12 +16,13 @@ zero-copy (queries reach it through
    Σ-scaled query, gather the ``probes`` nearest cells' documents plus
    the *fresh tail* (rows folded in after training, which the posting
    lists cannot know about), and exact-rerank the candidate set with
-   the shared :func:`~repro.serving.kernel.cosine_scores` kernel.
+   the row-local :func:`~repro.serving.kernel.row_cosines` kernel the
+   exhaustive scan rescoring uses.
 
 Candidate sets are materialized in ascending document order, so the
 stable rerank breaks score ties by ascending index — *element-identical*
 (indices, scores, tie order) to the exhaustive
-:func:`~repro.core.similarity.cosine_similarities` ranking whenever
+:func:`~repro.serving.scan.ranked_scan` ranking whenever
 ``probes >= n_clusters``.  ``probes`` is therefore a pure recall/speed
 dial with an exact top end, measured in ``benchmarks/bench_ann_serving``.
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
-from repro.serving.kernel import cosine_scores
+from repro.serving.kernel import row_cosines
 from repro.serving.topk import ranked_order
 from repro.util.rng import ensure_rng
 
@@ -365,9 +366,10 @@ class CoarseQuantizer:
         ``coords``/``norms`` are rows ``[lo, lo + len)`` of the full
         coordinate matrix — the whole thing with ``lo=0`` on a single
         node, or a shard slice in a worker (which passes the global
-        ``n_total``).  Returned indices are global.  When the candidate
-        set is the entire range the gather is skipped, so the full-probe
-        case runs the *same* kernel call as the exact path.
+        ``n_total``).  Returned indices are global.  Candidates are
+        scored by the exact path's row-local fp64 kernel
+        (:func:`~repro.serving.kernel.row_cosines`), so a row's score is
+        the same bits here, in the exhaustive scan and in any shard.
         """
         q = np.asarray(q_scaled, dtype=np.float64).ravel()
         hi = lo + coords.shape[0]
@@ -382,15 +384,11 @@ class CoarseQuantizer:
         self._record(stats, hi - lo)
         if cand.size == 0:
             return [], stats
-        if cand.size == hi - lo:
-            # Ascending and distinct within [lo, hi) ⇒ the full range:
-            # score in place, bit-identical to the exhaustive scan.
-            rows, sub_norms = coords, norms
-        else:
-            local = cand - lo
-            rows = coords[local]
-            sub_norms = norms[local]
-        scores = cosine_scores(rows, q, norms=sub_norms)[0]
+        # Ascending and distinct within [lo, hi): as many candidates as
+        # rows is the full range, scored in place.  Either way the
+        # row-local kernel gives each row the value the exact scan does.
+        rows = None if cand.size == hi - lo else cand - lo
+        scores = row_cosines(coords, norms, q, rows)
         order = ranked_order(scores, top=top, threshold=threshold)
         registry.observe(
             "ann.rerank_size", float(order.size), boundaries=_RERANK_BUCKETS

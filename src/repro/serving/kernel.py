@@ -1,14 +1,22 @@
-"""The one cosine-scoring kernel every query path routes through.
+"""The fp64 cosine kernels: the full-width reference and the row-local one.
 
-Single-query scoring (``repro.core.similarity.cosine_similarities``),
-batched scoring (``EpochSnapshot.score_batch``) and the sharded serving
-path all used to carry their own copy of the same norm/mask/divide
-arithmetic.  This module is the single implementation:
-a dense GEMM (GEMV for the q=1 case) against the document coordinate
-rows, followed by one vectorized normalization with zero-norm masking.
+:func:`cosine_scores` is the full ``(q, n)`` cosine matrix — a dense
+GEMM (GEMV for the q=1 case) against the document coordinate rows,
+followed by one vectorized normalization with zero-norm masking.  It is
+what ``repro.core.similarity.cosine_similarities`` and
+``EpochSnapshot.score_batch`` return: the score vector evaluation code
+reads, and the reference every served ranking is held to.  A BLAS value
+can depend on where a row sits and on how many queries ride along, in
+the last bit.
 
-The kernel is deliberately pure NumPy with no model imports, so every
-layer — including :mod:`repro.core` — can depend on it without cycles.
+:func:`row_cosines` scores chosen rows against one query with a
+reduction that is local to each row, so its value is a pure function of
+(row, query).  The ranked paths (:mod:`repro.serving.scan`,
+:meth:`CoarseQuantizer.select <repro.serving.ann.CoarseQuantizer.select>`)
+report its values, which is what makes them bit-equal to each other.
+
+The kernels are deliberately pure NumPy with no model imports, so every
+layer — including :mod:`repro.core` — can depend on them without cycles.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 
 from repro.obs.metrics import registry
 
-__all__ = ["row_norms", "cosine_scores"]
+__all__ = ["row_norms", "cosine_scores", "row_cosines"]
 
 
 def row_norms(M: np.ndarray) -> np.ndarray:
@@ -37,6 +45,7 @@ def cosine_scores(
     Q: np.ndarray,
     *,
     norms: np.ndarray | None = None,
+    positive: bool | None = None,
 ) -> np.ndarray:
     """Cosine of every row of ``Q`` with every row of ``M``: ``(q, n)``.
 
@@ -50,6 +59,11 @@ def cosine_scores(
     norms:
         Precomputed ``row_norms(M)``; recomputed when omitted.  Passing
         the cached norms is what makes the serving fast path fast.
+    positive:
+        Whether every entry of ``norms`` is known to be ``> 0`` — decided
+        once where the norms are derived
+        (:func:`repro.serving.index.scaled_rows`); tested here, over all
+        n, only when the caller does not say.
 
     Rows of ``M`` (or of ``Q``) with zero norm score 0 against
     everything, matching the historical per-query implementation.  The
@@ -72,7 +86,9 @@ def cosine_scores(
         raw = Q2 @ M.T
     registry.observe("serving.gemm_seconds", time.perf_counter() - t0)
     denom = qn[:, None] * norms[None, :]
-    if (qn > 0).all() and (norms > 0).all():
+    if positive is None:
+        positive = bool((norms > 0).all())
+    if positive and (qn > 0).all():
         # Common case (no zero-norm rows): plain broadcast division.
         # Each element is the same IEEE divide the masked path performs,
         # so the scores are bit-identical — but without the three (q, n)
@@ -82,4 +98,29 @@ def cosine_scores(
     out = np.zeros_like(raw)
     ok = denom > 0
     out[ok] = raw[ok] / denom[ok]
+    return out
+
+
+def row_cosines(
+    coords: np.ndarray,
+    norms: np.ndarray,
+    q: np.ndarray,
+    rows: np.ndarray | None = None,
+) -> np.ndarray:
+    """Cosine of scaled query ``q`` with ``coords[rows]`` (all if None).
+
+    Row-local: ``einsum("ij,j->i")`` reduces each row on its own, in an
+    order fixed by ``k``, so a value depends on its row and the query and
+    not on which other rows ride along, where the row sits, or how many
+    queries were batched.  Zero-norm rows and the zero query score 0.
+    """
+    qn = np.sqrt(np.dot(q, q))
+    if qn == 0:
+        return np.zeros(coords.shape[0] if rows is None else rows.size)
+    if rows is not None:
+        coords, norms = coords[rows], norms[rows]
+    denom = qn * norms
+    out = np.zeros(denom.size)
+    raw = np.einsum("ij,j->i", coords, q)
+    np.divide(raw, denom, out=out, where=denom > 0)
     return out

@@ -1,0 +1,152 @@
+"""The one exact ranking: fp32 scan → candidate set → fp64 rescoring.
+
+The paper ranks by cosine against all n rows of ``V_k Σ_k`` and says of
+that cosine that it "is merely used to rank-order documents" (§3.1):
+only the z rows that are returned need a full-precision value.  Every
+exact ranking in the system (:meth:`EpochSnapshot.search
+<repro.server.state.EpochSnapshot.search>` on a single node and in a
+shard worker, :func:`repro.parallel.sharding.sharded_batch_search`,
+:meth:`LSIRetrieval.search <repro.retrieval.engine.LSIRetrieval.search>`,
+:func:`repro.core.similarity.retrieve`) therefore has this shape:
+
+1. :func:`approx_cosines` — one single-precision pass ``Û q̂`` over the
+   unit-normalised rows (:class:`~repro.serving.index.ScaledRows`), half
+   the bytes of the fp64 scan, no n-wide divide;
+2. the candidate set ``{approx ≥ cut − margin}``, where ``cut`` is the
+   ``top``-th largest approximate cosine and/or the ``threshold``
+   (:func:`prefilter_margin` proves the true answer is inside);
+3. :func:`~repro.serving.kernel.row_cosines` of the candidates only — a
+   **row-local** fp64 kernel — ranked by :func:`~repro.serving.topk.ranked_order`.
+
+Because step 3's value is a pure function of (row, query), the reported
+``(index, score)`` pairs are bit-equal however the rows were reached:
+whole model or row range, one shard or seven, a batch of 1 or of 16,
+exhaustive or probe-bounded with every cell probed
+(:meth:`CoarseQuantizer.select <repro.serving.ann.CoarseQuantizer.select>`
+rescoring through the same kernel).  The full-width fp64 matrix
+(:func:`~repro.serving.kernel.cosine_scores`) remains the reference
+surface the rankings are tested against — same indices, scores within
+1e-12 — and what evaluation code that needs every score reads.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Sequence
+
+import numpy as np
+
+from repro.obs.metrics import registry
+from repro.serving.index import ScaledRows
+from repro.serving.kernel import row_cosines
+from repro.serving.topk import ranked_order
+
+__all__ = [
+    "prefilter_margin",
+    "approx_cosines",
+    "ranked_scan",
+]
+
+_CANDIDATE_BUCKETS = (
+    1.0, 10.0, 20.0, 40.0, 100.0, 200.0, 400.0, 1000.0, 10_000.0,
+    100_000.0, 1_000_000.0,
+)
+
+
+def prefilter_margin(k: int) -> float:
+    """``2·(k+8)·2⁻²⁴``: how far below the cut a candidate's fp32 cosine may sit.
+
+    Let ``u = 2⁻²⁴`` (unit roundoff of IEEE single) and ``x̂, ŷ`` the
+    unit document row and unit query, each rounded once to single
+    (``|δ| ≤ u`` per component).  A length-``k`` dot product accumulated
+    in single, in any order, satisfies ``|fl(x̂ᵀŷ) − xᵀy| ≤
+    γ_{k+2}·Σ|xᵢyᵢ| ≤ γ_{k+2}·‖x‖‖y‖ = γ_{k+2}`` for unit vectors
+    (Higham, *Accuracy and Stability*, §3.1, the two input roundings
+    folded in; Cauchy–Schwarz), with ``γ_m = m·u / (1 − m·u)``.  So every
+    approximate cosine is within ``ε = (k+8)·u`` of the true one: ``k+2``
+    from the bound, and six ``u`` of slack that covers the ``1/(1−m·u)``
+    factor (k < 10⁴), the fp64 roundings in the norms and in the
+    rescored value (``O(k·2⁻⁵³)``), single-precision underflow of
+    products below 10⁻³⁸, and the rounding of the cut itself when it is
+    compared in single.
+
+    Sufficiency.  Let ``A`` be the ``z``-th largest approximate cosine
+    and ``i`` a row of the true top ``z``.  If ``aᵢ < A − 2ε`` then
+    ``cᵢ < A − ε``, while the ``z`` rows with ``aⱼ ≥ A`` have ``cⱼ ≥ A −
+    ε > cᵢ`` — ``z`` rows strictly ahead of ``i``, a contradiction.  A
+    row with ``cᵢ ≥ threshold`` has ``aᵢ ≥ threshold − ε``.  Hence
+    ``{a ≥ max(A, threshold) − 2ε}`` contains every row of the answer,
+    ties at the cut included.
+    """
+    return 2.0 * (k + 8) * 2.0**-24
+
+
+def approx_cosines(unit: np.ndarray, Qs: np.ndarray) -> np.ndarray:
+    """``(n, q)`` single-precision cosines of unit rows with scaled queries.
+
+    The only n-wide pass of an exact request.  A zero query stays zero
+    (approximate cosine 0 everywhere, as its true cosine is).
+    """
+    qn = np.sqrt(np.einsum("ij,ij->i", Qs, Qs))
+    unit_queries = Qs / np.where(qn > 0, qn, 1.0)[:, None]
+    unit_queries = unit_queries.astype(np.float32)
+    t0 = time.perf_counter()
+    approx = unit @ unit_queries.T
+    registry.observe("serving.scan_seconds", time.perf_counter() - t0)
+    return approx
+
+
+def ranked_scan(
+    scaled: ScaledRows,
+    Qs: np.ndarray,
+    tops: Sequence[int | None],
+    thresholds: Sequence[float | None],
+    *,
+    offset: int = 0,
+    approx: np.ndarray | None = None,
+) -> list[list[tuple[int, float]]]:
+    """Ranked ``(offset + row, cosine)`` pairs for each scaled query.
+
+    Element-identical in indices to stable-sorting row ``i`` of the
+    fp64 ``cosine_scores(coords, Qs)`` descending, dropping scores below
+    ``thresholds[i]`` and truncating to ``tops[i]``.  ``approx`` is
+    :func:`approx_cosines` of the same rows when the caller already ran
+    it (in slices, on a pool); it only picks candidates, so how it was
+    blocked cannot change an answer.
+    """
+    coords, norms, unit, _ = scaled
+    n, k = coords.shape
+    margin = prefilter_margin(k)
+    # A query with neither filter ranks every row: nothing to prefilter.
+    bounded = [
+        threshold is not None or (top is not None and top < n)
+        for top, threshold in zip(tops, thresholds)
+    ]
+    if approx is None and any(bounded):
+        approx = approx_cosines(unit, Qs)
+    results = []
+    for i, (q, top, threshold) in enumerate(zip(Qs, tops, thresholds)):
+        if top is not None and top <= 0:
+            results.append([])
+            continue
+        rows = None
+        if bounded[i]:
+            # One contiguous copy: selecting from a strided column costs more.
+            column = np.ascontiguousarray(approx[:, i])
+            cut = -np.inf if threshold is None else float(threshold)
+            if top is not None and top < n:
+                kth = np.partition(column, n - top)[n - top]
+                cut = max(cut, float(kth))
+            rows = np.flatnonzero(column >= cut - margin)
+        scores = row_cosines(coords, norms, q, rows)
+        registry.observe(
+            "serving.rescore_candidates",
+            float(scores.size),
+            boundaries=_CANDIDATE_BUCKETS,
+        )
+        order = ranked_order(scores, top=top, threshold=threshold)
+        index = order if rows is None else rows[order]
+        results.append(
+            list(zip((index + offset).tolist(), scores[order].tolist()))
+        )
+    return results

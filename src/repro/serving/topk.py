@@ -40,14 +40,14 @@ def topk_indices(scores: np.ndarray, top: int | None) -> np.ndarray:
     """
     s = np.asarray(scores)
     n = s.size
-    if top is None or top >= n:
-        return np.argsort(-s, kind="stable")
-    if top <= 0:
+    if top is not None and top <= 0:
         return np.empty(0, dtype=np.intp)
     t0 = time.perf_counter()
     try:
-        part = np.argpartition(-s, top - 1)
-        cutoff = s[part[top - 1]]
+        if top is None or top >= n:
+            return np.argsort(-s, kind="stable")
+        # The top-th largest value, taken from the top end: no negated copy.
+        cutoff = np.partition(s, n - top)[n - top]
         cand = np.flatnonzero(s >= cutoff)
         if cand.size < top:  # NaN in scores: >= comparisons dropped rows
             return np.argsort(-s, kind="stable")[:top]

@@ -446,7 +446,9 @@ class TestServingMetricNames:
         assert counters["serving.shard_searches"] == 2
         # Timers are histograms: sum is accumulated seconds.
         sums = obs.registry.histogram_sums("serving.")
-        assert sums["serving.gemm_seconds"] > 0
+        assert sums["serving.scan_seconds"] > 0  # the ranked paths' fp32 pass
+        # One observation per ranked (row range × query): 2 + 2 shards × 2.
+        assert obs.registry.histogram("serving.rescore_candidates").count == 6
         assert obs.registry.histogram("serving.topk_seconds").count >= 2
 
     def test_prefix_reset_only_touches_serving(self):

@@ -15,6 +15,7 @@ from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer, kmeans
 from repro.text import Vocabulary
 from repro.util.rng import ensure_rng
+from tests.test_serving_scan import _first_copy
 
 
 # --------------------------------------------------------------------- #
@@ -247,10 +248,21 @@ def test_full_probe_identical_with_duplicate_rows():
     index = _snapshot(model, n_clusters=4)
     qhat = rng.standard_normal(k)
     exact = cosine_similarities(model, qhat)
-    want_order = np.argsort(-exact, kind="stable")
     pairs, scored = _probe(
         index, qhat, top=model.n_documents, probes=index.ann.n_clusters
     )
     assert scored == model.n_documents
-    assert [j for j, _ in pairs] == want_order.tolist()
-    assert [s for _, s in pairs] == [float(exact[j]) for j in want_order]
+    # Bit-equal to the exhaustive ranked path ...
+    assert pairs == index.search(
+        index.scale(qhat), top=model.n_documents
+    )[0][0]
+    # ... whose exact ties come out in ascending index order, and whose
+    # scores are the full fp64 vector's to 1e-12 (a GEMV may split a tie
+    # between verbatim copies in the last bit; the row-local kernel cannot).
+    canonical = exact[_first_copy(V)]
+    assert [j for j, _ in pairs] == np.argsort(
+        -canonical, kind="stable"
+    ).tolist()
+    assert np.allclose(
+        [s for _, s in pairs], -np.sort(-exact), rtol=0, atol=1e-12
+    )

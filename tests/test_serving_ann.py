@@ -38,7 +38,9 @@ from repro.serving.ann import (
     CoarseQuantizer,
     default_n_clusters,
 )
+from repro.serving.index import scaled_rows
 from repro.serving.kernel import cosine_scores, row_norms
+from repro.serving.scan import ranked_scan
 from repro.serving.topk import ranked_order
 from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
 from repro.store.durable import (
@@ -49,6 +51,7 @@ from repro.store.durable import (
 )
 from repro.store.mmap_io import open_latest_ann
 from repro.store.recovery import open_checkpoint
+from tests.test_serving_scan import assert_ranking_matches
 
 K = 8
 N_DOCS = 300
@@ -145,9 +148,9 @@ def test_shard_candidates_partition_the_single_node_set(quantizer):
 
 def test_full_probe_shard_merge_equals_per_shard_exact_scan(quantizer):
     # With every cell probed each shard's candidate set is its whole
-    # row range, the no-gather shortcut scores the slice in place, and
-    # the merged ranking must equal the per-shard exact scan merged the
-    # same way — indices, scores, and tie order.
+    # row range, and the merged ranking must equal the per-shard exact
+    # ranking (``ranked_scan``) merged the same way — indices, scores
+    # and tie order, bit for bit: both report the row-local kernel.
     q = np.random.default_rng(8).standard_normal(K)
     top = 15
     ann_parts, exact_parts = [], []
@@ -158,9 +161,17 @@ def test_full_probe_shard_merge_equals_per_shard_exact_scan(quantizer):
         )
         assert stats["candidates"] == hi - lo
         ann_parts.append(pairs)
-        scores = cosine_scores(coords, q, norms=norms)[0]
         exact_parts.append(
-            [(lo + int(j), float(scores[j])) for j in ranked_order(scores, top=top)]
+            ranked_scan(
+                scaled_rows(COORDS[lo:hi], np.ones(K)),
+                q[None, :], [top], [None], offset=lo,
+            )[0]
+        )
+        # And both are the full fp64 matrix's ranking, to 1e-12.
+        scores = cosine_scores(coords, q, norms=norms)[0]
+        assert_ranking_matches(
+            pairs,
+            [(lo + int(j), float(scores[j])) for j in ranked_order(scores, top=top)],
         )
     assert merge_topk(ann_parts, top) == merge_topk(exact_parts, top)
 
