@@ -24,7 +24,10 @@ boundaries:
   plain ``/metrics`` keeps the flat JSON shape;
 * a second tiny cluster with an injected worker delay pushes a query
   over ``--slow-ms``: it must land in the ``--slowlog`` JSONL with
-  per-shard timings (uploaded as a CI artifact);
+  per-shard timings (uploaded as a CI artifact); the same cluster runs
+  with ``--queue-depth 2``, so a six-deep flood draws ``queue_full``
+  429s — a single-tenant fleet sits behind the same admission bound as
+  every other deployment of the one front end;
 * with ``--replication 2`` (6 workers, 3 ranges), SIGKILL-ing one
   replica mid-stream costs **nothing**: every response stays
   ``partial=false`` and element-identical while healthz shows the
@@ -40,8 +43,10 @@ boundaries:
 * a two-tenant front end (``--tenants tenants.json``) routes by
   ``X-Tenant``: interleaved queries stay element-identical to each
   store's own in-process reference, the second tenant's fleet spawns
-  lazily on its first query, a flood past one tenant's admission share
-  draws per-tenant 429s while the other tenant still completes, a
+  lazily on its first query, both tenants' slow queries land in the
+  one ``--slowlog`` file with their ``tenant`` on each record, a flood
+  past one tenant's admission share draws per-tenant 429s while the
+  other tenant still completes, a
   SIGKILL'd worker degrades only its own tenant, and with
   ``--max-resident 1`` the LRU tenant detaches (drains) and re-attaches
   with exact parity.
@@ -60,6 +65,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -150,6 +156,30 @@ def _search_pairs(
     return data, [(int(j), float(s)) for j, s, _ in data["results"]]
 
 
+def _flood(
+    port: int, query: str, n: int, tenant: str | None = None
+) -> tuple[list[threading.Thread], list[Exception], list[int]]:
+    """Start ``n`` concurrent searches, each on its own connection.
+
+    Returns ``(threads, rejected, completed)``: join the threads, then
+    read the 429s the flood drew and how many requests were served."""
+    rejected: list[Exception] = []
+    completed: list[int] = []
+
+    def hammer() -> None:
+        with ServerClient(port=port, timeout=60) as c:
+            try:
+                c.search(query, top=TOP, tenant=tenant)
+                completed.append(1)
+            except ServerOverloadError as exc:
+                rejected.append(exc)
+
+    threads = [threading.Thread(target=hammer) for _ in range(n)]
+    for t in threads:
+        t.start()
+    return threads, rejected, completed
+
+
 _PROM_SAMPLE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
     r'(\{[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"'
@@ -236,13 +266,14 @@ def _observability_phase(client: ServerClient) -> None:
 
 
 def _slowlog_phase(data_dir: str) -> None:
-    """A delayed worker pushes queries over --slow-ms → JSONL evidence."""
+    """A delayed worker pushes queries over --slow-ms → JSONL evidence;
+    a flood past --queue-depth draws queue_full 429s."""
     slowlog = os.path.abspath("SMOKE_cluster_slowlog.jsonl")
     if os.path.exists(slowlog):
         os.unlink(slowlog)
     proc, port = _start_cluster(
         data_dir,
-        "--slow-ms", "25", "--slowlog", slowlog,
+        "--slow-ms", "25", "--slowlog", slowlog, "--queue-depth", "2",
         env_extra={"REPRO_WORKER_INJECT_DELAY_MS": "60"},
     )
     try:
@@ -259,6 +290,23 @@ def _slowlog_phase(data_dir: str) -> None:
         assert all(ms >= 50.0 for ms in timings.values()), timings
         health = client.healthz()
         assert health["slowlog"]["records"] >= 1, health["slowlog"]
+        assert health["queue_capacity"] == 2, health
+
+        # Every scatter takes >= 60 ms, so six requests at once find
+        # the two admission slots taken: the rest bounce as 429s.
+        threads, rejected, completed = _flood(port, "w1 w2 w3", 6)
+        for t in threads:
+            t.join()
+        assert rejected, "no 429 from a 6-deep flood at --queue-depth 2"
+        assert all(
+            getattr(e, "reason", None) == "queue_full" for e in rejected
+        ), [getattr(e, "reason", None) for e in rejected]
+        assert completed, "the admitted requests must still be served"
+        print(
+            f"admission: 6-deep flood at --queue-depth 2 -> "
+            f"{len(rejected)} 429(s) (reason=queue_full), "
+            f"{len(completed)} served"
+        )
         proc.send_signal(signal.SIGTERM)
         out, _ = proc.communicate(timeout=45)
         assert proc.returncode == 0, (proc.returncode, out)
@@ -442,8 +490,6 @@ def _corpus_b() -> list[str]:
 
 def _multitenant_phase(tmp: str, texts: list[str]) -> None:
     """Two tenants, one front end: parity, lazy attach, isolation, LRU."""
-    import threading
-
     dirs = {
         "alpha": os.path.join(tmp, "tenant-alpha"),
         "beta": os.path.join(tmp, "tenant-beta"),
@@ -478,9 +524,10 @@ def _multitenant_phase(tmp: str, texts: list[str]) -> None:
         return data, [(int(j), float(s)) for j, s, _ in data["results"]]
 
     # --- Cluster 1: lazy attach, interleaved parity, quotas, isolation.
+    slowlog = os.path.join(tmp, "tenants-slow.jsonl")
     proc, port = _start_cluster(
         None, "--tenants", tenants_path, "--workers", str(fleet_shards),
-        "--queue-depth", "16",
+        "--queue-depth", "16", "--slow-ms", "25", "--slowlog", slowlog,
         env_extra={"REPRO_WORKER_INJECT_DELAY_MS": "80"},
     )
     try:
@@ -531,6 +578,15 @@ def _multitenant_phase(tmp: str, texts: list[str]) -> None:
         print("tenancy: 6 interleaved responses element-identical to "
               "each tenant's own in-process reference")
 
+        # One slow log per front end: every one of those queries waited
+        # out the 80 ms worker delay, and both tenants' records are in
+        # the one file, told apart by their ``tenant`` field.
+        slow = read_slowlog(slowlog)
+        assert {e["tenant"] for e in slow} == set(dirs), slow
+        assert all(e["shard_timings"] for e in slow), slow
+        print(f"tenancy: {len(slow)} slow-query record(s) from both "
+              "tenants in the one --slowlog file")
+
         # Federated observability: every fleet's workers land under
         # tenant-prefixed names / tenant-labeled Prometheus series.
         prom = client.metrics_prom()
@@ -546,23 +602,10 @@ def _multitenant_phase(tmp: str, texts: list[str]) -> None:
         # Quota isolation: flood alpha far past its share; the rejects
         # must be per-tenant 429s and beta must still complete.
         share = client.tenants()["quotas"]["share"]
-        rejected: list[Exception] = []
-        completed: list[int] = []
-
-        def hammer() -> None:
-            with ServerClient(port=port, timeout=60) as c:
-                try:
-                    c.search(a_q, top=TOP, tenant="alpha")
-                    completed.append(1)
-                except ServerOverloadError as exc:
-                    rejected.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer) for _ in range(3 * share)
-        ]
         t0 = time.monotonic()
-        for t in threads:
-            t.start()
+        threads, rejected, completed = _flood(
+            port, a_q, 3 * share, tenant="alpha"
+        )
         b_q = tenant_queries["beta"][0]
         data, got = pairs(client, b_q, "beta")
         beta_ms = 1000.0 * (time.monotonic() - t0)

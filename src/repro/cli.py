@@ -70,6 +70,7 @@ gauges.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -374,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "past the cap the least-recently-used is drained "
                      "after its in-flight queries finish (default "
                      "unbounded)",
-        queue_depth="multi-tenant: bounded front-end admission queue, "
-                    "carved into per-tenant shares (excess per tenant → "
-                    "429)",
+        queue_depth="bounded front-end admission queue (excess → 429), "
+                    "carved into per-tenant shares on a multi-tenant "
+                    "cluster (excess per tenant → 429)",
     )
 
     pc_status = cluster_sub.add_parser(
@@ -602,12 +603,7 @@ def _parse_tenant_specs(specs: list[str]) -> dict[str, pathlib.Path]:
 
 def _cmd_serve(args, out) -> int:
     """Build the serving state and run the async server until SIGINT."""
-    from repro.server import (
-        ServerConfig,
-        QueryService,
-        ServingState,
-        state_from_texts,
-    )
+    from repro.server import ServingState, state_from_texts
 
     store = None
     state = None
@@ -650,20 +646,8 @@ def _cmd_serve(args, out) -> int:
         # In-memory serving trains its quantizer at startup (the durable
         # path gets one from the checkpoint, trained by the writer).
         state.train_ann(n_clusters=args.ann_clusters)
-    config = ServerConfig(
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
-        shards=args.shards,
-        workers=args.workers,
-        default_timeout_ms=args.timeout_ms,
-        default_probes=args.probes,
-        slow_ms=args.slow_ms,
-        slowlog_path=(
-            str(args.slowlog) if args.slowlog is not None else None
-        ),
-    )
 
-    def banner(_service) -> str:
+    def banner() -> str:
         if tenant_registry is not None:
             names = ", ".join(tenant_registry.tenant_ids)
             return (
@@ -691,35 +675,48 @@ def _cmd_serve(args, out) -> int:
             print("store flushed", file=out, flush=True)
 
     return _serve_until_signal(
-        lambda: QueryService(tenant_registry or state, config),
-        banner, args, out,
+        tenant_registry or state, banner, args, out,
         draining="rejecting new requests, flushing the queue",
         after_drain=flush_store,
+        max_batch=args.max_batch, shards=args.shards, workers=args.workers,
     )
 
 
 def _serve_until_signal(
-    make_service, banner, args, out, *, draining: str, after_drain=None
+    hosted, banner, args, out, *, draining: str, after_drain=None, **scorer
 ) -> int:
-    """Bind, announce, serve until SIGINT/SIGTERM, then drain cleanly.
+    """Put the front end over ``hosted``, bind, announce, serve until
+    SIGINT/SIGTERM, then drain cleanly.
 
-    ``make_service`` builds the service on the serving loop;
-    ``banner(service)`` is the start-up line, to which the bound
-    ``on http://host:port`` is appended (supervisors and tests parse
-    it); ``after_drain`` runs once the service has drained, before the
-    final ``drained cleanly``.
+    ``hosted`` is a tenant registry, or one bare state or fleet;
+    ``scorer`` is the in-process scorer's part of the ``ServerConfig``
+    (the shared serving options are read off ``args``).  ``banner()``
+    is the start-up line, to which the bound ``on http://host:port`` is
+    appended (supervisors and tests parse it); ``after_drain`` runs once
+    the service has drained, before the final ``drained cleanly``.
     """
     import asyncio
     import signal
 
-    from repro.server import start_http_server
+    from repro.server import QueryService, ServerConfig, start_http_server
+
+    config = ServerConfig(
+        queue_depth=args.queue_depth,
+        default_timeout_ms=args.timeout_ms,
+        default_probes=args.probes,
+        slow_ms=args.slow_ms,
+        slowlog_path=(
+            str(args.slowlog) if args.slowlog is not None else None
+        ),
+        **scorer,
+    )
 
     async def run() -> None:
-        service = make_service()
+        service = QueryService(hosted, config)
         server = await start_http_server(service, args.host, args.port)
         port = server.sockets[0].getsockname()[1]
         print(
-            f"{banner(service)} on http://{args.host}:{port}",
+            f"{banner()} on http://{args.host}:{port}",
             file=out, flush=True,
         )
         stop = asyncio.Event()
@@ -820,6 +817,7 @@ def _cmd_cluster(args, out) -> int:
 
     # serve
     from repro.cluster import ClusterConfig, ClusterService
+    from repro.errors import ClusterConfigError
 
     if (args.data_dir is None) == (args.tenants is None):
         raise ReproError(
@@ -854,12 +852,6 @@ def _cmd_cluster(args, out) -> int:
         miss_limit=args.heartbeat_misses,
         restart_backoff=args.restart_backoff,
         restart_backoff_cap=args.restart_backoff_cap,
-        default_timeout_ms=args.timeout_ms,
-        default_probes=args.probes,
-        slow_ms=args.slow_ms,
-        slowlog_path=(
-            str(args.slowlog) if args.slowlog is not None else None
-        ),
     )
 
     tenant_map: dict[str, pathlib.Path] | None = None
@@ -889,20 +881,36 @@ def _cmd_cluster(args, out) -> int:
         f"[supervisor] {line}", file=out, flush=True
     )
 
-    def make_service():
-        if tenant_map is not None:
-            from repro.tenancy import TenantClusterService
-
-            return TenantClusterService(
-                tenant_map, config,
-                max_resident=args.max_resident,
-                queue_depth=args.queue_depth,
-                host=args.host,
-                announce=announce,
+    if tenant_map is None:
+        hosted = fleet = ClusterService(
+            args.data_dir, config, announce=announce
+        )
+    else:
+        if config.writable or config.standby:
+            raise ClusterConfigError(
+                "multi-tenant cluster serving is read-only: --writable/"
+                "--standby own one store lock and one WAL each — run the "
+                "writer per tenant behind its own front end"
             )
-        return ClusterService(args.data_dir, config, announce=announce)
+        from repro.tenancy import IndexRegistry
 
-    def banner(service) -> str:
+        def attach(name: str, path: pathlib.Path) -> ClusterService:
+            announce(f"tenant {name}: attaching {path}")
+            return ClusterService(
+                path, config, host=args.host, announce=announce, tenant=name
+            )
+
+        hosted = IndexRegistry(max_resident=args.max_resident)
+        for name, path in tenant_map.items():
+            hosted.register(
+                name, data_dir=path,
+                loader=functools.partial(attach, name, path),
+            )
+        hosted.add_detach_hook(
+            lambda name, _fleet: announce(f"tenant {name}: detaching (LRU)")
+        )
+
+    def banner() -> str:
         if tenant_map is not None:
             names = ", ".join(tenant_map)
             return (
@@ -913,7 +921,7 @@ def _cmd_cluster(args, out) -> int:
                     if args.max_resident is not None else ""
                 )
             )
-        handle = service.handle
+        handle = fleet.handle
         return (
             f"cluster serving {handle.n_documents} documents "
             f"across {handle.plan.n_shards} shards "
@@ -923,13 +931,13 @@ def _cmd_cluster(args, out) -> int:
                 if handle.plan.replication > 1 else ""
             )
             + (", ann" if handle.ann else "")
-            + (", writable" if service.primary is not None else "")
-            + (", standby" if service.standby is not None else "")
+            + (", writable" if fleet.primary is not None else "")
+            + (", standby" if fleet.standby is not None else "")
             + ")"
         )
 
     return _serve_until_signal(
-        make_service, banner, args, out,
+        hosted, banner, args, out,
         draining="stopping the router and workers",
     )
 

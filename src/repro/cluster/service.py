@@ -1,10 +1,12 @@
-"""The cluster front end: checkpoint → plan → supervisor → router → HTTP.
+"""The fleet backend: checkpoint → plan → supervisor → router.
 
-:class:`ClusterService` is a :class:`~repro.server.service.ServiceBase`
-like :class:`~repro.server.service.QueryService` — the HTTP front end
-(:mod:`repro.server.http`) drives both through the same methods — but
-answers queries by scattering over shard worker *processes* instead of
-scoring in-loop.
+:class:`ClusterService` is one of the two backends the front end
+(:class:`~repro.server.service.QueryService`) hosts in its registry: it
+answers ``start`` / ``drain`` / ``search`` / ``add`` / ``healthz`` like
+the in-process scorer, but by scattering over shard worker *processes*
+instead of scoring in-loop.  Admission, quotas, tenant routing and the
+slow-query log are the front end's; this class owns one index's epoch,
+plan and processes.
 It opens the newest durable-store checkpoint once (memory-mapped, for
 the vocabulary and query projection; workers map the same files
 themselves), pins a :class:`~repro.cluster.plan.ShardPlan` against that
@@ -17,7 +19,7 @@ checkpoint is picked up by restarting the cluster.  With
 ``writable=True`` the service embeds the
 :class:`~repro.cluster.primary.PrimaryWriter`: ``/add`` WAL-logs
 through the durable store, the writer seals checkpoints on its policy
-and bumps the workers, and the front end hot-swaps its
+and bumps the workers, and the fleet hot-swaps its
 :class:`~repro.cluster.epochs.EpochHandle` — ``search`` snapshots the
 handle at entry, so in-flight queries finish against the superseded
 epoch (which every worker retains) and zero queries drop across a bump.
@@ -25,8 +27,8 @@ epoch (which every worker retains) and zero queries drop across a bump.
 
 from __future__ import annotations
 
+import asyncio
 import pathlib
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,21 +39,18 @@ from repro.cluster.plan import check_topology
 from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import batch_project_queries, project_query
-from repro.errors import (
-    ClusterConfigError,
-    ClusterReadOnlyError,
-    UnknownTenantError,
-)
+from repro.errors import ClusterConfigError, ClusterReadOnlyError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.server.service import ServiceBase
 
 __all__ = ["ClusterConfig", "ClusterService"]
 
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Tunables for one cluster instance (CLI flags map 1:1 onto these)."""
+    """Tunables for one fleet (CLI flags map 1:1 onto these); request
+    defaults and the slow-query log are the front end's
+    :class:`~repro.server.service.ServerConfig`."""
 
     workers: int = 4
     #: Replicas per shard range; ``workers // replication`` ranges are
@@ -64,17 +63,6 @@ class ClusterConfig:
     miss_limit: int = 3
     restart_backoff: float = 0.5
     restart_backoff_cap: float = 10.0
-    default_timeout_ms: float | None = None
-    #: Default probe count for requests that don't specify one.  ``None``
-    #: keeps the exact scatter as the default; requests opt into the ANN
-    #: path with ``probes``, or force exactness with ``exact``.
-    default_probes: int | None = None
-    #: Slow-query log threshold (milliseconds); <= 0 disables the log.
-    slow_ms: float = 500.0
-    #: JSONL file for slow-query records (``None`` keeps them in-memory).
-    slowlog_path: str | None = None
-    #: Bound on retained slow-query records (memory and on-disk).
-    slowlog_max_records: int = 256
     #: Embed the primary writer: ``/add`` accepted, epochs bump live.
     writable: bool = False
     #: Writer seal policy — records threshold (``None`` disables).
@@ -98,11 +86,8 @@ class ClusterConfig:
     promotion_log: str | None = None
 
 
-class ClusterService(ServiceBase):
-    """Scatter-gather query service over one checkpoint, many processes."""
-
-    process_label = "router"
-    slow_counter = "cluster.slow_queries_total"
+class ClusterService:
+    """Scatter-gather backend over one checkpoint, many processes."""
 
     def __init__(
         self,
@@ -113,7 +98,7 @@ class ClusterService(ServiceBase):
         announce: Callable[[str], None] | None = None,
         tenant: str | None = None,
     ):
-        super().__init__(config or ClusterConfig())
+        self.config = config or ClusterConfig()
         self.data_dir = pathlib.Path(data_dir)
         #: The tenant this fleet serves (``None`` for single-tenant).
         #: Rides every scatter frame and the worker spawn command, so a
@@ -202,6 +187,9 @@ class ClusterService(ServiceBase):
             )
 
         self._started = False
+        #: Serializes the first ``start()``: a cold tenant's first
+        #: queries arrive together and must spawn one set of workers.
+        self._start_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
     # The serving epoch: every per-epoch attribute reads through one
@@ -266,7 +254,9 @@ class ClusterService(ServiceBase):
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Spawn and attach every worker (idempotent)."""
-        if not self._started:
+        async with self._start_lock:
+            if self._started:
+                return
             with span("cluster.start", workers=self.plan.n_workers):
                 await self.supervisor.start()
             if self.primary is not None:
@@ -284,52 +274,22 @@ class ClusterService(ServiceBase):
         await self.supervisor.drain()
         self._started = False
 
-    @property
-    def draining(self) -> bool:
-        """Whether shutdown has begun."""
-        return self.supervisor.draining
-
     # ------------------------------------------------------------------ #
     async def _scatter(
         self, handle: EpochHandle, Q, top, threshold, timeout_ms, probes, exact
     ) -> ClusterResult:
-        """Scatter unscaled ``Q`` at ``handle``'s epoch, config defaults
-        applied.  ``Q Σ`` — exactly :meth:`EpochSnapshot.scale` — is
-        applied here, router-side, so every worker scores identical
-        bytes."""
+        """Scatter unscaled ``Q`` at ``handle``'s epoch.  ``Q Σ`` —
+        exactly :meth:`EpochSnapshot.scale` — is applied here,
+        router-side, so every worker scores identical bytes."""
         return await self.router.search_batch(
             np.atleast_2d(np.asarray(Q, dtype=np.float64)) * handle.model.s,
             plan=handle.plan,
             top=top,
             threshold=threshold,
-            timeout_ms=(
-                timeout_ms if timeout_ms is not None
-                else self.config.default_timeout_ms
-            ),
-            probes=(
-                probes if probes is not None
-                else self.config.default_probes
-            ),
+            timeout_ms=timeout_ms,
+            probes=probes,
             exact=exact,
         )
-
-    def _check_tenant(self, tenant: str | None) -> None:
-        """Refuse a tenant this fleet does not serve (typed 404).
-
-        A standalone cluster (``self.tenant is None``) accepts only
-        untargeted requests; a tenant-bound fleet accepts ``None`` (the
-        front end already routed) or its own id.
-        """
-        if tenant is None or tenant == self.tenant:
-            return
-        if self.tenant is not None:
-            message = (
-                f"this cluster serves tenant {self.tenant!r}, "
-                f"not {tenant!r}"
-            )
-        else:
-            message = f"this cluster is single-tenant; unknown tenant {tenant!r}"
-        raise UnknownTenantError(message, tenant=tenant)
 
     async def search(
         self,
@@ -340,20 +300,19 @@ class ClusterService(ServiceBase):
         timeout_ms: float | None = None,
         probes: int | None = None,
         exact: bool = False,
-        tenant: str | None = None,
-    ) -> dict:
+    ) -> tuple[dict, dict]:
         """One ranked search, scattered over the shard workers.
 
-        ``probes`` bounds every shard's scan to the same coarse cells
-        (falling back to ``config.default_probes``, then to the exact
-        scatter); ``exact=True`` overrides any default.  ``tenant`` must
-        name this fleet's tenant (or be ``None``) — anything else is a
-        typed 404.  Never raises on worker death — degraded answers come
-        back with ``partial=True`` and the unscored ``[lo, hi)`` ranges
-        listed.
+        Returns the reply and the scatter's slow-log evidence (per-shard
+        timings, hedges, misses).  ``probes`` bounds every shard's scan
+        to the same coarse cells (``None``: the exact scatter);
+        ``exact=True`` overrides it.  The first search spawns the
+        workers if :meth:`start` has not.  Never raises on worker death
+        — degraded answers come back with ``partial=True`` and the
+        unscored ``[lo, hi)`` ranges listed.
         """
-        self._check_tenant(tenant)
-        t0 = time.perf_counter()
+        if not self._started:
+            await self.start()
         # One epoch per request: project, scatter, and label against the
         # same handle even if the writer publishes a bump mid-flight.
         handle = self._handle
@@ -361,33 +320,26 @@ class ClusterService(ServiceBase):
         result = await self._scatter(
             handle, qhat, top, threshold, timeout_ms, probes, exact
         )
-        self._record_slow(
-            time.perf_counter() - t0,
-            top=top,
-            probes=probes,
-            exact=exact,
-            tenant=self.tenant,
-            partial=result.partial,
-            missing=[list(pair) for pair in result.missing],
-            shard_timings={
-                str(sid): ms for sid, ms in sorted(result.shard_timings.items())
-            },
-            hedged=result.hedged,
-            deadline_missed=result.deadline_missed,
-        )
+        missing = [list(pair) for pair in result.missing]
         doc_ids = handle.model.doc_ids
         payload = {
             "epoch": result.epoch,
             "n_documents": handle.n_documents,
             "partial": result.partial,
-            "missing": [list(pair) for pair in result.missing],
+            "missing": missing,
             "results": [
                 [i, score, doc_ids[i]] for i, score in result.results[0]
             ],
         }
-        if self.tenant is not None:
-            payload["tenant"] = self.tenant
-        return payload
+        return payload, {
+            "partial": result.partial,
+            "missing": missing,
+            "shard_timings": {
+                str(sid): ms for sid, ms in sorted(result.shard_timings.items())
+            },
+            "hedged": result.hedged,
+            "deadline_missed": result.deadline_missed,
+        }
 
     async def search_many(
         self,
@@ -398,7 +350,6 @@ class ClusterService(ServiceBase):
         timeout_ms: float | None = None,
         probes: int | None = None,
         exact: bool = False,
-        tenant: str | None = None,
     ) -> ClusterResult:
         """A whole batch through one scatter (bench/parity entry point).
 
@@ -406,7 +357,6 @@ class ClusterService(ServiceBase):
         array — the same convention as ``sharded_batch_search``, whose
         output this is element-identical to when all workers are live.
         """
-        self._check_tenant(tenant)
         handle = self._handle
         if isinstance(queries, np.ndarray):
             Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -416,7 +366,7 @@ class ClusterService(ServiceBase):
             handle, Q, top, threshold, timeout_ms, probes, exact
         )
 
-    async def add(self, texts, doc_ids=None, *, tenant: str | None = None) -> dict:
+    async def add(self, texts, doc_ids=None) -> dict:
         """Ingest through the primary writer, or refuse read-only.
 
         Writable: returns once the batch is WAL-fsynced (``durable``);
@@ -426,7 +376,6 @@ class ClusterService(ServiceBase):
         raises the typed :class:`ClusterReadOnlyError` the HTTP layer
         maps to 403, request id attached server-side.
         """
-        self._check_tenant(tenant)
         if self.primary is None:
             if self.standby is not None:
                 raise ClusterReadOnlyError(
@@ -457,7 +406,7 @@ class ClusterService(ServiceBase):
         # siblings.  Only a range with zero healthy replicas (which at
         # replication 1 is any dead worker) degrades the cluster.
         uncovered = sum(1 for r in ranges if r["replicas_healthy"] == 0)
-        if self.draining:
+        if self.supervisor.draining:
             status = "draining"
         elif uncovered > 0:
             status = "degraded"
@@ -469,7 +418,7 @@ class ClusterService(ServiceBase):
             writer = self.primary.describe(handle.epoch)
         payload = {
             "status": status,
-            "draining": self.draining,
+            "draining": self.supervisor.draining,
             "epoch": handle.epoch,
             "checkpoint": handle.checkpoint,
             "n_documents": handle.n_documents,
@@ -481,14 +430,7 @@ class ClusterService(ServiceBase):
             "ranges": ranges,
             "writer": writer,
             "ann": handle.ann,
-            "default_probes": self.config.default_probes,
-            "slowlog": self.slowlog.describe(),
         }
-        if self.tenant is not None:
-            payload["tenant"] = self.tenant
         if self.standby is not None:
             payload["standby"] = self.standby.describe()
         return payload
-
-    def _fleets(self) -> list:
-        return [(None, self.router)]

@@ -13,8 +13,8 @@ needs, stdlib-asyncio only:
   :class:`ServingState`, the atomic reader/writer model handoff that
   lets live additions (fold-in → §4.3-policy consolidation through the
   index manager) swap epochs under in-flight queries;
-* :mod:`repro.server.batching` — :class:`MicroBatcher`, the
-  work-conserving micro-batching scheduler: it scores a lone query at
+* :mod:`repro.server.batching` — :class:`MicroBatcher`, the in-process
+  backend and its work-conserving micro-batching scheduler: it scores a lone query at
   once and coalesces whatever queued up behind the flush in flight (up
   to ``max_batch``) into one batched GEMM on its own scoring thread —
   no window, no timer — preserving per-request ``top``/``threshold``
@@ -22,10 +22,11 @@ needs, stdlib-asyncio only:
 * :mod:`repro.server.admission` — :class:`AdmissionController`, the
   bounded queue with fast overload rejection, per-request deadlines,
   and the drain latch for graceful shutdown;
-* :mod:`repro.server.service` — :class:`ServiceBase`, the surface the
-  HTTP front end calls and the parts every service shares, and
-  :class:`QueryService`, the transport-independent composition of the
-  three above, emitting ``server.*`` metrics and spans;
+* :mod:`repro.server.service` — :class:`QueryService`, the one front
+  end the HTTP transport calls: registry pin → admission → quota →
+  backend → tenant label → slow log, the same whether the registry
+  hosts in-process scorers or :mod:`repro.cluster` worker fleets,
+  emitting ``server.*`` metrics and spans;
 * :mod:`repro.server.http` — the stdlib HTTP/JSON front end
   (``/search``, ``/add``, ``/healthz``, ``/stats``);
 * :mod:`repro.server.client` — :class:`ServerClient`, a small blocking
@@ -38,7 +39,7 @@ from repro.server.admission import AdmissionController
 from repro.server.batching import MicroBatcher, SearchRequest
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
-from repro.server.service import QueryService, ServerConfig, ServiceBase
+from repro.server.service import QueryService, ServerConfig
 from repro.server.state import (
     EpochSnapshot,
     ServingState,
@@ -54,7 +55,6 @@ __all__ = [
     "start_http_server",
     "QueryService",
     "ServerConfig",
-    "ServiceBase",
     "EpochSnapshot",
     "ServingState",
     "manager_from_texts",

@@ -38,8 +38,9 @@ import numpy as np
 
 from repro.errors import DeadlineExceededError, ReproError
 from repro.obs.metrics import registry
-from repro.obs.trace_context import TraceContext
+from repro.obs.trace_context import TraceContext, current_trace
 from repro.obs.tracing import span
+from repro.server.admission import AdmissionController
 from repro.server.state import EpochSnapshot, ServingState
 
 __all__ = [
@@ -113,7 +114,8 @@ class SearchRequest:
 
 
 class MicroBatcher:
-    """The scheduler task that turns a request stream into batches."""
+    """The in-process backend: one :class:`ServingState`, its scheduler
+    task that turns a request stream into batches, and its writer lock."""
 
     def __init__(
         self,
@@ -133,6 +135,9 @@ class MicroBatcher:
         self._task: asyncio.Task | None = None
         #: This batcher's one scoring thread, created by the first flush.
         self._scorer: ThreadPoolExecutor | None = None
+        #: One writer at a time *per index*: another tenant's
+        #: consolidation never blocks this one's ``add``.
+        self._add_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
@@ -147,12 +152,13 @@ class MicroBatcher:
         self._queue.put_nowait(request)
 
     async def drain(self) -> None:
-        """Wait until every queued request has been flushed."""
+        """Flush every queued request, then :meth:`stop`."""
         await self._queue.join()
+        await self.stop()
 
     async def stop(self) -> None:
-        """Cancel the scheduler task and join the scoring thread (call
-        after :meth:`drain`, when that thread is idle)."""
+        """Cancel the scheduler task and join the scoring thread (the
+        queue is empty and that thread idle after :meth:`drain`)."""
         if self._task is not None:
             self._task.cancel()
             try:
@@ -163,6 +169,67 @@ class MicroBatcher:
         if self._scorer is not None:
             self._scorer.shutdown(wait=True)
             self._scorer = None
+
+    # ------------------------------------------------------------------ #
+    async def search(
+        self,
+        query,
+        *,
+        top: int | None = None,
+        threshold: float | None = None,
+        timeout_ms: float | None = None,
+        probes: int | None = None,
+        exact: bool = False,
+    ) -> tuple[dict, dict]:
+        """One ranked search, answered from a coalesced batch.
+
+        Returns the reply and the scheduler's slow-log evidence: how
+        long the request sat behind the flush in flight and how many
+        requests it was scored with.  Raises
+        :class:`~repro.errors.DeadlineExceededError` when ``timeout_ms``
+        runs out before its batch is scored.
+        """
+        request = SearchRequest(
+            query=query,
+            top=top,
+            threshold=threshold,
+            probes=probes,
+            exact=exact,
+            deadline=AdmissionController.deadline_from(timeout_ms),
+            trace=current_trace(),
+            future=asyncio.get_running_loop().create_future(),
+        )
+        self.start()
+        self.submit(request)
+        payload = await request.future
+        return payload, {
+            "batch_size": request.batch_size,
+            "queue_wait_ms": request.queue_wait_ms,
+        }
+
+    async def add(self, texts, doc_ids=None) -> dict:
+        """Add documents live; returns the new epoch description.
+
+        Writers are serialized and run on the loop's default executor —
+        never the scoring thread, so a writer cannot queue behind the
+        scorer (or the scorer behind it); readers never wait — in-flight
+        batches finish against their pinned epoch, later batches see the
+        new one.
+        """
+        async with self._add_lock:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, self.state.add_texts, list(texts), doc_ids
+            )
+
+    def healthz(self) -> dict:
+        """The served epoch's block of ``/healthz``."""
+        snapshot = self.state.current()
+        return {
+            "epoch": snapshot.epoch,
+            "n_documents": snapshot.n_documents,
+            "writable": self.state.writable,
+            "ann": snapshot.ann is not None,
+        }
 
     # ------------------------------------------------------------------ #
     async def _run(self) -> None:

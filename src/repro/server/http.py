@@ -1,6 +1,8 @@
-"""Minimal HTTP/JSON front end over asyncio streams (stdlib only).
+"""Minimal HTTP/JSON transport over asyncio streams (stdlib only).
 
-The service speaks just enough HTTP/1.1 for production clients and
+Every route calls one class, :class:`~repro.server.service.QueryService`
+— the front end — whatever its registry hosts (in-process scorers or
+worker fleets, one tenant or many).  The service speaks just enough HTTP/1.1 for production clients and
 ``curl``: request line, headers, ``Content-Length`` body, JSON in and
 out, one request per connection.  No framework, no dependency — the
 parser is ~40 lines over :func:`asyncio.start_server` readers.
@@ -16,18 +18,21 @@ Routes
     true`` forces the exhaustive scan over any server default)
 ``POST /add``     ``{"texts": [str, ...], "doc_ids"?: [str, ...]}``
     → ``{"epoch", "n_documents", "action", "reason"}``
-``GET /healthz``  liveness + epoch + queue depth + draining flag
+``GET /healthz``  liveness + queue depth + draining flag, with the sole
+    tenant's backend block (epoch, documents; a fleet's worker table)
+    at the top level, or a per-tenant table on a multi-tenant server
 ``GET /metrics``  the metrics-registry dump (counters/gauges/hists);
-    on a cluster front end the JSON federates every live worker's
+    in front of worker fleets the JSON federates every live worker's
     registry, and ``?format=prom`` renders Prometheus text exposition
     with per-worker labels instead
 ``GET /stats``    the obs-export snapshot (metrics registry + spans +
     slow-query tail)
 ``GET /trace?id=<trace_id>``  the assembled trace for one request id —
-    on a cluster front end this pulls each worker's spans over the
+    in front of worker fleets this pulls each worker's spans over the
     ``trace`` wire op and merges them with the router's
-``GET /tenants``  the tenant registry + quota status on a multi-tenant
-    service (registered/resident tenants, pins, admission shares)
+``GET /tenants``  the tenant registry + quota status (registered/
+    resident tenants, pins, admission shares; a single-tenant server
+    hosts one tenant named ``default``)
 
 Multi-tenant routing: ``/search`` and ``/add`` take the tenant id from
 a ``tenant`` body field (preferred) or an ``X-Tenant`` header; omitting
@@ -75,7 +80,7 @@ from repro.errors import (
 from repro.obs.trace_context import TraceContext, coerce_trace_id, trace_scope
 from repro.obs.tracing import span
 from repro.server.batching import check_search_args
-from repro.server.service import ServiceBase
+from repro.server.service import QueryService
 
 __all__ = ["start_http_server", "MAX_BODY_BYTES"]
 
@@ -182,7 +187,7 @@ def _tenant_from(headers: dict, body: dict) -> str | None:
 
 
 async def _dispatch(
-    service: ServiceBase, method: str, path: str, headers: dict, body: dict
+    service: QueryService, method: str, path: str, headers: dict, body: dict
 ):
     """Route one parsed request; returns (status, payload)."""
     path, _, query_string = path.partition("?")
@@ -241,7 +246,7 @@ async def _dispatch(
 
 
 async def _handle(
-    service: ServiceBase,
+    service: QueryService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
@@ -322,7 +327,7 @@ async def _handle(
 
 
 async def start_http_server(
-    service: ServiceBase, host: str = "127.0.0.1", port: int = 8080
+    service: QueryService, host: str = "127.0.0.1", port: int = 8080
 ) -> asyncio.AbstractServer:
     """Bind and start serving; ``port=0`` picks an ephemeral port.
 

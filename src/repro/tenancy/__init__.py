@@ -1,24 +1,22 @@
 """Multi-tenant serving: index registry, quotas, and tenant routing.
 
-One process (or one cluster front end) hosts N named tenants, each an
-independent corpus with its own checkpoints/WAL/ANN state.  The pieces:
+One front end (:class:`~repro.server.service.QueryService`) hosts N
+named tenants, each an independent corpus with its own
+checkpoints/WAL/ANN state — scored in process or by its own worker
+fleet.  The pieces:
 
 ``registry``
-    :class:`IndexRegistry` — owns the ``tenant_id -> ServingState``
-    map, lazily attaches cold tenants from their data directories
-    (crash-safe read-only mmap open), and detaches least-recently-used
-    tenants past a resident cap — but only once in-flight queries
-    drain, mirroring the cluster's two-epoch retain pattern.
+    :class:`IndexRegistry` — owns the ``tenant_id -> backend`` map,
+    lazily attaches cold tenants (from their data directories by a
+    crash-safe read-only mmap open, or through a loader that builds a
+    fleet), and detaches least-recently-used tenants past a resident
+    cap — but only once in-flight queries drain, mirroring the
+    cluster's two-epoch retain pattern.
 
 ``quotas``
     :class:`TenantQuotas` — carves the global admission budget into
     per-tenant shares so one hot tenant cannot starve the rest; over
     budget maps to a per-tenant HTTP 429 (``reason="tenant_quota"``).
-
-``cluster``
-    :class:`TenantClusterService` — one scatter-gather front end over
-    per-tenant worker fleets, resolved through the same registry
-    discipline (lazy spawn on first query, LRU drain-then-detach).
 
 Every serving path resolves ``(tenant_id, epoch)`` through the
 registry; the single-tenant surfaces are the ``tenant=None`` special
@@ -35,16 +33,4 @@ __all__ = [
     "IndexRegistry",
     "TenantEntry",
     "TenantQuotas",
-    "TenantClusterService",
 ]
-
-
-def __getattr__(name: str):
-    # Imported lazily: tenancy.cluster pulls in the whole cluster stack,
-    # and the server service imports this package — an eager import here
-    # would close that loop during interpreter start-up.
-    if name == "TenantClusterService":
-        from repro.tenancy.cluster import TenantClusterService
-
-        return TenantClusterService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,9 @@
 """Index registry: named tenants, lazy mmap attach, LRU detach.
 
-The registry owns the ``tenant_id -> ServingState`` map every serving
-path resolves through.  Three registration flavours:
+The registry owns the ``tenant_id -> backend`` map every serving path
+resolves through — a :class:`~repro.server.state.ServingState` scored in
+process, or a :class:`~repro.cluster.service.ClusterService` fleet.
+Three registration flavours:
 
 * an **eager state** (``state=``) — already built, never evicted (there
   is no loader to come back through);
@@ -10,8 +12,8 @@ path resolves through.  Three registration flavours:
   (:func:`~repro.store.recovery.open_checkpoint`), which takes no lock
   and reflects the last sealed checkpoint;
 * a **custom loader** (``loader=``) — any zero-argument callable
-  returning a :class:`~repro.server.state.ServingState` (the cluster
-  front end uses this to spawn a tenant's worker fleet on demand).
+  returning a backend (``cluster serve --tenants`` uses this to build a
+  tenant's worker fleet on demand).
 
 With ``max_resident`` set, attaching a tenant past the cap detaches the
 least-recently-used evictable one — but never under in-flight queries:
@@ -110,11 +112,11 @@ class IndexRegistry:
     # ------------------------------------------------------------------ #
     @classmethod
     def single(cls, state: ServingState) -> "IndexRegistry":
-        """A one-tenant registry wrapping an existing state.
+        """A one-tenant registry wrapping an existing state or fleet.
 
-        The back-compat construction: ``QueryService(state, ...)`` wraps
-        its state this way, so single-tenant serving is the
-        ``tenant=None`` special case of the multi-tenant path.
+        ``QueryService(state, ...)`` wraps a bare backend this way, so
+        single-tenant serving is the ``tenant=None`` special case of the
+        multi-tenant path.
         """
         reg = cls()
         reg.register(DEFAULT_TENANT, state=state)
@@ -168,6 +170,18 @@ class IndexRegistry:
             return list(self._entries)
 
     @property
+    def sole_tenant(self) -> str | None:
+        """The one eager tenant's id when that is all the registry hosts
+        (what :meth:`single` builds), else ``None`` — requests are
+        tenant-routed."""
+        with self._lock:
+            if len(self._entries) == 1:
+                (entry,) = self._entries.values()
+                if not entry.evictable:
+                    return entry.tenant_id
+            return None
+
+    @property
     def max_resident(self) -> int | None:
         """The resident-set cap, or ``None`` for unbounded."""
         return self._max_resident
@@ -176,9 +190,9 @@ class IndexRegistry:
         """Register ``hook(tenant_id, state)`` to run at actual detach.
 
         Runs after the state is unlinked from the entry (under the
-        registry lock) — the service layer uses it to retire the
-        tenant's micro-batcher.  By the drain discipline the tenant has
-        zero in-flight queries at this point.
+        registry lock) — the front end uses it to drain the tenant's
+        backend.  By the drain discipline the tenant has zero in-flight
+        queries at this point.
         """
         self._detach_hooks.append(hook)
 
@@ -360,10 +374,9 @@ class IndexRegistry:
     def describe(self) -> dict:
         """Per-tenant status map for ``/tenants`` and ``healthz``.
 
-        A resident tenant's hosted object (a :class:`ServingState`, or a
-        :class:`~repro.cluster.service.ClusterService` under the cluster
-        front end) contributes its own ``describe()`` — at least
-        ``epoch`` and ``n_documents``.
+        A resident tenant's hosted object (a :class:`ServingState` or a
+        :class:`~repro.cluster.service.ClusterService`) contributes its
+        own ``describe()`` — at least ``epoch`` and ``n_documents``.
         """
         with self._lock:
             out = {}

@@ -19,7 +19,10 @@ import pytest
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.worker import run_worker
+from repro.errors import ServerOverloadError
+from repro.obs.metrics import registry
 from repro.parallel.sharding import sharded_batch_search
+from repro.server import QueryService, ServerConfig
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_model
@@ -76,7 +79,7 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
             flat_single = sharded_batch_search(
                 model, [queries[0]], top=TOP, shards=SHARDS
             )[0]
-            single = await service.search(queries[0], top=TOP)
+            single, _ = await service.search(queries[0], top=TOP)
             assert single["partial"] is False
             assert _pairs(
                 [(i, s) for i, s, _ in single["results"]]
@@ -142,6 +145,53 @@ def test_cluster_add_refused(seeded_store):
 
 
 # --------------------------------------------------------------------- #
+# a fleet behind the front end: the same admission bracket as in process
+# --------------------------------------------------------------------- #
+def test_single_tenant_fleet_admission_drain_and_request_metrics(seeded_store):
+    data_dir, texts = seeded_store
+    registry.reset("server.")
+
+    async def main():
+        fleet = ClusterService(data_dir, ClusterConfig(workers=SHARDS))
+        service = QueryService(fleet, ServerConfig(queue_depth=1))
+        await service.start()
+        try:
+            # Hold the first scatter in flight on an event (no sleeps):
+            # whatever arrives meanwhile finds the one slot taken.
+            entered, release = asyncio.Event(), asyncio.Event()
+            scatter = fleet.router.search_batch
+
+            async def held(*args, **kwargs):
+                entered.set()
+                await release.wait()
+                return await scatter(*args, **kwargs)
+
+            fleet.router.search_batch = held
+            first = asyncio.ensure_future(service.search(texts[0], top=TOP))
+            await asyncio.wait_for(entered.wait(), timeout=30)
+            assert service.healthz()["queue_depth"] == 1
+            with pytest.raises(ServerOverloadError) as excinfo:
+                await service.search(texts[1], top=TOP)
+            assert excinfo.value.reason == "queue_full"
+            release.set()
+            reply = await asyncio.wait_for(first, timeout=30)
+            assert reply["partial"] is False
+            assert registry.counter("server.requests_total") == 2
+            assert registry.counter("server.rejected_queue_full") == 1
+            assert registry.histogram("server.request_seconds").count == 1
+        finally:
+            await service.drain()
+        # Draining is the front end's latch: new work is refused (503
+        # over HTTP) instead of scattering at reaped workers.
+        with pytest.raises(ServerOverloadError) as excinfo:
+            await service.search(texts[0], top=TOP)
+        assert excinfo.value.reason == "draining"
+        assert service.healthz()["status"] == "draining"
+
+    asyncio.run(main())
+
+
+# --------------------------------------------------------------------- #
 # observability tier: federated stats, distributed trace, slow-query log
 # --------------------------------------------------------------------- #
 def test_cluster_observability_trace_metrics_slowlog(
@@ -160,13 +210,10 @@ def test_cluster_observability_trace_metrics_slowlog(
     obs.clear_spans()
 
     async def main():
-        service = ClusterService(
-            data_dir,
-            ClusterConfig(
-                workers=SHARDS,
-                slow_ms=10.0,
-                slowlog_path=str(slowlog_path),
-            ),
+        fleet = ClusterService(data_dir, ClusterConfig(workers=SHARDS))
+        service = QueryService(
+            fleet,
+            ServerConfig(slow_ms=10.0, slowlog_path=str(slowlog_path)),
         )
         await service.start()
         try:
@@ -175,7 +222,7 @@ def test_cluster_observability_trace_metrics_slowlog(
             assert response["partial"] is False
 
             # stats wire op: every live worker ships its registry.
-            worker_snaps = await service.router.fetch_stats()
+            worker_snaps = await fleet.router.fetch_stats()
             assert sorted(worker_snaps) == list(range(SHARDS))
             for snap in worker_snaps.values():
                 # The score span feeds the worker's latency histogram.

@@ -556,7 +556,7 @@ def test_standby_follows_then_promotes_with_zero_acked_loss(
                     asyncio.get_event_loop().time() < deadline
                 ), "standby never followed the primary's seal"
                 await asyncio.sleep(0.05)
-            r = await service.search("w1 w2 w3", top=26)
+            r, _ = await service.search("w1 w2 w3", top=26)
             assert r["partial"] is False
             assert {row[2] for row in r["results"]} >= {"P0", "P1"}
 
@@ -580,7 +580,7 @@ def test_standby_follows_then_promotes_with_zero_acked_loss(
             assert h["standby"]["promoted"] is True
             assert h["writer"]["enabled"] is True
             assert h["n_documents"] == 29
-            r = await service.search("w1 w2 w3", top=29)
+            r, _ = await service.search("w1 w2 w3", top=29)
             assert r["partial"] is False
             assert {row[2] for row in r["results"]} >= {"Q0", "Q1", "Q2"}
 

@@ -22,7 +22,7 @@ from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
 from repro.cluster.worker import ShardWorker
 from repro.errors import ClusterReadOnlyError, StoreError
-from repro.server import ServerClient, start_http_server
+from repro.server import QueryService, ServerClient, start_http_server
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint, recover_manager
@@ -289,7 +289,7 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
                     _texts(1, seed=100 + i), [f"N{i}"]
                 )
                 assert ack["durable"]
-                r = await service.search("w1 w2 w3", top=5)
+                r, _ = await service.search("w1 w2 w3", top=5)
                 drops += int(r["partial"])
             assert drops == 0
 
@@ -305,7 +305,7 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
             assert h1["n_documents"] == 29
 
             # New documents are searchable; the answer is not partial.
-            r = await service.search("w1 w2 w3", top=29)
+            r, _ = await service.search("w1 w2 w3", top=29)
             assert r["partial"] is False
             assert {row[2] for row in r["results"]} >= {
                 f"N{i}" for i in range(5)
@@ -348,9 +348,11 @@ class _ClusterThread:
         async def main():
             self._loop = asyncio.get_running_loop()
             self._stop = asyncio.Event()
-            service = ClusterService(
-                self.data_dir,
-                ClusterConfig(workers=SHARDS, heartbeat_interval=0.2),
+            service = QueryService(
+                ClusterService(
+                    self.data_dir,
+                    ClusterConfig(workers=SHARDS, heartbeat_interval=0.2),
+                )
             )
             server = await start_http_server(service, "127.0.0.1", 0)
             self.port = server.sockets[0].getsockname()[1]

@@ -5,8 +5,11 @@
   and the reference ``sharded_batch_search``;
 * a ranged snapshot materialises only its own rows;
 * :class:`ShardWorker` keeps exactly two epochs answerable;
-* every HTTP route answers with the same status and top-level keys on
-  each of the three services as it did before they shared a base.
+* every HTTP route answers with the same status and (at least) the same
+  top-level keys on each of the four deployments — in process or a
+  fleet, one tenant or two — through the one front end, and the same
+  store and query rank the same whichever backend scores them;
+* one tenant's ``/add`` never waits on another's.
 
 Bits are compared only between scans of the *same* row slices: BLAS may
 round the last ulp differently for a different slice shape, so a cut
@@ -15,8 +18,11 @@ that the reference does not make is held to indices + 1e-12 on scores.
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import http.client
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -32,12 +38,12 @@ from repro.parallel.sharding import (
     shard_bounds,
     sharded_batch_search,
 )
-from repro.server import ServerConfig, state_from_texts
+from repro.server import QueryService, ServerConfig, state_from_texts
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint
-from repro.tenancy.cluster import TenantClusterService
+from repro.tenancy import IndexRegistry
 from repro.text import Vocabulary
 
 from tests.test_server import _ServerThread
@@ -217,53 +223,73 @@ def test_worker_holds_current_and_previous_epoch_only(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# (d) one endpoint matrix over the three services
+# (d) one endpoint matrix over the four deployments of the one front end
 # --------------------------------------------------------------------- #
 _OBS = {
     "GET /stats": (200, {"metrics", "schema", "server", "slow_queries", "spans"}),
     "GET /metrics": (200, {"counters", "gauges", "histograms"}),
     "GET /metrics?format=prom": (200, "text/plain"),
     "GET /trace?id=abc": (200, {"spans", "trace_id", "workers"}),
+    "GET /tenants": (200, {"max_resident", "quotas", "tenants"}),
 }
-_TENANTS = (200, {"max_resident", "quotas", "tenants"})
+_FRONT_END = {
+    "default_probes", "draining", "queue_capacity", "queue_depth", "slowlog",
+    "status",
+}
+_TENANT_TABLE = {"fleets", "max_resident", "tenants"}
 _READ_ONLY = (403, {"error", "read_only", "request_id"})
-_CLUSTER_SEARCH = {"epoch", "missing", "n_documents", "partial", "results"}
+_ADDED = (200, {"action", "epoch", "n_documents", "reason"})
+_SEARCH = {"epoch", "n_documents", "results"}
+_CLUSTER_SEARCH = _SEARCH | {"missing", "partial"}
 
-#: Status code and top-level key set of every route, captured at the
-#: commit before the three services shared ``ServiceBase``.
+#: Status code and top-level key set of every route.  The ids are the
+#: classes that answered each deployment before ``QueryService`` was the
+#: only front end (kept so the test ids do not move); every key those
+#: classes replied with is still here, at the same level — the sets
+#: have only grown (``queue_*`` on the fleet, ``fleets`` in process,
+#: ``default_probes`` / ``slowlog`` over two fleets).
 EXPECTED = {
+    # in process, one tenant
     "QueryService": {
         **_OBS,
-        "GET /healthz": (200, {
-            "ann", "default_probes", "draining", "epoch", "n_documents",
-            "queue_capacity", "queue_depth", "slowlog", "status", "writable",
-        }),
-        "GET /tenants": _TENANTS,
-        "POST /search": (200, {"epoch", "n_documents", "results"}),
-        "POST /add": (200, {"action", "epoch", "n_documents", "reason"}),
+        "GET /healthz": (
+            200, _FRONT_END | {"ann", "epoch", "n_documents", "writable"}
+        ),
+        "POST /search": (200, _SEARCH),
+        "POST /add": _ADDED,
     },
+    # in process, two tenants
+    "TenantQueryService": {
+        **_OBS,
+        "GET /healthz": (200, _FRONT_END | _TENANT_TABLE),
+        "POST /search": (200, _SEARCH | {"tenant"}),
+        "POST /add": _ADDED,
+    },
+    # a fleet, one tenant
     "ClusterService": {
         **_OBS,
-        "GET /healthz": (200, {
-            "ann", "checkpoint", "default_probes", "draining", "epoch",
-            "n_documents", "n_shards", "n_workers", "ranges", "replication",
-            "slowlog", "status", "workers", "workers_live", "writer",
+        "GET /healthz": (200, _FRONT_END | {
+            "ann", "checkpoint", "epoch", "n_documents", "n_shards",
+            "n_workers", "ranges", "replication", "workers", "workers_live",
+            "writer",
         }),
-        "GET /tenants": (400, {"error", "request_id"}),
         "POST /search": (200, _CLUSTER_SEARCH),
         "POST /add": _READ_ONLY,
     },
+    # two fleets, two tenants
     "TenantClusterService": {
         **_OBS,
-        "GET /healthz": (200, {
-            "draining", "fleets", "max_resident", "queue_capacity",
-            "queue_depth", "status", "tenants",
-        }),
-        "GET /tenants": _TENANTS,
+        "GET /healthz": (200, _FRONT_END | _TENANT_TABLE),
         "POST /search": (200, _CLUSTER_SEARCH | {"tenant"}),
         "POST /add": _READ_ONLY,
     },
 }
+
+#: Every deployment serves this corpus (as its sole tenant, or as
+#: ``alpha``), so one in-process reference ranks for all four.
+_SEEDS = {"alpha": 3, "beta": 4}
+_IDS = [f"D{i}" for i in range(24)]
+_QUERY = "w1 w2 w3"
 
 
 def _call(port, route, body):
@@ -276,46 +302,114 @@ def _call(port, route, body):
         raw = response.read()
         if response.getheader("Content-Type").startswith("text/plain"):
             return response.status, "text/plain"
-        return response.status, set(json.loads(raw))
+        return response.status, json.loads(raw)
     finally:
         conn.close()
 
 
+def _hosted(name, tmp_path):
+    """What the front end hosts in deployment ``name``."""
+    fleet = name.endswith("ClusterService")
+    tenants = ("alpha", "beta") if name.startswith("Tenant") else ("alpha",)
+
+    def build(tid):
+        if not fleet:
+            return state_from_texts(_texts(24, _SEEDS[tid]), _IDS, k=8)
+        return ClusterService(
+            _seed_store(tmp_path / tid, seed=_SEEDS[tid]),
+            ClusterConfig(workers=2),
+            tenant=tid if len(tenants) > 1 else None,
+        )
+
+    if len(tenants) == 1:
+        return build("alpha")  # bare: the front end wraps it itself
+    registry = IndexRegistry()
+    for tid in tenants:
+        if fleet:  # attached, and its workers spawned, by the first query
+            registry.register(tid, loader=functools.partial(build, tid))
+        else:
+            registry.register(tid, state=build(tid))
+    return registry
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_endpoint_matrix(name, tmp_path):
-    cluster = ClusterConfig(workers=2)
-    tenant = None
-    if name == "QueryService":
-        server = _ServerThread(
-            state_from_texts(_texts(30, 3), k=8), ServerConfig()
-        )
-    elif name == "ClusterService":
-        server = _ServerThread(
-            _seed_store(tmp_path / "a"), cluster, make_service=ClusterService
-        )
-    else:
-        tenant = "alpha"
-        server = _ServerThread(
-            {
-                "alpha": _seed_store(tmp_path / "a"),
-                "beta": _seed_store(tmp_path / "b", seed=4),
-            },
-            cluster,
-            make_service=TenantClusterService,
-        )
+    tenant = "alpha" if name.startswith("Tenant") else None
     bodies = {
-        "POST /search": {"query": "w1 w2 w3", "top": 3},
+        "POST /search": {"query": _QUERY, "top": 3},
         "POST /add": {"texts": ["w1 w2 w9"]},
     }
-    with server:
-        got = {
-            route: _call(
-                server.port,
-                route,
-                {**bodies[route], "tenant": tenant}
-                if tenant and route in bodies
-                else bodies.get(route),
-            )
-            for route in EXPECTED[name]
-        }
+    replies = {}
+    with _ServerThread(_hosted(name, tmp_path), ServerConfig()) as server:
+        for route in EXPECTED[name]:
+            body = bodies.get(route)
+            if tenant and body:
+                body = {**body, "tenant": tenant}
+            replies[route] = _call(server.port, route, body)
+    got = {
+        route: (status, set(body) if isinstance(body, dict) else body)
+        for route, (status, body) in replies.items()
+    }
     assert got == EXPECTED[name]
+
+    # Same store, same query, same ranking — whichever backend scored it
+    # (/search ran before /add).  The reference cuts no ranges, the fleet
+    # cuts two: indices exact, scores to 1e-12 (see the module docstring).
+    reference = EpochSnapshot(
+        0, manager_from_texts(_texts(24, _SEEDS["alpha"]), _IDS, k=8).model
+    )
+    want, _ = reference.search(
+        reference.scale(reference.project(_QUERY)[None, :]), top=3
+    )
+    results = replies["POST /search"][1]["results"]
+    assert [[j, doc] for j, _, doc in results] == [
+        [j, _IDS[j]] for j, _ in want[0]
+    ]
+    assert np.allclose(
+        [s for _, s, _ in results], [s for _, s in want[0]], rtol=0, atol=1e-12
+    )
+
+
+# --------------------------------------------------------------------- #
+# (e) the writer lock is per index
+# --------------------------------------------------------------------- #
+def test_one_tenants_add_never_waits_on_anothers(monkeypatch):
+    states = {
+        tid: state_from_texts(_texts(24, seed), _IDS, k=8)
+        for tid, seed in _SEEDS.items()
+    }
+    registry = IndexRegistry()
+    for tid, state in states.items():
+        registry.register(tid, state=state)
+
+    # Park alpha's writer on an event, the way the scheduler tests hold
+    # the scorer: no sleeps, "while alpha consolidates" by construction.
+    entered, release = threading.Event(), threading.Event()
+    add_texts = states["alpha"].add_texts
+
+    def parked(texts, doc_ids=None):
+        entered.set()
+        assert release.wait(30), "test never released alpha's writer"
+        return add_texts(texts, doc_ids)
+
+    monkeypatch.setattr(states["alpha"], "add_texts", parked)
+
+    async def main():
+        service = QueryService(registry)
+        await service.start()
+        alpha = asyncio.ensure_future(service.add(["w1 w2"], tenant="alpha"))
+        try:
+            while not entered.is_set():
+                await asyncio.sleep(0)  # a yield, not a wait
+            # Bounded only so a shared lock fails instead of hanging.
+            beta = await asyncio.wait_for(
+                service.add(["w3 w4"], tenant="beta"), timeout=10
+            )
+            assert beta["n_documents"] == 25
+            assert not alpha.done()
+        finally:
+            release.set()
+        assert (await alpha)["n_documents"] == 25
+        await service.drain()
+
+    asyncio.run(main())
