@@ -12,9 +12,10 @@ otherwise) with **full reorthogonalization** — the variant SVDPACKC calls
 more per iteration but is simpler and loses no accuracy, the right
 trade-off at laptop scale.  Converged Ritz values are accepted by the
 classical residual bound ``|β_j · z_{j,i}|``, which reads the Ritz values
-and the bottom row of their vectors only: each convergence check runs
-our implicit-QL solver on that row alone (``las2``'s ``imtqlb``), and the
-Ritz vectors are accumulated once per fit, for the step that passed.
+and the bottom row of their vectors: each convergence check is one LAPACK
+eigensolve of the ``j × j`` tridiagonal (:func:`~repro.linalg.tridiag.
+tridiag_eigh`), and the check that passes supplies the Ritz vectors, so
+nothing is solved again after the loop.
 
 The returned :class:`LanczosStats` exposes the measured ``I`` and triplet
 extraction counts so benchmarks can check the cost model empirically.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.linalg.tridiag import tridiag_eigh, tridiag_eigh_bottom
+from repro.linalg.tridiag import tridiag_eigh
 from repro.util.rng import ensure_rng
 
 __all__ = ["LanczosStats", "lanczos_svd"]
@@ -184,12 +185,12 @@ def lanczos_svd(
         betas[j - 1] = 0.0 if exhausted else beta
 
         if j >= k and (j % check_every == 0 or j == limit):
-            # Ritz values and the bottom row of their vectors are all the
-            # residual bound |β_j · z_{j,i}| reads.
-            theta, bottom = tridiag_eigh_bottom(alphas[:j], betas[: j - 1])
+            # The residual bound |β_j · z_{j,i}| reads the Ritz values and
+            # the bottom row of their vectors.
+            theta, Z = tridiag_eigh(alphas[:j], betas[: j - 1])
             # At j == dim the factorization is exact whatever β rounds to.
             beta_last = betas[j - 1] if j < dim else 0.0
-            resid = np.abs(beta_last * bottom[::-1][:k])
+            resid = np.abs(beta_last * Z[-1, ::-1][:k])
             nconv = int(np.sum(resid <= tol * max(theta[-1], 1e-300)))
             if nconv >= k or j == limit:
                 break
@@ -212,8 +213,7 @@ def lanczos_svd(
         )
 
     stats.converged = nconv
-    # Ritz vectors once, for the step that passed; descending order.
-    theta, Z = tridiag_eigh(alphas[:j], betas[: j - 1])
+    # The passing check's Ritz pairs, descending.
     theta = theta[::-1]
     Z = Z[:, ::-1]
     theta_k = np.clip(theta[:k], 0.0, None)

@@ -1,17 +1,23 @@
-"""Unified truncated-SVD front-end.
+"""Unified truncated-SVD front-end and the one small-dense SVD.
+
+:func:`dense_svd` is LAPACK's divide-and-conquer SVD (``gesdd``, through
+``numpy.linalg``): the solver for every small dense matrix on the build
+and write paths — the cores of the SVD-updating phases (Eq. 10-12), the
+fast update's sketch bases, and the ``"dense"`` and ``"gkl"`` backends
+below.
 
 :func:`truncated_svd` is the single entry point the LSI layers call.  It
-selects among three from-scratch backends:
+selects among three backends:
 
 ``"dense"``
-    One-sided Jacobi on the densified matrix — exact, used for small
-    problems and as the inner solve of the SVD-updating phases.
+    :func:`dense_svd` of the densified matrix — exact, used for small
+    problems.
 ``"lanczos"``
     Gram-side symmetric Lanczos (:mod:`repro.linalg.lanczos`) — the
     SVDPACKC-style sparse path the paper describes.
 ``"gkl"``
-    Golub-Kahan-Lanczos bidiagonalization followed by a dense SVD of the
-    small bidiagonal — the non-squaring alternative.
+    Golub-Kahan-Lanczos bidiagonalization followed by :func:`dense_svd`
+    of the small bidiagonal — the non-squaring alternative.
 ``"auto"``
     Dense below :data:`DENSE_CUTOFF` on the small side (or when ``k`` is a
     large fraction of it), Lanczos otherwise.
@@ -24,16 +30,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ConvergenceError, ShapeError
 from repro.linalg.bidiag import bidiagonal_dense, golub_kahan_bidiag
 from repro.linalg.counters import OperatorCounter
-from repro.linalg.jacobi_svd import jacobi_svd
 from repro.linalg.lanczos import LanczosStats, lanczos_svd
 from repro.obs.bridge import record_lanczos_stats, record_operator
 
-__all__ = ["SVDResult", "truncated_svd", "DENSE_CUTOFF"]
+__all__ = ["SVDResult", "dense_svd", "truncated_svd", "DENSE_CUTOFF"]
 
-#: Small-side size below which the dense Jacobi backend is used by "auto".
+#: Small-side size below which the dense backend is used by "auto".
 DENSE_CUTOFF = 220
 
 
@@ -93,6 +98,33 @@ class SVDResult:
         return float(np.sqrt(np.dot(self.s, self.s)))
 
 
+def dense_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``A = U @ diag(s) @ Vᵀ`` of a dense ``(m, n)`` matrix.
+
+    Returns ``U (m, r)``, ``s (r,)`` descending and ``V (n, r)`` with
+    ``r = min(m, n)``; ``U`` and ``V`` have orthonormal columns even for
+    null singular values.  Raises :class:`~repro.errors.ShapeError` on a
+    non-matrix or non-finite input and
+    :class:`~repro.errors.ConvergenceError` if LAPACK does not converge.
+    """
+    A = np.asarray(a, dtype=np.float64)
+    if A.ndim != 2:
+        raise ShapeError(f"dense_svd expects a matrix, got ndim={A.ndim}")
+    m, n = A.shape
+    r = min(m, n)
+    if r == 0:
+        return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
+    if not np.isfinite(A).all():
+        raise ShapeError("dense_svd input contains non-finite values")
+    try:
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"dense SVD of a {m} × {n} matrix did not converge ({exc})"
+        ) from exc
+    return U, s, Vt.T
+
+
 def _densify(a) -> np.ndarray:
     if isinstance(a, np.ndarray):
         return a
@@ -124,7 +156,7 @@ def truncated_svd(
         method = "dense" if (dim <= DENSE_CUTOFF or k > 0.5 * dim) else "lanczos"
 
     if method == "dense":
-        U, s, V = jacobi_svd(_densify(a))
+        U, s, V = dense_svd(_densify(a))
         return SVDResult(U[:, :k].copy(), s[:k].copy(), V[:, :k].copy(), method="dense")
 
     if method == "lanczos":
@@ -140,12 +172,10 @@ def truncated_svd(
         return SVDResult(U, s, V, stats=stats, method="lanczos")
 
     if method == "gkl":
-        steps = dim if max_iter is None else min(max_iter, dim)
-        if max_iter is None:
-            steps = min(dim, max(2 * k + 16, 32))
+        steps = min(dim, max(2 * k + 16, 32) if max_iter is None else max_iter)
         Ub, Vb, alphas, betas = golub_kahan_bidiag(a, steps, seed=seed)
         B = bidiagonal_dense(alphas, betas)
-        P, s, Q = jacobi_svd(B)
+        P, s, Q = dense_svd(B)
         kk = min(k, s.size)
         return SVDResult(
             Ub @ P[:, :kk], s[:kk].copy(), Vb @ Q[:, :kk], method="gkl"

@@ -3,7 +3,9 @@
 All three phases share one pattern: express the updated matrix in the
 bases ``U_k``/``V_k`` (suitably extended with identity blocks), compute
 the SVD of a *small dense* core, and rotate the old singular vectors by
-the core's singular vectors.
+the core's singular vectors.  Every core — and every residual basis of
+the ``exact=True`` variants — is one :func:`~repro.linalg.svd.dense_svd`
+call (LAPACK).
 
 Updating documents (Eq. 10, B = (A_k | D)):
     ``F = (Σ_k | U_kᵀ D)``, SVD(F) = U_F Σ_F V_Fᵀ, then
@@ -47,7 +49,7 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
-from repro.linalg.jacobi_svd import jacobi_svd
+from repro.linalg.svd import dense_svd
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.updating.folding import _weight_columns
@@ -70,7 +72,7 @@ def _range_basis(X: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if X.size == 0 or X.shape[1] == 0:
         return np.zeros((X.shape[0], 0)), np.zeros((0, X.shape[1]))
-    U, s, V = jacobi_svd(X)
+    U, s, V = dense_svd(X)
     keep = s > _RESIDUAL_TOL * max(scale, 1.0)
     Q = U[:, keep]
     R = s[keep, None] * V[:, keep].T
@@ -110,7 +112,7 @@ def update_documents(
             K[:k, :k] = np.diag(model.s)
             K[:k, k:] = Dhat
             K[k:, k:] = Rr
-            UK, sK, VK = jacobi_svd(K)
+            UK, sK, VK = dense_svd(K)
             UK, sK, VK = UK[:, :k], sK[:k], VK[:, :k]
             U_new = model.U @ UK[:k, :] + Qr @ UK[k:, :]
             V_new = np.vstack([model.V @ VK[:k, :], VK[k:, :]])
@@ -126,7 +128,7 @@ def update_documents(
             )
         # F = (Σ_k | U_kᵀ D), k × (k+p) — the paper's printed construction.
         F = np.hstack([np.diag(model.s), Dhat])
-        UF, sF, VF = jacobi_svd(F)  # rank ≤ k, so exactly k triplets
+        UF, sF, VF = dense_svd(F)  # rank ≤ k, so exactly k triplets
         UF, sF, VF = UF[:, :k], sF[:k], VF[:, :k]
         U_new = model.U @ UF
         # V_B = diag(V_k, I_p) V_F: top n rows rotate V_k, bottom p rows are
@@ -194,14 +196,14 @@ def update_terms(
             K[:k, :k] = np.diag(model.s)
             K[k:, :k] = That
             K[k:, k:] = Rr.T
-            UK, sK, VK = jacobi_svd(K)
+            UK, sK, VK = dense_svd(K)
             UK, sK, VK = UK[:, :k], sK[:k], VK[:, :k]
             U_new = np.vstack([model.U @ UK[:k, :], UK[k:, :]])
             V_new = model.V @ VK[:k, :] + Qr @ VK[k:, :]
         else:
             # H = [Σ_k ; T V_k], (k+q) × k — the paper's printed construction.
             H = np.vstack([np.diag(model.s), That])
-            UH, sH, VH = jacobi_svd(H)
+            UH, sH, VH = dense_svd(H)
             UH, sK, VH = UH[:, :k], sH[:k], VH[:, :k]
             U_new = np.vstack([model.U @ UH[:k, :], UH[k:, :]])
             V_new = model.V @ VH
@@ -263,7 +265,7 @@ def update_weights(
             K[:k, k:] = Yhat @ Rz.T
             K[k:, :k] = Ry @ Zhat.T
             K[k:, k:] = Ry @ Rz.T
-            UK, sK, VK = jacobi_svd(K)
+            UK, sK, VK = dense_svd(K)
             UK, sK, VK = UK[:, :k], sK[:k], VK[:, :k]
             return LSIModel(
                 U=model.U @ UK[:k, :] + Qy @ UK[k:, :],
@@ -276,7 +278,7 @@ def update_weights(
                 provenance="svd-update",
             )
         Q = np.diag(model.s) + Yhat @ Zhat.T
-        UQ, sQ, VQ = jacobi_svd(Q)
+        UQ, sQ, VQ = dense_svd(Q)
         UQ, sQ, VQ = UQ[:, :k], sQ[:k], VQ[:, :k]
         return LSIModel(
             U=model.U @ UQ,

@@ -1,5 +1,6 @@
-"""The Lanczos convergence test: Ritz values + bottom row per check,
-Ritz vectors once per fit, and an iteration cap that means what it says."""
+"""The Lanczos convergence test: one eigensolve per check, none after
+the loop, eigenpairs that hold on stalling inputs, typed LAPACK failures,
+and an iteration cap that means what it says."""
 
 import numpy as np
 import pytest
@@ -10,18 +11,38 @@ from hypothesis.extra.numpy import arrays
 import repro.linalg.lanczos as lanczos_module
 from repro.errors import ConvergenceError
 from repro.linalg import lanczos_svd, tridiag_eigh
-from repro.linalg.tridiag import tridiag_eigh_bottom
 from repro.sparse import from_dense
 
 
 # --------------------------------------------------------------------- #
-# (i) the row-only pass is the full solve's eigenvalues and last row
+# (i) eigenpairs on inputs that stall an unguarded QL sweep
 # --------------------------------------------------------------------- #
-def _assert_bottom_is_last_row(d, e):
+def _dense_tridiag(d, e):
+    T = np.diag(d)
+    T[np.arange(1, d.size), np.arange(d.size - 1)] = e
+    return T + np.tril(T, -1).T
+
+
+@pytest.mark.parametrize(
+    "d, e",
+    [
+        # wholly subnormal
+        (np.full(5, 1e-315), np.full(4, 2e-316)),
+        (np.zeros(4), np.array([5e-324, 1e-320, 3e-310])),
+        # zero diagonal with subnormal couplings before the entry that
+        # sets the matrix scale
+        (np.array([0.0, 0.0, 0.0, 1.0]), np.array([1e-310, 1e-300, 1e-200])),
+        (np.array([2.0]), np.empty(0)),
+    ],
+)
+def test_eigenpairs_on_stall_cases(d, e):
     w, Z = tridiag_eigh(d, e)
-    w_b, bottom = tridiag_eigh_bottom(d, e)
-    assert np.array_equal(w_b, w)
-    assert np.array_equal(bottom, Z[-1])
+    T = _dense_tridiag(d, e)
+    scale = np.abs(T).max()
+    # T z = w z to rounding of ‖T‖ (and of the subnormal grid, 2⁻¹⁰⁷⁴).
+    assert np.abs(T @ Z - Z * w).max() <= 16 * np.finfo(float).eps * scale + 1e-322
+    assert np.abs(Z.T @ Z - np.eye(d.size)).max() < 1e-14
+    assert np.all(np.diff(w) >= 0)
 
 
 _entries = st.floats(-50, 50, allow_nan=False, width=64)
@@ -32,45 +53,47 @@ _entries = st.floats(-50, 50, allow_nan=False, width=64)
         lambda n: st.tuples(
             arrays(np.float64, n, elements=_entries),
             arrays(np.float64, n - 1, elements=_entries),
+            _entries,
         )
     )
 )
 @settings(max_examples=100, deadline=None)
-def test_bottom_row_parity_property(pair):
-    _assert_bottom_is_last_row(*pair)
-
-
-@pytest.mark.parametrize(
-    "d, e",
-    [
-        # wholly subnormal: the power-of-two rescale path
-        (np.full(5, 1e-315), np.full(4, 2e-316)),
-        (np.zeros(4), np.array([5e-324, 1e-320, 3e-310])),
-        # zero diagonal with subnormal couplings before the entry that
-        # sets the matrix scale: only the global tst1 split unsticks it
-        (np.array([0.0, 0.0, 0.0, 1.0]), np.array([1e-310, 1e-300, 1e-200])),
-        (np.array([2.0]), np.empty(0)),
-    ],
-)
-def test_bottom_row_parity_on_stall_cases(d, e):
-    _assert_bottom_is_last_row(d, e)
+def test_bottom_row_parity_property(triple):
+    # The convergence check reads w and the bottom row Z[-1]; a trailing
+    # element in the offdiagonal buffer (in-place Lanczos) must not move
+    # either, and Z[-1] is the last row of an orthonormal eigenbasis of T.
+    d, e, junk = triple
+    w, Z = tridiag_eigh(d, e)
+    w_buf, Z_buf = tridiag_eigh(d, np.append(e, junk))
+    assert np.array_equal(w_buf, w)
+    assert np.array_equal(Z_buf[-1], Z[-1])
+    T = _dense_tridiag(d, e)
+    scale = max(np.abs(T).max(), 1.0)
+    assert np.abs(T @ Z - Z * w).max() <= 64 * np.finfo(float).eps * scale
+    assert abs(np.linalg.norm(Z[-1]) - 1.0) < 1e-13
+    assert np.allclose(w, np.linalg.eigvalsh(T), atol=1e-12 * scale)
 
 
 def test_bottom_row_of_empty_matrix():
-    w, bottom = tridiag_eigh_bottom(np.empty(0), np.empty(0))
-    assert w.shape == bottom.shape == (0,)
+    w, Z = tridiag_eigh(np.empty(0), np.empty(0))
+    assert w.shape == (0,)
+    assert Z.shape == (0, 0)
+    assert Z[-1:].size == 0
 
 
-def test_bottom_row_parity_at_lanczos_size(rng):
+def test_eigenpairs_at_lanczos_size(rng):
     # A Lanczos-like tridiagonal: positive diagonal, decaying couplings.
     n = 120
     d = np.sort(rng.random(n))[::-1] * 100
     e = rng.random(n - 1) * np.linspace(5.0, 1e-9, n - 1)
-    _assert_bottom_is_last_row(d, e)
+    w, Z = tridiag_eigh(d, e)
+    T = _dense_tridiag(d, e)
+    assert np.abs(T @ Z - Z * w).max() <= 1e-12 * np.abs(T).max()
+    assert np.abs(Z.T @ Z - np.eye(n)).max() < 1e-13
 
 
 # --------------------------------------------------------------------- #
-# (ii) one vector-accumulating solve per fit, however many checks
+# (ii) one eigensolve per convergence check, none after the loop
 # --------------------------------------------------------------------- #
 def _bench_matrix(m, n, nnz_per_col, seed):
     rng = np.random.default_rng(seed)
@@ -81,27 +104,31 @@ def _bench_matrix(m, n, nnz_per_col, seed):
     return dense, from_dense(dense).to_csc()
 
 
-def test_one_vector_solve_per_fit(monkeypatch):
-    calls = {"vectors": 0, "bottom": 0}
+def test_one_eigensolve_per_check(monkeypatch):
+    steps = []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(d, e):
+        steps.append(len(d))
+        return tridiag_eigh(d, e)
 
-    monkeypatch.setattr(
-        lanczos_module, "tridiag_eigh", counted("vectors", tridiag_eigh)
-    )
-    monkeypatch.setattr(
-        lanczos_module, "tridiag_eigh_bottom",
-        counted("bottom", tridiag_eigh_bottom),
-    )
+    monkeypatch.setattr(lanczos_module, "tridiag_eigh", counted)
     _, sparse = _bench_matrix(300, 250, 8, seed=5)
     _, _, _, stats = lanczos_svd(sparse, 6, check_every=4)
-    assert calls["bottom"] == stats.iterations // 4 - 1  # first check at j=8
-    assert calls["bottom"] >= 5
-    assert calls["vectors"] == 1
+    # One solve at every check (the first at j = 8 ≥ k), the last at the
+    # step that passed — nothing after the loop.
+    assert steps == list(range(8, stats.iterations + 1, 4))
+    assert len(steps) >= 5
+
+
+def test_eigensolver_failure_is_typed(monkeypatch, rng):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        tridiag_eigh(np.ones(3), np.ones(2))
+    with pytest.raises(ConvergenceError):
+        lanczos_svd(rng.standard_normal((30, 20)), 3)
 
 
 # --------------------------------------------------------------------- #

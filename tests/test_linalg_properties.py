@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.linalg import jacobi_svd, tridiag_eigh, truncated_svd
+from repro.linalg import dense_svd, tridiag_eigh, truncated_svd
 
 
 def _finite_matrix(min_m=1, max_m=10, min_n=1, max_n=10):
@@ -22,8 +22,8 @@ def _finite_matrix(min_m=1, max_m=10, min_n=1, max_n=10):
 
 @given(_finite_matrix())
 @settings(max_examples=50, deadline=None)
-def test_jacobi_reconstruction_property(A):
-    U, s, V = jacobi_svd(A)
+def test_dense_svd_reconstruction_property(A):
+    U, s, V = dense_svd(A)
     assert np.allclose((U * s) @ V.T, A, atol=1e-7)
     r = min(A.shape)
     assert np.allclose(U.T @ U, np.eye(r), atol=1e-7)
@@ -34,9 +34,9 @@ def test_jacobi_reconstruction_property(A):
 
 @given(_finite_matrix())
 @settings(max_examples=50, deadline=None)
-def test_jacobi_norm_identities(A):
+def test_dense_svd_norm_identities(A):
     """Theorem 2.1: ‖A‖_F² = Σσᵢ² and ‖A‖₂ = σ₁."""
-    _, s, _ = jacobi_svd(A)
+    _, s, _ = dense_svd(A)
     np.testing.assert_allclose(np.sum(s**2), np.sum(A**2), atol=1e-5)
     if s.size:
         np.testing.assert_allclose(s[0], np.linalg.norm(A, 2), atol=1e-7)

@@ -1,7 +1,7 @@
 """Golden numeric regression tests.
 
 Pins exact values produced by the from-scratch numeric stack on fixed
-seeded inputs, so silent changes to Lanczos/Jacobi/weighting arithmetic
+seeded inputs, so silent changes to Lanczos/dense-SVD/weighting arithmetic
 are caught even when all property tests still pass (e.g. a tolerance
 loosening that shifts converged digits).
 """
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import fit_lsi_from_tdm, project_query
 from repro.corpus.med import MED_QUERY, med_matrix
-from repro.linalg import jacobi_svd, lanczos_svd, truncated_svd
+from repro.linalg import dense_svd, lanczos_svd, truncated_svd
 from repro.sparse import from_dense
 from repro.weighting import WeightingScheme, apply_weighting
 
@@ -21,20 +21,20 @@ def _fixed_matrix():
     return rng.standard_normal((24, 18)) * (rng.random((24, 18)) < 0.4)
 
 
-def test_jacobi_singular_values_pinned():
-    _, s, _ = jacobi_svd(_fixed_matrix())
+def test_dense_svd_singular_values_pinned():
+    _, s, _ = dense_svd(_fixed_matrix())
     # First three singular values to 10 decimals (LAPACK cross-checked).
     expected = np.linalg.svd(_fixed_matrix(), compute_uv=False)[:3]
     assert np.allclose(s[:3], expected, atol=1e-10)
     assert s[0] == pytest.approx(expected[0], abs=1e-11)
 
 
-def test_lanczos_matches_jacobi_to_high_precision():
+def test_lanczos_matches_dense_svd_to_high_precision():
     d = _fixed_matrix()
     a = from_dense(d).to_csr()
     _, s_l, _, _ = lanczos_svd(a, 5, seed=0)
-    _, s_j, _ = jacobi_svd(d)
-    assert np.allclose(s_l, s_j[:5], atol=1e-9)
+    _, s_d, _ = dense_svd(d)
+    assert np.allclose(s_l, s_d[:5], atol=1e-9)
 
 
 def test_med_sigma_pinned(med_tdm):

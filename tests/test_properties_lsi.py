@@ -17,7 +17,7 @@ from repro.evaluation.metrics import (
     eleven_point_average_precision,
     three_point_average_precision,
 )
-from repro.linalg import jacobi_svd
+from repro.linalg import dense_svd
 from repro.sparse import from_dense
 from repro.text import Vocabulary
 from repro.updating.folding import fold_in_documents
@@ -70,7 +70,7 @@ def test_fold_in_equals_query_projection(counts, k, seed):
     """Eq. 7 ≡ Eq. 6 for every weighting-free model and document."""
     m, n = counts.shape
     k = min(k, m, n)
-    U, s, V = jacobi_svd(counts)
+    U, s, V = dense_svd(counts)
     if s[k - 1] <= 1e-10:  # degenerate spectra: projection undefined
         return
     model = LSIModel(
@@ -93,7 +93,7 @@ def test_exact_update_matches_direct_svd(counts, seed):
     (A_k | D) for arbitrary D."""
     m, n = counts.shape
     k = min(3, m, n)
-    U, s, V = jacobi_svd(counts)
+    U, s, V = dense_svd(counts)
     if s[k - 1] <= 1e-8:
         return
     model = LSIModel(

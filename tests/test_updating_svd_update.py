@@ -182,12 +182,12 @@ def test_update_order_document_then_term_consistency(rng):
     presented' — when k exceeds the combined rank (so truncation is
     lossless), docs-then-terms and terms-then-docs give the same
     spectrum with the residual-exact updates."""
-    from repro.linalg import jacobi_svd
+    from repro.linalg import dense_svd
     from repro.core.model import LSIModel
     from repro.text import Vocabulary
 
     A = rng.standard_normal((18, 5)) @ rng.standard_normal((5, 14))
-    U, s, V = jacobi_svd(A)
+    U, s, V = dense_svd(A)
     k = 8  # rank(A)=5, +1 doc +1 term ≤ 7 < 8 → no truncation loss
     model = LSIModel(
         U[:, :k], s[:k], V[:, :k],
