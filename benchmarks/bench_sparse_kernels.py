@@ -2,8 +2,9 @@
 
 Covers the §5.6 open issue "efficiently comparing queries to documents"
 at laptop scale: CSR/CSC matvec throughput, the matmat chunking ablation,
-and blocked/sharded cosine scoring vs the flat path (identical results,
-different execution shape — the DESIGN.md ablation).
+and the execution shape the cluster tier serves by — contiguous row
+ranges, each ranked on its own and merged with ``merge_topk`` — against
+the whole-model search (identical results, different execution shape).
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from conftest import emit
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
-from repro.parallel import sharded_search
+from repro.parallel import merge_topk, shard_bounds
 from repro.server.state import EpochSnapshot
 from repro.sparse import from_dense
 from repro.sparse.ops import csr_matmat
@@ -75,27 +76,34 @@ def test_flat_cosine_scoring(benchmark, scoring_model):
     assert scores.shape == (scoring_model.n_documents,)
 
 
-def test_blocked_cosine_scoring(benchmark, scoring_model):
-    snapshot = EpochSnapshot(0, scoring_model)
-    Qs = snapshot.scale(ensure_rng(2).standard_normal(scoring_model.k))
-    (flat,), _ = snapshot.search(Qs, top=10)
-    # 7 row blocks of ~7k rows each, scored one after the other.
-    (blocked,), _ = benchmark(snapshot.search, Qs, top=10, shards=7)
-    assert [j for j, _ in blocked] == [j for j, _ in flat]
-    assert np.allclose([c for _, c in blocked], [c for _, c in flat])
+def test_range_merge_equals_whole_model(benchmark, scoring_model):
+    """Row ranges ranked on their own and merged with ``merge_topk`` are
+    the whole-model search, bit for bit, however the rows are cut."""
+    n, top = scoring_model.n_documents, 10
+    whole = EpochSnapshot(0, scoring_model)
+    Qs = whole.scale(ensure_rng(2).standard_normal((16, scoring_model.k)))
+    flat, _ = whole.search(Qs, top=top)
 
+    def range_merge(cuts):
+        per_range = [
+            EpochSnapshot(0, scoring_model, lo=lo, hi=hi).search(
+                Qs, top=top
+            )[0]
+            for lo, hi in cuts
+        ]
+        return [
+            merge_topk([found[qi] for found in per_range], top)
+            for qi in range(Qs.shape[0])
+        ]
 
-def test_sharded_search_parallel(benchmark, scoring_model):
-    qhat = ensure_rng(2).standard_normal(scoring_model.k)
-    flat = cosine_similarities(scoring_model, qhat)
-    best_flat = int(np.argmax(flat))
-
-    top = benchmark(
-        sharded_search, scoring_model, qhat, shards=4, top=10, workers=4
-    )
-    assert top[0][0] == best_flat
+    shapes = (1, 2, 4, 7)
+    for shards in shapes:
+        assert range_merge(shard_bounds(n, shards)) == flat
+    merged = benchmark(range_merge, shard_bounds(n, shapes[-1]))
+    assert merged == flat
     emit(
         "near-neighbour scoring shapes",
-        [f"n={scoring_model.n_documents} k={scoring_model.k}: flat, "
-         "blocked and sharded paths return identical rankings"],
+        [f"n={n} k={scoring_model.k}, {Qs.shape[0]} queries, top={top}: "
+         f"{'/'.join(map(str, shapes))} row ranges merged with merge_topk "
+         "equal the whole-model search bit for bit"],
     )

@@ -6,8 +6,7 @@ and checks the acceptance criteria that only hold across process
 boundaries:
 
 * ``/search`` responses are element-identical to the in-process
-  ``sharded_batch_search`` over the same checkpoint (same shard count,
-  so the same kernel paths);
+  whole-model ``EpochSnapshot.search`` over the same checkpoint;
 * probe-bounded (``probes``) responses are element-identical to an
   in-process probe of the same checkpoint quantizer over the same
   shard slices, and probing every cell reproduces the exact scan;
@@ -73,13 +72,9 @@ import numpy as np
 from repro.core.query import project_query
 from repro.errors import ServerOverloadError, UnknownTenantError
 from repro.obs import export_trace_jsonl, read_slowlog
-from repro.parallel.sharding import (
-    merge_topk,
-    shard_bounds,
-    sharded_batch_search,
-)
+from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server import ServerClient
-from repro.server.state import manager_from_texts
+from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.serving.kernel import row_norms
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_ann, open_latest_model
@@ -94,6 +89,13 @@ def _corpus() -> list[str]:
     rng = np.random.default_rng(43)
     vocab = [f"w{i}" for i in range(50)]
     return [" ".join(rng.choice(vocab, size=15)) for _ in range(61)]
+
+
+def _whole(model, q: str, top: int) -> list[tuple[int, float]]:
+    """The whole-model snapshot's ranking of ``q``: the reference every
+    fleet answer must equal, whatever its row ranges."""
+    snapshot = EpochSnapshot(0, model)
+    return snapshot.search(snapshot.scale(snapshot.project(q)), top=top)[0][0]
 
 
 def _seed_store(data_dir: str, texts: list[str]) -> None:
@@ -509,12 +511,7 @@ def _multitenant_phase(tmp: str, texts: list[str]) -> None:
     models = {tid: open_latest_model(d) for tid, d in dirs.items()}
     tenant_queries = {tid: corpora[tid][:3] for tid in dirs}
     expected = {
-        tid: {
-            q: sharded_batch_search(
-                models[tid], [q], top=TOP, shards=fleet_shards
-            )[0]
-            for q in tenant_queries[tid]
-        }
+        tid: {q: _whole(models[tid], q, TOP) for q in tenant_queries[tid]}
         for tid in dirs
     }
 
@@ -727,18 +724,8 @@ def main() -> None:
         _seed_store(data_dir, texts)
         model = open_latest_model(data_dir)
         queries = texts[:5]
-        # Single-query HTTP requests take the q=1 kernel path, so the
-        # reference is computed one query at a time as well.
-        expected = {
-            q: sharded_batch_search(model, [q], top=TOP, shards=SHARDS)[0]
-            for q in queries
-        }
-        full = {
-            q: sharded_batch_search(
-                model, [q], top=model.n_documents, shards=SHARDS
-            )[0]
-            for q in queries
-        }
+        expected = {q: _whole(model, q, TOP) for q in queries}
+        full = {q: _whole(model, q, model.n_documents) for q in queries}
 
         proc, port = _start_cluster(data_dir)
         try:
@@ -747,22 +734,20 @@ def main() -> None:
             assert health["status"] == "ok", health
             assert health["workers_live"] == SHARDS, health
 
-            # Phase 1: parity with the flat in-process sharded search.
+            # Phase 1: parity with the in-process whole-model search.
             for q in queries:
                 data, got = _search_pairs(client, q)
                 assert data["partial"] is False, data
                 assert got == expected[q], (q, got, expected[q])
             print(f"parity: {len(queries)} responses element-identical "
-                  f"to sharded_batch_search (shards={SHARDS})")
+                  "to the whole-model EpochSnapshot.search")
 
             # Phase 1b: ANN parity.  Every worker maps the same
             # checkpoint quantizer and cell selection is a pure
             # function of the scaled query, so a cluster probe-bounded
             # search must merge to exactly an in-process probe of the
-            # same quantizer over the same shard slices (gathered BLAS
-            # shapes must match shard-for-shard, like the exact phase's
-            # ``shards=SHARDS`` reference) — and probing every cell
-            # must equal the exact scan.
+            # same quantizer over the same shard slices — and probing
+            # every cell must equal the exact scan.
             assert health["ann"] is True, health
             ann = open_latest_ann(data_dir)
             assert ann is not None, "seeded checkpoint has no quantizer"

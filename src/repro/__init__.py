@@ -14,8 +14,8 @@ The package implements Latent Semantic Indexing end to end, from scratch:
   phases of §4, orthogonality diagnostics, and the Table 7 cost model;
 * retrieval engines and evaluation (:mod:`repro.retrieval`,
   :mod:`repro.evaluation`), corpora and generators (:mod:`repro.corpus`),
-  the §5.4 applications (:mod:`repro.apps`), and parallel helpers
-  (:mod:`repro.parallel`);
+  the §5.4 applications (:mod:`repro.apps`), and the row partition and
+  exact top-k merge the cluster tier shards by (:mod:`repro.parallel`);
 * the query-serving fast path (:mod:`repro.serving`): the cached
   per-model document index and the one exact ranking behind every
   search entry point (an fp32 scan picks candidates, fp64 rescoring

@@ -216,10 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--min-doc-freq", type=int, default=1)
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="largest micro-batch coalesced into one GEMM")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="document shards per batched GEMM")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="threads scoring shards (default sequential)")
     p_serve.add_argument("--distortion-budget", type=float, default=0.1,
                          help="folded fraction before /add consolidates")
     p_serve.add_argument(
@@ -678,7 +674,7 @@ def _cmd_serve(args, out) -> int:
         tenant_registry or state, banner, args, out,
         draining="rejecting new requests, flushing the queue",
         after_drain=flush_store,
-        max_batch=args.max_batch, shards=args.shards, workers=args.workers,
+        max_batch=args.max_batch,
     )
 
 
@@ -816,7 +812,14 @@ def _cmd_cluster(args, out) -> int:
         return 0
 
     # serve
-    from repro.cluster import ClusterConfig, ClusterService
+    from repro.cluster import (
+        ClusterConfig,
+        ClusterService,
+        RouterConfig,
+        StandbyConfig,
+        SupervisorConfig,
+        WriterConfig,
+    )
     from repro.errors import ClusterConfigError
 
     if (args.data_dir is None) == (args.tenants is None):
@@ -825,8 +828,7 @@ def _cmd_cluster(args, out) -> int:
             "tenant) or --tenants (a name -> store-directory JSON map)"
         )
 
-    config = ClusterConfig(
-        writable=args.writable,
+    writer = WriterConfig(
         seal_every_records=(
             args.seal_every if args.seal_every > 0 else None
         ),
@@ -837,21 +839,30 @@ def _cmd_cluster(args, out) -> int:
         fast_update_rank=args.fast_update_rank,
         ann_clusters=args.ann_clusters,
         retain=args.retain,
+    )
+    config = ClusterConfig(
         workers=args.workers,
         replication=args.replication,
-        standby=args.standby,
-        standby_poll_s=args.standby_poll,
-        promotion_log=(
-            str(args.promotion_log)
-            if args.promotion_log is not None else None
+        router=RouterConfig(
+            worker_timeout_ms=args.worker_timeout_ms,
+            hedge_quantile=args.hedge_quantile,
+            hedge=not args.no_hedge,
         ),
-        worker_timeout_ms=args.worker_timeout_ms,
-        hedge_quantile=args.hedge_quantile,
-        hedge=not args.no_hedge,
-        heartbeat_interval=args.heartbeat_interval,
-        miss_limit=args.heartbeat_misses,
-        restart_backoff=args.restart_backoff,
-        restart_backoff_cap=args.restart_backoff_cap,
+        supervisor=SupervisorConfig(
+            heartbeat_interval=args.heartbeat_interval,
+            miss_limit=args.heartbeat_misses,
+            backoff_base=args.restart_backoff,
+            backoff_cap=args.restart_backoff_cap,
+        ),
+        writer=writer if args.writable else None,
+        standby=StandbyConfig(
+            poll_seconds=args.standby_poll,
+            promotion_log=(
+                str(args.promotion_log)
+                if args.promotion_log is not None else None
+            ),
+            writer=writer,
+        ) if args.standby else None,
     )
 
     tenant_map: dict[str, pathlib.Path] | None = None
@@ -886,7 +897,7 @@ def _cmd_cluster(args, out) -> int:
             args.data_dir, config, announce=announce
         )
     else:
-        if config.writable or config.standby:
+        if config.writer is not None or config.standby is not None:
             raise ClusterConfigError(
                 "multi-tenant cluster serving is read-only: --writable/"
                 "--standby own one store lock and one WAL each — run the "

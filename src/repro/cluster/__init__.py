@@ -7,9 +7,9 @@ ShardPlan` splits one checkpointed LSI space into contiguous row
 ranges; each :mod:`~repro.cluster.worker` process memory-maps the
 checkpoint (zero-copy — the page cache is shared between workers) and
 scores only its rows; the :mod:`~repro.cluster.router` scatters query
-batches, hedges stragglers, and merges per-shard top-k lists with the
-same ``merge_topk`` the in-process sharded search uses — so with all
-workers live, answers are element-identical to ``sharded_batch_search``.
+batches, hedges stragglers, and merges per-shard top-k lists with
+``merge_topk`` — so with all workers live, answers are element-identical
+to the whole-model ``EpochSnapshot.search``.
 The :mod:`~repro.cluster.supervisor` keeps workers alive (heartbeats,
 eviction, backoff restarts), and while one is down the router serves
 ``partial=True`` responses naming the unscored row ranges instead of

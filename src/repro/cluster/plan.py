@@ -6,9 +6,9 @@ router and every worker must agree on that split *exactly*: the merge
 (:func:`repro.parallel.sharding.merge_topk`) is only element-identical
 to a flat search when shard lists arrive in document order with no row
 claimed twice or dropped.  So the plan is not negotiated, it is
-computed — :meth:`ShardPlan.compute` derives the ranges from the same
-:func:`~repro.parallel.sharding.shard_bounds` partition the in-process
-sharded search uses — and then pinned: the supervisor hands each worker
+computed — :meth:`ShardPlan.compute` derives the ranges from the one
+canonical :func:`~repro.parallel.sharding.shard_bounds` partition — and
+then pinned: the supervisor hands each worker
 the plan's canonical JSON on its command line, and the worker refuses
 to serve unless (a) re-serializing the parsed plan reproduces those
 bytes, (b) recomputing the partition from ``(n_documents, n_workers,

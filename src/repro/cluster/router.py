@@ -6,12 +6,12 @@ connection to each live worker slot of a
 once (``Q Σ``, mirroring :meth:`EpochSnapshot.scale`),
 scattered **once per range** — not per worker — and the per-range stable
 top-k lists are merged per query with
-:func:`repro.parallel.sharding.merge_topk`, the same function the
-in-process sharded search uses, over byte-identical inputs.  Every
-replica of a range holds identical scoring state for an epoch, so with
-any one replica per range live the cluster's answer is element-identical
-to ``sharded_batch_search``: indices, scores, tie order — regardless of
-*which* replica answered.
+:func:`repro.parallel.sharding.merge_topk`.  Every replica of a range
+holds identical scoring state for an epoch, and a reported score is a
+pure function of (row, query), so with any one replica per range live
+the cluster's answer is element-identical to the whole-model
+:meth:`EpochSnapshot.search <repro.server.state.EpochSnapshot.search>`:
+indices, scores, tie order — regardless of *which* replica answered.
 
 Reads load-balance: each scatter picks a range's first candidate by
 power-of-two-choices (sample two replicas, send to the one with fewer
@@ -698,7 +698,8 @@ class ClusterRouter:
                     ]
                     for sid in answered
                 ]
-                results.append(merge_topk(per_shard, k))
+                # ``top=0`` asks for nothing, as on a single node.
+                results.append(merge_topk(per_shard, k) if k > 0 else [])
 
         partial = bool(missing_sids)
         if partial:

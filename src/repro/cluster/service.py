@@ -15,8 +15,8 @@ the supervisor's restart machinery.
 
 By default the cluster is a *read-only* serving tier: ``/add`` is
 refused with :class:`~repro.errors.ClusterReadOnlyError`, and a new
-checkpoint is picked up by restarting the cluster.  With
-``writable=True`` the service embeds the
+checkpoint is picked up by restarting the cluster.  Given a
+``writer`` configuration the service embeds the
 :class:`~repro.cluster.primary.PrimaryWriter`: ``/add`` WAL-logs
 through the durable store, the writer seals checkpoints on its policy
 and bumps the workers, and the fleet hot-swaps its
@@ -29,16 +29,18 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.plan import check_topology
-from repro.cluster.router import ClusterResult, ClusterRouter, RouterConfig
+from repro.cluster.primary import PrimaryWriter, WriterConfig
+from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.standby import StandbyConfig, StandbyWriter
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
-from repro.core.query import batch_project_queries, project_query
+from repro.core.query import project_query
 from repro.errors import ClusterConfigError, ClusterReadOnlyError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
@@ -48,42 +50,23 @@ __all__ = ["ClusterConfig", "ClusterService"]
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Tunables for one fleet (CLI flags map 1:1 onto these); request
-    defaults and the slow-query log are the front end's
+    """Tunables for one fleet.  Each tunable is declared once, in the
+    config of the part it tunes; this one holds the topology and those
+    parts.  Request defaults and the slow-query log are the front end's
     :class:`~repro.server.service.ServerConfig`."""
 
     workers: int = 4
     #: Replicas per shard range; ``workers // replication`` ranges are
     #: carved, each served by R distinct worker processes.
     replication: int = 1
-    worker_timeout_ms: float = 2000.0
-    hedge_quantile: float = 0.95
-    hedge: bool = True
-    heartbeat_interval: float = 1.0
-    miss_limit: int = 3
-    restart_backoff: float = 0.5
-    restart_backoff_cap: float = 10.0
-    #: Embed the primary writer: ``/add`` accepted, epochs bump live.
-    writable: bool = False
-    #: Writer seal policy — records threshold (``None`` disables).
-    seal_every_records: int | None = 64
-    #: Writer seal policy — dirty-age threshold, seconds (``None`` off).
-    seal_interval_s: float | None = 15.0
-    #: Writer ingest kernel: ``"fast-update"`` or ``"fold-in"``.
-    ingest_method: str = "fast-update"
-    #: Residual sketch rank for the fast-update kernel.
-    fast_update_rank: int = 8
-    #: ANN cells per sealed checkpoint: ``None`` auto, ``0`` disables.
-    ann_clusters: int | None = None
-    #: Checkpoints retained by the writer (>= 3 under a cluster).
-    retain: int = 3
+    router: RouterConfig = field(default_factory=RouterConfig)
+    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
+    #: Embed the primary writer, so configured: ``/add`` accepted,
+    #: epochs bump live.  ``None`` serves read-only.
+    writer: WriterConfig | None = None
     #: Run a warm standby writer: tail checkpoints + WAL read-only and
     #: adopt the store lock (promote to primary) when it frees.
-    standby: bool = False
-    #: Standby poll cadence, seconds (epoch tail + lock probe).
-    standby_poll_s: float = 0.5
-    #: JSONL file recording the standby's promotion timeline events.
-    promotion_log: str | None = None
+    standby: StandbyConfig | None = None
 
 
 class ClusterService:
@@ -109,7 +92,7 @@ class ClusterService:
         # store lock taken (ShardPlan.compute re-validates later, but
         # by then a writable primary would already hold the flock).
         check_topology(self.config.workers, self.config.replication)
-        if self.config.writable and self.config.standby:
+        if self.config.writer is not None and self.config.standby is not None:
             raise ClusterConfigError(
                 "--writable and --standby are mutually exclusive: a "
                 "standby must *not* hold the store lock until it "
@@ -122,19 +105,8 @@ class ClusterService:
         # WAL-acknowledged document and records the writer's ingest
         # configuration in its manifest.
         self.primary = None
-        if self.config.writable or self.config.standby:
-            from repro.cluster.primary import PrimaryWriter, WriterConfig
-
-            writer_config = WriterConfig(
-                seal_every_records=self.config.seal_every_records,
-                seal_interval_s=self.config.seal_interval_s,
-                ingest_method=self.config.ingest_method,
-                fast_update_rank=self.config.fast_update_rank,
-                ann_clusters=self.config.ann_clusters,
-                retain=self.config.retain,
-            )
-        if self.config.writable:
-            self.primary = PrimaryWriter(self.data_dir, writer_config)
+        if self.config.writer is not None:
+            self.primary = PrimaryWriter(self.data_dir, self.config.writer)
 
         # The handle memory-maps the checkpoint model for projection (U,
         # Σ, vocabulary); each worker maps the same .npy files itself —
@@ -146,24 +118,13 @@ class ClusterService:
             replication=self.config.replication,
         )
         self.router = ClusterRouter(
-            self.plan,
-            RouterConfig(
-                worker_timeout_ms=self.config.worker_timeout_ms,
-                hedge_quantile=self.config.hedge_quantile,
-                hedge=self.config.hedge,
-            ),
-            tenant=tenant,
+            self.plan, self.config.router, tenant=tenant
         )
         self.supervisor = ClusterSupervisor(
             self.data_dir,
             self.plan,
             self.router,
-            SupervisorConfig(
-                heartbeat_interval=self.config.heartbeat_interval,
-                miss_limit=self.config.miss_limit,
-                backoff_base=self.config.restart_backoff,
-                backoff_cap=self.config.restart_backoff_cap,
-            ),
+            self.config.supervisor,
             host=host,
             announce=announce,
             tenant=tenant,
@@ -174,17 +135,8 @@ class ClusterService:
         # starts tailing (and probing the lock) only once the cluster
         # runs, and installs itself as ``self.primary`` on promotion.
         self.standby = None
-        if self.config.standby:
-            from repro.cluster.standby import StandbyConfig, StandbyWriter
-
-            self.standby = StandbyWriter(
-                self.data_dir,
-                StandbyConfig(
-                    poll_seconds=self.config.standby_poll_s,
-                    promotion_log=self.config.promotion_log,
-                    writer=writer_config,
-                ),
-            )
+        if self.config.standby is not None:
+            self.standby = StandbyWriter(self.data_dir, self.config.standby)
 
         self._started = False
         #: Serializes the first ``start()``: a cold tenant's first
@@ -275,22 +227,6 @@ class ClusterService:
         self._started = False
 
     # ------------------------------------------------------------------ #
-    async def _scatter(
-        self, handle: EpochHandle, Q, top, threshold, timeout_ms, probes, exact
-    ) -> ClusterResult:
-        """Scatter unscaled ``Q`` at ``handle``'s epoch.  ``Q Σ`` —
-        exactly :meth:`EpochSnapshot.scale` — is applied here,
-        router-side, so every worker scores identical bytes."""
-        return await self.router.search_batch(
-            np.atleast_2d(np.asarray(Q, dtype=np.float64)) * handle.model.s,
-            plan=handle.plan,
-            top=top,
-            threshold=threshold,
-            timeout_ms=timeout_ms,
-            probes=probes,
-            exact=exact,
-        )
-
     async def search(
         self,
         query,
@@ -316,9 +252,17 @@ class ClusterService:
         # One epoch per request: project, scatter, and label against the
         # same handle even if the writer publishes a bump mid-flight.
         handle = self._handle
+        # ``q̂ Σ`` — exactly ``EpochSnapshot.scale`` — is applied here,
+        # router-side, so every worker scores identical bytes.
         qhat = project_query(handle.model, query)
-        result = await self._scatter(
-            handle, qhat, top, threshold, timeout_ms, probes, exact
+        result = await self.router.search_batch(
+            np.atleast_2d(qhat) * handle.model.s,
+            plan=handle.plan,
+            top=top,
+            threshold=threshold,
+            timeout_ms=timeout_ms,
+            probes=probes,
+            exact=exact,
         )
         missing = [list(pair) for pair in result.missing]
         doc_ids = handle.model.doc_ids
@@ -340,31 +284,6 @@ class ClusterService:
             "hedged": result.hedged,
             "deadline_missed": result.deadline_missed,
         }
-
-    async def search_many(
-        self,
-        queries: Sequence[str] | np.ndarray,
-        *,
-        top: int | None = 10,
-        threshold: float | None = None,
-        timeout_ms: float | None = None,
-        probes: int | None = None,
-        exact: bool = False,
-    ) -> ClusterResult:
-        """A whole batch through one scatter (bench/parity entry point).
-
-        ``queries`` may be raw texts or an already-projected ``(q, k)``
-        array — the same convention as ``sharded_batch_search``, whose
-        output this is element-identical to when all workers are live.
-        """
-        handle = self._handle
-        if isinstance(queries, np.ndarray):
-            Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        else:
-            Q = batch_project_queries(handle.model, queries)
-        return await self._scatter(
-            handle, Q, top, threshold, timeout_ms, probes, exact
-        )
 
     async def add(self, texts, doc_ids=None) -> dict:
         """Ingest through the primary writer, or refuse read-only.

@@ -1,10 +1,11 @@
 """The shard worker: one process, one contiguous slice of the space.
 
-A worker is a pure *checkpoint consumer*.  It opens the newest valid
-checkpoint of a durable store with ``np.load(mmap_mode="r")``
-(:mod:`repro.store.mmap_io` — O(header) open, no pickling of factors),
+A worker is a pure *checkpoint consumer*.  It opens the checkpoint its
+shard plan names, memory-mapped and by name
+(:func:`repro.cluster.epochs.open_checkpoint` — O(header) open, no
+pickling of factors, the plan's epoch and document count checked),
 materializes only its shard's scoring state — ``V[lo:hi] Σ`` and its
-row norms, the same arrays the in-process sharded search slices — and
+row norms, the rows ``[lo, hi)`` of the whole model's — and
 serves two things over length-prefixed JSON frames on a local socket:
 ``score`` requests and heartbeats.  Nothing else: no updating, no WAL,
 no lock on the store.  Restarting a worker is therefore always safe and
@@ -26,11 +27,11 @@ the router degrades to a partial response.
 Exactness contract
 ------------------
 :meth:`ShardWorker.score` is :meth:`EpochSnapshot.search` over
-``(hi-lo, k)`` rows — the *identical* kernel and selection the flat path
-runs on the same slice shapes — and JSON round-trips doubles losslessly, so a
-router merging worker responses with ``merge_topk`` reproduces
-``sharded_batch_search`` element-for-element: indices, scores, tie
-order.
+``(hi-lo, k)`` rows — the *identical* kernel and selection the
+whole-model search runs, whose reported score is a pure function of
+(row, query) — and JSON round-trips doubles losslessly, so a router
+merging worker responses with ``merge_topk`` reproduces the whole-model
+search element-for-element: indices, scores, tie order.
 
 Run one with ``python -m repro cluster worker`` (the supervisor does).
 """

@@ -27,8 +27,8 @@ that need every score.  The ranked/filtered entry point
 ``LSIRetrieval.search``) is the one exact ranking every serving tier
 uses (:func:`repro.serving.scan.ranked_scan`): same indices as the
 stable sort of that score vector, scores within 1e-12 of it and
-bit-equal to what the server, a shard worker or the sharded search
-reports for the same query.
+bit-equal to what the server or a shard worker reports for the same
+query.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ the one sink they all land in:
   count / sum / p50 / p95 / p99 without storing samples; memory per
   histogram is one small int array regardless of traffic.
 
-All mutation goes through one re-entrant lock, because the sharded
-serving path increments counters from a thread pool.  Single increments
+All mutation goes through one re-entrant lock, because the server
+increments counters from its event loop, its scoring threads and its
+writer threads at once.  Single increments
 are a dict update under an uncontended lock — microseconds, negligible
 against the GEMM they instrument.
 """

@@ -2,30 +2,13 @@
 
 The paper sits in the HPC literature (SC '95) and one of its open issues
 (§5.6) is "efficiently comparing queries to documents (finding near
-neighbors in high-dimension spaces)".  These helpers address it at
-laptop scale:
-
-* :mod:`repro.parallel.pool` — a thread-pool map (NumPy releases the GIL
-  inside its kernels, so scoring shards in threads scales) with a
-  deterministic sequential fallback;
-* :mod:`repro.parallel.sharding` — splitting a document collection into
-  shards and merging per-shard top-z results exactly, for one query
-  (:func:`sharded_search`) or a whole batch
-  (:func:`sharded_batch_search`) over the model's memoized ``V_k Σ_k``.
+neighbors in high-dimension spaces)".  The cluster tier answers it by
+scoring contiguous row ranges in separate worker processes;
+:mod:`repro.parallel.sharding` holds what those ranges must agree on —
+the canonical partition (:func:`shard_bounds`) and the exact top-z merge
+of per-range results (:func:`merge_topk`).
 """
 
-from repro.parallel.pool import parallel_map
-from repro.parallel.sharding import (
-    merge_topk,
-    shard_documents,
-    sharded_batch_search,
-    sharded_search,
-)
+from repro.parallel.sharding import merge_topk, shard_bounds
 
-__all__ = [
-    "parallel_map",
-    "shard_documents",
-    "sharded_search",
-    "sharded_batch_search",
-    "merge_topk",
-]
+__all__ = ["shard_bounds", "merge_topk"]

@@ -117,20 +117,11 @@ class MicroBatcher:
     """The in-process backend: one :class:`ServingState`, its scheduler
     task that turns a request stream into batches, and its writer lock."""
 
-    def __init__(
-        self,
-        state: ServingState,
-        *,
-        max_batch: int = 32,
-        shards: int = 1,
-        workers: int | None = None,
-    ):
+    def __init__(self, state: ServingState, *, max_batch: int = 32):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.state = state
         self.max_batch = max_batch
-        self.shards = shards
-        self.workers = workers
         self._queue: asyncio.Queue[SearchRequest] = asyncio.Queue()
         self._task: asyncio.Task | None = None
         #: This batcher's one scoring thread, created by the first flush.
@@ -355,8 +346,6 @@ class MicroBatcher:
                     top=[req.top for req in requests],
                     threshold=[req.threshold for req in requests],
                     probes=probes,
-                    shards=self.shards,
-                    workers=self.workers,
                 )
             if ann_stats is None:
                 registry.observe(

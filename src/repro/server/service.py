@@ -73,15 +73,12 @@ class ServerConfig:
     scorer is free), so batches form only from requests that arrive
     while a flush is in flight.  ``max_batch`` caps one flush — it is
     the bound on the ``(q, n)`` score block, not a target.
-    ``max_batch`` / ``shards`` / ``workers`` configure the in-process
-    scorer; a fleet brings its own
-    :class:`~repro.cluster.service.ClusterConfig`.
+    ``max_batch`` configures the in-process scorer; a fleet brings its
+    own :class:`~repro.cluster.service.ClusterConfig`.
     """
 
     max_batch: int = 32
     queue_depth: int = 256
-    shards: int = 1
-    workers: int | None = None
     default_timeout_ms: float | None = None
     #: Default probe count for requests that don't specify one.  ``None``
     #: keeps the exact exhaustive scan as the default; requests opt into
@@ -131,10 +128,7 @@ class QueryService:
             # New tenant, or the tenant was detached and re-attached with
             # a fresh state (the old batcher died with the old state).
             batcher = self._batchers[tenant_id] = MicroBatcher(
-                hosted,
-                max_batch=self.config.max_batch,
-                shards=self.config.shards,
-                workers=self.config.workers,
+                hosted, max_batch=self.config.max_batch
             )
         return batcher
 

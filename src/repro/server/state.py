@@ -33,13 +33,11 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.errors import ReproError, ShapeError
 from repro.obs.metrics import registry
-from repro.parallel.pool import parallel_map
-from repro.parallel.sharding import shard_bounds
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_documents, scaled_rows
 from repro.serving.kernel import cosine_scores
 from repro.serving.querycache import QueryVectorCache
-from repro.serving.scan import approx_cosines, ranked_scan
+from repro.serving.scan import ranked_scan
 from repro.updating.manager import LSIIndexManager
 
 __all__ = [
@@ -148,8 +146,6 @@ class EpochSnapshot:
         threshold=None,
         probes: int | None = None,
         exact: bool = False,
-        shards: int = 1,
-        workers: int | None = None,
     ) -> tuple[list[list[tuple[int, float]]], list[dict] | None]:
         """Ranked ``(global_index, score)`` pairs per row of ``Qs``.
 
@@ -164,10 +160,7 @@ class EpochSnapshot:
           set, fp64 rescoring of those rows alone ranks them;
           ``ann_stats`` is ``None``.  A reported score is a pure function
           of (row, query), so whole model, row range, batch of 1 or 16
-          and ``LSIRetrieval.search`` agree bit for bit.  With
-          ``shards > 1`` the fp32 pass runs over contiguous slices
-          (optionally on a thread pool — NumPy releases the GIL); it
-          only picks candidates, so the result equals the flat one.
+          and ``LSIRetrieval.search`` agree bit for bit.
         * **probe-bounded**: each query scores only the ``probes``
           nearest cells' rows that land in ``[lo, hi)`` (plus the fresh
           tail).  Cell selection is a pure function of the scaled query
@@ -203,18 +196,8 @@ class EpochSnapshot:
                 ]
                 return [pairs for pairs, _ in found], [st for _, st in found]
             registry.inc("ann.exact_fallbacks_total", q)
-        approx = None
-        n = self.hi - self.lo
-        if shards > 1 and n > 0:
-            unit = self.scaled.unit
-            blocks = parallel_map(
-                lambda b: approx_cosines(unit[b[0]:b[1]], Qs),
-                shard_bounds(n, min(shards, n)),
-                workers=workers,
-            )
-            approx = np.concatenate(blocks, axis=0)
         results = ranked_scan(
-            self.scaled, Qs, tops, thresholds, offset=self.lo, approx=approx
+            self.scaled, Qs, tops, thresholds, offset=self.lo
         )
         return results, None
 

@@ -17,7 +17,7 @@ quantities are built once and queried many times:
   model instance itself (every update returns a new model, so there is
   nothing to invalidate);
 * :mod:`repro.serving.scan` — :func:`ranked_scan`, the one exact ranking
-  (single, batched, sharded, cluster): an fp32 pass over the unit rows
+  (single, batched, row range, cluster): an fp32 pass over the unit rows
   picks a provably sufficient candidate set, fp64 rescoring of those
   rows alone ranks them;
 * :mod:`repro.serving.topk` — ``argpartition`` top-k selection that is

@@ -86,7 +86,7 @@ def scaled_documents(model: LSIModel) -> ScaledRows:
     """The :class:`ScaledRows` of all of ``model``, derived on first use.
 
     The arrays are read-only and shared by every scorer of this model
-    (the retrieval engine, epoch snapshots, the sharded search).
+    (the retrieval engine, whole-model epoch snapshots).
     """
     memo = getattr(model, "_scaled_documents", None)
     if memo is None:

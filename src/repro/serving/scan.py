@@ -5,7 +5,7 @@ that cosine that it "is merely used to rank-order documents" (§3.1):
 only the z rows that are returned need a full-precision value.  Every
 exact ranking in the system (:meth:`EpochSnapshot.search
 <repro.server.state.EpochSnapshot.search>` on a single node and in a
-shard worker, :func:`repro.parallel.sharding.sharded_batch_search`,
+shard worker,
 :meth:`LSIRetrieval.search <repro.retrieval.engine.LSIRetrieval.search>`,
 :func:`repro.core.similarity.retrieve`) therefore has this shape:
 
@@ -103,16 +103,12 @@ def ranked_scan(
     thresholds: Sequence[float | None],
     *,
     offset: int = 0,
-    approx: np.ndarray | None = None,
 ) -> list[list[tuple[int, float]]]:
     """Ranked ``(offset + row, cosine)`` pairs for each scaled query.
 
     Element-identical in indices to stable-sorting row ``i`` of the
     fp64 ``cosine_scores(coords, Qs)`` descending, dropping scores below
-    ``thresholds[i]`` and truncating to ``tops[i]``.  ``approx`` is
-    :func:`approx_cosines` of the same rows when the caller already ran
-    it (in slices, on a pool); it only picks candidates, so how it was
-    blocked cannot change an answer.
+    ``thresholds[i]`` and truncating to ``tops[i]``.
     """
     coords, norms, unit, _ = scaled
     n, k = coords.shape
@@ -122,8 +118,7 @@ def ranked_scan(
         threshold is not None or (top is not None and top < n)
         for top, threshold in zip(tops, thresholds)
     ]
-    if approx is None and any(bounded):
-        approx = approx_cosines(unit, Qs)
+    approx = approx_cosines(unit, Qs) if any(bounded) else None
     results = []
     for i, (q, top, threshold) in enumerate(zip(Qs, tops, thresholds)):
         if top is not None and top <= 0:

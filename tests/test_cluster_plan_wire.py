@@ -25,11 +25,9 @@ from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
 from repro.errors import ClusterError, ShapeError
 from repro.core.query import batch_project_queries
-from repro.parallel.sharding import (
-    merge_topk,
-    shard_bounds,
-    sharded_batch_search,
-)
+from repro.parallel.sharding import merge_topk, shard_bounds
+
+from tests.test_serving_scan import whole_model_search
 
 
 # --------------------------------------------------------------------- #
@@ -179,12 +177,14 @@ def cluster_model():
     return fit_lsi(texts, 12), texts
 
 
-def test_shard_workers_reproduce_flat_sharded_search(cluster_model):
+def test_shard_workers_reproduce_the_whole_model_search(cluster_model):
     model, texts = cluster_model
     queries = texts[:5]
     shards = 3
     top = 7
-    flat = sharded_batch_search(model, queries, top=top, shards=shards)
+    flat = whole_model_search(
+        model, batch_project_queries(model, queries), top
+    )
 
     plan = ShardPlan.compute(model.n_documents, shards)
     workers = [ShardWorker(model, plan.shard(i)) for i in range(shards)]

@@ -18,14 +18,17 @@ import pytest
 
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
+from repro.cluster.supervisor import SupervisorConfig
 from repro.cluster.worker import run_worker
+from repro.core.query import batch_project_queries
 from repro.errors import ServerOverloadError
 from repro.obs.metrics import registry
-from repro.parallel.sharding import sharded_batch_search
 from repro.server import QueryService, ServerConfig
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_model
+
+from tests.test_serving_scan import whole_model_search
 
 SHARDS = 2
 TOP = 6
@@ -51,41 +54,44 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
     data_dir, texts = seeded_store
     model = open_latest_model(data_dir)
     queries = texts[:4]
-    flat = sharded_batch_search(model, queries, top=TOP, shards=SHARDS)
+    Q = batch_project_queries(model, queries)
+    flat = whole_model_search(model, Q, TOP)
 
     async def main():
         service = ClusterService(
             data_dir,
             ClusterConfig(
                 workers=SHARDS,
-                heartbeat_interval=0.2,
-                restart_backoff=1.0,  # wide enough to observe the gap
-                restart_backoff_cap=1.0,
+                supervisor=SupervisorConfig(
+                    heartbeat_interval=0.2,
+                    backoff_base=1.0,  # wide enough to observe the gap
+                    backoff_cap=1.0,
+                ),
             ),
         )
+
+        async def scatter():
+            """The whole batch through one scatter of the fleet's router."""
+            return await service.router.search_batch(Q * model.s, top=TOP)
+
         await service.start()
         try:
-            # Phase 1: all live → element-identical to the flat search.
+            # Phase 1: all live → element-identical to the whole model.
             health = service.healthz()
             assert health["status"] == "ok"
             assert health["workers_live"] == SHARDS
-            result = await service.search_many(queries, top=TOP)
+            result = await scatter()
             assert result.partial is False
             assert result.results == flat
 
-            # The per-request HTTP path agrees too.  A single query takes
-            # the q=1 GEMV kernel path, so compare against a q=1 flat
-            # search — row 0 of the 4-query GEMM may differ by an ulp.
-            flat_single = sharded_batch_search(
-                model, [queries[0]], top=TOP, shards=SHARDS
-            )[0]
+            # The per-request path agrees too, query by query.
             single, _ = await service.search(queries[0], top=TOP)
             assert single["partial"] is False
             assert _pairs(
                 [(i, s) for i, s, _ in single["results"]]
-            ) == flat_single
+            ) == flat[0]
             doc_ids = [d for _, _, d in single["results"]]
-            assert doc_ids == [model.doc_ids[i] for i, _ in flat_single]
+            assert doc_ids == [model.doc_ids[i] for i, _ in flat[0]]
 
             # Phase 2: SIGKILL one worker → partial with its exact range.
             victim = 1
@@ -95,16 +101,14 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
             deadline = time.monotonic() + 15
             degraded = None
             while time.monotonic() < deadline:
-                candidate = await service.search_many(queries, top=TOP)
+                candidate = await scatter()
                 if candidate.partial:
                     degraded = candidate
                     break
                 await asyncio.sleep(0.05)
             assert degraded is not None, "never observed a partial response"
             assert degraded.missing == [(lo, hi)]
-            full = sharded_batch_search(
-                model, queries, top=model.n_documents, shards=SHARDS
-            )
+            full = whole_model_search(model, Q, model.n_documents)
             for qi, merged in enumerate(degraded.results):
                 survivors = [p for p in full[qi] if not lo <= p[0] < hi]
                 assert merged == survivors[:TOP]
@@ -117,7 +121,7 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
                     break
                 await asyncio.sleep(0.1)
             assert service.healthz()["workers_live"] == SHARDS
-            restored = await service.search_many(queries, top=TOP)
+            restored = await scatter()
             assert restored.partial is False
             assert restored.results == flat
             assert service.supervisor.describe()[victim]["restarts"] == 1

@@ -21,9 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.plan import ShardPlan
+from repro.cluster.primary import WriterConfig
 from repro.cluster.router import ClusterRouter, RouterConfig
 from repro.cluster.service import ClusterConfig, ClusterService
-from repro.cluster.supervisor import ClusterSupervisor
+from repro.cluster.standby import StandbyConfig
+from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.cluster.wire import read_frame, write_frame
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
@@ -35,10 +37,12 @@ from repro.errors import (
 )
 from repro.obs.metrics import registry
 from repro.core.query import batch_project_queries
-from repro.parallel.sharding import merge_topk, sharded_batch_search
+from repro.parallel.sharding import merge_topk
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.lock import StoreLock
+
+from tests.test_serving_scan import whole_model_search
 
 RANGES = 3
 TOP = 7
@@ -54,6 +58,11 @@ def replica_model():
 
 def _scaled(model, texts):
     return batch_project_queries(model, texts) * model.s
+
+
+def _whole(model, texts, top=TOP):
+    """The whole-model snapshot's rankings: what every fleet merges to."""
+    return whole_model_search(model, batch_project_queries(model, texts), top)
 
 
 def _seed_latency(worker_id, seconds, samples=5):
@@ -139,7 +148,10 @@ def test_cluster_service_refuses_topology_before_touching_store(tmp_path):
         ClusterService(tmp_path, ClusterConfig(workers=2, replication=0))
     with pytest.raises(ClusterConfigError):
         ClusterService(
-            tmp_path, ClusterConfig(workers=2, writable=True, standby=True)
+            tmp_path,
+            ClusterConfig(
+                workers=2, writer=WriterConfig(), standby=StandbyConfig()
+            ),
         )
 
 
@@ -350,7 +362,7 @@ async def _teardown(router, fakes):
 def test_router_fails_over_before_going_partial(replica_model):
     model, texts = replica_model
     queries = texts[:3]
-    flat = sharded_batch_search(model, queries, top=TOP, shards=RANGES)
+    flat = _whole(model, queries)
     # Pin the power-of-two choice: replica 0 looks fast (so it leads
     # every scatter) but dies mid-call; replica 1 looks slow but lives.
     for wid in range(RANGES):
@@ -408,9 +420,7 @@ def test_router_partial_only_when_every_replica_is_gone(replica_model):
     assert result.missing == [tuple(plan.shard(1).as_pair())]
     # Surviving ranges' rows are still exact.
     lo, hi = plan.shard(1).as_pair()
-    flat = sharded_batch_search(
-        model, texts[:2], top=model.n_documents, shards=RANGES
-    )
+    flat = _whole(model, texts[:2], top=model.n_documents)
     for qi, merged in enumerate(result.results):
         assert merged == [p for p in flat[qi] if not lo <= p[0] < hi][:TOP]
 
@@ -418,7 +428,7 @@ def test_router_partial_only_when_every_replica_is_gone(replica_model):
 def test_router_hedges_to_sibling_without_double_counting(replica_model):
     model, texts = replica_model
     queries = texts[:2]
-    flat = sharded_batch_search(model, queries, top=TOP, shards=RANGES)
+    flat = _whole(model, queries)
     # Replica 0's history is fast (leads, and arms an early hedge) but
     # its actual answers stall; replica 1 answers instantly.
     for wid in range(RANGES):
@@ -468,7 +478,7 @@ def test_any_replica_choice_yields_identical_merge(replica_model, choices):
     plan = ShardPlan.compute(model.n_documents, 2 * RANGES, 2)
     queries = texts[:3]
     Q = _scaled(model, queries)
-    flat = sharded_batch_search(model, queries, top=TOP, shards=RANGES)
+    flat = _whole(model, queries)
     per_shard_by_query = []
     for sid in range(RANGES):
         # Whichever replica of the range Hypothesis picks...
@@ -529,10 +539,10 @@ def test_standby_follows_then_promotes_with_zero_acked_loss(
             store_dir,
             ClusterConfig(
                 workers=2,
-                standby=True,
-                standby_poll_s=0.05,
-                promotion_log=str(promo_log),
-                heartbeat_interval=0.2,
+                standby=StandbyConfig(
+                    poll_seconds=0.05, promotion_log=str(promo_log)
+                ),
+                supervisor=SupervisorConfig(heartbeat_interval=0.2),
             ),
         )
         await service.start()

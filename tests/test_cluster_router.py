@@ -20,7 +20,8 @@ from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
 from repro.obs.metrics import registry
 from repro.core.query import batch_project_queries
-from repro.parallel.sharding import sharded_batch_search
+
+from tests.test_serving_scan import whole_model_search
 
 SHARDS = 3
 TOP = 7
@@ -111,11 +112,16 @@ def _scaled(model, texts):
     return batch_project_queries(model, texts) * model.s
 
 
+def _whole(model, texts, top=TOP):
+    """The whole-model snapshot's rankings: what the router must merge to."""
+    return whole_model_search(model, batch_project_queries(model, texts), top)
+
+
 # --------------------------------------------------------------------- #
 def test_router_batch_element_identical_to_flat(router_model):
     model, texts = router_model
     queries = texts[:5]
-    flat = sharded_batch_search(model, queries, top=TOP, shards=SHARDS)
+    flat = _whole(model, queries)
 
     async def main():
         _, router, fakes = await _cluster(model)
@@ -136,7 +142,7 @@ def test_router_single_query_matches_flat_single(router_model):
     # q=1 takes the GEMV path in the kernel on both sides; parity must
     # hold for it specifically, not only for batches.
     model, texts = router_model
-    flat = sharded_batch_search(model, [texts[2]], top=TOP, shards=SHARDS)
+    flat = _whole(model, [texts[2]])
 
     async def main():
         _, router, fakes = await _cluster(model)
@@ -174,9 +180,7 @@ def test_router_dead_worker_degrades_to_partial(router_model):
     assert dead_sid not in live
     # Surviving shards' rows are still exact.
     lo, hi = plan.shard(dead_sid).as_pair()
-    flat = sharded_batch_search(
-        model, texts[:2], top=model.n_documents, shards=SHARDS
-    )
+    flat = _whole(model, texts[:2], top=model.n_documents)
     for qi, merged in enumerate(result.results):
         expected = [p for p in flat[qi] if not lo <= p[0] < hi][:TOP]
         assert merged == expected
@@ -239,7 +243,7 @@ def test_router_hedges_slow_worker_and_still_answers(router_model):
     for _ in range(30):
         registry.observe(f"cluster.worker.{sid}.rpc_seconds", 0.01)
     before = registry.counter("cluster.hedges_total")
-    flat = sharded_batch_search(model, texts[:1], top=TOP, shards=SHARDS)
+    flat = _whole(model, texts[:1])
 
     async def main():
         plan, router, fakes = await _cluster(
@@ -279,7 +283,7 @@ def test_router_does_not_hedge_a_late_worker_onto_itself(router_model):
         registry.observe(f"cluster.worker.{sid}.rpc_seconds", 0.01)
     registry.observe(f"cluster.worker.{sid}.rpc_seconds", 0.3)
     before = registry.counter("cluster.hedges_total")
-    flat = sharded_batch_search(model, texts[:1], top=TOP, shards=SHARDS)
+    flat = _whole(model, texts[:1])
 
     async def main():
         plan, router, fakes = await _cluster(

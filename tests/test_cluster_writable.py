@@ -18,8 +18,10 @@ import pytest
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
 from repro.cluster.plan import ShardPlan
+from repro.cluster.primary import WriterConfig
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
+from repro.cluster.supervisor import SupervisorConfig
 from repro.cluster.worker import ShardWorker
 from repro.errors import ClusterReadOnlyError, StoreError
 from repro.server import QueryService, ServerClient, start_http_server
@@ -268,10 +270,8 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
             store_dir,
             ClusterConfig(
                 workers=SHARDS,
-                writable=True,
-                seal_every_records=3,
-                seal_interval_s=0.5,
-                heartbeat_interval=0.2,
+                writer=WriterConfig(seal_every_records=3, seal_interval_s=0.5),
+                supervisor=SupervisorConfig(heartbeat_interval=0.2),
             ),
         )
         await service.start()
@@ -351,7 +351,10 @@ class _ClusterThread:
             service = QueryService(
                 ClusterService(
                     self.data_dir,
-                    ClusterConfig(workers=SHARDS, heartbeat_interval=0.2),
+                    ClusterConfig(
+                        workers=SHARDS,
+                        supervisor=SupervisorConfig(heartbeat_interval=0.2),
+                    ),
                 )
             )
             server = await start_http_server(service, "127.0.0.1", 0)

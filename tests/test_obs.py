@@ -428,27 +428,28 @@ class TestExport:
 # --------------------------------------------------------------------- #
 class TestServingMetricNames:
     def test_search_paths_report_under_serving_prefix(self):
-        from repro import fit_lsi
-        from repro.parallel.sharding import sharded_batch_search
+        from repro import fit_lsi, project_query
         from repro.retrieval import LSIRetrieval
+        from repro.server.state import EpochSnapshot
 
         texts = [f"w{i} w{i + 1} w{i + 2} common" for i in range(12)]
         model = fit_lsi(texts, 4)
         engine = LSIRetrieval(model, query_cache_size=4)
         engine.search(texts[0], top=3)
         engine.search(texts[0], top=3)
-        sharded_batch_search(model, texts[:2], top=3, shards=2)
+        Qs = project_query(model, texts[0]) * model.s
+        for lo, hi in ((0, 6), (6, 12)):
+            EpochSnapshot(0, model, lo=lo, hi=hi).search(Qs, top=3)
         counters = obs.registry.counters("serving.")
         assert counters["serving.index_builds"] == 1
         assert counters["serving.queries_served"] == 2
         assert counters["serving.query_cache_misses"] == 1
         assert counters["serving.query_cache_hits"] == 1
-        assert counters["serving.shard_searches"] == 2
         # Timers are histograms: sum is accumulated seconds.
         sums = obs.registry.histogram_sums("serving.")
         assert sums["serving.scan_seconds"] > 0  # the ranked paths' fp32 pass
-        # One observation per ranked (row range × query): 2 + 2 shards × 2.
-        assert obs.registry.histogram("serving.rescore_candidates").count == 6
+        # One observation per ranked (row range × query): 2 + 2 ranges × 1.
+        assert obs.registry.histogram("serving.rescore_candidates").count == 4
         assert obs.registry.histogram("serving.topk_seconds").count >= 2
 
     def test_prefix_reset_only_touches_serving(self):
@@ -463,19 +464,6 @@ class TestServingMetricNames:
 # integration: the instrumented serving path
 # --------------------------------------------------------------------- #
 class TestServingIntegration:
-    def test_sharded_search_counts_and_spans(self, med_model):
-        from repro.parallel.sharding import sharded_batch_search
-
-        queries = ["blood pressure", "depressed patients"]
-        with obs.traced():
-            sharded_batch_search(med_model, queries, top=3, shards=2)
-        assert obs.registry.counter("serving.shard_searches") == 2
-        names = {s.name for s in obs.recent_spans()}
-        assert "lsi.batch_search" in names
-        assert "lsi.search.shard" in names
-        assert "lsi.search.merge" in names
-        assert obs.registry.histogram("lsi.batch_search").count == 1
-
     def test_search_span_and_histogram(self, med_model):
         from repro.retrieval.engine import LSIRetrieval
 

@@ -1,60 +1,30 @@
-"""Tests for the parallel execution helpers."""
+"""Tests for the row partition and the exact top-k merge."""
 
 import numpy as np
 import pytest
 
 from repro.core.query import project_query
-from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
-from repro.parallel import (
-    merge_topk,
-    parallel_map,
-    shard_documents,
-    sharded_search,
-)
+from repro.parallel import merge_topk, shard_bounds
+from repro.server.state import EpochSnapshot
+
+from tests.test_serving_scan import whole_model_search
 
 
-# --------------------------------------------------------------------- #
-# pool
-# --------------------------------------------------------------------- #
-def test_parallel_map_preserves_order():
-    items = list(range(50))
-    assert parallel_map(lambda x: x * x, items, workers=4) == [
-        x * x for x in items
-    ]
-
-
-def test_parallel_map_sequential_fallback():
-    assert parallel_map(str, [1, 2], workers=None) == ["1", "2"]
-    assert parallel_map(str, [1, 2], workers=1) == ["1", "2"]
-    assert parallel_map(str, [], workers=8) == []
-
-
-def test_parallel_map_propagates_exceptions():
-    def boom(x):
-        raise ValueError(f"bad {x}")
-
-    with pytest.raises(ValueError):
-        parallel_map(boom, [1, 2, 3], workers=3)
-
-
-# --------------------------------------------------------------------- #
-# sharding
-# --------------------------------------------------------------------- #
-def test_shard_documents_partition():
-    shards = shard_documents(10, 3)
-    assert len(shards) == 3
-    joined = np.concatenate(shards)
+def test_shard_bounds_partition():
+    bounds = shard_bounds(10, 3)
+    assert len(bounds) == 3
+    joined = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
     assert np.array_equal(joined, np.arange(10))
     with pytest.raises(ShapeError):
-        shard_documents(10, 0)
+        shard_bounds(10, 0)
     with pytest.raises(ShapeError):
-        shard_documents(-1, 2)
+        shard_bounds(-1, 2)
 
 
 def test_shard_more_shards_than_docs():
-    shards = shard_documents(2, 5)
-    assert sum(s.size for s in shards) == 2
+    bounds = shard_bounds(2, 5)
+    assert sum(hi - lo for lo, hi in bounds) == 2
 
 
 def test_merge_topk():
@@ -74,7 +44,6 @@ def test_merge_topk_tie_order_matches_flat_stable_argsort():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    from repro.parallel.sharding import shard_bounds
     from repro.serving.topk import topk_indices
 
     @settings(max_examples=200, deadline=None)
@@ -101,20 +70,15 @@ def test_merge_topk_tie_order_matches_flat_stable_argsort():
     check()
 
 
-def test_sharded_search_matches_flat(med_model):
+def test_range_snapshots_merge_to_flat(med_model):
+    """Row ranges searched on their own and merged with ``merge_topk``
+    are the whole-model search, bit for bit."""
     qhat = project_query(med_model, "age blood abnormalities")
-    flat = cosine_similarities(med_model, qhat)
-    order = np.argsort(-flat, kind="stable")[:5]
-    expected = [(int(j), pytest.approx(float(flat[j]))) for j in order]
+    (want,) = whole_model_search(med_model, qhat, 5)
+    Qs = EpochSnapshot(0, med_model).scale(qhat)
     for shards in (1, 2, 5):
-        got = sharded_search(med_model, qhat, shards=shards, top=5)
-        assert [g[0] for g in got] == [e[0] for e in expected]
-        for (gj, gc), (ej, ec) in zip(got, expected):
-            assert gc == ec
-
-
-def test_sharded_search_with_workers(med_model):
-    qhat = project_query(med_model, "age blood abnormalities")
-    a = sharded_search(med_model, qhat, shards=3, top=4, workers=None)
-    b = sharded_search(med_model, qhat, shards=3, top=4, workers=3)
-    assert a == b
+        per_range = [
+            EpochSnapshot(0, med_model, lo=lo, hi=hi).search(Qs, top=5)[0][0]
+            for lo, hi in shard_bounds(med_model.n_documents, shards)
+        ]
+        assert merge_topk(per_range, 5) == want

@@ -8,7 +8,6 @@ from repro.core.query import batch_project_queries
 from repro.core.similarity import cosine_similarities, term_term_similarities
 from repro.corpus.morphology import morphology_corpus
 from repro.errors import ShapeError
-from repro.parallel.sharding import sharded_batch_search
 from repro.server.state import EpochSnapshot
 
 
@@ -26,9 +25,9 @@ def test_batch_matches_per_query(med_model):
 
 
 def test_batch_search_top(med_model):
-    results = sharded_batch_search(
-        med_model, ["age blood abnormalities", "rats"], top=4, shards=1
-    )
+    snapshot = EpochSnapshot(0, med_model)
+    Q = batch_project_queries(med_model, ["age blood abnormalities", "rats"])
+    results, _ = snapshot.search(snapshot.scale(Q), top=4)
     assert len(results) == 2
     assert all(len(r) == 4 for r in results)
     for r in results:
@@ -42,9 +41,7 @@ def test_batch_validation(med_model):
     with pytest.raises(ShapeError):
         EpochSnapshot(0, med_model).score_batch(np.ones((2, 7)))
     with pytest.raises(ShapeError):
-        sharded_batch_search(med_model, np.ones((2, 7)))
-    with pytest.raises(ShapeError):
-        sharded_batch_search(med_model, ["x"], top=0)
+        EpochSnapshot(0, med_model).scale(np.ones((2, 7)))
 
 
 def test_batch_single_query_vector(med_model):

@@ -29,8 +29,10 @@ from repro.cli import build_parser
 from repro.corpus.med import MED_TOPICS
 from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
+from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.retrieval import LSIRetrieval
 from repro.server import (
+    EpochSnapshot,
     MicroBatcher,
     QueryService,
     ServerClient,
@@ -167,9 +169,18 @@ def test_sharded_batch_scoring_matches_flat():
         assert np.allclose(
             [s for _, s in got], np.sort(row)[::-1], rtol=0, atol=1e-12
         )
-    # Ranked path against ranked path: the same bits however it is sliced.
-    for shards, workers in ((2, None), (3, 2), (50, 2)):
-        sharded, _ = snapshot.search(Qs, shards=shards, workers=workers)
+    # Ranked path against ranked path: the same bits however the batch's
+    # rows are sharded — each range scored alone, merged as the router does.
+    n = snapshot.n_documents
+    for shards in (2, 3, n):
+        per_range = [
+            EpochSnapshot(0, snapshot.model, lo=lo, hi=hi).search(Qs)[0]
+            for lo, hi in shard_bounds(n, shards)
+        ]
+        sharded = [
+            merge_topk([found[qi] for found in per_range], n)
+            for qi in range(len(Q))
+        ]
         assert sharded == flat
 
 
@@ -613,16 +624,13 @@ def test_cli_serve_parser_flags():
     args = build_parser().parse_args(
         [
             "serve", "docs", "--port", "0", "--max-batch", "8",
-            "--queue-depth", "16",
-            "--shards", "2", "--workers", "3", "--timeout-ms", "250",
+            "--queue-depth", "16", "--timeout-ms", "250",
         ]
     )
     assert args.command == "serve"
     assert args.port == 0
     assert args.max_batch == 8
     assert args.queue_depth == 16
-    assert args.shards == 2
-    assert args.workers == 3
     assert args.timeout_ms == 250.0
 
 

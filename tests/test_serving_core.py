@@ -1,19 +1,21 @@
 """The one serving core: ranged snapshots, one ``search``, one service surface.
 
 * a shard is an :class:`EpochSnapshot` over ``[lo, hi)``: per-range
-  ``search`` merged with ``merge_topk`` equals the whole-model snapshot
-  and the reference ``sharded_batch_search``;
+  ``search`` merged with ``merge_topk`` equals the whole-model snapshot,
+  bit for bit;
 * a ranged snapshot materialises only its own rows;
 * :class:`ShardWorker` keeps exactly two epochs answerable;
 * every HTTP route answers with the same status and (at least) the same
   top-level keys on each of the four deployments — in process or a
   fleet, one tenant or two — through the one front end, and the same
-  store and query rank the same whichever backend scores them;
+  store and query rank the same, to the bit, whichever backend scores
+  them;
 * one tenant's ``/add`` never waits on another's.
 
-Bits are compared only between scans of the *same* row slices: BLAS may
-round the last ulp differently for a different slice shape, so a cut
-that the reference does not make is held to indices + 1e-12 on scores.
+A reported score is a pure function of (row, query) (the row-local
+kernel of :mod:`repro.serving.scan`), so however the rows are cut the
+whole-model snapshot is the reference, compared bit for bit; it is held
+to the fp64 oracle in ``tests/test_serving_scan.py``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,7 @@ from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.worker import ShardWorker
 from repro.core.model import LSIModel
-from repro.parallel.sharding import (
-    merge_topk,
-    shard_bounds,
-    sharded_batch_search,
-)
+from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server import QueryService, ServerConfig, state_from_texts
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
@@ -93,7 +91,7 @@ def _merged(model, cuts, Qs, top, **search):
 
 
 # --------------------------------------------------------------------- #
-# (a) per-range search + merge_topk == whole model == reference
+# (a) per-range search + merge_topk == whole model
 # --------------------------------------------------------------------- #
 @settings(max_examples=40, deadline=None)
 @given(
@@ -108,45 +106,29 @@ def test_random_cuts_merge_to_the_whole_model(inner, top, threshold, probes):
     Qs = WHOLE.scale(QUERIES)
     search = dict(threshold=threshold, probes=probes)
     want, _ = WHOLE.search(Qs, top=top, **search)
-    got = _merged(MODEL, cuts, Qs, top, **search)
-    for merged, whole in zip(got, want):
-        assert [j for j, _ in merged] == [j for j, _ in whole]
-        assert np.allclose(
-            [s for _, s in merged], [s for _, s in whole], rtol=0, atol=1e-12
-        )
-    # The zero vector scores exactly 0 on every slice: ties everywhere,
-    # broken by ascending index through the merge.
-    assert got[-1] == want[-1]
-    # One explicit range over everything scans the same rows as the
-    # whole-model snapshot: identical to the bit.
+    # The zero vector (last) scores exactly 0 on every slice: ties
+    # everywhere, broken by ascending index through the merge.
+    assert _merged(MODEL, cuts, Qs, top, **search) == want
+    # One explicit range over everything: identical too.
     assert _merged(MODEL, [(0, N)], Qs, top, **search) == want
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3, 7])
 def test_reference_cuts_are_element_identical(shards):
-    # The reference makes these cuts itself, so every slice has the same
-    # shape on both sides: indices, scores and tie order (half the rows
-    # are duplicates of the other half) must agree exactly.
+    # The cluster plan's cuts on a model whose second half duplicates
+    # its first: indices, scores and tie order must equal the
+    # whole-model snapshot's exactly.
     model = _model(duplicates=True)
     top = 25
-    reference = sharded_batch_search(model, QUERIES, top=top, shards=shards)
-    Qs = WHOLE.scale(QUERIES)
-    assert _merged(model, shard_bounds(N, shards), Qs, top) == reference
-    # Probing every cell is the exact scan, range by range.  The probe
-    # path scores one query at a time (a GEMV), so its reference does too.
-    one_by_one = [
-        sharded_batch_search(model, QUERIES[i:i + 1], top=top, shards=shards)[0]
-        for i in range(len(QUERIES))
-    ]
-    assert (
-        _merged(model, shard_bounds(N, shards), Qs, top, probes=N_CLUSTERS)
-        == one_by_one
-    )
+    whole = EpochSnapshot(0, model)
+    Qs = whole.scale(QUERIES)
+    reference, _ = whole.search(Qs, top=top)
+    cuts = shard_bounds(N, shards)
+    assert _merged(model, cuts, Qs, top) == reference
+    # Probing every cell is the exact scan, range by range.
+    assert _merged(model, cuts, Qs, top, probes=N_CLUSTERS) == reference
     # ``exact`` overrides a probe count.
-    assert (
-        _merged(model, shard_bounds(N, shards), Qs, top, probes=1, exact=True)
-        == reference
-    )
+    assert _merged(model, cuts, Qs, top, probes=1, exact=True) == reference
 
 
 # --------------------------------------------------------------------- #
@@ -242,6 +224,12 @@ _ADDED = (200, {"action", "epoch", "n_documents", "reason"})
 _SEARCH = {"epoch", "n_documents", "results"}
 _CLUSTER_SEARCH = _SEARCH | {"missing", "partial"}
 
+
+def _searches(keys):
+    """``/search`` asking for three results and for none: one answer shape."""
+    return {"POST /search": (200, keys), "POST /search top=0": (200, keys)}
+
+
 #: Status code and top-level key set of every route.  The ids are the
 #: classes that answered each deployment before ``QueryService`` was the
 #: only front end (kept so the test ids do not move); every key those
@@ -255,14 +243,14 @@ EXPECTED = {
         "GET /healthz": (
             200, _FRONT_END | {"ann", "epoch", "n_documents", "writable"}
         ),
-        "POST /search": (200, _SEARCH),
+        **_searches(_SEARCH),
         "POST /add": _ADDED,
     },
     # in process, two tenants
     "TenantQueryService": {
         **_OBS,
         "GET /healthz": (200, _FRONT_END | _TENANT_TABLE),
-        "POST /search": (200, _SEARCH | {"tenant"}),
+        **_searches(_SEARCH | {"tenant"}),
         "POST /add": _ADDED,
     },
     # a fleet, one tenant
@@ -273,14 +261,14 @@ EXPECTED = {
             "n_workers", "ranges", "replication", "workers", "workers_live",
             "writer",
         }),
-        "POST /search": (200, _CLUSTER_SEARCH),
+        **_searches(_CLUSTER_SEARCH),
         "POST /add": _READ_ONLY,
     },
     # two fleets, two tenants
     "TenantClusterService": {
         **_OBS,
         "GET /healthz": (200, _FRONT_END | _TENANT_TABLE),
-        "POST /search": (200, _CLUSTER_SEARCH | {"tenant"}),
+        **_searches(_CLUSTER_SEARCH | {"tenant"}),
         "POST /add": _READ_ONLY,
     },
 }
@@ -293,7 +281,7 @@ _QUERY = "w1 w2 w3"
 
 
 def _call(port, route, body):
-    method, path = route.split()
+    method, path = route.split()[:2]
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
         payload = None if method == "GET" else json.dumps(body)
@@ -337,6 +325,7 @@ def test_endpoint_matrix(name, tmp_path):
     tenant = "alpha" if name.startswith("Tenant") else None
     bodies = {
         "POST /search": {"query": _QUERY, "top": 3},
+        "POST /search top=0": {"query": _QUERY, "top": 0},
         "POST /add": {"texts": ["w1 w2 w9"]},
     }
     replies = {}
@@ -352,22 +341,21 @@ def test_endpoint_matrix(name, tmp_path):
     }
     assert got == EXPECTED[name]
 
-    # Same store, same query, same ranking — whichever backend scored it
-    # (/search ran before /add).  The reference cuts no ranges, the fleet
-    # cuts two: indices exact, scores to 1e-12 (see the module docstring).
+    # ``top=0`` asks for nothing and gets nothing, complete, everywhere.
+    nothing = replies["POST /search top=0"][1]
+    assert nothing["results"] == [] and not nothing.get("partial")
+
+    # Same store, same query, same ranking to the bit — whichever backend
+    # scored it (/search ran before /add), however many ranges it cut.
     reference = EpochSnapshot(
         0, manager_from_texts(_texts(24, _SEEDS["alpha"]), _IDS, k=8).model
     )
     want, _ = reference.search(
         reference.scale(reference.project(_QUERY)[None, :]), top=3
     )
-    results = replies["POST /search"][1]["results"]
-    assert [[j, doc] for j, _, doc in results] == [
-        [j, _IDS[j]] for j, _ in want[0]
+    assert replies["POST /search"][1]["results"] == [
+        [j, score, _IDS[j]] for j, score in want[0]
     ]
-    assert np.allclose(
-        [s for _, s, _ in results], [s for _, s in want[0]], rtol=0, atol=1e-12
-    )
 
 
 # --------------------------------------------------------------------- #

@@ -21,7 +21,7 @@ from repro.core.model import LSIModel
 from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities, nearest_terms
 from repro.obs.metrics import registry
-from repro.parallel import sharded_batch_search
+from repro.parallel import merge_topk, shard_bounds
 from repro.retrieval import LSIRetrieval
 from repro.server.state import EpochSnapshot
 from repro.serving import (
@@ -35,7 +35,7 @@ from repro.text.vocabulary import Vocabulary
 from repro.updating import fold_in_documents, update_documents
 from repro.updating.fast_update import fast_update_documents
 from repro.updating.manager import LSIIndexManager
-from tests.test_serving_scan import assert_ranking_matches
+from tests.test_serving_scan import assert_ranking_matches, whole_model_search
 
 
 def _random_model(rng, m=24, n=90, k=6) -> LSIModel:
@@ -242,9 +242,7 @@ def test_single_query_is_row_of_batch(small_lsi, small_collection):
 
 def test_batch_search_matches_per_query_search(small_lsi, small_collection):
     eng = LSIRetrieval(small_lsi)
-    batched = sharded_batch_search(
-        small_lsi, small_collection.queries, top=7, shards=1
-    )
+    batched = _flat_search(small_lsi, small_collection.queries, top=7)
     for q, got in zip(small_collection.queries, batched):
         want = eng.search(q, top=7)
         assert [j for j, _ in got] == [j for j, _ in want]
@@ -252,56 +250,53 @@ def test_batch_search_matches_per_query_search(small_lsi, small_collection):
 
 
 # --------------------------------------------------------------------- #
-# shard-parallel search
+# row ranges merged with merge_topk: the whole-model search, bit for bit
 # --------------------------------------------------------------------- #
-def test_sharded_batch_search_matches_batch_search(small_lsi, small_collection):
-    queries = small_collection.queries
-    flat = _flat_search(small_lsi, queries, top=6)
-    for shards in (1, 2, 5):
-        for workers in (None, 3):
-            got = sharded_batch_search(
-                small_lsi, queries, top=6, shards=shards, workers=workers
-            )
-            assert got == flat
+def _range_merge(model, Qs, top, shards):
+    """Each of ``shards`` row ranges ranked alone, merged per query."""
+    per_range = [
+        EpochSnapshot(0, model, lo=lo, hi=hi).search(Qs, top=top)[0]
+        for lo, hi in shard_bounds(model.n_documents, shards)
+    ]
+    return [
+        merge_topk([found[qi] for found in per_range], top)
+        for qi in range(Qs.shape[0])
+    ]
 
 
-def test_sharded_batch_search_accepts_projected_vectors(small_lsi, small_collection):
+def test_range_merge_matches_batch_search(small_lsi, small_collection):
     Q = batch_project_queries(small_lsi, small_collection.queries)
-    a = sharded_batch_search(small_lsi, Q, top=4, shards=3)
-    b = sharded_batch_search(small_lsi, small_collection.queries, top=4, shards=3)
-    assert a == b
+    flat = whole_model_search(small_lsi, Q, 6)
+    Qs = EpochSnapshot(0, small_lsi).scale(Q)
+    for shards in (1, 2, 5):
+        assert _range_merge(small_lsi, Qs, 6, shards) == flat
 
 
-def test_sharded_batch_search_empty_query_batch(small_lsi):
+def test_empty_query_batch_ranks_nothing(small_lsi):
     """A (0, k) query matrix is a legal degenerate batch: no queries,
-    no results, no shard errors."""
+    no results, on the whole model and on a row range."""
     Q = np.empty((0, small_lsi.k))
-    for shards in (1, 3):
-        assert sharded_batch_search(small_lsi, Q, top=4, shards=shards) == []
+    for snapshot in (
+        EpochSnapshot(0, small_lsi), EpochSnapshot(0, small_lsi, lo=2, hi=9)
+    ):
+        assert snapshot.search(snapshot.scale(Q), top=4) == ([], None)
 
 
-def test_sharded_batch_search_top_exceeds_n_documents(small_lsi, small_collection):
-    """top > n clamps to the full ranking, identical to the sequential
-    path (the per-shard heaps just return whole shards)."""
-    queries = small_collection.queries[:3]
+def test_top_exceeds_n_documents_returns_the_full_ranking(
+    small_lsi, small_collection
+):
+    """top > n clamps to the full ranking, whole model and merged ranges
+    alike (each range just returns all of its rows)."""
+    Q = batch_project_queries(small_lsi, small_collection.queries[:3])
     n = small_lsi.n_documents
-    flat = _flat_search(small_lsi, queries, top=n + 25)
-    got = sharded_batch_search(small_lsi, queries, top=n + 25, shards=4)
-    assert got == flat
-    assert all(len(ranking) == n for ranking in got)
+    flat = whole_model_search(small_lsi, Q, n + 25)
+    assert all(len(ranking) == n for ranking in flat)
+    Qs = EpochSnapshot(0, small_lsi).scale(Q)
+    assert _range_merge(small_lsi, Qs, n + 25, 4) == flat
 
 
-def test_sharded_batch_search_single_shard_degenerate(small_lsi, small_collection):
-    """shards=1 is the degenerate split: one (lo, hi) covering all rows,
-    merge over one heap — must equal the flat batch path exactly."""
-    queries = small_collection.queries[:4]
-    assert sharded_batch_search(
-        small_lsi, queries, top=6, shards=1
-    ) == _flat_search(small_lsi, queries, top=6)
-
-
-def test_sharded_batch_search_tie_order():
-    """Ties spanning shard boundaries resolve by ascending doc index,
+def test_range_merge_tie_order():
+    """Ties spanning range boundaries resolve by ascending doc index,
     exactly as the flat stable sort does."""
     rng = np.random.default_rng(9)
     model = _random_model(rng, n=40)
@@ -309,7 +304,8 @@ def test_sharded_batch_search_tie_order():
     model.V[:] = np.tile(model.V[:4], (10, 1))
     qhat = rng.standard_normal(model.k)
     flat = ranked_pairs(cosine_similarities(model, qhat), top=12)
-    got = sharded_batch_search(model, qhat[None, :], top=12, shards=7)[0]
+    Qs = EpochSnapshot(0, model).scale(qhat)
+    got = _range_merge(model, Qs, 12, 7)[0]
     assert [j for j, _ in got] == [j for j, _ in flat]
 
 
@@ -340,7 +336,7 @@ def test_every_scorer_shares_the_models_one_build():
     builds = registry.counter("serving.index_builds")
     LSIRetrieval(model).scores_for_vector(qhat)
     snapshot = EpochSnapshot(0, model)
-    sharded_batch_search(model, qhat[None, :], top=3, shards=2)
+    snapshot.search(snapshot.scale(qhat), top=3)
     assert registry.counter("serving.index_builds") == builds + 1
     coords, norms = scaled_documents(model)[:2]
     assert snapshot.coords is coords and snapshot.norms is norms

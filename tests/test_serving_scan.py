@@ -7,8 +7,8 @@ Two kinds of comparison, kept apart on purpose:
   holds served replies to: indices identical, scores within 1e-12
   (:func:`assert_ranking_matches`).  BLAS may give one row a different
   last bit depending on where it sits, so bits are not compared here.
-* **ranked path against ranked path** — flat, sliced, sharded, shard
-  workers, batched, probe-bounded with every cell probed, the retrieval
+* **ranked path against ranked path** — flat, sliced, shard workers,
+  batched, probe-bounded with every cell probed, the retrieval
   engine: bit-equal ``(index, score)`` lists, because a reported score
   is a pure function of (row, query).
 """
@@ -23,7 +23,7 @@ from repro.cluster.worker import ShardWorker
 from repro.core.model import LSIModel
 from repro.core.similarity import retrieve
 from repro.obs.metrics import registry
-from repro.parallel.sharding import merge_topk, sharded_batch_search
+from repro.parallel.sharding import merge_topk
 from repro.retrieval import LSIRetrieval
 from repro.server.state import EpochSnapshot
 from repro.serving import scan
@@ -31,6 +31,7 @@ from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_rows
 from repro.serving.kernel import row_cosines
 from repro.serving.scan import prefilter_margin, ranked_scan
+from repro.serving.topk import ranked_pairs
 from repro.text.vocabulary import Vocabulary
 
 SCORE_TOLERANCE = 1e-12  # ledger/checks.py's
@@ -41,6 +42,22 @@ def assert_ranking_matches(got, want, tol=SCORE_TOLERANCE):
     assert [j for j, _ in got] == [j for j, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert abs(a - b) <= tol
+
+
+def whole_model_search(model, Q, top):
+    """The whole-model snapshot's rankings of unscaled queries ``Q``.
+
+    What every range merge, shard worker and fleet is held to bit for
+    bit — after each ranking is itself held to the independent fp64
+    oracle, the stable sort of its ``score_batch`` row: same indices,
+    scores within 1e-12.
+    """
+    whole = EpochSnapshot(0, model)
+    Q = np.atleast_2d(Q)
+    results = whole.search(whole.scale(Q), top=top)[0]
+    for got, row in zip(results, whole.score_batch(Q)):
+        assert_ranking_matches(got, ranked_pairs(row, top=top))
+    return results
 
 
 def _model(V: np.ndarray, s: np.ndarray) -> LSIModel:
@@ -244,8 +261,6 @@ def test_every_ranked_path_is_bit_equal():
     Qs = whole.scale(Q)
     flat = whole.search(Qs, top=top)[0]
 
-    assert whole.search(Qs, top=top, shards=3, workers=2)[0] == flat
-    assert sharded_batch_search(model, Q, top=top, shards=3) == flat
     # Two shard workers on an unaligned split, merged as the router does.
     workers = [
         ShardWorker(model, ShardRange(0, 0, 1003)),
