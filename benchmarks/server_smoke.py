@@ -7,8 +7,9 @@ the acceptance criteria that only hold across a process boundary:
   in-process :class:`~repro.retrieval.engine.LSIRetrieval` built from
   the same corpus and parameters;
 * ``/add`` bumps the epoch and every later response reflects it;
-* SIGINT drains cleanly — queued work finishes, the process prints
-  ``drained cleanly`` and exits 0.
+* SIGINT drains cleanly — queued work finishes, an idle keep-alive
+  connection is closed, the process prints ``drained cleanly``, exits
+  0 and prints no traceback.
 
 Run directly (CI does)::
 
@@ -17,6 +18,7 @@ Run directly (CI does)::
 
 from __future__ import annotations
 
+import http.client
 import os
 import signal
 import subprocess
@@ -134,12 +136,21 @@ def main() -> None:
             print(f"live add: epoch 0 -> {added['epoch']}, "
                   f"{added['n_documents']} documents")
 
-            # Graceful drain on SIGINT.
+            # Graceful drain on SIGINT, with a keep-alive connection left
+            # idle across it: the drain must close it, not leave its
+            # handler for the interpreter to cancel (a traceback).
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            idle.request("GET", "/healthz")
+            reply = idle.getresponse()
+            reply.read()
+            assert reply.getheader("Connection") == "keep-alive"
             proc.send_signal(signal.SIGINT)
             out, _ = proc.communicate(timeout=30)
+            idle.close()
             assert proc.returncode == 0, (proc.returncode, out)
             assert "drained cleanly" in out, out
-            print("drain: exit 0, drained cleanly")
+            assert "Traceback" not in out, out
+            print("drain: exit 0, drained cleanly, idle keep-alive closed")
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -112,10 +112,6 @@ def _add_serving_options(
     parser: argparse.ArgumentParser,
     *,
     port: str,
-    timeout_ms: str,
-    probes: str,
-    ann_clusters: str,
-    retain: str,
     max_resident: str,
     queue_depth: str,
 ) -> None:
@@ -127,12 +123,6 @@ def _add_serving_options(
     """
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080, help=port)
-    parser.add_argument("--timeout-ms", type=float, default=None,
-                        help=timeout_ms)
-    parser.add_argument("--probes", type=int, default=None, help=probes)
-    parser.add_argument("--ann-clusters", type=int, default=None,
-                        help=ann_clusters)
-    parser.add_argument("--retain", type=int, default=3, help=retain)
     parser.add_argument(
         "--slow-ms", type=float, default=500.0,
         help="slow-query log threshold in milliseconds (0 disables)",
@@ -216,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--min-doc-freq", type=int, default=1)
     p_serve.add_argument("--max-batch", type=int, default=32,
                          help="largest micro-batch coalesced into one GEMM")
-    p_serve.add_argument("--distortion-budget", type=float, default=0.1,
-                         help="folded fraction before /add consolidates")
     p_serve.add_argument(
         "--data-dir", type=pathlib.Path, default=None,
         help="durable store directory: WAL-logged /add, background "
@@ -226,11 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--checkpoint-every", type=int, default=64,
         help="checkpoint after this many WAL records (0 disables)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-interval", type=float, default=300.0,
-        help="checkpoint dirty state older than this many seconds "
-             "(0 disables)",
     )
     p_serve.add_argument(
         "--tenant", action="append", default=None, metavar="NAME=PATH",
@@ -243,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serving_options(
         p_serve,
         port="TCP port (0 picks an ephemeral port)",
-        timeout_ms="default per-request deadline",
-        probes="default ANN probe count for requests that don't specify "
-               "one (default: exact scan)",
-        ann_clusters="coarse-quantizer cells for ANN probing (default: "
-                     "auto sqrt(n); 0 disables training)",
-        retain="versioned checkpoints kept after pruning",
         max_resident="multi-tenant: most tenants attached at once — past "
                      "the cap the least-recently-used detaches after its "
                      "in-flight queries drain (default unbounded)",
@@ -300,19 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
              "a dead replica fails over to a sibling, and epoch bumps "
              "publish on per-range quorum (default 1)",
     )
-    pc_serve.add_argument("--worker-timeout-ms", type=float, default=2000.0,
-                          help="per-worker scatter deadline; a shard past "
-                               "it is left out of a partial response")
-    pc_serve.add_argument("--hedge-quantile", type=float, default=0.95,
-                          help="hedge a straggling worker after this "
-                               "quantile of its own latency history")
-    pc_serve.add_argument("--no-hedge", action="store_true",
-                          help="disable hedged requests")
     pc_serve.add_argument("--heartbeat-interval", type=float, default=1.0,
                           help="seconds between worker heartbeats")
-    pc_serve.add_argument("--heartbeat-misses", type=int, default=3,
-                          help="consecutive missed heartbeats before a "
-                               "worker is evicted and restarted")
     pc_serve.add_argument("--restart-backoff", type=float, default=0.5,
                           help="first restart delay (doubles per retry)")
     pc_serve.add_argument("--restart-backoff-cap", type=float, default=10.0,
@@ -334,16 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
              "seconds (0 disables the age trigger)",
     )
     pc_serve.add_argument(
-        "--ingest-method", choices=("fast-update", "fold-in"),
-        default="fast-update",
-        help="writable: per-batch ingest kernel (fast-update = "
-             "Vecharynski-Saad projection update; fold-in = Eq. 7)",
-    )
-    pc_serve.add_argument(
-        "--fast-update-rank", type=int, default=8,
-        help="writable: residual sketch rank for fast-update",
-    )
-    pc_serve.add_argument(
         "--standby", action="store_true",
         help="warm standby writer: tail the primary's checkpoints + WAL "
              "read-only and adopt the store lock (promote, replay the "
@@ -361,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_serving_options(
         pc_serve,
         port="HTTP port (0 picks an ephemeral port)",
-        timeout_ms="default whole-request deadline",
-        probes="default ANN probe count for requests that don't specify "
-               "one (default: exact scatter)",
-        ann_clusters="writable: ANN cells per sealed checkpoint "
-                     "(default auto, 0 disables)",
-        retain="writable: checkpoints retained on disk (min 3)",
         max_resident="multi-tenant: most tenant fleets resident at once — "
                      "past the cap the least-recently-used is drained "
                      "after its in-flight queries finish (default "
@@ -535,10 +485,7 @@ def _durable_state(args, out):
     )
 
     if DurableIndexStore.exists(args.data_dir):
-        store = DurableIndexStore.open(
-            args.data_dir, retain=args.retain,
-            ann_clusters=args.ann_clusters,
-        )
+        store = DurableIndexStore.open(args.data_dir)
         report = store.last_recovery
         print(
             f"recovered {report.n_documents} documents from "
@@ -566,18 +513,11 @@ def _durable_state(args, out):
             k=args.factors,
             scheme=args.scheme,
             min_doc_freq=args.min_doc_freq,
-            distortion_budget=args.distortion_budget,
         )
-        store = DurableIndexStore.initialize(
-            args.data_dir, manager, retain=args.retain,
-            ann_clusters=args.ann_clusters,
-        )
+        store = DurableIndexStore.initialize(args.data_dir, manager)
         print(f"seeded durable store at {args.data_dir}", file=out, flush=True)
     store.start_checkpointer(
-        CheckpointPolicy(
-            every_records=args.checkpoint_every or None,
-            every_seconds=args.checkpoint_interval or None,
-        )
+        CheckpointPolicy(every_records=args.checkpoint_every or None)
     )
     return DurableServingState(store)
 
@@ -636,12 +576,11 @@ def _cmd_serve(args, out) -> int:
             k=args.factors,
             scheme=args.scheme,
             min_doc_freq=args.min_doc_freq,
-            distortion_budget=args.distortion_budget,
         )
-    if state is not None and args.data_dir is None and args.ann_clusters != 0:
+    if state is not None and args.data_dir is None:
         # In-memory serving trains its quantizer at startup (the durable
         # path gets one from the checkpoint, trained by the writer).
-        state.train_ann(n_clusters=args.ann_clusters)
+        state.train_ann()
 
     def banner() -> str:
         if tenant_registry is not None:
@@ -698,8 +637,6 @@ def _serve_until_signal(
 
     config = ServerConfig(
         queue_depth=args.queue_depth,
-        default_timeout_ms=args.timeout_ms,
-        default_probes=args.probes,
         slow_ms=args.slow_ms,
         slowlog_path=(
             str(args.slowlog) if args.slowlog is not None else None
@@ -815,7 +752,6 @@ def _cmd_cluster(args, out) -> int:
     from repro.cluster import (
         ClusterConfig,
         ClusterService,
-        RouterConfig,
         StandbyConfig,
         SupervisorConfig,
         WriterConfig,
@@ -835,22 +771,12 @@ def _cmd_cluster(args, out) -> int:
         seal_interval_s=(
             args.seal_interval if args.seal_interval > 0 else None
         ),
-        ingest_method=args.ingest_method,
-        fast_update_rank=args.fast_update_rank,
-        ann_clusters=args.ann_clusters,
-        retain=args.retain,
     )
     config = ClusterConfig(
         workers=args.workers,
         replication=args.replication,
-        router=RouterConfig(
-            worker_timeout_ms=args.worker_timeout_ms,
-            hedge_quantile=args.hedge_quantile,
-            hedge=not args.no_hedge,
-        ),
         supervisor=SupervisorConfig(
             heartbeat_interval=args.heartbeat_interval,
-            miss_limit=args.heartbeat_misses,
             backoff_base=args.restart_backoff,
             backoff_cap=args.restart_backoff_cap,
         ),
@@ -962,27 +888,17 @@ def _cmd_store(args, out) -> int:
     therefore takes the single-writer lock — it refuses (with a clear
     error) while a server holds the directory.
     """
-    from repro.store import DurableIndexStore
+    from repro.store import DurableIndexStore, verify_store
 
     if args.action == "verify":
-        checkpoints_dir, wal_path = DurableIndexStore.paths(args.data_dir)
-        from repro.store import list_checkpoints, verify_checkpoint, verify_wal
-
-        infos = list_checkpoints(checkpoints_dir)
-        if not infos and not wal_path.exists():
-            print(f"error: {args.data_dir} is not a store", file=sys.stderr)
-            return 1
-        problems: list[str] = []
-        for info in infos:
-            problems.extend(verify_checkpoint(info))
-        problems.extend(verify_wal(wal_path))
+        n_checkpoints, problems = verify_store(args.data_dir)
         if problems:
             for problem in problems:
                 print(f"CORRUPT  {problem}", file=out)
             print(f"{len(problems)} integrity problem(s) found", file=out)
             return 1
         print(
-            f"ok: {len(infos)} checkpoint(s) and the WAL verified clean",
+            f"ok: {n_checkpoints} checkpoint(s) and the WAL verified clean",
             file=out,
         )
         return 0

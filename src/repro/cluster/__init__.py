@@ -46,12 +46,7 @@ from repro.cluster.epochs import EpochHandle, open_checkpoint
 from repro.cluster.plan import PLAN_FORMAT, ShardPlan, ShardRange
 from repro.cluster.primary import PrimaryWriter, WriterConfig
 from repro.cluster.standby import StandbyConfig, StandbyWriter
-from repro.cluster.router import (
-    ClusterResult,
-    ClusterRouter,
-    RouterConfig,
-    WorkerChannel,
-)
+from repro.cluster.router import ClusterResult, ClusterRouter, WorkerChannel
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.cluster.worker import ShardWorker, WorkerServer, run_worker
@@ -68,7 +63,6 @@ __all__ = [
     "ShardRange",
     "ClusterResult",
     "ClusterRouter",
-    "RouterConfig",
     "WorkerChannel",
     "ClusterConfig",
     "ClusterService",

@@ -6,7 +6,7 @@ store's write path: every ``/add`` batch is normalized to raw counts,
 appended + fsynced to the write-ahead log, and applied to the live
 :class:`~repro.updating.manager.LSIIndexManager` — acknowledged means
 WAL-fsynced, and a SIGKILL mid-stream recovers bit-identically on
-restart (the store's standing contract).  The default ingest kernel is
+restart (the store's standing contract).  The ingest kernel is
 the Vecharynski-Saad fast update (:mod:`repro.updating.fast_update`):
 near-fold-in cost per batch, but the factors stay orthonormal, so
 sustained ingest does not accumulate the §4.3 drift folding-in would;
@@ -62,6 +62,13 @@ _WRITER_SWITCH_INTERVAL_S = 0.001
 #: its compaction threads.
 _WRITER_NICENESS = 5
 
+#: Seal-policy poll cadence, seconds (also the laggard re-bump cadence).
+POLL_SECONDS = 0.5
+#: Per-batch ingest kernel the writer runs: the Vecharynski-Saad fast
+#: update, at residual sketch rank :data:`FAST_UPDATE_RANK`.
+INGEST_METHOD = "fast-update"
+FAST_UPDATE_RANK = 8
+
 
 def _deprioritize_current_thread() -> None:
     """Best-effort: lower the calling thread's scheduling priority.
@@ -78,27 +85,12 @@ def _deprioritize_current_thread() -> None:
 
 @dataclass(frozen=True)
 class WriterConfig:
-    """Tunables for the ingest tier (CLI flags map 1:1 onto these)."""
+    """The ingest tier's seal policy (``--seal-every`` / ``--seal-interval``)."""
 
     #: Seal once this many WAL records are dirty; ``None`` disables.
     seal_every_records: int | None = 64
     #: Seal dirty state older than this many seconds; ``None`` disables.
     seal_interval_s: float | None = 15.0
-    #: Seal-policy poll cadence (also the laggard re-bump cadence).
-    poll_seconds: float = 0.5
-    #: Per-batch ingest kernel: ``"fast-update"`` (default) or
-    #: ``"fold-in"`` (the paper's Eq. 7 baseline).
-    ingest_method: str = "fast-update"
-    #: Residual sketch rank for the fast-update kernel.
-    fast_update_rank: int = 8
-    #: ANN cells per sealed checkpoint: ``None`` auto, ``0`` disables.
-    ann_clusters: int | None = None
-    #: Checkpoints retained on disk.  Must be >= 3 under a cluster: the
-    #: serving epoch, its predecessor (the workers' bump window), and
-    #: the next seal must coexist.
-    retain: int = 3
-    #: Per-bump-broadcast ack deadline, seconds.
-    bump_timeout_s: float = 30.0
 
 
 class PrimaryWriter:
@@ -120,29 +112,20 @@ class PrimaryWriter:
     ):
         self.data_dir = pathlib.Path(data_dir)
         self.config = config or WriterConfig()
-        if self.config.retain < 3:
-            raise ClusterError(
-                "a writable cluster needs retain >= 3 checkpoints "
-                "(serving epoch + bump window + next seal)"
-            )
-        self.store = DurableIndexStore.open(
-            self.data_dir,
-            retain=self.config.retain,
-            ann_clusters=self.config.ann_clusters,
-        )
+        self.store = DurableIndexStore.open(self.data_dir)
         manager = self.store.manager
         recovered_dirty = self.store.dirty_records
         reconfigured = (
-            manager.ingest_method != self.config.ingest_method
-            or manager.fast_update_rank != self.config.fast_update_rank
+            manager.ingest_method != INGEST_METHOD
+            or manager.fast_update_rank != FAST_UPDATE_RANK
         )
         # Reconfigure *after* recovery replayed the WAL under the
         # checkpoint's persisted settings — changing the kernel mid-log
         # would break bit-identical replay.  The immediate seal below
         # stamps the new settings into the manifest before any new
         # record can land under them.
-        manager.ingest_method = self.config.ingest_method
-        manager.fast_update_rank = self.config.fast_update_rank
+        manager.ingest_method = INGEST_METHOD
+        manager.fast_update_rank = FAST_UPDATE_RANK
         if recovered_dirty > 0:
             self.store.seal(reason="recover")
         elif reconfigured or self.store.last_seal is None:
@@ -337,9 +320,7 @@ class PrimaryWriter:
         # the old epoch keeps serving (every worker retains it) and no
         # write is lost — the WAL already holds the records the next
         # successful publish will serve.
-        published = await service.propagate_handle(
-            handle, bump_timeout=self.config.bump_timeout_s
-        )
+        published = await service.propagate_handle(handle)
         self._pending_handle = None if published else handle
         self._publish_writer_gauges()
         return handle
@@ -357,10 +338,7 @@ class PrimaryWriter:
             return
         pending = self._pending_handle
         if pending is not None and pending.epoch > service.plan.epoch:
-            published = await service.propagate_handle(
-                pending, bump_timeout=self.config.bump_timeout_s
-            )
-            if published:
+            if await service.propagate_handle(pending):
                 self._pending_handle = None
             return
         plan = service.plan
@@ -371,15 +349,13 @@ class PrimaryWriter:
         ]
         if not behind:
             return
-        acks = await service.router.broadcast_bump(
-            plan, timeout=self.config.bump_timeout_s
-        )
+        acks = await service.router.broadcast_bump(plan)
         for wid, epoch in acks.items():
             service.supervisor.note_epoch(wid, epoch)
 
     async def _seal_loop(self) -> None:
         while not self._stopped:
-            await asyncio.sleep(self.config.poll_seconds)
+            await asyncio.sleep(POLL_SECONDS)
             if self._stopped:
                 return
             try:

@@ -32,7 +32,7 @@ deadline misses as partials, eviction left to the heartbeat loop.
 
 The two hedges have different triggers because they buy different
 things.  A sibling's latency is independent of the straggler's, so the
-quantile trigger cuts the tail for a bounded ``1 - hedge_quantile``
+quantile trigger cuts the tail for a bounded ``1 - HEDGE_QUANTILE``
 share of extra load.  A duplicate to the *same* worker runs on the same
 process and CPU as the request it shadows: it can only win when that
 request is stuck (a wedged connection or thread), never when the worker
@@ -61,29 +61,24 @@ from repro.obs.trace_context import TraceContext, current_trace
 from repro.obs.tracing import span
 from repro.parallel.sharding import merge_topk
 
-__all__ = ["RouterConfig", "WorkerChannel", "ClusterResult", "ClusterRouter"]
+__all__ = ["WorkerChannel", "ClusterResult", "ClusterRouter"]
 
-
-@dataclass(frozen=True)
-class RouterConfig:
-    """Tunables for the scatter-gather path."""
-
-    #: Per-range deadline for one scatter RPC (all replica attempts
-    #: share it), milliseconds.
-    worker_timeout_ms: float = 2000.0
-    #: Quantile of the worker's own latency history after which a
-    #: straggling request is hedged with a duplicate.
-    hedge_quantile: float = 0.95
-    #: Observations a worker's histogram needs before hedging arms —
-    #: below this the quantile estimate is noise.
-    hedge_min_samples: int = 20
-    #: Never hedge earlier than this (milliseconds), however fast the
-    #: history says the worker usually is.
-    hedge_floor_ms: float = 1.0
-    #: Master switch for hedging.
-    hedge: bool = True
-    #: Deadline for establishing a worker connection, seconds.
-    connect_timeout: float = 5.0
+#: Per-range deadline for one scatter RPC (all replica attempts share
+#: it), milliseconds, when the request names none.
+WORKER_TIMEOUT_MS = 2000.0
+#: Quantile of the worker's own latency history after which a
+#: straggling request is hedged with a sibling.
+HEDGE_QUANTILE = 0.95
+#: Observations a worker's histogram needs before hedging arms — below
+#: this the quantile estimate is noise.
+HEDGE_MIN_SAMPLES = 20
+#: Never hedge earlier than this (milliseconds), however fast the
+#: history says the worker usually is.
+HEDGE_FLOOR_MS = 1.0
+#: Deadline for establishing a worker connection, seconds.
+CONNECT_TIMEOUT_S = 5.0
+#: Deadline for every live worker to ack an epoch bump, seconds.
+BUMP_TIMEOUT_S = 30.0
 
 
 class WorkerChannel:
@@ -107,13 +102,11 @@ class WorkerChannel:
         self._reader_task = asyncio.ensure_future(self._read_loop())
 
     @classmethod
-    async def connect(
-        cls, host: str, port: int, *, timeout: float = 5.0
-    ) -> "WorkerChannel":
+    async def connect(cls, host: str, port: int) -> "WorkerChannel":
         """Open a channel to a worker (ConnectionError on refusal)."""
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout
+                asyncio.open_connection(host, port), CONNECT_TIMEOUT_S
             )
         except (asyncio.TimeoutError, OSError) as exc:
             raise ConnectionError(
@@ -227,13 +220,11 @@ class ClusterRouter:
     def __init__(
         self,
         plan: ShardPlan,
-        config: RouterConfig | None = None,
         *,
         on_worker_dead: Callable[[int], None] | None = None,
         tenant: str | None = None,
     ):
         self.plan = plan
-        self.config = config or RouterConfig()
         self.on_worker_dead = on_worker_dead
         #: Tenant id stamped into every score frame (``None`` omits it);
         #: workers of another tenant reject the frame outright.
@@ -275,9 +266,7 @@ class ClusterRouter:
         if old is not None:
             await old.close()
         self._endpoints[worker_id] = (host, port)
-        self._channels[worker_id] = await WorkerChannel.connect(
-            host, port, timeout=self.config.connect_timeout
-        )
+        self._channels[worker_id] = await WorkerChannel.connect(host, port)
         registry.set_gauge("cluster.workers_live", len(self.live_workers()))
 
     async def detach(self, worker_id: int) -> None:
@@ -317,16 +306,12 @@ class ClusterRouter:
         ``same_worker`` one-shot only once the request has outlived the
         worker's slowest answer so far (see the module docstring).
         """
-        if not self.config.hedge:
-            return None
         hist = registry.histogram(f"cluster.worker.{worker_id}.rpc_seconds")
-        if hist is None or hist.count < self.config.hedge_min_samples:
+        if hist is None or hist.count < HEDGE_MIN_SAMPLES:
             return None
         return max(
-            hist.max
-            if same_worker
-            else hist.quantile(self.config.hedge_quantile),
-            self.config.hedge_floor_ms / 1000.0,
+            hist.max if same_worker else hist.quantile(HEDGE_QUANTILE),
+            HEDGE_FLOOR_MS / 1000.0,
         )
 
     def _latency_estimate(self, worker_id: int) -> float:
@@ -374,9 +359,7 @@ class ClusterRouter:
     async def _one_shot(self, worker_id: int, message: dict) -> dict:
         """A hedge request on a fresh connection (closed after one use)."""
         host, port = self._endpoints[worker_id]
-        channel = await WorkerChannel.connect(
-            host, port, timeout=self.config.connect_timeout
-        )
+        channel = await WorkerChannel.connect(host, port)
         try:
             return await channel.call(message)
         finally:
@@ -573,8 +556,7 @@ class ClusterRouter:
         Q = np.atleast_2d(np.asarray(Qs, dtype=np.float64))
         n_queries = Q.shape[0]
         timeout = (
-            timeout_ms if timeout_ms is not None
-            else self.config.worker_timeout_ms
+            timeout_ms if timeout_ms is not None else WORKER_TIMEOUT_MS
         ) / 1000.0
         registry.inc("cluster.requests_total")
         message: dict = {
@@ -750,9 +732,7 @@ class ClusterRouter:
             if isinstance(response, dict) and "error" not in response
         }
 
-    async def broadcast_bump(
-        self, plan: ShardPlan, *, timeout: float = 30.0
-    ) -> dict[int, int]:
+    async def broadcast_bump(self, plan: ShardPlan) -> dict[int, int]:
         """Tell every live worker to remap onto ``plan``'s checkpoint.
 
         Returns ``{worker_id: acked_epoch}`` for workers that remapped
@@ -760,12 +740,12 @@ class ClusterRouter:
         times out is simply absent — the epoch
         only *publishes* once a quorum of every range's replicas acked
         (the supervisor tracks that), and the primary writer re-bumps
-        laggards each poll.  The timeout is generous: a remap is
-        O(header) mmap opens plus one shard's coordinate
-        materialization.
+        laggards each poll.  The deadline (:data:`BUMP_TIMEOUT_S`) is
+        generous: a remap is O(header) mmap opens plus one shard's
+        coordinate materialization.
         """
         responses = await self._scatter_op(
-            {"op": BUMP_OP, "plan": plan.to_json()}, timeout=timeout
+            {"op": BUMP_OP, "plan": plan.to_json()}, timeout=BUMP_TIMEOUT_S
         )
         acked = {
             wid: int(response["epoch"])

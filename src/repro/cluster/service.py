@@ -37,7 +37,7 @@ import numpy as np
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.plan import check_topology
 from repro.cluster.primary import PrimaryWriter, WriterConfig
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter
 from repro.cluster.standby import StandbyConfig, StandbyWriter
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import project_query
@@ -52,14 +52,13 @@ __all__ = ["ClusterConfig", "ClusterService"]
 class ClusterConfig:
     """Tunables for one fleet.  Each tunable is declared once, in the
     config of the part it tunes; this one holds the topology and those
-    parts.  Request defaults and the slow-query log are the front end's
+    parts.  Admission and the slow-query log are the front end's
     :class:`~repro.server.service.ServerConfig`."""
 
     workers: int = 4
     #: Replicas per shard range; ``workers // replication`` ranges are
     #: carved, each served by R distinct worker processes.
     replication: int = 1
-    router: RouterConfig = field(default_factory=RouterConfig)
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     #: Embed the primary writer, so configured: ``/add`` accepted,
     #: epochs bump live.  ``None`` serves read-only.
@@ -117,9 +116,7 @@ class ClusterService:
             self.config.workers,
             replication=self.config.replication,
         )
-        self.router = ClusterRouter(
-            self.plan, self.config.router, tenant=tenant
-        )
+        self.router = ClusterRouter(self.plan, tenant=tenant)
         self.supervisor = ClusterSupervisor(
             self.data_dir,
             self.plan,
@@ -178,9 +175,7 @@ class ClusterService:
         registry.set_gauge("cluster.epoch", handle.epoch)
         registry.set_gauge("cluster.n_documents", handle.n_documents)
 
-    async def propagate_handle(
-        self, handle: EpochHandle, *, bump_timeout: float = 30.0
-    ) -> bool:
+    async def propagate_handle(self, handle: EpochHandle) -> bool:
         """Push a new epoch to the workers; publish only on quorum.
 
         The bump sequence: point future restarts at the new plan, bump
@@ -192,9 +187,7 @@ class ClusterService:
         onto the new plan, and quorum converges.
         """
         self.supervisor.update_plan(handle.plan)
-        acked = await self.router.broadcast_bump(
-            handle.plan, timeout=bump_timeout
-        )
+        acked = await self.router.broadcast_bump(handle.plan)
         for worker_id, epoch in acked.items():
             self.supervisor.note_epoch(worker_id, epoch)
         if not self.supervisor.quorum_met(handle.plan):

@@ -62,8 +62,8 @@ class StandbyConfig:
     poll_seconds: float = 0.5
     #: JSONL file recording the promotion timeline (``None``: memory only).
     promotion_log: str | None = None
-    #: Writer configuration applied on promotion (seal policy, ingest
-    #: kernel, ANN, retention) — normally identical to the primary's.
+    #: Writer configuration applied on promotion (the seal policy) —
+    #: normally identical to the primary's.
     writer: WriterConfig = field(default_factory=WriterConfig)
 
 

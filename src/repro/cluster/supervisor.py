@@ -13,7 +13,7 @@ fail:
   the cluster is draining, detaches the router and schedules a restart
   with bounded exponential backoff (``base · 2^(restarts-1)``, capped);
 * **silence** — a heartbeat loop pings every live worker through the
-  router; a worker that misses ``miss_limit`` consecutive heartbeats is
+  router; a worker that misses ``MISS_LIMIT`` consecutive heartbeats is
   considered wedged (alive but not answering — the failure mode exit
   codes cannot see) and is killed, which hands it to the watcher path.
 
@@ -44,6 +44,13 @@ from repro.obs.metrics import registry
 
 __all__ = ["SupervisorConfig", "ClusterSupervisor"]
 
+#: Consecutive missed heartbeats before a worker is killed.
+MISS_LIMIT = 3
+#: Deadline for a spawned worker to print its ready banner, seconds.
+SPAWN_TIMEOUT_S = 60.0
+#: Seconds a SIGTERMed worker gets to exit before SIGKILL on drain.
+DRAIN_TIMEOUT_S = 10.0
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
@@ -51,16 +58,10 @@ class SupervisorConfig:
 
     #: Seconds between heartbeat rounds (also the per-ping deadline).
     heartbeat_interval: float = 1.0
-    #: Consecutive missed heartbeats before a worker is killed.
-    miss_limit: int = 3
     #: First restart delay, seconds; doubles per consecutive restart.
     backoff_base: float = 0.5
     #: Restart delay ceiling, seconds.
     backoff_cap: float = 10.0
-    #: Deadline for a spawned worker to print its ready banner, seconds.
-    spawn_timeout: float = 60.0
-    #: Seconds a SIGTERMed worker gets to exit before SIGKILL on drain.
-    drain_timeout: float = 10.0
 
 
 @dataclass
@@ -190,13 +191,13 @@ class ClusterSupervisor:
         record.proc = proc
         try:
             banner = await asyncio.wait_for(
-                self._await_banner(proc), self.config.spawn_timeout
+                self._await_banner(proc), SPAWN_TIMEOUT_S
             )
         except asyncio.TimeoutError:
             proc.kill()
             raise ClusterError(
                 f"worker {worker_id} produced no ready banner within "
-                f"{self.config.spawn_timeout:.0f} s"
+                f"{SPAWN_TIMEOUT_S:.0f} s"
             )
         if banner is None:
             code = await proc.wait()
@@ -291,7 +292,7 @@ class ClusterSupervisor:
         record = self._records.get(worker_id)
         if record is None or record.state != "up":
             return
-        record.missed_heartbeats = self.config.miss_limit
+        record.missed_heartbeats = MISS_LIMIT
 
     def _schedule_restart(self, worker_id: int) -> None:
         if self._draining or worker_id in self._restarting:
@@ -339,7 +340,7 @@ class ClusterSupervisor:
                     record.missed_heartbeats = 0
                     continue
                 record.missed_heartbeats += 1
-                if record.missed_heartbeats < self.config.miss_limit:
+                if record.missed_heartbeats < MISS_LIMIT:
                     continue
                 registry.inc("cluster.evictions_total")
                 self._announce(
@@ -383,7 +384,7 @@ class ClusterSupervisor:
         if procs:
             waits = [asyncio.ensure_future(p.wait()) for p in procs]
             _done, pending = await asyncio.wait(
-                waits, timeout=self.config.drain_timeout
+                waits, timeout=DRAIN_TIMEOUT_S
             )
             if pending:
                 for proc in procs:
@@ -401,10 +402,7 @@ class ClusterSupervisor:
         # record still says "up" — the router's dead-connection report
         # lands here synchronously, so degraded health shows immediately,
         # without waiting for the exit watcher to run.
-        if (
-            record.state == "up"
-            and record.missed_heartbeats >= self.config.miss_limit
-        ):
+        if record.state == "up" and record.missed_heartbeats >= MISS_LIMIT:
             return "unresponsive"
         return record.state
 

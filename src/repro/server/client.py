@@ -214,7 +214,7 @@ class ServerClient:
 
         ``probes`` asks the server for a probe-bounded ANN scan over
         that many coarse cells; ``exact=True`` forces the exhaustive
-        scan even when the server has a default probe count.
+        scan even when ``probes`` is given.
         ``tenant`` routes the query on a multi-tenant server (falling
         back to the client's default tenant); an unhosted id raises
         :class:`~repro.errors.UnknownTenantError` (HTTP 404) with the

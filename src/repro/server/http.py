@@ -15,7 +15,7 @@ Routes
     → ``{"epoch", "n_documents", "results": [[index, score, doc_id], ...],
     "ann"?: {"probes", "cells_probed", "candidates"}}``
     (``probes`` bounds the scan to that many coarse cells; ``exact:
-    true`` forces the exhaustive scan over any server default)
+    true`` forces the exhaustive scan)
 ``POST /add``     ``{"texts": [str, ...], "doc_ids"?: [str, ...]}``
     → ``{"epoch", "n_documents", "action", "reason"}``
 ``GET /healthz``  liveness + queue depth + draining flag, with the sole
@@ -61,7 +61,8 @@ handler loops back to read the next request on the same socket, so a
 client replaying queries pays the TCP handshake once.  Any error
 response closes the connection — error paths may leave the stream in an
 unknowable state (half-read bodies, oversize payloads), and closing is
-the one resynchronization that is always correct.
+the one resynchronization that is always correct.  Shutdown closes the
+connections idle between requests (:class:`HttpServer`).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from repro.obs.tracing import span
 from repro.server.batching import check_search_args
 from repro.server.service import QueryService
 
-__all__ = ["start_http_server", "MAX_BODY_BYTES"]
+__all__ = ["HttpServer", "start_http_server", "MAX_BODY_BYTES"]
 
 #: Largest accepted request body; bounds per-connection memory.
 MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -101,13 +102,10 @@ _REASONS = {
 
 
 async def _read_request(
-    reader: asyncio.StreamReader,
+    line: bytes, reader: asyncio.StreamReader
 ) -> tuple[str, str, dict, dict] | None:
-    """Parse one request: (method, path, headers, json_body); None on EOF."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
+    """Parse the request whose first line is ``line``: (method, path,
+    headers, json_body); None on EOF."""
     if not line.strip():
         return None
     parts = line.decode("latin-1").split()
@@ -245,16 +243,64 @@ async def _dispatch(
     return 404, {"error": f"no route for {method} {path}"}
 
 
+class HttpServer:
+    """The bound front end: the listener plus its open connections.
+
+    :meth:`close` stops accepting and closes every keep-alive connection
+    idle between requests; one with a request in flight answers it with
+    ``Connection: close`` and ends.  :meth:`wait_closed` returns once
+    every connection handler has finished, so shutdown leaves no handler
+    for ``asyncio.run`` to cancel.
+    """
+
+    def __init__(self, service: QueryService):
+        self.service = service
+        self.closing = False
+        self._listener: asyncio.AbstractServer | None = None
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
+
+    @property
+    def sockets(self):
+        """The listening sockets; ``sockets[0].getsockname()[1]`` is the
+        bound port."""
+        return self._listener.sockets
+
+    def close(self) -> None:
+        """Stop accepting; close every connection waiting for a request."""
+        self.closing = True
+        self._listener.close()
+        for writer in self._idle:
+            writer.close()
+
+    async def wait_closed(self) -> None:
+        """Wait for the listener and every connection handler to finish."""
+        await self._listener.wait_closed()
+        if self._handlers:
+            await asyncio.wait(self._handlers)
+
+
 async def _handle(
-    service: QueryService,
+    server: HttpServer,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    task = asyncio.current_task()
+    server._handlers.add(task)
     try:
-        while True:
+        while not server.closing:
             request_id = None
+            # Idle until the next request line: close() may end the
+            # connection here (the read then returns EOF).
+            server._idle.add(writer)
             try:
-                parsed = await _read_request(reader)
+                line = await reader.readline()
+            except (ConnectionError, asyncio.LimitOverrunError):
+                return
+            finally:
+                server._idle.discard(writer)
+            try:
+                parsed = await _read_request(line, reader)
                 if parsed is None:
                     return
                 method, path, headers, body = parsed
@@ -270,7 +316,7 @@ async def _handle(
                     ) as request_span:
                         request_span.set_attr("request_id", request_id)
                         status, payload = await _dispatch(
-                            service, method, path, headers, body
+                            server.service, method, path, headers, body
                         )
             except UnknownTenantError as exc:
                 # Before ReproError: a tenant the registry does not host
@@ -309,7 +355,8 @@ async def _handle(
                 payload.setdefault("request_id", request_id)
             # Errors close: the stream may hold a half-read body, and
             # closing is the only resynchronization that is always right.
-            close = status >= 400
+            # A closing server answers its last request so too.
+            close = status >= 400 or server.closing
             _respond(
                 writer, status, payload, close=close, request_id=request_id
             )
@@ -319,6 +366,7 @@ async def _handle(
     except ConnectionError:
         pass  # client went away mid-response
     finally:
+        server._handlers.discard(task)
         writer.close()
         try:
             await writer.wait_closed()
@@ -328,14 +376,17 @@ async def _handle(
 
 async def start_http_server(
     service: QueryService, host: str = "127.0.0.1", port: int = 8080
-) -> asyncio.AbstractServer:
+) -> HttpServer:
     """Bind and start serving; ``port=0`` picks an ephemeral port.
 
     The bound port is ``server.sockets[0].getsockname()[1]``.  Callers
-    own shutdown ordering: close this server (stop accepting), then
-    ``await service.drain()`` (finish queued work).
+    own shutdown ordering: ``close()`` this server (stop accepting, end
+    idle connections), ``await server.wait_closed()`` (in-flight
+    requests answered), then ``await service.drain()``.
     """
     await service.start()
-    return await asyncio.start_server(
-        lambda r, w: _handle(service, r, w), host, port
+    server = HttpServer(service)
+    server._listener = await asyncio.start_server(
+        lambda r, w: _handle(server, r, w), host, port
     )
+    return server

@@ -79,11 +79,6 @@ class ServerConfig:
 
     max_batch: int = 32
     queue_depth: int = 256
-    default_timeout_ms: float | None = None
-    #: Default probe count for requests that don't specify one.  ``None``
-    #: keeps the exact exhaustive scan as the default; requests opt into
-    #: the ANN path with ``probes``, or force exactness with ``exact``.
-    default_probes: int | None = None
     #: Slow-query log threshold (milliseconds); <= 0 disables the log.
     slow_ms: float = 500.0
     #: JSONL file for slow-query records (``None`` keeps them in-memory).
@@ -255,9 +250,8 @@ class QueryService:
         an LRU eviction decided mid-flight detaches only after this (and
         every other in-flight) query drains; a cold tenant's backend
         starts with this first query (a fleet spawns its workers).
-        ``probes`` bounds the scan to that many coarse cells (falling
-        back to ``config.default_probes``, then to the exact scan);
-        ``exact=True`` overrides any default.  Raises
+        ``probes`` bounds the scan to that many coarse cells (``None``:
+        the exact scan); ``exact=True`` overrides it.  Raises
         :class:`~repro.errors.ServerOverloadError` when the bounded
         queue is full, the tenant is over its quota share
         (``reason="tenant_quota"``), or the service is draining, and
@@ -265,10 +259,6 @@ class QueryService:
         deadline expires before it is scored.
         """
         registry.inc("server.requests_total")
-        if probes is None:
-            probes = self.config.default_probes
-        if timeout_ms is None:
-            timeout_ms = self.config.default_timeout_ms
         with self._admitted(tenant) as (tid, backend):
             t0 = time.perf_counter()
             try:
@@ -354,7 +344,6 @@ class QueryService:
                 "draining": self.draining,
                 "queue_depth": self.admission.pending,
                 "queue_capacity": self.admission.queue_depth,
-                "default_probes": self.config.default_probes,
                 "slowlog": self.slowlog.describe(),
             }
         )

@@ -388,7 +388,6 @@ def manager_from_texts(
     k: int = 50,
     scheme: str | object = "log_entropy",
     min_doc_freq: int = 1,
-    distortion_budget: float = 0.1,
     drift_cap: float = 2.0,
     seed: int = 0,
     ingest_method: str = "fold-in",
@@ -410,7 +409,6 @@ def manager_from_texts(
         tdm,
         k=max(1, min(k, min(tdm.shape))),
         scheme=scheme,
-        distortion_budget=distortion_budget,
         drift_cap=drift_cap,
         seed=seed,
         ingest_method=ingest_method,

@@ -51,6 +51,7 @@ from repro.store.durable import (
     DurableServingState,
     publish_store_gauges,
     read_store_status,
+    verify_store,
 )
 from repro.store.lock import StoreLock
 from repro.store.mmap_io import open_latest_ann, open_latest_model
@@ -79,6 +80,7 @@ __all__ = [
     "StoreLock",
     "publish_store_gauges",
     "read_store_status",
+    "verify_store",
     "open_checkpoint",
     "open_latest_ann",
     "open_latest_model",

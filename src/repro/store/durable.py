@@ -21,9 +21,10 @@ truncated) before the error propagates — the log never holds a
 mutation the live index refused, so recovery cannot diverge from what
 was served.
 
-Read-only surfaces — ``repro stats --data-dir`` and ``repro store
-inspect`` — go through :func:`read_store_status` /
-:func:`publish_store_gauges` instead of opening the store: they scan
+Read-only surfaces — ``repro stats --data-dir``, ``repro store
+inspect`` and ``repro store verify`` — go through
+:func:`read_store_status` / :func:`publish_store_gauges` /
+:func:`verify_store` instead of opening the store: they scan
 checkpoint manifests and the WAL file without a write handle or the
 lock, so they are safe to run against a directory a live server owns.
 
@@ -37,9 +38,8 @@ the latency profile.
 
 Maintenance: :meth:`DurableIndexStore.compact` folds the WAL into a
 fresh checkpoint and truncates it (search results bit-identical, replay
-cost reset to zero), :meth:`verify` audits every checksum on disk, and
-:meth:`close` performs the graceful-drain flush ``repro serve`` runs on
-SIGTERM.
+cost reset to zero), and :meth:`close` performs the graceful-drain
+flush ``repro serve`` runs on SIGTERM.
 """
 
 from __future__ import annotations
@@ -86,6 +86,7 @@ __all__ = [
     "DurableIndexStore",
     "DurableServingState",
     "read_store_status",
+    "verify_store",
     "publish_store_gauges",
 ]
 
@@ -95,6 +96,11 @@ STORE_LAYOUT = {
     "wal": "wal.log",
     "lock": LOCK_NAME,
 }
+
+#: Checkpoints kept on disk after pruning.  A writable cluster needs
+#: three: the serving epoch, its predecessor (the workers' bump window)
+#: and the next seal coexist.
+RETAIN = 3
 
 
 def _checkpoint_summary(info) -> dict:
@@ -142,18 +148,12 @@ class DurableIndexStore:
         manager: LSIIndexManager,
         wal: WriteAheadLog,
         *,
-        retain: int = 3,
         last_recovery: RecoveryReport | None = None,
         dir_lock: StoreLock | None = None,
-        ann_clusters: int | None = None,
         ann: CoarseQuantizer | None = None,
     ):
         self.data_dir = pathlib.Path(data_dir)
         self.manager = manager
-        self.retain = max(1, int(retain))
-        #: ANN training knob: ``None`` = auto (``≈ sqrt(n)`` cells,
-        #: the default), ``0`` = disabled, ``>0`` = explicit cell count.
-        self.ann_clusters = ann_clusters
         #: The newest checkpoint's coarse quantizer — the one the store
         #: was opened from, then whatever each seal trains.  ``None``
         #: when that checkpoint has none (``store.ann_missing`` is 1).
@@ -203,13 +203,7 @@ class DurableIndexStore:
 
     @classmethod
     def initialize(
-        cls,
-        data_dir: pathlib.Path,
-        manager: LSIIndexManager,
-        *,
-        retain: int = 3,
-        sync: bool = True,
-        ann_clusters: int | None = None,
+        cls, data_dir: pathlib.Path, manager: LSIIndexManager
     ) -> "DurableIndexStore":
         """Seed a fresh store around an already-fitted manager.
 
@@ -225,9 +219,8 @@ class DurableIndexStore:
         try:
             checkpoints_dir, wal_path = cls.paths(data_dir)
             checkpoints_dir.mkdir(parents=True, exist_ok=True)
-            wal = WriteAheadLog(wal_path, sync=sync)
-            store = cls(data_dir, manager, wal, retain=retain,
-                        dir_lock=dir_lock, ann_clusters=ann_clusters)
+            wal = WriteAheadLog(wal_path)
+            store = cls(data_dir, manager, wal, dir_lock=dir_lock)
             store.seal(reason="initialize")
         except BaseException:
             dir_lock.release()
@@ -235,14 +228,7 @@ class DurableIndexStore:
         return store
 
     @classmethod
-    def open(
-        cls,
-        data_dir: pathlib.Path,
-        *,
-        retain: int = 3,
-        sync: bool = True,
-        ann_clusters: int | None = None,
-    ) -> "DurableIndexStore":
+    def open(cls, data_dir: pathlib.Path) -> "DurableIndexStore":
         """Recover a store: newest valid checkpoint + WAL replay.
 
         The manager's configuration (``k``, scheme, budgets, seed) comes
@@ -256,9 +242,7 @@ class DurableIndexStore:
             wal_path = cls.paths(data_dir)[1]
             opened = open_checkpoint(data_dir, mmap=False)
             manager, report = replay_wal(opened, wal_path)
-            wal = WriteAheadLog(
-                wal_path, sync=sync, base_lsn=report.wal_lsn_start
-            )
+            wal = WriteAheadLog(wal_path, base_lsn=report.wal_lsn_start)
         except BaseException:
             dir_lock.release()
             raise
@@ -266,10 +250,8 @@ class DurableIndexStore:
             data_dir,
             manager,
             wal,
-            retain=retain,
             last_recovery=report,
             dir_lock=dir_lock,
-            ann_clusters=ann_clusters,
             ann=opened.ann(),
         )
 
@@ -448,17 +430,13 @@ class DurableIndexStore:
         mutates it, so callers invoke this outside the writer lock).
         Deterministic given those coordinates and the manager's seed,
         which keeps recovered-then-recheckpointed stores bit-identical.
-        ``ann_clusters=0`` disables training (the checkpoint then serves
-        via exact scan, like a format-1 one).
         """
-        if self.ann_clusters == 0 or model.n_documents == 0:
+        if model.n_documents == 0:
             return None
         coords = model.V * model.s
         t0 = time.perf_counter()
         with span("store.ann_train"):
-            quantizer = CoarseQuantizer.train(
-                coords, self.ann_clusters, seed=self.manager.seed
-            )
+            quantizer = CoarseQuantizer.train(coords, seed=self.manager.seed)
         registry.observe("store.ann_train_seconds", time.perf_counter() - t0)
         registry.inc("store.ann_trainings_total")
         return quantizer
@@ -526,7 +504,7 @@ class DurableIndexStore:
             registry.observe(
                 "store.checkpoint_seconds", time.perf_counter() - t0
             )
-            for old in checkpoint_dirs(self.checkpoints_dir)[: -self.retain]:
+            for old in checkpoint_dirs(self.checkpoints_dir)[:-RETAIN]:
                 shutil.rmtree(old, ignore_errors=True)
             self.publish_gauges()
             return self.last_seal
@@ -549,14 +527,6 @@ class DurableIndexStore:
             self.publish_gauges()
         registry.inc("store.compactions_total")
         return path
-
-    def verify(self) -> list[str]:
-        """Checksum-audit every checkpoint and the WAL; [] means clean."""
-        problems: list[str] = []
-        for info in list_checkpoints(self.checkpoints_dir):
-            problems.extend(verify_checkpoint(info))
-        problems.extend(verify_wal(self.paths(self.data_dir)[1]))
-        return problems
 
     # ------------------------------------------------------------------ #
     # background checkpointing + lifecycle
@@ -648,6 +618,23 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
         "last_recovery_replayed": would_replay,
         "problems": list(scan.problems),
     }
+
+
+def verify_store(data_dir: pathlib.Path) -> tuple[int, list[str]]:
+    """Checksum-audit every checkpoint and the WAL without opening the
+    store — lock-free like :func:`read_store_status`, so it is safe
+    against a directory a live server owns.
+
+    Returns ``(checkpoints audited, problems)``; no problems means
+    clean.  Raises :class:`~repro.errors.StoreError` when ``data_dir``
+    holds no store.
+    """
+    checkpoints_dir, wal_path = DurableIndexStore.paths(data_dir)
+    infos = list_checkpoints(checkpoints_dir)
+    if not infos and not wal_path.exists():
+        raise StoreError(f"{data_dir} is not a store")
+    problems = [p for info in infos for p in verify_checkpoint(info)]
+    return len(infos), problems + verify_wal(wal_path)
 
 
 def publish_store_gauges(data_dir: pathlib.Path) -> dict:

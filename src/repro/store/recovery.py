@@ -173,7 +173,7 @@ def capture_manager(
                 "doc_loss": e.doc_loss,
                 "reason": e.reason,
             }
-            for e in manager.events
+            for e in manager.events  # bounded: manager.EVENT_WINDOW
         ],
     }
     return arrays, meta

@@ -277,15 +277,8 @@ class WriteAheadLog:
     an append is one write + flush + fsync.
     """
 
-    def __init__(
-        self,
-        path: pathlib.Path,
-        *,
-        sync: bool = True,
-        base_lsn: int = 0,
-    ):
+    def __init__(self, path: pathlib.Path, *, base_lsn: int = 0):
         self.path = pathlib.Path(path)
-        self.sync = sync
         self.recovered_drop = 0
         self._halted = False
         if self.path.exists():
@@ -339,8 +332,7 @@ class WriteAheadLog:
         """Durably append one record; returns its LSN.
 
         NumPy arrays in ``payload`` are encoded losslessly.  The record
-        is fsynced before this returns (unless the log was opened with
-        ``sync=False``, e.g. for benchmarks) — an LSN handed back is the
+        is fsynced before this returns — an LSN handed back is the
         acknowledgment contract recovery honors.
         """
         if self._halted:
@@ -361,8 +353,7 @@ class WriteAheadLog:
         try:
             self._fh.write(_FRAME.pack(len(blob), zlib.crc32(blob)) + blob)
             self._fh.flush()
-            if self.sync:
-                os.fsync(self._fh.fileno())
+            os.fsync(self._fh.fileno())
         except BaseException:
             # A failed or partial write leaves a torn frame mid-file; if
             # later appends landed after it they would be unreachable

@@ -21,6 +21,7 @@ semantics split the paper draws between updating and recomputing.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -42,6 +43,13 @@ from repro.updating.planner import plan_update
 from repro.updating.svd_update import update_documents
 
 __all__ = ["IndexEvent", "LSIIndexManager"]
+
+#: Most recent maintenance events a manager keeps (and a checkpoint
+#: stores).  Every add appends one, so an unbounded history would grow
+#: each manifest with the ingest rate; per-action totals of document
+#: ingest and consolidation stay in the ``manager.events.<action>``
+#: counters.
+EVENT_WINDOW = 32
 
 
 @dataclass(frozen=True)
@@ -104,7 +112,10 @@ class LSIIndexManager:
     fast_update_rank: int = 8
 
     model: LSIModel = field(init=False)
-    events: list[IndexEvent] = field(init=False, default_factory=list)
+    #: The last :data:`EVENT_WINDOW` maintenance events, oldest first.
+    events: deque[IndexEvent] = field(
+        init=False, default_factory=lambda: deque(maxlen=EVENT_WINDOW)
+    )
     _base_model: LSIModel = field(init=False)
     _pending_counts: list[np.ndarray] = field(init=False, default_factory=list)
     _pending_ids: list[str] = field(init=False, default_factory=list)
@@ -158,7 +169,7 @@ class LSIIndexManager:
         manager.fast_update_rank = fast_update_rank
         manager._base_model = base_model
         manager.model = model
-        manager.events = list(events)
+        manager.events = deque(events, maxlen=EVENT_WINDOW)
         manager._pending_counts = [
             np.asarray(block, dtype=np.float64) for block in pending_counts
         ]

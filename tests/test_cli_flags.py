@@ -12,7 +12,6 @@ import dataclasses
 from repro.cli import build_parser
 from repro.cluster import (
     ClusterConfig,
-    RouterConfig,
     StandbyConfig,
     SupervisorConfig,
     WriterConfig,
@@ -26,24 +25,16 @@ EXPECTED = {
     ('add', '--output', 'None'),
     ('add', 'database', 'None'),
     ('add', 'source', 'None'),
-    ('cluster serve', '--ann-clusters', 'None'),
     ('cluster serve', '--data-dir', 'None'),
-    ('cluster serve', '--fast-update-rank', '8'),
     ('cluster serve', '--heartbeat-interval', '1.0'),
-    ('cluster serve', '--heartbeat-misses', '3'),
-    ('cluster serve', '--hedge-quantile', '0.95'),
     ('cluster serve', '--host', "'127.0.0.1'"),
-    ('cluster serve', '--ingest-method', "'fast-update'"),
     ('cluster serve', '--max-resident', 'None'),
-    ('cluster serve', '--no-hedge', 'False'),
     ('cluster serve', '--port', '8080'),
-    ('cluster serve', '--probes', 'None'),
     ('cluster serve', '--promotion-log', 'None'),
     ('cluster serve', '--queue-depth', '256'),
     ('cluster serve', '--replication', '1'),
     ('cluster serve', '--restart-backoff', '0.5'),
     ('cluster serve', '--restart-backoff-cap', '10.0'),
-    ('cluster serve', '--retain', '3'),
     ('cluster serve', '--seal-every', '64'),
     ('cluster serve', '--seal-interval', '15.0'),
     ('cluster serve', '--slow-ms', '500.0'),
@@ -51,8 +42,6 @@ EXPECTED = {
     ('cluster serve', '--standby', 'False'),
     ('cluster serve', '--standby-poll', '0.5'),
     ('cluster serve', '--tenants', 'None'),
-    ('cluster serve', '--timeout-ms', 'None'),
-    ('cluster serve', '--worker-timeout-ms', '2000.0'),
     ('cluster serve', '--workers', '4'),
     ('cluster serve', '--writable', 'False'),
     ('cluster status', '--host', "'127.0.0.1'"),
@@ -76,25 +65,19 @@ EXPECTED = {
     ('query', '--top', '10'),
     ('query', 'database', 'None'),
     ('query', 'text', 'None'),
-    ('serve', '--ann-clusters', 'None'),
     ('serve', '--checkpoint-every', '64'),
-    ('serve', '--checkpoint-interval', '300.0'),
     ('serve', '--data-dir', 'None'),
-    ('serve', '--distortion-budget', '0.1'),
     ('serve', '--factors', '50'),
     ('serve', '--host', "'127.0.0.1'"),
     ('serve', '--max-batch', '32'),
     ('serve', '--max-resident', 'None'),
     ('serve', '--min-doc-freq', '1'),
     ('serve', '--port', '8080'),
-    ('serve', '--probes', 'None'),
     ('serve', '--queue-depth', '256'),
-    ('serve', '--retain', '3'),
     ('serve', '--scheme', "'log_entropy'"),
     ('serve', '--slow-ms', '500.0'),
     ('serve', '--slowlog', 'None'),
     ('serve', '--tenant', 'None'),
-    ('serve', '--timeout-ms', 'None'),
     ('serve', 'source', 'None'),
     ('stats', '--data-dir', 'None'),
     ('stats', '--json', 'False'),
@@ -136,11 +119,10 @@ def test_option_surface_is_unchanged():
 
 def test_config_objects_gained_no_field():
     ceiling = {
-        ServerConfig: 6,
-        ClusterConfig: 6,
-        RouterConfig: 6,
-        SupervisorConfig: 6,
-        WriterConfig: 8,
+        ServerConfig: 4,
+        ClusterConfig: 5,
+        SupervisorConfig: 3,
+        WriterConfig: 2,
         StandbyConfig: 3,
     }
     for config, fields in ceiling.items():
@@ -149,10 +131,10 @@ def test_config_objects_gained_no_field():
 
 def test_no_tunable_is_declared_twice():
     """The front end's and the fleet's configs restate no field of the
-    part configs a fleet carries (router, supervisor, writer, standby),
-    so no tunable and no default exists twice."""
-    parts = (RouterConfig, SupervisorConfig, WriterConfig, StandbyConfig)
-    holders = {"router", "supervisor", "writer", "standby"}
+    part configs a fleet carries (supervisor, writer, standby), so no
+    tunable and no default exists twice."""
+    parts = (SupervisorConfig, WriterConfig, StandbyConfig)
+    holders = {"supervisor", "writer", "standby"}
     part_fields = {f.name for part in parts for f in dataclasses.fields(part)}
     seen: set[str] = set()
     for config in (ServerConfig, ClusterConfig):

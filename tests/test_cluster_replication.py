@@ -22,10 +22,14 @@ from hypothesis import strategies as st
 
 from repro.cluster.plan import ShardPlan
 from repro.cluster.primary import WriterConfig
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyConfig
-from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
+from repro.cluster.supervisor import (
+    MISS_LIMIT,
+    ClusterSupervisor,
+    SupervisorConfig,
+)
 from repro.cluster.wire import read_frame, write_frame
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
@@ -187,7 +191,7 @@ def test_supervisor_range_health_and_quorum(tmp_path):
     # An unresponsive worker (at the heartbeat miss limit) counts as
     # unhealthy even while its process record still says "up".
     sup._records[0].state = "up"
-    sup._records[0].missed_heartbeats = sup.config.miss_limit
+    sup._records[0].missed_heartbeats = MISS_LIMIT
     assert sup.describe_ranges()[0]["replicas_healthy"] == 1
     assert sup.quorum_met(plan) is False
     rows = {row["worker"]: row for row in sup.describe()}
@@ -333,7 +337,7 @@ class _FakeReplica:
 
 
 async def _replicated_cluster(
-    model, *, replication=2, config=None, delays=None, die_on_score=()
+    model, *, replication=2, delays=None, die_on_score=()
 ):
     plan = ShardPlan.compute(model.n_documents, RANGES * replication,
                                replication)
@@ -347,7 +351,7 @@ async def _replicated_cluster(
         )
         await fake.start()
         fakes[wid] = fake
-    router = ClusterRouter(plan, config or RouterConfig(hedge=False))
+    router = ClusterRouter(plan)
     for wid, fake in fakes.items():
         await router.attach(wid, "127.0.0.1", fake.port)
     return plan, router, fakes
@@ -438,18 +442,11 @@ def test_router_hedges_to_sibling_without_double_counting(replica_model):
 
     async def main():
         plan, router, fakes = await _replicated_cluster(
-            model,
-            config=RouterConfig(
-                hedge=True,
-                hedge_quantile=0.95,
-                hedge_min_samples=20,
-                worker_timeout_ms=10_000.0,
-            ),
-            delays={0: 0.4, 1: 0.4, 2: 0.4},
+            model, delays={0: 0.4, 1: 0.4, 2: 0.4}
         )
         try:
             return await router.search_batch(
-                _scaled(model, queries), top=TOP
+                _scaled(model, queries), top=TOP, timeout_ms=10_000.0
             )
         finally:
             await _teardown(router, fakes)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.plan import ShardPlan
-from repro.cluster.router import ClusterRouter, RouterConfig
+from repro.cluster.router import ClusterRouter
 from repro.cluster.wire import read_frame, write_frame
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
@@ -86,7 +86,7 @@ class _FakeWorker:
             writer.close()
 
 
-async def _cluster(model, *, shards=SHARDS, config=None, delays=None):
+async def _cluster(model, *, shards=SHARDS, delays=None):
     plan = ShardPlan.compute(model.n_documents, shards)
     fakes = []
     for i in range(shards):
@@ -96,7 +96,7 @@ async def _cluster(model, *, shards=SHARDS, config=None, delays=None):
         )
         await fake.start()
         fakes.append(fake)
-    router = ClusterRouter(plan, config or RouterConfig(hedge=False))
+    router = ClusterRouter(plan)
     for i, fake in enumerate(fakes):
         await router.attach(i, "127.0.0.1", fake.port)
     return plan, router, fakes
@@ -211,17 +211,17 @@ def test_router_all_workers_dead_still_answers(router_model):
 
 def test_router_deadline_miss_is_partial_without_detach(router_model):
     model, texts = router_model
+    # No latency history: nothing arms a hedge inside the deadline.
+    registry.reset("cluster.worker.2.rpc_seconds")
     before = registry.counter("cluster.deadline_misses_total")
 
     async def main():
         plan, router, fakes = await _cluster(
-            model,
-            config=RouterConfig(hedge=False, worker_timeout_ms=150.0),
-            delays={2: 3.0},  # shard 2 answers far too slowly
+            model, delays={2: 3.0}  # shard 2 answers far too slowly
         )
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:1]), top=TOP
+                _scaled(model, texts[:1]), top=TOP, timeout_ms=150.0
             )
             return plan, result, router.live_workers()
         finally:
@@ -246,19 +246,10 @@ def test_router_hedges_slow_worker_and_still_answers(router_model):
     flat = _whole(model, texts[:1])
 
     async def main():
-        plan, router, fakes = await _cluster(
-            model,
-            config=RouterConfig(
-                hedge=True,
-                hedge_quantile=0.95,
-                hedge_min_samples=20,
-                worker_timeout_ms=10_000.0,
-            ),
-            delays={sid: 0.4},
-        )
+        plan, router, fakes = await _cluster(model, delays={sid: 0.4})
         try:
             return await router.search_batch(
-                _scaled(model, texts[:1]), top=TOP
+                _scaled(model, texts[:1]), top=TOP, timeout_ms=10_000.0
             )
         finally:
             await _teardown(router, fakes)
@@ -286,14 +277,10 @@ def test_router_does_not_hedge_a_late_worker_onto_itself(router_model):
     flat = _whole(model, texts[:1])
 
     async def main():
-        plan, router, fakes = await _cluster(
-            model,
-            config=RouterConfig(hedge=True, worker_timeout_ms=10_000.0),
-            delays={sid: 0.06},
-        )
+        plan, router, fakes = await _cluster(model, delays={sid: 0.06})
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:1]), top=TOP
+                _scaled(model, texts[:1]), top=TOP, timeout_ms=10_000.0
             )
             return result, fakes[sid].calls
         finally:

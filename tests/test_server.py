@@ -38,8 +38,8 @@ from repro.server import (
     ServerClient,
     ServerConfig,
     ServingState,
+    manager_from_texts,
     start_http_server,
-    state_from_texts,
 )
 
 QUERIES = [
@@ -63,10 +63,10 @@ def _texts() -> list[str]:
     return [MED_TOPICS[f"M{i}"] for i in range(1, 15)] + extra
 
 
-def _fresh_state(**kwargs) -> ServingState:
-    params = dict(k=6, scheme="log_entropy", distortion_budget=0.5)
-    params.update(kwargs)
-    return state_from_texts(_texts(), **params)
+def _fresh_state(distortion_budget: float = 0.5) -> ServingState:
+    manager = manager_from_texts(_texts(), k=6, scheme="log_entropy")
+    manager.distortion_budget = distortion_budget
+    return ServingState.for_manager(manager)
 
 
 def _pairs(response: dict) -> list[tuple[int, float]]:
@@ -487,18 +487,17 @@ def test_http_probes_roundtrip_and_full_probe_parity():
             assert got <= {j for j, _, _ in client.search(q)["results"]}
 
 
-def test_default_probes_applied_and_exact_escape_hatch():
+def test_request_probes_applied_and_exact_escape_hatch():
     state = _fresh_state()
     state.train_ann(4, seed=0)
     registry.reset("ann.")
-    with _ServerThread(
-        state, ServerConfig(default_probes=2)
-    ) as server:
+    with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
-        assert client.healthz()["default_probes"] == 2
-        probed = client.search(QUERIES[0], top=5)
+        assert "default_probes" not in client.healthz()
+        assert "ann" not in client.search(QUERIES[0], top=5)
+        probed = client.search(QUERIES[0], top=5, probes=2)
         assert probed["ann"]["probes"] == 2
-        exact = client.search(QUERIES[0], top=5, exact=True)
+        exact = client.search(QUERIES[0], top=5, probes=2, exact=True)
         assert "ann" not in exact
 
 
@@ -543,6 +542,46 @@ def test_healthz_reports_draining_after_drain():
         assert health["status"] == "draining"
 
     asyncio.run(main())
+
+
+def test_shutdown_closes_idle_keep_alive_connection():
+    # A client holding a keep-alive connection open between requests
+    # must not keep a handler alive past shutdown: closing the server
+    # ends the idle connection (the client reads EOF), and nothing is
+    # left for asyncio.run to cancel — a cancelled handler task is
+    # reported as "Exception in callback ... CancelledError".
+    import json
+
+    state = _fresh_state()
+    errors: list[dict] = []
+
+    async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda _loop, context: errors.append(context)
+        )
+        service = QueryService(state, ServerConfig())
+        server = await start_http_server(service, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        body = json.dumps({"query": QUERIES[0], "top": 3}).encode()
+        writer.write(
+            b"POST /search HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(body), body)
+        )
+        head = await reader.readuntil(b"\r\n\r\n")
+        assert b"Connection: keep-alive" in head
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        await reader.readexactly(length)
+        server.close()
+        await server.wait_closed()
+        await service.drain()
+        try:
+            return await asyncio.wait_for(reader.read(), timeout=5)
+        finally:
+            writer.close()
+
+    assert asyncio.run(main()) == b""
+    assert errors == []
 
 
 class _OneShotKeepAliveServer:
@@ -624,14 +663,13 @@ def test_cli_serve_parser_flags():
     args = build_parser().parse_args(
         [
             "serve", "docs", "--port", "0", "--max-batch", "8",
-            "--queue-depth", "16", "--timeout-ms", "250",
+            "--queue-depth", "16",
         ]
     )
     assert args.command == "serve"
     assert args.port == 0
     assert args.max_batch == 8
     assert args.queue_depth == 16
-    assert args.timeout_ms == 250.0
 
 
 def test_cli_slowlog_parser_flags(tmp_path):
@@ -759,19 +797,18 @@ def test_slow_query_log_records_over_threshold_requests():
 
 
 def test_slow_query_log_records_effective_probes():
-    # A server started with --probes N runs untargeted requests
-    # probe-bounded; the slow log must say so, not echo the request's
-    # absent ``probes`` argument.
+    # The slow log records the probe count a query ran with: none for
+    # the exact scan, even when ``exact`` overrode a request's probes.
     state = _fresh_state()
     state.train_ann(n_clusters=4)
-    config = ServerConfig(slow_ms=0.0001, default_probes=3)
+    config = ServerConfig(slow_ms=0.0001)
     with _ServerThread(state, config) as server:
         with ServerClient(port=server.port) as client:
-            assert client.search(QUERIES[0], top=3)["ann"]["probes"] == 3
-            client.search(QUERIES[0], top=3, probes=2)
-            client.search(QUERIES[0], top=3, exact=True)
+            assert client.search(QUERIES[0], top=3, probes=3)["ann"]["probes"] == 3
+            client.search(QUERIES[0], top=3)
+            client.search(QUERIES[0], top=3, probes=2, exact=True)
             slow = client.stats()["slow_queries"]
-    assert [entry["probes"] for entry in slow[-3:]] == [3, 2, None]
+    assert [entry["probes"] for entry in slow[-3:]] == [3, None, None]
 
 
 def test_slow_query_log_disabled_below_threshold():

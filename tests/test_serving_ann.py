@@ -245,44 +245,44 @@ def _texts(n: int = 24) -> list[str]:
     return [" ".join(rng.choice(vocab, size=12)) for _ in range(n)]
 
 
-def _seeded_store(tmp_path, *, ann_clusters):
+def _seeded_store(tmp_path):
     texts = _texts()
     ids = [f"D{i}" for i in range(len(texts))]
     data_dir = tmp_path / "store"
     store = DurableIndexStore.initialize(
-        data_dir,
-        manager_from_texts(texts, ids, k=6),
-        ann_clusters=ann_clusters,
+        data_dir, manager_from_texts(texts, ids, k=6)
     )
     return store, data_dir, texts
 
 
 def test_durable_checkpoint_trains_and_reports_ann(tmp_path):
-    store, data_dir, _ = _seeded_store(tmp_path, ann_clusters=4)
+    store, data_dir, texts = _seeded_store(tmp_path)
+    cells = default_n_clusters(len(texts))
     try:
         quantizer = open_latest_ann(data_dir)
         assert quantizer is not None
-        assert quantizer.n_clusters == 4
+        assert quantizer.n_clusters == cells
         assert registry.snapshot()["gauges"]["store.ann_missing"] == 0
         description = read_store_status(data_dir)
         assert description["ann"] is True
-        assert description["checkpoints"][-1]["ann_clusters"] == 4
+        assert description["checkpoints"][-1]["ann_clusters"] == cells
     finally:
         store.close(flush=False)
 
 
 def test_format1_checkpoint_serves_by_exact_fallback(tmp_path):
-    # ``ann_clusters=0`` writes a checkpoint with no quantizer arrays;
-    # rewriting its manifest as format 1 makes it byte-for-byte the
-    # pre-ANN layout.  Everything must still serve — model mapped, no
-    # quantizer, ``store.ann_missing`` raised, probe requests answered
-    # by the exact scan.
-    store, data_dir, texts = _seeded_store(tmp_path, ann_clusters=0)
+    # A format-2 checkpoint stripped of its quantizer arrays and
+    # rewritten as format 1 is the pre-ANN layout.  Everything must
+    # still serve — model mapped, no quantizer, ``store.ann_missing``
+    # raised, probe requests answered by the exact scan.
+    store, data_dir, texts = _seeded_store(tmp_path)
     store.close(flush=False)
     ckpt = sorted((data_dir / STORE_LAYOUT["checkpoints"]).iterdir())[-1]
     manifest_path = ckpt / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text("utf-8"))
-    assert not any(n in manifest["arrays"] for n in ANN_ARRAY_NAMES)
+    for name in ANN_ARRAY_NAMES:
+        (ckpt / manifest["arrays"].pop(name)["file"]).unlink()
+    del manifest["meta"]["ann"]
     manifest["format"] = 1
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

@@ -215,8 +215,7 @@ _OBS = {
     "GET /tenants": (200, {"max_resident", "quotas", "tenants"}),
 }
 _FRONT_END = {
-    "default_probes", "draining", "queue_capacity", "queue_depth", "slowlog",
-    "status",
+    "draining", "queue_capacity", "queue_depth", "slowlog", "status",
 }
 _TENANT_TABLE = {"fleets", "max_resident", "tenants"}
 _READ_ONLY = (403, {"error", "read_only", "request_id"})
@@ -233,9 +232,10 @@ def _searches(keys):
 #: Status code and top-level key set of every route.  The ids are the
 #: classes that answered each deployment before ``QueryService`` was the
 #: only front end (kept so the test ids do not move); every key those
-#: classes replied with is still here, at the same level — the sets
-#: have only grown (``queue_*`` on the fleet, ``fleets`` in process,
-#: ``default_probes`` / ``slowlog`` over two fleets).
+#: classes replied with is still here, at the same level, except the
+#: front end's ``default_probes`` (a request names its own probes) —
+#: otherwise the sets have only grown (``queue_*`` on the fleet,
+#: ``fleets`` in process, ``slowlog`` over two fleets).
 EXPECTED = {
     # in process, one tenant
     "QueryService": {

@@ -15,6 +15,7 @@ from repro.store import (
     open_latest_model,
     read_store_status,
 )
+from repro.store.durable import RETAIN
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +28,11 @@ def corpus():
     return col.documents[:20], col.documents[20:], col.queries
 
 
-def seeded_store(corpus, tmp_path, **kwargs):
+def seeded_store(corpus, tmp_path):
     train, _, _ = corpus
-    manager = manager_from_texts(train, k=6, distortion_budget=0.2)
-    return DurableIndexStore.initialize(tmp_path / "store", manager, **kwargs)
+    manager = manager_from_texts(train, k=6)
+    manager.distortion_budget = 0.2
+    return DurableIndexStore.initialize(tmp_path / "store", manager)
 
 
 # --------------------------------------------------------------------- #
@@ -100,12 +102,12 @@ def test_close_flush_writes_final_checkpoint(corpus, tmp_path):
 
 def test_retain_prunes_old_checkpoints(corpus, tmp_path):
     _, later, _ = corpus
-    store = seeded_store(corpus, tmp_path, retain=2)
+    store = seeded_store(corpus, tmp_path)
     for i in range(4):
         store.add_texts([later[i]])
         store.checkpoint(reason=f"step{i}")
     infos = list_checkpoints(store.checkpoints_dir)
-    assert len(infos) == 2
+    assert len(infos) == RETAIN == 3
     assert infos[-1].checkpoint_id == 5  # ids keep counting past pruning
     store.close(flush=False)
 
@@ -385,6 +387,30 @@ def test_cli_store_inspect_verify_compact(corpus, tmp_path, capsys):
     out = io.StringIO()
     assert main(["--no-obs", "store", "verify", data_dir], out=out) == 1
     assert "CORRUPT" in out.getvalue()
+
+
+def test_cli_store_verify_audits_a_live_store(corpus, tmp_path):
+    import io
+
+    from repro.cli import main
+    from repro.store.checkpoint import iter_array_files
+
+    _, later, _ = corpus
+    store = seeded_store(corpus, tmp_path)  # holds the writer lock
+    store.add_texts([later[0]])
+    data_dir = str(tmp_path / "store")
+    out = io.StringIO()
+    assert main(["--no-obs", "store", "verify", data_dir], out=out) == 0
+    assert "ok: 1 checkpoint(s) and the WAL verified clean" in out.getvalue()
+
+    victim = next(iter_array_files(list_checkpoints(store.checkpoints_dir)[-1]))
+    blob = bytearray(victim.read_bytes())
+    blob[-1] ^= 0x01
+    victim.write_bytes(bytes(blob))
+    out = io.StringIO()
+    assert main(["--no-obs", "store", "verify", data_dir], out=out) == 1
+    assert f"CORRUPT  ckpt-00000001/{victim.name}" in out.getvalue()
+    store.close(flush=False)
 
 
 def test_cli_store_rejects_non_store(tmp_path):

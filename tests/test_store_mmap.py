@@ -97,14 +97,12 @@ def pending_fast_update_store(data_dir):
     rng = np.random.default_rng(23)
     vocab = [f"w{i}" for i in range(40)]
     texts = [" ".join(rng.choice(vocab, size=14)) for _ in range(72)]
-    store = DurableIndexStore.initialize(
-        data_dir,
-        manager_from_texts(
-            texts[:60], [f"D{i}" for i in range(60)], k=8,
-            ingest_method="fast-update", fast_update_rank=4,
-            distortion_budget=1e9, drift_cap=1e9,
-        ),
+    manager = manager_from_texts(
+        texts[:60], [f"D{i}" for i in range(60)], k=8,
+        ingest_method="fast-update", fast_update_rank=4, drift_cap=1e9,
     )
+    manager.distortion_budget = 1e9
+    store = DurableIndexStore.initialize(data_dir, manager)
     for lo in (60, 66):
         event = store.add_texts(
             texts[lo:lo + 6], [f"D{i}" for i in range(lo, lo + 6)]
@@ -146,7 +144,7 @@ def test_mapped_reader_serves_the_writers_factors(tmp_path):
         # compared with (the serving V_k Σ_k), not base Σ under rotated V.
         model = store.manager.model
         want = CoarseQuantizer.train(
-            model.V * model.s, store.ann_clusters, seed=store.manager.seed
+            model.V * model.s, seed=store.manager.seed
         )
         sealed = open_latest_ann(store.data_dir)
         assert np.array_equal(sealed.centroids, want.centroids)

@@ -10,10 +10,12 @@ from repro.store import (
     capture_manager,
     recover_manager,
     restore_manager,
+    verify_store,
 )
 from repro.store.checkpoint import MANIFEST_NAME, iter_array_files
 from repro.text import ParsingRules, build_tdm
 from repro.updating import LSIIndexManager
+from repro.updating.manager import EVENT_WINDOW
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,26 @@ def test_capture_restore_bit_identical(corpus):
     e2 = restored.add_texts([later[3]], doc_ids=["NEXT"])
     assert e1.action == e2.action
     assert_managers_identical(mgr, restored)
+
+
+def test_event_history_is_a_fixed_window(corpus):
+    # Every add appends an event; only the newest EVENT_WINDOW live in
+    # memory and in the checkpoint manifest, so neither grows with the
+    # ingest count.
+    _, later = corpus
+    mgr = fresh_manager(corpus)
+    for i, text in enumerate((later * 3)[: EVENT_WINDOW + 3]):
+        mgr.add_texts([text], doc_ids=[f"E{i}"])
+    assert len(mgr.events) == EVENT_WINDOW
+    arrays, meta = capture_manager(mgr)
+    assert len(meta["events"]) == EVENT_WINDOW
+    restored = restore_manager(arrays, meta)
+    assert list(restored.events) == list(mgr.events)
+    # The window keeps sliding after the round trip.
+    for manager in (mgr, restored):
+        manager.add_texts([later[0]], doc_ids=["LAST"])
+    assert len(restored.events) == EVENT_WINDOW
+    assert list(restored.events) == list(mgr.events)
 
 
 def test_recovery_replay_matches_live_manager(corpus, tmp_path):
@@ -167,7 +189,7 @@ def test_compact_is_bit_identical_and_resets_replay(corpus, tmp_path):
     assert before == 5
     path = store.compact()
     assert store.wal.n_records == 0
-    assert store.verify() == []
+    assert verify_store(tmp_path / "s") == (2, [])
     assert store.last_seal.path == path and store.last_seal.epoch == 5
     store.close(flush=False)
 

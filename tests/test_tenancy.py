@@ -41,7 +41,7 @@ from repro.server import (
     ServerClient,
     ServerConfig,
     ServingState,
-    state_from_texts,
+    manager_from_texts,
 )
 from repro.store.durable import DurableServingState
 from repro.tenancy import DEFAULT_TENANT, IndexRegistry, TenantQuotas
@@ -78,9 +78,9 @@ def _build_state(tid: str) -> ServingState:
     # Deterministic (seeded) build: re-attaching a tenant after an LRU
     # detach reconstructs the identical model, which the transparency
     # property below relies on.
-    return state_from_texts(
-        TENANT_TEXTS[tid], k=3, scheme="log_entropy", distortion_budget=0.5
-    )
+    manager = manager_from_texts(TENANT_TEXTS[tid], k=3, scheme="log_entropy")
+    manager.distortion_budget = 0.5
+    return ServingState.for_manager(manager)
 
 
 def _loader(tid: str):
@@ -497,7 +497,6 @@ def test_cli_cluster_serve_requires_one_source(tmp_path):
 
 
 def _seed_store(tmp_path, name: str, texts: list[str]):
-    from repro.server import manager_from_texts
     from repro.store import DurableIndexStore
 
     data_dir = tmp_path / name

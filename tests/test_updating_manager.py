@@ -28,7 +28,7 @@ def test_initial_state(manager_setup):
     assert mgr.n_documents == 40
     assert mgr.pending == 0
     assert mgr.drift() < 1e-10
-    assert mgr.events == []
+    assert not mgr.events
 
 
 def test_small_additions_fold(manager_setup):
