@@ -4,11 +4,15 @@ The durability contract across a *process boundary*, with a real
 SIGKILL (no atexit handlers, no flush — the kernel just removes the
 process):
 
-1. boot the durable server, seed a data directory, POST a stream of
-   ``/add`` fold-ins, and SIGKILL the process mid-stream;
+1. boot the durable server, seed a data directory, POST
+   ``CHECKPOINT_EVERY`` ``/add`` fold-ins, wait (a few ticks at most)
+   until the server's seal loop has sealed them on its record trigger
+   (``store inspect`` lists a ``wal_records>=4`` checkpoint), POST
+   ``TAIL`` < ``CHECKPOINT_EVERY`` more, and SIGKILL the process;
 2. restart the server on the same data directory and assert it
    recovered **at least** every acknowledged add (acknowledged =
-   WAL-fsynced before the HTTP 200 went out);
+   WAL-fsynced before the HTTP 200 went out), replaying exactly the
+   ``TAIL`` records no seal covered;
 3. build an in-process reference manager that absorbs exactly the adds
    the recovered server reports, and assert ``/search`` responses are
    element-identical — the recovered index is bit-for-bit the index the
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -38,8 +43,9 @@ from repro.retrieval.engine import LSIRetrieval
 from repro.server import ServerClient, manager_from_texts
 
 K = 8
-N_ADDS = 10
 CHECKPOINT_EVERY = 4  # force checkpoint + WAL-suffix mixtures mid-stream
+TAIL = CHECKPOINT_EVERY - 1  # acked after the policy seal, never sealed
+N_ADDS = CHECKPOINT_EVERY + TAIL
 QUERIES = [
     "blood pressure age",
     "renal blood flow",
@@ -52,6 +58,13 @@ ADDS = [
 ]
 
 
+FILLER_TOPICS = [
+    "blood pressure", "renal flow", "heart rate", "growth hormone",
+    "oxygen consumption", "insulin response", "liver enzymes",
+    "bone density",
+]
+
+
 def _corpus() -> list[str]:
     extra = [
         "renal blood flow measurement in anesthetized dogs",
@@ -59,10 +72,20 @@ def _corpus() -> list[str]:
         "growth hormone levels in fasting children",
         "spectral analysis of heart rate variability signals",
     ]
-    return [MED_TOPICS[f"M{i}"] for i in range(1, 15)] + extra
+    # Enough documents that the whole stream folds in (p/n stays within
+    # the manager's 0.1 distortion budget): no add consolidates, so the
+    # record trigger is the only seal the stream can cause.
+    filler = [
+        f"clinical note {i} on {FILLER_TOPICS[i % 8]} and "
+        f"{FILLER_TOPICS[(3 * i + 1) % 8]}"
+        for i in range(56)
+    ]
+    return [MED_TOPICS[f"M{i}"] for i in range(1, 15)] + extra + filler
 
 
-def _serve(data_dir: str, corpus_path: str) -> tuple[subprocess.Popen, int]:
+def _serve(
+    data_dir: str, corpus_path: str
+) -> tuple[subprocess.Popen, int, str]:
     env = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [
@@ -82,7 +105,7 @@ def _serve(data_dir: str, corpus_path: str) -> tuple[subprocess.Popen, int]:
         if "on http://" in line:
             port = int(line.strip().rsplit(":", 1)[1])
     print("".join(f"  {line}" for line in banner), end="")
-    return proc, port
+    return proc, port, "".join(banner)
 
 
 def _repro(*args: str) -> subprocess.CompletedProcess:
@@ -91,6 +114,22 @@ def _repro(*args: str) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "repro", "--no-obs", *args],
         env=env, capture_output=True, text=True,
     )
+
+
+def _wait_for_policy_seal(data_dir: str) -> None:
+    """Wait a few seal-loop ticks for the record trigger's checkpoint."""
+    reason = f"wal_records>={CHECKPOINT_EVERY}"
+    deadline = time.monotonic() + 10.0
+    while True:
+        r = _repro("store", "inspect", data_dir, "--json")
+        assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+        checkpoints = json.loads(r.stdout)["checkpoints"]
+        if any(c["reason"] == reason for c in checkpoints):
+            return
+        assert time.monotonic() < deadline, (
+            f"the seal loop never sealed on its record trigger: {checkpoints}"
+        )
+        time.sleep(0.25)
 
 
 def _search_all(client: ServerClient) -> dict[str, list]:
@@ -117,13 +156,19 @@ def main() -> None:
         data_dir = os.path.join(tmp, "store")
 
         # ---- phase 1: seed, stream adds, SIGKILL mid-stream ---------- #
-        proc, port = _serve(data_dir, corpus_path)
+        proc, port, _ = _serve(data_dir, corpus_path)
         client = ServerClient(port=port)
         acked = 0
         try:
             for i, text in enumerate(ADDS):
-                client.add([text], [f"S{i}"])
+                ack = client.add([text], [f"S{i}"])
                 acked += 1
+                # A consolidation would seal on its own trigger.
+                assert ack["action"] == "fold-in", ack
+                if acked == CHECKPOINT_EVERY:
+                    _wait_for_policy_seal(data_dir)
+                    print(f"  seal loop sealed after {acked} adds "
+                          f"(wal_records>={CHECKPOINT_EVERY})")
         finally:
             proc.kill()  # SIGKILL: no drain, no flush, no final checkpoint
             proc.communicate(timeout=10)
@@ -131,8 +176,12 @@ def main() -> None:
         assert acked == N_ADDS
 
         # ---- phase 2: restart, assert every acked add survived ------- #
-        proc, port = _serve(data_dir, corpus_path)
+        proc, port, banner = _serve(data_dir, corpus_path)
         try:
+            replayed = re.search(r"\+(\d+) WAL records replayed", banner)
+            assert replayed and int(replayed.group(1)) == TAIL, (
+                f"expected the {TAIL} unsealed adds replayed: {banner}"
+            )
             client = ServerClient(port=port)
             n_recovered = client.healthz()["n_documents"]
             recovered_adds = n_recovered - len(docs)
@@ -159,7 +208,7 @@ def main() -> None:
                   "the uninterrupted reference")
 
             # The recovered checkpoint still carries its ANN arrays
-            # (the kill raced the background checkpointer's quantizer
+            # (the kill raced the seal loop's quantizer
             # training), and probing every cell reproduces the exact
             # scan — WAL-replayed documents the quantizer never saw are
             # covered by the fresh-tail rule.
@@ -193,7 +242,7 @@ def main() -> None:
         assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
         print(f"  {r.stdout.strip()}")
 
-        proc, port = _serve(data_dir, corpus_path)
+        proc, port, _ = _serve(data_dir, corpus_path)
         try:
             client = ServerClient(port=port)
             assert client.healthz()["n_documents"] == n_recovered

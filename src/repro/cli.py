@@ -23,9 +23,10 @@ terms or documents").  This CLI is the same toolbox over this library:
     micro-batched ``/search``, live ``/add`` through the index manager,
     ``/healthz`` and ``/stats``, graceful drain on SIGINT/SIGTERM.
     With ``--data-dir`` the index is durable (:mod:`repro.store`):
-    every ``/add`` is write-ahead-logged before acknowledgment, a
-    background checkpointer snapshots on policy, and a warm restart
-    recovers the exact pre-crash index from the same directory.
+    every ``/add`` is write-ahead-logged before acknowledgment, the
+    store's seal loop checkpoints on policy (the same loop the writable
+    cluster runs), and a warm restart recovers the exact pre-crash
+    index from the same directory.
     With repeated ``--tenant NAME=PATH`` flags the server hosts many
     named indexes behind one port (:mod:`repro.tenancy`): requests
     route by ``X-Tenant`` header or ``tenant`` body field, cold
@@ -477,12 +478,8 @@ def _cmd_terms(args, out) -> int:
 
 def _durable_state(args, out):
     """Recover or seed the durable store behind ``serve --data-dir``."""
-    from repro.server import manager_from_texts
-    from repro.store import (
-        CheckpointPolicy,
-        DurableIndexStore,
-        DurableServingState,
-    )
+    from repro.server import ServingState, manager_from_texts
+    from repro.store import CheckpointPolicy, DurableIndexStore
 
     if DurableIndexStore.exists(args.data_dir):
         store = DurableIndexStore.open(args.data_dir)
@@ -516,10 +513,9 @@ def _durable_state(args, out):
         )
         store = DurableIndexStore.initialize(args.data_dir, manager)
         print(f"seeded durable store at {args.data_dir}", file=out, flush=True)
-    store.start_checkpointer(
-        CheckpointPolicy(every_records=args.checkpoint_every or None)
+    return ServingState.for_store(
+        store, CheckpointPolicy(every_records=args.checkpoint_every or None)
     )
-    return DurableServingState(store)
 
 
 def _parse_tenant_specs(specs: list[str]) -> dict[str, pathlib.Path]:
@@ -754,9 +750,9 @@ def _cmd_cluster(args, out) -> int:
         ClusterService,
         StandbyConfig,
         SupervisorConfig,
-        WriterConfig,
     )
     from repro.errors import ClusterConfigError
+    from repro.store import CheckpointPolicy
 
     if (args.data_dir is None) == (args.tenants is None):
         raise ReproError(
@@ -764,13 +760,12 @@ def _cmd_cluster(args, out) -> int:
             "tenant) or --tenants (a name -> store-directory JSON map)"
         )
 
-    writer = WriterConfig(
-        seal_every_records=(
-            args.seal_every if args.seal_every > 0 else None
-        ),
-        seal_interval_s=(
-            args.seal_interval if args.seal_interval > 0 else None
-        ),
+    # A fleet's seal is an epoch bump on every worker, so it is paced by
+    # records and age only: a consolidation never seals on its own.
+    writer = CheckpointPolicy(
+        args.seal_every if args.seal_every > 0 else None,
+        args.seal_interval if args.seal_interval > 0 else None,
+        on_consolidate=False,
     )
     config = ClusterConfig(
         workers=args.workers,

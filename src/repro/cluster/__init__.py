@@ -21,7 +21,8 @@ With ``--writable`` the cluster also ingests: the
 :class:`~repro.cluster.primary.PrimaryWriter` owns the durable store's
 write lock, WAL-logs every ``/add`` (acknowledged = fsynced, SIGKILL
 recovers bit-identically), applies the Vecharynski-Saad fast SVD
-update per batch, seals format-v2 checkpoints on its policy, and
+update per batch, seals format-v2 checkpoints through the store's one
+seal loop (the same one ``repro serve --data-dir`` runs), and
 broadcasts epoch *bumps* — each worker hot-remaps the new checkpoint
 behind an atomic swap while keeping the previous epoch's state alive
 (:mod:`~repro.cluster.epochs`), so in-flight queries finish against
@@ -44,7 +45,7 @@ WAL tail, and resumes sealing with zero acked records lost.
 
 from repro.cluster.epochs import EpochHandle, open_checkpoint
 from repro.cluster.plan import PLAN_FORMAT, ShardPlan, ShardRange
-from repro.cluster.primary import PrimaryWriter, WriterConfig
+from repro.cluster.primary import PrimaryWriter
 from repro.cluster.standby import StandbyConfig, StandbyWriter
 from repro.cluster.router import ClusterResult, ClusterRouter, WorkerChannel
 from repro.cluster.service import ClusterConfig, ClusterService
@@ -56,7 +57,6 @@ __all__ = [
     "EpochHandle",
     "open_checkpoint",
     "PrimaryWriter",
-    "WriterConfig",
     "StandbyConfig",
     "StandbyWriter",
     "ShardPlan",

@@ -16,10 +16,10 @@ the supervisor's restart machinery.
 By default the cluster is a *read-only* serving tier: ``/add`` is
 refused with :class:`~repro.errors.ClusterReadOnlyError`, and a new
 checkpoint is picked up by restarting the cluster.  Given a
-``writer`` configuration the service embeds the
+``writer`` seal policy the service embeds the
 :class:`~repro.cluster.primary.PrimaryWriter`: ``/add`` WAL-logs
-through the durable store, the writer seals checkpoints on its policy
-and bumps the workers, and the fleet hot-swaps its
+through the durable store, the store's seal loop seals checkpoints on
+that policy and the writer bumps the workers, and the fleet hot-swaps its
 :class:`~repro.cluster.epochs.EpochHandle` — ``search`` snapshots the
 handle at entry, so in-flight queries finish against the superseded
 epoch (which every worker retains) and zero queries drop across a bump.
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.plan import check_topology
-from repro.cluster.primary import PrimaryWriter, WriterConfig
+from repro.cluster.primary import PrimaryWriter
 from repro.cluster.router import ClusterRouter
 from repro.cluster.standby import StandbyConfig, StandbyWriter
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
@@ -44,6 +44,7 @@ from repro.core.query import project_query
 from repro.errors import ClusterConfigError, ClusterReadOnlyError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
+from repro.store.sealing import CheckpointPolicy
 
 __all__ = ["ClusterConfig", "ClusterService"]
 
@@ -60,9 +61,9 @@ class ClusterConfig:
     #: carved, each served by R distinct worker processes.
     replication: int = 1
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    #: Embed the primary writer, so configured: ``/add`` accepted,
-    #: epochs bump live.  ``None`` serves read-only.
-    writer: WriterConfig | None = None
+    #: Embed the primary writer with this seal policy: ``/add``
+    #: accepted, epochs bump live.  ``None`` serves read-only.
+    writer: CheckpointPolicy | None = None
     #: Run a warm standby writer: tail checkpoints + WAL read-only and
     #: adopt the store lock (promote to primary) when it frees.
     standby: StandbyConfig | None = None
@@ -213,7 +214,7 @@ class ClusterService:
     async def drain(self) -> None:
         """Graceful shutdown: stop the writer, SIGTERM workers."""
         if self.standby is not None:
-            await self.standby.stop(flush=True)
+            await self.standby.stop()
         if self.primary is not None:
             await self.primary.stop(flush=True)
         await self.supervisor.drain()

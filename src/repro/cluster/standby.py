@@ -25,7 +25,9 @@ therefore needs only two loops:
   seal, and boot-seals ``reason="recover"`` — so the first promoted
   epoch already serves every record the dead primary ever acked.
   Zero acked records lost is not a best effort here; it is the store's
-  standing recovery contract, inherited.
+  standing recovery contract, inherited.  From then on it seals like a
+  primary started ``--writable``: the store's one
+  :class:`~repro.store.sealing.SealLoop`, under ``StandbyConfig.writer``.
 
 Promotion is observable end to end: every transition appends a
 timestamped event to the in-memory timeline and (when configured) a
@@ -44,12 +46,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.cluster.epochs import EpochHandle
-from repro.cluster.primary import PrimaryWriter, WriterConfig
+from repro.cluster.primary import PrimaryWriter
 from repro.errors import StoreError, StoreLockedError
 from repro.obs.metrics import registry
 from repro.store.checkpoint import newest_checkpoint
 from repro.store.durable import DurableIndexStore
 from repro.store.lock import StoreLock
+from repro.store.sealing import CheckpointPolicy
 
 __all__ = ["StandbyConfig", "StandbyWriter"]
 
@@ -62,9 +65,9 @@ class StandbyConfig:
     poll_seconds: float = 0.5
     #: JSONL file recording the promotion timeline (``None``: memory only).
     promotion_log: str | None = None
-    #: Writer configuration applied on promotion (the seal policy) —
-    #: normally identical to the primary's.
-    writer: WriterConfig = field(default_factory=WriterConfig)
+    #: Seal policy the promoted writer's seal loop runs — normally
+    #: identical to the primary's.
+    writer: CheckpointPolicy = field(default_factory=CheckpointPolicy)
 
 
 class StandbyWriter:
@@ -132,7 +135,7 @@ class StandbyWriter:
             self._event("standby_start", data_dir=str(self.data_dir))
             self._task = asyncio.ensure_future(self._poll_loop())
 
-    async def stop(self, *, flush: bool = True) -> None:
+    async def stop(self) -> None:
         """Stop polling.  An adopted writer is *not* stopped here — on
         promotion it became ``service.primary``, and the service's drain
         stops it through that reference (one owner, one stop)."""
@@ -262,19 +265,11 @@ class StandbyWriter:
         await writer.start(service)
         # Publish the adoption seal to our own workers before declaring
         # promotion: once quorum remaps, every previously acked record
-        # is searchable.  A missed quorum parks the handle on the
-        # writer's normal retry loop — reads keep serving the old epoch
+        # is searchable.  A missed quorum parks the handle for the
+        # writer's seal loop to retry — reads keep serving the old epoch
         # meanwhile, writes are already accepted.
         if seal is not None and seal.epoch > service.epoch:
-            handle = EpochHandle.open(
-                self.data_dir,
-                service.plan.n_workers,
-                replication=service.plan.replication,
-                checkpoint=seal.name,
-            )
-            published = await service.propagate_handle(handle)
-            if not published:
-                writer._pending_handle = handle
+            await writer.publish(seal)
         self.promoted = True
         registry.set_gauge("cluster.standby.promoted", 1)
         registry.inc("cluster.standby.promotions_total")

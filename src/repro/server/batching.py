@@ -115,7 +115,9 @@ class SearchRequest:
 
 class MicroBatcher:
     """The in-process backend: one :class:`ServingState`, its scheduler
-    task that turns a request stream into batches, and its writer lock."""
+    task that turns a request stream into batches, and its writer lock.
+    Over a store it also runs the state's seal loop, from :meth:`start`
+    to :meth:`stop`."""
 
     def __init__(self, state: ServingState, *, max_batch: int = 32):
         if max_batch < 1:
@@ -132,11 +134,14 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Spawn the scheduler task on the running event loop."""
+        """Spawn the scheduler task (and the seal loop of a state built
+        over a store) on the running event loop."""
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(
                 self._run(), name="repro-server-batcher"
             )
+            if self.state.seal_loop is not None:
+                self.state.seal_loop.start()
 
     def submit(self, request: SearchRequest) -> None:
         """Enqueue an admitted request (event-loop thread only)."""
@@ -148,8 +153,11 @@ class MicroBatcher:
         await self.stop()
 
     async def stop(self) -> None:
-        """Cancel the scheduler task and join the scoring thread (the
-        queue is empty and that thread idle after :meth:`drain`)."""
+        """Stop the seal loop, cancel the scheduler task and join the
+        scoring thread (the queue is empty and that thread idle after
+        :meth:`drain`)."""
+        if self.state.seal_loop is not None:
+            await self.state.seal_loop.stop()
         if self._task is not None:
             self._task.cancel()
             try:
@@ -203,9 +211,10 @@ class MicroBatcher:
 
         Writers are serialized and run on the loop's default executor —
         never the scoring thread, so a writer cannot queue behind the
-        scorer (or the scorer behind it); readers never wait — in-flight
-        batches finish against their pinned epoch, later batches see the
-        new one.
+        scorer (or the scorer behind it), and never the seal thread, so
+        a writer waits for a seal's capture at most; readers never wait
+        — in-flight batches finish against their pinned epoch, later
+        batches see the new one.
         """
         async with self._add_lock:
             return await asyncio.get_running_loop().run_in_executor(

@@ -20,8 +20,9 @@ is a *backend*, and there are exactly two:
   scatters over shard worker processes.
 
 Both answer ``start()`` / ``drain()`` / ``search(...) → (payload,
-slow-log evidence)`` / ``add(...)`` / ``healthz()``; everything a
-request passes on the way there is here, once:
+slow-log evidence)`` / ``add(...)`` / ``healthz()``, and the one that
+owns a durable store runs its seal loop from ``start`` to ``drain``;
+everything a request passes on the way there is here, once:
 
 * :meth:`search` pins the request's tenant (lazily attaching a cold
   one), admits it against the global bounded queue *and* the tenant's
@@ -164,12 +165,17 @@ class QueryService:
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Ready the front end and spawn every resident fleet's workers
-        (idempotent).  A cold tenant's fleet spawns on its first query;
-        an in-process scheduler starts with the first request it gets."""
+        """Ready the front end and start every resident backend
+        (idempotent): a fleet spawns its workers, an in-process scorer
+        its scheduler and — over a store — its seal loop, which then
+        runs until :meth:`drain`.  A cold tenant's backend starts with
+        its first query."""
         self._loop = asyncio.get_running_loop()
-        for _label, fleet in self._fleets():
-            await fleet.start()
+        for backend in self._resident().values():
+            if isinstance(backend, MicroBatcher):
+                backend.start()
+            else:
+                await backend.start()
         registry.set_gauge("server.draining", 0.0)
 
     async def drain(self) -> None:

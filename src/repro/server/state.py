@@ -38,6 +38,8 @@ from repro.serving.index import scaled_documents, scaled_rows
 from repro.serving.kernel import cosine_scores
 from repro.serving.querycache import QueryVectorCache
 from repro.serving.scan import ranked_scan
+from repro.store.durable import DurableIndexStore
+from repro.store.sealing import CheckpointPolicy, SealLoop
 from repro.updating.manager import LSIIndexManager
 
 __all__ = [
@@ -230,12 +232,15 @@ class EpochSnapshot:
 class ServingState:
     """The mutable holder a server reads snapshots from and writes through.
 
-    Two flavours:
+    Three flavours:
 
     * **manager-backed** (:meth:`for_manager`) — document additions run
       through the :class:`LSIIndexManager` (fold-in immediately, §4.3
       drift-policy consolidation when the planner says so) and publish a
       new epoch;
+    * **durable** (:meth:`for_store`) — the same, with each addition
+      WAL-logged by the store first, and a seal loop for the backend
+      serving this state to run;
     * **static** (:meth:`for_model`) — serve a saved ``.npz`` model
       read-only; :meth:`add_texts` raises.
     """
@@ -253,7 +258,10 @@ class ServingState:
         self._manager = manager
         self._query_cache_size = query_cache_size
         self._write_lock = threading.Lock()
-        self._swap_hooks: list = []
+        #: The durable store additions go through (:meth:`for_store`),
+        #: and the loop that seals it.
+        self.store: DurableIndexStore | None = None
+        self.seal_loop: SealLoop | None = None
         self._ann = ann
         initial = manager.model if manager is not None else model
         self._snapshot = EpochSnapshot(
@@ -266,6 +274,32 @@ class ServingState:
     def for_manager(cls, manager: LSIIndexManager, **kwargs) -> "ServingState":
         """Live-updatable state around an existing index manager."""
         return cls(manager=manager, **kwargs)
+
+    @classmethod
+    def for_store(
+        cls,
+        store: DurableIndexStore,
+        policy: CheckpointPolicy = CheckpointPolicy(),
+        **kwargs,
+    ) -> "ServingState":
+        """Live-updatable state whose additions survive a crash.
+
+        Each addition is WAL-logged by ``store`` before its epoch is
+        published; the backend serving this state runs
+        :attr:`seal_loop` (``policy`` over the store) from its start to
+        its drain.  The coarse quantizer is the store's (``store.ann``:
+        the one decoded from the checkpoint it opened; ``store.
+        ann_missing`` reports when there is none — a pre-format-2 store
+        serves by exact scan).  Seals retrain the on-disk quantizer but
+        do not hot-swap the served one: documents added meanwhile are
+        searched exactly via the fresh-tail rule, and a restart picks up
+        the newest training.
+        """
+        kwargs.setdefault("ann", store.ann)
+        state = cls(manager=store.manager, **kwargs)
+        state.store = store
+        state.seal_loop = SealLoop(store, policy)
+        return state
 
     @classmethod
     def for_model(cls, model: LSIModel, **kwargs) -> "ServingState":
@@ -319,29 +353,7 @@ class ServingState:
             )
         return quantizer
 
-    def add_swap_hook(self, hook) -> None:
-        """Register ``hook(snapshot, event)`` to run after each epoch swap.
-
-        Hooks run under the write lock, after the new snapshot is
-        published — the durability layer uses this to wake its
-        background checkpointer without touching the query path.  Keep
-        hooks cheap; heavy work belongs on the hook's own thread.
-        """
-        self._swap_hooks.append(hook)
-
     # ------------------------------------------------------------------ #
-    def _apply_add(
-        self, texts: list[str], doc_ids: Sequence[str] | None
-    ):
-        """Route one addition into the manager; returns its IndexEvent.
-
-        The override point for durable serving: :class:`~repro.store.
-        durable.DurableServingState` write-ahead-logs the addition before
-        applying it here, so an fsync-acknowledged fold-in survives a
-        crash.  Called with the write lock held.
-        """
-        return self._manager.add_texts(texts, doc_ids)
-
     def add_texts(
         self, texts: Sequence[str], doc_ids: Sequence[str] | None = None
     ) -> dict:
@@ -349,7 +361,9 @@ class ServingState:
 
         Blocking (runs the fold-in / consolidation); the service calls
         it from an executor thread.  In-flight readers keep scoring
-        their pinned snapshot; the swap is one attribute write.
+        their pinned snapshot; the swap is one attribute write.  Over a
+        store, the addition is WAL-fsynced before it is applied, so an
+        acknowledged fold-in survives a crash.
         """
         if self._manager is None:
             raise ReproError(
@@ -357,7 +371,10 @@ class ServingState:
                 "index; restart with a document source to enable /add"
             )
         with self._write_lock:
-            event = self._apply_add(list(texts), doc_ids)
+            if self.store is not None:
+                event = self.store.add_texts(list(texts), doc_ids)
+            else:
+                event = self._manager.add_texts(list(texts), doc_ids)
             fresh = EpochSnapshot(
                 self._snapshot.epoch + 1,
                 self._manager.model,
@@ -366,8 +383,6 @@ class ServingState:
             )
             self._snapshot = fresh  # the atomic reader/writer handoff
             self._publish_gauges(fresh)
-            for hook in self._swap_hooks:
-                hook(fresh, event)
         return {
             "epoch": fresh.epoch,
             "n_documents": fresh.n_documents,

@@ -21,19 +21,22 @@ production system can restart, kill, and audit:
 * :mod:`repro.store.mmap_io` — the read-only replica's two calls of
   that door (``open_latest_model`` / ``open_latest_ann``, mapped with
   ``np.load(mmap_mode="r")``);
-* :mod:`repro.store.checkpointer` — the background policy thread
-  (every N records / M seconds / on consolidation) that snapshots
-  without blocking the query path;
+* :mod:`repro.store.sealing` — :class:`CheckpointPolicy` (every N
+  records / M seconds / on consolidation) and :class:`SealLoop`, the
+  one loop every lock holder runs to seal on that policy without
+  blocking the query path;
 * :mod:`repro.store.lock` — the single-writer ``flock`` every
   read-write open holds, so a second writer cannot truncate or swap
   the live WAL under a running server;
-* :mod:`repro.store.durable` — :class:`DurableIndexStore` (the data
-  directory owner) and :class:`DurableServingState` (the server
-  integration).
+* :mod:`repro.store.durable` — :class:`DurableIndexStore`, the data
+  directory owner.
 
-CLI surface: ``python -m repro serve <src> --data-dir DIR`` (warm
-restarts resume the exact pre-crash index) and ``python -m repro store
-{inspect,verify,compact} DIR``.
+The package sits below every serving tier and imports none of them:
+``repro.server`` builds its durable state over a store
+(``ServingState.for_store``) and ``repro.cluster``'s primary writer
+owns one.  CLI surface: ``python -m repro serve <src> --data-dir DIR``
+(warm restarts resume the exact pre-crash index) and ``python -m repro
+store {inspect,verify,compact} DIR``.
 """
 
 from repro.store.checkpoint import (
@@ -44,11 +47,9 @@ from repro.store.checkpoint import (
     verify_checkpoint,
     write_checkpoint,
 )
-from repro.store.checkpointer import Checkpointer, CheckpointPolicy
 from repro.store.durable import (
     STORE_LAYOUT,
     DurableIndexStore,
-    DurableServingState,
     publish_store_gauges,
     read_store_status,
     verify_store,
@@ -63,6 +64,7 @@ from repro.store.recovery import (
     recover_manager,
     restore_manager,
 )
+from repro.store.sealing import CheckpointPolicy, SealLoop
 from repro.store.wal import WalRecord, WriteAheadLog, scan_wal, verify_wal
 
 __all__ = [
@@ -72,11 +74,10 @@ __all__ = [
     "list_checkpoints",
     "verify_checkpoint",
     "write_checkpoint",
-    "Checkpointer",
     "CheckpointPolicy",
+    "SealLoop",
     "STORE_LAYOUT",
     "DurableIndexStore",
-    "DurableServingState",
     "StoreLock",
     "publish_store_gauges",
     "read_store_status",

@@ -28,13 +28,14 @@ inspect`` and ``repro store verify`` — go through
 checkpoint manifests and the WAL file without a write handle or the
 lock, so they are safe to run against a directory a live server owns.
 
-:class:`DurableServingState` plugs the store into the serving layer
-(:mod:`repro.server`): it overrides the epoch-swap write path so every
-``/add`` is WAL-logged before the new epoch is published, and its swap
-hook nudges the background :class:`~repro.store.checkpointer.
-Checkpointer`.  The query path is untouched — readers still score
-pinned epoch snapshots lock-free, which is what keeps checkpointing off
-the latency profile.
+The store sits below every serving tier and imports none of them.  A
+serving state built over it (``ServingState.for_store``) routes each
+``/add`` through it before the new epoch is published, and whichever
+process holds the lock runs the one :class:`~repro.store.sealing.
+SealLoop`, which seals on the store's own bookkeeping: dirty records,
+checkpoint age, and the consolidations applied since the capture.  The
+query path is untouched — readers score pinned epoch snapshots
+lock-free, which is what keeps sealing off the latency profile.
 
 Maintenance: :meth:`DurableIndexStore.compact` folds the WAL into a
 fresh checkpoint and truncates it (search results bit-identical, replay
@@ -58,7 +59,6 @@ from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.serving.ann import ANN_ARRAY_NAMES, CoarseQuantizer
-from repro.server.state import ServingState
 from repro.store.checkpoint import (
     CHECKPOINTS_DIR,
     checkpoint_bytes,
@@ -67,7 +67,6 @@ from repro.store.checkpoint import (
     verify_checkpoint,
     write_checkpoint,
 )
-from repro.store.checkpointer import Checkpointer, CheckpointPolicy
 from repro.store.lock import LOCK_NAME, StoreLock
 from repro.store.recovery import (
     RecoveryReport,
@@ -84,7 +83,6 @@ __all__ = [
     "STORE_LAYOUT",
     "SealInfo",
     "DurableIndexStore",
-    "DurableServingState",
     "read_store_status",
     "verify_store",
     "publish_store_gauges",
@@ -172,7 +170,12 @@ class DurableIndexStore:
             self._last_checkpoint_lsn = last_recovery.wal_lsn_start
             self._last_checkpoint_time = last_recovery.checkpoint_created_unix
             self._last_checkpoint_bytes = last_recovery.checkpoint_bytes
-        self._checkpointer: Checkpointer | None = None
+        # Consolidations applied, and how many of them the newest
+        # checkpoint captured — both under the writer lock, so one
+        # landing after a seal's capture still counts for the next seal,
+        # and a failed seal forgets none.
+        self._consolidations = 0
+        self._checkpoint_consolidations = 0
         self._closed = False
         #: Description of the newest checkpoint written *by this
         #: process* (None until the first :meth:`checkpoint`/:meth:`seal`).
@@ -278,6 +281,11 @@ class DurableIndexStore:
         """Wall-clock age of the newest checkpoint."""
         return max(0.0, time.time() - self._last_checkpoint_time)
 
+    @property
+    def consolidations_since_checkpoint(self) -> int:
+        """Consolidations the newest checkpoint did not capture."""
+        return self._consolidations - self._checkpoint_consolidations
+
     def publish_gauges(self) -> None:
         """Refresh the ``store.*`` gauges ``repro stats`` reports."""
         registry.set_gauge("store.wal_records", self._wal.n_records)
@@ -321,13 +329,10 @@ class DurableIndexStore:
                 # failure additionally halts the WAL (no further appends).
                 registry.inc("store.wal_rollback_failures_total")
             raise
-        if self._checkpointer is not None:
-            self._checkpointer.notify(
-                # Only a true consolidation rewrites the factor matrices;
-                # fast-update is a per-batch ingest kernel like fold-in.
-                consolidated=event is not None
-                and event.action in ("svd-update", "recompute")
-            )
+        # Only a true consolidation rewrites the factor matrices;
+        # fast-update is a per-batch ingest kernel like fold-in.
+        if event is not None and event.action in ("svd-update", "recompute"):
+            self._consolidations += 1
         self.publish_gauges()
         return event
 
@@ -476,6 +481,7 @@ class DurableIndexStore:
                     arrays, meta = capture_manager(self.manager)
                     model = self.manager.model
                     wal_lsn = self._wal.last_lsn
+                    consolidations = self._consolidations
                 meta["wal_lsn"] = wal_lsn
                 meta["epoch"] = wal_lsn  # logical index version
                 meta["reason"] = reason
@@ -491,6 +497,7 @@ class DurableIndexStore:
             self.ann = quantizer
             registry.set_gauge("store.ann_missing", int(quantizer is None))
             self._last_checkpoint_lsn = wal_lsn
+            self._checkpoint_consolidations = consolidations
             self._last_checkpoint_time = time.time()
             self._last_checkpoint_bytes = checkpoint_bytes(info)
             self.last_seal = SealInfo(
@@ -529,44 +536,29 @@ class DurableIndexStore:
         return path
 
     # ------------------------------------------------------------------ #
-    # background checkpointing + lifecycle
+    # lifecycle
     # ------------------------------------------------------------------ #
-    def start_checkpointer(
-        self,
-        policy: CheckpointPolicy | None = None,
-        *,
-        poll_seconds: float = 1.0,
-    ) -> Checkpointer:
-        """Attach and start the background policy checkpointer."""
-        if self._checkpointer is None:
-            self._checkpointer = Checkpointer(
-                self, policy, poll_seconds=poll_seconds
-            )
-        self._checkpointer.start()
-        return self._checkpointer
-
-    @property
-    def checkpointer(self) -> Checkpointer | None:
-        """The attached background checkpointer, if any."""
-        return self._checkpointer
-
     def close(self, *, flush: bool = True) -> None:
-        """Graceful shutdown: stop the checkpointer, flush, release.
+        """Graceful shutdown: flush, then close the WAL and release the
+        lock (idempotent).
 
         ``flush=True`` writes a final checkpoint when the WAL holds
         records no checkpoint covers — the SIGTERM drain path, so a
-        clean restart replays nothing.
+        clean restart replays nothing.  The WAL handle and the lock are
+        released even when that flush fails — a fenced handle's
+        :class:`~repro.errors.StoreLockedError` still propagates, but
+        the handle is closed, as the error tells its owner to do.
         """
         if self._closed:
             return
-        if self._checkpointer is not None:
-            self._checkpointer.stop()
-        if flush and self.dirty_records > 0:
-            self.checkpoint(reason="close")
         self._closed = True
-        self._wal.close()
-        if self._dir_lock is not None:
-            self._dir_lock.release()
+        try:
+            if flush and self.dirty_records > 0:
+                self.checkpoint(reason="close")
+        finally:
+            self._wal.close()
+            if self._dir_lock is not None:
+                self._dir_lock.release()
 
 
 # --------------------------------------------------------------------- #
@@ -663,36 +655,3 @@ def publish_store_gauges(data_dir: pathlib.Path) -> dict:
         "store.last_recovery_replayed", status["last_recovery_replayed"]
     )
     return status
-
-
-class DurableServingState(ServingState):
-    """A :class:`~repro.server.state.ServingState` whose writes survive.
-
-    Same epoch-swap reader/writer contract as the base class; the only
-    difference is the write path: each addition goes through the
-    store's WAL-ahead discipline before the new epoch is published, and
-    the registered swap hook pokes the background checkpointer's policy
-    via the store.  Readers never touch the store.
-
-    The coarse quantizer is the store's (``store.ann``: the one decoded
-    from the checkpoint the store opened, or trained by its newest
-    seal; ``store.ann_missing`` reports when there is none — a
-    pre-format-2 store serves by exact scan until its next
-    checkpoint).  Background checkpoints retrain the on-disk quantizer
-    but do not hot-swap the served one; documents added meanwhile are
-    still searched exactly via the fresh-tail rule, and a restart picks
-    up the newest training.
-    """
-
-    def __init__(self, store: DurableIndexStore, **kwargs):
-        kwargs.setdefault("ann", store.ann)
-        super().__init__(manager=store.manager, **kwargs)
-        self.store = store
-        self.add_swap_hook(self._on_swap)
-
-    def _apply_add(self, texts, doc_ids):
-        return self.store.add_texts(texts, doc_ids)
-
-    @staticmethod
-    def _on_swap(snapshot, event) -> None:
-        registry.set_gauge("store.serving_epoch", snapshot.epoch)

@@ -35,11 +35,16 @@ from __future__ import annotations
 import contextlib
 import threading
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import ReproError, UnknownTenantError
 from repro.obs.metrics import registry as metrics
-from repro.server.state import ServingState
+
+if TYPE_CHECKING:
+    # The front end (repro.server) imports this module; importing it
+    # back at load time would make whichever package loads first see
+    # the other half-initialized.
+    from repro.server.state import ServingState
 
 __all__ = ["DEFAULT_TENANT", "IndexRegistry", "TenantEntry"]
 
@@ -218,6 +223,8 @@ class IndexRegistry:
 
     def _default_loader(self, entry: TenantEntry) -> ServingState:
         """Crash-safe read-only attach from the tenant's data directory."""
+        from repro.server.state import ServingState
+
         path = entry.data_dir
         assert path is not None
         share = max(

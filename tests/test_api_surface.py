@@ -6,7 +6,11 @@ broken public API.  This walks the whole package.
 """
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +20,8 @@ MODULES = sorted(
     name
     for _, name, _ in pkgutil.walk_packages(repro.__path__, prefix="repro.")
 )
+TOP_LEVEL = [name for name in MODULES if name.count(".") == 1]
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
 
 
 def test_package_has_expected_subpackages():
@@ -30,6 +36,19 @@ def test_package_has_expected_subpackages():
 @pytest.mark.parametrize("module_name", MODULES)
 def test_module_imports(module_name):
     importlib.import_module(module_name)
+
+
+@pytest.mark.parametrize("module_name", TOP_LEVEL)
+def test_imports_first_in_a_fresh_interpreter(module_name):
+    """An import cycle only bites the package a process imports *first*;
+    in this process every module is already loaded, in sorted order."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module_name}"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("module_name", MODULES)

@@ -10,13 +10,9 @@ import argparse
 import dataclasses
 
 from repro.cli import build_parser
-from repro.cluster import (
-    ClusterConfig,
-    StandbyConfig,
-    SupervisorConfig,
-    WriterConfig,
-)
+from repro.cluster import ClusterConfig, StandbyConfig, SupervisorConfig
 from repro.server import ServerConfig
+from repro.store import CheckpointPolicy
 
 EXPECTED = {
     ('', '--no-obs', 'False'),
@@ -122,7 +118,7 @@ def test_config_objects_gained_no_field():
         ServerConfig: 4,
         ClusterConfig: 5,
         SupervisorConfig: 3,
-        WriterConfig: 2,
+        CheckpointPolicy: 3,
         StandbyConfig: 3,
     }
     for config, fields in ceiling.items():
@@ -133,7 +129,7 @@ def test_no_tunable_is_declared_twice():
     """The front end's and the fleet's configs restate no field of the
     part configs a fleet carries (supervisor, writer, standby), so no
     tunable and no default exists twice."""
-    parts = (SupervisorConfig, WriterConfig, StandbyConfig)
+    parts = (SupervisorConfig, CheckpointPolicy, StandbyConfig)
     holders = {"supervisor", "writer", "standby"}
     part_fields = {f.name for part in parts for f in dataclasses.fields(part)}
     seen: set[str] = set()

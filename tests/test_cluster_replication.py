@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.plan import ShardPlan
-from repro.cluster.primary import WriterConfig
 from repro.cluster.router import ClusterRouter
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyConfig
@@ -45,6 +44,7 @@ from repro.parallel.sharding import merge_topk
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.lock import StoreLock
+from repro.store.sealing import CheckpointPolicy
 
 from tests.test_serving_scan import whole_model_search
 
@@ -154,7 +154,7 @@ def test_cluster_service_refuses_topology_before_touching_store(tmp_path):
         ClusterService(
             tmp_path,
             ClusterConfig(
-                workers=2, writer=WriterConfig(), standby=StandbyConfig()
+                workers=2, writer=CheckpointPolicy(), standby=StandbyConfig()
             ),
         )
 
@@ -274,6 +274,26 @@ def test_fenced_store_refuses_to_seal(tmp_path):
         assert store.wal.n_records == 1
     finally:
         store.close(flush=False)
+
+
+def test_closing_a_fenced_store_releases_it(tmp_path):
+    texts = [f"alpha beta gamma d{i}" for i in range(12)]
+    store = DurableIndexStore.initialize(
+        tmp_path / "s", manager_from_texts(texts, None, k=4)
+    )
+    store.add_texts(["delta epsilon zeta"], ["X0"])  # dirty: close flushes
+    gen = store._dir_lock.generation
+    (tmp_path / "s" / "LOCK").write_text(f"{gen + 1} 99999\n")
+    # The refused flush still surfaces, as the fence's instruction ...
+    with pytest.raises(StoreLockedError, match="fenced"):
+        store.close()
+    # ... but the handle did close: lock released, WAL handle closed.
+    assert not store._dir_lock.held
+    assert store.wal._fh.closed
+    store.close()  # a second close does nothing
+    reopened = DurableIndexStore.open(tmp_path / "s")
+    assert reopened.last_recovery.replayed_records == 1  # nothing lost
+    reopened.close(flush=False)
 
 
 # --------------------------------------------------------------------- #

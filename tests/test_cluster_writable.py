@@ -18,7 +18,6 @@ import pytest
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
 from repro.cluster.plan import ShardPlan
-from repro.cluster.primary import WriterConfig
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
 from repro.cluster.supervisor import SupervisorConfig
@@ -28,6 +27,7 @@ from repro.server import QueryService, ServerClient, start_http_server
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint, recover_manager
+from repro.store.sealing import CheckpointPolicy
 
 from tests.test_store_mmap import (
     assert_same_factors,
@@ -270,7 +270,7 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
             store_dir,
             ClusterConfig(
                 workers=SHARDS,
-                writer=WriterConfig(seal_every_records=3, seal_interval_s=0.5),
+                writer=CheckpointPolicy(3, 0.5, on_consolidate=False),
                 supervisor=SupervisorConfig(heartbeat_interval=0.2),
             ),
         )

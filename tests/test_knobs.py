@@ -26,12 +26,7 @@ import inspect
 import pathlib
 
 from repro.cli import build_parser
-from repro.cluster import (
-    ClusterConfig,
-    StandbyConfig,
-    SupervisorConfig,
-    WriterConfig,
-)
+from repro.cluster import ClusterConfig, StandbyConfig, SupervisorConfig
 from repro.server import ServerConfig
 from repro.store import CheckpointPolicy, DurableIndexStore
 
@@ -42,7 +37,6 @@ CONFIGS = (
     ServerConfig,
     ClusterConfig,
     SupervisorConfig,
-    WriterConfig,
     StandbyConfig,
     CheckpointPolicy,
 )
@@ -93,13 +87,11 @@ REASONS = {
     "SupervisorConfig.heartbeat_interval": "cluster serve --heartbeat-interval",
     "SupervisorConfig.backoff_base": "cluster serve --restart-backoff",
     "SupervisorConfig.backoff_cap": "cluster serve --restart-backoff-cap",
-    "WriterConfig.seal_every_records": "cluster serve --seal-every",
-    "WriterConfig.seal_interval_s": "cluster serve --seal-interval",
     "StandbyConfig.poll_seconds": "cluster serve --standby-poll",
     "StandbyConfig.promotion_log": "deployment",
     "CheckpointPolicy.every_records": "serve --checkpoint-every",
     "CheckpointPolicy.every_seconds": "cluster serve --seal-interval",
-    "CheckpointPolicy.on_consolidate": "src/repro/cluster/primary.py",
+    "CheckpointPolicy.on_consolidate": "src/repro/cli.py",
 }
 
 

@@ -95,6 +95,22 @@ def test_every_module_is_reachable_or_exempt_by_the_paper():
     )
 
 
+def test_the_store_sits_below_the_serving_tiers():
+    """The durable store is what the serving tiers build on: no module
+    under ``repro.store`` imports ``repro.server``, ``repro.cluster`` or
+    ``repro.tenancy``, even inside a function."""
+    modules = module_table(ROOT / "src")
+    above = ("repro.server", "repro.cluster", "repro.tenancy")
+    found = [
+        f"{module} imports {target}"
+        for module, path in sorted(modules.items())
+        if module == "repro.store" or module.startswith("repro.store.")
+        for target, _, _ in imports(path, module)
+        if any(target == tier or target.startswith(tier + ".") for tier in above)
+    ]
+    assert not found, found
+
+
 def test_a_reexport_is_not_a_use(tmp_path):
     """The walk on a toy package: ``used`` is reached through the package,
     through a relative import and through an aliased re-export; ``spare``

@@ -46,7 +46,6 @@ from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
 from repro.store.durable import (
     STORE_LAYOUT,
     DurableIndexStore,
-    DurableServingState,
     read_store_status,
 )
 from repro.store.mmap_io import open_latest_ann
@@ -292,7 +291,7 @@ def test_format1_checkpoint_serves_by_exact_fallback(tmp_path):
 
     store = DurableIndexStore.open(data_dir)
     try:
-        state = DurableServingState(store)
+        state = ServingState.for_store(store)
         snapshot = state.current()
         assert state.ann_enabled is False
         assert snapshot.ann is None

@@ -1,20 +1,28 @@
-"""Tests for the durable serving layer: store, checkpointer, CLI glue."""
+"""Tests for the durable serving layer: store, seal loop, CLI glue."""
+
+import asyncio
+import sys
+import threading
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.cluster.plan import ShardPlan
+from repro.cluster.primary import PrimaryWriter
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
-from repro.server import manager_from_texts
+from repro.server import QueryService, ServingState, manager_from_texts
 from repro.store import (
     CheckpointPolicy,
     DurableIndexStore,
-    DurableServingState,
     list_checkpoints,
     open_latest_model,
     read_store_status,
 )
+from repro.store import durable
 from repro.store.durable import RETAIN
 
 
@@ -28,11 +36,11 @@ def corpus():
     return col.documents[:20], col.documents[20:], col.queries
 
 
-def seeded_store(corpus, tmp_path):
+def seeded_store(corpus, tmp_path, name="store"):
     train, _, _ = corpus
     manager = manager_from_texts(train, k=6)
     manager.distortion_budget = 0.2
-    return DurableIndexStore.initialize(tmp_path / "store", manager)
+    return DurableIndexStore.initialize(tmp_path / name, manager)
 
 
 # --------------------------------------------------------------------- #
@@ -211,7 +219,7 @@ def test_apply_failure_rolls_back_wal(corpus, tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# checkpoint policy + background checkpointer
+# checkpoint policy + the one seal loop, under both of its owners
 # --------------------------------------------------------------------- #
 def test_checkpoint_policy_triggers():
     policy = CheckpointPolicy(every_records=4, every_seconds=60.0)
@@ -228,65 +236,202 @@ def test_checkpoint_policy_triggers():
     assert off.due(dirty_records=99, seconds_since=999, consolidated=True) is None
 
 
-def test_maybe_checkpoint_follows_policy(corpus, tmp_path):
-    _, later, _ = corpus
-    store = seeded_store(corpus, tmp_path)
-    checkpointer = store.start_checkpointer(
-        CheckpointPolicy(every_records=2, every_seconds=None)
+class _Fleet:
+    """The slice of ``ClusterService`` the primary writer's seal hook
+    reads: a one-worker plan, quorum always met, no laggards."""
+
+    def __init__(self):
+        self.plan = ShardPlan.compute(1, 1)
+        self.supervisor = SimpleNamespace(describe=list)
+        self.published = []
+
+    async def propagate_handle(self, handle):
+        self.published.append(handle.epoch)
+        return True
+
+
+def in_process(corpus, tmp_path, policy):
+    """The loop ``serve --data-dir`` runs: a state built over a store."""
+    state = ServingState.for_store(
+        seeded_store(corpus, tmp_path, "in-process"), policy
     )
-    checkpointer.stop()  # drive it synchronously below
-    store.add_texts([later[0]])
-    assert checkpointer.maybe_checkpoint() is None
-    store.add_texts([later[1]])
-    assert checkpointer.maybe_checkpoint() == "wal_records>=2"
-    assert store.dirty_records == 0
-    assert len(list_checkpoints(store.checkpoints_dir)) == 2
-    store.close(flush=False)
+    return state.seal_loop, state
+
+
+def fleet(corpus, tmp_path, policy):
+    """The loop the fleet's primary writer runs, bound to a fleet."""
+    seeded_store(corpus, tmp_path, "fleet").close(flush=False)
+    writer = PrimaryWriter(tmp_path / "fleet", policy)
+    writer._service = _Fleet()
+    return writer.seal_loop, writer
+
+
+OWNERS = (in_process, fleet)
+
+
+def sealed_reason(store):
+    return list_checkpoints(store.checkpoints_dir)[-1].meta["reason"]
+
+
+async def close(loop):
+    await loop.stop(final=lambda: loop.store.close(flush=False))
+
+
+async def eventually(condition, what, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        await asyncio.sleep(0.02)
+
+
+def test_maybe_checkpoint_follows_policy(corpus, tmp_path):
+    """The record and the age trigger, under both owners of the loop."""
+    _, later, _ = corpus
+
+    async def main():
+        for owner in OWNERS:
+            loop, _ = owner(
+                corpus, tmp_path,
+                CheckpointPolicy(every_records=2, every_seconds=None),
+            )
+            store = loop.store
+            sealed = len(list_checkpoints(store.checkpoints_dir))
+            store.add_texts([later[0]])
+            assert await loop.tick() is None
+            store.add_texts([later[1]])
+            seal = await loop.tick()
+            assert seal is store.last_seal
+            assert sealed_reason(store) == "wal_records>=2"
+            assert store.dirty_records == 0
+            assert len(list_checkpoints(store.checkpoints_dir)) == sealed + 1
+            assert loop.seals_total == 1
+            await close(loop)
+
+        for owner in OWNERS:
+            loop, _ = owner(
+                corpus, tmp_path / "age",
+                CheckpointPolicy(every_records=None, every_seconds=0.5),
+            )
+            store = loop.store
+            store.add_texts([later[0]])
+            assert await loop.tick() is None
+            await asyncio.sleep(0.6)
+            assert await loop.tick() is not None
+            assert sealed_reason(store) == "age>=0.5s"
+            await close(loop)
+
+    asyncio.run(main())
 
 
 def test_consolidation_trigger_survives_checkpoint_failure(
     corpus, tmp_path, monkeypatch
 ):
+    """Under both owners, a consolidation that lands after a seal's
+    capture still triggers the next seal, and a failed seal loses none;
+    the in-process policy honours a consolidation, the fleet's ignores
+    it."""
     _, later, _ = corpus
-    store = seeded_store(corpus, tmp_path)
-    checkpointer = store.start_checkpointer(
-        CheckpointPolicy(every_records=None, every_seconds=None,
-                         on_consolidate=True)
-    )
-    checkpointer.stop()  # drive it synchronously
-    store.add_texts([later[0]])
-    store.consolidate()
+    write_checkpoint = durable.write_checkpoint
 
-    def failing(reason="manual"):
+    def full_disk(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(store, "checkpoint", failing)
-    assert checkpointer.maybe_checkpoint() is None  # failed ...
-    monkeypatch.undo()
-    # ... but the consolidation notification was not lost with it.
-    assert checkpointer.maybe_checkpoint() == "consolidation"
-    # Debited only after the success: no spurious re-trigger.
-    assert checkpointer.maybe_checkpoint() is None
-    store.close(flush=False)
+    async def main():
+        for owner in OWNERS:
+            loop, _ = owner(
+                corpus, tmp_path,
+                CheckpointPolicy(every_records=None, every_seconds=None),
+            )
+            store = loop.store
+            store.add_texts([later[0]])
+            store.consolidate()
+
+            monkeypatch.setattr(durable, "write_checkpoint", full_disk)
+            with pytest.raises(OSError, match="disk full"):
+                await loop.tick()
+            # ... but the consolidation was not lost with it.
+
+            def racing(*args, **kwargs):
+                store.add_texts([later[1]])  # lands after the capture
+                store.consolidate()
+                return write_checkpoint(*args, **kwargs)
+
+            monkeypatch.setattr(durable, "write_checkpoint", racing)
+            assert await loop.tick() is not None
+            assert sealed_reason(store) == "consolidation"
+            monkeypatch.setattr(durable, "write_checkpoint", write_checkpoint)
+            # The consolidation the capture missed triggers the next seal
+            # ...
+            assert store.consolidations_since_checkpoint == 1
+            assert await loop.tick() is not None
+            assert sealed_reason(store) == "consolidation"
+            # ... and a seal debits what it captured: no spurious one.
+            assert await loop.tick() is None
+            await close(loop)
+
+        deployed = {
+            in_process: CheckpointPolicy(every_records=64),  # serve
+            fleet: CheckpointPolicy(64, 15.0, on_consolidate=False),
+        }
+        for owner, policy in deployed.items():
+            loop, _ = owner(corpus, tmp_path / "deployed", policy)
+            loop.store.add_texts([later[2]])
+            loop.store.consolidate()
+            seal = await loop.tick()
+            assert (seal is not None) == (owner is in_process)
+            await close(loop)
+
+    asyncio.run(main())
 
 
-def test_background_checkpointer_thread(corpus, tmp_path):
-    import time
-
+def test_background_checkpointer_thread(corpus, tmp_path, monkeypatch):
+    """The one loop runs from its owner's start to its drain, seals on
+    its de-prioritised thread, and counts and retries a failed seal."""
     _, later, _ = corpus
-    store = seeded_store(corpus, tmp_path)
-    store.start_checkpointer(
-        CheckpointPolicy(every_records=1, every_seconds=None),
-        poll_seconds=0.05,
-    )
-    assert store.checkpointer.running
-    store.add_texts([later[0]])
-    deadline = time.time() + 10.0
-    while store.dirty_records > 0 and time.time() < deadline:
-        time.sleep(0.02)
-    assert store.dirty_records == 0
-    store.close()
-    assert not store.checkpointer.running
+
+    def errors():
+        return registry.snapshot()["counters"].get(
+            "store.checkpoint_errors", 0
+        )
+
+    def full_disk(*args, **kwargs):
+        raise OSError("disk full")
+
+    async def main():
+        policy = CheckpointPolicy(every_records=1, every_seconds=None)
+        loop, state = in_process(corpus, tmp_path, policy)
+        service = QueryService(state)
+        await service.start()  # not the first request: the server start
+        assert loop.running
+        failed = errors()
+        monkeypatch.setattr(durable, "write_checkpoint", full_disk)
+        await service.add([later[0]])
+        await eventually(lambda: errors() > failed, "no failed tick counted")
+        monkeypatch.undo()
+        await eventually(
+            lambda: loop.store.dirty_records == 0, "the retry never sealed"
+        )
+        assert "repro-writer" in {
+            t.name.rsplit("_", 1)[0] for t in threading.enumerate()
+        }
+        await service.drain()
+        assert not loop.running
+        loop.store.close(flush=False)
+
+        interval = sys.getswitchinterval()
+        loop, writer = fleet(corpus, tmp_path, policy)
+        await writer.start(writer._service)
+        assert loop.running
+        await writer.add_texts([later[0]])
+        await eventually(
+            lambda: loop.store.dirty_records == 0, "the fleet never sealed"
+        )
+        assert writer._service.published == [writer.sealed_epoch]
+        await writer.stop(flush=False)
+        assert not loop.running
+        assert sys.getswitchinterval() == interval
+
+    asyncio.run(main())
 
 
 # --------------------------------------------------------------------- #
@@ -295,7 +440,7 @@ def test_background_checkpointer_thread(corpus, tmp_path):
 def test_durable_serving_routes_adds_through_wal(corpus, tmp_path):
     _, later, _ = corpus
     store = seeded_store(corpus, tmp_path)
-    state = DurableServingState(store)
+    state = ServingState.for_store(store)
     assert state.writable
     before = state.current()
     result = state.add_texts([later[0]], doc_ids=["NEW"])
@@ -303,14 +448,14 @@ def test_durable_serving_routes_adds_through_wal(corpus, tmp_path):
     assert after.epoch == before.epoch + 1
     assert result["n_documents"] == after.n_documents == 21
     assert store.wal.n_records == 1  # the add went through the WAL
-    assert registry.snapshot()["gauges"]["store.serving_epoch"] == after.epoch
+    assert registry.snapshot()["gauges"]["server.epoch"] == after.epoch
     store.close(flush=False)
 
 
 def test_recovered_serving_state_search_parity(corpus, tmp_path):
     _, later, queries = corpus
     store = seeded_store(corpus, tmp_path)
-    state = DurableServingState(store)
+    state = ServingState.for_store(store)
     for i, text in enumerate(later[:4]):
         state.add_texts([text], doc_ids=[f"N{i}"])
     snapshot = state.current()
@@ -318,7 +463,9 @@ def test_recovered_serving_state_search_parity(corpus, tmp_path):
     expected = snapshot.score_batch(Q)
     store.close(flush=False)  # crash-like exit
 
-    recovered = DurableServingState(DurableIndexStore.open(tmp_path / "store"))
+    recovered = ServingState.for_store(
+        DurableIndexStore.open(tmp_path / "store")
+    )
     snap2 = recovered.current()
     assert snap2.n_documents == snapshot.n_documents
     got = snap2.score_batch(np.stack([snap2.project(q) for q in queries]))
@@ -329,7 +476,7 @@ def test_recovered_serving_state_search_parity(corpus, tmp_path):
 def test_mmap_replica_scores_match_writer(corpus, tmp_path):
     _, later, queries = corpus
     store = seeded_store(corpus, tmp_path)
-    state = DurableServingState(store)
+    state = ServingState.for_store(store)
     for text in later[:3]:
         state.add_texts([text])
     store.checkpoint(reason="replica-sync")
@@ -338,8 +485,6 @@ def test_mmap_replica_scores_match_writer(corpus, tmp_path):
         np.stack([snapshot.project(q) for q in queries])
     )
     store.close(flush=False)
-
-    from repro.server import ServingState
 
     replica = ServingState.for_model(
         open_latest_model(tmp_path / "store", mmap=True)

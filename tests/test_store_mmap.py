@@ -16,15 +16,11 @@ from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
 from repro.cluster.plan import ShardPlan
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
-from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.errors import StoreCorruptError
 from repro.serving.ann import CoarseQuantizer
 from repro.store.checkpoint import write_checkpoint
-from repro.store.durable import (
-    STORE_LAYOUT,
-    DurableIndexStore,
-    DurableServingState,
-)
+from repro.store.durable import STORE_LAYOUT, DurableIndexStore
 from repro.store.mmap_io import open_latest_ann, open_latest_model
 from repro.store.recovery import open_checkpoint
 from repro.tenancy import IndexRegistry
@@ -134,7 +130,7 @@ def assert_same_rankings(snapshot, reference, queries, **search):
 def test_mapped_reader_serves_the_writers_factors(tmp_path):
     store, queries = pending_fast_update_store(tmp_path / "store")
     try:
-        live = DurableServingState(store).current()
+        live = ServingState.for_store(store).current()
         mapped = open_latest_model(store.data_dir, mmap=True)
         # Eq. 6 projects with U_k Σ_k⁻¹ and scores against V_k Σ_k: all
         # three must come from one epoch, bit for bit.
@@ -172,7 +168,7 @@ def test_fold_in_checkpoint_shares_the_base_factors(mmap_store):
 def _serve_open(data_dir):
     store = DurableIndexStore.open(data_dir)
     try:
-        return DurableServingState(store).current().model
+        return ServingState.for_store(store).current().model
     finally:
         store.close(flush=False)
 

@@ -43,7 +43,6 @@ from repro.server import (
     ServingState,
     manager_from_texts,
 )
-from repro.store.durable import DurableServingState
 from repro.tenancy import DEFAULT_TENANT, IndexRegistry, TenantQuotas
 
 from tests.test_server import _ServerThread
@@ -131,7 +130,7 @@ def test_lazy_attach_serves_the_writers_factors(tmp_path):
             assert_same_factors(attached.model, store.manager.model)
             assert attached.ann is not None
             assert_same_rankings(
-                attached, DurableServingState(store).current(), queries
+                attached, ServingState.for_store(store).current(), queries
             )
     finally:
         store.close(flush=False)
