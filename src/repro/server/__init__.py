@@ -44,7 +44,7 @@ from repro.server.state import (
     EpochSnapshot,
     ServingState,
     manager_from_texts,
-    state_from_texts,
+    train_quantizer,
 )
 
 __all__ = [
@@ -58,5 +58,5 @@ __all__ = [
     "EpochSnapshot",
     "ServingState",
     "manager_from_texts",
-    "state_from_texts",
+    "train_quantizer",
 ]

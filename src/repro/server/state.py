@@ -26,11 +26,13 @@ with every other scorer of that model and frees it with the model.
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.model import LSIModel
+from repro.core.persistence import load_model
 from repro.errors import ReproError, ShapeError
 from repro.obs.metrics import registry
 from repro.serving.ann import CoarseQuantizer
@@ -39,6 +41,7 @@ from repro.serving.kernel import cosine_scores
 from repro.serving.querycache import QueryVectorCache
 from repro.serving.scan import ranked_scan
 from repro.store.durable import DurableIndexStore
+from repro.store.recovery import open_checkpoint
 from repro.store.sealing import CheckpointPolicy, SealLoop
 from repro.updating.manager import LSIIndexManager
 
@@ -46,7 +49,7 @@ __all__ = [
     "EpochSnapshot",
     "ServingState",
     "manager_from_texts",
-    "state_from_texts",
+    "train_quantizer",
 ]
 
 
@@ -241,8 +244,9 @@ class ServingState:
     * **durable** (:meth:`for_store`) — the same, with each addition
       WAL-logged by the store first, and a seal loop for the backend
       serving this state to run;
-    * **static** (:meth:`for_model`) — serve a saved ``.npz`` model
-      read-only; :meth:`add_texts` raises.
+    * **static** (:meth:`for_model`, or :meth:`open` over a store
+      directory or a saved ``.npz``) — serve a fitted model read-only;
+      :meth:`add_texts` raises.
     """
 
     def __init__(
@@ -262,7 +266,6 @@ class ServingState:
         #: and the loop that seals it.
         self.store: DurableIndexStore | None = None
         self.seal_loop: SealLoop | None = None
-        self._ann = ann
         initial = manager.model if manager is not None else model
         self._snapshot = EpochSnapshot(
             0, initial, query_cache_size=query_cache_size, ann=ann
@@ -306,6 +309,26 @@ class ServingState:
         """Read-only state around a fitted (e.g. loaded) model."""
         return cls(model=model, **kwargs)
 
+    @classmethod
+    def open(cls, path, *, query_cache_size: int = 256) -> "ServingState":
+        """Read-only state over a served index — the one opener behind
+        ``serve SOURCE.npz`` and every ``serve --tenant NAME=PATH``.
+
+        A store directory opens through the store's one door
+        (:func:`~repro.store.recovery.open_checkpoint`: the newest valid
+        checkpoint, mapped, with the quantizer its writer trained).  A
+        saved ``.npz`` database is a one-checkpoint index that carries
+        no quantizer, so one is trained here, as a seal would have.
+        """
+        path = Path(path)
+        if path.is_dir():
+            opened = open_checkpoint(path)
+            model, ann = opened.model(), opened.ann()
+        else:
+            model = load_model(path)
+            ann = train_quantizer(model)
+        return cls.for_model(model, ann=ann, query_cache_size=query_cache_size)
+
     @property
     def writable(self) -> bool:
         """Whether :meth:`add_texts` is available."""
@@ -323,35 +346,6 @@ class ServingState:
             "n_documents": snapshot.n_documents,
             "writable": self.writable,
         }
-
-    @property
-    def ann_enabled(self) -> bool:
-        """Whether snapshots carry a coarse quantizer to probe."""
-        return self._ann is not None
-
-    def train_ann(
-        self, n_clusters: int | None = None, *, seed=0
-    ) -> CoarseQuantizer:
-        """Train a quantizer on the current coordinates and publish it.
-
-        The in-memory counterpart of checkpoint-time training, for
-        servers without a durable store (``repro serve`` over raw
-        texts).  Publishes a replacement snapshot at the *same* epoch —
-        the index content is unchanged, only the probe structure is new.
-        """
-        with self._write_lock:
-            snap = self._snapshot
-            quantizer = CoarseQuantizer.train(
-                snap.coords, n_clusters, seed=seed
-            )
-            self._ann = quantizer
-            self._snapshot = EpochSnapshot(
-                snap.epoch,
-                snap.model,
-                query_cache_size=self._query_cache_size,
-                ann=quantizer,
-            )
-        return quantizer
 
     # ------------------------------------------------------------------ #
     def add_texts(
@@ -379,7 +373,7 @@ class ServingState:
                 self._snapshot.epoch + 1,
                 self._manager.model,
                 query_cache_size=self._query_cache_size,
-                ann=self._ann,
+                ann=self._snapshot.ann,
             )
             self._snapshot = fresh  # the atomic reader/writer handoff
             self._publish_gauges(fresh)
@@ -394,6 +388,17 @@ class ServingState:
     def _publish_gauges(snapshot: EpochSnapshot) -> None:
         registry.set_gauge("server.epoch", snapshot.epoch)
         registry.set_gauge("server.n_documents", snapshot.n_documents)
+
+
+def train_quantizer(
+    model: LSIModel, n_clusters: int | None = None, *, seed=0
+) -> CoarseQuantizer:
+    """A coarse quantizer over ``model``'s ``V_k Σ_k``, for a state no
+    checkpoint hands one: a saved ``.npz`` (:meth:`ServingState.open`)
+    or the index ``repro serve`` fits from a document source."""
+    return CoarseQuantizer.train(
+        scaled_documents(model).coords, n_clusters, seed=seed
+    )
 
 
 def manager_from_texts(
@@ -429,20 +434,3 @@ def manager_from_texts(
         ingest_method=ingest_method,
         fast_update_rank=fast_update_rank,
     )
-
-
-def state_from_texts(
-    texts: Sequence[str],
-    doc_ids: Sequence[str] | None = None,
-    *,
-    query_cache_size: int = 256,
-    **manager_kwargs,
-) -> ServingState:
-    """Build a live-updatable :class:`ServingState` from raw documents.
-
-    Thin composition of :func:`manager_from_texts` and
-    :meth:`ServingState.for_manager`; keyword arguments pass through to
-    the manager fit.
-    """
-    manager = manager_from_texts(texts, doc_ids, **manager_kwargs)
-    return ServingState.for_manager(manager, query_cache_size=query_cache_size)

@@ -38,6 +38,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.errors import ReproError
 from repro.obs.metrics import registry
 
 __all__ = ["POLL_SECONDS", "CheckpointPolicy", "SealLoop"]
@@ -76,6 +77,16 @@ class CheckpointPolicy:
     every_records: int | None = 64
     every_seconds: float | None = 300.0
     on_consolidate: bool = True
+
+    def __post_init__(self):
+        # A trigger is off as None, never as 0 (the CLI's spelling of
+        # off); a count below 1 would seal on every tick, dirty or not.
+        if (self.every_records is not None and self.every_records < 1) or (
+            self.every_seconds is not None and not self.every_seconds > 0
+        ):
+            raise ReproError(
+                f"a seal trigger is >= 1 record, > 0 s or None: {self}"
+            )
 
     def due(
         self,

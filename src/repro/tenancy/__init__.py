@@ -7,11 +7,11 @@ fleet.  The pieces:
 
 ``registry``
     :class:`IndexRegistry` — owns the ``tenant_id -> backend`` map,
-    lazily attaches cold tenants (from their data directories by a
-    crash-safe read-only mmap open, or through a loader that builds a
-    fleet), and detaches least-recently-used tenants past a resident
-    cap — but only once in-flight queries drain, mirroring the
-    cluster's two-epoch retain pattern.
+    lazily attaches cold tenants through the loader each was
+    registered with (it builds no backend itself), and detaches
+    least-recently-used tenants past a resident cap — but only once
+    in-flight queries drain, mirroring the cluster's two-epoch retain
+    pattern.
 
 ``quotas``
     :class:`TenantQuotas` — carves the global admission budget into

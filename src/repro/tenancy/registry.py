@@ -1,19 +1,19 @@
-"""Index registry: named tenants, lazy mmap attach, LRU detach.
+"""Index registry: named tenants, lazy attach, LRU detach.
 
 The registry owns the ``tenant_id -> backend`` map every serving path
 resolves through — a :class:`~repro.server.state.ServingState` scored in
-process, or a :class:`~repro.cluster.service.ClusterService` fleet.
-Three registration flavours:
+process, or a :class:`~repro.cluster.service.ClusterService` fleet.  It
+only hosts what it is handed, in one of two ways:
 
 * an **eager state** (``state=``) — already built, never evicted (there
   is no loader to come back through);
-* a **data directory** (``data_dir=``) — attached lazily on first
-  resolve via the store's crash-safe read-only mmap open
-  (:func:`~repro.store.recovery.open_checkpoint`), which takes no lock
-  and reflects the last sealed checkpoint;
-* a **custom loader** (``loader=``) — any zero-argument callable
-  returning a backend (``cluster serve --tenants`` uses this to build a
-  tenant's worker fleet on demand).
+* a **loader** (``loader=``) — a zero-argument callable returning a
+  backend, called on the tenant's first resolve and again after each
+  detach (``serve --tenant`` hands it ``ServingState.open`` over the
+  tenant's path, ``cluster serve --tenants`` a fleet builder).
+
+It builds none itself, so it imports no serving tier: the tiers stack
+``store < tenancy < server < cluster``.
 
 With ``max_resident`` set, attaching a tenant past the cap detaches the
 least-recently-used evictable one — but never under in-flight queries:
@@ -24,10 +24,6 @@ pattern the cluster workers use for epoch swaps.  A deferred-detach
 tenant that gets resolved again before draining simply stays resident
 (the bound is enforced eagerly at attach time, best-effort under
 drain).
-
-Per-tenant projected-query cache partitions fall out of construction:
-each lazily attached tenant gets ``query_cache_size // n_tenants``
-cache slots, so one hot tenant cannot evict the others' projections.
 """
 
 from __future__ import annotations
@@ -35,18 +31,16 @@ from __future__ import annotations
 import contextlib
 import threading
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.errors import ReproError, UnknownTenantError
 from repro.obs.metrics import registry as metrics
 
-if TYPE_CHECKING:
-    # The front end (repro.server) imports this module; importing it
-    # back at load time would make whichever package loads first see
-    # the other half-initialized.
-    from repro.server.state import ServingState
-
 __all__ = ["DEFAULT_TENANT", "IndexRegistry", "TenantEntry"]
+
+#: What a tenant resolves to: anything with ``describe()`` and the
+#: backend surface :class:`~repro.server.service.QueryService` drives.
+Backend = Any
 
 DEFAULT_TENANT = "default"
 
@@ -71,8 +65,8 @@ class TenantEntry:
         tenant_id: str,
         *,
         data_dir: Path | None,
-        loader: Callable[[], ServingState] | None,
-        state: ServingState | None,
+        loader: Callable[[], Backend] | None,
+        state: Backend | None,
     ):
         self.tenant_id = tenant_id
         self.data_dir = data_dir
@@ -99,16 +93,10 @@ class IndexRegistry:
     whichever thread dropped the last pin.
     """
 
-    def __init__(
-        self,
-        *,
-        max_resident: int | None = None,
-        query_cache_size: int = 256,
-    ):
+    def __init__(self, *, max_resident: int | None = None):
         if max_resident is not None and max_resident < 1:
             raise ReproError("max_resident must be >= 1")
         self._max_resident = max_resident
-        self._query_cache_size = query_cache_size
         self._entries: dict[str, TenantEntry] = {}
         self._lock = threading.RLock()
         self._clock = 0  # logical LRU clock; monotonic under the lock
@@ -116,7 +104,7 @@ class IndexRegistry:
 
     # ------------------------------------------------------------------ #
     @classmethod
-    def single(cls, state: ServingState) -> "IndexRegistry":
+    def single(cls, state: Backend) -> "IndexRegistry":
         """A one-tenant registry wrapping an existing state or fleet.
 
         ``QueryService(state, ...)`` wraps a bare backend this way, so
@@ -131,27 +119,21 @@ class IndexRegistry:
         self,
         tenant_id: str,
         *,
+        loader: Callable[[], Backend] | None = None,
+        state: Backend | None = None,
         data_dir: str | Path | None = None,
-        loader: Callable[[], ServingState] | None = None,
-        state: ServingState | None = None,
     ) -> None:
-        """Register one tenant; exactly one attach source must be given.
+        """Register one tenant: exactly one of ``loader`` or ``state``.
 
-        ``data_dir`` alongside a ``loader`` is allowed — the loader is
-        the attach source and the directory is descriptive (shown in
-        ``describe()``).
+        ``data_dir`` is descriptive only (shown in ``describe()``); the
+        loader is what attaches.
         """
         if not tenant_id or not isinstance(tenant_id, str):
             raise ReproError("tenant id must be a non-empty string")
-        if state is not None and (data_dir is not None or loader is not None):
+        if (state is None) == (loader is None):
             raise ReproError(
-                f"tenant {tenant_id!r}: an eager state excludes data_dir/"
-                "loader"
-            )
-        if state is None and loader is None and data_dir is None:
-            raise ReproError(
-                f"tenant {tenant_id!r} needs one of data_dir, loader, or "
-                "state"
+                f"tenant {tenant_id!r} needs one of loader or state, "
+                "not both"
             )
         with self._lock:
             if tenant_id in self._entries:
@@ -221,29 +203,6 @@ class IndexRegistry:
             )
         return entry
 
-    def _default_loader(self, entry: TenantEntry) -> ServingState:
-        """Crash-safe read-only attach from the tenant's data directory."""
-        from repro.server.state import ServingState
-
-        path = entry.data_dir
-        assert path is not None
-        share = max(
-            1, self._query_cache_size // max(1, len(self._entries))
-        )
-        if path.is_file():
-            # A saved ``.npz`` model file, not a durable store.
-            from repro.core.persistence import load_model
-
-            return ServingState.for_model(
-                load_model(path), query_cache_size=share
-            )
-        from repro.store.recovery import open_checkpoint
-
-        opened = open_checkpoint(path)
-        return ServingState.for_model(
-            opened.model(), ann=opened.ann(), query_cache_size=share
-        )
-
     def _note_attach(self, entry: TenantEntry) -> None:
         self._clock += 1
         entry.last_used = self._clock
@@ -258,8 +217,7 @@ class IndexRegistry:
         return sum(1 for e in self._entries.values() if e.resident)
 
     def _attach_locked(self, entry: TenantEntry) -> None:
-        loader = entry.loader or (lambda: self._default_loader(entry))
-        entry.state = loader()
+        entry.state = entry.loader()
         entry.evict_pending = False
         self._note_attach(entry)
         self._enforce_cap(exclude=entry)
@@ -303,7 +261,7 @@ class IndexRegistry:
     # ------------------------------------------------------------------ #
     def resolve(
         self, tenant_id: str | None = None
-    ) -> tuple[str, ServingState]:
+    ) -> tuple[str, Backend]:
         """``(tenant_id, state)`` for a request, attaching if cold.
 
         ``None`` resolves to the ``default`` tenant if registered, else
@@ -326,7 +284,7 @@ class IndexRegistry:
     @contextlib.contextmanager
     def pin(
         self, tenant_id: str | None = None
-    ) -> Iterator[tuple[str, ServingState]]:
+    ) -> Iterator[tuple[str, Backend]]:
         """Resolve and pin a tenant for the duration of one request.
 
         While pinned the tenant cannot be detached; an eviction decision
@@ -369,7 +327,7 @@ class IndexRegistry:
             self._detach_locked(entry)
             return True
 
-    def resident_states(self) -> dict[str, ServingState]:
+    def resident_states(self) -> dict[str, Backend]:
         """``tenant_id -> state`` for resident tenants only (no attach)."""
         with self._lock:
             return {
@@ -381,9 +339,9 @@ class IndexRegistry:
     def describe(self) -> dict:
         """Per-tenant status map for ``/tenants`` and ``healthz``.
 
-        A resident tenant's hosted object (a :class:`ServingState` or a
-        :class:`~repro.cluster.service.ClusterService`) contributes its
-        own ``describe()`` — at least ``epoch`` and ``n_documents``.
+        A resident tenant's hosted object (a ``ServingState`` or a
+        ``ClusterService``) contributes its own ``describe()`` — at
+        least ``epoch`` and ``n_documents``.
         """
         with self._lock:
             out = {}

@@ -18,6 +18,9 @@ A field an option feeds names that option.  A field holding another
 config in scope is a part, not a value; the part's fields are the
 knobs.  Everything else is a module constant: each other value of a
 knob nothing sets is a configuration no workload runs.
+
+A knob also refuses, as a usage error naming it, a value the code
+cannot serve.
 """
 
 import argparse
@@ -25,12 +28,16 @@ import dataclasses
 import inspect
 import pathlib
 
+import pytest
+
 from repro.cli import build_parser
 from repro.cluster import ClusterConfig, StandbyConfig, SupervisorConfig
+from repro.errors import ReproError
 from repro.server import ServerConfig
 from repro.store import CheckpointPolicy, DurableIndexStore
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+CLI = ROOT / "src" / "repro" / "cli"
 CLASSES = {"deployment", "mode", "paper"}
 COMMANDS = ("serve", "cluster serve")
 CONFIGS = (
@@ -64,8 +71,8 @@ REASONS = {
     "cluster serve --standby": "mode",
     "cluster serve --standby-poll": "benchmarks/cluster_smoke.py",
     "cluster serve --promotion-log": "deployment",
-    # Declared once for both commands (cli._add_serving_options), each
-    # feeding one field: one caller justifies it on both.
+    # Declared once for both commands (cli.serving.add_serving_options),
+    # each feeding one field: one caller justifies it on both.
     "serve --host": "deployment",
     "cluster serve --host": "deployment",
     "serve --port": "deployment",
@@ -91,7 +98,7 @@ REASONS = {
     "StandbyConfig.promotion_log": "deployment",
     "CheckpointPolicy.every_records": "serve --checkpoint-every",
     "CheckpointPolicy.every_seconds": "cluster serve --seal-interval",
-    "CheckpointPolicy.on_consolidate": "src/repro/cli.py",
+    "CheckpointPolicy.on_consolidate": "src/repro/cli/cluster.py",
 }
 
 
@@ -173,7 +180,8 @@ def unjustified(knobs, reasons, root):
 
 def test_every_serving_knob_earns_its_place():
     knobs = {
-        **options(build_parser(), ROOT / "src" / "repro" / "cli.py"),
+        **options(build_parser(), CLI / "serving.py", ("serve",)),
+        **options(build_parser(), CLI / "cluster.py", ("cluster serve",)),
         **fields(CONFIGS),
         **keywords(CONSTRUCTORS),
     }
@@ -210,3 +218,51 @@ def test_an_unjustified_knob_is_named(tmp_path):
         "serve --spare: tests/test_toy.py does not set it",
         "serve --gone: gone — drop its reason",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["serve", "docs.txt", "--max-batch", "0"], "--max-batch"),
+        (["serve", "docs.txt", "--queue-depth", "0"], "--queue-depth"),
+        (["cluster", "serve", "--queue-depth", "-3"], "--queue-depth"),
+        (["serve", "--data-dir", "d", "--checkpoint-every", "-1"],
+         "--checkpoint-every"),
+        (["cluster", "serve", "--heartbeat-interval", "0"],
+         "--heartbeat-interval"),
+        (["cluster", "serve", "--standby-poll", "0"], "--standby-poll"),
+        (["cluster", "serve", "--seal-every", "-1"], "--seal-every"),
+        (["cluster", "serve", "--seal-interval", "-1"], "--seal-interval"),
+    ],
+)
+def test_an_out_of_range_value_is_a_usage_error(argv, option, capsys):
+    """Each of these once reached the program: ``MicroBatcher`` and
+    ``AdmissionController`` raised a traceback, ``-1`` records sealed an
+    idle store on every tick, and a 0 s heartbeat (or standby poll)
+    evicted healthy workers (or spun a CPU)."""
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be" in err, err
+
+
+def test_zero_still_disables_and_a_non_number_reads_as_before(capsys):
+    args = build_parser().parse_args(
+        ["cluster", "serve", "--seal-every", "0", "--seal-interval", "0"]
+    )
+    assert (args.seal_every, args.seal_interval) == (0, 0.0)
+    args = build_parser().parse_args(["serve", "--checkpoint-every", "0"])
+    assert args.checkpoint_every == 0
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["serve", "--max-batch", "x"])
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"every_records": 0}, {"every_records": -1},
+               {"every_seconds": 0.0}, {"every_seconds": -2.0}],
+)
+def test_a_seal_trigger_is_off_as_none_not_as_a_number(kwargs):
+    with pytest.raises(ReproError):
+        CheckpointPolicy(**kwargs)

@@ -11,8 +11,11 @@ with them.
 
 import ast
 import functools
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # module -> the numbered equation of PAPER.md it implements.  An entry is
@@ -95,20 +98,42 @@ def test_every_module_is_reachable_or_exempt_by_the_paper():
     )
 
 
-def test_the_store_sits_below_the_serving_tiers():
-    """The durable store is what the serving tiers build on: no module
-    under ``repro.store`` imports ``repro.server``, ``repro.cluster`` or
-    ``repro.tenancy``, even inside a function."""
-    modules = module_table(ROOT / "src")
-    above = ("repro.server", "repro.cluster", "repro.tenancy")
+def test_the_serving_tiers_import_downward_only():
+    """``store < tenancy < server < cluster``: each tier builds on the
+    ones before it, so no module imports a later tier — at module
+    level, inside a function or under ``TYPE_CHECKING``."""
+    tiers = ["repro.store", "repro.tenancy", "repro.server", "repro.cluster"]
+
+    def tier(module):
+        """Position of ``module``'s tier, or -1 outside the four."""
+        return next(
+            (i for i, t in enumerate(tiers)
+             if module == t or module.startswith(t + ".")),
+            -1,
+        )
+
     found = [
         f"{module} imports {target}"
-        for module, path in sorted(modules.items())
-        if module == "repro.store" or module.startswith("repro.store.")
+        for module, path in sorted(module_table(ROOT / "src").items())
+        if tier(module) >= 0
         for target, _, _ in imports(path, module)
-        if any(target == tier or target.startswith(tier + ".") for tier in above)
+        if tier(target) > tier(module)
     ]
     assert not found, found
+
+
+def test_the_cli_loads_no_serving_tier_until_a_command_runs():
+    """``import repro.cli`` (every ``python -m repro`` start) loads no
+    module of the four serving tiers: the commands import them."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print(sorted(m for m in sys.modules if "
+         "m.split('.')[:2] in (['repro', 'store'], ['repro', 'tenancy'], "
+         "['repro', 'server'], ['repro', 'cluster'])))"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 def test_a_reexport_is_not_a_use(tmp_path):

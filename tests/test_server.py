@@ -40,6 +40,7 @@ from repro.server import (
     ServingState,
     manager_from_texts,
     start_http_server,
+    train_quantizer,
 )
 
 QUERIES = [
@@ -63,10 +64,14 @@ def _texts() -> list[str]:
     return [MED_TOPICS[f"M{i}"] for i in range(1, 15)] + extra
 
 
-def _fresh_state(distortion_budget: float = 0.5) -> ServingState:
+def _fresh_state(
+    distortion_budget: float = 0.5, n_clusters: int | None = None
+) -> ServingState:
+    """A live state; with ``n_clusters``, one probing that many cells."""
     manager = manager_from_texts(_texts(), k=6, scheme="log_entropy")
     manager.distortion_budget = distortion_budget
-    return ServingState.for_manager(manager)
+    ann = train_quantizer(manager.model, n_clusters) if n_clusters else None
+    return ServingState.for_manager(manager, ann=ann)
 
 
 def _pairs(response: dict) -> list[tuple[int, float]]:
@@ -468,8 +473,8 @@ def test_http_probes_roundtrip_and_full_probe_parity():
     # Through the whole stack — HTTP parse, micro-batcher ANN grouping,
     # snapshot probe — a full-probe request answers element-identically
     # to the exact scan, and a bounded one reports its ann stats block.
-    state = _fresh_state()
-    quantizer = state.train_ann(4, seed=0)
+    state = _fresh_state(n_clusters=4)
+    quantizer = state.current().ann
     with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
         assert client.healthz()["ann"] is True
@@ -488,8 +493,7 @@ def test_http_probes_roundtrip_and_full_probe_parity():
 
 
 def test_request_probes_applied_and_exact_escape_hatch():
-    state = _fresh_state()
-    state.train_ann(4, seed=0)
+    state = _fresh_state(n_clusters=4)
     registry.reset("ann.")
     with _ServerThread(state, ServerConfig()) as server:
         client = ServerClient(port=server.port)
@@ -799,8 +803,7 @@ def test_slow_query_log_records_over_threshold_requests():
 def test_slow_query_log_records_effective_probes():
     # The slow log records the probe count a query ran with: none for
     # the exact scan, even when ``exact`` overrode a request's probes.
-    state = _fresh_state()
-    state.train_ann(n_clusters=4)
+    state = _fresh_state(n_clusters=4)
     config = ServerConfig(slow_ms=0.0001)
     with _ServerThread(state, config) as server:
         with ServerClient(port=server.port) as client:

@@ -293,7 +293,6 @@ def test_format1_checkpoint_serves_by_exact_fallback(tmp_path):
     try:
         state = ServingState.for_store(store)
         snapshot = state.current()
-        assert state.ann_enabled is False
         assert snapshot.ann is None
         with pytest.raises(ReproError):
             snapshot.search_ann(np.zeros(snapshot.model.k), probes=1)

@@ -36,7 +36,7 @@ from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.worker import ShardWorker
 from repro.core.model import LSIModel
 from repro.parallel.sharding import merge_topk, shard_bounds
-from repro.server import QueryService, ServerConfig, state_from_texts
+from repro.server import QueryService, ServerConfig, ServingState
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
 from repro.store.durable import DurableIndexStore
@@ -302,7 +302,9 @@ def _hosted(name, tmp_path):
 
     def build(tid):
         if not fleet:
-            return state_from_texts(_texts(24, _SEEDS[tid]), _IDS, k=8)
+            return ServingState.for_manager(
+                manager_from_texts(_texts(24, _SEEDS[tid]), _IDS, k=8)
+            )
         return ClusterService(
             _seed_store(tmp_path / tid, seed=_SEEDS[tid]),
             ClusterConfig(workers=2),
@@ -363,7 +365,9 @@ def test_endpoint_matrix(name, tmp_path):
 # --------------------------------------------------------------------- #
 def test_one_tenants_add_never_waits_on_anothers(monkeypatch):
     states = {
-        tid: state_from_texts(_texts(24, seed), _IDS, k=8)
+        tid: ServingState.for_manager(
+            manager_from_texts(_texts(24, seed), _IDS, k=8)
+        )
         for tid, seed in _SEEDS.items()
     }
     registry = IndexRegistry()

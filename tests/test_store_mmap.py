@@ -175,7 +175,7 @@ def _serve_open(data_dir):
 
 def _tenant_attach(data_dir):
     registry = IndexRegistry()
-    registry.register("t", data_dir=data_dir)
+    registry.register("t", loader=lambda: ServingState.open(data_dir))
     with registry.pin("t") as (_tid, state):
         return state.current().model
 

@@ -118,13 +118,15 @@ def test_sole_non_default_tenant_resolves_none():
 
 
 def test_lazy_attach_serves_the_writers_factors(tmp_path):
-    # A data-directory tenant attaches through the store's one door, so
+    # A store-directory tenant attaches through the store's one door, so
     # a seal taken with fast-update batches pending serves the rotated
     # U/Σ the writer scores with (see tests/test_store_mmap.py).
     store, queries = pending_fast_update_store(tmp_path / "store")
     try:
         reg = IndexRegistry()
-        reg.register("alpha", data_dir=store.data_dir)
+        reg.register(
+            "alpha", loader=lambda: ServingState.open(store.data_dir)
+        )
         with reg.pin("alpha") as (_tid, state):
             attached = state.current()
             assert_same_factors(attached.model, store.manager.model)
@@ -153,12 +155,14 @@ def test_register_validates_sources():
     reg = IndexRegistry()
     with pytest.raises(ReproError, match="needs one of"):
         reg.register("a")
+    with pytest.raises(ReproError, match="needs one of"):
+        reg.register("a", data_dir="/x")  # descriptive only: no source
     with pytest.raises(ReproError, match="non-empty string"):
         reg.register("")
     reg.register("a", loader=_loader("alpha"))
     with pytest.raises(ReproError, match="already registered"):
         reg.register("a", loader=_loader("alpha"))
-    with pytest.raises(ReproError, match="excludes"):
+    with pytest.raises(ReproError, match="not both"):
         reg.register("b", state=_build_state("beta"), loader=_loader("beta"))
 
 
@@ -218,18 +222,69 @@ def test_explicit_detach_and_eager_states():
     assert reg.describe()["lazy"]["resident"] is False
 
 
-def test_query_cache_partitioned_per_tenant(tmp_path):
-    """Lazily attached tenants split the projected-query cache evenly."""
+def _hosted(argv, monkeypatch):
+    """``(what repro serve hosts, its banner)`` for ``argv``: the command
+    runs up to the front end, which a recorder stands in for."""
+    from repro.cli import main, serving
+
+    seen = {}
+
+    def record(hosted, banner, args, out, **_):
+        seen.update(hosted=hosted, banner=banner())
+        return 0
+
+    monkeypatch.setattr(serving, "serve_until_signal", record)
+    assert main(["--no-obs", *argv], out=io.StringIO()) == 0
+    return seen["hosted"], seen["banner"]
+
+
+def test_query_cache_partitioned_per_tenant(tmp_path, monkeypatch):
+    """``serve --tenant`` splits one server's query cache evenly."""
     from repro.core.persistence import save_model
 
-    reg = IndexRegistry(query_cache_size=64)
+    flags = []
     for tid in ("alpha", "beta", "gamma"):
-        path = tmp_path / f"{tid}.npz"
-        save_model(_build_state(tid).current().model, path)
-        reg.register(tid, data_dir=path)
+        path = save_model(
+            _build_state(tid).current().model, tmp_path / f"{tid}.npz"
+        )
+        flags += ["--tenant", f"{tid}={path}"]
+    reg, banner = _hosted(["serve", *flags], monkeypatch)
+    assert banner == "serving 3 tenants (alpha, beta, gamma) lazily"
     for tid in ("alpha", "beta", "gamma"):
         _, state = reg.resolve(tid)
-        assert state.current().query_cache.maxsize == 64 // 3
+        assert state.current().query_cache.maxsize == 256 // 3
+
+
+def test_npz_tenant_probes_like_serve_npz(tmp_path, monkeypatch):
+    """``serve x.npz`` and ``serve --tenant t=x.npz`` open the database
+    through one opener, so a probe request gets the same ranking and
+    the same ``ann`` block from both (a tenant once fell back to the
+    exact scan)."""
+    from repro.core.build import fit_lsi
+    from repro.core.persistence import save_model
+
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(200)]
+    docs = [" ".join(rng.choice(words, 12)) for _ in range(240)]
+    path = save_model(fit_lsi(docs, 16), tmp_path / "x.npz")
+    single, _ = _hosted(["serve", str(path)], monkeypatch)
+    tenants, _ = _hosted(["serve", "--tenant", f"t={path}"], monkeypatch)
+
+    async def ask(hosted, tenant):
+        service = QueryService(hosted, ServerConfig())
+        await service.start()
+        try:
+            return await service.search(
+                docs[7], top=5, probes=2, tenant=tenant
+            )
+        finally:
+            await service.drain()
+
+    want = asyncio.run(ask(single, None))
+    got = asyncio.run(ask(tenants, "t"))
+    assert want["ann"]["probes"] == 2
+    assert got["ann"] == want["ann"]
+    assert got["results"] == want["results"]
 
 
 # --------------------------------------------------------------------- #
@@ -445,19 +500,45 @@ def test_cli_parses_tenant_flags():
     assert args.tenant == "acme"
 
 
-def test_cli_tenant_spec_validation():
+def test_cli_tenant_spec_validation(tmp_path):
+    """Both serve commands' tenant maps — ``--tenant`` flags and a JSON
+    file — go through one builder and its duplicate, empty and
+    existence checks."""
     import pathlib
 
-    from repro.cli import _parse_tenant_specs
+    from repro.cli.cluster import read_tenant_map
+    from repro.cli.serving import parse_tenant_specs, tenant_registry
 
-    assert _parse_tenant_specs(["a=/x", "b=/y"]) == {
-        "a": pathlib.Path("/x"),
-        "b": pathlib.Path("/y"),
-    }
+    assert parse_tenant_specs(["a=/x", "b=/y"]) == [
+        ("a", pathlib.Path("/x")),
+        ("b", pathlib.Path("/y")),
+    ]
     with pytest.raises(ReproError, match="NAME=PATH"):
-        _parse_tenant_specs(["nodir"])
+        parse_tenant_specs(["nodir"])
+
+    def build(pairs):
+        return tenant_registry(
+            pairs, lambda name, path: (name, path), max_resident=None
+        )
+
+    store = tmp_path / "store"
+    store.mkdir()
+    mapping = tmp_path / "tenants.json"
     with pytest.raises(ReproError, match="duplicate"):
-        _parse_tenant_specs(["a=/x", "a=/y"])
+        build(parse_tenant_specs([f"a={store}", f"a={store}"]))
+    mapping.write_text(f'{{"a": "{store}", "a": "{store}"}}')
+    with pytest.raises(ReproError, match="duplicate"):
+        build(read_tenant_map(mapping))
+    mapping.write_text("{}")
+    with pytest.raises(ReproError, match="no tenant"):
+        build(read_tenant_map(mapping))
+    with pytest.raises(ReproError, match="does not exist"):
+        build(parse_tenant_specs([f"a={tmp_path / 'missing'}"]))
+    mapping.write_text(f'{{"a": "{store}", "b": "{store}"}}')
+    reg = build(read_tenant_map(mapping))
+    assert reg.tenant_ids == ["a", "b"]
+    assert reg.describe()["a"]["data_dir"] == str(store)
+    assert reg.resolve("b") == ("b", ("b", store))
 
 
 def test_cli_cluster_serve_requires_one_source(tmp_path):
