@@ -72,11 +72,6 @@ class ShardRange:
     lo: int
     hi: int
 
-    @property
-    def n_rows(self) -> int:
-        """Documents this shard scores (may be 0 for tiny corpora)."""
-        return max(0, self.hi - self.lo)
-
     def as_pair(self) -> list[int]:
         """``[lo, hi]`` — the JSON/readback form of the range."""
         return [self.lo, self.hi]
@@ -143,10 +138,6 @@ class ShardPlan:
                 f"shard {shard_id} out of range for {len(self.shards)} shards"
             )
         return self.shards[shard_id]
-
-    def ranges(self) -> list[tuple[int, int]]:
-        """All ``(lo, hi)`` pairs in shard (= document) order."""
-        return [(s.lo, s.hi) for s in self.shards]
 
     # ------------------------------------------------------------------ #
     # placement

@@ -219,12 +219,13 @@ class ClusterRouter:
 
     def __init__(
         self,
-        plan: ShardPlan,
+        n_workers: int,
         *,
         on_worker_dead: Callable[[int], None] | None = None,
         tenant: str | None = None,
     ):
-        self.plan = plan
+        #: Worker slots the fleet runs; every epoch's plan keeps the count.
+        self.n_workers = n_workers
         self.on_worker_dead = on_worker_dead
         #: Tenant id stamped into every score frame (``None`` omits it);
         #: workers of another tenant reject the frame outright.
@@ -239,17 +240,6 @@ class ClusterRouter:
         self._inflight: dict[int, int] = {}
         registry.set_gauge("cluster.workers_live", 0)
 
-    def update_plan(self, plan: ShardPlan) -> None:
-        """Atomically publish a new epoch's plan for *future* scatters.
-
-        One reference assignment: a :meth:`search_batch` already running
-        snapshotted the old plan at entry and finishes against it (the
-        workers retain that epoch's state through the bump window), so
-        nothing in flight is disturbed.
-        """
-        self.plan = plan
-        registry.set_gauge("cluster.plan_epoch", self.plan.epoch)
-
     # ------------------------------------------------------------------ #
     # membership
     # ------------------------------------------------------------------ #
@@ -261,7 +251,11 @@ class ClusterRouter:
 
     async def attach(self, worker_id: int, host: str, port: int) -> None:
         """Connect (or reconnect) the channel for worker slot ``worker_id``."""
-        self.plan.range_of(worker_id)  # validates the id
+        if not 0 <= worker_id < self.n_workers:
+            raise ClusterError(
+                f"worker {worker_id} out of range for "
+                f"{self.n_workers} worker slots"
+            )
         old = self._channels.pop(worker_id, None)
         if old is not None:
             await old.close()
@@ -536,7 +530,7 @@ class ClusterRouter:
         timeout_ms: float | None = None,
         probes: int | None = None,
         exact: bool = False,
-        plan: ShardPlan | None = None,
+        plan: ShardPlan,
     ) -> ClusterResult:
         """Scatter a scaled ``(q, k)`` batch, merge exact per-query top-k.
 
@@ -547,12 +541,10 @@ class ClusterRouter:
         candidate cells to its own rows); workers without a quantizer
         answer exactly, which only ever *adds* candidates to the merge.
 
-        ``plan`` pins the epoch to scatter against (the service passes
-        its request-entry handle's plan); default is the router's
-        current plan, snapshotted once here — a concurrent
-        :meth:`update_plan` never splits one request across epochs.
+        ``plan`` pins the epoch to scatter against: the service passes
+        its request-entry handle's plan, so an epoch bump landing mid
+        request never splits it across epochs.
         """
-        plan = plan if plan is not None else self.plan
         Q = np.atleast_2d(np.asarray(Qs, dtype=np.float64))
         n_queries = Q.shape[0]
         timeout = (

@@ -117,7 +117,7 @@ class ClusterService:
             self.config.workers,
             replication=self.config.replication,
         )
-        self.router = ClusterRouter(self.plan, tenant=tenant)
+        self.router = ClusterRouter(self.plan.n_workers, tenant=tenant)
         self.supervisor = ClusterSupervisor(
             self.data_dir,
             self.plan,

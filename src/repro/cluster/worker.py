@@ -52,10 +52,11 @@ from repro.cluster.epochs import open_checkpoint
 from repro.cluster.plan import ShardPlan, ShardRange
 from repro.cluster.wire import BUMP_OP, recv_frame, send_frame
 from repro.core.model import LSIModel
-from repro.errors import StoreError
+from repro.errors import ReproError, StoreError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
+from repro.server.batching import check_search_args
 from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer
 
@@ -280,13 +281,13 @@ class ShardWorker:
             top = message.get("top")
             threshold = message.get("threshold")
             probes = message.get("probes")
-            if probes is not None and (
-                isinstance(probes, bool)
-                or not isinstance(probes, int)
-                or probes < 1
-            ):
-                return {"error": "'probes' must be a positive integer"}
             exact = message.get("exact", False)
+            try:
+                check_search_args(
+                    top=top, threshold=threshold, probes=probes, exact=exact
+                )
+            except ReproError as exc:
+                return {"error": str(exc)}
             # The frame's trace context (if any) makes this worker's
             # scoring span a child of the router's scatter span, in the
             # router's trace, even though it lives in another process.
@@ -304,12 +305,8 @@ class ShardWorker:
                     if self.inject_delay_s > 0:
                         time.sleep(self.inject_delay_s)
                     results, used_ann = self.score(
-                        Qs,
-                        None if top is None else int(top),
-                        None if threshold is None else float(threshold),
-                        probes=probes,
-                        exact=bool(exact),
-                        snapshot=snapshot,
+                        Qs, top, threshold,
+                        probes=probes, exact=exact, snapshot=snapshot,
                     )
             except Exception as exc:  # noqa: BLE001 — a query must not kill the worker
                 return {"error": repr(exc)}

@@ -123,24 +123,12 @@ class LSIModel:
         """``V_k Σ_k`` — document positions in factor space."""
         return self.V * self.s
 
-    def term_vector(self, term: str) -> np.ndarray:
-        """Row of ``U`` for ``term`` (raises if unknown)."""
-        return self.U[self.vocabulary.id_of(term)]
-
-    def doc_vector(self, doc_id: str) -> np.ndarray:
-        """Row of ``V`` for the named document."""
-        return self.V[self.doc_index(doc_id)]
-
     def doc_index(self, doc_id: str) -> int:
         """Position of ``doc_id`` among the document vectors."""
         try:
             return self.doc_ids.index(doc_id)
         except ValueError:
             raise ModelStateError(f"unknown document id {doc_id!r}") from None
-
-    def reconstruct(self) -> np.ndarray:
-        """Materialize the dense rank-k approximation ``A_k`` (Eq. 2)."""
-        return (self.U * self.s) @ self.V.T
 
     # ------------------------------------------------------------------ #
     def truncated(self, k: int) -> "LSIModel":

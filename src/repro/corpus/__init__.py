@@ -25,7 +25,6 @@ from repro.corpus.med import (
     MED_TERMS,
     MED_TOPICS,
     MED_UPDATE_TOPICS,
-    med_collection,
     med_matrix,
     med_tdm_parsed,
     med_update_matrix,
@@ -48,7 +47,6 @@ __all__ = [
     "med_matrix",
     "med_update_matrix",
     "med_tdm_parsed",
-    "med_collection",
     "SyntheticSpec",
     "topic_collection",
     "CrossLanguageSpec",

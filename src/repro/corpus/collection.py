@@ -10,7 +10,7 @@ and stream the rest) and for corruption experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import EvaluationError
 
@@ -116,18 +116,6 @@ class TestCollection:
             {d - first for d in rel if d >= first} for rel in self.relevance
         ]
         return head, tail_docs, tail_rel
-
-    def subset_queries(self, indices: Iterable[int]) -> "TestCollection":
-        """Collection restricted to the given queries (documents shared)."""
-        idx = list(indices)
-        return TestCollection(
-            documents=list(self.documents),
-            queries=[self.queries[i] for i in idx],
-            relevance=[set(self.relevance[i]) for i in idx],
-            doc_ids=list(self.doc_ids),
-            query_ids=[self.query_ids[i] for i in idx],
-            name=self.name,
-        )
 
     def with_documents(
         self, documents: Sequence[str], *, name: str | None = None

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.corpus.collection import TestCollection
 from repro.sparse.build import from_dense
 from repro.text.parser import ParsingRules
 from repro.text.tdm import TermDocumentMatrix, build_tdm
@@ -48,7 +47,6 @@ __all__ = [
     "med_matrix",
     "med_update_matrix",
     "med_tdm_parsed",
-    "med_collection",
     "PAPER_SIGMA_2",
     "PAPER_U2",
     "PAPER_QHAT",
@@ -207,23 +205,4 @@ def med_tdm_parsed(*, include_updates: bool = False) -> TermDocumentMatrix:
         list(topics.values()),
         ParsingRules(min_doc_freq=2),
         doc_ids=list(topics.keys()),
-    )
-
-
-def med_collection() -> TestCollection:
-    """The example as a test collection with the worked query.
-
-    Relevance follows the paper's discussion: M8, M9, M12 are the
-    relevant topics for "age of children with blood abnormalities"
-    (M9 most relevant; M7 and M11 only "somewhat related" and thus
-    judged non-relevant).
-    """
-    rel = {MED_DOC_IDS.index(d) for d in LSI_085_SET}
-    return TestCollection(
-        documents=[MED_TOPICS[d] for d in MED_DOC_IDS],
-        queries=[MED_QUERY],
-        relevance=[rel],
-        doc_ids=list(MED_DOC_IDS),
-        query_ids=["Q1"],
-        name="med18x14",
     )

@@ -9,11 +9,8 @@ specific summary: "Performance is average precision over recall levels of
 
 from repro.evaluation.metrics import (
     average_precision,
-    eleven_point_average_precision,
     interpolated_precision_at,
-    precision_at,
     precision_recall_curve,
-    recall_at,
     three_point_average_precision,
 )
 from repro.evaluation.harness import (
@@ -27,12 +24,9 @@ from repro.evaluation.harness import (
 from repro.evaluation.pooling import pooled_judgments
 
 __all__ = [
-    "precision_at",
-    "recall_at",
     "precision_recall_curve",
     "interpolated_precision_at",
     "three_point_average_precision",
-    "eleven_point_average_precision",
     "average_precision",
     "RetrievalRun",
     "run_engine",

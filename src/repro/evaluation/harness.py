@@ -114,14 +114,6 @@ class EngineComparison:
             self.candidate["mean_metric"], self.baseline["mean_metric"]
         )
 
-    def summary(self) -> str:
-        """One-line human-readable comparison."""
-        return (
-            f"{self.candidate['engine']} {self.candidate['mean_metric']:.3f} "
-            f"vs {self.baseline['engine']} {self.baseline['mean_metric']:.3f} "
-            f"({self.improvement_pct:+.1f}%) on {self.baseline['collection']}"
-        )
-
 
 def compare_engines(
     candidate, baseline, collection: TestCollection, *, metric=None

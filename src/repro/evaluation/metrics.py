@@ -5,8 +5,8 @@ relevant documents in the collection that are retrieved by the system;
 and precision is the proportion of relevant documents in the set returned
 to the user."  Interpolated precision at a recall level uses the standard
 TREC convention — the maximum precision at any rank achieving at least
-that recall — which is what makes the 3-point and 11-point averages
-well-defined even between achievable recall values.
+that recall — which is what makes the 3-point average well-defined even
+between achievable recall values.
 """
 
 from __future__ import annotations
@@ -18,18 +18,14 @@ import numpy as np
 from repro.errors import EvaluationError
 
 __all__ = [
-    "precision_at",
-    "recall_at",
     "precision_recall_curve",
     "interpolated_precision_at",
     "three_point_average_precision",
-    "eleven_point_average_precision",
     "average_precision",
 ]
 
 #: The paper's summary metric levels (footnote 2 of §5.2).
 THREE_POINT_LEVELS = (0.25, 0.50, 0.75)
-ELEVEN_POINT_LEVELS = tuple(np.round(np.arange(0.0, 1.01, 0.1), 1))
 
 
 def _validate(ranking: Sequence[int], relevant: set[int]) -> list[int]:
@@ -37,27 +33,6 @@ def _validate(ranking: Sequence[int], relevant: set[int]) -> list[int]:
     if len(set(ranking)) != len(ranking):
         raise EvaluationError("ranking contains duplicate documents")
     return ranking
-
-
-def precision_at(ranking: Sequence[int], relevant: set[int], cutoff: int) -> float:
-    """Fraction of the top ``cutoff`` ranked documents that are relevant."""
-    if cutoff <= 0:
-        raise EvaluationError("cutoff must be positive")
-    ranking = _validate(ranking, relevant)
-    head = ranking[:cutoff]
-    if not head:
-        return 0.0
-    return sum(1 for d in head if d in relevant) / len(head)
-
-
-def recall_at(ranking: Sequence[int], relevant: set[int], cutoff: int) -> float:
-    """Fraction of all relevant documents found in the top ``cutoff``."""
-    if cutoff <= 0:
-        raise EvaluationError("cutoff must be positive")
-    if not relevant:
-        return 0.0
-    ranking = _validate(ranking, relevant)
-    return sum(1 for d in ranking[:cutoff] if d in relevant) / len(relevant)
 
 
 def precision_recall_curve(
@@ -97,20 +72,6 @@ def three_point_average_precision(
             [
                 interpolated_precision_at(ranking, relevant, lvl)
                 for lvl in THREE_POINT_LEVELS
-            ]
-        )
-    )
-
-
-def eleven_point_average_precision(
-    ranking: Sequence[int], relevant: set[int]
-) -> float:
-    """Mean interpolated precision at recall 0.0, 0.1, ..., 1.0."""
-    return float(
-        np.mean(
-            [
-                interpolated_precision_at(ranking, relevant, lvl)
-                for lvl in ELEVEN_POINT_LEVELS
             ]
         )
     )

@@ -27,7 +27,7 @@ from repro.linalg.tridiag import tridiag_eigh
 from repro.linalg.bidiag import golub_kahan_bidiag
 from repro.linalg.lanczos import LanczosStats, lanczos_svd
 from repro.linalg.svd import SVDResult, dense_svd, truncated_svd
-from repro.linalg.orth import orthogonality_loss, reorthogonalize, spectral_norm
+from repro.linalg.orth import orthogonality_loss, spectral_norm
 from repro.linalg.counters import FlopCounter, OperatorCounter
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "truncated_svd",
     "SVDResult",
     "orthogonality_loss",
-    "reorthogonalize",
     "spectral_norm",
     "FlopCounter",
     "OperatorCounter",

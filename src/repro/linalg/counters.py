@@ -35,13 +35,6 @@ class FlopCounter:
         """Sum over all categories."""
         return sum(self.counts.values())
 
-    def report(self) -> str:
-        """Fixed-width per-category breakdown, largest first."""
-        rows = sorted(self.counts.items(), key=lambda kv: -kv[1])
-        lines = [f"{name:>28s}  {flops:>14,d}" for name, flops in rows]
-        lines.append(f"{'total':>28s}  {self.total:>14,d}")
-        return "\n".join(lines)
-
 
 class OperatorCounter:
     """Matrix wrapper that counts matvec / rmatvec invocations and flops.

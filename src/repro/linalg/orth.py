@@ -4,8 +4,7 @@ Folding-in appends arbitrary projected vectors to the singular-vector
 matrices, corrupting their orthogonality; the paper proposes monitoring
 ``‖ÛᵀÛ − I‖₂`` and ``‖V̂ᵀV̂ − I‖₂`` as distortion measures.  These helpers
 compute that loss (via from-scratch power iteration — the matrices involved
-are small ``k×k`` Grams) and re-orthonormalize bases when an application
-wants to repair drift.
+are small ``k×k`` Grams).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.util.rng import ensure_rng
 
-__all__ = ["spectral_norm", "orthogonality_loss", "reorthogonalize"]
+__all__ = ["spectral_norm", "orthogonality_loss"]
 
 
 def spectral_norm(
@@ -64,32 +63,3 @@ def orthogonality_loss(q: np.ndarray) -> float:
     gram = Q.T @ Q
     gram[np.diag_indices_from(gram)] -= 1.0
     return spectral_norm(gram)
-
-
-def reorthogonalize(q: np.ndarray) -> np.ndarray:
-    """Return the nearest-orthonormal column basis via two-pass MGS.
-
-    Modified Gram-Schmidt applied twice ("twice is enough", Kahan) —
-    adequate for repairing the mild drift fold-in introduces.  Columns that
-    become numerically zero (linearly dependent input) are replaced by
-    random directions orthogonal to the rest.
-    """
-    Q = np.array(q, dtype=np.float64, copy=True)
-    if Q.ndim != 2:
-        raise ShapeError(f"reorthogonalize expects a matrix, got ndim={Q.ndim}")
-    m, k = Q.shape
-    rng = ensure_rng(0)
-    for _pass in range(2):
-        for j in range(k):
-            for i in range(j):
-                Q[:, j] -= np.dot(Q[:, i], Q[:, j]) * Q[:, i]
-            norm = np.sqrt(np.dot(Q[:, j], Q[:, j]))
-            if norm <= 1e-12:
-                v = rng.standard_normal(m)
-                for i in range(j):
-                    v -= np.dot(Q[:, i], v) * Q[:, i]
-                v /= np.sqrt(np.dot(v, v))
-                Q[:, j] = v
-            else:
-                Q[:, j] /= norm
-    return Q

@@ -75,11 +75,6 @@ class SVDResult:
         """Shape of the matrix this decomposition approximates."""
         return (self.U.shape[0], self.V.shape[0])
 
-    @property
-    def Vt(self) -> np.ndarray:
-        """``Vᵀ`` as an ``(k, n)`` array (convenience view)."""
-        return self.V.T
-
     def truncate(self, k: int) -> "SVDResult":
         """Drop trailing factors, returning a rank-``k`` decomposition."""
         if not 1 <= k <= self.k:
@@ -88,14 +83,6 @@ class SVDResult:
             self.U[:, :k].copy(), self.s[:k].copy(), self.V[:, :k].copy(),
             stats=self.stats, method=self.method,
         )
-
-    def reconstruct(self) -> np.ndarray:
-        """Materialize the dense rank-``k`` approximation ``A_k``."""
-        return (self.U * self.s) @ self.V.T
-
-    def frobenius(self) -> float:
-        """``‖A_k‖_F = sqrt(Σ σᵢ²)`` (Theorem 2.1, norm property)."""
-        return float(np.sqrt(np.dot(self.s, self.s)))
 
 
 def dense_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,9 +11,9 @@ they are all measured on:
   p50 / p95 / p99 without storing samples), thread-safe for the
   shard-parallel serving path;
 * :mod:`repro.obs.tracing` — ``span("lsi.search", top=10)`` context
-  managers producing nested wall-clock spans with attributes, an
-  in-memory ring buffer, and a JSON-lines exporter; disabled by
-  default with near-zero overhead on the hot paths;
+  managers producing nested wall-clock spans with attributes and an
+  in-memory ring buffer; disabled by default with near-zero overhead
+  on the hot paths;
 * :mod:`repro.obs.bridge` — publishes :class:`OperatorCounter` /
   :class:`LanczosStats` matvec & flop counts and §4.3 drift values
   into the registry as gauges;
@@ -26,8 +26,8 @@ PR 7 made the substrate cluster-wide:
 * :mod:`repro.obs.trace_context` — ambient :class:`TraceContext`
   (trace id + remote parent span) minted at HTTP ingress and carried in
   cluster wire frames, so worker-process spans join the router's trace;
-* :mod:`repro.obs.aggregate` — order-independent merge and per-worker
-  labeling of shipped worker registry snapshots (metrics federation);
+* :mod:`repro.obs.aggregate` — per-worker labeling of shipped worker
+  registry snapshots (metrics federation);
 * :mod:`repro.obs.prom` — Prometheus text exposition for
   ``/metrics?format=prom``;
 * :mod:`repro.obs.slowlog` — a bounded JSONL log of over-threshold
@@ -39,7 +39,6 @@ the ``serving.`` prefix.
 
 from repro.obs.aggregate import (
     label_snapshots,
-    merge_registry_snapshots,
     prefix_snapshot,
 )
 from repro.obs.bridge import record_drift, record_lanczos_stats, record_operator
@@ -58,7 +57,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     registry,
 )
-from repro.obs.prom import render_prometheus, render_snapshot
+from repro.obs.prom import render_prometheus
 from repro.obs.slowlog import SlowQueryLog, format_slowlog, read_slowlog
 from repro.obs.trace_context import (
     TraceContext,
@@ -70,13 +69,10 @@ from repro.obs.trace_context import (
 )
 from repro.obs.tracing import (
     Span,
-    clear_spans,
     enable_tracing,
-    export_spans_jsonl,
     recent_spans,
     span,
     spans_for_trace,
-    traced,
     tracing_enabled,
 )
 
@@ -89,22 +85,17 @@ __all__ = [
     "Span",
     "enable_tracing",
     "tracing_enabled",
-    "traced",
     "recent_spans",
-    "clear_spans",
     "spans_for_trace",
-    "export_spans_jsonl",
     "TraceContext",
     "new_trace_id",
     "coerce_trace_id",
     "current_trace",
     "trace_scope",
     "export_trace_jsonl",
-    "merge_registry_snapshots",
     "prefix_snapshot",
     "label_snapshots",
     "render_prometheus",
-    "render_snapshot",
     "SlowQueryLog",
     "read_slowlog",
     "format_slowlog",

@@ -1,84 +1,20 @@
-"""Fleet-wide metrics federation: merge and label worker registries.
+"""Fleet-wide metrics federation: label worker registries.
 
 The cluster front end owns only the router's process-local registry;
 each shard worker accumulates its own (RPC handling, scoring spans, ANN
 probes) in a separate process.  The ``stats`` wire op ships every
-worker's ``registry.snapshot()`` to the router, and this module turns
-that pile of snapshots into the two views ``GET /metrics`` serves:
-
-* :func:`merge_registry_snapshots` — one fleet-wide roll-up.  The merge
-  is **order-independent** (any permutation of the inputs produces the
-  same result) and **bucket-exact** for histograms (bucket counts add,
-  so quantiles of the union are recoverable), which
-  ``tests/test_obs_aggregate.py`` pins down property-style;
-* :func:`label_snapshots` — per-worker views with each metric name
-  prefixed (``shard.3.cluster.rpc_seconds``), so the flat JSON shape of
-  ``/metrics`` stays backward compatible while reporting every process.
-
-Merge rules per kind: **counters add** (event counts are disjoint per
-process); **histograms merge bucket-wise** when boundaries match —
-when two processes somehow disagree on a histogram's boundaries, the
-layout with the larger total count wins (ties broken by the smaller
-boundary tuple), never by input order; **gauges take the max**, because
-unlike :func:`repro.obs.export.merge_snapshots`'s last-write-wins
-(correct for a *time-ordered* state file), fleet snapshots arrive in
-arbitrary order — max is the strongest commutative, idempotent choice
-and reads naturally for the high-water quantities workers gauge.
+worker's ``registry.snapshot()`` to the router, and
+:func:`label_snapshots` turns that pile of snapshots into the view
+``GET /metrics`` serves: per-worker metrics with each name prefixed
+(``shard.3.cluster.rpc_seconds``), so the flat JSON shape of
+``/metrics`` stays backward compatible while reporting every process.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.obs.metrics import Histogram
-
-__all__ = [
-    "merge_registry_snapshots",
-    "prefix_snapshot",
-    "label_snapshots",
-]
-
-
-def merge_registry_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Merge ``registry.snapshot()`` dicts into one fleet-wide snapshot.
-
-    Order-independent and safe on malformed input: non-dict entries and
-    missing sections are skipped rather than raised on, because worker
-    snapshots cross a process boundary.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
-    # name -> boundaries-tuple -> merged Histogram (grouping by layout
-    # keeps the merge order-independent even under boundary mismatch).
-    layouts: dict[str, dict[tuple, Histogram]] = {}
-    for snap in snapshots:
-        if not isinstance(snap, dict):
-            continue
-        for name, value in _section(snap, "counters").items():
-            counters[name] = counters.get(name, 0) + int(value)
-        for name, value in _section(snap, "gauges").items():
-            value = float(value)
-            if name not in gauges or value > gauges[name]:
-                gauges[name] = value
-        for name, data in _section(snap, "histograms").items():
-            try:
-                hist = Histogram.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                continue
-            group = layouts.setdefault(name, {})
-            existing = group.get(hist.boundaries)
-            if existing is None:
-                group[hist.boundaries] = hist
-            else:
-                existing.merge(hist)
-    histograms: dict[str, dict] = {}
-    for name, group in layouts.items():
-        winner = max(
-            group.values(),
-            key=lambda h: (h.count, tuple(-b for b in h.boundaries)),
-        )
-        histograms[name] = winner.to_dict()
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+__all__ = ["prefix_snapshot", "label_snapshots"]
 
 
 def prefix_snapshot(snap: dict, prefix: str) -> dict:

@@ -173,11 +173,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def gauge(self, name: str, default: float | None = None) -> float | None:
-        """Current value of a gauge, or ``default`` when never set."""
-        with self._lock:
-            return self._gauges.get(name, default)
-
     def observe(
         self,
         name: str,
@@ -203,20 +198,6 @@ class MetricsRegistry:
             return self._histograms.get(name)
 
     # ------------------------------------------------------------------ #
-    def counters(self, prefix: str = "") -> dict[str, int]:
-        """Copy of all counters whose name starts with ``prefix``."""
-        with self._lock:
-            return {
-                k: v for k, v in self._counters.items() if k.startswith(prefix)
-            }
-
-    def gauges(self, prefix: str = "") -> dict[str, float]:
-        """Copy of all gauges whose name starts with ``prefix``."""
-        with self._lock:
-            return {
-                k: v for k, v in self._gauges.items() if k.startswith(prefix)
-            }
-
     def histogram_sums(self, prefix: str = "") -> dict[str, float]:
         """Accumulated seconds per histogram (the old flat-timer view)."""
         with self._lock:

@@ -30,11 +30,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-__all__ = [
-    "sanitize_metric_name",
-    "render_prometheus",
-    "render_snapshot",
-]
+__all__ = ["sanitize_metric_name", "render_prometheus"]
 
 #: Prefix namespacing every exported family.
 NAME_PREFIX = "repro_"
@@ -164,10 +160,3 @@ def render_prometheus(
         lines.append(f"# TYPE {fam.name} {fam.kind}")
         lines.extend(fam.samples)
     return "\n".join(lines) + "\n" if lines else "\n"
-
-
-def render_snapshot(
-    snapshot: dict, labels: Mapping[str, object] | None = None
-) -> str:
-    """Exposition text for a single snapshot (one label set)."""
-    return render_prometheus([(labels or {}, snapshot)])

@@ -114,9 +114,9 @@ def trace_scope(ctx: TraceContext | None):
 def export_trace_jsonl(path, span_dicts: list[dict]) -> int:
     """Write an assembled trace (span dicts) as JSON lines.
 
-    Unlike :func:`repro.obs.tracing.export_spans_jsonl` this operates on
-    plain dicts, because a reassembled cluster trace mixes local spans
-    with spans fetched over the wire from worker processes.
+    It operates on plain dicts, because a reassembled cluster trace
+    mixes local spans with spans fetched over the wire from worker
+    processes.
     """
     with open(path, "w", encoding="utf-8") as fh:
         for record in span_dicts:

@@ -29,12 +29,10 @@ observability blobs, tests) pay for capture.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -46,11 +44,8 @@ __all__ = [
     "span",
     "enable_tracing",
     "tracing_enabled",
-    "traced",
     "recent_spans",
-    "clear_spans",
     "spans_for_trace",
-    "export_spans_jsonl",
 ]
 
 #: Finished spans retained in memory (newest win).
@@ -200,16 +195,6 @@ def tracing_enabled() -> bool:
     return _enabled
 
 
-@contextmanager
-def traced(on: bool = True):
-    """Scoped tracing toggle (tests, benchmarks): restores prior state."""
-    previous = enable_tracing(on)
-    try:
-        yield
-    finally:
-        enable_tracing(previous)
-
-
 def recent_spans(n: int | None = None) -> list[Span]:
     """The newest ``n`` finished spans, oldest first (all when ``None``).
 
@@ -219,12 +204,6 @@ def recent_spans(n: int | None = None) -> list[Span]:
     with _ring_lock:
         spans = list(_ring)
     return spans if n is None else spans[-n:]
-
-
-def clear_spans() -> None:
-    """Empty the ring buffer (tests, or after an export)."""
-    with _ring_lock:
-        _ring.clear()
 
 
 def spans_for_trace(trace_id: str) -> list[Span]:
@@ -243,16 +222,3 @@ def spans_for_trace(trace_id: str) -> list[Span]:
         if isinstance(extra, (list, tuple, set)) and trace_id in extra:
             out.append(record)
     return out
-
-
-def export_spans_jsonl(path, spans: list[Span] | None = None) -> int:
-    """Write spans as JSON lines; returns the number written.
-
-    When ``spans`` is omitted the ring buffer is snapshotted under its
-    lock first, so concurrent span completion cannot corrupt the export.
-    """
-    spans = recent_spans() if spans is None else spans
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in spans:
-            fh.write(json.dumps(record.to_dict()) + "\n")
-    return len(spans)

@@ -2,19 +2,18 @@
 
 * :mod:`repro.retrieval.keyword` — the standard keyword vector method
   (SMART-style), the baseline every §5 comparison is made against.
-* :mod:`repro.retrieval.engine` — the LSI retrieval engine, plus the
-  common engine protocol the evaluation harness consumes.
+* :mod:`repro.retrieval.engine` — the LSI retrieval engine.
 * :mod:`repro.retrieval.feedback` — relevance feedback (§5.1): replace
-  the query with relevant document vectors, or Rocchio reweighting.
+  the query with the mean of relevant document vectors, or Rocchio
+  reweighting.
 * :mod:`repro.retrieval.filtering` — information filtering (§5.3):
   standing interest profiles matched against a document stream.
 """
 
-from repro.retrieval.engine import LSIRetrieval, RetrievalEngine
+from repro.retrieval.engine import LSIRetrieval
 from repro.retrieval.keyword import KeywordRetrieval
 from repro.retrieval.feedback import (
     mean_relevant_query,
-    replace_with_relevant,
     rocchio,
 )
 from repro.retrieval.filtering import FilteringProfile, stream_filter
@@ -26,10 +25,8 @@ from repro.retrieval.multitopic import (
 from repro.retrieval.composite import CompositeQuery
 
 __all__ = [
-    "RetrievalEngine",
     "LSIRetrieval",
     "KeywordRetrieval",
-    "replace_with_relevant",
     "mean_relevant_query",
     "rocchio",
     "FilteringProfile",

@@ -7,8 +7,8 @@ information retrieval applications), documents or combinations of the
 two (as in relevance feedback)."
 
 :class:`CompositeQuery` builds a k-space query vector from any mixture
-of free text, vocabulary terms, and example documents (by id or index),
-each with its own weight — the one query-construction surface behind
+of free text and example documents (by id or index), each with its own
+weight — the one query-construction surface behind
 plain search, query-by-example, and the more-like-this-but-about-X
 idiom.
 """
@@ -44,15 +44,6 @@ class CompositeQuery:
         self._parts.append((project_query(self.model, text), float(weight)))
         return self
 
-    def add_term(self, term: str, weight: float = 1.0) -> "CompositeQuery":
-        """Add a single vocabulary term (its U-row scaled to q̂ space)."""
-        idx = self.model.vocabulary.id_of(term)
-        counts = np.zeros(self.model.n_terms)
-        counts[idx] = 1.0
-        vec = (counts * self.model.global_weights @ self.model.U) / self.model.s
-        self._parts.append((vec, float(weight)))
-        return self
-
     def add_document(self, doc, weight: float = 1.0) -> "CompositeQuery":
         """Add an indexed document by id (str) or index (int) —
         query-by-example."""
@@ -61,17 +52,6 @@ class CompositeQuery:
             raise ShapeError(f"document index {j} out of range")
         self._parts.append((self.model.V[j].copy(), float(weight)))
         return self
-
-    def subtract_document(self, doc, weight: float = 1.0) -> "CompositeQuery":
-        """Move the query *away* from a document (negative feedback —
-        the §5.1 'use of negative information' extension)."""
-        return self.add_document(doc, -abs(weight))
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_components(self) -> int:
-        """How many weighted components have been added."""
-        return len(self._parts)
 
     def vector(self) -> np.ndarray:
         """The combined k-space query vector (weighted sum)."""

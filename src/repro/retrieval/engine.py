@@ -1,4 +1,4 @@
-"""The LSI retrieval engine and the engine protocol.
+"""The LSI retrieval engine.
 
 Both engines (LSI here, keyword in :mod:`repro.retrieval.keyword`) expose
 the same surface — ``scores(query)`` and ``search(query, top=, threshold=)``
@@ -8,7 +8,7 @@ benchmark suite treat them interchangeably.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -20,27 +20,7 @@ from repro.serving.querycache import QueryVectorCache
 from repro.text.parser import ParsingRules
 from repro.weighting.schemes import WeightingScheme
 
-__all__ = ["RetrievalEngine", "LSIRetrieval"]
-
-
-@runtime_checkable
-class RetrievalEngine(Protocol):
-    """What the evaluation harness needs from an engine."""
-
-    name: str
-
-    @property
-    def n_documents(self) -> int:
-        """Documents the engine can return."""
-        ...
-
-    def scores(self, query) -> np.ndarray:
-        """Score every document for ``query`` (length n)."""
-        ...
-
-    def search(self, query, *, top=None, threshold=None):
-        """Ranked, optionally filtered ``(doc_index, score)`` pairs."""
-        ...
+__all__ = ["LSIRetrieval"]
 
 
 class LSIRetrieval:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
 
-__all__ = ["replace_with_relevant", "mean_relevant_query", "rocchio"]
+__all__ = ["mean_relevant_query", "rocchio"]
 
 
 def _doc_vectors(model: LSIModel, indices: Sequence[int]) -> np.ndarray:
@@ -31,16 +31,6 @@ def _doc_vectors(model: LSIModel, indices: Sequence[int]) -> np.ndarray:
     if idx.size and (idx.min() < 0 or idx.max() >= model.n_documents):
         raise ShapeError("document index out of range in feedback")
     return model.V[idx] * model.s  # scaled document coordinates
-
-
-def replace_with_relevant(
-    model: LSIModel, relevant: Sequence[int]
-) -> np.ndarray:
-    """Replace the query with the *first* relevant document's vector."""
-    rel = list(relevant)
-    if not rel:
-        raise ShapeError("replace_with_relevant needs at least one document")
-    return _doc_vectors(model, rel[:1])[0] / model.s  # back to q̂ scale
 
 
 def mean_relevant_query(

@@ -85,11 +85,6 @@ class MultiTopicQuery:
             labels=list(facets),
         )
 
-    @property
-    def n_points(self) -> int:
-        """Number of interest points."""
-        return self.points.shape[0]
-
 
 def _facet_cosines(model: LSIModel, query: MultiTopicQuery) -> np.ndarray:
     """(t, n) cosine of each interest point with each document."""

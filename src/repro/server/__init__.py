@@ -23,7 +23,7 @@ needs, stdlib-asyncio only:
   bounded queue with fast overload rejection, per-request deadlines,
   and the drain latch for graceful shutdown;
 * :mod:`repro.server.service` — :class:`QueryService`, the one front
-  end the HTTP transport calls: registry pin → admission → quota →
+  end the HTTP transport calls: admission → quota → registry pin →
   backend → tenant label → slow log, the same whether the registry
   hosts in-process scorers or :mod:`repro.cluster` worker fleets,
   emitting ``server.*`` metrics and spans;

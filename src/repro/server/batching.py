@@ -54,14 +54,26 @@ __all__ = [
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def check_search_args(query, top=None, threshold=None, timeout_ms=None) -> None:
+def check_search_args(
+    query="", top=None, threshold=None, timeout_ms=None, probes=None, exact=False
+) -> None:
     """Raise :class:`ReproError` naming the first malformed search field.
 
     The one definition of a well-formed search: the HTTP front end calls
-    it before any service sees the request (→ 400), and the scorer calls
-    it per request so an in-process caller's bad argument fails that
-    request alone, never the batch it was coalesced into.
+    it before any service sees the request (→ 400), the scorer calls it
+    per request so an in-process caller's bad argument fails that
+    request alone, never the batch it was coalesced into, and a shard
+    worker calls it per score frame (which carries projected vectors,
+    not text, so it passes no ``query``).
     """
+    if probes is not None and (
+        isinstance(probes, bool)
+        or not isinstance(probes, numbers.Integral)
+        or probes < 1
+    ):
+        raise ReproError("'probes' must be a positive integer")
+    if not isinstance(exact, bool):
+        raise ReproError("'exact' must be a boolean")
     if not isinstance(query, str) and not (
         isinstance(query, (list, tuple))
         and all(isinstance(token, str) for token in query)
@@ -336,7 +348,10 @@ class MicroBatcher:
             for i in candidates:
                 req = batch[i]
                 try:
-                    check_search_args(req.query, req.top, req.threshold)
+                    check_search_args(
+                        req.query, req.top, req.threshold,
+                        probes=req.probes, exact=req.exact,
+                    )
                     rows.append(snapshot.project(req.query))
                     members.append(i)
                 except ReproError as exc:

@@ -208,28 +208,16 @@ async def _dispatch(
     if method == "POST" and path == "/search":
         if "query" not in body:
             return 400, {"error": "missing 'query'"}
-        probes = body.get("probes")
-        if probes is not None and (
-            isinstance(probes, bool)
-            or not isinstance(probes, int)
-            or probes < 1
-        ):
-            return 400, {"error": "'probes' must be a positive integer"}
-        exact = body.get("exact", False)
-        if not isinstance(exact, bool):
-            return 400, {"error": "'exact' must be a boolean"}
-        limits = {
-            name: body.get(name) for name in ("top", "threshold", "timeout_ms")
+        args = {
+            name: body.get(name)
+            for name in ("top", "threshold", "timeout_ms", "probes")
         }
+        args["exact"] = body.get("exact", False)
         # Raises ReproError (→ 400) naming the malformed field, before
         # the request can be co-batched with anyone else's.
-        check_search_args(body["query"], **limits)
+        check_search_args(body["query"], **args)
         result = await service.search(
-            body["query"],
-            **limits,
-            probes=probes,
-            exact=exact,
-            tenant=_tenant_from(headers, body),
+            body["query"], **args, tenant=_tenant_from(headers, body)
         )
         return 200, result
     if method == "POST" and path == "/add":

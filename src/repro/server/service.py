@@ -1,4 +1,4 @@
-"""The front end: pin → admit → quota → backend → label → slow log.
+"""The front end: admit → quota → pin → backend → label → slow log.
 
 :class:`QueryService` is the one service the HTTP front end
 (:mod:`repro.server.http`), the benchmarks and the integration tests
@@ -24,10 +24,10 @@ slow-log evidence)`` / ``add(...)`` / ``healthz()``, and the one that
 owns a durable store runs its seal loop from ``start`` to ``drain``;
 everything a request passes on the way there is here, once:
 
-* :meth:`search` pins the request's tenant (lazily attaching a cold
-  one), admits it against the global bounded queue *and* the tenant's
-  quota share (fast 429-style rejection on overload — per-tenant
-  ``reason="tenant_quota"`` when one hot tenant is over budget), asks
+* :meth:`search` admits the request against the global bounded queue
+  *and* its tenant's quota share (fast 429-style rejection on overload
+  — per-tenant ``reason="tenant_quota"`` when one hot tenant is over
+  budget), then pins the tenant (lazily attaching a cold one), asks
   the backend, labels the reply with its tenant and dumps an
   over-threshold request's evidence to the slow log;
 * :meth:`add` hands the documents to the tenant's backend, which
@@ -154,10 +154,14 @@ class QueryService:
         Detach only happens with zero pins, and every in-flight request
         holds a pin until its reply resolves — so a scheduler's queue is
         empty and its scoring thread idle here, and no query loses its
-        workers; the drain runs as a task off the serving path.
+        workers; the drain runs as a task off the serving path.  A state
+        that never got a scheduler has nothing to drain.
         """
-        backend = self._batchers.pop(tenant_id, hosted)
-        if self._loop is None or self._loop.is_closed():
+        if isinstance(hosted, ServingState):
+            backend = self._batchers.pop(tenant_id, None)
+        else:
+            backend = hosted
+        if backend is None or self._loop is None or self._loop.is_closed():
             return
         self._loop.call_soon_threadsafe(
             lambda: self._loop.create_task(backend.drain())
@@ -187,26 +191,31 @@ class QueryService:
     # ------------------------------------------------------------------ #
     @contextlib.contextmanager
     def _admitted(self, tenant: str | None) -> Iterator[tuple[str, object]]:
-        """Pin the tenant, then claim a global slot and a quota slot.
+        """Resolve the tenant, claim a global slot and a quota slot, then
+        pin the tenant.
 
-        Yields ``(tenant_id, backend)``.  The tenant stays pinned (so an
-        LRU eviction decided mid-flight detaches only afterwards) and
-        both slots stay held until the block exits; a quota rejection
-        gives the global slot back before it propagates.
+        Yields ``(tenant_id, backend)``.  An unknown tenant fails before
+        any admission work, and a rejected request attaches nothing: only
+        the pin attaches a cold tenant (and may evict a resident one).
+        The tenant stays pinned (so an LRU eviction decided mid-flight
+        detaches only afterwards) and both slots stay held until the
+        block exits; a quota rejection gives the global slot back before
+        it propagates.
         """
-        with self.registry.pin(tenant) as (tid, hosted):
-            self.quotas.ensure(self.registry.tenant_ids)
-            self.admission.admit()
-            try:
-                self.quotas.admit(tid)
-            except BaseException:
-                self.admission.release()
-                raise
-            try:
+        tid = self.registry.resolve_id(tenant)
+        self.quotas.ensure(self.registry.tenant_ids)
+        self.admission.admit()
+        try:
+            self.quotas.admit(tid)
+        except BaseException:
+            self.admission.release()
+            raise
+        try:
+            with self.registry.pin(tid) as (_, hosted):
                 yield tid, self._backend(tid, hosted)
-            finally:
-                self.quotas.release(tid)
-                self.admission.release()
+        finally:
+            self.quotas.release(tid)
+            self.admission.release()
 
     def _record_slow(self, elapsed_s: float, **evidence) -> None:
         """Dump an over-threshold request's trace evidence to the slow log.

@@ -52,13 +52,6 @@ class ScaledRows(NamedTuple):
     #: Every norm is ``> 0`` (decided once, here, not per query).
     positive: bool
 
-    def rows(self, lo: int, hi: int) -> "ScaledRows":
-        """Zero-copy views of rows ``[lo, hi)``."""
-        return ScaledRows(
-            self.coords[lo:hi], self.norms[lo:hi], self.unit[lo:hi],
-            self.positive,
-        )
-
 
 def scaled_rows(V: np.ndarray, s: np.ndarray) -> ScaledRows:
     """Derive the scoring arrays of document rows ``V`` (whole or a range).

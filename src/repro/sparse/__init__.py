@@ -11,9 +11,9 @@ Format roles
 * :class:`COOMatrix` — assembly format; cheap to build, converts to the
   compressed formats.
 * :class:`CSRMatrix` — row-major compute format; fast ``A @ x`` and row
-  scaling (local weighting applies per cell, global weighting per row/term).
+  (term) access.
 * :class:`CSCMatrix` — column-major compute format; fast ``Aᵀ @ x`` and
-  column (document) extraction for fold-in.
+  cheap appends of document columns.
 
 All formats store ``float64`` data and ``int64`` indices, are immutable
 after construction, and validate their invariants eagerly (see
@@ -23,13 +23,12 @@ after construction, and validate their invariants eagerly (see
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.build import MatrixBuilder, from_dense, from_triples
+from repro.sparse.build import MatrixBuilder, from_dense
 from repro.sparse.ops import (
     csc_matvec,
     csr_matmat,
     csr_matvec,
     csr_rmatvec,
-    frobenius_norm,
     hstack_csc,
     vstack_csr,
 )
@@ -40,12 +39,10 @@ __all__ = [
     "CSCMatrix",
     "MatrixBuilder",
     "from_dense",
-    "from_triples",
     "csr_matvec",
     "csr_rmatvec",
     "csc_matvec",
     "csr_matmat",
-    "frobenius_norm",
     "hstack_csc",
     "vstack_csr",
 ]

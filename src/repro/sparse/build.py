@@ -17,7 +17,7 @@ from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["MatrixBuilder", "from_dense", "from_triples"]
+__all__ = ["MatrixBuilder", "from_dense"]
 
 
 class MatrixBuilder:
@@ -95,21 +95,3 @@ def from_dense(a: np.ndarray, *, tol: float = 0.0) -> COOMatrix:
         raise ShapeError(f"from_dense expects 2-D input, got ndim={arr.ndim}")
     row, col = np.nonzero(np.abs(arr) > tol)
     return COOMatrix(arr.shape, row, col, arr[row, col], sum_duplicates=False)
-
-
-def from_triples(
-    shape: tuple[int, int],
-    triples: Iterable[tuple[int, int, float]],
-) -> COOMatrix:
-    """Build a COO matrix from an iterable of ``(i, j, value)`` triples."""
-    rows, cols, vals = [], [], []
-    for i, j, v in triples:
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-    return COOMatrix(
-        shape,
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(cols, dtype=np.int64),
-        np.asarray(vals, dtype=np.float64),
-    )

@@ -82,12 +82,6 @@ class COOMatrix:
         """Number of stored entries (duplicates already merged)."""
         return int(self.data.size)
 
-    @property
-    def density(self) -> float:
-        """Fraction of cells that are stored: ``nnz / (m*n)``."""
-        m, n = self.shape
-        return self.nnz / (m * n) if m and n else 0.0
-
     def __repr__(self) -> str:
         return f"COOMatrix(shape={self.shape}, nnz={self.nnz})"
 
@@ -134,28 +128,6 @@ class COOMatrix:
     def T(self) -> "COOMatrix":
         """The transpose (see :meth:`transpose`)."""
         return self.transpose()
-
-    # ------------------------------------------------------------------ #
-    # elementwise helpers used by the weighting subsystem
-    # ------------------------------------------------------------------ #
-    def map_data(self, fn) -> "COOMatrix":
-        """Return a copy with ``fn`` applied to the stored values only.
-
-        Note sparse semantics: implicit zeros stay zero, so ``fn`` must map
-        0 → 0 for the result to equal the dense elementwise application.
-        """
-        new = np.asarray(fn(self.data), dtype=np.float64)
-        if new.shape != self.data.shape:
-            raise SparseFormatError("map_data callback changed the data length")
-        return COOMatrix(self.shape, self.row, self.col, new, sum_duplicates=False)
-
-    def eliminate_zeros(self, tol: float = 0.0) -> "COOMatrix":
-        """Drop stored entries with ``|value| <= tol``."""
-        keep = np.abs(self.data) > tol
-        return COOMatrix(
-            self.shape, self.row[keep], self.col[keep], self.data[keep],
-            sum_duplicates=False,
-        )
 
 
 def _merge_duplicates(m, n, row, col, data):

@@ -66,18 +66,8 @@ class CSCMatrix:
         """Number of stored entries."""
         return int(self.data.size)
 
-    @property
-    def density(self) -> float:
-        """Stored fraction ``nnz / (m·n)``."""
-        m, n = self.shape
-        return self.nnz / (m * n) if m and n else 0.0
-
     def __repr__(self) -> str:
         return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"
-
-    def col_nnz(self) -> np.ndarray:
-        """Per-column stored-entry counts (length n)."""
-        return np.diff(self.indptr)
 
     def expanded_cols(self) -> np.ndarray:
         """Per-nonzero column index (length nnz), cached after first use."""
@@ -109,12 +99,6 @@ class CSCMatrix:
 
         return csc_matmat(self, X)
 
-    def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        """Compute ``Aᵀ @ Y`` for dense ``Y``."""
-        from repro.sparse.ops import csc_rmatmat
-
-        return csc_rmatmat(self, Y)
-
     def __matmul__(self, other):
         other = np.asarray(other, dtype=np.float64)
         if other.ndim == 1:
@@ -124,68 +108,11 @@ class CSCMatrix:
         raise ShapeError("CSCMatrix @ operand must be 1-D or 2-D")
 
     # ------------------------------------------------------------------ #
-    # scaling / column access
+    # reductions
     # ------------------------------------------------------------------ #
-    def scale_rows(self, s: np.ndarray) -> "CSCMatrix":
-        """Return ``diag(s) @ A``."""
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size != self.shape[0]:
-            raise ShapeError(f"scale vector length {s.size} != m={self.shape[0]}")
-        return CSCMatrix(self.shape, self.indptr, self.indices, self.data * s[self.indices])
-
-    def scale_cols(self, s: np.ndarray) -> "CSCMatrix":
-        """Return ``A @ diag(s)``."""
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size != self.shape[1]:
-            raise ShapeError(f"scale vector length {s.size} != n={self.shape[1]}")
-        return CSCMatrix(
-            self.shape, self.indptr, self.indices, self.data * s[self.expanded_cols()]
-        )
-
-    def map_data(self, fn) -> "CSCMatrix":
-        """Apply ``fn`` to stored values only (``fn`` must map 0 → 0)."""
-        new = np.asarray(fn(self.data), dtype=np.float64)
-        if new.shape != self.data.shape:
-            raise SparseFormatError("map_data callback changed the data length")
-        return CSCMatrix(self.shape, self.indptr, self.indices, new)
-
-    def col_sums(self) -> np.ndarray:
-        """Vector of column sums, length n."""
-        cum = np.concatenate([[0.0], np.cumsum(self.data)])
-        return cum[self.indptr[1:]] - cum[self.indptr[:-1]]
-
     def row_sums(self) -> np.ndarray:
         """Vector of row sums, length m."""
         return np.bincount(self.indices, weights=self.data, minlength=self.shape[0])
-
-    def col_slice(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return ``(row ids, values)`` of column ``j`` as views."""
-        if not 0 <= j < self.shape[1]:
-            raise ShapeError(f"column {j} out of range for n={self.shape[1]}")
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def col_dense(self, j: int) -> np.ndarray:
-        """Materialize column ``j`` as a dense length-m vector."""
-        rows, vals = self.col_slice(j)
-        out = np.zeros(self.shape[0], dtype=np.float64)
-        out[rows] = vals
-        return out
-
-    def select_cols(self, cols: np.ndarray) -> "CSCMatrix":
-        """Return the submatrix of the given columns, in the given order."""
-        from repro.sparse.csr import _ranges
-
-        cols = np.asarray(cols, dtype=np.int64).ravel()
-        if cols.size and (cols.min() < 0 or cols.max() >= self.shape[1]):
-            raise ShapeError("column selection out of bounds")
-        counts = np.diff(self.indptr)[cols]
-        new_indptr = np.zeros(cols.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_indptr[1:])
-        gather = _ranges(self.indptr[cols], counts)
-        return CSCMatrix(
-            (self.shape[0], cols.size), new_indptr, self.indices[gather], self.data[gather]
-        )
 
     # ------------------------------------------------------------------ #
     # conversions

@@ -66,18 +66,8 @@ class CSRMatrix:
         """Number of stored entries."""
         return int(self.data.size)
 
-    @property
-    def density(self) -> float:
-        """Stored fraction ``nnz / (m·n)``."""
-        m, n = self.shape
-        return self.nnz / (m * n) if m and n else 0.0
-
     def __repr__(self) -> str:
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"
-
-    def row_nnz(self) -> np.ndarray:
-        """Per-row stored-entry counts (length m)."""
-        return np.diff(self.indptr)
 
     def expanded_rows(self) -> np.ndarray:
         """Per-nonzero row index (length nnz), cached after first use.
@@ -113,12 +103,6 @@ class CSRMatrix:
 
         return csr_matmat(self, X)
 
-    def rmatmat(self, Y: np.ndarray) -> np.ndarray:
-        """Compute ``Aᵀ @ Y`` for a dense matrix ``Y``."""
-        from repro.sparse.ops import csr_rmatmat
-
-        return csr_rmatmat(self, Y)
-
     def __matmul__(self, other):
         other = np.asarray(other, dtype=np.float64)
         if other.ndim == 1:
@@ -128,38 +112,11 @@ class CSRMatrix:
         raise ShapeError("CSRMatrix @ operand must be 1-D or 2-D")
 
     # ------------------------------------------------------------------ #
-    # scaling / reductions used by the weighting subsystem
+    # reductions and row access
     # ------------------------------------------------------------------ #
-    def scale_rows(self, s: np.ndarray) -> "CSRMatrix":
-        """Return ``diag(s) @ A`` — multiply row ``i`` by ``s[i]`` (O(nnz))."""
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size != self.shape[0]:
-            raise ShapeError(f"scale vector length {s.size} != m={self.shape[0]}")
-        return CSRMatrix(
-            self.shape, self.indptr, self.indices, self.data * s[self.expanded_rows()]
-        )
-
-    def scale_cols(self, s: np.ndarray) -> "CSRMatrix":
-        """Return ``A @ diag(s)`` — multiply column ``j`` by ``s[j]`` (O(nnz))."""
-        s = np.asarray(s, dtype=np.float64).ravel()
-        if s.size != self.shape[1]:
-            raise ShapeError(f"scale vector length {s.size} != n={self.shape[1]}")
-        return CSRMatrix(self.shape, self.indptr, self.indices, self.data * s[self.indices])
-
-    def map_data(self, fn) -> "CSRMatrix":
-        """Apply ``fn`` to stored values only (``fn`` must map 0 → 0)."""
-        new = np.asarray(fn(self.data), dtype=np.float64)
-        if new.shape != self.data.shape:
-            raise SparseFormatError("map_data callback changed the data length")
-        return CSRMatrix(self.shape, self.indptr, self.indices, new)
-
     def row_sums(self) -> np.ndarray:
         """Vector of row sums, length m."""
         return np.bincount(self.expanded_rows(), weights=self.data, minlength=self.shape[0])
-
-    def col_sums(self) -> np.ndarray:
-        """Vector of column sums, length n."""
-        return np.bincount(self.indices, weights=self.data, minlength=self.shape[1])
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(column ids, values)`` of row ``i`` as views."""
@@ -167,21 +124,6 @@ class CSRMatrix:
             raise ShapeError(f"row {i} out of range for m={self.shape[0]}")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
-
-    def select_rows(self, rows: np.ndarray) -> "CSRMatrix":
-        """Return the submatrix of the given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        if rows.size and (rows.min() < 0 or rows.max() >= self.shape[0]):
-            raise ShapeError("row selection out of bounds")
-        counts = np.diff(self.indptr)[rows]
-        new_indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_indptr[1:])
-        # Gather each selected row's nnz range via a flat index expansion.
-        starts = self.indptr[rows]
-        gather = _ranges(starts, counts)
-        return CSRMatrix(
-            (rows.size, self.shape[1]), new_indptr, self.indices[gather], self.data[gather]
-        )
 
     # ------------------------------------------------------------------ #
     # conversions
@@ -216,25 +158,3 @@ class CSRMatrix:
     def T(self) -> "CSCMatrix":
         """The O(1) transpose (see :meth:`transpose`)."""
         return self.transpose()
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Vectorized concatenation of ``[arange(s, s+c) for s, c in zip(...)]``.
-
-    Builds the output as a cumulative sum of unit steps, with a corrective
-    jump at the first position of each nonempty range.
-    """
-    starts = np.asarray(starts, dtype=np.int64).ravel()
-    counts = np.asarray(counts, dtype=np.int64).ravel()
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    nonempty = counts > 0
-    st = starts[nonempty]
-    ct = counts[nonempty]
-    deltas = np.ones(total, dtype=np.int64)
-    first_pos = np.zeros(ct.size, dtype=np.int64)
-    np.cumsum(ct[:-1], out=first_pos[1:])
-    deltas[0] = st[0]
-    deltas[first_pos[1:]] = st[1:] - st[:-1] - ct[:-1] + 1
-    return np.cumsum(deltas)

@@ -25,12 +25,9 @@ __all__ = [
     "csr_matvec",
     "csr_rmatvec",
     "csr_matmat",
-    "csr_rmatmat",
     "csc_matvec",
     "csc_rmatvec",
     "csc_matmat",
-    "csc_rmatmat",
-    "frobenius_norm",
     "hstack_csc",
     "vstack_csr",
 ]
@@ -111,15 +108,6 @@ def csr_matmat(a, X: np.ndarray, chunk: int = MATMAT_CHUNK) -> np.ndarray:
     return out
 
 
-def csr_rmatmat(a, Y: np.ndarray, chunk: int = MATMAT_CHUNK) -> np.ndarray:
-    """``X = Aᵀ @ Y`` for CSR ``A`` and dense ``Y``.
-
-    Implemented as the CSC matmat of the O(1) transpose: the transpose of a
-    CSR matrix reuses the same arrays as a CSC matrix, so no data moves.
-    """
-    return csc_matmat(a.transpose(), Y, chunk)
-
-
 # --------------------------------------------------------------------- #
 # CSC kernels
 # --------------------------------------------------------------------- #
@@ -168,19 +156,9 @@ def csc_matmat(a, X: np.ndarray, chunk: int = MATMAT_CHUNK) -> np.ndarray:
     return out
 
 
-def csc_rmatmat(a, Y: np.ndarray, chunk: int = MATMAT_CHUNK) -> np.ndarray:
-    """``X = Aᵀ @ Y`` for CSC ``A`` and dense ``Y`` — CSR matmat of Aᵀ."""
-    return csr_matmat(a.transpose(), Y, chunk)
-
-
 # --------------------------------------------------------------------- #
-# reductions / stacking
+# stacking
 # --------------------------------------------------------------------- #
-def frobenius_norm(a) -> float:
-    """``‖A‖_F`` for any of the three formats (all expose ``.data``)."""
-    return float(np.sqrt(np.dot(a.data, a.data)))
-
-
 def hstack_csc(blocks) -> "CSCMatrix":
     """Concatenate CSC matrices side by side: ``[A | B | ...]``.
 

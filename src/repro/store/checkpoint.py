@@ -321,9 +321,3 @@ def latest_valid_checkpoint(
 def checkpoint_bytes(info: CheckpointInfo) -> int:
     """Total on-disk array bytes of one checkpoint (manifest excluded)."""
     return sum(int(e["bytes"]) for e in info.manifest["arrays"].values())
-
-
-def iter_array_files(info: CheckpointInfo) -> Iterator[pathlib.Path]:
-    """The array files of a checkpoint (for tooling/tests)."""
-    for entry in info.manifest["arrays"].values():
-        yield info.path / entry["file"]

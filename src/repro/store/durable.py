@@ -75,8 +75,6 @@ from repro.store.recovery import (
     replay_wal,
 )
 from repro.store.wal import WriteAheadLog, scan_wal, verify_wal
-from repro.text.tdm import count_vector
-from repro.text.tokenizer import tokenize
 from repro.updating.manager import IndexEvent, LSIIndexManager
 
 __all__ = [
@@ -342,27 +340,13 @@ class DurableIndexStore:
         """WAL-logged :meth:`LSIIndexManager.add_texts`.
 
         Texts are normalized to raw count columns against the current
-        vocabulary *before* logging, so replay is independent of any
-        future tokenizer change — the log stores exactly what the
+        vocabulary *before* logging, by the manager's own
+        :meth:`LSIIndexManager.count_texts`, so replay is independent of
+        any future tokenizer change — the log stores exactly what the
         manager applied.
         """
-        if not texts:
-            raise ShapeError("add_texts needs at least one document")
         with self._lock:
-            manager = self.manager
-            if doc_ids is None:
-                start = manager.n_documents + manager.pending + 1
-                doc_ids = [f"D{start + i}" for i in range(len(texts))]
-            elif len(doc_ids) != len(texts):
-                raise ShapeError("doc_ids length mismatch")
-            counts = np.stack(
-                [
-                    count_vector(tokenize(t), manager.model.vocabulary)
-                    for t in texts
-                ],
-                axis=1,
-            )
-            return self.add_counts(counts, doc_ids)
+            return self.add_counts(*self.manager.count_texts(texts, doc_ids))
 
     def add_counts(
         self, counts: np.ndarray, doc_ids: Sequence[str]

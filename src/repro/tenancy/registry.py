@@ -259,6 +259,12 @@ class IndexRegistry:
             hook(entry.tenant_id, state)
 
     # ------------------------------------------------------------------ #
+    def resolve_id(self, tenant_id: str | None = None) -> str:
+        """The id a request for ``tenant_id`` is served as, attaching
+        nothing: ``None`` and unknown ids resolve as in :meth:`resolve`."""
+        with self._lock:
+            return self._entry(tenant_id).tenant_id
+
     def resolve(
         self, tenant_id: str | None = None
     ) -> tuple[str, Backend]:

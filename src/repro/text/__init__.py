@@ -15,21 +15,19 @@ Implements the paper's document-preparation pipeline (§2.1, §5.4):
 """
 
 from repro.text.tokenizer import tokenize
-from repro.text.stopwords import DEFAULT_STOPWORDS, is_stopword
+from repro.text.stopwords import DEFAULT_STOPWORDS
 from repro.text.vocabulary import Vocabulary
 from repro.text.parser import ParsingRules, parse_corpus
 from repro.text.tdm import TermDocumentMatrix, build_tdm
-from repro.text.ngrams import char_ngrams, word_ngram_profile
+from repro.text.ngrams import char_ngrams
 
 __all__ = [
     "tokenize",
     "DEFAULT_STOPWORDS",
-    "is_stopword",
     "Vocabulary",
     "ParsingRules",
     "parse_corpus",
     "TermDocumentMatrix",
     "build_tdm",
     "char_ngrams",
-    "word_ngram_profile",
 ]

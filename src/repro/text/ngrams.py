@@ -10,10 +10,9 @@ the suggested correction.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Sequence
 
-__all__ = ["char_ngrams", "word_ngram_profile"]
+__all__ = ["char_ngrams"]
 
 #: Sentinel marking word boundaries so edge n-grams are distinct from
 #: interior ones ("#ca" vs "ca" in "bobcat").
@@ -41,13 +40,6 @@ def char_ngrams(word: str, sizes: Sequence[int] = (1, 2)) -> list[str]:
             continue
         out.extend(padded[i : i + size] for i in range(len(padded) - size + 1))
     return out
-
-
-def word_ngram_profile(
-    word: str, sizes: Sequence[int] = (1, 2)
-) -> Counter:
-    """n-gram multiset of ``word`` (Counter of n-gram → occurrence count)."""
-    return Counter(char_ngrams(word, sizes))
 
 
 def vocabulary_ngrams(

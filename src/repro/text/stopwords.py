@@ -12,7 +12,7 @@ terms, so an aggressive list is unnecessary.
 
 from __future__ import annotations
 
-__all__ = ["DEFAULT_STOPWORDS", "is_stopword"]
+__all__ = ["DEFAULT_STOPWORDS"]
 
 DEFAULT_STOPWORDS: frozenset[str] = frozenset(
     """
@@ -40,9 +40,3 @@ DEFAULT_STOPWORDS: frozenset[str] = frozenset(
     you your yours yourself yourselves
     """.split()
 )
-
-
-def is_stopword(token: str, stopwords: frozenset[str] | None = None) -> bool:
-    """True if ``token`` is in the stop list (case-insensitive)."""
-    words = DEFAULT_STOPWORDS if stopwords is None else stopwords
-    return token.lower() in words

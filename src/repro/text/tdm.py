@@ -54,18 +54,6 @@ class TermDocumentMatrix:
         """Number of documents (matrix columns)."""
         return self.matrix.shape[1]
 
-    def term_frequency(self, term: str, doc: int) -> float:
-        """Frequency of ``term`` in document column ``doc``."""
-        i = self.vocabulary.id_of(term)
-        rows, vals = self.matrix.col_slice(doc)
-        hit = np.flatnonzero(rows == i)
-        return float(vals[hit[0]]) if hit.size else 0.0
-
-    def document_frequency(self) -> np.ndarray:
-        """Number of documents each term occurs in (length m)."""
-        m, _ = self.matrix.shape
-        return np.bincount(self.matrix.indices, minlength=m).astype(np.float64)
-
     def to_dense(self) -> np.ndarray:
         """Materialize the raw-count matrix densely."""
         return self.matrix.to_dense()

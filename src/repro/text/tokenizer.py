@@ -14,7 +14,6 @@ but stripped at word edges.
 from __future__ import annotations
 
 import re
-from typing import Iterable
 
 __all__ = ["tokenize"]
 
@@ -42,8 +41,3 @@ def tokenize(text: str, *, min_length: int = 1) -> list[str]:
     if min_length > 1:
         tokens = [t for t in tokens if len(t) >= min_length]
     return tokens
-
-
-def tokenize_all(texts: Iterable[str], *, min_length: int = 1) -> list[list[str]]:
-    """Tokenize a corpus, one token list per document."""
-    return [tokenize(t, min_length=min_length) for t in texts]

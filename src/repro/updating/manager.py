@@ -202,6 +202,14 @@ class LSIIndexManager:
         self, texts: Sequence[str], doc_ids: Sequence[str] | None = None
     ) -> IndexEvent:
         """Add documents; returns the maintenance event that resulted."""
+        return self.add_counts(*self.count_texts(texts, doc_ids))
+
+    def count_texts(
+        self, texts: Sequence[str], doc_ids: Sequence[str] | None = None
+    ) -> tuple[np.ndarray, list[str]]:
+        """``texts`` as raw count columns against the current vocabulary,
+        with their ids — minted ``D<n>`` after every document held
+        (served or pending) when ``doc_ids`` is ``None``."""
         if not texts:
             raise ShapeError("add_texts needs at least one document")
         if doc_ids is None:
@@ -213,7 +221,7 @@ class LSIIndexManager:
             [count_vector(tokenize(t), self.model.vocabulary) for t in texts],
             axis=1,
         )
-        return self.add_counts(counts, doc_ids)
+        return counts, list(doc_ids)
 
     def add_counts(
         self, counts: np.ndarray, doc_ids: Sequence[str]

@@ -45,11 +45,6 @@ class OrthogonalityReport:
     doc_loss: float
     provenance: str
 
-    @property
-    def max_loss(self) -> float:
-        """The worse of the two losses."""
-        return max(self.term_loss, self.doc_loss)
-
 
 def drift_report(model: LSIModel) -> OrthogonalityReport:
     """Measure both orthogonality losses of a model.

@@ -3,8 +3,7 @@
 Every stochastic component in the library accepts a ``seed`` argument that
 may be ``None``, an integer, or a ready-made :class:`numpy.random.Generator`.
 Centralizing the coercion here keeps experiments reproducible: benchmarks
-pass explicit integer seeds, tests derive independent child streams with
-:func:`spawn_rngs` instead of reusing one generator across workers.
+pass explicit integer seeds.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-__all__ = ["ensure_rng", "spawn_rngs"]
+__all__ = ["ensure_rng"]
 
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
@@ -38,22 +37,3 @@ def ensure_rng(seed: RngLike = None) -> np.random.Generator:
     if seed is None or isinstance(seed, (int, np.integer)):
         return np.random.default_rng(seed)
     raise TypeError(f"cannot interpret {type(seed).__name__} as a random seed")
-
-
-def spawn_rngs(seed: RngLike, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` statistically independent generators from one seed.
-
-    Used by the parallel helpers so each worker gets its own stream; child
-    streams are stable functions of the parent seed, making sharded runs
-    reproducible regardless of worker scheduling.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    elif isinstance(seed, np.random.Generator):
-        # Derive a SeedSequence from the generator's bit stream.
-        seq = np.random.SeedSequence(int(seed.integers(0, 2**63)))
-    else:
-        seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(n)]

@@ -19,7 +19,6 @@ from repro.weighting.schemes import (
     WeightedMatrix,
     WeightingScheme,
     apply_weighting,
-    available_schemes,
 )
 from repro.weighting.correction import weight_correction_blocks
 
@@ -31,6 +30,5 @@ __all__ = [
     "WeightingScheme",
     "WeightedMatrix",
     "apply_weighting",
-    "available_schemes",
     "weight_correction_blocks",
 ]

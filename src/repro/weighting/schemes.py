@@ -22,7 +22,6 @@ __all__ = [
     "WeightingScheme",
     "WeightedMatrix",
     "apply_weighting",
-    "available_schemes",
 ]
 
 
@@ -84,23 +83,6 @@ class WeightedMatrix:
     scheme: WeightingScheme
     global_weights: np.ndarray
 
-    def weight_query(self, counts: np.ndarray) -> np.ndarray:
-        """Weight a raw query/document count vector the way cells were.
-
-        The local transform is applied to the query's own counts and the
-        stored global weights scale each term — exactly Eq. 5 applied to a
-        pseudo-document.
-        """
-        counts = np.asarray(counts, dtype=np.float64)
-        if self.scheme.local in NEEDS_COL_MAX:
-            cmax = counts.max() if counts.size else 1.0
-            local = local_weight(
-                self.scheme.local, counts, np.full_like(counts, max(cmax, 1.0))
-            )
-        else:
-            local = local_weight(self.scheme.local, counts)
-        return local * self.global_weights
-
 
 def _col_max_expanded(a: CSCMatrix) -> np.ndarray:
     """Per-entry maximum count of the entry's own document column."""
@@ -121,13 +103,3 @@ def apply_weighting(a: CSCMatrix, scheme: WeightingScheme) -> WeightedMatrix:
         a.shape, a.indptr, a.indices, local_data * g[a.indices]
     )
     return WeightedMatrix(weighted, scheme, g)
-
-
-def available_schemes() -> list[WeightingScheme]:
-    """All local×global combinations, for the weighting ablation bench."""
-    return [
-        WeightingScheme(loc, glob)
-        for loc in sorted(LOCAL_WEIGHTS)
-        if loc != "tf"  # alias of raw
-        for glob in sorted(GLOBAL_WEIGHTS)
-    ]

@@ -9,6 +9,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main as cli_main
+from tests.test_obs import clear_spans
 
 
 @pytest.fixture(autouse=True)
@@ -16,11 +17,11 @@ def _clean_obs():
     """Isolate the process-global registry/ring per test (the CLI runs
     in-process here)."""
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
     obs.enable_tracing(False)
     yield
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
     obs.enable_tracing(False)
 
 
@@ -42,7 +43,7 @@ def _fresh_process():
     """Simulate a new CLI process: registry and span ring start empty
     (the state *file* is what carries data across)."""
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
 
 
 def _run(argv, capsys):

@@ -35,7 +35,7 @@ from tests.test_serving_scan import whole_model_search
 # --------------------------------------------------------------------- #
 def test_plan_matches_canonical_partition():
     plan = ShardPlan.compute(1033, 7, epoch=3, checkpoint="ckpt-00000003")
-    assert plan.ranges() == shard_bounds(1033, 7)
+    assert [(s.lo, s.hi) for s in plan.shards] == shard_bounds(1033, 7)
     assert plan.n_shards == 7
     assert [s.shard_id for s in plan.shards] == list(range(7))
     # Full, disjoint cover of the document rows, in order.
@@ -248,7 +248,7 @@ def test_shard_worker_empty_shard(cluster_model):
     model, _ = cluster_model
     # More shards than documents → some shards are empty.
     plan = ShardPlan.compute(3, 5)
-    empty = next(s for s in plan.shards if s.n_rows == 0)
+    empty = next(s for s in plan.shards if s.hi == s.lo)
     worker = ShardWorker(model, empty)
     got, used_ann = worker.score(np.zeros((2, model.k)), 5, None)
     assert got == [[], []] and used_ann is False

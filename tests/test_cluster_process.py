@@ -72,7 +72,9 @@ def test_cluster_lifecycle_parity_kill_recover_drain(seeded_store):
 
         async def scatter():
             """The whole batch through one scatter of the fleet's router."""
-            return await service.router.search_batch(Q * model.s, top=TOP)
+            return await service.router.search_batch(
+                Q * model.s, top=TOP, plan=service.plan
+            )
 
         await service.start()
         try:
@@ -204,6 +206,7 @@ def test_cluster_observability_trace_metrics_slowlog(
     data_dir, texts = seeded_store
     from repro import obs
     from repro.obs.trace_context import TraceContext, trace_scope
+    from tests.test_obs import clear_spans
 
     # Worker processes inherit the injected delay, so every scatter is
     # genuinely slow — the slow-query log must catch it with per-shard
@@ -211,7 +214,7 @@ def test_cluster_observability_trace_metrics_slowlog(
     monkeypatch.setenv("REPRO_WORKER_INJECT_DELAY_MS", "40")
     slowlog_path = tmp_path / "slow.jsonl"
     prev = obs.enable_tracing(True)
-    obs.clear_spans()
+    clear_spans()
 
     async def main():
         fleet = ClusterService(data_dir, ClusterConfig(workers=SHARDS))
@@ -296,7 +299,7 @@ def test_cluster_observability_trace_metrics_slowlog(
         assert lines and '"cluster-trace-1"' in lines[-1]
     finally:
         obs.enable_tracing(prev)
-        obs.clear_spans()
+        clear_spans()
 
 
 # --------------------------------------------------------------------- #

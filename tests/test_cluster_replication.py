@@ -93,7 +93,7 @@ def test_replica_plan_mapping_and_quorum():
         assert rset == (sid, sid + RANGES)
         assert len(set(rset)) == plan.replication == 2
     # The data layout does not depend on R.
-    assert plan.ranges() == ShardPlan.compute(57, RANGES).ranges()
+    assert plan.shards == ShardPlan.compute(57, RANGES).shards
     # Majority quorum at odd R.
     assert ShardPlan.compute(57, 9, 3).quorum() == 2
     assert ShardPlan.compute(57, 5, 5).quorum() == 3
@@ -164,7 +164,7 @@ def test_cluster_service_refuses_topology_before_touching_store(tmp_path):
 # --------------------------------------------------------------------- #
 def test_supervisor_range_health_and_quorum(tmp_path):
     plan = ShardPlan.compute(57, 6, 2, epoch=5)
-    sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan))
+    sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan.n_workers))
     # Nothing spawned yet: every range exists but nothing is healthy.
     ranges = sup.describe_ranges()
     assert [r["shard"] for r in ranges] == [0, 1, 2]
@@ -206,7 +206,7 @@ def test_supervisor_range_health_and_quorum(tmp_path):
 
 def test_supervisor_majority_quorum_at_replication_three(tmp_path):
     plan = ShardPlan.compute(57, 9, 3, epoch=2)
-    sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan))
+    sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan.n_workers))
     for record in sup._records.values():
         record.state = "up"
         record.epoch = 2
@@ -221,7 +221,7 @@ def test_supervisor_majority_quorum_at_replication_three(tmp_path):
 
 def test_supervisor_refuses_topology_changes(tmp_path):
     plan = ShardPlan.compute(57, 6, 2)
-    sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan))
+    sup = ClusterSupervisor(tmp_path, plan, ClusterRouter(plan.n_workers))
     with pytest.raises(ClusterError):
         sup.update_plan(ShardPlan.compute(57, 8, 2))  # 4 ranges
     with pytest.raises(ClusterError):
@@ -371,7 +371,7 @@ async def _replicated_cluster(
         )
         await fake.start()
         fakes[wid] = fake
-    router = ClusterRouter(plan)
+    router = ClusterRouter(plan.n_workers)
     for wid, fake in fakes.items():
         await router.attach(wid, "127.0.0.1", fake.port)
     return plan, router, fakes
@@ -402,7 +402,7 @@ def test_router_fails_over_before_going_partial(replica_model):
         router.on_worker_dead = reported.append
         try:
             result = await router.search_batch(
-                _scaled(model, queries), top=TOP
+                _scaled(model, queries), top=TOP, plan=plan
             )
             return result, router.live_workers()
         finally:
@@ -433,7 +433,7 @@ def test_router_partial_only_when_every_replica_is_gone(replica_model):
         await fakes[1 + RANGES].stop()
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:2]), top=TOP
+                _scaled(model, texts[:2]), top=TOP, plan=plan
             )
             return plan, result
         finally:
@@ -466,7 +466,7 @@ def test_router_hedges_to_sibling_without_double_counting(replica_model):
         )
         try:
             return await router.search_batch(
-                _scaled(model, queries), top=TOP, timeout_ms=10_000.0
+                _scaled(model, queries), top=TOP, plan=plan, timeout_ms=10_000.0
             )
         finally:
             await _teardown(router, fakes)

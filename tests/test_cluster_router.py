@@ -18,6 +18,7 @@ from repro.cluster.router import ClusterRouter
 from repro.cluster.wire import read_frame, write_frame
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
+from repro.errors import ClusterError
 from repro.obs.metrics import registry
 from repro.core.query import batch_project_queries
 
@@ -96,7 +97,7 @@ async def _cluster(model, *, shards=SHARDS, delays=None):
         )
         await fake.start()
         fakes.append(fake)
-    router = ClusterRouter(plan)
+    router = ClusterRouter(plan.n_workers)
     for i, fake in enumerate(fakes):
         await router.attach(i, "127.0.0.1", fake.port)
     return plan, router, fakes
@@ -124,10 +125,10 @@ def test_router_batch_element_identical_to_flat(router_model):
     flat = _whole(model, queries)
 
     async def main():
-        _, router, fakes = await _cluster(model)
+        plan, router, fakes = await _cluster(model)
         try:
             return await router.search_batch(
-                _scaled(model, queries), top=TOP
+                _scaled(model, queries), top=TOP, plan=plan
             )
         finally:
             await _teardown(router, fakes)
@@ -145,10 +146,10 @@ def test_router_single_query_matches_flat_single(router_model):
     flat = _whole(model, [texts[2]])
 
     async def main():
-        _, router, fakes = await _cluster(model)
+        plan, router, fakes = await _cluster(model)
         try:
             return await router.search_batch(
-                _scaled(model, [texts[2]]), top=TOP
+                _scaled(model, [texts[2]]), top=TOP, plan=plan
             )
         finally:
             await _teardown(router, fakes)
@@ -167,7 +168,7 @@ def test_router_dead_worker_degrades_to_partial(router_model):
         await fakes[dead_sid].stop()  # kills the accepted connection too
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:2]), top=TOP
+                _scaled(model, texts[:2]), top=TOP, plan=plan
             )
             return plan, result, router.live_workers()
         finally:
@@ -195,7 +196,7 @@ def test_router_all_workers_dead_still_answers(router_model):
             await fake.stop()
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:2]), top=TOP
+                _scaled(model, texts[:2]), top=TOP, plan=plan
             )
             return plan, result
         finally:
@@ -221,7 +222,7 @@ def test_router_deadline_miss_is_partial_without_detach(router_model):
         )
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:1]), top=TOP, timeout_ms=150.0
+                _scaled(model, texts[:1]), top=TOP, plan=plan, timeout_ms=150.0
             )
             return plan, result, router.live_workers()
         finally:
@@ -249,7 +250,7 @@ def test_router_hedges_slow_worker_and_still_answers(router_model):
         plan, router, fakes = await _cluster(model, delays={sid: 0.4})
         try:
             return await router.search_batch(
-                _scaled(model, texts[:1]), top=TOP, timeout_ms=10_000.0
+                _scaled(model, texts[:1]), top=TOP, plan=plan, timeout_ms=10_000.0
             )
         finally:
             await _teardown(router, fakes)
@@ -280,7 +281,7 @@ def test_router_does_not_hedge_a_late_worker_onto_itself(router_model):
         plan, router, fakes = await _cluster(model, delays={sid: 0.06})
         try:
             result = await router.search_batch(
-                _scaled(model, texts[:1]), top=TOP, timeout_ms=10_000.0
+                _scaled(model, texts[:1]), top=TOP, plan=plan, timeout_ms=10_000.0
             )
             return result, fakes[sid].calls
         finally:
@@ -300,9 +301,9 @@ def test_router_ping_and_gauge(router_model):
         plan, router, fakes = await _cluster(model)
         try:
             pings = [await router.ping(i) for i in range(SHARDS)]
-            live_before = registry.gauge("cluster.workers_live")
+            live_before = registry.snapshot()["gauges"]["cluster.workers_live"]
             await router.detach(0)
-            live_after = registry.gauge("cluster.workers_live")
+            live_after = registry.snapshot()["gauges"]["cluster.workers_live"]
             dead_ping = await router.ping(0)
             return pings, live_before, live_after, dead_ping
         finally:
@@ -313,3 +314,11 @@ def test_router_ping_and_gauge(router_model):
     assert live_before == SHARDS
     assert live_after == SHARDS - 1
     assert dead_ping is False
+
+
+def test_attach_refuses_a_slot_the_fleet_does_not_have():
+    router = ClusterRouter(SHARDS)
+    for worker_id in (-1, SHARDS):
+        with pytest.raises(ClusterError, match="out of range"):
+            asyncio.run(router.attach(worker_id, "127.0.0.1", 1))
+    assert router.live_workers() == []

@@ -41,7 +41,7 @@ def test_fit_k_validation(med_tdm):
 def test_reconstruct_matches_svd(med_tdm):
     model = fit_lsi_from_tdm(med_tdm, 2)
     A = med_tdm.to_dense()
-    Ak = model.reconstruct()
+    Ak = (model.U * model.s) @ model.V.T
     # A_k is the best rank-2 approximation (Eckart-Young).
     s = np.linalg.svd(A, compute_uv=False)
     assert np.linalg.norm(A - Ak) == pytest.approx(
@@ -52,7 +52,8 @@ def test_reconstruct_matches_svd(med_tdm):
 def test_full_rank_reconstructs_exactly(med_tdm):
     """§5.2: with k=n factors A_k reconstructs A exactly."""
     model = fit_lsi_from_tdm(med_tdm, 14)
-    assert np.allclose(model.reconstruct(), med_tdm.to_dense(), atol=1e-8)
+    Ak = (model.U * model.s) @ model.V.T
+    assert np.allclose(Ak, med_tdm.to_dense(), atol=1e-8)
 
 
 def test_coordinates_scaling(med_model):
@@ -60,14 +61,10 @@ def test_coordinates_scaling(med_model):
     assert np.allclose(med_model.doc_coordinates(), med_model.V * med_model.s)
 
 
-def test_term_and_doc_vector_access(med_model):
-    tv = med_model.term_vector("blood")
-    assert tv.shape == (2,)
-    dv = med_model.doc_vector("M9")
-    assert dv.shape == (2,)
+def test_doc_index_names_each_document_and_refuses_an_unknown_one(med_model):
     assert med_model.doc_index("M1") == 0
     with pytest.raises(ModelStateError):
-        med_model.doc_vector("M99")
+        med_model.doc_index("M99")
 
 
 def test_truncated(med_model_k8):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.corpus import TestCollection, med_collection, med_matrix, med_update_matrix
+from repro.corpus import TestCollection, med_matrix, med_update_matrix
 from repro.corpus.med import (
     MED_DOC_IDS,
     MED_TERMS,
@@ -43,14 +43,6 @@ def test_split_documents():
         col.split_documents(0)
     with pytest.raises(EvaluationError):
         col.split_documents(9)
-
-
-def test_subset_queries():
-    col = TestCollection(["a", "b"], ["q1", "q2"], [{0}, {1}])
-    sub = col.subset_queries([1])
-    assert sub.n_queries == 1
-    assert sub.relevant(0) == {1}
-    assert sub.queries == ["q2"]
 
 
 def test_with_documents_replacement():
@@ -95,10 +87,3 @@ def test_update_columns_match_topic_texts():
     assert m16_terms == {"depressed", "fast", "patients", "pressure"}
     um = med_update_matrix()
     assert um.doc_ids == ["M15", "M16"]
-
-
-def test_med_collection_judgments():
-    col = med_collection()
-    assert col.n_documents == 14 and col.n_queries == 1
-    rel_ids = {col.doc_ids[j] for j in col.relevant(0)}
-    assert rel_ids == {"M8", "M9", "M12"}

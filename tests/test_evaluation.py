@@ -8,14 +8,11 @@ from repro.errors import EvaluationError
 from repro.evaluation import (
     average_precision,
     compare_engines,
-    eleven_point_average_precision,
     evaluate_run,
     interpolated_precision_at,
     percent_improvement,
     pooled_judgments,
-    precision_at,
     precision_recall_curve,
-    recall_at,
     run_engine,
     three_point_average_precision,
 )
@@ -26,25 +23,9 @@ from repro.retrieval import KeywordRetrieval
 # --------------------------------------------------------------------- #
 # metrics
 # --------------------------------------------------------------------- #
-def test_precision_and_recall_at():
-    ranking = [3, 1, 4, 1_0, 2]
-    rel = {1, 2}
-    assert precision_at(ranking, rel, 2) == 0.5
-    assert precision_at(ranking, rel, 5) == 0.4
-    assert recall_at(ranking, rel, 2) == 0.5
-    assert recall_at(ranking, rel, 5) == 1.0
-
-
-def test_precision_cutoff_validation():
-    with pytest.raises(EvaluationError):
-        precision_at([1], {1}, 0)
-    with pytest.raises(EvaluationError):
-        recall_at([1], {1}, -1)
-
-
 def test_duplicate_ranking_rejected():
     with pytest.raises(EvaluationError):
-        precision_at([1, 1], {1}, 2)
+        average_precision([1, 1], {1})
 
 
 def test_precision_recall_curve():
@@ -68,7 +49,6 @@ def test_perfect_ranking_scores_one():
     ranking = [1, 2, 3, 4]
     rel = {1, 2}
     assert three_point_average_precision(ranking, rel) == 1.0
-    assert eleven_point_average_precision(ranking, rel) == 1.0
     assert average_precision(ranking, rel) == 1.0
 
 
@@ -133,7 +113,7 @@ def test_compare_engines_summary(tiny_collection):
     kw = KeywordRetrieval.from_texts(tiny_collection.documents)
     cmp = compare_engines(kw, kw, tiny_collection)
     assert cmp.improvement_pct == pytest.approx(0.0)
-    assert "keyword-vector" in cmp.summary()
+    assert cmp.candidate["engine"] == cmp.baseline["engine"] == "keyword-vector"
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,6 @@ from repro.linalg import (
     FlopCounter,
     OperatorCounter,
     orthogonality_loss,
-    reorthogonalize,
     spectral_norm,
 )
 from repro.sparse import from_dense
@@ -50,31 +49,13 @@ def test_orthogonality_loss_scaling():
     assert orthogonality_loss(Q) == pytest.approx(3.0, rel=1e-8)  # ‖4I−I‖₂
 
 
-def test_reorthogonalize_repairs_basis(rng):
-    Q = orthonormal_columns(15, 5, seed=2)
-    noisy = Q + 0.01 * rng.standard_normal(Q.shape)
-    fixed = reorthogonalize(noisy)
-    assert orthogonality_loss(fixed) < 1e-12
-    # Close to the original basis
-    assert np.abs(np.abs(np.diag(fixed.T @ Q)) - 1).max() < 0.01
-
-
-def test_reorthogonalize_handles_dependent_columns(rng):
-    Q = np.zeros((8, 3))
-    Q[:, 0] = rng.standard_normal(8)
-    Q[:, 1] = 2 * Q[:, 0]
-    Q[:, 2] = rng.standard_normal(8)
-    fixed = reorthogonalize(Q)
-    assert orthogonality_loss(fixed) < 1e-10
-
-
 def test_flop_counter():
     fc = FlopCounter()
     fc.add("matvec", 100)
     fc.add("matvec", 50)
     fc.add("qr", 10)
     assert fc.total == 160
-    assert "matvec" in fc.report() and "total" in fc.report()
+    assert fc.counts == {"matvec": 150, "qr": 10}
 
 
 def test_operator_counter_sparse(rng):

@@ -70,7 +70,7 @@ def test_eckart_young_property(A, k):
     """Truncation is never better than the optimum (Theorem 2.2)."""
     k = min(k, min(A.shape))
     res = truncated_svd(A, k, method="dense")
-    resid = np.linalg.norm(A - res.reconstruct())
+    resid = np.linalg.norm(A - (res.U * res.s) @ res.V.T)
     s_all = np.linalg.svd(A, compute_uv=False)
     optimum = np.sqrt(np.sum(s_all[k:] ** 2))
     assert resid <= optimum + 1e-6

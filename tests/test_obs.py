@@ -5,13 +5,31 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import tracing
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 from repro.obs.tracing import RING_CAPACITY
+
+
+def clear_spans():
+    """Empty the process's span ring buffer."""
+    with tracing._ring_lock:
+        tracing._ring.clear()
+
+
+@contextmanager
+def traced():
+    """Tracing on for the block, the previous state restored after."""
+    previous = obs.enable_tracing(True)
+    try:
+        yield
+    finally:
+        obs.enable_tracing(previous)
 
 
 @pytest.fixture(autouse=True)
@@ -19,11 +37,11 @@ def _clean_obs():
     """Each test starts and ends with an empty registry, an empty span
     ring, and tracing disabled (the process default)."""
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
     obs.enable_tracing(False)
     yield
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
     obs.enable_tracing(False)
 
 
@@ -108,19 +126,15 @@ class TestRegistry:
         r.observe("a.latency", 0.01)
         assert r.counter("a.hits") == 5
         assert r.counter("never") == 0
-        assert r.gauge("a.level") == 3.5
-        assert r.gauge("never", -1.0) == -1.0
+        assert r.snapshot()["gauges"] == {"a.level": 3.5}
         assert r.histogram("a.latency").count == 1
         assert r.histogram("never") is None
 
     def test_prefix_queries(self):
         r = MetricsRegistry()
         r.inc("serving.hits")
-        r.inc("updating.folds")
-        r.set_gauge("lanczos.matvecs", 7)
+        r.observe("updating.fold_seconds", 0.25)
         r.observe("serving.gemm_seconds", 0.5)
-        assert set(r.counters("serving.")) == {"serving.hits"}
-        assert set(r.gauges("lanczos.")) == {"lanczos.matvecs"}
         assert r.histogram_sums("serving.") == {
             "serving.gemm_seconds": pytest.approx(0.5)
         }
@@ -150,7 +164,7 @@ class TestRegistry:
         r.reset("serving.")
         assert r.counter("serving.hits") == 0
         assert r.counter("manager.events") == 1
-        assert r.gauge("serving.level") is None
+        assert r.snapshot()["gauges"] == {}
         assert r.histogram("serving.lat") is None
 
     def test_custom_boundaries_on_first_observe(self):
@@ -188,7 +202,7 @@ class TestTracing:
         assert obs.registry.histogram("lsi.test") is None
 
     def test_enabled_captures_nesting_and_attrs(self):
-        with obs.traced():
+        with traced():
             with obs.span("outer", k=2):
                 with obs.span("inner") as sp:
                     sp.set_attr("rows", 5)
@@ -203,13 +217,13 @@ class TestTracing:
         assert outer.duration >= inner.duration
 
     def test_span_feeds_registry_histogram(self):
-        with obs.traced():
+        with traced():
             with obs.span("lsi.test"):
                 pass
         assert obs.registry.histogram("lsi.test").count == 1
 
     def test_exception_recorded_and_reraised(self):
-        with obs.traced():
+        with traced():
             with pytest.raises(ValueError, match="boom"):
                 with obs.span("lsi.fail"):
                     raise ValueError("boom")
@@ -217,17 +231,8 @@ class TestTracing:
         assert "boom" in record.attrs["error"]
         assert obs.registry.histogram("lsi.fail").count == 1
 
-    def test_traced_restores_previous_state(self):
-        assert not obs.tracing_enabled()
-        with obs.traced():
-            assert obs.tracing_enabled()
-            with obs.traced(False):
-                assert not obs.tracing_enabled()
-            assert obs.tracing_enabled()
-        assert not obs.tracing_enabled()
-
     def test_ring_buffer_is_bounded(self):
-        with obs.traced():
+        with traced():
             for i in range(RING_CAPACITY + 50):
                 with obs.span("s", i=i):
                     pass
@@ -236,18 +241,19 @@ class TestTracing:
         assert spans[-1].attrs["i"] == RING_CAPACITY + 49  # newest kept
 
     def test_recent_spans_tail(self):
-        with obs.traced():
+        with traced():
             for i in range(5):
                 with obs.span("s", i=i):
                     pass
         assert [s.attrs["i"] for s in obs.recent_spans(2)] == [3, 4]
 
     def test_jsonl_export(self, tmp_path):
-        with obs.traced():
+        with traced():
             with obs.span("a", arr=np.arange(2)):  # non-JSON attr → repr
                 pass
         path = tmp_path / "spans.jsonl"
-        assert obs.export_spans_jsonl(path) == 1
+        spans = [s.to_dict() for s in obs.recent_spans()]
+        assert obs.export_trace_jsonl(path, spans) == 1
         record = json.loads(path.read_text().splitlines()[0])
         assert record["name"] == "a"
         assert isinstance(record["attrs"]["arr"], str)
@@ -259,7 +265,7 @@ class TestTracing:
             with obs.span("child") as sp:
                 seen["record"] = sp._span
 
-        with obs.traced():
+        with traced():
             with obs.span("parent"):
                 t = threading.Thread(target=worker)
                 t.start()
@@ -299,7 +305,7 @@ class _FakeReport:
 class TestBridge:
     def test_record_operator(self):
         obs.record_operator(_FakeOperator())
-        g = obs.registry.gauges("lanczos.")
+        g = obs.registry.snapshot()["gauges"]
         assert g["lanczos.matvecs"] == 11
         assert g["lanczos.rmatvecs"] == 7
         assert g["lanczos.gram_products"] == 7
@@ -307,14 +313,14 @@ class TestBridge:
 
     def test_record_lanczos_stats(self):
         obs.record_lanczos_stats(_FakeStats(), prefix="blk")
-        g = obs.registry.gauges("blk.")
+        g = obs.registry.snapshot()["gauges"]
         assert g["blk.iterations"] == 9
         assert g["blk.stat_matvecs"] == 21
 
     def test_record_drift(self):
         obs.record_drift(_FakeReport())
         obs.record_drift(_FakeReport())
-        assert obs.registry.gauge("orthogonality.doc_loss") == 0.5
+        assert obs.registry.snapshot()["gauges"]["orthogonality.doc_loss"] == 0.5
         assert obs.registry.counter("orthogonality.reports") == 2
 
     def test_lanczos_fit_populates_gauges(self):
@@ -322,7 +328,7 @@ class TestBridge:
 
         docs = [f"word{i} word{i + 1} shared" for i in range(8)]
         fit_lsi(docs, 3, scheme="raw_none", method="lanczos")
-        g = obs.registry.gauges("lanczos.")
+        g = obs.registry.snapshot()["gauges"]
         assert g["lanczos.matvecs"] > 0
         assert g["lanczos.flops"] > 0
         assert g["lanczos.iterations"] > 0
@@ -331,9 +337,8 @@ class TestBridge:
         from repro.updating.orthogonality import drift_report
 
         rep = drift_report(med_model)
-        assert obs.registry.gauge("orthogonality.doc_loss") == pytest.approx(
-            rep.doc_loss
-        )
+        gauges = obs.registry.snapshot()["gauges"]
+        assert gauges["orthogonality.doc_loss"] == pytest.approx(rep.doc_loss)
         assert obs.registry.counter("orthogonality.reports") == 1
 
 
@@ -407,7 +412,7 @@ class TestExport:
         assert obs.format_snapshot({}) == "(no metrics recorded)"
 
     def test_format_spans(self):
-        with obs.traced():
+        with traced():
             with obs.span("outer"):
                 with obs.span("inner", p=3):
                     pass
@@ -440,7 +445,7 @@ class TestServingMetricNames:
         Qs = project_query(model, texts[0]) * model.s
         for lo, hi in ((0, 6), (6, 12)):
             EpochSnapshot(0, model, lo=lo, hi=hi).search(Qs, top=3)
-        counters = obs.registry.counters("serving.")
+        counters = obs.registry.snapshot()["counters"]
         assert counters["serving.index_builds"] == 1
         assert counters["serving.queries_served"] == 2
         assert counters["serving.query_cache_misses"] == 1
@@ -456,7 +461,7 @@ class TestServingMetricNames:
         obs.registry.inc("serving.queries_served")
         obs.registry.inc("manager.events.fold-in")
         obs.registry.reset("serving.")
-        assert obs.registry.counters("serving.") == {}
+        assert obs.registry.counter("serving.queries_served") == 0
         assert obs.registry.counter("manager.events.fold-in") == 1
 
 
@@ -468,7 +473,7 @@ class TestServingIntegration:
         from repro.retrieval.engine import LSIRetrieval
 
         engine = LSIRetrieval(med_model)
-        with obs.traced():
+        with traced():
             engine.search("blood pressure", top=3)
         hist = obs.registry.histogram("lsi.search")
         assert hist is not None and hist.count == 1

@@ -1,4 +1,4 @@
-"""PR 7 observability substrate: metrics federation (property-based),
+"""The cluster-wide observability substrate: metrics federation labels,
 Prometheus exposition, trace contexts, and the slow-query log."""
 
 from __future__ import annotations
@@ -8,17 +8,11 @@ import re
 import threading
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs.aggregate import (
-    label_snapshots,
-    merge_registry_snapshots,
-    prefix_snapshot,
-)
-from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.prom import render_prometheus, render_snapshot, sanitize_metric_name
+from repro.obs.aggregate import label_snapshots, prefix_snapshot
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.prom import render_prometheus, sanitize_metric_name
 from repro.obs.slowlog import SlowQueryLog, format_slowlog, read_slowlog
 from repro.obs.trace_context import (
     TraceContext,
@@ -28,135 +22,35 @@ from repro.obs.trace_context import (
     trace_scope,
 )
 from repro.obs.tracing import span, spans_for_trace
+from tests.test_obs import clear_spans
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
     obs.enable_tracing(False)
     yield
     obs.registry.reset()
-    obs.clear_spans()
+    clear_spans()
     obs.enable_tracing(False)
 
 
 # --------------------------------------------------------------------- #
-# merge_registry_snapshots — property-based (the federation contract)
+# federation: per-worker labels
 # --------------------------------------------------------------------- #
-_NAMES = st.sampled_from(["a.one", "b.two", "c.three", "d.four"])
-
-#: Dyadic observation values: float sums are exact in any order, so the
-#: order-independence property can demand bit-identical merges.
-_VALUES = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-
-_BOUNDS = (0.5, 1.0, 4.0)
-
-
-def _snapshot(counters, gauges, observations) -> dict:
+def _snapshot(counters, gauges) -> dict:
     reg = MetricsRegistry()
     for name, by in counters:
         reg.inc(name, by)
     for name, value in gauges:
         reg.set_gauge(name, value)
-    for name, value in observations:
-        reg.observe(name, value, boundaries=_BOUNDS)
     return reg.snapshot()
 
 
-_SNAPSHOTS = st.lists(
-    st.builds(
-        _snapshot,
-        st.lists(st.tuples(_NAMES, st.integers(0, 100)), max_size=6),
-        st.lists(st.tuples(_NAMES, _VALUES), max_size=6),
-        st.lists(st.tuples(_NAMES, _VALUES), max_size=10),
-    ),
-    min_size=1,
-    max_size=5,
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(snaps=_SNAPSHOTS, seed=st.randoms(use_true_random=False))
-def test_merge_is_order_independent(snaps, seed):
-    """Any permutation of worker snapshots merges to the same fleet view."""
-    merged = merge_registry_snapshots(snaps)
-    shuffled = list(snaps)
-    seed.shuffle(shuffled)
-    assert merge_registry_snapshots(shuffled) == merged
-
-
-@settings(max_examples=60, deadline=None)
-@given(snaps=_SNAPSHOTS)
-def test_merge_histograms_are_bucket_exact(snaps):
-    """Merged bucket counts are the elementwise sum of the inputs'."""
-    merged = merge_registry_snapshots(snaps)
-    for name, data in merged["histograms"].items():
-        inputs = [
-            s["histograms"][name]
-            for s in snaps
-            if name in s.get("histograms", {})
-        ]
-        assert data["count"] == sum(h["count"] for h in inputs)
-        expected_buckets = [
-            sum(h["bucket_counts"][i] for h in inputs)
-            for i in range(len(inputs[0]["bucket_counts"]))
-        ]
-        assert data["bucket_counts"] == expected_buckets
-        assert data["sum"] == sum(h["sum"] for h in inputs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(snaps=_SNAPSHOTS)
-def test_merge_gauges_are_idempotent(snaps):
-    """Re-reporting the same snapshots never moves a gauge (max-merge)."""
-    once = merge_registry_snapshots(snaps)
-    twice = merge_registry_snapshots(snaps + snaps)
-    assert twice["gauges"] == once["gauges"]
-    # Counters, by contrast, are event counts and must double.
-    assert twice["counters"] == {
-        k: 2 * v for k, v in once["counters"].items()
-    }
-
-
-@settings(max_examples=60, deadline=None)
-@given(snaps=_SNAPSHOTS)
-def test_merge_counters_add(snaps):
-    merged = merge_registry_snapshots(snaps)
-    for name, total in merged["counters"].items():
-        assert total == sum(
-            s.get("counters", {}).get(name, 0) for s in snaps
-        )
-
-
-def test_merge_boundary_mismatch_is_order_independent():
-    """Conflicting layouts: the bigger-count one wins, either order."""
-    big = Histogram((0.5, 1.0))
-    for _ in range(5):
-        big.observe(0.75)
-    small = Histogram((0.25, 2.0))
-    small.observe(0.75)
-    a = {"histograms": {"h": big.to_dict()}}
-    b = {"histograms": {"h": small.to_dict()}}
-    forward = merge_registry_snapshots([a, b])
-    backward = merge_registry_snapshots([b, a])
-    assert forward == backward
-    assert forward["histograms"]["h"]["boundaries"] == [0.5, 1.0]
-    assert forward["histograms"]["h"]["count"] == 5
-
-
-def test_merge_skips_malformed_input():
-    good = _snapshot([("a.one", 3)], [], [("a.one", 0.5)])
-    merged = merge_registry_snapshots(
-        [good, None, 42, {"counters": "nope", "histograms": {"a.one": 7}}]
-    )
-    assert merged["counters"] == {"a.one": 3}
-    assert set(merged["histograms"]) == {"a.one"}
-
-
 def test_label_snapshots_prefixes_workers_only():
-    local = _snapshot([("router.requests", 2)], [], [])
-    worker = _snapshot([("rpc.calls", 9)], [("up", 1.0)], [])
+    local = _snapshot([("router.requests", 2)], [])
+    worker = _snapshot([("rpc.calls", 9)], [("up", 1.0)])
     flat = label_snapshots(local, {3: worker})
     assert flat["counters"] == {"router.requests": 2, "shard.3.rpc.calls": 9}
     assert flat["gauges"] == {"shard.3.up": 1.0}
@@ -193,7 +87,7 @@ def test_render_snapshot_is_valid_exposition():
     reg.inc("server.requests_total", 7)
     reg.set_gauge("server.draining", 0.0)
     reg.observe("server.request_seconds", 0.003)
-    text = render_snapshot(reg.snapshot(), {"worker": "server"})
+    text = render_prometheus([({"worker": "server"}, reg.snapshot())])
     _assert_valid_exposition(text)
     assert '# TYPE repro_server_requests_total_total counter' in text
     assert 'repro_server_draining{worker="server"} 0.0' in text

@@ -74,8 +74,9 @@ def test_parsed_matrix_differs_in_documented_cells_only(med_tdm):
 def test_example_matrix_column_checks(med_tdm):
     """Spot-check the paper's own example: in M2, culture, discharge and
     patients all occur once."""
+    dense = med_tdm.to_dense()
     for term in ("culture", "discharge", "patients"):
-        assert med_tdm.term_frequency(term, 1) == 1.0
+        assert dense[med_tdm.vocabulary.id_of(term), 1] == 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -198,7 +199,7 @@ def test_folding_in_corrupts_orthogonality(med_model):
 def test_svd_updating_preserves_orthogonality(med_model):
     updated = update_documents(med_model, UPDATE_COLUMNS, ["M15", "M16"])
     rep = drift_report(updated)
-    assert rep.max_loss < 1e-10
+    assert max(rep.term_loss, rep.doc_loss) < 1e-10
     assert updated.provenance == "svd-update"
 
 
@@ -237,7 +238,7 @@ def test_svd_update_matches_recompute_of_ak(med_model):
     updated = update_documents(
         med_model, UPDATE_COLUMNS, ["M15", "M16"], exact=True
     )
-    B = np.hstack([med_model.reconstruct(), UPDATE_COLUMNS])
+    B = np.hstack([(med_model.U * med_model.s) @ med_model.V.T, UPDATE_COLUMNS])
     s_ref = np.linalg.svd(B, compute_uv=False)[:2]
     assert np.allclose(updated.s, s_ref, atol=1e-9)
 

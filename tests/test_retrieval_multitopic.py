@@ -15,7 +15,7 @@ from repro.retrieval import (
 def test_query_construction_and_weights(med_model):
     pts = np.ones((2, med_model.k))
     q = MultiTopicQuery(pts)
-    assert q.n_points == 2
+    assert q.points.shape == (2, med_model.k)
     assert np.allclose(q.weights, [0.5, 0.5])
     q2 = MultiTopicQuery(pts, weights=np.array([3.0, 1.0]))
     assert np.allclose(q2.weights, [0.75, 0.25])

@@ -469,6 +469,42 @@ def test_http_probes_validation():
             )
 
 
+def test_probes_and_exact_are_checked_on_every_path():
+    """In process and on a shard worker, a non-positive or boolean
+    ``probes`` and a non-boolean ``exact`` fail with HTTP's 400 message
+    instead of being served with one probe."""
+    from repro.cluster.plan import ShardPlan
+    from repro.cluster.worker import ShardWorker
+
+    state = _fresh_state(n_clusters=4)
+    bad = [({"probes": p}, "'probes' must be a positive integer")
+           for p in (0, -3, True)]
+    bad.append(({"exact": "yes"}, "'exact' must be a boolean"))
+
+    async def in_process():
+        service = QueryService(state, ServerConfig())
+        await service.start()
+        errors = []
+        for kwargs, _ in bad:
+            with pytest.raises(ReproError) as excinfo:
+                await service.search(QUERIES[0], top=3, **kwargs)
+            errors.append(str(excinfo.value))
+        await service.drain()
+        return errors
+
+    assert asyncio.run(in_process()) == [message for _, message in bad]
+    with _ServerThread(state, ServerConfig()) as server:
+        client = ServerClient(port=server.port)
+        for kwargs, message in bad:
+            with pytest.raises(ReproError, match=message):
+                client._request("POST", "/search", {"query": QUERIES[0], **kwargs})
+    model = state.current().model
+    worker = ShardWorker(model, ShardPlan.compute(model.n_documents, 1).shards[0])
+    for kwargs, message in bad:
+        frame = {"op": "score", "queries": [[0.0] * model.k], **kwargs}
+        assert worker.handle(frame) == {"error": message}
+
+
 def test_http_probes_roundtrip_and_full_probe_parity():
     # Through the whole stack — HTTP parse, micro-batcher ANN grouping,
     # snapshot probe — a full-probe request answers element-identically
@@ -696,6 +732,7 @@ def test_cli_slowlog_parser_flags(tmp_path):
 import re as _re
 
 from repro import obs
+from tests.test_obs import clear_spans
 
 _HEX_ID = _re.compile(r"[0-9a-f]{32}")
 
@@ -756,7 +793,7 @@ def test_metrics_prom_endpoint_renders_text_exposition():
 
 def test_trace_endpoint_assembles_request_spans():
     state = _fresh_state()
-    obs.clear_spans()
+    clear_spans()
     prev = obs.enable_tracing(True)
     try:
         with _ServerThread(state, ServerConfig()) as server:
@@ -775,7 +812,7 @@ def test_trace_endpoint_assembles_request_spans():
         assert http_span["attrs"]["request_id"] == "trace-me-1"
     finally:
         obs.enable_tracing(prev)
-        obs.clear_spans()
+        clear_spans()
 
 
 def test_slow_query_log_records_over_threshold_requests():

@@ -443,15 +443,18 @@ def test_query_cache_key_is_platform_independent():
 def test_query_cache_size_gauge_published():
     from repro.obs.metrics import registry
 
+    def gauge(name):
+        return registry.snapshot()["gauges"][name]
+
     cache = QueryVectorCache(maxsize=2)
     cache.put((1,), np.ones(2))
-    assert registry.gauge("serving.query_cache_size") == 1
-    assert registry.gauge("serving.query_cache_capacity") == 2
+    assert gauge("serving.query_cache_size") == 1
+    assert gauge("serving.query_cache_capacity") == 2
     cache.put((2,), np.ones(2))
     cache.put((3,), np.ones(2))  # evicts, size stays at the bound
-    assert registry.gauge("serving.query_cache_size") == 2
+    assert gauge("serving.query_cache_size") == 2
     cache.clear()
-    assert registry.gauge("serving.query_cache_size") == 0
+    assert gauge("serving.query_cache_size") == 0
 
 
 def test_query_cache_cleared_on_model_swap(small_lsi, med_model):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import MatrixBuilder, from_dense, from_triples
+from repro.sparse import MatrixBuilder, from_dense
 
 
 def test_builder_accumulates_duplicates():
@@ -44,12 +44,6 @@ def test_builder_add_many_length_mismatch():
     b = MatrixBuilder((2, 2))
     with pytest.raises(ShapeError):
         b.add_many([0, 1], [0], [1.0, 2.0])
-
-
-def test_from_triples():
-    m = from_triples((2, 3), [(0, 1, 2.0), (1, 2, 3.0), (0, 1, 1.0)])
-    d = m.to_dense()
-    assert d[0, 1] == 3.0 and d[1, 2] == 3.0
 
 
 def test_from_dense_tolerance():

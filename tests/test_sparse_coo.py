@@ -11,7 +11,6 @@ def test_construction_and_basic_properties():
     m = COOMatrix((3, 4), [0, 2], [1, 3], [5.0, -2.0])
     assert m.shape == (3, 4)
     assert m.nnz == 2
-    assert m.density == pytest.approx(2 / 12)
     dense = m.to_dense()
     assert dense[0, 1] == 5.0 and dense[2, 3] == -2.0
     assert dense.sum() == 3.0
@@ -65,7 +64,7 @@ def test_empty_matrix():
 
 def test_zero_dimension():
     m = COOMatrix((0, 5), [], [], [])
-    assert m.density == 0.0
+    assert m.nnz == 0
     assert m.to_dense().shape == (0, 5)
 
 
@@ -83,25 +82,6 @@ def test_round_trip_conversions(rng):
     assert np.allclose(m.to_csc().to_dense(), d)
     assert np.allclose(m.to_csr().to_coo().to_dense(), d)
     assert np.allclose(m.to_csc().to_coo().to_dense(), d)
-
-
-def test_map_data():
-    m = from_dense(np.array([[4.0, 0], [0, 9.0]]))
-    sq = m.map_data(np.sqrt)
-    assert np.allclose(sq.to_dense(), [[2.0, 0], [0, 3.0]])
-
-
-def test_map_data_length_change_rejected():
-    m = from_dense(np.eye(2))
-    with pytest.raises(SparseFormatError):
-        m.map_data(lambda d: d[:1])
-
-
-def test_eliminate_zeros():
-    m = COOMatrix((2, 2), [0, 1], [0, 1], [1e-20, 1.0], sum_duplicates=False)
-    cleaned = m.eliminate_zeros(tol=1e-12)
-    assert cleaned.nnz == 1
-    assert cleaned.to_dense()[1, 1] == 1.0
 
 
 def test_repr_mentions_shape_and_nnz():

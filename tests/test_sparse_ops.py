@@ -1,17 +1,11 @@
-"""Tests for the shared sparse kernels: stacking, norms, segment sums."""
+"""Tests for the shared sparse kernels: stacking and segment sums."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import from_dense, frobenius_norm, hstack_csc, vstack_csr
+from repro.sparse import from_dense, hstack_csc, vstack_csr
 from repro.sparse.ops import _segment_sums
-
-
-def test_frobenius_norm(rng):
-    d = rng.random((8, 5)) * (rng.random((8, 5)) < 0.5)
-    for mat in (from_dense(d), from_dense(d).to_csr(), from_dense(d).to_csc()):
-        assert frobenius_norm(mat) == pytest.approx(np.linalg.norm(d))
 
 
 def test_hstack_csc(rng):

@@ -11,7 +11,6 @@ from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
     MANIFEST_NAME,
     checkpoint_name,
-    iter_array_files,
     latest_valid_checkpoint,
     load_manifest,
     list_checkpoints,
@@ -28,6 +27,11 @@ from repro.store.wal import (
     scan_wal,
     verify_wal,
 )
+
+
+def array_files(info):
+    """The ``.npy`` files of one checkpoint, in manifest order."""
+    return [info.path / entry["file"] for entry in info.manifest["arrays"].values()]
 
 
 @pytest.fixture
@@ -64,7 +68,7 @@ def test_checkpoint_ids_increment_and_sort(tmp_path, arrays):
 def test_verify_detects_single_flipped_byte(tmp_path, arrays):
     info = write_checkpoint(tmp_path, arrays, {})
     assert verify_checkpoint(info) == []
-    victim = next(iter_array_files(info))
+    victim = array_files(info)[0]
     blob = bytearray(victim.read_bytes())
     blob[len(blob) // 2] ^= 0x01  # one flipped bit, size unchanged
     victim.write_bytes(bytes(blob))
@@ -77,7 +81,7 @@ def test_verify_detects_single_flipped_byte(tmp_path, arrays):
 
 def test_verify_detects_truncation_and_missing_file(tmp_path, arrays):
     info = write_checkpoint(tmp_path, arrays, {})
-    files = list(iter_array_files(info))
+    files = array_files(info)
     files[0].write_bytes(files[0].read_bytes()[:-1])
     files[1].unlink()
     problems = verify_checkpoint(info)
@@ -100,7 +104,7 @@ def test_tmp_debris_is_reaped_and_invisible(tmp_path, arrays):
 def test_latest_valid_falls_back_past_corruption(tmp_path, arrays):
     write_checkpoint(tmp_path, arrays, {"gen": 1})
     newest = write_checkpoint(tmp_path, arrays, {"gen": 2})
-    victim = next(iter_array_files(newest))
+    victim = array_files(newest)[0]
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0xFF
     victim.write_bytes(bytes(blob))

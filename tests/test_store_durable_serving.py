@@ -24,6 +24,7 @@ from repro.store import (
 )
 from repro.store import durable
 from repro.store.durable import RETAIN
+from tests.test_store_checkpoint_wal import array_files
 
 
 @pytest.fixture(scope="module")
@@ -523,9 +524,7 @@ def test_cli_store_inspect_verify_compact(corpus, tmp_path, capsys):
     assert "folded 1 WAL record(s)" in out.getvalue()
 
     # Corrupt one checkpoint array; verify must fail with exit code 1.
-    from repro.store.checkpoint import iter_array_files
-
-    victim = next(iter_array_files(list_checkpoints(store.checkpoints_dir)[-1]))
+    victim = array_files(list_checkpoints(store.checkpoints_dir)[-1])[0]
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0x01
     victim.write_bytes(bytes(blob))
@@ -538,7 +537,6 @@ def test_cli_store_verify_audits_a_live_store(corpus, tmp_path):
     import io
 
     from repro.cli import main
-    from repro.store.checkpoint import iter_array_files
 
     _, later, _ = corpus
     store = seeded_store(corpus, tmp_path)  # holds the writer lock
@@ -548,7 +546,7 @@ def test_cli_store_verify_audits_a_live_store(corpus, tmp_path):
     assert main(["--no-obs", "store", "verify", data_dir], out=out) == 0
     assert "ok: 1 checkpoint(s) and the WAL verified clean" in out.getvalue()
 
-    victim = next(iter_array_files(list_checkpoints(store.checkpoints_dir)[-1]))
+    victim = array_files(list_checkpoints(store.checkpoints_dir)[-1])[0]
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0x01
     victim.write_bytes(bytes(blob))

@@ -12,10 +12,11 @@ from repro.store import (
     restore_manager,
     verify_store,
 )
-from repro.store.checkpoint import MANIFEST_NAME, iter_array_files
+from repro.store.checkpoint import MANIFEST_NAME
 from repro.text import ParsingRules, build_tdm
 from repro.updating import LSIIndexManager
 from repro.updating.manager import EVENT_WINDOW
+from tests.test_store_checkpoint_wal import array_files
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +162,7 @@ def test_corrupt_array_falls_back_to_older_checkpoint(corpus, tmp_path):
     from repro.store import list_checkpoints
 
     newest = list_checkpoints(checkpoints_dir)[-1]
-    victim = next(iter_array_files(newest))
+    victim = array_files(newest)[0]
     blob = bytearray(victim.read_bytes())
     blob[-3] ^= 0x40
     victim.write_bytes(bytes(blob))

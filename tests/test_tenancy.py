@@ -339,6 +339,48 @@ def test_quota_share_and_rejection():
     assert solo.share == 8
 
 
+def test_a_rejected_request_attaches_no_tenant():
+    """Admission comes before the pin: a 429 or a 503 loads no cold
+    tenant and evicts no resident one, an unknown tenant is still a 404,
+    and evicting a tenant that never served a query has no scheduler to
+    drain (nothing raises on the loop)."""
+    reg = IndexRegistry(max_resident=1)
+    reg.register("hot", loader=_loader("alpha"))
+    reg.register("cold", loader=_loader("beta"))
+    cold_query = TENANT_QUERIES["beta"]
+
+    async def main():
+        errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: errors.append(context)
+        )
+        service = QueryService(reg, ServerConfig(queue_depth=1))
+        await service.start()
+        await service.search(TENANT_QUERIES["alpha"], top=2, tenant="hot")
+        service.admission.admit()  # the one global slot is taken
+        with pytest.raises(UnknownTenantError):
+            await service.search(cold_query, top=2, tenant="nobody")
+        with pytest.raises(ServerOverloadError) as full:
+            await service.search(cold_query, top=2, tenant="cold")
+        after_429 = sorted(reg.resident_states())
+        service.admission.release()
+        service.admission.begin_drain()
+        with pytest.raises(ServerOverloadError) as draining:
+            await service.search(cold_query, top=2, tenant="cold")
+        after_503 = sorted(reg.resident_states())
+        reg.resolve("cold")  # attached, never searched ...
+        reg.resolve("hot")  # ... and evicted
+        for _ in range(3):
+            await asyncio.sleep(0)
+        await service.drain()
+        return full.value.reason, after_429, draining.value.reason, after_503, errors
+
+    full, after_429, draining, after_503, errors = asyncio.run(main())
+    assert (full, after_429) == ("queue_full", ["hot"])
+    assert (draining, after_503) == ("draining", ["hot"])
+    assert errors == []
+
+
 def test_quota_starvation_cold_tenant_latency_bounded(monkeypatch):
     """A saturated hot tenant cannot starve a cold tenant's requests."""
     original = MicroBatcher._score_batch

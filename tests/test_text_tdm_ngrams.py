@@ -6,7 +6,7 @@ import pytest
 from repro.errors import ShapeError
 from repro.sparse import MatrixBuilder
 from repro.text import ParsingRules, Vocabulary, build_tdm, char_ngrams
-from repro.text.ngrams import vocabulary_ngrams, word_ngram_profile
+from repro.text.ngrams import vocabulary_ngrams
 from repro.text.tdm import count_vector, tdm_from_parsed
 from repro.text.parser import parse_corpus
 
@@ -19,19 +19,6 @@ def test_build_tdm_counts_frequencies():
     assert dense[a, 0] == 2.0
     assert dense[b, 0] == 1.0 and dense[b, 1] == 1.0
     assert tdm.n_documents == 2
-
-
-def test_term_frequency_accessor():
-    tdm = build_tdm(["apple apple", "apple"])
-    assert tdm.term_frequency("apple", 0) == 2.0
-    assert tdm.term_frequency("apple", 1) == 1.0
-
-
-def test_document_frequency():
-    tdm = build_tdm(["apple banana", "apple", "cherry"])
-    df = tdm.document_frequency()
-    assert df[tdm.vocabulary.id_of("apple")] == 2
-    assert df[tdm.vocabulary.id_of("cherry")] == 1
 
 
 def test_doc_ids_default_and_custom():
@@ -120,11 +107,6 @@ def test_char_ngrams_case_insensitive():
 def test_char_ngrams_invalid_size():
     with pytest.raises(ValueError):
         char_ngrams("cat", (0,))
-
-
-def test_word_ngram_profile_counts():
-    prof = word_ngram_profile("aa", (1,))
-    assert prof["a"] == 2
 
 
 def test_vocabulary_ngrams_sorted_union():

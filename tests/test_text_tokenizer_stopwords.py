@@ -1,7 +1,6 @@
 """Tests for tokenization and the stop list."""
 
-from repro.text import DEFAULT_STOPWORDS, is_stopword, tokenize
-from repro.text.tokenizer import tokenize_all
+from repro.text import DEFAULT_STOPWORDS, tokenize
 
 
 def test_basic_tokenization():
@@ -43,24 +42,11 @@ def test_empty_and_symbol_only_input():
     assert tokenize("!!! ??? ...") == []
 
 
-def test_tokenize_all():
-    out = tokenize_all(["one two", "three"])
-    assert out == [["one", "two"], ["three"]]
-
-
 def test_paper_query_stopwords():
     """'of' and 'with' from the worked query are stop words."""
-    assert is_stopword("of")
-    assert is_stopword("with")
-    assert is_stopword("OF")  # case-insensitive
-    assert not is_stopword("blood")
-    assert not is_stopword("children")  # dropped by min-df, not the stop list
-
-
-def test_custom_stopword_set():
-    custom = frozenset({"blood"})
-    assert is_stopword("blood", custom)
-    assert not is_stopword("of", custom)
+    assert {"of", "with"} <= DEFAULT_STOPWORDS
+    assert "blood" not in DEFAULT_STOPWORDS
+    assert "children" not in DEFAULT_STOPWORDS  # dropped by min-df, not the stop list
 
 
 def test_default_list_is_frozen_and_lowercase():

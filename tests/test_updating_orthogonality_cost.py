@@ -19,7 +19,7 @@ from repro.updating.orthogonality import fold_in_drift_curve
 
 def test_drift_report_clean_model(med_model):
     rep = drift_report(med_model)
-    assert rep.max_loss < 1e-10
+    assert max(rep.term_loss, rep.doc_loss) < 1e-10
     assert rep.provenance == "svd"
 
 

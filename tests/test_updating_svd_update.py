@@ -50,7 +50,7 @@ def test_update_documents_exact_flag(med_model):
     updated = update_documents(
         med_model, UPDATE_COLUMNS, ["M15", "M16"], exact=True
     )
-    B = np.hstack([med_model.reconstruct(), UPDATE_COLUMNS])
+    B = np.hstack([(med_model.U * med_model.s) @ med_model.V.T, UPDATE_COLUMNS])
     assert np.allclose(
         updated.s, np.linalg.svd(B, compute_uv=False)[:2], atol=1e-9
     )
@@ -101,7 +101,7 @@ def test_update_terms_exact_flag(med_model):
     T[0, [0, 3]] = 1.0
     T[1, [5, 9]] = 2.0
     updated = update_terms(med_model, T, ["alpha", "beta"], exact=True)
-    C = np.vstack([med_model.reconstruct(), T])
+    C = np.vstack([(med_model.U * med_model.s) @ med_model.V.T, T])
     assert np.allclose(
         updated.s, np.linalg.svd(C, compute_uv=False)[:2], atol=1e-9
     )
@@ -136,7 +136,9 @@ def test_update_weights_identity_for_zero_z(med_model):
     updated = update_weights(med_model, Y, Z)
     assert np.allclose(np.sort(updated.s), np.sort(med_model.s), atol=1e-10)
     assert np.allclose(
-        updated.reconstruct(), med_model.reconstruct(), atol=1e-10
+        (updated.U * updated.s) @ updated.V.T,
+        (med_model.U * med_model.s) @ med_model.V.T,
+        atol=1e-10,
     )
 
 
@@ -162,7 +164,7 @@ def test_update_weights_exact_flag(med_model, rng):
     Y[7, 1] = 1.0
     Z = rng.standard_normal((14, 2)) * 0.3
     updated = update_weights(med_model, Y, Z, exact=True)
-    W = med_model.reconstruct() + Y @ Z.T
+    W = (med_model.U * med_model.s) @ med_model.V.T + Y @ Z.T
     assert np.allclose(
         updated.s, np.linalg.svd(W, compute_uv=False)[:2], atol=1e-9
     )

@@ -12,7 +12,7 @@ from repro.errors import (
     SparseFormatError,
     VocabularyError,
 )
-from repro.util import ensure_rng, spawn_rngs
+from repro.util import ensure_rng
 
 
 # --------------------------------------------------------------------- #
@@ -35,19 +35,6 @@ def test_ensure_rng_deterministic():
 def test_ensure_rng_rejects_garbage():
     with pytest.raises(TypeError):
         ensure_rng("seed")
-
-
-def test_spawn_rngs_independent_and_stable():
-    streams1 = spawn_rngs(3, 4)
-    streams2 = spawn_rngs(3, 4)
-    assert len(streams1) == 4
-    for a, b in zip(streams1, streams2):
-        assert np.array_equal(a.random(3), b.random(3))
-    # children differ from each other
-    vals = [g.random() for g in spawn_rngs(3, 4)]
-    assert len(set(vals)) == 4
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
 
 
 # --------------------------------------------------------------------- #

@@ -8,7 +8,6 @@ from repro.sparse import from_dense
 from repro.weighting import (
     WeightingScheme,
     apply_weighting,
-    available_schemes,
     global_weight,
     local_weight,
     weight_correction_blocks,
@@ -159,23 +158,6 @@ def test_apply_weighting_augmented(counts, csc):
         counts > 0, 0.5 + 0.5 * counts / np.where(colmax > 0, colmax, 1), 0.0
     )
     assert np.allclose(wm.matrix.to_dense(), expect)
-
-
-def test_weight_query_consistency(counts, csc):
-    """Query cells must be weighted exactly like matrix cells."""
-    wm = apply_weighting(csc, WeightingScheme("log", "entropy"))
-    q = np.zeros(counts.shape[0])
-    q[0] = 3.0
-    wq = wm.weight_query(q)
-    assert wq[0] == pytest.approx(np.log2(4.0) * wm.global_weights[0])
-    assert np.all(wq[1:] == 0)
-
-
-def test_available_schemes_cover_grid():
-    schemes = available_schemes()
-    names = {s.name for s in schemes}
-    assert "log×entropy" in names and "raw×none" in names
-    assert len(schemes) == 5 * 5  # 5 locals (minus tf alias) × 5 globals
 
 
 # --------------------------------------------------------------------- #
