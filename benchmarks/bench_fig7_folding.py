@@ -1,14 +1,15 @@
 """Figure 7 / Table 5 — folding-in the update topics M15, M16.
 
 Regenerates: the folded coordinates and the invariance of the original
-14 topics' positions.  Times the Eq. 7 fold of the two documents.
+14 topics' positions.  Times the Eq. 7 fold of the two documents, and
+the Eq. 8 fold of two terms.
 """
 
 import numpy as np
 
 from conftest import emit
 from repro.corpus.med import MED_UPDATE_TOPICS, UPDATE_COLUMNS
-from repro.updating import fold_in_documents
+from repro.updating import fold_in_documents, fold_in_terms
 
 
 def test_fig7_folding_in(benchmark, med_model):
@@ -28,3 +29,23 @@ def test_fig7_folding_in(benchmark, med_model):
     assert np.array_equal(folded.U, med_model.U)
     assert np.array_equal(folded.s, med_model.s)
     assert folded.doc_ids[-2:] == ["M15", "M16"]
+
+
+def test_eq8_folding_in_terms(benchmark, med_tdm, med_model):
+    """Eq. 8 (t̂ = t V_k Σ_k⁻¹) on rows the model already holds: since
+    A V_k = U_k Σ_k, a refolded term lands exactly on its own U row."""
+    vocab = med_tdm.vocabulary.to_list()
+    rows = [vocab.index(t) for t in ("blood", "pressure")]
+    counts = med_tdm.matrix.to_dense()[rows]
+    folded = benchmark(
+        fold_in_terms, med_model, counts, [f"{vocab[i]}'" for i in rows],
+        med_model.global_weights[rows],
+    )
+    err = float(np.abs(folded.U[-2:] - med_model.U[rows]).max())
+    emit("Eq. 8 — folding-in terms", [
+        f"  blood, pressure refolded: max |û − u| = {err:.1e}",
+    ])
+    assert err < 1e-12
+    assert np.array_equal(folded.U[:-2], med_model.U)
+    assert np.array_equal(folded.s, med_model.s)
+    assert np.array_equal(folded.V, med_model.V)

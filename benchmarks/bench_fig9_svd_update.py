@@ -2,7 +2,8 @@
 
 Regenerates: the updated space whose clustering matches Figure 8
 (recomputing) rather than Figure 7 (folding-in), plus the §4.3
-orthogonality contrast.  Times the document SVD-update.
+orthogonality contrast.  Times the document SVD-update (Eq. 10) and
+the term SVD-update (Eq. 11).
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.updating import (
     fold_in_documents,
     recompute_with_documents,
     update_documents,
+    update_terms,
 )
 
 
@@ -53,3 +55,25 @@ def test_fig9_svd_update(benchmark, med_tdm, med_model):
     # §4.3: updating maintains orthogonality; folding-in corrupts it.
     assert drift_report(updated).doc_loss < 1e-10
     assert drift_report(folded).doc_loss > 0.01
+
+
+def test_eq11_svd_update_terms(benchmark, med_tdm, med_model):
+    """Eq. 11 with the residual kept is the rank-k SVD of C = [A_k ; T]."""
+    vocab = med_tdm.vocabulary.to_list()
+    T = med_tdm.matrix.to_dense()[[vocab.index(t) for t in ("blood", "pressure")]]
+    updated = benchmark(
+        update_terms, med_model, T, ["blood'", "pressure'"], exact=True
+    )
+    C = np.vstack([(med_model.U * med_model.s) @ med_model.V.T, T])
+    Uc, sc, Vct = np.linalg.svd(C)
+    k = med_model.k
+    s_err = float(np.abs(updated.s - sc[:k]).max())
+    rec_err = float(np.abs(
+        (updated.U * updated.s) @ updated.V.T - (Uc[:, :k] * sc[:k]) @ Vct[:k]
+    ).max())
+    emit("Eq. 11 — SVD-updating terms", [
+        f"  2 rows, exact: max |σ̂ − σ(C)| = {s_err:.1e}  "
+        f"max |Û Σ̂ V̂ᵀ − C_k| = {rec_err:.1e}",
+    ])
+    assert s_err < 1e-12 and rec_err < 1e-12
+    assert updated.vocabulary.to_list()[-2:] == ["blood'", "pressure'"]

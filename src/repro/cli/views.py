@@ -129,7 +129,8 @@ def cmd_store(args, out) -> int:
     print(f"store     : {description['data_dir']}", file=out)
     print(
         f"documents : {description['n_documents']} "
-        f"({description['pending']} pending fold-in)",
+        f"({description['checkpoint_pending']} pending fold-in at the "
+        f"checkpoint, {description['wal_documents']} added in the WAL)",
         file=out,
     )
     for ckpt in description["checkpoints"]:
@@ -240,15 +241,16 @@ def _stats_tenant_table(dirs: list[pathlib.Path], args, out) -> int:
               file=out)
         return 0
     header = (
-        f"{'tenant':<16} {'docs':>8} {'pending':>8} {'ckpts':>6} "
-        f"{'wal':>6} {'dirty':>6} {'replay':>7}"
+        f"{'tenant':<16} {'docs':>8} {'ck-pend':>8} {'wal-docs':>8} "
+        f"{'ckpts':>6} {'wal':>6} {'dirty':>6} {'replay':>7}"
     )
     print(header, file=out)
     for name in sorted(rows):
         status = rows[name]
         print(
             f"{name:<16} {status['n_documents']:>8} "
-            f"{status['pending']:>8} {len(status['checkpoints']):>6} "
+            f"{status['checkpoint_pending']:>8} {status['wal_documents']:>8} "
+            f"{len(status['checkpoints']):>6} "
             f"{status['wal']['records']:>6} {status['dirty_records']:>6} "
             f"{status['last_recovery_replayed']:>7}",
             file=out,

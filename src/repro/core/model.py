@@ -107,11 +107,6 @@ class LSIModel:
         """Document count ``n``."""
         return self.V.shape[0]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the (approximated) term-document matrix."""
-        return (self.n_terms, self.n_documents)
-
     # ------------------------------------------------------------------ #
     # coordinate access (the Figure 4 plotting convention)
     # ------------------------------------------------------------------ #

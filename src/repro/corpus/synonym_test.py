@@ -33,11 +33,6 @@ class SynonymItem:
     alternatives: tuple[str, str, str, str]
     answer: int  # index into alternatives
 
-    @property
-    def correct(self) -> str:
-        """The right answer's surface form."""
-        return self.alternatives[self.answer]
-
 
 @dataclass
 class SynonymTest:

@@ -25,7 +25,7 @@ selects among three backends:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,25 +64,6 @@ class SVDResult:
     V: np.ndarray
     stats: Optional[LanczosStats] = None
     method: str = "dense"
-
-    @property
-    def k(self) -> int:
-        """Number of retained factors."""
-        return int(self.s.size)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the matrix this decomposition approximates."""
-        return (self.U.shape[0], self.V.shape[0])
-
-    def truncate(self, k: int) -> "SVDResult":
-        """Drop trailing factors, returning a rank-``k`` decomposition."""
-        if not 1 <= k <= self.k:
-            raise ShapeError(f"cannot truncate rank-{self.k} SVD to k={k}")
-        return SVDResult(
-            self.U[:, :k].copy(), self.s[:k].copy(), self.V[:, :k].copy(),
-            stats=self.stats, method=self.method,
-        )
 
 
 def dense_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -72,11 +72,6 @@ class LSIRetrieval:
         """Documents in the underlying model."""
         return self.model.n_documents
 
-    @property
-    def k(self) -> int:
-        """Number of factors in the underlying model."""
-        return self.model.k
-
     # ------------------------------------------------------------------ #
     def query_vector(self, query) -> np.ndarray:
         """The query's k-space pseudo-document (Eq. 6), LRU-memoized.
@@ -87,13 +82,6 @@ class LSIRetrieval:
         """
         with span("lsi.project"):
             return self._query_cache.project(self.model, query)
-
-    def scores(self, query) -> np.ndarray:
-        """Cosine of the query against every document (length n)."""
-        qhat = self.query_vector(query)
-        if not np.any(qhat):
-            return np.zeros(self.n_documents)
-        return self.scores_for_vector(qhat)
 
     def scores_for_vector(self, qhat: np.ndarray) -> np.ndarray:
         """Scores for an externally supplied k-space vector (feedback)."""
@@ -110,8 +98,9 @@ class LSIRetrieval:
 
         The one exact ranking every serving tier reports
         (:func:`~repro.serving.scan.ranked_scan`): the same indices as
-        the stable sort of :meth:`scores`, tie order included, with
-        scores within 1e-12 of it.
+        the stable sort of :meth:`scores_for_vector` of the query's
+        :meth:`query_vector`, tie order included, with scores within
+        1e-12 of it.
         """
         with span("lsi.search", top=top, docs=self.n_documents):
             return ranked_documents(

@@ -408,7 +408,6 @@ def manager_from_texts(
     k: int = 50,
     scheme: str | object = "log_entropy",
     min_doc_freq: int = 1,
-    drift_cap: float = 2.0,
     seed: int = 0,
     ingest_method: str = "fold-in",
     fast_update_rank: int = 8,
@@ -429,7 +428,6 @@ def manager_from_texts(
         tdm,
         k=max(1, min(k, min(tdm.shape))),
         scheme=scheme,
-        drift_cap=drift_cap,
         seed=seed,
         ingest_method=ingest_method,
         fast_update_rank=fast_update_rank,

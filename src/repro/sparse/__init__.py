@@ -30,7 +30,6 @@ from repro.sparse.ops import (
     csr_matvec,
     csr_rmatvec,
     hstack_csc,
-    vstack_csr,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "csc_matvec",
     "csr_matmat",
     "hstack_csc",
-    "vstack_csr",
 ]

@@ -2,7 +2,7 @@
 
 Term counting produces a stream of ``(term_id, doc_id, count)`` triples;
 :class:`MatrixBuilder` buffers them in growable Python lists (amortized O(1)
-append) and converts to COO/CSR/CSC once at the end — the standard
+append) and converts to COO/CSC once at the end — the standard
 assemble-then-compress pattern.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.csr import CSRMatrix
 
 __all__ = ["MatrixBuilder", "from_dense"]
 
@@ -78,10 +77,6 @@ class MatrixBuilder:
             np.asarray(self._cols, dtype=np.int64),
             np.asarray(self._vals, dtype=np.float64),
         )
-
-    def to_csr(self) -> CSRMatrix:
-        """Emit as CSR (via COO)."""
-        return self.to_coo().to_csr()
 
     def to_csc(self) -> CSCMatrix:
         """Emit as CSC (via COO)."""

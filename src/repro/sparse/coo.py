@@ -119,16 +119,6 @@ class COOMatrix:
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         return CSCMatrix(self.shape, indptr, self.row[order], self.data[order])
 
-    def transpose(self) -> "COOMatrix":
-        """Return the transpose (an O(1) relabeling of coordinates)."""
-        m, n = self.shape
-        return COOMatrix((n, m), self.col, self.row, self.data, sum_duplicates=False)
-
-    @property
-    def T(self) -> "COOMatrix":
-        """The transpose (see :meth:`transpose`)."""
-        return self.transpose()
-
 
 def _merge_duplicates(m, n, row, col, data):
     """Sum values that share a coordinate; returns row-major-sorted triples."""

@@ -4,10 +4,6 @@ CSC stores column ``j`` in the slice ``indptr[j]:indptr[j+1]`` of
 ``indices`` (row ids) and ``data``.  In LSI the columns are *documents*:
 fold-in extracts document columns, and appending new documents (the ``D``
 block of Eq. 10) is a cheap column-wise concatenation in this format.
-
-CSC of ``A`` and CSR of ``Aᵀ`` share the identical arrays, which is how
-:meth:`CSCMatrix.transpose` and :meth:`repro.sparse.csr.CSRMatrix.transpose`
-are O(1).
 """
 
 from __future__ import annotations
@@ -135,15 +131,3 @@ class CSCMatrix:
         out = np.zeros(self.shape, dtype=np.float64)
         out[self.indices, self.expanded_cols()] = self.data
         return out
-
-    def transpose(self) -> "CSRMatrix":
-        """O(1) transpose: reinterpret the CSC arrays as CSR of Aᵀ."""
-        from repro.sparse.csr import CSRMatrix
-
-        m, n = self.shape
-        return CSRMatrix((n, m), self.indptr, self.indices, self.data)
-
-    @property
-    def T(self) -> "CSRMatrix":
-        """The O(1) transpose (see :meth:`transpose`)."""
-        return self.transpose()

@@ -12,15 +12,9 @@ per-nonzero row-index array the kernels need, computing it lazily once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.errors import ShapeError, SparseFormatError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sparse.coo import COOMatrix
-    from repro.sparse.csc import CSCMatrix
 
 __all__ = ["CSRMatrix"]
 
@@ -112,12 +106,8 @@ class CSRMatrix:
         raise ShapeError("CSRMatrix @ operand must be 1-D or 2-D")
 
     # ------------------------------------------------------------------ #
-    # reductions and row access
+    # row access and densification
     # ------------------------------------------------------------------ #
-    def row_sums(self) -> np.ndarray:
-        """Vector of row sums, length m."""
-        return np.bincount(self.expanded_rows(), weights=self.data, minlength=self.shape[0])
-
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(column ids, values)`` of row ``i`` as views."""
         if not 0 <= i < self.shape[0]:
@@ -125,36 +115,8 @@ class CSRMatrix:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
 
-    # ------------------------------------------------------------------ #
-    # conversions
-    # ------------------------------------------------------------------ #
-    def to_coo(self) -> "COOMatrix":
-        """Convert to coordinate format."""
-        from repro.sparse.coo import COOMatrix
-
-        return COOMatrix(
-            self.shape, self.expanded_rows(), self.indices, self.data,
-            sum_duplicates=False,
-        )
-
-    def to_csc(self) -> "CSCMatrix":
-        """Convert to compressed sparse column format."""
-        return self.to_coo().to_csc()
-
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense float64 array."""
         out = np.zeros(self.shape, dtype=np.float64)
         out[self.expanded_rows(), self.indices] = self.data
         return out
-
-    def transpose(self) -> "CSCMatrix":
-        """O(1) transpose: reinterpret the CSR arrays as CSC of Aᵀ."""
-        from repro.sparse.csc import CSCMatrix
-
-        m, n = self.shape
-        return CSCMatrix((n, m), self.indptr, self.indices, self.data)
-
-    @property
-    def T(self) -> "CSCMatrix":
-        """The O(1) transpose (see :meth:`transpose`)."""
-        return self.transpose()

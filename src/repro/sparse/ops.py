@@ -29,7 +29,6 @@ __all__ = [
     "csc_rmatvec",
     "csc_matmat",
     "hstack_csc",
-    "vstack_csr",
 ]
 
 #: Number of dense right-hand-side columns processed per chunk in matmat
@@ -186,30 +185,3 @@ def hstack_csc(blocks) -> "CSCMatrix":
     indices = np.concatenate([b.indices for b in blocks]) if blocks else np.empty(0)
     data = np.concatenate([b.data for b in blocks])
     return CSCMatrix((m, n_total), indptr, indices, data)
-
-
-def vstack_csr(blocks) -> "CSRMatrix":
-    """Concatenate CSR matrices top to bottom: ``[A ; B ; ...]``.
-
-    The sparse analogue of appending new term rows — the ``T`` block of the
-    SVD-updating step (Eq. 11 of the paper).
-    """
-    from repro.sparse.csr import CSRMatrix
-
-    blocks = list(blocks)
-    if not blocks:
-        raise ShapeError("vstack_csr needs at least one block")
-    n = blocks[0].shape[1]
-    for b in blocks:
-        if b.shape[1] != n:
-            raise ShapeError(f"vstack_csr column mismatch: {b.shape[1]} != {n}")
-    m_total = sum(b.shape[0] for b in blocks)
-    indptr = np.zeros(m_total + 1, dtype=np.int64)
-    pos, offset = 1, 0
-    for b in blocks:
-        indptr[pos : pos + b.shape[0]] = b.indptr[1:] + offset
-        pos += b.shape[0]
-        offset += b.nnz
-    indices = np.concatenate([b.indices for b in blocks])
-    data = np.concatenate([b.data for b in blocks])
-    return CSRMatrix((m_total, n), indptr, indices, data)

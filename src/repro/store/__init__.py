@@ -12,8 +12,8 @@ production system can restart, kill, and audit:
   snapshots (temp dir + fsync + rename; CRC32 per array; JSON manifest
   with format version, epoch, doc count, scheme);
 * :mod:`repro.store.wal` — the append-only, torn-tail-tolerant
-  write-ahead log that records every fold-in / term update /
-  consolidation between checkpoints, fsynced before acknowledgment;
+  write-ahead log that records every document batch between
+  checkpoints, fsynced before acknowledgment;
 * :mod:`repro.store.recovery` — the one door into a checkpoint
   (:func:`open_checkpoint`: locate → verify → decode, each once; owns
   the array layout) and cold start through it: rebuild the manager,

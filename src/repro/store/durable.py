@@ -368,46 +368,6 @@ class DurableIndexStore:
                 lambda: manager.add_counts(counts, list(doc_ids)),
             )
 
-    def add_terms(
-        self,
-        counts: np.ndarray,
-        terms: Sequence[str],
-        *,
-        global_weights: np.ndarray | None = None,
-    ) -> IndexEvent:
-        """WAL-logged :meth:`LSIIndexManager.add_terms`."""
-        counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-        with self._lock:
-            manager = self.manager
-            expected = manager.tdm.n_documents + manager.pending
-            if counts.shape[1] != expected:
-                raise ShapeError(
-                    f"term block has {counts.shape[1]} columns for "
-                    f"n={expected}"
-                )
-            gw = (
-                None
-                if global_weights is None
-                else np.asarray(global_weights, dtype=np.float64)
-            )
-            return self._apply(
-                "add_terms",
-                {"counts": counts, "terms": list(terms), "global_weights": gw},
-                lambda: manager.add_terms(
-                    counts, list(terms), global_weights=gw
-                ),
-            )
-
-    def consolidate(self) -> IndexEvent | None:
-        """WAL-logged :meth:`LSIIndexManager.consolidate` (no-op when
-        nothing is pending — nothing is logged either)."""
-        with self._lock:
-            if not self.manager.pending:
-                return None
-            return self._apply(
-                "consolidate", {}, lambda: self.manager.consolidate()
-            )
-
     # ------------------------------------------------------------------ #
     # snapshots and maintenance
     # ------------------------------------------------------------------ #
@@ -554,9 +514,11 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
     Scans checkpoint manifests and the WAL file read-only: no
     :class:`~repro.store.wal.WriteAheadLog` handle is created (so no
     tail truncation), nothing is written, and the single-writer lock is
-    not taken.  Document and pending counts are reconstructed from the
-    newest checkpoint's manifest plus the WAL suffix arithmetic
-    (``add_counts`` grows both, ``consolidate`` zeroes pending), and
+    not taken.  It reports only counts the scan knows exactly: the
+    documents held (the newest checkpoint's plus every ``add_counts``
+    past it), the newest checkpoint's pending fold-ins, and the
+    documents the WAL suffix adds — how many of those a consolidation
+    has absorbed is known only after a replay.
     ``last_recovery_replayed`` reports what a cold start *would* replay.
     """
     data_dir = pathlib.Path(data_dir)
@@ -566,18 +528,16 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
     newest = infos[-1] if infos else None
     ckpt_lsn = int(newest.meta.get("wal_lsn", 0)) if newest else 0
     n_documents = int(newest.meta.get("n_documents", 0)) if newest else 0
-    pending = len(newest.meta.get("pending_ids", [])) if newest else 0
-    would_replay = 0
+    checkpoint_pending = (
+        len(newest.meta.get("pending_ids", [])) if newest else 0
+    )
+    would_replay = wal_documents = 0
     for record in scan.records:
         if record.lsn <= ckpt_lsn:
             continue
         would_replay += 1
         if record.op == "add_counts":
-            added = len(record.payload.get("doc_ids", []))
-            n_documents += added
-            pending += added
-        elif record.op == "consolidate":
-            pending = 0
+            wal_documents += len(record.payload.get("doc_ids", []))
     return {
         "data_dir": str(data_dir),
         "checkpoints": [_checkpoint_summary(info) for info in infos],
@@ -589,8 +549,9 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
             "last_lsn": scan.last_lsn,
         },
         "dirty_records": max(0, scan.last_lsn - ckpt_lsn),
-        "n_documents": n_documents,
-        "pending": pending,
+        "n_documents": n_documents + wal_documents,
+        "checkpoint_pending": checkpoint_pending,
+        "wal_documents": wal_documents,
         "last_recovery_replayed": would_replay,
         "problems": list(scan.problems),
     }

@@ -152,8 +152,6 @@ def capture_manager(
             "global": model.scheme.global_,
         },
         "distortion_budget": manager.distortion_budget,
-        "drift_cap": manager.drift_cap,
-        "exact_updates": manager.exact_updates,
         "ingest_method": manager.ingest_method,
         "fast_update_rank": manager.fast_update_rank,
         "vocabulary": vocab,
@@ -241,8 +239,6 @@ def restore_manager(
         events=[IndexEvent(**e) for e in meta["events"]],
         scheme=_scheme_from_json(meta["scheme"]),
         distortion_budget=float(meta["distortion_budget"]),
-        drift_cap=float(meta["drift_cap"]),
-        exact_updates=bool(meta["exact_updates"]),
         seed=int(meta["seed"]),
         # Absent in pre-writable-cluster checkpoints: default to the
         # historical fold-in behaviour.
@@ -361,14 +357,6 @@ def apply_record(manager: LSIIndexManager, record: WalRecord) -> None:
         manager.add_counts(
             record.payload["counts"], list(record.payload["doc_ids"])
         )
-    elif record.op == "add_terms":
-        manager.add_terms(
-            record.payload["counts"],
-            list(record.payload["terms"]),
-            global_weights=record.payload.get("global_weights"),
-        )
-    elif record.op == "consolidate":
-        manager.consolidate()
     else:
         raise StoreCorruptError(
             f"write-ahead log record {record.lsn} has unknown op "

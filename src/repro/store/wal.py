@@ -1,10 +1,11 @@
 """Append-only write-ahead log for index mutations.
 
-Every mutation the index manager applies between checkpoints —
-``add_counts`` (which ``add_texts`` normalizes into), ``add_terms``,
-``consolidate`` — is appended here and fsynced *before* it is applied,
-so an acknowledged fold-in is never lost: after a crash, recovery
-replays the log suffix on top of the newest checkpoint.
+Every document batch the index manager applies between checkpoints —
+an ``add_counts`` record, which ``add_texts`` normalizes into; the
+consolidations it triggers are replayed, not logged — is appended here
+and fsynced *before* it is applied, so an acknowledged fold-in is never
+lost: after a crash, recovery replays the log suffix on top of the
+newest checkpoint.
 
 File layout::
 
@@ -39,7 +40,6 @@ import pathlib
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -418,12 +418,6 @@ class WriteAheadLog:
         self._bytes = bytes_
         self._next_lsn = next_lsn
         self._n_records = n_records
-
-    def records(self, after_lsn: int = 0) -> Iterator[WalRecord]:
-        """Valid records with ``lsn > after_lsn``, oldest first."""
-        for record in scan_wal(self.path).records:
-            if record.lsn > after_lsn:
-                yield record
 
     def truncate(self) -> None:
         """Drop every record; the LSN counter continues where it was.

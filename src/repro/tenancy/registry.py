@@ -311,28 +311,6 @@ class IndexRegistry:
                 if entry.evict_pending and entry.pins == 0:
                     self._detach_locked(entry)
 
-    def detach(self, tenant_id: str) -> bool:
-        """Explicitly detach one tenant (deferred if pinned).
-
-        Returns ``True`` if the detach happened now, ``False`` if it was
-        deferred behind in-flight pins or the tenant was not resident.
-        Eager (unevictable) tenants raise.
-        """
-        with self._lock:
-            entry = self._entry(tenant_id)
-            if not entry.evictable:
-                raise ReproError(
-                    f"tenant {tenant_id!r} was registered with an eager "
-                    "state and cannot be detached"
-                )
-            if not entry.resident:
-                return False
-            if entry.pins > 0:
-                entry.evict_pending = True
-                return False
-            self._detach_locked(entry)
-            return True
-
     def resident_states(self) -> dict[str, Backend]:
         """``tenant_id -> state`` for resident tenants only (no attach)."""
         with self._lock:

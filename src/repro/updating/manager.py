@@ -11,8 +11,8 @@ would actually run:
   the folded fraction exceeds it, the accumulated raw counts are
   consolidated with a true **SVD-update** (Eq. 10) — or a full
   **recompute** when the planner says that is no cheaper;
-* orthogonality drift (§4.3) is tracked and exposed, and a drift cap can
-  force consolidation regardless of the size budget.
+* orthogonality drift (§4.3) is tracked and exposed, and a drift cap
+  (:data:`DRIFT_CAP`) forces consolidation regardless of the size budget.
 
 The manager owns the raw count matrix as well as the model, so a
 recompute can re-derive global term weights from scratch — matching the
@@ -51,6 +51,16 @@ __all__ = ["IndexEvent", "LSIIndexManager"]
 #: counters.
 EVENT_WINDOW = 32
 
+#: Maximum tolerated ``‖V̂ᵀV̂ − I‖₂`` before consolidation is forced.
+#: The §4.3 measure reacts immediately to fold-in (projected document
+#: vectors are not unit-norm), so a useful cap is O(1): 2.0 lets the
+#: size budget drive consolidation in the common case while still
+#: catching pathological drift.
+DRIFT_CAP = 2.0
+
+#: Consolidate with the residual-retaining (exact) SVD-update variant.
+EXACT_UPDATES = True
+
 
 @dataclass(frozen=True)
 class IndexEvent:
@@ -78,14 +88,6 @@ class LSIIndexManager:
     distortion_budget:
         Maximum folded fraction ``pending / n`` before consolidation
         (the planner's fold-in budget).
-    drift_cap:
-        Maximum tolerated ``‖V̂ᵀV̂ − I‖₂`` before consolidation is forced.
-        Note the §4.3 measure reacts immediately to fold-in (projected
-        document vectors are not unit-norm), so a useful cap is O(1);
-        the default 2.0 lets the size budget drive consolidation in the
-        common case while still catching pathological drift.
-    exact_updates:
-        Use the residual-retaining (exact) SVD-update variant.
     ingest_method:
         How an incoming batch becomes queryable before consolidation:
         ``"fold-in"`` (Eq. 7, the paper's default — cheapest, but the
@@ -105,8 +107,6 @@ class LSIIndexManager:
     k: int
     scheme: object = None
     distortion_budget: float = 0.1
-    drift_cap: float = 2.0
-    exact_updates: bool = True
     seed: int = 0
     ingest_method: str = "fold-in"
     fast_update_rank: int = 8
@@ -140,8 +140,6 @@ class LSIIndexManager:
         events: Sequence[IndexEvent] = (),
         scheme: object = None,
         distortion_budget: float = 0.1,
-        drift_cap: float = 2.0,
-        exact_updates: bool = True,
         seed: int = 0,
         ingest_method: str = "fold-in",
         fast_update_rank: int = 8,
@@ -162,8 +160,6 @@ class LSIIndexManager:
         manager.k = k
         manager.scheme = scheme
         manager.distortion_budget = distortion_budget
-        manager.drift_cap = drift_cap
-        manager.exact_updates = exact_updates
         manager.seed = seed
         manager.ingest_method = ingest_method
         manager.fast_update_rank = fast_update_rank
@@ -258,7 +254,7 @@ class LSIIndexManager:
             distortion_budget=self.distortion_budget,
         )
         doc_loss = self.drift()
-        if plan.method == "fold-in" and doc_loss <= self.drift_cap:
+        if plan.method == "fold-in" and doc_loss <= DRIFT_CAP:
             registry.inc(f"manager.events.{ingest_action}")
             event = IndexEvent(
                 ingest_action, len(doc_ids), pending_before, doc_loss,
@@ -267,8 +263,8 @@ class LSIIndexManager:
         else:
             reason = (
                 plan.reason
-                if doc_loss <= self.drift_cap
-                else f"drift {doc_loss:.3f} exceeded cap {self.drift_cap}"
+                if doc_loss <= DRIFT_CAP
+                else f"drift {doc_loss:.3f} exceeded cap {DRIFT_CAP}"
             )
             event = self._consolidate(plan.method, reason, len(doc_ids))
         self.events.append(event)
@@ -307,7 +303,7 @@ class LSIIndexManager:
                     self._base_model,
                     self._pending_block(),
                     list(self._pending_ids),
-                    exact=self.exact_updates,
+                    exact=EXACT_UPDATES,
                 )
                 self._absorb_pending_into_tdm()
                 action = "svd-update"
@@ -316,58 +312,3 @@ class LSIIndexManager:
             return IndexEvent(
                 action, batch, pending_before, self.drift(), reason
             )
-
-    def consolidate(self) -> IndexEvent | None:
-        """Force consolidation of any pending fold-ins (maintenance)."""
-        if not self.pending:
-            return None
-        event = self._consolidate("svd-update", "manual consolidation", 0)
-        self.events.append(event)
-        return event
-
-    # ------------------------------------------------------------------ #
-    def add_terms(
-        self,
-        counts: np.ndarray,
-        terms: Sequence[str],
-        *,
-        global_weights: np.ndarray | None = None,
-    ) -> IndexEvent:
-        """Add new vocabulary terms (rows) with a true SVD-update.
-
-        Term additions are rarer and structurally heavier than document
-        additions (they extend the vocabulary every component shares),
-        so the manager always consolidates pending documents first and
-        then applies the Eq. 11 update — no folded-term limbo state.
-        """
-        counts = np.atleast_2d(np.asarray(counts, dtype=np.float64))
-        if self.pending:
-            self.consolidate()
-        if counts.shape[1] != self.tdm.n_documents:
-            raise ShapeError(
-                f"term block has {counts.shape[1]} columns for "
-                f"n={self.tdm.n_documents}"
-            )
-        from repro.sparse.ops import vstack_csr
-        from repro.updating.svd_update import update_terms
-
-        self._base_model = update_terms(
-            self._base_model, counts, list(terms),
-            global_weights, exact=self.exact_updates,
-        )
-        self.model = self._base_model
-        # Extend the raw matrix so future recomputes see the new rows.
-        new_rows = from_dense(counts).to_csr()
-        extended = vstack_csr([self.tdm.matrix.to_csr(), new_rows]).to_csc()
-        vocab = self.tdm.vocabulary.copy()
-        for t in terms:
-            vocab.add(t)
-        self.tdm = TermDocumentMatrix(
-            extended, vocab.freeze(), list(self.tdm.doc_ids)
-        )
-        event = IndexEvent(
-            "svd-update", 0, 0, self.drift(),
-            f"added {len(terms)} terms via Eq. 11",
-        )
-        self.events.append(event)
-        return event

@@ -166,7 +166,9 @@ def update_terms(
         counts = counts[None, :]
     q, n = counts.shape
     if n != model.n_documents:
-        raise ShapeError(f"term block has {n} columns for n={n}")
+        raise ShapeError(
+            f"term block has {n} columns for n={model.n_documents}"
+        )
     if len(terms) != q:
         raise ShapeError(f"{len(terms)} names for {q} terms")
     with span("lsi.update.terms", q=q, exact=exact):

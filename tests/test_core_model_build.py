@@ -16,7 +16,6 @@ def test_fit_shapes(med_tdm):
     assert model.s.shape == (3,)
     assert model.V.shape == (14, 3)
     assert model.k == 3
-    assert model.shape == (18, 14)
     assert model.n_terms == 18 and model.n_documents == 14
 
 

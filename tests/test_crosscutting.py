@@ -15,8 +15,8 @@ def test_lsi_engine_factors_mode(small_collection):
     )
     factors = LSIRetrieval(scaled.model, mode="factors")
     q = small_collection.queries[0]
-    s1 = scaled.scores(q)
-    s2 = factors.scores(q)
+    s1 = scaled.scores_for_vector(scaled.query_vector(q))
+    s2 = factors.scores_for_vector(factors.query_vector(q))
     assert s1.shape == s2.shape
     assert not np.allclose(s1, s2)  # Σ-scaling changes the geometry
     # both are valid cosines
@@ -80,8 +80,8 @@ def test_retrieval_invariant_to_document_order(small_collection):
         shuffled_docs, 8, scheme="log_entropy", seed=0, method="dense"
     )
     q = small_collection.queries[0]
-    sa = a.scores(q)
-    sb = b.scores(q)
+    sa = a.scores_for_vector(a.query_vector(q))
+    sb = b.scores_for_vector(b.query_vector(q))
     assert np.allclose(sb, sa[perm], atol=1e-8)
 
 

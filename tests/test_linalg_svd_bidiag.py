@@ -23,8 +23,7 @@ def test_backends_agree_with_reference(matrix, method):
     s_ref = np.linalg.svd(d, compute_uv=False)[:5]
     assert np.allclose(res.s, s_ref, atol=1e-6), method
     assert res.method == method
-    assert res.k == 5
-    assert res.shape == d.shape
+    assert res.U.shape == (d.shape[0], 5) and res.V.shape == (d.shape[1], 5)
 
 
 def test_auto_uses_dense_for_small(matrix):
@@ -56,18 +55,6 @@ def test_frobenius_property(matrix):
     assert np.sqrt(np.sum(res.s**2)) == pytest.approx(
         np.linalg.norm((res.U * res.s) @ res.V.T), rel=1e-9
     )
-
-
-def test_truncate(matrix):
-    _, a = matrix
-    res = truncated_svd(a, 6, method="dense")
-    t = res.truncate(2)
-    assert t.k == 2
-    assert np.allclose(t.s, res.s[:2])
-    with pytest.raises(ShapeError):
-        res.truncate(0)
-    with pytest.raises(ShapeError):
-        res.truncate(7)
 
 
 def test_k_validation(matrix):
@@ -129,4 +116,4 @@ def test_gkl_step_validation(rng):
 def test_svd_result_dataclass_fields():
     res = SVDResult(np.eye(3), np.ones(3), np.eye(3))
     assert res.stats is None
-    assert res.k == 3
+    assert res.method == "dense"

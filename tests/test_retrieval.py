@@ -14,7 +14,7 @@ from repro.retrieval import (
 )
 
 #: What the evaluation harness needs from an engine (duck-typed).
-ENGINE_SURFACE = ("name", "n_documents", "scores", "search")
+ENGINE_SURFACE = ("name", "n_documents", "search")
 
 
 # --------------------------------------------------------------------- #
@@ -65,28 +65,31 @@ def test_lsi_engine_basics(small_collection, small_lsi):
     eng = LSIRetrieval(small_lsi)
     assert all(hasattr(eng, attr) for attr in ENGINE_SURFACE)
     assert eng.n_documents == small_collection.n_documents
-    assert eng.k == 8
-    s = eng.scores(small_collection.queries[0])
+    assert eng.model.k == 8
+    s = eng.scores_for_vector(eng.query_vector(small_collection.queries[0]))
     assert s.shape == (small_collection.n_documents,)
 
 
 def test_lsi_from_texts(small_collection):
     eng = LSIRetrieval.from_texts(small_collection.documents, 6)
-    assert eng.k == 6
+    assert eng.model.k == 6
 
 
 def test_lsi_with_k_truncates(small_collection, small_lsi):
     eng = LSIRetrieval(small_lsi)
     eng4 = eng.with_k(4)
-    assert eng4.k == 4
+    assert eng4.model.k == 4
     # Rankings differ in general between k=8 and k=4.
     q = small_collection.queries[0]
-    assert not np.allclose(eng.scores(q), eng4.scores(q))
+    assert not np.allclose(
+        eng.scores_for_vector(eng.query_vector(q)),
+        eng4.scores_for_vector(eng4.query_vector(q)),
+    )
 
 
 def test_lsi_unknown_query_words_score_zero(small_lsi):
-    s = LSIRetrieval(small_lsi).scores("qqq www zzz")
-    assert np.allclose(s, 0.0)
+    ranked = LSIRetrieval(small_lsi).search("qqq www zzz")
+    assert [score for _, score in ranked] == [0.0] * small_lsi.n_documents
 
 
 def test_lsi_beats_keyword_under_synonymy(small_collection, small_lsi):

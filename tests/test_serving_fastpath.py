@@ -112,7 +112,7 @@ def test_ranked_pairs_threshold_top_combinations():
 def test_engine_search_matches_seed_path(small_collection, small_lsi):
     eng = LSIRetrieval(small_lsi)
     for q in small_collection.queries:
-        s = eng.scores(q)
+        s = eng.scores_for_vector(eng.query_vector(q))
         for kwargs in (
             {},
             {"top": 5},
@@ -195,7 +195,8 @@ def test_zero_norm_documents_score_zero(rng):
 def test_engine_oov_query_scores_zero(small_lsi):
     eng = LSIRetrieval(small_lsi)
     assert np.array_equal(
-        eng.scores("qqq zzz www"), np.zeros(small_lsi.n_documents)
+        eng.scores_for_vector(eng.query_vector("qqq zzz www")),
+        np.zeros(small_lsi.n_documents),
     )
 
 
@@ -462,7 +463,7 @@ def test_query_cache_cleared_on_model_swap(small_lsi, med_model):
     eng.query_vector("apple")
     assert len(eng._query_cache) == 1
     eng.model = med_model  # users do this after fold-in/update
-    s = eng.scores("blood age")
+    s = eng.scores_for_vector(eng.query_vector("blood age"))
     assert s.shape == (med_model.n_documents,)
     assert len(eng._query_cache) == 1  # "apple" went with the old model
 
@@ -494,7 +495,7 @@ def test_serving_counters_record_queries(med_model):
     assert registry.counter("serving.queries_served") >= 1
     assert registry.histogram("serving.scan_seconds") is not None
     assert registry.histogram("serving.rescore_candidates").count == 1
-    eng.scores("blood age")  # the full-width reference kernel
+    eng.scores_for_vector(eng.query_vector("blood age"))  # full-width kernel
     assert registry.histogram("serving.gemm_seconds") is not None
 
 

@@ -13,7 +13,7 @@ def test_builder_accumulates_duplicates():
     b.add(0, 0, 2.0)
     b.add(2, 1)
     assert len(b) == 3
-    dense = b.to_csr().to_dense()
+    dense = b.to_csc().to_dense()
     assert dense[0, 0] == 3.0 and dense[2, 1] == 1.0
 
 

@@ -68,19 +68,11 @@ def test_zero_dimension():
     assert m.to_dense().shape == (0, 5)
 
 
-def test_transpose_is_relabeling():
-    d = np.array([[1.0, 0, 2], [0, 3, 0]])
-    m = from_dense(d)
-    assert np.array_equal(m.T.to_dense(), d.T)
-    assert m.T.shape == (3, 2)
-
-
 def test_round_trip_conversions(rng):
     d = rng.random((7, 5)) * (rng.random((7, 5)) < 0.4)
     m = from_dense(d)
     assert np.allclose(m.to_csr().to_dense(), d)
     assert np.allclose(m.to_csc().to_dense(), d)
-    assert np.allclose(m.to_csr().to_coo().to_dense(), d)
     assert np.allclose(m.to_csc().to_coo().to_dense(), d)
 
 

@@ -38,7 +38,9 @@ def test_matmat_and_rmatmat(dense, csc, rng):
     X = rng.standard_normal((9, 18))
     Y = rng.standard_normal((6, 18))
     assert np.allclose(csc.matmat(X), dense @ X)
-    assert np.allclose(csc.T.matmat(Y), dense.T @ Y)
+    assert np.allclose(
+        np.column_stack([csc.rmatvec(y) for y in Y.T]), dense.T @ Y
+    )
 
 
 def test_empty_columns():
@@ -51,12 +53,6 @@ def test_empty_columns():
 
 def test_sums(dense, csc):
     assert np.allclose(csc.row_sums(), dense.sum(axis=1))
-
-
-def test_transpose_roundtrip(dense, csc):
-    assert np.allclose(csc.T.to_dense(), dense.T)
-    assert np.allclose(csc.T.T.to_dense(), dense)
-    assert np.shares_memory(csc.T.data, csc.data)
 
 
 def test_conversions(dense, csc):

@@ -68,10 +68,6 @@ def test_empty_rows_handled():
     assert np.array_equal(c.indptr, [0, 0, 1, 1, 1])
 
 
-def test_row_and_col_sums(dense, csr):
-    assert np.allclose(csr.row_sums(), dense.sum(axis=1))
-
-
 def test_row_slice(dense, csr):
     cols, vals = csr.row_slice(2)
     rebuilt = np.zeros(6)
@@ -79,14 +75,6 @@ def test_row_slice(dense, csr):
     assert np.allclose(rebuilt, dense[2])
     with pytest.raises(ShapeError):
         csr.row_slice(100)
-
-
-def test_transpose_is_o1_and_correct(dense, csr):
-    t = csr.T
-    assert t.shape == (6, 9)
-    assert np.allclose(t.to_dense(), dense.T)
-    # shares the underlying buffer — O(1)
-    assert np.shares_memory(t.data, csr.data)
 
 
 def test_expanded_rows_cached(csr):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import from_dense, hstack_csc, vstack_csr
+from repro.sparse import from_dense, hstack_csc
 from repro.sparse.ops import _segment_sums
 
 
@@ -23,21 +23,6 @@ def test_hstack_csc_rejects_mismatched_rows(rng):
         hstack_csc([a, b])
     with pytest.raises(ShapeError):
         hstack_csc([])
-
-
-def test_vstack_csr(rng):
-    a = rng.random((3, 6)) * (rng.random((3, 6)) < 0.5)
-    b = np.zeros((1, 6))
-    c = rng.random((4, 6)) * (rng.random((4, 6)) < 0.5)
-    stacked = vstack_csr([from_dense(x).to_csr() for x in (a, b, c)])
-    assert np.allclose(stacked.to_dense(), np.vstack([a, b, c]))
-
-
-def test_vstack_csr_rejects_mismatched_cols(rng):
-    a = from_dense(rng.random((3, 6))).to_csr()
-    b = from_dense(rng.random((3, 5))).to_csr()
-    with pytest.raises(ShapeError):
-        vstack_csr([a, b])
 
 
 def test_segment_sums_with_empty_segments():

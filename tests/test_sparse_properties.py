@@ -82,12 +82,3 @@ def test_duplicate_assembly_matches_scatter_add(triples):
     vals = [t[2] for t in triples]
     coo = COOMatrix((6, 6), rows, cols, vals)
     assert np.allclose(coo.to_dense(), ref, atol=1e-12)
-
-
-@given(sparse_dense_pair())
-@settings(max_examples=40, deadline=None)
-def test_transpose_involution(dense):
-    csr = from_dense(dense).to_csr()
-    assert np.array_equal(csr.T.T.to_dense(), csr.to_dense())
-    csc = from_dense(dense).to_csc()
-    assert np.array_equal(csc.T.T.to_dense(), csc.to_dense())

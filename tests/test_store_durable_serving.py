@@ -24,6 +24,7 @@ from repro.store import (
 )
 from repro.store import durable
 from repro.store.durable import RETAIN
+from repro.store.wal import scan_wal
 from tests.test_store_checkpoint_wal import array_files
 
 
@@ -64,7 +65,7 @@ def test_every_add_is_wal_logged_before_apply(corpus, tmp_path):
     store.add_texts([later[1]])
     assert store.wal.n_records == 2
     assert store.dirty_records == 2
-    ops = [r.op for r in store.wal.records()]
+    ops = [r.op for r in scan_wal(store.wal.path).records]
     assert ops == ["add_counts", "add_counts"]  # texts normalized first
     store.close(flush=False)
 
@@ -75,23 +76,9 @@ def test_invalid_mutation_is_not_logged(corpus, tmp_path):
         store.add_counts(np.zeros((3, 1)), ["bad"])
     with pytest.raises(ShapeError):
         store.add_texts([])
-    with pytest.raises(ShapeError):
-        store.add_terms(np.zeros((2, 999)), ["t1", "t2"])
+    with pytest.raises(ShapeError, match="doc_ids"):
+        store.add_counts(np.zeros((store.manager.model.n_terms, 2)), ["one"])
     assert store.wal.n_records == 0  # the WAL never saw the rejects
-    store.close(flush=False)
-
-
-def test_consolidate_noop_is_unlogged(corpus, tmp_path):
-    _, later, _ = corpus
-    store = seeded_store(corpus, tmp_path)
-    assert store.consolidate() is None
-    assert store.wal.n_records == 0
-    store.add_texts([later[0]])
-    event = store.consolidate()
-    assert event is not None and event.action != "fold-in"
-    assert [r.op for r in store.wal.records()] == [
-        "add_counts", "consolidate",
-    ]
     store.close(flush=False)
 
 
@@ -157,7 +144,8 @@ def test_readonly_status_and_stats_against_live_store(corpus, tmp_path):
     status = read_store_status(data_dir)
     assert status["wal"]["records"] == 1
     assert status["dirty_records"] == 1
-    assert status["n_documents"] == 21 and status["pending"] == 1
+    assert status["n_documents"] == 21
+    assert status["checkpoint_pending"] == 0 and status["wal_documents"] == 1
     assert status["last_recovery_replayed"] == 1  # what a cold start replays
     assert status["problems"] == []
 
@@ -182,15 +170,23 @@ def test_readonly_status_and_stats_against_live_store(corpus, tmp_path):
 
 
 def test_readonly_status_tracks_consolidation(corpus, tmp_path):
-    _, later, _ = corpus
+    """A consolidation inside ``add_counts`` logs no record of its own,
+    so the scan cannot tell how many WAL documents are still pending: it
+    reports the checkpoint's pending count and the WAL's documents."""
+    train, later, _ = corpus
     store = seeded_store(corpus, tmp_path)
-    store.add_texts([later[0]])
-    store.add_texts([later[1]])
-    store.consolidate()
+    actions = [store.add_texts([text]).action for text in later]
+    assert actions[4] != "fold-in"  # the fifth batch consolidates
+    assert store.manager.pending == 5
     status = read_store_status(tmp_path / "store")
-    assert status["n_documents"] == 22
-    assert status["pending"] == 0  # the consolidate record zeroes pending
-    assert status["dirty_records"] == 3
+    assert "pending" not in status
+    assert status["checkpoint_pending"] == 0
+    assert status["wal_documents"] == 10
+    assert status["n_documents"] == store.manager.n_documents == 30
+    store.checkpoint()
+    status = read_store_status(tmp_path / "store")
+    assert status["checkpoint_pending"] == store.manager.pending == 5
+    assert status["wal_documents"] == 0
     store.close(flush=False)
 
 
@@ -210,7 +206,7 @@ def test_apply_failure_rolls_back_wal(corpus, tmp_path, monkeypatch):
     # never replay a mutation the live index refused.
     assert store.wal.n_records == 0
     store.add_texts([later[0]], doc_ids=["X"])
-    assert [r.lsn for r in store.wal.records()] == [1]  # LSN not burned
+    assert [r.lsn for r in scan_wal(store.wal.path).records] == [1]  # LSN not burned
     store.close(flush=False)
 
     reopened = DurableIndexStore.open(tmp_path / "store")
@@ -324,6 +320,12 @@ def test_maybe_checkpoint_follows_policy(corpus, tmp_path):
     asyncio.run(main())
 
 
+def add_consolidating(store, later):
+    """Add six documents at once — past the 0.2 budget of a seeded store
+    or of one that has consolidated once — so the add consolidates."""
+    assert store.add_texts(later[:6]).action in ("svd-update", "recompute")
+
+
 def test_consolidation_trigger_survives_checkpoint_failure(
     corpus, tmp_path, monkeypatch
 ):
@@ -344,8 +346,7 @@ def test_consolidation_trigger_survives_checkpoint_failure(
                 CheckpointPolicy(every_records=None, every_seconds=None),
             )
             store = loop.store
-            store.add_texts([later[0]])
-            store.consolidate()
+            add_consolidating(store, later)
 
             monkeypatch.setattr(durable, "write_checkpoint", full_disk)
             with pytest.raises(OSError, match="disk full"):
@@ -353,8 +354,7 @@ def test_consolidation_trigger_survives_checkpoint_failure(
             # ... but the consolidation was not lost with it.
 
             def racing(*args, **kwargs):
-                store.add_texts([later[1]])  # lands after the capture
-                store.consolidate()
+                add_consolidating(store, later)  # lands after the capture
                 return write_checkpoint(*args, **kwargs)
 
             monkeypatch.setattr(durable, "write_checkpoint", racing)
@@ -376,8 +376,7 @@ def test_consolidation_trigger_survives_checkpoint_failure(
         }
         for owner, policy in deployed.items():
             loop, _ = owner(corpus, tmp_path / "deployed", policy)
-            loop.store.add_texts([later[2]])
-            loop.store.consolidate()
+            add_consolidating(loop.store, later)
             seal = await loop.tick()
             assert (seal is not None) == (owner is in_process)
             await close(loop)

@@ -95,7 +95,7 @@ def pending_fast_update_store(data_dir):
     texts = [" ".join(rng.choice(vocab, size=14)) for _ in range(72)]
     manager = manager_from_texts(
         texts[:60], [f"D{i}" for i in range(60)], k=8,
-        ingest_method="fast-update", fast_update_rank=4, drift_cap=1e9,
+        ingest_method="fast-update", fast_update_rank=4,
     )
     manager.distortion_budget = 1e9
     store = DurableIndexStore.initialize(data_dir, manager)

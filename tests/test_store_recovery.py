@@ -13,6 +13,7 @@ from repro.store import (
     verify_store,
 )
 from repro.store.checkpoint import MANIFEST_NAME
+from repro.store.wal import WriteAheadLog
 from repro.text import ParsingRules, build_tdm
 from repro.updating import LSIIndexManager
 from repro.updating.manager import EVENT_WINDOW
@@ -81,6 +82,29 @@ def test_event_history_is_a_fixed_window(corpus):
         manager.add_texts([later[0]], doc_ids=["LAST"])
     assert len(restored.events) == EVENT_WINDOW
     assert list(restored.events) == list(mgr.events)
+
+
+def test_retired_checkpoint_keys_are_ignored(corpus):
+    """A checkpoint an older build wrote carries ``drift_cap`` and
+    ``exact_updates``, now constants: it restores all the same."""
+    mgr = fresh_manager(corpus)
+    arrays, meta = capture_manager(mgr)
+    meta.update(drift_cap=2.0, exact_updates=True)
+    assert_managers_identical(mgr, restore_manager(arrays, meta))
+
+
+@pytest.mark.parametrize("op", ["consolidate", "add_terms"])
+def test_a_record_this_build_does_not_apply_fails_the_open(corpus, tmp_path, op):
+    """A WAL suffix holding a record an older build logged (a manual
+    ``consolidate``, an Eq. 11 ``add_terms``) is corruption, named."""
+    store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
+    store.add_texts([corpus[1][0]])
+    store.close(flush=False)
+    wal = WriteAheadLog(tmp_path / "s" / "wal.log")
+    wal.append(op, {})
+    wal.close()
+    with pytest.raises(StoreCorruptError, match=f"record 2 has unknown op '{op}'"):
+        DurableIndexStore.open(tmp_path / "s")
 
 
 def test_recovery_replay_matches_live_manager(corpus, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.errors import ShapeError
 from repro.text import ParsingRules, build_tdm
-from repro.updating import LSIIndexManager
+from repro.updating import LSIIndexManager, manager
 
 
 @pytest.fixture
@@ -75,28 +75,15 @@ def test_queries_see_all_documents_immediately(manager_setup):
     assert "FRESH" in ids
 
 
-def test_manual_consolidate(manager_setup):
-    mgr, later = manager_setup
-    assert mgr.consolidate() is None  # nothing pending
-    mgr.add_texts(later[:2])
-    event = mgr.consolidate()
-    assert event is not None
-    assert event.action == "svd-update"
-    assert mgr.pending == 0
-    assert mgr.drift() < 1e-8
-    assert mgr.tdm.n_documents == 42
-
-
-def test_drift_cap_forces_recompute():
+def test_drift_cap_forces_recompute(monkeypatch):
+    monkeypatch.setattr(manager, "DRIFT_CAP", 1e-12)  # impossible cap
     col = topic_collection(
         SyntheticSpec(n_topics=3, docs_per_topic=10, doc_length=25,
                       concepts_per_topic=8, queries_per_topic=1),
         seed=51,
     )
     tdm = build_tdm(col.documents[:20], ParsingRules())
-    mgr = LSIIndexManager(
-        tdm, k=6, distortion_budget=0.9, drift_cap=1e-12
-    )  # impossible cap → every add consolidates
+    mgr = LSIIndexManager(tdm, k=6, distortion_budget=0.9)
     event = mgr.add_texts(col.documents[20:22])
     assert event.action == "recompute"
     assert "drift" in event.reason
@@ -121,10 +108,11 @@ def test_events_log_grows(manager_setup):
 
 
 def _replay_sequence(mgr, later):
-    """A fixed add sequence crossing fold-in AND consolidation events."""
+    """A fixed add sequence crossing fold-in AND consolidation events
+    (10% of 40 documents: the fifth pending one consolidates)."""
     for i, text in enumerate(later[:7]):
         mgr.add_texts([text], doc_ids=[f"R{i}"])
-    mgr.consolidate()
+    assert {e.action for e in mgr.events} == {"fold-in", "svd-update"}
     return mgr
 
 

@@ -118,7 +118,7 @@ def test_update_terms_extends_vocabulary(med_model):
 
 
 def test_update_terms_validation(med_model):
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="has 9 columns for n=14"):
         update_terms(med_model, np.ones((1, 9)), ["x"])
     with pytest.raises(ShapeError):
         update_terms(med_model, np.ones((1, 14)), ["blood"])
