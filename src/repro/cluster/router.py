@@ -4,10 +4,12 @@ One :class:`ClusterRouter` holds a persistent, id-multiplexed frame
 connection to each live worker slot of a
 :class:`~repro.cluster.plan.ShardPlan`.  A query batch is scaled
 once (``Q Σ``, mirroring :meth:`EpochSnapshot.scale`),
-scattered **once per range** — not per worker — and the per-range stable
-top-k lists are merged per query with
-:func:`repro.parallel.sharding.merge_topk`.  Every replica of a range
-holds identical scoring state for an epoch, and a reported score is a
+scattered **once per range** — not per worker — as one float64 array,
+and the per-range stable top-k answers, one
+:data:`~repro.parallel.sharding.RANKED` record array per query (see
+:mod:`repro.cluster.wire` for how arrays cross the wire), are merged per
+query with :func:`repro.parallel.sharding.merge_topk`.  Every replica of
+a range holds identical scoring state for an epoch, and a reported score is a
 pure function of (row, query), so with any one replica per range live
 the cluster's answer is element-identical to the whole-model
 :meth:`EpochSnapshot.search <repro.server.state.EpochSnapshot.search>`:
@@ -87,8 +89,9 @@ class WorkerChannel:
     Concurrent :meth:`call`\\ s tag their frames with monotonically
     increasing ids; a single reader task resolves each response to its
     waiting future, so one TCP connection carries a whole batch fan-out
-    plus interleaved heartbeats.  When the peer hangs up, every pending
-    call fails with :class:`ConnectionError` at once.
+    plus interleaved heartbeats.  When the peer hangs up — or sends a
+    frame that does not decode, which leaves the stream out of sync —
+    every pending call fails with :class:`ConnectionError` at once.
     """
 
     def __init__(
@@ -127,7 +130,10 @@ class WorkerChannel:
                 if message is None:
                     error = ConnectionError("worker closed the connection")
                     break
-                future = self._pending.pop(message.get("id"), None)
+                request_id = message.get("id")
+                if type(request_id) is not int:
+                    raise ClusterError(f"worker reply has id {request_id!r}")
+                future = self._pending.pop(request_id, None)
                 if future is not None and not future.done():
                     future.set_result(message)
         except (ConnectionError, OSError, ClusterError) as exc:
@@ -553,7 +559,7 @@ class ClusterRouter:
         registry.inc("cluster.requests_total")
         message: dict = {
             "op": "score",
-            "queries": Q.tolist(),
+            "queries": Q,
             "epoch": plan.epoch,
         }
         if self.tenant is not None:
@@ -665,13 +671,7 @@ class ClusterRouter:
         results: list[list[tuple[int, float]]] = []
         with span("cluster.merge", shards=len(answered), queries=n_queries):
             for qi in range(n_queries):
-                per_shard = [
-                    [
-                        (int(i), float(s))
-                        for i, s in responses[sid]["results"][qi]
-                    ]
-                    for sid in answered
-                ]
+                per_shard = [responses[sid]["results"][qi] for sid in answered]
                 # ``top=0`` asks for nothing, as on a single node.
                 results.append(merge_topk(per_shard, k) if k > 0 else [])
 

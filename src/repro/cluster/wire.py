@@ -1,13 +1,31 @@
 """Length-prefixed JSON framing, shared by router and workers.
 
 One frame is ``[4B little-endian payload length][UTF-8 JSON object]``.
-JSON keeps the protocol debuggable (``nc`` + eyeballs) and — the
-property the parity guarantee rests on — *losslessly* round-trips IEEE
-doubles: ``json.dumps`` emits ``repr``-style shortest representations,
-so a query vector scattered to a worker and a score gathered back are
-bit-identical to their in-process values.  No pickling, ever: workers
-mmap their model from the checkpoint and only small dicts cross the
-wire.
+JSON keeps the protocol debuggable (``nc`` + eyeballs); control frames
+(``ping``, ``info``, ``bump``, ``stats``, ``trace``) are plain JSON.
+No pickling, ever: workers mmap their model from the checkpoint and
+only small messages cross the wire.
+
+Score frames carry NumPy arrays, not nested float lists: the router's
+scaled ``(q, k)`` query batch as one float64 array, and a worker's
+answer as one :data:`~repro.parallel.sharding.RANKED` record array
+(``index <i8, score <f8``) per query.  An array travels as the WAL's
+lossless codec writes it (:func:`repro.store.wal.encode_array`: an
+object with ``"__ndarray__": true``, ``dtype``, ``shape`` and the
+base64 of its raw little-endian bytes) — one array codec in the
+repository, not two.  The wire accepts only that dense form and only
+two dtypes: ``"<f8"`` and ``"ranked"`` (named explicitly, since the
+record dtype's own ``dtype.str``, ``|V16``, drops its field names).
+Anything else — a sparse ``indices`` form, another dtype, a shape the
+bytes do not fill — is a :class:`~repro.errors.ClusterError`, as is
+every other undecodable payload (bad UTF-8, bad JSON, nesting too
+deep), so a reader never dies on an exception it does not expect.
+
+Raw IEEE bytes are the property the parity guarantee rests on: a
+query vector scattered to a worker and a score gathered back are
+bit-identical to their in-process values — ``-0.0``, subnormals and
+``±max`` included — so the router's merge reproduces the whole-model
+search exactly.
 
 Both flavours live here so they cannot drift: blocking helpers
 (:func:`send_frame` / :func:`recv_frame`) for the threaded worker, and
@@ -29,7 +47,11 @@ import json
 import socket
 import struct
 
+import numpy as np
+
 from repro.errors import ClusterError
+from repro.parallel.sharding import RANKED
+from repro.store.wal import decode_array, encode_array
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -55,12 +77,54 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct("<I")
 
+#: The array dtypes a frame may carry, by their name on the wire.
+_DTYPES = {"<f8": np.dtype("<f8"), "ranked": RANKED}
+
+
+def _array_default(obj):
+    """``json.dumps`` hook: a wire ndarray becomes the WAL codec's dict."""
+    if not isinstance(obj, np.ndarray):
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
+    for name, dtype in _DTYPES.items():
+        if obj.dtype == dtype:
+            return {**encode_array(obj), "dtype": name}
+    raise ClusterError(f"wire arrays are float64 or ranked, not {obj.dtype}")
+
+
+def _array_hook(obj: dict):
+    """``json.loads`` hook: the inverse of :func:`_array_default`."""
+    if "__ndarray__" not in obj:
+        return obj
+    name = obj.get("dtype")
+    dtype = _DTYPES.get(name) if isinstance(name, str) else None
+    if dtype is None:
+        raise ClusterError(f"wire arrays are {sorted(_DTYPES)}, not {name!r}")
+    shape = obj.get("shape")
+    if "indices" in obj or not isinstance(obj.get("data"), str):
+        raise ClusterError("wire arrays must be in the dense form")
+    if not isinstance(shape, list) or not all(
+        type(dim) is int and dim >= 0 for dim in shape
+    ):
+        raise ClusterError(f"wire array shape {shape!r} is not a shape")
+    try:
+        return decode_array({**obj, "dtype": dtype})
+    except ValueError as exc:  # bad base64, or bytes that miss the shape
+        raise ClusterError(f"undecodable wire array: {exc}") from None
+
+
+# Built once: ``json.dumps`` / ``json.loads`` with a hook build a fresh
+# coder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_array_default)
+_DECODER = json.JSONDecoder(object_hook=_array_hook)
+
 
 def encode_frame(message: dict) -> bytes:
     """Serialize one message dict into a length-prefixed frame."""
     if not isinstance(message, dict):
         raise ClusterError("wire frames must be JSON objects")
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ClusterError(
             f"frame payload of {len(payload)} bytes exceeds "
@@ -71,9 +135,11 @@ def encode_frame(message: dict) -> bytes:
 
 def _decode_payload(payload: bytes) -> dict:
     try:
-        message = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise ClusterError(f"frame payload is not valid JSON: {exc}")
+        message = _DECODER.decode(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # incl. bad UTF-8 and JSON
+        raise ClusterError(
+            f"frame payload is not valid JSON: {exc!r}"
+        ) from None
     if not isinstance(message, dict):
         raise ClusterError("wire frames must be JSON objects")
     return message

@@ -6,7 +6,8 @@ shard plan names, memory-mapped and by name
 pickling of factors, the plan's epoch and document count checked),
 materializes only its shard's scoring state — ``V[lo:hi] Σ`` and its
 row norms, the rows ``[lo, hi)`` of the whole model's — and
-serves two things over length-prefixed JSON frames on a local socket:
+serves two things over length-prefixed frames on a local socket
+(:mod:`repro.cluster.wire`):
 ``score`` requests and heartbeats.  Nothing else: no updating, no WAL,
 no lock on the store.  Restarting a worker is therefore always safe and
 cheap, which is what the supervisor's crash-restart loop relies on.
@@ -29,9 +30,10 @@ Exactness contract
 :meth:`ShardWorker.score` is :meth:`EpochSnapshot.search` over
 ``(hi-lo, k)`` rows — the *identical* kernel and selection the
 whole-model search runs, whose reported score is a pure function of
-(row, query) — and JSON round-trips doubles losslessly, so a router
-merging worker responses with ``merge_topk`` reproduces the whole-model
-search element-for-element: indices, scores, tie order.
+(row, query) — and the wire carries the query batch and the ranked
+pairs as raw IEEE bytes, bit for bit, so a router merging worker
+responses with ``merge_topk`` reproduces the whole-model search
+element-for-element: indices, scores, tie order.
 
 Run one with ``python -m repro cluster worker`` (the supervisor does).
 """
@@ -52,10 +54,11 @@ from repro.cluster.epochs import open_checkpoint
 from repro.cluster.plan import ShardPlan, ShardRange
 from repro.cluster.wire import BUMP_OP, recv_frame, send_frame
 from repro.core.model import LSIModel
-from repro.errors import ReproError, StoreError
+from repro.errors import ClusterError, ReproError, StoreError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
+from repro.parallel.sharding import RANKED
 from repro.server.batching import check_search_args
 from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer
@@ -204,9 +207,10 @@ class ShardWorker:
         probes: int | None = None,
         exact: bool = False,
         snapshot: EpochSnapshot | None = None,
-    ) -> tuple[list[list[list]], bool]:
-        """Per-query ranked ``[global_index, score]`` pairs for this shard,
-        and whether the probe-bounded path produced them.
+    ) -> tuple[list[np.ndarray], bool]:
+        """One :data:`~repro.parallel.sharding.RANKED` record array of
+        ``(global_index, score)`` per query for this shard, and whether
+        the probe-bounded path produced them.
 
         ``Qs`` is the already-scaled ``(q, k)`` comparison-space batch
         (the router applies ``Σ`` once); :meth:`EpochSnapshot.search`
@@ -217,8 +221,11 @@ class ShardWorker:
         results, ann_stats = (snapshot or self.current).search(
             Qs, top=top, threshold=threshold, probes=probes, exact=exact
         )
-        wire = [[[j, score] for j, score in pairs] for pairs in results]
-        return wire, ann_stats is not None
+        ranked = [
+            np.fromiter(pairs, dtype=RANKED, count=len(pairs))
+            for pairs in results
+        ]
+        return ranked, ann_stats is not None
 
     # ------------------------------------------------------------------ #
     def handle(self, message: dict) -> dict:
@@ -347,7 +354,9 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 message = recv_frame(sock)
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, ClusterError):
+                # A malformed frame leaves the stream out of sync: drop
+                # this connection; the router reconnects on a fresh one.
                 return
             if message is None:
                 return

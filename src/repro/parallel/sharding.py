@@ -7,8 +7,9 @@ one model.  The cluster tier therefore shards the *scoring*, not the
 decomposition, matching the paper's single-space TREC design: every
 shard worker holds an :class:`~repro.server.state.EpochSnapshot` over a
 contiguous row range of one model, and the router merges the per-range
-lists.  This module holds the two pieces every layer must agree on —
-:func:`shard_bounds`, the row ranges, and :func:`merge_topk`, the merge.
+rankings.  This module holds what every layer must agree on —
+:func:`shard_bounds`, the row ranges; :data:`RANKED`, the record a
+range answers each query with; and :func:`merge_topk`, the merge.
 Each range is ranked by the one exact ranking
 (:func:`~repro.serving.scan.ranked_scan`), whose scores are a pure
 function of (row, query), and the merge preserves its tie order (lower
@@ -18,14 +19,13 @@ whole-model search.
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["shard_bounds", "merge_topk"]
+__all__ = ["RANKED", "shard_bounds", "merge_topk"]
 
 
 def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
@@ -44,20 +44,32 @@ def shard_bounds(n: int, shards: int) -> list[tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(shards)]
 
 
-def merge_topk(
-    per_shard: Sequence[Sequence[tuple[int, float]]], k: int
-) -> list[tuple[int, float]]:
-    """Exact top-k merge of per-shard ``(doc_index, score)`` lists.
+#: One ranked ``(index, score)`` pair as a record: what a shard worker
+#: answers per query, over the cluster wire and into :func:`merge_topk`.
+RANKED = np.dtype([("index", "<i8"), ("score", "<f8")])
 
-    ``heapq.nlargest`` is stable, so with shards supplied in document
-    order and each shard list in stable descending order, score ties
-    resolve by ascending document index — the flat search's tie order.
+
+def _ranked(pairs) -> np.ndarray:
+    if isinstance(pairs, np.ndarray) and pairs.dtype == RANKED:
+        return pairs
+    return np.fromiter(pairs, dtype=RANKED, count=len(pairs))
+
+
+def merge_topk(
+    per_shard: Sequence[np.ndarray | Sequence[tuple[int, float]]], k: int
+) -> list[tuple[int, float]]:
+    """Exact top-k merge of per-shard ``(doc_index, score)`` rankings.
+
+    Each shard is a :data:`RANKED` record array or any sequence of
+    ``(index, score)`` tuples.  The shards are concatenated in the order given and the first
+    ``k`` of one stable descending sort on score are kept — the order of
+    ``sorted(..., reverse=True)`` — so with shards supplied in document
+    order and each in stable descending order, score ties resolve by
+    ascending document index: the flat search's tie order.
     """
     if k < 1:
         raise ShapeError("k must be >= 1")
-    merged = heapq.nlargest(
-        k,
-        (pair for shard in per_shard for pair in shard),
-        key=lambda pair: pair[1],
-    )
-    return merged
+    ranked = [_ranked(pairs) for pairs in per_shard]
+    merged = np.concatenate(ranked) if ranked else np.empty(0, dtype=RANKED)
+    top = merged[np.argsort(-merged["score"], kind="stable")[:k]]
+    return list(zip(top["index"].tolist(), top["score"].tolist()))

@@ -7,8 +7,11 @@ are covered by ``test_cluster_process.py`` and the CI smoke.
 """
 
 import asyncio
+import io
 import json
 import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -21,11 +24,11 @@ from repro.cluster.wire import (
     recv_frame,
     send_frame,
 )
-from repro.cluster.worker import ShardWorker
+from repro.cluster.worker import ShardWorker, serve_shard
 from repro.core.build import fit_lsi
 from repro.errors import ClusterError, ShapeError
 from repro.core.query import batch_project_queries
-from repro.parallel.sharding import merge_topk, shard_bounds
+from repro.parallel.sharding import RANKED, merge_topk, shard_bounds
 
 from tests.test_serving_scan import whole_model_search
 
@@ -83,6 +86,21 @@ def test_plan_shard_lookup_validates():
 # --------------------------------------------------------------------- #
 # wire framing
 # --------------------------------------------------------------------- #
+class ByteStream:
+    """Bytes read the way :func:`recv_frame` reads a socket."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+
+    def recv(self, n: int) -> bytes:
+        return self._data.read(n)
+
+
+def over_the_wire(message: dict) -> dict:
+    """``message`` as its peer receives it: encoded, framed, decoded."""
+    return recv_frame(ByteStream(encode_frame(message)))
+
+
 def test_blocking_frame_round_trip():
     a, b = socket.socketpair()
     try:
@@ -189,24 +207,15 @@ def test_shard_workers_reproduce_the_whole_model_search(cluster_model):
     plan = ShardPlan.compute(model.n_documents, shards)
     workers = [ShardWorker(model, plan.shard(i)) for i in range(shards)]
     Qs = batch_project_queries(model, queries) * model.s
-    # Simulate the wire: queries and scores go through JSON.
-    Qs_wire = json.loads(json.dumps(Qs.tolist()))
-    responses = [
-        w.handle({"op": "score", "queries": Qs_wire, "top": top})
-        for w in workers
-    ]
+    # Queries and scores cross the real codec, both ways.
+    frame = over_the_wire({"op": "score", "queries": Qs, "top": top})
+    responses = [over_the_wire(w.handle(frame)) for w in workers]
     for sid, response in enumerate(responses):
         assert response["shard"] == sid
-    merged = []
-    for qi in range(len(queries)):
-        per_shard = [
-            [
-                (int(i), float(s))
-                for i, s in json.loads(json.dumps(r["results"][qi]))
-            ]
-            for r in responses
-        ]
-        merged.append(merge_topk(per_shard, top))
+    merged = [
+        merge_topk([r["results"][qi] for r in responses], top)
+        for qi in range(len(queries))
+    ]
     assert merged == flat  # indices, scores, and tie order
 
 
@@ -251,7 +260,8 @@ def test_shard_worker_empty_shard(cluster_model):
     empty = next(s for s in plan.shards if s.hi == s.lo)
     worker = ShardWorker(model, empty)
     got, used_ann = worker.score(np.zeros((2, model.k)), 5, None)
-    assert got == [[], []] and used_ann is False
+    assert [r.tolist() for r in got] == [[], []] and used_ann is False
+    assert all(r.dtype == RANKED for r in got)
 
 
 def test_shard_worker_rejects_out_of_range_shard(cluster_model):
@@ -260,3 +270,32 @@ def test_shard_worker_rejects_out_of_range_shard(cluster_model):
 
     with pytest.raises(ShapeError):
         ShardWorker(model, ShardRange(0, 0, model.n_documents + 1))
+
+
+def test_worker_server_drops_a_garbage_frame_quietly(cluster_model, capsys):
+    # A frame that does not decode desynchronizes its stream: the worker
+    # closes that connection without a traceback and keeps serving.
+    model, texts = cluster_model
+    plan = ShardPlan.compute(model.n_documents, 2)
+    worker = ShardWorker(model, plan.shard(1))
+    server = serve_shard(worker)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address) as bad:
+            bad.settimeout(5.0)
+            bad.sendall(struct.pack("<I", 3) + b"\x80ab")
+            assert bad.recv(1) == b""  # the worker hung up on the stream
+        Qs = batch_project_queries(model, texts[:3]) * model.s
+        with socket.create_connection(server.server_address) as good:
+            good.settimeout(5.0)
+            send_frame(good, {"op": "score", "queries": Qs, "top": 5, "id": 1})
+            reply = recv_frame(good)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+    want, _ = worker.current.search(Qs, top=5)
+    assert reply["id"] == 1
+    assert [r.tolist() for r in reply["results"]] == want
+    assert "Traceback" not in capsys.readouterr().err

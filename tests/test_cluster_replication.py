@@ -46,6 +46,7 @@ from repro.store.durable import DurableIndexStore
 from repro.store.lock import StoreLock
 from repro.store.sealing import CheckpointPolicy
 
+from tests.test_cluster_plan_wire import over_the_wire
 from tests.test_serving_scan import whole_model_search
 
 RANGES = 3
@@ -344,9 +345,7 @@ class _FakeReplica:
                         return
                     if self.delay:
                         await asyncio.sleep(self.delay)
-                response = json.loads(
-                    json.dumps(self.worker.handle(message))
-                )
+                response = self.worker.handle(message)
                 if "id" in message:
                     response["id"] = message["id"]
                 await write_frame(writer, response)
@@ -503,18 +502,14 @@ def test_any_replica_choice_yields_identical_merge(replica_model, choices):
         worker = ShardWorker(
             model, plan.shard(sid), replica=plan.replica_of(wid)
         )
-        response = json.loads(json.dumps(worker.handle(
-            {"op": "score", "queries": Q.tolist(), "top": TOP, "epoch": 0}
+        response = over_the_wire(worker.handle(over_the_wire(
+            {"op": "score", "queries": Q, "top": TOP, "epoch": 0}
         )))
         assert "error" not in response
         per_shard_by_query.append(response["results"])
     merged = [
         merge_topk(
-            [
-                [(int(i), float(s)) for i, s in per_shard_by_query[sid][qi]]
-                for sid in range(RANGES)
-            ],
-            TOP,
+            [per_shard_by_query[sid][qi] for sid in range(RANGES)], TOP
         )
         for qi in range(len(queries))
     ]

@@ -8,13 +8,14 @@ process-spawn latency.
 """
 
 import asyncio
-import json
+import struct
+import time
 
 import numpy as np
 import pytest
 
 from repro.cluster.plan import ShardPlan
-from repro.cluster.router import ClusterRouter
+from repro.cluster.router import ClusterRouter, WorkerChannel
 from repro.cluster.wire import read_frame, write_frame
 from repro.cluster.worker import ShardWorker
 from repro.core.build import fit_lsi
@@ -74,13 +75,33 @@ class _FakeWorker:
                 self.calls += 1
                 if self.delay and message.get("op") == "score":
                     await asyncio.sleep(self.delay)
-                # JSON-round-trip the response exactly as a process would.
-                response = json.loads(
-                    json.dumps(self.worker.handle(message))
-                )
+                # The reply crosses the real codec: encoded by
+                # write_frame here, decoded by the router's read_frame.
+                response = self.worker.handle(message)
                 if "id" in message:
                     response["id"] = message["id"]
                 await write_frame(writer, response)
+        except ConnectionError:
+            pass
+        finally:
+            writer.close()
+
+
+class _CorruptWorker(_FakeWorker):
+    """Answers every frame with ``payload``: framed, but undecodable."""
+
+    def __init__(self, worker: ShardWorker, payload: bytes):
+        super().__init__(worker)
+        self.payload = payload
+
+    async def _serve(self, reader, writer) -> None:
+        self._writers.append(writer)
+        try:
+            while await read_frame(reader) is not None:
+                writer.write(
+                    struct.pack("<I", len(self.payload)) + self.payload
+                )
+                await writer.drain()
         except ConnectionError:
             pass
         finally:
@@ -185,6 +206,55 @@ def test_router_dead_worker_degrades_to_partial(router_model):
     for qi, merged in enumerate(result.results):
         expected = [p for p in flat[qi] if not lo <= p[0] < hi][:TOP]
         assert merged == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b"\x80" + b'{"id":1}', b'{"a":' + b"[" * 100_000, b'{"id":[1]}'],
+    ids=["not-utf8", "nested-too-deep", "unhashable-id"],
+)
+def test_undecodable_reply_closes_the_channel_at_once(router_model, payload):
+    # A reply that does not decode leaves the stream out of sync: the
+    # channel must close and fail its calls now, so the range takes the
+    # dead-worker path instead of waiting out the whole deadline.
+    model, texts = router_model
+    bad_sid = 1
+    reported = []
+
+    async def main():
+        plan = ShardPlan.compute(model.n_documents, SHARDS)
+        fakes = [
+            _CorruptWorker(ShardWorker(model, plan.shard(i)), payload)
+            if i == bad_sid else _FakeWorker(ShardWorker(model, plan.shard(i)))
+            for i in range(SHARDS)
+        ]
+        for fake in fakes:
+            await fake.start()
+        channel = await WorkerChannel.connect("127.0.0.1", fakes[bad_sid].port)
+        router = ClusterRouter(plan.n_workers)
+        router.on_worker_dead = reported.append
+        for i, fake in enumerate(fakes):
+            await router.attach(i, "127.0.0.1", fake.port)
+        try:
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(channel.call({"op": "ping"}), 1.0)
+            t0 = time.perf_counter()
+            result = await router.search_batch(
+                _scaled(model, texts[:2]), top=TOP, plan=plan,
+                timeout_ms=2000.0,
+            )
+            return plan, result, time.perf_counter() - t0, channel.closed
+        finally:
+            await channel.close()
+            await _teardown(router, fakes)
+
+    plan, result, elapsed, closed = asyncio.run(main())
+    assert closed is True
+    assert result.partial is True
+    assert result.missing == [tuple(plan.shard(bad_sid).as_pair())]
+    assert result.deadline_missed == []
+    assert elapsed < 0.5  # well inside the 2 s deadline
+    assert reported == [bad_sid]
 
 
 def test_router_all_workers_dead_still_answers(router_model):

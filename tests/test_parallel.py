@@ -1,11 +1,16 @@
 """Tests for the row partition and the exact top-k merge."""
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.query import project_query
 from repro.errors import ShapeError
 from repro.parallel import merge_topk, shard_bounds
+from repro.parallel.sharding import RANKED
 from repro.server.state import EpochSnapshot
 
 from tests.test_serving_scan import whole_model_search
@@ -68,6 +73,49 @@ def test_merge_topk_tie_order_matches_flat_stable_argsort():
         assert merged == [(int(j), float(s[j])) for j in flat_order]
 
     check()
+
+
+def _heap_merge(per_shard, k):
+    """The reference merge: a stable heap over the chained pairs."""
+    return heapq.nlargest(
+        k,
+        ((int(j), float(score)) for pairs in per_shard for j, score in pairs),
+        key=lambda pair: pair[1],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shards=st.lists(
+        st.tuples(
+            st.lists(
+                st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5])
+                | st.floats(allow_nan=False),
+                max_size=12,
+            ),
+            st.booleans(),
+        ),
+        max_size=5,
+    ),
+    k=st.integers(1, 80),
+)
+def test_merge_topk_equals_the_heap_merge(shards, k):
+    """Property: the one stable sort keeps ``heapq.nlargest``'s order —
+    ties at the cut, empty ranges, ``k`` past the total, and record
+    arrays mixed with tuple lists, each score kept bit for bit."""
+    per_shard, start = [], 0
+    for scores, as_records in shards:
+        pairs = [(start + i, score) for i, score in enumerate(scores)]
+        start += len(scores)
+        per_shard.append(
+            np.array(pairs, dtype=RANKED) if as_records else pairs
+        )
+    merged = merge_topk(per_shard, k)
+    want = _heap_merge(per_shard, k)
+    assert [(j, score.hex()) for j, score in merged] == [
+        (j, score.hex()) for j, score in want
+    ]
+    assert all(type(j) is int and type(s) is float for j, s in merged)
 
 
 def test_range_snapshots_merge_to_flat(med_model):

@@ -193,7 +193,7 @@ def test_worker_holds_current_and_previous_epoch_only(tmp_path):
     old = worker.handle({**frame, "epoch": first.epoch})
     assert old["epoch"] == first.epoch
     want, _ = old_snapshot.search(q, top=5)
-    assert old["results"] == [[list(pair) for pair in want[0]]]
+    assert [r.tolist() for r in old["results"]] == want
     assert worker.handle({**frame, "epoch": second.epoch})["epoch"] == second.epoch
 
     assert worker.bump(plan_for(third).to_json())["ok"]

@@ -267,8 +267,7 @@ def test_every_ranked_path_is_bit_equal():
     ]
     wire = [worker.score(Qs, top, None)[0] for worker in workers]
     for i, want in enumerate(flat):
-        per_shard = [[(j, score) for j, score in w[i]] for w in wire]
-        assert merge_topk(per_shard, top) == want
+        assert merge_topk([w[i] for w in wire], top) == want
     # A batch of 1 and the same query inside the batch of 16.
     for i in (0, 7, 15):
         assert whole.search(Qs[i:i + 1], top=top)[0][0] == flat[i]
