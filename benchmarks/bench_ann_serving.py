@@ -8,17 +8,20 @@ collection (~1M documents locally, ~150k under ``BENCH_SMOKE``) this
 sweeps the probe count and reports, per level:
 
 * **recall@10** against the exhaustive exact scan,
-* **QPS** of ``snapshot.search_ann`` (probe cells → gather → exact
-  rerank) vs the exact per-query ``score_batch`` + ``ranked_order``
-  baseline — the path a request without ``probes`` takes.
+* **QPS** of ``snapshot.search_ann`` (rank cells → one fp32 pass per
+  probed cell slice → prefilter cut → fp64 rescoring of the survivors)
+  vs the exact ``snapshot.search`` baseline — the path a request
+  without ``probes`` takes (one fp32 pass over every row, same cut and
+  rescoring).
 
-Acceptance: some probe level reaches ≥ 0.95 recall@10, and at full size
-sustains ≥ 10× the exact scan's QPS there (each QPS the median of
-``REPEATS`` passes over 256 queries).  The ledger's ``serve_ann``
-workload measures the same path end to end on 200 000 documents at one
-probe setting; this bench is the source for the 1M-document probe
-sweep, which a full-size run records as ``BENCH_ann_serving.json``.
-``BENCH_SMOKE=1`` (~150k documents, one pass) checks recall only.
+Acceptance: probing every cell is element-identical to the exact path;
+some probe level reaches ≥ 0.95 recall@10, and at full size sustains
+≥ 10× the exact scan's QPS there (each QPS the median of ``REPEATS``
+passes over 256 queries).  The ledger's ``serve_ann`` workload measures
+the same path end to end on 50 000 documents at one probe setting; this
+bench is the source for the 1M-document probe sweep, which a full-size
+run records as ``BENCH_ann_serving.json``.  ``BENCH_SMOKE=1`` (~150k
+documents, one pass) checks exactness and recall only.
 
 Run directly::
 
@@ -34,8 +37,6 @@ import numpy as np
 
 from conftest import SMOKE, emit, summarize
 from repro.core.model import LSIModel
-from repro.serving.index import scaled_documents
-from repro.serving.topk import ranked_order
 from repro.server.state import ServingState, train_quantizer
 from repro.text.vocabulary import Vocabulary
 
@@ -102,23 +103,27 @@ def _qps(search, queries) -> tuple[list, dict]:
 
 def test_ann_serving_qps_recall_sweep(evidence):
     model = _serving_model()
-    scaled_documents(model)  # memoized V_k Σ_k, derived before the clock
     n_clusters = max(1, int(np.sqrt(N_DOCS)))
     t0 = time.perf_counter()
     ann = train_quantizer(model, n_clusters, seed=0)
     train_seconds = time.perf_counter() - t0
+    # Derives the cell-ordered scoring rows, before the clock.
     snapshot = ServingState.for_model(model, ann=ann).current()
     queries = _queries(model)
 
-    # Exact baseline: the per-request path a probe-less search takes —
-    # one (1, k) × (k, n) scoring pass plus top-k selection per query.
-    def exact_one(q: np.ndarray) -> list[int]:
-        row = snapshot.score_batch(q)[0]
-        return [int(j) for j in ranked_order(row, top=TOP)]
+    # Exact baseline: the per-request path a probe-less search takes.
+    def exact_one(q: np.ndarray) -> list[tuple[int, float]]:
+        return snapshot.search(snapshot.scale(q), top=TOP)[0][0]
 
     exact_one(queries[0])  # warm-up (BLAS spin-up, page faults)
-    exact_top, exact = _qps(exact_one, queries)
+    exact_pairs, exact = _qps(exact_one, queries)
+    exact_top = [[j for j, _ in pairs] for pairs in exact_pairs]
     exact_qps = exact["median"]
+
+    # Probing every cell is the exact scan, element for element.
+    for q, want in zip(queries, exact_pairs):
+        full, _ = snapshot.search_ann(q, probes=n_clusters, top=TOP)
+        assert full == want
 
     rows = [
         f"n={N_DOCS} documents, k={K}, {n_clusters} cells "

@@ -75,7 +75,7 @@ from repro.obs import export_trace_jsonl, read_slowlog
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server import ServerClient
 from repro.server.state import EpochSnapshot, manager_from_texts
-from repro.serving.kernel import row_norms
+from repro.serving.index import scaled_rows
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_ann, open_latest_model
 
@@ -751,20 +751,21 @@ def main() -> None:
             assert health["ann"] is True, health
             ann = open_latest_ann(data_dir)
             assert ann is not None, "seeded checkpoint has no quantizer"
-            shard_slices = []
-            for lo, hi in shard_bounds(model.n_documents, SHARDS):
-                coords = np.ascontiguousarray(model.V[lo:hi] * model.s)
-                shard_slices.append((lo, coords, row_norms(coords)))
+            # Each shard's rows laid out by that shard's cells, as a
+            # worker holds them.
+            shard_rows = [
+                (lo, scaled_rows(model.V[lo:hi], model.s, ann, lo=lo))
+                for lo, hi in shard_bounds(model.n_documents, SHARDS)
+            ]
             probes = max(1, ann.n_clusters // 2)
             for q in queries:
                 qhat = project_query(model, q)
                 per_shard = [
                     ann.select(
-                        coords, norms, qhat * model.s,
-                        probes=probes, top=TOP, lo=lo,
-                        n_total=model.n_documents,
+                        rows, qhat * model.s,
+                        probes=probes, top=TOP, offset=lo,
                     )[0]
-                    for lo, coords, norms in shard_slices
+                    for lo, rows in shard_rows
                 ]
                 ref = [
                     (int(j), float(s))

@@ -82,9 +82,10 @@ def cosine_similarities(
     qhat = _served_query(model, qhat)
     if mode == "factors":
         return cosine_scores(model.V, qhat)[0]
-    coords, norms, _, positive = scaled_documents(model)
+    scaled = scaled_documents(model)
     return cosine_scores(
-        coords, qhat * model.s, norms=norms, positive=positive
+        scaled.coords, qhat * model.s, norms=scaled.norms,
+        positive=scaled.positive,
     )[0]
 
 

@@ -87,8 +87,12 @@ class EpochSnapshot:
         self.epoch = int(epoch)
         self.model = model
         n = model.n_documents
+        # The coarse quantizer may predate this epoch (it is trained at
+        # checkpoint time) and always covers global rows: rows it has
+        # never seen are held after its cells (the fresh tail) and still
+        # searched exactly, and a range holds only its own cells' rows.
         if lo == 0 and hi is None:
-            self.scaled = scaled_documents(model)
+            self.scaled = scaled_documents(model, ann)
             hi = n
         else:
             hi = n if hi is None else hi
@@ -98,14 +102,10 @@ class EpochSnapshot:
                 )
             # Materialize only this range's rows: the multiply touches (and
             # therefore faults in) just the mapped pages of V[lo:hi].
-            self.scaled = scaled_rows(model.V[lo:hi], model.s)
+            self.scaled = scaled_rows(model.V[lo:hi], model.s, ann, lo=lo)
         self.lo = lo
         self.hi = hi
         self.query_cache = QueryVectorCache(query_cache_size)
-        # The coarse quantizer may predate this epoch (it is trained at
-        # checkpoint time) and always covers global rows: rows it has
-        # never seen are still searched exactly via its fresh-tail rule,
-        # and candidate sets are clipped to ``[lo, hi)`` at query time.
         self.ann = ann
 
     @property
@@ -188,14 +188,12 @@ class EpochSnapshot:
             if self.ann is not None:
                 found = [
                     self.ann.select(
-                        self.coords,
-                        self.norms,
+                        self.scaled,
                         row,
                         probes=probes,
                         top=t,
                         threshold=th,
-                        lo=self.lo,
-                        n_total=self.model.n_documents,
+                        offset=self.lo,
                     )
                     for row, t, th in zip(Qs, tops, thresholds)
                 ]
@@ -210,9 +208,10 @@ class EpochSnapshot:
         """Cosine of unscaled ``(q, k)`` query vectors with every row: the
         full-width fp64 matrix (reference surface) that :meth:`search`'s
         rankings are held to — same indices, scores within 1e-12."""
-        coords, norms, _, positive = self.scaled
+        scaled = self.scaled
         return cosine_scores(
-            coords, self.scale(Q), norms=norms, positive=positive
+            scaled.coords, self.scale(Q), norms=scaled.norms,
+            positive=scaled.positive,
         )
 
     def search_ann(
@@ -396,9 +395,9 @@ def train_quantizer(
     """A coarse quantizer over ``model``'s ``V_k Σ_k``, for a state no
     checkpoint hands one: a saved ``.npz`` (:meth:`ServingState.open`)
     or the index ``repro serve`` fits from a document source."""
-    return CoarseQuantizer.train(
-        scaled_documents(model).coords, n_clusters, seed=seed
-    )
+    # The coordinates alone: deriving the model's scoring rows here would
+    # lay them out in document order, before the quantizer exists.
+    return CoarseQuantizer.train(model.V * model.s, n_clusters, seed=seed)
 
 
 def manager_from_texts(

@@ -11,20 +11,30 @@ zero-copy (queries reach it through
    unit-normalized ``V_k Σ_k`` rows — sampled above a size cap so the
    quantizer stays cheap to refresh on every checkpoint (the
    Vecharynski & Saad fast-update requirement) — then one full
-   assignment pass to build per-cell posting lists in CSR form.
-2. **Probe** (query time): rank cells by centroid cosine against the
-   Σ-scaled query, gather the ``probes`` nearest cells' documents plus
-   the *fresh tail* (rows folded in after training, which the posting
-   lists cannot know about), and exact-rerank the candidate set with
-   the row-local :func:`~repro.serving.kernel.row_cosines` kernel the
-   exhaustive scan rescoring uses.
+   assignment pass to build per-cell posting lists in CSR form, each
+   list ascending.
+2. **Lay out** (load time): the posting lists are a stable cell-grouped
+   permutation, so the single-precision unit rows a scorer derives on
+   open are held in that order (:meth:`CoarseQuantizer.layout`; rows
+   folded in after training — the *fresh tail*, which the posting lists
+   cannot know about — follow in document order).  A shard's range
+   keeps the grouping with the other ranges' rows taken out.
+3. **Probe** (query time): rank cells by centroid cosine against the
+   Σ-scaled query, then run the exact scan's algorithm over the
+   ``probes`` nearest cells plus the tail: one fp32 GEMV per contiguous
+   slice, the :func:`~repro.serving.scan.prefilter_margin` cut, and
+   fp64 rescoring of the survivors alone with the row-local
+   :func:`~repro.serving.kernel.row_cosines` kernel
+   (:func:`~repro.serving.scan.cut_and_rescore`, shared with the exact
+   scan).
 
-Candidate sets are materialized in ascending document order, so the
-stable rerank breaks score ties by ascending index — *element-identical*
-(indices, scores, tie order) to the exhaustive
-:func:`~repro.serving.scan.ranked_scan` ranking whenever
-``probes >= n_clusters``.  ``probes`` is therefore a pure recall/speed
-dial with an exact top end, measured in ``benchmarks/bench_ann_serving``.
+Survivors are rescored in ascending document order and the margin
+provably keeps every row of the answer, so the ranking is
+*element-identical* (indices, scores, tie order) to scoring every
+candidate — and to the exhaustive :func:`~repro.serving.scan.ranked_scan`
+ranking whenever ``probes >= n_clusters``.  ``probes`` is therefore a
+pure recall/speed dial with an exact top end, measured in
+``benchmarks/bench_ann_serving``.
 
 The three arrays (``ann_centroids``, ``ann_indptr``, ``ann_docs``)
 persist as ordinary checkpoint ``.npy`` files (format v2) and reopen via
@@ -38,8 +48,8 @@ import numpy as np
 
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
-from repro.serving.kernel import row_cosines
-from repro.serving.topk import ranked_order
+from repro.serving.index import ScaledRows
+from repro.serving.scan import bounded, cut_and_rescore, unit_queries
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -59,9 +69,6 @@ _ASSIGN_CHUNK = 16384
 
 _CELL_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 _FRACTION_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
-_RERANK_BUCKETS = (
-    10.0, 100.0, 1000.0, 10_000.0, 100_000.0, 1_000_000.0,
-)
 
 
 def default_n_clusters(n: int) -> int:
@@ -164,10 +171,10 @@ class CoarseQuantizer:
     """Checkpoint-persistable coarse quantizer with probe-bounded rerank.
 
     Model-free on purpose: it holds centroids plus CSR posting lists of
-    document *indices*, and scores against whatever coordinate rows the
-    caller hands it — the full ``V_k Σ_k`` matrix on a single node, or a
-    shard's ``[lo, hi)`` slice in a cluster worker.  All arrays may be
-    read-only memory maps.
+    document *indices*, and scores the scoring rows the caller laid out
+    by its cells (:meth:`layout`) — all of ``V_k Σ_k`` on a single node,
+    or a shard's ``[lo, hi)`` range in a cluster worker.  All arrays may
+    be read-only memory maps.
     """
 
     __slots__ = ("centroids", "cell_indptr", "cell_docs", "seed", "_cen_norms")
@@ -246,7 +253,7 @@ class CoarseQuantizer:
         indptr = np.zeros(n_clusters + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         # Stable sort groups by cell, ascending document index within
-        # each cell — the property the ascending-candidate rerank needs.
+        # each cell: the order scoring rows are held in (``layout``).
         order = np.argsort(assignment, kind="stable").astype(np.int64)
         return cls(centroids, indptr, order, seed=seed)
 
@@ -349,51 +356,78 @@ class CoarseQuantizer:
             cand = cand[start:stop]
         return cand
 
+    def layout(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cell-by-cell order rows ``[lo, hi)`` are held in.
+
+        Returns ``(order, cell_indptr)``, both local to the range:
+        position ``p`` holds row ``lo + order[p]``, cell ``c`` the
+        positions ``cell_indptr[c]:cell_indptr[c + 1]``, and the rows
+        the posting lists do not cover (the fresh tail) follow in
+        document order.  Restricting the stable cell-grouped posting
+        lists to a range keeps them grouped, so every shard's layout is
+        the whole-model one with the other ranges' rows taken out.
+        """
+        docs = self.cell_docs
+        inside = (docs >= lo) & (docs < hi)
+        before = np.zeros(docs.size + 1, dtype=np.int64)
+        np.cumsum(inside, out=before[1:])
+        order = np.concatenate(
+            [docs[inside], np.arange(max(lo, self.n_documents), hi)]
+        )
+        order -= lo
+        cell_indptr = before[self.cell_indptr]
+        for array in (order, cell_indptr):
+            array.flags.writeable = False
+        return order, cell_indptr
+
     def select(
         self,
-        coords: np.ndarray,
-        norms: np.ndarray,
+        scaled: ScaledRows,
         q_scaled: np.ndarray,
         *,
         probes: int,
         top: int | None = None,
         threshold: float | None = None,
-        lo: int = 0,
-        n_total: int | None = None,
+        offset: int = 0,
     ) -> tuple[list[tuple[int, float]], dict]:
-        """Ranked ``(doc_index, score)`` pairs over the probed candidates.
+        """Ranked ``(offset + row, score)`` pairs over the probed cells.
 
-        ``coords``/``norms`` are rows ``[lo, lo + len)`` of the full
-        coordinate matrix — the whole thing with ``lo=0`` on a single
-        node, or a shard slice in a worker (which passes the global
-        ``n_total``).  Returned indices are global.  Candidates are
-        scored by the exact path's row-local fp64 kernel
-        (:func:`~repro.serving.kernel.row_cosines`), so a row's score is
-        the same bits here, in the exhaustive scan and in any shard.
+        ``scaled`` holds rows ``[offset, offset + len)`` laid out by this
+        quantizer's cells (:meth:`layout`) — the whole model on a single
+        node, or a shard's range in a worker.  The probe reads the
+        single-precision rows of the ``probes`` nearest cells plus the
+        fresh tail, one contiguous slice each, then ends as the exact
+        scan does (:func:`~repro.serving.scan.cut_and_rescore`): only
+        rows within the prefilter margin of the cut get an fp64 score,
+        from the row-local kernel, so a row's score is the same bits
+        here, in the exhaustive scan and in any shard.
         """
+        if scaled.cell_indptr is None or scaled.cell_indptr.size != (
+            self.n_clusters + 1
+        ):
+            raise ShapeError("rows are not laid out by this quantizer's cells")
         q = np.asarray(q_scaled, dtype=np.float64).ravel()
-        hi = lo + coords.shape[0]
-        if n_total is None:
-            n_total = max(hi, self.n_documents)
         cells = self.probe_cells(q, probes)
-        cand = self.candidates(cells, n_total=n_total, lo=lo, hi=hi)
+        indptr = scaled.cell_indptr
+        bounds = [(indptr[c], indptr[c + 1]) for c in cells]
+        bounds.append((indptr[-1], scaled.unit.shape[0]))
+        positions = np.concatenate([np.arange(a, b) for a, b in bounds])
         stats = {
             "cells_probed": int(cells.size),
-            "candidates": int(cand.size),
+            "candidates": int(positions.size),
         }
-        self._record(stats, hi - lo)
-        if cand.size == 0:
-            return [], stats
-        # Ascending and distinct within [lo, hi): as many candidates as
-        # rows is the full range, scored in place.  Either way the
-        # row-local kernel gives each row the value the exact scan does.
-        rows = None if cand.size == hi - lo else cand - lo
-        scores = row_cosines(coords, norms, q, rows)
-        order = ranked_order(scores, top=top, threshold=threshold)
-        registry.observe(
-            "ann.rerank_size", float(order.size), boundaries=_RERANK_BUCKETS
+        self._record(stats, scaled.unit.shape[0])
+        approx = None
+        if bounded(top, threshold, positions.size):
+            unit_q = unit_queries(q[None, :])[0]
+            approx = np.concatenate(
+                [scaled.unit[a:b] @ unit_q for a, b in bounds]
+            )
+        pairs = cut_and_rescore(
+            scaled, q, top, threshold, approx,
+            positions=positions, offset=offset,
         )
-        return [(int(cand[i]), float(scores[i])) for i in order], stats
+        return pairs, stats
 
     def _record(self, stats: dict, n_rows: int) -> None:
         registry.inc("ann.requests_total")

@@ -18,12 +18,17 @@ shard worker,
 3. :func:`~repro.serving.kernel.row_cosines` of the candidates only — a
    **row-local** fp64 kernel — ranked by :func:`~repro.serving.topk.ranked_order`.
 
-Because step 3's value is a pure function of (row, query), the reported
-``(index, score)`` pairs are bit-equal however the rows were reached:
-whole model or row range, one shard or seven, a batch of 1 or of 16,
-exhaustive or probe-bounded with every cell probed
-(:meth:`CoarseQuantizer.select <repro.serving.ann.CoarseQuantizer.select>`
-rescoring through the same kernel).  The full-width fp64 matrix
+Steps 2 and 3 are one function, :func:`cut_and_rescore`, which a probe
+(:meth:`CoarseQuantizer.select <repro.serving.ann.CoarseQuantizer.select>`)
+ends in too: it runs step 1 over its probed cells' contiguous slices of
+the cell-ordered unit rows and hands over those positions.  Candidates
+are mapped through the layout (``ScaledRows.order``) to ascending
+document rows before rescoring, so the unit rows may be held in any
+order.  Because step 3's value is a pure function of (row, query), the
+reported ``(index, score)`` pairs are bit-equal however the rows were
+reached: whole model or row range, one shard or seven, a batch of 1 or
+of 16, document or cell order, exhaustive or probe-bounded with every
+cell probed.  The full-width fp64 matrix
 (:func:`~repro.serving.kernel.cosine_scores`) remains the reference
 surface the rankings are tested against — same indices, scores within
 1e-12 — and what evaluation code that needs every score reads.
@@ -43,7 +48,10 @@ from repro.serving.topk import ranked_order
 
 __all__ = [
     "prefilter_margin",
+    "unit_queries",
     "approx_cosines",
+    "bounded",
+    "cut_and_rescore",
     "ranked_scan",
 ]
 
@@ -81,19 +89,76 @@ def prefilter_margin(k: int) -> float:
     return 2.0 * (k + 8) * 2.0**-24
 
 
+def unit_queries(Qs: np.ndarray) -> np.ndarray:
+    """``(q, k)`` scaled queries normalised and rounded to single
+    (a zero query stays zero)."""
+    qn = np.sqrt(np.einsum("ij,ij->i", Qs, Qs))
+    return (Qs / np.where(qn > 0, qn, 1.0)[:, None]).astype(np.float32)
+
+
 def approx_cosines(unit: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """``(n, q)`` single-precision cosines of unit rows with scaled queries.
 
     The only n-wide pass of an exact request.  A zero query stays zero
     (approximate cosine 0 everywhere, as its true cosine is).
     """
-    qn = np.sqrt(np.einsum("ij,ij->i", Qs, Qs))
-    unit_queries = Qs / np.where(qn > 0, qn, 1.0)[:, None]
-    unit_queries = unit_queries.astype(np.float32)
+    unit_q = unit_queries(Qs)
     t0 = time.perf_counter()
-    approx = unit @ unit_queries.T
+    approx = unit @ unit_q.T
     registry.observe("serving.scan_seconds", time.perf_counter() - t0)
     return approx
+
+
+def bounded(top: int | None, threshold: float | None, rows: int) -> bool:
+    """Whether a query's filters cut ``rows`` candidates at all — one
+    that keeps them all needs no single-precision pass."""
+    return threshold is not None or (top is not None and top < rows)
+
+
+def cut_and_rescore(
+    scaled: ScaledRows,
+    q: np.ndarray,
+    top: int | None,
+    threshold: float | None,
+    approx: np.ndarray | None,
+    *,
+    positions: np.ndarray | None = None,
+    offset: int = 0,
+) -> list[tuple[int, float]]:
+    """Ranked ``(offset + row, cosine)`` pairs of one scaled query over
+    the unit rows at ``positions`` (every row when ``None``).
+
+    The tail every ranking shares — the exact scan over all rows and a
+    probe over its cells' slices.  ``approx`` holds those rows' fp32
+    cosines in ``positions`` order; it is read only when the query is
+    :func:`bounded`, and then only the rows within
+    :func:`prefilter_margin` of the cut survive.  Survivors are mapped
+    through the layout (``scaled.order``) to ascending rows and scored
+    by the row-local fp64 kernel, so each reported pair is the same
+    bits whichever rows rode along.
+    """
+    if top is not None and top <= 0:
+        return []
+    n = scaled.unit.shape[0] if positions is None else positions.size
+    if bounded(top, threshold, n):
+        cut = -np.inf if threshold is None else float(threshold)
+        if top is not None and top < n:
+            kth = np.partition(approx, n - top)[n - top]
+            cut = max(cut, float(kth))
+        keep = np.flatnonzero(approx >= cut - prefilter_margin(q.size))
+        positions = keep if positions is None else positions[keep]
+    rows = positions  # None: every row, in document order
+    if rows is not None and scaled.order is not None:
+        rows = np.sort(scaled.order[rows])
+    scores = row_cosines(scaled.coords, scaled.norms, q, rows)
+    registry.observe(
+        "serving.rescore_candidates",
+        float(scores.size),
+        boundaries=_CANDIDATE_BUCKETS,
+    )
+    order = ranked_order(scores, top=top, threshold=threshold)
+    index = order if rows is None else rows[order]
+    return list(zip((index + offset).tolist(), scores[order].tolist()))
 
 
 def ranked_scan(
@@ -108,40 +173,20 @@ def ranked_scan(
 
     Element-identical in indices to stable-sorting row ``i`` of the
     fp64 ``cosine_scores(coords, Qs)`` descending, dropping scores below
-    ``thresholds[i]`` and truncating to ``tops[i]``.
+    ``thresholds[i]`` and truncating to ``tops[i]``, whatever the
+    layout of ``scaled.unit``.
     """
-    coords, norms, unit, _ = scaled
-    n, k = coords.shape
-    margin = prefilter_margin(k)
-    # A query with neither filter ranks every row: nothing to prefilter.
-    bounded = [
-        threshold is not None or (top is not None and top < n)
-        for top, threshold in zip(tops, thresholds)
+    n = scaled.unit.shape[0]
+    cuts = [
+        bounded(top, threshold, n) for top, threshold in zip(tops, thresholds)
     ]
-    approx = approx_cosines(unit, Qs) if any(bounded) else None
-    results = []
-    for i, (q, top, threshold) in enumerate(zip(Qs, tops, thresholds)):
-        if top is not None and top <= 0:
-            results.append([])
-            continue
-        rows = None
-        if bounded[i]:
+    approx = approx_cosines(scaled.unit, Qs) if any(cuts) else None
+    return [
+        cut_and_rescore(
+            scaled, q, top, threshold,
             # One contiguous copy: selecting from a strided column costs more.
-            column = np.ascontiguousarray(approx[:, i])
-            cut = -np.inf if threshold is None else float(threshold)
-            if top is not None and top < n:
-                kth = np.partition(column, n - top)[n - top]
-                cut = max(cut, float(kth))
-            rows = np.flatnonzero(column >= cut - margin)
-        scores = row_cosines(coords, norms, q, rows)
-        registry.observe(
-            "serving.rescore_candidates",
-            float(scores.size),
-            boundaries=_CANDIDATE_BUCKETS,
+            np.ascontiguousarray(approx[:, i]) if cuts[i] else None,
+            offset=offset,
         )
-        order = ranked_order(scores, top=top, threshold=threshold)
-        index = order if rows is None else rows[order]
-        results.append(
-            list(zip((index + offset).tolist(), scores[order].tolist()))
-        )
-    return results
+        for i, (q, top, threshold) in enumerate(zip(Qs, tops, thresholds))
+    ]

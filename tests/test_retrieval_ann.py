@@ -13,6 +13,7 @@ from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
 from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer, kmeans
+from repro.serving.index import scaled_rows
 from repro.text import Vocabulary
 from repro.util.rng import ensure_rng
 from tests.test_serving_scan import _first_copy
@@ -209,10 +210,8 @@ def test_empty_cell_probe_returns_empty():
         cell_docs=np.array([0, 1, 2]),
     )
     coords = np.array([[1.0, 0.1], [1.0, -0.1], [0.9, 0.0]])
-    norms = np.sqrt(np.sum(coords**2, axis=1))
     pairs, stats = quantizer.select(
-        coords,
-        norms,
+        scaled_rows(coords, np.ones(2), quantizer),
         np.array([-1.0, 0.0]),  # nearest centroid is the empty cell
         probes=1,
     )

@@ -11,8 +11,13 @@ each one:
   safe to turn at request time.
 * **Shard partition** — a worker probing its ``[lo, hi)`` slice sees
   exactly its rows of the single-node candidate set, and merging the
-  per-shard rankings reproduces the per-shard exact scan when every
-  cell is probed.
+  per-shard rankings reproduces the single-node probe bit for bit (and
+  the per-shard exact scan when every cell is probed).
+* **The cell layout** — a probe over contiguous cell slices through the
+  exact scan's prefilter cut equals rescoring every candidate, bit for
+  bit; the exact scan over cell-ordered rows equals it over
+  document-ordered ones; the layout replaces the document-ordered
+  single-precision rows rather than sitting beside them.
 * **Fresh tail** — rows folded in after training are always candidates,
   so a quantizer can lag the index without losing documents.
 * **Persistence** — the checkpoint round trip (format v2) reopens the
@@ -28,18 +33,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.model import LSIModel
 from repro.errors import ReproError
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server import QueryService, ServerConfig
-from repro.server.state import ServingState, manager_from_texts
+from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.serving.ann import (
     ANN_ARRAY_NAMES,
     CoarseQuantizer,
     default_n_clusters,
 )
-from repro.serving.index import scaled_rows
-from repro.serving.kernel import cosine_scores, row_norms
+from repro.serving.index import scaled_documents, scaled_rows
+from repro.serving.kernel import cosine_scores, row_cosines, row_norms
 from repro.serving.scan import ranked_scan
 from repro.serving.topk import ranked_order
 from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
@@ -50,6 +56,7 @@ from repro.store.durable import (
 )
 from repro.store.mmap_io import open_latest_ann
 from repro.store.recovery import open_checkpoint
+from repro.text.vocabulary import Vocabulary
 from tests.test_serving_scan import assert_ranking_matches
 
 K = 8
@@ -72,6 +79,11 @@ NORMS = row_norms(COORDS)
 @pytest.fixture(scope="module")
 def quantizer() -> CoarseQuantizer:
     return CoarseQuantizer.train(COORDS, 12, seed=0)
+
+
+def _rows(quantizer, lo: int = 0, hi: int = N_DOCS, coords=COORDS):
+    """Rows ``[lo, hi)`` of ``coords`` laid out by ``quantizer``'s cells."""
+    return scaled_rows(coords[lo:hi], np.ones(coords.shape[1]), quantizer, lo=lo)
 
 
 # --------------------------------------------------------------------- #
@@ -155,8 +167,8 @@ def test_full_probe_shard_merge_equals_per_shard_exact_scan(quantizer):
     ann_parts, exact_parts = [], []
     for lo, hi, coords, norms in _shard_slices(3):
         pairs, stats = quantizer.select(
-            coords, norms, q,
-            probes=quantizer.n_clusters, top=top, lo=lo, n_total=N_DOCS,
+            _rows(quantizer, lo, hi), q,
+            probes=quantizer.n_clusters, top=top, offset=lo,
         )
         assert stats["candidates"] == hi - lo
         ann_parts.append(pairs)
@@ -176,22 +188,23 @@ def test_full_probe_shard_merge_equals_per_shard_exact_scan(quantizer):
 
 
 def test_bounded_probe_shard_merge_covers_single_node_candidates(quantizer):
-    # Below the full probe count the merged shard ranking ranks exactly
-    # the single-node candidate set (scores may differ in the last ulp
-    # across BLAS shapes, so compare the index sets).
+    # Below the full probe count the merged shard ranking is the
+    # single-node probe's, element for element: every range probes the
+    # same cells, and the row-local kernel gives a row the same bits
+    # whichever range holds it.
     q = np.random.default_rng(9).standard_normal(K)
     probes = 3
     whole, _ = quantizer.select(
-        COORDS, NORMS, q, probes=probes, top=None, n_total=N_DOCS
+        _rows(quantizer), q, probes=probes, top=None
     )
     parts = [
         quantizer.select(
-            coords, norms, q, probes=probes, top=None, lo=lo, n_total=N_DOCS
+            _rows(quantizer, lo, hi), q, probes=probes, top=None, offset=lo
         )[0]
-        for lo, hi, coords, norms in _shard_slices(3)
+        for lo, hi, _, _ in _shard_slices(3)
     ]
     merged = merge_topk(parts, N_DOCS)
-    assert {j for j, _ in merged} == {j for j, _ in whole}
+    assert merged == whole
 
 
 # --------------------------------------------------------------------- #
@@ -210,9 +223,187 @@ def test_fresh_tail_rows_are_always_candidates():
     # even at probes=1 — the tail is searched exactly.
     target = COORDS[covered + 5]
     pairs, _ = quantizer.select(
-        COORDS, NORMS, target, probes=1, top=3, n_total=N_DOCS
+        _rows(quantizer), target, probes=1, top=3
     )
     assert pairs[0][0] == covered + 5
+
+
+# --------------------------------------------------------------------- #
+# the cell layout: bit-equal to rescoring every candidate
+# --------------------------------------------------------------------- #
+def _layout_coords() -> np.ndarray:
+    """Rows with exact ties: verbatim copies (inside the trained rows and
+    in the fresh tail) and two zero rows."""
+    base = _coords(seed=21, n=240)
+    rows = np.vstack([base, base[:30:3], base[5:6].repeat(6, 0), base[::40]])
+    rows[[17, 250]] = 0.0
+    return rows
+
+
+LAYOUT_COORDS = _layout_coords()
+LAYOUT_COVERED = 230  # rows the quantizer sees; the rest is the fresh tail
+
+
+@pytest.fixture(scope="module")
+def layout_quantizer() -> CoarseQuantizer:
+    """Trained on the first rows, with an empty cell spliced in at 2."""
+    trained = CoarseQuantizer.train(LAYOUT_COORDS[:LAYOUT_COVERED], 9, seed=4)
+    empty_direction = -trained.centroids.sum(axis=0)
+    return CoarseQuantizer(
+        np.insert(trained.centroids, 2, empty_direction, axis=0),
+        np.insert(trained.cell_indptr, 2, trained.cell_indptr[2]),
+        trained.cell_docs,
+    )
+
+
+def _reference_select(quantizer, q, *, probes, top, threshold, lo, hi):
+    """The reference probe: gather every candidate in ascending order,
+    score them all with the row-local kernel, rank."""
+    n = LAYOUT_COORDS.shape[0]
+    cells = quantizer.probe_cells(q, probes)
+    cand = quantizer.candidates(cells, n_total=n, lo=lo, hi=hi)
+    scores = row_cosines(LAYOUT_COORDS, row_norms(LAYOUT_COORDS), q, cand)
+    order = ranked_order(scores, top=top, threshold=threshold)
+    return [(int(cand[i]), float(scores[i])) for i in order], cand.size
+
+
+def _bits(pairs):
+    return [(j, score.hex()) for j, score in pairs]
+
+
+def _layout_queries(quantizer):
+    rng = np.random.default_rng(23)
+    return [
+        rng.standard_normal(K),
+        rng.standard_normal(K),
+        LAYOUT_COORDS[5],  # six verbatim copies tie at the top
+        quantizer.centroids[2],  # its nearest cell is the empty one
+        np.zeros(K),
+    ]
+
+
+@pytest.mark.parametrize("lo,hi", [(0, None), (0, 90), (90, 200), (200, None)])
+def test_cell_probe_is_bit_equal_to_rescoring_every_candidate(
+    layout_quantizer, lo, hi
+):
+    quantizer = layout_quantizer
+    hi = LAYOUT_COORDS.shape[0] if hi is None else hi
+    rows = _rows(quantizer, lo, hi, LAYOUT_COORDS)
+    assert rows.order is not None and rows.order.size == hi - lo
+    for q in _layout_queries(quantizer):
+        for probes in (1, 3, quantizer.n_clusters):
+            for top in (None, 1, 10, 10_000):
+                for threshold in (None, 0.3):
+                    want, scanned = _reference_select(
+                        quantizer, q, probes=probes, top=top,
+                        threshold=threshold, lo=lo, hi=hi,
+                    )
+                    got, stats = quantizer.select(
+                        rows, q, probes=probes, top=top,
+                        threshold=threshold, offset=lo,
+                    )
+                    assert _bits(got) == _bits(want), (probes, top, threshold)
+                    assert stats["candidates"] == scanned
+
+
+def test_full_probe_over_the_layout_equals_the_exact_scan(layout_quantizer):
+    quantizer = layout_quantizer
+    rows = _rows(quantizer, coords=LAYOUT_COORDS)
+    for q in _layout_queries(quantizer):
+        for top, threshold in ((1, None), (10, None), (None, 0.3), (7, 0.1)):
+            probe, _ = quantizer.select(
+                rows, q, probes=quantizer.n_clusters, top=top,
+                threshold=threshold,
+            )
+            exact = ranked_scan(rows, q[None, :], [top], [threshold])[0]
+            assert _bits(probe) == _bits(exact)
+
+
+@pytest.mark.parametrize("lo,hi", [(0, None), (90, 200)])
+@pytest.mark.parametrize("batch", [1, 16])
+def test_exact_scan_over_the_layout_equals_document_order(
+    layout_quantizer, lo, hi, batch
+):
+    hi = LAYOUT_COORDS.shape[0] if hi is None else hi
+    ones = np.ones(K)
+    cells = scaled_rows(LAYOUT_COORDS[lo:hi], ones, layout_quantizer, lo=lo)
+    flat = scaled_rows(LAYOUT_COORDS[lo:hi], ones, lo=lo)
+    assert flat.order is None and cells.order is not None
+    assert not np.array_equal(cells.unit, flat.unit)
+    Qs = np.random.default_rng(29).standard_normal((batch, K))
+    Qs[0] = LAYOUT_COORDS[5]
+    for tops, thresholds in (
+        ([10] * batch, [None] * batch),
+        ([1] * batch, [0.2] * batch),
+        ([None] * batch, [0.4] * batch),
+        ([None] * batch, [None] * batch),
+    ):
+        got = ranked_scan(cells, Qs, tops, thresholds, offset=lo)
+        want = ranked_scan(flat, Qs, tops, thresholds, offset=lo)
+        assert [_bits(r) for r in got] == [_bits(r) for r in want]
+
+
+def _layout_model() -> LSIModel:
+    vocab = Vocabulary(f"t{i}" for i in range(12))
+    vocab.freeze()
+    n = LAYOUT_COORDS.shape[0]
+    return LSIModel(
+        U=np.random.default_rng(31).standard_normal((12, K)),
+        s=np.ones(K),
+        V=LAYOUT_COORDS.copy(),
+        vocabulary=vocab,
+        doc_ids=[f"D{j}" for j in range(n)],
+    )
+
+
+def _arrays(*holders) -> list[np.ndarray]:
+    """Every array attribute of ``holders`` (fields and slots)."""
+    found = []
+    for holder in holders:
+        names = getattr(holder, "_fields", None) or holder.__slots__
+        for name in names:
+            value = getattr(holder, name)
+            if isinstance(value, np.ndarray):
+                found.append(value)
+    return found
+
+
+@pytest.mark.parametrize("lo,hi", [(0, None), (60, 200)])
+def test_a_laid_out_snapshot_holds_one_single_precision_copy(
+    layout_quantizer, lo, hi
+):
+    # What the serving RSS bound leans on: the cell layout replaces the
+    # document-ordered fp32 rows, it never sits beside them.
+    model = _layout_model()
+    snapshot = EpochSnapshot(0, model, lo=lo, hi=hi, ann=layout_quantizer)
+    rows = snapshot.hi - snapshot.lo
+    unit = snapshot.scaled.unit
+    assert unit.dtype == np.float32 and unit.shape == (rows, K)
+    assert unit.base is None  # owns its rows: not a view of a larger copy
+    held = _arrays(snapshot, snapshot.scaled, snapshot.ann)
+    single = [a for a in held if a.dtype == np.float32]
+    assert len(single) == 1 and single[0] is unit
+    large = {id(a) for a in held if a.nbytes >= unit.nbytes}
+    assert large == {id(unit), id(snapshot.coords)}
+    memo = getattr(model, "_scaled_documents", None)
+    if snapshot.lo == 0 and snapshot.hi == model.n_documents:
+        assert memo[0] is layout_quantizer and memo[1] is snapshot.scaled
+    else:
+        assert memo is None  # a range never derives the whole model's rows
+
+
+def test_a_snapshot_lays_out_a_document_ordered_memo_again(layout_quantizer):
+    model = _layout_model()
+    flat = scaled_documents(model)  # what the retrieval engine derives
+    assert flat.order is None
+    snapshot = EpochSnapshot(0, model, ann=layout_quantizer)
+    laid = snapshot.scaled
+    assert laid.order is not None and laid.unit is not flat.unit
+    # The fp64 rows are kept; the model holds only the laid-out fp32 rows.
+    assert laid.coords is flat.coords and laid.norms is flat.norms
+    assert model._scaled_documents[1] is laid
+    assert scaled_documents(model) is laid  # any layout serves the exact scan
+    assert np.array_equal(laid.unit, flat.unit[laid.order])
 
 
 # --------------------------------------------------------------------- #
@@ -233,8 +424,8 @@ def test_checkpoint_round_trip_reopens_identical_quantizer(
     assert np.array_equal(reopened.cell_docs, quantizer.cell_docs)
     q = np.random.default_rng(13).standard_normal(K)
     assert (
-        reopened.select(COORDS, NORMS, q, probes=4, top=10)
-        == quantizer.select(COORDS, NORMS, q, probes=4, top=10)
+        reopened.select(_rows(reopened), q, probes=4, top=10)
+        == quantizer.select(_rows(quantizer), q, probes=4, top=10)
     )
 
 

@@ -314,7 +314,7 @@ def test_range_merge_tie_order():
 # the lifetime rule: V_k Σ_k is derived once per model and dies with it
 # --------------------------------------------------------------------- #
 def test_index_is_cached_per_model(med_model):
-    coords, norms, unit, _ = scaled_documents(med_model)
+    coords, norms, unit = scaled_documents(med_model)[:3]
     again = scaled_documents(med_model)
     assert again[0] is coords and again[1] is norms and again[2] is unit
     assert coords.flags["C_CONTIGUOUS"]
