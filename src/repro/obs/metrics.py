@@ -17,8 +17,8 @@ the one sink they all land in:
   histogram is one small int array regardless of traffic.
 
 All mutation goes through one re-entrant lock, because the server
-increments counters from its event loop, its scoring threads and its
-writer threads at once.  Single increments
+increments counters from its event loop (which also scores), its seal
+thread and its writer threads at once.  Single increments
 are a dict update under an uncontended lock — microseconds, negligible
 against the GEMM they instrument.
 """

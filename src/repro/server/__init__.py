@@ -16,9 +16,10 @@ needs, stdlib-asyncio only:
 * :mod:`repro.server.batching` — :class:`MicroBatcher`, the in-process
   backend and its work-conserving micro-batching scheduler: it scores a lone query at
   once and coalesces whatever queued up behind the flush in flight (up
-  to ``max_batch``) into one batched GEMM on its own scoring thread —
-  no window, no timer — preserving per-request ``top``/``threshold``
-  and element-identical results vs. the unbatched engine;
+  to ``max_batch``) into one batched GEMM, scored on the event loop —
+  no window, no timer, no thread hand-off — preserving per-request
+  ``top``/``threshold`` and element-identical results vs. the
+  unbatched engine;
 * :mod:`repro.server.admission` — :class:`AdmissionController`, the
   bounded queue with fast overload rejection, per-request deadlines,
   and the drain latch for graceful shutdown;

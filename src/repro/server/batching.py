@@ -8,30 +8,28 @@ the first waiting request, drains whatever else is *already* queued (up
 to ``max_batch``, the cap on the ``(q, n)`` score block) and flushes at
 once through one :meth:`EpochSnapshot.search` call.  It never holds a
 request hoping for company — an idle server adds nothing to a lone
-query — and because the scheduler awaits each flush, requests that
-arrive while one is in flight pile up behind it and become the next
+query — and because nothing is read while a flush runs, requests
+that arrive while one is in flight pile up behind it and become the next
 batch: the batch is exactly what the scorer could not get to yet, so it
 grows with load and vanishes without it.  Per-request ``top`` /
 ``threshold`` are preserved because ranking happens per score row with
 the same selection the unbatched engine uses — results are
 element-identical to ``LSIRetrieval.search``.
 
-One flush per batcher is ever in flight, so each batcher owns exactly
-one scoring thread (created on first use, joined by
-:meth:`MicroBatcher.stop`): the event loop stays responsive, and
-back-to-back flushes reuse one thread — and one allocator arena for the
-score temporaries — instead of growing a shared pool.  Memory stays bounded because
-admission caps outstanding requests before they ever reach this queue.
+A flush is scored on the event loop itself: a scoring thread would add
+two wake-ups and a GIL hand-back to every batch and, on one core, buy
+no overlap.  The trade (DESIGN.md) is that a flush holds the loop; the
+scheduler yields once after each, so its replies go out before the next
+batch forms.  Memory stays bounded because admission caps outstanding
+requests before they ever reach this queue.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +136,6 @@ class MicroBatcher:
         self.max_batch = max_batch
         self._queue: asyncio.Queue[SearchRequest] = asyncio.Queue()
         self._task: asyncio.Task | None = None
-        #: This batcher's one scoring thread, created by the first flush.
-        self._scorer: ThreadPoolExecutor | None = None
         #: One writer at a time *per index*: another tenant's
         #: consolidation never blocks this one's ``add``.
         self._add_lock = asyncio.Lock()
@@ -165,9 +161,8 @@ class MicroBatcher:
         await self.stop()
 
     async def stop(self) -> None:
-        """Stop the seal loop, cancel the scheduler task and join the
-        scoring thread (the queue is empty and that thread idle after
-        :meth:`drain`)."""
+        """Stop the seal loop and cancel the scheduler task (idle after
+        :meth:`drain`: the queue is empty)."""
         if self.state.seal_loop is not None:
             await self.state.seal_loop.stop()
         if self._task is not None:
@@ -177,9 +172,6 @@ class MicroBatcher:
             except asyncio.CancelledError:
                 pass
             self._task = None
-        if self._scorer is not None:
-            self._scorer.shutdown(wait=True)
-            self._scorer = None
 
     # ------------------------------------------------------------------ #
     async def search(
@@ -222,11 +214,10 @@ class MicroBatcher:
         """Add documents live; returns the new epoch description.
 
         Writers are serialized and run on the loop's default executor —
-        never the scoring thread, so a writer cannot queue behind the
-        scorer (or the scorer behind it), and never the seal thread, so
-        a writer waits for a seal's capture at most; readers never wait
-        — in-flight batches finish against their pinned epoch, later
-        batches see the new one.
+        off the loop, so flushes go on while a writer updates, and never
+        the seal thread, so a writer waits for a seal's capture at most;
+        readers never wait — in-flight batches finish against their
+        pinned epoch, later batches see the new one.
         """
         async with self._add_lock:
             return await asyncio.get_running_loop().run_in_executor(
@@ -253,12 +244,15 @@ class MicroBatcher:
             while len(batch) < self.max_batch and not self._queue.empty():
                 batch.append(self._queue.get_nowait())
             try:
-                await self._flush(batch)
+                self._flush(batch)
             finally:
                 for _ in batch:
                     self._queue.task_done()
+            # Yield once per flush: its replies go out before the next
+            # batch forms, however deep the queue.
+            await asyncio.sleep(0)
 
-    async def _flush(self, batch: list[SearchRequest]) -> None:
+    def _flush(self, batch: list[SearchRequest]) -> None:
         """Score one batch against the current epoch and resolve futures."""
         now = time.monotonic()
         live: list[SearchRequest] = []
@@ -286,11 +280,6 @@ class MicroBatcher:
         for req in live:
             req.batch_size = len(live)
         snapshot = self.state.current()
-        if self._scorer is None:
-            self._scorer = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-scorer"
-            )
-        loop = asyncio.get_running_loop()
         try:
             with span(
                 "server.batch", size=len(live), epoch=snapshot.epoch
@@ -303,13 +292,7 @@ class MicroBatcher:
                 )
                 if trace_ids:
                     batch_span.set_attr("trace_ids", trace_ids)
-                # Context vars do not cross run_in_executor on their own;
-                # copying the context hands the scoring thread this batch
-                # span as parent, so the scoring spans nest under it.
-                call = contextvars.copy_context().run
-                responses = await loop.run_in_executor(
-                    self._scorer, call, self._score_batch, snapshot, live
-                )
+                responses = self._score_batch(snapshot, live)
         except Exception as exc:  # noqa: BLE001 — fail the batch, not the server
             responses = [exc] * len(live)
         for req, response in zip(live, responses):
@@ -323,7 +306,7 @@ class MicroBatcher:
     def _score_batch(
         self, snapshot: EpochSnapshot, batch: list[SearchRequest]
     ) -> list[dict | ReproError]:
-        """Project + score + rank one batch (runs on the scoring thread).
+        """Project + score + rank one batch.
 
         The batch splits by effective probe count: the *exact* group
         (``None``) shares one GEMM over all documents, each ANN group
@@ -343,7 +326,6 @@ class MicroBatcher:
         doc_ids = snapshot.model.doc_ids
         responses: list[dict | ReproError] = [None] * len(batch)
         for probes, candidates in groups.items():
-            t0 = time.perf_counter()
             members, rows = [], []
             for i in candidates:
                 req = batch[i]
@@ -365,6 +347,7 @@ class MicroBatcher:
                 size=len(requests),
                 probes=probes,
             ):
+                t0 = time.perf_counter()
                 results, ann_stats = snapshot.search(
                     Qs,
                     top=[req.top for req in requests],

@@ -85,8 +85,10 @@ from repro.server.service import QueryService
 
 __all__ = ["HttpServer", "start_http_server", "MAX_BODY_BYTES"]
 
-#: Largest accepted request body; bounds per-connection memory.
+#: Largest accepted request body, and request or header line (the
+#: stream reader's limit); both bound per-connection memory.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+MAX_LINE_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -102,10 +104,12 @@ _REASONS = {
 
 
 async def _read_request(
-    line: bytes, reader: asyncio.StreamReader
+    line: bytes | None, reader: asyncio.StreamReader
 ) -> tuple[str, str, dict, dict] | None:
-    """Parse the request whose first line is ``line``: (method, path,
-    headers, json_body); None on EOF."""
+    """Parse the request whose first line is ``line`` (None: it overran
+    the line limit): (method, path, headers, json_body); None on EOF."""
+    if line is None:
+        raise ReproError(f"request line exceeds {MAX_LINE_BYTES} bytes")
     if not line.strip():
         return None
     parts = line.decode("latin-1").split()
@@ -114,15 +118,18 @@ async def _read_request(
     method, path = parts[0].upper(), parts[1]
     headers: dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:  # how readline reports a LimitOverrunError
+            raise ReproError(f"header line exceeds {MAX_LINE_BYTES} bytes")
         if raw in (b"\r\n", b"\n", b""):
             break
         name, _, value = raw.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
+    declared = headers.get("content-length", "0")
+    if not declared.isdecimal():
         raise ReproError("invalid Content-Length header")
+    length = int(declared)
     if length > MAX_BODY_BYTES:
         raise _TooLarge()
     body: dict = {}
@@ -283,8 +290,10 @@ async def _handle(
             server._idle.add(writer)
             try:
                 line = await reader.readline()
-            except (ConnectionError, asyncio.LimitOverrunError):
+            except ConnectionError:
                 return
+            except ValueError:  # the request line overran the limit
+                line = None
             finally:
                 server._idle.discard(writer)
             try:
@@ -375,6 +384,6 @@ async def start_http_server(
     await service.start()
     server = HttpServer(service)
     server._listener = await asyncio.start_server(
-        lambda r, w: _handle(server, r, w), host, port
+        lambda r, w: _handle(server, r, w), host, port, limit=MAX_LINE_BYTES
     )
     return server

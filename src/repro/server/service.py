@@ -153,9 +153,9 @@ class QueryService:
 
         Detach only happens with zero pins, and every in-flight request
         holds a pin until its reply resolves — so a scheduler's queue is
-        empty and its scoring thread idle here, and no query loses its
-        workers; the drain runs as a task off the serving path.  A state
-        that never got a scheduler has nothing to drain.
+        empty here, and no query loses its workers; the drain runs as a
+        task off the serving path.  A state that never got a scheduler
+        has nothing to drain.
         """
         if isinstance(hosted, ServingState):
             backend = self._batchers.pop(tenant_id, None)

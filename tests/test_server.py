@@ -193,7 +193,7 @@ def test_sharded_batch_scoring_matches_flat():
 # admission control: bounded queue, deadlines
 # --------------------------------------------------------------------- #
 def _slow_scorer(monkeypatch, seconds: float) -> None:
-    """Make every batch flush take at least ``seconds`` (executor side)."""
+    """Make every batch flush take at least ``seconds``."""
     original = MicroBatcher._score_batch
 
     def slow(self, snapshot, batch):
@@ -244,11 +244,17 @@ def test_deadline_expires_in_queue(monkeypatch):
             state, ServerConfig(max_batch=1)
         )
         await service.start()
-        first = asyncio.ensure_future(service.search(QUERIES[0], top=2))
-        await asyncio.sleep(0.01)  # first batch is now in its slow flush
+        # Both enqueue in one tick; max_batch=1 makes the second wait out
+        # the first's slow flush, which is longer than its deadline.
+        first, late = (
+            asyncio.ensure_future(service.search(QUERIES[0], top=2)),
+            asyncio.ensure_future(
+                service.search(QUERIES[1], top=2, timeout_ms=1.0)
+            ),
+        )
         with pytest.raises(DeadlineExceededError):
-            await service.search(QUERIES[1], top=2, timeout_ms=1.0)
-        await first
+            await late
+        assert (await first)["results"]
         await service.drain()
 
     asyncio.run(main())
@@ -452,6 +458,48 @@ def test_http_error_mapping():
         conn.request("POST", "/search", body=b"{not json")
         assert conn.getresponse().status == 400
         conn.close()
+
+
+_PAD = b"a" * (70 * 1024)  # past the 64 KiB line limit
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        (
+            b"POST /search HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            "invalid Content-Length header",
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + _PAD + b"\r\n\r\n",
+            "header line exceeds 65536 bytes",
+        ),
+        (
+            b"GET /" + _PAD + b" HTTP/1.1\r\n\r\n",
+            "request line exceeds 65536 bytes",
+        ),
+    ],
+    ids=["negative-content-length", "long-header-line", "long-request-line"],
+)
+def test_http_framing_errors_are_400(caplog, raw, error):
+    import json
+    import socket
+
+    state = _fresh_state()
+    with _ServerThread(state, ServerConfig()) as server:
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.settimeout(10)
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == error
+        # The server is unharmed: the next connection answers.
+        assert ServerClient(port=server.port).healthz()["status"] == "ok"
+    assert not [r for r in caplog.records if r.name == "asyncio"]
 
 
 def test_http_probes_validation():

@@ -1,27 +1,32 @@
 """The work-conserving scheduler's contracts (repro.server.batching).
 
 Deterministic by construction — no sleeps, no wall-clock thresholds.
-Load is simulated by holding the scoring thread on a
-:class:`threading.Event`: whatever is submitted while the flush is held
-is, by definition, "what piled up behind the flush in flight".
+The scorer runs on the event loop, so nothing else runs while a batch
+is scored: load is simulated by starting requests from *inside* a flush
+(:class:`_Arrivals`) — whatever is submitted there is, by definition,
+"what piled up behind the flush in flight", and it enqueues when the
+flush yields.
 
 * **No timer** — a lone search on an idle service never arms
   ``call_later`` / ``call_at`` from ``server/batching.py``;
-* **Batches are the pile-up** — requests submitted during a held flush
-  form the next batch (capped at ``max_batch``, arrival order kept),
-  answer element-identically to solo calls, still honour deadlines and
+* **Batches are the pile-up** — requests arriving during a flush form
+  the next batch (capped at ``max_batch``, arrival order kept), answer
+  element-identically to solo calls, still honour deadlines and
   ``drain()``;
+* **One yield per flush** — a queue deeper than ``max_batch`` resolves
+  batch by batch, its replies going out between flushes;
 * **A bad request fails alone** — over HTTP it is a 400 naming the
   field, in process only its own future raises;
-* **One scoring thread per batcher** — created on first use, joined by
-  ``stop()`` (hence by drain and tenant detach); ``/add`` never runs on
-  it.
+* **No scoring thread** — searching starts no thread (one tenant or a
+  churn of attaches and detaches); ``/add`` runs off the loop, so
+  searches flush while a writer works.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
+import time
 import traceback
 
 import numpy as np
@@ -30,6 +35,7 @@ import pytest
 from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
 from repro.server import (
+    EpochSnapshot,
     MicroBatcher,
     QueryService,
     SearchRequest,
@@ -41,45 +47,46 @@ from tests.test_server import QUERIES, _fresh_state, _pairs, _ServerThread
 from tests.test_tenancy import TENANT_QUERIES, _registry
 
 
-class _HeldScorer:
-    """Hold the first flush on the scoring thread until ``release``.
+class _Arrivals:
+    """Call ``start`` from inside the first flush, while it holds the loop.
 
     ``batches`` records every batch the scorer saw, as the queries in
     the order they were handed over (= arrival order).
     """
 
     def __init__(self, monkeypatch):
-        self.entered = threading.Event()
-        self.release = threading.Event()
         self.batches: list[list] = []
+        self._start = None
         original = MicroBatcher._score_batch
 
-        def gated(batcher, snapshot, batch):
+        def scoring(batcher, snapshot, batch):
             self.batches.append([req.query for req in batch])
-            if len(self.batches) == 1:
-                self.entered.set()
-                assert self.release.wait(30), "test never released the scorer"
+            if self._start is not None:
+                start, self._start = self._start, None
+                self._started = start()
+                self._flushed.set()
             return original(batcher, snapshot, batch)
 
-        monkeypatch.setattr(MicroBatcher, "_score_batch", gated)
+        monkeypatch.setattr(MicroBatcher, "_score_batch", scoring)
 
-    async def hold_first(self, service: QueryService, query) -> asyncio.Future:
-        """Submit ``query`` and return once its flush is held in flight."""
+    async def during_first(self, service: QueryService, query, start):
+        """Search ``query`` and call ``start()`` inside its flush.
+
+        Returns ``(the search's future, what start returned)`` once the
+        flush has yielded: tasks ``start`` created have taken their
+        first step (admitted, queued), and the next batch is not formed
+        yet.
+        """
+        self._flushed = asyncio.Event()
+        self._start = start
         first = asyncio.ensure_future(service.search(query, top=3))
-        while not self.entered.is_set():
-            await asyncio.sleep(0)  # a yield, not a wait
-        return first
+        await self._flushed.wait()
+        return first, self._started
 
 
-async def _submit(service: QueryService, calls) -> list[asyncio.Future]:
-    """Start one search per ``(query, kwargs)`` and let each enqueue."""
-    before = service.admission.pending
-    futures = [
-        asyncio.ensure_future(service.search(q, **kw)) for q, kw in calls
-    ]
-    await asyncio.sleep(0)
-    assert service.admission.pending == before + len(calls)
-    return futures
+def _searches(service: QueryService, calls) -> list[asyncio.Future]:
+    """Start one search per ``(query, kwargs)``."""
+    return [asyncio.ensure_future(service.search(q, **kw)) for q, kw in calls]
 
 
 # --------------------------------------------------------------------- #
@@ -125,46 +132,89 @@ def test_lone_search_arms_no_timer_from_batching(monkeypatch):
 def test_requests_during_a_flight_form_the_next_batch(
     monkeypatch, max_batch, want_sizes
 ):
-    held = _HeldScorer(monkeypatch)
+    arriving = _Arrivals(monkeypatch)
     state = _fresh_state()
     arrivals = [f"{QUERIES[i % 6]} {i}" for i in range(5)]
 
     async def main():
         service = QueryService(state, ServerConfig(max_batch=max_batch))
         await service.start()
-        first = await held.hold_first(service, QUERIES[0])
-        waiting = await _submit(service, [(q, {"top": 3}) for q in arrivals])
         registry.reset("server.batch_size")
-        held.release.set()
+        first, waiting = await arriving.during_first(
+            service,
+            QUERIES[0],
+            lambda: _searches(service, [(q, {"top": 3}) for q in arrivals]),
+        )
+        # Every arrival is queued before the next batch forms.
+        assert service.admission.pending == 1 + len(arrivals)
         await asyncio.gather(first, *waiting)
         await service.drain()
 
     asyncio.run(main())
     hist = registry.histogram("server.batch_size")
-    assert hist.count == len(want_sizes)
-    assert (hist.max, hist.min) == (max(want_sizes), min(want_sizes))
-    assert hist.sum == 5
+    assert hist.count == 1 + len(want_sizes)
+    assert (hist.max, hist.sum) == (max(want_sizes), 1 + 5)
     # Arrival order survives the queue and the max_batch split.
-    assert [len(b) for b in held.batches[1:]] == want_sizes
-    assert [q for batch in held.batches[1:] for q in batch] == arrivals
+    assert [len(b) for b in arriving.batches[1:]] == want_sizes
+    assert [q for batch in arriving.batches[1:] for q in batch] == arrivals
 
 
 # --------------------------------------------------------------------- #
-# (d) deadlines still expire behind a held flush
+# (c) one yield per flush: a deep queue answers batch by batch
+# --------------------------------------------------------------------- #
+def test_deep_queue_resolves_batch_by_batch(monkeypatch):
+    max_batch = 4
+    replies: list[asyncio.Future] = []
+    done_at_flush: list[list[bool]] = []
+    original = MicroBatcher._score_batch
+
+    def scoring(batcher, snapshot, batch):
+        done_at_flush.append([f.done() for f in replies])
+        return original(batcher, snapshot, batch)
+
+    monkeypatch.setattr(MicroBatcher, "_score_batch", scoring)
+    state = _fresh_state()
+
+    async def main():
+        service = QueryService(state, ServerConfig(max_batch=max_batch))
+        await service.start()
+        replies.extend(
+            _searches(
+                service,
+                [(f"{QUERIES[i % 6]} {i}", {"top": 3})
+                 for i in range(3 * max_batch)],
+            )
+        )
+        await asyncio.gather(*replies)
+        await service.drain()
+
+    asyncio.run(main())
+    assert len(done_at_flush) == 3
+    # The first batch's replies went out before the third batch was
+    # scored: the scheduler yields between flushes instead of scoring
+    # the whole backlog in one go.
+    assert all(done_at_flush[2][:max_batch])
+    assert not any(done_at_flush[0])
+
+
+# --------------------------------------------------------------------- #
+# (d) deadlines still expire behind a flush in flight
 # --------------------------------------------------------------------- #
 def test_deadline_expires_behind_a_held_flush(monkeypatch):
     registry.reset("server.")
-    held = _HeldScorer(monkeypatch)
+    arriving = _Arrivals(monkeypatch)
     state = _fresh_state()
 
     async def main():
         service = QueryService(state)
         await service.start()
-        first = await held.hold_first(service, QUERIES[0])
-        (late,) = await _submit(
-            service, [(QUERIES[1], {"top": 2, "timeout_ms": 1e-6})]
+        first, (late,) = await arriving.during_first(
+            service,
+            QUERIES[0],
+            lambda: _searches(
+                service, [(QUERIES[1], {"top": 2, "timeout_ms": 1e-6})]
+            ),
         )
-        held.release.set()
         with pytest.raises(DeadlineExceededError):
             await late
         assert (await first)["results"]
@@ -173,44 +223,49 @@ def test_deadline_expires_behind_a_held_flush(monkeypatch):
     asyncio.run(main())
     assert registry.counter("server.deadline_expired") == 1
     # The expired request never reached the scorer.
-    assert held.batches == [[QUERIES[0]]]
+    assert arriving.batches == [[QUERIES[0]]]
 
 
 # --------------------------------------------------------------------- #
-# (e) drain during a held flush
+# (e) drain during a flush in flight
 # --------------------------------------------------------------------- #
 def test_drain_during_a_held_flush_answers_queue_then_rejects(monkeypatch):
-    held = _HeldScorer(monkeypatch)
+    arriving = _Arrivals(monkeypatch)
     state = _fresh_state()
 
     async def main():
         service = QueryService(state, ServerConfig(max_batch=2))
         await service.start()
-        first = await held.hold_first(service, QUERIES[0])
-        queued = await _submit(
-            service, [(QUERIES[i], {"top": 3}) for i in (1, 2, 3)]
+
+        def arrive_then_drain():
+            queued = _searches(
+                service, [(QUERIES[i], {"top": 3}) for i in (1, 2, 3)]
+            )
+            return queued, asyncio.ensure_future(service.drain())
+
+        first, (queued, draining) = await arriving.during_first(
+            service, QUERIES[0], arrive_then_drain
         )
-        draining = asyncio.ensure_future(service.drain())
-        await asyncio.sleep(0)
         assert service.draining and not draining.done()
+        assert not any(f.done() for f in queued)
         # New work bounces while the queued work is still waiting.
         with pytest.raises(ServerOverloadError) as info:
             await service.search(QUERIES[4])
         assert info.value.reason == "draining"
-        held.release.set()
         await draining
         # drain() returned only after everything queued was answered.
         assert all(f.done() for f in (first, *queued))
         return [f.result() for f in (first, *queued)]
 
     assert all(r["results"] for r in asyncio.run(main()))
+    assert [len(b) for b in arriving.batches] == [1, 2, 1]
 
 
 # --------------------------------------------------------------------- #
 # (f) a load-formed batch answers like solo calls
 # --------------------------------------------------------------------- #
 def test_load_formed_batch_identical_to_solo_calls(monkeypatch):
-    held = _HeldScorer(monkeypatch)
+    arriving = _Arrivals(monkeypatch)
     state = _fresh_state()
     calls = [
         (QUERIES[1], {}),
@@ -223,9 +278,9 @@ def test_load_formed_batch_identical_to_solo_calls(monkeypatch):
     async def main():
         service = QueryService(state)
         await service.start()
-        first = await held.hold_first(service, QUERIES[0])
-        waiting = await _submit(service, calls)
-        held.release.set()
+        first, waiting = await arriving.during_first(
+            service, QUERIES[0], lambda: _searches(service, calls)
+        )
         batched = await asyncio.gather(*waiting)
         await first
         solo = [await service.search(q, **kw) for q, kw in calls]
@@ -233,14 +288,43 @@ def test_load_formed_batch_identical_to_solo_calls(monkeypatch):
         return batched, solo
 
     batched, solo = asyncio.run(main())
-    assert [len(b) for b in held.batches[:2]] == [1, 5]
-    assert all(len(b) == 1 for b in held.batches[2:])
+    assert [len(b) for b in arriving.batches[:2]] == [1, 5]
+    assert all(len(b) == 1 for b in arriving.batches[2:])
     for (q, kw), got, want in zip(calls, batched, solo):
         got, want = _pairs(got), _pairs(want)
         assert [j for j, _ in got] == [j for j, _ in want], (q, kw)
         assert np.allclose(
             [c for _, c in got], [c for _, c in want], atol=1e-12
         ), (q, kw)
+
+
+# --------------------------------------------------------------------- #
+# server.batch_gemm_seconds times the scan, not the projection
+# --------------------------------------------------------------------- #
+def test_batch_gemm_seconds_excludes_projection(monkeypatch):
+    slow = 0.1
+    original = EpochSnapshot.project
+
+    def slow_project(snapshot, query):
+        time.sleep(slow)
+        return original(snapshot, query)
+
+    monkeypatch.setattr(EpochSnapshot, "project", slow_project)
+    state = _fresh_state()
+
+    async def main():
+        service = QueryService(state)
+        await service.start()
+        registry.reset("server.batch_gemm_seconds")
+        response = await service.search(QUERIES[0], top=3, exact=True)
+        await service.drain()
+        return response
+
+    assert asyncio.run(main())["results"]
+    hist = registry.histogram("server.batch_gemm_seconds")
+    assert hist.count == 1
+    # The slow projection ran, but outside the histogram's clock.
+    assert hist.sum < slow
 
 
 # --------------------------------------------------------------------- #
@@ -319,32 +403,25 @@ def test_http_malformed_search_fields_are_400_naming_the_field():
 
 
 # --------------------------------------------------------------------- #
-# scoring-thread lifecycle
+# no scoring thread
 # --------------------------------------------------------------------- #
-def test_back_to_back_searches_use_one_scoring_thread():
+def test_back_to_back_searches_start_no_thread():
     state = _fresh_state()
 
     async def main():
         service = QueryService(state)
         await service.start()
         before = set(threading.enumerate())
-        idle = threading.active_count()
-        peak = 0
         for i in range(200):
             await service.search(QUERIES[i % 6], top=3)
-            peak = max(peak, threading.active_count())
-        (scorer,) = set(threading.enumerate()) - before
-        assert scorer.name.startswith("repro-scorer")
-        assert peak <= idle + 1
+            assert set(threading.enumerate()) == before, i
         await service.drain()
-        # stop() joined it.
-        assert not scorer.is_alive()
-        assert threading.active_count() == idle
+        assert set(threading.enumerate()) == before
 
     asyncio.run(main())
 
 
-def test_batcher_stop_joins_its_thread():
+def test_bare_batcher_starts_no_thread_and_stops_twice():
     state = _fresh_state()
 
     async def main():
@@ -358,9 +435,8 @@ def test_batcher_stop_joins_its_thread():
         )
         batcher.submit(request)
         assert (await request.future)["results"]
-        (scorer,) = set(threading.enumerate()) - before
+        assert set(threading.enumerate()) == before
         await batcher.stop()
-        assert not scorer.is_alive()
         await batcher.stop()  # idempotent
 
     asyncio.run(main())
@@ -379,40 +455,51 @@ def test_attach_query_detach_cycles_do_not_grow_threads():
                 TENANT_QUERIES[tid], top=3, tenant=tid
             )
             assert response["tenant"] == tid
-            # One resident tenant, hence one scorer: the evicted
-            # tenant's thread was joined by its detach hook.
+            # One resident tenant: the evicted one was detached, and
+            # neither attach nor scoring started a thread.
             assert list(reg.resident_states()) == [tid]
-            assert threading.active_count() <= idle + 1, cycle
+            assert threading.active_count() == idle, cycle
         await service.drain()
         assert threading.active_count() == idle
 
     asyncio.run(main())
 
 
-def test_add_does_not_run_on_or_wait_for_the_scoring_thread(monkeypatch):
-    held = _HeldScorer(monkeypatch)
+def test_add_runs_off_the_loop_while_searches_flush(monkeypatch):
     state = _fresh_state()
     n0 = state.current().n_documents
-    ran_on: list[str] = []
+    entered, release = threading.Event(), threading.Event()
+    ran_on: list[int] = []
     original = state.add_texts
 
-    def recording(texts, doc_ids=None):
-        ran_on.append(threading.current_thread().name)
+    def held(texts, doc_ids=None):
+        ran_on.append(threading.get_ident())
+        entered.set()
+        assert release.wait(30), "test never released the writer"
         return original(texts, doc_ids)
 
-    monkeypatch.setattr(state, "add_texts", recording)
+    monkeypatch.setattr(state, "add_texts", held)
 
     async def main():
         service = QueryService(state)
         await service.start()
-        first = await held.hold_first(service, QUERIES[0])
-        # The scorer is busy (held); the writer must finish regardless.
-        added = await service.add(["renal oxygen study in children"])
-        assert not first.done()
-        held.release.set()
-        await first
+        adding = asyncio.ensure_future(
+            service.add(["renal oxygen study in children"])
+        )
+        while not entered.is_set():
+            await asyncio.sleep(0)  # a yield, not a wait
+        # The writer is held on its thread; the loop still scores.
+        for query in QUERIES:
+            assert (await service.search(query, top=3))["results"]
+        assert not adding.done()
+        release.set()
+        added = await adding
         await service.drain()
         return added
 
-    assert asyncio.run(main())["n_documents"] == n0 + 1
-    assert len(ran_on) == 1 and not ran_on[0].startswith("repro-scorer")
+    try:
+        added = asyncio.run(main())
+    finally:
+        release.set()
+    assert added["n_documents"] == n0 + 1
+    assert ran_on and ran_on[0] != threading.get_ident()
