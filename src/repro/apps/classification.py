@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
+from repro.serving.kernel import cosine_scores
 
 __all__ = ["CentroidClassifier", "lsi_features", "classification_accuracy"]
 
@@ -109,13 +110,7 @@ class CentroidClassifier:
         if self.discriminant is not None:
             X = X * self.discriminant
             C = C * self.discriminant
-        xn = np.sqrt(np.sum(X**2, axis=1, keepdims=True))
-        cn = np.sqrt(np.sum(C**2, axis=1, keepdims=True))
-        denom = xn @ cn.T
-        cos = np.zeros((X.shape[0], C.shape[0]))
-        ok = denom > 0
-        raw = X @ C.T
-        cos[ok] = raw[ok] / denom[ok]
+        cos = cosine_scores(C, X)
         return [self.classes[int(i)] for i in np.argmax(cos, axis=1)]
 
 

@@ -31,6 +31,7 @@ from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.corpus.crosslang import CrossLanguageCorpus
 from repro.errors import ShapeError
+from repro.serving.kernel import cosine_scores
 from repro.updating.folding import fold_in_texts
 from repro.weighting.schemes import WeightingScheme
 
@@ -101,18 +102,10 @@ class CrossLanguageRetrieval:
         retrieval restricts to the *other* language).
         """
         qhat = project_query(self.model, query) * self.model.s
-        coords = self._folded_coords()
         ids = self.model.doc_ids[self.n_training :]
-        mask = np.ones(len(ids), dtype=bool)
+        cos = cosine_scores(self._folded_coords(), qhat)[0]
         if language is not None:
-            mask = np.array([l == language for l in self.languages])
-        qn = np.sqrt(np.dot(qhat, qhat))
-        norms = np.sqrt(np.sum(coords**2, axis=1))
-        denom = norms * qn
-        cos = np.zeros(len(ids))
-        ok = (denom > 0) & mask
-        cos[ok] = (coords[ok] @ qhat) / denom[ok]
-        cos[~mask] = -np.inf
+            cos[np.array(self.languages) != language] = -np.inf
         order = np.argsort(-cos, kind="stable")[:top]
         return [(ids[int(i)], float(cos[i])) for i in order]
 

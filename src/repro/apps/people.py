@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
+from repro.serving.kernel import cosine_scores
 
 __all__ = ["ReviewerAssignment", "assign_reviewers", "find_experts", "people_vectors"]
 
@@ -62,13 +63,7 @@ def find_experts(
     top: int = 5,
 ) -> list[tuple[int, float]]:
     """Rank people by cosine of their vector with the query (Advisor)."""
-    qhat = project_query(model, query) * model.s
-    qn = np.sqrt(np.dot(qhat, qhat))
-    norms = np.sqrt(np.sum(people**2, axis=1))
-    denom = norms * qn
-    cos = np.zeros(people.shape[0])
-    ok = denom > 0
-    cos[ok] = (people[ok] @ qhat) / denom[ok]
+    cos = cosine_scores(people, project_query(model, query) * model.s)[0]
     order = np.argsort(-cos, kind="stable")[:top]
     return [(int(i), float(cos[i])) for i in order]
 
@@ -100,17 +95,6 @@ class ReviewerAssignment:
         return load
 
 
-def _cosine_matrix(paper_vecs: np.ndarray, reviewer_vecs: np.ndarray) -> np.ndarray:
-    pn = np.sqrt(np.sum(paper_vecs**2, axis=1, keepdims=True))
-    rn = np.sqrt(np.sum(reviewer_vecs**2, axis=1, keepdims=True))
-    denom = pn @ rn.T
-    sim = np.zeros((paper_vecs.shape[0], reviewer_vecs.shape[0]))
-    ok = denom > 0
-    raw = paper_vecs @ reviewer_vecs.T
-    sim[ok] = raw[ok] / denom[ok]
-    return sim
-
-
 def assign_reviewers(
     model: LSIModel,
     reviewer_vecs: np.ndarray,
@@ -139,7 +123,7 @@ def assign_reviewers(
     paper_vecs = np.stack(
         [project_query(model, s) * model.s for s in submissions]
     )
-    sim = _cosine_matrix(paper_vecs, reviewer_vecs)
+    sim = cosine_scores(reviewer_vecs, paper_vecs)
 
     # Greedy: highest-similarity (paper, reviewer) pairs first.
     order = np.argsort(-sim, axis=None, kind="stable")

@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import pseudo_document
 from repro.core.similarity import nearest_terms
+from repro.serving.kernel import cosine_scores
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
 
@@ -54,13 +55,6 @@ def suggest_index_terms(
     counts = count_vector(tokenize(text), model.vocabulary)
     weighted = counts * model.global_weights
     dhat = pseudo_document(model, weighted)
-    term_coords = model.term_coordinates()
-    target = dhat * model.s
-    norms = np.sqrt(np.sum(term_coords**2, axis=1))
-    tn = np.sqrt(np.dot(target, target))
-    denom = norms * tn
-    cos = np.zeros(model.n_terms)
-    ok = denom > 0
-    cos[ok] = (term_coords[ok] @ target) / denom[ok]
+    cos = cosine_scores(model.term_coordinates(), dhat * model.s)[0]
     order = np.argsort(-cos, kind="stable")[:top]
     return [(model.vocabulary[int(i)], float(cos[i])) for i in order]

@@ -19,10 +19,10 @@ Execution
 ---------
 Scoring routes through the serving fast path
 (:mod:`repro.serving`): :func:`cosine_similarities` is the q=1 case of
-the batched GEMM kernel, reading ``V_k Σ_k`` and its row norms from the
-model's own memo (:func:`repro.serving.index.scaled_documents`) instead
-of recomputing them per query — the whole fp64 score vector, for callers
-that need every score.  The ranked/filtered entry point
+the batched GEMM kernel over ``V_k Σ_k`` (formed per call) with the row
+norms from the model's own memo
+(:func:`repro.serving.index.scaled_documents`) — the whole fp64 score
+vector, for callers that need every score.  The ranked/filtered entry point
 (:func:`ranked_documents`, behind :func:`retrieve` and
 ``LSIRetrieval.search``) is the one exact ranking every serving tier
 uses (:func:`repro.serving.scan.ranked_scan`): same indices as the
@@ -54,11 +54,6 @@ __all__ = [
 ]
 
 
-def _cosine_rows(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cosine of each row of ``M`` with vector ``v`` (0 for zero rows)."""
-    return cosine_scores(M, v)[0]
-
-
 def _served_query(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
     """``qhat`` as a checked length-k fp64 vector, counted as served."""
     qhat = np.asarray(qhat, dtype=np.float64).ravel()
@@ -74,8 +69,8 @@ def cosine_similarities(
     """Cosine of the query pseudo-vector with every document (length n).
 
     The q=1 case of the batch GEMM path.  ``"scaled"`` compares in
-    ``V_k Σ_k`` (memoized on the model); ``"factors"`` compares the raw
-    ``q̂`` with the rows of ``V_k``.
+    ``V_k Σ_k`` (its norms memoized on the model); ``"factors"`` compares
+    the raw ``q̂`` with the rows of ``V_k``.
     """
     if mode not in ("scaled", "factors"):
         raise ValueError(f"unknown similarity mode {mode!r}")
@@ -84,8 +79,8 @@ def cosine_similarities(
         return cosine_scores(model.V, qhat)[0]
     scaled = scaled_documents(model)
     return cosine_scores(
-        scaled.coords, qhat * model.s, norms=scaled.norms,
-        positive=scaled.positive,
+        np.multiply(model.V, model.s, order="C"), qhat * model.s,
+        norms=scaled.norms, positive=scaled.positive,
     )[0]
 
 
@@ -156,13 +151,13 @@ def term_term_similarities(model: LSIModel, term: str) -> np.ndarray:
     factor space even if they never co-occur".
     """
     coords = model.term_coordinates()
-    return _cosine_rows(coords, coords[model.vocabulary.id_of(term)])
+    return cosine_scores(coords, coords[model.vocabulary.id_of(term)])[0]
 
 
 def doc_doc_similarities(model: LSIModel, doc_id: str) -> np.ndarray:
     """Cosine of one document against every document (scaled space)."""
     coords = model.doc_coordinates()
-    return _cosine_rows(coords, coords[model.doc_index(doc_id)])
+    return cosine_scores(coords, coords[model.doc_index(doc_id)])[0]
 
 
 def nearest_terms(

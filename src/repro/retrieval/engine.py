@@ -26,7 +26,7 @@ __all__ = ["LSIRetrieval"]
 class LSIRetrieval:
     """Retrieval through a fitted LSI model (Eq. 6 + cosine ranking).
 
-    Queries run on the serving fast path: document coordinates and norms
+    Queries run on the serving fast path: document norms and unit rows
     come from the model's own memo
     (:func:`~repro.serving.index.scaled_documents`), projected query
     vectors are memoized in an LRU keyed on the query's normalized token

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
+from repro.serving.kernel import cosine_scores
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
 from repro.updating.folding import _weight_columns
@@ -78,15 +79,7 @@ class FilteringProfile:
     def match(self, incoming_vectors: np.ndarray) -> np.ndarray:
         """Cosine of the profile with each incoming document vector."""
         M = np.atleast_2d(np.asarray(incoming_vectors, dtype=np.float64))
-        scaled_profile = self.vector * self.model.s
-        scaled_docs = M * self.model.s
-        pn = np.sqrt(np.dot(scaled_profile, scaled_profile))
-        dn = np.sqrt(np.sum(scaled_docs**2, axis=1))
-        denom = pn * dn
-        out = np.zeros(M.shape[0])
-        ok = denom > 0
-        out[ok] = (scaled_docs[ok] @ scaled_profile) / denom[ok]
-        return out
+        return cosine_scores(M * self.model.s, self.vector * self.model.s)[0]
 
 
 def stream_filter(

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
+from repro.serving.kernel import cosine_scores
 
 __all__ = ["MultiTopicQuery", "multi_topic_scores", "multi_topic_search"]
 
@@ -88,16 +89,7 @@ class MultiTopicQuery:
 
 def _facet_cosines(model: LSIModel, query: MultiTopicQuery) -> np.ndarray:
     """(t, n) cosine of each interest point with each document."""
-    docs = model.V * model.s  # (n, k)
-    pts = query.points * model.s  # (t, k)
-    dn = np.sqrt(np.sum(docs**2, axis=1))
-    pn = np.sqrt(np.sum(pts**2, axis=1))
-    denom = pn[:, None] * dn[None, :]
-    raw = pts @ docs.T
-    out = np.zeros_like(raw)
-    ok = denom > 0
-    out[ok] = raw[ok] / denom[ok]
-    return out
+    return cosine_scores(model.V * model.s, query.points * model.s)
 
 
 def multi_topic_scores(

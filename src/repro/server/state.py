@@ -8,7 +8,7 @@ while new queries see the new state — the classic epoch (RCU-style)
 handoff.
 
 :class:`EpochSnapshot` pins everything one batch of queries needs — the
-model, the precomputed document coordinates and norms of a row range
+model, the precomputed norms and unit rows of a row range
 (the whole model here; one shard's rows in a cluster worker), a
 per-epoch projected-query cache — into one immutable object, and its
 :meth:`~EpochSnapshot.search` is the one scoring entry point of every
@@ -17,8 +17,8 @@ publishes the current snapshot behind a single attribute write (atomic
 under the GIL), so readers never lock; writers serialize on a mutex,
 route the addition through :class:`~repro.updating.manager.LSIIndexManager`
 (fold-in now, consolidate per the §4.3 drift policy), build the
-successor snapshot, and swap.  A whole-model snapshot scores the
-read-only ``V_k Σ_k`` its model memoizes
+successor snapshot, and swap.  A whole-model snapshot scores through
+the norms and unit rows its model memoizes
 (:func:`~repro.serving.index.scaled_documents`), so it shares one build
 with every other scorer of that model and frees it with the model.
 """
@@ -100,8 +100,8 @@ class EpochSnapshot:
                 raise ShapeError(
                     f"rows [{lo},{hi}) outside model with n={n}"
                 )
-            # Materialize only this range's rows: the multiply touches (and
-            # therefore faults in) just the mapped pages of V[lo:hi].
+            # Hold only this range's rows: deriving touches (and therefore
+            # faults in) just the mapped pages of V[lo:hi].
             self.scaled = scaled_rows(model.V[lo:hi], model.s, ann, lo=lo)
         self.lo = lo
         self.hi = hi
@@ -115,8 +115,10 @@ class EpochSnapshot:
 
     @property
     def coords(self) -> np.ndarray:
-        """Read-only fp64 rows ``[lo, hi)`` of ``V_k Σ_k``."""
-        return self.scaled.coords
+        """Fp64 rows ``[lo, hi)`` of ``V_k Σ_k``, formed per call: a
+        fresh n × k product no served request reads."""
+        scaled = self.scaled
+        return np.multiply(scaled.V, scaled.s, order="C")
 
     @property
     def norms(self) -> np.ndarray:
@@ -126,7 +128,7 @@ class EpochSnapshot:
     @property
     def k(self) -> int:
         """Dimensionality of the comparison space."""
-        return self.coords.shape[1]
+        return self.model.k
 
     # ------------------------------------------------------------------ #
     def project(self, query) -> np.ndarray:
@@ -207,10 +209,11 @@ class EpochSnapshot:
     def score_batch(self, Q: np.ndarray) -> np.ndarray:
         """Cosine of unscaled ``(q, k)`` query vectors with every row: the
         full-width fp64 matrix (reference surface) that :meth:`search`'s
-        rankings are held to — same indices, scores within 1e-12."""
+        rankings are held to — same indices, scores within 1e-12.  No
+        served request runs it, so it forms :attr:`coords` per call."""
         scaled = self.scaled
         return cosine_scores(
-            scaled.coords, self.scale(Q), norms=scaled.norms,
+            self.coords, self.scale(Q), norms=scaled.norms,
             positive=scaled.positive,
         )
 

@@ -14,6 +14,9 @@ reduction that is local to each row, so its value is a pure function of
 (row, query).  The ranked paths (:mod:`repro.serving.scan`,
 :meth:`CoarseQuantizer.select <repro.serving.ann.CoarseQuantizer.select>`)
 report its values, which is what makes them bit-equal to each other.
+It reads the factors ``V`` and ``Σ``, forming the rows it scores as
+``V[rows] Σ`` (:func:`scaled_blocks`), so no n × k fp64 copy of the
+comparison space is held.
 
 The kernels are deliberately pure NumPy with no model imports, so every
 layer — including :mod:`repro.core` — can depend on them without cycles.
@@ -22,12 +25,43 @@ layer — including :mod:`repro.core` — can depend on them without cycles.
 from __future__ import annotations
 
 import time
+from typing import Iterator
 
 import numpy as np
 
 from repro.obs.metrics import registry
 
-__all__ = ["row_norms", "cosine_scores", "row_cosines"]
+__all__ = [
+    "ROW_BLOCK", "scaled_blocks", "row_norms", "cosine_scores", "row_cosines",
+]
+
+#: Rows per block wherever rows of ``V_k Σ_k`` are formed from the
+#: factors: no temporary is larger than ``ROW_BLOCK × k`` fp64.
+ROW_BLOCK = 8192
+
+
+def scaled_blocks(
+    V: np.ndarray, s: np.ndarray, rows: np.ndarray | None = None
+) -> Iterator[tuple[slice, slice | np.ndarray, np.ndarray]]:
+    """``(at, idx, V[idx] Σ)`` per block of at most :data:`ROW_BLOCK` rows.
+
+    ``rows`` (every row of ``V`` when ``None``) are taken in the order
+    given: ``at`` is a block's slice of positions in ``rows``, ``idx``
+    the rows of ``V`` it covers.  Each block is a fresh C-contiguous
+    product, elementwise the IEEE multiplies of ``V * s`` — so a value
+    reduced from one of its rows is the value the whole product gives.
+    """
+    n = V.shape[0] if rows is None else rows.size
+    for start in range(0, n, ROW_BLOCK):
+        at = slice(start, start + ROW_BLOCK)
+        if rows is None:
+            idx, block = at, np.multiply(V[at], s, order="C")
+        else:
+            # Gathering already copies the rows: scale the copy in place.
+            idx = rows[at]
+            block = np.ascontiguousarray(V[idx])
+            block *= s
+        yield at, idx, block
 
 
 def row_norms(M: np.ndarray) -> np.ndarray:
@@ -102,25 +136,27 @@ def cosine_scores(
 
 
 def row_cosines(
-    coords: np.ndarray,
+    V: np.ndarray,
+    s: np.ndarray,
     norms: np.ndarray,
     q: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cosine of scaled query ``q`` with ``coords[rows]`` (all if None).
+    """Cosine of scaled query ``q`` with rows ``rows`` of ``V Σ`` (all if
+    None); ``norms`` holds the norm of every row of ``V Σ``.
 
     Row-local: ``einsum("ij,j->i")`` reduces each row on its own, in an
     order fixed by ``k``, so a value depends on its row and the query and
     not on which other rows ride along, where the row sits, or how many
-    queries were batched.  Zero-norm rows and the zero query score 0.
+    queries were batched — which is also what lets the rows be formed
+    block by block.  Zero-norm rows and the zero query score 0.
     """
+    out = np.zeros(V.shape[0] if rows is None else rows.size)
     qn = np.sqrt(np.dot(q, q))
     if qn == 0:
-        return np.zeros(coords.shape[0] if rows is None else rows.size)
-    if rows is not None:
-        coords, norms = coords[rows], norms[rows]
-    denom = qn * norms
-    out = np.zeros(denom.size)
-    raw = np.einsum("ij,j->i", coords, q)
-    np.divide(raw, denom, out=out, where=denom > 0)
+        return out
+    for at, idx, block in scaled_blocks(V, s, rows):
+        denom = qn * norms[idx]
+        raw = np.einsum("ij,j->i", block, q)
+        np.divide(raw, denom, out=out[at], where=denom > 0)
     return out

@@ -16,7 +16,10 @@ shard worker,
    ``top``-th largest approximate cosine and/or the ``threshold``
    (:func:`prefilter_margin` proves the true answer is inside);
 3. :func:`~repro.serving.kernel.row_cosines` of the candidates only — a
-   **row-local** fp64 kernel — ranked by :func:`~repro.serving.topk.ranked_order`.
+   **row-local** fp64 kernel over ``V[rows] * s``, formed from the
+   model's own factors for the survivors alone (for a request no filter
+   cuts, for every row, one block at a time) — ranked by
+   :func:`~repro.serving.topk.ranked_order`.
 
 Steps 2 and 3 are one function, :func:`cut_and_rescore`, which a probe
 (:meth:`CoarseQuantizer.select <repro.serving.ann.CoarseQuantizer.select>`)
@@ -150,7 +153,7 @@ def cut_and_rescore(
     rows = positions  # None: every row, in document order
     if rows is not None and scaled.order is not None:
         rows = np.sort(scaled.order[rows])
-    scores = row_cosines(scaled.coords, scaled.norms, q, rows)
+    scores = row_cosines(scaled.V, scaled.s, scaled.norms, q, rows)
     registry.observe(
         "serving.rescore_candidates",
         float(scores.size),
@@ -172,7 +175,7 @@ def ranked_scan(
     """Ranked ``(offset + row, cosine)`` pairs for each scaled query.
 
     Element-identical in indices to stable-sorting row ``i`` of the
-    fp64 ``cosine_scores(coords, Qs)`` descending, dropping scores below
+    fp64 ``cosine_scores(V * s, Qs)`` descending, dropping scores below
     ``thresholds[i]`` and truncating to ``tops[i]``, whatever the
     layout of ``scaled.unit``.
     """

@@ -66,9 +66,13 @@ __all__ = [
 #: 2. adds the optional ANN coarse-quantizer arrays (``ann_centroids``,
 #:    ``ann_indptr``, ``ann_docs``) and an ``ann`` meta block.  All
 #:    format-1 arrays are unchanged, so a v1 checkpoint loads cleanly —
-#:    serving simply falls back to the exact scan.
-CHECKPOINT_FORMAT = 2
-SUPPORTED_CHECKPOINT_FORMATS = (1, 2)
+#:    serving simply falls back to the exact scan;
+#: 3. ``model_V`` is written only when the serving ``V`` is not the
+#:    base's (documents pending); without it the serving model reads
+#:    ``base_V``, so ``V`` is on disk and in memory once.  A v1/v2
+#:    checkpoint, which always carries both, opens unchanged.
+CHECKPOINT_FORMAT = 3
+SUPPORTED_CHECKPOINT_FORMATS = (1, 2, 3)
 MANIFEST_NAME = "manifest.json"
 #: Name of the checkpoints directory inside a store data directory.
 CHECKPOINTS_DIR = "checkpoints"

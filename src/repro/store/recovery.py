@@ -8,7 +8,8 @@ the array layout is written and read here and nowhere else:
   pair :mod:`repro.store.checkpoint` writes.  The split exploits the
   manager's structural invariant that under fold-in the serving model
   differs from the consolidated base model only by folded-in document
-  rows — ``U``, ``Σ``, and the global weights are stored once;
+  rows — ``U``, ``Σ``, and the global weights are stored once, and so
+  is ``V`` when nothing is pending (the serving model *is* the base);
 * :func:`open_checkpoint` is the one path from a store data directory
   to an :class:`OpenedCheckpoint`: locate → verify → parse the manifest
   → read the arrays, each once.  Its decoders (``.model()``, ``.ann()``,
@@ -130,12 +131,16 @@ def capture_manager(
         "base_s": base.s,
         "base_V": base.V,
         "base_gw": base.global_weights,
-        "model_V": model.V,
         "tdm_indptr": manager.tdm.matrix.indptr,
         "tdm_indices": manager.tdm.matrix.indices,
         "tdm_data": manager.tdm.matrix.data,
         "pending": pending,
     }
+    if model.V is not base.V:
+        # Rows are pending: the serving V is the base's plus their rows.
+        # Otherwise (after initialize or any consolidation) the serving
+        # model is the base, and its V is written and read back once.
+        arrays["model_V"] = model.V
     if model.U is not base.U or model.s is not base.s:
         # Fold-in shares the base factors by reference, so the common
         # case stores U/Σ once.  The fast-update ingest kernel rotates
@@ -186,7 +191,8 @@ def _decode_models(
     (``U``/``Σ`` shared by reference — :func:`capture_manager` tests that
     identity); a checkpoint taken with fast-update batches pending
     carries the rotated serving ``U``/``Σ``, and they, not the base's,
-    belong with the serving ``V``.
+    belong with the serving ``V``.  Without a ``model_V`` (nothing
+    pending) the serving model shares the base's ``V`` — one array.
     """
     base = LSIModel(
         U=arrays["base_U"],
@@ -204,7 +210,7 @@ def _decode_models(
         base,
         U=arrays.get("model_U", base.U),
         s=arrays.get("model_s", base.s),
-        V=arrays["model_V"],
+        V=arrays.get("model_V", base.V),
         doc_ids=list(meta["doc_ids"]),
         provenance=meta["provenance"],
     )
@@ -352,16 +358,33 @@ def open_checkpoint(
 # replay
 # --------------------------------------------------------------------- #
 def apply_record(manager: LSIIndexManager, record: WalRecord) -> None:
-    """Apply one WAL record through the manager's normal entry points."""
-    if record.op == "add_counts":
-        manager.add_counts(
-            record.payload["counts"], list(record.payload["doc_ids"])
-        )
-    else:
+    """Apply one WAL record through the manager's normal entry points.
+
+    A record can pass its CRC and still not be one the store's writer
+    logged (another tool wrote it, or a hand): a payload that writer
+    (:meth:`DurableIndexStore.add_counts
+    <repro.store.durable.DurableIndexStore.add_counts>`) would have
+    refused is a :class:`StoreCorruptError` naming the record.
+    """
+    where = f"write-ahead log record {record.lsn}"
+    if record.op != "add_counts":
+        raise StoreCorruptError(f"{where} has unknown op {record.op!r}")
+    for key in ("counts", "doc_ids"):
+        if key not in record.payload:
+            raise StoreCorruptError(f"{where} (add_counts) has no {key!r}")
+    counts, doc_ids = record.payload["counts"], record.payload["doc_ids"]
+    m = manager.model.n_terms
+    if not (
+        isinstance(doc_ids, list)
+        and isinstance(counts, np.ndarray)
+        and counts.dtype.kind in "fiu"
+        and counts.shape == (m, len(doc_ids))
+    ):
         raise StoreCorruptError(
-            f"write-ahead log record {record.lsn} has unknown op "
-            f"{record.op!r}"
+            f"{where} (add_counts) holds no {m}-row count block with one "
+            "id per column"
         )
+    manager.add_counts(counts, doc_ids)
 
 
 def replay_wal(

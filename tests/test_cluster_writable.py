@@ -25,6 +25,7 @@ from repro.cluster.worker import ShardWorker
 from repro.errors import ClusterReadOnlyError, StoreError
 from repro.server import QueryService, ServerClient, start_http_server
 from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.store.checkpoint import load_manifest
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint, recover_manager
 from repro.store.sealing import CheckpointPolicy
@@ -210,7 +211,10 @@ def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
 
         # A corrupt newest seal falls back to the last valid one, which
         # is not news to a service already on it.
-        victim = newer.path / "model_V.npy"
+        # The file the serving V is read from: model_V when documents
+        # were pending at the seal, base_V otherwise.
+        entries = load_manifest(newer.path)["arrays"]
+        victim = newer.path / entries.get("model_V", entries["base_V"])["file"]
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))

@@ -86,9 +86,8 @@ def big_model():
 
 
 def _snapshot(model, **train) -> EpochSnapshot:
-    whole = EpochSnapshot(0, model)
     return EpochSnapshot(
-        0, model, ann=CoarseQuantizer.train(whole.coords, seed=0, **train)
+        0, model, ann=CoarseQuantizer.train(model.V * model.s, seed=0, **train)
     )
 
 

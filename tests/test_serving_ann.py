@@ -262,7 +262,8 @@ def _reference_select(quantizer, q, *, probes, top, threshold, lo, hi):
     n = LAYOUT_COORDS.shape[0]
     cells = quantizer.probe_cells(q, probes)
     cand = quantizer.candidates(cells, n_total=n, lo=lo, hi=hi)
-    scores = row_cosines(LAYOUT_COORDS, row_norms(LAYOUT_COORDS), q, cand)
+    ones = np.ones(LAYOUT_COORDS.shape[1])  # the rows are already scaled
+    scores = row_cosines(LAYOUT_COORDS, ones, row_norms(LAYOUT_COORDS), q, cand)
     order = ranked_order(scores, top=top, threshold=threshold)
     return [(int(cand[i]), float(scores[i])) for i in order], cand.size
 
@@ -384,7 +385,9 @@ def test_a_laid_out_snapshot_holds_one_single_precision_copy(
     single = [a for a in held if a.dtype == np.float32]
     assert len(single) == 1 and single[0] is unit
     large = {id(a) for a in held if a.nbytes >= unit.nbytes}
-    assert large == {id(unit), id(snapshot.coords)}
+    # The other one is the model's own V (rows lo:hi), held, not copied.
+    assert large == {id(unit), id(snapshot.scaled.V)}
+    assert np.shares_memory(snapshot.scaled.V, model.V)
     memo = getattr(model, "_scaled_documents", None)
     if snapshot.lo == 0 and snapshot.hi == model.n_documents:
         assert memo[0] is layout_quantizer and memo[1] is snapshot.scaled
@@ -399,8 +402,10 @@ def test_a_snapshot_lays_out_a_document_ordered_memo_again(layout_quantizer):
     snapshot = EpochSnapshot(0, model, ann=layout_quantizer)
     laid = snapshot.scaled
     assert laid.order is not None and laid.unit is not flat.unit
-    # The fp64 rows are kept; the model holds only the laid-out fp32 rows.
-    assert laid.coords is flat.coords and laid.norms is flat.norms
+    # Both score the model's own V; the model holds only the laid-out
+    # fp32 rows, derived again with their norms.
+    assert laid.V is flat.V is model.V
+    assert np.array_equal(laid.norms, flat.norms)
     assert model._scaled_documents[1] is laid
     assert scaled_documents(model) is laid  # any layout serves the exact scan
     assert np.array_equal(laid.unit, flat.unit[laid.order])

@@ -64,8 +64,7 @@ def _model(duplicates: bool) -> LSIModel:
 
 
 def _with_ann(model: LSIModel, **ranges) -> EpochSnapshot:
-    coords = EpochSnapshot(0, model).coords
-    ann = CoarseQuantizer.train(coords, N_CLUSTERS, seed=0)
+    ann = CoarseQuantizer.train(model.V * model.s, N_CLUSTERS, seed=0)
     return EpochSnapshot(0, model, ann=ann, **ranges)
 
 
@@ -137,12 +136,19 @@ def test_reference_cuts_are_element_identical(shards):
 def test_ranged_snapshot_materialises_only_its_rows():
     lo, hi = 30, 75
     ranged = EpochSnapshot(0, MODEL, lo=lo, hi=hi)
-    assert ranged.coords.shape == (hi - lo, K)
+    # It scores the model's own rows lo:hi, not a copy of them ...
+    assert ranged.scaled.V.shape == (hi - lo, K)
+    assert np.shares_memory(ranged.scaled.V, MODEL.V)
+    assert np.array_equal(ranged.scaled.V, MODEL.V[lo:hi])
+    # ... and derives its norms and unit rows for those rows alone.
     assert ranged.norms.shape == (hi - lo,)
+    assert ranged.scaled.unit.shape == (hi - lo, K)
     assert ranged.n_documents == N  # the epoch's document count, not the range
-    assert ranged.coords.flags.owndata or ranged.coords.base.shape[0] == hi - lo
-    assert not np.shares_memory(ranged.coords, WHOLE.coords)
-    assert np.array_equal(ranged.coords, WHOLE.coords[lo:hi])
+    for derived in (ranged.norms, ranged.scaled.unit):
+        assert derived.base is None or derived.base.shape[0] == hi - lo
+        assert not np.shares_memory(derived, WHOLE.scaled.norms)
+        assert not np.shares_memory(derived, WHOLE.scaled.unit)
+    assert np.array_equal(ranged.norms, WHOLE.norms[lo:hi])
 
 
 # --------------------------------------------------------------------- #

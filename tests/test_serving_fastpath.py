@@ -187,7 +187,7 @@ def test_zero_norm_documents_score_zero(rng):
     model.V[4] = 0.0  # a zero document row, before the model is scored
     s = cosine_similarities(model, local.standard_normal(model.k))
     assert s[4] == 0.0
-    norms = scaled_documents(model)[1]
+    norms = scaled_documents(model).norms
     assert norms[4] == 0.0
     assert norms[3] > 0.0
 
@@ -314,11 +314,12 @@ def test_range_merge_tie_order():
 # the lifetime rule: V_k Σ_k is derived once per model and dies with it
 # --------------------------------------------------------------------- #
 def test_index_is_cached_per_model(med_model):
-    coords, norms, unit = scaled_documents(med_model)[:3]
+    rows = scaled_documents(med_model)
     again = scaled_documents(med_model)
-    assert again[0] is coords and again[1] is norms and again[2] is unit
-    assert coords.flags["C_CONTIGUOUS"]
-    assert np.allclose(coords, med_model.V * med_model.s)
+    assert again.norms is rows.norms and again.unit is rows.unit
+    assert rows.unit.flags["C_CONTIGUOUS"]
+    assert rows.V is med_model.V and rows.s is med_model.s
+    assert np.allclose(rows.norms, row_norms(med_model.V * med_model.s))
 
 
 def test_scored_model_dies_with_its_last_reference():
@@ -339,14 +340,15 @@ def test_every_scorer_shares_the_models_one_build():
     snapshot = EpochSnapshot(0, model)
     snapshot.search(snapshot.scale(qhat), top=3)
     assert registry.counter("serving.index_builds") == builds + 1
-    coords, norms = scaled_documents(model)[:2]
-    assert snapshot.coords is coords and snapshot.norms is norms
-    assert np.array_equal(coords, np.ascontiguousarray(model.V * model.s))
-    assert np.array_equal(norms, row_norms(coords))
-    assert not coords.flags.writeable and not norms.flags.writeable
+    rows = scaled_documents(model)
+    assert snapshot.scaled is rows
+    # The model's own factors, not a copy of them.
+    assert rows.V is model.V and rows.s is model.s
+    assert np.array_equal(rows.norms, row_norms(model.V * model.s))
+    assert not rows.norms.flags.writeable and not rows.unit.flags.writeable
     # A successor made by replace() starts clean and derives its own.
     successor = dataclasses.replace(model)
-    assert scaled_documents(successor)[0] is not coords
+    assert scaled_documents(successor).norms is not rows.norms
     assert registry.counter("serving.index_builds") == builds + 2
 
 

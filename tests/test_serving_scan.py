@@ -13,6 +13,8 @@ Two kinds of comparison, kept apart on purpose:
   is a pure function of (row, query).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ from repro.server.state import EpochSnapshot
 from repro.serving import scan
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_rows
-from repro.serving.kernel import row_cosines
+from repro.serving.kernel import ROW_BLOCK, row_cosines
 from repro.serving.scan import prefilter_margin, ranked_scan
 from repro.serving.topk import ranked_pairs
 from repro.text.vocabulary import Vocabulary
@@ -123,7 +125,8 @@ def _reference(snapshot, qhat, top, threshold):
     by definition, while a BLAS GEMV's last bit can depend on where a
     row sits.
     """
-    score = snapshot.score_batch(qhat)[0][_first_copy(snapshot.coords)]
+    coords = (snapshot.model.V * snapshot.model.s)[snapshot.lo:snapshot.hi]
+    score = snapshot.score_batch(qhat)[0][_first_copy(coords)]
     order = np.argsort(-score, kind="stable")
     if threshold is not None:
         order = order[score[order] >= threshold]
@@ -173,7 +176,7 @@ def test_ranking_equals_stable_sort_of_the_fp64_row(
     assert_ranking_matches(got, _reference(snapshot, qhat, top, threshold))
     # Exact ties (verbatim copies, zero rows) come out bit-equal, lower
     # index first.
-    first = _first_copy(snapshot.coords) + lo
+    first = _first_copy((model.V * model.s)[lo:snapshot.hi]) + lo
     by_index = dict(got)
     for j, score in got:
         assert score == by_index.get(int(first[j - lo]), score)
@@ -206,7 +209,7 @@ def test_margin_bounds_the_measured_fp32_error():
         Qs = rng.standard_normal((4, k))
         approx = scan.approx_cosines(scaled.unit, Qs)
         for i, q in enumerate(Qs):
-            exact = row_cosines(scaled.coords, scaled.norms, q)
+            exact = row_cosines(scaled.V, scaled.s, scaled.norms, q)
             assert np.abs(approx[:, i] - exact).max() <= prefilter_margin(k) / 2
     assert prefilter_margin(64) == 2 * 72 * 2.0**-24
 
@@ -233,12 +236,49 @@ def test_derived_arrays_are_read_only_for_whole_model_and_range():
     model.V[7] = 0.0
     whole, part = EpochSnapshot(0, model), EpochSnapshot(0, model, lo=3, hi=20)
     for snapshot in (whole, part):
-        for array in (snapshot.coords, snapshot.norms, snapshot.scaled.unit):
+        for array in (snapshot.norms, snapshot.scaled.unit):
             assert not array.flags.writeable
         assert snapshot.scaled.positive is False  # row 7, decided at build
         assert np.array_equal(snapshot.scaled.unit[7 - snapshot.lo], np.zeros(4))
-    assert np.array_equal(part.coords, whole.coords[3:20])
+    # The rows scored are the model's own V, never a copy of it.
+    assert whole.scaled.V is model.V
+    assert np.shares_memory(part.scaled.V, model.V)
+    assert np.array_equal(part.norms, whole.norms[3:20])
     assert np.array_equal(part.scaled.unit, whole.scaled.unit[3:20])
+
+
+def test_no_n_by_k_fp64_array_is_formed():
+    """The norms and unit rows are derived, and an unbounded ranking is
+    rescored, from ``V`` in row blocks: peak traced allocation stays
+    below one n × k fp64 array, and every value is the bits the whole
+    product ``V * s`` gives."""
+    rng = np.random.default_rng(14)
+    n, k = 8 * ROW_BLOCK + 123, 48
+    s = np.sort(rng.random(k) + 0.5)[::-1].copy()
+    model = _model(rng.standard_normal((n, k)), s)
+    one_copy = n * k * 8
+    q = model.s * rng.standard_normal(k)
+    tracemalloc.start()
+    try:
+        snapshot = EpochSnapshot(0, model)  # derives the model's memo
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak < one_copy
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        got = snapshot.search(q[None, :], top=None, threshold=None)[0][0]
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak - held < one_copy
+    finally:
+        tracemalloc.stop()
+    coords = model.V * model.s
+    norms = np.sqrt(np.sum(coords * coords, axis=1))
+    rows = snapshot.scaled
+    assert np.array_equal(rows.norms, norms)
+    assert np.array_equal(rows.unit, (coords / norms[:, None]).astype(np.float32))
+    # The unbounded ranking: every row, scored as from the whole product.
+    assert len(got) == n
+    whole = np.einsum("ij,j->i", coords, q) / (np.sqrt(np.dot(q, q)) * norms)
+    assert all(score == whole[j] for j, score in got)
 
 
 # --------------------------------------------------------------------- #
@@ -278,7 +318,7 @@ def test_every_ranked_path_is_bit_equal():
     )[0][0]:
         assert score == full[j]
     # Probe-bounded with every cell probed.
-    quantizer = CoarseQuantizer.train(whole.coords, 12, seed=0)
+    quantizer = CoarseQuantizer.train(model.V * model.s, 12, seed=0)
     probing = EpochSnapshot(0, model, ann=quantizer)
     assert probing.search(Qs, top=top, probes=12)[0] == flat
     # The retrieval engine and §3.1's ``retrieve``.

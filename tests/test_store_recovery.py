@@ -5,14 +5,17 @@ import pytest
 
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.errors import StoreCorruptError, StoreError
+from repro.server.state import EpochSnapshot
 from repro.store import (
     DurableIndexStore,
     capture_manager,
+    checkpoint,
+    open_checkpoint,
     recover_manager,
     restore_manager,
     verify_store,
 )
-from repro.store.checkpoint import MANIFEST_NAME
+from repro.store.checkpoint import MANIFEST_NAME, load_manifest, write_checkpoint
 from repro.store.wal import WriteAheadLog
 from repro.text import ParsingRules, build_tdm
 from repro.updating import LSIIndexManager
@@ -104,6 +107,24 @@ def test_a_record_this_build_does_not_apply_fails_the_open(corpus, tmp_path, op)
     wal.append(op, {})
     wal.close()
     with pytest.raises(StoreCorruptError, match=f"record 2 has unknown op '{op}'"):
+        DurableIndexStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize("missing", ["counts", "doc_ids"])
+def test_a_record_without_its_payload_fails_the_open(corpus, tmp_path, missing):
+    """A CRC-valid ``add_counts`` record that lacks a payload key is
+    corruption named by LSN and key, not a bare ``KeyError``."""
+    store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
+    counts, doc_ids = store.manager.count_texts([corpus[1][0]], ["X"])
+    store.close(flush=False)
+    payload = {"counts": counts, "doc_ids": doc_ids}
+    del payload[missing]
+    wal = WriteAheadLog(tmp_path / "s" / "wal.log")
+    wal.append("add_counts", payload)
+    wal.close()
+    with pytest.raises(
+        StoreCorruptError, match=f"record 1 \\(add_counts\\) has no '{missing}'"
+    ):
         DurableIndexStore.open(tmp_path / "s")
 
 
@@ -221,3 +242,74 @@ def test_compact_is_bit_identical_and_resets_replay(corpus, tmp_path):
     recovered, report = recover_manager(*DurableIndexStore.paths(tmp_path / "s"))
     assert report.replayed_records == 0
     assert_managers_identical(live, recovered)
+
+
+# --------------------------------------------------------------------- #
+# V is written once unless documents are pending
+# --------------------------------------------------------------------- #
+def _v_files(info_path):
+    manifest = load_manifest(info_path)
+    return manifest["format"], sorted(
+        name for name in manifest["arrays"] if name.endswith("_V")
+    )
+
+
+def test_initialize_writes_one_v_and_reopens_sharing_it(corpus, tmp_path):
+    store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
+    assert _v_files(store.last_seal.path) == (3, ["base_V"])
+    store.close()
+    reopened = DurableIndexStore.open(tmp_path / "s")
+    try:
+        manager = reopened.manager
+        assert manager.model.V is manager._base_model.V
+        assert manager.model.U is manager._base_model.U
+    finally:
+        reopened.close()
+
+
+def test_pending_rows_write_both_vs_and_replay_bit_exactly(corpus, tmp_path):
+    _, later = corpus
+    manager = fresh_manager(corpus, distortion_budget=1e9)  # never consolidates
+    store = DurableIndexStore.initialize(tmp_path / "s", manager)
+    store.add_texts(later[:3], ["P0", "P1", "P2"])
+    assert store.manager.pending == 3
+    live = store.manager
+    sealed = store.seal(reason="test")
+    assert _v_files(sealed.path) == (3, ["base_V", "model_V"])
+    store.close(flush=False)
+    recovered, report = recover_manager(*DurableIndexStore.paths(tmp_path / "s"))
+    assert report.replayed_records == 0
+    assert recovered.model.V is not recovered._base_model.V
+    assert_managers_identical(live, recovered)
+    assert np.array_equal(recovered._base_model.V, live._base_model.V)
+
+
+def test_a_format_2_checkpoint_with_two_vs_opens_and_ranks_the_same(
+    corpus, tmp_path, monkeypatch
+):
+    store = DurableIndexStore.initialize(tmp_path / "new", fresh_manager(corpus))
+    store.close()
+    new = open_checkpoint(tmp_path / "new")
+    arrays = dict(new.arrays)
+    arrays["model_V"] = np.array(arrays["base_V"])  # what format 2 wrote
+    monkeypatch.setattr(checkpoint, "CHECKPOINT_FORMAT", 2)
+    write_checkpoint(
+        DurableIndexStore.paths(tmp_path / "old")[0], arrays, new.info.meta
+    )
+    old = open_checkpoint(tmp_path / "old")
+    assert _v_files(old.info.path) == (2, ["base_V", "model_V"])
+
+    legacy = old.model()
+    assert np.shares_memory(legacy.V, old.arrays["model_V"])
+    want, got = EpochSnapshot(0, new.model()), EpochSnapshot(0, legacy)
+    queries = [text.split()[:6] for text in corpus[1][:5]]
+    Qs = want.scale(np.stack([want.project(q) for q in queries]))
+    for top, threshold in ((10, None), (None, 0.2), (None, None)):
+        assert got.search(Qs, top=top, threshold=threshold) == want.search(
+            Qs, top=top, threshold=threshold
+        )
+    reopened = DurableIndexStore.open(tmp_path / "old")
+    try:
+        assert_managers_identical(reopened.manager, new.manager())
+    finally:
+        reopened.close(flush=False)
