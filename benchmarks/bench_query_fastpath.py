@@ -17,6 +17,12 @@ rescoring of the candidates (:mod:`repro.serving.scan`) — against
 ``ranked_pairs`` of the full-width fp64 ``score_batch`` row, its
 reference: indices identical and scores within 1e-12 on every query, at
 any size.
+
+A second test times Eq. 6 itself against the vocabulary size m: the
+projection gathers the query's rows of ``U_k``, so its median must stay
+within 2× across m = 2 000 / 20 000 / 100 000 (asserted at full size;
+under ``BENCH_SMOKE=1`` only its agreement with the dense
+``(m,)·(m, k)`` form is).
 """
 
 import time
@@ -26,12 +32,15 @@ import numpy as np
 from conftest import SMOKE, emit
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
+from repro.core.query import project_query
 from repro.obs import span, tracing_enabled
 from repro.obs.metrics import registry
 from repro.retrieval import LSIRetrieval
 from repro.server.state import EpochSnapshot
 from repro.serving import ranked_pairs, scaled_documents
+from repro.text.tdm import count_vector
 from repro.text.vocabulary import Vocabulary
+from repro.weighting.schemes import WeightingScheme
 
 N_DOCS = 10_000
 K = 100
@@ -45,6 +54,14 @@ MAX_OVERHEAD = 0.02
 #: Spans a single query can cross on the serving path (search + project
 #: + sharded wrapper + per-shard child) — the conservative multiplier.
 SPANS_PER_QUERY = 4
+
+#: Eq. 6 projection timing: vocabulary sizes (the ledger's S, then
+#: toward the paper's ~90 000-term TREC shape), rank, terms per query,
+#: and how far apart the slowest and fastest median may be.
+PROJECTION_M = (2_000, 20_000, 100_000)
+PROJECTION_K = 64
+QUERY_TERMS = 6
+MAX_FLAT_RATIO = 2.0
 
 
 def _serving_model(seed: int = 123) -> LSIModel:
@@ -213,4 +230,81 @@ def test_disabled_tracing_overhead():
         assert overhead < MAX_OVERHEAD, (
             f"disabled tracing costs {overhead * 100:.3f}% per query, "
             f"budget is {MAX_OVERHEAD * 100:.0f}%"
+        )
+
+
+def _vocabulary_model(m: int, rng) -> LSIModel:
+    """A log×entropy-weighted k=64 model over m terms (random factors:
+    the projection's cost, not its meaning, is measured)."""
+    return LSIModel(
+        U=rng.standard_normal((m, PROJECTION_K)),
+        s=np.sort(rng.random(PROJECTION_K) + 0.5)[::-1],
+        V=rng.standard_normal((4, PROJECTION_K)),
+        vocabulary=Vocabulary(f"t{i}" for i in range(m)).freeze(),
+        doc_ids=[f"D{j}" for j in range(4)],
+        scheme=WeightingScheme("log", "entropy"),
+        global_weights=rng.random(m) + 0.5,
+    )
+
+
+def _dense_projection(model: LSIModel, tokens) -> np.ndarray:
+    """Eq. 6 the dense way: a length-m weighted vector times all of U."""
+    counts = count_vector(tokens, model.vocabulary)
+    return (np.log2(counts + 1.0) * model.global_weights @ model.U) / model.s
+
+
+def _seconds(fn, arg) -> float:
+    t0 = time.perf_counter()
+    fn(arg)
+    return time.perf_counter() - t0
+
+
+def test_projection_flat_in_vocabulary():
+    """Eq. 6 reads only the query's rows of U_k: its cost is flat in m."""
+    rng = np.random.default_rng(11)
+    n_queries, n_dense = (20, 5) if SMOKE else (3_000, 100)
+    lines = [
+        f"{QUERY_TERMS}-term log×entropy queries, k={PROJECTION_K}, "
+        f"median of {n_queries} (dense form: of {n_dense})",
+        f"{'m':>8}  {'project_query':>14}  {'dense (m,)·(m,k)':>17}",
+    ]
+    models = [_vocabulary_model(m, rng) for m in PROJECTION_M]
+    queries = [
+        [
+            [f"t{i}" for i in rng.integers(0, m, QUERY_TERMS)]
+            for _ in range(n_queries)
+        ]
+        for m in PROJECTION_M
+    ]
+    for model, qs in zip(models, queries):
+        for q in qs[:n_dense]:
+            np.testing.assert_allclose(
+                project_query(model, q), _dense_projection(model, q),
+                rtol=1e-12, atol=1e-12,
+            )
+    # Round-robin over the sizes, so a slow spell on a shared machine
+    # lands on every m alike instead of on whichever ran then.
+    gathered = np.zeros((len(models), n_queries))
+    dense = np.zeros((len(models), n_dense))
+    for i in range(n_queries):
+        for j, model in enumerate(models):
+            gathered[j, i] = _seconds(
+                lambda q: project_query(model, q), queries[j][i]
+            )
+            if i < n_dense:
+                dense[j, i] = _seconds(
+                    lambda q: _dense_projection(model, q), queries[j][i]
+                )
+    medians = np.median(gathered, axis=1)
+    for m, g, d in zip(PROJECTION_M, medians, np.median(dense, axis=1)):
+        lines.append(f"{m:>8,}  {g * 1e6:>11.1f} µs  {d * 1e6:>14.1f} µs")
+    ratio = max(medians) / min(medians)
+    lines.append(
+        f"slowest / fastest project_query median: {ratio:.2f}x "
+        f"(bound {MAX_FLAT_RATIO:.0f}x)"
+    )
+    emit("Eq. 6 projection time against vocabulary size", lines)
+    if not SMOKE:
+        assert ratio <= MAX_FLAT_RATIO, (
+            f"projection grows with m: {ratio:.2f}x across {PROJECTION_M}"
         )

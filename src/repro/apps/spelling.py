@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.model import LSIModel
-from repro.core.query import pseudo_document
+from repro.core.query import project_query
 from repro.core.similarity import rank_documents
 from repro.errors import ShapeError
 from repro.linalg.svd import truncated_svd
@@ -79,13 +79,8 @@ class SpellingCorrector:
 
     # ------------------------------------------------------------------ #
     def _query_vector(self, word: str) -> np.ndarray:
-        counts = np.zeros(self.model.n_terms)
-        for g in char_ngrams(word.lower(), self.ngram_sizes):
-            idx = self.model.vocabulary.get(g)
-            if idx is not None:
-                counts[idx] += 1.0
-        weighted = counts * self.model.global_weights
-        return pseudo_document(self.model, weighted)
+        # The word's n-grams are its "terms": Eq. 6 over the gram ids.
+        return project_query(self.model, char_ngrams(word, self.ngram_sizes))
 
     def suggest(self, word: str, *, top: int = 5) -> list[tuple[str, float]]:
         """Ranked corrections: the nearest lexicon words in LSI space."""

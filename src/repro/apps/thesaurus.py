@@ -14,11 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.model import LSIModel
-from repro.core.query import pseudo_document
+from repro.core.query import project_query
 from repro.core.similarity import nearest_terms
 from repro.serving.kernel import cosine_scores
-from repro.text.tdm import count_vector
-from repro.text.tokenizer import tokenize
 
 __all__ = ["build_thesaurus", "suggest_index_terms"]
 
@@ -52,9 +50,7 @@ def suggest_index_terms(
     The document is projected to k-space (Eq. 7) and the nearest *term*
     vectors are returned.
     """
-    counts = count_vector(tokenize(text), model.vocabulary)
-    weighted = counts * model.global_weights
-    dhat = pseudo_document(model, weighted)
+    dhat = project_query(model, text)
     cos = cosine_scores(model.term_coordinates(), dhat * model.s)[0]
     order = np.argsort(-cos, kind="stable")[:top]
     return [(model.vocabulary[int(i)], float(cos[i])) for i in order]

@@ -232,15 +232,9 @@ def cmd_serve(args, out) -> int:
                 "--tenant excludes a positional source and --data-dir; "
                 "every index comes from a NAME=PATH flag"
             )
-        pairs = parse_tenant_specs(args.tenants)
-        # The tenants split one server's 256 projected-query cache slots,
-        # so a hot tenant cannot evict the others' projections.
-        share = max(1, 256 // len(pairs))
         registry = tenant_registry(
-            pairs,
-            lambda _name, path: ServingState.open(
-                path, query_cache_size=share
-            ),
+            parse_tenant_specs(args.tenants),
+            lambda _name, path: ServingState.open(path),
             max_resident=args.max_resident,
         )
         return serve_until_signal(

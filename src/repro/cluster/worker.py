@@ -116,10 +116,7 @@ class ShardWorker:
 
     @staticmethod
     def _snapshot(model, shard: ShardRange, epoch: int, ann) -> EpochSnapshot:
-        # Workers receive already-projected vectors: no query cache.
-        return EpochSnapshot(
-            epoch, model, lo=shard.lo, hi=shard.hi, query_cache_size=0, ann=ann
-        )
+        return EpochSnapshot(epoch, model, lo=shard.lo, hi=shard.hi, ann=ann)
 
     def _snapshot_for_epoch(self, epoch) -> EpochSnapshot | None:
         """The held snapshot matching ``epoch`` (None = current), if any."""

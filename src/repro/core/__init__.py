@@ -11,7 +11,7 @@ The pipeline of §2:
 
 from repro.core.model import LSIModel
 from repro.core.build import fit_lsi, fit_lsi_from_tdm
-from repro.core.query import project_query, pseudo_document
+from repro.core.query import project_query
 from repro.core.similarity import (
     cosine_similarities,
     doc_doc_similarities,
@@ -33,7 +33,6 @@ __all__ = [
     "fit_lsi",
     "fit_lsi_from_tdm",
     "project_query",
-    "pseudo_document",
     "cosine_similarities",
     "rank_documents",
     "retrieve",

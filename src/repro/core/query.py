@@ -6,33 +6,39 @@ A query is "a set of words" represented as a vector in k-space::
 
 where ``q`` is the (weighted) term-frequency vector of the query words.
 "The query vector is located at the weighted sum of its constituent term
-vectors", with ``Σ_k⁻¹`` differentially weighting the dimensions.  The
-same projection folds in a new document (Eq. 7) — a query *is* a pseudo-
-document, which is why :func:`pseudo_document` is shared by both paths.
+vectors", with ``Σ_k⁻¹`` differentially weighting the dimensions — so the
+projection reads only the rows of ``U_k`` the query's terms own:
+``q̂ = (w @ U_k[ids]) / Σ_k`` over the query's term ids and weighted
+counts, at a cost that does not grow with the vocabulary.  A query is a
+pseudo-document (Eq. 7); folding in a batch of documents applies the
+same weighting rule to dense count columns
+(:func:`~repro.weighting.schemes.weight_counts`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
-from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
+from repro.weighting.schemes import weight_counts
 
 __all__ = [
     "project_query",
     "batch_project_queries",
-    "project_counts",
-    "pseudo_document",
-    "query_counts",
+    "project_terms",
+    "query_terms",
 ]
 
 
-def query_counts(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:
-    """Raw term-count vector of a query in the model's term space.
+def query_terms(
+    model: LSIModel, query: str | Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The query's sorted, unique term ids and their raw counts.
 
     Accepts raw text (tokenized with the standard tokenizer) or an already
     tokenized sequence.  Words that are not indexed terms are dropped,
@@ -40,54 +46,47 @@ def query_counts(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:
     query.
     """
     tokens = tokenize(query) if isinstance(query, str) else list(query)
-    return count_vector(tokens, model.vocabulary)
+    counted = Counter(
+        i for i in map(model.vocabulary.get, tokens) if i is not None
+    )
+    ids = sorted(counted)
+    return (
+        np.array(ids, dtype=np.intp),
+        np.array([counted[i] for i in ids], dtype=np.float64),
+    )
 
 
-def pseudo_document(model: LSIModel, weighted_counts: np.ndarray) -> np.ndarray:
-    """Project a weighted m-vector into k-space: ``d̂ = dᵀ U_k Σ_k⁻¹``.
+def project_terms(
+    model: LSIModel, ids: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Eq. 6 over a query's nonzeros: ``q̂ = (w @ U_k[ids]) / Σ_k``.
 
-    This is simultaneously Eq. 6 (queries) and Eq. 7 (folding in a
-    document).  Singular values of zero would make the projection blow
-    up; they cannot occur in a properly truncated model, so we validate.
+    ``w`` is the counts weighted like the documents were (the model's
+    local transform, times its stored global weights ``G[ids]``).  No
+    ids — an all out-of-vocabulary query — give exact zeros.  A zero
+    singular value (a rank-deficient fit) would make the projection blow
+    up, so it is refused.
     """
-    d = np.asarray(weighted_counts, dtype=np.float64).ravel()
-    if d.size != model.n_terms:
+    ids = np.asarray(ids, dtype=np.intp)
+    counts = np.asarray(counts, dtype=np.float64)
+    if ids.ndim != 1 or ids.shape != counts.shape:
         raise ShapeError(
-            f"vector length {d.size} != m={model.n_terms}"
+            f"term ids {ids.shape} and counts {counts.shape} must be "
+            "matching 1-D arrays"
         )
+    if ids.size and (ids.min() < 0 or ids.max() >= model.n_terms):
+        raise ShapeError(f"term ids outside the model's m={model.n_terms}")
     if np.any(model.s <= 0):
         raise ShapeError(
             "model has zero singular values; truncate before projecting"
         )
-    return (d @ model.U) / model.s
-
-
-def project_counts(model: LSIModel, counts: np.ndarray) -> np.ndarray:
-    """Weight a raw term-count vector and project it into k-space.
-
-    The counts receive the model's term weights (local transform +
-    stored global weights), then the Eq. 6 projection.  Split out from
-    :func:`project_query` so callers that already hold counts — the
-    serving layer's query-vector cache keys on them — can skip the
-    tokenization pass.
-    """
-    from repro.weighting.schemes import WeightedMatrix  # noqa: F401 (doc ref)
-    from repro.weighting.local import NEEDS_COL_MAX, local_weight
-
-    if model.scheme.local in NEEDS_COL_MAX:
-        cmax = max(counts.max(), 1.0)
-        local = local_weight(
-            model.scheme.local, counts, np.full_like(counts, cmax)
-        )
-    else:
-        local = local_weight(model.scheme.local, counts)
-    weighted = local * model.global_weights
-    return pseudo_document(model, weighted)
+    w = weight_counts(model.scheme, counts, model.global_weights[ids])
+    return (w @ model.U[ids]) / model.s
 
 
 def project_query(model: LSIModel, query: str | Sequence[str]) -> np.ndarray:
     """Full Eq. 6 pipeline: tokenize, weight, project."""
-    return project_counts(model, query_counts(model, query))
+    return project_terms(model, *query_terms(model, query))
 
 
 def batch_project_queries(

@@ -14,9 +14,9 @@ import numpy as np
 
 from repro.core.build import fit_lsi
 from repro.core.model import LSIModel
+from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities, ranked_documents
 from repro.obs.tracing import span
-from repro.serving.querycache import QueryVectorCache
 from repro.text.parser import ParsingRules
 from repro.weighting.schemes import WeightingScheme
 
@@ -26,27 +26,19 @@ __all__ = ["LSIRetrieval"]
 class LSIRetrieval:
     """Retrieval through a fitted LSI model (Eq. 6 + cosine ranking).
 
-    Queries run on the serving fast path: document norms and unit rows
-    come from the model's own memo
-    (:func:`~repro.serving.index.scaled_documents`), projected query
-    vectors are memoized in an LRU keyed on the query's normalized token
-    counts (``query_cache_size`` entries; 0
-    disables), and top-z selection uses ``argpartition`` with output
-    element-identical to a full stable sort.
+    Queries run on the serving fast path: the projection reads only the
+    query's rows of ``U_k`` (:func:`~repro.core.query.project_query`),
+    document norms and unit rows come from the model's own memo
+    (:func:`~repro.serving.index.scaled_documents`), and top-z selection
+    uses ``argpartition`` with output element-identical to a full stable
+    sort.
     """
 
     name = "lsi"
 
-    def __init__(
-        self,
-        model: LSIModel,
-        *,
-        mode: str = "scaled",
-        query_cache_size: int = 256,
-    ):
+    def __init__(self, model: LSIModel, *, mode: str = "scaled"):
         self.model = model
         self.mode = mode
-        self._query_cache = QueryVectorCache(query_cache_size)
 
     @classmethod
     def from_texts(
@@ -74,14 +66,9 @@ class LSIRetrieval:
 
     # ------------------------------------------------------------------ #
     def query_vector(self, query) -> np.ndarray:
-        """The query's k-space pseudo-document (Eq. 6), LRU-memoized.
-
-        The cache key is the query's normalized token counts, so
-        re-ordered or re-tokenized duplicates of a repeated query hit
-        the same entry.  A model swap on this engine clears the cache.
-        """
+        """The query's k-space pseudo-document (Eq. 6)."""
         with span("lsi.project"):
-            return self._query_cache.project(self.model, query)
+            return project_query(self.model, query)
 
     def scores_for_vector(self, qhat: np.ndarray) -> np.ndarray:
         """Scores for an externally supplied k-space vector (feedback)."""
@@ -114,8 +101,4 @@ class LSIRetrieval:
     def with_k(self, k: int) -> "LSIRetrieval":
         """Engine over the same model truncated to ``k`` factors (for the
         §5.2 choosing-k sweeps — one decomposition, many k values)."""
-        return LSIRetrieval(
-            self.model.truncated(k),
-            mode=self.mode,
-            query_cache_size=self._query_cache.maxsize,
-        )
+        return LSIRetrieval(self.model.truncated(k), mode=self.mode)

@@ -20,8 +20,11 @@ import numpy as np
 from repro.text.parser import ParsingRules
 from repro.text.tdm import TermDocumentMatrix, build_tdm, count_vector
 from repro.text.tokenizer import tokenize
-from repro.weighting.local import NEEDS_COL_MAX, local_weight
-from repro.weighting.schemes import WeightingScheme, apply_weighting
+from repro.weighting.schemes import (
+    WeightingScheme,
+    apply_weighting,
+    weight_counts,
+)
 
 __all__ = ["KeywordRetrieval"]
 
@@ -72,14 +75,7 @@ class KeywordRetrieval:
         """Weighted query vector in term space (Eq. 5 applied to counts)."""
         tokens = tokenize(query) if isinstance(query, str) else list(query)
         counts = count_vector(tokens, self.tdm.vocabulary)
-        if self.scheme.local in NEEDS_COL_MAX:
-            cmax = max(counts.max(), 1.0)
-            local = local_weight(
-                self.scheme.local, counts, np.full_like(counts, cmax)
-            )
-        else:
-            local = local_weight(self.scheme.local, counts)
-        return local * self.global_weights
+        return weight_counts(self.scheme, counts, self.global_weights)
 
     def scores(self, query: str | Sequence[str]) -> np.ndarray:
         """Cosine of the query against every document (length n)."""

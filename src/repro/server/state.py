@@ -9,8 +9,8 @@ handoff.
 
 :class:`EpochSnapshot` pins everything one batch of queries needs — the
 model, the precomputed norms and unit rows of a row range
-(the whole model here; one shard's rows in a cluster worker), a
-per-epoch projected-query cache — into one immutable object, and its
+(the whole model here; one shard's rows in a cluster worker) — into
+one immutable object, and its
 :meth:`~EpochSnapshot.search` is the one scoring entry point of every
 serving tier.  :class:`ServingState`
 publishes the current snapshot behind a single attribute write (atomic
@@ -33,12 +33,12 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.core.persistence import load_model
+from repro.core.query import project_query
 from repro.errors import ReproError, ShapeError
 from repro.obs.metrics import registry
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_documents, scaled_rows
 from repro.serving.kernel import cosine_scores
-from repro.serving.querycache import QueryVectorCache
 from repro.serving.scan import ranked_scan
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint
@@ -71,7 +71,7 @@ class EpochSnapshot:
     """
 
     __slots__ = (
-        "epoch", "model", "lo", "hi", "scaled", "query_cache", "ann",
+        "epoch", "model", "lo", "hi", "scaled", "ann",
     )
 
     def __init__(
@@ -81,7 +81,9 @@ class EpochSnapshot:
         *,
         lo: int = 0,
         hi: int | None = None,
-        query_cache_size: int = 256,
+        # Accepted and ignored: ledger/checks.py still passes it; ROADMAP
+        # 1(v) drops it there, and then this keyword goes.
+        query_cache_size: int | None = None,
         ann: CoarseQuantizer | None = None,
     ):
         self.epoch = int(epoch)
@@ -105,7 +107,6 @@ class EpochSnapshot:
             self.scaled = scaled_rows(model.V[lo:hi], model.s, ann, lo=lo)
         self.lo = lo
         self.hi = hi
-        self.query_cache = QueryVectorCache(query_cache_size)
         self.ann = ann
 
     @property
@@ -132,9 +133,8 @@ class EpochSnapshot:
 
     # ------------------------------------------------------------------ #
     def project(self, query) -> np.ndarray:
-        """Eq. 6 for one query (text or token sequence), memoized in the
-        per-epoch LRU (the call :meth:`LSIRetrieval.query_vector` makes)."""
-        return self.query_cache.project(self.model, query)
+        """Eq. 6 for one query (text or token sequence)."""
+        return project_query(self.model, query)
 
     def scale(self, Q: np.ndarray) -> np.ndarray:
         """``Q Σ`` as a ``(q, k)`` batch: the "scaled" comparison space."""
@@ -256,22 +256,18 @@ class ServingState:
         *,
         manager: LSIIndexManager | None = None,
         model: LSIModel | None = None,
-        query_cache_size: int = 256,
         ann: CoarseQuantizer | None = None,
     ):
         if (manager is None) == (model is None):
             raise ReproError("ServingState needs a manager or a model, not both")
         self._manager = manager
-        self._query_cache_size = query_cache_size
         self._write_lock = threading.Lock()
         #: The durable store additions go through (:meth:`for_store`),
         #: and the loop that seals it.
         self.store: DurableIndexStore | None = None
         self.seal_loop: SealLoop | None = None
         initial = manager.model if manager is not None else model
-        self._snapshot = EpochSnapshot(
-            0, initial, query_cache_size=query_cache_size, ann=ann
-        )
+        self._snapshot = EpochSnapshot(0, initial, ann=ann)
         self._publish_gauges(self._snapshot)
 
     # ------------------------------------------------------------------ #
@@ -312,7 +308,7 @@ class ServingState:
         return cls(model=model, **kwargs)
 
     @classmethod
-    def open(cls, path, *, query_cache_size: int = 256) -> "ServingState":
+    def open(cls, path) -> "ServingState":
         """Read-only state over a served index — the one opener behind
         ``serve SOURCE.npz`` and every ``serve --tenant NAME=PATH``.
 
@@ -329,7 +325,7 @@ class ServingState:
         else:
             model = load_model(path)
             ann = train_quantizer(model)
-        return cls.for_model(model, ann=ann, query_cache_size=query_cache_size)
+        return cls.for_model(model, ann=ann)
 
     @property
     def writable(self) -> bool:
@@ -374,7 +370,6 @@ class ServingState:
             fresh = EpochSnapshot(
                 self._snapshot.epoch + 1,
                 self._manager.model,
-                query_cache_size=self._query_cache_size,
                 ann=self._snapshot.ann,
             )
             self._snapshot = fresh  # the atomic reader/writer handoff

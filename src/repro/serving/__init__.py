@@ -23,9 +23,7 @@ quantities are built once and queried many times:
   rows alone ranks them;
 * :mod:`repro.serving.topk` — ``argpartition`` top-k selection that is
   element-identical to the stable full sort, plus vectorized §3.1
-  threshold filtering;
-* :mod:`repro.serving.querycache` — an LRU of projected query vectors
-  keyed on normalized token counts.
+  threshold filtering.
 
 Perf counters for all of the above live in
 :data:`repro.obs.metrics.registry` under the ``serving.`` prefix.
@@ -33,7 +31,6 @@ Perf counters for all of the above live in
 
 from repro.serving.index import ScaledRows, scaled_documents, scaled_rows
 from repro.serving.kernel import cosine_scores, row_cosines, row_norms
-from repro.serving.querycache import QueryVectorCache
 from repro.serving.scan import ranked_scan
 from repro.serving.topk import ranked_order, ranked_pairs, topk_indices
 
@@ -45,7 +42,6 @@ __all__ = [
     "row_cosines",
     "row_norms",
     "ranked_scan",
-    "QueryVectorCache",
     "topk_indices",
     "ranked_order",
     "ranked_pairs",

@@ -28,18 +28,14 @@ from repro.obs.tracing import span
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
 from repro.weighting.local import NEEDS_COL_MAX, local_weight
+from repro.weighting.schemes import weight_counts
 
 __all__ = ["fold_in_documents", "fold_in_terms", "fold_in_texts"]
 
 
 def _weight_columns(model: LSIModel, counts: np.ndarray) -> np.ndarray:
-    """Apply the model's weighting to raw count columns ``(m, p)``.
-
-    New items must be weighted like the training cells: the local
-    transform uses each new document's own counts, the global weights are
-    the model's stored ``G(i)`` (they are *not* recomputed — that drift is
-    what the Eq. 12 correction step later repairs).
-    """
+    """Apply the model's weighting to raw count columns ``(m, p)`` — the
+    same rule a query's nonzeros get (:func:`weight_counts`)."""
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim == 1:
         counts = counts[:, None]
@@ -47,14 +43,7 @@ def _weight_columns(model: LSIModel, counts: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"document block has {counts.shape[0]} rows for m={model.n_terms}"
         )
-    if model.scheme.local in NEEDS_COL_MAX:
-        cmax = np.maximum(counts.max(axis=0, keepdims=True), 1.0)
-        local = local_weight(
-            model.scheme.local, counts, np.broadcast_to(cmax, counts.shape)
-        )
-    else:
-        local = local_weight(model.scheme.local, counts)
-    return local * model.global_weights[:, None]
+    return weight_counts(model.scheme, counts, model.global_weights[:, None])
 
 
 def fold_in_documents(

@@ -22,6 +22,7 @@ __all__ = [
     "WeightingScheme",
     "WeightedMatrix",
     "apply_weighting",
+    "weight_counts",
 ]
 
 
@@ -103,3 +104,27 @@ def apply_weighting(a: CSCMatrix, scheme: WeightingScheme) -> WeightedMatrix:
         a.shape, a.indptr, a.indices, local_data * g[a.indices]
     )
     return WeightedMatrix(weighted, scheme, g)
+
+
+def weight_counts(
+    scheme: WeightingScheme, counts: np.ndarray, global_weights: np.ndarray
+) -> np.ndarray:
+    """``L(f) · G`` for the raw counts of new items — a query's nonzeros
+    ``(nnz,)`` with ``G[ids]``, or new document columns ``(m, p)`` with
+    ``G[:, None]``.
+
+    New items are weighted like the training cells: the local transform
+    reads each item's own counts (``augmented``'s maximum runs down axis
+    0, one item per column), and ``G`` is the model's stored ``G(i)``,
+    not recomputed — that drift is what the Eq. 12 correction repairs.
+    Every local transform maps 0 → 0, so weighting the nonzeros alone
+    equals weighting the dense vector there.
+    """
+    if scheme.local in NEEDS_COL_MAX:
+        cmax = counts.max(axis=0, keepdims=True, initial=1.0)
+        local = local_weight(
+            scheme.local, counts, np.broadcast_to(cmax, counts.shape)
+        )
+    else:
+        local = local_weight(scheme.local, counts)
+    return local * global_weights

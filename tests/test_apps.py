@@ -16,7 +16,7 @@ from repro.apps import (
 )
 from repro.apps.people import find_experts, people_vectors
 from repro.apps.thesaurus import suggest_index_terms
-from repro.core import fit_lsi
+from repro.core import fit_lsi, project_query
 from repro.corpus import (
     SyntheticSpec,
     crosslang_collection,
@@ -25,6 +25,7 @@ from repro.corpus import (
 )
 from repro.errors import ShapeError
 from repro.text import build_tdm
+from repro.text.ngrams import char_ngrams
 
 
 # --------------------------------------------------------------------- #
@@ -50,6 +51,28 @@ def test_suggest_index_terms_includes_unused_terms(med_model):
     )
     words = [w for w, _ in suggestions]
     assert "depressed" in words  # co-cluster of the hormone topics
+
+
+def _cosines(rows: np.ndarray, target: np.ndarray) -> np.ndarray:
+    return rows @ target / (
+        np.linalg.norm(rows, axis=1) * np.linalg.norm(target)
+    )
+
+
+def test_suggest_index_terms_weights_like_project_query(med_texts):
+    """The document is weighted like every other pseudo-document: on a
+    log×entropy model the suggestions' cosines are those of
+    ``project_query``'s q̂ (the local log transform once went missing)."""
+    model = fit_lsi(med_texts, 2, scheme="log_entropy")
+    text = "blood blood blood age abnormalities"
+    target = project_query(model, text) * model.s
+    want = _cosines(model.term_coordinates(), target)
+    got = suggest_index_terms(model, text, top=model.n_terms)
+    assert len(got) == model.n_terms
+    for term, cos in got:
+        np.testing.assert_allclose(
+            cos, want[model.vocabulary.id_of(term)], rtol=1e-12
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -238,6 +261,24 @@ def test_spelling_gibberish_returns_no_matchable_ngrams():
     # A word sharing no n-grams with the lexicon yields no projection.
     out = sc.suggest("zzzz", top=2)
     assert isinstance(out, list)
+
+
+def test_spelling_weights_like_project_query(corrector):
+    """A word's n-grams are weighted like any query's terms: under
+    log×entropy the suggestions' cosines are those of ``project_query``
+    over the word's n-grams, and a word sharing no n-gram with the
+    lexicon still projects to exact zeros (no suggestions)."""
+    sc = SpellingCorrector(corrector.lexicon, k=12, scheme="log_entropy")
+    model = sc.model
+    for word in ("bloood", "pressre", "hospitl"):
+        grams = char_ngrams(word, sc.ngram_sizes)
+        target = project_query(model, grams) * model.s
+        want = dict(zip(model.doc_ids, _cosines(model.doc_coordinates(), target)))
+        got = sc.suggest(word, top=len(sc.lexicon))
+        assert len(got) == len(sc.lexicon)
+        for w, cos in got:
+            np.testing.assert_allclose(cos, want[w], rtol=1e-12)
+    assert sc.suggest("zzzz") == []
 
 
 def test_spelling_validation():

@@ -9,40 +9,100 @@ from repro.core import (
     rank_documents,
     retrieve,
 )
-from repro.core.query import pseudo_document, query_counts
+from repro.core.model import LSIModel
+from repro.core.query import project_terms, query_terms
 from repro.core.similarity import (
     cosine_similarities,
     doc_doc_similarities,
     term_term_similarities,
 )
 from repro.errors import ShapeError
+from repro.text.tdm import count_vector
+from repro.text.tokenizer import tokenize
+from repro.weighting.local import LOCAL_WEIGHTS, NEEDS_COL_MAX, local_weight
 
 
 def test_query_counts_drops_unindexed_words(med_model):
-    counts = query_counts(med_model, "age of children with blood abnormalities")
+    ids, counts = query_terms(
+        med_model, "age of children with blood abnormalities"
+    )
     vocab = med_model.vocabulary
-    assert counts[vocab.id_of("age")] == 1
-    assert counts[vocab.id_of("blood")] == 1
-    assert counts[vocab.id_of("abnormalities")] == 1
-    assert counts.sum() == 3  # of / children / with dropped
+    terms = ("abnormalities", "age", "blood")
+    assert ids.tolist() == sorted(vocab.id_of(t) for t in terms)
+    assert counts.tolist() == [1.0, 1.0, 1.0]  # of / children / with dropped
 
 
 def test_query_counts_accepts_token_list(med_model):
-    counts = query_counts(med_model, ["age", "blood"])
-    assert counts.sum() == 2
+    ids, counts = query_terms(med_model, ["age", "blood", "age"])
+    assert counts.sum() == 3
+    assert counts[ids.tolist().index(med_model.vocabulary.id_of("age"))] == 2
 
 
-def test_eq6_projection_formula(med_model):
-    """q̂ = qᵀ U_k Σ_k⁻¹, verified against the raw algebra."""
-    q = query_counts(med_model, "age blood abnormalities")
-    qhat = project_query(med_model, "age blood abnormalities")
-    expected = (q @ med_model.U) / med_model.s
-    assert np.allclose(qhat, expected)
+def _dense_weighted(model, query):
+    """The query's weighted length-m vector, built densely: the form the
+    gathered projection replaces, kept here as its oracle."""
+    counts = count_vector(tokenize(query), model.vocabulary)
+    local = model.scheme.local
+    if local in NEEDS_COL_MAX:
+        cmax = np.full_like(counts, max(counts.max(), 1.0))
+        weighted = local_weight(local, counts, cmax)
+    else:
+        weighted = local_weight(local, counts)
+    return weighted * model.global_weights
+
+
+def test_eq6_projection_formula(med_model, med_texts):
+    """q̂ = qᵀ U_k Σ_k⁻¹, verified against the dense algebra under every
+    local weight (entropy global weights, so G is not all ones)."""
+    from repro.core import fit_lsi
+
+    query = "blood blood age abnormalities of children"
+    models = [med_model] + [
+        fit_lsi(med_texts, 2, scheme=f"{local}_entropy")
+        for local in sorted(LOCAL_WEIGHTS)
+    ]
+    for model in models:
+        qhat = project_query(model, query)
+        expected = (_dense_weighted(model, query) @ model.U) / model.s
+        np.testing.assert_allclose(qhat, expected, rtol=0, atol=1e-12)
+
+
+def test_eq6_token_order_and_duplicates_are_bit_identical(med_texts):
+    from repro.core import fit_lsi
+
+    model = fit_lsi(med_texts, 2, scheme="log_entropy")
+    qhat = project_query(model, "blood age blood abnormalities")
+    for tokens in (
+        ["abnormalities", "blood", "age", "blood"],
+        ["blood", "blood", "abnormalities", "age", "unindexed"],
+    ):
+        assert np.array_equal(project_query(model, tokens), qhat)
+
+
+def test_eq6_all_oov_query_is_exact_zero(med_model):
+    ids, counts = query_terms(med_model, "of with zzz")
+    assert ids.size == counts.size == 0
+    qhat = project_query(med_model, "of with zzz")
+    assert qhat.shape == (med_model.k,)
+    assert not np.any(qhat)
+
+
+def test_eq6_refuses_a_zero_singular_value(med_model):
+    model = LSIModel(
+        med_model.U, np.array([med_model.s[0], 0.0]), med_model.V,
+        med_model.vocabulary, med_model.doc_ids,
+    )
+    with pytest.raises(ShapeError):
+        project_query(model, "blood age")
 
 
 def test_pseudo_document_validation(med_model):
     with pytest.raises(ShapeError):
-        pseudo_document(med_model, np.ones(5))
+        project_terms(med_model, np.array([0, 1]), np.ones(3))
+    with pytest.raises(ShapeError):
+        project_terms(med_model, np.array([med_model.n_terms]), np.ones(1))
+    with pytest.raises(ShapeError):
+        project_terms(med_model, np.array([-1]), np.ones(1))
 
 
 def test_query_is_weighted_like_documents(med_texts):
@@ -51,11 +111,10 @@ def test_query_is_weighted_like_documents(med_texts):
     model = fit_lsi(med_texts, 2, scheme="log_entropy")
     qhat = project_query(model, "blood blood blood")
     # Raw projection with unweighted counts differs (log damping).
-    counts = query_counts(model, "blood blood blood")
-    raw = (counts * model.global_weights @ model.U) / model.s
-    logged = (
-        np.log2(counts + 1) * model.global_weights @ model.U
-    ) / model.s
+    ids, counts = query_terms(model, "blood blood blood")
+    U, g = model.U[ids], model.global_weights[ids]
+    raw = (counts * g @ U) / model.s
+    logged = (np.log2(counts + 1) * g @ U) / model.s
     assert np.allclose(qhat, logged)
     assert not np.allclose(qhat, raw)
 

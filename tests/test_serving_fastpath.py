@@ -25,7 +25,6 @@ from repro.parallel import merge_topk, shard_bounds
 from repro.retrieval import LSIRetrieval
 from repro.server.state import EpochSnapshot
 from repro.serving import (
-    QueryVectorCache,
     ranked_pairs,
     row_norms,
     scaled_documents,
@@ -391,100 +390,6 @@ def test_consolidation_leaves_the_pinned_source_epoch_untouched():
         mgr.add_texts([f"blood pressure age study number {i}"])
         _assert_source_epoch_untouched(pinned, before, Q, mgr.model, i + 1)
     assert {e.action for e in mgr.events} & {"recompute", "svd-update"}
-
-
-# --------------------------------------------------------------------- #
-# query-vector LRU cache
-# --------------------------------------------------------------------- #
-def test_query_cache_hits_and_identical_results(small_lsi, small_collection):
-    eng = LSIRetrieval(small_lsi, query_cache_size=8)
-    q = small_collection.queries[0]
-    cold = eng.search(q, top=5)
-    before = registry.counter("serving.query_cache_hits")
-    warm = eng.search(q, top=5)
-    assert warm == cold
-    assert registry.counter("serving.query_cache_hits") == before + 1
-
-
-def test_query_cache_key_normalizes_token_order(small_lsi):
-    eng = LSIRetrieval(small_lsi)
-    v1 = eng.query_vector(["t_a", "t_b"])  # OOV-only: zero counts
-    v2 = eng.query_vector(["t_b", "t_a"])
-    assert np.array_equal(v1, v2)
-    c1 = np.zeros(5)
-    c1[2] = 2.0
-    assert QueryVectorCache.key_from_counts(c1) == QueryVectorCache.key_from_counts(
-        c1.copy()
-    )
-    c2 = np.zeros(6)
-    c2[2] = 2.0
-    assert QueryVectorCache.key_from_counts(c1) != QueryVectorCache.key_from_counts(c2)
-
-
-def test_query_cache_key_is_platform_independent():
-    """The index component of the key must hash as int64 regardless of
-    the platform's ``intp`` width: 8 bytes per nonzero index, always."""
-    c = np.zeros(12)
-    c[[1, 7, 9]] = (2.0, 1.0, 3.0)
-    size, index_bytes, value_bytes = QueryVectorCache.key_from_counts(c)
-    assert size == 12
-    assert len(index_bytes) == 3 * 8  # int64, not platform intp
-    assert np.array_equal(
-        np.frombuffer(index_bytes, dtype=np.int64), [1, 7, 9]
-    )
-    # A 32-bit index vector (what flatnonzero yields on 32-bit intp
-    # platforms) produces the same key after the cast.
-    original = np.flatnonzero
-    try:
-        np.flatnonzero = lambda a: original(a).astype(np.int32)
-        narrow = QueryVectorCache.key_from_counts(c)
-    finally:
-        np.flatnonzero = original
-    assert narrow == (size, index_bytes, value_bytes)
-
-
-def test_query_cache_size_gauge_published():
-    from repro.obs.metrics import registry
-
-    def gauge(name):
-        return registry.snapshot()["gauges"][name]
-
-    cache = QueryVectorCache(maxsize=2)
-    cache.put((1,), np.ones(2))
-    assert gauge("serving.query_cache_size") == 1
-    assert gauge("serving.query_cache_capacity") == 2
-    cache.put((2,), np.ones(2))
-    cache.put((3,), np.ones(2))  # evicts, size stays at the bound
-    assert gauge("serving.query_cache_size") == 2
-    cache.clear()
-    assert gauge("serving.query_cache_size") == 0
-
-
-def test_query_cache_cleared_on_model_swap(small_lsi, med_model):
-    eng = LSIRetrieval(small_lsi, query_cache_size=8)
-    eng.query_vector("apple")
-    assert len(eng._query_cache) == 1
-    eng.model = med_model  # users do this after fold-in/update
-    s = eng.scores_for_vector(eng.query_vector("blood age"))
-    assert s.shape == (med_model.n_documents,)
-    assert len(eng._query_cache) == 1  # "apple" went with the old model
-
-
-def test_with_k_keeps_the_query_cache_size(med_model_k8):
-    eng = LSIRetrieval(med_model_k8, query_cache_size=0).with_k(4)
-    eng.query_vector("blood age")
-    assert len(eng._query_cache) == 0
-    assert LSIRetrieval(med_model_k8).with_k(4)._query_cache.maxsize == 256
-
-
-def test_query_cache_lru_bound():
-    cache = QueryVectorCache(maxsize=2)
-    for i in range(5):
-        cache.put((i,), np.arange(3, dtype=float))
-    assert len(cache) == 2
-    disabled = QueryVectorCache(maxsize=0)
-    disabled.put((1,), np.ones(2))
-    assert len(disabled) == 0 and disabled.get((1,)) is None
 
 
 # --------------------------------------------------------------------- #
