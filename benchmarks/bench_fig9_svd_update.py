@@ -2,13 +2,14 @@
 
 Regenerates: the updated space whose clustering matches Figure 8
 (recomputing) rather than Figure 7 (folding-in), plus the §4.3
-orthogonality contrast.  Times the document SVD-update (Eq. 10) and
-the term SVD-update (Eq. 11).
+orthogonality contrast.  Times the document SVD-update (Eq. 10), the
+term SVD-update (Eq. 11) and the weight correction (Eq. 12).
 """
 
 import numpy as np
 
 from conftest import emit
+from repro.core import fit_lsi_from_tdm
 from repro.corpus.med import UPDATE_COLUMNS
 from repro.updating import (
     drift_report,
@@ -16,7 +17,9 @@ from repro.updating import (
     recompute_with_documents,
     update_documents,
     update_terms,
+    update_weights,
 )
+from repro.weighting import WeightingScheme, apply_weighting, weight_correction_blocks
 
 
 def _cos(model, a, b):
@@ -77,3 +80,35 @@ def test_eq11_svd_update_terms(benchmark, med_tdm, med_model):
     ])
     assert s_err < 1e-12 and rec_err < 1e-12
     assert updated.vocabulary.to_list()[-2:] == ["blood'", "pressure'"]
+
+
+def test_eq12_svd_update_weights(benchmark, med_tdm, med_model):
+    """Eq. 12: re-weighting MED from raw to idf is ``W = A_k + Y_jZ_jᵀ``
+    over all j = 18 term rows.  With the residuals kept the update is the
+    rank-k SVD of W; at k = 14 (``A_k = A``) W is the idf matrix itself."""
+    old = apply_weighting(med_tdm.matrix, WeightingScheme("raw", "none")).matrix
+    new = apply_weighting(med_tdm.matrix, WeightingScheme("raw", "idf")).matrix
+    Y, Z = weight_correction_blocks(old, new, range(med_tdm.matrix.shape[0]))
+    updated = benchmark(update_weights, med_model, Y, Z, exact=True)
+    printed = update_weights(med_model, Y, Z)
+    W = (med_model.U * med_model.s) @ med_model.V.T + Y @ Z.T
+    Uw, sw, Vwt = np.linalg.svd(W)
+    k = med_model.k
+    s_err = float(np.abs(updated.s - sw[:k]).max())
+    rec_err = float(np.abs(
+        (updated.U * updated.s) @ updated.V.T - (Uw[:, :k] * sw[:k]) @ Vwt[:k]
+    ).max())
+    full = update_weights(fit_lsi_from_tdm(med_tdm, 14), Y, Z, exact=True)
+    full_err = float(np.abs(
+        full.s - np.linalg.svd(new.to_dense(), compute_uv=False)
+    ).max())
+    emit("Eq. 12 — SVD-updating the weights, raw → idf (j = 18)", [
+        f"  k={k}, exact: max |σ̂ − σ(W)| = {s_err:.1e}  "
+        f"max |Û Σ̂ V̂ᵀ − W_k| = {rec_err:.1e}",
+        f"  k={k}, printed σ = {np.round(printed.s, 4).tolist()} "
+        f"≤ exact σ = {np.round(updated.s, 4).tolist()}",
+        f"  k=14, exact: max |σ̂ − σ(idf matrix)| = {full_err:.1e}",
+    ])
+    assert s_err < 1e-12 and rec_err < 1e-12
+    assert np.all(printed.s <= updated.s + 1e-12)
+    assert full_err < 1e-12

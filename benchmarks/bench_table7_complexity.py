@@ -1,7 +1,7 @@
 """Table 7 — computational complexity of the updating methods.
 
 Regenerates: the flop-model table (folding-in documents/terms, the three
-SVD-updating phases, recomputing) over a parameter sweep, validates the
+SVD-updating phases priced by one formula, recomputing) over a parameter sweep, validates the
 model's crossover structure against *measured* wall-clock on synthetic
 matrices, and checks the Lanczos cost model ``I·cost(GᵀGx)+trp·cost(Gx)``
 against measured matvec counts.
@@ -21,9 +21,7 @@ from repro.updating import (
     fold_terms_flops,
     recompute_flops,
     recompute_with_documents,
-    svd_update_correction_flops,
-    svd_update_documents_flops,
-    svd_update_terms_flops,
+    svd_update_flops,
     update_documents,
 )
 
@@ -64,9 +62,12 @@ def test_table7_flop_model_and_measured_times(benchmark):
     flops = {
         "folding-in documents (2mkp)": fold_documents_flops(m, k, p),
         "folding-in terms (2nkq)": fold_terms_flops(n, k, p),
-        "SVD-updating documents": svd_update_documents_flops(m, n, k, p, nnz_d),
-        "SVD-updating terms": svd_update_terms_flops(m, n, k, p, nnz_d),
-        "SVD-updating correction": svd_update_correction_flops(m, n, k, p, nnz_d),
+        # One formula, the printed core of each phase (cost_model):
+        # p documents, p terms, and a j = p correction whose selection
+        # Y_j holds p nonzeros.
+        "SVD-updating documents": svd_update_flops(m, n + p, k, 0, p, nnz_d),
+        "SVD-updating terms": svd_update_flops(m + p, n, k, p, 0, nnz_d),
+        "SVD-updating correction": svd_update_flops(m, n, k, 0, 0, p + nnz_d),
         "recomputing the SVD": recompute_flops(nnz_a + nnz_d, k),
     }
 

@@ -182,10 +182,11 @@ class PrimaryWriter:
         after the next seal/bump, which ``lag_records`` tracks.
         """
         texts = list(texts)
-        ids = None if doc_ids is None else list(doc_ids)
         t0 = time.perf_counter()
+        # ``doc_ids`` goes as given: the manager rejects a string or a
+        # bad list, which ``list()`` here would turn into ids.
         event = await self.seal_loop.run(
-            lambda: self.store.add_texts(texts, ids)
+            lambda: self.store.add_texts(texts, doc_ids)
         )
         registry.observe(
             "cluster.writer.ingest_seconds", time.perf_counter() - t0

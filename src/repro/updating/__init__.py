@@ -8,11 +8,12 @@ fidelity:
   p documents), but pre-existing representations are untouched and the
   appended vectors corrupt the orthogonality of the singular-vector
   matrices (§4.3).
-* **SVD-updating** (:mod:`repro.updating.svd_update`) — Eq. 10-12: exact
-  SVDs of ``(A_k | D)``, ``[A_k ; T]`` and ``A_k + Y_j Z_jᵀ`` computed
-  through small dense SVDs.  More expensive — the paper attributes the
-  cost to the ``O(2k²m + 2k²n)`` dense multiplications — but maintains a
-  true rank-k factorization.
+* **SVD-updating** (:mod:`repro.updating.svd_update`) — Eq. 10-12: SVDs
+  of ``(A_k | D)``, ``[A_k ; T]`` and ``A_k + Y_j Z_jᵀ``, each one call
+  of the same kernel (one small dense core SVD and one rotation per
+  side; the fast update of :mod:`repro.updating.fast_update` too).  More
+  expensive — the paper attributes the cost to the ``O(2k²m + 2k²n)``
+  dense multiplications — but maintains a true rank-k factorization.
 * **Recomputing** (:mod:`repro.updating.recompute`) — not an updating
   method: decompose the reconstructed matrix from scratch; the accuracy
   yardstick the others are compared against.
@@ -34,9 +35,7 @@ from repro.updating.cost_model import (
     fold_documents_flops,
     fold_terms_flops,
     recompute_flops,
-    svd_update_correction_flops,
-    svd_update_documents_flops,
-    svd_update_terms_flops,
+    svd_update_flops,
 )
 from repro.updating.planner import UpdatePlan, plan_update
 from repro.updating.manager import IndexEvent, LSIIndexManager
@@ -56,9 +55,7 @@ __all__ = [
     "fold_documents_flops",
     "fold_terms_flops",
     "recompute_flops",
-    "svd_update_documents_flops",
-    "svd_update_terms_flops",
-    "svd_update_correction_flops",
+    "svd_update_flops",
     "UpdatePlan",
     "plan_update",
     "IndexEvent",

@@ -28,9 +28,7 @@ from __future__ import annotations
 __all__ = [
     "fold_documents_flops",
     "fold_terms_flops",
-    "svd_update_documents_flops",
-    "svd_update_terms_flops",
-    "svd_update_correction_flops",
+    "svd_update_flops",
     "recompute_flops",
     "default_iterations",
 ]
@@ -59,76 +57,40 @@ def fold_terms_flops(n: int, k: int, q: int) -> int:
     return 2 * n * k * q
 
 
-def _dense_rotation_flops(m: int, n: int, k: int) -> int:
-    """The ``(2k² − k)(m + n)`` term shared by all SVD-updating phases —
-    rotating ``U_k`` and ``V_k`` by the small SVD's factors (Eq. 13)."""
-    return (2 * k * k - k) * (m + n)
-
-
-def svd_update_documents_flops(
-    m: int, n: int, k: int, p: int, nnz_d: int,
+def svd_update_flops(
+    m: int, n: int, k: int, r_y: int, r_z: int, nnz: int,
     *, iterations: int | None = None, trp: int | None = None,
 ) -> int:
-    """Table 7, "SVD-updating documents" (reconstructed; see module doc).
+    """Table 7, "SVD-updating" (reconstructed; see module doc) — one
+    formula for every phase, as one kernel runs them all
+    (:func:`repro.updating.svd_update.low_rank_update`).
 
-    Three components:
+    ``(m, n)`` is the *updated* shape and the core is
+    ``(k + r_y) × (k + r_z)``.  Three components:
 
-    * one-time projection ``U_kᵀ D`` — ``2·nnz(D)·k`` flops;
-    * the SVD of the small core ``F = (Σ_k | U_kᵀD)``, ``k × (k+p)``:
-      ``I`` Gram products at ``4·k·(k+p)`` each plus ``trp`` extractions
-      at ``2·k·(k+p)``;
+    * the one-time projection of the update block onto ``U_k`` / ``V_k``
+      — ``2·nnz·k`` flops;
+    * the core's SVD: ``I`` Gram products at ``4·(k+r_y)(k+r_z)`` each
+      plus ``trp`` extractions at ``2·(k+r_y)(k+r_z)``;
     * the dense rotations of ``U_k`` and ``V_k`` (Eq. 13) —
-      ``(2k² − k)(m + n + p)``, the term the paper singles out as the
+      ``(2k² − k)(m + n)``, the term the paper singles out as the
       expense of SVD-updating.
+
+    The paper's printed cores are: documents (Eq. 10, ``F = (Σ_k |
+    U_kᵀD)``) ``r_y = 0, r_z = p`` over ``(m, n + p)`` with ``nnz(D)``;
+    terms (Eq. 11, ``H = [Σ_k ; T V_k]``) ``r_y = q, r_z = 0`` over
+    ``(m + q, n)`` with ``nnz(T)``; the correction step (Eq. 12,
+    ``Q = Σ_k + (U_kᵀY_j)(Z_jᵀV_k)``) ``r_y = r_z = 0`` over ``(m, n)``
+    with ``nnz(Y_j) + nnz(Z_j)``, where the selection ``Y_j`` has ``j``.
     """
     i = default_iterations(k) if iterations is None else iterations
     t = k if trp is None else trp
-    core = k * (k + p)
+    core = (k + r_y) * (k + r_z)
     return (
-        2 * nnz_d * k
+        2 * nnz * k
         + i * 4 * core
         + t * 2 * core
-        + _dense_rotation_flops(m, n + p, k)
-    )
-
-
-def svd_update_terms_flops(
-    m: int, n: int, k: int, q: int, nnz_t: int,
-    *, iterations: int | None = None, trp: int | None = None,
-) -> int:
-    """Table 7, "SVD-updating terms" (reconstructed): projection
-    ``T V_k`` once, small-core SVD of ``H = [Σ_k ; T V_k]``, rotations."""
-    i = default_iterations(k) if iterations is None else iterations
-    t = k if trp is None else trp
-    core = k * (k + q)
-    return (
-        2 * nnz_t * k
-        + i * 4 * core
-        + t * 2 * core
-        + _dense_rotation_flops(m + q, n, k)
-    )
-
-
-def svd_update_correction_flops(
-    m: int, n: int, k: int, j: int, nnz_z: int,
-    *, iterations: int | None = None, trp: int | None = None,
-) -> int:
-    """Table 7, "SVD-updating correction step" (reconstructed).
-
-    Forming ``Q = Σ_k + (U_kᵀY_j)(Z_jᵀV_k)`` costs ``2mj·[selection] +
-    2·nnz(Z)·k [projection] + 2k²j [small product]``; then the k×k core
-    SVD and the dense rotations.
-    """
-    i = default_iterations(k) if iterations is None else iterations
-    t = k if trp is None else trp
-    core = k * k
-    return (
-        2 * m * j
-        + 2 * nnz_z * k
-        + 2 * k * k * j
-        + i * 4 * core
-        + t * 2 * core
-        + _dense_rotation_flops(m, n, k)
+        + (2 * k * k - k) * (m + n)
     )
 
 

@@ -15,16 +15,18 @@ are then found by a Rayleigh-Ritz projection onto ``span([U_k, X])``::
     B = (A_k | D) ≈ [U_k X] K [V_k ⊕ I_p]ᵀ,
     K = [[Σ_k, U_kᵀD], [0, XᵀR]]          ((k+l) × (k+p))
 
-whose SVD rotates the old factors exactly as in Eq. 10.  Because
+which is Eq. 10's core with ``X`` in place of the residual's full
+basis, so :func:`~repro.updating.svd_update.low_rank_update` solves and
+rotates it as it does Eq. 10.  Because
 ``X ⊂ range(R) ⟂ span(U_k)``, the produced ``U`` and ``V`` are
 orthonormal to rounding — the update inherits the §4.3 drift behaviour
 of the exact update, not of folding-in — while the per-batch cost
 drops from the exact update's ``O(m p²)`` residual factorization to
 ``O(m p l)`` sketch products.  When ``l ≥ rank(R)`` the sketch spans
 the whole residual and the result coincides with the exact update.
-The sketch bases and the core are each one
-:func:`~repro.linalg.svd.dense_svd` call (LAPACK); at the writer's
-``k = 48``, ``p = l = 8`` each is well under a millisecond.
+Each sketch basis is one rank-revealing
+:func:`~repro.linalg.svd.dense_svd` call (LAPACK), as is the core; at
+the writer's ``k = 48``, ``p = l = 8`` each is well under a millisecond.
 
 Determinism: the Gaussian sketch is seeded from ``(seed, n_documents,
 p)``, so replaying the same batch against the same model reproduces
@@ -34,39 +36,23 @@ on when the cluster's primary writer ingests through this kernel.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
-from repro.linalg.svd import dense_svd
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.updating.folding import _weight_columns
+from repro.updating.svd_update import _RESIDUAL_TOL, _range_basis, low_rank_update
 
 __all__ = ["fast_update_documents"]
-
-#: Sketch directions with singular value below this (relative to the
-#: block norm) carry no residual mass and are dropped.
-_SKETCH_TOL = 1e-10
 
 #: Default sketch rank: enough for the low-dimensional residual energy
 #: of topical text batches, tiny next to typical batch sizes.
 DEFAULT_SKETCH_RANK = 8
-
-
-def _orthonormal_columns(Y: np.ndarray, scale: float) -> np.ndarray:
-    """An orthonormal basis of ``range(Y)``, rank-revealing.
-
-    Columns whose singular value falls below ``_SKETCH_TOL · scale``
-    are dropped — they are rounding noise, and keeping them would
-    reintroduce components of ``span(U_k)`` into the residual basis.
-    """
-    if Y.size == 0 or Y.shape[1] == 0:
-        return np.zeros((Y.shape[0], 0))
-    U, s, _V = dense_svd(Y)
-    return U[:, s > _SKETCH_TOL * max(scale, 1.0)]
 
 
 def _residual_basis(
@@ -88,18 +74,18 @@ def _residual_basis(
     """
     p = R.shape[1]
     l = min(rank, p, R.shape[0])
-    if l <= 0 or np.sqrt(np.sum(R * R)) <= _SKETCH_TOL * max(scale, 1.0):
+    if l <= 0 or np.sqrt(np.sum(R * R)) <= _RESIDUAL_TOL * max(scale, 1.0):
         return np.zeros((R.shape[0], 0))
     Y = R @ rng.standard_normal((p, l))
     for _ in range(max(0, power_iters)):
-        Q = _orthonormal_columns(Y, scale)
+        Q = _range_basis(Y, scale)[0]
         if Q.shape[1] == 0:
             return Q
         Y = R @ (R.T @ Q)
-    X = _orthonormal_columns(Y, scale)
+    X = _range_basis(Y, scale)[0]
     if X.shape[1]:
         X = X - U @ (U.T @ X)
-        X = _orthonormal_columns(X, scale)
+        X = _range_basis(X, scale)[0]
     return X
 
 
@@ -129,7 +115,6 @@ def fast_update_documents(
         if rank < 1:
             raise ShapeError(f"sketch rank must be >= 1, got {rank}")
         registry.inc("updating.fast_updated_documents", p)
-        k = model.k
         Dhat = model.U.T @ D  # (k, p)
         R = D - model.U @ Dhat  # residual, ⟂ span(U_k)
         scale = np.sqrt(np.sum(D * D))
@@ -139,29 +124,11 @@ def fast_update_documents(
         X = _residual_basis(
             R, model.U, rank, power_iters=power_iters, scale=scale, rng=rng
         )
-        l = X.shape[1]
-        sp.set_attr("sketch_rank", l)
-        # K = [[Σ_k, D̂], [0, XᵀR]], (k+l) × (k+p) — the projected core.
-        K = np.zeros((k + l, k + p))
-        K[:k, :k] = np.diag(model.s)
-        K[:k, k:] = Dhat
-        if l:
-            K[k:, k:] = X.T @ R
-        UK, sK, VK = dense_svd(K)
-        UK, sK, VK = UK[:, :k], sK[:k], VK[:, :k]
-        U_new = model.U @ UK[:k, :]
-        if l:
-            U_new = U_new + X @ UK[k:, :]
-        # V_B = (V_k ⊕ I_p) V_K: top rows rotate V_k, bottom p rows are
-        # V_K's tail block verbatim — identical structure to Eq. 10.
-        V_new = np.vstack([model.V @ VK[:k, :], VK[k:, :]])
-        return LSIModel(
-            U=U_new,
-            s=sK,
-            V=V_new,
-            vocabulary=model.vocabulary,
-            doc_ids=model.doc_ids + list(doc_ids),
-            scheme=model.scheme,
-            global_weights=model.global_weights,
+        sp.set_attr("sketch_rank", X.shape[1])
+        # Eq. 10 with the sketch X standing in for the residual basis:
+        # K = [[Σ_k, D̂], [0, XᵀR]], (k+l) × (k+p).
+        U, s, V = low_rank_update(model, (Dhat, X, X.T @ R), p)
+        return replace(
+            model, U=U, s=s, V=V, doc_ids=model.doc_ids + list(doc_ids),
             provenance="fast-update",
         )

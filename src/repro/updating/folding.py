@@ -27,7 +27,6 @@ from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
-from repro.weighting.local import NEEDS_COL_MAX, local_weight
 from repro.weighting.schemes import weight_counts
 
 __all__ = ["fold_in_documents", "fold_in_terms", "fold_in_texts"]
@@ -44,6 +43,38 @@ def _weight_columns(model: LSIModel, counts: np.ndarray) -> np.ndarray:
             f"document block has {counts.shape[0]} rows for m={model.n_terms}"
         )
     return weight_counts(model.scheme, counts, model.global_weights[:, None])
+
+
+def _weight_rows(
+    model: LSIModel,
+    counts: np.ndarray,
+    terms: Sequence[str],
+    global_weights: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight raw count rows ``(q, n)`` of ``q`` new terms: ``(T, G)``.
+
+    The same rule as :func:`_weight_columns`, one item per row: the local
+    transform reads the term's own counts (a lone new row cannot know a
+    document's maximum, so ``augmented`` takes the row's), and ``G``
+    defaults to 1 for a brand-new term.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim == 1:
+        counts = counts[None, :]
+    q, n = counts.shape
+    if n != model.n_documents:
+        raise ShapeError(
+            f"term block has {n} columns for n={model.n_documents}"
+        )
+    if len(terms) != q:
+        raise ShapeError(f"{len(terms)} names for {q} terms")
+    if global_weights is None:
+        gw = np.ones(q)
+    else:
+        gw = np.asarray(global_weights, dtype=np.float64).ravel()
+        if gw.size != q:
+            raise ShapeError("global_weights must have one entry per term")
+    return weight_counts(model.scheme, counts.T, gw).T, gw
 
 
 def fold_in_documents(
@@ -99,34 +130,9 @@ def fold_in_terms(
     Each row ``t`` is weighted with the local transform (global weight
     defaults to 1 for a brand-new term) and projected by Eq. 8.
     """
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.ndim == 1:
-        counts = counts[None, :]
-    q, n = counts.shape
-    if n != model.n_documents:
-        raise ShapeError(
-            f"term block has {n} columns for n={model.n_documents}"
-        )
-    if len(terms) != q:
-        raise ShapeError(f"{len(terms)} names for {q} terms")
-    with span("lsi.fold.terms", q=q):
-        if model.scheme.local in NEEDS_COL_MAX:
-            # Per-document max is a property of the whole column; a lone new
-            # term row cannot recompute it, so fall back to its own counts.
-            cmax = np.maximum(counts.max(axis=1, keepdims=True), 1.0)
-            local = local_weight(
-                model.scheme.local, counts, np.broadcast_to(cmax, counts.shape)
-            )
-        else:
-            local = local_weight(model.scheme.local, counts)
-        if global_weights is not None:
-            gw = np.asarray(global_weights, dtype=np.float64).ravel()
-            if gw.size != q:
-                raise ShapeError("global_weights must have one entry per term")
-            local = local * gw[:, None]
-        else:
-            gw = np.ones(q)
+    T, gw = _weight_rows(model, counts, terms, global_weights)
+    with span("lsi.fold.terms", q=T.shape[0]):
         # t̂ = t V_k Σ_k⁻¹ for every row at once.
-        U_new = (local @ model.V) / model.s
-        registry.inc("updating.folded_terms", q)
+        U_new = (T @ model.V) / model.s
+        registry.inc("updating.folded_terms", T.shape[0])
         return model.with_terms(U_new, list(terms), gw, provenance="fold-in")

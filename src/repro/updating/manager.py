@@ -205,14 +205,27 @@ class LSIIndexManager:
     ) -> tuple[np.ndarray, list[str]]:
         """``texts`` as raw count columns against the current vocabulary,
         with their ids — minted ``D<n>`` after every document held
-        (served or pending) when ``doc_ids`` is ``None``."""
+        (served or pending) when ``doc_ids`` is ``None``.
+
+        Given ids must be a list or tuple of non-empty strings, one per
+        text, distinct and not already held; anything else raises
+        :class:`ShapeError` here, before a store logs the batch.
+        """
         if not texts:
             raise ShapeError("add_texts needs at least one document")
         if doc_ids is None:
             start = self.n_documents + self.pending + 1
             doc_ids = [f"D{start + i}" for i in range(len(texts))]
+        elif not isinstance(doc_ids, (list, tuple)) or not all(
+            isinstance(d, str) and d for d in doc_ids
+        ):
+            raise ShapeError("doc_ids must be a list of non-empty strings")
         elif len(doc_ids) != len(texts):
             raise ShapeError("doc_ids length mismatch")
+        elif len(set(doc_ids)) != len(doc_ids):
+            raise ShapeError("doc_ids repeat within the batch")
+        elif held := set(self.model.doc_ids).intersection(doc_ids):
+            raise ShapeError(f"doc_ids already held: {sorted(held)}")
         counts = np.stack(
             [count_vector(tokenize(t), self.model.vocabulary) for t in texts],
             axis=1,

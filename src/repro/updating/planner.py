@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.updating.cost_model import (
     fold_documents_flops,
     recompute_flops,
-    svd_update_documents_flops,
+    svd_update_flops,
 )
 
 __all__ = ["UpdatePlan", "plan_update"]
@@ -73,7 +73,7 @@ def plan_update(
     nnz_a = int(round(nnz_per_doc * n)) if nnz_existing is None else nnz_existing
     flops = {
         "fold-in": fold_documents_flops(m, k, p),
-        "svd-update": svd_update_documents_flops(m, n, k, p, nnz_d),
+        "svd-update": svd_update_flops(m, n + p, k, 0, p, nnz_d),
         "recompute": recompute_flops(nnz_a + nnz_d, k),
     }
     frac = p / n

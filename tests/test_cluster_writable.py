@@ -22,7 +22,7 @@ from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
 from repro.cluster.supervisor import SupervisorConfig
 from repro.cluster.worker import ShardWorker
-from repro.errors import ClusterReadOnlyError, StoreError
+from repro.errors import ClusterReadOnlyError, ShapeError, StoreError
 from repro.server import QueryService, ServerClient, start_http_server
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.store.checkpoint import load_manifest
@@ -285,6 +285,12 @@ def test_writable_cluster_ingests_bumps_and_serves(store_dir):
             assert h0["writer"]["ingest_method"] == "fast-update"
             assert h0["writer"]["lag_records"] == 0
             epoch0 = service.epoch
+
+            # Bad ids are refused before the WAL, as on a single node.
+            for bad in ("xy", ["same", "same"]):
+                with pytest.raises(ShapeError):
+                    await service.add(_texts(2, seed=99), bad)
+            assert service.healthz()["writer"]["lag_records"] == 0
 
             # Ingest past the record threshold while racing searches.
             drops = 0

@@ -9,7 +9,7 @@ from repro.serving.ann import kmeans
 from repro.updating.cost_model import (
     fold_documents_flops,
     recompute_flops,
-    svd_update_documents_flops,
+    svd_update_flops,
 )
 
 
@@ -55,12 +55,13 @@ def test_kmeans_invariants(args):
 def test_cost_model_sanity(m, n, k, p, nnz_d):
     """Flop estimates are positive and monotone in every size argument."""
     fold = fold_documents_flops(m, k, p)
-    update = svd_update_documents_flops(m, n, k, p, nnz_d)
+    update = svd_update_flops(m, n + p, k, 0, p, nnz_d)
     recompute = recompute_flops(nnz_d + 10 * n, k)
     assert fold > 0 and update > 0 and recompute > 0
     assert fold_documents_flops(m + 1, k, p) >= fold
     assert fold_documents_flops(m, k + 1, p) >= fold
     assert fold_documents_flops(m, k, p + 1) >= fold
-    assert svd_update_documents_flops(m + 1, n, k, p, nnz_d) >= update
-    assert svd_update_documents_flops(m, n + 1, k, p, nnz_d) >= update
-    assert svd_update_documents_flops(m, n, k, p, nnz_d + 1) >= update
+    assert svd_update_flops(m + 1, n + p, k, 0, p, nnz_d) >= update
+    assert svd_update_flops(m, n + p + 1, k, 0, p, nnz_d) >= update
+    assert svd_update_flops(m, n + p, k, 0, p, nnz_d + 1) >= update
+    assert svd_update_flops(m, n + p, k, 1, p, nnz_d) >= update

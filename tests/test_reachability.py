@@ -50,9 +50,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # it must cite the paper and must still be unreached from the roots.  Its
 # body counts as live, so what it alone calls stays too.
 EXEMPT_DEFINITIONS = {
-    "repro.updating.svd_update.update_weights": "Eq. 12",  # W = A_k + Y_j Z_jᵀ
-    # the Y_j Z_jᵀ blocks of Eq. 12, built from two weighted matrices
-    "repro.weighting.correction.weight_correction_blocks": "Eq. 12",
     "repro.corpus.med.med_update_matrix": "Table 5",  # the two added documents
 }
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -460,6 +460,21 @@ def test_http_error_mapping():
         conn.close()
 
 
+def test_http_add_rejects_bad_doc_ids_with_400():
+    state = _fresh_state()
+    held = state.current().model.doc_ids[0]
+    with _ServerThread(state, ServerConfig()) as server:
+        client = ServerClient(port=server.port)
+        texts = ["renal oxygen study", "fasting growth hormone"]
+        for bad in ("xy", [7, None], ["same", "same"], [held, "fresh"], ["x"]):
+            with pytest.raises(ReproError, match="400"):
+                client._request("POST", "/add", {"texts": texts, "doc_ids": bad})
+        assert state.current().epoch == 0
+        added = client.add(texts, doc_ids=["new-a", "new-b"])
+        assert added["epoch"] == 1
+        assert state.current().model.doc_ids[-2:] == ["new-a", "new-b"]
+
+
 _PAD = b"a" * (70 * 1024)  # past the 64 KiB line limit
 
 

@@ -452,6 +452,20 @@ def test_durable_serving_routes_adds_through_wal(corpus, tmp_path):
     store.close(flush=False)
 
 
+def test_store_rejects_bad_doc_ids_before_the_wal(corpus, tmp_path):
+    _, later, _ = corpus
+    store = seeded_store(corpus, tmp_path)
+    held = store.manager.model.doc_ids[0]
+    for bad in ("xy", [7, None], [held, "fresh"], ["same", "same"]):
+        with pytest.raises(ShapeError):
+            store.add_texts(later[:2], doc_ids=bad)
+    assert store.wal.n_records == 0
+    store.add_texts(later[:2], doc_ids=["new-a", "new-b"])
+    store.close(flush=False)
+    ids = DurableIndexStore.open(tmp_path / "store").manager.model.doc_ids
+    assert len(set(ids)) == len(ids) and ids[-2:] == ["new-a", "new-b"]
+
+
 def test_recovered_serving_state_search_parity(corpus, tmp_path):
     _, later, queries = corpus
     store = seeded_store(corpus, tmp_path)

@@ -99,6 +99,31 @@ def test_add_validation(manager_setup):
         mgr.add_counts(np.zeros((3, 1)), ["x"])
 
 
+@pytest.mark.parametrize(
+    "doc_ids",
+    [
+        "xy",  # a string is not a list of ids
+        [7, None],
+        ["ok", ""],
+        ["same", "same"],
+        ["fresh", "HELD"],  # HELD is replaced by an id the index holds
+    ],
+)
+def test_add_rejects_bad_doc_ids_before_anything_changes(manager_setup, doc_ids):
+    mgr, later = manager_setup
+    mgr.add_texts(later[:1], doc_ids=["first"])
+    doc_ids = [mgr.model.doc_ids[0] if d == "HELD" else d for d in doc_ids] \
+        if isinstance(doc_ids, list) else doc_ids
+    model, events = mgr.model, list(mgr.events)
+    with pytest.raises(ShapeError):
+        mgr.add_texts(later[1:3], doc_ids=doc_ids)
+    with pytest.raises(ShapeError):  # a folded-in (pending) id is held too
+        mgr.add_texts(later[1:2], doc_ids=["first"])
+    assert mgr.model is model and list(mgr.events) == events
+    mgr.add_texts(later[1:3], doc_ids=("new-1", "new-2"))
+    assert mgr.model.doc_ids[-2:] == ["new-1", "new-2"]
+
+
 def test_events_log_grows(manager_setup):
     mgr, later = manager_setup
     for text in later[:3]:

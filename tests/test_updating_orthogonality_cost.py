@@ -10,9 +10,7 @@ from repro.updating import (
     fold_terms_flops,
     plan_update,
     recompute_flops,
-    svd_update_correction_flops,
-    svd_update_documents_flops,
-    svd_update_terms_flops,
+    svd_update_flops,
 )
 from repro.updating.orthogonality import fold_in_drift_curve
 
@@ -62,7 +60,7 @@ def test_svd_update_dominated_by_dense_rotations():
     O(2k²m + 2k²n) flops' — for small updates the (2k²−k)(m+n) term must
     dominate the estimate."""
     m, n, k, p = 10_000, 50_000, 200, 10
-    total = svd_update_documents_flops(m, n, k, p, nnz_d=10 * p, iterations=2 * k)
+    total = svd_update_flops(m, n + p, k, 0, p, nnz=10 * p, iterations=2 * k)
     rotations = (2 * k * k - k) * (m + n + p)
     assert rotations / total > 0.5
 
@@ -74,7 +72,7 @@ def test_folding_much_cheaper_than_updating_for_small_p():
     ratios = []
     for p in (1, 10, 100):
         fold = fold_documents_flops(m, k, p)
-        update = svd_update_documents_flops(m, n, k, p, nnz_d=50 * p)
+        update = svd_update_flops(m, n + p, k, 0, p, nnz=50 * p)
         ratios.append(update / fold)
         assert update / fold > 3
     # The advantage shrinks as p grows (folding scales with p, the
@@ -88,7 +86,7 @@ def test_update_cheaper_than_recompute_for_dense_collections():
     is the (2k²−k)(m+n) rotations) wins."""
     m, n, k, p = 90_000, 70_000, 50, 100
     nnz_a = 300 * n
-    update = svd_update_documents_flops(m, n, k, p, nnz_d=300 * p)
+    update = svd_update_flops(m, n + p, k, 0, p, nnz=300 * p)
     recompute = recompute_flops(nnz_a + 300 * p, k)
     assert update < recompute
 
@@ -100,14 +98,28 @@ def test_recompute_can_win_on_sparse_small_k_collections():
     and incrementality, not raw flops, in this regime)."""
     m, n, k, p = 90_000, 70_000, 200, 500
     nnz_a = 20 * n
-    update = svd_update_documents_flops(m, n, k, p, nnz_d=20 * p)
+    update = svd_update_flops(m, n + p, k, 0, p, nnz=20 * p)
     recompute = recompute_flops(nnz_a + 20 * p, k)
     assert recompute < update
 
 
 def test_terms_and_correction_formulas_positive():
-    assert svd_update_terms_flops(1000, 2000, 50, 10, 500) > 0
-    assert svd_update_correction_flops(1000, 2000, 50, 10, 500) > 0
+    assert svd_update_flops(1010, 2000, 50, 10, 0, 500) > 0
+    assert svd_update_flops(1000, 2000, 50, 0, 0, 510) > 0
+
+
+def test_one_formula_prices_every_phase_by_its_core():
+    """Eq. 10's documents and Eq. 11's terms are transposes: the same
+    core size and updated extent cost the same; a wider core costs
+    more by exactly the core's Lanczos and extraction terms."""
+    m, n, k, p, nnz = 1000, 2000, 50, 10, 500
+    docs = svd_update_flops(m, n + p, k, 0, p, nnz)
+    terms = svd_update_flops(m + p, n, k, p, 0, nnz)
+    assert docs == terms
+    i, t = 2 * k, k
+    wider = svd_update_flops(m, n + p, k, p, p, nnz, iterations=i, trp=t)
+    printed = svd_update_flops(m, n + p, k, 0, p, nnz, iterations=i, trp=t)
+    assert wider - printed == (4 * i + 2 * t) * p * (k + p)
 
 
 # --------------------------------------------------------------------- #

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import fit_lsi_from_tdm
 from repro.corpus.med import UPDATE_COLUMNS, med_matrix
@@ -129,6 +131,17 @@ def test_update_terms_validation(med_model):
 # --------------------------------------------------------------------- #
 # weight corrections (Eq. 12)
 # --------------------------------------------------------------------- #
+def test_update_terms_rejects_a_held_term_before_the_svd(med_model, monkeypatch):
+    from repro.updating import svd_update
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran for a rejected term block")
+
+    monkeypatch.setattr(svd_update, "low_rank_update", no_kernel)
+    with pytest.raises(ShapeError, match="already present"):
+        update_terms(med_model, np.ones((2, 14)), ["fresh", "blood"])
+
+
 def test_update_weights_identity_for_zero_z(med_model):
     Y = np.zeros((18, 1))
     Y[0, 0] = 1.0
@@ -213,3 +226,63 @@ def test_update_order_document_then_term_consistency(rng):
     combined = np.vstack([np.hstack([A, D]), T_ext])
     s_ref = np.linalg.svd(combined, compute_uv=False)[:k]
     assert np.allclose(a.s, s_ref, atol=1e-8)
+
+
+# --------------------------------------------------------------------- #
+# one kernel, three phases: a dense-SVD oracle
+# --------------------------------------------------------------------- #
+def _random_block(rng, rows, cols, rank):
+    """A ``rows × cols`` block of rank at most ``rank`` (0 gives zeros)."""
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+@given(
+    m=st.integers(3, 12),
+    n=st.integers(3, 12),
+    k=st.integers(1, 6),
+    p=st.integers(1, 14),
+    block_rank=st.integers(0, 4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_phase_matches_the_dense_svd_oracle(m, n, k, p, block_rank, seed):
+    """Each exact form is the rank-k truncation of the dense SVD of the
+    matrix it updates to — ``[A_k | D]``, ``[A_k; T]`` or ``A_k + YZᵀ``
+    formed explicitly — including wide blocks (``p`` past ``m`` or
+    ``n``) and rank-deficient ones; each printed form's σ never exceed
+    the exact form's."""
+    from repro.core.model import LSIModel
+    from repro.linalg import dense_svd
+    from repro.text import Vocabulary
+
+    rng = np.random.default_rng(seed)
+    k = min(k, m, n)
+    U, s, V = dense_svd(rng.standard_normal((m, n)))
+    U, s, V = U[:, :k], s[:k], V[:, :k]
+    model = LSIModel(
+        U, s, V, Vocabulary([f"t{i}" for i in range(m)]).freeze(),
+        [f"d{j}" for j in range(n)],
+    )
+    A_k = (U * s) @ V.T
+    r = min(block_rank, p)
+    D = _random_block(rng, m, p, r)
+    T = _random_block(rng, p, n, r)
+    Y, Z = _random_block(rng, m, p, r), _random_block(rng, n, p, r)
+    cases = [
+        (lambda e: update_documents(model, D, [f"x{j}" for j in range(p)], exact=e),
+         np.hstack([A_k, D])),
+        (lambda e: update_terms(model, T, [f"y{i}" for i in range(p)], exact=e),
+         np.vstack([A_k, T])),
+        (lambda e: update_weights(model, Y, Z, exact=e), A_k + Y @ Z.T),
+    ]
+    for update, target in cases:
+        Uo, so, Vho = np.linalg.svd(target, full_matrices=False)
+        scale = max(so[0], 1.0)
+        exact, printed = update(True), update(False)
+        assert np.allclose(exact.s, so[:k], rtol=0, atol=1e-10 * scale)
+        assert np.all(printed.s <= exact.s + 1e-10 * scale)
+        gap = so[k - 1] - (so[k] if so.size > k else 0.0)
+        if gap > 1e-6 * scale:
+            want = (Uo[:, :k] * so[:k]) @ Vho[:k]
+            got = (exact.U * exact.s) @ exact.V.T
+            assert np.allclose(got, want, rtol=0, atol=1e-9 * scale)
