@@ -12,10 +12,11 @@ ruin another's latency.  Three measurements:
   reported alongside (its batches are 4x thinner, so it is context,
   not an acceptance bound);
 * **attach latency** — first query to a cold tenant pays the attach
-  (``ServingState.open`` of a saved ``.npz``: the load plus the
-  quantizer it trains, and, under ``max_resident``, the LRU detach of
-  the coldest peer); the next query must drop back to warm-path
-  latency.  Cold and warm medians are reported and warm must beat cold;
+  (``ServingState.open`` of a store directory: one verifying pass over
+  its newest checkpoint, factors and quantizer mapped, and, under
+  ``max_resident``, the LRU detach of the coldest peer); the next query
+  must drop back to warm-path latency.  Cold and warm medians are
+  reported and warm must beat cold;
 * **quota isolation** — a hot tenant saturated far past its admission
   share (drawing per-tenant 429s) must leave a cold tenant's p99
   within ``MAX_COLD_P99_RATIO`` of its unloaded baseline (with an
@@ -42,11 +43,14 @@ import numpy as np
 from conftest import SMOKE, emit, summarize
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
-from repro.core.persistence import save_model
 from repro.errors import ServerOverloadError
 from repro.server import QueryService, ServerConfig, ServingState
+from repro.sparse.csc import CSCMatrix
+from repro.store import DurableIndexStore
 from repro.tenancy import IndexRegistry
+from repro.text.tdm import TermDocumentMatrix
 from repro.text.vocabulary import Vocabulary
+from repro.updating.manager import LSIIndexManager
 
 N_DOCS = 4_000 if SMOKE else 16_000
 K = 64
@@ -76,6 +80,23 @@ def _model(seed: int) -> LSIModel:
         vocabulary=vocab,
         doc_ids=[f"D{j}" for j in range(N_DOCS)],
     )
+
+
+def _write_store(path: pathlib.Path, model: LSIModel) -> None:
+    """``model`` as a store directory, its quantizer trained here —
+    before any clock starts.  The factors are synthetic, so the raw
+    count matrix kept beside them is all zeros: an attach reads only
+    the factors and the quantizer."""
+    m, n = model.n_terms, model.n_documents
+    empty = CSCMatrix(
+        (m, n), np.zeros(n + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64), np.empty(0),
+    )
+    tdm = TermDocumentMatrix(empty, model.vocabulary, list(model.doc_ids))
+    manager = LSIIndexManager.restore(
+        tdm=tdm, k=model.k, model=model, base_model=model
+    )
+    DurableIndexStore.initialize(path, manager).close()
 
 
 def _queries(n: int, seed: int = 5) -> list[list[str]]:
@@ -185,8 +206,8 @@ def test_attach_cold_vs_warm_latency(evidence):
     with tempfile.TemporaryDirectory() as tmp:
         reg = IndexRegistry(max_resident=2)
         for i in range(N_TENANTS):
-            path = pathlib.Path(tmp) / f"t{i}.npz"
-            save_model(_model(100 + i), path)
+            path = pathlib.Path(tmp) / f"t{i}"
+            _write_store(path, _model(100 + i))
             reg.register(
                 f"t{i}", loader=functools.partial(ServingState.open, path)
             )

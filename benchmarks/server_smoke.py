@@ -10,9 +10,10 @@ the acceptance criteria that only hold across a process boundary:
 * SIGINT drains cleanly — queued work finishes, an idle keep-alive
   connection is closed, the process prints ``drained cleanly``, exits
   0 and prints no traceback;
-* a database saved by ``repro index`` and served two ways — ``serve
-  --tenant t=db.npz`` and ``serve db.npz`` — answers a ``probes``
-  search with an ``ann`` block and identical results on both.
+* a store written by ``repro index`` and served two ways — ``serve
+  --tenant t=db`` and ``serve db`` — answers a ``probes`` search with
+  an ``ann`` block and identical results on both; ``repro add`` then
+  grows it, and ``repro query`` ranks the added document.
 
 Run directly (CI does)::
 
@@ -169,14 +170,12 @@ def main() -> None:
 
 
 def _saved_database_probes_one_way(tmp: str, corpus_path: str) -> None:
-    """``serve --tenant t=db.npz`` and ``serve db.npz`` open the database
-    through one opener: a probe-bounded search answers identically."""
-    db = os.path.join(tmp, "db.npz")
-    subprocess.run(
-        [sys.executable, "-m", "repro", "--no-obs", "index", corpus_path,
-         db, "-k", str(K)],
-        env=ENV, check=True, capture_output=True,
-    )
+    """``serve --tenant t=db`` and ``serve db`` open the store ``repro
+    index`` wrote through one opener: a probe-bounded search answers
+    identically.  ``repro add`` then grows it, and the next ``repro
+    query`` process ranks the added document."""
+    db = os.path.join(tmp, "db")
+    _repro("index", corpus_path, db, "-k", str(K))
     answers = []
     for tenant, serve_args in (("t", ("--tenant", f"t={db}")), (None, (db,))):
         proc, port = _start_server(*serve_args)
@@ -199,6 +198,24 @@ def _saved_database_probes_one_way(tmp: str, corpus_path: str) -> None:
     assert tenant_answer["results"] == source_answer["results"], answers
     print(f"saved database: tenant and source both probe "
           f"({source_answer['ann']}), results identical")
+
+    new = os.path.join(tmp, "new.txt")
+    with open(new, "w") as fh:
+        fh.write("regression analysis of renal blood flow data\n")
+    added = _repro("add", db, new)
+    ranked = _repro("query", db, "renal", "flow", "-n", "3").split()
+    new_id = f"D{len(_corpus()) + 1}"
+    assert new_id in ranked[1::2], (added, ranked)
+    print(f"saved database: {added.strip()}; "
+          f"query ranks {new_id} in the top 3")
+
+
+def _repro(*argv: str) -> str:
+    """Run one toolbox command in its own process; its stdout."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "--no-obs", *argv],
+        env=ENV, check=True, capture_output=True, text=True,
+    ).stdout
 
 
 if __name__ == "__main__":

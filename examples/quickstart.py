@@ -7,18 +7,20 @@ Table 2: fit a k=2 model, pose the worked query, inspect the ranking,
 compare with literal keyword matching, and persist the model.
 """
 
+import tempfile
+
 from repro import (
     LSIRetrieval,
     KeywordRetrieval,
     ParsingRules,
-    fit_lsi,
-    load_model,
     project_query,
     rank_documents,
     retrieve,
-    save_model,
 )
 from repro.corpus.med import MED_QUERY, MED_TOPICS
+from repro.store import DurableIndexStore, open_checkpoint
+from repro.text.tdm import build_tdm
+from repro.updating.manager import LSIIndexManager
 
 
 def main() -> None:
@@ -27,10 +29,11 @@ def main() -> None:
 
     # 1. Fit: parse → term-document matrix → truncated SVD (k=2).
     #    The parsing rule of the paper's example: keywords must appear in
-    #    more than one topic.
-    model = fit_lsi(
-        texts, k=2, rules=ParsingRules(min_doc_freq=2), doc_ids=doc_ids
-    )
+    #    more than one topic.  The index manager keeps the matrix beside
+    #    the model, so the index can grow and be stored.
+    tdm = build_tdm(texts, ParsingRules(min_doc_freq=2), doc_ids=doc_ids)
+    manager = LSIIndexManager(tdm, k=2)
+    model = manager.model
     print(f"fitted: {model}")
     print(f"singular values: {model.s.round(4)}")
 
@@ -55,11 +58,12 @@ def main() -> None:
     print("note: M9 (childhood haemophilia) is missed by word overlap "
           "but retrieved by LSI.")
 
-    # 5. Persist and reload.
-    save_model(model, "/tmp/med_model.npz")
-    reloaded = load_model("/tmp/med_model.npz")
-    assert rank_documents(reloaded, qhat) == rank_documents(model, qhat)
-    print("\nmodel round-tripped through /tmp/med_model.npz")
+    # 5. Persist as a store (what `repro index` writes) and reload.
+    with tempfile.TemporaryDirectory() as tmp:
+        DurableIndexStore.initialize(tmp, manager).close()
+        reloaded = open_checkpoint(tmp).model()
+        assert rank_documents(reloaded, qhat) == rank_documents(model, qhat)
+    print("\nmodel round-tripped through a store")
 
     # 6. The engine interface used by the evaluation harness.
     engine = LSIRetrieval(model)

@@ -35,12 +35,10 @@ from repro.core import (
     LSIModel,
     fit_lsi,
     fit_lsi_from_tdm,
-    load_model,
     nearest_terms,
     project_query,
     rank_documents,
     retrieve,
-    save_model,
 )
 from repro.errors import (
     ConvergenceError,
@@ -76,8 +74,6 @@ __all__ = [
     "rank_documents",
     "retrieve",
     "nearest_terms",
-    "save_model",
-    "load_model",
     "LSIRetrieval",
     "KeywordRetrieval",
     "ParsingRules",

@@ -5,8 +5,8 @@ software tools have been developed to perform operations such as parsing
 document texts, creating a term by document matrix, computing the
 truncated SVD ..., matching user queries to documents, and adding new
 terms or documents").  This CLI is the same toolbox over this library,
-one module per command group — :mod:`.toolbox` (the ``.npz``
-utilities), :mod:`.serving` (``serve``), :mod:`.cluster` and
+one module per command group — :mod:`.toolbox` (the utilities over
+one store), :mod:`.serving` (``serve``), :mod:`.cluster` and
 :mod:`.views` (``store``, ``stats``, ``tenants``) — assembled here into
 one parser tree.
 

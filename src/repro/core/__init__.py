@@ -20,7 +20,6 @@ from repro.core.similarity import (
     retrieve,
     term_term_similarities,
 )
-from repro.core.persistence import load_model, save_model
 from repro.core.kselect import (
     KSelection,
     choose_k_by_energy,
@@ -39,8 +38,6 @@ __all__ = [
     "term_term_similarities",
     "doc_doc_similarities",
     "nearest_terms",
-    "save_model",
-    "load_model",
     "KSelection",
     "choose_k_by_energy",
     "choose_k_by_gap",

@@ -314,7 +314,7 @@ class QueryService:
         one tenant are serialized and run on the loop's default executor
         while readers keep being served.  Lazily attached tenants are
         read-only mmap opens, so ``/add`` against one raises (HTTP 400)
-        like any saved-model server.  A fleet acknowledges once its
+        like any read-only server.  A fleet acknowledges once its
         primary writer has the batch durable, or refuses read-only
         (:class:`~repro.errors.ClusterReadOnlyError`, HTTP 403).
         """

@@ -26,13 +26,11 @@ with every other scorer of that model and frees it with the model.
 from __future__ import annotations
 
 import threading
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.model import LSIModel
-from repro.core.persistence import load_model
 from repro.core.query import project_query
 from repro.errors import ReproError, ShapeError
 from repro.obs.metrics import registry
@@ -247,8 +245,8 @@ class ServingState:
       WAL-logged by the store first, and a seal loop for the backend
       serving this state to run;
     * **static** (:meth:`for_model`, or :meth:`open` over a store
-      directory or a saved ``.npz``) — serve a fitted model read-only;
-      :meth:`add_texts` raises.
+      directory) — serve a fitted model read-only; :meth:`add_texts`
+      raises.
     """
 
     def __init__(
@@ -289,9 +287,10 @@ class ServingState:
         published; the backend serving this state runs
         :attr:`seal_loop` (``policy`` over the store) from its start to
         its drain.  The coarse quantizer is the store's (``store.ann``:
-        the one decoded from the checkpoint it opened; ``store.
-        ann_missing`` reports when there is none — a pre-format-2 store
-        serves by exact scan).  Seals retrain the on-disk quantizer but
+        the one the seal that wrote its checkpoint trained, ``repro
+        index``'s first seal included; ``store.ann_missing`` reports
+        when there is none — a pre-format-2 store serves by exact
+        scan).  Seals retrain the on-disk quantizer but
         do not hot-swap the served one: documents added meanwhile are
         searched exactly via the fresh-tail rule, and a restart picks up
         the newest training.
@@ -309,23 +308,16 @@ class ServingState:
 
     @classmethod
     def open(cls, path) -> "ServingState":
-        """Read-only state over a served index — the one opener behind
-        ``serve SOURCE.npz`` and every ``serve --tenant NAME=PATH``.
+        """Read-only state over a store directory — the one opener behind
+        ``serve DB`` and every ``serve --tenant NAME=PATH``.
 
-        A store directory opens through the store's one door
+        It goes through the store's one door
         (:func:`~repro.store.recovery.open_checkpoint`: the newest valid
-        checkpoint, mapped, with the quantizer its writer trained).  A
-        saved ``.npz`` database is a one-checkpoint index that carries
-        no quantizer, so one is trained here, as a seal would have.
+        checkpoint, mapped, with the quantizer trained when it was
+        sealed), so an open trains nothing.
         """
-        path = Path(path)
-        if path.is_dir():
-            opened = open_checkpoint(path)
-            model, ann = opened.model(), opened.ann()
-        else:
-            model = load_model(path)
-            ann = train_quantizer(model)
-        return cls.for_model(model, ann=ann)
+        opened = open_checkpoint(path)
+        return cls.for_model(opened.model(), ann=opened.ann())
 
     @property
     def writable(self) -> bool:
@@ -359,8 +351,9 @@ class ServingState:
         """
         if self._manager is None:
             raise ReproError(
-                "server is read-only: serving a saved model, not a managed "
-                "index; restart with a document source to enable /add"
+                "server is read-only: serving a store's checkpoint, not a "
+                "managed index; restart with --data-dir or a document "
+                "source to enable /add"
             )
         with self._write_lock:
             if self.store is not None:
@@ -391,8 +384,8 @@ def train_quantizer(
     model: LSIModel, n_clusters: int | None = None, *, seed=0
 ) -> CoarseQuantizer:
     """A coarse quantizer over ``model``'s ``V_k Σ_k``, for a state no
-    checkpoint hands one: a saved ``.npz`` (:meth:`ServingState.open`)
-    or the index ``repro serve`` fits from a document source."""
+    checkpoint hands one: the in-memory index ``repro serve`` fits from
+    a document source."""
     # The coordinates alone: deriving the model's scoring rows here would
     # lay them out in document order, before the quantizer exists.
     return CoarseQuantizer.train(model.V * model.s, n_clusters, seed=seed)

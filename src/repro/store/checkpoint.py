@@ -16,12 +16,13 @@ fsynced.  A reader therefore either sees a complete checkpoint or none;
 leftover ``.tmp`` directories are garbage from a crash and are skipped
 (and reaped) by :func:`list_checkpoints`.
 
-Arrays are stored as individual ``.npy`` files rather than one ``.npz``
+Arrays are stored as individual ``.npy`` files rather than one archive
 so read-only serving replicas can open them with
 ``np.load(mmap_mode="r")`` (:mod:`repro.store.mmap_io`) — zero-copy,
 O(file-count) open time.  Each file's CRC32 (over the complete ``.npy``
 bytes, header included) lives in the manifest, so ``repro store
-verify`` detects any single flipped byte.
+verify`` detects any single flipped byte.  ``FORMAT.md`` at the
+repository root writes the whole layout down, the WAL's included.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.persistence import fsync_directory
 from repro.errors import StoreCorruptError, StoreError
 
 __all__ = [
@@ -119,6 +119,25 @@ def _file_crc32(path: pathlib.Path) -> int:
             crc = zlib.crc32(chunk, crc)
 
 
+def _fsync_directory(path: pathlib.Path) -> None:
+    """fsync a directory so a rename inside it is durable.
+
+    Best-effort: platforms/filesystems that refuse to open directories
+    (or lack fsync on them) are skipped silently — the rename itself is
+    still atomic there.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 def _write_fsynced(path: pathlib.Path, writer) -> None:
     with open(path, "wb") as fh:
         writer(fh)
@@ -174,12 +193,12 @@ def write_checkpoint(
         }
         blob = json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8")
         _write_fsynced(tmp / MANIFEST_NAME, lambda fh: fh.write(blob))
-        fsync_directory(tmp)
+        _fsync_directory(tmp)
         os.rename(tmp, final)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    fsync_directory(root)
+    _fsync_directory(root)
     return CheckpointInfo(final, checkpoint_id, manifest)
 
 

@@ -17,8 +17,6 @@ from repro.store import CheckpointPolicy
 EXPECTED = {
     ('', '--no-obs', 'False'),
     ('', '--obs-state', 'None'),
-    ('add', '--method', "'fold'"),
-    ('add', '--output', 'None'),
     ('add', 'database', 'None'),
     ('add', 'source', 'None'),
     ('cluster serve', '--data-dir', 'None'),

@@ -55,7 +55,7 @@ def test_stats_shows_index_and_query_metrics(tmp_path, corpus_file, capsys):
     """After an index + query run, ``repro stats`` reports nonzero
     search latency histograms, serving counters, and
     Lanczos matvec/flop gauges — across separate 'processes'."""
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     code, _ = _run(
         ["index", str(corpus_file), str(db), "-k", "3",
          "--scheme", "raw_none", "--svd-method", "lanczos"], capsys,
@@ -77,7 +77,7 @@ def test_stats_shows_index_and_query_metrics(tmp_path, corpus_file, capsys):
 
 
 def test_stats_json_blob(tmp_path, corpus_file, capsys):
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "2",
           "--svd-method", "lanczos"], capsys)
     _fresh_process()
@@ -92,7 +92,7 @@ def test_stats_json_blob(tmp_path, corpus_file, capsys):
 
 
 def test_counters_accumulate_across_runs(tmp_path, corpus_file, capsys):
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "2"], capsys)
     for _ in range(3):
         _fresh_process()
@@ -108,7 +108,7 @@ def test_stats_reset_removes_state(tmp_path, corpus_file, capsys,
                                    monkeypatch):
     state = tmp_path / "custom_state.json"
     monkeypatch.setenv("REPRO_OBS_STATE", str(state))
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "2"], capsys)
     assert state.exists()
     _fresh_process()
@@ -122,7 +122,7 @@ def test_stats_reset_removes_state(tmp_path, corpus_file, capsys,
 
 def test_obs_state_flag_overrides_env(tmp_path, corpus_file, capsys):
     state = tmp_path / "elsewhere.json"
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["--obs-state", str(state), "index", str(corpus_file),
           str(db), "-k", "2"], capsys)
     assert state.exists()
@@ -135,7 +135,7 @@ def test_no_obs_skips_state_write(tmp_path, corpus_file, capsys,
                                   monkeypatch):
     state = tmp_path / "never.json"
     monkeypatch.setenv("REPRO_OBS_STATE", str(state))
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     code, _ = _run(["--no-obs", "index", str(corpus_file), str(db),
                     "-k", "2"], capsys)
     assert code == 0
@@ -144,7 +144,7 @@ def test_no_obs_skips_state_write(tmp_path, corpus_file, capsys,
 
 def test_cli_restores_tracing_state(tmp_path, corpus_file, capsys):
     assert not obs.tracing_enabled()
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "2"], capsys)
     assert not obs.tracing_enabled()  # main() restored the default
 
@@ -153,7 +153,7 @@ def test_failed_command_writes_no_state(tmp_path, capsys, monkeypatch):
     state = tmp_path / "fail.json"
     monkeypatch.setenv("REPRO_OBS_STATE", str(state))
     code = cli_main(["index", str(tmp_path / "missing"),
-                     str(tmp_path / "x.npz")])
+                     str(tmp_path / "x")])
     capsys.readouterr()
     assert code == 1
     assert not state.exists()
@@ -163,7 +163,7 @@ def test_failed_command_writes_no_state(tmp_path, capsys, monkeypatch):
 # golden-output smoke tests for the read-only commands
 # --------------------------------------------------------------------- #
 def test_info_golden_output(tmp_path, corpus_file, capsys):
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "3",
           "--scheme", "raw_none"], capsys)
     code, out = _run(["info", str(db)], capsys)
@@ -177,7 +177,7 @@ def test_info_golden_output(tmp_path, corpus_file, capsys):
 
 
 def test_terms_golden_output(tmp_path, corpus_file, capsys):
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "3",
           "--scheme", "raw_none"], capsys)
     code, out = _run(["terms", str(db), "rats", "-n", "3"], capsys)

@@ -145,7 +145,7 @@ def _run(argv, tmp_path):
 
 
 def test_cli_index_query_terms(tmp_path, corpus_file):
-    db = tmp_path / "db.npz"
+    db = tmp_path / "db"
     code, out = _run(
         ["index", str(corpus_file), str(db), "-k", "3",
          "--scheme", "raw_none"], tmp_path,
@@ -160,23 +160,28 @@ def test_cli_index_query_terms(tmp_path, corpus_file):
     assert "documents : 4" in out and "raw×none" in out
 
 
-def test_cli_add_fold_and_update(tmp_path, corpus_file):
-    db = tmp_path / "db.npz"
-    _run(["index", str(corpus_file), str(db), "-k", "3"], tmp_path)
+def test_cli_add_fold_and_update(tmp_path):
+    """``repro add`` goes through the store: the manager folds a small
+    batch in (Eq. 7) and consolidates by SVD-updating (Eq. 10) once the
+    folded fraction passes its budget — each add flushed, so the next
+    command reads it."""
+    from repro.store import open_checkpoint
+    from tests.test_cli_toolbox import MORE_LINES
+
+    corpus = tmp_path / "big.txt"
+    corpus.write_text(MORE_LINES)
+    db = tmp_path / "db"
+    _run(["index", str(corpus), str(db), "-k", "3"], tmp_path)
     new = tmp_path / "new.txt"
     new.write_text("depressed patients feel pressure\n")
-    db2 = tmp_path / "db2.npz"
-    code, out = _run(
-        ["add", str(db), str(new), "--method", "fold",
-         "--output", str(db2)], tmp_path,
-    )
-    assert code == 0 and "fold" in out and db2.exists()
-    db3 = tmp_path / "db3.npz"
-    code, out = _run(
-        ["add", str(db), str(new), "--method", "update",
-         "--output", str(db3)], tmp_path,
-    )
-    assert code == 0 and "svd-update" in out
+    code, out = _run(["add", str(db), str(new)], tmp_path)
+    assert code == 0 and out.startswith("fold-in: +1 documents")
+    assert open_checkpoint(db).model().n_documents == 13
+    new.write_text("depressed rats\nfast patients\n")
+    code, out = _run(["add", str(db), str(new)], tmp_path)
+    assert code == 0 and out.startswith("svd-update: +2 documents")
+    assert "now 15 documents, provenance svd-update" in out
+    assert open_checkpoint(db).model().provenance == "svd-update"
 
 
 def test_cli_index_directory(tmp_path):
@@ -184,7 +189,7 @@ def test_cli_index_directory(tmp_path):
     docdir.mkdir()
     (docdir / "a.txt").write_text("rats fast generation")
     (docdir / "b.txt").write_text("patients depressed culture")
-    db = tmp_path / "dir.npz"
+    db = tmp_path / "dir"
     code, out = _run(["index", str(docdir), str(db), "-k", "2"], tmp_path)
     assert code == 0 and "indexed 2 documents" in out
     code, out = _run(["query", str(db), "rats"], tmp_path)
@@ -193,7 +198,7 @@ def test_cli_index_directory(tmp_path):
 
 def test_cli_errors_return_nonzero(tmp_path):
     code = cli_main(
-        ["index", str(tmp_path / "missing"), str(tmp_path / "x.npz")],
+        ["index", str(tmp_path / "missing"), str(tmp_path / "x")],
         out=open(tmp_path / "o.txt", "w"),
     )
     assert code == 1

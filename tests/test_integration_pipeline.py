@@ -7,17 +7,17 @@ from repro import (
     LSIRetrieval,
     fit_lsi,
     fold_in_texts,
-    load_model,
     project_query,
     retrieve,
-    save_model,
     update_documents,
 )
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.evaluation import compare_engines, evaluate_run, run_engine
 from repro.retrieval import KeywordRetrieval
-from repro.text.tdm import count_vector
+from repro.store import DurableIndexStore, open_checkpoint
+from repro.text.tdm import build_tdm, count_vector
 from repro.text.tokenizer import tokenize
+from repro.updating.manager import LSIIndexManager
 
 
 @pytest.fixture(scope="module")
@@ -56,12 +56,19 @@ def test_full_pipeline_fit_query_update_persist(pipeline_collection, tmp_path):
     updated = update_documents(folded, counts, ["u1", "u2", "u3"])
     assert updated.n_documents == model.n_documents + 6
 
-    # persist → reload → identical ranking
-    path = tmp_path / "m.npz"
-    save_model(updated, path)
-    reloaded = load_model(path)
+    # persist → grow through the store → reload → identical ranking
+    manager = LSIIndexManager(build_tdm(train), k=10, scheme="log_entropy")
+    assert np.array_equal(manager.model.V, model.V)
+    store = DurableIndexStore.initialize(tmp_path / "db", manager)
+    store.add_texts(later[:3])
+    store.add_texts(later[3:])
+    store.close(flush=True)
+    live = manager.model
+    assert live.n_documents == model.n_documents + 6
+    reloaded = open_checkpoint(tmp_path / "db").model()
+    assert np.array_equal(reloaded.V, live.V)
     q2 = project_query(reloaded, col.queries[1])
-    assert retrieve(reloaded, q2, top=3) == retrieve(updated, q2, top=3)
+    assert retrieve(reloaded, q2, top=3) == retrieve(live, q2, top=3)
 
 
 def test_update_then_query_sees_new_documents(pipeline_collection):

@@ -229,13 +229,14 @@ def _hosted(argv, monkeypatch):
 def test_query_cache_partitioned_per_tenant(tmp_path, monkeypatch):
     """``serve --tenant`` hosts every named tenant, attached lazily and
     read-only."""
-    from repro.core.persistence import save_model
+    from repro.store import DurableIndexStore
 
     flags = []
     for tid in ("alpha", "beta", "gamma"):
-        path = save_model(
-            _build_state(tid).current().model, tmp_path / f"{tid}.npz"
-        )
+        path = tmp_path / tid
+        DurableIndexStore.initialize(
+            path, manager_from_texts(TENANT_TEXTS[tid], k=3)
+        ).close()
         flags += ["--tenant", f"{tid}={path}"]
     reg, banner = _hosted(["serve", *flags], monkeypatch)
     assert banner == "serving 3 tenants (alpha, beta, gamma) lazily"
@@ -244,18 +245,18 @@ def test_query_cache_partitioned_per_tenant(tmp_path, monkeypatch):
         assert not state.writable
 
 
-def test_npz_tenant_probes_like_serve_npz(tmp_path, monkeypatch):
-    """``serve x.npz`` and ``serve --tenant t=x.npz`` open the database
-    through one opener, so a probe request gets the same ranking and
-    the same ``ann`` block from both (a tenant once fell back to the
-    exact scan)."""
-    from repro.core.build import fit_lsi
-    from repro.core.persistence import save_model
+def test_store_tenant_probes_like_serve_store(tmp_path, monkeypatch):
+    """``serve DB`` and ``serve --tenant t=DB`` open the store through
+    one opener, so a probe request gets the same ranking and the same
+    ``ann`` block from both (a tenant once fell back to the exact
+    scan)."""
+    from repro.store import DurableIndexStore
 
     rng = np.random.default_rng(5)
     words = [f"w{i}" for i in range(200)]
     docs = [" ".join(rng.choice(words, 12)) for _ in range(240)]
-    path = save_model(fit_lsi(docs, 16), tmp_path / "x.npz")
+    path = tmp_path / "x"
+    DurableIndexStore.initialize(path, manager_from_texts(docs, k=16)).close()
     single, _ = _hosted(["serve", str(path)], monkeypatch)
     tenants, _ = _hosted(["serve", "--tenant", f"t={path}"], monkeypatch)
 
@@ -506,10 +507,10 @@ def test_cli_parses_tenant_flags():
     from repro.cli import build_parser
 
     args = build_parser().parse_args(
-        ["serve", "--tenant", "a=/tmp/a.npz", "--tenant", "b=/tmp/b",
+        ["serve", "--tenant", "a=/tmp/a", "--tenant", "b=/tmp/b",
          "--max-resident", "2"]
     )
-    assert args.tenants == ["a=/tmp/a.npz", "b=/tmp/b"]
+    assert args.tenants == ["a=/tmp/a", "b=/tmp/b"]
     assert args.max_resident == 2
     args = build_parser().parse_args(
         ["cluster", "serve", "--tenants", "t.json", "--queue-depth", "64"]
