@@ -21,6 +21,7 @@ import json
 import pathlib
 
 from repro.cli import serving
+from repro.cli.toolbox import NONNEGATIVE_FLOAT, NONNEGATIVE_INT, POSITIVE_FLOAT
 from repro.errors import ReproError
 
 
@@ -58,7 +59,7 @@ def add_parser(sub) -> None:
              "publish on per-range quorum (default 1)",
     )
     pc_serve.add_argument("--heartbeat-interval",
-                          type=serving.POSITIVE_FLOAT, default=1.0,
+                          type=POSITIVE_FLOAT, default=1.0,
                           help="seconds between worker heartbeats")
     pc_serve.add_argument("--restart-backoff", type=float, default=0.5,
                           help="first restart delay (doubles per retry)")
@@ -71,13 +72,13 @@ def add_parser(sub) -> None:
              "the store's single-writer lock)",
     )
     pc_serve.add_argument(
-        "--seal-every", type=serving.NONNEGATIVE_INT, default=64,
+        "--seal-every", type=NONNEGATIVE_INT, default=64,
         metavar="RECORDS",
         help="writable: seal + bump once this many WAL records are "
              "dirty (0 disables the record trigger)",
     )
     pc_serve.add_argument(
-        "--seal-interval", type=serving.NONNEGATIVE_FLOAT, default=15.0,
+        "--seal-interval", type=NONNEGATIVE_FLOAT, default=15.0,
         metavar="SECONDS",
         help="writable: seal + bump dirty state older than this many "
              "seconds (0 disables the age trigger)",
@@ -90,7 +91,7 @@ def add_parser(sub) -> None:
              "exclusive with --writable",
     )
     pc_serve.add_argument(
-        "--standby-poll", type=serving.POSITIVE_FLOAT, default=0.5,
+        "--standby-poll", type=POSITIVE_FLOAT, default=0.5,
         metavar="SECONDS",
         help="standby: epoch-tail and lock-probe cadence",
     )

@@ -12,7 +12,7 @@ from repro.text.parser import ParsingRules
 from repro.text.tdm import TermDocumentMatrix, build_tdm
 from repro.weighting.schemes import WeightingScheme, apply_weighting
 
-__all__ = ["fit_lsi", "fit_lsi_from_tdm"]
+__all__ = ["fit_lsi", "fit_lsi_from_tdm", "fit_lsi_keeping_tdm"]
 
 
 def fit_lsi(
@@ -43,10 +43,31 @@ def fit_lsi(
     method:
         SVD backend (see :func:`repro.linalg.svd.truncated_svd`).
     """
+    return fit_lsi_keeping_tdm(
+        texts, k, scheme=scheme, rules=rules, doc_ids=doc_ids,
+        method=method, seed=seed,
+    )[1]
+
+
+def fit_lsi_keeping_tdm(
+    texts: Sequence[str],
+    k: int,
+    *,
+    scheme: WeightingScheme | str | None = None,
+    rules: ParsingRules | None = None,
+    doc_ids: Sequence[str] | None = None,
+    method: str = "auto",
+    seed=0,
+) -> tuple[TermDocumentMatrix, LSIModel]:
+    """:func:`fit_lsi`, also returning the raw term-document matrix it
+    parsed — what an index manager keeps to refit from later."""
     with span("lsi.fit", docs=len(texts), k=k):
         with span("lsi.fit.parse", docs=len(texts)):
             tdm = build_tdm(texts, rules, doc_ids=doc_ids)
-        return fit_lsi_from_tdm(tdm, k, scheme=scheme, method=method, seed=seed)
+        model = fit_lsi_from_tdm(
+            tdm, k, scheme=scheme, method=method, seed=seed
+        )
+    return tdm, model
 
 
 def fit_lsi_from_tdm(

@@ -209,21 +209,38 @@ class DurableIndexStore:
         """Seed a fresh store around an already-fitted manager.
 
         Writes checkpoint 1 immediately, so the store is recoverable
-        from the moment this returns.
+        from the moment this returns.  A failure removes whatever this
+        call created (WAL, checkpoints, lockfile, the directory itself),
+        so the same path can be initialized again.
         """
         if cls.exists(data_dir):
             raise StoreError(
                 f"{data_dir} already contains a durable index store; "
                 "open it instead of initializing over it"
             )
+        data_dir = pathlib.Path(data_dir)
+        checkpoints_dir, wal_path = cls.paths(data_dir)
+        created = [
+            p for p in (checkpoints_dir, data_dir / LOCK_NAME, data_dir)
+            if not p.exists()
+        ]
         dir_lock = StoreLock.acquire(data_dir)
+        wal = None
         try:
-            checkpoints_dir, wal_path = cls.paths(data_dir)
             checkpoints_dir.mkdir(parents=True, exist_ok=True)
             wal = WriteAheadLog(wal_path)
             store = cls(data_dir, manager, wal, dir_lock=dir_lock)
             store.seal(reason="initialize")
         except BaseException:
+            if wal is not None:
+                wal.close()
+            # exists() was false, so any WAL is this call's.
+            wal_path.unlink(missing_ok=True)
+            for path in created:  # children before their directory
+                if path.is_dir():
+                    shutil.rmtree(path, ignore_errors=True)
+                else:
+                    path.unlink(missing_ok=True)
             dir_lock.release()
             raise
         return store
