@@ -18,7 +18,10 @@ process):
    element-identical — the recovered index is bit-for-bit the index the
    killed process had;
 4. run ``repro store verify`` (clean) and ``repro store compact``, then
-   re-serve and assert the same parity — compaction changes no result.
+   re-serve and assert the same parity — compaction changes no result;
+5. after the recovered server's final seal and after the compaction,
+   assert the newest checkpoint writes each factor and each document id
+   once.
 
 Run directly (CI does)::
 
@@ -147,6 +150,33 @@ def _assert_parity(got: dict[str, list], want: dict[str, list], label: str):
         )
 
 
+def _assert_written_once(data_dir: str, label: str) -> None:
+    """The newest checkpoint holds each factor and each document id
+    once: no ``model_*`` array has its ``base_*`` twin's shape and
+    CRC32, and ``doc_ids`` is the only list in the manifest naming a
+    document."""
+    root = os.path.join(data_dir, "checkpoints")
+    newest = max(n for n in os.listdir(root) if not n.endswith(".tmp"))
+    with open(os.path.join(root, newest, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    arrays = manifest["arrays"]
+    for name, entry in arrays.items():
+        if name.startswith("model_"):
+            twin = arrays["base_" + name[len("model_"):]]
+            assert (entry["shape"], entry["crc32"]) != (
+                twin["shape"], twin["crc32"]
+            ), f"{label}: {newest} writes {name} bit-equal to its base twin"
+    meta = manifest["meta"]
+    ids = set(meta["doc_ids"])
+    assert len(ids) == len(meta["doc_ids"]), f"{label}: doc_ids repeat"
+    repeated = sorted(
+        key for key, value in meta.items()
+        if key != "doc_ids" and isinstance(value, list) and ids & set(map(str, value))
+    )
+    assert not repeated, f"{label}: {newest} lists doc ids again in {repeated}"
+    print(f"  {label}: {newest} holds each factor and doc id once")
+
+
 def main() -> None:
     docs = _corpus()
     with tempfile.TemporaryDirectory() as tmp:
@@ -231,6 +261,7 @@ def main() -> None:
             out, _ = proc.communicate(timeout=30)
         assert "store flushed" in out and "drained cleanly" in out, out
         print("  graceful drain: final checkpoint flushed")
+        _assert_written_once(data_dir, "recovered server's seal")
 
         # ---- phase 3: verify + compact + re-serve -------------------- #
         r = _repro("store", "verify", data_dir)
@@ -241,6 +272,7 @@ def main() -> None:
         r = _repro("store", "compact", data_dir)
         assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
         print(f"  {r.stdout.strip()}")
+        _assert_written_once(data_dir, "compact")
 
         proc, port, _ = _serve(data_dir, corpus_path)
         try:

@@ -31,9 +31,11 @@ def main() -> None:
     print(f"initial index: {manager.model}")
 
     query = col.queries[0]
+    actions = []
     for batch_no, lo in enumerate(range(0, len(stream), 5)):
         batch = stream[lo : lo + 5]
         event = manager.add_texts(batch)
+        actions.append(event.action)
         print(
             f"batch {batch_no}: +{len(batch)} docs → {event.action:<10s} "
             f"pending={manager.pending:<3d} drift={event.doc_loss:.3f}  "
@@ -45,7 +47,6 @@ def main() -> None:
         print(f"          queryable: top hit for user query = {top[0][0]}")
 
     print(f"\nfinal index: {manager.model}")
-    actions = [e.action for e in manager.events]
     print(f"maintenance history: {actions}")
     print(f"documents in consolidated matrix: {manager.tdm.n_documents}, "
           f"pending fold-ins: {manager.pending}")

@@ -18,7 +18,7 @@ the process's metrics registry and recent spans into a state file
 ``--obs-state`` or ``$REPRO_OBS_STATE``; ``--no-obs`` skips the write).
 ``repro stats`` renders the merged view, so an ``index`` + ``query``
 sequence — separate processes — still yields one coherent report of
-search latency histograms, cache hit rates, and Lanczos matvec/flop
+search latency histograms, serving counters, and Lanczos matvec/flop
 gauges.
 """
 

@@ -324,7 +324,7 @@ def cmd_serve(args, out) -> int:
                 f", replication={handle.plan.replication}"
                 if handle.plan.replication > 1 else ""
             )
-            + (", ann" if handle.ann else "")
+            + ", ann"
             + (", writable" if fleet.primary is not None else "")
             + (", standby" if fleet.standby is not None else "")
             + ")"

@@ -134,13 +134,11 @@ def cmd_store(args, out) -> int:
         file=out,
     )
     for ckpt in description["checkpoints"]:
-        ann = (
-            f"ann={ckpt['ann_clusters']} cells" if ckpt["ann"] else "ann=no"
-        )
         print(
             f"checkpoint: {pathlib.Path(ckpt['path']).name}  "
             f"docs={ckpt['n_documents']}  wal_lsn={ckpt['wal_lsn']}  "
-            f"{ckpt['bytes']} bytes  {ann}  ({ckpt['reason']})",
+            f"{ckpt['bytes']} bytes  ann={ckpt['ann_clusters']} cells  "
+            f"({ckpt['reason']})",
             file=out,
         )
     wal = description["wal"]

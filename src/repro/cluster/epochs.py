@@ -37,16 +37,14 @@ class EpochHandle:
     """Everything one request needs from one epoch, immutably.
 
     ``model`` is the memory-mapped checkpoint model (vocabulary, ``U``,
-    ``Σ`` for query projection; ``doc_ids`` for result labelling),
-    ``ann`` records whether the checkpoint carries a trained coarse
-    quantizer, and ``plan`` is the shard plan pinned against exactly
-    this checkpoint — scattering with any other plan would mix epochs.
+    ``Σ`` for query projection; ``doc_ids`` for result labelling), and
+    ``plan`` is the shard plan pinned against exactly this checkpoint —
+    scattering with any other plan would mix epochs.
     """
 
     epoch: int
     checkpoint: str
     model: LSIModel
-    ann: bool
     plan: ShardPlan
 
     @property
@@ -86,14 +84,13 @@ class EpochHandle:
             epoch=opened.epoch,
             checkpoint=opened.name,
             model=model,
-            ann=opened.ann() is not None,
             plan=plan,
         )
 
 
 def open_checkpoint(
     data_dir: pathlib.Path, plan: ShardPlan
-) -> tuple[int, LSIModel, CoarseQuantizer | None]:
+) -> tuple[int, LSIModel, CoarseQuantizer]:
     """Map the checkpoint a plan pins: ``(epoch, model, ann)`` for a
     shard worker (spawn and bump).
 
@@ -103,8 +100,8 @@ def open_checkpoint(
     on the plan's epoch and catches up through the normal bump
     broadcast.  Otherwise the newest valid checkpoint is.  Either way
     the plan must agree with what is on disk (epoch and document count)
-    before anything scores against it.  The model and the optional
-    quantizer (a pre-format-2 checkpoint has none) are memory-mapped.
+    before anything scores against it.  The model and the quantizer
+    are memory-mapped.
     Every failure is a :class:`~repro.errors.StoreError`.
     """
     opened = open_store_checkpoint(data_dir, plan.checkpoint)

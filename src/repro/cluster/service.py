@@ -342,7 +342,7 @@ class ClusterService:
             "workers": workers,
             "ranges": ranges,
             "writer": writer,
-            "ann": handle.ann,
+            "ann": True,  # every checkpoint carries its quantizer
         }
         if self.standby is not None:
             payload["standby"] = self.standby.describe()

@@ -288,12 +288,10 @@ class ServingState:
         :attr:`seal_loop` (``policy`` over the store) from its start to
         its drain.  The coarse quantizer is the store's (``store.ann``:
         the one the seal that wrote its checkpoint trained, ``repro
-        index``'s first seal included; ``store.ann_missing`` reports
-        when there is none — a pre-format-2 store serves by exact
-        scan).  Seals retrain the on-disk quantizer but
-        do not hot-swap the served one: documents added meanwhile are
-        searched exactly via the fresh-tail rule, and a restart picks up
-        the newest training.
+        index``'s first seal included).  Seals retrain the on-disk
+        quantizer but do not hot-swap the served one: documents added
+        meanwhile are searched exactly via the fresh-tail rule, and a
+        restart picks up the newest training.
         """
         kwargs.setdefault("ann", store.ann)
         state = cls(manager=store.manager, **kwargs)

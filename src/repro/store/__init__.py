@@ -41,7 +41,6 @@ store {inspect,verify,compact} DIR``.
 
 from repro.store.checkpoint import (
     CHECKPOINT_FORMAT,
-    SUPPORTED_CHECKPOINT_FORMATS,
     CheckpointInfo,
     list_checkpoints,
     verify_checkpoint,
@@ -69,7 +68,6 @@ from repro.store.wal import WalRecord, WriteAheadLog, scan_wal, verify_wal
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "SUPPORTED_CHECKPOINT_FORMATS",
     "CheckpointInfo",
     "list_checkpoints",
     "verify_checkpoint",

@@ -42,7 +42,6 @@ from repro.errors import StoreCorruptError, StoreError
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "SUPPORTED_CHECKPOINT_FORMATS",
     "MANIFEST_NAME",
     "CHECKPOINTS_DIR",
     "CheckpointInfo",
@@ -59,20 +58,8 @@ __all__ = [
     "checkpoint_bytes",
 ]
 
-#: Format history — readers accept every version in
-#: :data:`SUPPORTED_CHECKPOINT_FORMATS`, writers emit the newest:
-#:
-#: 1. base factors + serving ``V`` + raw matrix + pending block;
-#: 2. adds the optional ANN coarse-quantizer arrays (``ann_centroids``,
-#:    ``ann_indptr``, ``ann_docs``) and an ``ann`` meta block.  All
-#:    format-1 arrays are unchanged, so a v1 checkpoint loads cleanly —
-#:    serving simply falls back to the exact scan;
-#: 3. ``model_V`` is written only when the serving ``V`` is not the
-#:    base's (documents pending); without it the serving model reads
-#:    ``base_V``, so ``V`` is on disk and in memory once.  A v1/v2
-#:    checkpoint, which always carries both, opens unchanged.
-CHECKPOINT_FORMAT = 3
-SUPPORTED_CHECKPOINT_FORMATS = (1, 2, 3)
+#: The one version readers accept and writers stamp (``FORMAT.md``).
+CHECKPOINT_FORMAT = 4
 MANIFEST_NAME = "manifest.json"
 #: Name of the checkpoints directory inside a store data directory.
 CHECKPOINTS_DIR = "checkpoints"
@@ -213,9 +200,11 @@ def load_manifest(path: pathlib.Path) -> dict:
         raise StoreCorruptError(f"unreadable manifest in {path}: {exc}") from exc
     if not isinstance(manifest, dict) or "arrays" not in manifest:
         raise StoreCorruptError(f"malformed manifest in {path}")
-    if manifest.get("format") not in SUPPORTED_CHECKPOINT_FORMATS:
+    if manifest.get("format") != CHECKPOINT_FORMAT:
         raise StoreError(
-            f"unsupported checkpoint format {manifest.get('format')} in {path}"
+            f"unsupported checkpoint format {manifest.get('format')} in "
+            f"{path}: this build reads format {CHECKPOINT_FORMAT} only; "
+            "rebuild the store from its documents with `repro index`"
         )
     return manifest
 
@@ -237,7 +226,8 @@ def verify_checkpoint(info: CheckpointInfo) -> list[str]:
     already-parsed manifest — a single flipped byte anywhere in an array
     payload or ``.npy`` header surfaces as a problem string.  (A manifest
     that does not parse never becomes a :class:`CheckpointInfo`:
-    :func:`load_manifest` raises and :func:`list_checkpoints` skips it.)
+    :func:`load_manifest` raises, and :func:`list_checkpoints` skips it
+    and names it in its ``problems``.)
     """
     path = info.path
     problems = []
@@ -301,19 +291,26 @@ def checkpoint_dirs(root: pathlib.Path) -> list[pathlib.Path]:
     return sorted(found, key=lambda entry: _parse_id(entry.name))
 
 
-def _parsed(entries: Iterable[pathlib.Path]) -> Iterator[CheckpointInfo]:
+def _parsed(
+    entries: Iterable[pathlib.Path], problems: list[str] | None = None
+) -> Iterator[CheckpointInfo]:
     """Each directory's :class:`CheckpointInfo`, its manifest read only
-    when the caller reaches it; one that cannot be parsed is skipped."""
+    when the caller reaches it; one that cannot be accepted (unreadable,
+    or another format version) is skipped, and named in ``problems``."""
     for entry in entries:
         try:
             yield checkpoint_info(entry)
-        except StoreError:
-            continue
+        except StoreError as exc:
+            if problems is not None:
+                problems.append(str(exc))
 
 
-def list_checkpoints(root: pathlib.Path) -> list[CheckpointInfo]:
-    """All complete checkpoints under ``root``, ascending by id."""
-    return list(_parsed(checkpoint_dirs(root)))
+def list_checkpoints(
+    root: pathlib.Path, problems: list[str] | None = None
+) -> list[CheckpointInfo]:
+    """All complete checkpoints under ``root``, ascending by id; each
+    directory skipped is named in ``problems`` when one is given."""
+    return list(_parsed(checkpoint_dirs(root), problems))
 
 
 def newest_checkpoint(root: pathlib.Path) -> CheckpointInfo | None:
@@ -330,10 +327,12 @@ def latest_valid_checkpoint(
     Walks newest → oldest so recovery degrades gracefully: a corrupt
     latest checkpoint costs replaying a longer WAL suffix from the
     previous one, not the whole index.  Only the manifests it walks past
-    are parsed, and the returned checkpoint has been CRC-read once.
+    are parsed, and the returned checkpoint has been CRC-read once.  A
+    manifest it cannot accept is a problem too, so a store of another
+    format version says so.
     """
     problems: list[str] = []
-    for info in _parsed(reversed(checkpoint_dirs(root))):
+    for info in _parsed(reversed(checkpoint_dirs(root)), problems):
         bad = verify_checkpoint(info)
         if not bad:
             return info, problems

@@ -58,7 +58,7 @@ from repro.core.model import LSIModel
 from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.serving.ann import ANN_ARRAY_NAMES, CoarseQuantizer
+from repro.serving.ann import CoarseQuantizer
 from repro.store.checkpoint import (
     CHECKPOINTS_DIR,
     checkpoint_bytes,
@@ -71,6 +71,7 @@ from repro.store.lock import LOCK_NAME, StoreLock
 from repro.store.recovery import (
     RecoveryReport,
     capture_manager,
+    checkpoint_summary,
     open_checkpoint,
     replay_wal,
 )
@@ -99,24 +100,6 @@ STORE_LAYOUT = {
 RETAIN = 3
 
 
-def _checkpoint_summary(info) -> dict:
-    """One checkpoint's row in :func:`read_store_status` output."""
-    return {
-        "id": info.checkpoint_id,
-        "path": str(info.path),
-        "created_unix": info.manifest["created_unix"],
-        "bytes": checkpoint_bytes(info),
-        "n_documents": info.meta.get("n_documents"),
-        "wal_lsn": info.meta.get("wal_lsn"),
-        "reason": info.meta.get("reason"),
-        "format": info.manifest.get("format"),
-        "ann": all(
-            name in info.manifest["arrays"] for name in ANN_ARRAY_NAMES
-        ),
-        "ann_clusters": info.meta.get("ann", {}).get("n_clusters"),
-    }
-
-
 @dataclass(frozen=True)
 class SealInfo:
     """What one sealed checkpoint covers — the epoch-bump handshake.
@@ -138,6 +121,10 @@ class SealInfo:
 class DurableIndexStore:
     """Crash-recoverable home of one incrementally maintained index."""
 
+    #: The newest checkpoint's coarse quantizer: the one the store was
+    #: opened from, then the one each seal trains.
+    ann: CoarseQuantizer
+
     def __init__(
         self,
         data_dir: pathlib.Path,
@@ -146,14 +133,9 @@ class DurableIndexStore:
         *,
         last_recovery: RecoveryReport | None = None,
         dir_lock: StoreLock | None = None,
-        ann: CoarseQuantizer | None = None,
     ):
         self.data_dir = pathlib.Path(data_dir)
         self.manager = manager
-        #: The newest checkpoint's coarse quantizer — the one the store
-        #: was opened from, then whatever each seal trains.  ``None``
-        #: when that checkpoint has none (``store.ann_missing`` is 1).
-        self.ann = ann
         self.last_recovery = last_recovery
         self._wal = wal
         self._dir_lock = dir_lock  # single-writer flock on the data dir
@@ -259,19 +241,17 @@ class DurableIndexStore:
         try:
             wal_path = cls.paths(data_dir)[1]
             opened = open_checkpoint(data_dir, mmap=False)
+            ann = opened.ann()
             manager, report = replay_wal(opened, wal_path)
             wal = WriteAheadLog(wal_path, base_lsn=report.wal_lsn_start)
         except BaseException:
             dir_lock.release()
             raise
-        return cls(
-            data_dir,
-            manager,
-            wal,
-            last_recovery=report,
-            dir_lock=dir_lock,
-            ann=opened.ann(),
+        store = cls(
+            data_dir, manager, wal, last_recovery=report, dir_lock=dir_lock
         )
+        store.ann = ann
+        return store
 
     # ------------------------------------------------------------------ #
     # bookkeeping the checkpoint policy reads
@@ -388,7 +368,7 @@ class DurableIndexStore:
     # ------------------------------------------------------------------ #
     # snapshots and maintenance
     # ------------------------------------------------------------------ #
-    def _train_ann(self, model: LSIModel) -> CoarseQuantizer | None:
+    def _train_ann(self, model: LSIModel) -> CoarseQuantizer:
         """Train the next checkpoint's coarse quantizer.
 
         Cells are fitted to the coordinates queries are compared with —
@@ -397,8 +377,6 @@ class DurableIndexStore:
         Deterministic given those coordinates and the manager's seed,
         which keeps recovered-then-recheckpointed stores bit-identical.
         """
-        if model.n_documents == 0:
-            return None
         coords = model.V * model.s
         t0 = time.perf_counter()
         with span("store.ann_train"):
@@ -447,16 +425,9 @@ class DurableIndexStore:
                 meta["epoch"] = wal_lsn  # logical index version
                 meta["reason"] = reason
                 quantizer = self._train_ann(model)
-                if quantizer is not None:
-                    arrays.update(quantizer.to_arrays())
-                    meta["ann"] = {
-                        "n_clusters": quantizer.n_clusters,
-                        "n_documents": quantizer.n_documents,
-                        "seed": self.manager.seed,
-                    }
+                arrays.update(quantizer.to_arrays())
                 info = write_checkpoint(self.checkpoints_dir, arrays, meta)
             self.ann = quantizer
-            registry.set_gauge("store.ann_missing", int(quantizer is None))
             self._last_checkpoint_lsn = wal_lsn
             self._checkpoint_consolidations = consolidations
             self._last_checkpoint_time = time.time()
@@ -540,14 +511,14 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
     """
     data_dir = pathlib.Path(data_dir)
     checkpoints_dir, wal_path = DurableIndexStore.paths(data_dir)
-    infos = list_checkpoints(checkpoints_dir)
+    skipped: list[str] = []
+    infos = list_checkpoints(checkpoints_dir, skipped)
     scan = scan_wal(wal_path)
     newest = infos[-1] if infos else None
+    summaries = [checkpoint_summary(info) for info in infos]
     ckpt_lsn = int(newest.meta.get("wal_lsn", 0)) if newest else 0
     n_documents = int(newest.meta.get("n_documents", 0)) if newest else 0
-    checkpoint_pending = (
-        len(newest.meta.get("pending_ids", [])) if newest else 0
-    )
+    checkpoint_pending = summaries[-1]["pending"] if newest else 0
     would_replay = wal_documents = 0
     for record in scan.records:
         if record.lsn <= ckpt_lsn:
@@ -557,8 +528,9 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
             wal_documents += len(record.payload.get("doc_ids", []))
     return {
         "data_dir": str(data_dir),
-        "checkpoints": [_checkpoint_summary(info) for info in infos],
-        "ann": bool(newest and _checkpoint_summary(newest)["ann"]),
+        "checkpoints": summaries,
+        # Every checkpoint a reader accepts carries its quantizer.
+        "ann": newest is not None,
         "wal": {
             "path": str(wal_path),
             "records": len(scan.records),
@@ -570,7 +542,7 @@ def read_store_status(data_dir: pathlib.Path) -> dict:
         "checkpoint_pending": checkpoint_pending,
         "wal_documents": wal_documents,
         "last_recovery_replayed": would_replay,
-        "problems": list(scan.problems),
+        "problems": skipped + list(scan.problems),
     }
 
 
@@ -584,10 +556,11 @@ def verify_store(data_dir: pathlib.Path) -> tuple[int, list[str]]:
     holds no store.
     """
     checkpoints_dir, wal_path = DurableIndexStore.paths(data_dir)
-    infos = list_checkpoints(checkpoints_dir)
-    if not infos and not wal_path.exists():
+    problems: list[str] = []
+    infos = list_checkpoints(checkpoints_dir, problems)
+    if not infos and not problems and not wal_path.exists():
         raise StoreError(f"{data_dir} is not a store")
-    problems = [p for info in infos for p in verify_checkpoint(info)]
+    problems += [p for info in infos for p in verify_checkpoint(info)]
     return len(infos), problems + verify_wal(wal_path)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import pathlib
 
-from repro.errors import StoreLockedError
+from repro.errors import StoreError, StoreLockedError
 
 try:
     import fcntl
@@ -76,10 +76,17 @@ class StoreLock:
 
         Never blocks: a held lock means a live server or maintenance
         command owns the store right now, and waiting for it would just
-        trade corruption for a deadlock-prone queue.
+        trade corruption for a deadlock-prone queue.  A ``data_dir``
+        that is not (and cannot become) a directory is a
+        :class:`StoreError` naming it.
         """
         data_dir = pathlib.Path(data_dir)
-        data_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            data_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise StoreError(
+                f"{data_dir} is not a directory and cannot hold a store"
+            ) from None
         path = data_dir / LOCK_NAME
         fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
         if fcntl is not None:

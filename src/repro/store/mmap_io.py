@@ -25,8 +25,6 @@ from __future__ import annotations
 import pathlib
 
 from repro.core.model import LSIModel
-from repro.errors import StoreError
-from repro.obs.metrics import registry
 from repro.serving.ann import CoarseQuantizer
 from repro.store.recovery import open_checkpoint
 
@@ -52,11 +50,6 @@ def open_latest_ann(
     data_dir: pathlib.Path,
     *,
     mmap: bool = True,
-) -> CoarseQuantizer | None:
-    """Map the newest valid checkpoint's quantizer (``None`` when absent
-    — including when no checkpoint exists at all)."""
-    try:
-        return open_checkpoint(data_dir, mmap=mmap).ann()
-    except StoreError:
-        registry.set_gauge("store.ann_missing", 1)
-        return None
+) -> CoarseQuantizer:
+    """Map the newest valid checkpoint's coarse quantizer."""
+    return open_checkpoint(data_dir, mmap=mmap).ann()

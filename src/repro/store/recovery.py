@@ -5,11 +5,10 @@ This module owns the mapping between a live
 the array layout is written and read here and nowhere else:
 
 * :func:`capture_manager` flattens a manager into the ``(arrays, meta)``
-  pair :mod:`repro.store.checkpoint` writes.  The split exploits the
-  manager's structural invariant that under fold-in the serving model
-  differs from the consolidated base model only by folded-in document
-  rows — ``U``, ``Σ``, and the global weights are stored once, and so
-  is ``V`` when nothing is pending (the serving model *is* the base);
+  pair :mod:`repro.store.checkpoint` writes, each thing once: a serving
+  factor (``model_U``, ``model_s``, ``model_V``) is written only when
+  its bits differ from its ``base_*`` twin, and the labels are one
+  ``doc_ids`` list the base, raw-matrix and pending ids are cut from;
 * :func:`open_checkpoint` is the one path from a store data directory
   to an :class:`OpenedCheckpoint`: locate → verify → parse the manifest
   → read the arrays, each once.  Its decoders (``.model()``, ``.ann()``,
@@ -17,6 +16,8 @@ the array layout is written and read here and nowhere else:
   capture) share one construction of the serving model, so a query is
   always projected with the ``U_k, Σ_k`` of the epoch whose ``V_k`` it
   is scored against (Eq. 6);
+* :func:`checkpoint_summary` reads the same layout off a manifest
+  alone, for the lock-free ``store inspect`` view;
 * :func:`recover_manager` is the cold-start path: open the newest valid
   checkpoint (walking back past corrupt ones), cross-check the manifest
   document count against the rebuilt manager, then replay every WAL
@@ -37,7 +38,7 @@ from repro.core.model import LSIModel
 from repro.errors import StoreCorruptError, StoreError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.serving.ann import ANN_ARRAY_NAMES, CoarseQuantizer
+from repro.serving.ann import CoarseQuantizer
 from repro.sparse.csc import CSCMatrix
 from repro.store.checkpoint import (
     CHECKPOINTS_DIR,
@@ -50,13 +51,14 @@ from repro.store.checkpoint import (
 from repro.store.wal import WalRecord, scan_wal
 from repro.text.tdm import TermDocumentMatrix
 from repro.text.vocabulary import Vocabulary
-from repro.updating.manager import IndexEvent, LSIIndexManager
+from repro.updating.manager import LSIIndexManager
 from repro.weighting.schemes import WeightingScheme
 
 __all__ = [
     "RecoveryReport",
     "OpenedCheckpoint",
     "capture_manager",
+    "checkpoint_summary",
     "restore_manager",
     "open_checkpoint",
     "apply_record",
@@ -101,6 +103,18 @@ def _scheme_from_json(obj):
 # --------------------------------------------------------------------- #
 # capture / restore
 # --------------------------------------------------------------------- #
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays hold the same bits — compared as unsigned
+    integers, not floats, so ``-0.0`` and ``0.0`` differ and a NaN
+    equals itself."""
+    if a is b:
+        return True
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    bits = np.dtype(f"u{a.dtype.itemsize}")
+    return np.array_equal(a.view(bits), b.view(bits))
+
+
 def capture_manager(
     manager: LSIIndexManager,
 ) -> tuple[dict[str, np.ndarray], dict]:
@@ -109,7 +123,9 @@ def capture_manager(
     Cheap: every returned array is a reference to state the manager
     never mutates in place (maintenance replaces arrays wholesale), so
     the caller can release any lock before the arrays hit disk.  Only
-    the small pending block is concatenated here.
+    the small pending block is concatenated here, and a serving factor
+    is read against its twin only when the two are distinct arrays of
+    one shape (``Σ``, and the fast update's rotated ``U``).
     """
     base = manager._base_model
     model = manager.model
@@ -120,6 +136,16 @@ def capture_manager(
         raise StoreError(
             "manager vocabulary diverged between model, base model, and "
             "raw matrix — cannot checkpoint"
+        )
+    doc_ids = list(model.doc_ids)
+    cut = len(doc_ids) - manager.pending
+    if not (
+        list(base.doc_ids) == list(manager.tdm.doc_ids) == doc_ids[:cut]
+        and list(manager._pending_ids) == doc_ids[cut:]
+    ):
+        raise StoreError(
+            "manager document ids are not the base model's followed by "
+            "the pending ones — cannot checkpoint"
         )
     pending = (
         np.hstack([np.asarray(b) for b in manager._pending_counts])
@@ -136,18 +162,13 @@ def capture_manager(
         "tdm_data": manager.tdm.matrix.data,
         "pending": pending,
     }
-    if model.V is not base.V:
-        # Rows are pending: the serving V is the base's plus their rows.
-        # Otherwise (after initialize or any consolidation) the serving
-        # model is the base, and its V is written and read back once.
-        arrays["model_V"] = model.V
-    if model.U is not base.U or model.s is not base.s:
-        # Fold-in shares the base factors by reference, so the common
-        # case stores U/Σ once.  The fast-update ingest kernel rotates
-        # them per batch; capture the serving copies too so a checkpoint
-        # taken mid-pending restores bit-identically.
-        arrays["model_U"] = model.U
-        arrays["model_s"] = model.s
+    # Fold-in serves the base's U and Σ; pending rows extend V, and the
+    # fast-update kernel rotates all three.  A serving factor bit-equal
+    # to its base twin is read back from the twin.
+    for name in ("U", "s", "V"):
+        served = getattr(model, name)
+        if not _same_bits(served, getattr(base, name)):
+            arrays[f"model_{name}"] = served
     meta = {
         "k": manager.k,
         "seed": manager.seed,
@@ -160,69 +181,61 @@ def capture_manager(
         "ingest_method": manager.ingest_method,
         "fast_update_rank": manager.fast_update_rank,
         "vocabulary": vocab,
-        "doc_ids": list(model.doc_ids),
-        "base_doc_ids": list(base.doc_ids),
-        "tdm_doc_ids": list(manager.tdm.doc_ids),
+        "doc_ids": doc_ids,
         "tdm_shape": list(manager.tdm.shape),
-        "pending_ids": list(manager._pending_ids),
         "provenance": model.provenance,
         "base_provenance": base.provenance,
         "n_documents": model.n_documents,
-        "events": [
-            {
-                "action": e.action,
-                "n_documents": e.n_documents,
-                "pending_before": e.pending_before,
-                "doc_loss": e.doc_loss,
-                "reason": e.reason,
-            }
-            for e in manager.events  # bounded: manager.EVENT_WINDOW
-        ],
     }
     return arrays, meta
 
 
-def _decode_models(
-    arrays: dict[str, np.ndarray], meta: dict
-) -> tuple[LSIModel, LSIModel]:
-    """``(base, serving)`` models of one checkpoint.
-
-    Under fold-in the serving model is the base with more document rows
-    (``U``/``Σ`` shared by reference — :func:`capture_manager` tests that
-    identity); a checkpoint taken with fast-update batches pending
-    carries the rotated serving ``U``/``Σ``, and they, not the base's,
-    belong with the serving ``V``.  Without a ``model_V`` (nothing
-    pending) the serving model shares the base's ``V`` — one array.
-    """
-    base = LSIModel(
-        U=arrays["base_U"],
-        s=arrays["base_s"],
-        V=arrays["base_V"],
+def _decode_model(arrays: dict[str, np.ndarray], meta: dict) -> LSIModel:
+    """The serving model: each ``model_*`` factor the checkpoint holds,
+    else its ``base_*`` twin.  A checkpoint sealed with fast-update
+    batches pending carries the rotated ``U``/``Σ``, and they, not the
+    base's, belong with the serving ``V``."""
+    U, s, V = (
+        arrays.get(f"model_{name}", arrays[f"base_{name}"])
+        for name in ("U", "s", "V")
+    )
+    return LSIModel(
+        U=U,
+        s=s,
+        V=V,
         vocabulary=Vocabulary(meta["vocabulary"]).freeze(),
-        doc_ids=list(meta["base_doc_ids"]),
+        doc_ids=list(meta["doc_ids"]),
         scheme=WeightingScheme(
             meta["model_scheme"]["local"], meta["model_scheme"]["global"]
         ),
         global_weights=arrays["base_gw"],
-        provenance=meta["base_provenance"],
-    )
-    model = replace(
-        base,
-        U=arrays.get("model_U", base.U),
-        s=arrays.get("model_s", base.s),
-        V=arrays.get("model_V", base.V),
-        doc_ids=list(meta["doc_ids"]),
         provenance=meta["provenance"],
     )
-    return base, model
 
 
 def restore_manager(
     arrays: dict[str, np.ndarray], meta: dict
 ) -> LSIIndexManager:
-    """Inverse of :func:`capture_manager` — a manager with no refit."""
-    base, model = _decode_models(arrays, meta)
-    vocabulary = base.vocabulary
+    """Inverse of :func:`capture_manager` — a manager with no refit.
+
+    The serving model's last ``p`` documents (``p`` the pending block's
+    columns) are the pending ones; the rest are the base model's and
+    the raw matrix's.  A factor without a ``model_*`` twin is one
+    array, shared by the base and the serving model.
+    """
+    model = _decode_model(arrays, meta)
+    pending = np.asarray(arrays["pending"], dtype=np.float64)
+    cut = model.n_documents - pending.shape[1]
+    base = replace(
+        model,
+        doc_ids=model.doc_ids[:cut],
+        provenance=meta["base_provenance"],
+        **{
+            name: arrays[f"base_{name}"]
+            for name in ("U", "s", "V")
+            if f"model_{name}" in arrays
+        },
+    )
     m, n = (int(x) for x in meta["tdm_shape"])
     tdm = TermDocumentMatrix(
         CSCMatrix(
@@ -231,26 +244,41 @@ def restore_manager(
             np.asarray(arrays["tdm_indices"]),
             np.asarray(arrays["tdm_data"]),
         ),
-        vocabulary,
-        list(meta["tdm_doc_ids"]),
+        model.vocabulary,
+        model.doc_ids[:cut],
     )
-    pending = np.asarray(arrays["pending"], dtype=np.float64)
     return LSIIndexManager.restore(
         tdm=tdm,
         k=int(meta["k"]),
         model=model,
         base_model=base,
         pending_counts=[pending] if pending.shape[1] else [],
-        pending_ids=meta["pending_ids"],
-        events=[IndexEvent(**e) for e in meta["events"]],
+        pending_ids=model.doc_ids[cut:],
         scheme=_scheme_from_json(meta["scheme"]),
         distortion_budget=float(meta["distortion_budget"]),
         seed=int(meta["seed"]),
-        # Absent in pre-writable-cluster checkpoints: default to the
-        # historical fold-in behaviour.
-        ingest_method=meta.get("ingest_method", "fold-in"),
-        fast_update_rank=int(meta.get("fast_update_rank", 8)),
+        ingest_method=meta["ingest_method"],
+        fast_update_rank=int(meta["fast_update_rank"]),
     )
+
+
+def checkpoint_summary(info: CheckpointInfo) -> dict:
+    """One checkpoint's row in ``repro store inspect``, off its manifest
+    alone (no array is read): the lock-free views' one reading of the
+    layout."""
+    arrays = info.manifest["arrays"]
+    return {
+        "id": info.checkpoint_id,
+        "path": str(info.path),
+        "created_unix": info.manifest["created_unix"],
+        "bytes": checkpoint_bytes(info),
+        "n_documents": info.meta.get("n_documents"),
+        "pending": arrays.get("pending", {}).get("shape", [0, 0])[1],
+        "wal_lsn": info.meta.get("wal_lsn"),
+        "reason": info.meta.get("reason"),
+        "format": info.manifest.get("format"),
+        "ann_clusters": arrays.get("ann_centroids", {}).get("shape", [0])[0],
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -279,7 +307,12 @@ class OpenedCheckpoint:
     @property
     def epoch(self) -> int:
         """The logical index version the checkpoint sealed."""
-        return int(self.info.meta.get("epoch", 0))
+        return self._decode(lambda _arrays, meta: int(meta["epoch"]))
+
+    @property
+    def wal_lsn(self) -> int:
+        """The last write-ahead log record the checkpoint covers."""
+        return self._decode(lambda _arrays, meta: int(meta["wal_lsn"]))
 
     def _decode(self, decode):
         # A checkpoint can pass its CRCs and still lack an array or a
@@ -294,22 +327,14 @@ class OpenedCheckpoint:
 
     def model(self) -> LSIModel:
         """The queryable model; mapped arrays stay mapped until touched."""
-        return self._decode(_decode_models)[1]
+        return self._decode(_decode_model)
 
-    def ann(self) -> CoarseQuantizer | None:
-        """The checkpoint's coarse quantizer — or ``None``.
-
-        Format-1 checkpoints (and format-2 ones written with ANN
-        training disabled) carry none; callers fall back to the exact
-        scan, and the ``store.ann_missing`` gauge makes a fleet serving
-        without its probe index visible.
-        """
-        if not all(name in self.arrays for name in ANN_ARRAY_NAMES):
-            registry.set_gauge("store.ann_missing", 1)
-            return None
-        registry.set_gauge("store.ann_missing", 0)
-        return CoarseQuantizer.from_arrays(
-            self.arrays, seed=self.info.meta.get("ann", {}).get("seed", 0)
+    def ann(self) -> CoarseQuantizer:
+        """The checkpoint's coarse quantizer (every seal trains one)."""
+        return self._decode(
+            lambda arrays, meta: CoarseQuantizer.from_arrays(
+                arrays, seed=meta["seed"]
+            )
         )
 
     def manager(self) -> LSIIndexManager:
@@ -406,7 +431,7 @@ def replay_wal(
                 f"{info.meta['n_documents']} documents but the recovered "
                 f"index has {manager.n_documents}"
             )
-        wal_lsn = int(info.meta.get("wal_lsn", 0))
+        wal_lsn = opened.wal_lsn
         scan = scan_wal(wal_path)
         replayed = 0
         expected = wal_lsn + 1

@@ -21,7 +21,6 @@ semantics split the paper draws between updating and recomputing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -43,13 +42,6 @@ from repro.updating.planner import plan_update
 from repro.updating.svd_update import update_documents
 
 __all__ = ["IndexEvent", "LSIIndexManager"]
-
-#: Most recent maintenance events a manager keeps (and a checkpoint
-#: stores).  Every add appends one, so an unbounded history would grow
-#: each manifest with the ingest rate; per-action totals of document
-#: ingest and consolidation stay in the ``manager.events.<action>``
-#: counters.
-EVENT_WINDOW = 32
 
 #: Maximum tolerated ``‖V̂ᵀV̂ − I‖₂`` before consolidation is forced.
 #: The §4.3 measure reacts immediately to fold-in (projected document
@@ -112,10 +104,6 @@ class LSIIndexManager:
     fast_update_rank: int = 8
 
     model: LSIModel = field(init=False)
-    #: The last :data:`EVENT_WINDOW` maintenance events, oldest first.
-    events: deque[IndexEvent] = field(
-        init=False, default_factory=lambda: deque(maxlen=EVENT_WINDOW)
-    )
     _base_model: LSIModel = field(init=False)
     _pending_counts: list[np.ndarray] = field(init=False, default_factory=list)
     _pending_ids: list[str] = field(init=False, default_factory=list)
@@ -137,7 +125,6 @@ class LSIIndexManager:
         base_model: LSIModel,
         pending_counts: Sequence[np.ndarray] = (),
         pending_ids: Sequence[str] = (),
-        events: Sequence[IndexEvent] = (),
         scheme: object = None,
         distortion_budget: float = 0.1,
         seed: int = 0,
@@ -165,7 +152,6 @@ class LSIIndexManager:
         manager.fast_update_rank = fast_update_rank
         manager._base_model = base_model
         manager.model = model
-        manager.events = deque(events, maxlen=EVENT_WINDOW)
         manager._pending_counts = [
             np.asarray(block, dtype=np.float64) for block in pending_counts
         ]
@@ -269,19 +255,16 @@ class LSIIndexManager:
         doc_loss = self.drift()
         if plan.method == "fold-in" and doc_loss <= DRIFT_CAP:
             registry.inc(f"manager.events.{ingest_action}")
-            event = IndexEvent(
+            return IndexEvent(
                 ingest_action, len(doc_ids), pending_before, doc_loss,
                 plan.reason,
             )
-        else:
-            reason = (
-                plan.reason
-                if doc_loss <= DRIFT_CAP
-                else f"drift {doc_loss:.3f} exceeded cap {DRIFT_CAP}"
-            )
-            event = self._consolidate(plan.method, reason, len(doc_ids))
-        self.events.append(event)
-        return event
+        reason = (
+            plan.reason
+            if doc_loss <= DRIFT_CAP
+            else f"drift {doc_loss:.3f} exceeded cap {DRIFT_CAP}"
+        )
+        return self._consolidate(plan.method, reason, len(doc_ids))
 
     # ------------------------------------------------------------------ #
     def _pending_block(self) -> np.ndarray:

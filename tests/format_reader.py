@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 from numpy.lib import format as npy
 
-SUPPORTED = (1, 2, 3)
+FORMAT = 4
 MAGIC = b"RPWAL001"
 HEADER = struct.Struct("<8sQ")
 FRAME = struct.Struct("<II")
@@ -28,12 +28,12 @@ def _crc32(path: pathlib.Path) -> int:
 
 def _manifest(path: pathlib.Path):
     """The parsed manifest of a checkpoint directory, or None if it is
-    not a readable, supported, intact checkpoint."""
+    not a readable, format-4, intact checkpoint."""
     try:
         manifest = json.loads((path / "manifest.json").read_text("utf-8"))
     except (OSError, ValueError):
         return None
-    if not isinstance(manifest, dict) or manifest.get("format") not in SUPPORTED:
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
         return None
     for entry in manifest["arrays"].values():
         file = path / entry["file"]
@@ -59,7 +59,8 @@ def newest_checkpoint(store: pathlib.Path):
 
 
 def read_checkpoint(store: pathlib.Path) -> dict:
-    """The newest valid checkpoint: its arrays, meta, and serving model."""
+    """The newest valid checkpoint: its arrays and meta, the serving
+    model, the consolidated model, and the ids cut from ``doc_ids``."""
     path, manifest = newest_checkpoint(store)
     arrays = {}
     for name, entry in manifest["arrays"].items():
@@ -69,22 +70,33 @@ def read_checkpoint(store: pathlib.Path) -> dict:
         assert str(array.dtype) == entry["dtype"], name
         arrays[name] = array
     meta = manifest["meta"]
-    model = {
-        "U": arrays.get("model_U", arrays["base_U"]),
-        "s": arrays.get("model_s", arrays["base_s"]),
-        "V": arrays.get("model_V", arrays["base_V"]),
+    doc_ids = meta["doc_ids"]
+    cut = len(doc_ids) - arrays["pending"].shape[1]
+    common = {
         "global_weights": arrays["base_gw"],
         "vocabulary": meta["vocabulary"],
-        "doc_ids": meta["doc_ids"],
         "scheme": (meta["model_scheme"]["local"], meta["model_scheme"]["global"]),
-        "provenance": meta["provenance"],
     }
+    model = {
+        name: arrays.get(f"model_{name}", arrays[f"base_{name}"])
+        for name in ("U", "s", "V")
+    }
+    base = {name: arrays[f"base_{name}"] for name in ("U", "s", "V")}
     return {
         "name": path.name,
         "format": manifest["format"],
         "arrays": arrays,
         "meta": meta,
-        "model": model,
+        "model": {
+            **model, **common,
+            "doc_ids": doc_ids, "provenance": meta["provenance"],
+        },
+        "base": {
+            **base, **common,
+            "doc_ids": doc_ids[:cut], "provenance": meta["base_provenance"],
+        },
+        "tdm_doc_ids": doc_ids[:cut],
+        "pending_ids": doc_ids[cut:],
     }
 
 

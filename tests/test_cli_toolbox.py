@@ -209,6 +209,28 @@ def test_index_over_a_regular_file_is_refused(tmp_path, line_file):
     assert target.read_bytes() == b"old bytes"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["serve", "{source}", "--data-dir", "{target}", "-k", "3"],
+        ["cluster", "serve", "--writable", "--data-dir", "{target}"],
+    ],
+    ids=["serve", "cluster-serve-writable"],
+)
+def test_a_data_dir_that_is_a_regular_file_is_refused(
+    tmp_path, line_file, capsys, command
+):
+    """A ``--data-dir`` that is a file is a typed error naming it
+    (exit 1, file untouched), before anything binds or spawns."""
+    target = tmp_path / "afile"
+    target.write_bytes(b"old bytes")
+    argv = [a.format(source=line_file, target=target) for a in command]
+    code, out = _run([*argv, "--port", "0"])
+    assert (code, out) == (1, "")
+    assert f"{target} is not a directory" in capsys.readouterr().err
+    assert target.read_bytes() == b"old bytes"
+
+
 def test_failed_index_can_be_retried(tmp_path, line_file, monkeypatch):
     """A write error during ``repro index`` leaves no store state behind,
     so running it again to the same path succeeds."""

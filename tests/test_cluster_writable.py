@@ -135,7 +135,7 @@ def test_cluster_readers_serve_the_writers_factors(tmp_path):
         model = store.manager.model
         handle = EpochHandle.open(store.data_dir, SHARDS)
         assert_same_factors(handle.model, model)
-        assert handle.ann is True and handle.epoch == store.last_seal.epoch
+        assert handle.epoch == store.last_seal.epoch
 
         seed = open_checkpoint(store.data_dir, "ckpt-00000001")
         plan0 = ShardPlan.compute(

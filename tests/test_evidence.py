@@ -67,7 +67,7 @@ def test_docs_cite_only_evidence_that_exists(doc):
         if pkg in PACKAGES and not (SRC / pkg / f"{mod}.py").exists():
             missing.append(f"{pkg}/{mod}.py")
     # ``pkg.name`` is a module, or a name the package exports or reports
-    # (``store.open_checkpoint``, the ``store.ann_missing`` gauge).
+    # (``store.open_checkpoint``, the ``store.wal_records`` gauge).
     for pkg, name in set(re.findall(r"`(?:repro\.)?(\w+)\.(\w+)`", text)):
         if pkg in PACKAGES and not (SRC / pkg / f"{name}.py").exists():
             quoted = re.compile(rf'"(?:{pkg}\.)?{name}"')

@@ -20,9 +20,10 @@ each one:
   single-precision rows rather than sitting beside them.
 * **Fresh tail** — rows folded in after training are always candidates,
   so a quantizer can lag the index without losing documents.
-* **Persistence** — the checkpoint round trip (format v2) reopens the
-  same quantizer zero-copy; format-1 checkpoints load with no quantizer
-  and every query path falls back to the exact scan.
+* **Persistence** — the checkpoint round trip reopens the same
+  quantizer zero-copy; a checkpoint of an older format (one without a
+  quantizer) is refused, and a state built without one falls back to
+  the exact scan on every query path.
 """
 
 import asyncio
@@ -34,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.model import LSIModel
-from repro.errors import ReproError
+from repro.errors import ReproError, StoreError
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server import QueryService, ServerConfig
@@ -412,7 +413,7 @@ def test_a_snapshot_lays_out_a_document_ordered_memo_again(layout_quantizer):
 
 
 # --------------------------------------------------------------------- #
-# persistence: format v2 round trip, format-1 fallback
+# persistence: round trip, format-1 refusal, exact fallback
 # --------------------------------------------------------------------- #
 def test_checkpoint_round_trip_reopens_identical_quantizer(
     tmp_path, quantizer
@@ -420,10 +421,9 @@ def test_checkpoint_round_trip_reopens_identical_quantizer(
     write_checkpoint(
         tmp_path / STORE_LAYOUT["checkpoints"],
         quantizer.to_arrays(),
-        {"ann": {"seed": 0}},
+        {"seed": 0},
     )
     reopened = open_checkpoint(tmp_path, "ckpt-00000001").ann()
-    assert reopened is not None
     assert np.array_equal(reopened.centroids, quantizer.centroids)
     assert np.array_equal(reopened.cell_indptr, quantizer.cell_indptr)
     assert np.array_equal(reopened.cell_docs, quantizer.cell_docs)
@@ -455,9 +455,7 @@ def test_durable_checkpoint_trains_and_reports_ann(tmp_path):
     cells = default_n_clusters(len(texts))
     try:
         quantizer = open_latest_ann(data_dir)
-        assert quantizer is not None
         assert quantizer.n_clusters == cells
-        assert registry.snapshot()["gauges"]["store.ann_missing"] == 0
         description = read_store_status(data_dir)
         assert description["ann"] is True
         assert description["checkpoints"][-1]["ann_clusters"] == cells
@@ -465,54 +463,57 @@ def test_durable_checkpoint_trains_and_reports_ann(tmp_path):
         store.close(flush=False)
 
 
-def test_format1_checkpoint_serves_by_exact_fallback(tmp_path):
-    # A format-2 checkpoint stripped of its quantizer arrays and
-    # rewritten as format 1 is the pre-ANN layout.  Everything must
-    # still serve — model mapped, no quantizer, ``store.ann_missing``
-    # raised, probe requests answered by the exact scan.
-    store, data_dir, texts = _seeded_store(tmp_path)
+def test_format1_checkpoint_is_refused(tmp_path):
+    # A checkpoint stripped of its quantizer arrays and stamped format 1
+    # is the pre-ANN layout.  No reader accepts it: the one version read
+    # carries its quantizer, and the error says how to rebuild.
+    store, data_dir, _ = _seeded_store(tmp_path)
     store.close(flush=False)
     ckpt = sorted((data_dir / STORE_LAYOUT["checkpoints"]).iterdir())[-1]
     manifest_path = ckpt / MANIFEST_NAME
     manifest = json.loads(manifest_path.read_text("utf-8"))
     for name in ANN_ARRAY_NAMES:
         (ckpt / manifest["arrays"].pop(name)["file"]).unlink()
-    del manifest["meta"]["ann"]
     manifest["format"] = 1
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
-    assert open_latest_ann(data_dir) is None
-    assert registry.snapshot()["gauges"]["store.ann_missing"] == 1
-    assert read_store_status(data_dir)["ann"] is False
+    refusal = "format 1 .* reads format 4 only; .*`repro index`"
+    with pytest.raises(StoreError, match=refusal):
+        open_latest_ann(data_dir)
+    with pytest.raises(StoreError, match=refusal):
+        ServingState.open(data_dir)
+    with pytest.raises(StoreError, match=refusal):
+        DurableIndexStore.open(data_dir)
+    assert read_store_status(data_dir)["checkpoints"] == []
 
-    store = DurableIndexStore.open(data_dir)
-    try:
-        state = ServingState.for_store(store)
-        snapshot = state.current()
-        assert snapshot.ann is None
-        with pytest.raises(ReproError):
-            snapshot.search_ann(np.zeros(snapshot.model.k), probes=1)
 
-        # A probe-bounded request through the service falls back to the
-        # exact scan (counted) and answers identically to one without.
-        registry.reset("ann.")
+def test_state_without_quantizer_serves_probes_by_exact_fallback():
+    # An in-memory state built without a quantizer answers every probe
+    # request by the exact scan, counted.
+    texts = _texts()
+    manager = manager_from_texts(texts, [f"D{i}" for i in range(len(texts))], k=6)
+    state = ServingState.for_model(manager.model)
+    snapshot = state.current()
+    assert snapshot.ann is None
+    with pytest.raises(ReproError):
+        snapshot.search_ann(np.zeros(snapshot.model.k), probes=1)
 
-        async def main():
-            service = QueryService(state, ServerConfig())
-            await service.start()
-            try:
-                with_probes = await service.search(
-                    texts[0], top=5, probes=3
-                )
-                without = await service.search(texts[0], top=5)
-            finally:
-                await service.drain()
-            return with_probes, without
+    # A probe-bounded request through the service falls back to the
+    # exact scan (counted) and answers identically to one without.
+    registry.reset("ann.")
 
-        with_probes, without = asyncio.run(main())
-        assert with_probes["results"] == without["results"]
-        assert "ann" not in with_probes
-        counters = registry.snapshot()["counters"]
-        assert counters["ann.exact_fallbacks_total"] >= 1
-    finally:
-        store.close(flush=False)
+    async def main():
+        service = QueryService(state, ServerConfig())
+        await service.start()
+        try:
+            with_probes = await service.search(texts[0], top=5, probes=3)
+            without = await service.search(texts[0], top=5)
+        finally:
+            await service.drain()
+        return with_probes, without
+
+    with_probes, without = asyncio.run(main())
+    assert with_probes["results"] == without["results"]
+    assert "ann" not in with_probes
+    counters = registry.snapshot()["counters"]
+    assert counters["ann.exact_fallbacks_total"] >= 1

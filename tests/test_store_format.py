@@ -10,6 +10,7 @@ from repro.cli import main as cli_main
 from repro.store import DurableIndexStore, open_checkpoint, scan_wal
 from tests import format_reader
 from tests.test_cli_toolbox import LINES, MORE_LINES
+from tests.test_store_mmap import pending_fast_update_store
 
 
 def _cli(*argv):
@@ -34,24 +35,55 @@ def _store(tmp_path, corpus: str, added: str):
     return db
 
 
+def _serving_twins(ours: dict) -> list[str]:
+    return sorted(name for name in ours["arrays"] if name.startswith("model_"))
+
+
 def test_consolidated_store_reads_the_same(tmp_path):
     """``repro index`` + ``repro add`` on a small corpus: the add
     consolidates, so the checkpoint's serving model is its base."""
     db = _store(tmp_path, LINES, "depressed rats\nfast patients\n")
     ours = _assert_reads_the_same(db)
     assert ours["meta"]["provenance"] == "svd-update"
-    assert "model_V" not in ours["arrays"]
+    assert _serving_twins(ours) == []
     assert b'"indices"' in (db / "wal.log").read_bytes()  # sparse codec
+
+
+def test_reopened_and_resealed_store_reads_the_same(tmp_path):
+    """A store ``DurableIndexStore.open`` recovered decodes its serving
+    model afresh; sealed again with nothing pending, it still writes
+    each factor once."""
+    db = _store(tmp_path, LINES, "depressed rats\nfast patients\n")
+    store = DurableIndexStore.open(db)
+    assert store.manager.pending == 0
+    store.seal(reason="test")
+    store.close(flush=False)
+    ours = _assert_reads_the_same(db)
+    assert ours["meta"]["reason"] == "test"
+    assert _serving_twins(ours) == []
 
 
 def test_pending_fold_in_rows_read_the_same(tmp_path):
     """One document added to twelve is within the fold-in budget and
-    stays pending: the checkpoint carries ``model_V`` and the block."""
+    stays pending: the checkpoint carries ``model_V`` and the block,
+    and fold-in's ``U`` and ``Σ`` once, as ``base_*``."""
     db = _store(tmp_path, MORE_LINES, "depressed patients feel pressure\n")
     ours = _assert_reads_the_same(db)
     assert ours["meta"]["provenance"] == "fold-in"
-    assert ours["meta"]["pending_ids"] == ["D13"]
+    assert ours["pending_ids"] == ["D13"]
+    assert _serving_twins(ours) == ["model_V"]
     assert ours["arrays"]["model_V"].shape == (13, 3)
+
+
+def test_pending_fast_update_rows_read_the_same(tmp_path):
+    """Fast-update batches pending: the serving ``U`` and ``Σ`` were
+    rotated, so both twins are on disk, and a reader pairs them with
+    ``model_V``."""
+    store, _ = pending_fast_update_store(tmp_path / "db")
+    store.close(flush=False)
+    ours = _assert_reads_the_same(tmp_path / "db")
+    assert _serving_twins(ours) == ["model_U", "model_V", "model_s"]
+    assert ours["pending_ids"] == [f"D{i}" for i in range(60, 72)]
 
 
 def test_log_suffix_past_the_checkpoint_reads_the_same(tmp_path):
@@ -84,6 +116,18 @@ def _assert_reads_the_same(db) -> dict:
     ann = opened.ann()
     for name, array in ann.to_arrays().items():
         assert _same_bits(ours["arrays"][name], array), name
+
+    manager = opened.manager()
+    base = manager._base_model
+    for name in ("U", "s", "V", "global_weights"):
+        assert _same_bits(ours["base"][name], getattr(base, name)), name
+    assert ours["base"]["doc_ids"] == list(base.doc_ids)
+    assert ours["base"]["provenance"] == base.provenance
+    assert ours["tdm_doc_ids"] == list(manager.tdm.doc_ids)
+    assert ours["pending_ids"] == list(manager._pending_ids)
+    if manager.pending:
+        pending = np.hstack(manager._pending_counts)
+        assert _same_bits(ours["arrays"]["pending"], pending)
 
     base, records = format_reader.read_wal(db / "wal.log")
     scan = scan_wal(db / "wal.log")

@@ -8,6 +8,9 @@ cache, not N).  Both are pinned here, alongside scoring parity between
 the mapped and fully-loaded forms of the same checkpoint.
 """
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from repro.core.similarity import cosine_similarities
 from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.errors import StoreCorruptError
 from repro.serving.ann import CoarseQuantizer
-from repro.store.checkpoint import write_checkpoint
+from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
 from repro.store.durable import STORE_LAYOUT, DurableIndexStore
 from repro.store.mmap_io import open_latest_ann, open_latest_model
 from repro.store.recovery import open_checkpoint
@@ -106,7 +109,10 @@ def pending_fast_update_store(data_dir):
         assert event.action == "fast-update"  # never consolidated
     assert store.manager.pending == 12
     assert store.manager.model.U is not store.manager._base_model.U
-    store.seal(reason="test")
+    sealed = store.seal(reason="test")
+    # The rotated serving factors differ from the base's: both on disk.
+    written = {file.stem for file in sealed.path.glob("model_*.npy")}
+    assert written == {"model_U", "model_s", "model_V"}
     return store, texts[:20]
 
 
@@ -152,12 +158,27 @@ def test_mapped_reader_serves_the_writers_factors(tmp_path):
         store.close(flush=False)
 
 
-def test_fold_in_checkpoint_shares_the_base_factors(mmap_store):
-    data_dir, _ = mmap_store
-    opened = open_checkpoint(data_dir, mmap=False)
-    assert "model_U" not in opened.arrays
+def test_fold_in_checkpoint_shares_the_base_factors(tmp_path, mmap_store):
+    """Sealed with fold-in rows pending, a reopened store writes the
+    serving ``V`` beside the base's but ``U`` and ``Σ`` once: fold-in
+    leaves them the base's, bit for bit."""
+    _, texts = mmap_store
+    manager = manager_from_texts(texts, [f"D{i}" for i in range(len(texts))], k=8)
+    manager.distortion_budget = 1e9  # never consolidates
+    DurableIndexStore.initialize(tmp_path / "store", manager).close(flush=False)
+    store = DurableIndexStore.open(tmp_path / "store")
+    try:
+        event = store.add_texts(texts[:2], ["F0", "F1"])
+        assert event.action == "fold-in" and store.manager.pending == 2
+        sealed = store.seal(reason="test")
+    finally:
+        store.close(flush=False)
+    opened = open_checkpoint(tmp_path / "store", sealed.name, mmap=False)
+    assert "model_U" not in opened.arrays and "model_s" not in opened.arrays
+    assert "model_V" in opened.arrays
     manager = opened.manager()
     assert manager.model.U is manager._base_model.U
+    assert manager.pending == 2 and manager.model.doc_ids[-2:] == ["F0", "F1"]
     assert np.array_equal(opened.model().U, opened.arrays["base_U"])
     assert np.array_equal(opened.model().s, opened.arrays["base_s"])
 
@@ -263,5 +284,28 @@ def test_checkpoint_missing_an_array_or_key_is_a_typed_error(tmp_path):
 
     arrays["base_V"] = arrays["model_V"]
     write_checkpoint(tmp_path / STORE_LAYOUT["checkpoints"], arrays, meta)
-    with pytest.raises(StoreCorruptError, match="base_doc_ids"):
+    with pytest.raises(StoreCorruptError, match="'pending'"):
         open_checkpoint(tmp_path).manager()
+
+
+@pytest.mark.parametrize(
+    "key, read",
+    [
+        ("epoch", lambda d: open_checkpoint(d).epoch),
+        ("wal_lsn", DurableIndexStore.open),
+        ("ingest_method", DurableIndexStore.open),
+        ("fast_update_rank", lambda d: open_checkpoint(d).manager()),
+    ],
+)
+def test_a_required_manifest_key_missing_is_a_typed_error(
+    mmap_store, tmp_path, key, read
+):
+    """Every manifest key is required: none is defaulted on read."""
+    data_dir = tmp_path / "store"
+    shutil.copytree(mmap_store[0], data_dir)
+    [ckpt] = (data_dir / STORE_LAYOUT["checkpoints"]).iterdir()
+    manifest = json.loads((ckpt / MANIFEST_NAME).read_text())
+    del manifest["meta"][key]
+    (ckpt / MANIFEST_NAME).write_text(json.dumps(manifest))
+    with pytest.raises(StoreCorruptError, match=f"key '{key}'"):
+        read(data_dir)

@@ -1,16 +1,19 @@
 """Tests for cold-start recovery: capture/restore + WAL replay parity."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.errors import StoreCorruptError, StoreError
-from repro.server.state import EpochSnapshot
 from repro.store import (
     DurableIndexStore,
     capture_manager,
     checkpoint,
     open_checkpoint,
+    read_store_status,
     recover_manager,
     restore_manager,
     verify_store,
@@ -19,7 +22,6 @@ from repro.store.checkpoint import MANIFEST_NAME, load_manifest, write_checkpoin
 from repro.store.wal import WriteAheadLog
 from repro.text import ParsingRules, build_tdm
 from repro.updating import LSIIndexManager
-from repro.updating.manager import EVENT_WINDOW
 from tests.test_store_checkpoint_wal import array_files
 
 
@@ -50,14 +52,17 @@ def assert_managers_identical(a, b):
     assert a.pending == b.pending
     assert a.n_documents == b.n_documents
     assert np.array_equal(a.tdm.matrix.data, b.tdm.matrix.data)
-    assert [e.action for e in a.events] == [e.action for e in b.events]
+    assert a.tdm.doc_ids == b.tdm.doc_ids
+    assert a._base_model.doc_ids == b._base_model.doc_ids
+    assert a._pending_ids == b._pending_ids
 
 
 def test_capture_restore_bit_identical(corpus):
     mgr = fresh_manager(corpus)
     later = corpus[1]
     for text in later[:3]:
-        mgr.add_texts([text])  # leave pending + consolidation history
+        mgr.add_texts([text])  # leave rows pending
+    assert mgr.pending == 3
     restored = restore_manager(*capture_manager(mgr))
     assert_managers_identical(mgr, restored)
     # The restored manager keeps evolving identically.
@@ -65,26 +70,6 @@ def test_capture_restore_bit_identical(corpus):
     e2 = restored.add_texts([later[3]], doc_ids=["NEXT"])
     assert e1.action == e2.action
     assert_managers_identical(mgr, restored)
-
-
-def test_event_history_is_a_fixed_window(corpus):
-    # Every add appends an event; only the newest EVENT_WINDOW live in
-    # memory and in the checkpoint manifest, so neither grows with the
-    # ingest count.
-    _, later = corpus
-    mgr = fresh_manager(corpus)
-    for i, text in enumerate((later * 3)[: EVENT_WINDOW + 3]):
-        mgr.add_texts([text], doc_ids=[f"E{i}"])
-    assert len(mgr.events) == EVENT_WINDOW
-    arrays, meta = capture_manager(mgr)
-    assert len(meta["events"]) == EVENT_WINDOW
-    restored = restore_manager(arrays, meta)
-    assert list(restored.events) == list(mgr.events)
-    # The window keeps sliding after the round trip.
-    for manager in (mgr, restored):
-        manager.add_texts([later[0]], doc_ids=["LAST"])
-    assert len(restored.events) == EVENT_WINDOW
-    assert list(restored.events) == list(mgr.events)
 
 
 def test_retired_checkpoint_keys_are_ignored(corpus):
@@ -245,18 +230,21 @@ def test_compact_is_bit_identical_and_resets_replay(corpus, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# V is written once unless documents are pending
+# each factor is written once, decided by its bits
 # --------------------------------------------------------------------- #
-def _v_files(info_path):
+def _factor_files(info_path):
     manifest = load_manifest(info_path)
     return manifest["format"], sorted(
-        name for name in manifest["arrays"] if name.endswith("_V")
+        name for name in manifest["arrays"] if name[-2:] in ("_U", "_s", "_V")
     )
+
+
+BASE_ONLY = (4, ["base_U", "base_V", "base_s"])
 
 
 def test_initialize_writes_one_v_and_reopens_sharing_it(corpus, tmp_path):
     store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
-    assert _v_files(store.last_seal.path) == (3, ["base_V"])
+    assert _factor_files(store.last_seal.path) == BASE_ONLY
     store.close()
     reopened = DurableIndexStore.open(tmp_path / "s")
     try:
@@ -267,6 +255,21 @@ def test_initialize_writes_one_v_and_reopens_sharing_it(corpus, tmp_path):
         reopened.close()
 
 
+def test_a_reopened_store_seals_each_factor_once(corpus, tmp_path):
+    """The serving model ``DurableIndexStore.open`` decodes holds a new
+    view of the base's ``Σ`` (``LSIModel`` ravels it), yet its next seal
+    with nothing pending writes no ``model_*`` twin."""
+    store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
+    store.close()
+    reopened = DurableIndexStore.open(tmp_path / "s")
+    try:
+        assert reopened.manager.pending == 0
+        sealed = reopened.seal(reason="test")
+    finally:
+        reopened.close(flush=False)
+    assert _factor_files(sealed.path) == BASE_ONLY
+
+
 def test_pending_rows_write_both_vs_and_replay_bit_exactly(corpus, tmp_path):
     _, later = corpus
     manager = fresh_manager(corpus, distortion_budget=1e9)  # never consolidates
@@ -275,7 +278,9 @@ def test_pending_rows_write_both_vs_and_replay_bit_exactly(corpus, tmp_path):
     assert store.manager.pending == 3
     live = store.manager
     sealed = store.seal(reason="test")
-    assert _v_files(sealed.path) == (3, ["base_V", "model_V"])
+    assert _factor_files(sealed.path) == (
+        4, ["base_U", "base_V", "base_s", "model_V"]
+    )
     store.close(flush=False)
     recovered, report = recover_manager(*DurableIndexStore.paths(tmp_path / "s"))
     assert report.replayed_records == 0
@@ -284,32 +289,56 @@ def test_pending_rows_write_both_vs_and_replay_bit_exactly(corpus, tmp_path):
     assert np.array_equal(recovered._base_model.V, live._base_model.V)
 
 
-def test_a_format_2_checkpoint_with_two_vs_opens_and_ranks_the_same(
-    corpus, tmp_path, monkeypatch
-):
+def test_a_negative_zero_is_a_difference(corpus):
+    """Twins are compared by bits, not as floats: a serving ``U`` that
+    differs from the base's only by ``-0.0`` for ``0.0`` is written, and
+    restores with its sign."""
+    mgr = fresh_manager(corpus)
+    base = mgr._base_model
+    U = np.array(base.U)
+    U[0, 0] = 0.0
+    mgr._base_model = replace(base, U=U)
+    U = np.array(U)
+    U[0, 0] = -0.0
+    mgr.model = replace(base, U=U)
+    arrays, meta = capture_manager(mgr)
+    assert "model_U" in arrays and "model_s" not in arrays
+    restored = restore_manager(arrays, meta)
+    assert np.signbit(restored.model.U[0, 0])
+    assert not np.signbit(restored._base_model.U[0, 0])
+
+
+def test_ids_that_do_not_split_are_not_captured(corpus):
+    """The manifest keeps one id list; a manager whose base ids are not
+    its serving ids' prefix cannot be written that way."""
+    mgr = fresh_manager(corpus)
+    mgr.model = replace(mgr.model, doc_ids=mgr.model.doc_ids[::-1])
+    with pytest.raises(StoreError, match="document ids"):
+        capture_manager(mgr)
+
+
+def test_a_format_2_checkpoint_is_refused(corpus, tmp_path, monkeypatch):
+    """A store of another format version is not read, by any door: the
+    error names both versions and how to rebuild."""
     store = DurableIndexStore.initialize(tmp_path / "new", fresh_manager(corpus))
     store.close()
     new = open_checkpoint(tmp_path / "new")
     arrays = dict(new.arrays)
     arrays["model_V"] = np.array(arrays["base_V"])  # what format 2 wrote
     monkeypatch.setattr(checkpoint, "CHECKPOINT_FORMAT", 2)
-    write_checkpoint(
+    old = write_checkpoint(
         DurableIndexStore.paths(tmp_path / "old")[0], arrays, new.info.meta
     )
-    old = open_checkpoint(tmp_path / "old")
-    assert _v_files(old.info.path) == (2, ["base_V", "model_V"])
-
-    legacy = old.model()
-    assert np.shares_memory(legacy.V, old.arrays["model_V"])
-    want, got = EpochSnapshot(0, new.model()), EpochSnapshot(0, legacy)
-    queries = [text.split()[:6] for text in corpus[1][:5]]
-    Qs = want.scale(np.stack([want.project(q) for q in queries]))
-    for top, threshold in ((10, None), (None, 0.2), (None, None)):
-        assert got.search(Qs, top=top, threshold=threshold) == want.search(
-            Qs, top=top, threshold=threshold
-        )
-    reopened = DurableIndexStore.open(tmp_path / "old")
-    try:
-        assert_managers_identical(reopened.manager, new.manager())
-    finally:
-        reopened.close(flush=False)
+    monkeypatch.undo()
+    refusal = "format 2 .* reads format 4 only; .*`repro index`"
+    with pytest.raises(StoreError, match=refusal):
+        open_checkpoint(tmp_path / "old")
+    with pytest.raises(StoreError, match=refusal):
+        open_checkpoint(tmp_path / "old", old.path.name)
+    with pytest.raises(StoreError, match=refusal):
+        DurableIndexStore.open(tmp_path / "old")
+    # The lock-free audits name it too, rather than report a clean store.
+    n_checkpoints, problems = verify_store(tmp_path / "old")
+    assert n_checkpoints == 0 and len(problems) == 1
+    assert re.search(refusal, problems[0])
+    assert read_store_status(tmp_path / "old")["problems"] == problems

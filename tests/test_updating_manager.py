@@ -28,7 +28,6 @@ def test_initial_state(manager_setup):
     assert mgr.n_documents == 40
     assert mgr.pending == 0
     assert mgr.drift() < 1e-10
-    assert not mgr.events
 
 
 def test_small_additions_fold(manager_setup):
@@ -114,31 +113,33 @@ def test_add_rejects_bad_doc_ids_before_anything_changes(manager_setup, doc_ids)
     mgr.add_texts(later[:1], doc_ids=["first"])
     doc_ids = [mgr.model.doc_ids[0] if d == "HELD" else d for d in doc_ids] \
         if isinstance(doc_ids, list) else doc_ids
-    model, events = mgr.model, list(mgr.events)
+    model, pending = mgr.model, mgr.pending
     with pytest.raises(ShapeError):
         mgr.add_texts(later[1:3], doc_ids=doc_ids)
     with pytest.raises(ShapeError):  # a folded-in (pending) id is held too
         mgr.add_texts(later[1:2], doc_ids=["first"])
-    assert mgr.model is model and list(mgr.events) == events
+    assert mgr.model is model and mgr.pending == pending
     mgr.add_texts(later[1:3], doc_ids=("new-1", "new-2"))
     assert mgr.model.doc_ids[-2:] == ["new-1", "new-2"]
 
 
 def test_events_log_grows(manager_setup):
+    # Each add returns its own event; a caller's log of them grows by one.
     mgr, later = manager_setup
-    for text in later[:3]:
-        mgr.add_texts([text])
-    assert len(mgr.events) == 3
-    assert all(e.n_documents == 1 for e in mgr.events)
+    events = [mgr.add_texts([text]) for text in later[:3]]
+    assert all(e.n_documents == 1 for e in events)
+    assert [e.pending_before for e in events] == [0, 1, 2]
 
 
 def _replay_sequence(mgr, later):
     """A fixed add sequence crossing fold-in AND consolidation events
     (10% of 40 documents: the fifth pending one consolidates)."""
-    for i, text in enumerate(later[:7]):
+    events = [
         mgr.add_texts([text], doc_ids=[f"R{i}"])
-    assert {e.action for e in mgr.events} == {"fold-in", "svd-update"}
-    return mgr
+        for i, text in enumerate(later[:7])
+    ]
+    assert {e.action for e in events} == {"fold-in", "svd-update"}
+    return mgr, events
 
 
 def test_event_replay_is_bit_deterministic():
@@ -157,13 +158,13 @@ def test_event_replay_is_bit_deterministic():
                               distortion_budget=0.1, seed=3)
         return _replay_sequence(mgr, later)
 
-    a, b = build(), build()
+    (a, a_events), (b, b_events) = build(), build()
     assert np.array_equal(a.model.U, b.model.U)
     assert np.array_equal(a.model.s, b.model.s)
     assert np.array_equal(a.model.V, b.model.V)
     assert np.array_equal(a.model.global_weights, b.model.global_weights)
     assert a.model.doc_ids == b.model.doc_ids
-    assert [e.action for e in a.events] == [e.action for e in b.events]
+    assert a_events == b_events
 
 
 def test_restore_resumes_identically(manager_setup):
