@@ -87,7 +87,7 @@ def test_fast_update_speedup_and_retrieval_parity(evidence):
     base = draw(N_BASE)
     base[0, :] += 1.0  # no empty documents
     tdm = TermDocumentMatrix(
-        from_dense(base).to_csc(),
+        from_dense(base),
         Vocabulary([f"w{i}" for i in range(M_TERMS)]).freeze(),
         [f"D{j}" for j in range(N_BASE)],
     )

@@ -48,8 +48,7 @@ def test_managed_incremental_index(benchmark):
 
     # (b) recompute after every batch
     t0 = time.perf_counter()
-    from repro.sparse.build import from_dense
-    from repro.sparse.ops import hstack_csc
+    from repro.sparse import from_dense, hstack_csc
     from repro.text.tdm import TermDocumentMatrix, count_vector
     from repro.text.tokenizer import tokenize
 
@@ -59,7 +58,7 @@ def test_managed_incremental_index(benchmark):
             [count_vector(tokenize(t), cur.vocabulary) for t in batch], axis=1
         )
         cur = TermDocumentMatrix(
-            hstack_csc([cur.matrix, from_dense(counts).to_csc()]),
+            hstack_csc([cur.matrix, from_dense(counts)]),
             cur.vocabulary,
             list(cur.doc_ids) + [f"r{b}_{i}" for i in range(len(batch))],
         )

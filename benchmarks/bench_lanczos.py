@@ -22,18 +22,14 @@ def _sparse_tdm_like(m, n, nnz_per_col, seed=0):
     for j in range(n):
         rows = rng.choice(m, size=nnz_per_col, replace=False)
         dense[rows, j] = rng.poisson(2.0, size=nnz_per_col) + 1.0
-    return dense, from_dense(dense).to_csc()
+    return dense, from_dense(dense)
 
 
-@pytest.mark.parametrize("method", ["lanczos", "gkl", "dense"])
+@pytest.mark.parametrize("method", ["lanczos", "dense"])
 def test_backend_timing(benchmark, method):
     dense, sparse = _sparse_tdm_like(400, 300, 12, seed=1)
     k = 10
-
-    # GKL has no adaptive convergence test; this spectrum's tail is a
-    # tight cluster (σ ≈ 20-21), so give it a generous fixed step count.
-    kwargs = {"max_iter": 150} if method == "gkl" else {}
-    res = benchmark(truncated_svd, sparse, k, method=method, **kwargs)
+    res = benchmark(truncated_svd, sparse, k, method=method)
 
     s_ref = np.linalg.svd(dense, compute_uv=False)[:k]
     assert np.allclose(res.s, s_ref, atol=1e-6)

@@ -1,11 +1,15 @@
 """HPC substrate benches: sparse kernels and scoring execution shapes.
 
 Covers the §5.6 open issue "efficiently comparing queries to documents"
-at laptop scale: CSR/CSC matvec throughput, the matmat chunking ablation,
-and the execution shape the cluster tier serves by — contiguous row
-ranges, each ranked on its own and merged with ``merge_topk`` — against
-the whole-model search (identical results, different execution shape).
+at laptop scale: CSC ``A @ x``, ``Aᵀ @ y`` and ``A @ X`` (with its
+chunking ablation), each reported in ns per stored entry — the unit a
+faster product kernel is judged in — and the execution shape the
+cluster tier serves by — contiguous row ranges, each ranked on its own
+and merged with ``merge_topk`` — against the whole-model search
+(identical results, different execution shape).
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +20,12 @@ from repro.core.similarity import cosine_similarities
 from repro.parallel import merge_topk, shard_bounds
 from repro.server.state import EpochSnapshot
 from repro.sparse import from_dense
-from repro.sparse.ops import csr_matmat
+from repro.sparse.ops import csc_matmat
 from repro.text import Vocabulary
 from repro.util.rng import ensure_rng
+
+#: Right-hand-side columns of the ``A @ X`` bench.
+MATMAT_COLUMNS = 32
 
 
 @pytest.fixture(scope="module")
@@ -29,30 +36,48 @@ def big_sparse():
     for j in range(n):
         rows = rng.choice(m, size=15, replace=False)
         dense[rows, j] = 1.0
-    return from_dense(dense)
+    return dense, from_dense(dense)
 
 
-def test_csr_matvec_throughput(benchmark, big_sparse):
-    csr = big_sparse.to_csr()
-    x = np.ones(csr.shape[1])
-    y = benchmark(csr.matvec, x)
-    assert y.shape == (csr.shape[0],)
+def _ns_per_nnz(fn, nnz, repeats=9):
+    """Median wall time of ``fn()`` over ``repeats`` calls, per stored entry."""
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1e9 * float(np.median(times)) / nnz
+
+
+def test_csc_matvec_throughput(benchmark, big_sparse):
+    dense, csc = big_sparse
+    x = ensure_rng(1).standard_normal(csc.shape[1])
+    y = benchmark(csc.matvec, x)
+    assert np.allclose(y, dense @ x)
+    emit("CSC A @ x", [f"{csc.shape} nnz={csc.nnz}: "
+                       f"{_ns_per_nnz(lambda: csc.matvec(x), csc.nnz):.2f} ns/nnz"])
 
 
 def test_csc_rmatvec_throughput(benchmark, big_sparse):
-    csc = big_sparse.to_csc()
-    y = np.ones(csc.shape[0])
+    dense, csc = big_sparse
+    y = ensure_rng(1).standard_normal(csc.shape[0])
     x = benchmark(csc.rmatvec, y)
-    assert x.shape == (csc.shape[1],)
+    assert np.allclose(x, dense.T @ y)
+    emit("CSC Aᵀ @ y", [f"{csc.shape} nnz={csc.nnz}: "
+                        f"{_ns_per_nnz(lambda: csc.rmatvec(y), csc.nnz):.2f} ns/nnz"])
 
 
 @pytest.mark.parametrize("chunk", [4, 16, 64])
 def test_matmat_chunk_ablation(benchmark, big_sparse, chunk):
-    csr = big_sparse.to_csr()
-    rng = ensure_rng(1)
-    X = rng.standard_normal((csr.shape[1], 32))
-    Y = benchmark(csr_matmat, csr, X, chunk)
-    assert Y.shape == (csr.shape[0], 32)
+    dense, csc = big_sparse
+    X = ensure_rng(1).standard_normal((csc.shape[1], MATMAT_COLUMNS))
+    Y = benchmark(csc_matmat, csc, X, chunk)
+    assert np.allclose(Y, dense @ X)
+    per_entry = _ns_per_nnz(lambda: csc_matmat(csc, X, chunk), csc.nnz)
+    emit(f"CSC A @ X, chunk={chunk}", [
+        f"{csc.shape} nnz={csc.nnz}, {MATMAT_COLUMNS} columns: "
+        f"{per_entry:.2f} ns/nnz ({per_entry / MATMAT_COLUMNS:.2f} per column)"
+    ])
 
 
 @pytest.fixture(scope="module")

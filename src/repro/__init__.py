@@ -3,9 +3,10 @@
 
 The package implements Latent Semantic Indexing end to end, from scratch:
 
-* a sparse-matrix substrate (:mod:`repro.sparse`) and the numerical linear
-  algebra LSI runs on (:mod:`repro.linalg`) — Lanczos truncated SVD and
-  Golub-Kahan bidiagonalization, with LAPACK for the small dense solves;
+* a sparse-matrix substrate (:mod:`repro.sparse`: one compressed-column
+  type) and the numerical linear algebra LSI runs on (:mod:`repro.linalg`)
+  — single-vector Lanczos truncated SVD, with LAPACK for the small dense
+  solves;
 * text processing (:mod:`repro.text`) and term weighting
   (:mod:`repro.weighting`), including the paper's log×entropy scheme;
 * the LSI core (:mod:`repro.core`): model fitting, Eq. 6 queries, cosine

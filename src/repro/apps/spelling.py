@@ -24,7 +24,7 @@ from repro.core.query import project_query
 from repro.core.similarity import rank_documents
 from repro.errors import ShapeError
 from repro.linalg.svd import truncated_svd
-from repro.sparse.build import MatrixBuilder
+from repro.sparse.csc import CSCMatrix
 from repro.text.ngrams import char_ngrams, vocabulary_ngrams
 from repro.text.vocabulary import Vocabulary
 from repro.weighting.schemes import WeightingScheme, apply_weighting
@@ -53,14 +53,18 @@ class SpellingCorrector:
         self.ngram_sizes = tuple(ngram_sizes)
         grams = vocabulary_ngrams(lexicon, self.ngram_sizes)
         gram_vocab = Vocabulary(grams).freeze()
-        builder = MatrixBuilder((len(grams), len(lexicon)))
+        rows, cols = [], []
         for j, word in enumerate(lexicon):
             for g in char_ngrams(word, self.ngram_sizes):
-                builder.add(gram_vocab.id_of(g), j, 1.0)
+                rows.append(gram_vocab.id_of(g))
+                cols.append(j)
+        counts = CSCMatrix.from_triples(
+            (len(grams), len(lexicon)), rows, cols, np.ones(len(rows))
+        )
         if isinstance(scheme, str):
             scheme = WeightingScheme.from_name(scheme)
         scheme = scheme or WeightingScheme("raw", "entropy")
-        weighted = apply_weighting(builder.to_csc(), scheme)
+        weighted = apply_weighting(counts, scheme)
         dim = min(len(grams), len(lexicon))
         if k is None:
             k = max(2, dim * 2 // 3)

@@ -98,7 +98,7 @@ def add_parsers(sub) -> None:
     p_index.add_argument("--min-doc-freq", type=int, default=1)
     p_index.add_argument(
         "--svd-method", default="auto",
-        choices=["auto", "dense", "lanczos", "gkl"],
+        choices=["auto", "dense", "lanczos"],
         help="truncated-SVD backend (default auto)",
     )
 

@@ -175,7 +175,7 @@ MOST_RELEVANT = "M9"
 def med_matrix() -> TermDocumentMatrix:
     """The canonical (as-printed) Table 3 matrix with its labels."""
     return TermDocumentMatrix(
-        from_dense(TABLE3).to_csc(),
+        from_dense(TABLE3),
         Vocabulary(MED_TERMS).freeze(),
         list(MED_DOC_IDS),
     )
@@ -184,7 +184,7 @@ def med_matrix() -> TermDocumentMatrix:
 def med_update_matrix() -> TermDocumentMatrix:
     """The 18×2 document block D for topics M15-M16 (Table 5)."""
     return TermDocumentMatrix(
-        from_dense(UPDATE_COLUMNS).to_csc(),
+        from_dense(UPDATE_COLUMNS),
         Vocabulary(MED_TERMS).freeze(),
         list(MED_UPDATE_TOPICS),
     )

@@ -3,11 +3,10 @@
 :func:`dense_svd` is LAPACK's divide-and-conquer SVD (``gesdd``, through
 ``numpy.linalg``): the solver for every small dense matrix on the build
 and write paths — the cores of the SVD-updating phases (Eq. 10-12), the
-fast update's sketch bases, and the ``"dense"`` and ``"gkl"`` backends
-below.
+fast update's sketch bases, and the ``"dense"`` backend below.
 
 :func:`truncated_svd` is the single entry point the LSI layers call.  It
-selects among three backends:
+selects between two backends:
 
 ``"dense"``
     :func:`dense_svd` of the densified matrix — exact, used for small
@@ -15,9 +14,6 @@ selects among three backends:
 ``"lanczos"``
     Gram-side symmetric Lanczos (:mod:`repro.linalg.lanczos`) — the
     SVDPACKC-style sparse path the paper describes.
-``"gkl"``
-    Golub-Kahan-Lanczos bidiagonalization followed by :func:`dense_svd`
-    of the small bidiagonal — the non-squaring alternative.
 ``"auto"``
     Dense below :data:`DENSE_CUTOFF` on the small side (or when ``k`` is a
     large fraction of it), Lanczos otherwise.
@@ -31,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.linalg.bidiag import bidiagonal_dense, golub_kahan_bidiag
 from repro.linalg.counters import OperatorCounter
 from repro.linalg.lanczos import LanczosStats, lanczos_svd
 from repro.obs.bridge import record_lanczos_stats, record_operator
@@ -112,8 +107,8 @@ def truncated_svd(
 ) -> SVDResult:
     """Compute the ``k`` largest singular triplets of ``a``.
 
-    See module docstring for backend semantics.  ``a`` may be dense or any
-    :mod:`repro.sparse` format.
+    See module docstring for backend semantics.  ``a`` may be dense or a
+    :class:`~repro.sparse.CSCMatrix`.
     """
     m, n = a.shape
     dim = min(m, n)
@@ -138,15 +133,5 @@ def truncated_svd(
         record_lanczos_stats(stats)
         record_operator(op)
         return SVDResult(U, s, V, stats=stats, method="lanczos")
-
-    if method == "gkl":
-        steps = min(dim, max(2 * k + 16, 32) if max_iter is None else max_iter)
-        Ub, Vb, alphas, betas = golub_kahan_bidiag(a, steps, seed=seed)
-        B = bidiagonal_dense(alphas, betas)
-        P, s, Q = dense_svd(B)
-        kk = min(k, s.size)
-        return SVDResult(
-            Ub @ P[:, :kk], s[:kk].copy(), Vb @ Q[:, :kk], method="gkl"
-        )
 
     raise ValueError(f"unknown SVD method {method!r}")

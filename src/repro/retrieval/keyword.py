@@ -112,12 +112,7 @@ class KeywordRetrieval:
         "lexical matching" set of §3.2 (boolean overlap, no ranking)."""
         tokens = tokenize(query) if isinstance(query, str) else list(query)
         counts = count_vector(tokens, self.tdm.vocabulary)
-        term_ids = np.flatnonzero(counts > 0)
-        if term_ids.size == 0:
-            return set()
-        hits: set[int] = set()
-        csr = self.tdm.matrix.to_csr()
-        for t in term_ids:
-            cols, _ = csr.row_slice(int(t))
-            hits.update(int(c) for c in cols)
-        return hits
+        # The columns of every stored entry on a query term's row.
+        matrix = self.tdm.matrix
+        hit = counts[matrix.indices] > 0
+        return set(np.unique(matrix.expanded_cols()[hit]).tolist())

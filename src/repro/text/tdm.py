@@ -13,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.sparse.build import MatrixBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.text.parser import ParsedCorpus, ParsingRules, parse_corpus
 from repro.text.vocabulary import Vocabulary
@@ -89,13 +88,14 @@ def tdm_from_parsed(
             raise ShapeError(
                 f"doc_ids has {len(doc_ids)} labels for {n} documents"
             )
-    builder = MatrixBuilder((len(vocab), n))
-    for j, doc in enumerate(parsed.tokens):
-        # One column per document; ids come from the vocabulary, so they
-        # are in range without a bounds check per token.
-        ids = [vocab.id_of(t) for t in doc]
-        builder.add_column(j, ids, [1.0] * len(ids))
-    return TermDocumentMatrix(builder.to_csc(), vocab, doc_ids)
+    # One triple per token occurrence; from_triples sums the repeats.
+    rows = [vocab.id_of(t) for doc in parsed.tokens for t in doc]
+    cols = np.repeat(
+        np.arange(n, dtype=np.int64),
+        np.fromiter((len(doc) for doc in parsed.tokens), dtype=np.int64, count=n),
+    )
+    matrix = CSCMatrix.from_triples((len(vocab), n), rows, cols, np.ones(len(rows)))
+    return TermDocumentMatrix(matrix, vocab, doc_ids)
 
 
 def count_vector(tokens: Sequence[str], vocabulary: Vocabulary) -> np.ndarray:

@@ -32,7 +32,7 @@ from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.sparse.build import from_dense
-from repro.sparse.ops import hstack_csc
+from repro.sparse.csc import hstack_csc
 from repro.text.tdm import TermDocumentMatrix, count_vector
 from repro.text.tokenizer import tokenize
 from repro.updating.fast_update import fast_update_documents
@@ -271,7 +271,7 @@ class LSIIndexManager:
         return np.hstack(self._pending_counts)
 
     def _absorb_pending_into_tdm(self) -> None:
-        block = from_dense(self._pending_block()).to_csc()
+        block = from_dense(self._pending_block())
         self.tdm = TermDocumentMatrix(
             hstack_csc([self.tdm.matrix, block]),
             self.tdm.vocabulary,

@@ -18,7 +18,7 @@ from repro.core.build import fit_lsi_from_tdm
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.sparse.build import from_dense
-from repro.sparse.ops import hstack_csc
+from repro.sparse.csc import hstack_csc
 from repro.text.tdm import TermDocumentMatrix
 
 __all__ = ["recompute_with_documents", "recompute_model"]
@@ -50,7 +50,7 @@ def recompute_with_documents(
         )
     if new_counts.shape[1] != len(new_doc_ids):
         raise ShapeError("new_doc_ids length mismatch")
-    combined = hstack_csc([tdm.matrix, from_dense(new_counts).to_csc()])
+    combined = hstack_csc([tdm.matrix, from_dense(new_counts)])
     big = TermDocumentMatrix(
         combined, tdm.vocabulary, list(tdm.doc_ids) + list(new_doc_ids)
     )

@@ -61,18 +61,23 @@ def weight_correction_blocks(
     if np.unique(term_ids).size != j:
         raise ShapeError("term_ids must be distinct")
 
-    # Row extraction via the CSR views (transpose of CSC is CSR of Aᵀ, so
-    # convert once).
-    old_csr = old.to_csr()
-    new_csr = new.to_csr()
     Y = np.zeros((m, j))
+    Y[term_ids, np.arange(j)] = 1.0
+    # Column l of Z is row t_l of new minus row t_l of old: one masked
+    # pass over each matrix's stored entries, through the term -> l map.
+    slot = np.full(m, -1, dtype=np.int64)
+    slot[term_ids] = np.arange(j)
     Z = np.zeros((n, j))
-    for l, t in enumerate(term_ids.tolist()):
-        Y[t, l] = 1.0
-        cols_o, vals_o = old_csr.row_slice(t)
-        cols_n, vals_n = new_csr.row_slice(t)
-        row = np.zeros(n)
-        row[cols_n] = vals_n
-        row[cols_o] -= vals_o
-        Z[:, l] = row
+    l, cols, vals = _picked_rows(new, slot)
+    Z[cols, l] = vals
+    l, cols, vals = _picked_rows(old, slot)
+    Z[cols, l] -= vals
     return Y, Z
+
+
+def _picked_rows(a: CSCMatrix, slot: np.ndarray):
+    """``(slot, column, value)`` of each stored entry of ``a`` whose row
+    has a slot (``slot[row] >= 0``)."""
+    l = slot[a.indices]
+    hit = l >= 0
+    return l[hit], a.expanded_cols()[hit], a.data[hit]

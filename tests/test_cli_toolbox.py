@@ -199,6 +199,16 @@ def test_a_binary_source_is_a_usage_error_not_a_traceback(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_index_svd_method_gkl_is_a_usage_error(tmp_path, line_file, capsys):
+    """Lanczos is the one iterative solver: ``gkl`` is no longer a choice
+    of ``--svd-method`` (exit 2), and nothing is written."""
+    out = tmp_path / "db"
+    code, _ = _run(["index", str(line_file), str(out), "--svd-method", "gkl"])
+    assert code == 2
+    assert "invalid choice: 'gkl'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_index_over_a_regular_file_is_refused(tmp_path, line_file):
     """An output path that is a file, not a directory, is a typed error
     (exit 1), and the file is left as it was."""

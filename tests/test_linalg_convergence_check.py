@@ -101,7 +101,7 @@ def _bench_matrix(m, n, nnz_per_col, seed):
     for j in range(n):
         rows = rng.choice(m, size=nnz_per_col, replace=False)
         dense[rows, j] = rng.poisson(2.0, size=nnz_per_col) + 1.0
-    return dense, from_dense(dense).to_csc()
+    return dense, from_dense(dense)
 
 
 def test_one_eigensolve_per_check(monkeypatch):

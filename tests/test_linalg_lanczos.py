@@ -11,7 +11,7 @@ from repro.sparse import from_dense
 
 def _sparse(rng, m, n, density=0.2):
     d = rng.standard_normal((m, n)) * (rng.random((m, n)) < density)
-    return d, from_dense(d).to_csr()
+    return d, from_dense(d)
 
 
 def test_top_triplets_match_reference(rng):
@@ -40,6 +40,22 @@ def test_dense_input_accepted(rng):
     d = rng.standard_normal((30, 25))
     U, s, V, _ = lanczos_svd(d, 3)
     assert np.allclose(s, np.linalg.svd(d, compute_uv=False)[:3], atol=1e-8)
+
+
+def test_bases_orthonormal(rng):
+    d = rng.standard_normal((30, 22))
+    U, _, V, _ = lanczos_svd(d, 12, seed=2)
+    assert np.allclose(U.T @ U, np.eye(12), atol=1e-9)
+    assert np.allclose(V.T @ V, np.eye(12), atol=1e-9)
+
+
+def test_full_steps_capture_spectrum(rng):
+    """Asking for every triplet returns the whole spectrum, and the
+    factors span the matrix: ``A V = U Σ``."""
+    d = rng.standard_normal((15, 9))
+    U, s, V, _ = lanczos_svd(from_dense(d), 9, seed=0)
+    assert np.allclose(s, np.linalg.svd(d, compute_uv=False), atol=1e-8)
+    assert np.allclose(d @ V, U * s, atol=1e-8)
 
 
 def test_full_rank_request(rng):

@@ -8,7 +8,6 @@ from repro.linalg import (
     FlopCounter,
     OperatorCounter,
     orthogonality_loss,
-    spectral_norm,
 )
 from repro.sparse import from_dense
 
@@ -18,19 +17,34 @@ def orthonormal_columns(m, k, seed):
 
 
 def test_spectral_norm_matches_numpy(rng):
-    for shape in [(5, 5), (12, 7), (3, 20)]:
-        A = rng.standard_normal(shape)
-        assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-8)
+    """The 2-norm ``orthogonality_loss`` takes of ``QᵀQ − I`` is LAPACK's."""
+    for shape in [(5, 5), (12, 7), (20, 3), (3, 20)]:
+        Q = rng.standard_normal(shape)
+        gram = Q.T @ Q - np.eye(shape[1])
+        assert orthogonality_loss(Q) == pytest.approx(
+            np.linalg.norm(gram, 2), rel=1e-12
+        )
 
 
 def test_spectral_norm_zero_and_empty():
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
-    assert spectral_norm(np.zeros((0, 3))) == 0.0
+    assert orthogonality_loss(np.zeros((4, 0))) == 0.0
+    assert orthogonality_loss(np.zeros((0, 0))) == 0.0
+    # no rows: QᵀQ − I = −I
+    assert orthogonality_loss(np.zeros((0, 3))) == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN through QᵀQ
+def test_orthogonality_loss_of_non_finite_factor_is_nan():
+    Q = np.eye(4, 2)
+    Q[1, 1] = np.nan
+    assert np.isnan(orthogonality_loss(Q))
+    Q[1, 1] = np.inf
+    assert np.isnan(orthogonality_loss(Q))
 
 
 def test_spectral_norm_rejects_vector():
     with pytest.raises(ShapeError):
-        spectral_norm(np.zeros(3))
+        orthogonality_loss(np.zeros(3))
 
 
 def test_orthogonality_loss_zero_for_orthonormal(rng):
@@ -60,7 +74,7 @@ def test_flop_counter():
 
 def test_operator_counter_sparse(rng):
     d = rng.random((6, 4)) * (rng.random((6, 4)) < 0.5)
-    a = from_dense(d).to_csr()
+    a = from_dense(d)
     oc = OperatorCounter(a)
     x = rng.standard_normal(4)
     y = oc.matvec(x)

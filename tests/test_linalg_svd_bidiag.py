@@ -1,11 +1,10 @@
-"""Tests for the truncated-SVD front-end and Golub-Kahan bidiagonalization."""
+"""Tests for the truncated-SVD front-end."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.linalg import golub_kahan_bidiag, truncated_svd
-from repro.linalg.bidiag import bidiagonal_dense
+from repro.linalg import truncated_svd
 from repro.linalg.svd import SVDResult
 from repro.sparse import from_dense
 
@@ -13,10 +12,10 @@ from repro.sparse import from_dense
 @pytest.fixture
 def matrix(rng):
     d = rng.standard_normal((40, 30)) * (rng.random((40, 30)) < 0.3)
-    return d, from_dense(d).to_csc()
+    return d, from_dense(d)
 
 
-@pytest.mark.parametrize("method", ["dense", "lanczos", "gkl"])
+@pytest.mark.parametrize("method", ["dense", "lanczos"])
 def test_backends_agree_with_reference(matrix, method):
     d, a = matrix
     res = truncated_svd(a, 5, method=method)
@@ -34,7 +33,7 @@ def test_auto_uses_dense_for_small(matrix):
 
 def test_auto_uses_lanczos_for_large(rng):
     d = rng.standard_normal((300, 260)) * (rng.random((300, 260)) < 0.02)
-    res = truncated_svd(from_dense(d).to_csr(), 4, method="auto")
+    res = truncated_svd(from_dense(d), 4, method="auto")
     assert res.method == "lanczos"
     assert np.allclose(res.s, np.linalg.svd(d, compute_uv=False)[:4], atol=1e-7)
 
@@ -67,50 +66,15 @@ def test_k_validation(matrix):
 
 def test_unknown_method(matrix):
     _, a = matrix
-    with pytest.raises(ValueError):
-        truncated_svd(a, 2, method="magic")
+    for method in ("magic", "gkl"):
+        with pytest.raises(ValueError, match="unknown SVD method"):
+            truncated_svd(a, 2, method=method)
 
 
 def test_dense_ndarray_input(rng):
     d = rng.standard_normal((12, 9))
     res = truncated_svd(d, 3, method="dense")
     assert np.allclose(res.s, np.linalg.svd(d, compute_uv=False)[:3], atol=1e-9)
-
-
-# --------------------------------------------------------------------- #
-# Golub-Kahan bidiagonalization
-# --------------------------------------------------------------------- #
-def test_gkl_recurrence_holds(rng):
-    d = rng.standard_normal((25, 18))
-    steps = 10
-    U, V, alphas, betas = golub_kahan_bidiag(d, steps, seed=1)
-    B = bidiagonal_dense(alphas, betas)
-    # A V = U B exactly (the remainder term enters the Aᵀ U recurrence).
-    assert np.allclose(d @ V, U @ B, atol=1e-8)
-
-
-def test_gkl_bases_orthonormal(rng):
-    d = rng.standard_normal((30, 22))
-    U, V, _, _ = golub_kahan_bidiag(d, 12, seed=2)
-    assert np.allclose(U.T @ U, np.eye(12), atol=1e-9)
-    assert np.allclose(V.T @ V, np.eye(12), atol=1e-9)
-
-
-def test_gkl_full_steps_capture_spectrum(rng):
-    d = rng.standard_normal((15, 9))
-    U, V, alphas, betas = golub_kahan_bidiag(d, 9, seed=0)
-    B = bidiagonal_dense(alphas, betas)
-    s_b = np.linalg.svd(B, compute_uv=False)
-    s_a = np.linalg.svd(d, compute_uv=False)
-    assert np.allclose(np.sort(s_b), np.sort(s_a), atol=1e-8)
-
-
-def test_gkl_step_validation(rng):
-    d = rng.standard_normal((6, 4))
-    with pytest.raises(ShapeError):
-        golub_kahan_bidiag(d, 0)
-    with pytest.raises(ShapeError):
-        golub_kahan_bidiag(d, 5)
 
 
 def test_svd_result_dataclass_fields():

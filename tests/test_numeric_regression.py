@@ -31,7 +31,7 @@ def test_dense_svd_singular_values_pinned():
 
 def test_lanczos_matches_dense_svd_to_high_precision():
     d = _fixed_matrix()
-    a = from_dense(d).to_csr()
+    a = from_dense(d)
     _, s_l, _, _ = lanczos_svd(a, 5, seed=0)
     _, s_d, _ = dense_svd(d)
     assert np.allclose(s_l, s_d[:5], atol=1e-9)
@@ -60,7 +60,7 @@ def test_log_entropy_weights_pinned():
         [[3.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 2.0, 0.0]]
     )
     wm = apply_weighting(
-        from_dense(counts).to_csc(), WeightingScheme("log", "entropy")
+        from_dense(counts), WeightingScheme("log", "entropy")
     )
     # term 1 is uniform over 3 docs → entropy weight 0; term 2 single-doc
     # → weight 1.
@@ -76,10 +76,10 @@ def test_log_entropy_weights_pinned():
 
 def test_truncated_svd_backend_agreement_tight():
     d = _fixed_matrix()
-    a = from_dense(d).to_csc()
+    a = from_dense(d)
     results = {
         m: truncated_svd(a, 4, method=m).s
-        for m in ("dense", "lanczos", "gkl")
+        for m in ("dense", "lanczos")
     }
     for name, s in results.items():
         assert np.allclose(s, results["dense"], atol=1e-8), name

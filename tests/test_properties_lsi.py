@@ -44,7 +44,7 @@ def test_weighting_factorizes_rowwise(counts, loc, glob):
     """Eq. 5: the weighted matrix is L(i,j) scaled per row by G(i) —
     i.e. two documents with equal counts for a term get weights in the
     same global proportion."""
-    csc = from_dense(counts).to_csc()
+    csc = from_dense(counts)
     wm = apply_weighting(csc, WeightingScheme(loc, glob))
     W = wm.matrix.to_dense()
     g = wm.global_weights

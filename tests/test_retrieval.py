@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.corpus.med import MED_QUERY
 from repro.errors import ShapeError
 from repro.retrieval import (
     FilteringProfile,
@@ -12,6 +13,8 @@ from repro.retrieval import (
     rocchio,
     stream_filter,
 )
+from repro.sparse import from_dense
+from repro.text import ParsingRules, TermDocumentMatrix, Vocabulary, build_tdm
 
 #: What the evaluation harness needs from an engine (duck-typed).
 ENGINE_SURFACE = ("name", "n_documents", "search")
@@ -51,6 +54,45 @@ def test_keyword_matching_documents_boolean():
     kw = KeywordRetrieval.from_texts(["apple pie", "banana split", "apple cake"])
     assert kw.matching_documents("apple") == {0, 2}
     assert kw.matching_documents("zzz") == set()
+
+
+def _dense_matching_set(matrix, term_ids):
+    """Columns with a nonzero on any of ``term_ids``, from the dense form."""
+    return set(np.flatnonzero(matrix.to_dense()[term_ids].any(axis=0)).tolist())
+
+
+def test_keyword_matching_documents_equals_dense_set(med_texts):
+    """Fig. 6's lexical set on MED, and every single- and multi-term query
+    over a vocabulary, equal the set read off the dense matrix."""
+    kw = KeywordRetrieval(build_tdm(med_texts, ParsingRules(min_doc_freq=2)))
+    vocab = kw.tdm.vocabulary
+    ids = [vocab.get(t) for t in MED_QUERY.split() if vocab.get(t) is not None]
+    assert kw.matching_documents(MED_QUERY) == _dense_matching_set(
+        kw.tdm.matrix, ids
+    ) == {0, 7, 9, 10, 11}
+    terms = vocab.to_list()
+    for t, term in enumerate(terms):
+        assert kw.matching_documents([term]) == _dense_matching_set(
+            kw.tdm.matrix, [t]
+        )
+    assert kw.matching_documents(terms[::3]) == _dense_matching_set(
+        kw.tdm.matrix, list(range(0, len(terms), 3))
+    )
+
+
+def test_keyword_matching_documents_empty_rows_and_columns(rng):
+    counts = np.floor(rng.random((20, 15)) * 3) * (rng.random((20, 15)) < 0.25)
+    counts[[3, 8, 9]] = 0.0  # terms in no document
+    counts[:, [0, 6, 14]] = 0.0  # documents with no term
+    vocab = Vocabulary([f"t{i}" for i in range(20)]).freeze()
+    tdm = TermDocumentMatrix(from_dense(counts), vocab, [f"d{j}" for j in range(15)])
+    kw = KeywordRetrieval(tdm)
+    for query in (["t3"], ["t3", "t8"], ["t0", "t9", "t19"], ["t5", "zzz"],
+                  [f"t{i}" for i in range(20)], []):
+        ids = [vocab.get(t) for t in query if vocab.get(t) is not None]
+        assert kw.matching_documents(query) == _dense_matching_set(
+            tdm.matrix, ids
+        ), query
 
 
 def test_keyword_conforms_to_protocol(small_collection):

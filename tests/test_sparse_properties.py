@@ -1,9 +1,10 @@
 """Property-based tests for the sparse substrate (hypothesis).
 
-The invariants: every format round-trips through dense unchanged; the
+The invariants: a CSC matrix round-trips through dense unchanged; the
 matvec/matmat kernels agree with the dense reference on arbitrary
-matrices including pathological sparsity patterns (empty rows/columns,
-duplicate assembly coordinates).
+matrices including pathological sparsity patterns (empty rows/columns);
+assembly from triples sums duplicate coordinates and sorts rows within
+each column.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sparse import COOMatrix, from_dense
+from repro.sparse import CSCMatrix, from_dense
 
 
 @st.composite
@@ -31,14 +32,23 @@ def sparse_dense_pair(draw, max_dim=12):
     return values * mask
 
 
+def assert_rows_sorted(csc):
+    """Row ids strictly increase within every column."""
+    steps = np.diff(csc.indices)
+    inside = np.ones(steps.size, dtype=bool)
+    starts = csc.indptr[1:-1]
+    inside[starts[(starts > 0) & (starts < csc.nnz)] - 1] = False
+    assert np.all(steps[inside] > 0)
+
+
 @given(sparse_dense_pair())
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_all_formats(dense):
-    coo = from_dense(dense)
-    assert np.array_equal(coo.to_dense(), coo.to_csr().to_dense())
-    assert np.array_equal(coo.to_dense(), coo.to_csc().to_dense())
+    csc = from_dense(dense)
     # from_dense drops exact zeros only; stored values match the source.
-    assert np.array_equal(coo.to_dense(), dense * (dense != 0))
+    assert np.array_equal(csc.to_dense(), dense * (dense != 0))
+    assert csc.nnz == np.count_nonzero(dense)
+    assert_rows_sorted(csc)
 
 
 @given(sparse_dense_pair(), st.integers(0, 2**31 - 1))
@@ -47,11 +57,8 @@ def test_matvec_matches_dense(dense, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dense.shape[1])
     y = rng.standard_normal(dense.shape[0])
-    csr = from_dense(dense).to_csr()
-    csc = from_dense(dense).to_csc()
-    assert np.allclose(csr.matvec(x), dense @ x, atol=1e-9)
+    csc = from_dense(dense)
     assert np.allclose(csc.matvec(x), dense @ x, atol=1e-9)
-    assert np.allclose(csr.rmatvec(y), dense.T @ y, atol=1e-9)
     assert np.allclose(csc.rmatvec(y), dense.T @ y, atol=1e-9)
 
 
@@ -60,9 +67,7 @@ def test_matvec_matches_dense(dense, seed):
 def test_matmat_matches_dense(dense, k, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((dense.shape[1], k))
-    csr = from_dense(dense).to_csr()
-    csc = from_dense(dense).to_csc()
-    assert np.allclose(csr.matmat(X), dense @ X, atol=1e-9)
+    csc = from_dense(dense)
     assert np.allclose(csc.matmat(X), dense @ X, atol=1e-9)
 
 
@@ -74,11 +79,13 @@ def test_matmat_matches_dense(dense, k, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_duplicate_assembly_matches_scatter_add(triples):
+    rows = np.array([t[0] for t in triples], dtype=np.int64)
+    cols = np.array([t[1] for t in triples], dtype=np.int64)
+    vals = np.array([t[2] for t in triples], dtype=np.float64)
     ref = np.zeros((6, 6))
-    for i, j, v in triples:
-        ref[i, j] += v
-    rows = [t[0] for t in triples]
-    cols = [t[1] for t in triples]
-    vals = [t[2] for t in triples]
-    coo = COOMatrix((6, 6), rows, cols, vals)
-    assert np.allclose(coo.to_dense(), ref, atol=1e-12)
+    np.add.at(ref, (rows, cols), vals)
+    csc = CSCMatrix.from_triples((6, 6), rows, cols, vals)
+    assert np.allclose(csc.to_dense(), ref, atol=1e-12)
+    # one stored entry per distinct coordinate
+    assert csc.nnz == len(set(zip(rows.tolist(), cols.tolist())))
+    assert_rows_sorted(csc)

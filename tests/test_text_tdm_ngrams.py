@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import MatrixBuilder
 from repro.text import ParsingRules, Vocabulary, build_tdm, char_ngrams
 from repro.text.ngrams import vocabulary_ngrams
 from repro.text.tdm import count_vector, tdm_from_parsed
@@ -54,21 +53,24 @@ def test_tdm_from_parsed():
 
 @pytest.mark.parametrize("corpus", ["medline", "synthetic"])
 def test_column_assembly_matches_per_token_path(corpus, med_texts, small_collection):
-    """One ``add_column`` per document emits the CSC arrays that one
-    bounds-checked ``add`` per token does."""
+    """The assembled CSC arrays are those of a dense count matrix built
+    one token at a time: each column's nonzero rows ascending, their
+    counts, and a pointer over the per-column nonzero counts."""
     texts = med_texts if corpus == "medline" else small_collection.documents
     parsed = parse_corpus(texts, ParsingRules(min_doc_freq=2))
     vocab = parsed.vocabulary
-    reference = MatrixBuilder((len(vocab), parsed.n_documents))
+    dense = np.zeros((len(vocab), parsed.n_documents))
     for j, doc in enumerate(parsed.tokens):
         for t in doc:
-            reference.add(vocab.id_of(t), j, 1.0)
-    want = reference.to_csc()
+            dense[vocab.id_of(t), j] += 1.0
+    rows = [np.flatnonzero(dense[:, j]) for j in range(dense.shape[1])]
     got = tdm_from_parsed(parsed).matrix
-    assert got.shape == want.shape
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert got.shape == dense.shape
+    assert np.array_equal(got.indptr, np.cumsum([0] + [r.size for r in rows]))
+    assert np.array_equal(got.indices, np.concatenate(rows))
+    assert np.array_equal(
+        got.data, np.concatenate([dense[r, j] for j, r in enumerate(rows)])
+    )
 
 
 def test_empty_document_column():

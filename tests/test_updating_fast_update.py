@@ -116,7 +116,7 @@ def topic_scenario(draw):
 def _model_of(base, k):
     m = base.shape[0]
     tdm = TermDocumentMatrix(
-        from_dense(base).to_csc(),
+        from_dense(base),
         Vocabulary([f"w{i}" for i in range(m)]).freeze(),
         [f"D{j}" for j in range(base.shape[1])],
     )

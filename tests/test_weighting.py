@@ -21,7 +21,7 @@ def counts(rng):
 
 @pytest.fixture
 def csc(counts):
-    return from_dense(counts).to_csc()
+    return from_dense(counts)
 
 
 # --------------------------------------------------------------------- #
@@ -84,7 +84,7 @@ def test_global_entropy_range_and_extremes():
     d = np.zeros((2, 4))
     d[0, 0] = 5
     d[1, :] = 3
-    g = global_weight("entropy", from_dense(d).to_csc())
+    g = global_weight("entropy", from_dense(d))
     assert g[0] == pytest.approx(1.0)
     assert g[1] == pytest.approx(0.0, abs=1e-12)
 
@@ -120,7 +120,7 @@ def test_global_unknown_name(csc):
 
 def test_entropy_single_document_collection():
     d = np.array([[2.0], [1.0]])
-    g = global_weight("entropy", from_dense(d).to_csc())
+    g = global_weight("entropy", from_dense(d))
     assert np.allclose(g, 1.0)  # n=1: no entropy information
 
 
@@ -175,15 +175,60 @@ def test_correction_blocks_reconstruct_difference(counts, csc):
     assert np.allclose(old.to_dense() + Y @ Z.T, new.to_dense())
 
 
+def _parent_blocks(old, new, term_ids):
+    """``(Y, Z)`` the per-term way: for each term, a dense row set to the
+    new weights, then the old ones subtracted."""
+    old_d, new_d = old.to_dense(), new.to_dense()
+    Y = np.zeros((old.shape[0], len(term_ids)))
+    Z = np.zeros((old.shape[1], len(term_ids)))
+    for l, t in enumerate(term_ids):
+        Y[t, l] = 1.0
+        Z[:, l] = new_d[t] - old_d[t]
+    return Y, Z
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+def test_correction_blocks_bit_equal_on_fig9_inputs(med_tdm):
+    """The Eq. 12 blocks of ``bench_fig9_svd_update.py``: MED re-weighted
+    from raw to idf over all 18 term rows."""
+    old = apply_weighting(med_tdm.matrix, WeightingScheme("raw", "none")).matrix
+    new = apply_weighting(med_tdm.matrix, WeightingScheme("raw", "idf")).matrix
+    ids = list(range(med_tdm.matrix.shape[0]))
+    Y, Z = weight_correction_blocks(old, new, ids)
+    want_Y, want_Z = _parent_blocks(old, new, ids)
+    assert _same_bits(Y, want_Y) and _same_bits(Z, want_Z)
+
+
+def test_correction_blocks_bit_equal_with_zero_rows(rng):
+    """Rows that are zero in one or both matrices, ids out of order."""
+    counts = np.floor(rng.random((30, 25)) * 4) * (rng.random((30, 25)) < 0.3)
+    counts[[2, 5, 11]] = 0.0
+    counts[:, [0, 9]] = 0.0
+    old = apply_weighting(from_dense(counts), WeightingScheme("log", "entropy")).matrix
+    extra = counts.copy()
+    extra[5, 3] = 2.0  # a row zero in old only
+    new = apply_weighting(from_dense(extra), WeightingScheme("raw", "idf")).matrix
+    ids = [11, 0, 5, 2, 20, 29, 7]
+    Y, Z = weight_correction_blocks(old, new, ids)
+    want_Y, want_Z = _parent_blocks(old, new, ids)
+    assert _same_bits(Y, want_Y) and _same_bits(Z, want_Z)
+    assert np.allclose((old.to_dense() + Y @ Z.T)[ids], new.to_dense()[ids])
+
+
 def test_correction_blocks_empty():
-    a = from_dense(np.eye(3)).to_csc()
+    a = from_dense(np.eye(3))
     Y, Z = weight_correction_blocks(a, a, [])
     assert Y.shape == (3, 0) and Z.shape == (3, 0)
 
 
 def test_correction_blocks_validation(csc):
     with pytest.raises(ShapeError):
-        weight_correction_blocks(csc, from_dense(np.eye(3)).to_csc(), [0])
+        weight_correction_blocks(csc, from_dense(np.eye(3)), [0])
     with pytest.raises(ShapeError):
         weight_correction_blocks(csc, csc, [0, 0])
     with pytest.raises(ShapeError):
