@@ -12,7 +12,8 @@ process):
 2. restart the server on the same data directory and assert it
    recovered **at least** every acknowledged add (acknowledged =
    WAL-fsynced before the HTTP 200 went out), replaying exactly the
-   ``TAIL`` records no seal covered;
+   ``TAIL`` records no seal covered and sealing them (reason
+   ``recover``) before it serves;
 3. build an in-process reference manager that absorbs exactly the adds
    the recovered server reports, and assert ``/search`` responses are
    element-identical — the recovered index is bit-for-bit the index the
@@ -212,6 +213,14 @@ def main() -> None:
             assert replayed and int(replayed.group(1)) == TAIL, (
                 f"expected the {TAIL} unsealed adds replayed: {banner}"
             )
+            # The owner sealed the replayed tail before it served.
+            r = _repro("store", "inspect", data_dir, "--json")
+            assert r.returncode == 0, (r.returncode, r.stdout, r.stderr)
+            newest = json.loads(r.stdout)["checkpoints"][-1]
+            assert newest["reason"] == "recover", (
+                f"the warm restart did not seal its replayed tail: {newest}"
+            )
+            print("  boot seal: the replayed tail sealed as 'recover'")
             client = ServerClient(port=port)
             n_recovered = client.healthz()["n_documents"]
             recovered_adds = n_recovered - len(docs)

@@ -6,10 +6,10 @@
     ``/healthz`` and ``/stats``, graceful drain on SIGINT/SIGTERM.  A
     store ``repro index`` wrote is served read-only.
     With ``--data-dir`` the index is durable (:mod:`repro.store`):
-    every ``/add`` is write-ahead-logged before acknowledgment, the
-    store's seal loop checkpoints on policy (the same loop the writable
-    cluster runs), and a warm restart recovers the exact pre-crash
-    index from the same directory.
+    the store's one owner (the same one the writable cluster runs)
+    write-ahead-logs every ``/add`` before acknowledgment and
+    checkpoints on policy, and a warm restart recovers the exact
+    pre-crash index from the same directory.
     With repeated ``--tenant NAME=PATH`` flags the server hosts many
     named indexes behind one port (:mod:`repro.tenancy`): requests
     route by ``X-Tenant`` header or ``tenant`` body field, cold
@@ -236,7 +236,6 @@ def cmd_serve(args, out) -> int:
         state = ServingState.for_manager(
             manager, ann=train_quantizer(manager.model)
         )
-    store = state.store
 
     def banner() -> str:
         snapshot = state.current()
@@ -244,27 +243,21 @@ def cmd_serve(args, out) -> int:
             f"serving {snapshot.n_documents} documents "
             f"(k={snapshot.k}, "
             f"{'live-updatable' if state.writable else 'read-only'}"
-            + (", durable" if store is not None else "")
+            + (", durable" if state.writer is not None else "")
             + (", ann" if snapshot.ann is not None else "")
             + ")"
         )
 
-    def flush_store() -> None:
-        if store is not None:
-            # Graceful-drain flush: a clean restart replays zero records.
-            store.close(flush=True)
-            print("store flushed", file=out, flush=True)
-
     return serve_until_signal(
         state, banner, args, out,
         draining="rejecting new requests, flushing the queue",
-        after_drain=flush_store,
+        writer=state.writer,
         max_batch=args.max_batch,
     )
 
 
 def serve_until_signal(
-    hosted, banner, args, out, *, draining: str, after_drain=None, **scorer
+    hosted, banner, args, out, *, draining: str, writer=None, **scorer
 ) -> int:
     """Put the front end over ``hosted``, bind, announce, serve until
     SIGINT/SIGTERM, then drain cleanly.
@@ -273,8 +266,9 @@ def serve_until_signal(
     ``scorer`` is the in-process scorer's part of the ``ServerConfig``
     (the shared serving options are read off ``args``).  ``banner()``
     is the start-up line, to which the bound ``on http://host:port`` is
-    appended (supervisors and tests parse it); ``after_drain`` runs once
-    the service has drained, before the final ``drained cleanly``.
+    appended (supervisors and tests parse it).  ``writer``, the owner of
+    the store ``hosted`` writes, runs until the service has drained,
+    then closes with a final flush before ``drained cleanly``.
     """
     import asyncio
     import signal
@@ -292,6 +286,8 @@ def serve_until_signal(
 
     async def run() -> None:
         service = QueryService(hosted, config)
+        if writer is not None:
+            writer.start()
         server = await start_http_server(service, args.host, args.port)
         port = server.sockets[0].getsockname()[1]
         print(
@@ -310,8 +306,9 @@ def serve_until_signal(
         server.close()
         await server.wait_closed()
         await service.drain()
-        if after_drain is not None:
-            after_drain()
+        if writer is not None:
+            await writer.stop(flush=True)
+            print("store flushed", file=out, flush=True)
         print("drained cleanly", file=out, flush=True)
 
     asyncio.run(run())

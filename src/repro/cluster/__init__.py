@@ -21,8 +21,8 @@ With ``--writable`` the cluster also ingests: the
 :class:`~repro.cluster.primary.PrimaryWriter` owns the durable store's
 write lock, WAL-logs every ``/add`` (acknowledged = fsynced, SIGKILL
 recovers bit-identically), applies the Vecharynski-Saad fast SVD
-update per batch, seals format-v2 checkpoints through the store's one
-seal loop (the same one ``repro serve --data-dir`` runs), and
+update per batch, seals format-4 checkpoints through the store's one
+owner (the same one ``repro serve --data-dir`` runs), and
 broadcasts epoch *bumps* — each worker hot-remaps the new checkpoint
 behind an atomic swap while keeping the previous epoch's state alive
 (:mod:`~repro.cluster.epochs`), so in-flight queries finish against

@@ -1,24 +1,19 @@
-"""The primary writer: the cluster's single ingest process.
+"""The primary writer: the fleet's half of the cluster's single ingest process.
 
 Exactly one writer owns the durable store's ``flock`` (the workers are
 lock-free checkpoint consumers), so the cluster's write path is the
-store's write path: every ``/add`` batch is normalized to raw counts,
-appended + fsynced to the write-ahead log, and applied to the live
-:class:`~repro.updating.manager.LSIIndexManager` — acknowledged means
-WAL-fsynced, and a SIGKILL mid-stream recovers bit-identically on
-restart (the store's standing contract).  The ingest kernel is
-the Vecharynski-Saad fast update (:mod:`repro.updating.fast_update`):
+store's, through its one owner, :class:`~repro.store.sealing.
+StoreWriter` — the same one ``repro serve --data-dir`` runs: every
+``/add`` and every seal on its one de-prioritised thread, acknowledged
+means WAL-fsynced, and a SIGKILL mid-stream recovers bit-identically.
+
+What this module adds is the fleet's half.  The ingest kernel is the
+Vecharynski-Saad fast update (:mod:`repro.updating.fast_update`):
 near-fold-in cost per batch, but the factors stay orthonormal, so
 sustained ingest does not accumulate the §4.3 drift folding-in would;
 consolidation still runs the exact SVD-update on the pristine base.
-
-Sealing is the store's one :class:`~repro.store.sealing.SealLoop`, the
-same loop ``repro serve --data-dir`` runs; all store compute — every
-``/add`` and every seal — runs on its one de-prioritised thread.  What
-the writer adds is the fleet's half, as the loop's per-tick hook.
-Propagation is pull-free: after a seal (format-v2 checkpoint, ANN
-quantizer retrained inside) the hook derives the next
-:class:`~repro.cluster.plan.ShardPlan` from the
+Propagation is the owner's per-tick hook: after a seal the hook derives
+the next :class:`~repro.cluster.plan.ShardPlan` from the
 :class:`~repro.store.durable.SealInfo`, points the supervisor's future
 restarts at it, broadcasts a ``bump`` control frame to every live
 worker, and only after the acks publishes the new
@@ -34,23 +29,15 @@ simply degrade that epoch's answers to ``partial`` in the interim.
 from __future__ import annotations
 
 import pathlib
-import sys
 import time
 from typing import Sequence
 
 from repro.cluster.epochs import EpochHandle
 from repro.obs.metrics import registry
-from repro.store.durable import DurableIndexStore, SealInfo
-from repro.store.sealing import CheckpointPolicy, SealLoop
+from repro.store.durable import SealInfo
+from repro.store.sealing import CheckpointPolicy, StoreWriter
 
 __all__ = ["PrimaryWriter"]
-
-#: GIL switch interval while ingest compute co-resides with the scatter
-#: loop.  CPython's 5 ms default lets one store operation monopolize the
-#: interpreter for 5 ms at a stretch — directly visible as query-latency
-#: spikes on small machines.  1 ms keeps the scatter path responsive at
-#: negligible throughput cost for the batch-sized kernels the writer runs.
-_WRITER_SWITCH_INTERVAL_S = 0.001
 
 #: Per-batch ingest kernel the writer runs: the Vecharynski-Saad fast
 #: update, at residual sketch rank :data:`FAST_UPDATE_RANK`.
@@ -58,113 +45,58 @@ INGEST_METHOD = "fast-update"
 FAST_UPDATE_RANK = 8
 
 
-class PrimaryWriter:
-    """Owns the store; seals, bumps, and publishes epochs.
+def _stamp_ingest_kernel(manager) -> str | None:
+    """Set the fleet's ingest kernel after WAL replay (changing it
+    mid-log would break bit-identical replay); ``"adopt"`` — a seal that
+    stamps it before any record lands under it — when that changed it."""
+    changed = (
+        manager.ingest_method != INGEST_METHOD
+        or manager.fast_update_rank != FAST_UPDATE_RANK
+    )
+    manager.ingest_method = INGEST_METHOD
+    manager.fast_update_rank = FAST_UPDATE_RANK
+    return "adopt" if changed else None
 
-    Constructing the writer opens (and therefore locks) the store and
-    immediately seals — ``reason="recover"`` when the WAL held records
-    past the last checkpoint (so the cluster boots serving *every*
-    acknowledged document), ``reason="adopt"`` otherwise (so the first
-    served checkpoint records this writer's ingest configuration, which
-    WAL replay determinism depends on).  :meth:`start` then binds the
-    serving side and starts the store's seal loop under ``policy``.
+
+class PrimaryWriter:
+    """Owns the store through its :class:`StoreWriter`; bumps and
+    publishes epochs.
+
+    Constructing the writer opens (and so locks) the store: the cluster
+    boots serving *every* acknowledged document, from a checkpoint that
+    records this writer's ingest kernel.  :meth:`start` binds the
+    serving side and starts the owner under ``policy``.
     """
 
     def __init__(self, data_dir: pathlib.Path, policy: CheckpointPolicy):
         self.data_dir = pathlib.Path(data_dir)
-        self.store = DurableIndexStore.open(self.data_dir)
-        manager = self.store.manager
-        recovered_dirty = self.store.dirty_records
-        reconfigured = (
-            manager.ingest_method != INGEST_METHOD
-            or manager.fast_update_rank != FAST_UPDATE_RANK
-        )
-        # Reconfigure *after* recovery replayed the WAL under the
-        # checkpoint's persisted settings — changing the kernel mid-log
-        # would break bit-identical replay.  The immediate seal below
-        # stamps the new settings into the manifest before any new
-        # record can land under them.
-        manager.ingest_method = INGEST_METHOD
-        manager.fast_update_rank = FAST_UPDATE_RANK
-        if recovered_dirty > 0:
-            self.store.seal(reason="recover")
-        elif reconfigured or self.store.last_seal is None:
-            self.store.seal(reason="adopt")
-        self.seal_loop = SealLoop(
-            self.store, policy, after_tick=self._after_tick
+        self.writer = StoreWriter.open(
+            self.data_dir,
+            policy,
+            after_tick=self._after_tick,
+            configure=_stamp_ingest_kernel,
         )
         self._service = None
         #: A sealed handle whose bump did not reach quorum yet: the old
         #: epoch keeps serving, and the next tick retries the publish.
         self._pending_handle: EpochHandle | None = None
-        self._prior_switch_interval: float | None = None
         self._publish_writer_gauges()
 
-    # ------------------------------------------------------------------ #
-    @property
-    def sealed_epoch(self) -> int:
-        """Epoch of the newest seal (== its WAL LSN)."""
-        seal = self.store.last_seal
-        return seal.epoch if seal is not None else 0
-
-    @property
-    def wal_lsn(self) -> int:
-        """Last acknowledged WAL LSN — everything durable so far."""
-        return self.store.wal.last_lsn
-
-    def describe(self, serving_epoch: int) -> dict:
-        """The healthz/status ``writer`` block; ``lag_records`` counts
-        the records acknowledged but not yet served at
-        ``serving_epoch``."""
-        manager = self.store.manager
-        return {
-            "enabled": True,
-            "wal_lsn": self.wal_lsn,
-            "sealed_epoch": self.sealed_epoch,
-            "lag_records": max(0, self.wal_lsn - int(serving_epoch)),
-            "pending_documents": manager.pending,
-            "n_documents": manager.n_documents,
-            "ingest_method": manager.ingest_method,
-            "fast_update_rank": manager.fast_update_rank,
-            "seals_total": self.seal_loop.seals_total,
-            "last_seal_unix": time.time() - self.store.seconds_since_checkpoint,
-        }
-
     def _publish_writer_gauges(self) -> None:
-        registry.set_gauge("cluster.writer.wal_lsn", self.wal_lsn)
-        registry.set_gauge("cluster.writer.sealed_epoch", self.sealed_epoch)
+        writer = self.writer
+        registry.set_gauge("cluster.writer.wal_lsn", writer.wal_lsn)
+        registry.set_gauge("cluster.writer.sealed_epoch", writer.sealed_epoch)
         registry.set_gauge(
-            "cluster.writer.pending_documents", self.store.manager.pending
+            "cluster.writer.pending_documents", writer.store.manager.pending
         )
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self, service) -> None:
-        """Bind the serving side and start the seal loop (idempotent)."""
+        """Bind the serving side and start the owner (idempotent)."""
         self._service = service
-        if self._prior_switch_interval is None:
-            current = sys.getswitchinterval()
-            if current > _WRITER_SWITCH_INTERVAL_S:
-                self._prior_switch_interval = current
-                sys.setswitchinterval(_WRITER_SWITCH_INTERVAL_S)
-        self.seal_loop.start()
-
-    async def stop(self, *, flush: bool = True) -> None:
-        """Stop sealing and close the store (final flush checkpoint).
-
-        The writer thread is joined and the switch interval restored
-        even when the close fails — a fenced store refuses its flush
-        but still releases its lock and WAL handle.
-        """
-        try:
-            await self.seal_loop.stop(
-                final=lambda: self.store.close(flush=flush)
-            )
-        finally:
-            if self._prior_switch_interval is not None:
-                sys.setswitchinterval(self._prior_switch_interval)
-                self._prior_switch_interval = None
+        self.writer.start()
 
     # ------------------------------------------------------------------ #
     # the write path
@@ -174,35 +106,33 @@ class PrimaryWriter:
     ) -> dict:
         """WAL-logged ingest; returns once the batch is durable.
 
-        Runs the blocking store write on the seal loop's de-prioritized
-        thread so the event loop keeps scattering queries (and
-        concurrent batches and seals serialize structurally — that pool
-        has one thread).  The response's ``epoch`` is the
-        WAL LSN that acknowledged the batch — queries see the documents
-        after the next seal/bump, which ``lag_records`` tracks.
+        The blocking store write runs on the owner's thread, so the
+        event loop keeps scattering queries.  The response's ``epoch``
+        is the WAL LSN that acknowledged the batch — queries see the
+        documents after the next seal/bump, which ``lag_records``
+        tracks.
         """
         texts = list(texts)
+        store = self.writer.store
         t0 = time.perf_counter()
         # ``doc_ids`` goes as given: the manager rejects a string or a
         # bad list, which ``list()`` here would turn into ids.
-        event = await self.seal_loop.run(
-            lambda: self.store.add_texts(texts, doc_ids)
-        )
+        event = await self.writer.run(lambda: store.add_texts(texts, doc_ids))
         registry.observe(
             "cluster.writer.ingest_seconds", time.perf_counter() - t0
         )
         registry.inc("cluster.writer.documents_total", len(texts))
         self._publish_writer_gauges()
         return {
-            "epoch": self.wal_lsn,
-            "n_documents": self.store.manager.n_documents,
+            "epoch": self.writer.wal_lsn,
+            "n_documents": store.manager.n_documents,
             "action": event.action,
             "reason": event.reason,
             "durable": True,
         }
 
     # ------------------------------------------------------------------ #
-    # the seal loop's hook: bump → quorum → publish, laggard re-bumps
+    # the owner's per-tick hook: bump → quorum → publish, laggard re-bumps
     # ------------------------------------------------------------------ #
     async def _after_tick(self, seal: SealInfo | None) -> None:
         if seal is not None:

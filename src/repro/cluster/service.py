@@ -18,8 +18,8 @@ refused with :class:`~repro.errors.ClusterReadOnlyError`, and a new
 checkpoint is picked up by restarting the cluster.  Given a
 ``writer`` seal policy the service embeds the
 :class:`~repro.cluster.primary.PrimaryWriter`: ``/add`` WAL-logs
-through the durable store, the store's seal loop seals checkpoints on
-that policy and the writer bumps the workers, and the fleet hot-swaps its
+through the store's one owner, which seals checkpoints on that policy,
+the writer bumps the workers, and the fleet hot-swaps its
 :class:`~repro.cluster.epochs.EpochHandle` — ``search`` snapshots the
 handle at entry, so in-flight queries finish against the superseded
 epoch (which every worker retains) and zero queries drop across a bump.
@@ -101,9 +101,9 @@ class ClusterService:
             )
 
         # In writable mode the primary opens (locks) the store *first*
-        # and seals — so the handle pinned below already serves every
-        # WAL-acknowledged document and records the writer's ingest
-        # configuration in its manifest.
+        # and seals when it must — so the handle pinned below already
+        # serves every WAL-acknowledged document and records the
+        # writer's ingest configuration in its manifest.
         self.primary = None
         if self.config.writer is not None:
             self.primary = PrimaryWriter(self.data_dir, self.config.writer)
@@ -144,7 +144,7 @@ class ClusterService:
     # ------------------------------------------------------------------ #
     # The serving epoch: every per-epoch attribute reads through one
     # reference, replaced atomically by ``publish_handle`` — the
-    # multi-process analogue of ``EpochSnapshot.swap``.
+    # multi-process analogue of ``ServingState``'s snapshot swap.
     # ------------------------------------------------------------------ #
     @property
     def handle(self) -> EpochHandle:
@@ -216,7 +216,7 @@ class ClusterService:
         if self.standby is not None:
             await self.standby.stop()
         if self.primary is not None:
-            await self.primary.stop(flush=True)
+            await self.primary.writer.stop(flush=True)
         await self.supervisor.drain()
         self._started = False
 
@@ -328,7 +328,7 @@ class ClusterService:
         if self.primary is None:
             writer = {"enabled": False}
         else:
-            writer = self.primary.describe(handle.epoch)
+            writer = self.primary.writer.describe(handle.epoch)
         payload = {
             "status": status,
             "draining": self.supervisor.draining,

@@ -22,12 +22,14 @@ therefore needs only two loops:
   constructs a real :class:`~repro.cluster.primary.PrimaryWriter`,
   whose store open takes the lock *with a bumped fencing generation*
   (see :mod:`repro.store.lock`), replays the WAL tail past the last
-  seal, and boot-seals ``reason="recover"`` — so the first promoted
-  epoch already serves every record the dead primary ever acked.
+  seal, and boot-seals ``reason="recover"`` when that tail is not
+  empty — so the first promoted epoch already serves every record the
+  dead primary ever acked.
   Zero acked records lost is not a best effort here; it is the store's
   standing recovery contract, inherited.  From then on it seals like a
-  primary started ``--writable``: the store's one
-  :class:`~repro.store.sealing.SealLoop`, under ``StandbyConfig.writer``.
+  primary started ``--writable``: through the store's one
+  :class:`~repro.store.sealing.StoreWriter`, under
+  ``StandbyConfig.writer``.
 
 Promotion is observable end to end: every transition appends a
 timestamped event to the in-memory timeline and (when configured) a
@@ -65,8 +67,8 @@ class StandbyConfig:
     poll_seconds: float = 0.5
     #: JSONL file recording the promotion timeline (``None``: memory only).
     promotion_log: str | None = None
-    #: Seal policy the promoted writer's seal loop runs — normally
-    #: identical to the primary's.
+    #: Seal policy the promoted writer runs — normally identical to the
+    #: primary's.
     writer: CheckpointPolicy = field(default_factory=CheckpointPolicy)
 
 
@@ -184,7 +186,7 @@ class StandbyWriter:
             )
         except OSError:
             pass
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         newest = await loop.run_in_executor(
             self._pool, newest_checkpoint, checkpoints_dir
         )
@@ -226,7 +228,7 @@ class StandbyWriter:
         service = self._service
         if service is None:
             return
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
 
         def _probe() -> bool:
             try:
@@ -242,34 +244,32 @@ class StandbyWriter:
         registry.inc("cluster.standby.adoptions_attempted_total")
         try:
             # Opens the store: takes the flock at generation g+1,
-            # replays the WAL tail, and boot-seals ("recover" when the
-            # dead primary left acked-but-unsealed records, "adopt"
-            # otherwise) — blocking work, kept off the event loop.
-            writer = await loop.run_in_executor(
+            # replays the WAL tail and boot-seals when it must (a failed
+            # seal frees the lock for the next poll) — off the loop.
+            primary = await loop.run_in_executor(
                 self._pool,
                 lambda: PrimaryWriter(self.data_dir, self.config.writer),
             )
         except StoreLockedError:
             self._event("adoption_lost")
             return
+        writer = primary.writer
         seal = writer.store.last_seal
         self._event(
             "adopted",
             wal_lsn=writer.wal_lsn,
-            sealed_epoch=seal.epoch if seal is not None else 0,
-            lock_generation=writer.store._dir_lock.generation
-            if writer.store._dir_lock is not None else 0,
+            sealed_epoch=seal.epoch,
+            lock_generation=writer.store.lock_generation,
         )
-        self.writer = writer
-        service.primary = writer
-        await writer.start(service)
-        # Publish the adoption seal to our own workers before declaring
-        # promotion: once quorum remaps, every previously acked record
-        # is searchable.  A missed quorum parks the handle for the
-        # writer's seal loop to retry — reads keep serving the old epoch
-        # meanwhile, writes are already accepted.
-        if seal is not None and seal.epoch > service.epoch:
-            await writer.publish(seal)
+        self.writer = primary
+        service.primary = primary
+        await primary.start(service)
+        # Publish the newest checkpoint (the boot seal's, or one the
+        # dead primary sealed after our last follow) before declaring
+        # promotion.  A missed quorum parks the handle for the owner's
+        # loop to retry; reads keep serving the old epoch meanwhile.
+        if seal.epoch > service.epoch:
+            await primary.publish(seal)
         self.promoted = True
         registry.set_gauge("cluster.standby.promoted", 1)
         registry.inc("cluster.standby.promotions_total")

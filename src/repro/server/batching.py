@@ -27,6 +27,8 @@ requests before they ever reach this queue.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
 import math
 import numbers
 import time
@@ -124,10 +126,8 @@ class SearchRequest:
 
 
 class MicroBatcher:
-    """The in-process backend: one :class:`ServingState`, its scheduler
-    task that turns a request stream into batches, and its writer lock.
-    Over a store it also runs the state's seal loop, from :meth:`start`
-    to :meth:`stop`."""
+    """The in-process backend: one :class:`ServingState` and its
+    scheduler task that turns a request stream into batches."""
 
     def __init__(self, state: ServingState, *, max_batch: int = 32):
         if max_batch < 1:
@@ -136,20 +136,14 @@ class MicroBatcher:
         self.max_batch = max_batch
         self._queue: asyncio.Queue[SearchRequest] = asyncio.Queue()
         self._task: asyncio.Task | None = None
-        #: One writer at a time *per index*: another tenant's
-        #: consolidation never blocks this one's ``add``.
-        self._add_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Spawn the scheduler task (and the seal loop of a state built
-        over a store) on the running event loop."""
+        """Spawn the scheduler task on the running event loop."""
         if self._task is None:
             self._task = asyncio.get_running_loop().create_task(
                 self._run(), name="repro-server-batcher"
             )
-            if self.state.seal_loop is not None:
-                self.state.seal_loop.start()
 
     def submit(self, request: SearchRequest) -> None:
         """Enqueue an admitted request (event-loop thread only)."""
@@ -161,16 +155,12 @@ class MicroBatcher:
         await self.stop()
 
     async def stop(self) -> None:
-        """Stop the seal loop and cancel the scheduler task (idle after
-        :meth:`drain`: the queue is empty)."""
-        if self.state.seal_loop is not None:
-            await self.state.seal_loop.stop()
+        """Cancel the scheduler task (idle after :meth:`drain`: the
+        queue is empty)."""
         if self._task is not None:
             self._task.cancel()
-            try:
+            with contextlib.suppress(asyncio.CancelledError):
                 await self._task
-            except asyncio.CancelledError:
-                pass
             self._task = None
 
     # ------------------------------------------------------------------ #
@@ -213,16 +203,16 @@ class MicroBatcher:
     async def add(self, texts, doc_ids=None) -> dict:
         """Add documents live; returns the new epoch description.
 
-        Writers are serialized and run on the loop's default executor —
-        off the loop, so flushes go on while a writer updates, and never
-        the seal thread, so a writer waits for a seal's capture at most;
-        readers never wait — in-flight batches finish against their
-        pinned epoch, later batches see the new one.
+        Off the loop, so flushes go on while a writer updates: over a
+        store on its owner's one thread, after any seal in flight;
+        otherwise on the loop's default executor.  Readers never wait —
+        in-flight batches finish against their pinned epoch, later
+        batches see the new one.
         """
-        async with self._add_lock:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, self.state.add_texts, list(texts), doc_ids
-            )
+        add = functools.partial(self.state.add_texts, list(texts), doc_ids)
+        if self.state.writer is not None:
+            return await self.state.writer.run(add)
+        return await asyncio.get_running_loop().run_in_executor(None, add)
 
     def healthz(self) -> dict:
         """The served epoch's block of ``/healthz``."""

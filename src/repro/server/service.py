@@ -20,9 +20,8 @@ is a *backend*, and there are exactly two:
   scatters over shard worker processes.
 
 Both answer ``start()`` / ``drain()`` / ``search(...) → (payload,
-slow-log evidence)`` / ``add(...)`` / ``healthz()``, and the one that
-owns a durable store runs its seal loop from ``start`` to ``drain``;
-everything a request passes on the way there is here, once:
+slow-log evidence)`` / ``add(...)`` / ``healthz()``; everything a
+request passes on the way there is here, once:
 
 * :meth:`search` admits the request against the global bounded queue
   *and* its tenant's quota share (fast 429-style rejection on overload
@@ -171,9 +170,8 @@ class QueryService:
     async def start(self) -> None:
         """Ready the front end and start every resident backend
         (idempotent): a fleet spawns its workers, an in-process scorer
-        its scheduler and — over a store — its seal loop, which then
-        runs until :meth:`drain`.  A cold tenant's backend starts with
-        its first query."""
+        its scheduler.  A cold tenant's backend starts with its first
+        query."""
         self._loop = asyncio.get_running_loop()
         for backend in self._resident().values():
             if isinstance(backend, MicroBatcher):
@@ -311,10 +309,10 @@ class QueryService:
         """Add documents live through the tenant's backend.
 
         In process the reply is the new epoch description: writers to
-        one tenant are serialized and run on the loop's default executor
-        while readers keep being served.  Lazily attached tenants are
-        read-only mmap opens, so ``/add`` against one raises (HTTP 400)
-        like any read-only server.  A fleet acknowledges once its
+        one tenant are serialized and run off the loop (over a store, on
+        its owner's thread) while readers keep being served.  Lazily
+        attached tenants are read-only mmap opens, so ``/add`` against
+        one raises (HTTP 400) like any read-only server.  A fleet acknowledges once its
         primary writer has the batch durable, or refuses read-only
         (:class:`~repro.errors.ClusterReadOnlyError`, HTTP 403).
         """

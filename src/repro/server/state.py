@@ -40,7 +40,7 @@ from repro.serving.kernel import cosine_scores
 from repro.serving.scan import ranked_scan
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint
-from repro.store.sealing import CheckpointPolicy, SealLoop
+from repro.store.sealing import CheckpointPolicy, StoreWriter
 from repro.updating.manager import LSIIndexManager
 
 __all__ = [
@@ -242,8 +242,8 @@ class ServingState:
       drift-policy consolidation when the planner says so) and publish a
       new epoch;
     * **durable** (:meth:`for_store`) — the same, with each addition
-      WAL-logged by the store first, and a seal loop for the backend
-      serving this state to run;
+      WAL-logged by the store first, through the store's one owner
+      (:attr:`writer`);
     * **static** (:meth:`for_model`, or :meth:`open` over a store
       directory) — serve a fitted model read-only; :meth:`add_texts`
       raises.
@@ -261,9 +261,9 @@ class ServingState:
         self._manager = manager
         self._write_lock = threading.Lock()
         #: The durable store additions go through (:meth:`for_store`),
-        #: and the loop that seals it.
+        #: and its owner.
         self.store: DurableIndexStore | None = None
-        self.seal_loop: SealLoop | None = None
+        self.writer: StoreWriter | None = None
         initial = manager.model if manager is not None else model
         self._snapshot = EpochSnapshot(0, initial, ann=ann)
         self._publish_gauges(self._snapshot)
@@ -283,20 +283,17 @@ class ServingState:
     ) -> "ServingState":
         """Live-updatable state whose additions survive a crash.
 
-        Each addition is WAL-logged by ``store`` before its epoch is
-        published; the backend serving this state runs
-        :attr:`seal_loop` (``policy`` over the store) from its start to
-        its drain.  The coarse quantizer is the store's (``store.ann``:
-        the one the seal that wrote its checkpoint trained, ``repro
-        index``'s first seal included).  Seals retrain the on-disk
-        quantizer but do not hot-swap the served one: documents added
-        meanwhile are searched exactly via the fresh-tail rule, and a
-        restart picks up the newest training.
+        ``store`` goes to its owner, :attr:`writer` (``policy`` over the
+        store), on whose thread the server WAL-logs each addition before
+        its epoch is published.  The coarse quantizer is the store's
+        newest; seals retrain the on-disk one but do not hot-swap the
+        served one: documents added meanwhile are searched exactly via
+        the fresh-tail rule, and a restart picks up the newest training.
         """
+        writer = StoreWriter(store, policy)  # its boot seal retrains ann
         kwargs.setdefault("ann", store.ann)
         state = cls(manager=store.manager, **kwargs)
-        state.store = store
-        state.seal_loop = SealLoop(store, policy)
+        state.store, state.writer = store, writer
         return state
 
     @classmethod
@@ -341,8 +338,9 @@ class ServingState:
     ) -> dict:
         """Add documents through the manager and publish a new epoch.
 
-        Blocking (runs the fold-in / consolidation); the service calls
-        it from an executor thread.  In-flight readers keep scoring
+        Blocking (runs the fold-in / consolidation); the server calls it
+        on :attr:`writer`'s thread, or an executor thread with no store,
+        and writers serialize on one mutex.  In-flight readers keep scoring
         their pinned snapshot; the swap is one attribute write.  Over a
         store, the addition is WAL-fsynced before it is applied, so an
         acknowledged fold-in survives a crash.

@@ -22,9 +22,9 @@ production system can restart, kill, and audit:
   that door (``open_latest_model`` / ``open_latest_ann``, mapped with
   ``np.load(mmap_mode="r")``);
 * :mod:`repro.store.sealing` — :class:`CheckpointPolicy` (every N
-  records / M seconds / on consolidation) and :class:`SealLoop`, the
-  one loop every lock holder runs to seal on that policy without
-  blocking the query path;
+  records / M seconds / on consolidation) and :class:`StoreWriter`, the
+  one owner every serving lock holder opens, acknowledges, seals and
+  closes its store through, without blocking the query path;
 * :mod:`repro.store.lock` — the single-writer ``flock`` every
   read-write open holds, so a second writer cannot truncate or swap
   the live WAL under a running server;
@@ -32,11 +32,11 @@ production system can restart, kill, and audit:
   directory owner.
 
 The package sits below every serving tier and imports none of them:
-``repro.server`` builds its durable state over a store
+``repro.server`` builds its durable state over a store's owner
 (``ServingState.for_store``) and ``repro.cluster``'s primary writer
-owns one.  CLI surface: ``python -m repro serve <src> --data-dir DIR``
-(warm restarts resume the exact pre-crash index) and ``python -m repro
-store {inspect,verify,compact} DIR``.
+adds the fleet's half to one.  CLI surface: ``python -m repro serve
+<src> --data-dir DIR`` (warm restarts resume the exact pre-crash index)
+and ``python -m repro store {inspect,verify,compact} DIR``.
 """
 
 from repro.store.checkpoint import (
@@ -63,7 +63,7 @@ from repro.store.recovery import (
     recover_manager,
     restore_manager,
 )
-from repro.store.sealing import CheckpointPolicy, SealLoop
+from repro.store.sealing import CheckpointPolicy, StoreWriter
 from repro.store.wal import WalRecord, WriteAheadLog, scan_wal, verify_wal
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
     "verify_checkpoint",
     "write_checkpoint",
     "CheckpointPolicy",
-    "SealLoop",
+    "StoreWriter",
     "STORE_LAYOUT",
     "DurableIndexStore",
     "StoreLock",

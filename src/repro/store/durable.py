@@ -28,14 +28,14 @@ inspect`` and ``repro store verify`` — go through
 checkpoint manifests and the WAL file without a write handle or the
 lock, so they are safe to run against a directory a live server owns.
 
-The store sits below every serving tier and imports none of them.  A
-serving state built over it (``ServingState.for_store``) routes each
-``/add`` through it before the new epoch is published, and whichever
-process holds the lock runs the one :class:`~repro.store.sealing.
-SealLoop`, which seals on the store's own bookkeeping: dirty records,
-checkpoint age, and the consolidations applied since the capture.  The
-query path is untouched — readers score pinned epoch snapshots
-lock-free, which is what keeps sealing off the latency profile.
+The store sits below every serving tier and imports none of them.
+Whichever serving process holds the lock owns the store through the one
+:class:`~repro.store.sealing.StoreWriter`: every ``/add`` and every seal
+on its one thread, sealing on the store's own bookkeeping — dirty
+records, checkpoint age, and the consolidations applied since the
+capture.  The query path is untouched — readers score pinned epoch
+snapshots lock-free, which is what keeps sealing off the latency
+profile.
 
 Maintenance: :meth:`DurableIndexStore.compact` folds the WAL into a
 fresh checkpoint and truncates it (search results bit-identical, replay
@@ -157,8 +157,7 @@ class DurableIndexStore:
         self._consolidations = 0
         self._checkpoint_consolidations = 0
         self._closed = False
-        #: Description of the newest checkpoint written *by this
-        #: process* (None until the first :meth:`checkpoint`/:meth:`seal`).
+        #: The newest checkpoint this handle opened or sealed.
         self.last_seal: SealInfo | None = None
         registry.set_gauge(
             "store.last_recovery_replayed",
@@ -251,6 +250,10 @@ class DurableIndexStore:
             data_dir, manager, wal, last_recovery=report, dir_lock=dir_lock
         )
         store.ann = ann
+        store.last_seal = SealInfo(
+            opened.info.path, opened.name, opened.epoch, opened.wal_lsn,
+            int(opened.info.meta["n_documents"]),
+        )
         return store
 
     # ------------------------------------------------------------------ #
@@ -265,6 +268,11 @@ class DurableIndexStore:
     def wal(self) -> WriteAheadLog:
         """The live write-ahead log handle."""
         return self._wal
+
+    @property
+    def lock_generation(self) -> int:
+        """The fencing generation this handle's lock acquired."""
+        return self._dir_lock.generation if self._dir_lock is not None else 0
 
     @property
     def dirty_records(self) -> int:

@@ -1,32 +1,33 @@
-"""The one seal loop: when a store's owner folds its WAL into a checkpoint.
+"""The one owner of a locked store: open, acknowledge, seal, close.
 
 A WAL-only store replays ever more records on each restart; sealing
-bounds that by periodically folding live state into a fresh checkpoint.
+bounds that by folding live state into a fresh checkpoint.
 :class:`CheckpointPolicy` says *when* (every N WAL records, every M
-seconds of dirty state, or immediately after a consolidation —
-consolidations rewrite the factor matrices, so the WAL suffix before one
-is expensive to replay); :class:`SealLoop` is the one loop that asks it.
-Every process holding a store's lock runs one: the in-process scorer
-behind ``repro serve --data-dir`` and the cluster's primary writer (a
-standby too, once it promotes).
+seconds of dirty state, or right after a consolidation, whose WAL
+suffix is expensive to replay).  :class:`StoreWriter` is the one owner
+every serving process writes its locked store through — ``repro serve
+--data-dir`` and the cluster's primary writer (a promoted standby too),
+which adds only the fleet's half as the owner's per-tick hook:
 
-The loop is an asyncio task on the serving event loop from server start
-to drain.  Every :data:`POLL_SECONDS` it asks the policy with the
-store's own bookkeeping — dirty WAL records, seconds since the newest
-checkpoint, consolidations applied after that checkpoint's capture —
-seals on its one de-prioritised thread when a trigger fires, then
-awaits the owner's optional ``after_tick`` hook (the fleet's bump →
-quorum → publish and its laggard re-bump).  A failed tick is counted
-(``store.checkpoint_errors``) and retried on the next one: the serving
-path must not die because a disk filled.
+* **boot** — seals ``"recover"`` only when WAL replay left dirty
+  records; otherwise nothing is written and ``last_seal`` is the opened
+  checkpoint.  A failed boot seal closes the store (WAL handle and
+  lock) before it re-raises, so a retry can take the lock.
+* **ack and seal** — every write and every seal runs on the owner's one
+  de-prioritised thread, never on the event loop, so an ``/add`` sent
+  while a seal runs completes after it.  From :meth:`~StoreWriter.start`
+  to :meth:`~StoreWriter.stop` a task asks the policy every
+  :data:`POLL_SECONDS` with the store's own bookkeeping (dirty records,
+  checkpoint age, consolidations the newest checkpoint did not capture),
+  seals when a trigger fires, then awaits ``after_tick``.  A failed tick
+  is counted (``store.checkpoint_errors``) and retried on the next one:
+  the serving path must not die because a disk filled.
+* **close** — :meth:`~StoreWriter.stop` flushes a final checkpoint and
+  releases the lock on the owner's thread.
 
-The non-blocking contract: the query path reads epoch snapshots
-lock-free and is never touched here, and a seal never runs on the event
-loop.  A seal holds the store's writer lock only to *capture* array
-references (the manager replaces arrays, never mutates them) —
-quantizer training, serialization and fsync happen after the lock is
-released, so a writer on another thread (an in-process ``/add``) waits
-for the capture at most.
+The query path reads epoch snapshots lock-free and is never touched
+here.  While the owner runs it holds the switch interval at
+:data:`SWITCH_INTERVAL_S`.
 """
 
 from __future__ import annotations
@@ -34,20 +35,29 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.obs.metrics import registry
+from repro.store.durable import DurableIndexStore
 
-__all__ = ["POLL_SECONDS", "CheckpointPolicy", "SealLoop"]
+__all__ = ["POLL_SECONDS", "CheckpointPolicy", "StoreWriter"]
 
 #: Seal-policy poll cadence, seconds (also the fleet's laggard re-bump
 #: cadence: the fleet's hook runs on every tick).
 POLL_SECONDS = 0.5
 
-#: Niceness delta for the seal thread (Linux schedules niceness per
+#: GIL switch interval while the owner runs.  CPython's 5 ms default
+#: lets one store operation hold the interpreter from the serving loop
+#: for 5 ms at a stretch — query-latency spikes on a small machine; 1 ms
+#: costs the batch-sized kernels the owner runs next to nothing.
+SWITCH_INTERVAL_S = 0.001
+
+#: Niceness delta for the writer thread (Linux schedules niceness per
 #: thread).  Sealing is throughput work; the serving loop and the shard
 #: workers are latency work — same trade RocksDB makes for its
 #: compaction threads.
@@ -112,23 +122,38 @@ class CheckpointPolicy:
         return None
 
 
-class SealLoop:
-    """One store owner's seal loop (see the module docstring).
+class StoreWriter:
+    """The one owner of a locked store (see the module docstring).
 
+    ``configure(manager)`` runs after WAL replay, before the boot seal,
+    and returns the seal reason a setting it changed needs, or None.
     ``after_tick(seal)`` is awaited after every tick with the
-    :class:`~repro.store.durable.SealInfo` the tick sealed, or ``None``.
-    :meth:`run` puts other blocking store work on the loop's thread, so
-    an owner that writes through it serializes its writes with its
-    seals structurally.
+    :class:`~repro.store.durable.SealInfo` it sealed, or ``None``.
     """
 
-    def __init__(self, store, policy: CheckpointPolicy, *, after_tick=None):
+    def __init__(
+        self,
+        store: DurableIndexStore,
+        policy: CheckpointPolicy,
+        *,
+        after_tick=None,
+        configure=None,
+    ):
+        try:
+            stamped = configure(store.manager) if configure else None
+            reason = "recover" if store.dirty_records > 0 else stamped
+            if reason is not None:
+                store.seal(reason)
+        except BaseException:
+            store.close(flush=False)
+            raise
         self.store = store
         self.policy = policy
         self.after_tick = after_tick
-        #: Seals this loop took (not its owner's boot or close seals).
+        #: Seals the policy triggered (not the boot or the close seal).
         self.seals_total = 0
         self._task: asyncio.Task | None = None
+        self._prior_switch_interval: float | None = None
         # Spawns its one thread on first use; joined by ``stop``.
         self._thread = ThreadPoolExecutor(
             max_workers=1,
@@ -136,35 +161,82 @@ class SealLoop:
             initializer=_deprioritize_current_thread,
         )
 
+    @classmethod
+    def open(
+        cls, data_dir, policy: CheckpointPolicy, **kwargs
+    ) -> "StoreWriter":
+        """Open (lock, recover) the store at ``data_dir`` and own it."""
+        return cls(DurableIndexStore.open(data_dir), policy, **kwargs)
+
+    # ------------------------------------------------------------------ #
     @property
     def running(self) -> bool:
-        """Whether the loop is ticking."""
+        """Whether the seal loop is ticking."""
         return self._task is not None and not self._task.done()
 
+    @property
+    def sealed_epoch(self) -> int:
+        """Epoch (== WAL LSN) of the newest checkpoint opened or sealed."""
+        return self.store.last_seal.epoch
+
+    @property
+    def wal_lsn(self) -> int:
+        """Last acknowledged WAL LSN — everything durable so far."""
+        return self.store.wal.last_lsn
+
+    def describe(self, serving_epoch: int) -> dict:
+        """The healthz/status ``writer`` block; ``lag_records`` counts
+        the records acknowledged but not yet served at
+        ``serving_epoch``."""
+        manager = self.store.manager
+        return {
+            "enabled": True,
+            "wal_lsn": self.wal_lsn,
+            "sealed_epoch": self.sealed_epoch,
+            "lag_records": max(0, self.wal_lsn - int(serving_epoch)),
+            "pending_documents": manager.pending,
+            "n_documents": manager.n_documents,
+            "ingest_method": manager.ingest_method,
+            "fast_update_rank": manager.fast_update_rank,
+            "seals_total": self.seals_total,
+            "last_seal_unix": time.time() - self.store.seconds_since_checkpoint,
+        }
+
+    # ------------------------------------------------------------------ #
     def start(self) -> None:
-        """Start ticking on the running event loop (idempotent)."""
+        """Start ticking on the running event loop and hold the switch
+        interval (idempotent)."""
+        if self._prior_switch_interval is None:
+            current = sys.getswitchinterval()
+            if current > SWITCH_INTERVAL_S:
+                self._prior_switch_interval = current
+                sys.setswitchinterval(SWITCH_INTERVAL_S)
         if not self.running:
             self._task = asyncio.get_running_loop().create_task(
                 self._run(), name="repro-seal-loop"
             )
 
-    async def stop(self, final=None) -> None:
-        """Stop ticking, run ``final`` (blocking store work: the owner's
-        close) on the loop's thread, then join that thread — also when
-        ``final`` raises."""
+    async def stop(self, *, flush: bool = True) -> None:
+        """Stop ticking, close the store on the owner's thread (a final
+        checkpoint when ``flush`` and records are dirty), then join the
+        thread and restore the switch interval, also when the close
+        raises (a fenced store refuses its flush, yet closes)."""
         if self._task is not None:
             self._task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._task
             self._task = None
         try:
-            if final is not None:
-                await self.run(final)
+            await self.run(lambda: self.store.close(flush=flush))
         finally:
             self._thread.shutdown(wait=True)
+            if self._prior_switch_interval is not None:
+                sys.setswitchinterval(self._prior_switch_interval)
+                self._prior_switch_interval = None
 
     async def run(self, fn):
-        """``fn()`` on the loop's one de-prioritised thread."""
+        """``fn()`` on the owner's one de-prioritised thread: every
+        write goes here, so writes and seals serialize structurally."""
         return await asyncio.get_running_loop().run_in_executor(
             self._thread, fn
         )

@@ -85,8 +85,9 @@ def fold_in_documents(
     """Fold ``p`` new documents (raw count columns) into the model.
 
     Returns a new model with ``p`` extra document vectors; existing
-    coordinates are shared (not copied), so the no-effect property of
-    §3.3 is structural.
+    coordinates are copied unchanged into the new ``V`` (an
+    ``(n + p) × k`` stack), so the no-effect property of §3.3 is
+    structural.
     """
     with span("lsi.fold.documents") as sp:
         weighted = _weight_columns(model, counts)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cluster.plan import ShardPlan
 from repro.cluster.primary import PrimaryWriter
+from repro.cluster.standby import StandbyConfig, StandbyWriter
 from repro.corpus import SyntheticSpec, topic_collection
 from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
@@ -18,12 +19,14 @@ from repro.server import QueryService, ServingState, manager_from_texts
 from repro.store import (
     CheckpointPolicy,
     DurableIndexStore,
+    StoreLock,
     list_checkpoints,
     open_latest_model,
     read_store_status,
 )
 from repro.store import durable
 from repro.store.durable import RETAIN
+from repro.store.sealing import SWITCH_INTERVAL_S
 from repro.store.wal import scan_wal
 from tests.test_store_checkpoint_wal import array_files
 
@@ -38,9 +41,9 @@ def corpus():
     return col.documents[:20], col.documents[20:], col.queries
 
 
-def seeded_store(corpus, tmp_path, name="store"):
+def seeded_store(corpus, tmp_path, name="store", **fit):
     train, _, _ = corpus
-    manager = manager_from_texts(train, k=6)
+    manager = manager_from_texts(train, k=6, **fit)
     manager.distortion_budget = 0.2
     return DurableIndexStore.initialize(tmp_path / name, manager)
 
@@ -216,7 +219,8 @@ def test_apply_failure_rolls_back_wal(corpus, tmp_path, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# checkpoint policy + the one seal loop, under both of its owners
+# checkpoint policy + the one store owner, as ``serve --data-dir`` and
+# the fleet run it
 # --------------------------------------------------------------------- #
 def test_checkpoint_policy_triggers():
     policy = CheckpointPolicy(every_records=4, every_seconds=60.0)
@@ -234,44 +238,55 @@ def test_checkpoint_policy_triggers():
 
 
 class _Fleet:
-    """The slice of ``ClusterService`` the primary writer's seal hook
-    reads: a one-worker plan, quorum always met, no laggards."""
+    """The slice of ``ClusterService`` the primary writer's hook and a
+    standby's adoption read: a one-worker plan serving ``epoch``, quorum
+    always met, no laggards."""
 
-    def __init__(self):
+    def __init__(self, epoch=0):
         self.plan = ShardPlan.compute(1, 1)
+        self.epoch = epoch
         self.supervisor = SimpleNamespace(describe=list)
         self.published = []
+        self.primary = None
 
     async def propagate_handle(self, handle):
         self.published.append(handle.epoch)
         return True
 
 
-def in_process(corpus, tmp_path, policy):
-    """The loop ``serve --data-dir`` runs: a state built over a store."""
-    state = ServingState.for_store(
-        seeded_store(corpus, tmp_path, "in-process"), policy
-    )
-    return state.seal_loop, state
+def seeded_dir(corpus, path, **fit):
+    """A closed seeded store at ``path``."""
+    seeded_store(corpus, path.parent, path.name, **fit).close(flush=False)
+    return path
 
 
-def fleet(corpus, tmp_path, policy):
-    """The loop the fleet's primary writer runs, bound to a fleet."""
-    seeded_store(corpus, tmp_path, "fleet").close(flush=False)
-    writer = PrimaryWriter(tmp_path / "fleet", policy)
-    writer._service = _Fleet()
-    return writer.seal_loop, writer
+def in_process(data_dir, policy):
+    """The owner ``serve --data-dir`` runs over the store at
+    ``data_dir``, and its ``/add``."""
+    state = ServingState.for_store(DurableIndexStore.open(data_dir), policy)
+    return state.writer, QueryService(state).add
+
+
+def fleet(data_dir, policy):
+    """The owner the fleet's primary writer runs, bound to a fleet, and
+    its ``/add``."""
+    primary = PrimaryWriter(data_dir, policy)
+    primary._service = _Fleet()
+    return primary.writer, primary.add_texts
 
 
 OWNERS = (in_process, fleet)
+each_owner = pytest.mark.parametrize(
+    "owner", OWNERS, ids=lambda owner: owner.__name__
+)
 
 
 def sealed_reason(store):
     return list_checkpoints(store.checkpoints_dir)[-1].meta["reason"]
 
 
-async def close(loop):
-    await loop.stop(final=lambda: loop.store.close(flush=False))
+def full_disk(*args, **kwargs):
+    raise OSError("disk full")
 
 
 async def eventually(condition, what, timeout=10.0):
@@ -282,40 +297,40 @@ async def eventually(condition, what, timeout=10.0):
 
 
 def test_maybe_checkpoint_follows_policy(corpus, tmp_path):
-    """The record and the age trigger, under both owners of the loop."""
+    """The record and the age trigger, under both owners."""
     _, later, _ = corpus
 
     async def main():
         for owner in OWNERS:
-            loop, _ = owner(
-                corpus, tmp_path,
+            writer, _ = owner(
+                seeded_dir(corpus, tmp_path / owner.__name__),
                 CheckpointPolicy(every_records=2, every_seconds=None),
             )
-            store = loop.store
+            store = writer.store
             sealed = len(list_checkpoints(store.checkpoints_dir))
             store.add_texts([later[0]])
-            assert await loop.tick() is None
+            assert await writer.tick() is None
             store.add_texts([later[1]])
-            seal = await loop.tick()
+            seal = await writer.tick()
             assert seal is store.last_seal
             assert sealed_reason(store) == "wal_records>=2"
             assert store.dirty_records == 0
             assert len(list_checkpoints(store.checkpoints_dir)) == sealed + 1
-            assert loop.seals_total == 1
-            await close(loop)
+            assert writer.seals_total == 1
+            await writer.stop(flush=False)
 
         for owner in OWNERS:
-            loop, _ = owner(
-                corpus, tmp_path / "age",
+            writer, _ = owner(
+                seeded_dir(corpus, tmp_path / "age" / owner.__name__),
                 CheckpointPolicy(every_records=None, every_seconds=0.5),
             )
-            store = loop.store
+            store = writer.store
             store.add_texts([later[0]])
-            assert await loop.tick() is None
+            assert await writer.tick() is None
             await asyncio.sleep(0.6)
-            assert await loop.tick() is not None
+            assert await writer.tick() is not None
             assert sealed_reason(store) == "age>=0.5s"
-            await close(loop)
+            await writer.stop(flush=False)
 
     asyncio.run(main())
 
@@ -336,21 +351,18 @@ def test_consolidation_trigger_survives_checkpoint_failure(
     _, later, _ = corpus
     write_checkpoint = durable.write_checkpoint
 
-    def full_disk(*args, **kwargs):
-        raise OSError("disk full")
-
     async def main():
         for owner in OWNERS:
-            loop, _ = owner(
-                corpus, tmp_path,
+            writer, _ = owner(
+                seeded_dir(corpus, tmp_path / owner.__name__),
                 CheckpointPolicy(every_records=None, every_seconds=None),
             )
-            store = loop.store
+            store = writer.store
             add_consolidating(store, later)
 
             monkeypatch.setattr(durable, "write_checkpoint", full_disk)
             with pytest.raises(OSError, match="disk full"):
-                await loop.tick()
+                await writer.tick()
             # ... but the consolidation was not lost with it.
 
             def racing(*args, **kwargs):
@@ -358,35 +370,38 @@ def test_consolidation_trigger_survives_checkpoint_failure(
                 return write_checkpoint(*args, **kwargs)
 
             monkeypatch.setattr(durable, "write_checkpoint", racing)
-            assert await loop.tick() is not None
+            assert await writer.tick() is not None
             assert sealed_reason(store) == "consolidation"
             monkeypatch.setattr(durable, "write_checkpoint", write_checkpoint)
             # The consolidation the capture missed triggers the next seal
             # ...
             assert store.consolidations_since_checkpoint == 1
-            assert await loop.tick() is not None
+            assert await writer.tick() is not None
             assert sealed_reason(store) == "consolidation"
             # ... and a seal debits what it captured: no spurious one.
-            assert await loop.tick() is None
-            await close(loop)
+            assert await writer.tick() is None
+            await writer.stop(flush=False)
 
         deployed = {
             in_process: CheckpointPolicy(every_records=64),  # serve
             fleet: CheckpointPolicy(64, 15.0, on_consolidate=False),
         }
         for owner, policy in deployed.items():
-            loop, _ = owner(corpus, tmp_path / "deployed", policy)
-            add_consolidating(loop.store, later)
-            seal = await loop.tick()
+            writer, _ = owner(
+                seeded_dir(corpus, tmp_path / "deployed" / owner.__name__),
+                policy,
+            )
+            add_consolidating(writer.store, later)
+            seal = await writer.tick()
             assert (seal is not None) == (owner is in_process)
-            await close(loop)
+            await writer.stop(flush=False)
 
     asyncio.run(main())
 
 
 def test_background_checkpointer_thread(corpus, tmp_path, monkeypatch):
-    """The one loop runs from its owner's start to its drain, seals on
-    its de-prioritised thread, and counts and retries a failed seal."""
+    """The owner's loop runs from its start to its stop, seals on its
+    de-prioritised thread, and counts and retries a failed seal."""
     _, later, _ = corpus
 
     def errors():
@@ -394,42 +409,209 @@ def test_background_checkpointer_thread(corpus, tmp_path, monkeypatch):
             "store.checkpoint_errors", 0
         )
 
-    def full_disk(*args, **kwargs):
-        raise OSError("disk full")
-
     async def main():
         policy = CheckpointPolicy(every_records=1, every_seconds=None)
-        loop, state = in_process(corpus, tmp_path, policy)
-        service = QueryService(state)
-        await service.start()  # not the first request: the server start
-        assert loop.running
+        writer, add = in_process(
+            seeded_dir(corpus, tmp_path / "in-process"), policy
+        )
+        writer.start()  # what ``serve`` does at server start
+        assert writer.running
         failed = errors()
         monkeypatch.setattr(durable, "write_checkpoint", full_disk)
-        await service.add([later[0]])
+        await add([later[0]])
         await eventually(lambda: errors() > failed, "no failed tick counted")
         monkeypatch.undo()
         await eventually(
-            lambda: loop.store.dirty_records == 0, "the retry never sealed"
+            lambda: writer.store.dirty_records == 0, "the retry never sealed"
         )
         assert "repro-writer" in {
             t.name.rsplit("_", 1)[0] for t in threading.enumerate()
         }
-        await service.drain()
-        assert not loop.running
-        loop.store.close(flush=False)
+        await writer.stop(flush=False)
+        assert not writer.running
 
         interval = sys.getswitchinterval()
-        loop, writer = fleet(corpus, tmp_path, policy)
-        await writer.start(writer._service)
-        assert loop.running
-        await writer.add_texts([later[0]])
+        primary = PrimaryWriter(seeded_dir(corpus, tmp_path / "fleet"), policy)
+        await primary.start(_Fleet())
+        writer = primary.writer
+        assert writer.running
+        await primary.add_texts([later[0]])
+        # The hook publishes once the seal has returned: wait for that,
+        # not for the seal.
         await eventually(
-            lambda: loop.store.dirty_records == 0, "the fleet never sealed"
+            lambda: primary._service.published == [writer.sealed_epoch],
+            "the fleet never published its seal",
         )
-        assert writer._service.published == [writer.sealed_epoch]
         await writer.stop(flush=False)
-        assert not loop.running
+        assert not writer.running
         assert sys.getswitchinterval() == interval
+
+    asyncio.run(main())
+
+
+# --------------------------------------------------------------------- #
+# one owner: boot, ack, close — the same rules under both
+# --------------------------------------------------------------------- #
+@each_owner
+def test_boot_over_a_dirty_wal_seals_recover(corpus, tmp_path, owner):
+    """Records WAL replay restored are sealed before the owner serves."""
+    _, later, _ = corpus
+    store = seeded_store(corpus, tmp_path)
+    store.add_texts([later[0]])
+    store.add_texts([later[1]])
+    store.close(flush=False)
+    writer, _ = owner(tmp_path / "store", CheckpointPolicy())
+    assert sealed_reason(writer.store) == "recover"
+    assert writer.store.dirty_records == 0
+    assert writer.sealed_epoch == writer.wal_lsn == 2
+    asyncio.run(writer.stop(flush=False))
+
+
+@each_owner
+def test_clean_boot_writes_no_checkpoint(corpus, tmp_path, owner):
+    """With nothing to replay (and the fleet's ingest kernel already
+    stamped) the owner writes nothing, and ``sealed_epoch`` is the
+    opened checkpoint's."""
+    _, later, _ = corpus
+    store = seeded_store(corpus, tmp_path, ingest_method="fast-update")
+    store.add_texts([later[0]])
+    store.add_texts([later[1]])
+    store.checkpoint()
+    store.close(flush=False)
+    before = [info.path for info in list_checkpoints(store.checkpoints_dir)]
+    writer, _ = owner(tmp_path / "store", CheckpointPolicy())
+    after = [info.path for info in list_checkpoints(store.checkpoints_dir)]
+    assert after == before
+    assert writer.sealed_epoch == 2
+    assert writer.store.last_seal.path == before[-1]
+    asyncio.run(writer.stop(flush=False))
+
+
+@each_owner
+def test_an_add_waits_for_the_seal_in_flight(
+    corpus, tmp_path, owner, monkeypatch
+):
+    """An ``/add`` sent while a seal runs completes after it, on the
+    owner's ``repro-writer`` thread."""
+    _, later, _ = corpus
+    write_checkpoint = durable.write_checkpoint
+    sealing, release = threading.Event(), threading.Event()
+    order = []
+
+    def slow_write(*args, **kwargs):
+        sealing.set()
+        release.wait(10)
+        info = write_checkpoint(*args, **kwargs)
+        order.append("sealed")
+        return info
+
+    async def main():
+        writer, add = owner(
+            seeded_dir(corpus, tmp_path / "store"),
+            CheckpointPolicy(every_records=1, every_seconds=None),
+        )
+        store = writer.store
+        add_texts = store.add_texts
+
+        def traced(texts, doc_ids=None):
+            event = add_texts(texts, doc_ids)
+            order.append(threading.current_thread().name)
+            return event
+
+        store.add_texts = traced
+        await add([later[0]])  # dirty: the next tick seals
+        order.clear()
+        monkeypatch.setattr(durable, "write_checkpoint", slow_write)
+        seal = asyncio.ensure_future(writer.tick())
+        assert await asyncio.to_thread(sealing.wait, 10)
+        second = asyncio.ensure_future(add([later[1]]))
+        await asyncio.sleep(0.2)
+        assert not second.done(), "the add ran beside the seal"
+        release.set()
+        await seal
+        await second
+        assert order[0] == "sealed"
+        assert order[1].startswith("repro-writer"), order
+        await writer.stop(flush=False)
+
+    asyncio.run(main())
+
+
+@each_owner
+def test_stop_flushes_frees_the_lock_and_the_switch_interval(
+    corpus, tmp_path, owner
+):
+    """``stop(flush=True)`` seals what is dirty, releases the lock and
+    restores the switch interval the owner held while it ran."""
+    _, later, _ = corpus
+
+    async def main():
+        interval = sys.getswitchinterval()
+        writer, add = owner(
+            seeded_dir(corpus, tmp_path / "store"),
+            CheckpointPolicy(every_records=None, every_seconds=None),
+        )
+        writer.start()
+        assert sys.getswitchinterval() == min(interval, SWITCH_INTERVAL_S)
+        await add([later[0]])
+        assert writer.store.dirty_records == 1
+        await writer.stop(flush=True)
+        assert writer.store.dirty_records == 0
+        assert sealed_reason(writer.store) == "close"
+        assert sys.getswitchinterval() == interval
+        StoreLock.acquire(tmp_path / "store").release()
+
+    asyncio.run(main())
+
+
+@each_owner
+def test_failed_boot_seal_frees_the_lock(corpus, tmp_path, owner, monkeypatch):
+    """A boot seal that raises closes the store — WAL handle and lock —
+    so a retry opens it and serves."""
+    _, later, _ = corpus
+    store = seeded_store(corpus, tmp_path)
+    store.add_texts([later[0]])
+    store.close(flush=False)  # a dirty WAL: the boot must seal
+    monkeypatch.setattr(durable, "write_checkpoint", full_disk)
+    with pytest.raises(OSError, match="disk full"):
+        owner(tmp_path / "store", CheckpointPolicy())
+    monkeypatch.undo()
+    StoreLock.acquire(tmp_path / "store").release()
+
+    async def main():
+        writer, add = owner(tmp_path / "store", CheckpointPolicy())
+        assert sealed_reason(writer.store) == "recover"
+        assert (await add([later[1]]))["n_documents"] == 22
+        await writer.stop(flush=False)
+
+    asyncio.run(main())
+
+
+def test_adoption_publishes_a_seal_the_standby_never_followed(
+    corpus, tmp_path
+):
+    """With no dirty WAL the adoption writes no checkpoint and still
+    publishes the one the dead primary sealed after the standby's last
+    follow."""
+    _, later, _ = corpus
+    data_dir = seeded_dir(
+        corpus, tmp_path / "store", ingest_method="fast-update"
+    )
+    primary = DurableIndexStore.open(data_dir)
+    primary.add_texts([later[0]])
+    primary.seal(reason="primary")
+    primary.close(flush=False)
+
+    async def main():
+        standby = StandbyWriter(data_dir, StandbyConfig(poll_seconds=60.0))
+        service = _Fleet(epoch=0)  # still serving the seed
+        standby._service = service
+        await standby._try_adopt()
+        assert standby.promoted and service.primary is standby.writer
+        assert service.published == [1]
+        assert sealed_reason(standby.writer.writer.store) == "primary"
+        await standby.writer.writer.stop(flush=False)
+        await standby.stop()
 
     asyncio.run(main())
 
