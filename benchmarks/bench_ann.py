@@ -13,7 +13,7 @@ from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
 from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer
-from repro.text import Vocabulary
+from repro.text.vocabulary import Vocabulary
 from repro.util.rng import ensure_rng
 
 

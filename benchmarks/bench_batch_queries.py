@@ -9,10 +9,10 @@ results are identical (asserted), the bench measures the speedup.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi, project_query
-from repro.core.query import batch_project_queries
+from repro.core.build import fit_lsi
+from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.server.state import EpochSnapshot
 
 

@@ -10,15 +10,14 @@ predictor variables".  Times the LSI-feature train+test cycle.
 import numpy as np
 
 from conftest import emit
-from repro.apps import (
+from repro.apps.classification import (
     CentroidClassifier,
     classification_accuracy,
     lsi_features,
 )
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.text import build_tdm
-from repro.text.tdm import count_vector
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.text.tdm import build_tdm, count_vector
 from repro.text.tokenizer import tokenize
 
 

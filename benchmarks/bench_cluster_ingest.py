@@ -26,11 +26,12 @@ import numpy as np
 
 from conftest import SMOKE, emit, summarize
 from obs_export import maybe_export_obs
-from repro.core import fit_lsi_from_tdm
-from repro.sparse import from_dense
-from repro.text import TermDocumentMatrix, Vocabulary
-from repro.updating import update_documents
+from repro.core.build import fit_lsi_from_tdm
+from repro.sparse.build import from_dense
+from repro.text.tdm import TermDocumentMatrix
+from repro.text.vocabulary import Vocabulary
 from repro.updating.fast_update import fast_update_documents
+from repro.updating.svd_update import update_documents
 
 M_TERMS = 1500
 N_BASE = 1200

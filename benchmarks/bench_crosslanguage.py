@@ -8,10 +8,13 @@ monolingual run).  Times the full train+fold pipeline.
 """
 
 from conftest import emit
-from repro.apps import CrossLanguageRetrieval, mate_retrieval_accuracy
-from repro.corpus import crosslang_collection
-from repro.evaluation import evaluate_run, run_engine
-from repro.retrieval import LSIRetrieval
+from repro.apps.crosslanguage import (
+    CrossLanguageRetrieval,
+    mate_retrieval_accuracy,
+)
+from repro.corpus.crosslang import crosslang_collection
+from repro.evaluation.harness import evaluate_run, run_engine
+from repro.retrieval.engine import LSIRetrieval
 
 
 def test_crosslanguage_mate_retrieval(benchmark):

@@ -12,9 +12,10 @@ point (the peak-region model).
 import numpy as np
 
 from conftest import emit
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.evaluation import evaluate_run, run_engine
-from repro.retrieval import KeywordRetrieval, LSIRetrieval
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.evaluation.harness import evaluate_run, run_engine
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 def test_performance_vs_k_curve(benchmark):

@@ -11,11 +11,13 @@ Times the mean-of-3 protocol.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi, project_query
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.core.build import fit_lsi
+from repro.core.query import project_query
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.evaluation.harness import percent_improvement
 from repro.evaluation.metrics import three_point_average_precision
-from repro.evaluation import percent_improvement
-from repro.retrieval import LSIRetrieval, mean_relevant_query, rocchio
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.feedback import mean_relevant_query, rocchio
 
 
 def _setup():

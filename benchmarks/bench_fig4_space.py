@@ -8,7 +8,7 @@ topics vs the blood-disease/fasting group).  Times the k=2 truncated SVD.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi_from_tdm
+from repro.core.build import fit_lsi_from_tdm
 from repro.corpus.med import MED_DOC_IDS, MED_TERMS
 
 

@@ -8,7 +8,7 @@ Times Eq. 6.
 import numpy as np
 
 from conftest import emit
-from repro.core import project_query
+from repro.core.query import project_query
 from repro.corpus.med import MED_QUERY, MED_TERMS, PAPER_QHAT, PAPER_SIGMA_2, PAPER_U2
 
 

@@ -6,15 +6,17 @@ Times the full query→rank→threshold path.
 """
 
 from conftest import emit
-from repro.core import project_query, retrieve
+from repro.core.query import project_query
+from repro.core.similarity import retrieve
 from repro.corpus.med import (
     LEXICAL_MATCH_SET,
     MED_QUERY,
     MED_TOPICS,
     MOST_RELEVANT,
 )
-from repro.retrieval import KeywordRetrieval
-from repro.text import ParsingRules, build_tdm
+from repro.retrieval.keyword import KeywordRetrieval
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
 
 
 def test_fig6_threshold_retrieval(benchmark, med_model):

@@ -9,7 +9,7 @@ import numpy as np
 
 from conftest import emit
 from repro.corpus.med import MED_UPDATE_TOPICS, UPDATE_COLUMNS
-from repro.updating import fold_in_documents, fold_in_terms
+from repro.updating.folding import fold_in_documents, fold_in_terms
 
 
 def test_fig7_folding_in(benchmark, med_model):

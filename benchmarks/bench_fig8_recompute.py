@@ -9,7 +9,7 @@ import numpy as np
 
 from conftest import emit
 from repro.corpus.med import UPDATE_COLUMNS
-from repro.updating import recompute_with_documents
+from repro.updating.recompute import recompute_with_documents
 
 
 def _cos(model, a, b):

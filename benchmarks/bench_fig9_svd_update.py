@@ -9,17 +9,18 @@ term SVD-update (Eq. 11) and the weight correction (Eq. 12).
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi_from_tdm
+from repro.core.build import fit_lsi_from_tdm
 from repro.corpus.med import UPDATE_COLUMNS
-from repro.updating import (
-    drift_report,
-    fold_in_documents,
-    recompute_with_documents,
+from repro.updating.folding import fold_in_documents
+from repro.updating.orthogonality import drift_report
+from repro.updating.recompute import recompute_with_documents
+from repro.updating.svd_update import (
     update_documents,
     update_terms,
     update_weights,
 )
-from repro.weighting import WeightingScheme, apply_weighting, weight_correction_blocks
+from repro.weighting.correction import weight_correction_blocks
+from repro.weighting.schemes import WeightingScheme, apply_weighting
 
 
 def _cos(model, a, b):

@@ -12,15 +12,12 @@ relevant-docs-profile run.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.evaluation import percent_improvement
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.evaluation.harness import percent_improvement
 from repro.evaluation.metrics import average_precision
-from repro.retrieval import (
-    FilteringProfile,
-    KeywordRetrieval,
-    stream_filter,
-)
+from repro.retrieval.filtering import FilteringProfile, stream_filter
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 def _setup():

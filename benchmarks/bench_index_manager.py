@@ -13,10 +13,15 @@ import time
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi_from_tdm, project_query, retrieve
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.text import ParsingRules, build_tdm
-from repro.updating import LSIIndexManager, drift_report, fold_in_texts
+from repro.core.build import fit_lsi_from_tdm
+from repro.core.query import project_query
+from repro.core.similarity import retrieve
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
+from repro.updating.folding import fold_in_texts
+from repro.updating.manager import LSIIndexManager
+from repro.updating.orthogonality import drift_report
 from repro.updating.recompute import recompute_model
 
 
@@ -48,7 +53,8 @@ def test_managed_incremental_index(benchmark):
 
     # (b) recompute after every batch
     t0 = time.perf_counter()
-    from repro.sparse import from_dense, hstack_csc
+    from repro.sparse.build import from_dense
+    from repro.sparse.csc import hstack_csc
     from repro.text.tdm import TermDocumentMatrix, count_vector
     from repro.text.tokenizer import tokenize
 

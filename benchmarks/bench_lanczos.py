@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.linalg import lanczos_svd, truncated_svd
-from repro.sparse import from_dense
+from repro.linalg.lanczos import lanczos_svd
+from repro.linalg.svd import truncated_svd
+from repro.sparse.build import from_dense
 from repro.util.rng import ensure_rng
 
 

@@ -11,7 +11,7 @@ families.  Times the model fit on the morphology corpus.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi
+from repro.core.build import fit_lsi
 from repro.core.similarity import term_term_similarities
 from repro.corpus.morphology import morphology_corpus
 

@@ -44,10 +44,11 @@ from conftest import SMOKE, emit, summarize
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
 from repro.errors import ServerOverloadError
-from repro.server import QueryService, ServerConfig, ServingState
+from repro.server.service import QueryService, ServerConfig
+from repro.server.state import ServingState
 from repro.sparse.csc import CSCMatrix
-from repro.store import DurableIndexStore
-from repro.tenancy import IndexRegistry
+from repro.store.durable import DurableIndexStore
+from repro.tenancy.registry import IndexRegistry
 from repro.text.tdm import TermDocumentMatrix
 from repro.text.vocabulary import Vocabulary
 from repro.updating.manager import LSIIndexManager

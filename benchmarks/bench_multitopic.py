@@ -9,11 +9,12 @@ density-rule search.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi, project_query
+from repro.core.build import fit_lsi
+from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.evaluation.metrics import average_precision
-from repro.retrieval import MultiTopicQuery, multi_topic_scores
+from repro.retrieval.multitopic import MultiTopicQuery, multi_topic_scores
 
 
 def test_multitopic_vs_centroid(benchmark):

@@ -10,10 +10,10 @@ matching as contrasts.  Times the fuzzy query path.
 import numpy as np
 
 from conftest import emit
-from repro.apps import NetlibSearch
-from repro.corpus import netlib_catalogue
-from repro.evaluation import evaluate_run, run_engine
-from repro.retrieval import KeywordRetrieval
+from repro.apps.netlib import NetlibSearch
+from repro.corpus.netlib_like import netlib_catalogue
+from repro.evaluation.harness import evaluate_run, run_engine
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 def test_netlib_fuzzy_search(benchmark):

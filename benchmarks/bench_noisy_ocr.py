@@ -7,8 +7,8 @@ degradation as contrast.  Times the 8.8%-rate experiment.
 """
 
 from conftest import emit
-from repro.apps import noisy_retrieval_experiment
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.apps.noisy import noisy_retrieval_experiment
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 
 
 def test_ocr_degradation_sweep(benchmark):

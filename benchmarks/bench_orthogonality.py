@@ -10,10 +10,10 @@ Times one drift-curve pass.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.evaluation.metrics import three_point_average_precision
-from repro.retrieval import LSIRetrieval
+from repro.retrieval.engine import LSIRetrieval
 from repro.text.tdm import count_vector
 from repro.text.tokenizer import tokenize
 from repro.updating.orthogonality import fold_in_drift_curve

@@ -9,10 +9,9 @@ against the topical ground truth.  Times the constrained assignment.
 import numpy as np
 
 from conftest import emit
-from repro.apps import assign_reviewers
-from repro.apps.people import find_experts, people_vectors
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.apps.people import assign_reviewers, find_experts, people_vectors
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 
 
 def test_reviewer_assignment(benchmark):

@@ -33,11 +33,12 @@ from conftest import SMOKE, emit
 from obs_export import maybe_export_obs
 from repro.core.model import LSIModel
 from repro.core.query import project_query
-from repro.obs import span, tracing_enabled
 from repro.obs.metrics import registry
-from repro.retrieval import LSIRetrieval
+from repro.obs.tracing import span, tracing_enabled
+from repro.retrieval.engine import LSIRetrieval
 from repro.server.state import EpochSnapshot
-from repro.serving import ranked_pairs, scaled_documents
+from repro.serving.index import scaled_documents
+from repro.serving.topk import ranked_pairs
 from repro.text.tdm import count_vector
 from repro.text.vocabulary import Vocabulary
 from repro.weighting.schemes import WeightingScheme

@@ -9,9 +9,10 @@ the query-synonym gap from 0 (queries reuse document wording) to 1
 """
 
 from conftest import emit
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.evaluation import compare_engines
-from repro.retrieval import KeywordRetrieval, LSIRetrieval
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.evaluation.harness import compare_engines
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 def _spec(synonyms: int) -> SyntheticSpec:

@@ -17,11 +17,11 @@ import pytest
 from conftest import emit
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
-from repro.parallel import merge_topk, shard_bounds
+from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server.state import EpochSnapshot
-from repro.sparse import from_dense
+from repro.sparse.build import from_dense
 from repro.sparse.ops import csc_matmat
-from repro.text import Vocabulary
+from repro.text.vocabulary import Vocabulary
 from repro.util.rng import ensure_rng
 
 #: Right-hand-side columns of the ``A @ X`` bench.

@@ -9,7 +9,7 @@ corruptions of a medical lexicon.  Times the correction of one batch.
 import numpy as np
 
 from conftest import emit
-from repro.apps import SpellingCorrector
+from repro.apps.spelling import SpellingCorrector
 from repro.corpus.noise import _corrupt_word
 from repro.util.rng import ensure_rng
 

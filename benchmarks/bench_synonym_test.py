@@ -7,10 +7,10 @@ document co-occurrence counting.  Times the LSI test run.
 """
 
 from conftest import emit
-from repro.apps import run_synonym_test, word_overlap_baseline
-from repro.core import fit_lsi
-from repro.corpus import synonym_test
-from repro.text import build_tdm
+from repro.apps.synonyms import run_synonym_test, word_overlap_baseline
+from repro.core.build import fit_lsi
+from repro.corpus.synonym_test import synonym_test
+from repro.text.tdm import build_tdm
 
 
 def test_toefl_synonym_test(benchmark):

@@ -9,7 +9,8 @@ import numpy as np
 
 from conftest import emit
 from repro.corpus.med import MED_TERMS, MED_TOPICS, TABLE3, med_tdm_parsed
-from repro.text import ParsingRules, build_tdm
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
 
 
 def test_table3_parse_and_assemble(benchmark):

@@ -6,7 +6,9 @@ threshold 0.40, printed beside the paper's columns.  Times the k-sweep
 """
 
 from conftest import emit
-from repro.core import fit_lsi_from_tdm, project_query, retrieve
+from repro.core.build import fit_lsi_from_tdm
+from repro.core.query import project_query
+from repro.core.similarity import retrieve
 from repro.corpus.med import MED_QUERY
 
 PAPER_COLUMNS = {

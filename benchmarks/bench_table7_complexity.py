@@ -12,18 +12,19 @@ import time
 import numpy as np
 
 from conftest import SMOKE, emit
-from repro.core import fit_lsi_from_tdm
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.text import ParsingRules, build_tdm
-from repro.updating import (
+from repro.core.build import fit_lsi_from_tdm
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
+from repro.updating.cost_model import (
     fold_documents_flops,
-    fold_in_documents,
     fold_terms_flops,
     recompute_flops,
-    recompute_with_documents,
     svd_update_flops,
-    update_documents,
 )
+from repro.updating.folding import fold_in_documents
+from repro.updating.recompute import recompute_with_documents
+from repro.updating.svd_update import update_documents
 
 
 #: Median of this many timings per measured row.
@@ -123,8 +124,8 @@ def test_table7_flop_model_and_measured_times(benchmark):
 
 def test_lanczos_cost_model_matches_measured_counts(benchmark):
     """The §4.2 cost expression: I gram products + trp extractions."""
-    from repro.linalg import lanczos_svd
     from repro.linalg.counters import OperatorCounter
+    from repro.linalg.lanczos import lanczos_svd
 
     tdm = _workload()
     counter = OperatorCounter(tdm.matrix)

@@ -15,16 +15,14 @@ Times the sample-then-fold pipeline.
 import numpy as np
 
 from conftest import emit
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection, trec_like_collection
-from repro.evaluation import (
-    compare_engines,
-    evaluate_run,
-    pooled_judgments,
-    run_engine,
-)
-from repro.retrieval import KeywordRetrieval, LSIRetrieval
-from repro.updating import fold_in_texts
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.corpus.trec_like import trec_like_collection
+from repro.evaluation.harness import compare_engines, evaluate_run, run_engine
+from repro.evaluation.pooling import pooled_judgments
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.keyword import KeywordRetrieval
+from repro.updating.folding import fold_in_texts
 
 
 def test_trec_long_queries_and_fold_pipeline(benchmark):

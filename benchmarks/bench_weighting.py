@@ -12,10 +12,14 @@ highlighted.  Times the log×entropy run.
 import numpy as np
 
 from conftest import emit
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.evaluation import evaluate_run, percent_improvement, run_engine
-from repro.retrieval import LSIRetrieval
-from repro.weighting import WeightingScheme
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.evaluation.harness import (
+    evaluate_run,
+    percent_improvement,
+    run_engine,
+)
+from repro.retrieval.engine import LSIRetrieval
+from repro.weighting.schemes import WeightingScheme
 
 
 def _collection(seed):

@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from repro.server import ServerClient
+from repro.server.client import ServerClient
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import recover_manager

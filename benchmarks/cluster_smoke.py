@@ -71,9 +71,10 @@ import numpy as np
 
 from repro.core.query import project_query
 from repro.errors import ServerOverloadError, UnknownTenantError
-from repro.obs import export_trace_jsonl, read_slowlog
+from repro.obs.slowlog import read_slowlog
+from repro.obs.trace_context import export_trace_jsonl
 from repro.parallel.sharding import merge_topk, shard_bounds
-from repro.server import ServerClient
+from repro.server.client import ServerClient
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.serving.index import scaled_rows
 from repro.store.durable import DurableIndexStore

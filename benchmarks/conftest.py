@@ -26,8 +26,9 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi_from_tdm
-from repro.corpus import SyntheticSpec, med_matrix, topic_collection
+from repro.core.build import fit_lsi_from_tdm
+from repro.corpus.med import med_matrix
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

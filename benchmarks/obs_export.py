@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import pathlib
 
-from repro import obs
+from repro.obs.export import snapshot_blob, write_json
 
 __all__ = ["export_obs", "maybe_export_obs", "EXPORT_ENV"]
 
@@ -38,7 +38,7 @@ def export_obs(
     """
     out_dir = pathlib.Path(out_dir) if out_dir is not None else pathlib.Path(".")
     path = out_dir / f"BENCH_obs_{name}.json"
-    return obs.write_json(path, obs.snapshot_blob(name=name, extra=extra))
+    return write_json(path, snapshot_blob(name=name, extra=extra))
 
 
 def maybe_export_obs(

@@ -44,7 +44,8 @@ import numpy as np
 
 from repro.corpus.med import MED_TOPICS
 from repro.retrieval.engine import LSIRetrieval
-from repro.server import ServerClient, manager_from_texts
+from repro.server.client import ServerClient
+from repro.server.state import manager_from_texts
 
 K = 8
 CHECKPOINT_EVERY = 4  # force checkpoint + WAL-suffix mixtures mid-stream

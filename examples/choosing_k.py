@@ -9,15 +9,16 @@ heuristics (energy fraction, spectral gap) against the judged sweep.
 
 import numpy as np
 
-from repro.core import (
+from repro.core.build import fit_lsi
+from repro.core.kselect import (
     choose_k_by_energy,
     choose_k_by_gap,
     choose_k_by_sweep,
-    fit_lsi,
 )
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.evaluation.metrics import three_point_average_precision
-from repro.retrieval import KeywordRetrieval, LSIRetrieval
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 def main() -> None:

@@ -8,8 +8,11 @@ monolingual documents, then match queries across languages and measure
 mate retrieval.
 """
 
-from repro.apps import CrossLanguageRetrieval, mate_retrieval_accuracy
-from repro.corpus import crosslang_collection
+from repro.apps.crosslanguage import (
+    CrossLanguageRetrieval,
+    mate_retrieval_accuracy,
+)
+from repro.corpus.crosslang import crosslang_collection
 
 
 def main() -> None:

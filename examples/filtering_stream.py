@@ -10,10 +10,10 @@ stream recommendation loop with a cosine threshold.
 
 import numpy as np
 
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.evaluation.metrics import average_precision
-from repro.retrieval import FilteringProfile, stream_filter
+from repro.retrieval.filtering import FilteringProfile, stream_filter
 
 
 def main() -> None:

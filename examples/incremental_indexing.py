@@ -8,10 +8,12 @@ cost model — when cheap folding suffices and when to consolidate with a
 true SVD-update.
 """
 
-from repro.core import project_query, retrieve
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.text import ParsingRules, build_tdm
-from repro.updating import LSIIndexManager
+from repro.core.query import project_query
+from repro.core.similarity import retrieve
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
+from repro.updating.manager import LSIIndexManager
 
 
 def main() -> None:

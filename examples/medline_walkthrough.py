@@ -10,7 +10,9 @@ vs recomputing, with the §4.3 orthogonality measurements).
 
 import numpy as np
 
-from repro.core import fit_lsi_from_tdm, project_query, retrieve
+from repro.core.build import fit_lsi_from_tdm
+from repro.core.query import project_query
+from repro.core.similarity import retrieve
 from repro.corpus.med import (
     MED_QUERY,
     MED_TERMS,
@@ -20,12 +22,10 @@ from repro.corpus.med import (
     UPDATE_COLUMNS,
     med_matrix,
 )
-from repro.updating import (
-    drift_report,
-    fold_in_documents,
-    recompute_with_documents,
-    update_documents,
-)
+from repro.updating.folding import fold_in_documents
+from repro.updating.orthogonality import drift_report
+from repro.updating.recompute import recompute_with_documents
+from repro.updating.svd_update import update_documents
 
 
 def doc_cos(model, a, b):

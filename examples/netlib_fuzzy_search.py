@@ -7,9 +7,9 @@ search it the way users ask ("fit a regression line"), by example
 ("more routines like dgels2"), and with mixed composite queries.
 """
 
-from repro.apps import NetlibSearch
-from repro.corpus import netlib_catalogue
-from repro.retrieval import CompositeQuery
+from repro.apps.netlib import NetlibSearch
+from repro.corpus.netlib_like import netlib_catalogue
+from repro.retrieval.composite import CompositeQuery
 
 
 def main() -> None:

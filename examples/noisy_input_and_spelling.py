@@ -7,9 +7,10 @@ shows LSI retrieval is barely disturbed.  Part 2 builds Kukich's n-gram
 × word LSI matrix and corrects misspellings by nearest-word lookup.
 """
 
-from repro.apps import SpellingCorrector, noisy_retrieval_experiment
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.apps.noisy import noisy_retrieval_experiment
+from repro.apps.spelling import SpellingCorrector
 from repro.corpus.noise import ocr_corrupt
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 
 
 def main() -> None:

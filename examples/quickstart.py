@@ -9,16 +9,18 @@ compare with literal keyword matching, and persist the model.
 
 import tempfile
 
+# The quick-start names, from the package's lazily resolved top-level list.
 from repro import (
-    LSIRetrieval,
     KeywordRetrieval,
+    LSIRetrieval,
     ParsingRules,
     project_query,
     rank_documents,
     retrieve,
 )
 from repro.corpus.med import MED_QUERY, MED_TOPICS
-from repro.store import DurableIndexStore, open_checkpoint
+from repro.store.durable import DurableIndexStore
+from repro.store.recovery import open_checkpoint
 from repro.text.tdm import build_tdm
 from repro.updating.manager import LSIIndexManager
 

@@ -8,10 +8,9 @@ paper's constraints (each paper reviewed p times, each reviewer at most
 r papers).  Also demos the Bellcore-Advisor expert finder.
 """
 
-from repro.apps import assign_reviewers
-from repro.apps.people import find_experts, people_vectors
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.apps.people import assign_reviewers, find_experts, people_vectors
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 
 
 def main() -> None:

@@ -7,10 +7,11 @@ returning nearby *terms* (the automatic thesaurus), suggesting index
 terms for a new document, and querying with multiple points of interest.
 """
 
-from repro import ParsingRules, fit_lsi
-from repro.apps import build_thesaurus, suggest_index_terms
+from repro.apps.thesaurus import build_thesaurus, suggest_index_terms
+from repro.core.build import fit_lsi
 from repro.corpus.med import MED_TOPICS
-from repro.retrieval import MultiTopicQuery, multi_topic_search
+from repro.retrieval.multitopic import MultiTopicQuery, multi_topic_search
+from repro.text.parser import ParsingRules
 
 
 def main() -> None:

@@ -32,66 +32,52 @@ Quick start::
         print(doc_id, cosine)
 """
 
-from repro.core import (
-    LSIModel,
-    fit_lsi,
-    fit_lsi_from_tdm,
-    nearest_terms,
-    project_query,
-    rank_documents,
-    retrieve,
-)
-from repro.errors import (
-    ConvergenceError,
-    DeadlineExceededError,
-    EvaluationError,
-    ModelStateError,
-    ReproError,
-    ServerOverloadError,
-    ShapeError,
-    SparseFormatError,
-    VocabularyError,
-)
-from repro.retrieval import KeywordRetrieval, LSIRetrieval
-from repro.text import ParsingRules
-from repro.updating import (
-    fold_in_documents,
-    fold_in_terms,
-    fold_in_texts,
-    update_documents,
-    update_terms,
-    update_weights,
-)
-from repro.weighting import WeightingScheme
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "LSIModel",
-    "fit_lsi",
-    "fit_lsi_from_tdm",
-    "project_query",
-    "rank_documents",
-    "retrieve",
-    "nearest_terms",
-    "LSIRetrieval",
-    "KeywordRetrieval",
-    "ParsingRules",
-    "WeightingScheme",
-    "fold_in_documents",
-    "fold_in_terms",
-    "fold_in_texts",
-    "update_documents",
-    "update_terms",
-    "update_weights",
-    "ReproError",
-    "ShapeError",
-    "SparseFormatError",
-    "ConvergenceError",
-    "VocabularyError",
-    "ModelStateError",
-    "EvaluationError",
-    "ServerOverloadError",
-    "DeadlineExceededError",
-]
+#: The quick-start names, each resolved from the module that defines it
+#: on first access (PEP 562): ``import repro`` loads no subpackage, so a
+#: ``python -m repro`` process imports only what its command runs.
+_QUICK_START = {
+    "LSIModel": "repro.core.model",
+    "fit_lsi": "repro.core.build",
+    "fit_lsi_from_tdm": "repro.core.build",
+    "project_query": "repro.core.query",
+    "rank_documents": "repro.core.similarity",
+    "retrieve": "repro.core.similarity",
+    "nearest_terms": "repro.core.similarity",
+    "LSIRetrieval": "repro.retrieval.engine",
+    "KeywordRetrieval": "repro.retrieval.keyword",
+    "ParsingRules": "repro.text.parser",
+    "WeightingScheme": "repro.weighting.schemes",
+    "fold_in_documents": "repro.updating.folding",
+    "fold_in_terms": "repro.updating.folding",
+    "fold_in_texts": "repro.updating.folding",
+    "update_documents": "repro.updating.svd_update",
+    "update_terms": "repro.updating.svd_update",
+    "update_weights": "repro.updating.svd_update",
+    "ReproError": "repro.errors",
+    "ShapeError": "repro.errors",
+    "SparseFormatError": "repro.errors",
+    "ConvergenceError": "repro.errors",
+    "VocabularyError": "repro.errors",
+    "ModelStateError": "repro.errors",
+    "EvaluationError": "repro.errors",
+    "ServerOverloadError": "repro.errors",
+    "DeadlineExceededError": "repro.errors",
+}
+
+__all__ = ["__version__", *_QUICK_START]
+
+
+def __getattr__(name: str):
+    try:
+        module = _QUICK_START[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

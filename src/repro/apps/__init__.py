@@ -15,35 +15,3 @@ Each module is a self-contained application built on the public core API:
   corrector.
 * :mod:`repro.apps.noisy` — OCR-robust retrieval (8.8% word error rate).
 """
-
-from repro.apps.thesaurus import build_thesaurus, suggest_index_terms
-from repro.apps.crosslanguage import CrossLanguageRetrieval, mate_retrieval_accuracy
-from repro.apps.synonyms import SynonymTestResult, run_synonym_test, word_overlap_baseline
-from repro.apps.people import ReviewerAssignment, assign_reviewers, find_experts
-from repro.apps.spelling import SpellingCorrector
-from repro.apps.noisy import noisy_retrieval_experiment
-from repro.apps.classification import (
-    CentroidClassifier,
-    classification_accuracy,
-    lsi_features,
-)
-from repro.apps.netlib import NetlibSearch
-
-__all__ = [
-    "build_thesaurus",
-    "suggest_index_terms",
-    "CrossLanguageRetrieval",
-    "mate_retrieval_accuracy",
-    "run_synonym_test",
-    "word_overlap_baseline",
-    "SynonymTestResult",
-    "ReviewerAssignment",
-    "assign_reviewers",
-    "find_experts",
-    "SpellingCorrector",
-    "noisy_retrieval_experiment",
-    "CentroidClassifier",
-    "classification_accuracy",
-    "lsi_features",
-    "NetlibSearch",
-]

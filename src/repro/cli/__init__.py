@@ -29,9 +29,10 @@ import pathlib
 import sys
 from typing import Sequence
 
-from repro import obs
 from repro.cli import cluster, serving, toolbox, views
 from repro.errors import ReproError
+from repro.obs.export import dump_state
+from repro.obs.tracing import enable_tracing
 
 __all__ = ["main", "build_parser"]
 
@@ -93,17 +94,17 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     # the previous tracing state is restored for in-process callers.
     # `stats` itself only renders: it neither traces nor persists.
     data = args.command != "stats"
-    prev_tracing = obs.enable_tracing(data)
+    prev_tracing = enable_tracing(data)
     try:
         code = command(args, out)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        obs.enable_tracing(prev_tracing)
+        enable_tracing(prev_tracing)
     if code == 0 and data and not args.no_obs:
         try:
-            obs.dump_state(views.state_path(args))
+            dump_state(views.state_path(args))
         except OSError as exc:  # unwritable state dir: warn, don't fail
             print(f"warning: could not persist obs state: {exc}",
                   file=sys.stderr)

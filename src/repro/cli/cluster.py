@@ -242,14 +242,9 @@ def cmd_worker(args, out) -> int:
 
 def cmd_serve(args, out) -> int:
     """Spawn the fleet (or one per tenant) and serve it until SIGINT."""
-    from repro.cluster import (
-        ClusterConfig,
-        ClusterService,
-        StandbyConfig,
-        SupervisorConfig,
-    )
+    from repro.cluster.service import ClusterConfig, ClusterService
+    from repro.cluster.supervisor import SupervisorConfig
     from repro.errors import ClusterConfigError
-    from repro.store import CheckpointPolicy
 
     if (args.data_dir is None) == (args.tenants is None):
         raise ReproError(
@@ -257,12 +252,29 @@ def cmd_serve(args, out) -> int:
             "tenant) or --tenants (a name -> store-directory JSON map)"
         )
 
-    # A fleet's seal is an epoch bump on every worker, so it is paced by
-    # records and age only: a consolidation never seals on its own.
-    writer = CheckpointPolicy(
-        args.seal_every or None, args.seal_interval or None,
-        on_consolidate=False,
-    )
+    # A read-only fleet loads no writer code: the seal policy and the
+    # standby's config are built only when a writer runs.
+    writer = standby = None
+    if args.writable or args.standby:
+        from repro.store.sealing import CheckpointPolicy
+
+        # A fleet's seal is an epoch bump on every worker, so it is paced
+        # by records and age only: a consolidation never seals on its own.
+        writer = CheckpointPolicy(
+            args.seal_every or None, args.seal_interval or None,
+            on_consolidate=False,
+        )
+    if args.standby:
+        from repro.cluster.standby import StandbyConfig
+
+        standby = StandbyConfig(
+            poll_seconds=args.standby_poll,
+            promotion_log=(
+                str(args.promotion_log)
+                if args.promotion_log is not None else None
+            ),
+            writer=writer,
+        )
     config = ClusterConfig(
         workers=args.workers,
         replication=args.replication,
@@ -272,14 +284,7 @@ def cmd_serve(args, out) -> int:
             backoff_cap=args.restart_backoff_cap,
         ),
         writer=writer if args.writable else None,
-        standby=StandbyConfig(
-            poll_seconds=args.standby_poll,
-            promotion_log=(
-                str(args.promotion_log)
-                if args.promotion_log is not None else None
-            ),
-            writer=writer,
-        ) if args.standby else None,
+        standby=standby,
     )
     announce = lambda line: print(
         f"[supervisor] {line}", file=out, flush=True

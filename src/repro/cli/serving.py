@@ -120,7 +120,7 @@ def tenant_registry(pairs, attach, *, max_resident: int | None):
     ``attach(name, path)`` on its first query, and detaches past
     ``max_resident``.
     """
-    from repro.tenancy import IndexRegistry
+    from repro.tenancy.registry import IndexRegistry
 
     tenants: dict[str, pathlib.Path] = {}
     for name, path in pairs:
@@ -153,7 +153,7 @@ def tenants_banner(registry) -> str:
 # --------------------------------------------------------------------- #
 def _fit_source(args):
     """The live index manager ``serve`` fits from its document source."""
-    from repro.server import manager_from_texts
+    from repro.server.state import manager_from_texts
 
     docs, ids = read_documents(args.source)
     return manager_from_texts(
@@ -166,8 +166,9 @@ def _fit_source(args):
 
 def _durable_state(args, out):
     """Recover or seed the durable store behind ``serve --data-dir``."""
-    from repro.server import ServingState
-    from repro.store import CheckpointPolicy, DurableIndexStore
+    from repro.server.state import ServingState
+    from repro.store.durable import DurableIndexStore
+    from repro.store.sealing import CheckpointPolicy
 
     if DurableIndexStore.exists(args.data_dir):
         store = DurableIndexStore.open(args.data_dir)
@@ -201,8 +202,8 @@ def _durable_state(args, out):
 
 def cmd_serve(args, out) -> int:
     """Build what ``serve`` hosts and run the async server until SIGINT."""
-    from repro.server import ServingState, train_quantizer
-    from repro.store import DurableIndexStore
+    from repro.server.state import ServingState, train_quantizer
+    from repro.store.durable import DurableIndexStore
 
     if args.tenants:
         if args.source is not None or args.data_dir is not None:
@@ -273,7 +274,8 @@ def serve_until_signal(
     import asyncio
     import signal
 
-    from repro.server import QueryService, ServerConfig, start_http_server
+    from repro.server.http import start_http_server
+    from repro.server.service import QueryService, ServerConfig
 
     config = ServerConfig(
         queue_depth=args.queue_depth,

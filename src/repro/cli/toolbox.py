@@ -21,7 +21,9 @@
 so they are safe against a store a server holds.
 :func:`read_documents` is the one reader of a document source, and the
 ``_bounded`` argparse types are the one range check on a numeric
-option; ``serve`` and ``cluster`` share both.
+option; ``serve`` and ``cluster`` share both.  Each command imports the
+library code it runs, so ``import repro.cli`` — every ``python -m
+repro`` start, a shard worker's too — loads none of it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 
-from repro.core.build import fit_lsi_keeping_tdm
-from repro.core.similarity import nearest_terms
 from repro.errors import ReproError
-from repro.retrieval.engine import LSIRetrieval
-from repro.text.parser import ParsingRules
-from repro.updating.manager import LSIIndexManager
 
 
 def _text(path: pathlib.Path) -> str:
@@ -123,13 +120,16 @@ def add_parsers(sub) -> None:
 
 def _checkpoint_model(path: pathlib.Path):
     """The newest checkpoint's model: lock-free and read-only."""
-    from repro.store import open_checkpoint
+    from repro.store.recovery import open_checkpoint
 
     return open_checkpoint(path).model()
 
 
 def cmd_index(args, out) -> int:
-    from repro.store import DurableIndexStore
+    from repro.core.build import fit_lsi_keeping_tdm
+    from repro.store.durable import DurableIndexStore
+    from repro.text.parser import ParsingRules
+    from repro.updating.manager import LSIIndexManager
 
     if args.output.exists() and not args.output.is_dir():
         raise ReproError(f"{args.output} exists and is not a directory")
@@ -156,7 +156,8 @@ def cmd_index(args, out) -> int:
 
 
 def cmd_query(args, out) -> int:
-    from repro.server.batching import check_search_args
+    from repro.retrieval.engine import LSIRetrieval
+    from repro.server.state import check_search_args
 
     check_search_args(top=args.top, threshold=args.threshold)
     model = _checkpoint_model(args.database)
@@ -170,7 +171,7 @@ def cmd_query(args, out) -> int:
 
 
 def cmd_add(args, out) -> int:
-    from repro.store import DurableIndexStore
+    from repro.store.durable import DurableIndexStore
 
     docs, ids = read_documents(args.source)
     if args.source.is_file():
@@ -207,7 +208,8 @@ def cmd_info(args, out) -> int:
 
 
 def cmd_terms(args, out) -> int:
-    from repro.server.batching import check_search_args
+    from repro.core.similarity import nearest_terms
+    from repro.server.state import check_search_args
 
     check_search_args(top=args.top)
     model = _checkpoint_model(args.database)

@@ -19,8 +19,18 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro import obs
 from repro.errors import ReproError
+from repro.obs.export import (
+    SCHEMA,
+    default_state_path,
+    format_snapshot,
+    format_spans,
+    load_state,
+    merge_snapshots,
+)
+from repro.obs.metrics import registry
+from repro.obs.slowlog import format_slowlog, read_slowlog
+from repro.obs.tracing import recent_spans
 
 
 def add_store_parser(sub) -> None:
@@ -89,7 +99,11 @@ def cmd_store(args, out) -> int:
     therefore takes the single-writer lock — it refuses (with a clear
     error) while a server holds the directory.
     """
-    from repro.store import DurableIndexStore, read_store_status, verify_store
+    from repro.store.durable import (
+        DurableIndexStore,
+        read_store_status,
+        verify_store,
+    )
 
     if args.action == "verify":
         n_checkpoints, problems = verify_store(args.data_dir)
@@ -213,7 +227,7 @@ def cmd_tenants(args, out) -> int:
 
 
 def state_path(args) -> pathlib.Path:
-    return args.obs_state if args.obs_state is not None else obs.export.default_state_path()
+    return args.obs_state if args.obs_state is not None else default_state_path()
 
 
 def _stats_tenant_table(dirs: list[pathlib.Path], args, out) -> int:
@@ -224,7 +238,7 @@ def _stats_tenant_table(dirs: list[pathlib.Path], args, out) -> int:
     of a live multi-tenant server.  Tenant names are the directory
     basenames.
     """
-    from repro.store import DurableIndexStore, read_store_status
+    from repro.store.durable import DurableIndexStore, read_store_status
 
     rows: dict[str, dict] = {}
     for path in dirs:
@@ -268,37 +282,37 @@ def cmd_stats(args, out) -> int:
         # merge into the rendered snapshot below.  Read-only: the store is
         # never opened (no lock, no WAL handle, no tail truncation), so
         # this is safe to run against a live server's data directory.
-        from repro.store import DurableIndexStore, publish_store_gauges
+        from repro.store.durable import DurableIndexStore, publish_store_gauges
 
         data_dir = args.data_dir[0]
         if not DurableIndexStore.exists(data_dir):
             raise ReproError(f"{data_dir} is not a durable store")
         publish_store_gauges(data_dir)
     path = state_path(args)
-    state = obs.load_state(path) or {"metrics": {}, "spans": []}
+    state = load_state(path) or {"metrics": {}, "spans": []}
     # Merge in anything recorded by this process (in-process callers see
     # live data; the fresh `python -m repro stats` process contributes
     # nothing and just renders the file).
-    metrics = obs.merge_snapshots(
-        state.get("metrics", {}), obs.registry.snapshot()
+    metrics = merge_snapshots(
+        state.get("metrics", {}), registry.snapshot()
     )
     spans = list(state.get("spans", [])) + [
-        s.to_dict() for s in obs.recent_spans()
+        s.to_dict() for s in recent_spans()
     ]
     slow_entries = (
-        obs.read_slowlog(args.slowlog) if args.slowlog is not None else []
+        read_slowlog(args.slowlog) if args.slowlog is not None else []
     )
     if args.json:
-        blob = {"schema": obs.export.SCHEMA, "metrics": metrics, "spans": spans}
+        blob = {"schema": SCHEMA, "metrics": metrics, "spans": spans}
         if args.slowlog is not None:
             blob["slow_queries"] = slow_entries
         print(json.dumps(blob, indent=2, sort_keys=True), file=out)
     else:
         print(f"observability state: {path}", file=out)
-        print(obs.format_snapshot(metrics), file=out)
-        print(obs.format_spans(spans, limit=args.spans), file=out)
+        print(format_snapshot(metrics), file=out)
+        print(format_spans(spans, limit=args.spans), file=out)
         if args.slowlog is not None:
-            print(obs.format_slowlog(slow_entries), file=out)
+            print(format_slowlog(slow_entries), file=out)
     if args.reset:
         try:
             path.unlink()

@@ -42,33 +42,3 @@ and the WAL read-only, and on primary death adopts the store lock
 (fencing generation bumped — see :mod:`repro.store.lock`), replays the
 WAL tail, and resumes sealing with zero acked records lost.
 """
-
-from repro.cluster.epochs import EpochHandle, open_checkpoint
-from repro.cluster.plan import PLAN_FORMAT, ShardPlan, ShardRange
-from repro.cluster.primary import PrimaryWriter
-from repro.cluster.standby import StandbyConfig, StandbyWriter
-from repro.cluster.router import ClusterResult, ClusterRouter, WorkerChannel
-from repro.cluster.service import ClusterConfig, ClusterService
-from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
-from repro.cluster.worker import ShardWorker, WorkerServer, run_worker
-
-__all__ = [
-    "PLAN_FORMAT",
-    "EpochHandle",
-    "open_checkpoint",
-    "PrimaryWriter",
-    "StandbyConfig",
-    "StandbyWriter",
-    "ShardPlan",
-    "ShardRange",
-    "ClusterResult",
-    "ClusterRouter",
-    "WorkerChannel",
-    "ClusterConfig",
-    "ClusterService",
-    "ClusterSupervisor",
-    "SupervisorConfig",
-    "ShardWorker",
-    "WorkerServer",
-    "run_worker",
-]

@@ -30,21 +30,23 @@ from __future__ import annotations
 import asyncio
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.cluster.epochs import EpochHandle
 from repro.cluster.plan import check_topology
-from repro.cluster.primary import PrimaryWriter
 from repro.cluster.router import ClusterRouter
-from repro.cluster.standby import StandbyConfig, StandbyWriter
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
 from repro.core.query import project_query
 from repro.errors import ClusterConfigError, ClusterReadOnlyError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.store.sealing import CheckpointPolicy
+
+if TYPE_CHECKING:  # the writers load only on a fleet configured with one
+    from repro.cluster.primary import PrimaryWriter
+    from repro.cluster.standby import StandbyConfig, StandbyWriter
+    from repro.store.sealing import CheckpointPolicy
 
 __all__ = ["ClusterConfig", "ClusterService"]
 
@@ -104,8 +106,10 @@ class ClusterService:
         # and seals when it must — so the handle pinned below already
         # serves every WAL-acknowledged document and records the
         # writer's ingest configuration in its manifest.
-        self.primary = None
+        self.primary: PrimaryWriter | None = None
         if self.config.writer is not None:
+            from repro.cluster.primary import PrimaryWriter
+
             self.primary = PrimaryWriter(self.data_dir, self.config.writer)
 
         # The handle memory-maps the checkpoint model for projection (U,
@@ -132,8 +136,10 @@ class ClusterService:
         # The warm standby never touches the store at construction: it
         # starts tailing (and probing the lock) only once the cluster
         # runs, and installs itself as ``self.primary`` on promotion.
-        self.standby = None
+        self.standby: StandbyWriter | None = None
         if self.config.standby is not None:
+            from repro.cluster.standby import StandbyWriter
+
             self.standby = StandbyWriter(self.data_dir, self.config.standby)
 
         self._started = False

@@ -30,7 +30,8 @@ search exactly.
 Both flavours live here so they cannot drift: blocking helpers
 (:func:`send_frame` / :func:`recv_frame`) for the threaded worker, and
 asyncio helpers (:func:`write_frame` / :func:`read_frame`) for the
-scatter-gather router.  A clean EOF *between* frames reads as ``None``
+scatter-gather router, which alone imports :mod:`asyncio`: a worker
+process never loads it.  A clean EOF *between* frames reads as ``None``
 (peer hung up); an EOF *inside* a frame raises ``ConnectionError``
 (peer died mid-message) — the router treats both as worker death, but
 the distinction keeps error reports honest.  Under replication that
@@ -42,16 +43,19 @@ request deadline (see :mod:`repro.cluster.router`).
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ClusterError
 from repro.parallel.sharding import RANKED
 from repro.store.wal import decode_array, encode_array
+
+if TYPE_CHECKING:  # the router's flavour; a worker's threads never load it
+    import asyncio
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -200,6 +204,8 @@ async def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:
     """Read one frame from an asyncio stream; ``None`` on clean EOF."""
+    import asyncio  # loaded already: the caller runs an event loop
+
     try:
         header = await reader.readexactly(_LEN.size)
     except asyncio.IncompleteReadError as exc:

@@ -59,8 +59,7 @@ from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
 from repro.parallel.sharding import RANKED
-from repro.server.batching import check_search_args
-from repro.server.state import EpochSnapshot
+from repro.server.state import EpochSnapshot, check_search_args
 from repro.serving.ann import CoarseQuantizer
 
 __all__ = ["ShardWorker", "WorkerServer", "serve_shard", "run_worker"]

@@ -17,47 +17,3 @@
 * :mod:`repro.corpus.synonym_test` — TOEFL-style multiple-choice synonym
   items over a corpus where synonyms share contexts but never co-occur.
 """
-
-from repro.corpus.collection import TestCollection
-from repro.corpus.med import (
-    MED_DOC_IDS,
-    MED_QUERY,
-    MED_TERMS,
-    MED_TOPICS,
-    MED_UPDATE_TOPICS,
-    med_matrix,
-    med_tdm_parsed,
-    med_update_matrix,
-)
-from repro.corpus.synthetic import SyntheticSpec, topic_collection
-from repro.corpus.crosslang import CrossLanguageSpec, crosslang_collection
-from repro.corpus.trec_like import trec_like_collection
-from repro.corpus.noise import ocr_corrupt, ocr_corrupt_collection
-from repro.corpus.synonym_test import SynonymTest, synonym_test
-from repro.corpus.morphology import MorphologyCorpus, morphology_corpus
-from repro.corpus.netlib_like import NetlibCatalogue, netlib_catalogue
-
-__all__ = [
-    "TestCollection",
-    "MED_TOPICS",
-    "MED_UPDATE_TOPICS",
-    "MED_TERMS",
-    "MED_DOC_IDS",
-    "MED_QUERY",
-    "med_matrix",
-    "med_update_matrix",
-    "med_tdm_parsed",
-    "SyntheticSpec",
-    "topic_collection",
-    "CrossLanguageSpec",
-    "crosslang_collection",
-    "trec_like_collection",
-    "ocr_corrupt",
-    "ocr_corrupt_collection",
-    "SynonymTest",
-    "synonym_test",
-    "MorphologyCorpus",
-    "morphology_corpus",
-    "NetlibCatalogue",
-    "netlib_catalogue",
-]

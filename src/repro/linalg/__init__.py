@@ -21,21 +21,3 @@ The Krylov method, its reorthogonalization and the sparse products
 it drives are written here; LAPACK sees only matrices of the order of
 the Krylov basis or of the update core.
 """
-
-from repro.linalg.tridiag import tridiag_eigh
-from repro.linalg.lanczos import LanczosStats, lanczos_svd
-from repro.linalg.svd import SVDResult, dense_svd, truncated_svd
-from repro.linalg.orth import orthogonality_loss
-from repro.linalg.counters import FlopCounter, OperatorCounter
-
-__all__ = [
-    "tridiag_eigh",
-    "dense_svd",
-    "lanczos_svd",
-    "LanczosStats",
-    "truncated_svd",
-    "SVDResult",
-    "orthogonality_loss",
-    "FlopCounter",
-    "OperatorCounter",
-]

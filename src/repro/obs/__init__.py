@@ -36,77 +36,3 @@ PR 7 made the substrate cluster-wide:
 The serving fast path's counters and timers live in the registry under
 the ``serving.`` prefix.
 """
-
-from repro.obs.aggregate import (
-    label_snapshots,
-    prefix_snapshot,
-)
-from repro.obs.bridge import record_drift, record_lanczos_stats, record_operator
-from repro.obs.export import (
-    dump_state,
-    format_snapshot,
-    format_spans,
-    load_state,
-    merge_snapshots,
-    snapshot_blob,
-    write_json,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    registry,
-)
-from repro.obs.prom import render_prometheus
-from repro.obs.slowlog import SlowQueryLog, format_slowlog, read_slowlog
-from repro.obs.trace_context import (
-    TraceContext,
-    coerce_trace_id,
-    current_trace,
-    export_trace_jsonl,
-    new_trace_id,
-    trace_scope,
-)
-from repro.obs.tracing import (
-    Span,
-    enable_tracing,
-    recent_spans,
-    span,
-    spans_for_trace,
-    tracing_enabled,
-)
-
-__all__ = [
-    "MetricsRegistry",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
-    "registry",
-    "span",
-    "Span",
-    "enable_tracing",
-    "tracing_enabled",
-    "recent_spans",
-    "spans_for_trace",
-    "TraceContext",
-    "new_trace_id",
-    "coerce_trace_id",
-    "current_trace",
-    "trace_scope",
-    "export_trace_jsonl",
-    "prefix_snapshot",
-    "label_snapshots",
-    "render_prometheus",
-    "SlowQueryLog",
-    "read_slowlog",
-    "format_slowlog",
-    "record_operator",
-    "record_lanczos_stats",
-    "record_drift",
-    "snapshot_blob",
-    "merge_snapshots",
-    "write_json",
-    "dump_state",
-    "load_state",
-    "format_snapshot",
-    "format_spans",
-]

@@ -8,7 +8,3 @@ scoring contiguous row ranges in separate worker processes;
 the canonical partition (:func:`shard_bounds`) and the exact top-z merge
 of per-range results (:func:`merge_topk`).
 """
-
-from repro.parallel.sharding import merge_topk, shard_bounds
-
-__all__ = ["shard_bounds", "merge_topk"]

@@ -35,29 +35,3 @@ needs, stdlib-asyncio only:
 
 Run one with ``python -m repro serve <docs-or-model> --port 8080``.
 """
-
-from repro.server.admission import AdmissionController
-from repro.server.batching import MicroBatcher, SearchRequest
-from repro.server.client import ServerClient
-from repro.server.http import start_http_server
-from repro.server.service import QueryService, ServerConfig
-from repro.server.state import (
-    EpochSnapshot,
-    ServingState,
-    manager_from_texts,
-    train_quantizer,
-)
-
-__all__ = [
-    "AdmissionController",
-    "MicroBatcher",
-    "SearchRequest",
-    "ServerClient",
-    "start_http_server",
-    "QueryService",
-    "ServerConfig",
-    "EpochSnapshot",
-    "ServingState",
-    "manager_from_texts",
-    "train_quantizer",
-]

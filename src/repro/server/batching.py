@@ -29,8 +29,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
-import math
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -41,60 +39,20 @@ from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, current_trace
 from repro.obs.tracing import span
 from repro.server.admission import AdmissionController
-from repro.server.state import EpochSnapshot, ServingState
+from repro.server.state import (
+    EpochSnapshot,
+    ServingState,
+    check_search_args,
+)
 
 __all__ = [
     "SearchRequest",
     "MicroBatcher",
     "BATCH_SIZE_BUCKETS",
-    "check_search_args",
 ]
 
 #: Batch-size histogram boundaries (requests per flush), powers of two.
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
-
-def check_search_args(
-    query="", top=None, threshold=None, timeout_ms=None, probes=None, exact=False
-) -> None:
-    """Raise :class:`ReproError` naming the first malformed search field.
-
-    The one definition of a well-formed search: the HTTP front end calls
-    it before any service sees the request (→ 400), the scorer calls it
-    per request so an in-process caller's bad argument fails that
-    request alone, never the batch it was coalesced into, and a shard
-    worker calls it per score frame (which carries projected vectors,
-    not text, so it passes no ``query``).
-    """
-    if probes is not None and (
-        isinstance(probes, bool)
-        or not isinstance(probes, numbers.Integral)
-        or probes < 1
-    ):
-        raise ReproError("'probes' must be a positive integer")
-    if not isinstance(exact, bool):
-        raise ReproError("'exact' must be a boolean")
-    if not isinstance(query, str) and not (
-        isinstance(query, (list, tuple))
-        and all(isinstance(token, str) for token in query)
-    ):
-        raise ReproError("'query' must be a string or a list of strings")
-    if top is not None and (
-        isinstance(top, bool) or not isinstance(top, numbers.Integral) or top < 0
-    ):
-        raise ReproError("'top' must be a non-negative integer")
-    if threshold is not None and (
-        isinstance(threshold, bool)
-        or not isinstance(threshold, numbers.Real)
-        or not math.isfinite(threshold)
-    ):
-        raise ReproError("'threshold' must be a finite number")
-    if timeout_ms is not None and (
-        isinstance(timeout_ms, bool)
-        or not isinstance(timeout_ms, numbers.Real)
-        or not timeout_ms > 0
-    ):
-        raise ReproError("'timeout_ms' must be a positive number")
 
 
 @dataclass

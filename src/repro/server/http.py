@@ -2,10 +2,11 @@
 
 Every route calls one class, :class:`~repro.server.service.QueryService`
 — the front end — whatever its registry hosts (in-process scorers or
-worker fleets, one tenant or many).  The service speaks just enough HTTP/1.1 for production clients and
-``curl``: request line, headers, ``Content-Length`` body, JSON in and
-out, one request per connection.  No framework, no dependency — the
-parser is ~40 lines over :func:`asyncio.start_server` readers.
+worker fleets, one tenant or many).  The service speaks just enough
+HTTP/1.1 for production clients and ``curl``: request line, headers,
+``Content-Length`` body, JSON in and out, keep-alive connections (see
+below).  No framework, no dependency — the parser is ~40 lines over
+:func:`asyncio.start_server` readers.
 
 Routes
 ------
@@ -52,7 +53,8 @@ timed-out work stays correlatable.
 Status mapping: overload → **429**, draining → **503**, expired
 deadline → **504**, write against a read-only cluster → **403**
 (``read_only: true`` in the body), malformed/failed requests →
-**400**, oversized bodies → **413**, unknown routes → **404**.  Overload rejections are
+**400** (a request line without a method and a path too), oversized
+bodies → **413**, unknown routes → **404**.  Overload rejections are
 written and the connection closed before any scoring work happens —
 that is the backpressure contract.
 
@@ -80,8 +82,8 @@ from repro.errors import (
 )
 from repro.obs.trace_context import TraceContext, coerce_trace_id, trace_scope
 from repro.obs.tracing import span
-from repro.server.batching import check_search_args
 from repro.server.service import QueryService
+from repro.server.state import check_search_args
 
 __all__ = ["HttpServer", "start_http_server", "MAX_BODY_BYTES"]
 
@@ -114,7 +116,7 @@ async def _read_request(
         return None
     parts = line.decode("latin-1").split()
     if len(parts) < 2:
-        return None
+        raise ReproError("malformed request line: expected METHOD PATH")
     method, path = parts[0].upper(), parts[1]
     headers: dict[str, str] = {}
     while True:

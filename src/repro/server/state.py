@@ -25,8 +25,10 @@ with every other scorer of that model and frees it with the model.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -38,17 +40,63 @@ from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_documents, scaled_rows
 from repro.serving.kernel import cosine_scores
 from repro.serving.scan import ranked_scan
-from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint
-from repro.store.sealing import CheckpointPolicy, StoreWriter
-from repro.updating.manager import LSIIndexManager
+
+if TYPE_CHECKING:  # the writable flavours' types; a reader never loads them
+    from repro.store.durable import DurableIndexStore
+    from repro.store.sealing import CheckpointPolicy, StoreWriter
+    from repro.updating.manager import LSIIndexManager
 
 __all__ = [
     "EpochSnapshot",
     "ServingState",
+    "check_search_args",
     "manager_from_texts",
     "train_quantizer",
 ]
+
+
+def check_search_args(
+    query="", top=None, threshold=None, timeout_ms=None, probes=None, exact=False
+) -> None:
+    """Raise :class:`ReproError` naming the first malformed search field.
+
+    The one definition of a well-formed search: the HTTP front end calls
+    it before any service sees the request (→ 400), the scorer calls it
+    per request so an in-process caller's bad argument fails that
+    request alone, never the batch it was coalesced into, and a shard
+    worker calls it per score frame (which carries projected vectors,
+    not text, so it passes no ``query``).
+    """
+    if probes is not None and (
+        isinstance(probes, bool)
+        or not isinstance(probes, numbers.Integral)
+        or probes < 1
+    ):
+        raise ReproError("'probes' must be a positive integer")
+    if not isinstance(exact, bool):
+        raise ReproError("'exact' must be a boolean")
+    if not isinstance(query, str) and not (
+        isinstance(query, (list, tuple))
+        and all(isinstance(token, str) for token in query)
+    ):
+        raise ReproError("'query' must be a string or a list of strings")
+    if top is not None and (
+        isinstance(top, bool) or not isinstance(top, numbers.Integral) or top < 0
+    ):
+        raise ReproError("'top' must be a non-negative integer")
+    if threshold is not None and (
+        isinstance(threshold, bool)
+        or not isinstance(threshold, numbers.Real)
+        or not math.isfinite(threshold)
+    ):
+        raise ReproError("'threshold' must be a finite number")
+    if timeout_ms is not None and (
+        isinstance(timeout_ms, bool)
+        or not isinstance(timeout_ms, numbers.Real)
+        or not timeout_ms > 0
+    ):
+        raise ReproError("'timeout_ms' must be a positive number")
 
 
 def _per_query(value, q: int) -> list:
@@ -278,19 +326,23 @@ class ServingState:
     def for_store(
         cls,
         store: DurableIndexStore,
-        policy: CheckpointPolicy = CheckpointPolicy(),
+        policy: CheckpointPolicy | None = None,
         **kwargs,
     ) -> "ServingState":
         """Live-updatable state whose additions survive a crash.
 
         ``store`` goes to its owner, :attr:`writer` (``policy`` over the
-        store), on whose thread the server WAL-logs each addition before
-        its epoch is published.  The coarse quantizer is the store's
-        newest; seals retrain the on-disk one but do not hot-swap the
-        served one: documents added meanwhile are searched exactly via
-        the fresh-tail rule, and a restart picks up the newest training.
+        store, the default :class:`CheckpointPolicy` when ``None``), on
+        whose thread the server WAL-logs each addition before its epoch
+        is published.  The coarse quantizer is the store's newest; seals
+        retrain the on-disk one but do not hot-swap the served one:
+        documents added meanwhile are searched exactly via the
+        fresh-tail rule, and a restart picks up the newest training.
         """
-        writer = StoreWriter(store, policy)  # its boot seal retrains ann
+        from repro.store.sealing import CheckpointPolicy, StoreWriter
+
+        # Its boot seal retrains ann.
+        writer = StoreWriter(store, policy or CheckpointPolicy())
         kwargs.setdefault("ann", store.ann)
         state = cls(manager=store.manager, **kwargs)
         state.store, state.writer = store, writer
@@ -407,6 +459,7 @@ def manager_from_texts(
     """
     from repro.text.parser import ParsingRules
     from repro.text.tdm import build_tdm
+    from repro.updating.manager import LSIIndexManager
 
     rules = ParsingRules(min_doc_freq=min_doc_freq)
     tdm = build_tdm(list(texts), rules, doc_ids=doc_ids)

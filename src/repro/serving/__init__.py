@@ -28,21 +28,3 @@ quantities are built once and queried many times:
 Perf counters for all of the above live in
 :data:`repro.obs.metrics.registry` under the ``serving.`` prefix.
 """
-
-from repro.serving.index import ScaledRows, scaled_documents, scaled_rows
-from repro.serving.kernel import cosine_scores, row_cosines, row_norms
-from repro.serving.scan import ranked_scan
-from repro.serving.topk import ranked_order, ranked_pairs, topk_indices
-
-__all__ = [
-    "ScaledRows",
-    "scaled_documents",
-    "scaled_rows",
-    "cosine_scores",
-    "row_cosines",
-    "row_norms",
-    "ranked_scan",
-    "topk_indices",
-    "ranked_order",
-    "ranked_pairs",
-]

@@ -50,7 +50,6 @@ from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.serving.index import ScaledRows
 from repro.serving.scan import bounded, cut_and_rescore, unit_queries
-from repro.util.rng import ensure_rng
 
 __all__ = [
     "ANN_ARRAY_NAMES",
@@ -116,6 +115,8 @@ def kmeans(
     passes are chunked so memory stays O(chunk · c) at any collection
     size.
     """
+    from repro.util.rng import ensure_rng  # training only: readers never seed
+
     X = np.asarray(points, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("points must be 2-D")
@@ -239,6 +240,8 @@ class CoarseQuantizer:
         if sample is None:
             sample = max(10_000, 64 * n_clusters)
         if n > sample:
+            from repro.util.rng import ensure_rng
+
             rng = ensure_rng(seed)
             pick = np.sort(rng.choice(n, size=sample, replace=False))
             centroids, _ = kmeans(

@@ -19,8 +19,3 @@ A matrix stores ``float64`` data and ``int64`` indices, is immutable
 after construction, and validates its invariants eagerly (see
 :class:`repro.errors.SparseFormatError`).
 """
-
-from repro.sparse.csc import CSCMatrix, hstack_csc
-from repro.sparse.build import from_dense
-
-__all__ = ["CSCMatrix", "from_dense", "hstack_csc"]

@@ -38,58 +38,3 @@ adds the fleet's half to one.  CLI surface: ``python -m repro serve
 <src> --data-dir DIR`` (warm restarts resume the exact pre-crash index)
 and ``python -m repro store {inspect,verify,compact} DIR``.
 """
-
-from repro.store.checkpoint import (
-    CHECKPOINT_FORMAT,
-    CheckpointInfo,
-    list_checkpoints,
-    verify_checkpoint,
-    write_checkpoint,
-)
-from repro.store.durable import (
-    STORE_LAYOUT,
-    DurableIndexStore,
-    publish_store_gauges,
-    read_store_status,
-    verify_store,
-)
-from repro.store.lock import StoreLock
-from repro.store.mmap_io import open_latest_ann, open_latest_model
-from repro.store.recovery import (
-    OpenedCheckpoint,
-    RecoveryReport,
-    capture_manager,
-    open_checkpoint,
-    recover_manager,
-    restore_manager,
-)
-from repro.store.sealing import CheckpointPolicy, StoreWriter
-from repro.store.wal import WalRecord, WriteAheadLog, scan_wal, verify_wal
-
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "CheckpointInfo",
-    "list_checkpoints",
-    "verify_checkpoint",
-    "write_checkpoint",
-    "CheckpointPolicy",
-    "StoreWriter",
-    "STORE_LAYOUT",
-    "DurableIndexStore",
-    "StoreLock",
-    "publish_store_gauges",
-    "read_store_status",
-    "verify_store",
-    "open_checkpoint",
-    "open_latest_ann",
-    "open_latest_model",
-    "OpenedCheckpoint",
-    "RecoveryReport",
-    "capture_manager",
-    "recover_manager",
-    "restore_manager",
-    "WalRecord",
-    "WriteAheadLog",
-    "scan_wal",
-    "verify_wal",
-]

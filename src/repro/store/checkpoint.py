@@ -12,9 +12,10 @@ The write protocol makes a checkpoint appear atomically even across a
 crash: every array is written into a ``.tmp`` sibling directory and
 fsynced, the manifest (written last) is fsynced, the directory is
 renamed to its final ``ckpt-<id>`` name, and the parent directory is
-fsynced.  A reader therefore either sees a complete checkpoint or none;
-leftover ``.tmp`` directories are garbage from a crash and are skipped
-(and reaped) by :func:`list_checkpoints`.
+fsynced.  A reader therefore either sees a complete checkpoint or none:
+every listing skips ``.tmp`` directories and deletes none — one may be
+a write in flight in another process.  A crash's leftover is removed by
+the next writer of that id (:func:`write_checkpoint`).
 
 Arrays are stored as individual ``.npy`` files rather than one archive
 so read-only serving replicas can open them with
@@ -277,17 +278,17 @@ def read_arrays(
 
 def checkpoint_dirs(root: pathlib.Path) -> list[pathlib.Path]:
     """The ``ckpt-<id>`` directories under ``root``, ascending by id,
-    without reading a manifest.  Incomplete ``.tmp`` directories (crash
-    debris) are removed on the way."""
+    without reading a manifest.  A ``.tmp`` directory is not one, and is
+    left alone: lock-free readers list too, and deleting another
+    process's write in flight would leave its renamed checkpoint without
+    the arrays the manifest names."""
     root = pathlib.Path(root)
     if not root.is_dir():
         return []
-    found = []
-    for entry in root.iterdir():
-        if entry.name.endswith(".tmp"):
-            shutil.rmtree(entry, ignore_errors=True)
-        elif _parse_id(entry.name) is not None and entry.is_dir():
-            found.append(entry)
+    found = [
+        entry for entry in root.iterdir()
+        if _parse_id(entry.name) is not None and entry.is_dir()
+    ]
     return sorted(found, key=lambda entry: _parse_id(entry.name))
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from repro.errors import StoreCorruptError, StoreError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.serving.ann import CoarseQuantizer
-from repro.sparse.csc import CSCMatrix
 from repro.store.checkpoint import (
     CHECKPOINTS_DIR,
     CheckpointInfo,
@@ -49,10 +49,11 @@ from repro.store.checkpoint import (
     read_arrays,
 )
 from repro.store.wal import WalRecord, scan_wal
-from repro.text.tdm import TermDocumentMatrix
 from repro.text.vocabulary import Vocabulary
-from repro.updating.manager import LSIIndexManager
 from repro.weighting.schemes import WeightingScheme
+
+if TYPE_CHECKING:  # the writer's side; a reader decodes models only
+    from repro.updating.manager import LSIIndexManager
 
 __all__ = [
     "RecoveryReport",
@@ -223,6 +224,10 @@ def restore_manager(
     the raw matrix's.  A factor without a ``model_*`` twin is one
     array, shared by the base and the serving model.
     """
+    from repro.sparse.csc import CSCMatrix
+    from repro.text.tdm import TermDocumentMatrix
+    from repro.updating.manager import LSIIndexManager
+
     model = _decode_model(arrays, meta)
     pending = np.asarray(arrays["pending"], dtype=np.float64)
     cut = model.n_documents - pending.shape[1]

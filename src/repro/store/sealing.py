@@ -40,10 +40,13 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.obs.metrics import registry
-from repro.store.durable import DurableIndexStore
+
+if TYPE_CHECKING:  # a policy alone (a config) loads no store
+    from repro.store.durable import DurableIndexStore
 
 __all__ = ["POLL_SECONDS", "CheckpointPolicy", "StoreWriter"]
 
@@ -166,6 +169,8 @@ class StoreWriter:
         cls, data_dir, policy: CheckpointPolicy, **kwargs
     ) -> "StoreWriter":
         """Open (lock, recover) the store at ``data_dir`` and own it."""
+        from repro.store.durable import DurableIndexStore
+
         return cls(DurableIndexStore.open(data_dir), policy, **kwargs)
 
     # ------------------------------------------------------------------ #

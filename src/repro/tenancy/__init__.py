@@ -22,15 +22,3 @@ Every serving path resolves ``(tenant_id, epoch)`` through the
 registry; the single-tenant surfaces are the ``tenant=None`` special
 case of the same code.
 """
-
-from __future__ import annotations
-
-from repro.tenancy.quotas import TenantQuotas
-from repro.tenancy.registry import DEFAULT_TENANT, IndexRegistry, TenantEntry
-
-__all__ = [
-    "DEFAULT_TENANT",
-    "IndexRegistry",
-    "TenantEntry",
-    "TenantQuotas",
-]

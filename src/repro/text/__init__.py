@@ -13,21 +13,3 @@ Implements the paper's document-preparation pipeline (§2.1, §5.4):
 * the term-document matrix of raw frequencies (Eq. 4) is assembled in CSC
   form — :mod:`repro.text.tdm`.
 """
-
-from repro.text.tokenizer import tokenize
-from repro.text.stopwords import DEFAULT_STOPWORDS
-from repro.text.vocabulary import Vocabulary
-from repro.text.parser import ParsingRules, parse_corpus
-from repro.text.tdm import TermDocumentMatrix, build_tdm
-from repro.text.ngrams import char_ngrams
-
-__all__ = [
-    "tokenize",
-    "DEFAULT_STOPWORDS",
-    "Vocabulary",
-    "ParsingRules",
-    "parse_corpus",
-    "TermDocumentMatrix",
-    "build_tdm",
-    "char_ngrams",
-]

@@ -21,43 +21,3 @@ fidelity:
 :mod:`repro.updating.cost_model` implements the Table 7 flop formulas and
 :mod:`repro.updating.planner` picks the cheapest adequate method.
 """
-
-from repro.updating.folding import fold_in_documents, fold_in_terms, fold_in_texts
-from repro.updating.fast_update import fast_update_documents
-from repro.updating.svd_update import (
-    update_documents,
-    update_terms,
-    update_weights,
-)
-from repro.updating.recompute import recompute_with_documents, recompute_model
-from repro.updating.orthogonality import OrthogonalityReport, drift_report
-from repro.updating.cost_model import (
-    fold_documents_flops,
-    fold_terms_flops,
-    recompute_flops,
-    svd_update_flops,
-)
-from repro.updating.planner import UpdatePlan, plan_update
-from repro.updating.manager import IndexEvent, LSIIndexManager
-
-__all__ = [
-    "fold_in_documents",
-    "fold_in_terms",
-    "fold_in_texts",
-    "fast_update_documents",
-    "update_documents",
-    "update_terms",
-    "update_weights",
-    "recompute_with_documents",
-    "recompute_model",
-    "OrthogonalityReport",
-    "drift_report",
-    "fold_documents_flops",
-    "fold_terms_flops",
-    "recompute_flops",
-    "svd_update_flops",
-    "UpdatePlan",
-    "plan_update",
-    "IndexEvent",
-    "LSIIndexManager",
-]

@@ -12,23 +12,3 @@ effective than raw term weighting." (§5.1)
 * :mod:`repro.weighting.correction` — the ``Y_j Z_jᵀ`` blocks of the
   SVD-updating weight-correction step (Eq. 12).
 """
-
-from repro.weighting.local import LOCAL_WEIGHTS, local_weight
-from repro.weighting.global_ import GLOBAL_WEIGHTS, global_weight
-from repro.weighting.schemes import (
-    WeightedMatrix,
-    WeightingScheme,
-    apply_weighting,
-)
-from repro.weighting.correction import weight_correction_blocks
-
-__all__ = [
-    "LOCAL_WEIGHTS",
-    "GLOBAL_WEIGHTS",
-    "local_weight",
-    "global_weight",
-    "WeightingScheme",
-    "WeightedMatrix",
-    "apply_weighting",
-    "weight_correction_blocks",
-]

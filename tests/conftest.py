@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from repro.core import fit_lsi, fit_lsi_from_tdm
-from repro.corpus import SyntheticSpec, med_matrix, topic_collection
-from repro.corpus.med import MED_TOPICS
+from repro.core.build import fit_lsi, fit_lsi_from_tdm
+from repro.corpus.med import MED_TOPICS, med_matrix
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")

@@ -3,29 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.apps import (
+from repro.apps.crosslanguage import (
     CrossLanguageRetrieval,
-    ReviewerAssignment,
-    SpellingCorrector,
-    assign_reviewers,
-    build_thesaurus,
     mate_retrieval_accuracy,
-    noisy_retrieval_experiment,
-    run_synonym_test,
-    word_overlap_baseline,
 )
-from repro.apps.people import find_experts, people_vectors
-from repro.apps.thesaurus import suggest_index_terms
-from repro.core import fit_lsi, project_query
-from repro.corpus import (
-    SyntheticSpec,
-    crosslang_collection,
-    synonym_test,
-    topic_collection,
+from repro.apps.noisy import noisy_retrieval_experiment
+from repro.apps.people import (
+    ReviewerAssignment,
+    assign_reviewers,
+    find_experts,
+    people_vectors,
 )
+from repro.apps.spelling import SpellingCorrector
+from repro.apps.synonyms import run_synonym_test, word_overlap_baseline
+from repro.apps.thesaurus import build_thesaurus, suggest_index_terms
+from repro.core.build import fit_lsi
+from repro.core.query import project_query
+from repro.corpus.crosslang import crosslang_collection
+from repro.corpus.synonym_test import synonym_test
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.errors import ShapeError
-from repro.text import build_tdm
 from repro.text.ngrams import char_ngrams
+from repro.text.tdm import build_tdm
 
 
 # --------------------------------------------------------------------- #

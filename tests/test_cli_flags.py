@@ -10,9 +10,11 @@ import argparse
 import dataclasses
 
 from repro.cli import build_parser
-from repro.cluster import ClusterConfig, StandbyConfig, SupervisorConfig
-from repro.server import ServerConfig
-from repro.store import CheckpointPolicy
+from repro.cluster.service import ClusterConfig
+from repro.cluster.standby import StandbyConfig
+from repro.cluster.supervisor import SupervisorConfig
+from repro.server.service import ServerConfig
+from repro.store.sealing import CheckpointPolicy
 
 EXPECTED = {
     ('', '--no-obs', 'False'),

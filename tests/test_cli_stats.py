@@ -7,8 +7,10 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.cli import main as cli_main
+from repro.obs.export import SCHEMA
+from repro.obs.metrics import registry
+from repro.obs.tracing import enable_tracing, tracing_enabled
 from tests.test_obs import clear_spans
 
 
@@ -16,13 +18,13 @@ from tests.test_obs import clear_spans
 def _clean_obs():
     """Isolate the process-global registry/ring per test (the CLI runs
     in-process here)."""
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
-    obs.enable_tracing(False)
+    enable_tracing(False)
     yield
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
-    obs.enable_tracing(False)
+    enable_tracing(False)
 
 
 @pytest.fixture
@@ -42,7 +44,7 @@ def corpus_file(tmp_path):
 def _fresh_process():
     """Simulate a new CLI process: registry and span ring start empty
     (the state *file* is what carries data across)."""
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
 
 
@@ -84,7 +86,7 @@ def test_stats_json_blob(tmp_path, corpus_file, capsys):
     code, out = _run(["stats", "--json"], capsys)
     assert code == 0
     blob = json.loads(out)
-    assert blob["schema"] == obs.export.SCHEMA
+    assert blob["schema"] == SCHEMA
     assert blob["metrics"]["gauges"]["lanczos.matvecs"] > 0
     hist = blob["metrics"]["histograms"]["lsi.fit"]
     assert hist["count"] == 1 and hist["sum"] > 0
@@ -143,10 +145,10 @@ def test_no_obs_skips_state_write(tmp_path, corpus_file, capsys,
 
 
 def test_cli_restores_tracing_state(tmp_path, corpus_file, capsys):
-    assert not obs.tracing_enabled()
+    assert not tracing_enabled()
     db = tmp_path / "db"
     _run(["index", str(corpus_file), str(db), "-k", "2"], capsys)
-    assert not obs.tracing_enabled()  # main() restored the default
+    assert not tracing_enabled()  # main() restored the default
 
 
 def test_failed_command_writes_no_state(tmp_path, capsys, monkeypatch):

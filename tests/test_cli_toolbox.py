@@ -12,7 +12,8 @@ from repro.cli import main as cli_main
 from repro.cli.toolbox import read_documents
 from repro.core.build import fit_lsi
 from repro.corpus.med import MED_TOPICS
-from repro.store import DurableIndexStore, open_checkpoint
+from repro.store.durable import DurableIndexStore
+from repro.store.recovery import open_checkpoint
 from repro.text.parser import ParsingRules
 
 LINES = (

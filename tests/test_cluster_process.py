@@ -9,13 +9,19 @@ in ``benchmarks/cluster_smoke.py``.
 """
 
 import asyncio
+import json
 import os
+import pathlib
+import shutil
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.supervisor import SupervisorConfig
@@ -23,7 +29,7 @@ from repro.cluster.worker import run_worker
 from repro.core.query import batch_project_queries
 from repro.errors import ServerOverloadError
 from repro.obs.metrics import registry
-from repro.server import QueryService, ServerConfig
+from repro.server.service import QueryService, ServerConfig
 from repro.server.state import manager_from_texts
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_model
@@ -204,8 +210,8 @@ def test_cluster_observability_trace_metrics_slowlog(
     seeded_store, tmp_path, monkeypatch
 ):
     data_dir, texts = seeded_store
-    from repro import obs
     from repro.obs.trace_context import TraceContext, trace_scope
+    from repro.obs.tracing import enable_tracing
     from tests.test_obs import clear_spans
 
     # Worker processes inherit the injected delay, so every scatter is
@@ -213,7 +219,7 @@ def test_cluster_observability_trace_metrics_slowlog(
     # evidence rather than needing a microscopic threshold.
     monkeypatch.setenv("REPRO_WORKER_INJECT_DELAY_MS", "40")
     slowlog_path = tmp_path / "slow.jsonl"
-    prev = obs.enable_tracing(True)
+    prev = enable_tracing(True)
     clear_spans()
 
     async def main():
@@ -298,7 +304,7 @@ def test_cluster_observability_trace_metrics_slowlog(
         lines = slowlog_path.read_text().strip().splitlines()
         assert lines and '"cluster-trace-1"' in lines[-1]
     finally:
-        obs.enable_tracing(prev)
+        enable_tracing(prev)
         clear_spans()
 
 
@@ -330,3 +336,70 @@ def test_run_worker_refuses_plan_skew(seeded_store, capsys):
     plan = ShardPlan.compute(model.n_documents, 2, epoch=0)
     assert run_worker(data_dir, plan.to_json() + " ", 0) == 1
     assert "canonical" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# startup error paths, each in a fresh ``python -m repro`` process: the
+# commands import what they run, so an import moved out of a module's
+# top level must not change an exit code or a message
+# --------------------------------------------------------------------- #
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
+
+
+def _repro(*argv) -> tuple[int, str]:
+    """Exit code and stderr of ``python -m repro --no-obs ARGV``."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "--no-obs", *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+def test_cluster_worker_command_refuses_a_non_canonical_plan(seeded_store):
+    data_dir, _ = seeded_store
+    model = open_latest_model(data_dir)
+    plan = ShardPlan.compute(model.n_documents, 2, epoch=0).to_json() + " "
+    code, err = _repro(
+        "cluster", "worker", "--data-dir", data_dir, "--shard", 0,
+        "--plan", plan,
+    )
+    assert code == 1
+    assert err == (
+        "error: shard plan is not in canonical form — router and worker "
+        "disagree byte-for-byte\n"
+    )
+
+
+def test_both_serve_commands_refuse_a_store_with_no_checkpoint(
+    seeded_store, tmp_path
+):
+    """A store whose checkpoints are gone (its WAL left) is refused the
+    same way by the single-node writer and by the fleet."""
+    data_dir = tmp_path / "store"
+    shutil.copytree(seeded_store[0], data_dir)
+    checkpoints = data_dir / "checkpoints"
+    shutil.rmtree(checkpoints)
+    checkpoints.mkdir()
+    assert DurableIndexStore.exists(data_dir)  # the WAL is still there
+    want = f"error: no valid checkpoint under {checkpoints}\n"
+    assert _repro("serve", "--data-dir", data_dir, "--port", 0) == (1, want)
+    assert _repro(
+        "cluster", "serve", "--data-dir", data_dir, "--workers", 2,
+        "--port", 0,
+    ) == (1, want)
+
+
+@pytest.mark.parametrize("writer", ["--writable", "--standby"])
+def test_a_multi_tenant_fleet_refuses_a_writer(seeded_store, tmp_path, writer):
+    tenants = tmp_path / "tenants.json"
+    tenants.write_text(json.dumps({"alpha": str(seeded_store[0])}))
+    code, err = _repro(
+        "cluster", "serve", "--tenants", tenants, writer, "--port", 0
+    )
+    assert code == 1
+    assert err == (
+        "error: multi-tenant cluster serving is read-only: --writable/"
+        "--standby own one store lock and one WAL each — run the writer "
+        "per tenant behind its own front end\n"
+    )

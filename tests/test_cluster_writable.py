@@ -15,15 +15,19 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster.epochs import EpochHandle
-from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
+from repro.cluster.epochs import (
+    EpochHandle,
+    open_checkpoint as cluster_open_checkpoint,
+)
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
 from repro.cluster.supervisor import SupervisorConfig
 from repro.cluster.worker import ShardWorker
 from repro.errors import ClusterReadOnlyError, ShapeError, StoreError
-from repro.server import QueryService, ServerClient, start_http_server
+from repro.server.client import ServerClient
+from repro.server.http import start_http_server
+from repro.server.service import QueryService
 from repro.server.state import EpochSnapshot, manager_from_texts
 from repro.store.checkpoint import load_manifest
 from repro.store.durable import DurableIndexStore

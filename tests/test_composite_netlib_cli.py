@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.apps import NetlibSearch
+from repro.apps.netlib import NetlibSearch
 from repro.cli import main as cli_main
-from repro.core import project_query
+from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
-from repro.corpus import netlib_catalogue
+from repro.corpus.netlib_like import netlib_catalogue
 from repro.errors import ShapeError
-from repro.retrieval import CompositeQuery
+from repro.retrieval.composite import CompositeQuery
 
 
 # --------------------------------------------------------------------- #
@@ -165,7 +165,7 @@ def test_cli_add_fold_and_update(tmp_path):
     batch in (Eq. 7) and consolidates by SVD-updating (Eq. 10) once the
     folded fraction passes its budget — each add flushed, so the next
     command reads it."""
-    from repro.store import open_checkpoint
+    from repro.store.recovery import open_checkpoint
     from tests.test_cli_toolbox import MORE_LINES
 
     corpus = tmp_path / "big.txt"

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import (
+from repro.core.build import fit_lsi
+from repro.core.kselect import (
     choose_k_by_energy,
     choose_k_by_gap,
     choose_k_by_sweep,
-    fit_lsi,
 )
 from repro.errors import ShapeError
 
@@ -75,7 +75,7 @@ def test_gap_validation():
 # --------------------------------------------------------------------- #
 def test_sweep_returns_argmax(small_collection, small_lsi):
     from repro.evaluation.metrics import three_point_average_precision
-    from repro.retrieval import LSIRetrieval
+    from repro.retrieval.engine import LSIRetrieval
 
     def metric(model):
         eng = LSIRetrieval(model)

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi, fit_lsi_from_tdm
+from repro.core.build import fit_lsi, fit_lsi_from_tdm
 from repro.core.model import LSIModel
 from repro.errors import ModelStateError, ShapeError
-from repro.text import Vocabulary
-from repro.weighting import WeightingScheme
+from repro.text.vocabulary import Vocabulary
+from repro.weighting.schemes import WeightingScheme
 
 
 def test_fit_shapes(med_tdm):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import StoreCorruptError, StoreError
-from repro.store import DurableIndexStore, open_checkpoint
+from repro.store.durable import DurableIndexStore
+from repro.store.recovery import open_checkpoint
 from repro.updating.manager import LSIIndexManager
 
 FIRST = "ckpt-00000001"
@@ -44,7 +45,8 @@ def test_round_trip_bit_exact(med_model, db):
 
 
 def test_loaded_model_is_usable(med_model, db):
-    from repro.core import project_query, rank_documents
+    from repro.core.query import project_query
+    from repro.core.similarity import rank_documents
 
     loaded = open_checkpoint(db).model()
     q = "age blood abnormalities"

@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    nearest_terms,
-    project_query,
-    rank_documents,
-    retrieve,
-)
 from repro.core.model import LSIModel
-from repro.core.query import project_terms, query_terms
+from repro.core.query import project_query, project_terms, query_terms
 from repro.core.similarity import (
     cosine_similarities,
     doc_doc_similarities,
+    nearest_terms,
+    rank_documents,
+    retrieve,
     term_term_similarities,
 )
 from repro.errors import ShapeError
@@ -54,7 +51,7 @@ def _dense_weighted(model, query):
 def test_eq6_projection_formula(med_model, med_texts):
     """q̂ = qᵀ U_k Σ_k⁻¹, verified against the dense algebra under every
     local weight (entropy global weights, so G is not all ones)."""
-    from repro.core import fit_lsi
+    from repro.core.build import fit_lsi
 
     query = "blood blood age abnormalities of children"
     models = [med_model] + [
@@ -68,7 +65,7 @@ def test_eq6_projection_formula(med_model, med_texts):
 
 
 def test_eq6_token_order_and_duplicates_are_bit_identical(med_texts):
-    from repro.core import fit_lsi
+    from repro.core.build import fit_lsi
 
     model = fit_lsi(med_texts, 2, scheme="log_entropy")
     qhat = project_query(model, "blood age blood abnormalities")
@@ -106,7 +103,7 @@ def test_pseudo_document_validation(med_model):
 
 
 def test_query_is_weighted_like_documents(med_texts):
-    from repro.core import fit_lsi
+    from repro.core.build import fit_lsi
 
     model = fit_lsi(med_texts, 2, scheme="log_entropy")
     qhat = project_query(model, "blood blood blood")

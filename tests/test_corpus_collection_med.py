@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.corpus import TestCollection, med_matrix, med_update_matrix
+from repro.corpus.collection import TestCollection
 from repro.corpus.med import (
     MED_DOC_IDS,
     MED_TERMS,
@@ -11,6 +11,8 @@ from repro.corpus.med import (
     MED_UPDATE_TOPICS,
     TABLE3,
     UPDATE_COLUMNS,
+    med_matrix,
+    med_update_matrix,
 )
 from repro.errors import EvaluationError
 

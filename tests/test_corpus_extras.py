@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.corpus import SyntheticSpec, topic_collection
 from repro.corpus.med import MED_TERMS, med_tdm_parsed
 from repro.corpus.noise import _corrupt_word
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.util.rng import ensure_rng
 
 

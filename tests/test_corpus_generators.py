@@ -3,16 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.corpus import (
-    CrossLanguageSpec,
-    SyntheticSpec,
-    crosslang_collection,
-    ocr_corrupt,
-    ocr_corrupt_collection,
-    synonym_test,
-    topic_collection,
-    trec_like_collection,
-)
+from repro.corpus.crosslang import CrossLanguageSpec, crosslang_collection
+from repro.corpus.noise import ocr_corrupt, ocr_corrupt_collection
+from repro.corpus.synonym_test import synonym_test
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.corpus.trec_like import trec_like_collection
 
 
 # --------------------------------------------------------------------- #

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi, project_query
+from repro.core.build import fit_lsi
+from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
-from repro.retrieval import KeywordRetrieval, LSIRetrieval
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 def test_lsi_engine_factors_mode(small_collection):
@@ -35,7 +37,7 @@ def test_keyword_engine_empty_query(small_collection):
 def test_lsi_and_keyword_share_weighting_semantics(med_texts):
     """Both engines weight the same query identically (Eq. 5): the LSI
     query vector is the keyword query vector projected by U_kΣ_k⁻¹."""
-    from repro.text import ParsingRules
+    from repro.text.parser import ParsingRules
 
     rules = ParsingRules(min_doc_freq=2)
     lsi = LSIRetrieval.from_texts(

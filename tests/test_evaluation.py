@@ -3,21 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.corpus import TestCollection
+from repro.corpus.collection import TestCollection
 from repro.errors import EvaluationError
-from repro.evaluation import (
-    average_precision,
+from repro.evaluation.harness import (
+    RetrievalRun,
     compare_engines,
     evaluate_run,
-    interpolated_precision_at,
     percent_improvement,
-    pooled_judgments,
-    precision_recall_curve,
     run_engine,
+)
+from repro.evaluation.metrics import (
+    average_precision,
+    interpolated_precision_at,
+    precision_recall_curve,
     three_point_average_precision,
 )
-from repro.evaluation.harness import RetrievalRun
-from repro.retrieval import KeywordRetrieval
+from repro.evaluation.pooling import pooled_judgments
+from repro.retrieval.keyword import KeywordRetrieval
 
 
 # --------------------------------------------------------------------- #
@@ -140,7 +142,7 @@ def test_pooled_judgments_depth_validation(tiny_collection):
 def test_pooling_bias_shrinks_judgments(small_collection, small_lsi):
     """Footnote 1: systems outside the pool can look worse than they
     are — pooled judgments are never larger than the truth."""
-    from repro.retrieval import LSIRetrieval
+    from repro.retrieval.engine import LSIRetrieval
 
     eng = LSIRetrieval(small_lsi)
     run = run_engine(eng, small_collection)

@@ -3,21 +3,20 @@
 import numpy as np
 import pytest
 
-from repro import (
-    LSIRetrieval,
-    fit_lsi,
-    fold_in_texts,
-    project_query,
-    retrieve,
-    update_documents,
-)
-from repro.corpus import SyntheticSpec, topic_collection
-from repro.evaluation import compare_engines, evaluate_run, run_engine
-from repro.retrieval import KeywordRetrieval
-from repro.store import DurableIndexStore, open_checkpoint
+from repro.core.build import fit_lsi
+from repro.core.query import project_query
+from repro.core.similarity import retrieve
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
+from repro.evaluation.harness import compare_engines, evaluate_run, run_engine
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.keyword import KeywordRetrieval
+from repro.store.durable import DurableIndexStore
+from repro.store.recovery import open_checkpoint
 from repro.text.tdm import build_tdm, count_vector
 from repro.text.tokenizer import tokenize
+from repro.updating.folding import fold_in_texts
 from repro.updating.manager import LSIIndexManager
+from repro.updating.svd_update import update_documents
 
 
 @pytest.fixture(scope="module")

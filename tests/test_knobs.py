@@ -31,10 +31,13 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser
-from repro.cluster import ClusterConfig, StandbyConfig, SupervisorConfig
+from repro.cluster.service import ClusterConfig
+from repro.cluster.standby import StandbyConfig
+from repro.cluster.supervisor import SupervisorConfig
 from repro.errors import ReproError
-from repro.server import ServerConfig
-from repro.store import CheckpointPolicy, DurableIndexStore
+from repro.server.service import ServerConfig
+from repro.store.durable import DurableIndexStore
+from repro.store.sealing import CheckpointPolicy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CLI = ROOT / "src" / "repro" / "cli"

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 import repro.linalg.lanczos as lanczos_module
 from repro.errors import ConvergenceError
-from repro.linalg import lanczos_svd, tridiag_eigh
-from repro.sparse import from_dense
+from repro.linalg.lanczos import lanczos_svd
+from repro.linalg.tridiag import tridiag_eigh
+from repro.sparse.build import from_dense
 
 
 # --------------------------------------------------------------------- #

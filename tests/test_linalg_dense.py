@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, ShapeError
-from repro.linalg import dense_svd, truncated_svd
+from repro.linalg.svd import dense_svd, truncated_svd
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (8, 3), (3, 8), (20, 12)])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.linalg import LanczosStats, lanczos_svd, orthogonality_loss
 from repro.linalg.counters import OperatorCounter
-from repro.sparse import from_dense
+from repro.linalg.lanczos import LanczosStats, lanczos_svd
+from repro.linalg.orth import orthogonality_loss
+from repro.sparse.build import from_dense
 
 
 def _sparse(rng, m, n, density=0.2):

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.linalg import (
-    FlopCounter,
-    OperatorCounter,
-    orthogonality_loss,
-)
-from repro.sparse import from_dense
+from repro.linalg.counters import FlopCounter, OperatorCounter
+from repro.linalg.orth import orthogonality_loss
+from repro.sparse.build import from_dense
 
 
 def orthonormal_columns(m, k, seed):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.linalg import dense_svd, tridiag_eigh, truncated_svd
+from repro.linalg.svd import dense_svd, truncated_svd
+from repro.linalg.tridiag import tridiag_eigh
 
 
 def _finite_matrix(min_m=1, max_m=10, min_n=1, max_n=10):

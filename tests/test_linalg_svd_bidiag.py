@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.linalg import truncated_svd
-from repro.linalg.svd import SVDResult
-from repro.sparse import from_dense
+from repro.linalg.svd import SVDResult, truncated_svd
+from repro.sparse.build import from_dense
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.linalg import tridiag_eigh
+from repro.linalg.tridiag import tridiag_eigh
 
 
 def _dense_tridiag(d, e):

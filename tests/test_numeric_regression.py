@@ -9,11 +9,13 @@ loosening that shifts converged digits).
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi_from_tdm, project_query
+from repro.core.build import fit_lsi_from_tdm
+from repro.core.query import project_query
 from repro.corpus.med import MED_QUERY, med_matrix
-from repro.linalg import dense_svd, lanczos_svd, truncated_svd
-from repro.sparse import from_dense
-from repro.weighting import WeightingScheme, apply_weighting
+from repro.linalg.lanczos import lanczos_svd
+from repro.linalg.svd import dense_svd, truncated_svd
+from repro.sparse.build import from_dense
+from repro.weighting.schemes import WeightingScheme, apply_weighting
 
 
 def _fixed_matrix():

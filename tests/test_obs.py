@@ -10,10 +10,29 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.obs import tracing
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.tracing import RING_CAPACITY
+from repro.obs.bridge import (
+    record_drift,
+    record_lanczos_stats,
+    record_operator,
+)
+from repro.obs.export import (
+    SCHEMA,
+    dump_state,
+    format_snapshot,
+    format_spans,
+    load_state,
+    merge_snapshots,
+    snapshot_blob,
+)
+from repro.obs.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
+    Histogram,
+    MetricsRegistry,
+    registry,
+)
+from repro.obs.trace_context import export_trace_jsonl
+from repro.obs.tracing import RING_CAPACITY, enable_tracing, recent_spans, span
 
 
 def clear_spans():
@@ -25,24 +44,24 @@ def clear_spans():
 @contextmanager
 def traced():
     """Tracing on for the block, the previous state restored after."""
-    previous = obs.enable_tracing(True)
+    previous = enable_tracing(True)
     try:
         yield
     finally:
-        obs.enable_tracing(previous)
+        enable_tracing(previous)
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
     """Each test starts and ends with an empty registry, an empty span
     ring, and tracing disabled (the process default)."""
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
-    obs.enable_tracing(False)
+    enable_tracing(False)
     yield
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
-    obs.enable_tracing(False)
+    enable_tracing(False)
 
 
 # --------------------------------------------------------------------- #
@@ -196,17 +215,17 @@ class TestRegistry:
 # --------------------------------------------------------------------- #
 class TestTracing:
     def test_disabled_captures_nothing(self):
-        with obs.span("lsi.test", k=2) as sp:
+        with span("lsi.test", k=2) as sp:
             sp.set_attr("later", 1)  # must be a no-op, not an error
-        assert obs.recent_spans() == []
-        assert obs.registry.histogram("lsi.test") is None
+        assert recent_spans() == []
+        assert registry.histogram("lsi.test") is None
 
     def test_enabled_captures_nesting_and_attrs(self):
         with traced():
-            with obs.span("outer", k=2):
-                with obs.span("inner") as sp:
+            with span("outer", k=2):
+                with span("inner") as sp:
                     sp.set_attr("rows", 5)
-        spans = obs.recent_spans()
+        spans = recent_spans()
         assert [s.name for s in spans] == ["inner", "outer"]  # exit order
         inner, outer = spans
         assert outer.parent_id is None and outer.depth == 0
@@ -218,42 +237,42 @@ class TestTracing:
 
     def test_span_feeds_registry_histogram(self):
         with traced():
-            with obs.span("lsi.test"):
+            with span("lsi.test"):
                 pass
-        assert obs.registry.histogram("lsi.test").count == 1
+        assert registry.histogram("lsi.test").count == 1
 
     def test_exception_recorded_and_reraised(self):
         with traced():
             with pytest.raises(ValueError, match="boom"):
-                with obs.span("lsi.fail"):
+                with span("lsi.fail"):
                     raise ValueError("boom")
-        (record,) = obs.recent_spans()
+        (record,) = recent_spans()
         assert "boom" in record.attrs["error"]
-        assert obs.registry.histogram("lsi.fail").count == 1
+        assert registry.histogram("lsi.fail").count == 1
 
     def test_ring_buffer_is_bounded(self):
         with traced():
             for i in range(RING_CAPACITY + 50):
-                with obs.span("s", i=i):
+                with span("s", i=i):
                     pass
-        spans = obs.recent_spans()
+        spans = recent_spans()
         assert len(spans) == RING_CAPACITY
         assert spans[-1].attrs["i"] == RING_CAPACITY + 49  # newest kept
 
     def test_recent_spans_tail(self):
         with traced():
             for i in range(5):
-                with obs.span("s", i=i):
+                with span("s", i=i):
                     pass
-        assert [s.attrs["i"] for s in obs.recent_spans(2)] == [3, 4]
+        assert [s.attrs["i"] for s in recent_spans(2)] == [3, 4]
 
     def test_jsonl_export(self, tmp_path):
         with traced():
-            with obs.span("a", arr=np.arange(2)):  # non-JSON attr → repr
+            with span("a", arr=np.arange(2)):  # non-JSON attr → repr
                 pass
         path = tmp_path / "spans.jsonl"
-        spans = [s.to_dict() for s in obs.recent_spans()]
-        assert obs.export_trace_jsonl(path, spans) == 1
+        spans = [s.to_dict() for s in recent_spans()]
+        assert export_trace_jsonl(path, spans) == 1
         record = json.loads(path.read_text().splitlines()[0])
         assert record["name"] == "a"
         assert isinstance(record["attrs"]["arr"], str)
@@ -262,11 +281,11 @@ class TestTracing:
         seen = {}
 
         def worker():
-            with obs.span("child") as sp:
+            with span("child") as sp:
                 seen["record"] = sp._span
 
         with traced():
-            with obs.span("parent"):
+            with span("parent"):
                 t = threading.Thread(target=worker)
                 t.start()
                 t.join()
@@ -304,31 +323,31 @@ class _FakeReport:
 
 class TestBridge:
     def test_record_operator(self):
-        obs.record_operator(_FakeOperator())
-        g = obs.registry.snapshot()["gauges"]
+        record_operator(_FakeOperator())
+        g = registry.snapshot()["gauges"]
         assert g["lanczos.matvecs"] == 11
         assert g["lanczos.rmatvecs"] == 7
         assert g["lanczos.gram_products"] == 7
         assert g["lanczos.flops"] == 4242
 
     def test_record_lanczos_stats(self):
-        obs.record_lanczos_stats(_FakeStats(), prefix="blk")
-        g = obs.registry.snapshot()["gauges"]
+        record_lanczos_stats(_FakeStats(), prefix="blk")
+        g = registry.snapshot()["gauges"]
         assert g["blk.iterations"] == 9
         assert g["blk.stat_matvecs"] == 21
 
     def test_record_drift(self):
-        obs.record_drift(_FakeReport())
-        obs.record_drift(_FakeReport())
-        assert obs.registry.snapshot()["gauges"]["orthogonality.doc_loss"] == 0.5
-        assert obs.registry.counter("orthogonality.reports") == 2
+        record_drift(_FakeReport())
+        record_drift(_FakeReport())
+        assert registry.snapshot()["gauges"]["orthogonality.doc_loss"] == 0.5
+        assert registry.counter("orthogonality.reports") == 2
 
     def test_lanczos_fit_populates_gauges(self):
         from repro.core.build import fit_lsi
 
         docs = [f"word{i} word{i + 1} shared" for i in range(8)]
         fit_lsi(docs, 3, scheme="raw_none", method="lanczos")
-        g = obs.registry.snapshot()["gauges"]
+        g = registry.snapshot()["gauges"]
         assert g["lanczos.matvecs"] > 0
         assert g["lanczos.flops"] > 0
         assert g["lanczos.iterations"] > 0
@@ -337,9 +356,9 @@ class TestBridge:
         from repro.updating.orthogonality import drift_report
 
         rep = drift_report(med_model)
-        gauges = obs.registry.snapshot()["gauges"]
+        gauges = registry.snapshot()["gauges"]
         assert gauges["orthogonality.doc_loss"] == pytest.approx(rep.doc_loss)
-        assert obs.registry.counter("orthogonality.reports") == 1
+        assert registry.counter("orthogonality.reports") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -347,9 +366,9 @@ class TestBridge:
 # --------------------------------------------------------------------- #
 class TestExport:
     def test_snapshot_blob_shape(self):
-        obs.registry.inc("serving.hits")
-        blob = obs.snapshot_blob(name="t", extra={"speedup": 3.0})
-        assert blob["schema"] == obs.export.SCHEMA
+        registry.inc("serving.hits")
+        blob = snapshot_blob(name="t", extra={"speedup": 3.0})
+        assert blob["schema"] == SCHEMA
         assert blob["name"] == "t"
         assert blob["extra"] == {"speedup": 3.0}
         assert blob["metrics"]["counters"]["serving.hits"] == 1
@@ -365,7 +384,7 @@ class TestExport:
         r2.inc("hits", 3)
         r2.set_gauge("level", 9.0)
         r2.observe("lat", 0.1)
-        merged = obs.merge_snapshots(a, r2.snapshot())
+        merged = merge_snapshots(a, r2.snapshot())
         assert merged["counters"]["hits"] == 5  # counters add
         assert merged["gauges"]["level"] == 9.0  # gauges: newest wins
         h = merged["histograms"]["lat"]  # histograms union
@@ -377,46 +396,46 @@ class TestExport:
         a.observe("lat", 0.5, boundaries=(1.0, 2.0))
         b = MetricsRegistry()
         b.observe("lat", 0.5)
-        merged = obs.merge_snapshots(a.snapshot(), b.snapshot())
+        merged = merge_snapshots(a.snapshot(), b.snapshot())
         assert merged["histograms"]["lat"]["boundaries"] == list(
             DEFAULT_LATENCY_BUCKETS
         )
 
     def test_dump_state_accumulates(self, tmp_path):
         path = tmp_path / "state.json"
-        obs.registry.inc("serving.hits", 2)
-        obs.dump_state(path)
-        obs.registry.reset()
-        obs.registry.inc("serving.hits", 3)  # a "second process"
-        obs.dump_state(path)
-        state = obs.load_state(path)
+        registry.inc("serving.hits", 2)
+        dump_state(path)
+        registry.reset()
+        registry.inc("serving.hits", 3)  # a "second process"
+        dump_state(path)
+        state = load_state(path)
         assert state["metrics"]["counters"]["serving.hits"] == 5
 
     def test_load_state_tolerates_garbage(self, tmp_path):
-        assert obs.load_state(tmp_path / "missing.json") is None
+        assert load_state(tmp_path / "missing.json") is None
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
-        assert obs.load_state(bad) is None
+        assert load_state(bad) is None
         notdict = tmp_path / "list.json"
         notdict.write_text("[1, 2]")
-        assert obs.load_state(notdict) is None
+        assert load_state(notdict) is None
 
     def test_format_snapshot_sections(self):
-        obs.registry.inc("serving.hits", 7)
-        obs.registry.set_gauge("lanczos.matvecs", 13)
-        obs.registry.observe("lsi.search", 0.004)
-        text = obs.format_snapshot(obs.registry.snapshot())
+        registry.inc("serving.hits", 7)
+        registry.set_gauge("lanczos.matvecs", 13)
+        registry.observe("lsi.search", 0.004)
+        text = format_snapshot(registry.snapshot())
         assert "counters" in text and "serving.hits" in text and "7" in text
         assert "gauges" in text and "lanczos.matvecs" in text
         assert "histograms" in text and "lsi.search" in text
-        assert obs.format_snapshot({}) == "(no metrics recorded)"
+        assert format_snapshot({}) == "(no metrics recorded)"
 
     def test_format_spans(self):
         with traced():
-            with obs.span("outer"):
-                with obs.span("inner", p=3):
+            with span("outer"):
+                with span("inner", p=3):
                     pass
-        text = obs.format_spans([s.to_dict() for s in obs.recent_spans()])
+        text = format_spans([s.to_dict() for s in recent_spans()])
         assert "outer" in text and "inner" in text and "p=3" in text
         # inner is one level deeper → more indentation.
         inner_line = next(l for l in text.splitlines() if "inner" in l)
@@ -424,7 +443,7 @@ class TestExport:
         assert len(inner_line) - len(inner_line.lstrip()) > (
             len(outer_line) - len(outer_line.lstrip())
         )
-        assert obs.format_spans([]) == "(no spans captured)"
+        assert format_spans([]) == "(no spans captured)"
 
 
 # --------------------------------------------------------------------- #
@@ -433,8 +452,9 @@ class TestExport:
 # --------------------------------------------------------------------- #
 class TestServingMetricNames:
     def test_search_paths_report_under_serving_prefix(self):
-        from repro import fit_lsi, project_query
-        from repro.retrieval import LSIRetrieval
+        from repro.core.build import fit_lsi
+        from repro.core.query import project_query
+        from repro.retrieval.engine import LSIRetrieval
         from repro.server.state import EpochSnapshot
 
         texts = [f"w{i} w{i + 1} w{i + 2} common" for i in range(12)]
@@ -445,22 +465,22 @@ class TestServingMetricNames:
         Qs = project_query(model, texts[0]) * model.s
         for lo, hi in ((0, 6), (6, 12)):
             EpochSnapshot(0, model, lo=lo, hi=hi).search(Qs, top=3)
-        counters = obs.registry.snapshot()["counters"]
+        counters = registry.snapshot()["counters"]
         assert counters["serving.index_builds"] == 1
         assert counters["serving.queries_served"] == 2
         # Timers are histograms: sum is accumulated seconds.
-        sums = obs.registry.histogram_sums("serving.")
+        sums = registry.histogram_sums("serving.")
         assert sums["serving.scan_seconds"] > 0  # the ranked paths' fp32 pass
         # One observation per ranked (row range × query): 2 + 2 ranges × 1.
-        assert obs.registry.histogram("serving.rescore_candidates").count == 4
-        assert obs.registry.histogram("serving.topk_seconds").count >= 2
+        assert registry.histogram("serving.rescore_candidates").count == 4
+        assert registry.histogram("serving.topk_seconds").count >= 2
 
     def test_prefix_reset_only_touches_serving(self):
-        obs.registry.inc("serving.queries_served")
-        obs.registry.inc("manager.events.fold-in")
-        obs.registry.reset("serving.")
-        assert obs.registry.counter("serving.queries_served") == 0
-        assert obs.registry.counter("manager.events.fold-in") == 1
+        registry.inc("serving.queries_served")
+        registry.inc("manager.events.fold-in")
+        registry.reset("serving.")
+        assert registry.counter("serving.queries_served") == 0
+        assert registry.counter("manager.events.fold-in") == 1
 
 
 # --------------------------------------------------------------------- #
@@ -473,6 +493,6 @@ class TestServingIntegration:
         engine = LSIRetrieval(med_model)
         with traced():
             engine.search("blood pressure", top=3)
-        hist = obs.registry.histogram("lsi.search")
+        hist = registry.histogram("lsi.search")
         assert hist is not None and hist.count == 1
-        assert obs.registry.counter("serving.queries_served") == 1
+        assert registry.counter("serving.queries_served") == 1

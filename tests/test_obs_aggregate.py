@@ -9,9 +9,8 @@ import threading
 
 import pytest
 
-from repro import obs
 from repro.obs.aggregate import label_snapshots, prefix_snapshot
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, registry
 from repro.obs.prom import render_prometheus, sanitize_metric_name
 from repro.obs.slowlog import SlowQueryLog, format_slowlog, read_slowlog
 from repro.obs.trace_context import (
@@ -21,19 +20,24 @@ from repro.obs.trace_context import (
     new_trace_id,
     trace_scope,
 )
-from repro.obs.tracing import span, spans_for_trace
+from repro.obs.tracing import (
+    enable_tracing,
+    recent_spans,
+    span,
+    spans_for_trace,
+)
 from tests.test_obs import clear_spans
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
-    obs.enable_tracing(False)
+    enable_tracing(False)
     yield
-    obs.registry.reset()
+    registry.reset()
     clear_spans()
-    obs.enable_tracing(False)
+    enable_tracing(False)
 
 
 # --------------------------------------------------------------------- #
@@ -158,17 +162,17 @@ class TestTraceContext:
         assert current_trace() is None
 
     def test_root_span_adopts_ambient_context(self):
-        obs.enable_tracing(True)
+        enable_tracing(True)
         with trace_scope(TraceContext(trace_id="t-9", parent_span_id="up-1")):
             with span("child.work"):
                 pass
-        (record,) = [s for s in obs.recent_spans() if s.name == "child.work"]
+        (record,) = [s for s in recent_spans() if s.name == "child.work"]
         assert record.trace_id == "t-9"
         assert record.parent_id == "up-1"
         assert spans_for_trace("t-9") == [record]
 
     def test_spans_for_trace_matches_multi_trace_batches(self):
-        obs.enable_tracing(True)
+        enable_tracing(True)
         with span("server.batch") as sp:
             sp.set_attr("trace_ids", ["t-a", "t-b"])
         assert [s.name for s in spans_for_trace("t-a")] == ["server.batch"]
@@ -176,7 +180,7 @@ class TestTraceContext:
         assert spans_for_trace("t-c") == []
 
     def test_ring_snapshot_is_safe_under_concurrent_writers(self):
-        obs.enable_tracing(True)
+        enable_tracing(True)
         stop = threading.Event()
 
         def writer():
@@ -189,7 +193,7 @@ class TestTraceContext:
             t.start()
         try:
             for _ in range(200):
-                snapshot = obs.recent_spans()
+                snapshot = recent_spans()
                 assert all(s.duration >= 0.0 for s in snapshot)
         finally:
             stop.set()

@@ -11,7 +11,9 @@ Set-level and cluster-level claims reproduce exactly.
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi_from_tdm, project_query, rank_documents, retrieve
+from repro.core.build import fit_lsi_from_tdm
+from repro.core.query import project_query
+from repro.core.similarity import rank_documents, retrieve
 from repro.corpus.med import (
     LEXICAL_MATCH_SET,
     MED_QUERY,
@@ -26,14 +28,13 @@ from repro.corpus.med import (
     med_matrix,
     med_tdm_parsed,
 )
-from repro.retrieval import KeywordRetrieval
-from repro.text import ParsingRules, build_tdm
-from repro.updating import (
-    drift_report,
-    fold_in_documents,
-    recompute_with_documents,
-    update_documents,
-)
+from repro.retrieval.keyword import KeywordRetrieval
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
+from repro.updating.folding import fold_in_documents
+from repro.updating.orthogonality import drift_report
+from repro.updating.recompute import recompute_with_documents
+from repro.updating.svd_update import update_documents
 
 
 def _sign_fixed_U2(model):

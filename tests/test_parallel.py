@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.query import project_query
 from repro.errors import ShapeError
-from repro.parallel import merge_topk, shard_bounds
-from repro.parallel.sharding import RANKED
+from repro.parallel.sharding import RANKED, merge_topk, shard_bounds
 from repro.server.state import EpochSnapshot
 
 from tests.test_serving_scan import whole_model_search

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi, project_query
-from repro.core.query import batch_project_queries
+from repro.core.build import fit_lsi
+from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities, term_term_similarities
 from repro.corpus.morphology import morphology_corpus
 from repro.errors import ShapeError

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.apps import (
+from repro.apps.classification import (
     CentroidClassifier,
     classification_accuracy,
     lsi_features,
 )
-from repro.core import fit_lsi
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.core.build import fit_lsi
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.errors import ShapeError
 
 

@@ -16,12 +16,12 @@ from repro.evaluation.metrics import (
     average_precision,
     three_point_average_precision,
 )
-from repro.linalg import dense_svd
-from repro.sparse import from_dense
-from repro.text import Vocabulary
+from repro.linalg.svd import dense_svd
+from repro.sparse.build import from_dense
+from repro.text.vocabulary import Vocabulary
 from repro.updating.folding import fold_in_documents
 from repro.updating.svd_update import update_documents
-from repro.weighting import WeightingScheme, apply_weighting
+from repro.weighting.schemes import WeightingScheme, apply_weighting
 
 
 @st.composite

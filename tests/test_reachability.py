@@ -27,7 +27,10 @@ In live code:
 * a method that overrides one of a base class outside ``repro`` is used:
   the runtime calls it (``socketserver.BaseRequestHandler.handle``);
 * a package ``__init__``'s imports (its re-exports) and ``__all__``
-  entries are not uses.
+  entries are not uses;
+* a name read from a module that binds it nowhere (``from pkg import
+  name``, ``pkg.name``) is a use of that module's PEP 562
+  ``__getattr__``, when it has one.
 
 Tests are deliberately not roots: a module or definition only its own
 tests reach goes with them.
@@ -332,10 +335,19 @@ class Walk:
         name a package binds shadows its submodule of that name."""
         if module not in self.modules:
             return f"{module}.{name}"
-        value = bindings(self.modules[module], module).get(name)
+        path = self.modules[module]
+        value = bindings(path, module).get(name)
         if value is not None and value != (module, name):  # not ``from . import name``
             return self.bound(value)
-        return f"{module}.{name}" if f"{module}.{name}" in self.modules else module
+        if f"{module}.{name}" in self.modules:
+            return f"{module}.{name}"
+        # PEP 562: a name the module binds nowhere is its ``__getattr__``'s
+        # (the import system binds the dunders: ``__file__``, ``__path__``).
+        hook = f"{module}.__getattr__"
+        if (hook in self.defs and not name.startswith("__")
+                and name not in self.module_scope(path, module).sites):
+            return hook
+        return module
 
     def resolve(self, path, module, expr):
         """What a ``Name`` / ``a.b.c`` expression in ``path`` refers to, or
@@ -879,6 +891,58 @@ def test_the_cli_loads_no_serving_tier_until_a_command_runs():
     assert done.stdout.strip() == "[]", done.stdout
 
 
+#: What a read-only front end never runs: the build and update stack, the
+#: store's writer and the fleet's writers, and the toolbox's engines,
+#: corpora and applications.
+WRITER_AND_TOOLBOX = (
+    "repro.updating", "repro.linalg", "repro.text.parser", "repro.text.tdm",
+    "repro.core.build", "repro.store.durable", "repro.store.sealing",
+    "repro.cluster.primary", "repro.cluster.standby", "repro.retrieval",
+    "repro.apps", "repro.corpus", "repro.evaluation",
+)
+#: What a shard worker never runs besides: the front end's transport,
+#: service and client, its tenant registry, router and supervisor.
+FRONT_END = (
+    "repro.server.http", "repro.server.service", "repro.server.client",
+    "repro.tenancy", "repro.cluster.router", "repro.cluster.supervisor",
+    "repro.cluster.service",
+)
+
+
+def loaded_from(imports, banned):
+    """The modules of ``banned`` (each a module or a package) that a fresh
+    interpreter loads for ``import <imports>``."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys, {imports}; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True,
+    )
+    return sorted(
+        m for m in done.stdout.split()
+        if any(m == b or m.startswith(b + ".") for b in banned)
+    )
+
+
+def test_a_shard_worker_loads_only_reader_code():
+    """A worker process (``python -m repro cluster worker``) is spawned on
+    every start, restart, failover and fleet attach: it compiles nothing
+    it does not run — its threads serve blocking sockets, so not even
+    ``asyncio``."""
+    assert loaded_from(
+        "repro.cli, repro.cluster.worker",
+        WRITER_AND_TOOLBOX + FRONT_END + ("asyncio",),
+    ) == []
+
+
+def test_the_read_only_front_end_loads_no_writer_or_toolbox_code():
+    """``cluster serve`` without ``--writable`` / ``--standby``: the fleet
+    imports its writers only when configured with one."""
+    assert loaded_from(
+        "repro.cli, repro.cluster.service, repro.server.http",
+        WRITER_AND_TOOLBOX,
+    ) == []
+
+
 def test_a_reexport_is_not_a_use(tmp_path):
     """The walk on a toy package: ``used`` is reached through the package,
     through a relative import and through an aliased re-export; ``spare``
@@ -932,6 +996,19 @@ def test_a_name_only_a_package_reexports_fails_the_rule(tmp_path):
     lib = "def used():\n    pass\n\ndef spare():\n    pass\n"
     init = "from pkg.lib import spare\n__all__ = ['spare']\n"
     assert toy(tmp_path, lib, init=init) == ["pkg.lib.spare"]
+
+
+def test_a_module_getattr_is_used_only_by_a_name_the_module_lacks(tmp_path):
+    """PEP 562: ``from pkg import lazy`` runs ``pkg.__getattr__``; a name
+    ``pkg`` binds itself does not."""
+    lib = "def used():\n    pass\n"
+    init = "VERSION = 1\n\n\ndef __getattr__(name):\n    return name\n"
+    verdicts = {}
+    for name in ("VERSION", "lazy"):
+        (tmp_path / name).mkdir()
+        main = f"from pkg.lib import used\nfrom pkg import {name}\nused()\n"
+        verdicts[name] = toy(tmp_path / name, lib, main, init)
+    assert verdicts == {"VERSION": ["pkg.__getattr__"], "lazy": []}
 
 
 def test_a_local_of_the_same_name_keeps_no_method_alive(tmp_path):

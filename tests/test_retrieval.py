@@ -5,16 +5,14 @@ import pytest
 
 from repro.corpus.med import MED_QUERY
 from repro.errors import ShapeError
-from repro.retrieval import (
-    FilteringProfile,
-    KeywordRetrieval,
-    LSIRetrieval,
-    mean_relevant_query,
-    rocchio,
-    stream_filter,
-)
-from repro.sparse import from_dense
-from repro.text import ParsingRules, TermDocumentMatrix, Vocabulary, build_tdm
+from repro.retrieval.engine import LSIRetrieval
+from repro.retrieval.feedback import mean_relevant_query, rocchio
+from repro.retrieval.filtering import FilteringProfile, stream_filter
+from repro.retrieval.keyword import KeywordRetrieval
+from repro.sparse.build import from_dense
+from repro.text.parser import ParsingRules
+from repro.text.tdm import TermDocumentMatrix, build_tdm
+from repro.text.vocabulary import Vocabulary
 
 #: What the evaluation harness needs from an engine (duck-typed).
 ENGINE_SURFACE = ("name", "n_documents", "search")
@@ -136,7 +134,7 @@ def test_lsi_unknown_query_words_score_zero(small_lsi):
 
 def test_lsi_beats_keyword_under_synonymy(small_collection, small_lsi):
     """The §5.1 core claim on the synthetic collection."""
-    from repro.evaluation import compare_engines
+    from repro.evaluation.harness import compare_engines
 
     lsi = LSIRetrieval(small_lsi)
     kw = KeywordRetrieval.from_texts(
@@ -176,8 +174,8 @@ def test_feedback_improves_retrieval():
     synonym shift) so the baseline is off the ceiling and improvement is
     measurable.
     """
-    from repro.core import fit_lsi
-    from repro.corpus import SyntheticSpec, topic_collection
+    from repro.core.build import fit_lsi
+    from repro.corpus.synthetic import SyntheticSpec, topic_collection
     from repro.evaluation.metrics import three_point_average_precision
 
     col = topic_collection(
@@ -210,7 +208,7 @@ def test_feedback_improves_retrieval():
 
 
 def test_rocchio_moves_toward_relevant(small_collection, small_lsi):
-    from repro.core import project_query
+    from repro.core.query import project_query
 
     q = project_query(small_lsi, small_collection.queries[0])
     rel = sorted(small_collection.relevant(0))[:3]

@@ -14,7 +14,7 @@ from repro.errors import ShapeError
 from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer, kmeans
 from repro.serving.index import scaled_rows
-from repro.text import Vocabulary
+from repro.text.vocabulary import Vocabulary
 from repro.util.rng import ensure_rng
 from tests.test_serving_scan import _first_copy
 

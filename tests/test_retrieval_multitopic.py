@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import project_query
+from repro.core.query import project_query
 from repro.errors import ShapeError
-from repro.retrieval import (
+from repro.retrieval.multitopic import (
     MultiTopicQuery,
     multi_topic_scores,
     multi_topic_search,

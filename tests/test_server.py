@@ -30,16 +30,15 @@ from repro.corpus.med import MED_TOPICS
 from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
-from repro.retrieval import LSIRetrieval
-from repro.server import (
+from repro.retrieval.engine import LSIRetrieval
+from repro.server.batching import MicroBatcher
+from repro.server.client import ServerClient
+from repro.server.http import start_http_server
+from repro.server.service import QueryService, ServerConfig
+from repro.server.state import (
     EpochSnapshot,
-    MicroBatcher,
-    QueryService,
-    ServerClient,
-    ServerConfig,
     ServingState,
     manager_from_texts,
-    start_http_server,
     train_quantizer,
 )
 
@@ -493,8 +492,15 @@ _PAD = b"a" * (70 * 1024)  # past the 64 KiB line limit
             b"GET /" + _PAD + b" HTTP/1.1\r\n\r\n",
             "request line exceeds 65536 bytes",
         ),
+        (
+            b"GARBAGE\r\n\r\n",
+            "malformed request line: expected METHOD PATH",
+        ),
     ],
-    ids=["negative-content-length", "long-header-line", "long-request-line"],
+    ids=[
+        "negative-content-length", "long-header-line", "long-request-line",
+        "one-token-request-line",
+    ],
 )
 def test_http_framing_errors_are_400(caplog, raw, error):
     import json
@@ -511,7 +517,12 @@ def test_http_framing_errors_are_400(caplog, raw, error):
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 400 "), reply[:200]
         assert b"Connection: close" in head
-        assert json.loads(body)["error"] == error
+        payload = json.loads(body)
+        assert payload["error"] == error
+        # The one id a rejected request is correlated by, in both places.
+        assert f"X-Request-Id: {payload['request_id']}\r\n".encode() in (
+            head + b"\r\n"
+        )
         # The server is unharmed: the next connection answers.
         assert ServerClient(port=server.port).healthz()["status"] == "ok"
     assert not [r for r in caplog.records if r.name == "asyncio"]
@@ -794,7 +805,7 @@ def test_cli_slowlog_parser_flags(tmp_path):
 # --------------------------------------------------------------------- #
 import re as _re
 
-from repro import obs
+from repro.obs.tracing import enable_tracing
 from tests.test_obs import clear_spans
 
 _HEX_ID = _re.compile(r"[0-9a-f]{32}")
@@ -857,7 +868,7 @@ def test_metrics_prom_endpoint_renders_text_exposition():
 def test_trace_endpoint_assembles_request_spans():
     state = _fresh_state()
     clear_spans()
-    prev = obs.enable_tracing(True)
+    prev = enable_tracing(True)
     try:
         with _ServerThread(state, ServerConfig()) as server:
             with ServerClient(port=server.port) as client:
@@ -874,7 +885,7 @@ def test_trace_endpoint_assembles_request_spans():
         assert http_span["trace_id"] == "trace-me-1"
         assert http_span["attrs"]["request_id"] == "trace-me-1"
     finally:
-        obs.enable_tracing(prev)
+        enable_tracing(prev)
         clear_spans()
 
 

@@ -34,14 +34,10 @@ import pytest
 
 from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
-from repro.server import (
-    EpochSnapshot,
-    MicroBatcher,
-    QueryService,
-    SearchRequest,
-    ServerClient,
-    ServerConfig,
-)
+from repro.server.batching import MicroBatcher, SearchRequest
+from repro.server.client import ServerClient
+from repro.server.service import QueryService, ServerConfig
+from repro.server.state import EpochSnapshot
 
 from tests.test_server import QUERIES, _fresh_state, _pairs, _ServerThread
 from tests.test_tenancy import TENANT_QUERIES, _registry

@@ -38,7 +38,7 @@ from repro.core.model import LSIModel
 from repro.errors import ReproError, StoreError
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
-from repro.server import QueryService, ServerConfig
+from repro.server.service import QueryService, ServerConfig
 from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.serving.ann import (
     ANN_ARRAY_NAMES,
@@ -51,8 +51,8 @@ from repro.serving.scan import ranked_scan
 from repro.serving.topk import ranked_order
 from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
 from repro.store.durable import (
-    STORE_LAYOUT,
     DurableIndexStore,
+    STORE_LAYOUT,
     read_store_status,
 )
 from repro.store.mmap_io import open_latest_ann

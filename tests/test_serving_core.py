@@ -36,13 +36,13 @@ from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.worker import ShardWorker
 from repro.core.model import LSIModel
 from repro.parallel.sharding import merge_topk, shard_bounds
-from repro.server import QueryService, ServerConfig, ServingState
-from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.server.service import QueryService, ServerConfig
+from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint
-from repro.tenancy import IndexRegistry
-from repro.text import Vocabulary
+from repro.tenancy.registry import IndexRegistry
+from repro.text.vocabulary import Vocabulary
 
 from tests.test_server import _ServerThread
 

@@ -21,19 +21,17 @@ from repro.core.model import LSIModel
 from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities, nearest_terms
 from repro.obs.metrics import registry
-from repro.parallel import merge_topk, shard_bounds
-from repro.retrieval import LSIRetrieval
+from repro.parallel.sharding import merge_topk, shard_bounds
+from repro.retrieval.engine import LSIRetrieval
 from repro.server.state import EpochSnapshot
-from repro.serving import (
-    ranked_pairs,
-    row_norms,
-    scaled_documents,
-    topk_indices,
-)
+from repro.serving.index import scaled_documents
+from repro.serving.kernel import row_norms
+from repro.serving.topk import ranked_pairs, topk_indices
 from repro.text.vocabulary import Vocabulary
-from repro.updating import fold_in_documents, update_documents
 from repro.updating.fast_update import fast_update_documents
+from repro.updating.folding import fold_in_documents
 from repro.updating.manager import LSIIndexManager
+from repro.updating.svd_update import update_documents
 from tests.test_serving_scan import assert_ranking_matches, whole_model_search
 
 
@@ -380,7 +378,7 @@ def test_consolidation_leaves_the_pinned_source_epoch_untouched():
     visible in the next model, across fold-in AND the consolidation
     (recompute/SVD-update) paths that replace the model wholesale, and
     none of them disturbs a reader still pinned on the first epoch."""
-    from repro.corpus import med_matrix
+    from repro.corpus.med import med_matrix
 
     mgr = LSIIndexManager(med_matrix(), k=4, distortion_budget=0.05)
     Q = np.random.default_rng(4).standard_normal((2, mgr.k))

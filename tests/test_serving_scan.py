@@ -26,7 +26,7 @@ from repro.core.model import LSIModel
 from repro.core.similarity import retrieve
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk
-from repro.retrieval import LSIRetrieval
+from repro.retrieval.engine import LSIRetrieval
 from repro.server.state import EpochSnapshot
 from repro.serving import scan
 from repro.serving.ann import CoarseQuantizer

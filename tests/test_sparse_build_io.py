@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import CSCMatrix, from_dense
+from repro.sparse.build import from_dense
+from repro.sparse.csc import CSCMatrix
 
 
 def test_from_dense_tolerance():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, SparseFormatError
-from repro.sparse import CSCMatrix, from_dense
+from repro.sparse.build import from_dense
+from repro.sparse.csc import CSCMatrix
 
 
 def test_construction_and_basic_properties():

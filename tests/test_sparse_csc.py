@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError, SparseFormatError
-from repro.sparse import CSCMatrix, from_dense
+from repro.sparse.build import from_dense
+from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import MATMAT_CHUNK, csc_matmat
 
 

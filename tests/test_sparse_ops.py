@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import from_dense, hstack_csc
+from repro.sparse.build import from_dense
+from repro.sparse.csc import hstack_csc
 
 
 def test_hstack_csc(rng):

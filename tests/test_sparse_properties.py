@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sparse import CSCMatrix, from_dense
+from repro.sparse.build import from_dense
+from repro.sparse.csc import CSCMatrix
 
 
 @st.composite

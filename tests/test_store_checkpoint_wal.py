@@ -14,6 +14,7 @@ from repro.store.checkpoint import (
     latest_valid_checkpoint,
     load_manifest,
     list_checkpoints,
+    newest_checkpoint,
     read_arrays,
     verify_checkpoint,
     write_checkpoint,
@@ -96,9 +97,16 @@ def test_tmp_debris_is_reaped_and_invisible(tmp_path, arrays):
     (debris / "half.npy").write_bytes(b"partial")
     infos = list_checkpoints(tmp_path)
     assert [i.checkpoint_id for i in infos] == [1]
-    assert not debris.exists()
-    # The next checkpoint takes id 2 — debris never claimed it.
+    # A listing deletes nothing: the ``.tmp`` may be another process's
+    # write in flight (a standby polls while the primary seals).
+    assert (debris / "half.npy").exists()
+    assert newest_checkpoint(tmp_path).checkpoint_id == 1
+    assert latest_valid_checkpoint(tmp_path)[0].checkpoint_id == 1
+    assert (debris / "half.npy").exists()
+    # The next checkpoint takes id 2 — debris never claimed it — and its
+    # writer reaps the debris before it writes.
     assert write_checkpoint(tmp_path, arrays, {}).checkpoint_id == 2
+    assert not debris.exists()
 
 
 def test_latest_valid_falls_back_past_corruption(tmp_path, arrays):

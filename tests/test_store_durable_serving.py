@@ -12,21 +12,17 @@ import pytest
 from repro.cluster.plan import ShardPlan
 from repro.cluster.primary import PrimaryWriter
 from repro.cluster.standby import StandbyConfig, StandbyWriter
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
-from repro.server import QueryService, ServingState, manager_from_texts
-from repro.store import (
-    CheckpointPolicy,
-    DurableIndexStore,
-    StoreLock,
-    list_checkpoints,
-    open_latest_model,
-    read_store_status,
-)
+from repro.server.service import QueryService
+from repro.server.state import ServingState, manager_from_texts
 from repro.store import durable
-from repro.store.durable import RETAIN
-from repro.store.sealing import SWITCH_INTERVAL_S
+from repro.store.checkpoint import list_checkpoints
+from repro.store.durable import DurableIndexStore, RETAIN, read_store_status
+from repro.store.lock import StoreLock
+from repro.store.mmap_io import open_latest_model
+from repro.store.sealing import CheckpointPolicy, SWITCH_INTERVAL_S
 from repro.store.wal import scan_wal
 from tests.test_store_checkpoint_wal import array_files
 

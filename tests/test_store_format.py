@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.store import DurableIndexStore, open_checkpoint, scan_wal
+from repro.store.durable import DurableIndexStore
+from repro.store.recovery import open_checkpoint
+from repro.store.wal import scan_wal
 from tests import format_reader
 from tests.test_cli_toolbox import LINES, MORE_LINES
 from tests.test_store_mmap import pending_fast_update_store

@@ -14,19 +14,21 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.cluster.epochs import EpochHandle
-from repro.cluster.epochs import open_checkpoint as cluster_open_checkpoint
+from repro.cluster.epochs import (
+    EpochHandle,
+    open_checkpoint as cluster_open_checkpoint,
+)
 from repro.cluster.plan import ShardPlan
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
-from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.errors import StoreCorruptError
+from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
 from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
-from repro.store.durable import STORE_LAYOUT, DurableIndexStore
+from repro.store.durable import DurableIndexStore, STORE_LAYOUT
 from repro.store.mmap_io import open_latest_ann, open_latest_model
 from repro.store.recovery import open_checkpoint
-from repro.tenancy import IndexRegistry
+from repro.tenancy.registry import IndexRegistry
 
 
 @pytest.fixture(scope="module")

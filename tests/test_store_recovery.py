@@ -6,22 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.errors import StoreCorruptError, StoreError
-from repro.store import (
+from repro.store import checkpoint
+from repro.store.checkpoint import MANIFEST_NAME, load_manifest, write_checkpoint
+from repro.store.durable import (
     DurableIndexStore,
-    capture_manager,
-    checkpoint,
-    open_checkpoint,
     read_store_status,
-    recover_manager,
-    restore_manager,
     verify_store,
 )
-from repro.store.checkpoint import MANIFEST_NAME, load_manifest, write_checkpoint
+from repro.store.recovery import (
+    capture_manager,
+    open_checkpoint,
+    recover_manager,
+    restore_manager,
+)
 from repro.store.wal import WriteAheadLog
-from repro.text import ParsingRules, build_tdm
-from repro.updating import LSIIndexManager
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
+from repro.updating.manager import LSIIndexManager
 from tests.test_store_checkpoint_wal import array_files
 
 
@@ -189,7 +192,7 @@ def test_corrupt_array_falls_back_to_older_checkpoint(corpus, tmp_path):
     store.close(flush=False)
     checkpoints_dir, wal_path = DurableIndexStore.paths(tmp_path / "s")
 
-    from repro.store import list_checkpoints
+    from repro.store.checkpoint import list_checkpoints
 
     newest = list_checkpoints(checkpoints_dir)[-1]
     victim = array_files(newest)[0]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.server.state import manager_from_texts
-from repro.store import DurableIndexStore
+from repro.store.durable import DurableIndexStore
 from repro.store.wal import WAL_MAGIC, encode_array, scan_wal
 
 _HEADER = struct.Struct("<8sQ")

@@ -34,16 +34,13 @@ from hypothesis import strategies as st
 
 from repro.corpus.med import MED_TOPICS
 from repro.errors import ReproError, ServerOverloadError, UnknownTenantError
-from repro.retrieval import LSIRetrieval
-from repro.server import (
-    MicroBatcher,
-    QueryService,
-    ServerClient,
-    ServerConfig,
-    ServingState,
-    manager_from_texts,
-)
-from repro.tenancy import DEFAULT_TENANT, IndexRegistry, TenantQuotas
+from repro.retrieval.engine import LSIRetrieval
+from repro.server.batching import MicroBatcher
+from repro.server.client import ServerClient
+from repro.server.service import QueryService, ServerConfig
+from repro.server.state import ServingState, manager_from_texts
+from repro.tenancy.quotas import TenantQuotas
+from repro.tenancy.registry import DEFAULT_TENANT, IndexRegistry
 
 from tests.test_server import _ServerThread
 from tests.test_store_mmap import (
@@ -229,7 +226,7 @@ def _hosted(argv, monkeypatch):
 def test_query_cache_partitioned_per_tenant(tmp_path, monkeypatch):
     """``serve --tenant`` hosts every named tenant, attached lazily and
     read-only."""
-    from repro.store import DurableIndexStore
+    from repro.store.durable import DurableIndexStore
 
     flags = []
     for tid in ("alpha", "beta", "gamma"):
@@ -250,7 +247,7 @@ def test_store_tenant_probes_like_serve_store(tmp_path, monkeypatch):
     one opener, so a probe request gets the same ranking and the same
     ``ann`` block from both (a tenant once fell back to the exact
     scan)."""
-    from repro.store import DurableIndexStore
+    from repro.store.durable import DurableIndexStore
 
     rng = np.random.default_rng(5)
     words = [f"w{i}" for i in range(200)]
@@ -600,7 +597,7 @@ def test_cli_cluster_serve_requires_one_source(tmp_path):
 
 
 def _seed_store(tmp_path, name: str, texts: list[str]):
-    from repro.store import DurableIndexStore
+    from repro.store.durable import DurableIndexStore
 
     data_dir = tmp_path / name
     ids = [f"{name}-{i}" for i in range(len(texts))]

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.text import ParsingRules, Vocabulary, build_tdm, char_ngrams
-from repro.text.ngrams import vocabulary_ngrams
-from repro.text.tdm import count_vector, tdm_from_parsed
-from repro.text.parser import parse_corpus
+from repro.text.ngrams import char_ngrams, vocabulary_ngrams
+from repro.text.parser import ParsingRules, parse_corpus
+from repro.text.tdm import build_tdm, count_vector, tdm_from_parsed
+from repro.text.vocabulary import Vocabulary
 
 
 def test_build_tdm_counts_frequencies():

@@ -1,6 +1,7 @@
 """Tests for tokenization and the stop list."""
 
-from repro.text import DEFAULT_STOPWORDS, tokenize
+from repro.text.stopwords import DEFAULT_STOPWORDS
+from repro.text.tokenizer import tokenize
 
 
 def test_basic_tokenization():

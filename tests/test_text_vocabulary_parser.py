@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import VocabularyError
-from repro.text import ParsingRules, Vocabulary, parse_corpus
+from repro.text.parser import ParsingRules, parse_corpus
+from repro.text.vocabulary import Vocabulary
 
 
 def test_vocabulary_roundtrip():

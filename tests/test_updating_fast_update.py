@@ -15,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.build import fit_lsi_from_tdm
 from repro.corpus.med import UPDATE_COLUMNS, med_matrix
-from repro.core import fit_lsi_from_tdm
 from repro.errors import ShapeError
-from repro.linalg import orthogonality_loss
-from repro.sparse import from_dense
-from repro.text import TermDocumentMatrix, Vocabulary
-from repro.updating import fast_update_documents, update_documents
+from repro.linalg.orth import orthogonality_loss
+from repro.sparse.build import from_dense
+from repro.text.tdm import TermDocumentMatrix
+from repro.text.vocabulary import Vocabulary
+from repro.updating.fast_update import fast_update_documents
+from repro.updating.svd_update import update_documents
 
 TOP = 5
 

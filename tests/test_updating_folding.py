@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core import fit_lsi, project_query
+from repro.core.build import fit_lsi
+from repro.core.query import project_query
 from repro.corpus.med import MED_UPDATE_TOPICS, UPDATE_COLUMNS
 from repro.errors import ShapeError
-from repro.updating import fold_in_documents, fold_in_terms, fold_in_texts
+from repro.updating.folding import (
+    fold_in_documents,
+    fold_in_terms,
+    fold_in_texts,
+)
 
 
 def test_fold_documents_is_query_projection(med_model):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.corpus import SyntheticSpec, topic_collection
+from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.errors import ShapeError
-from repro.text import ParsingRules, build_tdm
-from repro.updating import LSIIndexManager, manager
+from repro.text.parser import ParsingRules
+from repro.text.tdm import build_tdm
+from repro.updating import manager
+from repro.updating.manager import LSIIndexManager
 
 
 @pytest.fixture
@@ -66,7 +68,8 @@ def test_consolidation_preserves_document_count(manager_setup):
 
 def test_queries_see_all_documents_immediately(manager_setup):
     mgr, later = manager_setup
-    from repro.core import project_query, retrieve
+    from repro.core.query import project_query
+    from repro.core.similarity import retrieve
 
     mgr.add_texts([later[0]], doc_ids=["FRESH"])
     qhat = project_query(mgr.model, later[0])
@@ -168,7 +171,7 @@ def test_event_replay_is_bit_deterministic():
 
 
 def test_restore_resumes_identically(manager_setup):
-    from repro.store import capture_manager, restore_manager
+    from repro.store.recovery import capture_manager, restore_manager
 
     mgr, later = manager_setup
     mgr.add_texts(later[:2])

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from repro.corpus.med import UPDATE_COLUMNS
-from repro.updating import (
-    drift_report,
+from repro.updating.cost_model import (
     fold_documents_flops,
     fold_terms_flops,
-    plan_update,
     recompute_flops,
     svd_update_flops,
 )
-from repro.updating.orthogonality import fold_in_drift_curve
+from repro.updating.orthogonality import drift_report, fold_in_drift_curve
+from repro.updating.planner import plan_update
 
 
 def test_drift_report_clean_model(med_model):

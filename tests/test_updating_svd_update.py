@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fit_lsi_from_tdm
+from repro.core.build import fit_lsi_from_tdm
 from repro.corpus.med import UPDATE_COLUMNS, med_matrix
 from repro.errors import ShapeError
-from repro.linalg import orthogonality_loss
-from repro.updating import update_documents, update_terms, update_weights
-from repro.weighting import (
-    WeightingScheme,
-    apply_weighting,
-    weight_correction_blocks,
+from repro.linalg.orth import orthogonality_loss
+from repro.updating.svd_update import (
+    update_documents,
+    update_terms,
+    update_weights,
 )
+from repro.weighting.correction import weight_correction_blocks
+from repro.weighting.schemes import WeightingScheme, apply_weighting
 
 
 @pytest.fixture(scope="module")
@@ -197,9 +198,9 @@ def test_update_order_document_then_term_consistency(rng):
     presented' — when k exceeds the combined rank (so truncation is
     lossless), docs-then-terms and terms-then-docs give the same
     spectrum with the residual-exact updates."""
-    from repro.linalg import dense_svd
     from repro.core.model import LSIModel
-    from repro.text import Vocabulary
+    from repro.linalg.svd import dense_svd
+    from repro.text.vocabulary import Vocabulary
 
     A = rng.standard_normal((18, 5)) @ rng.standard_normal((5, 14))
     U, s, V = dense_svd(A)
@@ -252,8 +253,8 @@ def test_every_phase_matches_the_dense_svd_oracle(m, n, k, p, block_rank, seed):
     ``n``) and rank-deficient ones; each printed form's σ never exceed
     the exact form's."""
     from repro.core.model import LSIModel
-    from repro.linalg import dense_svd
-    from repro.text import Vocabulary
+    from repro.linalg.svd import dense_svd
+    from repro.text.vocabulary import Vocabulary
 
     rng = np.random.default_rng(seed)
     k = min(k, m, n)

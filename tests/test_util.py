@@ -12,7 +12,7 @@ from repro.errors import (
     SparseFormatError,
     VocabularyError,
 )
-from repro.util import ensure_rng
+from repro.util.rng import ensure_rng
 
 
 # --------------------------------------------------------------------- #

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.sparse import from_dense
-from repro.weighting import (
-    WeightingScheme,
-    apply_weighting,
-    global_weight,
-    local_weight,
-    weight_correction_blocks,
-)
+from repro.sparse.build import from_dense
+from repro.weighting.correction import weight_correction_blocks
+from repro.weighting.global_ import global_weight
+from repro.weighting.local import local_weight
+from repro.weighting.schemes import WeightingScheme, apply_weighting
 
 
 @pytest.fixture
