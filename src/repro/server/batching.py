@@ -1,4 +1,4 @@
-"""Work-conserving micro-batching: one GEMM per pile-up, never a timer.
+"""Work-conserving micro-batching: one scan per pile-up, never a timer.
 
 The fast path (PR 1) made *batched* scoring cheap — one GEMM scores a
 whole query matrix — but only for callers who arrive pre-batched.  A
@@ -257,10 +257,11 @@ class MicroBatcher:
         """Project + score + rank one batch.
 
         The batch splits by effective probe count: the *exact* group
-        (``None``) shares one GEMM over all documents, each ANN group
-        probes the snapshot's quantizer per query (candidate sets differ
-        per query, so there is no cross-query GEMM to share; the
-        grouping bounds the per-probe-set bookkeeping and spans).  Each
+        (``None``) shares one fp32 pass over all documents (read once,
+        in row blocks: :func:`~repro.serving.scan.approx_cosines`), each
+        ANN group probes the snapshot's quantizer per query (candidate
+        sets differ per query, so there is no cross-query pass to share;
+        the grouping bounds the per-probe-set bookkeeping and spans).  Each
         group is one :meth:`EpochSnapshot.search` call, which also owns
         the exact fallback for a snapshot without a quantizer.
 

@@ -9,9 +9,10 @@ shard worker,
 :meth:`LSIRetrieval.search <repro.retrieval.engine.LSIRetrieval.search>`,
 :func:`repro.core.similarity.retrieve`) therefore has this shape:
 
-1. :func:`approx_cosines` — one single-precision pass ``Û q̂`` over the
-   unit-normalised rows (:class:`~repro.serving.index.ScaledRows`), half
-   the bytes of the fp64 scan, no n-wide divide;
+1. :func:`approx_cosines` — one single-precision pass ``Û Q̂ᵀ`` per flush
+   over the unit-normalised rows (:class:`~repro.serving.index.ScaledRows`),
+   half the bytes of the fp64 scan, no n-wide divide: a batch reads each
+   row once, in row blocks (:data:`SCAN_BLOCK`);
 2. the candidate set ``{approx ≥ cut − margin}``, where ``cut`` is the
    ``top``-th largest approximate cosine and/or the ``threshold``
    (:func:`prefilter_margin` proves the true answer is inside);
@@ -99,15 +100,34 @@ def unit_queries(Qs: np.ndarray) -> np.ndarray:
     return (Qs / np.where(qn > 0, qn, 1.0)[:, None]).astype(np.float32)
 
 
+#: Elements (rows · q · k) of one row block of a 2- to 16-query pass.  One
+#: skinny sgemm over all n rows pays OpenBLAS's operand packing (on S, a
+#: 2-query call took 2.2× a 1-query one); blocks under its small-matrix
+#: bound (M·N·K ≤ 10⁶) skip it, so a batch streams the rows once.  Past 16
+#: queries blocks stopped paying (figures: DESIGN.md, micro-batching).
+SCAN_BLOCK = 1 << 19
+SCAN_WIDTH = 16
+
+
 def approx_cosines(unit: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """``(n, q)`` single-precision cosines of unit rows with scaled queries.
 
-    The only n-wide pass of an exact request.  A zero query stays zero
-    (approximate cosine 0 everywhere, as its true cosine is).
+    The only n-wide pass of an exact request, one per flush: rows are
+    read in blocks of ``SCAN_BLOCK // (q·k)`` (one block when q = 1 or
+    q > :data:`SCAN_WIDTH`).  A zero query stays zero (approximate
+    cosine 0 everywhere, as its true cosine is).
     """
     unit_q = unit_queries(Qs)
+    (n, k), q = unit.shape, unit_q.shape[0]
     t0 = time.perf_counter()
-    approx = unit @ unit_q.T
+    blocked = 1 < q <= SCAN_WIDTH
+    step = max(SCAN_BLOCK // (q * k or 1) if blocked else n, 1)
+    approx = np.empty((n, q), dtype=np.float32)
+    # Contiguous: against the transposed view the small kernel takes
+    # blocks of at most 1 200 outputs.
+    columns = np.ascontiguousarray(unit_q.T)
+    for a in range(0, n, step):
+        np.matmul(unit[a:a + step], columns, out=approx[a:a + step])
     registry.observe("serving.scan_seconds", time.perf_counter() - t0)
     return approx
 

@@ -33,3 +33,15 @@ def test_example_runs(script, capsys, monkeypatch, tmp_path):
         sys.argv = saved_argv
     out = capsys.readouterr().out
     assert out.strip(), f"{script} produced no output"
+
+
+def test_readme_quickstart_prints_what_its_comment_says(capsys):
+    """README's Quickstart block runs, and its ``# → …`` comment is its
+    output: the ids and rounded cosines, in ranked order."""
+    readme = (EXAMPLES_DIR.parent / "README.md").read_text()
+    section = readme.split("## Quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md#quickstart", "exec"), {})
+    printed = capsys.readouterr().out.strip().splitlines()
+    claimed = block.split("# →", 1)[1].splitlines()[0].split(",")
+    assert printed == [entry.strip() for entry in claimed]

@@ -344,3 +344,95 @@ def test_ranked_scan_handles_empty_ranges_and_degenerate_tops():
     assert ranked_scan(scaled, Qs, [0, -1], [None, None]) == [[], []]
     everything = ranked_scan(scaled, Qs, [None, 50], [None, None], offset=100)
     assert all(len(r) == 9 and min(j for j, _ in r) == 100 for r in everything)
+
+
+# --------------------------------------------------------------------- #
+# the batch's fp32 pass, in row blocks
+# --------------------------------------------------------------------- #
+def _block_rows(q: int, k: int) -> int:
+    return scan.SCAN_BLOCK // (q * k)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5, 17])
+def test_blocked_pass_is_within_the_margin_at_every_block_edge(q):
+    """Rows on both sides of each block boundary read within the
+    per-entry bound ``prefilter_margin`` is proven from."""
+    rng = np.random.default_rng(40 + q)
+    k = 64
+    block = _block_rows(q, k)
+    s = np.sort(np.logspace(-3, 3, k))[::-1].copy()
+    scaled = scaled_rows(rng.standard_normal((3 * block + 7, k)) / s, s)
+    Qs = rng.standard_normal((q, k))
+    exact = np.stack(
+        [row_cosines(scaled.V, scaled.s, scaled.norms, row) for row in Qs],
+        axis=1,
+    )
+    for n in (1, block - 1, block, block + 1, 3 * block + 7):
+        approx = scan.approx_cosines(scaled.unit[:n], Qs)
+        assert approx.shape == (n, q) and approx.dtype == np.float32
+        assert np.abs(approx - exact[:n]).max() <= prefilter_margin(k) / 2
+
+
+def test_single_query_pass_is_one_gemv():
+    """At q = 1 the pass is the one matrix-vector product, bit for bit —
+    what a shard worker's candidate set is cut from."""
+    rng = np.random.default_rng(41)
+    n = 3 * _block_rows(1, 32) + 5
+    unit = rng.standard_normal((n, 32)).astype(np.float32)
+    Qs = rng.standard_normal((1, 32))
+    want = unit @ scan.unit_queries(Qs).T
+    assert np.array_equal(scan.approx_cosines(unit, Qs), want)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_blocked_pass_over_an_empty_shard(q):
+    Qs = np.random.default_rng(42).standard_normal((q, 8))
+    approx = scan.approx_cosines(np.empty((0, 8), dtype=np.float32), Qs)
+    assert approx.shape == (0, q)
+    empty = scaled_rows(np.empty((0, 8)), np.ones(8))
+    assert ranked_scan(empty, Qs, [5] * q, [None] * q) == [[]] * q
+
+
+def _bits(results):
+    return [[(j, score.hex()) for j, score in pairs] for pairs in results]
+
+
+def test_a_batch_ranks_as_its_single_queries_do():
+    """A q-query flush spans several row blocks; each of its rankings is
+    the same bits as that query scored alone — whole model, row range,
+    and a cell-ordered layout with a fresh tail."""
+    rng = np.random.default_rng(43)
+    k, q = 64, 6
+    n = 3 * _block_rows(q, k) + 11  # > one 2-query block of 4 096 rows too
+    s = np.sort(rng.random(k) + 0.5)[::-1].copy()
+    V = rng.standard_normal((n, k))
+    V[-200:-100] = V[100:200]  # exact ties across block boundaries
+    model = _model(V, s)
+    Qs = EpochSnapshot(0, model).scale(rng.standard_normal((q, k)))
+    Qs[4] = 0.0  # the all-OOV query
+    tops = [10, 1, None, 200, 10, 3]
+    thresholds = [None, None, 0.2, None, None, 0.05]
+    quantizer = CoarseQuantizer.train((V * s)[: n - 500], 16, seed=0)
+    snapshots = [
+        EpochSnapshot(0, model),
+        EpochSnapshot(0, model, lo=777, hi=n - 5),
+        EpochSnapshot(0, model, ann=quantizer),  # the last 500 rows: the tail
+    ]
+    assert snapshots[2].scaled.order is not None
+    for snapshot in snapshots:
+        for width in (2, q):
+            batch = snapshot.search(
+                Qs[:width], top=tops[:width], threshold=thresholds[:width]
+            )[0]
+            alone = [
+                snapshot.search(
+                    Qs[i:i + 1], top=tops[i], threshold=thresholds[i]
+                )[0][0]
+                for i in range(width)
+            ]
+            assert _bits(batch) == _bits(alone)
+    rows = scaled_rows(V, s)
+    assert _bits(ranked_scan(rows, Qs, tops, thresholds)) == _bits(
+        [ranked_scan(rows, Qs[i:i + 1], tops[i:i + 1], thresholds[i:i + 1])[0]
+         for i in range(q)]
+    )
