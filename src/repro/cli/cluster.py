@@ -330,7 +330,7 @@ def cmd_serve(args, out) -> int:
                 if handle.plan.replication > 1 else ""
             )
             + ", ann"
-            + (", writable" if fleet.primary is not None else "")
+            + (", writable" if fleet.writer is not None else "")
             + (", standby" if fleet.standby is not None else "")
             + ")"
         )

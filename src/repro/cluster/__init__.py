@@ -17,16 +17,19 @@ failing.  :class:`~repro.cluster.service.ClusterService` packages the
 whole thing behind the existing HTTP front end (``repro cluster
 serve``).
 
-With ``--writable`` the cluster also ingests: the
-:class:`~repro.cluster.primary.PrimaryWriter` owns the durable store's
-write lock, WAL-logs every ``/add`` (acknowledged = fsynced, SIGKILL
-recovers bit-identically), applies the Vecharynski-Saad fast SVD
-update per batch, seals format-4 checkpoints through the store's one
-owner (the same one ``repro serve --data-dir`` runs), and
-broadcasts epoch *bumps* — each worker hot-remaps the new checkpoint
-behind an atomic swap while keeping the previous epoch's state alive
-(:mod:`~repro.cluster.epochs`), so in-flight queries finish against
-the epoch they started on and zero queries drop across a bump.
+With ``--writable`` the cluster also ingests: the service writes
+through the durable store's one owner (the same
+:class:`~repro.store.sealing.StoreWriter` ``repro serve --data-dir``
+runs), which holds the write lock, WAL-logs every ``/add``
+(acknowledged = fsynced, SIGKILL recovers bit-identically), applies
+the Vecharynski-Saad fast SVD update per batch and seals format-4
+checkpoints; each seal goes to
+:meth:`~repro.cluster.service.ClusterService.advance`, the one path
+that moves the fleet to a new epoch, which broadcasts epoch *bumps* —
+each worker hot-remaps the new checkpoint behind an atomic swap while
+keeping the previous epoch's state alive (:mod:`~repro.cluster.epochs`),
+so in-flight queries finish against the epoch they started on and zero
+queries drop across a bump.
 
 With ``--replication R`` the cluster is highly available on both paths.
 Reads: the :class:`~repro.cluster.plan.ShardPlan` assigns every
@@ -38,7 +41,8 @@ hedges stragglers across replicas — a SIGKILL'd worker costs nothing
 while a sibling lives, and epoch bumps publish only once a quorum of
 each range's replicas remap.  Writes: ``--standby`` runs a
 :class:`~repro.cluster.standby.StandbyWriter` that tails checkpoints
-and the WAL read-only, and on primary death adopts the store lock
+and the WAL read-only (through the same ``advance``), and on primary
+death adopts the store lock
 (fencing generation bumped — see :mod:`repro.store.lock`), replays the
 WAL tail, and resumes sealing with zero acked records lost.
 """

@@ -731,8 +731,8 @@ class ClusterRouter:
         (or already held the epoch).  A worker that fails, rejects, or
         times out is simply absent — the epoch
         only *publishes* once a quorum of every range's replicas acked
-        (the supervisor tracks that), and the primary writer re-bumps
-        laggards each poll.  The deadline (:data:`BUMP_TIMEOUT_S`) is
+        (the supervisor tracks that), and the fleet's next ``advance``
+        re-bumps laggards.  The deadline (:data:`BUMP_TIMEOUT_S`) is
         generous: a remap is O(header) mmap opens plus one shard's
         coordinate materialization.
         """

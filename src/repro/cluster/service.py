@@ -15,20 +15,29 @@ the supervisor's restart machinery.
 
 By default the cluster is a *read-only* serving tier: ``/add`` is
 refused with :class:`~repro.errors.ClusterReadOnlyError`, and a new
-checkpoint is picked up by restarting the cluster.  Given a
-``writer`` seal policy the service embeds the
-:class:`~repro.cluster.primary.PrimaryWriter`: ``/add`` WAL-logs
-through the store's one owner, which seals checkpoints on that policy,
-the writer bumps the workers, and the fleet hot-swaps its
-:class:`~repro.cluster.epochs.EpochHandle` — ``search`` snapshots the
-handle at entry, so in-flight queries finish against the superseded
-epoch (which every worker retains) and zero queries drop across a bump.
+checkpoint is picked up by restarting the cluster.  Given a ``writer``
+seal policy the service writes through the store's one owner, a
+:class:`~repro.store.sealing.StoreWriter` it opens itself: ``/add``
+WAL-logs on the owner's thread, the owner seals checkpoints on that
+policy, and every tick ends in :meth:`ClusterService.advance`, the one
+path that moves the fleet to a new epoch (a standby's poll and its
+adoption take it too).  ``search`` snapshots the
+:class:`~repro.cluster.epochs.EpochHandle` at entry, so in-flight
+queries finish against the superseded epoch (which every worker
+retains) and zero queries drop across a bump.
+
+The ingest kernel is the Vecharynski-Saad fast update
+(:mod:`repro.updating.fast_update`): near-fold-in cost per batch, but
+the factors stay orthonormal, so sustained ingest does not accumulate
+the §4.3 drift folding-in would; consolidation still runs the exact
+SVD-update on the pristine base.
 """
 
 from __future__ import annotations
 
 import asyncio
 import pathlib
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -44,11 +53,36 @@ from repro.obs.metrics import registry
 from repro.obs.tracing import span
 
 if TYPE_CHECKING:  # the writers load only on a fleet configured with one
-    from repro.cluster.primary import PrimaryWriter
     from repro.cluster.standby import StandbyConfig, StandbyWriter
-    from repro.store.sealing import CheckpointPolicy
+    from repro.store.sealing import CheckpointPolicy, StoreWriter
 
 __all__ = ["ClusterConfig", "ClusterService"]
+
+#: Per-batch ingest kernel the fleet's writer runs: the Vecharynski-Saad
+#: fast update, at residual sketch rank :data:`FAST_UPDATE_RANK`.
+INGEST_METHOD = "fast-update"
+FAST_UPDATE_RANK = 8
+
+
+def _stamp_ingest_kernel(manager) -> str | None:
+    """Set the fleet's ingest kernel after WAL replay (changing it
+    mid-log would break bit-identical replay); ``"adopt"`` — a seal that
+    stamps it before any record lands under it — when that changed it."""
+    changed = (
+        manager.ingest_method != INGEST_METHOD
+        or manager.fast_update_rank != FAST_UPDATE_RANK
+    )
+    manager.ingest_method = INGEST_METHOD
+    manager.fast_update_rank = FAST_UPDATE_RANK
+    return "adopt" if changed else None
+
+
+def _publish_writer_gauges(writer: StoreWriter) -> None:
+    registry.set_gauge("cluster.writer.wal_lsn", writer.wal_lsn)
+    registry.set_gauge("cluster.writer.sealed_epoch", writer.sealed_epoch)
+    registry.set_gauge(
+        "cluster.writer.pending_documents", writer.store.manager.pending
+    )
 
 
 @dataclass(frozen=True)
@@ -63,8 +97,8 @@ class ClusterConfig:
     #: carved, each served by R distinct worker processes.
     replication: int = 1
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    #: Embed the primary writer with this seal policy: ``/add``
-    #: accepted, epochs bump live.  ``None`` serves read-only.
+    #: Own the store with this seal policy: ``/add`` accepted, epochs
+    #: bump live.  ``None`` serves read-only.
     writer: CheckpointPolicy | None = None
     #: Run a warm standby writer: tail checkpoints + WAL read-only and
     #: adopt the store lock (promote to primary) when it frees.
@@ -102,20 +136,21 @@ class ClusterService:
                 "standby with --standby"
             )
 
-        # In writable mode the primary opens (locks) the store *first*
-        # and seals when it must — so the handle pinned below already
-        # serves every WAL-acknowledged document and records the
-        # writer's ingest configuration in its manifest.
-        self.primary: PrimaryWriter | None = None
+        # In writable mode the writer opens (locks) the store *first* and
+        # seals when it must — so the handle pinned below already serves
+        # every WAL-acknowledged document and records the writer's
+        # ingest configuration in its manifest.
+        self.writer: StoreWriter | None = None
+        #: A sealed handle whose bump has not reached quorum yet: the
+        #: served one keeps answering, and the next ``advance`` retries.
+        self._parked: EpochHandle | None = None
         if self.config.writer is not None:
-            from repro.cluster.primary import PrimaryWriter
-
-            self.primary = PrimaryWriter(self.data_dir, self.config.writer)
+            self.writer = self.open_writer(self.config.writer)
 
         # The handle memory-maps the checkpoint model for projection (U,
         # Σ, vocabulary); each worker maps the same .npy files itself —
         # the page cache is shared.  ``search`` snapshots this reference
-        # at entry; ``publish_handle`` replaces it atomically on bump.
+        # at entry; ``advance`` replaces it atomically on bump.
         self._handle = EpochHandle.open(
             self.data_dir,
             self.config.workers,
@@ -135,7 +170,7 @@ class ClusterService:
 
         # The warm standby never touches the store at construction: it
         # starts tailing (and probing the lock) only once the cluster
-        # runs, and installs itself as ``self.primary`` on promotion.
+        # runs, and installs the writer it adopts as ``self.writer``.
         self.standby: StandbyWriter | None = None
         if self.config.standby is not None:
             from repro.cluster.standby import StandbyWriter
@@ -149,8 +184,8 @@ class ClusterService:
 
     # ------------------------------------------------------------------ #
     # The serving epoch: every per-epoch attribute reads through one
-    # reference, replaced atomically by ``publish_handle`` — the
-    # multi-process analogue of ``ServingState``'s snapshot swap.
+    # reference, replaced atomically by ``advance`` — the multi-process
+    # analogue of ``ServingState``'s snapshot swap.
     # ------------------------------------------------------------------ #
     @property
     def handle(self) -> EpochHandle:
@@ -162,6 +197,13 @@ class ClusterService:
         return self._handle.epoch
 
     @property
+    def target_epoch(self) -> int:
+        """The epoch the fleet is moving to: a parked handle's until its
+        bump reaches quorum, else the served one."""
+        parked = self._parked
+        return self.epoch if parked is None else parked.epoch
+
+    @property
     def plan(self):
         return self._handle.plan
 
@@ -170,38 +212,79 @@ class ClusterService:
         handle = self._handle
         return {"epoch": handle.epoch, "n_documents": handle.n_documents}
 
-    def publish_handle(self, handle: EpochHandle) -> None:
-        """Swap the serving epoch (writer-only; last step of a bump).
+    # ------------------------------------------------------------------ #
+    # the write path: one owner, one advance
+    # ------------------------------------------------------------------ #
+    def open_writer(self, policy: CheckpointPolicy) -> StoreWriter:
+        """Open (lock, recover) the store and own it as this fleet's
+        writer: the boot stamps the fleet's ingest kernel, and every tick
+        ends in :meth:`advance` with the seal it took.  Blocking — the
+        writable boot calls it here, a standby's adoption in its pool."""
+        from repro.store.sealing import StoreWriter
 
-        One reference assignment: requests that already snapshotted the
-        old handle finish against it — the workers still hold that
-        epoch's state as *previous* — while every later request scatters
-        with the new plan.
+        writer = StoreWriter.open(
+            self.data_dir,
+            policy,
+            after_tick=lambda seal: self.advance(
+                None if seal is None else seal.name
+            ),
+            configure=_stamp_ingest_kernel,
+        )
+        _publish_writer_gauges(writer)
+        return writer
+
+    async def advance(self, checkpoint: str | None) -> None:
+        """Move the fleet toward the newest sealed epoch.
+
+        ``checkpoint`` names a seal this process took (opened by name,
+        O(header)), is ``""`` for the newest valid checkpoint (verified:
+        a standby follows a store another process writes), or is
+        ``None`` when nothing is new.  The open runs off the event loop;
+        its handle is parked when it is newer than both the served one
+        and any parked one.  A parked handle is then pushed in the
+        zero-drop order: future restarts first, the bump broadcast next,
+        and the publish only once a quorum of every range's replicas
+        acked.  A miss keeps it parked for the next call — the old epoch
+        keeps serving (every worker retains it) and no write is lost.
+        With nothing parked, workers up but behind the served epoch are
+        re-bumped.  Callers never overlap: the owner's ticks, or a
+        standby's polls and then its adoption.
         """
-        self._handle = handle
-        registry.set_gauge("cluster.epoch", handle.epoch)
-        registry.set_gauge("cluster.n_documents", handle.n_documents)
+        if checkpoint is not None:
+            plan = self.plan
+            handle = await asyncio.to_thread(
+                EpochHandle.open,
+                self.data_dir,
+                plan.n_workers,
+                replication=plan.replication,
+                checkpoint=checkpoint,
+            )
+            if handle.epoch > self.target_epoch:
+                self._parked = handle
+        parked = self._parked
+        if parked is not None:
+            self.supervisor.update_plan(parked.plan)
+            await self._bump(parked.plan)
+            if self.supervisor.quorum_met(parked.plan):
+                self._parked = None
+                self._handle = parked
+                registry.set_gauge("cluster.epoch", parked.epoch)
+                registry.set_gauge("cluster.n_documents", parked.n_documents)
+            else:
+                registry.inc("cluster.bump_quorum_misses_total")
+        elif any(
+            row["state"] == "up" and row["epoch"] != self.epoch
+            for row in self.supervisor.describe()
+        ):
+            await self._bump(self.plan)
+        if self.writer is not None:
+            _publish_writer_gauges(self.writer)
 
-    async def propagate_handle(self, handle: EpochHandle) -> bool:
-        """Push a new epoch to the workers; publish only on quorum.
-
-        The bump sequence: point future restarts at the new plan, bump
-        every live worker, record the acks — then *publish* only if a
-        quorum (``replication // 2 + 1``) of every range's replicas now
-        serves the new epoch.  Returns False (leaving the old handle
-        serving) when quorum is not met; the caller retries on its poll
-        loop — laggards ack on re-bump, dead workers restart directly
-        onto the new plan, and quorum converges.
-        """
-        self.supervisor.update_plan(handle.plan)
-        acked = await self.router.broadcast_bump(handle.plan)
+    async def _bump(self, plan) -> None:
+        """Broadcast ``plan`` to every live worker; note the acks."""
+        acked = await self.router.broadcast_bump(plan)
         for worker_id, epoch in acked.items():
             self.supervisor.note_epoch(worker_id, epoch)
-        if not self.supervisor.quorum_met(handle.plan):
-            registry.inc("cluster.bump_quorum_misses_total")
-            return False
-        self.publish_handle(handle)
-        return True
 
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
@@ -211,8 +294,8 @@ class ClusterService:
                 return
             with span("cluster.start", workers=self.plan.n_workers):
                 await self.supervisor.start()
-            if self.primary is not None:
-                await self.primary.start(self)
+            if self.writer is not None:
+                self.writer.start()
             if self.standby is not None:
                 await self.standby.start(self)
             self._started = True
@@ -221,8 +304,8 @@ class ClusterService:
         """Graceful shutdown: stop the writer, SIGTERM workers."""
         if self.standby is not None:
             await self.standby.stop()
-        if self.primary is not None:
-            await self.primary.writer.stop(flush=True)
+        if self.writer is not None:
+            await self.writer.stop(flush=True)
         await self.supervisor.drain()
         self._started = False
 
@@ -286,16 +369,19 @@ class ClusterService:
         }
 
     async def add(self, texts, doc_ids=None) -> dict:
-        """Ingest through the primary writer, or refuse read-only.
+        """Ingest through the store's owner, or refuse read-only.
 
-        Writable: returns once the batch is WAL-fsynced (``durable``);
-        the documents become searchable at the next seal/bump, which
-        the response's ``epoch`` (the acknowledging WAL LSN) and the
-        healthz ``writer.lag_records`` let callers track.  Read-only:
-        raises the typed :class:`ClusterReadOnlyError` the HTTP layer
-        maps to 403, request id attached server-side.
+        Writable: returns once the batch is WAL-fsynced (``durable``),
+        the store write run on the owner's thread so the event loop
+        keeps scattering queries.  The documents become searchable at
+        the next seal/bump, which the response's ``epoch`` (the
+        acknowledging WAL LSN) and the healthz ``writer.lag_records``
+        let callers track.  Read-only: raises the typed
+        :class:`ClusterReadOnlyError` the HTTP layer maps to 403,
+        request id attached server-side.
         """
-        if self.primary is None:
+        writer = self.writer
+        if writer is None:
             if self.standby is not None:
                 raise ClusterReadOnlyError(
                     "standby has not adopted the store yet: the primary "
@@ -308,7 +394,24 @@ class ClusterService:
                 "store's single writer (repro serve --data-dir) and "
                 "restart the cluster to pick up the new checkpoint"
             )
-        return await self.primary.add_texts(texts, doc_ids)
+        texts = list(texts)
+        store = writer.store
+        t0 = time.perf_counter()
+        # ``doc_ids`` goes as given: the manager rejects a string or a
+        # bad list, which ``list()`` here would turn into ids.
+        event = await writer.run(lambda: store.add_texts(texts, doc_ids))
+        registry.observe(
+            "cluster.writer.ingest_seconds", time.perf_counter() - t0
+        )
+        registry.inc("cluster.writer.documents_total", len(texts))
+        _publish_writer_gauges(writer)
+        return {
+            "epoch": writer.wal_lsn,
+            "n_documents": store.manager.n_documents,
+            "action": event.action,
+            "reason": event.reason,
+            "durable": True,
+        }
 
     # ------------------------------------------------------------------ #
     def healthz(self) -> dict:
@@ -331,10 +434,10 @@ class ClusterService:
             status = "degraded"
         else:
             status = "ok"
-        if self.primary is None:
+        if self.writer is None:
             writer = {"enabled": False}
         else:
-            writer = self.primary.writer.describe(handle.epoch)
+            writer = self.writer.describe(handle.epoch)
         payload = {
             "status": status,
             "draining": self.supervisor.draining,

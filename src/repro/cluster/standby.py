@@ -1,8 +1,8 @@
 """The warm standby: tail the primary's store read-only, adopt on death.
 
-The PR 8 primary writer made the cluster writable but left ingest with a
-single point of failure: one process holds the store ``flock``, and its
-death stops the write path until an operator restarts it.
+A writable cluster leaves ingest with a single point of failure: one
+process holds the store ``flock``, and its death stops the write path
+until an operator restarts it.
 :class:`StandbyWriter` closes that gap without any consensus machinery,
 because the durable store already *is* the replication channel — every
 acked record is WAL-fsynced in a directory both processes can see, and
@@ -10,21 +10,23 @@ every sealed checkpoint is a self-verifying snapshot.  The standby
 therefore needs only two loops:
 
 * **follow** — poll the checkpoint directory; when the primary seals a
-  newer epoch, bump this cluster's own workers onto it (through the
-  same quorum-gated :meth:`~repro.cluster.service.ClusterService.
-  propagate_handle` path a local writer would use).  The standby
-  cluster serves reads the whole time, never more than one seal behind.
+  newer epoch, move this cluster's own workers onto it through the
+  fleet's one bump path, :meth:`~repro.cluster.service.ClusterService.
+  advance` (every poll takes it: a bump that missed quorum is retried,
+  and workers left behind are re-bumped).  The standby cluster serves
+  reads the whole time, never more than one seal behind.
 * **adopt** — probe the store lock (non-blocking).  While the primary
   lives, the probe fails and the standby stays read-only — it never
   opens a write handle, so it cannot corrupt the WAL it is tailing.
   The instant the primary dies (``flock`` dies with its process, so a
-  SIGKILL frees it immediately), the probe succeeds: the standby
-  constructs a real :class:`~repro.cluster.primary.PrimaryWriter`,
-  whose store open takes the lock *with a bumped fencing generation*
-  (see :mod:`repro.store.lock`), replays the WAL tail past the last
-  seal, and boot-seals ``reason="recover"`` when that tail is not
-  empty — so the first promoted epoch already serves every record the
-  dead primary ever acked.
+  SIGKILL frees it immediately), the probe succeeds: the standby has
+  the fleet open its writer
+  (:meth:`~repro.cluster.service.ClusterService.open_writer`), whose
+  store open takes the lock *with a bumped fencing generation* (see
+  :mod:`repro.store.lock`), replays the WAL tail past the last seal,
+  and boot-seals ``reason="recover"`` when that tail is not empty — so
+  the first promoted epoch already serves every record the dead
+  primary ever acked.
   Zero acked records lost is not a best effort here; it is the store's
   standing recovery contract, inherited.  From then on it seals like a
   primary started ``--writable``: through the store's one
@@ -46,15 +48,17 @@ import pathlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.cluster.epochs import EpochHandle
-from repro.cluster.primary import PrimaryWriter
 from repro.errors import StoreError, StoreLockedError
 from repro.obs.metrics import registry
 from repro.store.checkpoint import newest_checkpoint
 from repro.store.durable import DurableIndexStore
 from repro.store.lock import StoreLock
 from repro.store.sealing import CheckpointPolicy
+
+if TYPE_CHECKING:
+    from repro.cluster.service import ClusterService
 
 __all__ = ["StandbyConfig", "StandbyWriter"]
 
@@ -77,9 +81,8 @@ class StandbyWriter:
 
     Constructing the standby touches nothing: no lock, no WAL handle,
     no checkpoint open.  :meth:`start` binds the serving side and runs
-    the poll loop; on promotion the adopted
-    :class:`~repro.cluster.primary.PrimaryWriter` is installed as
-    ``service.primary`` — from that moment ``/add`` works and the
+    the poll loop; on promotion the adopted writer is installed as
+    ``service.writer`` — from that moment ``/add`` works and the
     service is indistinguishable from one started ``--writable``.
     """
 
@@ -91,10 +94,9 @@ class StandbyWriter:
         self.data_dir = pathlib.Path(data_dir)
         self.config = config or StandbyConfig()
         self.promoted = False
-        self.writer: PrimaryWriter | None = None
         self.events: list[dict] = []
         self.started_unix = time.time()
-        self._service = None
+        self._service: ClusterService | None = None
         self._task: asyncio.Task | None = None
         self._stopped = False
         self._tail_epoch = 0
@@ -129,7 +131,7 @@ class StandbyWriter:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    async def start(self, service) -> None:
+    async def start(self, service: ClusterService) -> None:
         """Bind the serving side and start the poll loop (idempotent)."""
         self._service = service
         if self._task is None or self._task.done():
@@ -139,7 +141,7 @@ class StandbyWriter:
 
     async def stop(self) -> None:
         """Stop polling.  An adopted writer is *not* stopped here — on
-        promotion it became ``service.primary``, and the service's drain
+        promotion it became ``service.writer``, and the service's drain
         stops it through that reference (one owner, one stop)."""
         self._stopped = True
         if self._task is not None:
@@ -168,13 +170,15 @@ class StandbyWriter:
                 registry.inc("cluster.standby.poll_errors_total")
 
     async def _follow_epochs(self) -> None:
-        """Bump our workers onto any newer checkpoint the primary sealed.
+        """Move our workers onto any newer checkpoint the primary sealed.
 
-        An idle poll reads one number off the newest manifest and stops:
-        the checkpoint is verified (and mapped) only when its epoch is
-        newer than the one being served.  A corrupt newest checkpoint
-        still falls back — the open below walks to the previous valid
-        one, whose epoch decides.
+        An idle poll reads one number off the newest manifest: the
+        checkpoint is verified (and mapped) only when its epoch is newer
+        than the one the fleet serves or has parked.  Either way the
+        poll ends in the fleet's ``advance``, which retries a parked
+        bump and re-bumps laggards.  A corrupt newest checkpoint still
+        falls back — the open walks to the previous valid one, whose
+        epoch decides.
         """
         service = self._service
         if service is None:
@@ -186,33 +190,22 @@ class StandbyWriter:
             )
         except OSError:
             pass
-        loop = asyncio.get_running_loop()
-        newest = await loop.run_in_executor(
+        newest = await asyncio.get_running_loop().run_in_executor(
             self._pool, newest_checkpoint, checkpoints_dir
         )
         epoch = int(newest.meta.get("epoch", 0)) if newest is not None else 0
         self._tail_epoch = max(self._tail_epoch, epoch)
         registry.set_gauge("cluster.standby.tail_epoch", self._tail_epoch)
-        if epoch <= service.epoch:
-            return
+        target = service.target_epoch
         try:
-            handle = await loop.run_in_executor(
-                self._pool,
-                lambda: EpochHandle.open(
-                    self.data_dir,
-                    service.plan.n_workers,
-                    replication=service.plan.replication,
-                ),
-            )
+            await service.advance("" if epoch > target else None)
         except StoreError:
             return  # nothing valid to follow yet
-        if handle.epoch <= service.epoch:
-            return  # the newer checkpoint was corrupt; still on the last valid
-        published = await service.propagate_handle(handle)
-        self._event(
-            "followed_epoch", epoch=handle.epoch, checkpoint=handle.checkpoint,
-            published=published,
-        )
+        if service.target_epoch > target:
+            self._event(
+                "followed_epoch", epoch=service.target_epoch,
+                published=service.epoch == service.target_epoch,
+            )
 
     async def _try_adopt(self) -> None:
         """Probe the lock; on a free lock, become the primary.
@@ -220,10 +213,10 @@ class StandbyWriter:
         The probe-acquire is released immediately — it only answers "is
         the primary alive?" (a held ``flock`` dies with its owner, so a
         successful probe means the primary is gone, not slow).  The real
-        acquisition happens inside :class:`PrimaryWriter`'s store open,
-        which bumps the fencing generation; if another standby won the
-        race between probe and open, that open raises
-        :class:`StoreLockedError` and we go back to tailing.
+        acquisition happens inside the writer's store open, which bumps
+        the fencing generation; if another standby won the race between
+        probe and open, that open raises :class:`StoreLockedError` and
+        we go back to tailing.
         """
         service = self._service
         if service is None:
@@ -246,14 +239,12 @@ class StandbyWriter:
             # Opens the store: takes the flock at generation g+1,
             # replays the WAL tail and boot-seals when it must (a failed
             # seal frees the lock for the next poll) — off the loop.
-            primary = await loop.run_in_executor(
-                self._pool,
-                lambda: PrimaryWriter(self.data_dir, self.config.writer),
+            writer = await loop.run_in_executor(
+                self._pool, service.open_writer, self.config.writer
             )
         except StoreLockedError:
             self._event("adoption_lost")
             return
-        writer = primary.writer
         seal = writer.store.last_seal
         self._event(
             "adopted",
@@ -261,15 +252,14 @@ class StandbyWriter:
             sealed_epoch=seal.epoch,
             lock_generation=writer.store.lock_generation,
         )
-        self.writer = primary
-        service.primary = primary
-        await primary.start(service)
+        service.writer = writer
         # Publish the newest checkpoint (the boot seal's, or one the
-        # dead primary sealed after our last follow) before declaring
-        # promotion.  A missed quorum parks the handle for the owner's
-        # loop to retry; reads keep serving the old epoch meanwhile.
-        if seal.epoch > service.epoch:
-            await primary.publish(seal)
+        # dead primary sealed after our last follow) before the writer's
+        # ticks start, so two advances never overlap.  A missed quorum
+        # parks the handle for those ticks to retry; reads keep serving
+        # the old epoch meanwhile.
+        await service.advance(seal.name)
+        writer.start()
         self.promoted = True
         registry.set_gauge("cluster.standby.promoted", 1)
         registry.inc("cluster.standby.promotions_total")

@@ -119,7 +119,7 @@ class ClusterSupervisor:
     def update_plan(self, plan: ShardPlan) -> None:
         """Point future spawns at a newer epoch's plan.
 
-        Called by the primary writer *before* broadcasting the bump, so
+        Called by the fleet's ``advance`` *before* broadcasting the bump, so
         a worker that dies mid-bump restarts directly onto the new
         checkpoint instead of the superseded one.  Running workers are
         untouched — they catch up through the bump op.

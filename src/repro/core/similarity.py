@@ -22,9 +22,10 @@ Scoring routes through the serving fast path
 the batched GEMM kernel over ``V_k Σ_k`` (formed per call) with the row
 norms from the model's own memo
 (:func:`repro.serving.index.scaled_documents`) — the whole fp64 score
-vector, for callers that need every score.  The ranked/filtered entry point
-(:func:`ranked_documents`, behind :func:`retrieve` and
-``LSIRetrieval.search``) is the one exact ranking every serving tier
+vector, for callers that need every score.  The ranked entry point
+(:func:`ranked_documents`, behind :func:`rank_documents`,
+:func:`retrieve` and ``LSIRetrieval.search``) is the one exact ranking
+every serving tier
 uses (:func:`repro.serving.scan.ranked_scan`): same indices as the
 stable sort of that score vector, scores within 1e-12 of it and
 bit-equal to what the server or a shard worker reports for the same
@@ -87,10 +88,11 @@ def cosine_similarities(
 def rank_documents(
     model: LSIModel, qhat: np.ndarray, *, mode: str = "scaled"
 ) -> list[tuple[str, float]]:
-    """All documents ranked by descending cosine: ``[(doc_id, cos), ...]``."""
-    cos = cosine_similarities(model, qhat, mode=mode)
-    order = topk_indices(cos, None)
-    return [(model.doc_ids[j], float(cos[j])) for j in order]
+    """All documents ranked by descending cosine: ``[(doc_id, cos), ...]``
+    — the unfiltered :func:`ranked_documents`, so each score is the bits
+    :func:`retrieve` and every serving tier report for that row."""
+    ranked = ranked_documents(model, qhat, mode=mode)
+    return [(model.doc_ids[j], cos) for j, cos in ranked]
 
 
 def ranked_documents(

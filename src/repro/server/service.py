@@ -312,8 +312,9 @@ class QueryService:
         one tenant are serialized and run off the loop (over a store, on
         its owner's thread) while readers keep being served.  Lazily
         attached tenants are read-only mmap opens, so ``/add`` against
-        one raises (HTTP 400) like any read-only server.  A fleet acknowledges once its
-        primary writer has the batch durable, or refuses read-only
+        one raises (HTTP 400) like any read-only server.  A fleet
+        acknowledges once its store owner (``ClusterService.writer``)
+        has the batch durable, or refuses read-only
         (:class:`~repro.errors.ClusterReadOnlyError`, HTTP 403).
         """
         registry.inc("server.adds_total")

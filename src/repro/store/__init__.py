@@ -33,8 +33,8 @@ production system can restart, kill, and audit:
 
 The package sits below every serving tier and imports none of them:
 ``repro.server`` builds its durable state over a store's owner
-(``ServingState.for_store``) and ``repro.cluster``'s primary writer
-adds the fleet's half to one.  CLI surface: ``python -m repro serve
+(``ServingState.for_store``) and a writable ``repro.cluster`` fleet
+opens one with its epoch advance as the per-tick hook.  CLI surface: ``python -m repro serve
 <src> --data-dir DIR`` (warm restarts resume the exact pre-crash index)
 and ``python -m repro store {inspect,verify,compact} DIR``.
 """

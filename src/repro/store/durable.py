@@ -104,7 +104,7 @@ RETAIN = 3
 class SealInfo:
     """What one sealed checkpoint covers — the epoch-bump handshake.
 
-    The cluster's primary writer turns this directly into the next
+    A writable fleet's epoch advance turns this directly into the next
     :class:`~repro.cluster.plan.ShardPlan`: ``epoch`` is the WAL LSN
     the checkpoint captured (the store's logical version number),
     ``name``/``path`` pin the exact checkpoint workers must remap, and

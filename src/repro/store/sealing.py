@@ -6,8 +6,9 @@ bounds that by folding live state into a fresh checkpoint.
 seconds of dirty state, or right after a consolidation, whose WAL
 suffix is expensive to replay).  :class:`StoreWriter` is the one owner
 every serving process writes its locked store through — ``repro serve
---data-dir`` and the cluster's primary writer (a promoted standby too),
-which adds only the fleet's half as the owner's per-tick hook:
+--data-dir`` and a writable cluster (a promoted standby too), whose
+per-tick hook is the fleet's one epoch advance
+(:meth:`~repro.cluster.service.ClusterService.advance`):
 
 * **boot** — seals ``"recover"`` only when WAL replay left dirty
   records; otherwise nothing is written and ``last_seal`` is the opened
@@ -50,8 +51,9 @@ if TYPE_CHECKING:  # a policy alone (a config) loads no store
 
 __all__ = ["POLL_SECONDS", "CheckpointPolicy", "StoreWriter"]
 
-#: Seal-policy poll cadence, seconds (also the fleet's laggard re-bump
-#: cadence: the fleet's hook runs on every tick).
+#: Seal-policy poll cadence, seconds (also the cadence at which a
+#: writable fleet's ``advance`` retries a parked bump and re-bumps
+#: laggards: it is the hook every tick awaits).
 POLL_SECONDS = 0.5
 
 #: GIL switch interval while the owner runs.  CPython's 5 ms default

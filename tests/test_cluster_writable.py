@@ -1,7 +1,9 @@
-"""The writable cluster: epoch bumps, the primary writer, typed 403s.
+"""The writable cluster: epoch bumps, the fleet's one advance, typed 403s.
 
 Unit layer first (a ShardWorker hot-remapping checkpoints in-process,
-the store's fast-update recovery determinism), then the integrated
+``ClusterService.advance`` over a stub router and a real supervisor
+record table, the store's fast-update recovery determinism), then the
+integrated
 write path: a real writable ClusterService ingesting while serving,
 with searches racing the seal/bump, and the read-only refusal mapped
 through HTTP 403 back to a typed client-side exception.  The
@@ -25,6 +27,7 @@ from repro.cluster.standby import StandbyWriter
 from repro.cluster.supervisor import SupervisorConfig
 from repro.cluster.worker import ShardWorker
 from repro.errors import ClusterReadOnlyError, ShapeError, StoreError
+from repro.obs.metrics import registry
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
 from repro.server.service import QueryService
@@ -177,41 +180,142 @@ def test_plan_disagreeing_with_the_store_is_refused(store_dir):
         cluster_open_checkpoint(store_dir, plan(n=n + 1))
 
 
-def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
-    store = DurableIndexStore.open(store_dir)
-    store.add_texts(_texts(2, seed=11), ["E1a", "E1b"])
-    older = store.seal(reason="test")
-    store.add_texts(_texts(2, seed=12), ["E2a", "E2b"])
-    newer = store.seal(reason="test")
+# --------------------------------------------------------------------- #
+# advance: the one path that moves a fleet to a new epoch
+# --------------------------------------------------------------------- #
+class StubRouter:
+    """The router's bump surface: ``broadcast_bump`` records each plan's
+    epoch and acks it from the worker slots in ``acking`` (every slot
+    when ``None``)."""
+
+    def __init__(self):
+        self.bumps: list[int] = []
+        self.acking: set[int] | None = None
+
+    async def broadcast_bump(self, plan):
+        self.bumps.append(plan.epoch)
+        acking = plan.worker_ids() if self.acking is None else self.acking
+        return {wid: plan.epoch for wid in acking}
+
+
+def stub_fleet(data_dir, workers=1, replication=1, **parts):
+    """A fleet that spawns nothing: a real ``ClusterService`` over
+    ``data_dir`` (its supervisor's record table included) with every
+    worker slot up on the served epoch, and a :class:`StubRouter`."""
+    service = ClusterService(
+        data_dir, ClusterConfig(workers, replication, **parts)
+    )
+    service.router = StubRouter()
+    for wid in service.plan.worker_ids():
+        service.supervisor._records[wid].state = "up"
+        service.supervisor.note_epoch(wid, service.epoch)
+    return service
+
+
+def seal_more(data_dir, seed):
+    """Add two documents to the closed store at ``data_dir`` and seal."""
+    store = DurableIndexStore.open(data_dir)
+    store.add_texts(_texts(2, seed=seed), [f"S{seed}a", f"S{seed}b"])
+    seal = store.seal(reason="test")
     store.close(flush=False)
+    return seal
 
-    class Service:  # the slice of ClusterService the tail reads
-        plan = ShardPlan.compute(1, SHARDS, 1)
-        followed: list = []
 
-        def __init__(self, epoch):
-            self.epoch = epoch
+def quorum_misses():
+    return registry.snapshot()["counters"].get(
+        "cluster.bump_quorum_misses_total", 0
+    )
 
-        async def propagate_handle(self, handle):
-            self.followed.append(handle.epoch)
-            return True
+
+def test_a_quorum_miss_parks_the_handle_and_the_retry_opens_nothing(
+    store_dir, open_counts
+):
+    service = stub_fleet(store_dir, workers=3, replication=3)  # quorum 2
+    served = service.epoch
+    seal = seal_more(store_dir, seed=11)
+    service.router.acking = {0}
+    misses = quorum_misses()
+    asyncio.run(service.advance(seal.name))
+    assert (service.epoch, service.target_epoch) == (served, seal.epoch)
+    assert quorum_misses() == misses + 1
+    # Future restarts already start on the parked epoch.
+    assert service.supervisor.plan.epoch == seal.epoch
+
+    open_counts.reset()
+    service.router.acking = None
+    asyncio.run(service.advance(None))
+    assert open_counts.parses == [] and open_counts.crcs == []
+    assert service.epoch == service.target_epoch == seal.epoch
+    assert service.router.bumps == [seal.epoch, seal.epoch]
+    assert quorum_misses() == misses + 1
+
+
+def test_a_newer_checkpoint_replaces_a_parked_one(store_dir):
+    service = stub_fleet(store_dir, workers=3, replication=3)
+    older = seal_more(store_dir, seed=11)
+    newer = seal_more(store_dir, seed=12)
+    service.router.acking = {0}
+    asyncio.run(service.advance(older.name))
+    assert service.target_epoch == older.epoch
+    asyncio.run(service.advance(newer.name))
+    assert service.target_epoch == newer.epoch
+    asyncio.run(service.advance(older.name))  # not newer than the parked
+    assert service.target_epoch == newer.epoch
+
+    service.router.acking = None
+    asyncio.run(service.advance(None))
+    assert service.epoch == newer.epoch
+    assert service.handle.checkpoint == newer.name
+    assert service.router.bumps == [older.epoch] + [newer.epoch] * 3
+
+
+def test_a_standby_poll_rebumps_a_worker_behind_the_served_epoch(
+    store_dir, open_counts
+):
+    seed = open_checkpoint(store_dir).epoch
+    seal_more(store_dir, seed=11)
+    service = stub_fleet(store_dir, workers=2)
+    service.supervisor.note_epoch(1, seed)  # up, but behind
+    standby = StandbyWriter(store_dir)
+    standby._service = service
+    try:
+        open_counts.reset()
+        asyncio.run(standby._follow_epochs())
+        assert service.router.bumps == [service.epoch]
+        assert [row["epoch"] for row in service.supervisor.describe()] == [
+            service.epoch, service.epoch,
+        ]
+        asyncio.run(standby._follow_epochs())  # nobody behind: no bump
+        assert service.router.bumps == [service.epoch]
+        assert open_counts.crcs == []
+    finally:
+        asyncio.run(standby.stop())
+
+
+def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
+    older = seal_more(store_dir, seed=11)
+    behind, stale = stub_fleet(store_dir), stub_fleet(store_dir)
+    newer = seal_more(store_dir, seed=12)
+    caught_up = stub_fleet(store_dir)
 
     standby = StandbyWriter(store_dir)
     try:
         # Caught up: N polls parse the newest manifest, CRC nothing.
-        standby._service = Service(newer.epoch)
+        standby._service = caught_up
         open_counts.reset()
         for _ in range(5):
             asyncio.run(standby._follow_epochs())
-        assert open_counts.crcs == [] and Service.followed == []
+        assert open_counts.crcs == [] and caught_up.router.bumps == []
         assert set(open_counts.parses) == {newer.path}
         assert standby.describe()["tail_epoch"] == newer.epoch
 
         # Behind: the newer seal is verified once, then followed.
-        standby._service = Service(older.epoch)
+        standby._service = behind
         asyncio.run(standby._follow_epochs())
         assert sorted(open_counts.crcs) == sorted(newer.path.glob("*.npy"))
-        assert Service.followed == [newer.epoch]
+        assert behind.epoch == newer.epoch
+        assert behind.router.bumps == [newer.epoch]
+        assert standby.events[-1]["event"] == "followed_epoch"
 
         # A corrupt newest seal falls back to the last valid one, which
         # is not news to a service already on it.
@@ -222,8 +326,10 @@ def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
         blob = bytearray(victim.read_bytes())
         blob[-1] ^= 0xFF
         victim.write_bytes(bytes(blob))
+        standby._service = stale
         asyncio.run(standby._follow_epochs())
-        assert Service.followed == [newer.epoch]
+        assert stale.epoch == stale.target_epoch == older.epoch
+        assert stale.router.bumps == []
     finally:
         asyncio.run(standby.stop())
 

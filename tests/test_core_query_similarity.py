@@ -137,6 +137,39 @@ def test_rank_documents_sorted(med_model):
     assert cosines == sorted(cosines, reverse=True)
 
 
+def test_rank_documents_is_the_serving_ranking_bit_for_bit(med_model):
+    """``rank_documents`` is the unfiltered ``ranked_documents``: its
+    first z pairs are ``retrieve``'s top z (an fp32 cut, then row-local
+    rescoring) to the last bit, in the stable order of the full-width
+    fp64 scores and within 1e-12 of them."""
+    from repro.text.vocabulary import Vocabulary
+
+    rng = np.random.default_rng(7)
+    n, k = 600, 24
+    vocab = Vocabulary(f"t{i}" for i in range(k))
+    vocab.freeze()
+    wide = LSIModel(
+        U=np.eye(k), s=np.sort(rng.random(k) + 0.5)[::-1].copy(),
+        V=rng.standard_normal((n, k)), vocabulary=vocab,
+        doc_ids=[f"D{j}" for j in range(n)],
+    )
+    medline = [project_query(med_model, "age blood abnormalities")]
+    for model, queries in ((med_model, medline),
+                           (wide, rng.standard_normal((20, k)))):
+        for qhat in queries:
+            ranked = rank_documents(model, qhat)
+            z = 5
+            assert [(d, c.hex()) for d, c in ranked[:z]] == [
+                (d, c.hex()) for d, c in retrieve(model, qhat, top=z)
+            ]
+            cos = cosine_similarities(model, qhat)
+            order = np.argsort(-cos, kind="stable")
+            assert [d for d, _ in ranked] == [model.doc_ids[j] for j in order]
+            np.testing.assert_allclose(
+                [c for _, c in ranked], cos[order], rtol=0, atol=1e-12
+            )
+
+
 def test_retrieve_threshold_and_top(med_model):
     qhat = project_query(med_model, "age blood abnormalities")
     by_threshold = retrieve(med_model, qhat, threshold=0.85)

@@ -892,13 +892,13 @@ def test_the_cli_loads_no_serving_tier_until_a_command_runs():
 
 
 #: What a read-only front end never runs: the build and update stack, the
-#: store's writer and the fleet's writers, and the toolbox's engines,
+#: store's writer and the fleet's standby, and the toolbox's engines,
 #: corpora and applications.
 WRITER_AND_TOOLBOX = (
     "repro.updating", "repro.linalg", "repro.text.parser", "repro.text.tdm",
     "repro.core.build", "repro.store.durable", "repro.store.sealing",
-    "repro.cluster.primary", "repro.cluster.standby", "repro.retrieval",
-    "repro.apps", "repro.corpus", "repro.evaluation",
+    "repro.cluster.standby", "repro.retrieval", "repro.apps",
+    "repro.corpus", "repro.evaluation",
 )
 #: What a shard worker never runs besides: the front end's transport,
 #: service and client, its tenant registry, router and supervisor.

@@ -4,14 +4,11 @@ import asyncio
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.cluster.plan import ShardPlan
-from repro.cluster.primary import PrimaryWriter
-from repro.cluster.standby import StandbyConfig, StandbyWriter
+from repro.cluster.standby import StandbyConfig
 from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.errors import ShapeError, StoreError, StoreLockedError
 from repro.obs.metrics import registry
@@ -24,6 +21,7 @@ from repro.store.lock import StoreLock
 from repro.store.mmap_io import open_latest_model
 from repro.store.sealing import CheckpointPolicy, SWITCH_INTERVAL_S
 from repro.store.wal import scan_wal
+from tests.test_cluster_writable import stub_fleet
 from tests.test_store_checkpoint_wal import array_files
 
 
@@ -233,23 +231,6 @@ def test_checkpoint_policy_triggers():
     assert off.due(dirty_records=99, seconds_since=999, consolidated=True) is None
 
 
-class _Fleet:
-    """The slice of ``ClusterService`` the primary writer's hook and a
-    standby's adoption read: a one-worker plan serving ``epoch``, quorum
-    always met, no laggards."""
-
-    def __init__(self, epoch=0):
-        self.plan = ShardPlan.compute(1, 1)
-        self.epoch = epoch
-        self.supervisor = SimpleNamespace(describe=list)
-        self.published = []
-        self.primary = None
-
-    async def propagate_handle(self, handle):
-        self.published.append(handle.epoch)
-        return True
-
-
 def seeded_dir(corpus, path, **fit):
     """A closed seeded store at ``path``."""
     seeded_store(corpus, path.parent, path.name, **fit).close(flush=False)
@@ -264,11 +245,11 @@ def in_process(data_dir, policy):
 
 
 def fleet(data_dir, policy):
-    """The owner the fleet's primary writer runs, bound to a fleet, and
-    its ``/add``."""
-    primary = PrimaryWriter(data_dir, policy)
-    primary._service = _Fleet()
-    return primary.writer, primary.add_texts
+    """The owner a writable fleet opens over the store at ``data_dir``
+    (a fleet that spawns no workers, its bumps acked by a stub router),
+    and its ``/add``."""
+    service = stub_fleet(data_dir, writer=policy)
+    return service.writer, service.add
 
 
 OWNERS = (in_process, fleet)
@@ -427,17 +408,20 @@ def test_background_checkpointer_thread(corpus, tmp_path, monkeypatch):
         assert not writer.running
 
         interval = sys.getswitchinterval()
-        primary = PrimaryWriter(seeded_dir(corpus, tmp_path / "fleet"), policy)
-        await primary.start(_Fleet())
-        writer = primary.writer
+        service = stub_fleet(
+            seeded_dir(corpus, tmp_path / "fleet"), writer=policy
+        )
+        writer, served = service.writer, service.epoch
+        writer.start()
         assert writer.running
-        await primary.add_texts([later[0]])
-        # The hook publishes once the seal has returned: wait for that,
+        await service.add([later[0]])
+        # The tick publishes once the seal has returned: wait for that,
         # not for the seal.
         await eventually(
-            lambda: primary._service.published == [writer.sealed_epoch],
-            "the fleet never published its seal",
+            lambda: service.epoch > served, "the fleet never published its seal"
         )
+        assert service.epoch == writer.sealed_epoch
+        assert service.router.bumps == [writer.sealed_epoch]
         await writer.stop(flush=False)
         assert not writer.running
         assert sys.getswitchinterval() == interval
@@ -593,20 +577,21 @@ def test_adoption_publishes_a_seal_the_standby_never_followed(
     data_dir = seeded_dir(
         corpus, tmp_path / "store", ingest_method="fast-update"
     )
+    # Still serving the seed.
+    service = stub_fleet(data_dir, standby=StandbyConfig(poll_seconds=60.0))
     primary = DurableIndexStore.open(data_dir)
     primary.add_texts([later[0]])
     primary.seal(reason="primary")
     primary.close(flush=False)
 
     async def main():
-        standby = StandbyWriter(data_dir, StandbyConfig(poll_seconds=60.0))
-        service = _Fleet(epoch=0)  # still serving the seed
+        standby = service.standby
         standby._service = service
         await standby._try_adopt()
-        assert standby.promoted and service.primary is standby.writer
-        assert service.published == [1]
-        assert sealed_reason(standby.writer.writer.store) == "primary"
-        await standby.writer.writer.stop(flush=False)
+        assert standby.promoted and service.writer.running
+        assert service.epoch == 1 and service.router.bumps == [1]
+        assert sealed_reason(service.writer.store) == "primary"
+        await service.writer.stop(flush=False)
         await standby.stop()
 
     asyncio.run(main())
