@@ -113,15 +113,17 @@ def _registry() -> IndexRegistry:
     for i in range(N_TENANTS):
         # t0 shares the baseline's seed so the routed-vs-unrouted
         # comparison scores the identical model.
-        reg.register(f"t{i}", state=ServingState.for_model(_model(1 + i)))
+        reg.register(f"t{i}", state=_state(1 + i))
     return reg
 
 
+def _state(seed: int) -> ServingState:
+    """An in-process tenant over ``_model(seed)``, batching a whole wave."""
+    return ServingState.for_model(_model(seed), max_batch=CONCURRENCY)
+
+
 def _config(queue_depth: int | None = None) -> ServerConfig:
-    return ServerConfig(
-        max_batch=CONCURRENCY,
-        queue_depth=queue_depth or 4 * CONCURRENCY * N_TENANTS,
-    )
+    return ServerConfig(queue_depth=queue_depth or 4 * CONCURRENCY * N_TENANTS)
 
 
 def _qps(source, queries, *, tenant=None, round_robin=False) -> float:
@@ -160,7 +162,7 @@ def test_tenant_routing_overhead_bounded(evidence):
     # Interleaved, so drift of the box lands on all three alike.
     single, routed, aggregate = [], [], []
     for _ in range(REPEATS):
-        single.append(_qps(ServingState.for_model(_model(1)), queries))
+        single.append(_qps(_state(1), queries))
         routed.append(_qps(_registry(), queries, tenant="t0"))
         aggregate.append(_qps(_registry(), queries, round_robin=True))
     single, routed, aggregate = map(summarize, (single, routed, aggregate))
@@ -210,7 +212,10 @@ def test_attach_cold_vs_warm_latency(evidence):
             path = pathlib.Path(tmp) / f"t{i}"
             _write_store(path, _model(100 + i))
             reg.register(
-                f"t{i}", loader=functools.partial(ServingState.open, path)
+                f"t{i}",
+                loader=functools.partial(
+                    ServingState.open, path, max_batch=CONCURRENCY
+                ),
             )
 
         async def main() -> tuple[list[float], list[float]]:
@@ -267,8 +272,8 @@ def test_cold_tenant_p99_bounded_under_hot_saturation(evidence):
 
     async def main():
         reg = IndexRegistry()
-        reg.register("hot", state=ServingState.for_model(_model(31)))
-        reg.register("cold", state=ServingState.for_model(_model(32)))
+        reg.register("hot", state=_state(31))
+        reg.register("cold", state=_state(32))
         service = QueryService(reg, _config(queue_depth=2 * CONCURRENCY))
         await service.start()
         share = service.quotas.share

@@ -196,7 +196,9 @@ def _durable_state(args, out):
         store = DurableIndexStore.initialize(args.data_dir, _fit_source(args))
         print(f"seeded durable store at {args.data_dir}", file=out, flush=True)
     return ServingState.for_store(
-        store, CheckpointPolicy(every_records=args.checkpoint_every or None)
+        store,
+        CheckpointPolicy(every_records=args.checkpoint_every or None),
+        max_batch=args.max_batch,
     )
 
 
@@ -213,13 +215,14 @@ def cmd_serve(args, out) -> int:
             )
         registry = tenant_registry(
             parse_tenant_specs(args.tenants),
-            lambda _name, path: ServingState.open(path),
+            lambda _name, path: ServingState.open(
+                path, max_batch=args.max_batch
+            ),
             max_resident=args.max_resident,
         )
         return serve_until_signal(
             registry, lambda: f"serving {tenants_banner(registry)}", args,
             out, draining="rejecting new requests, flushing the queue",
-            max_batch=args.max_batch,
         )
 
     if args.data_dir is not None:
@@ -229,13 +232,15 @@ def cmd_serve(args, out) -> int:
             "serve needs a document source, --data-dir, or --tenant flags"
         )
     elif DurableIndexStore.exists(args.source):
-        state = ServingState.open(args.source)
+        state = ServingState.open(args.source, max_batch=args.max_batch)
     else:
         # In-memory serving trains its quantizer at startup (a store
         # hands over the one its checkpoint carries).
         manager = _fit_source(args)
         state = ServingState.for_manager(
-            manager, ann=train_quantizer(manager.model)
+            manager,
+            ann=train_quantizer(manager.model),
+            max_batch=args.max_batch,
         )
 
     def banner() -> str:
@@ -252,24 +257,19 @@ def cmd_serve(args, out) -> int:
     return serve_until_signal(
         state, banner, args, out,
         draining="rejecting new requests, flushing the queue",
-        writer=state.writer,
-        max_batch=args.max_batch,
     )
 
 
-def serve_until_signal(
-    hosted, banner, args, out, *, draining: str, writer=None, **scorer
-) -> int:
+def serve_until_signal(hosted, banner, args, out, *, draining: str) -> int:
     """Put the front end over ``hosted``, bind, announce, serve until
     SIGINT/SIGTERM, then drain cleanly.
 
-    ``hosted`` is a tenant registry, or one bare state or fleet;
-    ``scorer`` is the in-process scorer's part of the ``ServerConfig``
-    (the shared serving options are read off ``args``).  ``banner()``
-    is the start-up line, to which the bound ``on http://host:port`` is
-    appended (supervisors and tests parse it).  ``writer``, the owner of
-    the store ``hosted`` writes, runs until the service has drained,
-    then closes with a final flush before ``drained cleanly``.
+    ``hosted`` is a tenant registry, or one bare state or fleet (the
+    shared serving options are read off ``args``).  ``banner()`` is the
+    start-up line, to which the bound ``on http://host:port`` is
+    appended (supervisors and tests parse it).  A bare backend that owns
+    its store's writer closes it with a final flush as it drains, and
+    ``store flushed`` is printed before ``drained cleanly``.
     """
     import asyncio
     import signal
@@ -283,13 +283,10 @@ def serve_until_signal(
         slowlog_path=(
             str(args.slowlog) if args.slowlog is not None else None
         ),
-        **scorer,
     )
 
     async def run() -> None:
         service = QueryService(hosted, config)
-        if writer is not None:
-            writer.start()
         server = await start_http_server(service, args.host, args.port)
         port = server.sockets[0].getsockname()[1]
         print(
@@ -308,8 +305,8 @@ def serve_until_signal(
         server.close()
         await server.wait_closed()
         await service.drain()
-        if writer is not None:
-            await writer.stop(flush=True)
+        # Read after the drain: a standby adopts its writer mid-run.
+        if getattr(hosted, "writer", None) is not None:
             print("store flushed", file=out, flush=True)
         print("drained cleanly", file=out, flush=True)
 

@@ -100,6 +100,9 @@ class StandbyWriter:
         self._task: asyncio.Task | None = None
         self._stopped = False
         self._tail_epoch = 0
+        #: The newest manifest epoch whose verified open fell back to an
+        #: older checkpoint: verified once, not again on every poll.
+        self._fell_back = 0
         # Lock probes and writer adoption are blocking filesystem work;
         # one thread keeps them off the scatter loop.
         self._pool = ThreadPoolExecutor(
@@ -178,7 +181,8 @@ class StandbyWriter:
         poll ends in the fleet's ``advance``, which retries a parked
         bump and re-bumps laggards.  A corrupt newest checkpoint still
         falls back — the open walks to the previous valid one, whose
-        epoch decides.
+        epoch decides — once: its manifest epoch is remembered, and the
+        next verified open waits for a newer manifest.
         """
         service = self._service
         if service is None:
@@ -197,10 +201,13 @@ class StandbyWriter:
         self._tail_epoch = max(self._tail_epoch, epoch)
         registry.set_gauge("cluster.standby.tail_epoch", self._tail_epoch)
         target = service.target_epoch
+        fresh = epoch > max(target, self._fell_back)
         try:
-            await service.advance("" if epoch > target else None)
+            await service.advance("" if fresh else None)
         except StoreError:
             return  # nothing valid to follow yet
+        if fresh and service.target_epoch < epoch:
+            self._fell_back = epoch
         if service.target_epoch > target:
             self._event(
                 "followed_epoch", epoch=service.target_epoch,

@@ -10,16 +10,16 @@ needs, stdlib-asyncio only:
 
 * :mod:`repro.server.state` — :class:`EpochSnapshot` (the one
   pinned-epoch scoring type, with the one ``search`` every tier calls) /
-  :class:`ServingState`, the atomic reader/writer model handoff that
-  lets live additions (fold-in → §4.3-policy consolidation through the
-  index manager) swap epochs under in-flight queries;
-* :mod:`repro.server.batching` — :class:`MicroBatcher`, the in-process
-  backend and its work-conserving micro-batching scheduler: it scores a lone query at
-  once and coalesces whatever queued up behind the flush in flight (up
-  to ``max_batch``) into one batched GEMM, scored on the event loop —
-  no window, no timer, no thread hand-off — preserving per-request
-  ``top``/``threshold`` and element-identical results vs. the
-  unbatched engine;
+  :class:`ServingState`, the in-process backend: the atomic
+  reader/writer model handoff that lets live additions (fold-in →
+  §4.3-policy consolidation through the index manager) swap epochs under
+  in-flight queries, its work-conserving micro-batching scheduler (a
+  lone query is scored at once, whatever queued up behind the flush in
+  flight — up to ``max_batch`` — is coalesced into one batched GEMM,
+  scored on the event loop: no window, no timer, no thread hand-off,
+  per-request ``top``/``threshold`` kept and results element-identical
+  to the unbatched engine) and, over a store, the store's owner, which
+  it starts and closes itself;
 * :mod:`repro.server.admission` — :class:`AdmissionController`, the
   bounded queue with fast overload rejection, per-request deadlines,
   and the drain latch for graceful shutdown;

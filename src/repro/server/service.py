@@ -11,17 +11,19 @@ per-tenant :class:`~repro.tenancy.quotas.TenantQuotas` shares and the
 one :class:`~repro.obs.slowlog.SlowQueryLog`.  What the registry hosts
 is a *backend*, and there are exactly two:
 
-* the in-process scorer — a :class:`~repro.server.state.ServingState`
-  served by the :class:`~repro.server.batching.MicroBatcher` the front
-  end creates for it (scored at once on an idle server, coalesced with
-  whatever piled up behind a flush in flight otherwise; results
-  element-identical to ``LSIRetrieval.search``);
+* the in-process scorer — a :class:`~repro.server.state.ServingState`,
+  which owns its scheduler (a query is scored at once on an idle
+  server, coalesced with whatever piled up behind a flush in flight
+  otherwise; results element-identical to ``LSIRetrieval.search``) and,
+  over a store, the store's owner;
 * the fleet — a :class:`~repro.cluster.service.ClusterService`, which
   scatters over shard worker processes.
 
 Both answer ``start()`` / ``drain()`` / ``search(...) → (payload,
-slow-log evidence)`` / ``add(...)`` / ``healthz()``; everything a
-request passes on the way there is here, once:
+slow-log evidence)`` / ``add(...)`` / ``healthz()``, and each starts
+and stops its own writer, so the front end drives whatever the registry
+pins without asking which it is; everything a request passes on the way
+there is here, once:
 
 * :meth:`search` admits the request against the global bounded queue
   *and* its tenant's quota share (fast 429-style rejection on overload
@@ -33,7 +35,8 @@ request passes on the way there is here, once:
   serializes its own writers (one tenant's consolidation never blocks
   another's ``/add``);
 * :meth:`drain` is graceful shutdown: flip the admission latch (new
-  work → 503), then drain every resident backend.
+  work → 503), then drain every resident backend (a writer's final
+  flush included).
 
 Every stage reports through :data:`repro.obs.metrics.registry` under
 ``server.*`` plus per-tenant ``tenant.<id>.*`` counters/gauges — all
@@ -56,8 +59,6 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace_context import current_trace
 from repro.obs.tracing import recent_spans, spans_for_trace
 from repro.server.admission import AdmissionController
-from repro.server.batching import MicroBatcher
-from repro.server.state import ServingState
 from repro.tenancy.quotas import TenantQuotas
 from repro.tenancy.registry import IndexRegistry
 
@@ -68,16 +69,11 @@ __all__ = ["ServerConfig", "QueryService"]
 class ServerConfig:
     """Tunables for one front end (CLI flags map 1:1 onto these).
 
-    There is no batching window to tune: the scheduler is
-    work-conserving (it flushes whatever is queued the moment the
-    scorer is free), so batches form only from requests that arrive
-    while a flush is in flight.  ``max_batch`` caps one flush — it is
-    the bound on the ``(q, n)`` score block, not a target.
-    ``max_batch`` configures the in-process scorer; a fleet brings its
-    own :class:`~repro.cluster.service.ClusterConfig`.
+    A backend brings its own: the in-process scorer its ``max_batch``
+    (:class:`~repro.server.state.ServingState`), a fleet its
+    :class:`~repro.cluster.service.ClusterConfig`.
     """
 
-    max_batch: int = 32
     queue_depth: int = 256
     #: Slow-query log threshold (milliseconds); <= 0 disables the log.
     slow_ms: float = 500.0
@@ -90,7 +86,8 @@ class QueryService:
 
     def __init__(self, hosted, config: ServerConfig | None = None):
         """``hosted`` is an :class:`IndexRegistry`, or one bare backend
-        (a :class:`ServingState` or a fleet) to host as the sole tenant."""
+        (a :class:`~repro.server.state.ServingState` or a fleet) to host
+        as the sole tenant."""
         self.config = config = config or ServerConfig()
         self.registry = (
             hosted
@@ -103,8 +100,6 @@ class QueryService:
         self.slowlog = SlowQueryLog(
             config.slowlog_path, threshold_ms=config.slow_ms
         )
-        #: One scheduler per resident in-process tenant, created on demand.
-        self._batchers: dict[str, MicroBatcher] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self.registry.add_detach_hook(self._on_detach)
 
@@ -114,25 +109,9 @@ class QueryService:
         """Whether the service has begun (or finished) draining."""
         return self.admission.draining
 
-    def _backend(self, tenant_id: str, hosted):
-        """What answers for a tenant: a fleet itself, a state's scheduler."""
-        if not isinstance(hosted, ServingState):
-            return hosted
-        batcher = self._batchers.get(tenant_id)
-        if batcher is None or batcher.state is not hosted:
-            # New tenant, or the tenant was detached and re-attached with
-            # a fresh state (the old batcher died with the old state).
-            batcher = self._batchers[tenant_id] = MicroBatcher(
-                hosted, max_batch=self.config.max_batch
-            )
-        return batcher
-
     def _resident(self) -> dict[str, object]:
         """``tenant_id -> backend`` for resident tenants (no attach)."""
-        return {
-            tid: self._backend(tid, hosted)
-            for tid, hosted in sorted(self.registry.resident_states().items())
-        }
+        return dict(sorted(self.registry.resident_states().items()))
 
     def _fleets(self) -> list[tuple[str | None, object]]:
         """``(shard-label tenant, fleet)`` per resident worker fleet —
@@ -142,25 +121,21 @@ class QueryService:
         unlabelled."""
         sole = self.registry.sole_tenant
         return [
-            (None if tid == sole else tid, hosted)
-            for tid, hosted in sorted(self.registry.resident_states().items())
-            if not isinstance(hosted, ServingState)
+            (None if tid == sole else tid, backend)
+            for tid, backend in self._resident().items()
+            if hasattr(backend, "router")
         ]
 
-    def _on_detach(self, tenant_id: str, hosted) -> None:
+    def _on_detach(self, tenant_id: str, backend) -> None:
         """Registry detach hook: retire the evicted tenant's backend.
 
         Detach only happens with zero pins, and every in-flight request
         holds a pin until its reply resolves — so a scheduler's queue is
         empty here, and no query loses its workers; the drain runs as a
-        task off the serving path.  A state that never got a scheduler
-        has nothing to drain.
+        task off the serving path.  A re-attach loads a new backend,
+        which starts with its first query.
         """
-        if isinstance(hosted, ServingState):
-            backend = self._batchers.pop(tenant_id, None)
-        else:
-            backend = hosted
-        if backend is None or self._loop is None or self._loop.is_closed():
+        if self._loop is None or self._loop.is_closed():
             return
         self._loop.call_soon_threadsafe(
             lambda: self._loop.create_task(backend.drain())
@@ -170,18 +145,16 @@ class QueryService:
     async def start(self) -> None:
         """Ready the front end and start every resident backend
         (idempotent): a fleet spawns its workers, an in-process scorer
-        its scheduler.  A cold tenant's backend starts with its first
-        query."""
+        its scheduler, and either starts its writer.  A cold tenant's
+        backend starts with its first query."""
         self._loop = asyncio.get_running_loop()
         for backend in self._resident().values():
-            if isinstance(backend, MicroBatcher):
-                backend.start()
-            else:
-                await backend.start()
+            await backend.start()
         registry.set_gauge("server.draining", 0.0)
 
     async def drain(self) -> None:
-        """Graceful shutdown: reject new work, finish queued work, stop."""
+        """Graceful shutdown: reject new work, finish queued work, stop
+        every resident backend (a writer closes with a final flush)."""
         self.admission.begin_drain()
         for backend in self._resident().values():
             await backend.drain()
@@ -209,8 +182,8 @@ class QueryService:
             self.admission.release()
             raise
         try:
-            with self.registry.pin(tid) as (_, hosted):
-                yield tid, self._backend(tid, hosted)
+            with self.registry.pin(tid) as (_, backend):
+                yield tid, backend
         finally:
             self.quotas.release(tid)
             self.admission.release()
@@ -319,8 +292,8 @@ class QueryService:
         """
         registry.inc("server.adds_total")
         t0 = time.perf_counter()
-        with self.registry.pin(tenant) as (tid, hosted):
-            result = await self._backend(tid, hosted).add(texts, doc_ids)
+        with self.registry.pin(tenant) as (_, backend):
+            result = await backend.add(texts, doc_ids)
         registry.observe("server.add_seconds", time.perf_counter() - t0)
         return result
 

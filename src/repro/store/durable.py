@@ -457,7 +457,9 @@ class DurableIndexStore:
             return self.last_seal
 
     def checkpoint(self, reason: str = "manual") -> pathlib.Path:
-        """:meth:`seal`, returning just the new checkpoint's path."""
+        """:meth:`seal`, returning just the new checkpoint's path — the
+        perf ledger's timed seal (``ledger/layers.py``); the program
+        seals through :meth:`seal`."""
         return self.seal(reason).path
 
     def compact(self) -> pathlib.Path:
@@ -494,7 +496,7 @@ class DurableIndexStore:
         self._closed = True
         try:
             if flush and self.dirty_records > 0:
-                self.checkpoint(reason="close")
+                self.seal("close")
         finally:
             self._wal.close()
             if self._dir_lock is not None:

@@ -159,6 +159,7 @@ class StoreWriter:
         self.seals_total = 0
         self._task: asyncio.Task | None = None
         self._prior_switch_interval: float | None = None
+        self._stopped = False
         # Spawns its one thread on first use; joined by ``stop``.
         self._thread = ThreadPoolExecutor(
             max_workers=1,
@@ -227,7 +228,11 @@ class StoreWriter:
         """Stop ticking, close the store on the owner's thread (a final
         checkpoint when ``flush`` and records are dirty), then join the
         thread and restore the switch interval, also when the close
-        raises (a fenced store refuses its flush, yet closes)."""
+        raises (a fenced store refuses its flush, yet closes).  Once: a
+        second stop (a backend drained twice) returns at once."""
+        if self._stopped:
+            return
+        self._stopped = True
         if self._task is not None:
             self._task.cancel()
             with contextlib.suppress(asyncio.CancelledError):

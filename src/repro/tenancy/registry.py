@@ -2,7 +2,11 @@
 
 The registry owns the ``tenant_id -> backend`` map every serving path
 resolves through — a :class:`~repro.server.state.ServingState` scored in
-process, or a :class:`~repro.cluster.service.ClusterService` fleet.  It
+process, or a :class:`~repro.cluster.service.ClusterService` fleet.
+What :meth:`IndexRegistry.pin` hands out is exactly what the front end
+drives: each backend owns its scheduler or workers and its writer, so
+there is nothing to wrap around it, and a detached tenant's backend is
+drained whole (a detach hook) while a re-attach loads a fresh one.  It
 only hosts what it is handed, in one of two ways:
 
 * an **eager state** (``state=``) — already built, never evicted (there

@@ -115,7 +115,7 @@ def test_option_surface_is_unchanged():
 
 def test_config_objects_gained_no_field():
     ceiling = {
-        ServerConfig: 4,
+        ServerConfig: 3,
         ClusterConfig: 5,
         SupervisorConfig: 3,
         CheckpointPolicy: 3,

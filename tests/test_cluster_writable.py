@@ -334,6 +334,41 @@ def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
         asyncio.run(standby.stop())
 
 
+def test_a_corrupt_newest_seal_is_verified_once_not_per_poll(
+    store_dir, open_counts
+):
+    older = seal_more(store_dir, seed=11)
+    service = stub_fleet(store_dir)
+    corrupt = seal_more(store_dir, seed=12)
+    entries = load_manifest(corrupt.path)["arrays"]
+    victim = corrupt.path / entries.get("model_V", entries["base_V"])["file"]
+    blob = bytearray(victim.read_bytes())
+    blob[-1] ^= 0xFF
+    victim.write_bytes(bytes(blob))
+
+    standby = StandbyWriter(store_dir)
+    standby._service = service
+    try:
+        open_counts.reset()
+        asyncio.run(standby._follow_epochs())
+        # Verified, found corrupt, fell back to the one already served.
+        assert victim in open_counts.crcs
+        assert service.epoch == service.target_epoch == older.epoch
+        crcs = len(open_counts.crcs)
+        for _ in range(2):
+            asyncio.run(standby._follow_epochs())
+        assert len(open_counts.crcs) == crcs  # not once more per poll
+        assert service.router.bumps == []
+
+        # A later valid seal is still followed.
+        newer = seal_more(store_dir, seed=13)
+        asyncio.run(standby._follow_epochs())
+        assert service.epoch == newer.epoch > corrupt.epoch
+        assert service.router.bumps == [newer.epoch]
+    finally:
+        asyncio.run(standby.stop())
+
+
 def test_bump_refused_without_data_dir(store_dir):
     handle = EpochHandle.open(store_dir, SHARDS)
     worker = ShardWorker(handle.model, handle.plan.shard(0))

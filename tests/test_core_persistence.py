@@ -91,7 +91,7 @@ def test_save_is_atomic_no_temp_leftovers(db):
     # A second seal beside the first: a reader sees one complete
     # checkpoint or the other, never a partial one; still no debris.
     store = DurableIndexStore.open(db)
-    store.checkpoint()
+    store.seal()
     store.close()
     assert sorted(p.name for p in checkpoints.iterdir()) == [
         FIRST, "ckpt-00000002",

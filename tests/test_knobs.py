@@ -2,7 +2,8 @@
 
 A knob is a value someone can set: an option of ``repro serve`` or
 ``repro cluster serve``, a field of a serving-tier config object, or a
-keyword of the durable store's constructors.  A knob stays for one of
+keyword of the durable store's or the in-process backend's
+constructors.  A knob stays for one of
 four reasons:
 
 * ``deployment`` — where to listen, what to serve, where to write;
@@ -36,6 +37,7 @@ from repro.cluster.standby import StandbyConfig
 from repro.cluster.supervisor import SupervisorConfig
 from repro.errors import ReproError
 from repro.server.service import ServerConfig
+from repro.server.state import ServingState
 from repro.store.durable import DurableIndexStore
 from repro.store.sealing import CheckpointPolicy
 
@@ -50,7 +52,14 @@ CONFIGS = (
     StandbyConfig,
     CheckpointPolicy,
 )
-CONSTRUCTORS = (DurableIndexStore.initialize, DurableIndexStore.open)
+CONSTRUCTORS = (
+    DurableIndexStore.initialize,
+    DurableIndexStore.open,
+    ServingState.for_manager,
+    ServingState.for_store,
+    ServingState.for_model,
+    ServingState.open,
+)
 
 REASONS = {
     "serve source": "mode",
@@ -88,7 +97,6 @@ REASONS = {
     "cluster serve --max-resident": "benchmarks/cluster_smoke.py",
     "serve --queue-depth": "benchmarks/server_smoke.py",
     "cluster serve --queue-depth": "benchmarks/server_smoke.py",
-    "ServerConfig.max_batch": "serve --max-batch",
     "ServerConfig.queue_depth": "serve --queue-depth",
     "ServerConfig.slow_ms": "serve --slow-ms",
     "ServerConfig.slowlog_path": "deployment",
@@ -102,6 +110,12 @@ REASONS = {
     "CheckpointPolicy.every_records": "serve --checkpoint-every",
     "CheckpointPolicy.every_seconds": "cluster serve --seal-interval",
     "CheckpointPolicy.on_consolidate": "src/repro/cli/cluster.py",
+    "ServingState.for_manager(ann)": "src/repro/cli/serving.py",
+    "ServingState.for_manager(max_batch)": "serve --max-batch",
+    "ServingState.for_store(max_batch)": "serve --max-batch",
+    "ServingState.for_model(ann)": "ledger/layers.py",
+    "ServingState.for_model(max_batch)": "serve --max-batch",
+    "ServingState.open(max_batch)": "serve --max-batch",
 }
 
 
@@ -239,8 +253,8 @@ def test_an_unjustified_knob_is_named(tmp_path):
     ],
 )
 def test_an_out_of_range_value_is_a_usage_error(argv, option, capsys):
-    """Each of these once reached the program: ``MicroBatcher`` and
-    ``AdmissionController`` raised a traceback, ``-1`` records sealed an
+    """Each of these once reached the program: the in-process scheduler
+    and ``AdmissionController`` raised a traceback, ``-1`` records sealed an
     idle store on every tick, and a 0 s heartbeat (or standby poll)
     evicted healthy workers (or spun a CPU)."""
     with pytest.raises(SystemExit) as excinfo:

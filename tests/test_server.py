@@ -31,7 +31,6 @@ from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.retrieval.engine import LSIRetrieval
-from repro.server.batching import MicroBatcher
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
 from repro.server.service import QueryService, ServerConfig
@@ -64,13 +63,14 @@ def _texts() -> list[str]:
 
 
 def _fresh_state(
-    distortion_budget: float = 0.5, n_clusters: int | None = None
+    distortion_budget: float = 0.5, n_clusters: int | None = None, **backend
 ) -> ServingState:
-    """A live state; with ``n_clusters``, one probing that many cells."""
+    """A live state; with ``n_clusters``, one probing that many cells
+    (``backend``: its ``max_batch``)."""
     manager = manager_from_texts(_texts(), k=6, scheme="log_entropy")
     manager.distortion_budget = distortion_budget
     ann = train_quantizer(manager.model, n_clusters) if n_clusters else None
-    return ServingState.for_manager(manager, ann=ann)
+    return ServingState.for_manager(manager, ann=ann, **backend)
 
 
 def _pairs(response: dict) -> list[tuple[int, float]]:
@@ -82,8 +82,6 @@ def _pairs(response: dict) -> list[tuple[int, float]]:
 # --------------------------------------------------------------------- #
 def test_coalesced_batch_identical_to_engine():
     registry.reset("server.")
-    state = _fresh_state()
-    engine = LSIRetrieval(state.current().model)
     cases = [
         (QUERIES[i % len(QUERIES)], kwargs)
         for i, kwargs in enumerate(
@@ -98,11 +96,11 @@ def test_coalesced_batch_identical_to_engine():
             * 2
         )
     ]
+    state = _fresh_state(max_batch=len(cases))
+    engine = LSIRetrieval(state.current().model)
 
     async def main():
-        service = QueryService(
-            state, ServerConfig(max_batch=len(cases))
-        )
+        service = QueryService(state)
         await service.start()
         responses = await asyncio.gather(
             *(service.search(q, **kw) for q, kw in cases)
@@ -143,12 +141,10 @@ def test_single_request_batch_bit_identical_to_engine():
 
 def test_batches_respect_max_batch():
     registry.reset("server.")
-    state = _fresh_state()
+    state = _fresh_state(max_batch=4)
 
     async def main():
-        service = QueryService(
-            state, ServerConfig(max_batch=4)
-        )
+        service = QueryService(state)
         await service.start()
         await asyncio.gather(
             *(service.search(QUERIES[i % 6], top=3) for i in range(10))
@@ -193,25 +189,22 @@ def test_sharded_batch_scoring_matches_flat():
 # --------------------------------------------------------------------- #
 def _slow_scorer(monkeypatch, seconds: float) -> None:
     """Make every batch flush take at least ``seconds``."""
-    original = MicroBatcher._score_batch
+    original = ServingState._score_batch
 
     def slow(self, snapshot, batch):
         time.sleep(seconds)
         return original(self, snapshot, batch)
 
-    monkeypatch.setattr(MicroBatcher, "_score_batch", slow)
+    monkeypatch.setattr(ServingState, "_score_batch", slow)
 
 
 def test_overload_rejected_not_queued(monkeypatch):
     registry.reset("server.")
     _slow_scorer(monkeypatch, 0.05)
-    state = _fresh_state()
+    state = _fresh_state(max_batch=1)
 
     async def main():
-        service = QueryService(
-            state,
-            ServerConfig(max_batch=1, queue_depth=3),
-        )
+        service = QueryService(state, ServerConfig(queue_depth=3))
         await service.start()
         results = await asyncio.gather(
             *(service.search(QUERIES[i % 6], top=2) for i in range(10)),
@@ -236,12 +229,10 @@ def test_overload_rejected_not_queued(monkeypatch):
 def test_deadline_expires_in_queue(monkeypatch):
     registry.reset("server.")
     _slow_scorer(monkeypatch, 0.05)
-    state = _fresh_state()
+    state = _fresh_state(max_batch=1)
 
     async def main():
-        service = QueryService(
-            state, ServerConfig(max_batch=1)
-        )
+        service = QueryService(state)
         await service.start()
         # Both enqueue in one tick; max_batch=1 makes the second wait out
         # the first's slow flush, which is longer than its deadline.
@@ -265,12 +256,10 @@ def test_deadline_expires_in_queue(monkeypatch):
 # --------------------------------------------------------------------- #
 def test_drain_flushes_queue_then_rejects(monkeypatch):
     _slow_scorer(monkeypatch, 0.02)
-    state = _fresh_state()
+    state = _fresh_state(max_batch=2)
 
     async def main():
-        service = QueryService(
-            state, ServerConfig(max_batch=2)
-        )
+        service = QueryService(state)
         await service.start()
         inflight = [
             asyncio.ensure_future(service.search(QUERIES[i % 6], top=3))
@@ -295,7 +284,7 @@ def test_drain_flushes_queue_then_rejects(monkeypatch):
 def test_live_add_under_query_load_has_consistent_epochs():
     # A small budget forces consolidation (recompute/SVD-update) along
     # the way, so the epoch swap is exercised across all three actions.
-    state = _fresh_state(distortion_budget=0.05)
+    state = _fresh_state(distortion_budget=0.05, max_batch=4)
     n0 = state.current().n_documents
     observations: list[tuple[int, int, int]] = []
 
@@ -317,9 +306,7 @@ def test_live_add_under_query_load_has_consistent_epochs():
             await asyncio.sleep(0.002)
 
     async def main():
-        service = QueryService(
-            state, ServerConfig(max_batch=4)
-        )
+        service = QueryService(state)
         await service.start()
         await asyncio.gather(reader(service), writer(service))
         final = await service.search(QUERIES[0], top=3)

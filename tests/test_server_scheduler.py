@@ -1,4 +1,4 @@
-"""The work-conserving scheduler's contracts (repro.server.batching).
+"""The work-conserving scheduler's contracts (repro.server.state).
 
 Deterministic by construction — no sleeps, no wall-clock thresholds.
 The scorer runs on the event loop, so nothing else runs while a batch
@@ -8,7 +8,7 @@ is scored: load is simulated by starting requests from *inside* a flush
 flush yields.
 
 * **No timer** — a lone search on an idle service never arms
-  ``call_later`` / ``call_at`` from ``server/batching.py``;
+  ``call_later`` / ``call_at`` from ``server/state.py``;
 * **Batches are the pile-up** — requests arriving during a flush form
   the next batch (capped at ``max_batch``, arrival order kept), answer
   element-identically to solo calls, still honour deadlines and
@@ -34,10 +34,9 @@ import pytest
 
 from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
-from repro.server.batching import MicroBatcher, SearchRequest
 from repro.server.client import ServerClient
 from repro.server.service import QueryService, ServerConfig
-from repro.server.state import EpochSnapshot
+from repro.server.state import EpochSnapshot, ServingState
 
 from tests.test_server import QUERIES, _fresh_state, _pairs, _ServerThread
 from tests.test_tenancy import TENANT_QUERIES, _registry
@@ -53,17 +52,17 @@ class _Arrivals:
     def __init__(self, monkeypatch):
         self.batches: list[list] = []
         self._start = None
-        original = MicroBatcher._score_batch
+        original = ServingState._score_batch
 
-        def scoring(batcher, snapshot, batch):
+        def scoring(state, snapshot, batch):
             self.batches.append([req.query for req in batch])
             if self._start is not None:
                 start, self._start = self._start, None
                 self._started = start()
                 self._flushed.set()
-            return original(batcher, snapshot, batch)
+            return original(state, snapshot, batch)
 
-        monkeypatch.setattr(MicroBatcher, "_score_batch", scoring)
+        monkeypatch.setattr(ServingState, "_score_batch", scoring)
 
     async def during_first(self, service: QueryService, query, start):
         """Search ``query`` and call ``start()`` inside its flush.
@@ -101,7 +100,7 @@ def test_lone_search_arms_no_timer_from_batching(monkeypatch):
                 stack = traceback.extract_stack()
                 if any(
                     frame.filename.replace("\\", "/").endswith(
-                        "server/batching.py"
+                        "server/state.py"
                     )
                     for frame in stack
                 ):
@@ -129,11 +128,11 @@ def test_requests_during_a_flight_form_the_next_batch(
     monkeypatch, max_batch, want_sizes
 ):
     arriving = _Arrivals(monkeypatch)
-    state = _fresh_state()
+    state = _fresh_state(max_batch=max_batch)
     arrivals = [f"{QUERIES[i % 6]} {i}" for i in range(5)]
 
     async def main():
-        service = QueryService(state, ServerConfig(max_batch=max_batch))
+        service = QueryService(state)
         await service.start()
         registry.reset("server.batch_size")
         first, waiting = await arriving.during_first(
@@ -162,17 +161,17 @@ def test_deep_queue_resolves_batch_by_batch(monkeypatch):
     max_batch = 4
     replies: list[asyncio.Future] = []
     done_at_flush: list[list[bool]] = []
-    original = MicroBatcher._score_batch
+    original = ServingState._score_batch
 
-    def scoring(batcher, snapshot, batch):
+    def scoring(state, snapshot, batch):
         done_at_flush.append([f.done() for f in replies])
-        return original(batcher, snapshot, batch)
+        return original(state, snapshot, batch)
 
-    monkeypatch.setattr(MicroBatcher, "_score_batch", scoring)
-    state = _fresh_state()
+    monkeypatch.setattr(ServingState, "_score_batch", scoring)
+    state = _fresh_state(max_batch=max_batch)
 
     async def main():
-        service = QueryService(state, ServerConfig(max_batch=max_batch))
+        service = QueryService(state)
         await service.start()
         replies.extend(
             _searches(
@@ -227,10 +226,10 @@ def test_deadline_expires_behind_a_held_flush(monkeypatch):
 # --------------------------------------------------------------------- #
 def test_drain_during_a_held_flush_answers_queue_then_rejects(monkeypatch):
     arriving = _Arrivals(monkeypatch)
-    state = _fresh_state()
+    state = _fresh_state(max_batch=2)
 
     async def main():
-        service = QueryService(state, ServerConfig(max_batch=2))
+        service = QueryService(state)
         await service.start()
 
         def arrive_then_drain():
@@ -417,24 +416,22 @@ def test_back_to_back_searches_start_no_thread():
     asyncio.run(main())
 
 
-def test_bare_batcher_starts_no_thread_and_stops_twice():
+def test_bare_state_starts_no_thread_and_drains_twice():
+    """A state driven directly, with no front end: built outside any
+    loop, started, searched, drained twice (idempotent) — and started
+    again on a second loop."""
     state = _fresh_state()
 
     async def main():
-        batcher = MicroBatcher(state)
-        batcher.start()
+        await state.start()
         before = set(threading.enumerate())
-        request = SearchRequest(
-            query=QUERIES[0],
-            top=3,
-            future=asyncio.get_running_loop().create_future(),
-        )
-        batcher.submit(request)
-        assert (await request.future)["results"]
+        payload, evidence = await state.search(QUERIES[0], top=3)
+        assert payload["results"] and evidence["batch_size"] == 1
         assert set(threading.enumerate()) == before
-        await batcher.stop()
-        await batcher.stop()  # idempotent
+        await state.drain()
+        await state.drain()  # idempotent
 
+    asyncio.run(main())
     asyncio.run(main())
 
 

@@ -19,6 +19,7 @@ from repro.store.checkpoint import list_checkpoints
 from repro.store.durable import DurableIndexStore, RETAIN, read_store_status
 from repro.store.lock import StoreLock
 from repro.store.mmap_io import open_latest_model
+from repro.store.recovery import open_checkpoint
 from repro.store.sealing import CheckpointPolicy, SWITCH_INTERVAL_S
 from repro.store.wal import scan_wal
 from tests.test_cluster_writable import stub_fleet
@@ -98,7 +99,7 @@ def test_retain_prunes_old_checkpoints(corpus, tmp_path):
     store = seeded_store(corpus, tmp_path)
     for i in range(4):
         store.add_texts([later[i]])
-        store.checkpoint(reason=f"step{i}")
+        store.seal(f"step{i}")
     infos = list_checkpoints(store.checkpoints_dir)
     assert len(infos) == RETAIN == 3
     assert infos[-1].checkpoint_id == 5  # ids keep counting past pruning
@@ -180,7 +181,7 @@ def test_readonly_status_tracks_consolidation(corpus, tmp_path):
     assert status["checkpoint_pending"] == 0
     assert status["wal_documents"] == 10
     assert status["n_documents"] == store.manager.n_documents == 30
-    store.checkpoint()
+    store.seal()
     status = read_store_status(tmp_path / "store")
     assert status["checkpoint_pending"] == store.manager.pending == 5
     assert status["wal_documents"] == 0
@@ -456,7 +457,7 @@ def test_clean_boot_writes_no_checkpoint(corpus, tmp_path, owner):
     store = seeded_store(corpus, tmp_path, ingest_method="fast-update")
     store.add_texts([later[0]])
     store.add_texts([later[1]])
-    store.checkpoint()
+    store.seal()
     store.close(flush=False)
     before = [info.path for info in list_checkpoints(store.checkpoints_dir)]
     writer, _ = owner(tmp_path / "store", CheckpointPolicy())
@@ -615,6 +616,64 @@ def test_durable_serving_routes_adds_through_wal(corpus, tmp_path):
     store.close(flush=False)
 
 
+def test_an_in_process_state_reports_the_stores_epoch(corpus, tmp_path):
+    """One epoch number per store: a state over a store starts at the
+    WAL LSN, each durable add reports its record's LSN (+1 per add), a
+    restart never goes backwards, and a read-only open reports the
+    checkpoint's epoch."""
+    _, later, _ = corpus
+    data_dir = tmp_path / "store"
+    store = seeded_store(corpus, tmp_path)
+    store.add_texts([later[0]], doc_ids=["PRE"])
+    state = ServingState.for_store(store)
+    assert state.current().epoch == store.wal.last_lsn == 1
+    for i, text in enumerate(later[1:4]):
+        added = state.add_texts([text], doc_ids=[f"N{i}"])
+        assert added["epoch"] == store.wal.last_lsn == 2 + i
+        assert state.describe()["epoch"] == added["epoch"]
+    before = state.current().epoch
+    store.close(flush=False)  # crash-like exit: the WAL holds the adds
+
+    reopened = ServingState.for_store(DurableIndexStore.open(data_dir))
+    assert reopened.current().epoch == reopened.store.wal.last_lsn >= before
+    assert reopened.add_texts([later[4]], doc_ids=["N9"])["epoch"] == before + 1
+    reopened.store.close()  # seals the add
+
+    opened = ServingState.open(data_dir)
+    assert opened.current().epoch == open_checkpoint(data_dir).epoch
+    assert opened.current().epoch == before + 1
+
+
+def test_the_front_end_drain_closes_an_in_process_store(corpus, tmp_path):
+    """The backend owns its writer: ``QueryService.drain()`` over a
+    durable state flushes and closes the store, with no caller help."""
+    _, later, _ = corpus
+    store = seeded_store(corpus, tmp_path)
+    state = ServingState.for_store(
+        store, CheckpointPolicy(every_records=None, every_seconds=None)
+    )
+
+    async def main():
+        service = QueryService(state)
+        await service.start()
+        assert state.writer.running
+        await service.add([later[0]], doc_ids=["NEW"])
+        assert store.dirty_records == 1
+        await service.drain()
+        await service.drain()  # a second drain finds the store closed
+
+    asyncio.run(main())
+    assert not state.writer.running
+    assert store.dirty_records == 0 and sealed_reason(store) == "close"
+    with pytest.raises(StoreError, match="closed"):
+        store.add_texts([later[1]], doc_ids=["LATE"])
+    # The lock went with the close: the directory opens again, whole.
+    reopened = DurableIndexStore.open(tmp_path / "store")
+    assert reopened.last_recovery.replayed_records == 0
+    assert reopened.manager.model.doc_ids[-1] == "NEW"
+    reopened.close(flush=False)
+
+
 def test_store_rejects_bad_doc_ids_before_the_wal(corpus, tmp_path):
     _, later, _ = corpus
     store = seeded_store(corpus, tmp_path)
@@ -656,7 +715,7 @@ def test_mmap_replica_scores_match_writer(corpus, tmp_path):
     state = ServingState.for_store(store)
     for text in later[:3]:
         state.add_texts([text])
-    store.checkpoint(reason="replica-sync")
+    store.seal("replica-sync")
     snapshot = state.current()
     expected = snapshot.score_batch(
         np.stack([snapshot.project(q) for q in queries])

@@ -134,7 +134,7 @@ def test_recovery_from_mid_stream_checkpoint(corpus, tmp_path):
     store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
     for text in later[:3]:
         store.add_texts([text])
-    store.checkpoint(reason="mid")
+    store.seal("mid")
     for text in later[3:6]:
         store.add_texts([text])
     live = store.manager
@@ -188,7 +188,7 @@ def test_corrupt_array_falls_back_to_older_checkpoint(corpus, tmp_path):
     _, later = corpus
     store = DurableIndexStore.initialize(tmp_path / "s", fresh_manager(corpus))
     store.add_texts([later[0]], doc_ids=["W0"])
-    store.checkpoint(reason="second")
+    store.seal("second")
     store.close(flush=False)
     checkpoints_dir, wal_path = DurableIndexStore.paths(tmp_path / "s")
 

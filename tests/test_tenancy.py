@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 from repro.corpus.med import MED_TOPICS
 from repro.errors import ReproError, ServerOverloadError, UnknownTenantError
 from repro.retrieval.engine import LSIRetrieval
-from repro.server.batching import MicroBatcher
 from repro.server.client import ServerClient
 from repro.server.service import QueryService, ServerConfig
 from repro.server.state import ServingState, manager_from_texts
@@ -70,13 +69,13 @@ TENANT_QUERIES = {
 }
 
 
-def _build_state(tid: str) -> ServingState:
+def _build_state(tid: str, **backend) -> ServingState:
     # Deterministic (seeded) build: re-attaching a tenant after an LRU
     # detach reconstructs the identical model, which the transparency
     # property below relies on.
     manager = manager_from_texts(TENANT_TEXTS[tid], k=3, scheme="log_entropy")
     manager.distortion_budget = 0.5
-    return ServingState.for_manager(manager)
+    return ServingState.for_manager(manager, **backend)
 
 
 def _loader(tid: str):
@@ -205,6 +204,41 @@ def test_resolve_rescinds_pending_eviction():
         reg.resolve("beta")  # alpha now evict-pending
         reg.resolve("alpha")  # hot again: the mark is rescinded
     assert reg.describe()["alpha"]["resident"] is True
+
+
+def test_a_reattached_tenant_is_served_by_its_new_state():
+    """An LRU-detached tenant's state is drained whole, and its
+    re-attach loads a fresh state whose own scheduler answers."""
+    reg = _registry(tenants=("alpha", "beta"), max_resident=1)
+
+    async def main():
+        service = QueryService(reg)
+        await service.start()
+        want = await service.search(
+            TENANT_QUERIES["alpha"], top=3, tenant="alpha"
+        )
+        old = reg.resident_states()["alpha"]
+        await service.search(TENANT_QUERIES["beta"], top=3, tenant="beta")
+        assert "alpha" not in reg.resident_states()
+        # The detach hook drains the evicted state as a task.
+        for _ in range(100):
+            if old._task is None:
+                break
+            await asyncio.sleep(0)
+        assert old._task is None and old._queue.empty()
+
+        got = await service.search(
+            TENANT_QUERIES["alpha"], top=3, tenant="alpha"
+        )
+        new = reg.resident_states()["alpha"]
+        assert new is not old
+        assert new._task is not None and old._task is None
+        await service.drain()
+        return want, got
+
+    want, got = asyncio.run(main())
+    assert got["results"] == want["results"]
+    assert reg.describe()["alpha"]["attaches"] == 2
 
 
 def _hosted(argv, monkeypatch):
@@ -361,22 +395,20 @@ def test_a_rejected_request_attaches_no_tenant():
 
 def test_quota_starvation_cold_tenant_latency_bounded(monkeypatch):
     """A saturated hot tenant cannot starve a cold tenant's requests."""
-    original = MicroBatcher._score_batch
+    original = ServingState._score_batch
 
     def slow(self, snapshot, batch):
         time.sleep(0.05)
         return original(self, snapshot, batch)
 
-    monkeypatch.setattr(MicroBatcher, "_score_batch", slow)
+    monkeypatch.setattr(ServingState, "_score_batch", slow)
 
     reg = IndexRegistry()
-    reg.register("hot", state=_build_state("alpha"))
-    reg.register("cold", state=_build_state("beta"))
+    reg.register("hot", state=_build_state("alpha", max_batch=1))
+    reg.register("cold", state=_build_state("beta", max_batch=1))
 
     async def main():
-        service = QueryService(
-            reg, ServerConfig(max_batch=1, queue_depth=4)
-        )
+        service = QueryService(reg, ServerConfig(queue_depth=4))
         await service.start()
         hot = [
             asyncio.ensure_future(
