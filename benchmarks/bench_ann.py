@@ -11,8 +11,8 @@ import numpy as np
 from conftest import emit
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
-from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer
+from repro.serving.snapshot import EpochSnapshot
 from repro.text.vocabulary import Vocabulary
 from repro.util.rng import ensure_rng
 

@@ -2,7 +2,7 @@
 
 The serving counterpart of ``bench_ann.py``'s §5.6 curve: the same
 recall-vs-cost dial, measured where it matters — through
-:class:`~repro.server.state.EpochSnapshot`, the object every request in
+:class:`~repro.serving.snapshot.EpochSnapshot`, the object every request in
 ``repro serve`` scores against.  On a large hub-structured synthetic
 collection (~1M documents locally, ~150k under ``BENCH_SMOKE``) this
 sweeps the probe count and reports, per level:

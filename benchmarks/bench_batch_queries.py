@@ -30,7 +30,7 @@ from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities
 from repro.corpus.synthetic import SyntheticSpec, topic_collection
 from repro.obs.metrics import registry
-from repro.server.state import EpochSnapshot
+from repro.serving.snapshot import EpochSnapshot
 from repro.text.vocabulary import Vocabulary
 
 FLUSH_WIDTHS = (1, 2, 3, 4, 8, 16)

@@ -36,8 +36,8 @@ from repro.core.query import project_query
 from repro.obs.metrics import registry
 from repro.obs.tracing import span, tracing_enabled
 from repro.retrieval.engine import LSIRetrieval
-from repro.server.state import EpochSnapshot
 from repro.serving.index import scaled_documents
+from repro.serving.snapshot import EpochSnapshot
 from repro.serving.topk import ranked_pairs
 from repro.text.tdm import count_vector
 from repro.text.vocabulary import Vocabulary

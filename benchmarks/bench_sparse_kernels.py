@@ -18,7 +18,7 @@ from conftest import emit
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
 from repro.parallel.sharding import merge_topk, shard_bounds
-from repro.server.state import EpochSnapshot
+from repro.serving.snapshot import EpochSnapshot
 from repro.sparse.build import from_dense
 from repro.sparse.ops import csc_matmat
 from repro.text.vocabulary import Vocabulary

@@ -75,8 +75,9 @@ from repro.obs.slowlog import read_slowlog
 from repro.obs.trace_context import export_trace_jsonl
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server.client import ServerClient
-from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.server.state import manager_from_texts
 from repro.serving.index import scaled_rows
+from repro.serving.snapshot import EpochSnapshot
 from repro.store.durable import DurableIndexStore
 from repro.store.mmap_io import open_latest_ann, open_latest_model
 

@@ -32,6 +32,7 @@ from repro.core.query import project_query
 from repro.corpus.crosslang import CrossLanguageCorpus
 from repro.errors import ShapeError
 from repro.serving.kernel import cosine_scores
+from repro.serving.topk import ranked_pairs
 from repro.updating.folding import fold_in_texts
 from repro.weighting.schemes import WeightingScheme
 
@@ -86,9 +87,6 @@ class CrossLanguageRetrieval:
         return cls(model=folded, n_training=n_train, languages=langs)
 
     # ------------------------------------------------------------------ #
-    def _folded_coords(self) -> np.ndarray:
-        return (self.model.V * self.model.s)[self.n_training :]
-
     def search(
         self,
         query: str,
@@ -99,15 +97,16 @@ class CrossLanguageRetrieval:
         """Rank folded monolingual documents for a query in any language.
 
         ``language`` restricts results to one language's documents (mate
-        retrieval restricts to the *other* language).
+        retrieval restricts to the *other* language): only those rows
+        are scored and ranked.
         """
-        qhat = project_query(self.model, query) * self.model.s
-        ids = self.model.doc_ids[self.n_training :]
-        cos = cosine_scores(self._folded_coords(), qhat)[0]
+        rows = np.arange(self.n_training, self.model.n_documents)
         if language is not None:
-            cos[np.array(self.languages) != language] = -np.inf
-        order = np.argsort(-cos, kind="stable")[:top]
-        return [(ids[int(i)], float(cos[i])) for i in order]
+            rows = rows[np.asarray(self.languages) == language]
+        qhat = project_query(self.model, query) * self.model.s
+        cos = cosine_scores(self.model.V[rows] * self.model.s, qhat)[0]
+        ids = self.model.doc_ids
+        return [(ids[rows[i]], c) for i, c in ranked_pairs(cos, top=top)]
 
 
 def mate_retrieval_accuracy(

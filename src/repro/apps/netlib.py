@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from repro.core.build import fit_lsi
 from repro.core.model import LSIModel
 from repro.core.query import project_query
-from repro.core.similarity import rank_documents
+from repro.core.similarity import doc_doc_similarities, ranked_documents
 from repro.corpus.netlib_like import NetlibCatalogue
 from repro.errors import ShapeError
+from repro.serving.topk import topk_indices
 from repro.weighting.schemes import WeightingScheme
 
 __all__ = ["NetlibSearch"]
@@ -62,12 +63,14 @@ class NetlibSearch:
         """Task-phrased fuzzy search: ranked routine names (digest
         articles are filtered from the results)."""
         qhat = project_query(self.model, query)
-        routines = set(self.catalogue.names)
-        ranked = [
-            (d, c) for d, c in rank_documents(self.model, qhat)
-            if d in routines
-        ]
-        return ranked[:top]
+        # Rows [0, routines) are the routines, the digests follow them: the
+        # top routines are among the top ``top + digests`` documents.
+        routines = len(self.catalogue.names)
+        ranked = ranked_documents(
+            self.model, qhat, top=top + len(self.catalogue.digests)
+        )
+        ids = self.model.doc_ids
+        return [(ids[j], c) for j, c in ranked if j < routines][:top]
 
     def exact(self, name: str) -> list[str]:
         """The pre-LSI behaviour: exact (substring) name lookup."""
@@ -76,18 +79,11 @@ class NetlibSearch:
 
     def more_like(self, name: str, *, top: int = 5) -> list[tuple[str, float]]:
         """Routines similar to a known one (query-by-example)."""
-        from repro.core.similarity import doc_doc_similarities
-
-        import numpy as np
-
         sims = doc_doc_similarities(self.model, name)
-        order = np.argsort(-sims, kind="stable")
-        out = []
-        for j in order:
-            candidate = self.model.doc_ids[int(j)]
-            if candidate == name:
-                continue
-            out.append((candidate, float(sims[j])))
-            if len(out) >= top:
-                break
-        return out
+        # One extra candidate absorbs the example itself.
+        own = self.model.doc_index(name)
+        return [
+            (self.model.doc_ids[j], float(sims[j]))
+            for j in topk_indices(sims, top + 1)
+            if j != own
+        ][:top]

@@ -31,6 +31,7 @@ from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
 from repro.serving.kernel import cosine_scores
+from repro.serving.topk import ranked_pairs
 
 __all__ = ["ReviewerAssignment", "assign_reviewers", "find_experts", "people_vectors"]
 
@@ -64,8 +65,7 @@ def find_experts(
 ) -> list[tuple[int, float]]:
     """Rank people by cosine of their vector with the query (Advisor)."""
     cos = cosine_scores(people, project_query(model, query) * model.s)[0]
-    order = np.argsort(-cos, kind="stable")[:top]
-    return [(int(i), float(cos[i])) for i in order]
+    return ranked_pairs(cos, top=top)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.core.query import project_query
-from repro.core.similarity import rank_documents
+from repro.core.similarity import retrieve
 from repro.errors import ShapeError
 from repro.linalg.svd import truncated_svd
 from repro.sparse.csc import CSCMatrix
@@ -91,7 +91,7 @@ class SpellingCorrector:
         qhat = self._query_vector(word)
         if not np.any(qhat):
             return []
-        return rank_documents(self.model, qhat)[:top]
+        return retrieve(self.model, qhat, top=top)
 
     def correct(self, word: str) -> str:
         """Single best correction (the input itself if already nearest)."""

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.core.similarity import nearest_terms
 from repro.serving.kernel import cosine_scores
+from repro.serving.topk import ranked_pairs
 
 __all__ = ["build_thesaurus", "suggest_index_terms"]
 
@@ -52,5 +51,4 @@ def suggest_index_terms(
     """
     dhat = project_query(model, text)
     cos = cosine_scores(model.term_coordinates(), dhat * model.s)[0]
-    order = np.argsort(-cos, kind="stable")[:top]
-    return [(model.vocabulary[int(i)], float(cos[i])) for i in order]
+    return [(model.vocabulary[i], c) for i, c in ranked_pairs(cos, top=top)]

@@ -157,7 +157,7 @@ def cmd_index(args, out) -> int:
 
 def cmd_query(args, out) -> int:
     from repro.retrieval.engine import LSIRetrieval
-    from repro.server.state import check_search_args
+    from repro.serving.snapshot import check_search_args
 
     check_search_args(top=args.top, threshold=args.threshold)
     model = _checkpoint_model(args.database)
@@ -209,7 +209,7 @@ def cmd_info(args, out) -> int:
 
 def cmd_terms(args, out) -> int:
     from repro.core.similarity import nearest_terms
-    from repro.server.state import check_search_args
+    from repro.serving.snapshot import check_search_args
 
     check_search_args(top=args.top)
     model = _checkpoint_model(args.database)

@@ -2,7 +2,7 @@
 
 The writable cluster changes state by *replacing* a single reference,
 never by mutating shared structures — the same discipline
-:class:`repro.server.state.EpochSnapshot` uses in-process.  An
+:class:`repro.serving.snapshot.EpochSnapshot` uses in-process.  An
 :class:`EpochHandle` bundles everything the front end needs to answer
 one query consistently — the projection model, the checkpoint identity,
 and the :class:`~repro.cluster.plan.ShardPlan` that scatter must use —

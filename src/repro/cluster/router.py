@@ -12,7 +12,7 @@ query with :func:`repro.parallel.sharding.merge_topk`.  Every replica of
 a range holds identical scoring state for an epoch, and a reported score is a
 pure function of (row, query), so with any one replica per range live
 the cluster's answer is element-identical to the whole-model
-:meth:`EpochSnapshot.search <repro.server.state.EpochSnapshot.search>`:
+:meth:`EpochSnapshot.search <repro.serving.snapshot.EpochSnapshot.search>`:
 indices, scores, tie order — regardless of *which* replica answered.
 
 Reads load-balance: each scatter picks a range's first candidate by

@@ -16,7 +16,7 @@ Epoch window
 ------------
 Under a writable cluster the primary writer broadcasts a ``bump`` op
 after sealing each new checkpoint.  The worker remaps the named
-checkpoint into a fresh :class:`~repro.server.state.EpochSnapshot` over
+checkpoint into a fresh :class:`~repro.serving.snapshot.EpochSnapshot` over
 its row range and swaps it in with one reference assignment — the
 superseded snapshot is retained as *previous*
 until the next bump, so ``score`` frames carrying the old epoch (sent
@@ -59,8 +59,8 @@ from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
 from repro.parallel.sharding import RANKED
-from repro.server.state import EpochSnapshot, check_search_args
 from repro.serving.ann import CoarseQuantizer
+from repro.serving.snapshot import EpochSnapshot, check_search_args
 
 __all__ = ["ShardWorker", "WorkerServer", "serve_shard", "run_worker"]
 

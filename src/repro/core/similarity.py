@@ -8,12 +8,11 @@ threshold are returned to the user."
 Comparison convention
 ---------------------
 Document positions in the figures are ``V_k Σ_k`` (Fig. 4 uses the columns
-of ``V₂`` scaled by the singular values), so the default comparison space
-scales both query and documents by ``Σ_k`` ("scaled" mode).  The unscaled
-alternative — cosine between ``q̂`` and raw rows of ``V_k`` — is exposed as
-``mode="factors"`` for completeness; the paper itself notes the cosine "is
-merely used to rank-order documents and its numerical value is not always
-an adequate measure of relevance".
+of ``V₂`` scaled by the singular values), so queries and documents are
+compared in that one space: both scaled by ``Σ_k``, the space every
+serving tier ranks in.  There is no other: the paper itself notes the
+cosine "is merely used to rank-order documents and its numerical value
+is not always an adequate measure of relevance".
 
 Execution
 ---------
@@ -42,7 +41,7 @@ from repro.obs.metrics import registry
 from repro.serving.index import scaled_documents
 from repro.serving.kernel import cosine_scores
 from repro.serving.scan import ranked_scan
-from repro.serving.topk import ranked_pairs, topk_indices
+from repro.serving.topk import topk_indices
 
 __all__ = [
     "cosine_similarities",
@@ -64,20 +63,13 @@ def _served_query(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
     return qhat
 
 
-def cosine_similarities(
-    model: LSIModel, qhat: np.ndarray, *, mode: str = "scaled"
-) -> np.ndarray:
+def cosine_similarities(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
     """Cosine of the query pseudo-vector with every document (length n).
 
-    The q=1 case of the batch GEMM path.  ``"scaled"`` compares in
-    ``V_k Σ_k`` (its norms memoized on the model); ``"factors"`` compares
-    the raw ``q̂`` with the rows of ``V_k``.
+    The q=1 case of the batch GEMM path, compared in ``V_k Σ_k`` with the
+    norms memoized on the model.
     """
-    if mode not in ("scaled", "factors"):
-        raise ValueError(f"unknown similarity mode {mode!r}")
     qhat = _served_query(model, qhat)
-    if mode == "factors":
-        return cosine_scores(model.V, qhat)[0]
     scaled = scaled_documents(model)
     return cosine_scores(
         np.multiply(model.V, model.s, order="C"), qhat * model.s,
@@ -86,12 +78,12 @@ def cosine_similarities(
 
 
 def rank_documents(
-    model: LSIModel, qhat: np.ndarray, *, mode: str = "scaled"
+    model: LSIModel, qhat: np.ndarray
 ) -> list[tuple[str, float]]:
     """All documents ranked by descending cosine: ``[(doc_id, cos), ...]``
     — the unfiltered :func:`ranked_documents`, so each score is the bits
     :func:`retrieve` and every serving tier report for that row."""
-    ranked = ranked_documents(model, qhat, mode=mode)
+    ranked = ranked_documents(model, qhat)
     return [(model.doc_ids[j], cos) for j, cos in ranked]
 
 
@@ -101,18 +93,10 @@ def ranked_documents(
     *,
     threshold: float | None = None,
     top: int | None = None,
-    mode: str = "scaled",
 ) -> list[tuple[int, float]]:
-    """Ranked ``(doc_index, cos)`` pairs under the §3.1 filters.
-
-    ``"scaled"`` is :func:`~repro.serving.scan.ranked_scan` over the
-    model's memo — the ranking the serving tiers report, bit for bit.
-    ``"factors"`` has no memoized comparison space and ranks its full
-    score vector.
-    """
-    if mode != "scaled":
-        cos = cosine_similarities(model, qhat, mode=mode)
-        return ranked_pairs(cos, top=top, threshold=threshold)
+    """Ranked ``(doc_index, cos)`` pairs under the §3.1 filters:
+    :func:`~repro.serving.scan.ranked_scan` over the model's memo — the
+    ranking the serving tiers report, bit for bit."""
     qhat = _served_query(model, qhat)
     return ranked_scan(
         scaled_documents(model), (qhat * model.s)[None, :], [top], [threshold]
@@ -125,7 +109,6 @@ def retrieve(
     *,
     threshold: float | None = None,
     top: int | None = None,
-    mode: str = "scaled",
 ) -> list[tuple[str, float]]:
     """Documents above a cosine threshold and/or the top-z closest.
 
@@ -135,9 +118,7 @@ def retrieve(
     """
     if threshold is None and top is None:
         raise ValueError("retrieve() needs a threshold, a top count, or both")
-    ranked = ranked_documents(
-        model, qhat, threshold=threshold, top=top, mode=mode
-    )
+    ranked = ranked_documents(model, qhat, threshold=threshold, top=top)
     return [(model.doc_ids[j], cos) for j, cos in ranked]
 
 
@@ -169,15 +150,10 @@ def nearest_terms(
     application of §5.4 ("there is no reason that similar terms could not
     be returned")."""
     cos = term_term_similarities(model, term)
-    # One extra candidate absorbs the query term itself when it is
-    # skipped; selection order matches the historical full stable sort.
-    order = topk_indices(cos, top + 1 if skip_self else top)
-    out = []
-    self_id = model.vocabulary.id_of(term)
-    for idx in order:
-        if skip_self and idx == self_id:
-            continue
-        out.append((model.vocabulary[int(idx)], float(cos[idx])))
-        if len(out) >= top:
-            break
-    return out
+    # One extra candidate absorbs the query term itself when it is skipped.
+    self_id = model.vocabulary.id_of(term) if skip_self else -1
+    return [
+        (model.vocabulary[int(i)], float(cos[i]))
+        for i in topk_indices(cos, top + 1 if skip_self else top)
+        if i != self_id
+    ][:top]

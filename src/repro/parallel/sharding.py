@@ -5,7 +5,7 @@ one LSI model per shard plus an exact top-z merge — scores are cosines in
 each shard's own space, so the merge is only exact when the shards share
 one model.  The cluster tier therefore shards the *scoring*, not the
 decomposition, matching the paper's single-space TREC design: every
-shard worker holds an :class:`~repro.server.state.EpochSnapshot` over a
+shard worker holds an :class:`~repro.serving.snapshot.EpochSnapshot` over a
 contiguous row range of one model, and the router merges the per-range
 rankings.  This module holds what every layer must agree on —
 :func:`shard_bounds`, the row ranges; :data:`RANKED`, the record a

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.model import LSIModel
 from repro.core.query import project_query
+from repro.core.similarity import ranked_documents
 from repro.errors import ShapeError
 
 __all__ = ["CompositeQuery"]
@@ -37,6 +38,8 @@ class CompositeQuery:
 
     model: LSIModel
     _parts: list[tuple[np.ndarray, float]] = field(default_factory=list)
+    #: Indices of the documents added with a positive weight.
+    _examples: set[int] = field(default_factory=set)
 
     # ------------------------------------------------------------------ #
     def add_text(self, text: str, weight: float = 1.0) -> "CompositeQuery":
@@ -51,6 +54,8 @@ class CompositeQuery:
         if not 0 <= j < self.model.n_documents:
             raise ShapeError(f"document index {j} out of range")
         self._parts.append((self.model.V[j].copy(), float(weight)))
+        if weight > 0:
+            self._examples.add(j)
         return self
 
     def vector(self) -> np.ndarray:
@@ -71,28 +76,18 @@ class CompositeQuery:
     ) -> list[tuple[str, float]]:
         """Rank documents for the combined query.
 
-        ``exclude_examples`` drops documents that were added as positive
-        examples (query-by-example rarely wants the example back).
+        ``exclude_examples`` drops the documents that were added with a
+        positive weight (query-by-example rarely wants the example back);
+        text components exclude nothing.
         """
-        from repro.core.similarity import rank_documents
-
-        ranked = rank_documents(self.model, self.vector())
-        if exclude_examples:
-            example_rows = {
-                tuple(np.round(vec, 12).tolist())
-                for vec, w in self._parts
-                if w > 0
-            }
-            if example_rows:
-                keep = []
-                for doc_id, cos in ranked:
-                    row = self.model.V[self.model.doc_index(doc_id)]
-                    if tuple(np.round(row, 12).tolist()) in example_rows:
-                        continue
-                    keep.append((doc_id, cos))
-                ranked = keep
-        if threshold is not None:
-            ranked = [(d, c) for d, c in ranked if c >= threshold]
-        if top is not None:
-            ranked = ranked[:top]
-        return ranked
+        drop = self._examples if exclude_examples else set()
+        # The ranking cut past the dropped rows: the top ``top`` kept
+        # documents are among the top ``top + len(drop)``.
+        ranked = ranked_documents(
+            self.model,
+            self.vector(),
+            threshold=threshold,
+            top=None if top is None else top + len(drop),
+        )
+        ids = self.model.doc_ids
+        return [(ids[j], c) for j, c in ranked if j not in drop][:top]

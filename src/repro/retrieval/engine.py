@@ -36,9 +36,8 @@ class LSIRetrieval:
 
     name = "lsi"
 
-    def __init__(self, model: LSIModel, *, mode: str = "scaled"):
+    def __init__(self, model: LSIModel):
         self.model = model
-        self.mode = mode
 
     @classmethod
     def from_texts(
@@ -51,13 +50,12 @@ class LSIRetrieval:
         doc_ids: Sequence[str] | None = None,
         method: str = "auto",
         seed=0,
-        mode: str = "scaled",
     ) -> "LSIRetrieval":
         model = fit_lsi(
             texts, k, scheme=scheme, rules=rules, doc_ids=doc_ids,
             method=method, seed=seed,
         )
-        return cls(model, mode=mode)
+        return cls(model)
 
     @property
     def n_documents(self) -> int:
@@ -72,7 +70,7 @@ class LSIRetrieval:
 
     def scores_for_vector(self, qhat: np.ndarray) -> np.ndarray:
         """Scores for an externally supplied k-space vector (feedback)."""
-        return cosine_similarities(self.model, qhat, mode=self.mode)
+        return cosine_similarities(self.model, qhat)
 
     def search(
         self,
@@ -91,14 +89,11 @@ class LSIRetrieval:
         """
         with span("lsi.search", top=top, docs=self.n_documents):
             return ranked_documents(
-                self.model,
-                self.query_vector(query),
-                top=top,
-                threshold=threshold,
-                mode=self.mode,
+                self.model, self.query_vector(query),
+                top=top, threshold=threshold,
             )
 
     def with_k(self, k: int) -> "LSIRetrieval":
         """Engine over the same model truncated to ``k`` factors (for the
         §5.2 choosing-k sweeps — one decomposition, many k values)."""
-        return LSIRetrieval(self.model.truncated(k), mode=self.mode)
+        return LSIRetrieval(self.model.truncated(k))

@@ -26,25 +26,18 @@ from repro.errors import ShapeError
 __all__ = ["mean_relevant_query", "rocchio"]
 
 
-def _doc_vectors(model: LSIModel, indices: Sequence[int]) -> np.ndarray:
-    idx = np.asarray(list(indices), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= model.n_documents):
-        raise ShapeError("document index out of range in feedback")
-    return model.V[idx] * model.s  # scaled document coordinates
-
-
 def mean_relevant_query(
     model: LSIModel, relevant: Sequence[int], *, first: int | None = None
 ) -> np.ndarray:
     """Replace the query with the mean of the first ``first`` relevant
     documents (the paper's strongest protocol uses the first three)."""
-    rel = list(relevant)
-    if not rel:
+    idx = np.asarray(list(relevant)[:first], dtype=np.int64)
+    if idx.size == 0:
         raise ShapeError("mean_relevant_query needs at least one document")
-    if first is not None:
-        rel = rel[:first]
-    vecs = _doc_vectors(model, rel)
-    return vecs.mean(axis=0) / model.s
+    if idx.min() < 0 or idx.max() >= model.n_documents:
+        raise ShapeError("document index out of range in feedback")
+    # The mean is taken in the scaled document coordinates V_k Σ_k.
+    return (model.V[idx] * model.s).mean(axis=0) / model.s
 
 
 def rocchio(
@@ -68,9 +61,7 @@ def rocchio(
         raise ShapeError(f"query vector has {qhat.size} dims for k={model.k}")
     out = alpha * qhat
     if len(relevant):
-        out = out + beta * (_doc_vectors(model, relevant).mean(axis=0) / model.s)
+        out = out + beta * mean_relevant_query(model, relevant)
     if len(nonrelevant):
-        out = out - gamma * (
-            _doc_vectors(model, nonrelevant).mean(axis=0) / model.s
-        )
+        out = out - gamma * mean_relevant_query(model, nonrelevant)
     return out

@@ -24,10 +24,11 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
+from repro.retrieval.feedback import mean_relevant_query
 from repro.serving.kernel import cosine_scores
-from repro.text.tdm import count_vector
-from repro.text.tokenizer import tokenize
-from repro.updating.folding import _weight_columns
+from repro.serving.topk import ranked_pairs
+from repro.text.tdm import count_columns
+from repro.updating.folding import project_documents
 
 __all__ = ["FilteringProfile", "stream_filter"]
 
@@ -67,13 +68,7 @@ class FilteringProfile:
         """Profile = mean of known relevant documents' vectors — "the most
         effective method used vectors derived from known relevant
         documents (like relevance feedback) combined with LSI matching"."""
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size == 0:
-            raise ShapeError("need at least one relevant document")
-        if idx.min() < 0 or idx.max() >= model.n_documents:
-            raise ShapeError("document index out of range")
-        vec = (model.V[idx] * model.s).mean(axis=0) / model.s
-        return cls(model, vec, name=name)
+        return cls(model, mean_relevant_query(model, indices), name=name)
 
     # ------------------------------------------------------------------ #
     def match(self, incoming_vectors: np.ndarray) -> np.ndarray:
@@ -95,15 +90,6 @@ def stream_filter(
     threshold, only recommended documents.
     """
     model = profile.model
-    counts = np.stack(
-        [count_vector(tokenize(t), model.vocabulary) for t in stream_texts],
-        axis=1,
-    )
-    weighted = _weight_columns(model, counts)
-    vecs = (weighted.T @ model.U) / model.s
-    scores = profile.match(vecs)
-    order = np.argsort(-scores, kind="stable")
-    out = [(int(i), float(scores[i])) for i in order]
-    if threshold is not None:
-        out = [(i, c) for i, c in out if c >= threshold]
-    return out
+    counts = count_columns(stream_texts, model.vocabulary)
+    scores = profile.match(project_documents(model, counts))
+    return ranked_pairs(scores, threshold=threshold)

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.serving.topk import ranked_pairs
 from repro.text.parser import ParsingRules
 from repro.text.tdm import TermDocumentMatrix, build_tdm, count_vector
 from repro.text.tokenizer import tokenize
@@ -97,15 +98,8 @@ class KeywordRetrieval:
         top: int | None = None,
         threshold: float | None = None,
     ) -> list[tuple[int, float]]:
-        """Ranked ``(doc_index, score)`` list, optionally filtered."""
-        s = self.scores(query)
-        order = np.argsort(-s, kind="stable")
-        out = [(int(j), float(s[j])) for j in order]
-        if threshold is not None:
-            out = [(j, c) for j, c in out if c >= threshold]
-        if top is not None:
-            out = out[:top]
-        return out
+        """Ranked ``(doc_index, score)`` list, optionally filtered (§3.1)."""
+        return ranked_pairs(self.scores(query), top=top, threshold=threshold)
 
     def matching_documents(self, query: str | Sequence[str]) -> set[int]:
         """Documents sharing ≥1 indexed term with the query — the

@@ -27,6 +27,7 @@ from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
 from repro.serving.kernel import cosine_scores
+from repro.serving.topk import ranked_pairs
 
 __all__ = ["MultiTopicQuery", "multi_topic_scores", "multi_topic_search"]
 
@@ -136,10 +137,5 @@ def multi_topic_search(
     scores = multi_topic_scores(
         model, query, rule=rule, temperature=temperature
     )
-    order = np.argsort(-scores, kind="stable")
-    out = [(model.doc_ids[int(j)], float(scores[j])) for j in order]
-    if threshold is not None:
-        out = [(d, c) for d, c in out if c >= threshold]
-    if top is not None:
-        out = out[:top]
-    return out
+    ranked = ranked_pairs(scores, top=top, threshold=threshold)
+    return [(model.doc_ids[j], c) for j, c in ranked]

@@ -8,10 +8,10 @@ batched GEMM only helped callers who arrived pre-batched.  This package
 is the long-lived service the ROADMAP's "heavy traffic" north star
 needs, stdlib-asyncio only:
 
-* :mod:`repro.server.state` — :class:`EpochSnapshot` (the one
-  pinned-epoch scoring type, with the one ``search`` every tier calls) /
-  :class:`ServingState`, the in-process backend: the atomic
-  reader/writer model handoff that lets live additions (fold-in →
+* :mod:`repro.server.state` — :class:`ServingState`, the in-process
+  backend over :class:`~repro.serving.snapshot.EpochSnapshot` (the one
+  pinned-epoch scoring type, with the one ``search`` every tier calls):
+  the atomic reader/writer model handoff that lets live additions (fold-in →
   §4.3-policy consolidation through the index manager) swap epochs under
   in-flight queries, its work-conserving micro-batching scheduler (a
   lone query is scored at once, whatever queued up behind the flush in

@@ -83,7 +83,7 @@ from repro.errors import (
 from repro.obs.trace_context import TraceContext, coerce_trace_id, trace_scope
 from repro.obs.tracing import span
 from repro.server.service import QueryService
-from repro.server.state import check_search_args
+from repro.serving.snapshot import check_search_args
 
 __all__ = ["HttpServer", "start_http_server", "MAX_BODY_BYTES"]
 

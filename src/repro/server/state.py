@@ -7,20 +7,17 @@ started before an update **finish** against the state they started on,
 while new queries see the new state — the classic epoch (RCU-style)
 handoff.
 
-:class:`EpochSnapshot` pins everything one batch of queries needs — the
-model, the precomputed norms and unit rows of a row range
-(the whole model here; one shard's rows in a cluster worker) — into
-one immutable object, and its
-:meth:`~EpochSnapshot.search` is the one scoring entry point of every
-serving tier.  :class:`ServingState`
-publishes the current snapshot behind a single attribute write (atomic
-under the GIL), so readers never lock; writers serialize on a mutex,
-route the addition through :class:`~repro.updating.manager.LSIIndexManager`
-(fold-in now, consolidate per the §4.3 drift policy), build the
-successor snapshot, and swap.  A whole-model snapshot scores through
-the norms and unit rows its model memoizes
-(:func:`~repro.serving.index.scaled_documents`), so it shares one build
-with every other scorer of that model and frees it with the model.
+:class:`~repro.serving.snapshot.EpochSnapshot` pins one epoch's scoring
+state (the model, the norms and unit rows of its rows).
+:class:`ServingState` publishes the current snapshot behind a single
+attribute write (atomic under the GIL), so readers never lock; writers
+serialize on a mutex, route the addition through
+:class:`~repro.updating.manager.LSIIndexManager` (fold-in now,
+consolidate per the §4.3 drift policy), build the successor snapshot,
+and swap.  A whole-model snapshot scores through the norms and unit
+rows its model memoizes (:func:`~repro.serving.index.scaled_documents`),
+so it shares one build with every other scorer of that model and frees
+it with the model.
 
 :class:`ServingState` is also the in-process backend, and it batches
 work-conservingly — one scan per pile-up, never a timer: its scheduler
@@ -37,10 +34,9 @@ replies go out before the next batch forms.
 
 from __future__ import annotations
 
+import asyncio
 import contextlib
 import functools
-import math
-import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -49,258 +45,22 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.model import LSIModel
-from repro.core.query import project_query
-from repro.errors import DeadlineExceededError, ReproError, ShapeError
+from repro.errors import DeadlineExceededError, ReproError
 from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, current_trace
 from repro.obs.tracing import span
 from repro.server.admission import AdmissionController
 from repro.serving.ann import CoarseQuantizer
-from repro.serving.index import scaled_documents, scaled_rows
-from repro.serving.kernel import cosine_scores
-from repro.serving.scan import ranked_scan
+from repro.serving.snapshot import EpochSnapshot, check_search_args
 from repro.store.recovery import open_checkpoint
 
 if TYPE_CHECKING:
-    # The backend's event loop, and the writable flavours' types: a
-    # shard worker imports this module for EpochSnapshot and loads none.
-    import asyncio
-
+    # The writable flavours' types: a read-only state loads none of them.
     from repro.store.durable import DurableIndexStore
     from repro.store.sealing import CheckpointPolicy, StoreWriter
     from repro.updating.manager import LSIIndexManager
 
-__all__ = [
-    "EpochSnapshot",
-    "ServingState",
-    "check_search_args",
-    "manager_from_texts",
-    "train_quantizer",
-]
-
-
-def check_search_args(
-    query="", top=None, threshold=None, timeout_ms=None, probes=None, exact=False
-) -> None:
-    """Raise :class:`ReproError` naming the first malformed search field.
-
-    The one definition of a well-formed search: the HTTP front end calls
-    it before any service sees the request (→ 400), the scorer calls it
-    per request so an in-process caller's bad argument fails that
-    request alone, never the batch it was coalesced into, and a shard
-    worker calls it per score frame (which carries projected vectors,
-    not text, so it passes no ``query``).
-    """
-    if probes is not None and (
-        isinstance(probes, bool)
-        or not isinstance(probes, numbers.Integral)
-        or probes < 1
-    ):
-        raise ReproError("'probes' must be a positive integer")
-    if not isinstance(exact, bool):
-        raise ReproError("'exact' must be a boolean")
-    if not isinstance(query, str) and not (
-        isinstance(query, (list, tuple))
-        and all(isinstance(token, str) for token in query)
-    ):
-        raise ReproError("'query' must be a string or a list of strings")
-    if top is not None and (
-        isinstance(top, bool) or not isinstance(top, numbers.Integral) or top < 0
-    ):
-        raise ReproError("'top' must be a non-negative integer")
-    if threshold is not None and (
-        isinstance(threshold, bool)
-        or not isinstance(threshold, numbers.Real)
-        or not math.isfinite(threshold)
-    ):
-        raise ReproError("'threshold' must be a finite number")
-    if timeout_ms is not None and (
-        isinstance(timeout_ms, bool)
-        or not isinstance(timeout_ms, numbers.Real)
-        or not timeout_ms > 0
-    ):
-        raise ReproError("'timeout_ms' must be a positive number")
-
-
-def _per_query(value, q: int) -> list:
-    """A scalar ``top``/``threshold`` repeated, or a per-query list as is."""
-    return list(value) if isinstance(value, (list, tuple)) else [value] * q
-
-
-class EpochSnapshot:
-    """One immutable epoch of scoring state over document rows ``[lo, hi)``.
-
-    The one pinned-epoch type every serving tier scores through: the
-    single-node server holds a whole-model snapshot per epoch, a cluster
-    shard worker holds one over its row range.  All queries of one
-    micro-batch (or one scatter frame) are scored against a single
-    snapshot, so a response can never mix documents from two epochs (no
-    torn reads); the ``epoch`` and ``n_documents`` it reports describe
-    exactly the state it was computed on.
-    """
-
-    __slots__ = (
-        "epoch", "model", "lo", "hi", "scaled", "ann",
-    )
-
-    def __init__(
-        self,
-        epoch: int,
-        model: LSIModel,
-        *,
-        lo: int = 0,
-        hi: int | None = None,
-        # Accepted and ignored: ledger/checks.py still passes it; ROADMAP
-        # 1(v) drops it there, and then this keyword goes.
-        query_cache_size: int | None = None,
-        ann: CoarseQuantizer | None = None,
-    ):
-        self.epoch = int(epoch)
-        self.model = model
-        n = model.n_documents
-        # The coarse quantizer may predate this epoch (it is trained at
-        # checkpoint time) and always covers global rows: rows it has
-        # never seen are held after its cells (the fresh tail) and still
-        # searched exactly, and a range holds only its own cells' rows.
-        if lo == 0 and hi is None:
-            self.scaled = scaled_documents(model, ann)
-            hi = n
-        else:
-            hi = n if hi is None else hi
-            if not 0 <= lo <= hi <= n:
-                raise ShapeError(
-                    f"rows [{lo},{hi}) outside model with n={n}"
-                )
-            # Hold only this range's rows: deriving touches (and therefore
-            # faults in) just the mapped pages of V[lo:hi].
-            self.scaled = scaled_rows(model.V[lo:hi], model.s, ann, lo=lo)
-        self.lo = lo
-        self.hi = hi
-        self.ann = ann
-
-    @property
-    def n_documents(self) -> int:
-        """Documents visible at this epoch (the whole model, not the range)."""
-        return self.model.n_documents
-
-    @property
-    def coords(self) -> np.ndarray:
-        """Fp64 rows ``[lo, hi)`` of ``V_k Σ_k``, formed per call: a
-        fresh n × k product no served request reads."""
-        scaled = self.scaled
-        return np.multiply(scaled.V, scaled.s, order="C")
-
-    @property
-    def norms(self) -> np.ndarray:
-        """Read-only fp64 norm of each row of :attr:`coords`."""
-        return self.scaled.norms
-
-    @property
-    def k(self) -> int:
-        """Dimensionality of the comparison space."""
-        return self.model.k
-
-    # ------------------------------------------------------------------ #
-    def project(self, query) -> np.ndarray:
-        """Eq. 6 for one query (text or token sequence)."""
-        return project_query(self.model, query)
-
-    def scale(self, Q: np.ndarray) -> np.ndarray:
-        """``Q Σ`` as a ``(q, k)`` batch: the "scaled" comparison space."""
-        Q2 = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        if Q2.shape[1] != self.model.k:
-            raise ShapeError(
-                f"queries have {Q2.shape[1]} dims for k={self.model.k}"
-            )
-        return Q2 * self.model.s
-
-    def search(
-        self,
-        Qs: np.ndarray,
-        *,
-        top=None,
-        threshold=None,
-        probes: int | None = None,
-        exact: bool = False,
-    ) -> tuple[list[list[tuple[int, float]]], list[dict] | None]:
-        """Ranked ``(global_index, score)`` pairs per row of ``Qs``.
-
-        The single scoring entry point of every serving tier.  ``Qs`` is
-        the already Σ-scaled ``(q, k)`` batch (:meth:`scale`); ``top`` /
-        ``threshold`` apply to every query, or per query when given as
-        lists.  Returns ``(results, ann_stats)``:
-
-        * **exact** (``probes is None`` or ``exact``):
-          :func:`~repro.serving.scan.ranked_scan` over this snapshot's
-          rows — one fp32 pass picks a provably sufficient candidate
-          set, fp64 rescoring of those rows alone ranks them;
-          ``ann_stats`` is ``None``.  A reported score is a pure function
-          of (row, query), so whole model, row range, batch of 1 or 16
-          and ``LSIRetrieval.search`` agree bit for bit.
-        * **probe-bounded**: each query scores only the ``probes``
-          nearest cells' rows that land in ``[lo, hi)`` (plus the fresh
-          tail).  Cell selection is a pure function of the scaled query
-          and the shared quantizer, so every range probes the same cells
-          and range results merged with ``merge_topk`` equal a
-          whole-model probe; element-identical to the exact scan when
-          ``probes >= ann.n_clusters``.  ``ann_stats`` holds each
-          query's ``cells_probed`` / ``candidates``.  Without a
-          quantizer the request falls back to the exact scan, counted in
-          ``ann.exact_fallbacks_total``.
-
-        Zero-vector (all-OOV) queries score exactly 0 everywhere on both
-        paths, so the engine's short-circuit needs no mirror.
-        """
-        Qs = np.atleast_2d(np.asarray(Qs, dtype=np.float64))
-        q = Qs.shape[0]
-        tops = _per_query(top, q)
-        thresholds = _per_query(threshold, q)
-        if probes is not None and not exact:
-            if self.ann is not None:
-                found = [
-                    self.ann.select(
-                        self.scaled,
-                        row,
-                        probes=probes,
-                        top=t,
-                        threshold=th,
-                        offset=self.lo,
-                    )
-                    for row, t, th in zip(Qs, tops, thresholds)
-                ]
-                return [pairs for pairs, _ in found], [st for _, st in found]
-            registry.inc("ann.exact_fallbacks_total", q)
-        results = ranked_scan(
-            self.scaled, Qs, tops, thresholds, offset=self.lo
-        )
-        return results, None
-
-    def score_batch(self, Q: np.ndarray) -> np.ndarray:
-        """Cosine of unscaled ``(q, k)`` query vectors with every row: the
-        full-width fp64 matrix (reference surface) that :meth:`search`'s
-        rankings are held to — same indices, scores within 1e-12.  No
-        served request runs it, so it forms :attr:`coords` per call."""
-        scaled = self.scaled
-        return cosine_scores(
-            self.coords, self.scale(Q), norms=scaled.norms,
-            positive=scaled.positive,
-        )
-
-    def search_ann(
-        self,
-        qhat: np.ndarray,
-        *,
-        probes: int,
-        top: int | None = None,
-        threshold: float | None = None,
-    ) -> tuple[list[tuple[int, float]], dict]:
-        """:meth:`search` for one unscaled query that must be probe-bounded."""
-        if self.ann is None:
-            raise ReproError("snapshot has no coarse quantizer")
-        results, stats = self.search(
-            self.scale(qhat), top=top, threshold=threshold, probes=probes
-        )
-        return results[0], stats[0]
+__all__ = ["ServingState", "manager_from_texts", "train_quantizer"]
 
 
 #: Batch-size histogram boundaries (requests per flush), powers of two.
@@ -477,7 +237,6 @@ class ServingState:
     async def start(self) -> None:
         """Create the queue and spawn the scheduler task on the running
         event loop, and start the store's owner (idempotent)."""
-        import asyncio  # loaded already: the caller runs an event loop
 
         if self._task is not None:
             return
@@ -492,7 +251,6 @@ class ServingState:
     async def drain(self) -> None:
         """Answer every queued request and stop the scheduler, then stop
         the store's owner, which closes the store with a final flush."""
-        import asyncio  # loaded already: the caller runs an event loop
 
         if self._task is not None:
             await self._queue.join()
@@ -552,7 +310,6 @@ class ServingState:
         in-flight batches finish against their pinned epoch, later
         batches see the new one.
         """
-        import asyncio  # loaded already: the caller runs an event loop
 
         add = functools.partial(self.add_texts, list(texts), doc_ids)
         if self.writer is not None:
@@ -606,7 +363,6 @@ class ServingState:
     # the scheduler
     # ------------------------------------------------------------------ #
     async def _run(self) -> None:
-        import asyncio  # loaded already: the caller runs an event loop
 
         while True:
             batch = [await self._queue.get()]

@@ -21,9 +21,12 @@ quantities are built once and queried many times:
   (single, batched, row range, cluster): an fp32 pass over the unit rows
   picks a provably sufficient candidate set, fp64 rescoring of those
   rows alone ranks them;
+* :mod:`repro.serving.snapshot` — :class:`EpochSnapshot`, one pinned
+  epoch of a row range with the one ``search`` every serving tier
+  calls, and :func:`check_search_args`, the one well-formed request;
 * :mod:`repro.serving.topk` — ``argpartition`` top-k selection that is
   element-identical to the stable full sort, plus vectorized §3.1
-  threshold filtering.
+  threshold filtering: the one cut of every ranking in the library.
 
 Perf counters for all of the above live in
 :data:`repro.obs.metrics.registry` under the ``serving.`` prefix.

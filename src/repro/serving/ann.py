@@ -5,7 +5,7 @@ queries to documents (i.e., finding near neighbors in high-dimension
 spaces)".  This module answers it with an IVF-style design, shaped so
 the durable store can persist it and every query path can map it
 zero-copy (queries reach it through
-:meth:`repro.server.state.EpochSnapshot.search`):
+:meth:`repro.serving.snapshot.EpochSnapshot.search`):
 
 1. **Train** (checkpoint time): k-means++-seeded Lloyd over the
    unit-normalized ``V_k Σ_k`` rows — sampled above a size cap so the

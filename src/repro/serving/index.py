@@ -40,7 +40,7 @@ and die with their model; nothing outlives it, and the memo is
 re-derived only when a snapshot asks for the cell layout of a quantizer
 other than the one it was laid out by.  Nothing here is persisted either:
 the norms and single-precision rows are derived on load.
-Pinning an epoch is :class:`~repro.server.state.EpochSnapshot`'s job — it
+Pinning an epoch is :class:`~repro.serving.snapshot.EpochSnapshot`'s job — it
 holds the model, hence these arrays, for as long as a query needs them.
 """
 

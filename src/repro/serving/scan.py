@@ -4,7 +4,7 @@ The paper ranks by cosine against all n rows of ``V_k Σ_k`` and says of
 that cosine that it "is merely used to rank-order documents" (§3.1):
 only the z rows that are returned need a full-precision value.  Every
 exact ranking in the system (:meth:`EpochSnapshot.search
-<repro.server.state.EpochSnapshot.search>` on a single node and in a
+<repro.serving.snapshot.EpochSnapshot.search>` on a single node and in a
 shard worker,
 :meth:`LSIRetrieval.search <repro.retrieval.engine.LSIRetrieval.search>`,
 :func:`repro.core.similarity.retrieve`) therefore has this shape:

@@ -15,9 +15,10 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.sparse.csc import CSCMatrix
 from repro.text.parser import ParsedCorpus, ParsingRules, parse_corpus
+from repro.text.tokenizer import tokenize
 from repro.text.vocabulary import Vocabulary
 
-__all__ = ["TermDocumentMatrix", "build_tdm", "count_vector"]
+__all__ = ["TermDocumentMatrix", "build_tdm", "count_columns", "count_vector"]
 
 
 @dataclass
@@ -111,3 +112,12 @@ def count_vector(tokens: Sequence[str], vocabulary: Vocabulary) -> np.ndarray:
         if idx is not None:
             v[idx] += 1.0
     return v
+
+
+def count_columns(texts: Sequence[str], vocabulary: Vocabulary) -> np.ndarray:
+    """Raw count columns ``(m, p)`` of ``texts`` against a fixed vocabulary:
+    the :func:`count_vector` of each text's tokens, one column per text
+    (fold-in, filtering streams, index additions)."""
+    return np.stack(
+        [count_vector(tokenize(t), vocabulary) for t in texts], axis=1
+    )

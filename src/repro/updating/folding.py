@@ -25,11 +25,12 @@ from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
-from repro.text.tdm import count_vector
-from repro.text.tokenizer import tokenize
+from repro.text.tdm import count_columns
 from repro.weighting.schemes import weight_counts
 
-__all__ = ["fold_in_documents", "fold_in_terms", "fold_in_texts"]
+__all__ = [
+    "fold_in_documents", "fold_in_terms", "fold_in_texts", "project_documents",
+]
 
 
 def _weight_columns(model: LSIModel, counts: np.ndarray) -> np.ndarray:
@@ -77,6 +78,15 @@ def _weight_rows(
     return weight_counts(model.scheme, counts.T, gw).T, gw
 
 
+def project_documents(
+    model: LSIModel, counts: np.ndarray
+) -> np.ndarray:
+    """Eq. 7 for raw count columns ``(m, p)``: the ``(p, k)`` rows
+    ``d̂ = dᵀ U_k Σ_k⁻¹`` of their weighted columns, every column at once.
+    Nothing is added to the model."""
+    return (_weight_columns(model, counts).T @ model.U) / model.s
+
+
 def fold_in_documents(
     model: LSIModel,
     counts: np.ndarray,
@@ -90,13 +100,11 @@ def fold_in_documents(
     structural.
     """
     with span("lsi.fold.documents") as sp:
-        weighted = _weight_columns(model, counts)
-        p = weighted.shape[1]
+        V_new = project_documents(model, counts)
+        p = V_new.shape[0]
         sp.set_attr("p", p)
         if len(doc_ids) != p:
             raise ShapeError(f"{len(doc_ids)} ids for {p} documents")
-        # d̂ = dᵀ U_k Σ_k⁻¹ for every column at once.
-        V_new = (weighted.T @ model.U) / model.s
         registry.inc("updating.folded_documents", p)
         return model.with_documents(V_new, list(doc_ids), provenance="fold-in")
 
@@ -114,10 +122,9 @@ def fold_in_texts(
     if doc_ids is None:
         start = model.n_documents + 1
         doc_ids = [f"D{start + i}" for i in range(len(texts))]
-    counts = np.stack(
-        [count_vector(tokenize(t), model.vocabulary) for t in texts], axis=1
+    return fold_in_documents(
+        model, count_columns(texts, model.vocabulary), doc_ids
     )
-    return fold_in_documents(model, counts, doc_ids)
 
 
 def fold_in_terms(

@@ -33,8 +33,7 @@ from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.sparse.build import from_dense
 from repro.sparse.csc import hstack_csc
-from repro.text.tdm import TermDocumentMatrix, count_vector
-from repro.text.tokenizer import tokenize
+from repro.text.tdm import TermDocumentMatrix, count_columns
 from repro.updating.fast_update import fast_update_documents
 from repro.updating.folding import fold_in_documents
 from repro.updating.orthogonality import drift_report
@@ -212,11 +211,7 @@ class LSIIndexManager:
             raise ShapeError("doc_ids repeat within the batch")
         elif held := set(self.model.doc_ids).intersection(doc_ids):
             raise ShapeError(f"doc_ids already held: {sorted(held)}")
-        counts = np.stack(
-            [count_vector(tokenize(t), self.model.vocabulary) for t in texts],
-            axis=1,
-        )
-        return counts, list(doc_ids)
+        return count_columns(texts, self.model.vocabulary), list(doc_ids)
 
     def add_counts(
         self, counts: np.ndarray, doc_ids: Sequence[str]

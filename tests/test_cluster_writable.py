@@ -31,7 +31,8 @@ from repro.obs.metrics import registry
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
 from repro.server.service import QueryService
-from repro.server.state import EpochSnapshot, manager_from_texts
+from repro.server.state import manager_from_texts
+from repro.serving.snapshot import EpochSnapshot
 from repro.store.checkpoint import load_manifest
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint, recover_manager

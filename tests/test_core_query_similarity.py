@@ -116,15 +116,11 @@ def test_query_is_weighted_like_documents(med_texts):
     assert not np.allclose(qhat, raw)
 
 
-def test_cosine_similarities_modes(med_model):
+def test_cosine_similarities_range_and_shape(med_model):
     qhat = project_query(med_model, "age blood abnormalities")
-    scaled = cosine_similarities(med_model, qhat, mode="scaled")
-    factors = cosine_similarities(med_model, qhat, mode="factors")
+    scaled = cosine_similarities(med_model, qhat)
     assert scaled.shape == (14,)
     assert np.all(scaled <= 1 + 1e-12) and np.all(scaled >= -1 - 1e-12)
-    assert not np.allclose(scaled, factors)  # Σ-scaling matters
-    with pytest.raises(ValueError):
-        cosine_similarities(med_model, qhat, mode="euclid")
     with pytest.raises(ShapeError):
         cosine_similarities(med_model, np.ones(5))
 

@@ -11,21 +11,6 @@ from repro.retrieval.engine import LSIRetrieval
 from repro.retrieval.keyword import KeywordRetrieval
 
 
-def test_lsi_engine_factors_mode(small_collection):
-    scaled = LSIRetrieval.from_texts(
-        small_collection.documents, 8, scheme="log_entropy", mode="scaled"
-    )
-    factors = LSIRetrieval(scaled.model, mode="factors")
-    q = small_collection.queries[0]
-    s1 = scaled.scores_for_vector(scaled.query_vector(q))
-    s2 = factors.scores_for_vector(factors.query_vector(q))
-    assert s1.shape == s2.shape
-    assert not np.allclose(s1, s2)  # Σ-scaling changes the geometry
-    # both are valid cosines
-    for s in (s1, s2):
-        assert np.all(s <= 1 + 1e-9) and np.all(s >= -1 - 1e-9)
-
-
 def test_keyword_engine_empty_query(small_collection):
     kw = KeywordRetrieval.from_texts(small_collection.documents)
     assert np.allclose(kw.scores(""), 0.0)

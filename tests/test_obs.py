@@ -455,7 +455,7 @@ class TestServingMetricNames:
         from repro.core.build import fit_lsi
         from repro.core.query import project_query
         from repro.retrieval.engine import LSIRetrieval
-        from repro.server.state import EpochSnapshot
+        from repro.serving.snapshot import EpochSnapshot
 
         texts = [f"w{i} w{i + 1} w{i + 2} common" for i in range(12)]
         model = fit_lsi(texts, 4)

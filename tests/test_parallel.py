@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.query import project_query
 from repro.errors import ShapeError
 from repro.parallel.sharding import RANKED, merge_topk, shard_bounds
-from repro.server.state import EpochSnapshot
+from repro.serving.snapshot import EpochSnapshot
 
 from tests.test_serving_scan import whole_model_search
 

@@ -8,7 +8,7 @@ from repro.core.query import batch_project_queries, project_query
 from repro.core.similarity import cosine_similarities, term_term_similarities
 from repro.corpus.morphology import morphology_corpus
 from repro.errors import ShapeError
-from repro.server.state import EpochSnapshot
+from repro.serving.snapshot import EpochSnapshot
 
 
 # --------------------------------------------------------------------- #

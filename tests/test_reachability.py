@@ -901,9 +901,11 @@ WRITER_AND_TOOLBOX = (
     "repro.corpus", "repro.evaluation",
 )
 #: What a shard worker never runs besides: the front end's transport,
-#: service and client, its tenant registry, router and supervisor.
+#: service and client, the in-process scheduler and its admission queue,
+#: its tenant registry, router and supervisor.
 FRONT_END = (
     "repro.server.http", "repro.server.service", "repro.server.client",
+    "repro.server.state", "repro.server.admission",
     "repro.tenancy", "repro.cluster.router", "repro.cluster.supervisor",
     "repro.cluster.service",
 )

@@ -11,9 +11,9 @@ import pytest
 from repro.core.model import LSIModel
 from repro.core.similarity import cosine_similarities
 from repro.errors import ShapeError
-from repro.server.state import EpochSnapshot
 from repro.serving.ann import CoarseQuantizer, kmeans
 from repro.serving.index import scaled_rows
+from repro.serving.snapshot import EpochSnapshot
 from repro.text.vocabulary import Vocabulary
 from repro.util.rng import ensure_rng
 from tests.test_serving_scan import _first_copy

@@ -34,12 +34,8 @@ from repro.retrieval.engine import LSIRetrieval
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
 from repro.server.service import QueryService, ServerConfig
-from repro.server.state import (
-    EpochSnapshot,
-    ServingState,
-    manager_from_texts,
-    train_quantizer,
-)
+from repro.server.state import ServingState, manager_from_texts, train_quantizer
+from repro.serving.snapshot import EpochSnapshot
 
 QUERIES = [
     "blood pressure age",

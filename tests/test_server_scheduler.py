@@ -36,7 +36,8 @@ from repro.errors import DeadlineExceededError, ReproError, ServerOverloadError
 from repro.obs.metrics import registry
 from repro.server.client import ServerClient
 from repro.server.service import QueryService, ServerConfig
-from repro.server.state import EpochSnapshot, ServingState
+from repro.server.state import ServingState
+from repro.serving.snapshot import EpochSnapshot
 
 from tests.test_server import QUERIES, _fresh_state, _pairs, _ServerThread
 from tests.test_tenancy import TENANT_QUERIES, _registry

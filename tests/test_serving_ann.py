@@ -39,7 +39,7 @@ from repro.errors import ReproError, StoreError
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server.service import QueryService, ServerConfig
-from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
+from repro.server.state import ServingState, manager_from_texts
 from repro.serving.ann import (
     ANN_ARRAY_NAMES,
     CoarseQuantizer,
@@ -48,6 +48,7 @@ from repro.serving.ann import (
 from repro.serving.index import scaled_documents, scaled_rows
 from repro.serving.kernel import cosine_scores, row_cosines, row_norms
 from repro.serving.scan import ranked_scan
+from repro.serving.snapshot import EpochSnapshot
 from repro.serving.topk import ranked_order
 from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
 from repro.store.durable import (

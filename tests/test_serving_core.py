@@ -37,8 +37,9 @@ from repro.cluster.worker import ShardWorker
 from repro.core.model import LSIModel
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server.service import QueryService, ServerConfig
-from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
+from repro.server.state import ServingState, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
+from repro.serving.snapshot import EpochSnapshot
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint
 from repro.tenancy.registry import IndexRegistry

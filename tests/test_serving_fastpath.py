@@ -23,9 +23,9 @@ from repro.core.similarity import cosine_similarities, nearest_terms
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.retrieval.engine import LSIRetrieval
-from repro.server.state import EpochSnapshot
 from repro.serving.index import scaled_documents
 from repro.serving.kernel import row_norms
+from repro.serving.snapshot import EpochSnapshot
 from repro.serving.topk import ranked_pairs, topk_indices
 from repro.text.vocabulary import Vocabulary
 from repro.updating.fast_update import fast_update_documents

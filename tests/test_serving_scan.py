@@ -27,12 +27,12 @@ from repro.core.similarity import retrieve
 from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk
 from repro.retrieval.engine import LSIRetrieval
-from repro.server.state import EpochSnapshot
 from repro.serving import scan
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_rows
 from repro.serving.kernel import ROW_BLOCK, row_cosines
 from repro.serving.scan import prefilter_margin, ranked_scan
+from repro.serving.snapshot import EpochSnapshot
 from repro.serving.topk import ranked_pairs
 from repro.text.vocabulary import Vocabulary
 

@@ -22,8 +22,9 @@ from repro.cluster.plan import ShardPlan
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
 from repro.errors import StoreCorruptError
-from repro.server.state import EpochSnapshot, ServingState, manager_from_texts
+from repro.server.state import ServingState, manager_from_texts
 from repro.serving.ann import CoarseQuantizer
+from repro.serving.snapshot import EpochSnapshot
 from repro.store.checkpoint import MANIFEST_NAME, write_checkpoint
 from repro.store.durable import DurableIndexStore, STORE_LAYOUT
 from repro.store.mmap_io import open_latest_ann, open_latest_model
