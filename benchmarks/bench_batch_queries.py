@@ -127,20 +127,23 @@ def test_flush_width(evidence):
     """A flush of q queries costs one pass over the unit rows, not q.
 
     Parity at every size: each ranking of a q-query flush is the same
-    bits as that query flushed alone.  At full size, timed as a server
-    runs (one BLAS thread, one CPU): a 2-query flush costs at most 1.3×
-    a 1-query one, and time per query does not rise from q = 1 to 4;
-    those timings are committed as ``BENCH_batch_queries.json``.
+    bits as that query flushed alone, at ``top=10``, at ``top=100`` and
+    under a threshold.  At full size, timed as a server runs (one BLAS
+    thread, one CPU): a 2-query flush costs at most 1.3× a 1-query one,
+    and time per query does not rise from one width to the next, q = 1
+    to 16; those timings are committed as ``BENCH_batch_queries.json``.
     """
     snapshot, Qs = _flush_snapshot(FLUSH_ROWS)
-    for q in FLUSH_WIDTHS:
-        batch = snapshot.search(Qs[:q], top=FLUSH_TOP)[0]
-        alone = [
-            snapshot.search(Qs[i:i + 1], top=FLUSH_TOP)[0][0] for i in range(q)
-        ]
-        assert [[(j, s.hex()) for j, s in r] for r in batch] == [
-            [(j, s.hex()) for j, s in r] for r in alone
-        ]
+    for top, threshold in ((FLUSH_TOP, None), (100, None), (None, 0.3)):
+        for q in FLUSH_WIDTHS:
+            batch = snapshot.search(Qs[:q], top=top, threshold=threshold)[0]
+            alone = [
+                snapshot.search(Qs[i:i + 1], top=top, threshold=threshold)[0][0]
+                for i in range(q)
+            ]
+            assert [[(j, s.hex()) for j, s in r] for r in batch] == [
+                [(j, s.hex()) for j, s in r] for r in alone
+            ]
 
     src = pathlib.Path(repro.__file__).resolve().parent.parent
     env = dict(os.environ, **SERVER_ENV)
@@ -166,7 +169,10 @@ def test_flush_width(evidence):
     if SMOKE:
         return
     assert timings[2]["flush_ms"] <= 1.3 * timings[1]["flush_ms"]
-    assert all(per_query[q + 1] <= per_query[q] for q in (1, 2, 3))
+    assert all(
+        per_query[b] <= per_query[a]
+        for a, b in zip(FLUSH_WIDTHS, FLUSH_WIDTHS[1:])
+    )
     evidence["flush_width"] = {
         "rows": FLUSH_ROWS, "k": FLUSH_K, "top": FLUSH_TOP, **SERVER_ENV,
         "widths": {

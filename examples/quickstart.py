@@ -15,12 +15,9 @@ from repro import (
     LSIRetrieval,
     ParsingRules,
     project_query,
+    rank_documents,
     retrieve,
 )
-# The uncut ranking, from its own module: this example is its one caller
-# outside the tests, and the reachability walk (tests/test_reachability.py)
-# does not follow the lazy list.
-from repro.core.similarity import rank_documents
 from repro.corpus.med import MED_QUERY, MED_TOPICS
 from repro.store.durable import DurableIndexStore
 from repro.store.recovery import open_checkpoint

@@ -18,8 +18,8 @@ Execution
 ---------
 Scoring routes through the serving fast path
 (:mod:`repro.serving`): :func:`cosine_similarities` is the q=1 case of
-the batched GEMM kernel over ``V_k Σ_k`` (formed per call) with the row
-norms from the model's own memo
+the batched GEMM kernel over ``V_k Σ_k`` (formed block by block per
+call, never whole) with the row norms from the model's own memo
 (:func:`repro.serving.index.scaled_documents`) — the whole fp64 score
 vector, for callers that need every score.  The ranked entry point
 (:func:`ranked_documents`, behind :func:`rank_documents`,
@@ -39,7 +39,7 @@ from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.serving.index import scaled_documents
-from repro.serving.kernel import cosine_scores
+from repro.serving.kernel import cosine_scores, scaled_blocks
 from repro.serving.scan import ranked_scan
 from repro.serving.topk import topk_indices
 
@@ -67,14 +67,19 @@ def cosine_similarities(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
     """Cosine of the query pseudo-vector with every document (length n).
 
     The q=1 case of the batch GEMM path, compared in ``V_k Σ_k`` with the
-    norms memoized on the model.
+    norms memoized on the model; the rows are formed and scored one
+    :func:`~repro.serving.kernel.scaled_blocks` block at a time, the same
+    bits as one GEMV over the whole product.
     """
     qhat = _served_query(model, qhat)
     scaled = scaled_documents(model)
-    return cosine_scores(
-        np.multiply(model.V, model.s, order="C"), qhat * model.s,
-        norms=scaled.norms, positive=scaled.positive,
-    )[0]
+    q = qhat * model.s
+    out = np.empty(model.n_documents)
+    for at, _, block in scaled_blocks(model.V, model.s):
+        out[at] = cosine_scores(
+            block, q, norms=scaled.norms[at], positive=scaled.positive
+        )[0]
+    return out
 
 
 def rank_documents(

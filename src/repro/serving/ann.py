@@ -425,11 +425,11 @@ class CoarseQuantizer:
             unit_q = unit_queries(q[None, :])[0]
             approx = np.concatenate(
                 [scaled.unit[a:b] @ unit_q for a, b in bounds]
-            )
+            )[:, None]
         pairs = cut_and_rescore(
-            scaled, q, top, threshold, approx,
+            scaled, q[None, :], [top], [threshold], approx,
             positions=positions, offset=offset,
-        )
+        )[0]
         return pairs, stats
 
     def _record(self, stats: dict, n_rows: int) -> None:

@@ -13,9 +13,11 @@ What is held
 The model's own ``V`` (a shard worker's mapped ``V[lo:hi]`` view) and
 ``Σ``, the fp64 norms (``8·n`` bytes) and the fp32 unit rows
 (``4·n·k``) — no fp64 copy of ``V_k Σ_k``.  Rows of it are formed where
-they are used, as ``V[rows] * s`` in row blocks
-(:func:`~repro.serving.kernel.scaled_blocks`): the same bits as the
-whole product.
+they are used, as ``V[rows] * s`` in cache-sized row blocks
+(:func:`~repro.serving.kernel.scaled_blocks`, ``ROW_BLOCK`` rows): the
+same bits as the whole product.  Deriving the arrays holds a block or
+two beside them (1.1 MB on 20 000 × 64, where the held arrays are
+5.3 MB), so a reader's peak RSS is what it keeps.
 
 Cell layout
 -----------

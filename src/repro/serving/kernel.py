@@ -1,8 +1,9 @@
 """The fp64 cosine kernels: the full-width reference and the row-local one.
 
 :func:`cosine_scores` is the full ``(q, n)`` cosine matrix — a dense
-GEMM (GEMV for the q=1 case) against the document coordinate rows,
-followed by one vectorized normalization with zero-norm masking.  It is
+GEMM (GEMV for the q=1 case, row blocks for 2 to :data:`SCAN_WIDTH`
+queries) against the document coordinate rows, followed by one
+vectorized normalization with zero-norm masking.  It is
 what ``repro.core.similarity.cosine_similarities`` and
 ``EpochSnapshot.score_batch`` return: the score vector evaluation code
 reads, and the reference every served ranking is held to.  A BLAS value
@@ -32,12 +33,25 @@ import numpy as np
 from repro.obs.metrics import registry
 
 __all__ = [
-    "ROW_BLOCK", "scaled_blocks", "row_norms", "cosine_scores", "row_cosines",
+    "ROW_BLOCK", "SCAN_BLOCK", "SCAN_WIDTH", "scaled_blocks", "row_norms",
+    "row_products", "cosine_scores", "row_cosines",
 ]
 
 #: Rows per block wherever rows of ``V_k Σ_k`` are formed from the
-#: factors: no temporary is larger than ``ROW_BLOCK × k`` fp64.
-ROW_BLOCK = 8192
+#: factors: no temporary is larger than ``ROW_BLOCK × k`` fp64 (512 KB at
+#: k = 64, cache-sized).  A derivation's transient is a block or two, not
+#: a fraction of ``V``, and a reader's peak RSS keeps none of it; on a
+#: 50 000 × 64 ``V`` the norms and unit rows also derive faster than in
+#: blocks of 8 192 rows (DESIGN.md, "Why each factor is held once").
+ROW_BLOCK = 1024
+
+#: Elements (rows · q · k) of one row block of a 2- to 16-query product.
+#: One skinny GEMM over all n rows pays OpenBLAS's operand packing (on S,
+#: a 2-query call took 2.2× a 1-query one); blocks under its small-matrix
+#: bound (M·N·K ≤ 10⁶) skip it, so a batch streams the rows once.  Past 16
+#: queries blocks stopped paying (figures: DESIGN.md, micro-batching).
+SCAN_BLOCK = 1 << 19
+SCAN_WIDTH = 16
 
 
 def scaled_blocks(
@@ -62,6 +76,20 @@ def scaled_blocks(
             block = np.ascontiguousarray(V[idx])
             block *= s
         yield at, idx, block
+
+
+def row_products(M: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``M @ columns``: ``(n, q)`` in ``M``'s dtype, for a contiguous
+    ``(k, q)`` operand — in row blocks of ``SCAN_BLOCK // (q·k)`` rows
+    when 1 < q ≤ :data:`SCAN_WIDTH`, else one call (at q = 1, the GEMV).
+    """
+    (n, k), q = M.shape, columns.shape[1]
+    blocked = 1 < q <= SCAN_WIDTH
+    step = max(SCAN_BLOCK // (q * k or 1) if blocked else n, 1)
+    out = np.empty((n, q), dtype=M.dtype)
+    for a in range(0, n, step):
+        np.matmul(M[a:a + step], columns, out=out[a:a + step])
+    return out
 
 
 def row_norms(M: np.ndarray) -> np.ndarray:
@@ -102,7 +130,10 @@ def cosine_scores(
     Rows of ``M`` (or of ``Q``) with zero norm score 0 against
     everything, matching the historical per-query implementation.  The
     q=1 case is computed with a GEMV on the same coordinates, so the
-    single-query path is literally the one-row case of the batch path.
+    single-query path is literally the one-row case of the batch path;
+    2 to :data:`SCAN_WIDTH` queries are scored in row blocks
+    (:func:`row_products`), which skips the operand packing one skinny
+    GEMM pays, and wider batches in one GEMM.
     """
     Q2 = np.atleast_2d(np.asarray(Q, dtype=np.float64))
     if Q2.shape[0] == 1:
@@ -116,10 +147,15 @@ def cosine_scores(
     t0 = time.perf_counter()
     if Q2.shape[0] == 1:
         raw = (M @ Q2[0])[None, :]
+    elif Q2.shape[0] <= SCAN_WIDTH:
+        # Divided in the (n, q) layout the blocks are written in; the
+        # result is its (q, n) transpose.
+        raw = row_products(M, np.ascontiguousarray(Q2.T)).T
     else:
         raw = Q2 @ M.T
     registry.observe("serving.gemm_seconds", time.perf_counter() - t0)
-    denom = qn[:, None] * norms[None, :]
+    # In ``raw``'s layout, so the divide streams both operands.
+    denom = np.multiply(qn[:, None], norms[None, :], out=np.empty_like(raw))
     if positive is None:
         positive = bool((norms > 0).all())
     if positive and (qn > 0).all():
@@ -128,10 +164,10 @@ def cosine_scores(
         # so the scores are bit-identical — but without the three (q, n)
         # temporaries boolean fancy-indexing allocates, which dominate
         # the batched call once the GEMM itself is fast.
-        return raw / denom
+        return np.divide(raw, denom, out=raw)
     out = np.zeros_like(raw)
     ok = denom > 0
-    out[ok] = raw[ok] / denom[ok]
+    np.divide(raw, denom, out=out, where=ok)
     return out
 
 

@@ -12,10 +12,15 @@ shard worker,
 1. :func:`approx_cosines` — one single-precision pass ``Û Q̂ᵀ`` per flush
    over the unit-normalised rows (:class:`~repro.serving.index.ScaledRows`),
    half the bytes of the fp64 scan, no n-wide divide: a batch reads each
-   row once, in row blocks (:data:`SCAN_BLOCK`);
+   row once, in row blocks (:data:`~repro.serving.kernel.SCAN_BLOCK`).
+   It is the only step of a read sized by n;
 2. the candidate set ``{approx ≥ cut − margin}``, where ``cut`` is the
    ``top``-th largest approximate cosine and/or the ``threshold``
-   (:func:`prefilter_margin` proves the true answer is inside);
+   (:func:`prefilter_margin` proves the true answer is inside), found
+   from the maxima of strided groups of the flush's ``(n, q)`` output
+   (:func:`candidates`): per query, a partition of ``≈ √(n·top)``
+   maxima and a gather of about as many rows, not a copy, partition and
+   mask over all n (a short range is partitioned directly);
 3. :func:`~repro.serving.kernel.row_cosines` of the candidates only — a
    **row-local** fp64 kernel over ``V[rows] * s``, formed from the
    model's own factors for the survivors alone (for a request no filter
@@ -40,6 +45,7 @@ surface the rankings are tested against — same indices, scores within
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Sequence
 
@@ -47,7 +53,7 @@ import numpy as np
 
 from repro.obs.metrics import registry
 from repro.serving.index import ScaledRows
-from repro.serving.kernel import row_cosines
+from repro.serving.kernel import row_cosines, row_products
 from repro.serving.topk import ranked_order
 
 __all__ = [
@@ -55,6 +61,9 @@ __all__ = [
     "unit_queries",
     "approx_cosines",
     "bounded",
+    "DIRECT_CUT_ROWS",
+    "group_count",
+    "candidates",
     "cut_and_rescore",
     "ranked_scan",
 ]
@@ -82,13 +91,17 @@ def prefilter_margin(k: int) -> float:
     products below 10⁻³⁸, and the rounding of the cut itself when it is
     compared in single.
 
-    Sufficiency.  Let ``A`` be the ``z``-th largest approximate cosine
-    and ``i`` a row of the true top ``z``.  If ``aᵢ < A − 2ε`` then
-    ``cᵢ < A − ε``, while the ``z`` rows with ``aⱼ ≥ A`` have ``cⱼ ≥ A −
-    ε > cᵢ`` — ``z`` rows strictly ahead of ``i``, a contradiction.  A
-    row with ``cᵢ ≥ threshold`` has ``aᵢ ≥ threshold − ε``.  Hence
-    ``{a ≥ max(A, threshold) − 2ε}`` contains every row of the answer,
-    ties at the cut included.
+    Sufficiency.  Let ``A`` be the ``z``-th largest approximate cosine,
+    ``L ≤ A`` any lower bound of it, and ``i`` a row of the true top
+    ``z``.  If ``aᵢ < L − 2ε`` then ``cᵢ < L − ε``, while the ``z`` rows
+    with ``aⱼ ≥ A ≥ L`` have ``cⱼ ≥ L − ε > cᵢ`` — ``z`` rows strictly
+    ahead of ``i``, a contradiction.  A row with ``cᵢ ≥ threshold`` has
+    ``aᵢ ≥ threshold − ε``.  Hence ``{a ≥ max(L, threshold) − 2ε}``
+    contains every row of the answer, ties at the cut included — for
+    ``L = A`` the tightest such set, and for the ``z``-th largest of any
+    maxima over disjoint groups of rows (``z`` distinct rows reach it)
+    a superset found without ranking all n values
+    (:func:`candidates`, which then cuts it at ``A``).
     """
     return 2.0 * (k + 8) * 2.0**-24
 
@@ -100,34 +113,20 @@ def unit_queries(Qs: np.ndarray) -> np.ndarray:
     return (Qs / np.where(qn > 0, qn, 1.0)[:, None]).astype(np.float32)
 
 
-#: Elements (rows · q · k) of one row block of a 2- to 16-query pass.  One
-#: skinny sgemm over all n rows pays OpenBLAS's operand packing (on S, a
-#: 2-query call took 2.2× a 1-query one); blocks under its small-matrix
-#: bound (M·N·K ≤ 10⁶) skip it, so a batch streams the rows once.  Past 16
-#: queries blocks stopped paying (figures: DESIGN.md, micro-batching).
-SCAN_BLOCK = 1 << 19
-SCAN_WIDTH = 16
-
-
 def approx_cosines(unit: np.ndarray, Qs: np.ndarray) -> np.ndarray:
     """``(n, q)`` single-precision cosines of unit rows with scaled queries.
 
     The only n-wide pass of an exact request, one per flush: rows are
     read in blocks of ``SCAN_BLOCK // (q·k)`` (one block when q = 1 or
-    q > :data:`SCAN_WIDTH`).  A zero query stays zero (approximate
-    cosine 0 everywhere, as its true cosine is).
+    q > :data:`~repro.serving.kernel.SCAN_WIDTH`;
+    :func:`~repro.serving.kernel.row_products`).  A zero query stays zero
+    (approximate cosine 0 everywhere, as its true cosine is).
     """
     unit_q = unit_queries(Qs)
-    (n, k), q = unit.shape, unit_q.shape[0]
     t0 = time.perf_counter()
-    blocked = 1 < q <= SCAN_WIDTH
-    step = max(SCAN_BLOCK // (q * k or 1) if blocked else n, 1)
-    approx = np.empty((n, q), dtype=np.float32)
     # Contiguous: against the transposed view the small kernel takes
     # blocks of at most 1 200 outputs.
-    columns = np.ascontiguousarray(unit_q.T)
-    for a in range(0, n, step):
-        np.matmul(unit[a:a + step], columns, out=approx[a:a + step])
+    approx = row_products(unit, np.ascontiguousarray(unit_q.T))
     registry.observe("serving.scan_seconds", time.perf_counter() - t0)
     return approx
 
@@ -138,50 +137,150 @@ def bounded(top: int | None, threshold: float | None, rows: int) -> bool:
     return threshold is not None or (top is not None and top < rows)
 
 
+#: Rows up to which a query's cut partitions all of its approximate
+#: cosines: below this a partition costs less than the fixed steps of the
+#: cut from group maxima (one query alone, top = 10, one CPU: 21 vs 34 µs
+#: at 8 000 rows, 36 vs 37 µs at 16 000, 50 vs 38 µs at 25 000).  A probe
+#: of a few cells is usually below it.  In a flush of several queries the
+#: direct cut also reads each column at a stride, so there the groups
+#: would pay off at fewer rows still.
+DIRECT_CUT_ROWS = 1 << 14
+
+
+def group_count(m: int, top: int) -> int:
+    """How many strided groups a cut of more than :data:`DIRECT_CUT_ROWS`
+    rows at ``top`` takes maxima of: ``⌊√(m·top)⌋`` (``top ≤ G < m`` for
+    ``1 ≤ top < m``), so a query partitions ``G`` maxima and gathers
+    about ``top·m/G`` rows, the two balanced."""
+    return min(m, math.isqrt(m * top))
+
+
+def candidates(
+    approx: np.ndarray | None,
+    tops: Sequence[int | None],
+    thresholds: Sequence[float | None],
+    k: int,
+) -> list[np.ndarray | None]:
+    """Per column of the ``(m, q)`` fp32 ``approx``, the ascending
+    positions within :func:`prefilter_margin` of its query's cut —
+    ``{a ≥ max(A, threshold) − 2ε}``, ``A`` the ``top``-th largest
+    approximate cosine — or ``None`` where the query is not
+    :func:`bounded` (every position; also for ``top ≤ 0``, which keeps
+    nothing, and for every query when ``approx`` is ``None``).
+
+    Only one step reads all ``m·q`` values: the maxima of ``G`` strided
+    groups (positions ``g, g + G, …``; the ``m mod G`` last positions
+    are groups of one), :func:`group_count` for the widest cut of the
+    flush, taken for every query at once.  The ``top`` largest maxima
+    are reached by ``top`` distinct rows, so the least of them, ``M``, is
+    ``≤ A``, and every row of the answer sits in a group whose maximum is
+    within the margin of ``max(M, threshold)`` (a lower bound of ``A``
+    serves, see :func:`prefilter_margin`).  Each query partitions ``G``
+    maxima, gathers its passing groups' rows (about ``top · m / G``) and
+    cuts them at ``A``, which they contain — the same positions the
+    ``top``-th largest of all ``m`` would give, without a copy of its
+    column, a partition or a mask over all ``m``.  Up to
+    :data:`DIRECT_CUT_ROWS` rows (``G = m``) the maxima are the values
+    and the bound is the cut.
+    """
+    if approx is None:
+        return [None] * len(tops)
+    m, q = approx.shape
+    cut = [
+        bounded(top, threshold, m) and (top is None or top > 0)
+        for top, threshold in zip(tops, thresholds)
+    ]
+    if not any(cut):
+        return [None] * len(tops)
+    groups, units = m, approx  # every row its own group: the direct cut
+    if m > DIRECT_CUT_ROWS:
+        groups = group_count(m, max(
+            (t for t, c in zip(tops, cut) if c and t is not None and t < m),
+            default=1,
+        ))
+    if groups < m:
+        full = m - m % groups
+        # Unit u < G: the maximum of group u; unit G + j: row full + j.
+        units = np.empty((groups + m - full, q), dtype=approx.dtype)
+        rounds = approx[:full].reshape(-1, groups, q)
+        np.max(rounds, axis=0, out=units[:groups])
+        units[groups:] = approx[full:]
+        starts = np.arange(0, full, groups)[:, None]
+    margin = prefilter_margin(k)
+    out: list[np.ndarray | None] = []
+    for i, (top, threshold) in enumerate(zip(tops, thresholds)):
+        if not cut[i]:
+            out.append(None)
+            continue
+        floor = -np.inf if threshold is None else float(threshold)
+        ranked = top is not None and top < m
+        column = units[:, i]
+        bound = max(floor, _kth_largest(column, top)) if ranked else floor
+        hit = np.flatnonzero(column >= bound - margin)
+        if groups == m:  # the bound is the cut
+            out.append(hit)
+            continue
+        split = hit.searchsorted(groups)
+        rows = np.concatenate(
+            [(hit[:split] + starts).ravel(), hit[split:] + (full - groups)]
+        )
+        values = approx[rows, i]
+        # Fewer than ``top`` rows above the threshold: it is the cut.
+        if ranked and values.size >= top:
+            floor = max(floor, _kth_largest(values, top))
+        out.append(rows[values >= floor - margin])
+    return out
+
+
+def _kth_largest(values: np.ndarray, k: int) -> float:
+    return float(np.partition(values, values.size - k)[values.size - k])
+
+
 def cut_and_rescore(
     scaled: ScaledRows,
-    q: np.ndarray,
-    top: int | None,
-    threshold: float | None,
+    Qs: np.ndarray,
+    tops: Sequence[int | None],
+    thresholds: Sequence[float | None],
     approx: np.ndarray | None,
     *,
     positions: np.ndarray | None = None,
     offset: int = 0,
-) -> list[tuple[int, float]]:
-    """Ranked ``(offset + row, cosine)`` pairs of one scaled query over
+) -> list[list[tuple[int, float]]]:
+    """Ranked ``(offset + row, cosine)`` pairs of each scaled query over
     the unit rows at ``positions`` (every row when ``None``).
 
     The tail every ranking shares — the exact scan over all rows and a
     probe over its cells' slices.  ``approx`` holds those rows' fp32
-    cosines in ``positions`` order; it is read only when the query is
-    :func:`bounded`, and then only the rows within
-    :func:`prefilter_margin` of the cut survive.  Survivors are mapped
-    through the layout (``scaled.order``) to ascending rows and scored
-    by the row-local fp64 kernel, so each reported pair is the same
-    bits whichever rows rode along.
+    cosines in ``positions`` order, one column per query; only the
+    :func:`candidates` of a :func:`bounded` query survive.  Survivors
+    are mapped through the layout (``scaled.order``) to ascending rows
+    and scored by the row-local fp64 kernel, so each reported pair is
+    the same bits whichever rows rode along.
     """
-    if top is not None and top <= 0:
-        return []
-    n = scaled.unit.shape[0] if positions is None else positions.size
-    if bounded(top, threshold, n):
-        cut = -np.inf if threshold is None else float(threshold)
-        if top is not None and top < n:
-            kth = np.partition(approx, n - top)[n - top]
-            cut = max(cut, float(kth))
-        keep = np.flatnonzero(approx >= cut - prefilter_margin(q.size))
-        positions = keep if positions is None else positions[keep]
-    rows = positions  # None: every row, in document order
-    if rows is not None and scaled.order is not None:
-        rows = np.sort(scaled.order[rows])
-    scores = row_cosines(scaled.V, scaled.s, scaled.norms, q, rows)
-    registry.observe(
-        "serving.rescore_candidates",
-        float(scores.size),
-        boundaries=_CANDIDATE_BUCKETS,
-    )
-    order = ranked_order(scores, top=top, threshold=threshold)
-    index = order if rows is None else rows[order]
-    return list(zip((index + offset).tolist(), scores[order].tolist()))
+    kept = candidates(approx, tops, thresholds, Qs.shape[1])
+    results = []
+    for q, top, threshold, keep in zip(Qs, tops, thresholds, kept):
+        if top is not None and top <= 0:
+            results.append([])
+            continue
+        if keep is None:
+            rows = positions  # None: every row, in document order
+        else:
+            rows = keep if positions is None else positions[keep]
+        if rows is not None and scaled.order is not None:
+            rows = np.sort(scaled.order[rows])
+        scores = row_cosines(scaled.V, scaled.s, scaled.norms, q, rows)
+        registry.observe(
+            "serving.rescore_candidates",
+            float(scores.size),
+            boundaries=_CANDIDATE_BUCKETS,
+        )
+        order = ranked_order(scores, top=top, threshold=threshold)
+        index = order if rows is None else rows[order]
+        results.append(
+            list(zip((index + offset).tolist(), scores[order].tolist()))
+        )
+    return results
 
 
 def ranked_scan(
@@ -200,16 +299,7 @@ def ranked_scan(
     layout of ``scaled.unit``.
     """
     n = scaled.unit.shape[0]
-    cuts = [
-        bounded(top, threshold, n) for top, threshold in zip(tops, thresholds)
-    ]
-    approx = approx_cosines(scaled.unit, Qs) if any(cuts) else None
-    return [
-        cut_and_rescore(
-            scaled, q, top, threshold,
-            # One contiguous copy: selecting from a strided column costs more.
-            np.ascontiguousarray(approx[:, i]) if cuts[i] else None,
-            offset=offset,
-        )
-        for i, (q, top, threshold) in enumerate(zip(Qs, tops, thresholds))
-    ]
+    approx = None
+    if any(bounded(t, th, n) for t, th in zip(tops, thresholds)):
+        approx = approx_cosines(scaled.unit, Qs)
+    return cut_and_rescore(scaled, Qs, tops, thresholds, approx, offset=offset)

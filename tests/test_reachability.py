@@ -30,7 +30,9 @@ In live code:
   entries are not uses;
 * a name read from a module that binds it nowhere (``from pkg import
   name``, ``pkg.name``) is a use of that module's PEP 562
-  ``__getattr__``, when it has one.
+  ``__getattr__``, when it has one — and, when the hook looks the name
+  up in a module-level dict of string literals (``repro._QUICK_START``),
+  of what the name is in the module that table maps it to.
 
 Tests are deliberately not roots: a module or definition only its own
 tests reach goes with them.
@@ -137,6 +139,30 @@ def bindings(path, module):
         if isinstance(node, DEFS):
             table[node.name] = f"{module}.{node.name}"
     return table
+
+
+@functools.cache
+def lazy_table(path):
+    """``name -> module`` for a PEP 562 hook that looks the name up in a
+    module-level dict of string literals (``repro._QUICK_START``): the
+    table its ``__getattr__`` subscripts, or ``{}``."""
+    tables, hooks = {}, []
+    for node in parse(path).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict):
+            for target in assign_targets(node):
+                if isinstance(target, ast.Name):
+                    tables[target.id] = node.value
+        elif isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+            hooks.append(node)
+    return {
+        key.value: value.value
+        for hook in hooks
+        for node in ast.walk(hook)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id in tables
+        for key, value in zip(tables[node.value.id].keys, tables[node.value.id].values)
+        if isinstance(key, ast.Constant) and isinstance(value, ast.Constant)
+    }
 
 
 def union(types):
@@ -346,7 +372,11 @@ class Walk:
         hook = f"{module}.__getattr__"
         if (hook in self.defs and not name.startswith("__")
                 and name not in self.module_scope(path, module).sites):
-            return hook
+            home = lazy_table(path).get(name)
+            if home not in self.modules:
+                return hook
+            self.use(hook)
+            return self.lookup(home, name)
         return module
 
     def resolve(self, path, module, expr):
@@ -1011,6 +1041,23 @@ def test_a_module_getattr_is_used_only_by_a_name_the_module_lacks(tmp_path):
         main = f"from pkg.lib import used\nfrom pkg import {name}\nused()\n"
         verdicts[name] = toy(tmp_path / name, lib, main, init)
     assert verdicts == {"VERSION": ["pkg.__getattr__"], "lazy": []}
+
+
+def test_a_lazy_table_name_is_a_use_of_its_definition(tmp_path):
+    """``from pkg import spare`` through a hook that maps ``spare`` to
+    ``pkg.lib`` uses ``pkg.lib.spare`` (and the hook); a name the table
+    does not map uses the hook alone."""
+    lib = "def used():\n    pass\n\ndef spare():\n    pass\n"
+    init = (
+        "_LAZY = {'spare': 'pkg.lib'}\n\n\n"
+        "def __getattr__(name):\n    return _LAZY[name]\n"
+    )
+    verdicts = {}
+    for name in ("spare", "other"):
+        (tmp_path / name).mkdir()
+        main = f"from pkg.lib import used\nfrom pkg import {name}\nused()\n"
+        verdicts[name] = toy(tmp_path / name, lib, main, init)
+    assert verdicts == {"spare": [], "other": ["pkg.lib.spare"]}
 
 
 def test_a_local_of_the_same_name_keeps_no_method_alive(tmp_path):

@@ -30,7 +30,7 @@ from repro.retrieval.engine import LSIRetrieval
 from repro.serving import scan
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_rows
-from repro.serving.kernel import ROW_BLOCK, row_cosines
+from repro.serving.kernel import ROW_BLOCK, SCAN_BLOCK, row_cosines
 from repro.serving.scan import prefilter_margin, ranked_scan
 from repro.serving.snapshot import EpochSnapshot
 from repro.serving.topk import ranked_pairs
@@ -350,7 +350,7 @@ def test_ranked_scan_handles_empty_ranges_and_degenerate_tops():
 # the batch's fp32 pass, in row blocks
 # --------------------------------------------------------------------- #
 def _block_rows(q: int, k: int) -> int:
-    return scan.SCAN_BLOCK // (q * k)
+    return SCAN_BLOCK // (q * k)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 5, 17])
@@ -436,3 +436,160 @@ def test_a_batch_ranks_as_its_single_queries_do():
         [ranked_scan(rows, Qs[i:i + 1], tops[i:i + 1], thresholds[i:i + 1])[0]
          for i in range(q)]
     )
+
+
+# --------------------------------------------------------------------- #
+# the cut from group maxima
+# --------------------------------------------------------------------- #
+def _partition_cut(approx, tops, thresholds, k):
+    """The cut the group maxima replace, per column: the ``top``-th
+    largest of all m values by ``np.partition``, then an m-wide mask."""
+    if approx is None:
+        return [None] * len(tops)
+    m = approx.shape[0]
+    found = []
+    for i, (top, threshold) in enumerate(zip(tops, thresholds)):
+        bounded = scan.bounded(top, threshold, m)
+        if not bounded or (top is not None and top <= 0):
+            found.append(None)
+            continue
+        column = np.ascontiguousarray(approx[:, i])
+        cut = -np.inf if threshold is None else float(threshold)
+        if top is not None and top < m:
+            cut = max(cut, float(np.partition(column, m - top)[m - top]))
+        found.append(np.flatnonzero(column >= cut - prefilter_margin(k)))
+    return found
+
+
+def _assert_same_cut(approx, tops, thresholds, k=64):
+    got = scan.candidates(approx, tops, thresholds, k)
+    want = _partition_cut(approx, tops, thresholds, k)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.dtype.kind == "i" and np.array_equal(g, w)
+
+
+def _columns(kind: str, n: int, q: int, rng) -> np.ndarray:
+    if kind == "random":
+        return (0.3 * rng.standard_normal((n, q))).astype(np.float32)
+    if kind == "coarse":  # many exact ties, at every cut
+        return (rng.integers(0, 5, (n, q)) / 4).astype(np.float32)
+    if kind == "tied":
+        return np.full((n, q), 0.25, dtype=np.float32)
+    return np.zeros((n, q), dtype=np.float32)  # the zero query
+
+
+@pytest.mark.parametrize("q", [1, 2, 16])
+@pytest.mark.parametrize("kind", ["random", "coarse", "tied", "zero"])
+@pytest.mark.parametrize(
+    "n, top, direct",
+    [
+        (3, 1, 0),  # G = 1: one group of three, no tail
+        (7, 2, 0),  # G = 3: two rows of groups and a tail of one
+        (100, 1, 0), (100, 9, 0), (100, 10, 0), (100, 11, 0),  # b·G rows
+        (1033, 1, 0), (1033, 10, 0), (1033, 100, 0),  # with a tail
+        (1033, 1032, 0), (1033, 1033, 0), (1033, None, 0),
+        (1033, 10, None),  # the direct cut of a short range
+        (scan.DIRECT_CUT_ROWS + 1033, 10, None),  # grouped at full size
+        (scan.DIRECT_CUT_ROWS + 1033, 100, None),
+    ],
+)
+def test_the_group_cut_keeps_the_partition_cuts_rows(
+    q, kind, n, top, direct, monkeypatch
+):
+    """The survivors of the group-maxima cut are element for element the
+    rows the ``np.partition`` cut and an n-wide mask keep — for tops
+    around the group count ``G``, thresholds on a tied value, all-tied
+    rows and the zero query, one ``top`` per query or mixed in a flush.
+    ``direct=0`` groups every range, however short."""
+    if direct is not None:
+        monkeypatch.setattr(scan, "DIRECT_CUT_ROWS", direct)
+    rng = np.random.default_rng(n * 31 + q)
+    approx = _columns(kind, n, q, rng)
+    groups = scan.group_count(n, top or 1)
+    assert top is None or top >= n or top <= groups < n
+    tied = float(approx[n // 2, 0])
+    for threshold in (None, tied, 0.1, 2.0, -5.0):
+        _assert_same_cut(approx, [top] * q, [threshold] * q)
+    for t in {1, groups - 1, groups, groups + 1, n - 1, n} - {0}:
+        mixed = [top, t, None, 0][:q] + [10] * (q - 4)
+        thresholds = [None, tied, 0.0, None][:q] + [None] * (q - 4)
+        _assert_same_cut(approx, mixed, thresholds)
+
+
+def test_the_group_cut_over_an_empty_range():
+    approx = np.empty((0, 3), dtype=np.float32)
+    tops, thresholds = [5, 1, None], [0.5, None, -1.0]
+    _assert_same_cut(approx, tops, thresholds, k=8)
+    assert scan.candidates(approx, tops, thresholds, 8)[0].size == 0
+
+
+@pytest.mark.parametrize("direct", [0, None])
+def test_every_path_ranks_as_the_partition_cut_did(direct, monkeypatch):
+    """Whole model, a range from ``lo > 0``, cell-ordered rows with a
+    fresh tail, and probe positions: every ranking is the same bits
+    when the ``np.partition`` cut stands in for the group cut, grouped
+    (``direct=0``) or cut directly."""
+    if direct is not None:
+        monkeypatch.setattr(scan, "DIRECT_CUT_ROWS", direct)
+    rng = np.random.default_rng(44)
+    n, k = 4000, 32
+    s = np.sort(rng.random(k) + 0.5)[::-1].copy()
+    V = rng.standard_normal((n, k))
+    V[3000:3050] = V[10:60]  # exact ties
+    model = _model(V, s)
+    quantizer = CoarseQuantizer.train((V * s)[: n - 300], 24, seed=0)
+    snapshots = [
+        EpochSnapshot(0, model),
+        EpochSnapshot(0, model, lo=1234, hi=n - 7),
+        EpochSnapshot(0, model, ann=quantizer),
+    ]
+    Qs = snapshots[0].scale(rng.standard_normal((16, k)))
+    Qs[5] = 0.0
+    # A flush's groups follow from its widest top: small tops alone
+    # (G = 632 over the whole model), then every kind of filter at once.
+    flushes = [
+        ([1, 10, 100, 10, 1, 5, 7, 3], [None] * 6 + [0.3, None]),
+        (
+            [1, 10, 100, 63, 64, 65, 2000, 3999]
+            + [None, 10, 1, 5, 100, 4000, 0, 7],
+            [None] * 8 + [0.3, 0.3, None, None, 0.05, None, None, -1.0],
+        ),
+    ]
+
+    def rank():
+        found = []
+        for tops, thresholds in flushes:
+            batch = Qs[: len(tops)]
+            for snapshot in snapshots:
+                found.append(
+                    snapshot.search(batch, top=tops, threshold=thresholds)[0]
+                )
+            found.append(
+                snapshots[2].search(
+                    batch, top=tops, threshold=thresholds, probes=5
+                )[0]
+            )
+        return [_bits(results) for results in found]
+
+    got = rank()
+    monkeypatch.setattr(scan, "candidates", _partition_cut)
+    assert got == rank()
+
+
+def test_deriving_the_rows_keeps_a_few_blocks_transient():
+    """``scaled_rows`` forms ``V Σ`` one ``ROW_BLOCK`` at a time: beyond
+    what it returns it never holds more than a few blocks."""
+    rng = np.random.default_rng(15)
+    n, k = 20_000, 64
+    V = rng.standard_normal((n, k))
+    s = np.sort(rng.random(k) + 0.5)[::-1].copy()
+    tracemalloc.start()
+    try:
+        rows = scaled_rows(V, s)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= rows.norms.nbytes + rows.unit.nbytes
+    assert peak - held <= 3 * ROW_BLOCK * k * 8
