@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import emit
 from repro.core.build import fit_lsi
-from repro.core.similarity import term_term_similarities
+from repro.core.similarity import term_cosines
 from repro.corpus.morphology import morphology_corpus
 
 
@@ -25,10 +25,12 @@ def test_morphological_neighbours(benchmark):
 
     infl, deriv = [], []
     for base, inflection, derivation in corpus.families:
-        sims = term_term_similarities(model, base)
         v = model.vocabulary
-        infl.append(float(sims[v.id_of(inflection)]))
-        deriv.append(float(sims[v.id_of(derivation)]))
+        ci, cd = term_cosines(
+            model, base, [v.id_of(inflection), v.id_of(derivation)]
+        )
+        infl.append(float(ci))
+        deriv.append(float(cd))
 
     rows = [f"{'family':<10s}{'cos(base, infl)':>16s}{'cos(base, deriv)':>17s}"]
     for (base, _, _), ci, cd in zip(corpus.families, infl, deriv):

@@ -31,8 +31,8 @@ from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.corpus.crosslang import CrossLanguageCorpus
 from repro.errors import ShapeError
-from repro.serving.kernel import cosine_scores
-from repro.serving.topk import ranked_pairs
+from repro.serving.index import scaled_documents
+from repro.serving.scan import approx_cosines, bounded, cut_and_rescore
 from repro.updating.folding import fold_in_texts
 from repro.weighting.schemes import WeightingScheme
 
@@ -98,15 +98,28 @@ class CrossLanguageRetrieval:
 
         ``language`` restricts results to one language's documents (mate
         retrieval restricts to the *other* language): only those rows
-        are scored and ranked.
+        are scanned and ranked, as positions of the model's one row set.
         """
         rows = np.arange(self.n_training, self.model.n_documents)
         if language is not None:
+            if language not in self.languages:
+                raise ValueError(
+                    f"no {language!r} documents; the corpus has "
+                    f"{sorted(set(self.languages))}"
+                )
             rows = rows[np.asarray(self.languages) == language]
-        qhat = project_query(self.model, query) * self.model.s
-        cos = cosine_scores(self.model.V[rows] * self.model.s, qhat)[0]
+        scaled = scaled_documents(self.model)
+        if scaled.order is not None:  # laid out by cells: rows → positions
+            rows = np.argsort(scaled.order)[rows]
+        Qs = (project_query(self.model, query) * self.model.s)[None, :]
+        approx = None
+        if bounded(top, None, rows.size):
+            approx = approx_cosines(scaled.unit[rows], Qs)
+        (ranked,) = cut_and_rescore(
+            scaled, Qs, [top], [None], approx, positions=rows
+        )
         ids = self.model.doc_ids
-        return [(ids[rows[i]], c) for i, c in ranked_pairs(cos, top=top)]
+        return [(ids[j], c) for j, c in ranked]
 
 
 def mate_retrieval_accuracy(

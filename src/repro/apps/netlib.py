@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from repro.core.build import fit_lsi
 from repro.core.model import LSIModel
 from repro.core.query import project_query
-from repro.core.similarity import doc_doc_similarities, ranked_documents
+from repro.core.similarity import nearest_rows, ranked_documents
 from repro.corpus.netlib_like import NetlibCatalogue
 from repro.errors import ShapeError
-from repro.serving.topk import topk_indices
+from repro.serving.index import scaled_documents
 from repro.weighting.schemes import WeightingScheme
 
 __all__ = ["NetlibSearch"]
@@ -79,11 +79,7 @@ class NetlibSearch:
 
     def more_like(self, name: str, *, top: int = 5) -> list[tuple[str, float]]:
         """Routines similar to a known one (query-by-example)."""
-        sims = doc_doc_similarities(self.model, name)
-        # One extra candidate absorbs the example itself.
-        own = self.model.doc_index(name)
-        return [
-            (self.model.doc_ids[j], float(sims[j]))
-            for j in topk_indices(sims, top + 1)
-            if j != own
-        ][:top]
+        (ranked,) = nearest_rows(
+            scaled_documents(self.model), [self.model.doc_index(name)], top=top
+        )
+        return [(self.model.doc_ids[j], c) for j, c in ranked]

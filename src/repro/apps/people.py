@@ -45,14 +45,13 @@ def people_vectors(
     wrote.
     """
     out = np.zeros((len(authored_docs), model.k))
-    coords = model.V * model.s
     for i, docs in enumerate(authored_docs):
         idx = np.asarray(list(docs), dtype=np.int64)
         if idx.size == 0:
             raise ShapeError(f"person {i} has no authored documents")
         if idx.min() < 0 or idx.max() >= model.n_documents:
             raise ShapeError(f"person {i} authored unknown documents")
-        out[i] = coords[idx].mean(axis=0)
+        out[i] = (model.V[idx] * model.s).mean(axis=0)
     return out
 
 

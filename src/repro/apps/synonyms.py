@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.model import LSIModel
-from repro.core.similarity import term_term_similarities
+from repro.core.similarity import term_cosines
 from repro.corpus.synonym_test import SynonymTest
 from repro.text.tdm import TermDocumentMatrix
 
@@ -60,11 +60,11 @@ def run_synonym_test(model: LSIModel, test: SynonymTest) -> SynonymTestResult:
             choices.append(0)
             correct += item.answer == 0
             continue
-        sims = term_term_similarities(model, item.stem)
-        scores = []
-        for alt in item.alternatives:
-            idx = model.vocabulary.get(alt)
-            scores.append(sims[idx] if idx is not None else -np.inf)
+        ids = [model.vocabulary.get(alt) for alt in item.alternatives]
+        # An alternative the model never indexed scores -inf (row 0
+        # stands in for it).
+        cos = term_cosines(model, item.stem, [i or 0 for i in ids])
+        scores = np.where([i is None for i in ids], -np.inf, cos)
         pick = int(np.argmax(scores))
         choices.append(pick)
         if pick == item.answer:

@@ -5,6 +5,13 @@ there is no reason that similar terms could not be returned.  Returning
 nearby terms is useful for some applications like online thesauri (that
 are automatically constructed by LSI), or for suggesting index terms for
 documents."  (§5.4)
+
+Execution
+---------
+Both rank rows of the model's term memo
+(:func:`~repro.serving.index.scaled_terms`, derived once) by the one
+exact ranking (:func:`~repro.serving.scan.ranked_scan`); a thesaurus
+scans its terms :data:`~repro.serving.kernel.SCAN_WIDTH` to a flush.
 """
 
 from __future__ import annotations
@@ -13,9 +20,9 @@ from typing import Sequence
 
 from repro.core.model import LSIModel
 from repro.core.query import project_query
-from repro.core.similarity import nearest_terms
-from repro.serving.kernel import cosine_scores
-from repro.serving.topk import ranked_pairs
+from repro.core.similarity import nearest_rows
+from repro.serving.index import scaled_terms
+from repro.serving.scan import ranked_scan
 
 __all__ = ["build_thesaurus", "suggest_index_terms"]
 
@@ -32,12 +39,15 @@ def build_thesaurus(
     Returns ``{term: [(neighbour, cosine), ...]}`` with neighbours above
     ``min_similarity``, at most ``top`` each.
     """
-    vocab = terms if terms is not None else model.vocabulary.to_list()
-    out: dict[str, list[tuple[str, float]]] = {}
-    for t in vocab:
-        neigh = nearest_terms(model, t, top=top)
-        out[t] = [(w, c) for w, c in neigh if c >= min_similarity]
-    return out
+    vocab = model.vocabulary
+    names = list(terms) if terms is not None else vocab.to_list()
+    ranked = nearest_rows(
+        scaled_terms(model), [vocab.id_of(t) for t in names], top=top
+    )
+    return {
+        t: [(vocab[j], c) for j, c in pairs if c >= min_similarity]
+        for t, pairs in zip(names, ranked)
+    }
 
 
 def suggest_index_terms(
@@ -50,5 +60,7 @@ def suggest_index_terms(
     vectors are returned.
     """
     dhat = project_query(model, text)
-    cos = cosine_scores(model.term_coordinates(), dhat * model.s)[0]
-    return [(model.vocabulary[i], c) for i, c in ranked_pairs(cos, top=top)]
+    (ranked,) = ranked_scan(
+        scaled_terms(model), (dhat * model.s)[None, :], [top], [None]
+    )
+    return [(model.vocabulary[i], c) for i, c in ranked]

@@ -26,10 +26,10 @@ class LSIModel:
     """A truncated-SVD semantic space.
 
     Treat an instance as immutable once it has been scored: the serving
-    layer memoizes the norms and unit rows of ``V_k Σ_k`` on it
-    (:func:`repro.serving.index.scaled_documents`), so an in-place edit
-    of ``V`` or ``s`` after that is not seen.  Every update path returns
-    a new model instead.
+    layer memoizes the norms and unit rows of ``V_k Σ_k`` and ``U_k Σ_k``
+    on it (:mod:`repro.serving.index`), so an in-place edit of a factor
+    after that is not seen.  Every update path returns a new model
+    instead.
 
     Attributes
     ----------

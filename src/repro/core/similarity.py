@@ -16,41 +16,40 @@ is not always an adequate measure of relevance".
 
 Execution
 ---------
-Scoring routes through the serving fast path
-(:mod:`repro.serving`): :func:`cosine_similarities` is the q=1 case of
-the batched GEMM kernel over ``V_k Σ_k`` (formed block by block per
-call, never whole) with the row norms from the model's own memo
-(:func:`repro.serving.index.scaled_documents`) — the whole fp64 score
-vector, for callers that need every score.  The ranked entry point
-(:func:`ranked_documents`, behind :func:`rank_documents`,
-:func:`retrieve` and ``LSIRetrieval.search``) is the one exact ranking
-every serving tier
-uses (:func:`repro.serving.scan.ranked_scan`): same indices as the
-stable sort of that score vector, scores within 1e-12 of it and
-bit-equal to what the server or a shard worker reports for the same
-query.
+Every score reads one of the model's two memos
+(:mod:`repro.serving.index`): ``V_k Σ_k`` for documents, ``U_k Σ_k``
+for terms.  A ranking is :func:`~repro.serving.scan.ranked_scan` of one,
+the exact ranking every serving tier uses — :func:`ranked_documents`
+(behind :func:`rank_documents`, :func:`retrieve` and
+``LSIRetrieval.search``) and :func:`nearest_rows` (the neighbours of its
+own rows: :func:`nearest_terms`, the thesaurus, query by example): the
+same indices as the stable sort of the fp64 score vector, scores within
+1e-12 of it.  :func:`cosine_similarities` is that whole vector, formed
+block by block (:func:`~repro.serving.scan.all_cosines`), for callers
+that read every score; :func:`term_cosines` reads a few term scores.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.model import LSIModel
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
-from repro.serving.index import scaled_documents
-from repro.serving.kernel import cosine_scores, scaled_blocks
-from repro.serving.scan import ranked_scan
-from repro.serving.topk import topk_indices
+from repro.serving.index import ScaledRows, scaled_documents, scaled_terms
+from repro.serving.kernel import SCAN_WIDTH, row_cosines
+from repro.serving.scan import all_cosines, ranked_scan
 
 __all__ = [
     "cosine_similarities",
     "rank_documents",
     "ranked_documents",
     "retrieve",
-    "term_term_similarities",
-    "doc_doc_similarities",
+    "nearest_rows",
     "nearest_terms",
+    "term_cosines",
 ]
 
 
@@ -64,22 +63,11 @@ def _served_query(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
 
 
 def cosine_similarities(model: LSIModel, qhat: np.ndarray) -> np.ndarray:
-    """Cosine of the query pseudo-vector with every document (length n).
-
-    The q=1 case of the batch GEMM path, compared in ``V_k Σ_k`` with the
-    norms memoized on the model; the rows are formed and scored one
-    :func:`~repro.serving.kernel.scaled_blocks` block at a time, the same
-    bits as one GEMV over the whole product.
-    """
+    """Cosine of the query pseudo-vector with every document (length n):
+    one GEMV per row block of ``V_k Σ_k``, the same bits as one over the
+    whole product."""
     qhat = _served_query(model, qhat)
-    scaled = scaled_documents(model)
-    q = qhat * model.s
-    out = np.empty(model.n_documents)
-    for at, _, block in scaled_blocks(model.V, model.s):
-        out[at] = cosine_scores(
-            block, q, norms=scaled.norms[at], positive=scaled.positive
-        )[0]
-    return out
+    return all_cosines(scaled_documents(model), (qhat * model.s)[None, :])[0]
 
 
 def rank_documents(
@@ -129,23 +117,35 @@ def retrieve(
 
 # --------------------------------------------------------------------- #
 # term-term and document-document structure (thesaurus, synonym test,
-# clustering claims of Figures 4/7/8/9)
+# query by example)
 # --------------------------------------------------------------------- #
-def term_term_similarities(model: LSIModel, term: str) -> np.ndarray:
-    """Cosine of one term against every term, in scaled term space.
+def nearest_rows(
+    scaled: ScaledRows,
+    rows: Sequence[int],
+    *,
+    top: int,
+    skip_self: bool = True,
+) -> list[list[tuple[int, float]]]:
+    """The ``top`` rows of ``scaled`` nearest to each of its own ``rows``,
+    as ranked ``(row, cosine)`` pairs: one :func:`ranked_scan` per
+    :data:`~repro.serving.kernel.SCAN_WIDTH` of them.
 
-    Term comparisons use rows of ``U_k Σ_k`` — "terms which occur in
-    similar documents ... will be near each other in the k-dimensional
-    factor space even if they never co-occur".
+    ``skip_self`` leaves each row's own index out of its list (a
+    duplicate of the row stays); one extra candidate absorbs it.
     """
-    coords = model.term_coordinates()
-    return cosine_scores(coords, coords[model.vocabulary.id_of(term)])[0]
-
-
-def doc_doc_similarities(model: LSIModel, doc_id: str) -> np.ndarray:
-    """Cosine of one document against every document (scaled space)."""
-    coords = model.doc_coordinates()
-    return cosine_scores(coords, coords[model.doc_index(doc_id)])[0]
+    extra = 1 if skip_self else 0
+    out = []
+    for at in range(0, len(rows), SCAN_WIDTH):
+        flush = list(rows[at:at + SCAN_WIDTH])
+        ranked = ranked_scan(
+            scaled, scaled.V[flush] * scaled.s,
+            [top + extra] * len(flush), [None] * len(flush),
+        )
+        out += [
+            [(j, c) for j, c in pairs if not (skip_self and j == i)][:top]
+            for i, pairs in zip(flush, ranked)
+        ]
+    return out
 
 
 def nearest_terms(
@@ -153,12 +153,27 @@ def nearest_terms(
 ) -> list[tuple[str, float]]:
     """The ``top`` terms nearest to ``term`` — the online-thesaurus
     application of §5.4 ("there is no reason that similar terms could not
-    be returned")."""
-    cos = term_term_similarities(model, term)
-    # One extra candidate absorbs the query term itself when it is skipped.
-    self_id = model.vocabulary.id_of(term) if skip_self else -1
-    return [
-        (model.vocabulary[int(i)], float(cos[i]))
-        for i in topk_indices(cos, top + 1 if skip_self else top)
-        if i != self_id
-    ][:top]
+    be returned").
+
+    Terms are compared as rows of ``U_k Σ_k`` — "terms which occur in
+    similar documents ... will be near each other in the k-dimensional
+    factor space even if they never co-occur".
+    """
+    (ranked,) = nearest_rows(
+        scaled_terms(model), [model.vocabulary.id_of(term)],
+        top=top, skip_self=skip_self,
+    )
+    return [(model.vocabulary[j], c) for j, c in ranked]
+
+
+def term_cosines(
+    model: LSIModel, term: str, rows: Sequence[int]
+) -> np.ndarray:
+    """Cosine of ``term`` with the terms at vocabulary ``rows`` — the
+    row-local kernel at those rows of the term memo, for callers that
+    read a few term-term scores."""
+    terms = scaled_terms(model)
+    q = model.U[model.vocabulary.id_of(term)] * model.s
+    return row_cosines(
+        terms.V, terms.s, terms.norms, q, np.asarray(rows, dtype=np.intp)
+    )

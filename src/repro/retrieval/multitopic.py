@@ -14,6 +14,12 @@ Three combination rules are provided:
 * ``"density"`` — a kernel-density relevance estimate: each interest
   point contributes ``wᵢ · exp(cosᵢ/τ)``, normalized — the smooth
   weighting of the original method, with facet weights.
+
+Execution
+---------
+A rule combines every document's cosine with every facet, so the facets
+are scored together over the model's document memo, one row block at a
+time (:func:`~repro.serving.scan.all_cosines`), with no cut before it.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ import numpy as np
 from repro.core.model import LSIModel
 from repro.core.query import project_query
 from repro.errors import ShapeError
-from repro.serving.kernel import cosine_scores
+from repro.serving.index import scaled_documents
+from repro.serving.scan import all_cosines
 from repro.serving.topk import ranked_pairs
 
 __all__ = ["MultiTopicQuery", "multi_topic_scores", "multi_topic_search"]
@@ -88,11 +95,6 @@ class MultiTopicQuery:
         )
 
 
-def _facet_cosines(model: LSIModel, query: MultiTopicQuery) -> np.ndarray:
-    """(t, n) cosine of each interest point with each document."""
-    return cosine_scores(model.V * model.s, query.points * model.s)
-
-
 def multi_topic_scores(
     model: LSIModel,
     query: MultiTopicQuery,
@@ -106,7 +108,7 @@ def multi_topic_scores(
             f"interest points have {query.points.shape[1]} dims for "
             f"k={model.k}"
         )
-    cos = _facet_cosines(model, query)
+    cos = all_cosines(scaled_documents(model), query.points * model.s)
     if rule == "max":
         return cos.max(axis=0)
     if rule == "mean":

@@ -12,11 +12,11 @@ quantities are built once and queried many times:
 * :mod:`repro.serving.kernel` — the fp64 cosine kernels: the full-width
   GEMM (the reference surface and what evaluation reads) and the
   row-local one whose values the ranked paths report;
-* :mod:`repro.serving.index` — :func:`scaled_documents`, the read-only
-  row norms and single-precision unit rows of ``V_k Σ_k``, derived from
-  the model's own ``V`` and ``Σ`` and memoized on the model instance
-  itself (every update returns a new model, so there is nothing to
-  invalidate);
+* :mod:`repro.serving.index` — :func:`scaled_documents` and
+  :func:`scaled_terms`, the read-only row norms and single-precision
+  unit rows of ``V_k Σ_k`` and ``U_k Σ_k``, derived from the model's own
+  factors and memoized on the model instance itself (every update
+  returns a new model, so there is nothing to invalidate);
 * :mod:`repro.serving.scan` — :func:`ranked_scan`, the one exact ranking
   (single, batched, row range, cluster): an fp32 pass over the unit rows
   picks a provably sufficient candidate set, fp64 rescoring of those

@@ -1,23 +1,24 @@
 """The scaled comparison space of a model: derived once, owned by the model.
 
-Every query against an :class:`~repro.core.model.LSIModel` is compared
-with the rows of ``V_k Σ_k`` (§2.2) and needs their norms; the ranked
-paths (:mod:`repro.serving.scan`) first read the same rows
-unit-normalised in single precision.  All of it follows from the factors
-alone, so :func:`scaled_rows` derives it in one place and
-:func:`scaled_documents` keeps the whole-model result **on the model
-instance**.
+Documents are compared as rows of ``V_k Σ_k`` (§2.2), terms as rows of
+``U_k Σ_k`` (§5.4); a score needs the rows' norms, and the ranked paths
+(:mod:`repro.serving.scan`) first read the rows unit-normalised in
+single precision.  All of it follows from the factors alone, so
+:func:`scaled_rows` derives either side in one place, and
+:func:`scaled_documents` / :func:`scaled_terms` keep a whole side
+**on the model instance**.
 
 What is held
 ------------
-The model's own ``V`` (a shard worker's mapped ``V[lo:hi]`` view) and
-``Σ``, the fp64 norms (``8·n`` bytes) and the fp32 unit rows
-(``4·n·k``) — no fp64 copy of ``V_k Σ_k``.  Rows of it are formed where
-they are used, as ``V[rows] * s`` in cache-sized row blocks
-(:func:`~repro.serving.kernel.scaled_blocks`, ``ROW_BLOCK`` rows): the
-same bits as the whole product.  Deriving the arrays holds a block or
-two beside them (1.1 MB on 20 000 × 64, where the held arrays are
-5.3 MB), so a reader's peak RSS is what it keeps.
+Per side, the model's own factor (``V``, a shard worker's mapped
+``V[lo:hi]`` view, or ``U``) and ``Σ``, the fp64 norms (``8·n`` bytes)
+and the fp32 unit rows (``4·n·k``) — no fp64 copy of the product.  Rows
+of it are formed where they are used, as ``V[rows] * s`` in cache-sized
+row blocks (:func:`~repro.serving.kernel.scaled_blocks`, ``ROW_BLOCK``
+rows): the same bits as the whole product.  Deriving the arrays holds a
+block or two beside them (1.1 MB on 20 000 × 64, where the held arrays
+are 5.3 MB), so a reader's peak RSS is what it keeps.  Only the
+library's term scores derive the term side; no serving process does.
 
 Cell layout
 -----------
@@ -37,11 +38,11 @@ Lifetime rule
 A model is immutable once built: folding-in, SVD-updating, the fast
 update and ``truncated`` all return a *new* model, and
 ``dataclasses.replace`` carries dataclass fields only, so a successor
-starts without the memo and derives its own.  The arrays are read-only
-and die with their model; nothing outlives it, and the memo is
-re-derived only when a snapshot asks for the cell layout of a quantizer
-other than the one it was laid out by.  Nothing here is persisted either:
-the norms and single-precision rows are derived on load.
+starts without either side's memo and derives its own.  The arrays are
+read-only and die with their model; nothing outlives it, and the memo
+is re-derived only when a snapshot asks for the cell layout of a
+quantizer other than the one it was laid out by.  Nothing here is
+persisted either: both sides are derived on first use after a load.
 Pinning an epoch is :class:`~repro.serving.snapshot.EpochSnapshot`'s job — it
 holds the model, hence these arrays, for as long as a query needs them.
 """
@@ -59,13 +60,14 @@ from repro.serving.kernel import row_norms, scaled_blocks
 if TYPE_CHECKING:
     from repro.serving.ann import CoarseQuantizer
 
-__all__ = ["ScaledRows", "scaled_rows", "scaled_documents"]
+__all__ = ["ScaledRows", "scaled_rows", "scaled_documents", "scaled_terms"]
 
 
 class ScaledRows(NamedTuple):
-    """Read-only scoring arrays of a contiguous run of document rows."""
+    """Read-only scoring arrays of a contiguous run of rows of one side."""
 
-    #: ``(n, k)`` rows of the model's ``V`` (not a copy), document order.
+    #: ``(n, k)`` rows of the model's ``V`` — or ``U``, on the term side
+    #: — not a copy, in row order.
     V: np.ndarray
     #: ``(k,)`` the model's ``Σ``: row ``i`` of ``V_k Σ_k`` is ``V[i] * s``.
     s: np.ndarray
@@ -92,10 +94,10 @@ def scaled_rows(
     *,
     lo: int = 0,
 ) -> ScaledRows:
-    """Derive the scoring arrays of document rows ``V`` (whole or a range).
+    """Derive the scoring arrays of factor rows ``V`` (whole or a range).
 
-    The one derivation of everything a scorer reads: the whole-model memo
-    and a range snapshot's slice both come from here, read-only.  ``V``
+    The one derivation of everything a scorer reads: both sides' memos
+    and a range snapshot's slice all come from here, read-only.  ``V``
     holds global rows ``[lo, lo + len(V))`` and is held, not copied;
     with a quantizer the single-precision rows are laid out by its cells
     (:meth:`CoarseQuantizer.layout
@@ -126,7 +128,7 @@ def scaled_rows(
 def scaled_documents(
     model: LSIModel, ann: CoarseQuantizer | None = None
 ) -> ScaledRows:
-    """The :class:`ScaledRows` of all of ``model``, derived on first use.
+    """The :class:`ScaledRows` of ``model``'s documents, derived on first use.
 
     The arrays are read-only and shared by every scorer of this model
     (the retrieval engine, whole-model epoch snapshots).  Without
@@ -134,14 +136,28 @@ def scaled_documents(
     the rows are laid out by ``ann``'s cells, re-deriving a memo laid
     out otherwise.
     """
-    memo = getattr(model, "_scaled_documents", None)
+    return _memo(model, "V", ann)
+
+
+def scaled_terms(model: LSIModel) -> ScaledRows:
+    """The :class:`ScaledRows` of ``model``'s terms, derived on first use."""
+    return _memo(model, "U")
+
+
+def _memo(
+    model: LSIModel, side: str, ann: CoarseQuantizer | None = None
+) -> ScaledRows:
+    """The memo of one side (``"V"`` or ``"U"``) of ``model``."""
+    attr = "_scaled_documents" if side == "V" else "_scaled_terms"
+    memo = getattr(model, attr, None)
     if memo is not None and (ann is None or memo[0] is ann):
         return memo[1]
     if memo is None:
         registry.inc("serving.index_builds")
     # Let go of rows laid out otherwise before deriving the new.
-    model._scaled_documents = memo = None
-    rows = scaled_rows(model.V, model.s, ann)
+    memo = None
+    setattr(model, attr, None)
+    rows = scaled_rows(getattr(model, side), model.s, ann)
     # An instance attribute, not a dataclass field: replace() drops it.
-    model._scaled_documents = (ann, rows)
+    setattr(model, attr, (ann, rows))
     return rows

@@ -3,10 +3,11 @@
 :func:`cosine_scores` is the full ``(q, n)`` cosine matrix — a dense
 GEMM (GEMV for the q=1 case, row blocks for 2 to :data:`SCAN_WIDTH`
 queries) against the document coordinate rows, followed by one
-vectorized normalization with zero-norm masking.  It is
-what ``repro.core.similarity.cosine_similarities`` and
-``EpochSnapshot.score_batch`` return: the score vector evaluation code
-reads, and the reference every served ranking is held to.  A BLAS value
+vectorized normalization with zero-norm masking.  Taken one row block
+at a time (:func:`repro.serving.scan.all_cosines`) it is what
+``cosine_similarities`` and ``EpochSnapshot.score_batch`` return: the
+score vector evaluation code reads, and the reference every served
+ranking is held to.  A BLAS value
 can depend on where a row sits and on how many queries ride along, in
 the last bit.
 

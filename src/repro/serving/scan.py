@@ -37,10 +37,11 @@ order.  Because step 3's value is a pure function of (row, query), the
 reported ``(index, score)`` pairs are bit-equal however the rows were
 reached: whole model or row range, one shard or seven, a batch of 1 or
 of 16, document or cell order, exhaustive or probe-bounded with every
-cell probed.  The full-width fp64 matrix
-(:func:`~repro.serving.kernel.cosine_scores`) remains the reference
-surface the rankings are tested against — same indices, scores within
-1e-12 — and what evaluation code that needs every score reads.
+cell probed.  The full-width fp64 matrix (:func:`all_cosines`, the
+fp64 :func:`~repro.serving.kernel.cosine_scores` of each row block)
+remains the reference surface the rankings are tested against — same
+indices, scores within 1e-12 — and what code that needs every score
+reads.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ import numpy as np
 
 from repro.obs.metrics import registry
 from repro.serving.index import ScaledRows
-from repro.serving.kernel import row_cosines, row_products
+from repro.serving.kernel import (
+    cosine_scores, row_cosines, row_products, scaled_blocks,
+)
 from repro.serving.topk import ranked_order
 
 __all__ = [
@@ -66,6 +69,7 @@ __all__ = [
     "candidates",
     "cut_and_rescore",
     "ranked_scan",
+    "all_cosines",
 ]
 
 _CANDIDATE_BUCKETS = (
@@ -303,3 +307,16 @@ def ranked_scan(
     if any(bounded(t, th, n) for t, th in zip(tops, thresholds)):
         approx = approx_cosines(scaled.unit, Qs)
     return cut_and_rescore(scaled, Qs, tops, thresholds, approx, offset=offset)
+
+
+def all_cosines(scaled: ScaledRows, Qs: np.ndarray) -> np.ndarray:
+    """``(q, n)`` fp64 cosines of scaled queries with every row, in row
+    order: the full-width :func:`~repro.serving.kernel.cosine_scores`
+    over one :func:`~repro.serving.kernel.scaled_blocks` block at a time,
+    with the held norms — for callers that read every score."""
+    out = np.empty((Qs.shape[0], scaled.V.shape[0]))
+    for at, _, block in scaled_blocks(scaled.V, scaled.s):
+        out[:, at] = cosine_scores(
+            block, Qs, norms=scaled.norms[at], positive=scaled.positive
+        )
+    return out

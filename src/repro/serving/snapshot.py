@@ -27,8 +27,7 @@ from repro.errors import ReproError, ShapeError
 from repro.obs.metrics import registry
 from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_documents, scaled_rows
-from repro.serving.kernel import cosine_scores
-from repro.serving.scan import ranked_scan
+from repro.serving.scan import all_cosines, ranked_scan
 
 __all__ = ["EpochSnapshot", "check_search_args"]
 
@@ -232,13 +231,8 @@ class EpochSnapshot:
     def score_batch(self, Q: np.ndarray) -> np.ndarray:
         """Cosine of unscaled ``(q, k)`` query vectors with every row: the
         full-width fp64 matrix (reference surface) that :meth:`search`'s
-        rankings are held to — same indices, scores within 1e-12.  No
-        served request runs it, so it forms :attr:`coords` per call."""
-        scaled = self.scaled
-        return cosine_scores(
-            self.coords, self.scale(Q), norms=scaled.norms,
-            positive=scaled.positive,
-        )
+        rankings are held to — same indices, scores within 1e-12."""
+        return all_cosines(self.scaled, self.scale(Q))
 
     def search_ann(
         self,

@@ -7,11 +7,10 @@ from repro.core.model import LSIModel
 from repro.core.query import project_query, project_terms, query_terms
 from repro.core.similarity import (
     cosine_similarities,
-    doc_doc_similarities,
     nearest_terms,
     rank_documents,
     retrieve,
-    term_term_similarities,
+    term_cosines,
 )
 from repro.errors import ShapeError
 from repro.text.tdm import count_vector
@@ -185,16 +184,19 @@ def test_zero_query_scores_zero(med_model):
 
 
 def test_term_term_similarity_self_is_one(med_model):
-    sims = term_term_similarities(med_model, "blood")
     idx = med_model.vocabulary.id_of("blood")
-    assert sims[idx] == pytest.approx(1.0)
+    assert term_cosines(med_model, "blood", [idx])[0] == pytest.approx(1.0)
+    (nearest,) = nearest_terms(med_model, "blood", top=1, skip_self=False)
+    assert nearest[1] == pytest.approx(1.0)
 
 
 def test_doc_doc_similarity(med_model):
-    sims = doc_doc_similarities(med_model, "M13")
-    assert sims[med_model.doc_index("M13")] == pytest.approx(1.0)
+    # A document's own row, as a query, is the query by example.
+    own = med_model.V[med_model.doc_index("M13")]
+    sims = dict(rank_documents(med_model, own))
+    assert sims["M13"] == pytest.approx(1.0)
     # M14 shares the fast/rats cluster with M13 (Figure 4).
-    assert sims[med_model.doc_index("M14")] > 0.9
+    assert sims["M14"] > 0.9
 
 
 def test_nearest_terms_skips_self(med_model):

@@ -8,7 +8,10 @@ the threshold filter, then ``[:top]`` — on score vectors full of ties,
 with thresholds that land on a tied value, for ``top`` in
 ``{None, 0, 1, n, n + 3}``.  The scores are injected where the call site
 computes them, so what is checked is the cut and the bookkeeping around
-it (skipped rows, excluded examples, index → id).
+it (skipped rows, excluded examples, index → id).  The sites that scan a
+model's row set (terms or documents) compute them in
+``repro.serving.scan``'s two scorers, the fp32 pass and the fp64
+rescoring, so both are injected there and the real cut runs.
 """
 
 import numpy as np
@@ -28,6 +31,7 @@ from repro.retrieval.composite import CompositeQuery
 from repro.retrieval.filtering import FilteringProfile, stream_filter
 from repro.retrieval.keyword import KeywordRetrieval
 from repro.retrieval.multitopic import MultiTopicQuery, multi_topic_search
+from repro.serving import scan
 
 WORDS = [
     "apple", "brick", "cloud", "dune", "ember", "frost", "grove", "harbor",
@@ -45,6 +49,8 @@ SCORES = {
     "ties": np.array([0.5, 0.9, 0.5, 0.9, -0.2, 0.5, 0.0, 0.9, 0.5, 0.0]),
     "all-tied": np.full(N, 0.25),
 }
+#: The toy model's vocabulary: the ten words, "north" and "south".
+M = N + 2
 TOPS = (None, 0, 1, N, N + 3)
 THRESHOLDS = (None, 0.5, 0.25, 0.95)
 
@@ -86,14 +92,34 @@ def _stream(s, top, threshold, model, mp):
     return stream_filter(profile, TEXTS, threshold=threshold)
 
 
+def _terms(s):
+    """A score per term of the toy model, ``s`` repeated to ``M``."""
+    return np.resize(s, M)
+
+
+def _scan(mp, *modules, s):
+    """Every scanned row's fp32 and fp64 cosine is its entry of ``s``."""
+
+    def approx(unit, Qs):
+        assert unit.shape[0] == s.size
+        return np.repeat(s[:, None], len(Qs), axis=1).astype(np.float32)
+
+    def rescored(V, s_, norms, q, rows=None):
+        return (s if rows is None else s[rows]).copy()
+
+    for module in (scan, *modules):
+        mp.setattr(module, "approx_cosines", approx)
+    mp.setattr(scan, "row_cosines", rescored)
+
+
 def _index_terms(s, top, threshold, model, mp):
-    mp.setattr(thesaurus, "cosine_scores", lambda M, q: s[None, :])
+    _scan(mp, s=_terms(s))
     out = thesaurus.suggest_index_terms(model, "apple", top=top)
     return [(model.vocabulary.id_of(t), c) for t, c in out]
 
 
 def _crosslanguage(s, top, threshold, model, mp):
-    mp.setattr(crosslanguage, "cosine_scores", lambda M, q: s[None, :])
+    _scan(mp, crosslanguage, s=s)
     engine = CrossLanguageRetrieval(model, 0, ["en"] * N)
     out = engine.search("apple", top=top)
     return [(model.doc_index(d), c) for d, c in out]
@@ -105,13 +131,13 @@ def _experts(s, top, threshold, model, mp):
 
 
 def _nearest_terms(s, top, threshold, model, mp):
-    mp.setattr(similarity, "term_term_similarities", lambda m, t: s)
+    _scan(mp, s=_terms(s))
     out = similarity.nearest_terms(model, model.vocabulary[3], top=top)
     return [(model.vocabulary.id_of(t), c) for t, c in out]
 
 
 def _more_like(s, top, threshold, model, mp):
-    mp.setattr(netlib, "doc_doc_similarities", lambda m, name: s)
+    _scan(mp, s=s)
     search = NetlibSearch(_catalogue(model), model)
     return [
         (model.doc_index(d), c) for d, c in search.more_like("D3", top=top)
@@ -155,14 +181,18 @@ SITES = {
     "KeywordRetrieval.search": (_keyword, reference, TOPS, THRESHOLDS),
     "multi_topic_search": (_multitopic, reference, TOPS, THRESHOLDS),
     "stream_filter": (_stream, reference, (None,), THRESHOLDS),
-    "suggest_index_terms": (_index_terms, reference, TOPS, (None,)),
+    "suggest_index_terms": (
+        _index_terms,
+        lambda s, top, th: reference(_terms(s), top, th),
+        TOPS, (None,),
+    ),
     "CrossLanguageRetrieval.search": (
         _crosslanguage, reference, TOPS, (None,)
     ),
     "find_experts": (_experts, reference, TOPS, (None,)),
     "nearest_terms": (
         _nearest_terms,
-        lambda s, top, th: reference(s, top, th, skip={3}),
+        lambda s, top, th: reference(_terms(s), top, th, skip={3}),
         INT_TOPS, (None,),
     ),
     "NetlibSearch.more_like": (
