@@ -31,8 +31,9 @@ def _model(n=20_000, k=32, hubs=24, seed=4):
 
 def test_ann_recall_cost_curve(benchmark):
     model = _model()
-    coords = EpochSnapshot(0, model).coords
-    index = EpochSnapshot(0, model, ann=CoarseQuantizer.train(coords, seed=0))
+    index = EpochSnapshot(
+        0, model, ann=CoarseQuantizer.train(model.V, model.s, seed=0)
+    )
     n_clusters = index.ann.n_clusters
     rng = ensure_rng(7)
     queries = rng.standard_normal((25, model.k))

@@ -37,7 +37,8 @@ import numpy as np
 
 from conftest import SMOKE, emit, summarize
 from repro.core.model import LSIModel
-from repro.server.state import ServingState, train_quantizer
+from repro.server.state import ServingState
+from repro.serving.ann import CoarseQuantizer
 from repro.text.vocabulary import Vocabulary
 
 N_DOCS = 150_000 if SMOKE else 1_000_000
@@ -105,7 +106,7 @@ def test_ann_serving_qps_recall_sweep(evidence):
     model = _serving_model()
     n_clusters = max(1, int(np.sqrt(N_DOCS)))
     t0 = time.perf_counter()
-    ann = train_quantizer(model, n_clusters, seed=0)
+    ann = CoarseQuantizer.train(model.V, model.s, n_clusters, seed=0)
     train_seconds = time.perf_counter() - t0
     # Derives the cell-ordered scoring rows, before the clock.
     snapshot = ServingState.for_model(model, ann=ann).current()

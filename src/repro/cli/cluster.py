@@ -320,14 +320,15 @@ def cmd_serve(args, out) -> int:
     fleet = ClusterService(args.data_dir, config, announce=announce)
 
     def banner() -> str:
-        handle = fleet.handle
+        served = fleet.window.served
+        plan = served.plan
         return (
-            f"cluster serving {handle.n_documents} documents "
-            f"across {handle.plan.n_shards} shards "
-            f"(epoch {handle.epoch}, checkpoint {handle.checkpoint}"
+            f"cluster serving {served.n_documents} documents "
+            f"across {plan.n_shards} shards "
+            f"(epoch {served.epoch}, checkpoint {served.checkpoint}"
             + (
-                f", replication={handle.plan.replication}"
-                if handle.plan.replication > 1 else ""
+                f", replication={plan.replication}"
+                if plan.replication > 1 else ""
             )
             + ", ann"
             + (", writable" if fleet.writer is not None else "")

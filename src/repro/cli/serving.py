@@ -204,7 +204,8 @@ def _durable_state(args, out):
 
 def cmd_serve(args, out) -> int:
     """Build what ``serve`` hosts and run the async server until SIGINT."""
-    from repro.server.state import ServingState, train_quantizer
+    from repro.server.state import ServingState
+    from repro.serving.ann import CoarseQuantizer
     from repro.store.durable import DurableIndexStore
 
     if args.tenants:
@@ -237,9 +238,10 @@ def cmd_serve(args, out) -> int:
         # In-memory serving trains its quantizer at startup (a store
         # hands over the one its checkpoint carries).
         manager = _fit_source(args)
+        model = manager.model
         state = ServingState.for_manager(
             manager,
-            ann=train_quantizer(manager.model),
+            ann=CoarseQuantizer.train(model.V, model.s),
             max_batch=args.max_batch,
         )
 

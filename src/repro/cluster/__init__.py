@@ -27,9 +27,11 @@ checkpoints; each seal goes to
 :meth:`~repro.cluster.service.ClusterService.advance`, the one path
 that moves the fleet to a new epoch, which broadcasts epoch *bumps* —
 each worker hot-remaps the new checkpoint behind an atomic swap while
-keeping the previous epoch's state alive (:mod:`~repro.cluster.epochs`),
-so in-flight queries finish against the epoch they started on and zero
-queries drop across a bump.
+keeping the epoch the front end serves alive (the front end and every
+worker hold their epochs in one
+:class:`~repro.serving.snapshot.EpochWindow`), so in-flight queries
+finish against the epoch they started on and zero queries drop across a
+bump.
 
 With ``--replication R`` the cluster is highly available on both paths.
 Reads: the :class:`~repro.cluster.plan.ShardPlan` assigns every

@@ -548,8 +548,8 @@ class ClusterRouter:
         answer exactly, which only ever *adds* candidates to the merge.
 
         ``plan`` pins the epoch to scatter against: the service passes
-        its request-entry handle's plan, so an epoch bump landing mid
-        request never splits it across epochs.
+        the plan of the epoch it pinned at request entry, so an epoch
+        bump landing mid request never splits it across epochs.
         """
         Q = np.atleast_2d(np.asarray(Qs, dtype=np.float64))
         n_queries = Q.shape[0]
@@ -724,8 +724,11 @@ class ClusterRouter:
             if isinstance(response, dict) and "error" not in response
         }
 
-    async def broadcast_bump(self, plan: ShardPlan) -> dict[int, int]:
-        """Tell every live worker to remap onto ``plan``'s checkpoint.
+    async def broadcast_bump(
+        self, plan: ShardPlan, served: int
+    ) -> dict[int, int]:
+        """Tell every live worker to remap onto ``plan``'s checkpoint,
+        keeping the fleet's ``served`` epoch.
 
         Returns ``{worker_id: acked_epoch}`` for workers that remapped
         (or already held the epoch).  A worker that fails, rejects, or
@@ -737,7 +740,8 @@ class ClusterRouter:
         coordinate materialization.
         """
         responses = await self._scatter_op(
-            {"op": BUMP_OP, "plan": plan.to_json()}, timeout=BUMP_TIMEOUT_S
+            {"op": BUMP_OP, "plan": plan.to_json(), "served": served},
+            timeout=BUMP_TIMEOUT_S,
         )
         acked = {
             wid: int(response["epoch"])

@@ -7,11 +7,11 @@ the in-process scorer, but by scattering over shard worker *processes*
 instead of scoring in-loop.  Admission, quotas, tenant routing and the
 slow-query log are the front end's; this class owns one index's epoch,
 plan and processes.
-It opens the newest durable-store checkpoint once (memory-mapped, for
-the vocabulary and query projection; workers map the same files
-themselves), pins a :class:`~repro.cluster.plan.ShardPlan` against that
-checkpoint's epoch, and wires the router's dead-connection reports into
-the supervisor's restart machinery.
+It opens each epoch once, as an
+:class:`~repro.serving.snapshot.EpochSnapshot` over no rows (mapped,
+for the vocabulary and query projection; workers map the same files)
+stamped with its :class:`~repro.cluster.plan.ShardPlan`, and wires the
+router's dead-connection reports into the supervisor's restarts.
 
 By default the cluster is a *read-only* serving tier: ``/add`` is
 refused with :class:`~repro.errors.ClusterReadOnlyError`, and a new
@@ -21,10 +21,10 @@ seal policy the service writes through the store's one owner, a
 WAL-logs on the owner's thread, the owner seals checkpoints on that
 policy, and every tick ends in :meth:`ClusterService.advance`, the one
 path that moves the fleet to a new epoch (a standby's poll and its
-adoption take it too).  ``search`` snapshots the
-:class:`~repro.cluster.epochs.EpochHandle` at entry, so in-flight
-queries finish against the superseded epoch (which every worker
-retains) and zero queries drop across a bump.
+adoption take it too).  Epochs are held in an
+:class:`~repro.serving.snapshot.EpochWindow` (served + one awaiting
+quorum); ``search`` pins the served one, which every worker holds, so
+zero queries drop across a bump.
 
 The ingest kernel is the Vecharynski-Saad fast update
 (:mod:`repro.updating.fast_update`): near-fold-in cost per batch, but
@@ -41,16 +41,14 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from repro.cluster.epochs import EpochHandle
-from repro.cluster.plan import check_topology
+from repro.cluster.plan import ShardPlan, check_topology
 from repro.cluster.router import ClusterRouter
 from repro.cluster.supervisor import ClusterSupervisor, SupervisorConfig
-from repro.core.query import project_query
 from repro.errors import ClusterConfigError, ClusterReadOnlyError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
+from repro.serving.snapshot import EpochSnapshot, EpochWindow
+from repro.store.recovery import open_checkpoint
 
 if TYPE_CHECKING:  # the writers load only on a fleet configured with one
     from repro.cluster.standby import StandbyConfig, StandbyWriter
@@ -137,25 +135,16 @@ class ClusterService:
             )
 
         # In writable mode the writer opens (locks) the store *first* and
-        # seals when it must — so the handle pinned below already serves
+        # seals when it must — so the epoch opened below already serves
         # every WAL-acknowledged document and records the writer's
         # ingest configuration in its manifest.
         self.writer: StoreWriter | None = None
-        #: A sealed handle whose bump has not reached quorum yet: the
-        #: served one keeps answering, and the next ``advance`` retries.
-        self._parked: EpochHandle | None = None
         if self.config.writer is not None:
             self.writer = self.open_writer(self.config.writer)
 
-        # The handle memory-maps the checkpoint model for projection (U,
-        # Σ, vocabulary); each worker maps the same .npy files itself —
-        # the page cache is shared.  ``search`` snapshots this reference
-        # at entry; ``advance`` replaces it atomically on bump.
-        self._handle = EpochHandle.open(
-            self.data_dir,
-            self.config.workers,
-            replication=self.config.replication,
-        )
+        # ``search`` pins the served epoch at entry; ``advance`` offers a
+        # sealed one to the window and publishes it on quorum.
+        self.window = EpochWindow(self._open(""))
         self.router = ClusterRouter(self.plan.n_workers, tenant=tenant)
         self.supervisor = ClusterSupervisor(
             self.data_dir,
@@ -183,34 +172,32 @@ class ClusterService:
         self._start_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
-    # The serving epoch: every per-epoch attribute reads through one
-    # reference, replaced atomically by ``advance`` — the multi-process
-    # analogue of ``ServingState``'s snapshot swap.
+    # The serving epoch: every per-epoch attribute reads through the
+    # window's served snapshot, replaced atomically by ``advance``.
     # ------------------------------------------------------------------ #
-    @property
-    def handle(self) -> EpochHandle:
-        """The currently-published epoch (snapshot this, then use it)."""
-        return self._handle
+    def _open(self, checkpoint: str) -> EpochSnapshot:
+        """One epoch of this fleet: the named checkpoint (O(header)), or
+        the newest valid one for ``""``, over no rows — the front end
+        only projects — stamped with the plan its scatter and bump use."""
+        opened = open_checkpoint(self.data_dir, checkpoint)
+        plan = ShardPlan.compute(
+            opened.n_documents, self.config.workers, self.config.replication,
+            epoch=opened.epoch, checkpoint=opened.name,
+        )
+        return opened.snapshot(0, 0, ann=False, plan=plan)
 
     @property
     def epoch(self) -> int:
-        return self._handle.epoch
+        return self.window.served.epoch
 
     @property
-    def target_epoch(self) -> int:
-        """The epoch the fleet is moving to: a parked handle's until its
-        bump reaches quorum, else the served one."""
-        parked = self._parked
-        return self.epoch if parked is None else parked.epoch
-
-    @property
-    def plan(self):
-        return self._handle.plan
+    def plan(self) -> ShardPlan:
+        return self.window.served.plan
 
     def describe(self) -> dict:
         """The serving epoch's status block (tenant registry)."""
-        handle = self._handle
-        return {"epoch": handle.epoch, "n_documents": handle.n_documents}
+        served = self.window.served
+        return {"epoch": served.epoch, "n_documents": served.n_documents}
 
     # ------------------------------------------------------------------ #
     # the write path: one owner, one advance
@@ -239,37 +226,29 @@ class ClusterService:
         ``checkpoint`` names a seal this process took (opened by name,
         O(header)), is ``""`` for the newest valid checkpoint (verified:
         a standby follows a store another process writes), or is
-        ``None`` when nothing is new.  The open runs off the event loop;
-        its handle is parked when it is newer than both the served one
-        and any parked one.  A parked handle is then pushed in the
-        zero-drop order: future restarts first, the bump broadcast next,
-        and the publish only once a quorum of every range's replicas
-        acked.  A miss keeps it parked for the next call — the old epoch
-        keeps serving (every worker retains it) and no write is lost.
-        With nothing parked, workers up but behind the served epoch are
+        ``None`` when nothing is new.  The open runs off the event loop
+        and is offered to the window, which holds it as the next epoch
+        when it is newer than both held ones.  A next epoch is then
+        pushed in the zero-drop order: future restarts first, the bump
+        broadcast next (naming the served epoch, which every worker
+        keeps), and the publish only once a quorum of every range's
+        replicas acked.  A miss keeps it next for the following call —
+        the served epoch keeps answering and no write is lost.  With
+        nothing next, workers up but behind the served epoch are
         re-bumped.  Callers never overlap: the owner's ticks, or a
         standby's polls and then its adoption.
         """
+        window = self.window
         if checkpoint is not None:
-            plan = self.plan
-            handle = await asyncio.to_thread(
-                EpochHandle.open,
-                self.data_dir,
-                plan.n_workers,
-                replication=plan.replication,
-                checkpoint=checkpoint,
-            )
-            if handle.epoch > self.target_epoch:
-                self._parked = handle
-        parked = self._parked
-        if parked is not None:
-            self.supervisor.update_plan(parked.plan)
-            await self._bump(parked.plan)
-            if self.supervisor.quorum_met(parked.plan):
-                self._parked = None
-                self._handle = parked
-                registry.set_gauge("cluster.epoch", parked.epoch)
-                registry.set_gauge("cluster.n_documents", parked.n_documents)
+            window.offer(await asyncio.to_thread(self._open, checkpoint))
+        later = window.next
+        if later is not None:
+            self.supervisor.update_plan(later.plan)
+            await self._bump(later.plan)
+            if self.supervisor.quorum_met(later.plan):
+                window.publish()
+                registry.set_gauge("cluster.epoch", later.epoch)
+                registry.set_gauge("cluster.n_documents", later.n_documents)
             else:
                 registry.inc("cluster.bump_quorum_misses_total")
         elif any(
@@ -282,7 +261,7 @@ class ClusterService:
 
     async def _bump(self, plan) -> None:
         """Broadcast ``plan`` to every live worker; note the acks."""
-        acked = await self.router.broadcast_bump(plan)
+        acked = await self.router.broadcast_bump(plan, self.epoch)
         for worker_id, epoch in acked.items():
             self.supervisor.note_epoch(worker_id, epoch)
 
@@ -333,14 +312,13 @@ class ClusterService:
         if not self._started:
             await self.start()
         # One epoch per request: project, scatter, and label against the
-        # same handle even if the writer publishes a bump mid-flight.
-        handle = self._handle
-        # ``q̂ Σ`` — exactly ``EpochSnapshot.scale`` — is applied here,
-        # router-side, so every worker scores identical bytes.
-        qhat = project_query(handle.model, query)
+        # same snapshot even if the writer publishes a bump mid-flight.
+        served = self.window.served
+        # ``q̂ Σ`` is applied here, router-side, so every worker scores
+        # identical bytes.
         result = await self.router.search_batch(
-            np.atleast_2d(qhat) * handle.model.s,
-            plan=handle.plan,
+            served.scale(served.project(query)),
+            plan=served.plan,
             top=top,
             threshold=threshold,
             timeout_ms=timeout_ms,
@@ -348,10 +326,10 @@ class ClusterService:
             exact=exact,
         )
         missing = [list(pair) for pair in result.missing]
-        doc_ids = handle.model.doc_ids
+        doc_ids = served.model.doc_ids
         payload = {
             "epoch": result.epoch,
-            "n_documents": handle.n_documents,
+            "n_documents": served.n_documents,
             "partial": result.partial,
             "missing": missing,
             "results": [
@@ -419,7 +397,7 @@ class ClusterService:
         epoch), live count, degradation, and the writer block — enabled
         flag, WAL position, and ``lag_records`` (acknowledged but not
         yet sealed/remapped) when the cluster is writable."""
-        handle = self._handle
+        served = self.window.served
         workers = self.supervisor.describe()
         ranges = self.supervisor.describe_ranges()
         live = sum(1 for w in workers if w["state"] == "up")
@@ -437,16 +415,17 @@ class ClusterService:
         if self.writer is None:
             writer = {"enabled": False}
         else:
-            writer = self.writer.describe(handle.epoch)
+            writer = self.writer.describe(served.epoch)
+        plan = served.plan
         payload = {
             "status": status,
             "draining": self.supervisor.draining,
-            "epoch": handle.epoch,
-            "checkpoint": handle.checkpoint,
-            "n_documents": handle.n_documents,
-            "n_shards": handle.plan.n_shards,
-            "replication": handle.plan.replication,
-            "n_workers": handle.plan.n_workers,
+            "epoch": served.epoch,
+            "checkpoint": served.checkpoint,
+            "n_documents": served.n_documents,
+            "n_shards": plan.n_shards,
+            "replication": plan.replication,
+            "n_workers": plan.n_workers,
             "workers_live": live,
             "workers": workers,
             "ranges": ranges,

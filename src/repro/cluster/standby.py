@@ -177,9 +177,9 @@ class StandbyWriter:
 
         An idle poll reads one number off the newest manifest: the
         checkpoint is verified (and mapped) only when its epoch is newer
-        than the one the fleet serves or has parked.  Either way the
-        poll ends in the fleet's ``advance``, which retries a parked
-        bump and re-bumps laggards.  A corrupt newest checkpoint still
+        than the newest one the fleet's window holds.  Either way the
+        poll ends in the fleet's ``advance``, which retries a bump
+        waiting for quorum and re-bumps laggards.  A corrupt newest checkpoint still
         falls back — the open walks to the previous valid one, whose
         epoch decides — once: its manifest epoch is remembered, and the
         next verified open waits for a newer manifest.
@@ -200,18 +200,19 @@ class StandbyWriter:
         epoch = int(newest.meta.get("epoch", 0)) if newest is not None else 0
         self._tail_epoch = max(self._tail_epoch, epoch)
         registry.set_gauge("cluster.standby.tail_epoch", self._tail_epoch)
-        target = service.target_epoch
+        target = service.window.newest.epoch
         fresh = epoch > max(target, self._fell_back)
         try:
             await service.advance("" if fresh else None)
         except StoreError:
             return  # nothing valid to follow yet
-        if fresh and service.target_epoch < epoch:
+        followed = service.window.newest.epoch
+        if fresh and followed < epoch:
             self._fell_back = epoch
-        if service.target_epoch > target:
+        if followed > target:
             self._event(
-                "followed_epoch", epoch=service.target_epoch,
-                published=service.epoch == service.target_epoch,
+                "followed_epoch", epoch=followed,
+                published=service.epoch == followed,
             )
 
     async def _try_adopt(self) -> None:
@@ -263,8 +264,8 @@ class StandbyWriter:
         # Publish the newest checkpoint (the boot seal's, or one the
         # dead primary sealed after our last follow) before the writer's
         # ticks start, so two advances never overlap.  A missed quorum
-        # parks the handle for those ticks to retry; reads keep serving
-        # the old epoch meanwhile.
+        # keeps it as the window's next epoch for those ticks to retry;
+        # reads keep serving the old epoch meanwhile.
         await service.advance(seal.name)
         writer.start()
         self.promoted = True

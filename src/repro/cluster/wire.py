@@ -67,11 +67,12 @@ __all__ = [
     "read_frame",
 ]
 
-#: Control op broadcast by the primary writer after sealing a new
-#: checkpoint: ``{"op": BUMP_OP, "plan": <canonical ShardPlan JSON>}``.
-#: A worker hot-remaps the named checkpoint behind an atomic swap and
-#: acks with its new epoch; the superseded epoch keeps serving in-flight
-#: queries until the bump after this one.
+#: Control op broadcast by the fleet after sealing a new checkpoint:
+#: ``{"op": BUMP_OP, "plan": <canonical ShardPlan JSON>, "served":
+#: <the epoch the front end serves>}``.  A worker publishes through the
+#: served epoch, hot-remaps the named checkpoint behind an atomic swap
+#: and acks with its new epoch; the served epoch keeps answering until a
+#: later bump names a newer one as served.
 BUMP_OP = "bump"
 
 #: Largest accepted frame payload; bounds per-connection memory and

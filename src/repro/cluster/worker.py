@@ -1,9 +1,9 @@
 """The shard worker: one process, one contiguous slice of the space.
 
 A worker is a pure *checkpoint consumer*.  It opens the checkpoint its
-shard plan names, memory-mapped and by name
-(:func:`repro.cluster.epochs.open_checkpoint` — O(header) open, no
-pickling of factors, the plan's epoch and document count checked),
+shard plan names, memory-mapped and by name (:func:`open_shard` — one
+O(header) open through the store's door, no pickling of factors, the
+plan's epoch and document count checked before any row is derived),
 materializes only its shard's scoring state — ``V[lo:hi] Σ`` and its
 row norms, the rows ``[lo, hi)`` of the whole model's — and
 serves two things over length-prefixed frames on a local socket
@@ -14,16 +14,18 @@ cheap, which is what the supervisor's crash-restart loop relies on.
 
 Epoch window
 ------------
-Under a writable cluster the primary writer broadcasts a ``bump`` op
-after sealing each new checkpoint.  The worker remaps the named
-checkpoint into a fresh :class:`~repro.serving.snapshot.EpochSnapshot` over
-its row range and swaps it in with one reference assignment — the
-superseded snapshot is retained as *previous*
-until the next bump, so ``score`` frames carrying the old epoch (sent
-by front-end requests that snapshotted their handle before the swap)
-still score against exactly the state they started on.  A request for
-an epoch outside this two-deep window is answered with a skew marker
-the router degrades to a partial response.
+Under a writable cluster the fleet broadcasts a ``bump`` op after
+sealing each new checkpoint; the frame names the new epoch's plan and
+the epoch the fleet's front end serves.  The worker holds its epochs in
+an :class:`~repro.serving.snapshot.EpochWindow`, the same one the
+front end holds: it publishes through the served epoch, remaps the
+named checkpoint into a fresh
+:class:`~repro.serving.snapshot.EpochSnapshot` over its row range and
+offers it.  So the window is *(the fleet's served epoch, the newest
+bump)*: ``score`` frames carry the served epoch, and it stays held
+however many seals pass before a quorum publishes the next one.  A
+request for an epoch outside the window is answered with a skew marker
+the router fails over or degrades to a partial response.
 
 Exactness contract
 ------------------
@@ -50,7 +52,6 @@ import time
 
 import numpy as np
 
-from repro.cluster.epochs import open_checkpoint
 from repro.cluster.plan import ShardPlan, ShardRange
 from repro.cluster.wire import BUMP_OP, recv_frame, send_frame
 from repro.core.model import LSIModel
@@ -60,9 +61,39 @@ from repro.obs.trace_context import TraceContext, trace_scope
 from repro.obs.tracing import span, spans_for_trace
 from repro.parallel.sharding import RANKED
 from repro.serving.ann import CoarseQuantizer
-from repro.serving.snapshot import EpochSnapshot, check_search_args
+from repro.serving.snapshot import EpochSnapshot, EpochWindow, check_search_args
+from repro.store.recovery import open_checkpoint
 
-__all__ = ["ShardWorker", "WorkerServer", "serve_shard", "run_worker"]
+__all__ = [
+    "ShardWorker", "WorkerServer", "open_shard", "serve_shard", "run_worker",
+]
+
+
+def open_shard(
+    data_dir: pathlib.Path, plan: ShardPlan, shard_id: int
+) -> EpochSnapshot:
+    """The epoch a plan pins, over shard ``shard_id``'s rows: a worker's
+    one open, at spawn and bump.
+
+    The plan's checkpoint is opened by name, O(header) (the store may
+    already hold a newer seal: the worker catches up through bumps), or
+    the newest valid one when the plan names none.  The plan must agree
+    with it (epoch, document count) before any row is derived; every
+    failure is a :class:`~repro.errors.StoreError`.
+    """
+    opened = open_checkpoint(data_dir, plan.checkpoint)
+    if opened.epoch != plan.epoch:
+        raise StoreError(
+            f"checkpoint {opened.name} carries epoch {opened.epoch} but the "
+            f"plan says {plan.epoch}"
+        )
+    if opened.n_documents != plan.n_documents:
+        raise StoreError(
+            f"checkpoint has {opened.n_documents} documents but the plan "
+            f"covers {plan.n_documents}"
+        )
+    shard = plan.shard(shard_id)
+    return opened.snapshot(shard.lo, shard.hi, plan=plan)
 
 
 class ShardWorker:
@@ -70,27 +101,30 @@ class ShardWorker:
 
     Separated from the socket loop so tests (and the router's in-process
     parity harnesses) can drive :meth:`handle` directly.  The worker
-    holds the :attr:`current` epoch's snapshot of its row range plus the
-    immediately superseded one as :attr:`previous` (see the module
-    docstring).  Snapshots are never mutated — the worker swaps whole
-    instances, which is what lets in-flight queries keep a consistent
-    view without any locking on the score path.
+    holds snapshots of its row range in an :class:`EpochWindow` (see the
+    module docstring), starting from ``snapshot`` (:func:`open_shard`)
+    or one over ``model``'s rows.  The window swaps whole immutable
+    snapshots, so the score path takes no lock.
     """
 
     def __init__(
         self,
-        model: LSIModel,
+        model: LSIModel | None,
         shard: ShardRange,
         *,
         epoch: int = 0,
         ann: CoarseQuantizer | None = None,
+        snapshot: EpochSnapshot | None = None,
         data_dir: pathlib.Path | None = None,
         replica: int = 0,
         tenant: str | None = None,
     ):
         self.shard_id = shard.shard_id
-        self.current = self._snapshot(model, shard, epoch, ann)
-        self.previous: EpochSnapshot | None = None
+        if snapshot is None:
+            snapshot = EpochSnapshot(
+                epoch, model, lo=shard.lo, hi=shard.hi, ann=ann
+            )
+        self.window = EpochWindow(snapshot)
         #: The tenant this worker's rows belong to.  ``None`` accepts
         #: any frame (single-tenant cluster); set, the worker refuses
         #: frames stamped for a different tenant — a misrouted scatter
@@ -113,30 +147,22 @@ class ShardWorker:
             / 1000.0
         )
 
-    @staticmethod
-    def _snapshot(model, shard: ShardRange, epoch: int, ann) -> EpochSnapshot:
-        return EpochSnapshot(epoch, model, lo=shard.lo, hi=shard.hi, ann=ann)
-
-    def _snapshot_for_epoch(self, epoch) -> EpochSnapshot | None:
-        """The held snapshot matching ``epoch`` (None = current), if any."""
-        current, previous = self.current, self.previous
-        if epoch is None or int(epoch) == current.epoch:
-            return current
-        if previous is not None and int(epoch) == previous.epoch:
-            return previous
-        return None
+    @property
+    def current(self) -> EpochSnapshot:
+        """The newest held snapshot: what a frame naming no epoch scores."""
+        return self.window.newest
 
     # ------------------------------------------------------------------ #
     def info(self) -> dict:
         """Identity block for hellos, status pages, and debugging."""
-        current, previous = self.current, self.previous
+        current = self.current
         return {
             "shard": self.shard_id,
             "replica": self.replica,
             "lo": current.lo,
             "hi": current.hi,
             "epoch": current.epoch,
-            "previous_epoch": previous.epoch if previous else None,
+            "served_epoch": self.window.served.epoch,
             "n_documents": current.n_documents,
             "k": current.k,
             "pid": os.getpid(),
@@ -148,12 +174,12 @@ class ShardWorker:
         }
 
     # ------------------------------------------------------------------ #
-    def bump(self, plan_json: str) -> dict:
-        """Hot-remap to the plan's checkpoint; retain the old epoch.
+    def bump(self, plan_json: str, served: int) -> dict:
+        """Publish through the fleet's ``served`` epoch, then hot-remap
+        to the plan's checkpoint and hold it as the next epoch.
 
-        Idempotent for the current epoch.  Returns the ack dict (or an
-        error dict the router surfaces); on success the superseded
-        snapshot stays answerable until the next bump.
+        Idempotent for a held epoch.  Returns the ack dict, or an error
+        dict the router surfaces.
         """
         if self.data_dir is None:
             return {"error": "worker has no data dir — cannot remap"}
@@ -162,14 +188,13 @@ class ShardWorker:
         except Exception as exc:  # noqa: BLE001 — malformed plan
             return {"error": f"malformed bump plan: {exc!r}"}
         with self._swap_lock:
-            current = self.current
-            if plan.epoch == current.epoch:
-                return {
-                    "ok": True,
-                    "shard": self.shard_id,
-                    "epoch": current.epoch,
-                    "noop": True,
-                }
+            window = self.window
+            window.publish(served)
+            ack = {"ok": True, "shard": self.shard_id, "epoch": plan.epoch}
+            if window.get(plan.epoch) is not None:
+                return {**ack, "noop": True}
+            if plan.epoch < window.newest.epoch:
+                return {"error": f"epoch {plan.epoch} is older than held"}
             if not 0 <= self.shard_id < plan.n_shards:
                 return {
                     "error": (
@@ -178,21 +203,15 @@ class ShardWorker:
                     )
                 }
             try:
-                epoch, model, ann = open_checkpoint(self.data_dir, plan)
-                fresh = self._snapshot(
-                    model, plan.shard(self.shard_id), epoch, ann
-                )
+                fresh = open_shard(self.data_dir, plan, self.shard_id)
             except Exception as exc:  # noqa: BLE001 — keep serving old epoch
                 return {"error": f"remap of {plan.checkpoint} failed: {exc}"}
-            # The swap: one reference assignment each.  In-flight scores
-            # grabbed their snapshot reference already; new frames see the
-            # fresh epoch, old-epoch frames land on ``previous``.
-            self.previous = current
-            self.current = fresh
+            # One reference write: in-flight scores hold their snapshot.
+            window.offer(fresh)
             self.bumps_applied += 1
             registry.inc("cluster.worker.bumps_total")
-            registry.set_gauge("cluster.worker.epoch", epoch)
-            return {"ok": True, "shard": self.shard_id, "epoch": epoch}
+            registry.set_gauge("cluster.worker.epoch", fresh.epoch)
+            return ack
 
     def score(
         self,
@@ -232,11 +251,13 @@ class ShardWorker:
         if op == "info":
             return self.info()
         if op == BUMP_OP:
-            plan_json = message.get("plan")
+            plan_json, served = message.get("plan"), message.get("served")
             if not isinstance(plan_json, str) or not plan_json:
                 return {"error": "'plan' must be the canonical plan JSON"}
+            if isinstance(served, bool) or not isinstance(served, int):
+                return {"error": "'served' must be the fleet's served epoch"}
             try:
-                return self.bump(plan_json)
+                return self.bump(plan_json, served)
             except Exception as exc:  # noqa: BLE001 — keep serving
                 return {"error": f"bump failed: {exc!r}"}
         if op == "score":
@@ -254,9 +275,12 @@ class ShardWorker:
                     ),
                     "tenant": self.tenant,
                 }
-            # Pin the epoch the frame asks for (absent = current) before
+            # Pin the epoch the frame asks for (absent = the newest) before
             # anything else: every read below must come from one snapshot.
-            snapshot = self._snapshot_for_epoch(message.get("epoch"))
+            epoch = message.get("epoch")
+            snapshot = (
+                self.current if epoch is None else self.window.get(int(epoch))
+            )
             if snapshot is None:
                 current = self.current
                 registry.inc("cluster.worker.epoch_skew_total")
@@ -426,12 +450,12 @@ def run_worker(
         return 1
 
     try:
-        epoch, model, ann = open_checkpoint(data_dir, plan)
+        snapshot = open_shard(data_dir, plan, shard_id)
     except StoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     worker = ShardWorker(
-        model, plan.shard(shard_id), epoch=epoch, ann=ann,
+        None, plan.shard(shard_id), snapshot=snapshot,
         data_dir=pathlib.Path(data_dir), replica=replica, tenant=tenant,
     )
     server = serve_shard(worker, host, port)
@@ -447,8 +471,8 @@ def run_worker(
     tenant_token = f"tenant={tenant} " if tenant is not None else ""
     print(
         f"cluster worker {shard_id} ready on {host}:{bound_port} "
-        f"rows=[{worker.current.lo},{worker.current.hi}) epoch={epoch} "
-        f"ann={'yes' if ann is not None else 'no'} replica={replica} "
+        f"rows=[{snapshot.lo},{snapshot.hi}) epoch={snapshot.epoch} "
+        f"ann={'yes' if snapshot.ann is not None else 'no'} replica={replica} "
         f"{tenant_token}pid={os.getpid()}",
         file=out, flush=True,
     )

@@ -50,7 +50,6 @@ from repro.obs.metrics import registry
 from repro.obs.trace_context import TraceContext, current_trace
 from repro.obs.tracing import span
 from repro.server.admission import AdmissionController
-from repro.serving.ann import CoarseQuantizer
 from repro.serving.snapshot import EpochSnapshot, check_search_args
 from repro.store.recovery import open_checkpoint
 
@@ -60,7 +59,7 @@ if TYPE_CHECKING:
     from repro.store.sealing import CheckpointPolicy, StoreWriter
     from repro.updating.manager import LSIIndexManager
 
-__all__ = ["ServingState", "manager_from_texts", "train_quantizer"]
+__all__ = ["ServingState", "manager_from_texts"]
 
 
 #: Batch-size histogram boundaries (requests per flush), powers of two.
@@ -127,15 +126,11 @@ class ServingState:
 
     def __init__(
         self,
+        snapshot: EpochSnapshot,
         *,
         manager: LSIIndexManager | None = None,
-        model: LSIModel | None = None,
-        ann: CoarseQuantizer | None = None,
-        epoch: int = 0,
         max_batch: int = MAX_BATCH,
     ):
-        if (manager is None) == (model is None):
-            raise ReproError("ServingState needs a manager or a model, not both")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._manager = manager
@@ -148,9 +143,8 @@ class ServingState:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue[SearchRequest] | None = None
         self._task: asyncio.Task | None = None
-        initial = manager.model if manager is not None else model
-        self._snapshot = EpochSnapshot(epoch, initial, ann=ann)
-        self._publish_gauges(self._snapshot)
+        self._snapshot = snapshot
+        self._publish_gauges(snapshot)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -158,7 +152,10 @@ class ServingState:
         cls, manager: LSIIndexManager, *, ann=None, max_batch: int = MAX_BATCH
     ) -> "ServingState":
         """Live-updatable state around an existing index manager."""
-        return cls(manager=manager, ann=ann, max_batch=max_batch)
+        return cls(
+            EpochSnapshot(0, manager.model, ann=ann),
+            manager=manager, max_batch=max_batch,
+        )
 
     @classmethod
     def for_store(
@@ -180,8 +177,8 @@ class ServingState:
         # Its boot seal retrains ann.
         writer = StoreWriter(store, policy or CheckpointPolicy())
         state = cls(
-            manager=store.manager, ann=store.ann, epoch=store.wal.last_lsn,
-            max_batch=max_batch,
+            EpochSnapshot(store.wal.last_lsn, store.manager.model, ann=store.ann),
+            manager=store.manager, max_batch=max_batch,
         )
         state.store, state.writer = store, writer
         return state
@@ -191,7 +188,7 @@ class ServingState:
         cls, model: LSIModel, *, ann=None, max_batch: int = MAX_BATCH
     ) -> "ServingState":
         """Read-only state around a fitted (e.g. loaded) model."""
-        return cls(model=model, ann=ann, max_batch=max_batch)
+        return cls(EpochSnapshot(0, model, ann=ann), max_batch=max_batch)
 
     @classmethod
     def open(cls, path, *, max_batch: int = MAX_BATCH) -> "ServingState":
@@ -200,14 +197,10 @@ class ServingState:
 
         It goes through the store's one door
         (:func:`~repro.store.recovery.open_checkpoint`: the newest valid
-        checkpoint, mapped, with the quantizer trained when it was
+        checkpoint, mapped, served with the quantizer trained when it was
         sealed), so an open trains nothing.
         """
-        opened = open_checkpoint(path)
-        return cls(
-            model=opened.model(), ann=opened.ann(), epoch=opened.epoch,
-            max_batch=max_batch,
-        )
+        return cls(open_checkpoint(path).snapshot(), max_batch=max_batch)
 
     @property
     def writable(self) -> bool:
@@ -500,17 +493,6 @@ class ServingState:
                         "candidates": ann_stats[n]["candidates"],
                     }
         return responses
-
-
-def train_quantizer(
-    model: LSIModel, n_clusters: int | None = None, *, seed=0
-) -> CoarseQuantizer:
-    """A coarse quantizer over ``model``'s ``V_k Σ_k``, for a state no
-    checkpoint hands one: the in-memory index ``repro serve`` fits from
-    a document source."""
-    # The coordinates alone: deriving the model's scoring rows here would
-    # lay them out in document order, before the quantizer exists.
-    return CoarseQuantizer.train(model.V * model.s, n_clusters, seed=seed)
 
 
 def manager_from_texts(

@@ -8,11 +8,11 @@ zero-copy (queries reach it through
 :meth:`repro.serving.snapshot.EpochSnapshot.search`):
 
 1. **Train** (checkpoint time): k-means++-seeded Lloyd over the
-   unit-normalized ``V_k Σ_k`` rows — sampled above a size cap so the
-   quantizer stays cheap to refresh on every checkpoint (the
-   Vecharynski & Saad fast-update requirement) — then one full
-   assignment pass to build per-cell posting lists in CSR form, each
-   list ascending.
+   unit-normalized ``V_k Σ_k`` rows, formed from ``V`` and ``Σ`` in row
+   blocks — sampled above a size cap so the quantizer stays cheap to
+   refresh on every checkpoint (the Vecharynski & Saad fast-update
+   requirement) — then one full assignment pass to build per-cell
+   posting lists in CSR form, each list ascending.
 2. **Lay out** (load time): the posting lists are a stable cell-grouped
    permutation, so the single-precision unit rows a scorer derives on
    open are held in that order (:meth:`CoarseQuantizer.layout`; rows
@@ -49,6 +49,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.obs.metrics import registry
 from repro.serving.index import ScaledRows
+from repro.serving.kernel import ROW_BLOCK, row_norms, scaled_blocks
 from repro.serving.scan import bounded, cut_and_rescore, unit_queries
 
 __all__ = [
@@ -61,11 +62,6 @@ __all__ = [
 #: Checkpoint array names the quantizer (de)serializes to (format v2).
 ANN_ARRAY_NAMES = ("ann_centroids", "ann_indptr", "ann_docs")
 
-#: Rows per block in assignment passes — bounds the (chunk, c) distance
-#: matrix so training over millions of documents stays in cache-friendly
-#: memory instead of materializing an (n, c) float64 temporary.
-_ASSIGN_CHUNK = 16384
-
 _CELL_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 _FRACTION_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 
@@ -76,20 +72,20 @@ def default_n_clusters(n: int) -> int:
 
 
 def _assign(
-    X: np.ndarray, centroids: np.ndarray, *, chunk: int = _ASSIGN_CHUNK
+    X: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid assignment plus per-point squared distance.
 
     Block-row evaluation of the same expanded-form expression the
     original single-shot implementation used; each row's arithmetic is
-    unchanged, only the GEMM is tiled.
+    unchanged, only the GEMM is tiled, in :data:`ROW_BLOCK` rows.
     """
     n = X.shape[0]
     cen_sq = np.sum(centroids**2, axis=1)[None, :]
     assignment = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(n, lo + ROW_BLOCK)
         sq = (
             np.sum(X[lo:hi] ** 2, axis=1)[:, None]
             - 2.0 * X[lo:hi] @ centroids.T
@@ -112,8 +108,8 @@ def kmeans(
 
     Returns ``(centroids (c, d), assignment (n,))``.  Empty clusters are
     re-seeded from the point farthest from its centroid.  Assignment
-    passes are chunked so memory stays O(chunk · c) at any collection
-    size.
+    passes run in row blocks, so memory stays O(ROW_BLOCK · c) at any
+    collection size.
     """
     from repro.util.rng import ensure_rng  # training only: readers never seed
 
@@ -162,10 +158,14 @@ def kmeans(
     return centroids, assignment
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Rows projected onto the unit sphere; zero rows stay zero."""
-    norms = np.sqrt(np.sum(X**2, axis=1, keepdims=True))
-    return np.where(norms > 0, X / np.where(norms > 0, norms, 1), 0)
+def _unit_rows(V: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rows of ``V Σ`` projected onto the unit sphere, formed one row
+    block at a time; zero rows stay zero."""
+    unit = np.empty(V.shape)
+    for at, _, block in scaled_blocks(V, s):
+        norms = row_norms(block)[:, None]
+        unit[at] = np.where(norms > 0, block / np.where(norms > 0, norms, 1), 0)
+    return unit
 
 
 class CoarseQuantizer:
@@ -214,29 +214,33 @@ class CoarseQuantizer:
     @classmethod
     def train(
         cls,
-        coords: np.ndarray,
+        V: np.ndarray,
+        s: np.ndarray,
         n_clusters: int | None = None,
         *,
         seed=0,
         max_iter: int = 50,
         sample: int | None = None,
     ) -> "CoarseQuantizer":
-        """Train over Σ-scaled document coordinates (rows of ``V_k Σ_k``).
+        """Train over the document rows of ``V_k Σ_k``, given as ``V``
+        (the model's own, or a mapped one) and ``Σ``.
 
-        Cosine search ⇒ clustering happens on the unit sphere.  Above
-        ``sample`` points (default ``max(10_000, 64·c)``) Lloyd runs on
-        a seeded uniform sample and only the final assignment pass sees
-        every row — keeping checkpoint-time retraining roughly constant
-        in collection size.  Deterministic given ``(coords, seed)``.
+        Cosine search ⇒ clustering happens on the unit sphere; the unit
+        rows, formed block by block, are the only ``n × k`` array
+        training holds.  Above ``sample`` points (default
+        ``max(10_000, 64·c)``) Lloyd runs on a seeded uniform sample and
+        only the final assignment pass sees every row — keeping
+        checkpoint-time retraining roughly constant in collection size.
+        Deterministic given ``(V, s, seed)``.
         """
-        X = np.asarray(coords, dtype=np.float64)
-        if X.ndim != 2 or X.shape[0] == 0:
-            raise ShapeError("coords must be a non-empty 2-D array")
-        n = X.shape[0]
+        V = np.asarray(V, dtype=np.float64)
+        if V.ndim != 2 or V.shape[0] == 0:
+            raise ShapeError("V must be a non-empty 2-D array")
+        n = V.shape[0]
         if n_clusters is None:
             n_clusters = default_n_clusters(n)
         n_clusters = max(1, min(int(n_clusters), n))
-        unit = _unit_rows(X)
+        unit = _unit_rows(V, np.asarray(s, dtype=np.float64))
         if sample is None:
             sample = max(10_000, 64 * n_clusters)
         if n > sample:

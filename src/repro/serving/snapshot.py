@@ -1,10 +1,12 @@
-"""One pinned epoch of scoring state, and the one well-formed search.
+"""One pinned epoch of scoring state, the window it is held in, and the
+one well-formed search.
 
 :class:`EpochSnapshot` pins everything one batch of queries needs — the
 model, the precomputed norms and unit rows of a row range (the whole
 model in a single-node server; one shard's rows in a cluster worker) —
 into one immutable object, and its :meth:`~EpochSnapshot.search` is the
-one scoring entry point of every serving tier.
+one scoring entry point of every serving tier.  :class:`EpochWindow`
+holds a reader's served epoch and at most one newer one.
 :func:`check_search_args` is the one definition of a well-formed search
 request, shared by the HTTP front end, the in-process scheduler, the
 ``query`` / ``terms`` commands and the shard worker.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +32,10 @@ from repro.serving.ann import CoarseQuantizer
 from repro.serving.index import scaled_documents, scaled_rows
 from repro.serving.scan import all_cosines, ranked_scan
 
-__all__ = ["EpochSnapshot", "check_search_args"]
+if TYPE_CHECKING:  # a fleet's epochs carry one; a reader loads no fleet code
+    from repro.cluster.plan import ShardPlan
+
+__all__ = ["EpochSnapshot", "EpochWindow", "check_search_args"]
 
 
 def check_search_args(
@@ -89,11 +95,13 @@ class EpochSnapshot:
     micro-batch (or one scatter frame) are scored against a single
     snapshot, so a response can never mix documents from two epochs (no
     torn reads); the ``epoch`` and ``n_documents`` it reports describe
-    exactly the state it was computed on.
+    exactly the state it was computed on.  ``checkpoint`` names its seal
+    (``""`` in memory); ``plan`` is a fleet's shard plan for it.  A
+    fleet's front end holds one over no rows (``lo = hi = 0``).
     """
 
     __slots__ = (
-        "epoch", "model", "lo", "hi", "scaled", "ann",
+        "epoch", "model", "lo", "hi", "scaled", "ann", "checkpoint", "plan",
     )
 
     def __init__(
@@ -107,9 +115,13 @@ class EpochSnapshot:
         # 1(v) drops it there, and then this keyword goes.
         query_cache_size: int | None = None,
         ann: CoarseQuantizer | None = None,
+        checkpoint: str = "",
+        plan: ShardPlan | None = None,
     ):
         self.epoch = int(epoch)
         self.model = model
+        self.checkpoint = checkpoint
+        self.plan = plan
         n = model.n_documents
         # The coarse quantizer may predate this epoch (it is trained at
         # checkpoint time) and always covers global rows: rows it has
@@ -249,3 +261,58 @@ class EpochSnapshot:
             self.scale(qhat), top=top, threshold=threshold, probes=probes
         )
         return results[0], stats[0]
+
+
+class EpochWindow:
+    """The epochs one reader answers: a served one and at most one newer.
+
+    The retention rule of every reader that outlives a bump.  A fleet
+    :meth:`offer` s a sealed epoch (taken only if newer than both held
+    ones, so it replaces one not yet published) and :meth:`publish` es
+    it on quorum.  A shard worker publishes through the served epoch a
+    bump frame names, then offers the bumped one: however many seals
+    pass before a quorum, the epoch the front end scatters stays held.
+    Epochs never move backwards.  Both live in one tuple, replaced by
+    one reference write, so a reader on another thread never sees half
+    a move.
+    """
+
+    __slots__ = ("_held",)
+
+    def __init__(self, served):
+        self._held = (served, None)
+
+    @property
+    def served(self):
+        """The epoch requests are answered from."""
+        return self._held[0]
+
+    @property
+    def next(self):
+        """The newer epoch waiting to be published, or ``None``."""
+        return self._held[1]
+
+    @property
+    def newest(self):
+        """:attr:`next` when there is one, else :attr:`served`."""
+        served, later = self._held
+        return served if later is None else later
+
+    def offer(self, value) -> None:
+        """Hold ``value`` as next if it is newer than both held epochs."""
+        if value.epoch > self.newest.epoch:
+            self._held = (self._held[0], value)
+
+    def publish(self, through: int | None = None) -> None:
+        """Promote the next epoch to served — if it is at most
+        ``through``, when that is given."""
+        later = self._held[1]
+        if later is not None and (through is None or later.epoch <= through):
+            self._held = (later, None)
+
+    def get(self, epoch: int):
+        """The held value of ``epoch``, or ``None``."""
+        for value in self._held:
+            if value is not None and value.epoch == epoch:
+                return value
+        return None

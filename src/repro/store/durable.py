@@ -385,10 +385,11 @@ class DurableIndexStore:
         Deterministic given those coordinates and the manager's seed,
         which keeps recovered-then-recheckpointed stores bit-identical.
         """
-        coords = model.V * model.s
         t0 = time.perf_counter()
         with span("store.ann_train"):
-            quantizer = CoarseQuantizer.train(coords, seed=self.manager.seed)
+            quantizer = CoarseQuantizer.train(
+                model.V, model.s, seed=self.manager.seed
+            )
         registry.observe("store.ann_train_seconds", time.perf_counter() - t0)
         registry.inc("store.ann_trainings_total")
         return quantizer

@@ -13,9 +13,10 @@ the array layout is written and read here and nowhere else:
   to an :class:`OpenedCheckpoint`: locate → verify → parse the manifest
   → read the arrays, each once.  Its decoders (``.model()``, ``.ann()``,
   ``.manager()`` = :func:`restore_manager`, the exact inverse of
-  capture) share one construction of the serving model, so a query is
-  always projected with the ``U_k, Σ_k`` of the epoch whose ``V_k`` it
-  is scored against (Eq. 6);
+  capture; ``.snapshot()``, the served epoch every reader opens) share
+  one construction of the serving model, so a query is always projected
+  with the ``U_k, Σ_k`` of the epoch whose ``V_k`` it is scored against
+  (Eq. 6);
 * :func:`checkpoint_summary` reads the same layout off a manifest
   alone, for the lock-free ``store inspect`` view;
 * :func:`recover_manager` is the cold-start path: open the newest valid
@@ -40,6 +41,7 @@ from repro.errors import StoreCorruptError, StoreError
 from repro.obs.metrics import registry
 from repro.obs.tracing import span
 from repro.serving.ann import CoarseQuantizer
+from repro.serving.snapshot import EpochSnapshot
 from repro.store.checkpoint import (
     CHECKPOINTS_DIR,
     CheckpointInfo,
@@ -205,7 +207,9 @@ def _decode_model(arrays: dict[str, np.ndarray], meta: dict) -> LSIModel:
         s=s,
         V=V,
         vocabulary=Vocabulary(meta["vocabulary"]).freeze(),
-        doc_ids=list(meta["doc_ids"]),
+        # The manifest's own list, not a copy: the manifest is dropped
+        # once decoded, and a copy would leave n freed pointers behind.
+        doc_ids=meta["doc_ids"],
         scheme=WeightingScheme(
             meta["model_scheme"]["local"], meta["model_scheme"]["global"]
         ),
@@ -319,6 +323,11 @@ class OpenedCheckpoint:
         """The last write-ahead log record the checkpoint covers."""
         return self._decode(lambda _arrays, meta: int(meta["wal_lsn"]))
 
+    @property
+    def n_documents(self) -> int:
+        """Documents the checkpoint serves, off its manifest."""
+        return self._decode(lambda _arrays, meta: int(meta["n_documents"]))
+
     def _decode(self, decode):
         # A checkpoint can pass its CRCs and still lack an array or a
         # manifest key (written by another tool, or by hand).
@@ -345,6 +354,31 @@ class OpenedCheckpoint:
     def manager(self) -> LSIIndexManager:
         """Full recovery state (:func:`restore_manager`)."""
         return self._decode(restore_manager)
+
+    def snapshot(
+        self,
+        lo: int = 0,
+        hi: int | None = None,
+        *,
+        ann: bool = True,
+        plan: object | None = None,
+    ) -> EpochSnapshot:
+        """The served epoch of this checkpoint over its model's rows
+        ``[lo, hi)`` (all by default), laid out by its quantizer unless
+        ``ann`` is false: the one constructor of every epoch a reader
+        opens from a store — a state, a worker's range, a fleet's front
+        end (``lo = hi = 0``, no quantizer; ``plan`` its shard plan)."""
+        model = self.model()
+        if model.n_documents != self.n_documents:
+            raise StoreCorruptError(
+                f"checkpoint {self.info.path} records {self.n_documents} "
+                f"documents but holds {model.n_documents}"
+            )
+        return EpochSnapshot(
+            self.epoch, model, lo=lo, hi=hi,
+            ann=self.ann() if ann else None,
+            checkpoint=self.name, plan=plan,
+        )
 
 
 def _open(

@@ -17,15 +17,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster.epochs import (
-    EpochHandle,
-    open_checkpoint as cluster_open_checkpoint,
-)
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.cluster.standby import StandbyWriter
 from repro.cluster.supervisor import SupervisorConfig
-from repro.cluster.worker import ShardWorker
+from repro.cluster.wire import BUMP_OP
+from repro.cluster.worker import ShardWorker, open_shard
 from repro.errors import ClusterReadOnlyError, ShapeError, StoreError
 from repro.obs.metrics import registry
 from repro.server.client import ServerClient
@@ -66,7 +63,7 @@ def store_dir(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# worker hot-remap: bump semantics and the two-epoch window
+# worker hot-remap: bump semantics and the epoch window
 # --------------------------------------------------------------------- #
 def test_worker_bump_idempotence_window_and_skew(store_dir):
     # Grow the store past the seed checkpoint: two more sealed epochs.
@@ -96,18 +93,18 @@ def test_worker_bump_idempotence_window_and_skew(store_dir):
         model1.n_documents + 2, SHARDS,
         epoch=seal2.epoch, checkpoint=seal2.name,
     )
-    ack = worker.bump(plan2.to_json())
+    ack = worker.bump(plan2.to_json(), seal1.epoch)
     assert ack == {"ok": True, "shard": 0, "epoch": seal2.epoch}
     assert worker.current.epoch == seal2.epoch
     assert worker.bumps_applied == 1
 
     # Idempotent: re-bumping the live epoch is a noop ack.
-    again = worker.bump(plan2.to_json())
+    again = worker.bump(plan2.to_json(), seal1.epoch)
     assert again["ok"] and again.get("noop")
     assert worker.bumps_applied == 1
 
-    # The two-epoch window: the superseded epoch still answers (that is
-    # the zero-drop guarantee for in-flight queries) ...
+    # The window: the superseded epoch still answers (that is the
+    # zero-drop guarantee for in-flight queries) ...
     old = worker.handle(
         {"op": "score", "queries": q.tolist(), "epoch": seal1.epoch}
     )
@@ -129,21 +126,25 @@ def test_worker_bump_idempotence_window_and_skew(store_dir):
         model1.n_documents + 4, SHARDS,
         epoch=seal2.epoch + 7, checkpoint="ckpt-99999999",
     )
-    refused = worker.bump(ghost.to_json())
+    refused = worker.bump(ghost.to_json(), seal1.epoch)
     assert "error" in refused and "ckpt-99999999" in refused["error"]
     assert worker.current.epoch == seal2.epoch
 
 
 def test_cluster_readers_serve_the_writers_factors(tmp_path):
     # A seal taken with fast-update batches pending: the front end's
-    # handle and a worker bumped onto that seal must decode the rotated
-    # serving U/Σ the writer scores with, not the consolidated base.
+    # served epoch and a worker bumped onto that seal must decode the
+    # rotated serving U/Σ the writer scores with, not the consolidated
+    # base.
     store, queries = pending_fast_update_store(tmp_path / "store")
     try:
         model = store.manager.model
-        handle = EpochHandle.open(store.data_dir, SHARDS)
-        assert_same_factors(handle.model, model)
-        assert handle.epoch == store.last_seal.epoch
+        served = ClusterService(store.data_dir, ClusterConfig(SHARDS)).window.served
+        assert_same_factors(served.model, model)
+        assert served.epoch == store.last_seal.epoch
+        assert served.checkpoint == store.last_seal.name
+        # The front end derives no rows: it only projects.
+        assert (served.lo, served.hi, served.ann) == (0, 0, None)
 
         seed = open_checkpoint(store.data_dir, "ckpt-00000001")
         plan0 = ShardPlan.compute(
@@ -155,10 +156,10 @@ def test_cluster_readers_serve_the_writers_factors(tmp_path):
                 seed.model(), plan0.shard(shard), epoch=seed.epoch,
                 data_dir=store.data_dir,
             )
-            assert worker.bump(handle.plan.to_json())["ok"]
+            assert worker.bump(served.plan.to_json(), seed.epoch)["ok"]
             assert_same_factors(worker.current.model, model)
-            rows = handle.plan.shard(shard)
-            live = EpochSnapshot(handle.epoch, model, lo=rows.lo, hi=rows.hi)
+            rows = served.plan.shard(shard)
+            live = EpochSnapshot(served.epoch, model, lo=rows.lo, hi=rows.hi)
             assert_same_rankings(worker.current, live, queries)
     finally:
         store.close(flush=False)
@@ -172,13 +173,16 @@ def test_plan_disagreeing_with_the_store_is_refused(store_dir):
         stamp = {"epoch": sealed.epoch, "checkpoint": sealed.name, **stamp}
         return ShardPlan.compute(stamp.pop("n", n), SHARDS, **stamp)
 
-    assert cluster_open_checkpoint(store_dir, plan())[0] == sealed.epoch
+    opened = open_shard(store_dir, plan(), 1)
+    assert (opened.epoch, opened.checkpoint) == (sealed.epoch, sealed.name)
+    assert [opened.lo, opened.hi] == plan().shard(1).as_pair()
+    assert opened.plan == plan()
     with pytest.raises(StoreError, match="ckpt-99999999 but it is not under"):
-        cluster_open_checkpoint(store_dir, plan(checkpoint="ckpt-99999999"))
+        open_shard(store_dir, plan(checkpoint="ckpt-99999999"), 0)
     with pytest.raises(StoreError, match="carries epoch .* but the plan says"):
-        cluster_open_checkpoint(store_dir, plan(epoch=sealed.epoch + 1))
+        open_shard(store_dir, plan(epoch=sealed.epoch + 1), 0)
     with pytest.raises(StoreError, match=f"has {n} documents but the plan"):
-        cluster_open_checkpoint(store_dir, plan(n=n + 1))
+        open_shard(store_dir, plan(n=n + 1), 0)
 
 
 # --------------------------------------------------------------------- #
@@ -186,15 +190,18 @@ def test_plan_disagreeing_with_the_store_is_refused(store_dir):
 # --------------------------------------------------------------------- #
 class StubRouter:
     """The router's bump surface: ``broadcast_bump`` records each plan's
-    epoch and acks it from the worker slots in ``acking`` (every slot
-    when ``None``)."""
+    epoch (and, in ``served``, the served epoch the frame names) and
+    acks it from the worker slots in ``acking`` (every slot when
+    ``None``)."""
 
     def __init__(self):
         self.bumps: list[int] = []
+        self.served: list[int] = []
         self.acking: set[int] | None = None
 
-    async def broadcast_bump(self, plan):
+    async def broadcast_bump(self, plan, served):
         self.bumps.append(plan.epoch)
+        self.served.append(served)
         acking = plan.worker_ids() if self.acking is None else self.acking
         return {wid: plan.epoch for wid in acking}
 
@@ -237,7 +244,7 @@ def test_a_quorum_miss_parks_the_handle_and_the_retry_opens_nothing(
     service.router.acking = {0}
     misses = quorum_misses()
     asyncio.run(service.advance(seal.name))
-    assert (service.epoch, service.target_epoch) == (served, seal.epoch)
+    assert (service.epoch, service.window.newest.epoch) == (served, seal.epoch)
     assert quorum_misses() == misses + 1
     # Future restarts already start on the parked epoch.
     assert service.supervisor.plan.epoch == seal.epoch
@@ -246,7 +253,7 @@ def test_a_quorum_miss_parks_the_handle_and_the_retry_opens_nothing(
     service.router.acking = None
     asyncio.run(service.advance(None))
     assert open_counts.parses == [] and open_counts.crcs == []
-    assert service.epoch == service.target_epoch == seal.epoch
+    assert service.epoch == service.window.newest.epoch == seal.epoch
     assert service.router.bumps == [seal.epoch, seal.epoch]
     assert quorum_misses() == misses + 1
 
@@ -257,17 +264,66 @@ def test_a_newer_checkpoint_replaces_a_parked_one(store_dir):
     newer = seal_more(store_dir, seed=12)
     service.router.acking = {0}
     asyncio.run(service.advance(older.name))
-    assert service.target_epoch == older.epoch
+    assert service.window.newest.epoch == older.epoch
     asyncio.run(service.advance(newer.name))
-    assert service.target_epoch == newer.epoch
+    assert service.window.newest.epoch == newer.epoch
     asyncio.run(service.advance(older.name))  # not newer than the parked
-    assert service.target_epoch == newer.epoch
+    assert service.window.newest.epoch == newer.epoch
 
     service.router.acking = None
     asyncio.run(service.advance(None))
     assert service.epoch == newer.epoch
-    assert service.handle.checkpoint == newer.name
+    assert service.window.served.checkpoint == newer.name
     assert service.router.bumps == [older.epoch] + [newer.epoch] * 3
+
+
+class WorkerRouter(StubRouter):
+    """A :class:`StubRouter` that delivers each bump frame to real
+    in-process workers, one per acking slot: the others are dead."""
+
+    def __init__(self, workers):
+        super().__init__()
+        self.workers = workers
+
+    async def broadcast_bump(self, plan, served):
+        await super().broadcast_bump(plan, served)
+        frame = {"op": BUMP_OP, "plan": plan.to_json(), "served": served}
+        acks = {
+            wid: worker.handle(frame)
+            for wid, worker in self.workers.items()
+            if self.acking is None or wid in self.acking
+        }
+        return {wid: ack["epoch"] for wid, ack in acks.items() if ack.get("ok")}
+
+
+def test_a_dead_replica_across_two_seals_keeps_the_served_epoch_answered(
+    store_dir,
+):
+    # Replication 2: the quorum is 2 of 2, so with replica 1 dead no seal
+    # publishes, and the front end keeps scattering the served epoch.
+    service = stub_fleet(store_dir, workers=2, replication=2)
+    served = service.window.served
+    workers = {
+        wid: ShardWorker(
+            None, served.plan.shard(0), data_dir=store_dir,
+            snapshot=open_shard(store_dir, served.plan, 0),
+        )
+        for wid in served.plan.worker_ids()
+    }
+    service.router = WorkerRouter(workers)
+    service.router.acking = {0}
+    for seed in (11, 12):
+        asyncio.run(service.advance(seal_more(store_dir, seed).name))
+    assert service.epoch == served.epoch
+    # Every bump frame named the served epoch ...
+    assert service.router.served == [served.epoch] * 2
+    # ... so the live replica still answers it: the range is covered.
+    frame = {
+        "op": "score", "queries": np.ones((1, served.k)).tolist(),
+        "epoch": served.epoch,
+    }
+    answer = workers[0].handle(frame)
+    assert answer["epoch"] == served.epoch and "error" not in answer
 
 
 def test_a_standby_poll_rebumps_a_worker_behind_the_served_epoch(
@@ -329,7 +385,7 @@ def test_idle_standby_poll_reads_no_array_bytes(store_dir, open_counts):
         victim.write_bytes(bytes(blob))
         standby._service = stale
         asyncio.run(standby._follow_epochs())
-        assert stale.epoch == stale.target_epoch == older.epoch
+        assert stale.epoch == stale.window.newest.epoch == older.epoch
         assert stale.router.bumps == []
     finally:
         asyncio.run(standby.stop())
@@ -354,7 +410,7 @@ def test_a_corrupt_newest_seal_is_verified_once_not_per_poll(
         asyncio.run(standby._follow_epochs())
         # Verified, found corrupt, fell back to the one already served.
         assert victim in open_counts.crcs
-        assert service.epoch == service.target_epoch == older.epoch
+        assert service.epoch == service.window.newest.epoch == older.epoch
         crcs = len(open_counts.crcs)
         for _ in range(2):
             asyncio.run(standby._follow_epochs())
@@ -371,9 +427,9 @@ def test_a_corrupt_newest_seal_is_verified_once_not_per_poll(
 
 
 def test_bump_refused_without_data_dir(store_dir):
-    handle = EpochHandle.open(store_dir, SHARDS)
-    worker = ShardWorker(handle.model, handle.plan.shard(0))
-    refused = worker.bump(handle.plan.to_json())
+    served = ClusterService(store_dir, ClusterConfig(SHARDS)).window.served
+    worker = ShardWorker(served.model, served.plan.shard(0))
+    refused = worker.bump(served.plan.to_json(), served.epoch)
     assert "error" in refused
 
 

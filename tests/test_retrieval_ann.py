@@ -87,7 +87,7 @@ def big_model():
 
 def _snapshot(model, **train) -> EpochSnapshot:
     return EpochSnapshot(
-        0, model, ann=CoarseQuantizer.train(model.V * model.s, seed=0, **train)
+        0, model, ann=CoarseQuantizer.train(model.V, model.s, seed=0, **train)
     )
 
 

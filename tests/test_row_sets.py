@@ -188,7 +188,7 @@ def test_a_restricted_search_reads_a_memo_laid_out_by_cells(crosslang):
     corpus, engine = crosslang
     model = dataclasses.replace(engine.model)
     want = engine.search(corpus.english[0], language="fr", top=5)
-    ann = CoarseQuantizer.train(model.V * model.s, 4, seed=0)
+    ann = CoarseQuantizer.train(model.V, model.s, 4, seed=0)
     EpochSnapshot(0, model, ann=ann)
     assert scaled_documents(model).order is not None
     laid = CrossLanguageRetrieval(model, engine.n_training, engine.languages)

@@ -34,7 +34,8 @@ from repro.retrieval.engine import LSIRetrieval
 from repro.server.client import ServerClient
 from repro.server.http import start_http_server
 from repro.server.service import QueryService, ServerConfig
-from repro.server.state import ServingState, manager_from_texts, train_quantizer
+from repro.server.state import ServingState, manager_from_texts
+from repro.serving.ann import CoarseQuantizer
 from repro.serving.snapshot import EpochSnapshot
 
 QUERIES = [
@@ -65,7 +66,8 @@ def _fresh_state(
     (``backend``: its ``max_batch``)."""
     manager = manager_from_texts(_texts(), k=6, scheme="log_entropy")
     manager.distortion_budget = distortion_budget
-    ann = train_quantizer(manager.model, n_clusters) if n_clusters else None
+    model = manager.model
+    ann = CoarseQuantizer.train(model.V, model.s, n_clusters) if n_clusters else None
     return ServingState.for_manager(manager, ann=ann, **backend)
 
 

@@ -3,9 +3,10 @@
 Properties the ANN serving tier leans on, pinned at the layer that owns
 each one:
 
-* **Determinism** — training is a pure function of ``(coords, seed)``,
+* **Determinism** — training is a pure function of ``(V, Σ, seed)``,
   so every checkpoint writer and every test harness reproduces the same
-  quantizer bit-for-bit (hypothesis over seeds).
+  quantizer bit-for-bit (hypothesis over seeds); forming the unit rows
+  in row blocks changed no bit of it, and bounds its memory.
 * **Candidate nesting** — more probes can only *add* candidates, which
   is why recall is monotone in ``probes`` and why the probe dial is
   safe to turn at request time.
@@ -28,6 +29,7 @@ each one:
 
 import asyncio
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ from repro.obs.metrics import registry
 from repro.parallel.sharding import merge_topk, shard_bounds
 from repro.server.service import QueryService, ServerConfig
 from repro.server.state import ServingState, manager_from_texts
+from repro.serving import ann as ann_module
 from repro.serving.ann import (
     ANN_ARRAY_NAMES,
     CoarseQuantizer,
@@ -75,12 +78,15 @@ def _coords(seed: int = 3, n: int = N_DOCS, k: int = K) -> np.ndarray:
 
 
 COORDS = _coords()
+#: Unit weights: ``CoarseQuantizer.train(COORDS, ONES)`` clusters the
+#: rows of ``COORDS`` themselves.
+ONES = np.ones(K)
 NORMS = row_norms(COORDS)
 
 
 @pytest.fixture(scope="module")
 def quantizer() -> CoarseQuantizer:
-    return CoarseQuantizer.train(COORDS, 12, seed=0)
+    return CoarseQuantizer.train(COORDS, ONES, 12, seed=0)
 
 
 def _rows(quantizer, lo: int = 0, hi: int = N_DOCS, coords=COORDS):
@@ -94,11 +100,59 @@ def _rows(quantizer, lo: int = 0, hi: int = N_DOCS, coords=COORDS):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_training_deterministic_given_seed(seed):
-    a = CoarseQuantizer.train(COORDS, 8, seed=seed)
-    b = CoarseQuantizer.train(COORDS, 8, seed=seed)
+    a = CoarseQuantizer.train(COORDS, ONES, 8, seed=seed)
+    b = CoarseQuantizer.train(COORDS, ONES, 8, seed=seed)
     assert np.array_equal(a.centroids, b.centroids)
     assert np.array_equal(a.cell_indptr, b.cell_indptr)
     assert np.array_equal(a.cell_docs, b.cell_docs)
+
+
+def _whole_product_unit_rows(V, s):
+    """Unit rows as training formed them before its row-block entry:
+    through the whole fp64 ``V Σ`` and full-size temporaries."""
+    X = V * s
+    norms = np.sqrt(np.sum(X**2, axis=1, keepdims=True))
+    return np.where(norms > 0, X / np.where(norms > 0, norms, 1), 0)
+
+
+def _training_rows(n=5000, k=16, seed=8):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((n, k))
+    V[7] = 0.0  # a zero row
+    V[100:140] = V[:40]  # exact ties
+    return V, np.sort(rng.random(k) + 0.5)[::-1].copy()
+
+
+def test_row_block_training_equals_the_whole_product_formula(monkeypatch):
+    """The same bits as the formula it replaced: unit rows through the
+    whole fp64 product and assignment in 16 384-row chunks — over a
+    sampled Lloyd and the full assignment pass, both past one block."""
+    V, s = _training_rows()
+    got = CoarseQuantizer.train(V, s, 40, seed=5, sample=2600)
+    monkeypatch.setattr(ann_module, "_unit_rows", _whole_product_unit_rows)
+    monkeypatch.setattr(ann_module, "ROW_BLOCK", 16384)
+    want = CoarseQuantizer.train(V, s, 40, seed=5, sample=2600)
+    for name in ("centroids", "cell_indptr", "cell_docs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_training_holds_the_unit_rows_and_the_sample_only():
+    """Peak memory of training: the n × k unit rows, the Lloyd sample and
+    two sample-sized k-means++ temporaries — no fp64 ``V Σ`` and no
+    ``(16 384, c)`` distance blocks (the whole-product formula peaked at
+    about nine times the unit rows here)."""
+    n, k = 12000, 32
+    V, s = _training_rows(n, k)
+    sample = 10_000  # the default at this size
+    tracemalloc.start()
+    try:
+        CoarseQuantizer.train(V, s, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (n + 3 * sample) * k * 8
 
 
 @settings(max_examples=25, deadline=None)
@@ -214,7 +268,7 @@ def test_bounded_probe_shard_merge_covers_single_node_candidates(quantizer):
 # --------------------------------------------------------------------- #
 def test_fresh_tail_rows_are_always_candidates():
     covered = N_DOCS - 40
-    quantizer = CoarseQuantizer.train(COORDS[:covered], 8, seed=0)
+    quantizer = CoarseQuantizer.train(COORDS[:covered], ONES, 8, seed=0)
     assert quantizer.n_documents == covered
     q = np.random.default_rng(11).standard_normal(K)
     cells = quantizer.probe_cells(q, 1)
@@ -249,7 +303,9 @@ LAYOUT_COVERED = 230  # rows the quantizer sees; the rest is the fresh tail
 @pytest.fixture(scope="module")
 def layout_quantizer() -> CoarseQuantizer:
     """Trained on the first rows, with an empty cell spliced in at 2."""
-    trained = CoarseQuantizer.train(LAYOUT_COORDS[:LAYOUT_COVERED], 9, seed=4)
+    trained = CoarseQuantizer.train(
+        LAYOUT_COORDS[:LAYOUT_COVERED], ONES, 9, seed=4
+    )
     empty_direction = -trained.centroids.sum(axis=0)
     return CoarseQuantizer(
         np.insert(trained.centroids, 2, empty_direction, axis=0),

@@ -4,7 +4,9 @@
   ``search`` merged with ``merge_topk`` equals the whole-model snapshot,
   bit for bit;
 * a ranged snapshot materialises only its own rows;
-* :class:`ShardWorker` keeps exactly two epochs answerable;
+* :class:`ShardWorker` keeps exactly two epochs answerable — the
+  fleet's served one among them, however many bumps pass before its
+  quorum;
 * every HTTP route answers with the same status and (at least) the same
   top-level keys on each of the four deployments — in process or a
   fleet, one tenant or two — through the one front end, and the same
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.plan import ShardPlan
 from repro.cluster.service import ClusterConfig, ClusterService
+from repro.cluster.wire import BUMP_OP
 from repro.cluster.worker import ShardWorker
 from repro.core.model import LSIModel
 from repro.parallel.sharding import merge_topk, shard_bounds
@@ -65,7 +68,7 @@ def _model(duplicates: bool) -> LSIModel:
 
 
 def _with_ann(model: LSIModel, **ranges) -> EpochSnapshot:
-    ann = CoarseQuantizer.train(model.V * model.s, N_CLUSTERS, seed=0)
+    ann = CoarseQuantizer.train(model.V, model.s, N_CLUSTERS, seed=0)
     return EpochSnapshot(0, model, ann=ann, **ranges)
 
 
@@ -193,22 +196,73 @@ def test_worker_holds_current_and_previous_epoch_only(tmp_path):
     q = np.ones((1, old_snapshot.k))
     frame = {"op": "score", "queries": q.tolist(), "top": 5}
 
-    assert worker.bump(plan_for(second).to_json())["ok"]
+    assert worker.bump(plan_for(second).to_json(), first.epoch)["ok"]
     # A frame that pinned the old epoch before the swap still scores the
     # old snapshot — not the new rows.
-    assert worker.previous is old_snapshot
+    assert worker.window.served is old_snapshot
     old = worker.handle({**frame, "epoch": first.epoch})
     assert old["epoch"] == first.epoch
     want, _ = old_snapshot.search(q, top=5)
     assert [r.tolist() for r in old["results"]] == want
     assert worker.handle({**frame, "epoch": second.epoch})["epoch"] == second.epoch
 
-    assert worker.bump(plan_for(third).to_json())["ok"]
+    assert worker.bump(plan_for(third).to_json(), second.epoch)["ok"]
     # Two bumps old: outside the window.
     stale = worker.handle({**frame, "epoch": first.epoch})
     assert stale["stale_epoch"] is True and stale["epoch"] == third.epoch
     assert "error" not in worker.handle({**frame, "epoch": second.epoch})
     assert worker.handle(frame)["epoch"] == third.epoch
+
+
+def test_a_worker_bumped_twice_before_quorum_answers_the_served_epoch(tmp_path):
+    """Bump frames name the fleet's served epoch: a worker bumped past it
+    twice (two seals, no quorum yet) still answers it, and lets it go
+    only once a bump names a newer one as served."""
+    data_dir = _seed_store(tmp_path / "store")
+    store = DurableIndexStore.open(data_dir)
+    seals = []
+    for step in range(3):
+        store.add_texts(_texts(2, seed=30 + step), [f"F{step}a", f"F{step}b"])
+        seals.append(store.seal(reason="test"))
+    store.close(flush=False)
+
+    def bump(seal, served):
+        plan = ShardPlan.compute(
+            seal.n_documents, 2, epoch=seal.epoch, checkpoint=seal.name
+        )
+        return worker.handle(
+            {"op": BUMP_OP, "plan": plan.to_json(), "served": served}
+        )
+
+    first, second, third = seals
+    worker = ShardWorker(
+        open_checkpoint(data_dir, first.name).model(),
+        ShardPlan.compute(first.n_documents, 2).shard(0),
+        epoch=first.epoch, data_dir=data_dir,
+    )
+    served = worker.current
+    q = np.ones((1, served.k))
+    frame = {"op": "score", "queries": q.tolist(), "top": 5}
+    want, _ = served.search(q, top=5)
+
+    for seal in (second, third):
+        assert bump(seal, first.epoch)["epoch"] == seal.epoch
+        answer = worker.handle({**frame, "epoch": first.epoch})
+        assert answer["epoch"] == first.epoch
+        assert [r.tolist() for r in answer["results"]] == want
+    # The bump between was replaced; the newest answers beside the served.
+    assert worker.handle({**frame, "epoch": second.epoch})["stale_epoch"]
+    assert worker.handle({**frame, "epoch": third.epoch})["epoch"] == third.epoch
+
+    # A bump frame that names no served epoch is refused, holding both.
+    plan = ShardPlan.compute(third.n_documents, 2, epoch=third.epoch)
+    assert "error" in worker.handle({"op": BUMP_OP, "plan": plan.to_json()})
+    assert worker.window.served is served
+
+    # The fleet publishes the newest: the next bump names it as served.
+    assert bump(third, third.epoch)["noop"]
+    assert worker.window.served.epoch == third.epoch
+    assert worker.handle({**frame, "epoch": first.epoch})["stale_epoch"]
 
 
 # --------------------------------------------------------------------- #

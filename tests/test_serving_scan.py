@@ -318,7 +318,7 @@ def test_every_ranked_path_is_bit_equal():
     )[0][0]:
         assert score == full[j]
     # Probe-bounded with every cell probed.
-    quantizer = CoarseQuantizer.train(model.V * model.s, 12, seed=0)
+    quantizer = CoarseQuantizer.train(model.V, model.s, 12, seed=0)
     probing = EpochSnapshot(0, model, ann=quantizer)
     assert probing.search(Qs, top=top, probes=12)[0] == flat
     # The retrieval engine and §3.1's ``retrieve``.
@@ -412,7 +412,7 @@ def test_a_batch_ranks_as_its_single_queries_do():
     Qs[4] = 0.0  # the all-OOV query
     tops = [10, 1, None, 200, 10, 3]
     thresholds = [None, None, 0.2, None, None, 0.05]
-    quantizer = CoarseQuantizer.train((V * s)[: n - 500], 16, seed=0)
+    quantizer = CoarseQuantizer.train(V[: n - 500], s, 16, seed=0)
     snapshots = [
         EpochSnapshot(0, model),
         EpochSnapshot(0, model, lo=777, hi=n - 5),
@@ -539,7 +539,7 @@ def test_every_path_ranks_as_the_partition_cut_did(direct, monkeypatch):
     V = rng.standard_normal((n, k))
     V[3000:3050] = V[10:60]  # exact ties
     model = _model(V, s)
-    quantizer = CoarseQuantizer.train((V * s)[: n - 300], 24, seed=0)
+    quantizer = CoarseQuantizer.train(V[: n - 300], s, 24, seed=0)
     snapshots = [
         EpochSnapshot(0, model),
         EpochSnapshot(0, model, lo=1234, hi=n - 7),

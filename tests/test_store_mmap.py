@@ -14,11 +14,9 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.cluster.epochs import (
-    EpochHandle,
-    open_checkpoint as cluster_open_checkpoint,
-)
 from repro.cluster.plan import ShardPlan
+from repro.cluster.service import ClusterConfig, ClusterService
+from repro.cluster.worker import open_shard
 from repro.core.query import project_query
 from repro.core.similarity import cosine_similarities
 from repro.errors import StoreCorruptError
@@ -148,9 +146,7 @@ def test_mapped_reader_serves_the_writers_factors(tmp_path):
         # The quantizer's cells are fitted to the coordinates queries are
         # compared with (the serving V_k Σ_k), not base Σ under rotated V.
         model = store.manager.model
-        want = CoarseQuantizer.train(
-            model.V * model.s, seed=store.manager.seed
-        )
+        want = CoarseQuantizer.train(model.V, model.s, seed=store.manager.seed)
         sealed = open_latest_ann(store.data_dir)
         assert np.array_equal(sealed.centroids, want.centroids)
         assert np.array_equal(sealed.cell_docs, want.cell_docs)
@@ -210,7 +206,7 @@ def _worker_by_plan(data_dir):
     plan = ShardPlan.compute(
         sealed.model().n_documents, 2, epoch=sealed.epoch, checkpoint=name
     )
-    return lambda: cluster_open_checkpoint(data_dir, plan)[1]
+    return lambda: open_shard(data_dir, plan, 1).model
 
 
 @pytest.mark.parametrize(
@@ -220,7 +216,7 @@ def _worker_by_plan(data_dir):
         (lambda d: lambda: _tenant_attach(d), 1),
         (lambda d: lambda: open_latest_model(d), 1),
         (lambda d: lambda: open_latest_ann(d), 1),
-        (lambda d: lambda: EpochHandle.open(d, 2).model, 1),
+        (lambda d: lambda: ClusterService(d, ClusterConfig(2)).window.served.model, 1),
         (_worker_by_plan, 0),
     ],
     ids=["serve", "tenant-attach", "latest-model", "latest-ann",
